@@ -5,13 +5,18 @@
 //! bin-id counterparts, reducing "the memory footprint to 1/4 as bin id need
 //! only 1 Byte when max bin size is 256". This crate owns that step:
 //!
-//! * [`GkSketch`] — a Greenwald–Khanna streaming quantile sketch for cut
-//!   search over columns too large to sort exactly.
-//! * [`BinMapper`] — per-feature cut points built from exact quantiles (small
-//!   columns) or the sketch (large columns), plus value→bin lookup.
+//! * [`BinMapper`] — per-feature cut points at the exact quantiles of each
+//!   column (one in-place sort per column, columns in parallel), plus
+//!   value→bin lookup.
 //! * [`QuantizedMatrix`] — the binned dataset in both row-major and
 //!   column-major layouts (data parallelism scans rows; feature/model
-//!   parallelism scans columns), with CSR/CSC pairs for sparse data.
+//!   parallelism scans columns), with CSR/CSC pairs for sparse data, written
+//!   by row-block tasks in parallel.
+//!
+//! Together the two are *set-up*: what a user pays before the first tree.
+//! It holds `threads × n_rows × 4` transient bytes beyond the storage it
+//! returns (`nnz × 8` for sparse input); `tests/setup_footprint.rs` gates
+//! that with a counting allocator.
 //!
 //! One bin id is reserved as the missing-value sentinel in dense storage, so
 //! `max_bins` is capped at 255 rather than the paper's 256; missing-value
@@ -30,7 +35,7 @@ mod cache;
 mod codec;
 mod mapper;
 mod quantized;
-mod sketch;
+mod setup;
 mod store;
 
 pub use bundling::{BundleConfig, BundleMap, BundleMember, BundleSlot};
@@ -40,7 +45,6 @@ pub use cache::{
 };
 pub use mapper::{BinMapper, BinningConfig, FeatureCuts};
 pub use quantized::{
-    LayoutOptions, LayoutStats, QuantizedMatrix, U4Pack, MISSING_BIN, MISSING_NIBBLE,
+    LayoutOptions, LayoutStats, QuantizedMatrix, SetupTimings, U4Pack, MISSING_BIN, MISSING_NIBBLE,
 };
-pub use sketch::GkSketch;
 pub use store::{ChunkIoStats, PinnedChunk, QuantStore, StoreLayout};

@@ -1,7 +1,13 @@
 //! Cut-point search and value→bin mapping.
+//!
+//! Cut search is pass 1 of set-up (pass 2, quantization, lives in
+//! [`crate::quantized`]): ⟨feature⟩ tasks on scoped threads, each gathering
+//! one column into a per-worker buffer, sorting it in place and reading the
+//! cuts off the sorted run. Transient memory is `threads × n_rows × 4` bytes
+//! — never a whole-matrix copy.
 
 use crate::bundling::BundleMap;
-use crate::sketch::GkSketch;
+use crate::setup::{run_tasks, setup_threads, split_mut, split_ranges, SetupInput};
 use harp_data::FeatureMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -11,14 +17,11 @@ pub struct BinningConfig {
     /// Maximum bins per feature, at most 255 (one `u8` value is reserved as
     /// the dense missing sentinel). The paper's default is 256; ours is 255.
     pub max_bins: u16,
-    /// Columns with more present values than this are summarized with a
-    /// [`GkSketch`] instead of an exact sort.
-    pub sketch_threshold: usize,
 }
 
 impl Default for BinningConfig {
     fn default() -> Self {
-        Self { max_bins: 255, sketch_threshold: 200_000 }
+        Self { max_bins: 255 }
     }
 }
 
@@ -29,7 +32,7 @@ impl BinningConfig {
     /// Panics if `max_bins` is 0 or exceeds 255.
     pub fn with_max_bins(max_bins: u16) -> Self {
         assert!((1..=255).contains(&max_bins), "max_bins must be in 1..=255");
-        Self { max_bins, ..Self::default() }
+        Self { max_bins }
     }
 }
 
@@ -48,7 +51,9 @@ impl FeatureCuts {
         self.cuts.len() as u16
     }
 
-    /// Maps a present value to its bin id.
+    /// Maps a present value to its bin id. `-inf` lands in bin 0 and `+inf`
+    /// in the last bin, like any value outside the cuts; `NaN` is a missing
+    /// value and has no bin — both matrix layouts drop it before this call.
     #[inline]
     pub fn value_to_bin(&self, v: f32) -> u8 {
         debug_assert!(!v.is_nan(), "missing values have no bin");
@@ -78,21 +83,24 @@ pub struct BinMapper {
 }
 
 impl BinMapper {
-    /// Builds cut points for every column of `matrix`. Columns are processed
-    /// in parallel with scoped threads (this is the preprocessing step
-    /// outside the trainer's instrumented hot path).
+    /// Builds cut points for every column of `matrix`: exact quantiles of
+    /// the present values (one bin per distinct value when they fit the
+    /// budget), columns searched in parallel on scoped threads. This is the
+    /// first half of set-up — the wall-clock a user pays before the first
+    /// tree, which no trainer phase accounts for.
     pub fn from_matrix(matrix: &FeatureMatrix, config: BinningConfig) -> Self {
+        Self::from_input(&SetupInput::new(matrix), config, setup_threads())
+    }
+
+    /// [`from_matrix`](Self::from_matrix) over an already gathered input, on
+    /// `threads` threads (the cuts do not depend on the count).
+    pub(crate) fn from_input(
+        input: &SetupInput<'_>,
+        config: BinningConfig,
+        threads: usize,
+    ) -> Self {
         assert!((1..=255).contains(&config.max_bins), "max_bins must be in 1..=255");
-        let m = matrix.n_cols();
-        let n = matrix.n_rows();
-        // One pass to split values by column; avoids O(log nnz) strided gets
-        // on CSR data.
-        let mut columns: Vec<Vec<f32>> = vec![Vec::new(); m];
-        for r in 0..n {
-            matrix.for_each_in_row(r, |c, v| columns[c as usize].push(v));
-        }
-        let features = parallel_map(columns, |col| build_cuts(col, config));
-        Self::from_cuts(features)
+        Self::from_cuts(search_cuts(input, usize::from(config.max_bins), threads))
     }
 
     /// Assembles a mapper from precomputed cuts.
@@ -180,53 +188,104 @@ impl BinMapper {
     }
 }
 
-/// Builds the cuts of one column from its present values.
-/// Order-preserving parallel map over owned items using scoped threads; one
-/// contiguous chunk of items per available core.
-fn parallel_map<T: Send, U: Send>(items: Vec<T>, f: impl Fn(T) -> U + Sync) -> Vec<U> {
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if threads <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
+/// Pass 1 of set-up: ⟨feature⟩ tasks over contiguous feature ranges, one
+/// range per thread, each worker reusing one key buffer for its columns.
+fn search_cuts(input: &SetupInput<'_>, max_bins: usize, threads: usize) -> Vec<FeatureCuts> {
+    let mut features = vec![FeatureCuts { cuts: Vec::new() }; input.n_cols()];
+    let ranges = split_ranges(input.n_cols(), threads, 1);
+    // Allocated here and lent to the workers: memory freed inside a
+    // short-lived thread stays resident in that thread's allocator arena,
+    // where nothing the caller allocates afterwards can reuse it.
+    let buffer_len = input.max_column_len();
+    let mut buffers: Vec<Vec<u32>> =
+        ranges.iter().map(|_| Vec::with_capacity(buffer_len)).collect();
+    let outputs = split_mut(&mut features, ranges.iter().map(|r| r.len()));
+    let mut tasks = Vec::new();
+    for ((range, mine), keys) in ranges.into_iter().zip(outputs).zip(&mut buffers) {
+        tasks.push(move || {
+            for (f, out) in range.zip(mine) {
+                keys.clear();
+                input.for_each_in_col(f, |v| keys.push(sort_key(v)));
+                *out = cuts_from_keys(keys, max_bins);
+            }
+        });
     }
-    let chunk = items.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<T>> = Vec::new();
-    let mut items = items.into_iter();
-    loop {
-        let c: Vec<T> = items.by_ref().take(chunk).collect();
-        if c.is_empty() {
-            break;
-        }
-        chunks.push(c);
-    }
-    let f = &f;
-    let mut out: Vec<Vec<U>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| scope.spawn(move || c.into_iter().map(f).collect::<Vec<U>>()))
-            .collect();
-        out = handles
-            .into_iter()
-            .map(|h| h.join().expect("binning worker panicked"))
-            .collect();
-    });
-    out.into_iter().flatten().collect()
+    run_tasks(tasks);
+    features
 }
 
-fn build_cuts(mut values: Vec<f32>, config: BinningConfig) -> FeatureCuts {
-    let max_bins = usize::from(config.max_bins);
-    if values.is_empty() {
-        return FeatureCuts { cuts: Vec::new() };
+/// Maps a non-`NaN` value to a `u32` whose unsigned order is
+/// [`f32::total_cmp`]'s (`-0.0` just below `+0.0`), so a column sorts with
+/// plain integer compares instead of re-deriving this key in every
+/// comparison.
+#[inline]
+fn sort_key(v: f32) -> u32 {
+    let bits = v.to_bits();
+    // Negative: flip every bit. Non-negative: set the sign bit.
+    bits ^ ((((bits as i32) >> 31) as u32) | 0x8000_0000)
+}
+
+/// Inverse of [`sort_key`].
+#[inline]
+fn key_value(key: u32) -> f32 {
+    f32::from_bits(if key & 0x8000_0000 != 0 { key ^ 0x8000_0000 } else { !key })
+}
+
+/// Builds the cuts of one column from the sort keys of its present values,
+/// sorting them in place. Up to `max_bins` distinct values get one bin each;
+/// beyond that the cuts are the exact `i/max_bins` quantiles, the largest
+/// value last. "Distinct" is `f32` equality, so `-0.0` and `+0.0` share the
+/// cut `-0.0`.
+fn cuts_from_keys(keys: &mut [u32], max_bins: usize) -> FeatureCuts {
+    keys.sort_unstable();
+    let n = keys.len();
+    fn push_new(cuts: &mut Vec<f32>, key: u32) {
+        let v = key_value(key);
+        if cuts.last() != Some(&v) {
+            cuts.push(v);
+        }
     }
-    let mut cuts: Vec<f32>;
-    if values.len() > config.sketch_threshold {
-        // Large column: approximate quantiles via GK sketch.
-        let mut sk = GkSketch::new((0.25 / config.max_bins as f64).min(0.01));
-        sk.extend(values.iter().copied());
-        cuts = (1..=max_bins)
-            .map(|i| sk.query(i as f64 / max_bins as f64).expect("nonempty sketch"))
-            .collect();
-    } else {
+    let mut cuts: Vec<f32> = Vec::new();
+    // A high-cardinality column leaves this loop after `max_bins + 1`
+    // distinct values, i.e. almost at once.
+    for &key in keys.iter() {
+        push_new(&mut cuts, key);
+        if cuts.len() > max_bins {
+            cuts.clear();
+            for i in 1..=max_bins {
+                push_new(&mut cuts, keys[(i * n / max_bins).max(1) - 1]);
+            }
+            break;
+        }
+    }
+    FeatureCuts { cuts }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use harp_data::{CsrMatrix, DenseMatrix};
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    fn dense(n_rows: usize, n_cols: usize, f: impl Fn(usize, usize) -> f32) -> FeatureMatrix {
+        let mut v = Vec::with_capacity(n_rows * n_cols);
+        for r in 0..n_rows {
+            for c in 0..n_cols {
+                v.push(f(r, c));
+            }
+        }
+        FeatureMatrix::Dense(DenseMatrix::from_vec(n_rows, n_cols, v))
+    }
+
+    /// The cut rule, as the exact-sort branch of the pre-pipeline
+    /// `build_cuts` stated it: the oracle [`cuts_from_keys`] must match
+    /// bitwise.
+    fn build_cuts_oracle(mut values: Vec<f32>, max_bins: usize) -> FeatureCuts {
+        if values.is_empty() {
+            return FeatureCuts { cuts: Vec::new() };
+        }
+        let mut cuts: Vec<f32>;
         values.sort_by(f32::total_cmp);
         // Distinct values; if they fit the budget, one bin per value.
         let mut distinct = values.clone();
@@ -246,27 +305,141 @@ fn build_cuts(mut values: Vec<f32>, config: BinningConfig) -> FeatureCuts {
                 cuts.push(max);
             }
         }
+        cuts.sort_by(f32::total_cmp);
+        cuts.dedup();
+        FeatureCuts { cuts }
     }
-    cuts.sort_by(f32::total_cmp);
-    cuts.dedup();
-    FeatureCuts { cuts }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use harp_data::{CsrMatrix, DenseMatrix};
-    use proptest::prelude::*;
-    use rand::{rngs::StdRng, Rng, SeedableRng};
+    fn bits(cuts: &FeatureCuts) -> Vec<u32> {
+        cuts.cuts.iter().map(|c| c.to_bits()).collect()
+    }
 
-    fn dense(n_rows: usize, n_cols: usize, f: impl Fn(usize, usize) -> f32) -> FeatureMatrix {
-        let mut v = Vec::with_capacity(n_rows * n_cols);
-        for r in 0..n_rows {
-            for c in 0..n_cols {
-                v.push(f(r, c));
+    /// One column of `n` cells, `None` = missing, in one of four value
+    /// shapes: continuous, a few distinct levels (heavy ties), signed zeros
+    /// among small integers, and infinities among continuous values.
+    fn shaped_column(seed: u64, n: usize, shape: u8, missing: f64) -> Vec<Option<f32>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                if rng.gen::<f64>() < missing {
+                    return None;
+                }
+                Some(match shape {
+                    0 => rng.gen_range(-1e3f32..1e3),
+                    1 => rng.gen_range(0..7u32) as f32 * 0.5 - 1.0,
+                    2 => [-0.0, 0.0, -1.0, 1.0, 0.0, -0.0][rng.gen_range(0..6usize)],
+                    _ => match rng.gen_range(0..10u32) {
+                        0 => f32::INFINITY,
+                        1 => f32::NEG_INFINITY,
+                        _ => rng.gen_range(-5f32..5.0),
+                    },
+                })
+            })
+            .collect()
+    }
+
+    /// The same column as a one-feature dense matrix and as a one-feature
+    /// CSR matrix.
+    fn as_matrices(column: &[Option<f32>]) -> [FeatureMatrix; 2] {
+        let dense: Vec<f32> = column.iter().map(|v| v.unwrap_or(f32::NAN)).collect();
+        let rows: Vec<Vec<(u32, f32)>> =
+            column.iter().map(|v| v.map(|v| (0, v)).into_iter().collect()).collect();
+        [
+            FeatureMatrix::Dense(DenseMatrix::from_vec(column.len(), 1, dense)),
+            FeatureMatrix::Sparse(CsrMatrix::from_rows(1, &rows)),
+        ]
+    }
+
+    #[test]
+    fn sort_key_orders_like_total_cmp_and_round_trips() {
+        let vals = [
+            f32::NEG_INFINITY,
+            -3.5,
+            -f32::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f32::MIN_POSITIVE,
+            2.0,
+            f32::INFINITY,
+        ];
+        for w in vals.windows(2) {
+            assert!(sort_key(w[0]) < sort_key(w[1]), "{} !< {}", w[0], w[1]);
+        }
+        for v in vals {
+            assert_eq!(key_value(sort_key(v)).to_bits(), v.to_bits());
+        }
+    }
+
+    /// A column above the old 200 000-row sketch threshold gets the exact
+    /// quantiles, through both layouts and at any thread count.
+    #[test]
+    fn large_column_matches_the_oracle() {
+        let column = shaped_column(5, 250_000, 0, 0.03);
+        let present: Vec<f32> = column.iter().flatten().copied().collect();
+        let want = build_cuts_oracle(present, 255);
+        assert_eq!(want.n_bins(), 255);
+        for matrix in as_matrices(&column) {
+            for threads in [1, 3] {
+                let mapper = BinMapper::from_input(
+                    &SetupInput::new(&matrix),
+                    BinningConfig::default(),
+                    threads,
+                );
+                assert_eq!(bits(mapper.cuts(0)), bits(&want));
             }
         }
-        FeatureMatrix::Dense(DenseMatrix::from_vec(n_rows, n_cols, v))
+    }
+
+    #[test]
+    fn cuts_do_not_depend_on_the_thread_count() {
+        let d = harp_data::SynthConfig::new(harp_data::DatasetKind::HiggsLike, 3)
+            .with_scale(0.1)
+            .generate();
+        let input = SetupInput::new(&d.features);
+        let one = BinMapper::from_input(&input, BinningConfig::default(), 1);
+        for threads in [2, 5, 64] {
+            let many = BinMapper::from_input(&input, BinningConfig::default(), threads);
+            for f in 0..one.n_features() {
+                assert_eq!(bits(one.cuts(f)), bits(many.cuts(f)), "feature {f} at {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn degenerate_columns_get_defined_cuts() {
+        let n = 40;
+        let m = dense(n, 4, |r, c| match c {
+            0 => f32::NAN,
+            1 => 2.5,
+            2 => [f32::NEG_INFINITY, f32::INFINITY][r % 2],
+            _ => [f32::NEG_INFINITY, -1.0, 1.0, f32::INFINITY][r % 4],
+        });
+        let mapper = BinMapper::from_matrix(&m, BinningConfig::default());
+        assert_eq!(mapper.n_bins(0), 0, "an all-NaN column is never present");
+        assert_eq!(mapper.cuts(1).cuts, vec![2.5], "a constant column is one bin");
+        assert_eq!(mapper.cuts(2).cuts, vec![f32::NEG_INFINITY, f32::INFINITY]);
+        assert_eq!(mapper.cuts(2).value_to_bin(f32::NEG_INFINITY), 0);
+        assert_eq!(mapper.cuts(2).value_to_bin(0.0), 1);
+        assert_eq!(mapper.cuts(2).value_to_bin(f32::INFINITY), 1);
+        // Infinities among finite values take the outer bins, seen or not.
+        assert_eq!(mapper.cuts(3).value_to_bin(f32::NEG_INFINITY), 0);
+        assert_eq!(mapper.cuts(3).value_to_bin(f32::INFINITY), 3);
+        assert_eq!(mapper.cuts(1).value_to_bin(f32::INFINITY), 0);
+        assert_eq!(mapper.cuts(1).value_to_bin(f32::NEG_INFINITY), 0);
+    }
+
+    /// An explicit NaN in sparse input is a missing entry, not a cut.
+    #[test]
+    fn sparse_nan_entries_do_not_reach_the_cuts() {
+        let rows = vec![
+            vec![(0, 1.0), (1, f32::NAN)],
+            vec![(0, f32::NAN), (1, 4.0)],
+            vec![(0, 3.0), (1, 2.0)],
+        ];
+        let m = FeatureMatrix::Sparse(CsrMatrix::from_rows(2, &rows));
+        let mapper = BinMapper::from_matrix(&m, BinningConfig::default());
+        assert_eq!(mapper.cuts(0).cuts, vec![1.0, 3.0]);
+        assert_eq!(mapper.cuts(1).cuts, vec![2.0, 4.0]);
     }
 
     #[test]
@@ -306,23 +479,6 @@ mod tests {
                 c < expect * 3 && c > expect / 3,
                 "bin {b} holds {c} values (expected ~{expect}) despite skew"
             );
-        }
-    }
-
-    #[test]
-    fn sketch_path_matches_exact_path_approximately() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let values: Vec<f32> = (0..50_000).map(|_| rng.gen()).collect();
-        let m = FeatureMatrix::Dense(DenseMatrix::from_vec(values.len(), 1, values.clone()));
-        let exact = BinMapper::from_matrix(
-            &m,
-            BinningConfig { max_bins: 16, sketch_threshold: usize::MAX },
-        );
-        let sketched =
-            BinMapper::from_matrix(&m, BinningConfig { max_bins: 16, sketch_threshold: 1000 });
-        assert_eq!(exact.n_bins(0), sketched.n_bins(0));
-        for (a, b) in exact.cuts(0).cuts.iter().zip(&sketched.cuts(0).cuts) {
-            assert!((a - b).abs() < 0.02, "cut drifted: exact {a} vs sketch {b}");
         }
     }
 
@@ -385,6 +541,30 @@ mod tests {
     }
 
     proptest! {
+        /// The cut search equals the exact-sort oracle bit for bit, dense
+        /// and CSR, over every value shape and bin budget.
+        #[test]
+        fn prop_cut_search_matches_oracle(
+            seed in any::<u64>(),
+            n in 0usize..700,
+            shape in 0u8..4,
+            missing in 0.0f64..0.6,
+            max_bins in 1u16..256,
+            threads in 1usize..4,
+        ) {
+            let column = shaped_column(seed, n, shape, missing);
+            let present: Vec<f32> = column.iter().flatten().copied().collect();
+            let want = build_cuts_oracle(present, usize::from(max_bins));
+            for matrix in as_matrices(&column) {
+                let mapper = BinMapper::from_input(
+                    &SetupInput::new(&matrix),
+                    BinningConfig::with_max_bins(max_bins),
+                    threads,
+                );
+                prop_assert_eq!(bits(mapper.cuts(0)), bits(&want));
+            }
+        }
+
         /// Binning must be monotone: v1 <= v2 implies bin(v1) <= bin(v2).
         #[test]
         fn prop_binning_is_monotone(
@@ -392,7 +572,7 @@ mod tests {
             max_bins in 1u16..40,
         ) {
             let m = FeatureMatrix::Dense(DenseMatrix::from_vec(values.len(), 1, values.clone()));
-            let mapper = BinMapper::from_matrix(&m, BinningConfig { max_bins, sketch_threshold: usize::MAX });
+            let mapper = BinMapper::from_matrix(&m, BinningConfig { max_bins });
             values.sort_by(f32::total_cmp);
             let bins: Vec<u8> = values.iter().map(|&v| mapper.cuts(0).value_to_bin(v)).collect();
             for w in bins.windows(2) {

@@ -25,7 +25,9 @@
 use crate::bundling::{plan_bundles, BundleConfig, BundleMap};
 use crate::bytes::SharedBytes;
 use crate::mapper::{BinMapper, BinningConfig};
-use harp_data::FeatureMatrix;
+use crate::setup::{run_tasks, setup_threads, split_mut, split_ranges, SetupInput, ValueCsc};
+use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
+use std::time::Instant;
 
 /// Dense-storage sentinel for a missing value. Real bins are `0..=254`.
 pub const MISSING_BIN: u8 = u8::MAX;
@@ -262,6 +264,17 @@ pub struct LayoutStats {
     pub bundle_conflicts: u64,
 }
 
+/// Wall seconds of the two passes of one set-up
+/// ([`QuantizedMatrix::from_matrix_timed`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SetupTimings {
+    /// Pass 1: gathering columns and searching their cuts.
+    pub cut_secs: f64,
+    /// Pass 2: quantizing into both majors, then layout selection (u4
+    /// packing, bundling).
+    pub quantize_secs: f64,
+}
+
 /// A binned dataset: [`BinMapper`] plus `u8` bin storage in both row- and
 /// column-major layouts.
 #[derive(Debug, Clone)]
@@ -284,12 +297,36 @@ impl QuantizedMatrix {
         config: BinningConfig,
         layout: LayoutOptions,
     ) -> Self {
-        let mapper = BinMapper::from_matrix(matrix, config);
-        let mut qm = Self::with_mapper_opts(matrix, mapper, layout);
+        Self::from_matrix_timed(matrix, config, layout).0
+    }
+
+    /// [`from_matrix_opts`](Self::from_matrix_opts) that also reports how
+    /// long each set-up pass took.
+    pub fn from_matrix_timed(
+        matrix: &FeatureMatrix,
+        config: BinningConfig,
+        layout: LayoutOptions,
+    ) -> (Self, SetupTimings) {
+        Self::from_matrix_threads(matrix, config, layout, setup_threads())
+    }
+
+    /// Set-up on `threads` threads; the result does not depend on the count.
+    pub(crate) fn from_matrix_threads(
+        matrix: &FeatureMatrix,
+        config: BinningConfig,
+        layout: LayoutOptions,
+        threads: usize,
+    ) -> (Self, SetupTimings) {
+        let start = Instant::now();
+        let input = SetupInput::new(matrix);
+        let mapper = BinMapper::from_input(&input, config, threads);
+        let cut_secs = start.elapsed().as_secs_f64();
+        let start = Instant::now();
+        let mut qm = Self::from_input(input, mapper, layout, threads);
         if layout.enable_bundling {
             qm.try_bundle(layout.bundle);
         }
-        qm
+        (qm, SetupTimings { cut_secs, quantize_secs: start.elapsed().as_secs_f64() })
     }
 
     /// Quantizes `matrix` with existing cuts (e.g. apply training cuts to a
@@ -307,49 +344,32 @@ impl QuantizedMatrix {
         mapper: BinMapper,
         layout: LayoutOptions,
     ) -> Self {
-        assert_eq!(matrix.n_cols(), mapper.n_features(), "mapper/matrix feature mismatch");
-        let n_rows = matrix.n_rows();
-        let m = matrix.n_cols();
-        let storage = match matrix {
-            FeatureMatrix::Dense(_) => {
-                let mut row_major = vec![MISSING_BIN; n_rows * m];
-                let mut col_major = vec![MISSING_BIN; n_rows * m];
-                // Quantize and transpose in one blocked pass: each row block
-                // is scattered into the column major while its freshly
-                // quantized bytes are still cache-hot, instead of a second
-                // full-matrix transpose pass re-streaming all of row_major.
-                const TRANSPOSE_ROW_BLOCK: usize = 256;
-                let mut r0 = 0;
-                while r0 < n_rows {
-                    let r1 = (r0 + TRANSPOSE_ROW_BLOCK).min(n_rows);
-                    for r in r0..r1 {
-                        matrix.for_each_in_row(r, |c, v| {
-                            row_major[r * m + c as usize] = mapper.cuts(c as usize).value_to_bin(v);
-                        });
-                    }
-                    for c in 0..m {
-                        let col = &mut col_major[c * n_rows..(c + 1) * n_rows];
-                        for r in r0..r1 {
-                            col[r] = row_major[r * m + c];
-                        }
-                    }
-                    r0 = r1;
-                }
-                // Construction high-water: exactly the two resident majors —
-                // no transpose staging buffer may ever be allocated here.
-                debug_assert_eq!(
-                    row_major.len() + col_major.len(),
-                    2 * n_rows * m,
-                    "dense construction must not stage a third copy"
-                );
+        Self::from_input(SetupInput::new(matrix), mapper, layout, setup_threads())
+    }
+
+    /// Pass 2 of set-up: quantizes `input` with `mapper`'s cuts.
+    fn from_input(
+        input: SetupInput<'_>,
+        mapper: BinMapper,
+        layout: LayoutOptions,
+        threads: usize,
+    ) -> Self {
+        assert_eq!(input.n_cols(), mapper.n_features(), "mapper/matrix feature mismatch");
+        let (n_rows, storage) = match input {
+            SetupInput::Dense(dense) => {
+                let (n_rows, m) = (dense.n_rows(), dense.n_cols());
+                let (row_major, col_major) = quantize_dense(dense, &mapper, threads);
                 let u4 = (layout.enable_u4 && mapper.max_bins_used() <= 16)
                     .then(|| U4Pack::build(n_rows, m, &row_major, &col_major, &mapper))
                     .flatten();
-                Storage::Dense { row_major: row_major.into(), col_major: col_major.into(), u4 }
+                let storage =
+                    Storage::Dense { row_major: row_major.into(), col_major: col_major.into(), u4 };
+                (n_rows, storage)
             }
-            FeatureMatrix::Sparse(_) => {
-                let (csr, csc) = build_sparse(matrix, &mapper);
-                match mapper.bundles() {
+            SetupInput::Sparse(sparse, value_csc) => {
+                let n_rows = sparse.n_rows();
+                let (csr, csc) = quantize_sparse(sparse, value_csc, &mapper, threads);
+                let storage = match mapper.bundles() {
                     Some(map) => {
                         let (row_major, col_major, n_cols) = build_bundled(n_rows, &csr, map);
                         Storage::Bundled {
@@ -359,7 +379,8 @@ impl QuantizedMatrix {
                         }
                     }
                     None => Storage::Sparse { csr, csc },
-                }
+                };
+                (n_rows, storage)
             }
         };
         Self { n_rows, mapper, storage }
@@ -897,44 +918,107 @@ impl QuantizedMatrix {
     }
 }
 
-/// Quantizes a sparse matrix into CSR + CSC bin storage.
-fn build_sparse(matrix: &FeatureMatrix, mapper: &BinMapper) -> (QCsr, QCsc) {
-    let n_rows = matrix.n_rows();
-    let m = matrix.n_cols();
-    let mut indptr = Vec::with_capacity(n_rows + 1);
-    indptr.push(0usize);
-    let mut cols = Vec::new();
-    let mut bins = Vec::new();
-    // Count per-column entries for the CSC pass.
-    let mut col_counts = vec![0usize; m];
-    for r in 0..n_rows {
-        matrix.for_each_in_row(r, |c, v| {
-            cols.push(c);
-            bins.push(mapper.cuts(c as usize).value_to_bin(v));
-            col_counts[c as usize] += 1;
-        });
-        indptr.push(cols.len());
+/// Rows per dense transpose tile: a tile's raw values and the row-major
+/// bytes written for it stay cache-resident while the tile is walked once per
+/// feature.
+const TILE_ROWS: usize = 256;
+
+/// Quantizes a dense matrix into its row and column majors with ⟨row-block⟩
+/// tasks: each owns the block's rows of `row_major` and the same rows of
+/// every column of `col_major`, so nothing is staged or copied afterwards.
+fn quantize_dense(dense: &DenseMatrix, mapper: &BinMapper, threads: usize) -> (Vec<u8>, Vec<u8>) {
+    let (n_rows, m) = (dense.n_rows(), dense.n_cols());
+    let mut row_major = vec![MISSING_BIN; n_rows * m];
+    let mut col_major = vec![MISSING_BIN; n_rows * m];
+    if row_major.is_empty() {
+        return (row_major, col_major);
     }
-    // Build CSC by bucket placement (rows come out sorted because the CSR
-    // pass visits rows in order).
-    let mut csc_indptr = Vec::with_capacity(m + 1);
-    csc_indptr.push(0usize);
-    for c in 0..m {
-        csc_indptr.push(csc_indptr[c] + col_counts[c]);
-    }
-    let nnz = cols.len();
-    let mut rows = vec![0u32; nnz];
-    let mut csc_bins = vec![0u8; nnz];
-    let mut cursor = csc_indptr[..m].to_vec();
-    for r in 0..n_rows {
-        for i in indptr[r]..indptr[r + 1] {
-            let c = cols[i] as usize;
-            rows[cursor[c]] = r as u32;
-            csc_bins[cursor[c]] = bins[i];
-            cursor[c] += 1;
+    let blocks = split_ranges(n_rows, threads, TILE_ROWS);
+    let mut block_cols: Vec<Vec<&mut [u8]>> =
+        blocks.iter().map(|_| Vec::with_capacity(m)).collect();
+    for col in col_major.chunks_mut(n_rows) {
+        let pieces = split_mut(col, blocks.iter().map(|b| b.len()));
+        for (cols, piece) in block_cols.iter_mut().zip(pieces) {
+            cols.push(piece);
         }
     }
-    (QCsr { indptr, cols, bins }, QCsc { indptr: csc_indptr, rows, bins: csc_bins })
+    let block_rows = split_mut(&mut row_major, blocks.iter().map(|b| b.len() * m));
+    let mut tasks = Vec::new();
+    for ((block, rows), mut cols) in blocks.into_iter().zip(block_rows).zip(block_cols) {
+        let values = &dense.values()[block.start * m..block.end * m];
+        tasks.push(move || quantize_block(values, mapper, rows, &mut cols));
+    }
+    run_tasks(tasks);
+    (row_major, col_major)
+}
+
+/// Quantizes one row block tile by tile, feature by feature within a tile:
+/// the feature's cuts are looked up once per tile, not once per cell, and
+/// each bin goes to both majors while the tile is hot. `cols[f]` is the
+/// block's slice of column `f`; absent (`NaN`) cells keep [`MISSING_BIN`].
+fn quantize_block(values: &[f32], mapper: &BinMapper, rows: &mut [u8], cols: &mut [&mut [u8]]) {
+    let m = cols.len();
+    let n_rows = rows.len() / m;
+    for tile in (0..n_rows).step_by(TILE_ROWS) {
+        let tile = tile..(tile + TILE_ROWS).min(n_rows);
+        for (f, col) in cols.iter_mut().enumerate() {
+            let cuts = mapper.cuts(f);
+            for r in tile.clone() {
+                let v = values[r * m + f];
+                if !v.is_nan() {
+                    let bin = cuts.value_to_bin(v);
+                    rows[r * m + f] = bin;
+                    col[r] = bin;
+                }
+            }
+        }
+    }
+}
+
+/// Quantizes a sparse matrix into CSR + CSC bin storage from its value CSC:
+/// ⟨feature-range⟩ tasks quantize column-at-a-time (one cut table live per
+/// task), then one scatter writes the bins into CSR order. `value_csc.rows`
+/// becomes the CSC mirror's row ids as is.
+fn quantize_sparse(
+    sparse: &CsrMatrix,
+    value_csc: ValueCsc,
+    mapper: &BinMapper,
+    threads: usize,
+) -> (QCsr, QCsc) {
+    let ValueCsc { indptr: col_ptr, rows, vals } = value_csc;
+    let mut csc_bins = vec![0u8; vals.len()];
+    let ranges = split_ranges(sparse.n_cols(), threads, 1);
+    let outputs =
+        split_mut(&mut csc_bins, ranges.iter().map(|r| col_ptr[r.end] - col_ptr[r.start]));
+    let mut tasks = Vec::new();
+    for (range, mine) in ranges.into_iter().zip(outputs) {
+        let base = col_ptr[range.start];
+        let (col_ptr, vals) = (&col_ptr, &vals);
+        tasks.push(move || {
+            for f in range {
+                let cuts = mapper.cuts(f);
+                for i in col_ptr[f]..col_ptr[f + 1] {
+                    mine[i - base] = cuts.value_to_bin(vals[i]);
+                }
+            }
+        });
+    }
+    run_tasks(tasks);
+    drop(vals);
+    // CSC order visits features ascending, which is also the order of a CSR
+    // row's entries: a row's next free slot is always its next column.
+    let (row_ptr, cols, _) = sparse.parts();
+    let mut bins = vec![0u8; csc_bins.len()];
+    let mut next_slot = row_ptr[..sparse.n_rows()].to_vec();
+    for (&r, &bin) in rows.iter().zip(&csc_bins) {
+        let slot = &mut next_slot[r as usize];
+        bins[*slot] = bin;
+        *slot += 1;
+    }
+    (
+        QCsr { indptr: row_ptr.to_vec(), cols: cols.to_vec(), bins },
+        QCsc { indptr: col_ptr, rows, bins: csc_bins },
+    )
 }
 
 /// Materializes bundled dense majors from quantized CSR entries and a
@@ -1255,6 +1339,123 @@ mod tests {
                 assert_eq!(col[r], rm[r * m + f], "cell ({r},{f})");
             }
         }
+    }
+
+    /// Every stored byte, the u4 side-pack and the mapper (cuts, offsets,
+    /// bundle map) agree.
+    fn assert_same_storage(a: &QuantizedMatrix, b: &QuantizedMatrix) {
+        assert_eq!(
+            serde_json::to_string(a.mapper()).unwrap(),
+            serde_json::to_string(b.mapper()).unwrap()
+        );
+        assert_eq!(a.storage_bytes(), b.storage_bytes());
+        assert_eq!(a.dense_row_major(), b.dense_row_major());
+        assert_eq!(a.bundled_row_major(), b.bundled_row_major());
+        assert_eq!(a.sparse_csr(), b.sparse_csr());
+        assert_eq!(a.n_storage_cols(), b.n_storage_cols());
+        for c in 0..a.n_storage_cols() {
+            assert_eq!(a.dense_col(c), b.dense_col(c), "column {c}");
+            assert_eq!(a.bundled_col(c), b.bundled_col(c), "column {c}");
+            assert_eq!(a.sparse_col(c), b.sparse_col(c), "column {c}");
+        }
+        assert_eq!(a.u4().is_some(), b.u4().is_some());
+        if let (Some(pa), Some(pb)) = (a.u4(), b.u4()) {
+            assert_eq!(pa.packed_rows(), pb.packed_rows());
+            assert_eq!((pa.lanes(), pa.clean()), (pb.lanes(), pb.clean()));
+            for f in 0..a.n_features() {
+                assert_eq!(pa.packed_col(f), pb.packed_col(f), "packed column {f}");
+            }
+        }
+    }
+
+    /// Set-up at 1 thread and at N threads (more than there are tiles or
+    /// features, too) builds the same matrix: u8 dense, u4-packed dense,
+    /// sparse and bundled.
+    #[test]
+    fn setup_is_identical_at_any_thread_count() {
+        use harp_data::{DatasetKind, SynthConfig};
+        let low_card: Vec<f32> = (0..1000 * 5)
+            .map(|i| if i % 37 == 0 { f32::NAN } else { ((i * 31) % 11) as f32 })
+            .collect();
+        let inputs = [
+            SynthConfig::new(DatasetKind::HiggsLike, 5).with_scale(0.1).generate().features,
+            FeatureMatrix::Dense(DenseMatrix::from_vec(1000, 5, low_card)),
+            SynthConfig::new(DatasetKind::YfccLike, 5).with_scale(0.1).generate().features,
+            one_hot_matrix(),
+        ];
+        let build = |m: &FeatureMatrix, threads| {
+            let (cfg, layout) = (BinningConfig::default(), LayoutOptions::default());
+            QuantizedMatrix::from_matrix_threads(m, cfg, layout, threads).0
+        };
+        let kinds: Vec<(bool, bool, bool)> = inputs
+            .iter()
+            .map(|m| {
+                let one = build(m, 1);
+                for threads in [2, 3, 7, 10_000] {
+                    assert_same_storage(&one, &build(m, threads));
+                }
+                // The public entry point (host thread count) agrees too.
+                assert_same_storage(
+                    &one,
+                    &QuantizedMatrix::from_matrix(m, BinningConfig::default()),
+                );
+                (one.is_dense(), one.u4().is_some(), one.is_bundled())
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![
+                (true, false, false),
+                (true, true, false),
+                (false, false, false),
+                (false, false, true)
+            ],
+            "the four inputs must cover the four storages"
+        );
+    }
+
+    /// NaN in sparse input is a missing entry end to end, and ±inf take the
+    /// outer bins in both layouts.
+    #[test]
+    fn nan_is_missing_and_infinities_take_the_outer_bins() {
+        let rows = vec![
+            vec![(0, f32::NEG_INFINITY), (1, f32::NAN)],
+            vec![(0, 1.0), (1, 4.0)],
+            vec![(0, f32::NAN)],
+            vec![(0, f32::INFINITY), (1, 2.0)],
+        ];
+        let sparse = FeatureMatrix::Sparse(CsrMatrix::from_rows(2, &rows));
+        let mut dense = DenseMatrix::filled_missing(4, 2);
+        for (r, row) in rows.iter().enumerate() {
+            for &(c, v) in row {
+                dense.set(r, c as usize, v);
+            }
+        }
+        for m in [sparse, FeatureMatrix::Dense(dense)] {
+            let q = QuantizedMatrix::from_matrix_opts(
+                &m,
+                BinningConfig::default(),
+                LayoutOptions::uncompressed(),
+            );
+            assert_eq!(q.mapper().n_bins(0), 3);
+            assert_eq!(q.mapper().n_bins(1), 2);
+            let col0: Vec<_> = (0..4).map(|r| q.bin(r, 0)).collect();
+            let col1: Vec<_> = (0..4).map(|r| q.bin(r, 1)).collect();
+            assert_eq!(col0, vec![Some(0), Some(1), None, Some(2)]);
+            assert_eq!(col1, vec![None, Some(1), None, Some(0)]);
+        }
+    }
+
+    #[test]
+    fn empty_and_columnless_matrices_quantize() {
+        for (n, m) in [(0usize, 3usize), (5, 0), (0, 0)] {
+            let d = FeatureMatrix::Dense(DenseMatrix::from_vec(n, m, vec![0.5; n * m]));
+            let q = QuantizedMatrix::from_matrix(&d, BinningConfig::default());
+            assert_eq!((q.n_rows(), q.n_features(), q.storage_bytes()), (n, m, 0));
+        }
+        let s = FeatureMatrix::Sparse(CsrMatrix::from_rows(3, &[vec![], vec![]]));
+        let q = QuantizedMatrix::from_matrix(&s, BinningConfig::default());
+        assert_eq!((q.n_rows(), q.mapper().total_bins()), (2, 0));
     }
 
     fn assert_chunk_round_trip(q: &QuantizedMatrix, rows: std::ops::Range<usize>) {

@@ -113,13 +113,16 @@ fn default_cache_path(data: &str) -> String {
 
 /// Quantizes `data` with the trainer's default binning/layout configuration
 /// (the cache must hold exactly the matrix `train` would build in-core, or
-/// chunked training could not be bitwise-identical).
-fn quantize_default(data: &Dataset) -> harpgbdt::QuantizedMatrix {
-    harpgbdt::QuantizedMatrix::from_matrix_opts(
+/// chunked training could not be bitwise-identical). Also returns the
+/// report line saying how long the two set-up passes took — time no trainer
+/// phase or ledger record covers.
+fn quantize_default(data: &Dataset) -> (harpgbdt::QuantizedMatrix, String) {
+    let (qm, t) = harpgbdt::QuantizedMatrix::from_matrix_timed(
         &data.features,
         harpgbdt::BinningConfig::default(),
         harpgbdt::LayoutOptions::default(),
-    )
+    );
+    (qm, format!("setup: cuts {:.3} s, quantize {:.3} s", t.cut_secs, t.quantize_secs))
 }
 
 /// Ensures a chunk cache for `data` exists at `path` (building it on first
@@ -135,11 +138,11 @@ fn open_or_build_cache(
     if Path::new(path).exists() {
         note = format!("external memory: reusing cache {path}");
     } else {
-        let qm = quantize_default(data);
+        let (qm, setup_line) = quantize_default(data);
         let summary = harpgbdt::write_cache(&qm, rows_per_chunk, Path::new(path))
             .map_err(|e| format!("failed to build cache {path}: {e}"))?;
         note = format!(
-            "external memory: built cache {path} ({} chunks x {} rows, {} file bytes)",
+            "{setup_line}\nexternal memory: built cache {path} ({} chunks x {} rows, {} file bytes)",
             summary.n_chunks, summary.rows_per_chunk, summary.file_bytes
         );
     }
@@ -279,7 +282,7 @@ pub fn train(args: &[String]) -> Result<String, String> {
         None => None,
     };
 
-    let mut external_notes: Vec<String> = Vec::new();
+    let mut setup_notes: Vec<String> = Vec::new();
     let out = if external {
         let cache_path =
             opts.get("--cache").map_or_else(|| default_cache_path(data_path), str::to_string);
@@ -287,7 +290,7 @@ pub fn train(args: &[String]) -> Result<String, String> {
             opts.parse_or("--rows-per-chunk", harpgbdt::DEFAULT_ROWS_PER_CHUNK)?;
         let budget = parse_bytes(opts.get("--mem-budget").unwrap_or("256m"))?;
         let (store, note) = open_or_build_cache(&data, &cache_path, rows_per_chunk, budget)?;
-        external_notes.push(note);
+        setup_notes.push(note);
         let out = trainer.try_train_store_grouped(
             &store,
             &data.labels,
@@ -296,13 +299,22 @@ pub fn train(args: &[String]) -> Result<String, String> {
             eval,
         )?;
         let io = harpgbdt::QuantStore::io_stats(&store);
-        external_notes.push(format!(
+        setup_notes.push(format!(
             "chunk I/O: {} loads, {} evictions, {} prefetch hits; resident high water {} bytes",
             io.chunk_loads, io.chunk_evictions, io.chunk_prefetch_hits, io.resident_high_water
         ));
         out
     } else {
-        trainer.try_train_with_eval(&data, eval)?
+        // What `try_train_with_eval` does, with set-up timed on the way.
+        let (qm, setup_line) = quantize_default(&data);
+        setup_notes.push(setup_line);
+        trainer.try_train_store_grouped(
+            &qm,
+            &data.labels,
+            None,
+            data.query_groups.as_deref(),
+            eval,
+        )?
     };
     out.model
         .save(model_path)
@@ -318,7 +330,7 @@ pub fn train(args: &[String]) -> Result<String, String> {
         out.diagnostics.train_secs,
         out.diagnostics.mean_tree_secs() * 1e3
     );
-    for note in &external_notes {
+    for note in &setup_notes {
         let _ = writeln!(report, "{note}");
     }
     if let Some(trace) = &out.diagnostics.trace {
@@ -786,11 +798,12 @@ pub fn cache(args: &[String]) -> Result<String, String> {
         str::to_string,
     );
     let rows_per_chunk = opts.parse_or("--rows-per-chunk", harpgbdt::DEFAULT_ROWS_PER_CHUNK)?;
-    let qm = quantize_default(&data);
+    let (qm, setup_line) = quantize_default(&data);
     let summary = harpgbdt::write_cache(&qm, rows_per_chunk, Path::new(&out_path))
         .map_err(|e| format!("failed to build cache {out_path}: {e}"))?;
     Ok(format!(
-        "cached {} rows x {} features to {out_path}\n\
+        "{setup_line}\n\
+         cached {} rows x {} features to {out_path}\n\
          {} chunks x {} rows | {} file bytes | {} decoded bytes ({:.2}x)\n",
         summary.n_rows,
         data.n_features(),
@@ -1003,12 +1016,14 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("chunks"), "{out}");
+        assert!(out.contains("setup: cuts "), "{out}");
 
         let common = ["--trees", "4", "--tree-size", "3", "--threads", "2", "--seed", "7"];
         let mut a = args(&["--data", data_path.to_str().unwrap()]);
         a.extend(args(&["--model", model_a.to_str().unwrap()]));
         a.extend(args(&common));
-        train(&a).unwrap();
+        let report = train(&a).unwrap();
+        assert!(report.contains("setup: cuts "), "{report}");
 
         let mut b = args(&["--data", data_path.to_str().unwrap()]);
         b.extend(args(&["--model", model_b.to_str().unwrap()]));

@@ -53,7 +53,7 @@ pub use ensemble::{FeatureImportance, GbdtModel};
 // crate: quantize → `write_cache` → `ChunkedStore::open` → `train_store`.
 pub use harp_binning::{
     write_cache, BinningConfig, CacheError, CacheSummary, ChunkIoStats, ChunkedStore,
-    LayoutOptions, QuantStore, QuantizedMatrix, DEFAULT_ROWS_PER_CHUNK,
+    LayoutOptions, QuantStore, QuantizedMatrix, SetupTimings, DEFAULT_ROWS_PER_CHUNK,
 };
 pub use loss::RowScaling;
 pub use objective::{

@@ -41,7 +41,8 @@ fn parse_err(line: usize, message: impl Into<String>) -> LoadError {
 }
 
 /// Reads a LIBSVM-format dataset (`label idx:value idx:value ...`, indices
-/// 1-based or 0-based — auto-detected; comments after `#` ignored).
+/// 1-based or 0-based — auto-detected; comments after `#` ignored; a literal
+/// `nan` value is a missing entry, as in CSV).
 pub fn read_libsvm<R: BufRead>(reader: R, name: &str) -> Result<Dataset, LoadError> {
     let mut rows: Vec<Vec<(u32, f32)>> = Vec::new();
     let mut labels: Vec<f32> = Vec::new();
@@ -226,6 +227,17 @@ mod tests {
         let text = "# header\n1 1:1.0\n\n0 1:2.0 # trailing\n";
         let d = read_libsvm(Cursor::new(text), "t").unwrap();
         assert_eq!(d.n_rows(), 2);
+    }
+
+    #[test]
+    fn libsvm_nan_value_is_missing() {
+        let text = "1 1:0.5 3:nan\n0 2:NaN 3:2.0\n";
+        let d = read_libsvm(Cursor::new(text), "t").unwrap();
+        assert_eq!(d.n_features(), 3);
+        assert_eq!(d.features.n_present(), 2);
+        assert_eq!(d.features.get(0, 2), None);
+        assert_eq!(d.features.get(1, 1), None);
+        assert_eq!(d.features.get(1, 2), Some(2.0));
     }
 
     #[test]

@@ -61,7 +61,9 @@ impl DenseMatrix {
     }
 }
 
-/// Compressed sparse row matrix; absent entries are missing.
+/// Compressed sparse row matrix; absent entries are missing. An explicit
+/// `NaN` entry is dropped at construction, so "present" always means "has a
+/// value" — the same reading the dense layout and the CSV loader give `NaN`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
     n_rows: usize,
@@ -74,7 +76,8 @@ pub struct CsrMatrix {
 }
 
 impl CsrMatrix {
-    /// Creates a CSR matrix from raw parts.
+    /// Creates a CSR matrix from raw parts. Entries whose value is `NaN` are
+    /// treated as missing and removed.
     ///
     /// # Panics
     /// Panics if the parts are inconsistent (offsets non-monotonic, lengths
@@ -99,7 +102,31 @@ impl CsrMatrix {
                 assert!((last as usize) < n_cols, "column index out of range");
             }
         }
-        Self { n_rows, n_cols, indptr, indices, values }
+        let mut m = Self { n_rows, n_cols, indptr, indices, values };
+        if m.values.iter().any(|v| v.is_nan()) {
+            m.drop_nan_entries();
+        }
+        m
+    }
+
+    /// Compacts `NaN` entries out of `indices`/`values` and re-bases `indptr`.
+    fn drop_nan_entries(&mut self) {
+        let mut kept = 0;
+        let mut start = 0;
+        for r in 0..self.n_rows {
+            let end = self.indptr[r + 1];
+            for i in start..end {
+                if !self.values[i].is_nan() {
+                    self.indices[kept] = self.indices[i];
+                    self.values[kept] = self.values[i];
+                    kept += 1;
+                }
+            }
+            start = end;
+            self.indptr[r + 1] = kept;
+        }
+        self.indices.truncate(kept);
+        self.values.truncate(kept);
     }
 
     /// Builds a CSR matrix from per-row `(col, value)` pairs (each row's
@@ -133,6 +160,12 @@ impl CsrMatrix {
     /// Number of stored (present) entries.
     pub fn nnz(&self) -> usize {
         self.indices.len()
+    }
+
+    /// The raw `(indptr, indices, values)` arrays: row `r` owns entries
+    /// `indptr[r]..indptr[r + 1]`, columns strictly ascending within a row.
+    pub fn parts(&self) -> (&[usize], &[u32], &[f32]) {
+        (&self.indptr, &self.indices, &self.values)
     }
 
     /// The `(col, value)` pairs of one row.
@@ -368,6 +401,22 @@ mod tests {
         let both = m.vstack(&m);
         assert_eq!(both.n_rows(), 4);
         assert_eq!(both.n_present(), 8);
+    }
+
+    #[test]
+    fn csr_nan_entries_are_missing() {
+        let m = CsrMatrix::from_rows(
+            3,
+            &[vec![(0, f32::NAN), (2, 3.0)], vec![(1, f32::NAN)], vec![(0, 4.0), (1, f32::NAN)]],
+        );
+        assert_eq!(m.nnz(), 2);
+        assert_eq!(m.parts(), (&[0, 1, 1, 2][..], &[2, 0][..], &[3.0, 4.0][..]));
+        assert_eq!(m.get(0, 0), None);
+        assert_eq!(m.get(0, 2), Some(3.0));
+        assert_eq!(m.row(1).count(), 0);
+        let mut seen = vec![];
+        FeatureMatrix::Sparse(m).for_each_in_row(2, |c, v| seen.push((c, v)));
+        assert_eq!(seen, vec![(0, 4.0)]);
     }
 
     #[test]
