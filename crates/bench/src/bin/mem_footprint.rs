@@ -3,7 +3,8 @@
 //! Reproduces the paper's Table V argument in byte terms: MemBuf trades a
 //! fixed 2x-gradient-copy for contiguous BuildHist reads, and the DP replica
 //! arena — not MemBuf — is what scales with thread count and tree size.
-//! Trains each parallel mode with MemBuf on and off at a small scale, then
+//! Trains each parallel mode with MemBuf on and off at a small scale (D8,
+//! plus one D10 run per mode, where the histogram pool is what grows), then
 //! reads the high-water marks off the final ledger record.
 //!
 //! Regenerate `results/mem_footprint.txt` with:
@@ -23,7 +24,7 @@ fn kb(mem: &[MemGaugeRecord], name: &str) -> f64 {
 
 fn main() {
     let args = ExpArgs::parse();
-    let data = prepared(DatasetKind::HiggsLike, args.data_scale(0.25, 2.0), args.seed);
+    let data = prepared(DatasetKind::HiggsLike, args.data_scale(2.0, 8.0), args.seed);
     let n_trees = args.n_trees(5, 20);
     harp_bench::warmup(&data, args.threads);
 
@@ -41,7 +42,9 @@ fn main() {
         ),
         &[
             "mode",
+            "D",
             "membuf",
+            "leaves",
             "quant store",
             "hist pool",
             "hist cache",
@@ -52,27 +55,35 @@ fn main() {
         ],
     );
     for (mode, label) in modes {
-        for use_membuf in [true, false] {
+        for (tree_size, use_membuf) in [(8, true), (8, false), (10, true)] {
             let params = TrainParams {
                 mode,
                 growth: GrowthMethod::Leafwise,
                 k: 32,
-                tree_size: 8,
+                tree_size,
                 n_trees,
                 n_threads: args.threads,
                 use_membuf,
+                // Scaled-down data: let every positive gain split, so trees
+                // grow towards their leaf budget.
+                gamma: 0.0,
                 ledger: LedgerConfig::enabled(),
                 blocks: BlockConfig::default(),
                 ..TrainParams::default()
             };
             let trainer = GbdtTrainer::new(params).expect("valid params");
             let out = trainer.train_prepared(&data.quantized, &data.train.labels, None);
+            let shapes = &out.diagnostics.tree_shapes;
+            let mean_leaves =
+                shapes.iter().map(|s| f64::from(s.n_leaves)).sum::<f64>() / shapes.len() as f64;
             let ledger = out.diagnostics.ledger.expect("ledger enabled");
             let mem = &ledger.records().last().expect("rounds ran").mem;
             let total: f64 = mem.iter().map(|m| m.high_water_bytes as f64 / 1024.0).sum();
             table.row(vec![
                 label.to_string(),
+                tree_size.to_string(),
                 if use_membuf { "on" } else { "off" }.to_string(),
+                format!("{mean_leaves:.0}"),
                 format!("{:.0}", kb(mem, gauges::QUANT_STORE)),
                 format!("{:.0}", kb(mem, gauges::HIST_POOL)),
                 format!("{:.0}", kb(mem, gauges::HIST_CACHE)),
@@ -91,6 +102,11 @@ fn main() {
         "quant store = the quantized matrix itself (row/col/u4/bundled/CSC storage), \
          the dominant allocation; under --external-memory the chunk_resident gauge \
          replaces it with the budget-capped resident-chunk high-water",
+    );
+    table.note(
+        "hist pool = every histogram buffer the trainer ever allocated (cached + in flight + \
+         free); the cache keeps at most min(splittable leaves, leaves left to spend) of them, \
+         so the pool peaks near half the leaf budget plus the 2K buffers of a batch (DESIGN.md §18)",
     );
     table.note(
         "paper Table V: the replica arena is the mode-dependent cost (DP keeps \

@@ -10,12 +10,51 @@
 //! * leafwise: ordered by −gain — `K = 1` is classic leafwise, larger `K`
 //!   is the paper's TopK method (Fig. 6c/d).
 //!
-//! The same ordering type drives the ASYNC mode's shared [`harp_parallel::WorkQueue`].
+//! ASYNC mode shares this very queue between its node tasks (behind the
+//! histogram pool's spin lock), and [`RankKey`] — the queue's order — is
+//! also the order in which [`crate::hist::HistPool`] gives up histograms.
 
 use crate::params::GrowthMethod;
 use crate::split::SplitCandidate;
 use crate::tree::NodeId;
 use std::collections::BinaryHeap;
+
+/// The growth order of one candidate: what [`GrowthQueue`] pops by and what
+/// [`crate::hist::HistPool`] trims by. One key for both, because the pool may
+/// only drop a histogram the queue will never pop. "Greater" = pops first:
+/// shallower depth key, then larger gain, then earlier push.
+#[derive(Debug, Clone, Copy)]
+pub struct RankKey {
+    /// Depth priority: depthwise orders by depth first; leafwise ignores it
+    /// (stored as 0).
+    depth_key: u32,
+    gain: f64,
+    /// Push sequence number: ties broken FIFO for determinism.
+    seq: u64,
+}
+
+impl PartialEq for RankKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+impl Eq for RankKey {}
+
+impl PartialOrd for RankKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for RankKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .depth_key
+            .cmp(&self.depth_key)
+            .then_with(|| self.gain.total_cmp(&other.gain))
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
 
 /// A splittable node waiting in the growth queue.
 #[derive(Debug, Clone, Copy)]
@@ -26,16 +65,12 @@ pub struct RankedCandidate {
     pub depth: u32,
     /// Its best split and child statistics.
     pub cand: SplitCandidate,
-    /// Depth priority: depthwise orders by depth first; leafwise ignores it
-    /// (stored as 0).
-    depth_key: u32,
-    /// Push sequence number: ties broken FIFO for determinism.
-    seq: u64,
+    key: RankKey,
 }
 
 impl PartialEq for RankedCandidate {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
+        self.key == other.key
     }
 }
 impl Eq for RankedCandidate {}
@@ -47,29 +82,9 @@ impl PartialOrd for RankedCandidate {
 }
 
 impl Ord for RankedCandidate {
-    /// "Greater" = pop first: shallower depth key, then larger gain, then
-    /// earlier push.
+    /// "Greater" = pop first; see [`RankKey`].
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .depth_key
-            .cmp(&self.depth_key)
-            .then_with(|| self.cand.split.gain.total_cmp(&other.cand.split.gain))
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-impl RankedCandidate {
-    /// Builds a ranked candidate outside a [`GrowthQueue`] — used by the
-    /// ASYNC work queue, whose workers mint candidates concurrently with a
-    /// shared atomic sequence counter.
-    pub(crate) fn for_async(
-        node: NodeId,
-        depth: u32,
-        cand: SplitCandidate,
-        seq: u64,
-        depthwise: bool,
-    ) -> Self {
-        Self { node, depth, cand, depth_key: if depthwise { depth } else { 0 }, seq }
+        self.key.cmp(&other.key)
     }
 }
 
@@ -87,27 +102,28 @@ impl GrowthQueue {
         Self { method, heap: BinaryHeap::new(), next_seq: 0 }
     }
 
-    /// Wraps a candidate with this queue's priority key (also used to seed
-    /// the ASYNC work queue with a compatible ordering).
-    pub fn rank(&mut self, node: NodeId, depth: u32, cand: SplitCandidate) -> RankedCandidate {
+    /// Wraps a candidate with this queue's next priority key.
+    fn rank(&mut self, node: NodeId, depth: u32, cand: SplitCandidate) -> RankedCandidate {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let depth_key = match self.method {
+            GrowthMethod::Depthwise => depth,
+            GrowthMethod::Leafwise => 0,
+        };
         RankedCandidate {
             node,
             depth,
             cand,
-            depth_key: match self.method {
-                GrowthMethod::Depthwise => depth,
-                GrowthMethod::Leafwise => 0,
-            },
-            seq,
+            key: RankKey { depth_key, gain: cand.split.gain, seq },
         }
     }
 
-    /// Pushes a splittable node.
-    pub fn push(&mut self, node: NodeId, depth: u32, cand: SplitCandidate) {
+    /// Pushes a splittable node and returns the key it will pop by — the
+    /// key its cached histogram must be filed under.
+    pub fn push(&mut self, node: NodeId, depth: u32, cand: SplitCandidate) -> RankKey {
         let ranked = self.rank(node, depth, cand);
         self.heap.push(ranked);
+        ranked.key
     }
 
     /// Pops up to `k` candidates, but never more than `budget` (remaining

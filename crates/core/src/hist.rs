@@ -15,18 +15,21 @@
 //! there and the padding is inert.
 //!
 //! [`HistPool`] recycles buffers and caches candidate histograms so the
-//! parent−sibling subtraction trick can skip half of BuildHist; because
-//! leafwise growth can hold thousands of pending candidates, the cache is
-//! bounded in bytes and evicts the lowest-gain entry first (that candidate is
-//! the least likely to be popped soon) through a lazy-deletion binary heap.
+//! parent−sibling subtraction trick can skip half of BuildHist. A cached
+//! histogram is only ever read when its candidate is split, so the cache
+//! keeps at most as many as the tree has leaves left to spend — the
+//! best-ranked ones, in the growth queue's own order
+//! ([`RankKey`]) — and hands every other buffer straight back to the free
+//! list; the user's byte budget bounds it the same way.
 //! [`ScratchPool`] is the data-parallel replica arena: whole-batch replica
 //! buffers survive across frontiers and trees, and dirty-range tracking
 //! re-zeroes only the lanes the previous use touched.
 
+use crate::growth::RankKey;
 use crate::tree::NodeId;
 use harp_metrics::MemGauge;
 use harp_parallel::Profile;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -93,42 +96,7 @@ pub fn subtract_in_place(buf: &mut [f64], small: &[f64]) {
 
 struct Cached {
     data: Vec<f64>,
-    /// Insertion stamp; a heap entry is stale unless its stamp matches.
-    stamp: u64,
-}
-
-/// Min-heap entry ordering eviction candidates by gain (lazy deletion:
-/// entries whose `(node, stamp)` no longer matches the map are skipped).
-struct EvictEntry {
-    gain: f64,
-    node: NodeId,
-    stamp: u64,
-}
-
-impl PartialEq for EvictEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for EvictEntry {}
-
-impl PartialOrd for EvictEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for EvictEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap pops the maximum; reverse the gain so the lowest gain
-        // surfaces first, with a stable stamp tiebreak.
-        other
-            .gain
-            .total_cmp(&self.gain)
-            .then_with(|| other.stamp.cmp(&self.stamp))
-            .then_with(|| other.node.cmp(&self.node))
-    }
+    key: RankKey,
 }
 
 /// Buffer recycler plus bounded cache of candidate histograms.
@@ -136,17 +104,18 @@ pub struct HistPool {
     width: usize,
     free: Vec<Vec<f64>>,
     cache: HashMap<NodeId, Cached>,
-    /// Gain-ordered eviction index over `cache`, with lazy deletion.
-    evict_heap: BinaryHeap<EvictEntry>,
-    next_stamp: u64,
+    /// `cache` in growth order: the first entry is the one the queue would
+    /// pop last, hence the next to go.
+    order: BTreeSet<(RankKey, NodeId)>,
     budget_bytes: usize,
-    /// Hit/miss/eviction counters (cache traffic shows up in the run ledger).
+    /// Hit/miss/eviction/trim counters (cache traffic shows up in the run
+    /// ledger).
     profile: Option<Arc<Profile>>,
     /// Total bytes this pool ever allocated (free + cached + outstanding);
     /// monotone, since buffers circulate rather than drop.
     pool_gauge: Option<Arc<MemGauge>>,
     /// Bytes currently resident in the candidate cache (shrinks on take,
-    /// eviction and clear).
+    /// trim, eviction and clear).
     cache_gauge: Option<Arc<MemGauge>>,
 }
 
@@ -164,8 +133,7 @@ impl HistPool {
             width,
             free: Vec::new(),
             cache: HashMap::new(),
-            evict_heap: BinaryHeap::new(),
-            next_stamp: 0,
+            order: BTreeSet::new(),
             budget_bytes,
             profile: None,
             pool_gauge: None,
@@ -173,8 +141,8 @@ impl HistPool {
         }
     }
 
-    /// Attaches the profile (cache hit/miss/eviction counters) and optional
-    /// byte gauges consumed by the run ledger.
+    /// Attaches the profile (cache hit/miss/eviction/trim counters) and
+    /// optional byte gauges consumed by the run ledger.
     pub fn instrument(
         &mut self,
         profile: Arc<Profile>,
@@ -217,51 +185,72 @@ impl HistPool {
         self.free.push(buf);
     }
 
-    /// Caches `node`'s histogram for a later subtraction, evicting the
-    /// lowest-gain entries if the byte budget would be exceeded. A zero
-    /// budget disables caching (and therefore subtraction).
-    pub fn cache_insert(&mut self, node: NodeId, data: Vec<f64>, gain: f64) {
-        let entry_bytes = self.width * 8;
-        if entry_bytes > self.budget_bytes {
+    /// Caches `node`'s histogram for a later subtraction, filed under the
+    /// `key` its candidate pops by. `remaining` is the tree's unspent leaf
+    /// budget: the cache holds at most that many entries (and at most what
+    /// the byte budget fits), so when it is full the lowest-ranked of the
+    /// residents and the newcomer is recycled instead. Dropping for the leaf
+    /// budget is free: every split pops the queue's top and lowers the
+    /// budget by one, and a push only lowers existing ranks, so a candidate
+    /// that ranks beyond the budget once stays there until the tree is
+    /// finished and is never split. A zero byte budget disables caching
+    /// (and therefore subtraction).
+    pub fn cache_insert(&mut self, node: NodeId, data: Vec<f64>, key: RankKey, remaining: usize) {
+        let byte_cap = self.budget_bytes.checked_div(self.entry_bytes()).unwrap_or(usize::MAX);
+        if byte_cap == 0 {
             self.release(data);
             return;
         }
-        let mut evictions = 0u64;
-        while (self.cache.len() + 1) * entry_bytes > self.budget_bytes {
-            let candidate = self.evict_heap.pop().expect("heap covers every cached entry");
-            // Lazy deletion: skip entries superseded by a take or re-insert.
-            let live = self.cache.get(&candidate.node).is_some_and(|c| c.stamp == candidate.stamp);
-            if !live {
-                continue;
-            }
-            let evicted = self.cache.remove(&candidate.node).expect("checked above");
-            self.free.push(evicted.data);
-            evictions += 1;
+        if let Some(old) = self.cache.remove(&node) {
+            // Re-insert: the entry is re-filed under its new key.
+            self.order.remove(&(old.key, node));
+            self.uncache(old.data);
         }
-        if evictions > 0 {
+        while self.cache.len() >= remaining.min(byte_cap) {
+            // One histogram goes: the lowest-ranked resident, or the
+            // newcomer if it ranks lower still. Beyond the leaf budget
+            // nothing will ever read it (a trim); under byte pressure its
+            // candidate may still pop, and will miss (an eviction).
             if let Some(p) = &self.profile {
-                p.add_hist_cache_evictions(evictions);
+                if self.cache.len() >= remaining {
+                    p.add_hist_cache_trimmed(1);
+                } else {
+                    p.add_hist_cache_evictions(1);
+                }
             }
-            if let Some(g) = &self.cache_gauge {
-                g.sub(evictions * entry_bytes as u64);
+            match self.order.first().copied() {
+                Some((worst, victim)) if worst < key => {
+                    self.order.remove(&(worst, victim));
+                    let entry = self.cache.remove(&victim).expect("order indexes the cache");
+                    self.uncache(entry.data);
+                }
+                _ => {
+                    self.release(data);
+                    return;
+                }
             }
         }
-        let stamp = self.next_stamp;
-        self.next_stamp += 1;
-        let replaced = self.cache.insert(node, Cached { data, stamp });
-        if let Some(old) = replaced {
-            self.free.push(old.data);
-        } else if let Some(g) = &self.cache_gauge {
-            // Replacement keeps occupancy flat; only a net-new entry grows it.
-            g.add(entry_bytes as u64);
+        self.cache.insert(node, Cached { data, key });
+        self.order.insert((key, node));
+        if let Some(g) = &self.cache_gauge {
+            g.add(self.entry_bytes() as u64);
         }
-        self.evict_heap.push(EvictEntry { gain, node, stamp });
+    }
+
+    /// Moves a buffer that just left `cache` to the free list.
+    fn uncache(&mut self, data: Vec<f64>) {
+        if let Some(g) = &self.cache_gauge {
+            g.sub(self.entry_bytes() as u64);
+        }
+        self.free.push(data);
     }
 
     /// Removes and returns `node`'s cached histogram, if still present.
     pub fn cache_take(&mut self, node: NodeId) -> Option<Vec<f64>> {
-        // The heap entry goes stale and is skipped at eviction time.
-        let out = self.cache.remove(&node).map(|c| c.data);
+        let out = self.cache.remove(&node).map(|c| {
+            self.order.remove(&(c.key, node));
+            c.data
+        });
         if let Some(p) = &self.profile {
             p.add_hist_cache_lookup(out.is_some());
         }
@@ -280,7 +269,7 @@ impl HistPool {
         }
         let drained: Vec<Vec<f64>> = self.cache.drain().map(|(_, c)| c.data).collect();
         self.free.extend(drained);
-        self.evict_heap.clear();
+        self.order.clear();
     }
 
     /// Number of cached candidate histograms.
@@ -392,6 +381,33 @@ impl ScratchPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::growth::GrowthQueue;
+    use crate::params::GrowthMethod;
+    use crate::split::SplitCandidate;
+    use crate::tree::{NodeStats, SplitData};
+
+    /// No leaf-budget bound: only the byte budget limits the cache.
+    const UNBOUNDED: usize = usize::MAX;
+
+    /// Mints rank keys the way the trainer gets them: from a growth queue,
+    /// in push order.
+    struct Keys(GrowthQueue);
+
+    impl Keys {
+        fn leafwise() -> Self {
+            Self(GrowthQueue::new(GrowthMethod::Leafwise))
+        }
+
+        fn at_depth(&mut self, depth: u32, gain: f64) -> RankKey {
+            let split = SplitData { feature: 0, bin: 0, threshold: 0.0, default_left: false, gain };
+            let stats = NodeStats::default();
+            self.0.push(0, depth, SplitCandidate { split, left: stats, right: stats })
+        }
+
+        fn gain(&mut self, gain: f64) -> RankKey {
+            self.at_depth(0, gain)
+        }
+    }
 
     #[test]
     fn reduce_adds_cellwise() {
@@ -431,10 +447,11 @@ mod tests {
 
     #[test]
     fn cache_roundtrip() {
+        let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 1 << 20);
         let mut b = pool.alloc();
         b[0] = 42.0;
-        pool.cache_insert(7, b, 1.0);
+        pool.cache_insert(7, b, keys.gain(1.0), UNBOUNDED);
         assert_eq!(pool.cached_len(), 1);
         let back = pool.cache_take(7).unwrap();
         assert_eq!(back[0], 42.0);
@@ -444,10 +461,11 @@ mod tests {
     #[test]
     fn cache_evicts_lowest_gain_first() {
         // width = 2 bins -> 4 lanes -> 32 bytes per entry; budget: 2 entries.
+        let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 64);
-        pool.cache_insert(1, vec![1.0; 4], 5.0);
-        pool.cache_insert(2, vec![2.0; 4], 1.0);
-        pool.cache_insert(3, vec![3.0; 4], 3.0);
+        pool.cache_insert(1, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
+        pool.cache_insert(2, vec![2.0; 4], keys.gain(1.0), UNBOUNDED);
+        pool.cache_insert(3, vec![3.0; 4], keys.gain(3.0), UNBOUNDED);
         assert_eq!(pool.cached_len(), 2);
         assert!(pool.cache_take(2).is_none(), "lowest-gain entry should be evicted");
         assert!(pool.cache_take(1).is_some());
@@ -456,15 +474,16 @@ mod tests {
 
     #[test]
     fn eviction_skips_stale_heap_entries() {
+        let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 64);
-        pool.cache_insert(1, vec![1.0; 4], 1.0);
-        // Taking node 1 leaves a stale heap entry behind.
+        pool.cache_insert(1, vec![1.0; 4], keys.gain(1.0), UNBOUNDED);
+        // A taken entry leaves the eviction order with it.
         assert!(pool.cache_take(1).is_some());
-        pool.cache_insert(2, vec![2.0; 4], 2.0);
-        pool.cache_insert(3, vec![3.0; 4], 3.0);
-        // Budget forces one eviction; the stale entry for node 1 must be
-        // skipped and node 2 (lowest live gain) evicted.
-        pool.cache_insert(4, vec![4.0; 4], 4.0);
+        pool.cache_insert(2, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
+        pool.cache_insert(3, vec![3.0; 4], keys.gain(3.0), UNBOUNDED);
+        // Budget forces one eviction: node 2 (lowest live gain), although
+        // node 1's gain was lower still.
+        pool.cache_insert(4, vec![4.0; 4], keys.gain(4.0), UNBOUNDED);
         assert_eq!(pool.cached_len(), 2);
         assert!(pool.cache_take(2).is_none());
         assert!(pool.cache_take(3).is_some());
@@ -473,14 +492,15 @@ mod tests {
 
     #[test]
     fn reinsert_updates_gain_not_duplicates() {
+        let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 64);
-        pool.cache_insert(1, vec![1.0; 4], 0.5);
-        pool.cache_insert(1, vec![1.5; 4], 9.0); // re-insert with high gain
-        pool.cache_insert(2, vec![2.0; 4], 2.0);
+        pool.cache_insert(1, vec![1.0; 4], keys.gain(0.5), UNBOUNDED);
+        pool.cache_insert(1, vec![1.5; 4], keys.gain(9.0), UNBOUNDED); // re-insert with high gain
+        pool.cache_insert(2, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
         assert_eq!(pool.cached_len(), 2);
-        // Over budget: node 2 must go (1's live gain is 9.0, its stale 0.5
-        // entry must not evict it).
-        pool.cache_insert(3, vec![3.0; 4], 5.0);
+        // Over budget: node 2 must go (1's live gain is 9.0, its old 0.5
+        // key must not evict it).
+        pool.cache_insert(3, vec![3.0; 4], keys.gain(5.0), UNBOUNDED);
         assert_eq!(pool.cached_len(), 2);
         assert_eq!(pool.cache_take(1).unwrap()[0], 1.5);
         assert!(pool.cache_take(2).is_none());
@@ -490,9 +510,10 @@ mod tests {
     fn eviction_is_heap_fast_for_many_entries() {
         // 1000 inserts into a 10-entry budget: O(n log n) total, and the
         // survivors must be the 10 highest gains.
+        let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 32 * 10);
         for i in 0..1000u32 {
-            pool.cache_insert(i, vec![0.0; 4], f64::from(i));
+            pool.cache_insert(i, vec![0.0; 4], keys.gain(f64::from(i)), UNBOUNDED);
         }
         assert_eq!(pool.cached_len(), 10);
         for i in 990..1000 {
@@ -503,7 +524,7 @@ mod tests {
     #[test]
     fn zero_budget_disables_cache() {
         let mut pool = HistPool::new(2, 0, 0);
-        pool.cache_insert(1, vec![0.0; 4], 10.0);
+        pool.cache_insert(1, vec![0.0; 4], Keys::leafwise().gain(10.0), UNBOUNDED);
         assert_eq!(pool.cached_len(), 0);
         // The rejected buffer must have been recycled.
         let _ = pool.alloc();
@@ -511,11 +532,89 @@ mod tests {
 
     #[test]
     fn clear_cache_recycles_everything() {
+        let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 1 << 20);
-        pool.cache_insert(1, vec![0.0; 4], 1.0);
-        pool.cache_insert(2, vec![0.0; 4], 2.0);
+        pool.cache_insert(1, vec![0.0; 4], keys.gain(1.0), UNBOUNDED);
+        pool.cache_insert(2, vec![0.0; 4], keys.gain(2.0), UNBOUNDED);
         pool.clear_cache();
         assert_eq!(pool.cached_len(), 0);
+    }
+
+    #[test]
+    fn gain_ties_keep_the_older_entry() {
+        // The queue pops equal gains oldest first, so under pressure the
+        // newest of a tie is the one to give up — newcomer or resident.
+        let mut keys = Keys::leafwise();
+        let mut pool = HistPool::new(2, 0, 64);
+        pool.cache_insert(1, vec![1.0; 4], keys.gain(2.0), UNBOUNDED);
+        pool.cache_insert(2, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
+        pool.cache_insert(3, vec![3.0; 4], keys.gain(2.0), UNBOUNDED);
+        assert!(pool.cache_take(3).is_none(), "the newest of the tie is refused");
+        // Node 4 outranks both; of the tied residents the newer (2) goes.
+        pool.cache_insert(4, vec![4.0; 4], keys.gain(3.0), UNBOUNDED);
+        assert!(pool.cache_take(2).is_none());
+        assert!(pool.cache_take(1).is_some());
+        assert!(pool.cache_take(4).is_some());
+    }
+
+    #[test]
+    fn worst_ranked_newcomer_is_recycled_not_inserted() {
+        let profile = Arc::new(Profile::new());
+        let pool_gauge = Arc::new(MemGauge::new());
+        let mut keys = Keys::leafwise();
+        let mut pool = HistPool::new(2, 0, 64);
+        pool.instrument(Arc::clone(&profile), Some(Arc::clone(&pool_gauge)), None);
+        pool.cache_insert(1, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
+        pool.cache_insert(2, vec![2.0; 4], keys.gain(3.0), UNBOUNDED);
+        pool.cache_insert(3, vec![3.0; 4], keys.gain(1.0), UNBOUNDED);
+        assert_eq!(profile.snapshot().hist_cache_evictions, 1, "byte pressure, not a trim");
+        assert!(pool.cache_take(1).is_some() && pool.cache_take(2).is_some());
+        assert!(pool.cache_take(3).is_none(), "residents outrank the newcomer");
+        // The refused buffer feeds the next alloc instead of a fresh one.
+        let _ = pool.alloc();
+        assert_eq!(pool_gauge.current(), 0);
+    }
+
+    #[test]
+    fn depthwise_keeps_the_shallower_node() {
+        // Depthwise growth pops by depth before gain, and so must the cache.
+        let mut keys = Keys(GrowthQueue::new(GrowthMethod::Depthwise));
+        let mut pool = HistPool::new(2, 0, 64);
+        pool.cache_insert(1, vec![1.0; 4], keys.at_depth(2, 9.0), UNBOUNDED);
+        pool.cache_insert(2, vec![2.0; 4], keys.at_depth(1, 0.5), UNBOUNDED);
+        pool.cache_insert(3, vec![3.0; 4], keys.at_depth(1, 0.1), UNBOUNDED);
+        assert!(pool.cache_take(1).is_none(), "the deeper node pops last, whatever its gain");
+        assert!(pool.cache_take(2).is_some());
+        assert!(pool.cache_take(3).is_some());
+    }
+
+    #[test]
+    fn leaf_budget_caps_the_cache_and_counts_trims() {
+        let profile = Arc::new(Profile::new());
+        let cache_gauge = Arc::new(MemGauge::new());
+        let mut keys = Keys::leafwise();
+        let mut pool = HistPool::new(2, 0, 1 << 20);
+        pool.instrument(Arc::clone(&profile), None, Some(Arc::clone(&cache_gauge)));
+        for (node, gain) in [(1, 4.0), (2, 1.0), (3, 3.0), (4, 2.0)] {
+            pool.cache_insert(node, vec![0.0; 4], keys.gain(gain), 4);
+        }
+        assert_eq!(pool.cached_len(), 4);
+        // Two leaves left to spend: a newcomer competes for two places, and
+        // the residents ranked beyond them go as well.
+        pool.cache_insert(5, vec![0.0; 4], keys.gain(3.5), 2);
+        assert_eq!(pool.cached_len(), 2);
+        assert_eq!(cache_gauge.current(), 64);
+        pool.cache_insert(6, vec![0.0; 4], keys.gain(0.5), 2);
+        assert_eq!(pool.cached_len(), 2);
+        assert!(pool.cache_take(1).is_some() && pool.cache_take(5).is_some());
+        // With the budget spent nothing is kept at all.
+        pool.cache_insert(7, vec![0.0; 4], keys.gain(9.0), 0);
+        assert_eq!(pool.cached_len(), 0);
+        assert_eq!(cache_gauge.current(), 0);
+        let c = profile.snapshot();
+        assert_eq!(c.hist_cache_trimmed, 5, "nodes 2, 4 and 3, then 6 and 7");
+        assert_eq!(c.hist_cache_evictions, 0, "the byte budget never pressed");
+        assert_eq!(c.hist_cache_misses, 0);
     }
 
     #[test]
@@ -558,24 +657,27 @@ mod tests {
     #[test]
     fn instrumented_pool_counts_lookups_and_evictions() {
         let profile = Arc::new(Profile::new());
+        let mut keys = Keys::leafwise();
         // 32 bytes/entry, budget for 2 entries.
         let mut pool = HistPool::new(2, 0, 64);
         pool.instrument(Arc::clone(&profile), None, None);
-        pool.cache_insert(1, vec![1.0; 4], 5.0);
-        pool.cache_insert(2, vec![2.0; 4], 1.0);
-        pool.cache_insert(3, vec![3.0; 4], 3.0); // evicts node 2
+        pool.cache_insert(1, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
+        pool.cache_insert(2, vec![2.0; 4], keys.gain(1.0), UNBOUNDED);
+        pool.cache_insert(3, vec![3.0; 4], keys.gain(3.0), UNBOUNDED); // evicts node 2
         assert!(pool.cache_take(1).is_some()); // hit
         assert!(pool.cache_take(2).is_none()); // miss (evicted)
         let c = profile.snapshot();
         assert_eq!(c.hist_cache_hits, 1);
         assert_eq!(c.hist_cache_misses, 1);
         assert_eq!(c.hist_cache_evictions, 1);
+        assert_eq!(c.hist_cache_trimmed, 0);
     }
 
     #[test]
     fn cache_gauge_high_water_survives_evictions_and_clear() {
         let cache_gauge = Arc::new(MemGauge::new());
         let pool_gauge = Arc::new(MemGauge::new());
+        let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 64);
         pool.instrument(
             Arc::new(Profile::new()),
@@ -585,12 +687,12 @@ mod tests {
         let a = pool.alloc();
         let b = pool.alloc();
         assert_eq!(pool_gauge.current(), 64, "two fresh 32-byte buffers");
-        pool.cache_insert(1, a, 5.0);
-        pool.cache_insert(2, b, 1.0);
+        pool.cache_insert(1, a, keys.gain(5.0), UNBOUNDED);
+        pool.cache_insert(2, b, keys.gain(1.0), UNBOUNDED);
         assert_eq!(cache_gauge.current(), 64);
         assert_eq!(cache_gauge.high_water(), 64);
         let c = pool.alloc();
-        pool.cache_insert(3, c, 3.0); // evicts node 2, recycles it
+        pool.cache_insert(3, c, keys.gain(3.0), UNBOUNDED); // evicts node 2, recycles it
         assert_eq!(cache_gauge.current(), 64, "eviction then insert nets out");
         assert!(pool.cache_take(1).is_some());
         assert_eq!(cache_gauge.current(), 32, "take shrinks occupancy");
@@ -606,11 +708,13 @@ mod tests {
     #[test]
     fn replacement_insert_keeps_cache_gauge_flat() {
         let gauge = Arc::new(MemGauge::new());
+        let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 1 << 20);
         pool.instrument(Arc::new(Profile::new()), None, Some(Arc::clone(&gauge)));
-        pool.cache_insert(1, vec![1.0; 4], 1.0);
-        pool.cache_insert(1, vec![2.0; 4], 2.0);
+        pool.cache_insert(1, vec![1.0; 4], keys.gain(1.0), UNBOUNDED);
+        pool.cache_insert(1, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
         assert_eq!(gauge.current(), 32, "re-insert replaces, not grows");
+        assert_eq!(gauge.high_water(), 32);
     }
 
     #[test]

@@ -295,11 +295,13 @@ pub struct TrainParams {
     /// the ablation in Table V.
     pub use_membuf: bool,
     /// Use the parent − sibling histogram subtraction trick when the parent
-    /// histogram is cached. Changes floating-point association, so the
-    /// determinism tests disable it.
+    /// histogram is cached (off: nothing is cached). Changes floating-point
+    /// association, so the determinism tests disable it.
     pub hist_subtraction: bool,
-    /// Byte budget for cached candidate histograms (leafwise growth can hold
-    /// thousands of candidates; the pool evicts lowest-gain first).
+    /// Byte budget for cached candidate histograms. The cache never holds
+    /// more than the tree has leaves left to spend, which costs nothing;
+    /// under this budget it gives up the candidates the growth queue would
+    /// pop last, and those may miss.
     pub hist_cache_bytes: usize,
     /// Use a static task schedule in data-parallel reductions so results are
     /// bitwise reproducible run-to-run.

@@ -11,24 +11,42 @@
 //!
 //! Shared state and its guards:
 //! * the tree — [`SpinMutex`], touched twice per task for microseconds;
-//! * the histogram pool — [`SpinMutex`], alloc/release/cache;
-//! * the leaf budget — a CAS loop on an atomic counter;
+//! * the frontier — the batch engine's own [`GrowthQueue`] and
+//!   [`HistPool`] plus the leaf count, behind one [`SpinMutex`]. A task pops
+//!   its candidate, claims the leaf and takes the candidate's cached
+//!   histogram in one critical section, and files a child's histogram and
+//!   queues the child in another. The pool therefore never holds the
+//!   histogram of a candidate that is in flight, and its leaf-budget
+//!   trimming ([`HistPool::cache_insert`]) is as exact here as between
+//!   barriers;
 //! * row partition — no lock: each task owns its node's span.
+//!
+//! The [`WorkQueue`] carries one unit token per queued candidate: it wakes a
+//! worker, caps the tasks in flight at K and detects the drain, while the
+//! order lives in the frontier — a task takes the best candidate there is
+//! when it starts, not the one that was best when its token was pushed.
 
 use super::{split_pred, TreeEngine};
-use crate::growth::{GrowthQueue, RankedCandidate};
-use crate::hist;
+use crate::growth::GrowthQueue;
+use crate::hist::{self, HistPool};
 use crate::kernels::{row_scan_store, GradSource, BYTES_PER_CELL, FLOPS_PER_CELL};
 use crate::loss::GradPair;
-use crate::params::GrowthMethod;
 use crate::split::find_split_masked;
 use crate::tree::{NodeId, NodeStats, Tree};
 use harp_parallel::{PhaseSpan, SpinMutex, TracePhase, WorkQueue};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// What the node tasks pop from and publish to (see the module docs).
+struct Frontier<'a> {
+    queue: &'a mut GrowthQueue,
+    hists: &'a mut HistPool,
+    leaves: usize,
+}
 
 /// Runs the queue-driven phase until the growth frontier is exhausted or the
-/// leaf budget is spent. `queue`'s current candidates seed the shared work
-/// queue; `tree` and `leaves` are updated in place.
+/// leaf budget is spent. The node tasks share `queue` as it stands, and it
+/// keeps the candidates that are never split; `tree` and `leaves` are
+/// updated in place.
 pub(super) fn run_async(
     engine: &mut TreeEngine<'_>,
     grads: &[GradPair],
@@ -43,19 +61,16 @@ pub(super) fn run_async(
     // "K threads select the top candidate as best as they can": node-level
     // concurrency is bounded by K tasks in flight.
     let trace = engine.pool.trace().map(|s| s.as_ref());
-    let wq: WorkQueue<RankedCandidate> = WorkQueue::bounded(engine.params.effective_k());
-    let seed = queue.pop_batch(usize::MAX, usize::MAX);
+    let wq: WorkQueue<()> = WorkQueue::bounded(engine.params.effective_k());
     if let Some(sink) = trace {
-        for _ in 0..seed.len() {
+        for _ in 0..queue.len() {
             sink.count_queue_push(sink.coordinator_lane());
         }
     }
-    wq.push_all(seed);
+    wq.push_all(std::iter::repeat_n((), queue.len()));
 
-    let depthwise = engine.params.growth == GrowthMethod::Depthwise;
     let use_scalar = engine.params.use_scalar_kernels;
     let max_depth = engine.max_depth_limit();
-    let subtraction = engine.params.hist_subtraction;
     let qm = engine.qm;
     let m = qm.n_features();
     // Each ASYNC node task is the degenerate ⟨one node, all rows⟩ plan task,
@@ -83,28 +98,24 @@ pub(super) fn run_async(
     let lock_wait = &profile.lock_wait_ns;
 
     let tree_lock = SpinMutex::new(std::mem::replace(tree, Tree::new_root(NodeStats::default())));
-    let hist_lock = SpinMutex::new(&mut engine.hist_pool);
-    let leaves_ctr = AtomicUsize::new(*leaves);
-    // Sequence numbers continue past the batch engine's; exact values only
-    // break gain ties.
-    let seq = AtomicU64::new(1 << 32);
+    let frontier =
+        SpinMutex::new(Frontier { queue, hists: &mut engine.hist_pool, leaves: *leaves });
     let cells_total = AtomicU64::new(0);
 
-    engine.pool.run_queue(&wq, |cand, wq, worker| {
-        // Claim one unit of leaf budget; failing means the tree is full and
-        // this candidate simply remains a leaf.
-        loop {
-            let cur = leaves_ctr.load(Ordering::Relaxed);
-            if cur >= max_leaves {
+    engine.pool.run_queue(&wq, |(), wq, worker| {
+        // Claim the best candidate, one unit of leaf budget and the
+        // candidate's histogram together. Once the budget is spent nothing
+        // pops, and the queued candidates simply remain leaves.
+        let (cand, parent_buf) = {
+            let mut f = frontier.lock_timed(lock_wait);
+            let budget = max_leaves - f.leaves;
+            let Some(cand) = f.queue.pop_batch(1, budget).pop() else {
                 return;
-            }
-            if leaves_ctr
-                .compare_exchange(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                break;
-            }
-        }
+            };
+            f.leaves += 1;
+            let parent_buf = f.hists.cache_take(cand.node);
+            (cand, parent_buf)
+        };
 
         // Tree update (short critical section).
         let (l, r, child_depth) = {
@@ -143,7 +154,20 @@ pub(super) fn run_async(
         let eligible = |count: u32| child_depth < max_depth && count >= 2;
         let l_el = eligible(ln);
         let r_el = eligible(rn);
-        let parent_buf = hist_lock.lock_timed(lock_wait).cache_take(cand.node);
+
+        // If the budget ran out while this task partitioned its rows, no
+        // child of it can ever split: none gets a histogram.
+        {
+            let mut f = frontier.lock_timed(lock_wait);
+            if f.leaves >= max_leaves {
+                if let Some(pbuf) = parent_buf {
+                    f.hists.release(pbuf);
+                }
+                drop(f);
+                profile.add_hist_builds_skipped(u64::from(l_el) + u64::from(r_el));
+                return;
+            }
+        }
 
         // Build children histograms serially within this task.
         let mut built: Vec<(NodeId, Vec<f64>)> = Vec::with_capacity(2);
@@ -158,7 +182,7 @@ pub(super) fn run_async(
             );
             let mut cells = 0u64;
             let mut fresh = |node: NodeId| -> Vec<f64> {
-                let mut buf = hist_lock.lock_timed(lock_wait).alloc();
+                let mut buf = frontier.lock_timed(lock_wait).hists.alloc();
                 let rows = partition.rows(node);
                 let src = GradSource::select(partition.grads(node), grads);
                 for f_range in crate::plan::feature_blocks(m, f_blk) {
@@ -167,7 +191,7 @@ pub(super) fn run_async(
                 buf
             };
             match (l_el, r_el, parent_buf) {
-                (true, true, Some(mut pbuf)) if subtraction => {
+                (true, true, Some(mut pbuf)) => {
                     let (small, large) = if ln <= rn { (l, r) } else { (r, l) };
                     let small_buf = fresh(small);
                     hist::subtract_in_place(&mut pbuf, &small_buf);
@@ -176,7 +200,7 @@ pub(super) fn run_async(
                 }
                 (l_el, r_el, parent_buf) => {
                     if let Some(pbuf) = parent_buf {
-                        hist_lock.lock_timed(lock_wait).release(pbuf);
+                        frontier.lock_timed(lock_wait).hists.release(pbuf);
                     }
                     if l_el {
                         built.push((l, fresh(l)));
@@ -189,7 +213,7 @@ pub(super) fn run_async(
             cells_total.fetch_add(cells, Ordering::Relaxed);
         }
 
-        // FindSplit serially, then push the children as new tasks.
+        // FindSplit serially, then publish the children as new candidates.
         let _phase = PhaseSpan::begin(
             trace,
             worker,
@@ -200,27 +224,25 @@ pub(super) fn run_async(
         );
         for (node, buf) in built {
             let stats = tree_lock.lock_timed(lock_wait).node(node).stats;
-            match find_split_masked(&buf, &stats, mapper, 0..m, &settings, mask) {
-                Some(c) => {
-                    hist_lock.lock_timed(lock_wait).cache_insert(node, buf, c.split.gain);
-                    if let Some(sink) = trace {
-                        sink.count_queue_push(worker);
-                    }
-                    wq.push(RankedCandidate::for_async(
-                        node,
-                        child_depth,
-                        c,
-                        seq.fetch_add(1, Ordering::Relaxed),
-                        depthwise,
-                    ));
-                }
-                None => hist_lock.lock_timed(lock_wait).release(buf),
+            let found = find_split_masked(&buf, &stats, mapper, 0..m, &settings, mask);
+            let mut f = frontier.lock_timed(lock_wait);
+            let Some(c) = found else {
+                f.hists.release(buf);
+                continue;
+            };
+            let remaining = max_leaves - f.leaves;
+            let key = f.queue.push(node, child_depth, c);
+            f.hists.cache_insert(node, buf, key, remaining);
+            drop(f);
+            if let Some(sink) = trace {
+                sink.count_queue_push(worker);
             }
+            wq.push(());
         }
     });
 
     let cells = cells_total.load(Ordering::Relaxed);
     profile.add_bytes(cells * (BYTES_PER_CELL - 16), cells * 16, cells * FLOPS_PER_CELL);
-    *leaves = leaves_ctr.load(Ordering::Relaxed);
+    *leaves = frontier.into_inner().leaves;
     *tree = tree_lock.into_inner();
 }

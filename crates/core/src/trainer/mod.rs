@@ -459,7 +459,8 @@ impl GbdtTrainer {
             partition: RowPartition::new(n, max_nodes, params.use_membuf),
             hist_pool: HistPool::with_width(
                 crate::hist::hist_width_for(qm),
-                params.hist_cache_bytes,
+                // Subtraction is the cache's only reader.
+                if params.hist_subtraction { params.hist_cache_bytes } else { 0 },
             ),
             scratch: DriverScratch::new(),
             settings: SplitSettings {
@@ -910,8 +911,8 @@ impl<'a> TreeEngine<'a> {
             let HistJob { buf, .. } = jobs.pop().expect("one job");
             match found.into_iter().next().flatten() {
                 Some(cand) => {
-                    self.hist_pool.cache_insert(0, buf, cand.split.gain);
-                    queue.push(0, 0, cand);
+                    let key = queue.push(0, 0, cand);
+                    self.hist_pool.cache_insert(0, buf, key, self.params.max_leaves() - 1);
                 }
                 None => self.hist_pool.release(buf),
             }
@@ -963,8 +964,9 @@ impl<'a> TreeEngine<'a> {
         tree
     }
 
-    /// Pops one batch, splits it, builds children histograms and queues the
-    /// next candidates. Returns `false` when the queue is exhausted.
+    /// Pops one batch, splits it and — while the tree has leaves left to
+    /// spend — builds the children's histograms and queues the next
+    /// candidates. Returns `false` when the queue is exhausted.
     fn grow_one_batch(
         &mut self,
         grads: &[GradPair],
@@ -1030,6 +1032,22 @@ impl<'a> TreeEngine<'a> {
             }
         }
 
+        // The remaining leaf budget decides which histograms can still be
+        // read: none once it is spent (these children can never split), and
+        // otherwise only those of the `remaining` best-ranked candidates.
+        let remaining = self.params.max_leaves() - *leaves;
+        if remaining == 0 {
+            let mut skipped = 0;
+            for &(parent, l, r) in &splits {
+                if let Some(pbuf) = self.hist_pool.cache_take(parent) {
+                    self.hist_pool.release(pbuf);
+                }
+                skipped += u64::from(self.eligible(tree, l)) + u64::from(self.eligible(tree, r));
+            }
+            self.pool.profile().add_hist_builds_skipped(skipped);
+            return true;
+        }
+
         // Plan histogram jobs: fresh builds plus parent−sibling subtractions.
         let mut fresh: Vec<HistJob> = Vec::new();
         // (large_node, parent_buf, index of the small sibling in `fresh`).
@@ -1039,7 +1057,7 @@ impl<'a> TreeEngine<'a> {
             let r_el = self.eligible(tree, r);
             let parent_buf = self.hist_pool.cache_take(parent);
             match (l_el, r_el, parent_buf) {
-                (true, true, Some(pbuf)) if self.params.hist_subtraction => {
+                (true, true, Some(pbuf)) => {
                     let (small, large) = if tree.node(l).stats.count <= tree.node(r).stats.count {
                         (l, r)
                     } else {
@@ -1114,8 +1132,8 @@ impl<'a> TreeEngine<'a> {
             match cand {
                 Some(cand) => {
                     let depth = tree.node(job.node).depth;
-                    self.hist_pool.cache_insert(job.node, job.buf, cand.split.gain);
-                    queue.push(job.node, depth, cand);
+                    let key = queue.push(job.node, depth, cand);
+                    self.hist_pool.cache_insert(job.node, job.buf, key, remaining);
                 }
                 None => self.hist_pool.release(job.buf),
             }

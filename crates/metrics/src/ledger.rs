@@ -80,7 +80,8 @@ pub struct LedgerRecord {
     /// `apply_split`, `predict`, `other`).
     pub phase_secs: Vec<(String, f64)>,
     /// Profile-counter deltas this round (scratch/partition alloc + reuse,
-    /// hist-cache hits/misses/evictions, queue pops/pushes/spin, ...).
+    /// hist-cache hits/misses/evictions/trims, histogram builds skipped,
+    /// queue pops/pushes/spin, ...).
     pub counters: Vec<(String, u64)>,
     /// Validation metric computed at the end of this round, when an eval set
     /// was attached and this was an eval round.

@@ -100,7 +100,7 @@ pub mod gauges {
     /// outstanding buffers).
     pub const HIST_POOL: &str = "hist_pool";
     /// Bytes held by the candidate-histogram cache specifically (shrinks on
-    /// eviction and take).
+    /// trim, eviction and take).
     pub const HIST_CACHE: &str = "hist_cache";
     /// DP replica arena (whole-batch histogram replicas).
     pub const SCRATCH_ARENA: &str = "scratch_arena";

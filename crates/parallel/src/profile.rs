@@ -99,6 +99,13 @@ pub struct Profile {
     pub hist_cache_misses: AtomicU64,
     /// Histogram-pool cache evictions under the byte budget.
     pub hist_cache_evictions: AtomicU64,
+    /// Cached histograms recycled (or refused on insert) because their
+    /// candidate ranked beyond the tree's remaining leaf budget and can no
+    /// longer be split. Never causes a miss.
+    pub hist_cache_trimmed: AtomicU64,
+    /// Child histograms never built because the split that made the child
+    /// spent the last of the leaf budget.
+    pub hist_builds_skipped: AtomicU64,
     /// Block-plan tasks enumerated under the replicated (DP) accumulation
     /// policy.
     pub plan_tasks_replicated: AtomicU64,
@@ -154,6 +161,8 @@ impl Profile {
             &self.hist_cache_hits,
             &self.hist_cache_misses,
             &self.hist_cache_evictions,
+            &self.hist_cache_trimmed,
+            &self.hist_builds_skipped,
             &self.plan_tasks_replicated,
             &self.plan_tasks_exclusive,
             &self.plan_batches_auto,
@@ -206,6 +215,17 @@ impl Profile {
     /// Records histogram-pool cache evictions under the byte budget.
     pub fn add_hist_cache_evictions(&self, n: u64) {
         self.hist_cache_evictions.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Records cached histograms recycled because their candidates ranked
+    /// beyond the remaining leaf budget.
+    pub fn add_hist_cache_trimmed(&self, n: u64) {
+        self.hist_cache_trimmed.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Records child histograms skipped because the leaf budget was spent.
+    pub fn add_hist_builds_skipped(&self, n: u64) {
+        self.hist_builds_skipped.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one planned BuildHist batch: the tasks it enumerated under
@@ -279,6 +299,8 @@ impl Profile {
             hist_cache_hits: self.hist_cache_hits.load(Ordering::Relaxed),
             hist_cache_misses: self.hist_cache_misses.load(Ordering::Relaxed),
             hist_cache_evictions: self.hist_cache_evictions.load(Ordering::Relaxed),
+            hist_cache_trimmed: self.hist_cache_trimmed.load(Ordering::Relaxed),
+            hist_builds_skipped: self.hist_builds_skipped.load(Ordering::Relaxed),
             plan_tasks_replicated: self.plan_tasks_replicated.load(Ordering::Relaxed),
             plan_tasks_exclusive: self.plan_tasks_exclusive.load(Ordering::Relaxed),
             plan_batches_auto: self.plan_batches_auto.load(Ordering::Relaxed),
@@ -312,6 +334,8 @@ impl Profile {
         let hist_cache_hits = self.hist_cache_hits.load(Ordering::Relaxed);
         let hist_cache_misses = self.hist_cache_misses.load(Ordering::Relaxed);
         let hist_cache_evictions = self.hist_cache_evictions.load(Ordering::Relaxed);
+        let hist_cache_trimmed = self.hist_cache_trimmed.load(Ordering::Relaxed);
+        let hist_builds_skipped = self.hist_builds_skipped.load(Ordering::Relaxed);
         let cols_u4 = self.cols_u4.load(Ordering::Relaxed);
         let cols_bundled = self.cols_bundled.load(Ordering::Relaxed);
         let bundle_conflicts = self.bundle_conflicts.load(Ordering::Relaxed);
@@ -347,6 +371,8 @@ impl Profile {
             hist_cache_hits,
             hist_cache_misses,
             hist_cache_evictions,
+            hist_cache_trimmed,
+            hist_builds_skipped,
             cols_u4,
             cols_bundled,
             bundle_conflicts,
@@ -399,6 +425,10 @@ pub struct ProfileCounters {
     pub hist_cache_misses: u64,
     /// Histogram-cache evictions.
     pub hist_cache_evictions: u64,
+    /// Cached histograms recycled beyond the remaining leaf budget.
+    pub hist_cache_trimmed: u64,
+    /// Child histograms never built because the leaf budget was spent.
+    pub hist_builds_skipped: u64,
     /// Block-plan tasks under the replicated (DP) policy.
     pub plan_tasks_replicated: u64,
     /// Block-plan tasks under the exclusive-write (MP) policy.
@@ -436,7 +466,7 @@ impl ProfileCounters {
 
     /// `(name, value)` view in a stable order — the generic form ledger
     /// records and diff tables consume.
-    pub fn named(&self) -> [(&'static str, u64); 28] {
+    pub fn named(&self) -> [(&'static str, u64); 30] {
         [
             ("busy_ns", self.busy_ns),
             ("barrier_wait_ns", self.barrier_wait_ns),
@@ -456,6 +486,8 @@ impl ProfileCounters {
             ("hist_cache_hits", self.hist_cache_hits),
             ("hist_cache_misses", self.hist_cache_misses),
             ("hist_cache_evictions", self.hist_cache_evictions),
+            ("hist_cache_trimmed", self.hist_cache_trimmed),
+            ("hist_builds_skipped", self.hist_builds_skipped),
             ("plan_tasks_replicated", self.plan_tasks_replicated),
             ("plan_tasks_exclusive", self.plan_tasks_exclusive),
             ("plan_batches_auto", self.plan_batches_auto),
@@ -469,7 +501,7 @@ impl ProfileCounters {
         ]
     }
 
-    fn named_mut(&mut self) -> [(&'static str, &mut u64); 28] {
+    fn named_mut(&mut self) -> [(&'static str, &mut u64); 30] {
         [
             ("busy_ns", &mut self.busy_ns),
             ("barrier_wait_ns", &mut self.barrier_wait_ns),
@@ -489,6 +521,8 @@ impl ProfileCounters {
             ("hist_cache_hits", &mut self.hist_cache_hits),
             ("hist_cache_misses", &mut self.hist_cache_misses),
             ("hist_cache_evictions", &mut self.hist_cache_evictions),
+            ("hist_cache_trimmed", &mut self.hist_cache_trimmed),
+            ("hist_builds_skipped", &mut self.hist_builds_skipped),
             ("plan_tasks_replicated", &mut self.plan_tasks_replicated),
             ("plan_tasks_exclusive", &mut self.plan_tasks_exclusive),
             ("plan_batches_auto", &mut self.plan_batches_auto),
@@ -561,6 +595,10 @@ pub struct ProfileReport {
     pub hist_cache_misses: u64,
     /// Histogram-cache budget evictions.
     pub hist_cache_evictions: u64,
+    /// Cached histograms recycled beyond the remaining leaf budget.
+    pub hist_cache_trimmed: u64,
+    /// Child histograms never built because the leaf budget was spent.
+    pub hist_builds_skipped: u64,
     /// Feature columns stored nibble-packed (u4).
     pub cols_u4: u64,
     /// Original feature columns fused into bundles.
@@ -603,6 +641,11 @@ impl std::fmt::Display for ProfileReport {
             f,
             "hist cache hit/miss/evict {:>4} / {} / {}",
             self.hist_cache_hits, self.hist_cache_misses, self.hist_cache_evictions
+        )?;
+        writeln!(
+            f,
+            "hist trimmed / skipped  {:>6} / {:<6}",
+            self.hist_cache_trimmed, self.hist_builds_skipped
         )?;
         let tier = match self.simd_tier {
             0 => "scalar",
@@ -728,6 +771,8 @@ mod tests {
         p.add_hist_cache_lookup(true);
         p.add_hist_cache_lookup(false);
         p.add_hist_cache_evictions(4);
+        p.add_hist_cache_trimmed(3);
+        p.add_hist_builds_skipped(2);
         p.add_plan_events(12, 5, 1);
         let d = p.snapshot().delta(&before);
         assert_eq!(d.bytes_read, 7);
@@ -737,6 +782,8 @@ mod tests {
         assert_eq!(d.hist_cache_hits, 1);
         assert_eq!(d.hist_cache_misses, 1);
         assert_eq!(d.hist_cache_evictions, 4);
+        assert_eq!(d.hist_cache_trimmed, 3);
+        assert_eq!(d.hist_builds_skipped, 2);
         assert_eq!(d.plan_tasks_replicated, 12);
         assert_eq!(d.plan_tasks_exclusive, 5);
         assert_eq!(d.plan_batches_auto, 1);
@@ -782,7 +829,7 @@ mod tests {
         assert_eq!(d.partition_scratch_reuses, 40_000);
         // The named view covers every field (a new counter must be added to
         // `named()` or this count drifts).
-        assert_eq!(d.named().len(), 28);
+        assert_eq!(d.named().len(), 30);
     }
 
     #[test]

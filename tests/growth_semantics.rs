@@ -1,14 +1,20 @@
 //! Growth-policy semantics across the stack: TopK vs classic methods,
 //! budgets, depth limits, and the synchronization-count claims.
 //!
-//! The TopK boundary battery at the bottom pins Algorithm 1's corner cases:
-//! K=1 degenerates to classic best-first leafwise, K at or above the level
+//! The TopK boundary battery pins Algorithm 1's corner cases: K=1
+//! degenerates to classic best-first leafwise, K at or above the level
 //! width degenerates depthwise to whole-level expansion, and intermediate K
 //! never passes over a higher-gain candidate that sits in the same pop.
+//!
+//! The leaf-budget battery at the bottom drives a `GrowthQueue` and a
+//! `HistPool` the way the trainer does and checks the invariant behind the
+//! pool's trimming (DESIGN.md §18): a histogram dropped because its
+//! candidate ranked beyond the remaining leaf budget is never asked for.
 
 use harp_bench::prepared;
 use harp_data::DatasetKind;
 use harpgbdt::growth::{GrowthQueue, RankedCandidate};
+use harpgbdt::hist::HistPool;
 use harpgbdt::split::SplitCandidate;
 use harpgbdt::{GbdtTrainer, GrowthMethod, NodeStats, ParallelMode, SplitData, TrainParams};
 use proptest::prelude::*;
@@ -363,5 +369,181 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Leaf-budget battery: the histogram lifecycle under `R = max_leaves − leaves`.
+
+/// One tree's growth state as `TreeEngine::build_tree` carries it — the
+/// queue, the histogram pool and the leaf count — with node ids and depths
+/// handed out as `Tree::apply_split` does and FindSplit replaced by a
+/// scripted outcome per child.
+struct Growth {
+    queue: GrowthQueue,
+    pool: HistPool,
+    max_leaves: usize,
+    leaves: usize,
+    next_node: u32,
+    /// Children at this depth are ineligible (the depthwise limit).
+    depth_limit: u32,
+    /// FindSplit results in arrival order, cycled: a gain, or no split.
+    outcomes: Vec<Option<f64>>,
+    drawn: usize,
+}
+
+impl Growth {
+    fn new(depthwise: bool, max_leaves: usize, outcomes: Vec<Option<f64>>) -> Self {
+        let method = if depthwise { GrowthMethod::Depthwise } else { GrowthMethod::Leafwise };
+        let mut g = Self {
+            queue: GrowthQueue::new(method),
+            pool: HistPool::new(1, 0, 1 << 20),
+            max_leaves,
+            leaves: 1,
+            next_node: 1,
+            depth_limit: if depthwise {
+                max_leaves.next_power_of_two().trailing_zeros()
+            } else {
+                u32::MAX
+            },
+            outcomes,
+            drawn: 0,
+        };
+        let buf = g.pool.alloc();
+        let key = g.queue.push(0, 0, split_cand(1.0));
+        g.pool.cache_insert(0, buf, key, max_leaves - 1);
+        g
+    }
+
+    /// The unspent leaf budget R.
+    fn remaining(&self) -> usize {
+        self.max_leaves - self.leaves
+    }
+
+    /// Pops up to `k` candidates and splits them: each spends a leaf and
+    /// asks the pool for its histogram, which must still be there.
+    fn pop(&mut self, k: usize) -> Result<Vec<RankedCandidate>, TestCaseError> {
+        let batch = self.queue.pop_batch(k, self.remaining());
+        for c in &batch {
+            self.leaves += 1;
+            let hist = self.pool.cache_take(c.node);
+            prop_assert!(
+                hist.is_some(),
+                "node {} (gain {}, depth {}) popped with {} leaves left, but its histogram was dropped",
+                c.node, c.cand.split.gain, c.depth, self.remaining() + 1
+            );
+            self.pool.release(hist.unwrap());
+        }
+        Ok(batch)
+    }
+
+    /// Builds, searches and queues `parent`'s two children under the leaf
+    /// budget the caller read. Returns the ids of the children it built.
+    fn publish_children(&mut self, parent: &RankedCandidate, remaining_seen: usize) -> Vec<u32> {
+        let mut built = Vec::new();
+        for _ in 0..2 {
+            let node = self.next_node;
+            self.next_node += 1;
+            let outcome = self.outcomes[self.drawn % self.outcomes.len()];
+            self.drawn += 1;
+            let depth = parent.depth + 1;
+            let Some(gain) = outcome.filter(|_| depth < self.depth_limit) else { continue };
+            let buf = self.pool.alloc();
+            let key = self.queue.push(node, depth, split_cand(gain));
+            self.pool.cache_insert(node, buf, key, remaining_seen);
+            built.push(node);
+        }
+        built
+    }
+}
+
+/// Scripted FindSplit outcomes: coarse gains (heavy ties) and one child in
+/// eight without a split.
+fn outcome_stream() -> impl Strategy<Value = Vec<Option<f64>>> {
+    proptest::collection::vec(0u8..8, 1..200)
+        .prop_map(|v| v.into_iter().map(|g| (g > 0).then(|| f64::from(g) * 0.5)).collect())
+}
+
+const K_CHOICES: [usize; 4] = [1, 4, 32, usize::MAX];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Barrier order (`grow_one_batch`): pop K, spend K leaves, publish the
+    /// children under what is left. No pop ever misses, the cache
+    /// never holds more histograms than leaves are left, and whatever the
+    /// budget-spending batch could build would be dropped unread.
+    #[test]
+    fn trimming_to_the_leaf_budget_never_drops_a_needed_histogram(
+        outcomes in outcome_stream(),
+        depthwise in any::<bool>(),
+        k_idx in 0usize..4,
+        max_leaves in 2usize..65,
+    ) {
+        let mut g = Growth::new(depthwise, max_leaves, outcomes);
+        loop {
+            let batch = g.pop(K_CHOICES[k_idx])?;
+            if batch.is_empty() {
+                break;
+            }
+            let remaining = g.remaining();
+            let mut built = Vec::new();
+            for c in &batch {
+                built.extend(g.publish_children(c, remaining));
+            }
+            prop_assert!(
+                g.pool.cached_len() <= remaining,
+                "{} histograms cached with {} leaves left", g.pool.cached_len(), remaining
+            );
+            if remaining == 0 {
+                // The trainer builds none of these: nothing can read them.
+                for node in built {
+                    prop_assert!(g.pool.cache_take(node).is_none(), "kept node {} at R = 0", node);
+                }
+                prop_assert!(g.pop(usize::MAX)?.is_empty());
+            }
+        }
+    }
+
+    /// ASYNC order (`async_mode`): up to T node tasks in flight, each
+    /// popping one candidate (with its leaf and its histogram) when it
+    /// starts and publishing its children whenever it finishes, under a
+    /// budget read that may lag by up to T claims — a lag only loosens the
+    /// cap, since the leaf count never falls. Same two guarantees.
+    #[test]
+    fn async_interleaving_never_drops_a_needed_histogram(
+        outcomes in outcome_stream(),
+        depthwise in any::<bool>(),
+        max_leaves in 2usize..65,
+        t in 1usize..5,
+        schedule in proptest::collection::vec((any::<bool>(), 0usize..8, 0usize..5), 1..64),
+    ) {
+        let mut g = Growth::new(depthwise, max_leaves, outcomes);
+        let mut in_flight: Vec<RankedCandidate> = Vec::new();
+        for step in 0.. {
+            let (start, pick, lag) = schedule[step % schedule.len()];
+            if start && in_flight.len() < t {
+                if let Some(c) = g.pop(1)?.pop() {
+                    in_flight.push(c);
+                    continue;
+                }
+            }
+            if in_flight.is_empty() {
+                if g.pop(1)?.pop().map(|c| in_flight.push(c)).is_none() {
+                    break;
+                }
+                continue;
+            }
+            let task = in_flight.swap_remove(pick % in_flight.len());
+            let remaining = g.remaining();
+            if remaining > 0 {
+                g.publish_children(&task, remaining + lag.min(t));
+            }
+            prop_assert!(
+                g.pool.cached_len() <= remaining + t,
+                "{} histograms cached with {} leaves left and {} tasks", g.pool.cached_len(), remaining, t
+            );
+        }
+        prop_assert!(g.remaining() == 0 || g.queue.is_empty());
     }
 }

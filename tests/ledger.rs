@@ -6,7 +6,9 @@ use harp_bench::{harp_params, prepared};
 use harp_data::DatasetKind;
 use harp_metrics::{gauges, DiffOptions, DiffReport, RunLedger};
 use harpgbdt::trainer::{EvalMetric, EvalOptions};
-use harpgbdt::{GbdtTrainer, LedgerConfig, ParallelMode, TraceConfig, TrainParams};
+use harpgbdt::{
+    GbdtTrainer, GrowthMethod, LedgerConfig, LossKind, ParallelMode, TraceConfig, TrainParams,
+};
 
 fn ledger_run(mut params: TrainParams, with_eval: bool) -> (RunLedger, usize) {
     let data = prepared(DatasetKind::HiggsLike, 0.03, 7);
@@ -191,4 +193,129 @@ fn identical_seeds_produce_identical_deterministic_metrics() {
             row.b
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Histogram lifecycle under the leaf budget (DESIGN.md §18): machine-
+// independent evidence that only histograms a future split can still read
+// are built and kept.
+
+/// One leafwise TopK run on the lifecycle data set with the ledger on.
+fn lifecycle_run(
+    data: &harp_bench::PreparedData,
+    labels: &[f32],
+    mode: ParallelMode,
+    tree_size: u32,
+    k: usize,
+    tweak: impl FnOnce(&mut TrainParams),
+) -> harpgbdt::TrainOutput {
+    let mut params = TrainParams {
+        mode,
+        growth: GrowthMethod::Leafwise,
+        k,
+        tree_size,
+        n_trees: 3,
+        n_threads: 4,
+        gamma: 0.0,
+        ledger: LedgerConfig::enabled(),
+        ..TrainParams::default()
+    };
+    tweak(&mut params);
+    GbdtTrainer::new(params)
+        .expect("valid params")
+        .train_prepared(&data.quantized, labels, None)
+}
+
+/// The assertions every lifecycle run must meet, whatever its mode.
+fn assert_budget_aware_lifecycle(
+    out: &harpgbdt::TrainOutput,
+    data: &harp_bench::PreparedData,
+    tree_size: u32,
+    k: usize,
+    what: &str,
+) {
+    let max_leaves = 1usize << tree_size;
+    for s in &out.diagnostics.tree_shapes {
+        assert_eq!(s.n_leaves as usize, max_leaves, "{what}: a tree stopped short of its budget");
+    }
+    let summary = out.diagnostics.ledger.as_ref().expect("ledger enabled").summary();
+    let get = |name: &str| summary.get(name).unwrap_or_else(|| panic!("{what}: no {name}"));
+    let splits = (out.model.n_trees() * (max_leaves - 1)) as f64;
+    assert_eq!(get("counter/hist_cache_hits"), splits, "{what}: one lookup per split");
+    assert_eq!(get("counter/hist_cache_misses"), 0.0, "{what}: a dropped histogram was needed");
+    assert_eq!(get("counter/hist_cache_evictions"), 0.0, "{what}: the byte budget never pressed");
+    assert!(
+        get("counter/hist_builds_skipped") > 0.0,
+        "{what}: the budget-spending splits' children still got histograms"
+    );
+    // Cached <= min(splittable leaves, leaves left) <= max_leaves / 2, plus
+    // the two buffers per split of the batch (or of the K tasks) in flight.
+    let width = harpgbdt::hist::hist_width_for(&data.quantized);
+    let bound = (max_leaves / 2 + 2 * k + 2) * width * 8;
+    let pool = get("mem/hist_pool/high_water_bytes");
+    assert!(
+        pool <= bound as f64,
+        "{what}: pool grew to {} buffers, bound {}",
+        pool / (width * 8) as f64,
+        bound / (width * 8)
+    );
+}
+
+#[test]
+fn histograms_are_built_and_kept_only_within_the_leaf_budget() {
+    let data = prepared(DatasetKind::HiggsLike, 0.2, 7);
+    let labels = &data.train.labels;
+    for (tree_size, k) in [(8, 32), (6, 1), (6, 4)] {
+        let mut barrier_preds: Vec<Vec<f32>> = Vec::new();
+        for mode in [
+            ParallelMode::DataParallel,
+            ParallelMode::ModelParallel,
+            ParallelMode::Sync,
+            ParallelMode::Async,
+        ] {
+            let what = format!("{mode:?} D{tree_size} K{k}");
+            let out = lifecycle_run(&data, labels, mode, tree_size, k, |_| {});
+            assert_budget_aware_lifecycle(&out, &data, tree_size, k, &what);
+            if mode == ParallelMode::Async {
+                continue;
+            }
+            // Every pop but the budget-spending one plans a BuildHist batch,
+            // and the root's makes up for it: one batch per pop.
+            for r in out.diagnostics.ledger.as_ref().unwrap().records() {
+                let pops = (f64::from(r.n_leaves - 1) / r.mean_k_per_pop).round();
+                assert_eq!(r.plan.batches as f64, pops, "{what}: round {} batches", r.round);
+            }
+            barrier_preds.push(out.model.predict_raw(&data.test.features));
+        }
+        assert!(
+            barrier_preds.windows(2).all(|w| w[0] == w[1]),
+            "D{tree_size} K{k}: DP, MP and SYNC models differ"
+        );
+    }
+}
+
+#[test]
+fn leaf_budget_lifecycle_covers_softmax_and_subtraction_off() {
+    let data = prepared(DatasetKind::HiggsLike, 0.2, 7);
+    // One tree per class per round shares the pool across the classes.
+    let classes: Vec<f32> = (0..data.train.n_rows()).map(|i| (i % 3) as f32).collect();
+    let out = lifecycle_run(&data, &classes, ParallelMode::DataParallel, 6, 4, |p| {
+        p.loss = LossKind::Softmax { n_classes: 3 };
+    });
+    assert_eq!(out.model.n_trees(), 9);
+    assert_budget_aware_lifecycle(&out, &data, 6, 4, "softmax DP D6 K4");
+    // With subtraction off no split reads a cached histogram, so none is
+    // cached: every lookup misses by design, and the pool is the batch in
+    // flight.
+    let out = lifecycle_run(&data, &data.train.labels, ParallelMode::Sync, 6, 4, |p| {
+        p.hist_subtraction = false;
+    });
+    assert!(out.diagnostics.tree_shapes.iter().all(|s| s.n_leaves == 64));
+    let summary = out.diagnostics.ledger.as_ref().expect("ledger enabled").summary();
+    let get = |name: &str| summary.get(name).unwrap_or_else(|| panic!("no {name}"));
+    assert_eq!(get("counter/hist_cache_hits"), 0.0);
+    assert_eq!(get("mem/hist_cache/high_water_bytes"), 0.0);
+    assert!(get("counter/hist_builds_skipped") > 0.0);
+    let entry = (harpgbdt::hist::hist_width_for(&data.quantized) * 8) as f64;
+    assert!(get("mem/hist_pool/high_water_bytes") <= (2.0 * 4.0 + 2.0) * entry);
 }
