@@ -349,8 +349,11 @@ fn main() {
             "-".into(),
             "-".into(),
         ]);
-        let path = std::env::temp_dir()
-            .join(format!("harp_buildhist_{}_{}.qsc", std::process::id(), higgs.qm.n_rows()));
+        let path = std::env::temp_dir().join(format!(
+            "harp_buildhist_{}_{}.qsc",
+            std::process::id(),
+            higgs.qm.n_rows()
+        ));
         let rows_per_chunk = (higgs.qm.n_rows() / 16).max(256);
         harpgbdt::write_cache(&higgs.qm, rows_per_chunk, &path).expect("write chunk cache");
         for frac in [1.0, 0.5, 0.25] {

@@ -5,7 +5,10 @@
 //! arena — not MemBuf — is what scales with thread count and tree size.
 //! Trains each parallel mode with MemBuf on and off at a small scale (D8,
 //! plus one D10 run per mode, where the histogram pool is what grows), then
-//! reads the high-water marks off the final ledger record.
+//! reads the high-water marks off the final ledger record. A second,
+//! criteo-like data set at D10/K32 is TopK's other regime — a thousand
+//! leaves of a few dozen rows — where pool and arena follow the rows of a
+//! node, not the histogram width (DESIGN.md §11, §18).
 //!
 //! Regenerate `results/mem_footprint.txt` with:
 //! `cargo run --release -p harp-bench --bin mem_footprint > results/mem_footprint.txt`
@@ -24,9 +27,15 @@ fn kb(mem: &[MemGaugeRecord], name: &str) -> f64 {
 
 fn main() {
     let args = ExpArgs::parse();
-    let data = prepared(DatasetKind::HiggsLike, args.data_scale(2.0, 8.0), args.seed);
     let n_trees = args.n_trees(5, 20);
-    harp_bench::warmup(&data, args.threads);
+    let datasets = [
+        (
+            DatasetKind::HiggsLike,
+            args.data_scale(2.0, 8.0),
+            &[(8, true), (8, false), (10, true)][..],
+        ),
+        (DatasetKind::CriteoLike, args.data_scale(1.5, 4.0), &[(10, true)][..]),
+    ];
 
     let modes = [
         (ParallelMode::DataParallel, "DP"),
@@ -35,16 +44,15 @@ fn main() {
         (ParallelMode::Async, "ASYNC"),
     ];
     let mut table = Table::new(
-        format!(
-            "Training memory high-water by mode ({} rows, {} threads, KB)",
-            data.quantized.n_rows(),
-            args.threads
-        ),
+        format!("Training memory high-water by mode ({} threads, KB)", args.threads),
         &[
+            "data",
+            "rows",
             "mode",
             "D",
             "membuf",
             "leaves",
+            "declined",
             "quant store",
             "hist pool",
             "hist cache",
@@ -54,44 +62,56 @@ fn main() {
             "total",
         ],
     );
-    for (mode, label) in modes {
-        for (tree_size, use_membuf) in [(8, true), (8, false), (10, true)] {
-            let params = TrainParams {
-                mode,
-                growth: GrowthMethod::Leafwise,
-                k: 32,
-                tree_size,
-                n_trees,
-                n_threads: args.threads,
-                use_membuf,
-                // Scaled-down data: let every positive gain split, so trees
-                // grow towards their leaf budget.
-                gamma: 0.0,
-                ledger: LedgerConfig::enabled(),
-                blocks: BlockConfig::default(),
-                ..TrainParams::default()
-            };
-            let trainer = GbdtTrainer::new(params).expect("valid params");
-            let out = trainer.train_prepared(&data.quantized, &data.train.labels, None);
-            let shapes = &out.diagnostics.tree_shapes;
-            let mean_leaves =
-                shapes.iter().map(|s| f64::from(s.n_leaves)).sum::<f64>() / shapes.len() as f64;
-            let ledger = out.diagnostics.ledger.expect("ledger enabled");
-            let mem = &ledger.records().last().expect("rounds ran").mem;
-            let total: f64 = mem.iter().map(|m| m.high_water_bytes as f64 / 1024.0).sum();
-            table.row(vec![
-                label.to_string(),
-                tree_size.to_string(),
-                if use_membuf { "on" } else { "off" }.to_string(),
-                format!("{mean_leaves:.0}"),
-                format!("{:.0}", kb(mem, gauges::QUANT_STORE)),
-                format!("{:.0}", kb(mem, gauges::HIST_POOL)),
-                format!("{:.0}", kb(mem, gauges::HIST_CACHE)),
-                format!("{:.0}", kb(mem, gauges::SCRATCH_ARENA)),
-                format!("{:.0}", kb(mem, gauges::MEMBUF)),
-                format!("{:.0}", kb(mem, gauges::PARTITION)),
-                format!("{:.0}", total),
-            ]);
+    for (kind, scale, runs) in datasets {
+        let data = prepared(kind, scale, args.seed);
+        harp_bench::warmup(&data, args.threads);
+        for (mode, label) in modes {
+            for &(tree_size, use_membuf) in runs {
+                let params = TrainParams {
+                    mode,
+                    growth: GrowthMethod::Leafwise,
+                    k: 32,
+                    tree_size,
+                    n_trees,
+                    n_threads: args.threads,
+                    use_membuf,
+                    // Scaled-down data: let every positive gain split, so trees
+                    // grow towards their leaf budget.
+                    gamma: 0.0,
+                    ledger: LedgerConfig::enabled(),
+                    blocks: BlockConfig::default(),
+                    ..TrainParams::default()
+                };
+                let trainer = GbdtTrainer::new(params).expect("valid params");
+                let out = trainer.train_prepared(&data.quantized, &data.train.labels, None);
+                let shapes = &out.diagnostics.tree_shapes;
+                let mean_leaves =
+                    shapes.iter().map(|s| f64::from(s.n_leaves)).sum::<f64>() / shapes.len() as f64;
+                let profile = &out.diagnostics.profile;
+                let pops = profile.hist_cache_hits + profile.hist_cache_declined;
+                let ledger = out.diagnostics.ledger.expect("ledger enabled");
+                let mem = &ledger.records().last().expect("rounds ran").mem;
+                let total: f64 = mem.iter().map(|m| m.high_water_bytes as f64 / 1024.0).sum();
+                table.row(vec![
+                    kind.name().to_string(),
+                    data.quantized.n_rows().to_string(),
+                    label.to_string(),
+                    tree_size.to_string(),
+                    if use_membuf { "on" } else { "off" }.to_string(),
+                    format!("{mean_leaves:.0}"),
+                    format!(
+                        "{:.0}%",
+                        100.0 * profile.hist_cache_declined as f64 / pops.max(1) as f64
+                    ),
+                    format!("{:.0}", kb(mem, gauges::QUANT_STORE)),
+                    format!("{:.0}", kb(mem, gauges::HIST_POOL)),
+                    format!("{:.0}", kb(mem, gauges::HIST_CACHE)),
+                    format!("{:.0}", kb(mem, gauges::SCRATCH_ARENA)),
+                    format!("{:.0}", kb(mem, gauges::MEMBUF)),
+                    format!("{:.0}", kb(mem, gauges::PARTITION)),
+                    format!("{:.0}", total),
+                ]);
+            }
         }
     }
     table.note(
@@ -106,11 +126,14 @@ fn main() {
     table.note(
         "hist pool = every histogram buffer the trainer ever allocated (cached + in flight + \
          free); the cache keeps at most min(splittable leaves, leaves left to spend) of them, \
-         so the pool peaks near half the leaf budget plus the 2K buffers of a batch (DESIGN.md §18)",
+         and only of nodes with rows x columns > total bins — declined = the share of splits \
+         whose node was below that and had both children scanned instead (DESIGN.md §18)",
     );
     table.note(
-        "paper Table V: the replica arena is the mode-dependent cost (DP keeps \
-         one histogram set per worker); MemBuf's copy is flat and predictable",
+        "paper Table V: the replica arena is the mode-dependent cost, but it holds lanes only \
+         for the jobs of a batch that span several row blocks — fewer than there are threads — \
+         so it no longer grows with K or with tree size (DESIGN.md §11); MemBuf's copy is flat \
+         and predictable",
     );
     table.print();
     if let Some(path) = &args.out {

@@ -450,8 +450,9 @@ impl Inner {
             .source
             .blob(meta)
             .unwrap_or_else(|e| panic!("cache chunk {c} read failed after open verified it: {e}"));
-        let slab = QuantizedMatrix::decode_chunk(&blob, &self.mapper)
-            .unwrap_or_else(|e| panic!("cache chunk {c} decode failed after open verified it: {e}"));
+        let slab = QuantizedMatrix::decode_chunk(&blob, &self.mapper).unwrap_or_else(|e| {
+            panic!("cache chunk {c} decode failed after open verified it: {e}")
+        });
         debug_assert_eq!(slab.n_rows() as u64, meta.n_rows);
         slab
     }
@@ -590,7 +591,7 @@ impl ChunkedStore {
                 n_rows: cur.get_u64().ok_or_else(short)?,
                 decoded_bytes: cur.get_u64().ok_or_else(short)?,
             };
-            if meta.offset.checked_add(meta.len).map_or(true, |end| end > file_bytes) {
+            if meta.offset.checked_add(meta.len).is_none_or(|end| end > file_bytes) {
                 return Err(CacheError::Truncated);
             }
             rows_total += meta.n_rows;
@@ -801,7 +802,10 @@ mod tests {
     fn sparse_qm(n: usize, m: usize) -> QuantizedMatrix {
         let rows: Vec<Vec<(u32, f32)>> = (0..n)
             .map(|r| {
-                (0..m).filter(|f| (r + f) % 3 != 0).map(|f| (f as u32, ((r * f) % 11) as f32)).collect()
+                (0..m)
+                    .filter(|f| (r + f) % 3 != 0)
+                    .map(|f| (f as u32, ((r * f) % 11) as f32))
+                    .collect()
             })
             .collect();
         QuantizedMatrix::from_matrix(

@@ -693,7 +693,7 @@ impl QuantizedMatrix {
             Storage::Bundled { col_major, .. } => {
                 let slot = self.mapper.bundles().expect("bundled storage has a map").slot(f);
                 if slot.width == 0 {
-                    out.extend(std::iter::repeat(MISSING_BIN).take(rows.len()));
+                    out.extend(std::iter::repeat_n(MISSING_BIN, rows.len()));
                     return;
                 }
                 let col = &col_major[slot.col as usize * self.n_rows..];

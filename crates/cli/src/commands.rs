@@ -183,9 +183,11 @@ fn train_help() -> String {
     let _ = writeln!(s, "  --valid FILE --valid-groups FILE --early-stop ROUNDS");
     let _ = writeln!(s, "  --trace-out FILE --ledger-out FILE");
     let _ = writeln!(s, "  --external-memory    (train from a memory-mapped chunk cache instead");
-    let _ = writeln!(s, "                        of the in-core quantized matrix; bitwise-identical");
+    let _ =
+        writeln!(s, "                        of the in-core quantized matrix; bitwise-identical");
     let _ = writeln!(s, "                        models under any budget)");
-    let _ = writeln!(s, "  --mem-budget BYTES   (resident chunk budget, k/m/g suffixes; default 256m)");
+    let _ =
+        writeln!(s, "  --mem-budget BYTES   (resident chunk budget, k/m/g suffixes; default 256m)");
     let _ = writeln!(s, "  --cache FILE         (cache path; default DATA.qsc, built on first use");
     let _ = writeln!(s, "                        or ahead of time with `harpgbdt cache`)");
     let _ = writeln!(s, "  --rows-per-chunk N   (chunk granularity when building the cache)");
@@ -284,10 +286,10 @@ pub fn train(args: &[String]) -> Result<String, String> {
 
     let mut setup_notes: Vec<String> = Vec::new();
     let out = if external {
-        let cache_path =
-            opts.get("--cache").map_or_else(|| default_cache_path(data_path), str::to_string);
-        let rows_per_chunk =
-            opts.parse_or("--rows-per-chunk", harpgbdt::DEFAULT_ROWS_PER_CHUNK)?;
+        let cache_path = opts
+            .get("--cache")
+            .map_or_else(|| default_cache_path(data_path), str::to_string);
+        let rows_per_chunk = opts.parse_or("--rows-per-chunk", harpgbdt::DEFAULT_ROWS_PER_CHUNK)?;
         let budget = parse_bytes(opts.get("--mem-budget").unwrap_or("256m"))?;
         let (store, note) = open_or_build_cache(&data, &cache_path, rows_per_chunk, budget)?;
         setup_notes.push(note);
@@ -648,10 +650,19 @@ pub fn report(args: &[String]) -> Result<String, String> {
     // traffic when comparing an in-core run against an external-memory one).
     let ignore: Vec<String> = opts
         .get("--ignore")
-        .map(|s| s.split(',').map(str::trim).filter(|p| !p.is_empty()).map(String::from).collect())
+        .map(|s| {
+            s.split(',')
+                .map(str::trim)
+                .filter(|p| !p.is_empty())
+                .map(String::from)
+                .collect()
+        })
         .unwrap_or_default();
     let keep = |metrics: Vec<(String, f64)>| -> Vec<(String, f64)> {
-        metrics.into_iter().filter(|(n, _)| !ignore.iter().any(|p| n.starts_with(p))).collect()
+        metrics
+            .into_iter()
+            .filter(|(n, _)| !ignore.iter().any(|p| n.starts_with(p)))
+            .collect()
     };
     if let Some(spec) = opts.get("--slo") {
         if diff.is_some() || bench_diff.is_some() {
@@ -793,10 +804,9 @@ pub fn synth(args: &[String]) -> Result<String, String> {
 pub fn cache(args: &[String]) -> Result<String, String> {
     let opts = Opts::parse(args)?;
     let data = load(opts.required("--data")?)?;
-    let out_path = opts.get("--out").map_or_else(
-        || default_cache_path(opts.required("--data").unwrap()),
-        str::to_string,
-    );
+    let out_path = opts
+        .get("--out")
+        .map_or_else(|| default_cache_path(opts.required("--data").unwrap()), str::to_string);
     let rows_per_chunk = opts.parse_or("--rows-per-chunk", harpgbdt::DEFAULT_ROWS_PER_CHUNK)?;
     let (qm, setup_line) = quantize_default(&data);
     let summary = harpgbdt::write_cache(&qm, rows_per_chunk, Path::new(&out_path))
@@ -988,15 +998,13 @@ mod tests {
 
     #[test]
     fn external_memory_knobs_require_the_switch() {
-        let err =
-            train(&args(&["--data", "x.csv", "--model", "m.json", "--mem-budget", "64m"]))
-                .unwrap_err();
+        let err = train(&args(&["--data", "x.csv", "--model", "m.json", "--mem-budget", "64m"]))
+            .unwrap_err();
         assert!(err.contains("--external-memory"), "{err}");
     }
 
     #[test]
     fn cache_then_external_memory_train_roundtrip() {
-        use std::fmt::Write as _;
         let dir = std::env::temp_dir();
         let data_path = dir.join("harp_cli_xmem.csv");
         let model_a = dir.join("harp_cli_xmem_a.json");

@@ -59,10 +59,7 @@ pub fn usage() -> String {
     let _ = writeln!(s);
     let _ = writeln!(s, "commands:");
     let _ = writeln!(s, "  train       --data FILE --model FILE [training options]");
-    let _ = writeln!(
-        s,
-        "  cache       --data FILE [--out FILE] [--rows-per-chunk N]   (build the"
-    );
+    let _ = writeln!(s, "  cache       --data FILE [--out FILE] [--rows-per-chunk N]   (build the");
     let _ = writeln!(s, "              external-memory chunk cache ahead of training)");
     let _ = writeln!(
         s,

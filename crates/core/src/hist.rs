@@ -20,10 +20,13 @@
 //! keeps at most as many as the tree has leaves left to spend — the
 //! best-ranked ones, in the growth queue's own order
 //! ([`RankKey`]) — and hands every other buffer straight back to the free
-//! list; the user's byte budget bounds it the same way.
-//! [`ScratchPool`] is the data-parallel replica arena: whole-batch replica
-//! buffers survive across frontiers and trees, and dirty-range tracking
-//! re-zeroes only the lanes the previous use touched.
+//! list; the user's byte budget bounds it the same way. It caches a node
+//! only where the subtraction is the cheaper way to the node's larger child
+//! ([`min_cached_rows`]): below that size both children are scanned.
+//! [`ScratchPool`] is the data-parallel replica arena: replica buffers —
+//! lanes for the jobs of a batch that are cut into several row blocks —
+//! survive across frontiers and trees, and dirty-range tracking re-zeroes
+//! only the lanes the previous use touched.
 
 use crate::growth::RankKey;
 use crate::tree::NodeId;
@@ -55,6 +58,32 @@ pub fn hist_width_for(store: &dyn harp_binning::QuantStore) -> usize {
         0
     };
     store.mapper().total_bins() as usize * 2 + sinks
+}
+
+/// The fewest rows a node must have for its histogram to be cached.
+///
+/// The cached histogram has one reader: `large child = parent − small
+/// child`, a pass over `total_bins` cells that saves the scan of the larger
+/// child, `rows × n_storage_cols` cells at most. On dense layouts (u8 or
+/// u4-packed) a scanned cell and a subtracted cell cost about the same, so
+/// the histogram is kept only where `rows × n_storage_cols > total_bins`;
+/// sparse and bundled scans cost an order of magnitude more per cell than a
+/// subtraction pass per bin, so there every node is cached. The node's own
+/// row count stands in for the larger child's (between half of it and all
+/// of it) because it is what is known when the histogram is filed, and the
+/// same count is at hand when the node is split, so both ends decide alike.
+pub fn min_cached_rows(store: &dyn harp_binning::QuantStore) -> usize {
+    let layout = store.layout();
+    if layout.dense {
+        dense_min_cached_rows(store.mapper().total_bins(), layout.n_storage_cols)
+    } else {
+        0
+    }
+}
+
+/// Smallest `rows` with `rows × n_cols > total_bins`.
+fn dense_min_cached_rows(total_bins: u32, n_cols: usize) -> usize {
+    total_bins as usize / n_cols.max(1) + 1
 }
 
 /// Zeroes a histogram buffer.
@@ -99,9 +128,34 @@ struct Cached {
     key: RankKey,
 }
 
+/// A buffer handed out by [`HistPool::alloc`], still holding whatever its
+/// last use left in it. Handing out is a pop, cheap enough for a critical
+/// section; [`zeroed`](Self::zeroed), the only way to the lanes, is the
+/// width-sized part and needs no lock.
+pub struct StaleHist {
+    /// `None`: the free list was empty and the buffer is yet to be allocated.
+    recycled: Option<Vec<f64>>,
+    width: usize,
+}
+
+impl StaleHist {
+    /// The buffer, zero-filled.
+    pub fn zeroed(self) -> Vec<f64> {
+        match self.recycled {
+            Some(mut buf) => {
+                zero(&mut buf);
+                buf
+            }
+            None => vec![0.0; self.width],
+        }
+    }
+}
+
 /// Buffer recycler plus bounded cache of candidate histograms.
 pub struct HistPool {
     width: usize,
+    /// Nodes with fewer rows are never cached ([`min_cached_rows`]).
+    min_cached_rows: usize,
     free: Vec<Vec<f64>>,
     cache: HashMap<NodeId, Cached>,
     /// `cache` in growth order: the first entry is the one the queue would
@@ -120,17 +174,27 @@ pub struct HistPool {
 }
 
 impl HistPool {
-    /// Creates a pool for padded histograms of `total_bins` bins over
-    /// `n_features` features with a cache budget of `budget_bytes`.
+    /// Creates a pool for a dense u8 matrix of `n_features` columns and
+    /// `total_bins` bins (padded histograms) with a cache budget of
+    /// `budget_bytes`.
     pub fn new(total_bins: u32, n_features: usize, budget_bytes: usize) -> Self {
-        Self::with_width(hist_width(total_bins, n_features), budget_bytes)
+        Self::with_shape(
+            hist_width(total_bins, n_features),
+            dense_min_cached_rows(total_bins, n_features),
+            budget_bytes,
+        )
     }
 
-    /// Creates a pool of `width`-lane buffers (use [`hist_width_for`] to
-    /// size for a specific matrix layout).
-    pub fn with_width(width: usize, budget_bytes: usize) -> Self {
+    /// Creates a pool sized and ruled for `store`'s layout
+    /// ([`hist_width_for`], [`min_cached_rows`]).
+    pub fn for_store(store: &dyn harp_binning::QuantStore, budget_bytes: usize) -> Self {
+        Self::with_shape(hist_width_for(store), min_cached_rows(store), budget_bytes)
+    }
+
+    fn with_shape(width: usize, min_cached_rows: usize, budget_bytes: usize) -> Self {
         Self {
             width,
+            min_cached_rows,
             free: Vec::new(),
             cache: HashMap::new(),
             order: BTreeSet::new(),
@@ -163,20 +227,24 @@ impl HistPool {
         self.width * 8
     }
 
-    /// Hands out a zeroed buffer, reusing a returned one when possible.
-    pub fn alloc(&mut self) -> Vec<f64> {
-        match self.free.pop() {
-            Some(mut buf) => {
-                zero(&mut buf);
-                buf
-            }
-            None => {
-                if let Some(g) = &self.pool_gauge {
-                    g.add(self.entry_bytes() as u64);
-                }
-                vec![0.0; self.width]
+    /// Hands out a buffer, reusing a returned one when possible. No
+    /// width-sized work happens here: the caller zero-fills it
+    /// ([`StaleHist::zeroed`]) once it is out of any lock the pool sits
+    /// behind.
+    pub fn alloc(&mut self) -> StaleHist {
+        let recycled = self.free.pop();
+        if recycled.is_none() {
+            if let Some(g) = &self.pool_gauge {
+                g.add(self.entry_bytes() as u64);
             }
         }
+        StaleHist { recycled, width: self.width }
+    }
+
+    /// Whether a node of `rows` rows has its histogram cached — asked with
+    /// the same count when the node is filed and when it is split.
+    pub fn caches(&self, rows: usize) -> bool {
+        rows >= self.min_cached_rows
     }
 
     /// Returns a buffer to the free list.
@@ -185,8 +253,11 @@ impl HistPool {
         self.free.push(buf);
     }
 
-    /// Caches `node`'s histogram for a later subtraction, filed under the
-    /// `key` its candidate pops by. `remaining` is the tree's unspent leaf
+    /// Caches the histogram of `node` (of `rows` rows) for a later
+    /// subtraction, filed under the `key` its candidate pops by — unless the
+    /// node is too small for the subtraction to pay ([`caches`](Self::caches)),
+    /// in which case the buffer is recycled and the split will scan both
+    /// children. `remaining` is the tree's unspent leaf
     /// budget: the cache holds at most that many entries (and at most what
     /// the byte budget fits), so when it is full the lowest-ranked of the
     /// residents and the newcomer is recycled instead. Dropping for the leaf
@@ -195,9 +266,16 @@ impl HistPool {
     /// that ranks beyond the budget once stays there until the tree is
     /// finished and is never split. A zero byte budget disables caching
     /// (and therefore subtraction).
-    pub fn cache_insert(&mut self, node: NodeId, data: Vec<f64>, key: RankKey, remaining: usize) {
+    pub fn cache_insert(
+        &mut self,
+        node: NodeId,
+        rows: usize,
+        data: Vec<f64>,
+        key: RankKey,
+        remaining: usize,
+    ) {
         let byte_cap = self.budget_bytes.checked_div(self.entry_bytes()).unwrap_or(usize::MAX);
-        if byte_cap == 0 {
+        if byte_cap == 0 || !self.caches(rows) {
             self.release(data);
             return;
         }
@@ -218,12 +296,8 @@ impl HistPool {
                     p.add_hist_cache_evictions(1);
                 }
             }
-            match self.order.first().copied() {
-                Some((worst, victim)) if worst < key => {
-                    self.order.remove(&(worst, victim));
-                    let entry = self.cache.remove(&victim).expect("order indexes the cache");
-                    self.uncache(entry.data);
-                }
+            match self.order.first() {
+                Some(&(worst, _)) if worst < key => self.recycle_lowest(),
                 _ => {
                     self.release(data);
                     return;
@@ -237,6 +311,13 @@ impl HistPool {
         }
     }
 
+    /// Recycles the cached histogram the queue would pop last.
+    fn recycle_lowest(&mut self) {
+        let (_, victim) = self.order.pop_first().expect("the cache is not empty");
+        let entry = self.cache.remove(&victim).expect("order indexes the cache");
+        self.uncache(entry.data);
+    }
+
     /// Moves a buffer that just left `cache` to the free list.
     fn uncache(&mut self, data: Vec<f64>) {
         if let Some(g) = &self.cache_gauge {
@@ -245,18 +326,36 @@ impl HistPool {
         self.free.push(data);
     }
 
-    /// Removes and returns `node`'s cached histogram, if still present.
-    pub fn cache_take(&mut self, node: NodeId) -> Option<Vec<f64>> {
-        let out = self.cache.remove(&node).map(|c| {
-            self.order.remove(&(c.key, node));
-            c.data
-        });
-        if let Some(p) = &self.profile {
-            p.add_hist_cache_lookup(out.is_some());
-        }
-        if out.is_some() {
-            if let Some(g) = &self.cache_gauge {
-                g.sub(self.entry_bytes() as u64);
+    /// `node` (of `rows` rows) is being split, which leaves `remaining`
+    /// leaves to spend: removes and returns its cached histogram, if still
+    /// present. A node too small to have been cached is not looked up —
+    /// that is a decline, not a miss. A hit lowers the cache and the budget
+    /// together; a pop that took nothing out lowered the budget alone, and
+    /// what now ranks beyond it is recycled (as free as on insert: with
+    /// `remaining` better-ranked entries cached, it can never pop).
+    pub fn cache_take(&mut self, node: NodeId, rows: usize, remaining: usize) -> Option<Vec<f64>> {
+        let out = if self.caches(rows) {
+            let hit = self.cache.remove(&node).map(|c| {
+                self.order.remove(&(c.key, node));
+                if let Some(g) = &self.cache_gauge {
+                    g.sub(self.entry_bytes() as u64);
+                }
+                c.data
+            });
+            if let Some(p) = &self.profile {
+                p.add_hist_cache_lookup(hit.is_some());
+            }
+            hit
+        } else {
+            if let Some(p) = &self.profile {
+                p.add_hist_cache_declined();
+            }
+            None
+        };
+        while self.cache.len() > remaining {
+            self.recycle_lowest();
+            if let Some(p) = &self.profile {
+                p.add_hist_cache_trimmed(1);
             }
         }
         out
@@ -305,7 +404,7 @@ impl ReplicaBuf {
     }
 }
 
-/// Reusable arena of whole-batch DP replica buffers. Replicas survive across
+/// Reusable arena of DP replica buffers. Replicas survive across
 /// frontiers and trees; [`acquire`](Self::acquire) hands back a buffer whose
 /// previously-dirty lanes are re-zeroed — the rest never left zero — so the
 /// caller always sees the equivalent of a fresh `vec![0.0; len]` without the
@@ -389,6 +488,9 @@ mod tests {
     /// No leaf-budget bound: only the byte budget limits the cache.
     const UNBOUNDED: usize = usize::MAX;
 
+    /// A node large enough to be cached whatever the pool's shape.
+    const ROWS: usize = usize::MAX;
+
     /// Mints rank keys the way the trainer gets them: from a growth queue,
     /// in push order.
     struct Keys(GrowthQueue);
@@ -437,25 +539,83 @@ mod tests {
     #[test]
     fn pool_reuses_buffers_zeroed() {
         let mut pool = HistPool::new(4, 0, 1 << 20);
-        let mut b = pool.alloc();
+        let mut b = pool.alloc().zeroed();
         assert_eq!(b.len(), 8);
         b[3] = 9.0;
         pool.release(b);
-        let b2 = pool.alloc();
+        let b2 = pool.alloc().zeroed();
         assert!(b2.iter().all(|&x| x == 0.0), "reused buffer must be zeroed");
+    }
+
+    #[test]
+    fn small_nodes_are_declined_not_cached_and_not_looked_up() {
+        let profile = Arc::new(Profile::new());
+        let pool_gauge = Arc::new(MemGauge::new());
+        let mut keys = Keys::leafwise();
+        // 64 bins over 4 dense columns: 16 rows scan 64 cells, a tie the
+        // scan wins; 17 rows scan 68 and the subtraction pays.
+        let mut pool = HistPool::new(64, 4, 1 << 20);
+        pool.instrument(Arc::clone(&profile), Some(Arc::clone(&pool_gauge)), None);
+        assert!(!pool.caches(16) && pool.caches(17));
+        let buf = pool.alloc().zeroed();
+        pool.cache_insert(1, 16, buf, keys.gain(9.0), UNBOUNDED);
+        assert_eq!(pool.cached_len(), 0);
+        assert!(pool.cache_take(1, 16, UNBOUNDED).is_none());
+        // The refused buffer went back to the free list.
+        let buf = pool.alloc().zeroed();
+        assert_eq!(pool_gauge.current(), (buf.len() * 8) as u64);
+        pool.cache_insert(2, 17, buf, keys.gain(1.0), UNBOUNDED);
+        assert!(pool.cache_take(2, 17, UNBOUNDED).is_some());
+        let c = profile.snapshot();
+        assert_eq!((c.hist_cache_declined, c.hist_cache_hits, c.hist_cache_misses), (1, 1, 0));
+        assert_eq!(c.hist_cache_trimmed + c.hist_cache_evictions, 0);
+    }
+
+    #[test]
+    fn a_pop_that_takes_nothing_trims_to_the_budget() {
+        let profile = Arc::new(Profile::new());
+        let mut keys = Keys::leafwise();
+        let mut pool = HistPool::new(64, 4, 1 << 20);
+        pool.instrument(Arc::clone(&profile), None, None);
+        pool.cache_insert(1, 17, vec![0.0; 136], keys.gain(5.0), 2);
+        pool.cache_insert(2, 17, vec![0.0; 136], keys.gain(1.0), 2);
+        // A 3-row node splits: nothing to take, but one leaf fewer to spend,
+        // and the lower-ranked of the two residents can no longer pop.
+        assert!(pool.cache_take(9, 3, 1).is_none());
+        assert_eq!(pool.cached_len(), 1);
+        assert!(pool.cache_take(1, 17, 0).is_some());
+        let c = profile.snapshot();
+        assert_eq!((c.hist_cache_declined, c.hist_cache_trimmed, c.hist_cache_hits), (1, 1, 1));
+        assert_eq!(c.hist_cache_misses, 0);
+    }
+
+    #[test]
+    fn min_cached_rows_prices_the_layout() {
+        use harp_binning::{BinningConfig, QuantStore, QuantizedMatrix};
+        use harp_data::{DatasetKind, SynthConfig};
+        let quantized = |kind| {
+            let d = SynthConfig::new(kind, 42).with_scale(0.02).generate();
+            QuantizedMatrix::from_matrix(&d.features, BinningConfig::with_max_bins(32))
+        };
+        let dense = quantized(DatasetKind::HiggsLike);
+        assert!(dense.layout().dense);
+        let (bins, cols) = (dense.mapper().total_bins() as usize, dense.n_features());
+        let min = min_cached_rows(&dense);
+        assert!(min * cols > bins && (min - 1) * cols <= bins, "{min} rows x {cols} vs {bins}");
+        assert_eq!(min_cached_rows(&quantized(DatasetKind::YfccLike)), 0, "sparse: always cache");
     }
 
     #[test]
     fn cache_roundtrip() {
         let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 1 << 20);
-        let mut b = pool.alloc();
+        let mut b = pool.alloc().zeroed();
         b[0] = 42.0;
-        pool.cache_insert(7, b, keys.gain(1.0), UNBOUNDED);
+        pool.cache_insert(7, ROWS, b, keys.gain(1.0), UNBOUNDED);
         assert_eq!(pool.cached_len(), 1);
-        let back = pool.cache_take(7).unwrap();
+        let back = pool.cache_take(7, ROWS, UNBOUNDED).unwrap();
         assert_eq!(back[0], 42.0);
-        assert!(pool.cache_take(7).is_none());
+        assert!(pool.cache_take(7, ROWS, UNBOUNDED).is_none());
     }
 
     #[test]
@@ -463,47 +623,50 @@ mod tests {
         // width = 2 bins -> 4 lanes -> 32 bytes per entry; budget: 2 entries.
         let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 64);
-        pool.cache_insert(1, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
-        pool.cache_insert(2, vec![2.0; 4], keys.gain(1.0), UNBOUNDED);
-        pool.cache_insert(3, vec![3.0; 4], keys.gain(3.0), UNBOUNDED);
+        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
+        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(1.0), UNBOUNDED);
+        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(3.0), UNBOUNDED);
         assert_eq!(pool.cached_len(), 2);
-        assert!(pool.cache_take(2).is_none(), "lowest-gain entry should be evicted");
-        assert!(pool.cache_take(1).is_some());
-        assert!(pool.cache_take(3).is_some());
+        assert!(
+            pool.cache_take(2, ROWS, UNBOUNDED).is_none(),
+            "lowest-gain entry should be evicted"
+        );
+        assert!(pool.cache_take(1, ROWS, UNBOUNDED).is_some());
+        assert!(pool.cache_take(3, ROWS, UNBOUNDED).is_some());
     }
 
     #[test]
     fn eviction_skips_stale_heap_entries() {
         let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 64);
-        pool.cache_insert(1, vec![1.0; 4], keys.gain(1.0), UNBOUNDED);
+        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(1.0), UNBOUNDED);
         // A taken entry leaves the eviction order with it.
-        assert!(pool.cache_take(1).is_some());
-        pool.cache_insert(2, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
-        pool.cache_insert(3, vec![3.0; 4], keys.gain(3.0), UNBOUNDED);
+        assert!(pool.cache_take(1, ROWS, UNBOUNDED).is_some());
+        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
+        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(3.0), UNBOUNDED);
         // Budget forces one eviction: node 2 (lowest live gain), although
         // node 1's gain was lower still.
-        pool.cache_insert(4, vec![4.0; 4], keys.gain(4.0), UNBOUNDED);
+        pool.cache_insert(4, ROWS, vec![4.0; 4], keys.gain(4.0), UNBOUNDED);
         assert_eq!(pool.cached_len(), 2);
-        assert!(pool.cache_take(2).is_none());
-        assert!(pool.cache_take(3).is_some());
-        assert!(pool.cache_take(4).is_some());
+        assert!(pool.cache_take(2, ROWS, UNBOUNDED).is_none());
+        assert!(pool.cache_take(3, ROWS, UNBOUNDED).is_some());
+        assert!(pool.cache_take(4, ROWS, UNBOUNDED).is_some());
     }
 
     #[test]
     fn reinsert_updates_gain_not_duplicates() {
         let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 64);
-        pool.cache_insert(1, vec![1.0; 4], keys.gain(0.5), UNBOUNDED);
-        pool.cache_insert(1, vec![1.5; 4], keys.gain(9.0), UNBOUNDED); // re-insert with high gain
-        pool.cache_insert(2, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
+        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(0.5), UNBOUNDED);
+        pool.cache_insert(1, ROWS, vec![1.5; 4], keys.gain(9.0), UNBOUNDED); // re-insert with high gain
+        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
         assert_eq!(pool.cached_len(), 2);
         // Over budget: node 2 must go (1's live gain is 9.0, its old 0.5
         // key must not evict it).
-        pool.cache_insert(3, vec![3.0; 4], keys.gain(5.0), UNBOUNDED);
+        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(5.0), UNBOUNDED);
         assert_eq!(pool.cached_len(), 2);
-        assert_eq!(pool.cache_take(1).unwrap()[0], 1.5);
-        assert!(pool.cache_take(2).is_none());
+        assert_eq!(pool.cache_take(1, ROWS, UNBOUNDED).unwrap()[0], 1.5);
+        assert!(pool.cache_take(2, ROWS, UNBOUNDED).is_none());
     }
 
     #[test]
@@ -513,29 +676,29 @@ mod tests {
         let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 32 * 10);
         for i in 0..1000u32 {
-            pool.cache_insert(i, vec![0.0; 4], keys.gain(f64::from(i)), UNBOUNDED);
+            pool.cache_insert(i, ROWS, vec![0.0; 4], keys.gain(f64::from(i)), UNBOUNDED);
         }
         assert_eq!(pool.cached_len(), 10);
         for i in 990..1000 {
-            assert!(pool.cache_take(i).is_some(), "high-gain entry {i} evicted");
+            assert!(pool.cache_take(i, ROWS, UNBOUNDED).is_some(), "high-gain entry {i} evicted");
         }
     }
 
     #[test]
     fn zero_budget_disables_cache() {
         let mut pool = HistPool::new(2, 0, 0);
-        pool.cache_insert(1, vec![0.0; 4], Keys::leafwise().gain(10.0), UNBOUNDED);
+        pool.cache_insert(1, ROWS, vec![0.0; 4], Keys::leafwise().gain(10.0), UNBOUNDED);
         assert_eq!(pool.cached_len(), 0);
         // The rejected buffer must have been recycled.
-        let _ = pool.alloc();
+        let _ = pool.alloc().zeroed();
     }
 
     #[test]
     fn clear_cache_recycles_everything() {
         let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 1 << 20);
-        pool.cache_insert(1, vec![0.0; 4], keys.gain(1.0), UNBOUNDED);
-        pool.cache_insert(2, vec![0.0; 4], keys.gain(2.0), UNBOUNDED);
+        pool.cache_insert(1, ROWS, vec![0.0; 4], keys.gain(1.0), UNBOUNDED);
+        pool.cache_insert(2, ROWS, vec![0.0; 4], keys.gain(2.0), UNBOUNDED);
         pool.clear_cache();
         assert_eq!(pool.cached_len(), 0);
     }
@@ -546,15 +709,15 @@ mod tests {
         // newest of a tie is the one to give up — newcomer or resident.
         let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 64);
-        pool.cache_insert(1, vec![1.0; 4], keys.gain(2.0), UNBOUNDED);
-        pool.cache_insert(2, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
-        pool.cache_insert(3, vec![3.0; 4], keys.gain(2.0), UNBOUNDED);
-        assert!(pool.cache_take(3).is_none(), "the newest of the tie is refused");
+        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(2.0), UNBOUNDED);
+        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
+        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(2.0), UNBOUNDED);
+        assert!(pool.cache_take(3, ROWS, UNBOUNDED).is_none(), "the newest of the tie is refused");
         // Node 4 outranks both; of the tied residents the newer (2) goes.
-        pool.cache_insert(4, vec![4.0; 4], keys.gain(3.0), UNBOUNDED);
-        assert!(pool.cache_take(2).is_none());
-        assert!(pool.cache_take(1).is_some());
-        assert!(pool.cache_take(4).is_some());
+        pool.cache_insert(4, ROWS, vec![4.0; 4], keys.gain(3.0), UNBOUNDED);
+        assert!(pool.cache_take(2, ROWS, UNBOUNDED).is_none());
+        assert!(pool.cache_take(1, ROWS, UNBOUNDED).is_some());
+        assert!(pool.cache_take(4, ROWS, UNBOUNDED).is_some());
     }
 
     #[test]
@@ -564,14 +727,17 @@ mod tests {
         let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 64);
         pool.instrument(Arc::clone(&profile), Some(Arc::clone(&pool_gauge)), None);
-        pool.cache_insert(1, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
-        pool.cache_insert(2, vec![2.0; 4], keys.gain(3.0), UNBOUNDED);
-        pool.cache_insert(3, vec![3.0; 4], keys.gain(1.0), UNBOUNDED);
+        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
+        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(3.0), UNBOUNDED);
+        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(1.0), UNBOUNDED);
         assert_eq!(profile.snapshot().hist_cache_evictions, 1, "byte pressure, not a trim");
-        assert!(pool.cache_take(1).is_some() && pool.cache_take(2).is_some());
-        assert!(pool.cache_take(3).is_none(), "residents outrank the newcomer");
+        assert!(
+            pool.cache_take(1, ROWS, UNBOUNDED).is_some()
+                && pool.cache_take(2, ROWS, UNBOUNDED).is_some()
+        );
+        assert!(pool.cache_take(3, ROWS, UNBOUNDED).is_none(), "residents outrank the newcomer");
         // The refused buffer feeds the next alloc instead of a fresh one.
-        let _ = pool.alloc();
+        let _ = pool.alloc().zeroed();
         assert_eq!(pool_gauge.current(), 0);
     }
 
@@ -580,12 +746,15 @@ mod tests {
         // Depthwise growth pops by depth before gain, and so must the cache.
         let mut keys = Keys(GrowthQueue::new(GrowthMethod::Depthwise));
         let mut pool = HistPool::new(2, 0, 64);
-        pool.cache_insert(1, vec![1.0; 4], keys.at_depth(2, 9.0), UNBOUNDED);
-        pool.cache_insert(2, vec![2.0; 4], keys.at_depth(1, 0.5), UNBOUNDED);
-        pool.cache_insert(3, vec![3.0; 4], keys.at_depth(1, 0.1), UNBOUNDED);
-        assert!(pool.cache_take(1).is_none(), "the deeper node pops last, whatever its gain");
-        assert!(pool.cache_take(2).is_some());
-        assert!(pool.cache_take(3).is_some());
+        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.at_depth(2, 9.0), UNBOUNDED);
+        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.at_depth(1, 0.5), UNBOUNDED);
+        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.at_depth(1, 0.1), UNBOUNDED);
+        assert!(
+            pool.cache_take(1, ROWS, UNBOUNDED).is_none(),
+            "the deeper node pops last, whatever its gain"
+        );
+        assert!(pool.cache_take(2, ROWS, UNBOUNDED).is_some());
+        assert!(pool.cache_take(3, ROWS, UNBOUNDED).is_some());
     }
 
     #[test]
@@ -596,19 +765,22 @@ mod tests {
         let mut pool = HistPool::new(2, 0, 1 << 20);
         pool.instrument(Arc::clone(&profile), None, Some(Arc::clone(&cache_gauge)));
         for (node, gain) in [(1, 4.0), (2, 1.0), (3, 3.0), (4, 2.0)] {
-            pool.cache_insert(node, vec![0.0; 4], keys.gain(gain), 4);
+            pool.cache_insert(node, ROWS, vec![0.0; 4], keys.gain(gain), 4);
         }
         assert_eq!(pool.cached_len(), 4);
         // Two leaves left to spend: a newcomer competes for two places, and
         // the residents ranked beyond them go as well.
-        pool.cache_insert(5, vec![0.0; 4], keys.gain(3.5), 2);
+        pool.cache_insert(5, ROWS, vec![0.0; 4], keys.gain(3.5), 2);
         assert_eq!(pool.cached_len(), 2);
         assert_eq!(cache_gauge.current(), 64);
-        pool.cache_insert(6, vec![0.0; 4], keys.gain(0.5), 2);
+        pool.cache_insert(6, ROWS, vec![0.0; 4], keys.gain(0.5), 2);
         assert_eq!(pool.cached_len(), 2);
-        assert!(pool.cache_take(1).is_some() && pool.cache_take(5).is_some());
+        assert!(
+            pool.cache_take(1, ROWS, UNBOUNDED).is_some()
+                && pool.cache_take(5, ROWS, UNBOUNDED).is_some()
+        );
         // With the budget spent nothing is kept at all.
-        pool.cache_insert(7, vec![0.0; 4], keys.gain(9.0), 0);
+        pool.cache_insert(7, ROWS, vec![0.0; 4], keys.gain(9.0), 0);
         assert_eq!(pool.cached_len(), 0);
         assert_eq!(cache_gauge.current(), 0);
         let c = profile.snapshot();
@@ -661,11 +833,11 @@ mod tests {
         // 32 bytes/entry, budget for 2 entries.
         let mut pool = HistPool::new(2, 0, 64);
         pool.instrument(Arc::clone(&profile), None, None);
-        pool.cache_insert(1, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
-        pool.cache_insert(2, vec![2.0; 4], keys.gain(1.0), UNBOUNDED);
-        pool.cache_insert(3, vec![3.0; 4], keys.gain(3.0), UNBOUNDED); // evicts node 2
-        assert!(pool.cache_take(1).is_some()); // hit
-        assert!(pool.cache_take(2).is_none()); // miss (evicted)
+        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
+        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(1.0), UNBOUNDED);
+        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(3.0), UNBOUNDED); // evicts node 2
+        assert!(pool.cache_take(1, ROWS, UNBOUNDED).is_some()); // hit
+        assert!(pool.cache_take(2, ROWS, UNBOUNDED).is_none()); // miss (evicted)
         let c = profile.snapshot();
         assert_eq!(c.hist_cache_hits, 1);
         assert_eq!(c.hist_cache_misses, 1);
@@ -684,24 +856,24 @@ mod tests {
             Some(Arc::clone(&pool_gauge)),
             Some(Arc::clone(&cache_gauge)),
         );
-        let a = pool.alloc();
-        let b = pool.alloc();
+        let a = pool.alloc().zeroed();
+        let b = pool.alloc().zeroed();
         assert_eq!(pool_gauge.current(), 64, "two fresh 32-byte buffers");
-        pool.cache_insert(1, a, keys.gain(5.0), UNBOUNDED);
-        pool.cache_insert(2, b, keys.gain(1.0), UNBOUNDED);
+        pool.cache_insert(1, ROWS, a, keys.gain(5.0), UNBOUNDED);
+        pool.cache_insert(2, ROWS, b, keys.gain(1.0), UNBOUNDED);
         assert_eq!(cache_gauge.current(), 64);
         assert_eq!(cache_gauge.high_water(), 64);
-        let c = pool.alloc();
-        pool.cache_insert(3, c, keys.gain(3.0), UNBOUNDED); // evicts node 2, recycles it
+        let c = pool.alloc().zeroed();
+        pool.cache_insert(3, ROWS, c, keys.gain(3.0), UNBOUNDED); // evicts node 2, recycles it
         assert_eq!(cache_gauge.current(), 64, "eviction then insert nets out");
-        assert!(pool.cache_take(1).is_some());
+        assert!(pool.cache_take(1, ROWS, UNBOUNDED).is_some());
         assert_eq!(cache_gauge.current(), 32, "take shrinks occupancy");
         pool.clear_cache();
         assert_eq!(cache_gauge.current(), 0, "clear empties occupancy");
         assert_eq!(cache_gauge.high_water(), 64, "peak survives shrink");
         assert_eq!(pool_gauge.current(), 96, "pool total is monotone");
         // Recycled buffers do not re-count.
-        let _ = pool.alloc();
+        let _ = pool.alloc().zeroed();
         assert_eq!(pool_gauge.current(), 96);
     }
 
@@ -711,8 +883,8 @@ mod tests {
         let mut keys = Keys::leafwise();
         let mut pool = HistPool::new(2, 0, 1 << 20);
         pool.instrument(Arc::new(Profile::new()), None, Some(Arc::clone(&gauge)));
-        pool.cache_insert(1, vec![1.0; 4], keys.gain(1.0), UNBOUNDED);
-        pool.cache_insert(1, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
+        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(1.0), UNBOUNDED);
+        pool.cache_insert(1, ROWS, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
         assert_eq!(gauge.current(), 32, "re-insert replaces, not grows");
         assert_eq!(gauge.high_water(), 32);
     }

@@ -30,8 +30,11 @@ use std::ops::Range;
 /// How concurrent tasks combine their histogram writes (Table II).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Accumulation {
-    /// Data parallelism: every task writes a private replica of its node's
-    /// histogram; a deterministic reduction folds replicas afterwards.
+    /// Data parallelism: row chunks of one node run concurrently, so each
+    /// schedule slot writes a private replica of the node's histogram and a
+    /// deterministic reduction folds the replicas afterwards. A node that is
+    /// a single row chunk has nothing to fold and writes exclusively
+    /// ([`BlockPlan::replica_slot`]).
     Replicated,
     /// Model parallelism: tasks own disjoint ⟨node, feature, bin⟩ regions
     /// and write the shared buffers directly — no replicas, no reduction.
@@ -170,6 +173,9 @@ pub struct ResolvedExtents {
 pub struct BlockPlan {
     tasks: Vec<BlockTask>,
     live_jobs: Vec<usize>,
+    /// Per job: its index among the jobs that accumulate into replicas.
+    replica_slots: Vec<Option<usize>>,
+    n_replicated_jobs: usize,
     extents: ResolvedExtents,
     accumulation: Option<Accumulation>,
     round_batches: u64,
@@ -195,6 +201,30 @@ impl BlockPlan {
     /// The accumulation policy of the last [`BlockPlan::rebuild`].
     pub fn accumulation(&self) -> Option<Accumulation> {
         self.accumulation
+    }
+
+    /// The accumulation policy of job `job_idx` in the last plan. `Some(k)`:
+    /// the job spans several row blocks of a replicated plan, so its tasks
+    /// accumulate into lanes `k × width ..` of their slot's replica and the
+    /// reduction folds them. `None`: the job's tasks cover disjoint
+    /// ⟨feature, bin⟩ regions and write the job's own buffer — every job of
+    /// an exclusive plan, and the jobs of a replicated plan that are one row
+    /// block (their tasks differ only in feature block) or empty. What a
+    /// small node costs thus follows its rows, not the histogram width times
+    /// the slot count.
+    pub fn replica_slot(&self, job_idx: usize) -> Option<usize> {
+        self.replica_slots[job_idx]
+    }
+
+    /// How many jobs of the last plan accumulate into replicas — the
+    /// replica's length in histograms.
+    pub fn n_replicated_jobs(&self) -> usize {
+        self.n_replicated_jobs
+    }
+
+    /// How many tasks of the last plan write their job's buffer directly.
+    pub fn n_exclusive_tasks(&self) -> usize {
+        self.tasks.iter().filter(|t| self.replica_slots[t.jobs.start].is_none()).count()
     }
 
     /// The schedule slot (replica index) task `i` runs in, out of
@@ -232,6 +262,9 @@ impl BlockPlan {
         let cfg = if auto { auto_config(shape, job_lens, acc) } else { *cfg };
         self.accumulation = Some(acc);
         self.tasks.clear();
+        self.replica_slots.clear();
+        self.replica_slots.resize(job_lens.len(), None);
+        self.n_replicated_jobs = 0;
         match acc {
             Accumulation::Replicated => self.enumerate_replicated(&cfg, shape, job_lens),
             Accumulation::Exclusive => self.enumerate_exclusive(&cfg, shape, job_lens.len()),
@@ -274,6 +307,10 @@ impl BlockPlan {
         for node_group in self.live_jobs.chunks(node_blk) {
             for &job_idx in node_group {
                 let len = job_lens[job_idx];
+                if len > row_blk {
+                    self.replica_slots[job_idx] = Some(self.n_replicated_jobs);
+                    self.n_replicated_jobs += 1;
+                }
                 let mut lo = 0usize;
                 while lo < len {
                     let hi = (lo + row_blk).min(len);
@@ -416,8 +453,9 @@ const GROUP_OVERHEAD: f64 = 8192.0;
 /// * **task grain** — a per-task and per-group overhead rewards fusion,
 ///   and a shortfall of tasks below the thread count scales the whole cost
 ///   by the idle fraction (replica reduction volume is invariant across
-///   candidates — every DP replica spans the whole batch — so it prices
-///   into every candidate equally and drops out of the argmin).
+///   candidates — every DP replica spans the batch's multi-block jobs, and
+///   `row_blk` is not a candidate — so it prices into every candidate
+///   equally and drops out of the argmin).
 pub fn auto_config(shape: &BatchShape, job_lens: &[usize], acc: Accumulation) -> BlockConfig {
     let m = shape.n_features.max(1);
     let t = shape.n_threads.max(1);
@@ -511,6 +549,31 @@ mod tests {
         );
         assert!(plan.tasks().iter().all(|t| t.jobs.start != 1));
         assert!(!plan.tasks().is_empty());
+    }
+
+    #[test]
+    fn only_multi_block_jobs_get_replica_lanes() {
+        let mut plan = BlockPlan::new();
+        let cfg = BlockConfig { feature_blk_size: 2, ..BlockConfig::default() };
+        // 46 rows on 2 threads: row_blk = 23, so only the 30-row job is cut.
+        let lens = [10, 0, 6, 30];
+        plan.rebuild(&cfg, &shape(4, true, 2), &lens, Accumulation::Replicated);
+        assert_eq!(plan.extents().row_blk, 23);
+        let slots: Vec<_> = (0..lens.len()).map(|j| plan.replica_slot(j)).collect();
+        assert_eq!(slots, [None, None, None, Some(0)]);
+        assert_eq!(plan.n_replicated_jobs(), 1);
+        // Two feature blocks each for the 10- and the 6-row job, and for
+        // each of the 30-row job's two row blocks.
+        assert_eq!((plan.n_exclusive_tasks(), plan.tasks().len()), (4, 8));
+        // A job of exactly one block is not cut; slots count up in job order.
+        let cfg = BlockConfig { row_blk_size: 23, ..cfg };
+        plan.rebuild(&cfg, &shape(4, true, 2), &[23, 24, 0, 25], Accumulation::Replicated);
+        let slots: Vec<_> = (0..4).map(|j| plan.replica_slot(j)).collect();
+        assert_eq!(slots, [None, Some(0), None, Some(1)]);
+        // An exclusive plan has no replicas at all.
+        plan.rebuild(&cfg, &shape(4, true, 2), &[23, 24], Accumulation::Exclusive);
+        assert_eq!(plan.n_replicated_jobs(), 0);
+        assert_eq!(plan.n_exclusive_tasks(), plan.tasks().len());
     }
 
     #[test]

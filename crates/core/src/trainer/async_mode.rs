@@ -18,7 +18,8 @@
 //!   queues the child in another. The pool therefore never holds the
 //!   histogram of a candidate that is in flight, and its leaf-budget
 //!   trimming ([`HistPool::cache_insert`]) is as exact here as between
-//!   barriers;
+//!   barriers. Nothing width-sized runs inside: a fresh buffer is popped
+//!   off the free list under the lock and zero-filled after it;
 //! * row partition — no lock: each task owns its node's span.
 //!
 //! The [`WorkQueue`] carries one unit token per queued candidate: it wakes a
@@ -113,7 +114,9 @@ pub(super) fn run_async(
                 return;
             };
             f.leaves += 1;
-            let parent_buf = f.hists.cache_take(cand.node);
+            let remaining = max_leaves - f.leaves;
+            let parent_buf =
+                f.hists.cache_take(cand.node, partition.node_len(cand.node), remaining);
             (cand, parent_buf)
         };
 
@@ -182,7 +185,10 @@ pub(super) fn run_async(
             );
             let mut cells = 0u64;
             let mut fresh = |node: NodeId| -> Vec<f64> {
-                let mut buf = frontier.lock_timed(lock_wait).hists.alloc();
+                // The lock covers the pop off the free list; the
+                // width-sized fill happens after it is released.
+                let stale = frontier.lock_timed(lock_wait).hists.alloc();
+                let mut buf = stale.zeroed();
                 let rows = partition.rows(node);
                 let src = GradSource::select(partition.grads(node), grads);
                 for f_range in crate::plan::feature_blocks(m, f_blk) {
@@ -190,23 +196,25 @@ pub(super) fn run_async(
                 }
                 buf
             };
-            match (l_el, r_el, parent_buf) {
-                (true, true, Some(mut pbuf)) => {
-                    let (small, large) = if ln <= rn { (l, r) } else { (r, l) };
+            // Smaller child first, derived or scanned alike: the publish
+            // order breaks gain ties, and must not depend on the cache.
+            let ((small, small_el), (large, large_el)) =
+                if ln <= rn { ((l, l_el), (r, r_el)) } else { ((r, r_el), (l, l_el)) };
+            match parent_buf {
+                Some(mut pbuf) if l_el && r_el => {
                     let small_buf = fresh(small);
                     hist::subtract_in_place(&mut pbuf, &small_buf);
                     built.push((small, small_buf));
                     built.push((large, pbuf));
                 }
-                (l_el, r_el, parent_buf) => {
+                parent_buf => {
                     if let Some(pbuf) = parent_buf {
                         frontier.lock_timed(lock_wait).hists.release(pbuf);
                     }
-                    if l_el {
-                        built.push((l, fresh(l)));
-                    }
-                    if r_el {
-                        built.push((r, fresh(r)));
+                    for (node, eligible) in [(small, small_el), (large, large_el)] {
+                        if eligible {
+                            built.push((node, fresh(node)));
+                        }
                     }
                 }
             }
@@ -232,7 +240,7 @@ pub(super) fn run_async(
             };
             let remaining = max_leaves - f.leaves;
             let key = f.queue.push(node, child_depth, c);
-            f.hists.cache_insert(node, buf, key, remaining);
+            f.hists.cache_insert(node, partition.node_len(node), buf, key, remaining);
             drop(f);
             if let Some(sink) = trace {
                 sink.count_queue_push(worker);

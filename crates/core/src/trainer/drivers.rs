@@ -8,11 +8,15 @@
 //! enumeration:
 //!
 //! * **DP** ([`build_hists_dp`], [`Accumulation::Replicated`]): tasks are
-//!   ⟨node-block, feature-block, row-chunk⟩ triples. Every replica covers
-//!   the whole batch's histograms; tasks accumulate into their replica and
-//!   a reduction folds replicas into the job buffers afterwards. The
-//!   reduction cost grows with the number of nodes in the batch — exactly
-//!   the scaling weakness of XGB-Hist that Fig. 11 shows for large trees.
+//!   ⟨node-block, feature-block, row-chunk⟩ triples. A job cut into several
+//!   row chunks gets a lane range in every replica; its tasks accumulate
+//!   into their slot's replica and a reduction folds the replicas into the
+//!   job buffer afterwards. A job that is one row chunk has tasks that
+//!   differ only in feature block: they write the job buffer directly, with
+//!   no replica lanes, re-zeroing or reduction ([`BlockPlan::replica_slot`]).
+//!   Replica and reduction cost therefore follow the rows of a batch, not
+//!   its node count — the node-proportional reduction is exactly the scaling
+//!   weakness of XGB-Hist that Fig. 11 shows for large trees.
 //! * **MP** ([`build_hists_mp`], [`Accumulation::Exclusive`]): tasks are
 //!   ⟨node-block, feature-block, bin-block⟩ triples writing disjoint
 //!   regions of the job buffers — no replicas, no reduction, but a task's
@@ -81,6 +85,17 @@ impl DriverCtx<'_> {
         self.pool.trace().map(|s| s.as_ref())
     }
 
+    /// The batch shape the planner sees for this store and pool.
+    fn batch_shape(&self) -> BatchShape {
+        BatchShape {
+            n_features: self.qm.n_features(),
+            layout: ScanLayout::of(self.qm),
+            max_bins: self.qm.mapper().max_bins_used() as usize,
+            total_bins: self.qm.mapper().total_bins() as usize,
+            n_threads: self.pool.num_threads(),
+        }
+    }
+
     fn report_cells(&self, cells: u64) {
         self.pool.profile().add_bytes(
             cells * (BYTES_PER_CELL - 16),
@@ -131,20 +146,13 @@ impl DriverScratch {
     ) -> ResolvedExtents {
         self.job_lens.clear();
         self.job_lens.extend(jobs.iter().map(|j| ctx.partition.node_len(j.node)));
-        let shape = BatchShape {
-            n_features: ctx.qm.n_features(),
-            layout: ScanLayout::of(ctx.qm),
-            max_bins: ctx.qm.mapper().max_bins_used() as usize,
-            total_bins: ctx.qm.mapper().total_bins() as usize,
-            n_threads: ctx.pool.num_threads(),
-        };
-        self.plan.rebuild(&ctx.params.blocks, &shape, &self.job_lens, acc);
+        self.plan.rebuild(&ctx.params.blocks, &ctx.batch_shape(), &self.job_lens, acc);
         let ext = self.plan.extents();
-        let (replicated, exclusive) = match acc {
-            Accumulation::Replicated => (self.plan.tasks().len() as u64, 0),
-            Accumulation::Exclusive => (0, self.plan.tasks().len() as u64),
-        };
-        ctx.pool.profile().add_plan_events(replicated, exclusive, ext.auto as u64);
+        let exclusive = self.plan.n_exclusive_tasks();
+        let replicated = self.plan.tasks().len() - exclusive;
+        ctx.pool
+            .profile()
+            .add_plan_events(replicated as u64, exclusive as u64, ext.auto as u64);
         ext
     }
 }
@@ -186,10 +194,12 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
         return;
     }
 
-    // Replicas: one per schedule slot, covering the whole batch, drawn from
-    // the arena (previously dirtied lanes re-zeroed, rest untouched).
-    let n_replicas = t.min(tasks.len());
-    let replica_len = jobs.len() * width;
+    // Replicas: one per schedule slot, covering the batch's multi-block
+    // jobs, drawn from the arena (previously dirtied lanes re-zeroed, rest
+    // untouched). A batch of one-block jobs needs none.
+    let n_slots = t.min(tasks.len());
+    let replica_len = plan.n_replicated_jobs() * width;
+    let n_replicas = if replica_len == 0 { 0 } else { n_slots };
     let mut replicas = std::mem::take(replica_stash);
     let (mut allocs, mut reuses) = (0u64, 0u64);
     for _ in 0..n_replicas {
@@ -208,14 +218,32 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
     unsafe impl Sync for Ptr {}
     let replica_ptrs: Vec<Ptr> =
         replicas.iter_mut().map(|r| Ptr(r.as_mut_slice().as_mut_ptr())).collect();
+    let job_ptrs: Vec<Ptr> = jobs.iter_mut().map(|j| Ptr(j.buf.as_mut_ptr())).collect();
     let cells = AtomicU64::new(0);
     let jobs_ro: &[HistJob] = jobs;
     let tasks_ro: &[BlockTask] = tasks;
+    // Where a task of job `job_idx` running in schedule slot `slot`
+    // accumulates.
+    let dst_of = |job_idx: usize, slot: usize| -> &mut [f64] {
+        let ptr = match plan.replica_slot(job_idx) {
+            // SAFETY: each replica is written by exactly one schedule slot
+            // at a time (slot == task index group in static mode, == worker
+            // index in dynamic mode), and lanes `k * width..` lie within its
+            // `replica_len`.
+            Some(k) => unsafe { replica_ptrs[slot].0.add(k * width) },
+            // A one-block job: its tasks differ only in feature block and so
+            // write disjoint lanes of the job's own buffer.
+            None => job_ptrs[job_idx].0,
+        };
+        // SAFETY: `width` lanes are in bounds either way; concurrent writers
+        // touch disjoint lanes as argued above.
+        unsafe { std::slice::from_raw_parts_mut(ptr, width) }
+    };
     let use_scalar = ctx.params.use_scalar_kernels;
     let root_identity = ctx.partition.is_identity_order();
 
     let trace = ctx.trace();
-    let run_task = |task: &BlockTask, replica: usize, lane: usize| {
+    let run_task = |task: &BlockTask, slot: usize, lane: usize| {
         let job_idx = task.jobs.start;
         let job = &jobs_ro[job_idx];
         let _span = trace.map(|s| {
@@ -227,11 +255,7 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
         } else {
             GradSource::MemBuf(&membuf[task.rows.clone()])
         };
-        // SAFETY: each replica is written by exactly one schedule slot at a
-        // time (slot == task index group in static mode, == worker index in
-        // dynamic mode).
-        let rep = unsafe { std::slice::from_raw_parts_mut(replica_ptrs[replica].0, replica_len) };
-        let dst = &mut rep[job_idx * width..(job_idx + 1) * width];
+        let dst = dst_of(job_idx, slot);
         let c = if !use_scalar && job.node == 0 && root_identity {
             // Root fast path: the root span starts at row 0 in identity
             // order, so the chunk's positions ARE its row ids and the row-id
@@ -267,10 +291,10 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
     let window = if capacity == usize::MAX {
         usize::MAX
     } else {
-        capacity.saturating_sub(n_replicas + 1).max(1)
+        capacity.saturating_sub(n_slots + 1).max(1)
     };
     let progress: Vec<std::sync::atomic::AtomicUsize> =
-        (0..n_replicas).map(|_| std::sync::atomic::AtomicUsize::new(0)).collect();
+        (0..n_slots).map(|_| std::sync::atomic::AtomicUsize::new(0)).collect();
     let progress = &progress;
 
     let run_stripe = |slot: usize, lane: usize| {
@@ -296,13 +320,10 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
             let mb = ctx.partition.grads(job.node);
             let membuf = if mb.is_empty() { mb } else { &mb[task.rows.clone()] };
             let root = (!use_scalar && job.node == 0 && root_identity).then(|| task.rows.clone());
-            let rows: &[u32] = if root.is_some() {
-                &[]
-            } else {
-                &ctx.partition.rows(job.node)[task.rows.clone()]
-            };
+            let rows: &[u32] =
+                if root.is_some() { &[] } else { &ctx.partition.rows(job.node)[task.rows.clone()] };
             cursors.push(Cursor { task, job_idx, rows, root, pos: 0, membuf });
-            i += n_replicas;
+            i += n_slots;
         }
         let next_row = |c: &Cursor| -> Option<usize> {
             match &c.root {
@@ -359,13 +380,9 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
                     continue;
                 }
                 let job = &jobs_ro[cur.job_idx];
-                let _span = trace
-                    .map(|s| s.span(lane, TracePhase::BuildHist, job.node, c_min as u32));
-                // SAFETY: as in `run_task` — this slot is the only writer
-                // of its replica.
-                let rep =
-                    unsafe { std::slice::from_raw_parts_mut(replica_ptrs[slot].0, replica_len) };
-                let dst = &mut rep[cur.job_idx * width..(cur.job_idx + 1) * width];
+                let _span =
+                    trace.map(|s| s.span(lane, TracePhase::BuildHist, job.node, c_min as u32));
+                let dst = dst_of(cur.job_idx, slot);
                 let f_range = cur.task.features.clone();
                 local_cells += match &cur.root {
                     Some(range) => {
@@ -410,41 +427,42 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
     // timing-dependent in-core.
     let static_sched = ctx.params.deterministic || chunked;
     if chunked {
-        ctx.pool.parallel_for(n_replicas, |slot, worker| run_stripe(slot, worker));
+        ctx.pool.parallel_for(n_slots, run_stripe);
     } else if ctx.params.deterministic {
         // Static schedule: slot s runs tasks s, s+T, s+2T, ...
-        ctx.pool.parallel_for(n_replicas, |slot, worker| {
+        ctx.pool.parallel_for(n_slots, |slot, worker| {
             let mut i = slot;
             while i < tasks_ro.len() {
                 run_task(&tasks_ro[i], slot, worker);
-                i += n_replicas;
+                i += n_slots;
             }
         });
     } else {
         ctx.pool.parallel_for(tasks_ro.len(), |i, worker| {
-            run_task(&tasks_ro[i], worker.min(n_replicas - 1), worker);
+            run_task(&tasks_ro[i], worker.min(n_slots - 1), worker);
         });
     }
 
-    // Reduction: fold replicas (in order) into the job buffers. Parallel
-    // over (job, width-chunk) cells; replica order fixed => deterministic.
-    // Only the real lanes are folded — the sink padding never leaves a
-    // kernel non-zero.
+    // Reduction: fold replicas (in order) into the buffers of the jobs that
+    // have replica lanes. Parallel over (job, width-chunk) cells; replica
+    // order fixed => deterministic. Only the real lanes are folded — the
+    // sink padding never leaves a kernel non-zero.
     let real = ctx.qm.mapper().total_bins() as usize * 2;
     let chunk = (real / 4).max(1024).min(real.max(1));
     let chunks_per_job = real.div_ceil(chunk);
-    let job_ptrs: Vec<Ptr> = jobs.iter_mut().map(|j| Ptr(j.buf.as_mut_ptr())).collect();
-    let job_nodes: Vec<NodeId> = jobs.iter().map(|j| j.node).collect();
+    let replicated_jobs: Vec<usize> =
+        (0..jobs_ro.len()).filter(|&j| plan.replica_slot(j).is_some()).collect();
     let replicas_ro: &[ReplicaBuf] = &replicas;
-    ctx.pool.parallel_for(jobs.len() * chunks_per_job, |i, worker| {
-        let job_idx = i / chunks_per_job;
-        let _span = trace.map(|s| s.span(worker, TracePhase::Reduce, job_nodes[job_idx], i as u32));
+    ctx.pool.parallel_for(replicated_jobs.len() * chunks_per_job, |i, worker| {
+        let (k, job_idx) = (i / chunks_per_job, replicated_jobs[i / chunks_per_job]);
+        let _span =
+            trace.map(|s| s.span(worker, TracePhase::Reduce, jobs_ro[job_idx].node, i as u32));
         let lo = (i % chunks_per_job) * chunk;
         let hi = (lo + chunk).min(real);
         // SAFETY: (job, lane-range) pairs are disjoint across tasks.
         let dst = unsafe { std::slice::from_raw_parts_mut(job_ptrs[job_idx].0.add(lo), hi - lo) };
         for rep in replicas_ro {
-            let src = &rep.as_slice()[job_idx * width + lo..job_idx * width + hi];
+            let src = &rep.as_slice()[k * width + lo..k * width + hi];
             for (d, s) in dst.iter_mut().zip(src) {
                 *d += s;
             }
@@ -454,29 +472,27 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
     // Record dirtied lanes per replica so the next acquire re-zeroes only
     // those. Sink lanes leave every kernel zeroed and real lanes of a task
     // cover features [f_lo, f_hi) of its job, so a task's dirty region is
-    // one contiguous lane range.
+    // one contiguous lane range; a one-block job's task dirtied no replica.
     let offsets = ctx.qm.mapper().bin_offsets();
     let lane_range = |task: &BlockTask| {
-        let lo = task.jobs.start * width + offsets[task.features.start] as usize * 2;
-        let hi = task.jobs.start * width + offsets[task.features.end] as usize * 2;
-        lo..hi
+        plan.replica_slot(task.jobs.start).map(|k| {
+            let lo = k * width + offsets[task.features.start] as usize * 2;
+            let hi = k * width + offsets[task.features.end] as usize * 2;
+            lo..hi
+        })
     };
     if static_sched {
         // Exact per-slot sets from the static schedule.
         for (slot, rep) in replicas.iter_mut().enumerate() {
             range_tmp.clear();
-            let mut i = slot;
-            while i < tasks.len() {
-                range_tmp.push(lane_range(&tasks[i]));
-                i += n_replicas;
-            }
+            range_tmp.extend(tasks.iter().skip(slot).step_by(n_slots).filter_map(lane_range));
             merge_ranges(range_tmp);
             rep.set_dirty(range_tmp.drain(..));
         }
     } else {
         // Any worker may have run any task: conservative union everywhere.
         range_tmp.clear();
-        range_tmp.extend(tasks.iter().map(lane_range));
+        range_tmp.extend(tasks.iter().filter_map(lane_range));
         merge_ranges(range_tmp);
         for rep in &mut replicas {
             rep.set_dirty(range_tmp.iter().cloned());
@@ -564,13 +580,15 @@ pub fn build_hists_mp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::hist_width;
+    use crate::hist::{hist_width, reduce_into};
     use crate::kernels::row_scan_scalar;
     use crate::params::{BlockConfig, ParallelMode};
     use harp_binning::{BinningConfig, QuantizedMatrix};
     use harp_data::{DatasetKind, SynthConfig};
+    use harp_metrics::MemGauge;
     use harp_parallel::Profile;
-    use std::sync::Arc;
+    use proptest::prelude::*;
+    use std::sync::{Arc, OnceLock};
 
     fn setup(kind: DatasetKind, membuf: bool) -> (QuantizedMatrix, Vec<GradPair>, RowPartition) {
         let d = SynthConfig::new(kind, 42).with_scale(0.02).generate();
@@ -897,6 +915,136 @@ mod tests {
         assert!(hists[1].iter().all(|&x| x == 0.0), "zero-row job must stay zeroed");
         assert_close(&hists[0], &reference_hist(&qm, &part, &grads, 3));
         assert_close(&hists[2], &reference_hist(&qm, &part, &grads, 4));
+    }
+
+    /// A dense u8, a u4-packed and a sparse matrix, quantized once.
+    fn scan_layouts() -> &'static [QuantizedMatrix] {
+        static LAYOUTS: OnceLock<Vec<QuantizedMatrix>> = OnceLock::new();
+        LAYOUTS.get_or_init(|| {
+            let quantize = |kind, max_bins| {
+                let d = SynthConfig::new(kind, 42).with_scale(0.02).generate();
+                QuantizedMatrix::from_matrix(&d.features, BinningConfig::with_max_bins(max_bins))
+            };
+            let layouts = vec![
+                quantize(DatasetKind::HiggsLike, 32),
+                quantize(DatasetKind::HiggsLike, 12),
+                quantize(DatasetKind::YfccLike, 32),
+            ];
+            let kinds: Vec<ScanLayout> = layouts.iter().map(|qm| ScanLayout::of(qm)).collect();
+            assert_eq!(kinds, [ScanLayout::DenseU8, ScanLayout::DenseU4, ScanLayout::Sparse]);
+            layouts
+        })
+    }
+
+    /// Explicit `row_blk_size` choices next to the default `batch / threads`.
+    const ROW_BLKS: [usize; 4] = [0, 0, 48, 300];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The per-job accumulation policy as an equivalence. A batch of
+        /// leaves of mixed sizes — the root split down a chain, each level
+        /// keeping a random share — goes through the DP executor. A job of
+        /// one row block must come out bitwise as the scalar ascending-row
+        /// scan, under either schedule; under the static schedule every job
+        /// must come out bitwise as the all-replicated executor produced it
+        /// (each slot's tasks accumulated into a zeroed replica, replicas
+        /// folded in slot order); and the arena must have been asked for
+        /// lanes for the multi-block jobs only.
+        #[test]
+        fn one_block_jobs_write_their_own_buffer_and_nothing_else_changes(
+            layout in 0usize..3,
+            shares in proptest::collection::vec(1u64..8, 1..6),
+            threads in 1usize..5,
+            row_blk in 0usize..4,
+            feature_blk in 0usize..6,
+            deterministic in any::<bool>(),
+            membuf in any::<bool>(),
+        ) {
+            let qm = &scan_layouts()[layout];
+            let n = qm.n_rows();
+            // Positive values over forty binades: their f64 sums round, so
+            // any change of accumulation order shows in the last bits.
+            let wide = |h: u64| {
+                (1.0 + (h % 1024) as f32 / 1024.0) * 2f32.powi((h >> 10) as i32 % 40 - 30)
+            };
+            let grads: Vec<GradPair> = (0..n as u64)
+                .map(|i| [wide(crate::loss::hash64(i)), wide(crate::loss::hash64(!i))])
+                .collect();
+            let mut part = RowPartition::new(n, 64, membuf);
+            part.reset(&grads);
+            let mut nodes: Vec<NodeId> = Vec::new();
+            for (depth, &share) in shares.iter().enumerate() {
+                let parent = 2 * depth as u32;
+                let salt = (depth as u64) << 32;
+                let keeps = |_, r: u32| crate::loss::hash64(u64::from(r) ^ salt) % 8 < share;
+                part.apply_split(parent, parent + 1, parent + 2, &keeps, None);
+                nodes.push(parent + 1);
+            }
+            nodes.push(2 * shares.len() as u32);
+            let params = TrainParams {
+                n_threads: threads,
+                deterministic,
+                use_membuf: membuf,
+                blocks: BlockConfig {
+                    row_blk_size: ROW_BLKS[row_blk],
+                    feature_blk_size: feature_blk,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+
+            let pool = ThreadPool::new(threads);
+            let mut scratch = DriverScratch::new();
+            let arena = Arc::new(MemGauge::new());
+            scratch.set_replica_gauge(Arc::clone(&arena));
+            let hists = run_driver_with(
+                ParallelMode::DataParallel, &params, qm, &part, &grads, &nodes, &pool, &mut scratch,
+            );
+
+            // The plan the executor ran, rebuilt here to tell the jobs apart
+            // and to replay the static schedule.
+            let job_lens: Vec<usize> = nodes.iter().map(|&node| part.node_len(node)).collect();
+            let ctx =
+                DriverCtx { qm, params: &params, pool: &pool, partition: &part, grads: &grads };
+            let mut plan = BlockPlan::new();
+            plan.rebuild(&params.blocks, &ctx.batch_shape(), &job_lens, Accumulation::Replicated);
+            let n_slots = threads.min(plan.tasks().len());
+            let width = padded(qm);
+            let mut multi_block = 0;
+            for (j, &node) in nodes.iter().enumerate() {
+                let ascending = reference_hist(qm, &part, &grads, node);
+                if job_lens[j] <= plan.extents().row_blk {
+                    prop_assert!(hists[j] == ascending, "one-block job {} is not the scan", j);
+                } else {
+                    multi_block += 1;
+                    for (a, b) in hists[j].iter().zip(&ascending) {
+                        let close = (a - b).abs() <= 1e-9 * (1.0 + b);
+                        prop_assert!(close, "job {}: {} vs {}", j, a, b);
+                    }
+                }
+                if deterministic {
+                    let mut all_replicated = vec![0.0; width];
+                    for slot in 0..n_slots {
+                        let mut replica = vec![0.0; width];
+                        let tasks = plan.tasks().iter().skip(slot).step_by(n_slots);
+                        for task in tasks.filter(|t| t.jobs.start == j) {
+                            row_scan_scalar(
+                                qm,
+                                &part.rows(node)[task.rows.clone()],
+                                GradSource::Global(&grads),
+                                task.features.clone(),
+                                &mut replica,
+                            );
+                        }
+                        reduce_into(&mut all_replicated, &replica);
+                    }
+                    prop_assert!(hists[j] == all_replicated, "job {} is not what it was", j);
+                }
+            }
+            let replicas = if multi_block == 0 { 0 } else { n_slots };
+            prop_assert_eq!(arena.high_water(), (replicas * multi_block * width * 8) as u64);
+        }
     }
 
     #[test]

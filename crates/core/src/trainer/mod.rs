@@ -457,8 +457,8 @@ impl GbdtTrainer {
             pool: &pool,
             breakdown: &breakdown,
             partition: RowPartition::new(n, max_nodes, params.use_membuf),
-            hist_pool: HistPool::with_width(
-                crate::hist::hist_width_for(qm),
+            hist_pool: HistPool::for_store(
+                qm,
                 // Subtraction is the cache's only reader.
                 if params.hist_subtraction { params.hist_cache_bytes } else { 0 },
             ),
@@ -905,14 +905,15 @@ impl<'a> TreeEngine<'a> {
 
         // Root histogram + split.
         {
-            let mut jobs = vec![HistJob { node: 0, buf: self.hist_pool.alloc() }];
+            let mut jobs = vec![HistJob { node: 0, buf: self.hist_pool.alloc().zeroed() }];
             self.run_driver(grads, &mut jobs);
             let found = self.find_splits(&tree, &jobs);
             let HistJob { buf, .. } = jobs.pop().expect("one job");
             match found.into_iter().next().flatten() {
                 Some(cand) => {
                     let key = queue.push(0, 0, cand);
-                    self.hist_pool.cache_insert(0, buf, key, self.params.max_leaves() - 1);
+                    let remaining = self.params.max_leaves() - 1;
+                    self.hist_pool.cache_insert(0, grads.len(), buf, key, remaining);
                 }
                 None => self.hist_pool.release(buf),
             }
@@ -983,8 +984,11 @@ impl<'a> TreeEngine<'a> {
 
         // ApplySplit: update the tree, then partition rows node by node
         // (chunk-parallel within a node for wide spans, node-parallel when
-        // the batch is large).
+        // the batch is large). Each candidate spends its leaf and takes its
+        // cached histogram in one step, as an ASYNC node task does, so the
+        // pool sees the budget exactly as that pop left it.
         let mut splits: Vec<(NodeId, NodeId, NodeId)> = Vec::with_capacity(batch.len());
+        let mut parent_bufs: Vec<Option<Vec<f64>>> = Vec::with_capacity(batch.len());
         {
             let _phase = PhaseSpan::begin(
                 self.sink(),
@@ -998,6 +1002,11 @@ impl<'a> TreeEngine<'a> {
                 let (l, r) = tree.apply_split(c.node, c.cand.split, c.cand.left, c.cand.right);
                 splits.push((c.node, l, r));
                 *leaves += 1;
+                parent_bufs.push(self.hist_pool.cache_take(
+                    c.node,
+                    self.partition.node_len(c.node),
+                    self.params.max_leaves() - *leaves,
+                ));
             }
             // Routing bins for the whole frontier come from one ascending
             // chunk sweep (a no-op change for in-core stores, which borrow
@@ -1023,7 +1032,13 @@ impl<'a> TreeEngine<'a> {
             } else {
                 for (i, &(parent, l, r)) in splits.iter().enumerate() {
                     let pred = &preds[i];
-                    self.partition.apply_split(parent, l, r, &|pos, row| pred.goes_left(pos, row), Some(self.pool));
+                    self.partition.apply_split(
+                        parent,
+                        l,
+                        r,
+                        &|pos, row| pred.goes_left(pos, row),
+                        Some(self.pool),
+                    );
                 }
             }
             for &(_, l, r) in &splits {
@@ -1038,8 +1053,8 @@ impl<'a> TreeEngine<'a> {
         let remaining = self.params.max_leaves() - *leaves;
         if remaining == 0 {
             let mut skipped = 0;
-            for &(parent, l, r) in &splits {
-                if let Some(pbuf) = self.hist_pool.cache_take(parent) {
+            for (&(_, l, r), pbuf) in splits.iter().zip(parent_bufs) {
+                if let Some(pbuf) = pbuf {
                     self.hist_pool.release(pbuf);
                 }
                 skipped += u64::from(self.eligible(tree, l)) + u64::from(self.eligible(tree, r));
@@ -1049,32 +1064,38 @@ impl<'a> TreeEngine<'a> {
         }
 
         // Plan histogram jobs: fresh builds plus parent−sibling subtractions.
+        // A parent too small to have been cached (the pool's rule, see
+        // `hist::min_cached_rows`) comes back `None` like an evicted one,
+        // and both its children are built from rows.
         let mut fresh: Vec<HistJob> = Vec::new();
-        // (large_node, parent_buf, index of the small sibling in `fresh`).
-        let mut subs: Vec<(NodeId, Vec<f64>, usize)> = Vec::new();
-        for &(parent, l, r) in &splits {
-            let l_el = self.eligible(tree, l);
-            let r_el = self.eligible(tree, r);
-            let parent_buf = self.hist_pool.cache_take(parent);
-            match (l_el, r_el, parent_buf) {
-                (true, true, Some(pbuf)) => {
-                    let (small, large) = if tree.node(l).stats.count <= tree.node(r).stats.count {
-                        (l, r)
-                    } else {
-                        (r, l)
-                    };
-                    fresh.push(HistJob { node: small, buf: self.hist_pool.alloc() });
-                    subs.push((large, pbuf, fresh.len() - 1));
+        // (large_node, parent_buf, index of the small sibling in `fresh`,
+        // index of the split in the batch).
+        let mut subs: Vec<(NodeId, Vec<f64>, usize, usize)> = Vec::new();
+        // Each fresh job's place in the queue's FIFO order, which breaks gain
+        // ties and so shapes the tree: the smaller (or only) child of every
+        // split in batch order, then the larger children in batch order —
+        // whether derived or scanned, so the caching rule moves cost, never
+        // a tie.
+        let mut place: Vec<(bool, usize)> = Vec::new();
+        for (i, (&(_, l, r), parent_buf)) in splits.iter().zip(parent_bufs).enumerate() {
+            let (small, large) =
+                if tree.node(l).stats.count <= tree.node(r).stats.count { (l, r) } else { (r, l) };
+            let both = self.eligible(tree, l) && self.eligible(tree, r);
+            match parent_buf {
+                Some(pbuf) if both => {
+                    fresh.push(HistJob { node: small, buf: self.hist_pool.alloc().zeroed() });
+                    place.push((false, i));
+                    subs.push((large, pbuf, fresh.len() - 1, i));
                 }
-                (l_el, r_el, parent_buf) => {
+                parent_buf => {
                     if let Some(pbuf) = parent_buf {
                         self.hist_pool.release(pbuf);
                     }
-                    if l_el {
-                        fresh.push(HistJob { node: l, buf: self.hist_pool.alloc() });
-                    }
-                    if r_el {
-                        fresh.push(HistJob { node: r, buf: self.hist_pool.alloc() });
+                    for node in [small, large] {
+                        if self.eligible(tree, node) {
+                            fresh.push(HistJob { node, buf: self.hist_pool.alloc().zeroed() });
+                            place.push((both && node == large, i));
+                        }
                     }
                 }
             }
@@ -1098,7 +1119,7 @@ impl<'a> TreeEngine<'a> {
                 unsafe impl Sync for SubSlot {}
                 let slots: Vec<SubSlot> = subs
                     .iter_mut()
-                    .map(|(large, buf, si)| SubSlot(buf.as_mut_ptr(), *si, *large))
+                    .map(|(large, buf, si, _)| SubSlot(buf.as_mut_ptr(), *si, *large))
                     .collect();
                 let width = self.hist_pool.width();
                 let trace = self.sink();
@@ -1114,8 +1135,9 @@ impl<'a> TreeEngine<'a> {
 
         // FindSplit on all children that got a histogram.
         let mut jobs: Vec<HistJob> = fresh;
-        for (large, pbuf, _) in subs {
+        for (large, pbuf, _, i) in subs {
             jobs.push(HistJob { node: large, buf: pbuf });
+            place.push((true, i));
         }
         let found = {
             let _phase = PhaseSpan::begin(
@@ -1128,12 +1150,15 @@ impl<'a> TreeEngine<'a> {
             );
             self.find_splits(tree, &jobs)
         };
-        for (job, cand) in jobs.into_iter().zip(found) {
+        let mut queued: Vec<_> = place.into_iter().zip(jobs.into_iter().zip(found)).collect();
+        queued.sort_unstable_by_key(|&(place, _)| place);
+        for (_, (job, cand)) in queued {
             match cand {
                 Some(cand) => {
                     let depth = tree.node(job.node).depth;
                     let key = queue.push(job.node, depth, cand);
-                    self.hist_pool.cache_insert(job.node, job.buf, key, remaining);
+                    let rows = self.partition.node_len(job.node);
+                    self.hist_pool.cache_insert(job.node, rows, job.buf, key, remaining);
                 }
                 None => self.hist_pool.release(job.buf),
             }

@@ -97,6 +97,10 @@ pub struct Profile {
     /// Histogram-pool candidate-cache misses (parent absent or evicted; both
     /// children need a fresh BuildHist).
     pub hist_cache_misses: AtomicU64,
+    /// Splits whose node was never cached because scanning its larger child
+    /// is cheaper than deriving it by subtraction: no lookup, both children
+    /// are built from rows. Not a miss.
+    pub hist_cache_declined: AtomicU64,
     /// Histogram-pool cache evictions under the byte budget.
     pub hist_cache_evictions: AtomicU64,
     /// Cached histograms recycled (or refused on insert) because their
@@ -106,10 +110,11 @@ pub struct Profile {
     /// Child histograms never built because the split that made the child
     /// spent the last of the leaf budget.
     pub hist_builds_skipped: AtomicU64,
-    /// Block-plan tasks enumerated under the replicated (DP) accumulation
-    /// policy.
+    /// Block-plan tasks that accumulate into replica lanes and are reduced
+    /// afterwards: the row blocks of a DP batch's multi-block jobs.
     pub plan_tasks_replicated: AtomicU64,
-    /// Block-plan tasks enumerated under the exclusive-write (MP) policy.
+    /// Block-plan tasks that write their job's own buffer: every task of an
+    /// MP batch, and the tasks of a DP batch's one-row-block jobs.
     pub plan_tasks_exclusive: AtomicU64,
     /// BuildHist batches whose block extents came from the auto-tuner cost
     /// model rather than an explicit config.
@@ -160,6 +165,7 @@ impl Profile {
             &self.partition_scratch_reuses,
             &self.hist_cache_hits,
             &self.hist_cache_misses,
+            &self.hist_cache_declined,
             &self.hist_cache_evictions,
             &self.hist_cache_trimmed,
             &self.hist_builds_skipped,
@@ -212,6 +218,12 @@ impl Profile {
         }
     }
 
+    /// Records one split of a node the pool declined to cache (scanning its
+    /// children is the cheaper side).
+    pub fn add_hist_cache_declined(&self) {
+        self.hist_cache_declined.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records histogram-pool cache evictions under the byte budget.
     pub fn add_hist_cache_evictions(&self, n: u64) {
         self.hist_cache_evictions.fetch_add(n, Ordering::Relaxed);
@@ -228,8 +240,9 @@ impl Profile {
         self.hist_builds_skipped.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one planned BuildHist batch: the tasks it enumerated under
-    /// each accumulation policy, and whether the auto-tuner sized it.
+    /// Records one planned BuildHist batch: how many of its tasks accumulate
+    /// into replicas and how many write exclusively, and whether the
+    /// auto-tuner sized it.
     pub fn add_plan_events(&self, replicated_tasks: u64, exclusive_tasks: u64, auto_batches: u64) {
         self.plan_tasks_replicated.fetch_add(replicated_tasks, Ordering::Relaxed);
         self.plan_tasks_exclusive.fetch_add(exclusive_tasks, Ordering::Relaxed);
@@ -298,6 +311,7 @@ impl Profile {
             partition_scratch_reuses: self.partition_scratch_reuses.load(Ordering::Relaxed),
             hist_cache_hits: self.hist_cache_hits.load(Ordering::Relaxed),
             hist_cache_misses: self.hist_cache_misses.load(Ordering::Relaxed),
+            hist_cache_declined: self.hist_cache_declined.load(Ordering::Relaxed),
             hist_cache_evictions: self.hist_cache_evictions.load(Ordering::Relaxed),
             hist_cache_trimmed: self.hist_cache_trimmed.load(Ordering::Relaxed),
             hist_builds_skipped: self.hist_builds_skipped.load(Ordering::Relaxed),
@@ -333,6 +347,7 @@ impl Profile {
         let partition_scratch_reuses = self.partition_scratch_reuses.load(Ordering::Relaxed);
         let hist_cache_hits = self.hist_cache_hits.load(Ordering::Relaxed);
         let hist_cache_misses = self.hist_cache_misses.load(Ordering::Relaxed);
+        let hist_cache_declined = self.hist_cache_declined.load(Ordering::Relaxed);
         let hist_cache_evictions = self.hist_cache_evictions.load(Ordering::Relaxed);
         let hist_cache_trimmed = self.hist_cache_trimmed.load(Ordering::Relaxed);
         let hist_builds_skipped = self.hist_builds_skipped.load(Ordering::Relaxed);
@@ -370,6 +385,7 @@ impl Profile {
             partition_scratch_reuses,
             hist_cache_hits,
             hist_cache_misses,
+            hist_cache_declined,
             hist_cache_evictions,
             hist_cache_trimmed,
             hist_builds_skipped,
@@ -423,15 +439,17 @@ pub struct ProfileCounters {
     pub hist_cache_hits: u64,
     /// Histogram-cache misses.
     pub hist_cache_misses: u64,
+    /// Splits of nodes the cache declined (children cheaper to scan).
+    pub hist_cache_declined: u64,
     /// Histogram-cache evictions.
     pub hist_cache_evictions: u64,
     /// Cached histograms recycled beyond the remaining leaf budget.
     pub hist_cache_trimmed: u64,
     /// Child histograms never built because the leaf budget was spent.
     pub hist_builds_skipped: u64,
-    /// Block-plan tasks under the replicated (DP) policy.
+    /// Block-plan tasks accumulated into replica lanes and reduced.
     pub plan_tasks_replicated: u64,
-    /// Block-plan tasks under the exclusive-write (MP) policy.
+    /// Block-plan tasks writing their job's own buffer.
     pub plan_tasks_exclusive: u64,
     /// Auto-tuned BuildHist batches.
     pub plan_batches_auto: u64,
@@ -466,7 +484,7 @@ impl ProfileCounters {
 
     /// `(name, value)` view in a stable order — the generic form ledger
     /// records and diff tables consume.
-    pub fn named(&self) -> [(&'static str, u64); 30] {
+    pub fn named(&self) -> [(&'static str, u64); 31] {
         [
             ("busy_ns", self.busy_ns),
             ("barrier_wait_ns", self.barrier_wait_ns),
@@ -485,6 +503,7 @@ impl ProfileCounters {
             ("partition_scratch_reuses", self.partition_scratch_reuses),
             ("hist_cache_hits", self.hist_cache_hits),
             ("hist_cache_misses", self.hist_cache_misses),
+            ("hist_cache_declined", self.hist_cache_declined),
             ("hist_cache_evictions", self.hist_cache_evictions),
             ("hist_cache_trimmed", self.hist_cache_trimmed),
             ("hist_builds_skipped", self.hist_builds_skipped),
@@ -501,7 +520,7 @@ impl ProfileCounters {
         ]
     }
 
-    fn named_mut(&mut self) -> [(&'static str, &mut u64); 30] {
+    fn named_mut(&mut self) -> [(&'static str, &mut u64); 31] {
         [
             ("busy_ns", &mut self.busy_ns),
             ("barrier_wait_ns", &mut self.barrier_wait_ns),
@@ -520,6 +539,7 @@ impl ProfileCounters {
             ("partition_scratch_reuses", &mut self.partition_scratch_reuses),
             ("hist_cache_hits", &mut self.hist_cache_hits),
             ("hist_cache_misses", &mut self.hist_cache_misses),
+            ("hist_cache_declined", &mut self.hist_cache_declined),
             ("hist_cache_evictions", &mut self.hist_cache_evictions),
             ("hist_cache_trimmed", &mut self.hist_cache_trimmed),
             ("hist_builds_skipped", &mut self.hist_builds_skipped),
@@ -593,6 +613,8 @@ pub struct ProfileReport {
     pub hist_cache_hits: u64,
     /// Histogram-cache misses.
     pub hist_cache_misses: u64,
+    /// Splits of nodes the cache declined (children cheaper to scan).
+    pub hist_cache_declined: u64,
     /// Histogram-cache budget evictions.
     pub hist_cache_evictions: u64,
     /// Cached histograms recycled beyond the remaining leaf budget.
@@ -644,8 +666,8 @@ impl std::fmt::Display for ProfileReport {
         )?;
         writeln!(
             f,
-            "hist trimmed / skipped  {:>6} / {:<6}",
-            self.hist_cache_trimmed, self.hist_builds_skipped
+            "hist declined / trimmed / skipped {:>4} / {} / {}",
+            self.hist_cache_declined, self.hist_cache_trimmed, self.hist_builds_skipped
         )?;
         let tier = match self.simd_tier {
             0 => "scalar",
@@ -770,6 +792,7 @@ mod tests {
         p.add_bytes(7, 1, 2);
         p.add_hist_cache_lookup(true);
         p.add_hist_cache_lookup(false);
+        p.add_hist_cache_declined();
         p.add_hist_cache_evictions(4);
         p.add_hist_cache_trimmed(3);
         p.add_hist_builds_skipped(2);
@@ -781,6 +804,7 @@ mod tests {
         assert_eq!(d.scratch_allocs, 0, "pre-snapshot traffic excluded");
         assert_eq!(d.hist_cache_hits, 1);
         assert_eq!(d.hist_cache_misses, 1);
+        assert_eq!(d.hist_cache_declined, 1);
         assert_eq!(d.hist_cache_evictions, 4);
         assert_eq!(d.hist_cache_trimmed, 3);
         assert_eq!(d.hist_builds_skipped, 2);
@@ -829,7 +853,7 @@ mod tests {
         assert_eq!(d.partition_scratch_reuses, 40_000);
         // The named view covers every field (a new counter must be added to
         // `named()` or this count drifts).
-        assert_eq!(d.named().len(), 30);
+        assert_eq!(d.named().len(), 31);
     }
 
     #[test]

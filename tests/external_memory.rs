@@ -38,8 +38,11 @@ fn params(mode: ParallelMode) -> TrainParams {
 
 /// Writes `data`'s chunk cache to a unique temp file; the caller removes it.
 fn cache_file(data: &PreparedData, rows_per_chunk: usize, tag: &str) -> PathBuf {
-    let path = std::env::temp_dir()
-        .join(format!("harp_xmem_{}_{}_{tag}.qsc", std::process::id(), data.quantized.n_rows()));
+    let path = std::env::temp_dir().join(format!(
+        "harp_xmem_{}_{}_{tag}.qsc",
+        std::process::id(),
+        data.quantized.n_rows()
+    ));
     write_cache(&data.quantized, rows_per_chunk, &path).expect("write cache");
     path
 }
@@ -67,8 +70,12 @@ fn chunked_training_is_bitwise_identical_in_every_mode_and_budget() {
         let trainer = GbdtTrainer::new(params(mode)).unwrap();
         let incore = trainer.train_prepared(&data.quantized, &data.train.labels, None);
         let incore_json = incore.model.to_json().unwrap();
-        let incore_bits: Vec<u32> =
-            incore.model.predict_raw(&data.test.features).iter().map(|p| p.to_bits()).collect();
+        let incore_bits: Vec<u32> = incore
+            .model
+            .predict_raw(&data.test.features)
+            .iter()
+            .map(|p| p.to_bits())
+            .collect();
         for (label, budget) in budgets {
             let store = ChunkedStore::open(&path, budget).expect("open cache");
             let out = trainer.train_store(&store, &data.train.labels, None);

@@ -7,9 +7,12 @@
 //! never passes over a higher-gain candidate that sits in the same pop.
 //!
 //! The leaf-budget battery at the bottom drives a `GrowthQueue` and a
-//! `HistPool` the way the trainer does and checks the invariant behind the
-//! pool's trimming (DESIGN.md §18): a histogram dropped because its
-//! candidate ranked beyond the remaining leaf budget is never asked for.
+//! `HistPool` the way the trainer does and checks the invariants behind the
+//! pool's two ways of not keeping a histogram (DESIGN.md §18): one dropped
+//! because its candidate ranked beyond the remaining leaf budget is never
+//! asked for, and one declined because its node is too small for the
+//! subtraction to pay is declined again — not looked up — when the node
+//! splits.
 
 use harp_bench::prepared;
 use harp_data::DatasetKind;
@@ -18,6 +21,7 @@ use harpgbdt::hist::HistPool;
 use harpgbdt::split::SplitCandidate;
 use harpgbdt::{GbdtTrainer, GrowthMethod, NodeStats, ParallelMode, SplitData, TrainParams};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn base() -> TrainParams {
     TrainParams {
@@ -377,41 +381,62 @@ proptest! {
 
 /// One tree's growth state as `TreeEngine::build_tree` carries it — the
 /// queue, the histogram pool and the leaf count — with node ids and depths
-/// handed out as `Tree::apply_split` does and FindSplit replaced by a
-/// scripted outcome per child.
+/// handed out as `Tree::apply_split` does, FindSplit replaced by a scripted
+/// outcome per child and ApplySplit by a scripted share of the parent's rows.
 struct Growth {
     queue: GrowthQueue,
     pool: HistPool,
+    profile: Arc<harp_parallel::Profile>,
     max_leaves: usize,
     leaves: usize,
-    next_node: u32,
+    /// Row count per node id; the next node's id is its length.
+    rows: Vec<usize>,
+    /// Whether the pool said it caches the node when its histogram was filed.
+    filed: Vec<bool>,
     /// Children at this depth are ineligible (the depthwise limit).
     depth_limit: u32,
     /// FindSplit results in arrival order, cycled: a gain, or no split.
     outcomes: Vec<Option<f64>>,
+    /// The left child's eighths of its parent's rows, cycled.
+    shares: Vec<usize>,
     drawn: usize,
+    pops: u64,
 }
 
+/// The pool's shape: 64 bins over 4 dense columns, so a node is cached from
+/// `POOL_BINS / POOL_COLS + 1 = 17` rows up.
+const POOL_BINS: u32 = 64;
+const POOL_COLS: usize = 4;
+
 impl Growth {
-    fn new(depthwise: bool, max_leaves: usize, outcomes: Vec<Option<f64>>) -> Self {
+    fn new(
+        depthwise: bool,
+        max_leaves: usize,
+        root_rows: usize,
+        outcomes: Vec<Option<f64>>,
+        shares: Vec<usize>,
+    ) -> Self {
         let method = if depthwise { GrowthMethod::Depthwise } else { GrowthMethod::Leafwise };
         let mut g = Self {
             queue: GrowthQueue::new(method),
-            pool: HistPool::new(1, 0, 1 << 20),
+            pool: HistPool::new(POOL_BINS, POOL_COLS, 1 << 20),
+            profile: Arc::new(harp_parallel::Profile::new()),
             max_leaves,
             leaves: 1,
-            next_node: 1,
+            rows: vec![root_rows],
+            filed: vec![false],
             depth_limit: if depthwise {
                 max_leaves.next_power_of_two().trailing_zeros()
             } else {
                 u32::MAX
             },
             outcomes,
+            shares,
             drawn: 0,
+            pops: 0,
         };
-        let buf = g.pool.alloc();
-        let key = g.queue.push(0, 0, split_cand(1.0));
-        g.pool.cache_insert(0, buf, key, max_leaves - 1);
+        g.pool.instrument(Arc::clone(&g.profile), None, None);
+        g.file(0, 0, 1.0, max_leaves - 1);
         g
     }
 
@@ -420,40 +445,66 @@ impl Growth {
         self.max_leaves - self.leaves
     }
 
+    /// Queues `node` as a candidate and hands its histogram to the pool. A
+    /// node the pool declines must leave the cache exactly as it was.
+    fn file(&mut self, node: u32, depth: u32, gain: f64, remaining_seen: usize) {
+        let rows = self.rows[node as usize];
+        self.filed[node as usize] = self.pool.caches(rows);
+        let before = (self.pool.cached_len(), self.profile.snapshot());
+        let buf = self.pool.alloc().zeroed();
+        let key = self.queue.push(node, depth, split_cand(gain));
+        self.pool.cache_insert(node, rows, buf, key, remaining_seen);
+        if !self.filed[node as usize] {
+            assert_eq!(before, (self.pool.cached_len(), self.profile.snapshot()));
+        }
+    }
+
     /// Pops up to `k` candidates and splits them: each spends a leaf and
-    /// asks the pool for its histogram, which must still be there.
+    /// asks the pool for its histogram, which must still be there — unless
+    /// the pool declined it when it was filed, and then it declines again.
     fn pop(&mut self, k: usize) -> Result<Vec<RankedCandidate>, TestCaseError> {
         let batch = self.queue.pop_batch(k, self.remaining());
         for c in &batch {
             self.leaves += 1;
-            let hist = self.pool.cache_take(c.node);
+            self.pops += 1;
+            let hist = self.pool.cache_take(c.node, self.rows[c.node as usize], self.remaining());
             prop_assert!(
-                hist.is_some(),
-                "node {} (gain {}, depth {}) popped with {} leaves left, but its histogram was dropped",
-                c.node, c.cand.split.gain, c.depth, self.remaining() + 1
+                hist.is_some() == self.filed[c.node as usize],
+                "node {} ({} rows, gain {}, depth {}) popped with {} leaves left: filed {}, found {}",
+                c.node, self.rows[c.node as usize], c.cand.split.gain, c.depth,
+                self.remaining() + 1, self.filed[c.node as usize], hist.is_some()
             );
-            self.pool.release(hist.unwrap());
+            if let Some(hist) = hist {
+                self.pool.release(hist);
+            }
         }
         Ok(batch)
     }
 
     /// Builds, searches and queues `parent`'s two children under the leaf
-    /// budget the caller read. Returns the ids of the children it built.
-    fn publish_children(&mut self, parent: &RankedCandidate, remaining_seen: usize) -> Vec<u32> {
-        let mut built = Vec::new();
-        for _ in 0..2 {
-            let node = self.next_node;
-            self.next_node += 1;
+    /// budget the caller read.
+    fn publish_children(&mut self, parent: &RankedCandidate, remaining_seen: usize) {
+        let parent_rows = self.rows[parent.node as usize];
+        let left_rows = parent_rows * self.shares[self.drawn % self.shares.len()] / 8;
+        for rows in [left_rows, parent_rows - left_rows] {
+            let node = self.rows.len() as u32;
+            self.rows.push(rows);
+            self.filed.push(false);
             let outcome = self.outcomes[self.drawn % self.outcomes.len()];
             self.drawn += 1;
             let depth = parent.depth + 1;
-            let Some(gain) = outcome.filter(|_| depth < self.depth_limit) else { continue };
-            let buf = self.pool.alloc();
-            let key = self.queue.push(node, depth, split_cand(gain));
-            self.pool.cache_insert(node, buf, key, remaining_seen);
-            built.push(node);
+            if let Some(gain) = outcome.filter(|_| depth < self.depth_limit && rows >= 2) {
+                self.file(node, depth, gain, remaining_seen);
+            }
         }
-        built
+    }
+
+    /// Every pop either hit or was declined; none found its histogram gone.
+    fn check_counters(&self) -> Result<(), TestCaseError> {
+        let c = self.profile.snapshot();
+        prop_assert_eq!(c.hist_cache_misses, 0);
+        prop_assert_eq!(c.hist_cache_hits + c.hist_cache_declined, self.pops);
+        Ok(())
     }
 }
 
@@ -464,61 +515,73 @@ fn outcome_stream() -> impl Strategy<Value = Vec<Option<f64>>> {
         .prop_map(|v| v.into_iter().map(|g| (g > 0).then(|| f64::from(g) * 0.5)).collect())
 }
 
+/// Left-child shares of a parent's rows, in eighths.
+fn share_stream() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(1usize..8, 1..32)
+}
+
+/// Root sizes from under the pool's 17-row caching threshold to some 35x of
+/// it, so trees mix cached and declined nodes at every depth.
+const ROOT_ROWS: std::ops::Range<usize> = 2..600;
+
 const K_CHOICES: [usize; 4] = [1, 4, 32, usize::MAX];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Barrier order (`grow_one_batch`): pop K, spend K leaves, publish the
-    /// children under what is left. No pop ever misses, the cache
-    /// never holds more histograms than leaves are left, and whatever the
+    /// children under what is left. No pop ever misses, a node too small to
+    /// cache is declined when filed and when popped alike, the cache never
+    /// holds more histograms than leaves are left, and whatever the
     /// budget-spending batch could build would be dropped unread.
     #[test]
     fn trimming_to_the_leaf_budget_never_drops_a_needed_histogram(
         outcomes in outcome_stream(),
+        shares in share_stream(),
+        root_rows in ROOT_ROWS,
         depthwise in any::<bool>(),
         k_idx in 0usize..4,
         max_leaves in 2usize..65,
     ) {
-        let mut g = Growth::new(depthwise, max_leaves, outcomes);
+        let mut g = Growth::new(depthwise, max_leaves, root_rows, outcomes, shares);
         loop {
             let batch = g.pop(K_CHOICES[k_idx])?;
             if batch.is_empty() {
                 break;
             }
             let remaining = g.remaining();
-            let mut built = Vec::new();
             for c in &batch {
-                built.extend(g.publish_children(c, remaining));
+                g.publish_children(c, remaining);
             }
+            // At R = 0 nothing is kept (the trainer builds none of these:
+            // nothing can read them).
             prop_assert!(
                 g.pool.cached_len() <= remaining,
                 "{} histograms cached with {} leaves left", g.pool.cached_len(), remaining
             );
             if remaining == 0 {
-                // The trainer builds none of these: nothing can read them.
-                for node in built {
-                    prop_assert!(g.pool.cache_take(node).is_none(), "kept node {} at R = 0", node);
-                }
                 prop_assert!(g.pop(usize::MAX)?.is_empty());
             }
         }
+        g.check_counters()?;
     }
 
     /// ASYNC order (`async_mode`): up to T node tasks in flight, each
     /// popping one candidate (with its leaf and its histogram) when it
     /// starts and publishing its children whenever it finishes, under a
     /// budget read that may lag by up to T claims — a lag only loosens the
-    /// cap, since the leaf count never falls. Same two guarantees.
+    /// cap, since the leaf count never falls. Same guarantees.
     #[test]
     fn async_interleaving_never_drops_a_needed_histogram(
         outcomes in outcome_stream(),
+        shares in share_stream(),
+        root_rows in ROOT_ROWS,
         depthwise in any::<bool>(),
         max_leaves in 2usize..65,
         t in 1usize..5,
         schedule in proptest::collection::vec((any::<bool>(), 0usize..8, 0usize..5), 1..64),
     ) {
-        let mut g = Growth::new(depthwise, max_leaves, outcomes);
+        let mut g = Growth::new(depthwise, max_leaves, root_rows, outcomes, shares);
         let mut in_flight: Vec<RankedCandidate> = Vec::new();
         for step in 0.. {
             let (start, pick, lag) = schedule[step % schedule.len()];
@@ -545,5 +608,6 @@ proptest! {
             );
         }
         prop_assert!(g.remaining() == 0 || g.queue.is_empty());
+        g.check_counters()?;
     }
 }

@@ -241,17 +241,28 @@ fn assert_budget_aware_lifecycle(
     let summary = out.diagnostics.ledger.as_ref().expect("ledger enabled").summary();
     let get = |name: &str| summary.get(name).unwrap_or_else(|| panic!("{what}: no {name}"));
     let splits = (out.model.n_trees() * (max_leaves - 1)) as f64;
-    assert_eq!(get("counter/hist_cache_hits"), splits, "{what}: one lookup per split");
+    assert_eq!(
+        get("counter/hist_cache_hits") + get("counter/hist_cache_declined"),
+        splits,
+        "{what}: every split finds its histogram, or was never meant to"
+    );
     assert_eq!(get("counter/hist_cache_misses"), 0.0, "{what}: a dropped histogram was needed");
     assert_eq!(get("counter/hist_cache_evictions"), 0.0, "{what}: the byte budget never pressed");
     assert!(
         get("counter/hist_builds_skipped") > 0.0,
         "{what}: the budget-spending splits' children still got histograms"
     );
-    // Cached <= min(splittable leaves, leaves left) <= max_leaves / 2, plus
-    // the two buffers per split of the batch (or of the K tasks) in flight.
+    // Cached <= min(splittable leaves, leaves left) <= max_leaves / 2, and
+    // no more than there are disjoint nodes big enough to be cached at all;
+    // plus the two buffers per split of the batch (or of the K tasks) in
+    // flight.
     let width = harpgbdt::hist::hist_width_for(&data.quantized);
-    let bound = (max_leaves / 2 + 2 * k + 2) * width * 8;
+    let big_nodes = data
+        .quantized
+        .n_rows()
+        .checked_div(harpgbdt::hist::min_cached_rows(&data.quantized))
+        .unwrap_or(usize::MAX);
+    let bound = ((max_leaves / 2).min(big_nodes) + 2 * k + 2) * width * 8;
     let pool = get("mem/hist_pool/high_water_bytes");
     assert!(
         pool <= bound as f64,
@@ -318,4 +329,56 @@ fn leaf_budget_lifecycle_covers_softmax_and_subtraction_off() {
     assert!(get("counter/hist_builds_skipped") > 0.0);
     let entry = (harpgbdt::hist::hist_width_for(&data.quantized) * 8) as f64;
     assert!(get("mem/hist_pool/high_water_bytes") <= (2.0 * 4.0 + 2.0) * entry);
+}
+
+/// Criteo-like at D10/K32 is TopK's other regime: a thousand leaves of a few
+/// dozen rows each, whose scans touch far fewer cells than their histogram
+/// has bins. What such a node costs must follow its rows: no cached
+/// histogram where scanning beats subtracting, no replica lanes for a job
+/// that is one row block.
+#[test]
+fn deep_trees_of_small_nodes_size_the_pool_and_the_arena_by_rows() {
+    let data = prepared(DatasetKind::CriteoLike, 1.0, 7);
+    let (tree_size, k, threads) = (10, 32, 4);
+    let width = harpgbdt::hist::hist_width_for(&data.quantized);
+    let mut barrier_preds: Vec<Vec<f32>> = Vec::new();
+    for mode in [
+        ParallelMode::DataParallel,
+        ParallelMode::ModelParallel,
+        ParallelMode::Sync,
+        ParallelMode::Async,
+    ] {
+        let what = format!("{mode:?} criteo-like D{tree_size} K{k}");
+        let out = lifecycle_run(&data, &data.train.labels, mode, tree_size, k, |p| {
+            p.n_trees = 2;
+            p.n_threads = threads;
+        });
+        assert_budget_aware_lifecycle(&out, &data, tree_size, k, &what);
+        let summary = out.diagnostics.ledger.as_ref().expect("ledger enabled").summary();
+        let get = |name: &str| summary.get(name).unwrap_or_else(|| panic!("{what}: no {name}"));
+        assert!(
+            get("counter/hist_cache_declined") > get("counter/hist_cache_hits"),
+            "{what}: most splits are of nodes too small to cache"
+        );
+        let (replicated, exclusive) =
+            (get("counter/plan_tasks_replicated"), get("counter/plan_tasks_exclusive"));
+        assert_eq!(replicated + exclusive, get("plan/tasks"), "{what}: every task has one policy");
+        // ASYNC plans only its first few, wide batches; MP replicates none.
+        if matches!(mode, ParallelMode::DataParallel | ParallelMode::Sync) {
+            assert!(exclusive > replicated, "{what}: most DP jobs are one row block");
+        }
+        // Jobs longer than batch_rows / threads number fewer than threads,
+        // and only they have replica lanes (the arena rounds a grown replica
+        // up to a power of two).
+        let arena = ((threads - 1) * width).next_power_of_two() * threads * 8;
+        assert!(
+            get("mem/scratch_arena/high_water_bytes") <= arena as f64,
+            "{what}: the replica arena grew to {} histograms",
+            get("mem/scratch_arena/high_water_bytes") / (width * 8) as f64
+        );
+        if mode != ParallelMode::Async {
+            barrier_preds.push(out.model.predict_raw(&data.test.features));
+        }
+    }
+    assert!(barrier_preds.windows(2).all(|w| w[0] == w[1]), "DP, MP and SYNC models differ");
 }

@@ -176,14 +176,18 @@ fn convergence_ledger_gates_eval_metric_regressions() {
         "eval metric must flow into the ledger: {:?}",
         la.summary().metrics
     );
-    let diff = DiffReport::between(&la.summary(), &lb.summary(), &DiffOptions::default());
+    // Wall time is the one thing two identical runs do not share (on a busy
+    // host a 20 ms run can take 150 ms), and it is not what this gate is
+    // about: only the deterministic rows are held.
+    let gate = DiffOptions { time_tolerance: f64::INFINITY, ..DiffOptions::default() };
+    let diff = DiffReport::between(&la.summary(), &lb.summary(), &gate);
     assert!(!diff.failed(), "identical runs must pass the gate:\n{}", diff.render());
 
     // A degraded run (crippled learning rate) regresses the eval metric;
     // the `eval/last` row must trip the gate.
     let c = train_with_ledger(loss, &train, &test, 20, 0.001);
     let lc = c.diagnostics.ledger.as_ref().expect("ledger recorded");
-    let diff = DiffReport::between(&la.summary(), &lc.summary(), &DiffOptions::default());
+    let diff = DiffReport::between(&la.summary(), &lc.summary(), &gate);
     assert!(diff.failed(), "eval regression must trip the gate");
     let tripped = diff
         .rows
