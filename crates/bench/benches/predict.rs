@@ -32,7 +32,7 @@ fn bench_predict(c: &mut Criterion) {
         });
     }
     group.bench_function("flat/binned", |b| {
-        b.iter(|| engine.predict_raw_binned(&qm));
+        b.iter(|| engine.predict_raw_store(&qm));
     });
     let pool = harp_parallel::ThreadPool::new(harp_parallel::current_num_threads_hint());
     group.bench_function("flat/parallel", |b| {

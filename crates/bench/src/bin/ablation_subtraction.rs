@@ -72,7 +72,7 @@ fn main() {
                 params.hist_subtraction = subtraction;
                 params.hist_cache_bytes = cache_bytes;
                 params.ledger = LedgerConfig::enabled();
-                let res = run_config(&data, params, false);
+                let res = run_config(&data, &data.quantized, params, false);
                 if slot.as_ref().is_none_or(|b| res.tree_secs < b.tree_secs) {
                     *slot = Some(res);
                 }

@@ -77,10 +77,11 @@ fn main() {
     };
     let steady: Vec<usize> = vec![(n_rows / 32).max(1); 32];
 
+    let run = |params| run_config(&data, &data.quantized, params, false);
     let mut tables = Vec::new();
     for &d in sizes {
         // Baseline: standard model parallelism (feature_blk=1, K=1).
-        let base = run_config(&data, mk(ParallelMode::ModelParallel, grid(1, 1), d, 1), false);
+        let base = run(mk(ParallelMode::ModelParallel, grid(1, 1), d, 1));
         let mut table = Table::new(
             format!("Fig. 10: speedup over standard MP, D{d} (K=32, rows: {n_rows})"),
             &["mode", "feature_blk", "node_blk", "ms/tree", "speedup"],
@@ -92,7 +93,7 @@ fn main() {
             let mut best = f64::INFINITY;
             for &f_blk in f_blks {
                 for &n_blk in n_blks {
-                    let res = run_config(&data, mk(mode, grid(f_blk, n_blk), d, 32), false);
+                    let res = run(mk(mode, grid(f_blk, n_blk), d, 32));
                     best = best.min(res.tree_secs);
                     table.row(vec![
                         label.to_string(),
@@ -105,7 +106,7 @@ fn main() {
             }
             // The auto-tuner against the swept grid (whole config is Auto:
             // row/bin extents are picked by the cost model too).
-            let auto = run_config(&data, mk(mode, BlockConfig::Auto, d, 32), false);
+            let auto = run(mk(mode, BlockConfig::Auto, d, 32));
             table.row(vec![
                 label.to_string(),
                 "auto".into(),
@@ -132,7 +133,7 @@ fn main() {
     // a 25% budget; models are bitwise identical, so only time differs.
     let d = sizes[0];
     let xmem_params = || mk(ParallelMode::DataParallel, grid(16, 4), d, 32);
-    let incore = run_config(&data, xmem_params(), false);
+    let incore = run(xmem_params());
     let mut xmem = Table::new(
         format!("External memory: DP D{d} in-core vs chunked (rows: {n_rows})"),
         &["store", "budget", "ms/tree", "vs in-core", "loads", "evictions"],
@@ -148,7 +149,7 @@ fn main() {
     for frac in [1.0, 0.25] {
         use harpgbdt::QuantStore as _;
         let store = harp_bench::chunked_store(&data, frac);
-        let res = harp_bench::run_config_store(&data, xmem_params(), &store);
+        let res = run_config(&data, &store, xmem_params(), false);
         let io = store.io_stats();
         xmem.row(vec![
             "chunked".into(),

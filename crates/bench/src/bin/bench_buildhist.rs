@@ -407,7 +407,7 @@ fn main() {
                 use_scalar_kernels: scalar,
                 ..TrainParams::default()
             };
-            let res = run_config(&data, params, false);
+            let res = run_config(&data, &data.quantized, params, false);
             let prof = &res.output.diagnostics.profile;
             let b = *base.get_or_insert(res.tree_secs);
             training.row(vec![
@@ -449,7 +449,7 @@ fn main() {
             };
             // Best-of-3 to shake scheduler noise out of the comparison.
             let res = (0..3)
-                .map(|_| run_config(&data, params.clone(), false))
+                .map(|_| run_config(&data, &data.quantized, params.clone(), false))
                 .min_by(|a, b| a.tree_secs.total_cmp(&b.tree_secs))
                 .unwrap();
             let b = *base.get_or_insert(res.tree_secs);
@@ -499,7 +499,7 @@ fn main() {
                     ledger: if enabled { LedgerConfig::enabled() } else { LedgerConfig::default() },
                     ..TrainParams::default()
                 };
-                let res = run_config(&data, params, false);
+                let res = run_config(&data, &data.quantized, params, false);
                 if res.tree_secs < best[i] {
                     best[i] = res.tree_secs;
                     if let Some(ledger) = &res.output.diagnostics.ledger {

@@ -40,7 +40,7 @@ fn main() {
             // reach 2^D leaves (the paper's 10M-row HIGGS provides enough
             // gain mass at gamma=1).
             params.gamma = 0.0;
-            let out = GbdtTrainer::new(params).expect("valid preset").train_prepared(
+            let out = GbdtTrainer::new(params).expect("valid preset").train_store(
                 &data.quantized,
                 &data.train.labels,
                 None,

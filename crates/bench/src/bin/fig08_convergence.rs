@@ -26,7 +26,7 @@ fn main() {
         ];
         for (name, params) in &mut runs {
             params.n_trees = n_trees;
-            let res = run_config(&data, params.clone(), true);
+            let res = run_config(&data, &data.quantized, params.clone(), true);
             let trace = res.output.diagnostics.trace.as_ref().expect("trace");
             // Report a geometric subsample of iterations.
             let mut next = 1usize;

@@ -38,7 +38,7 @@ fn main() {
                 params.k = k;
                 params.n_trees = n_trees;
                 params.gamma = 0.0;
-                let res = run_config(&data, params, true);
+                let res = run_config(&data, &data.quantized, params, true);
                 let trace = res.output.diagnostics.trace.as_ref().expect("trace");
                 let mut next = 1usize;
                 for p in trace.points() {

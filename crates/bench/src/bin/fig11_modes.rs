@@ -56,7 +56,7 @@ fn main() {
                     },
                     ..TrainParams::default()
                 };
-                let res = run_config(&data, params, false);
+                let res = run_config(&data, &data.quantized, params, false);
                 let reference = *reference.get_or_insert(res.tree_secs);
                 table.row(vec![
                     label.to_string(),

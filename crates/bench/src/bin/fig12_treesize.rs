@@ -25,7 +25,7 @@ fn main() {
             let mut params = baseline.params(d, args.threads);
             params.n_trees = n_trees;
             params.gamma = 0.0;
-            let res = run_config(&data, params, false);
+            let res = run_config(&data, &data.quantized, params, false);
             base_rows.push((baseline.name().to_string(), d, res.tree_secs));
             push_row(
                 &mut table,
@@ -41,7 +41,7 @@ fn main() {
         let mut params = harp_params(d, args.threads);
         params.n_trees = n_trees;
         params.gamma = 0.0;
-        let res = run_config(&data, params, false);
+        let res = run_config(&data, &data.quantized, params, false);
         let first = harp_rows.first().map(|r| r.1);
         harp_rows.push((d, res.tree_secs));
         push_row(&mut table, "HarpGBDT", d, &res, first);

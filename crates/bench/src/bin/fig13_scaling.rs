@@ -40,7 +40,7 @@ fn main() {
             let mut params = mk(t);
             params.n_trees = n_trees;
             params.gamma = 0.0;
-            let res = run_config(&data, params, false);
+            let res = run_config(&data, &data.quantized, params, false);
             let base = *t1.get_or_insert(res.tree_secs);
             strong.row(vec![
                 name.to_string(),
@@ -68,7 +68,7 @@ fn main() {
             let mut params = mk(t);
             params.n_trees = n_trees;
             params.gamma = 0.0;
-            let res = run_config(&grown_data, params, false);
+            let res = run_config(&grown_data, &grown_data.quantized, params, false);
             let base = *t1.get_or_insert(res.tree_secs);
             weak.row(vec![
                 name.to_string(),

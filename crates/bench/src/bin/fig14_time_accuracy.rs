@@ -29,7 +29,7 @@ fn main() {
         let mut summary = Vec::new();
         for (name, params) in &mut runs {
             params.n_trees = n_trees;
-            let res = run_config(&data, params.clone(), true);
+            let res = run_config(&data, &data.quantized, params.clone(), true);
             let trace = res.output.diagnostics.trace.as_ref().expect("trace");
             let mut next = 1usize;
             for p in trace.points() {

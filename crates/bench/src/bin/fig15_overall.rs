@@ -39,7 +39,7 @@ fn main() {
         for &d in sizes {
             let run = |mut params: harpgbdt::TrainParams| -> RunResult {
                 params.n_trees = n_trees;
-                run_config(&data, params, true)
+                run_config(&data, &data.quantized, params, true)
             };
             let xgb = run(Baseline::XgbLeaf.params(d, args.threads));
             let lgbm = run(Baseline::LightGbm.params(d, args.threads));

@@ -83,7 +83,7 @@ fn main() {
                     ..TrainParams::default()
                 };
                 let trainer = GbdtTrainer::new(params).expect("valid params");
-                let out = trainer.train_prepared(&data.quantized, &data.train.labels, None);
+                let out = trainer.train_store(&data.quantized, &data.train.labels, None);
                 let shapes = &out.diagnostics.tree_shapes;
                 let mean_leaves =
                     shapes.iter().map(|s| f64::from(s.n_leaves)).sum::<f64>() / shapes.len() as f64;

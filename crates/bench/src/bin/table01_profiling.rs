@@ -32,7 +32,7 @@ fn main() {
         let mut params = baseline.params(8, args.threads);
         params.n_trees = n_trees;
         params.gamma = 0.0;
-        let out = GbdtTrainer::new(params).expect("valid preset").train_prepared(
+        let out = GbdtTrainer::new(params).expect("valid preset").train_store(
             &data.quantized,
             &data.train.labels,
             None,

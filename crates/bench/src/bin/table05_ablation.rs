@@ -71,7 +71,7 @@ fn main() {
             let mut prev: Option<f64> = None;
             for (name, apply) in steps {
                 apply(&mut params);
-                let res = run_config(&data, params.clone(), false);
+                let res = run_config(&data, &data.quantized, params.clone(), false);
                 let gain = prev.map_or("-".to_string(), |p: f64| {
                     format!("{:+.0}%", (p / res.tree_secs - 1.0) * 100.0)
                 });

@@ -34,7 +34,7 @@ fn main() {
         params.mode = mode;
         params.n_trees = n_trees;
         params.gamma = 0.0;
-        let out = GbdtTrainer::new(params).expect("valid params").train_prepared(
+        let out = GbdtTrainer::new(params).expect("valid params").train_store(
             &data.quantized,
             &data.train.labels,
             None,

@@ -19,6 +19,6 @@ pub mod runner;
 pub use args::ExpArgs;
 pub use report::Table;
 pub use runner::{
-    chunked_store, harp_params, harp_params_for, prepared, quantize_default, run_config,
-    run_config_store, warmup, PreparedData, RunResult,
+    chunked_store, harp_params, harp_params_for, prepared, quantize_default, run_config, warmup,
+    PreparedData, RunResult,
 };

@@ -1,6 +1,6 @@
 //! Shared experiment plumbing: dataset preparation and configured runs.
 
-use harp_binning::{BinningConfig, QuantizedMatrix};
+use harp_binning::{BinningConfig, QuantStore, QuantizedMatrix};
 use harp_data::{Dataset, DatasetKind, SynthConfig};
 use harpgbdt::trainer::{EvalMetric, EvalOptions};
 use harpgbdt::{BlockConfig, GbdtTrainer, GrowthMethod, ParallelMode, TrainParams};
@@ -37,7 +37,7 @@ pub fn prepared(kind: DatasetKind, scale: f64, seed: u64) -> PreparedData {
 /// with a resident budget of `budget_frac` × the decoded byte total (so
 /// `0.25` forces ~¾ of the chunks out at any time and `1.0` lets everything
 /// stay resident). Chunk granularity targets ~64 chunks so a fractional
-/// budget still leaves a multi-chunk sweep window for the stripe cursors
+/// budget still leaves a multi-chunk sweep window for the DP slots' sweeps
 /// while small bench scales keep exercising eviction.
 pub fn chunked_store(data: &PreparedData, budget_frac: f64) -> harp_binning::ChunkedStore {
     let qm = &data.quantized;
@@ -105,7 +105,7 @@ pub fn warmup(data: &PreparedData, threads: usize) {
         gamma: 0.0,
         ..TrainParams::default()
     };
-    let _ = GbdtTrainer::new(params).expect("valid params").train_prepared(
+    let _ = GbdtTrainer::new(params).expect("valid params").train_store(
         &data.quantized,
         &data.train.labels,
         None,
@@ -124,9 +124,16 @@ pub struct RunResult {
     pub output: harpgbdt::TrainOutput,
 }
 
-/// Trains `params` on `data` (optionally recording a per-iteration AUC
-/// trace against the test split) and evaluates the result.
-pub fn run_config(data: &PreparedData, params: TrainParams, with_trace: bool) -> RunResult {
+/// Trains `params` on `data`'s labels through `store` — the prepared
+/// `&data.quantized`, or a [`chunked_store`] of it, which trains the
+/// bitwise-identical model at a different speed — optionally recording a
+/// per-iteration AUC trace against the test split, and evaluates the result.
+pub fn run_config(
+    data: &PreparedData,
+    store: &dyn QuantStore,
+    params: TrainParams,
+    with_trace: bool,
+) -> RunResult {
     let trainer = GbdtTrainer::new(params).expect("valid params");
     let eval = with_trace.then_some(EvalOptions {
         data: &data.test,
@@ -134,28 +141,7 @@ pub fn run_config(data: &PreparedData, params: TrainParams, with_trace: bool) ->
         every: 1,
         early_stopping_rounds: None,
     });
-    let output = trainer.train_prepared(&data.quantized, &data.train.labels, eval);
-    let preds = output.model.compile().predict(&data.test.features);
-    let test_auc = harp_metrics::auc(&data.test.labels, &preds);
-    RunResult {
-        tree_secs: output.diagnostics.mean_tree_secs(),
-        train_secs: output.diagnostics.train_secs,
-        test_auc,
-        output,
-    }
-}
-
-/// Like [`run_config`] but training through an arbitrary [`QuantStore`]
-/// (in-core or chunked) instead of the prepared in-memory matrix. Models are
-/// bitwise-identical to [`run_config`] on the same params; only the timing
-/// differs.
-pub fn run_config_store(
-    data: &PreparedData,
-    params: TrainParams,
-    store: &dyn harp_binning::QuantStore,
-) -> RunResult {
-    let trainer = GbdtTrainer::new(params).expect("valid params");
-    let output = trainer.train_store(store, &data.train.labels, None);
+    let output = trainer.train_store(store, &data.train.labels, eval);
     let preds = output.model.compile().predict(&data.test.features);
     let test_auc = harp_metrics::auc(&data.test.labels, &preds);
     RunResult {
@@ -196,7 +182,7 @@ mod tests {
         let data = prepared(DatasetKind::HiggsLike, 0.03, 3);
         let mut params = harp_params(4, 2);
         params.n_trees = 5;
-        let res = run_config(&data, params, true);
+        let res = run_config(&data, &data.quantized, params, true);
         assert!(res.tree_secs > 0.0);
         assert!(res.train_secs >= res.tree_secs);
         assert!((0.0..=1.0).contains(&res.test_auc));

@@ -751,22 +751,6 @@ impl QuantStore for ChunkedStore {
         }
     }
 
-    fn gather_route_bins(&self, f: usize, rows: &[u32], out: &mut Vec<u8>) {
-        out.reserve(rows.len());
-        let mut local: Vec<u32> = Vec::new();
-        let mut i = 0;
-        while i < rows.len() {
-            let c = self.chunk_of_row(rows[i] as usize);
-            let span = self.chunk_rows(c);
-            let end = i + rows[i..].partition_point(|&r| (r as usize) < span.end);
-            local.clear();
-            local.extend(rows[i..end].iter().map(|&r| r - span.start as u32));
-            let slab = self.pin(c);
-            slab.route_bins_for(f, &local, out);
-            i = end;
-        }
-    }
-
     fn io_stats(&self) -> ChunkIoStats {
         ChunkIoStats {
             chunk_loads: self.inner.loads.load(Relaxed),
@@ -970,18 +954,22 @@ mod tests {
     #[test]
     fn gather_route_bins_matches_in_memory() {
         for (tag, qm) in [("d", dense_qm(120, 4)), ("s", sparse_qm(120, 5))] {
-            let path = tmp_path(&format!("gather_{tag}"));
-            write_cache(&qm, 32, &path).unwrap();
-            let store = ChunkedStore::open(&path, u64::MAX).unwrap();
-            let rows: Vec<u32> = (0..qm.n_rows() as u32).step_by(3).collect();
-            for f in 0..qm.n_features() {
-                let (mut a, mut b) = (Vec::new(), Vec::new());
-                QuantStore::gather_route_bins(&qm, f, &rows, &mut a);
-                store.gather_route_bins(f, &rows, &mut b);
-                assert_eq!(a, b, "feature {f}");
+            // Four 32-row chunks, then the whole matrix as one chunk.
+            for rows_per_chunk in [32, 120] {
+                let path = tmp_path(&format!("gather_{tag}{rows_per_chunk}"));
+                write_cache(&qm, rows_per_chunk, &path).unwrap();
+                let store = ChunkedStore::open(&path, u64::MAX).unwrap();
+                assert_eq!(store.n_chunks(), 120usize.div_ceil(rows_per_chunk));
+                let rows: Vec<u32> = (0..qm.n_rows() as u32).step_by(3).collect();
+                for f in 0..qm.n_features() {
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    QuantStore::gather_route_bins(&qm, f, &rows, &mut a);
+                    store.gather_route_bins(f, &rows, &mut b);
+                    assert_eq!(a, b, "feature {f}, {rows_per_chunk}-row chunks");
+                }
+                drop(store);
+                std::fs::remove_file(&path).unwrap();
             }
-            drop(store);
-            std::fs::remove_file(&path).unwrap();
         }
     }
 

@@ -47,4 +47,4 @@ pub use mapper::{BinMapper, BinningConfig, FeatureCuts};
 pub use quantized::{
     LayoutOptions, LayoutStats, QuantizedMatrix, SetupTimings, U4Pack, MISSING_BIN, MISSING_NIBBLE,
 };
-pub use store::{ChunkIoStats, PinnedChunk, QuantStore, StoreLayout};
+pub use store::{sweep_chunks, ChunkIoStats, ChunkRun, PinnedChunk, QuantStore, Rows, StoreLayout};

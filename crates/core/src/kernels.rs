@@ -1510,55 +1510,62 @@ pub fn col_scan_scalar(
 // Store-mediated scans (out-of-core chunk dispatch)
 // ---------------------------------------------------------------------------
 
-use harp_binning::QuantStore;
+use harp_binning::{sweep_chunks, ChunkRun, QuantStore, Rows};
 
-thread_local! {
-    /// Scratch for chunk-local row ids, reused across store scans so the
-    /// per-chunk translation allocates once per thread.
-    static LOCAL_ROWS: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Splits an ascending global row list into per-chunk runs and invokes
-/// `scan(chunk_idx, chunk_span, run_range)` for each, in ascending chunk
-/// order. Issues a [`QuantStore::prefetch`] for the run *after* the one
-/// about to be handed out, so the next chunk decodes while the current one
-/// scans.
-fn for_each_chunk_run(
-    store: &dyn QuantStore,
-    rows: &[u32],
-    mut scan: impl FnMut(usize, Range<usize>, Range<usize>),
-) {
-    let mut i = 0usize;
-    while i < rows.len() {
-        let c = store.chunk_of_row(rows[i] as usize);
-        let span = store.chunk_rows(c);
-        let end = i + rows[i..].partition_point(|&r| (r as usize) < span.end);
-        if end < rows.len() {
-            store.prefetch(store.chunk_of_row(rows[end] as usize));
-        }
-        scan(c, span, i..end);
-        i = end;
-    }
-}
-
-/// Narrows a node gradient source to one chunk run: MemBuf replicas are
-/// positional within the node, so the run's sub-slice stays position-aligned
-/// with the chunk-local row list; the global array is row-id indexed, so
+/// Narrows a cursor's gradient source to one of its runs: a MemBuf replica
+/// is positional within the cursor, so the run's sub-slice stays aligned
+/// with the chunk-local rows; the global array is row-id indexed, so
 /// re-basing it at the chunk start makes chunk-local ids index correctly.
 #[inline]
-fn sub_grads<'a>(grads: GradSource<'a>, run: Range<usize>, chunk_start: usize) -> GradSource<'a> {
+fn sub_grads<'a>(grads: GradSource<'a>, run: &ChunkRun<'_>) -> GradSource<'a> {
     match grads {
-        GradSource::MemBuf(m) => GradSource::MemBuf(&m[run]),
-        GradSource::Global(g) => GradSource::Global(&g[chunk_start..]),
+        GradSource::MemBuf(m) => GradSource::MemBuf(&m[run.pos.clone()]),
+        GradSource::Global(g) => GradSource::Global(&g[run.start..]),
     }
+}
+
+/// Row-scans one run of a chunk sweep — where every store-mediated row scan
+/// meets a kernel. `grads` belongs to the run's whole cursor. A list run
+/// takes [`row_scan`] ([`row_scan_scalar`] when `scalar`), a range run the
+/// root fast path [`row_scan_root`], which has no scalar twin.
+pub(crate) fn row_scan_run(
+    run: &ChunkRun<'_>,
+    grads: GradSource<'_>,
+    f_range: Range<usize>,
+    hist: &mut [f64],
+    scalar: bool,
+) -> u64 {
+    let grads = sub_grads(grads, run);
+    match &run.rows {
+        Rows::List(rows) if scalar => row_scan_scalar(run.slab, rows, grads, f_range, hist),
+        Rows::List(rows) => row_scan(run.slab, rows, grads, f_range, hist),
+        Rows::Range(rows) => row_scan_root(run.slab, rows.clone(), grads, f_range, hist),
+    }
+}
+
+fn row_scan_sweep(
+    store: &dyn QuantStore,
+    rows: Rows<'_>,
+    grads: GradSource<'_>,
+    f_range: Range<usize>,
+    hist: &mut [f64],
+    scalar: bool,
+) -> u64 {
+    let mut cells = 0u64;
+    sweep_chunks(
+        store,
+        &[rows],
+        |_| {},
+        |run| cells += row_scan_run(run, grads, f_range.clone(), hist, scalar),
+    );
+    cells
 }
 
 /// [`row_scan`] (or [`row_scan_scalar`] when `scalar`) through a
-/// [`QuantStore`]: the in-memory store takes the exact pre-trait call; a
-/// chunked store splits the ascending row list into per-chunk runs, pins
-/// each slab, and scans runs in ascending chunk order — which preserves the
-/// per-cell row-ascending `f64` accumulation order, so the result is
-/// bitwise identical to a monolithic scan.
+/// [`QuantStore`]: a [`sweep_chunks`] of the ascending row list, whose
+/// chunk-ascending runs preserve the per-cell row-ascending `f64`
+/// accumulation order, so the result is bitwise identical to a monolithic
+/// scan — which is what the sweep's single step over an in-memory store is.
 pub fn row_scan_store(
     store: &dyn QuantStore,
     rows: &[u32],
@@ -1567,29 +1574,7 @@ pub fn row_scan_store(
     hist: &mut [f64],
     scalar: bool,
 ) -> u64 {
-    if let Some(qm) = store.as_single() {
-        return if scalar {
-            row_scan_scalar(qm, rows, grads, f_range, hist)
-        } else {
-            row_scan(qm, rows, grads, f_range, hist)
-        };
-    }
-    let mut cells = 0u64;
-    for_each_chunk_run(store, rows, |c, span, run| {
-        let chunk = store.pin(c);
-        let sub = sub_grads(grads, run.clone(), span.start);
-        cells += LOCAL_ROWS.with(|lr| {
-            let mut lr = lr.borrow_mut();
-            lr.clear();
-            lr.extend(rows[run].iter().map(|&r| r - span.start as u32));
-            if scalar {
-                row_scan_scalar(&chunk, &lr, sub, f_range.clone(), hist)
-            } else {
-                row_scan(&chunk, &lr, sub, f_range.clone(), hist)
-            }
-        });
-    });
-    cells
+    row_scan_sweep(store, Rows::List(rows), grads, f_range, hist, scalar)
 }
 
 /// [`row_scan_root`] through a [`QuantStore`]: contiguous global rows map
@@ -1603,31 +1588,11 @@ pub fn row_scan_root_store(
     f_range: Range<usize>,
     hist: &mut [f64],
 ) -> u64 {
-    if let Some(qm) = store.as_single() {
-        return row_scan_root(qm, row_range, grads, f_range, hist);
-    }
-    let mut cells = 0u64;
-    let mut r = row_range.start;
-    while r < row_range.end {
-        let c = store.chunk_of_row(r);
-        let span = store.chunk_rows(c);
-        let hi = span.end.min(row_range.end);
-        if hi < row_range.end {
-            store.prefetch(store.chunk_of_row(hi));
-        }
-        let chunk = store.pin(c);
-        let sub = match grads {
-            GradSource::MemBuf(m) => GradSource::MemBuf(&m[r - row_range.start..]),
-            GradSource::Global(g) => GradSource::Global(&g[span.start..]),
-        };
-        cells += row_scan_root(&chunk, r - span.start..hi - span.start, sub, f_range.clone(), hist);
-        r = hi;
-    }
-    cells
+    row_scan_sweep(store, Rows::Range(row_range), grads, f_range, hist, false)
 }
 
 /// [`col_scan`] (or [`col_scan_scalar`] when `scalar`) through a
-/// [`QuantStore`]; same chunk-run decomposition and determinism argument as
+/// [`QuantStore`]; same sweep and determinism argument as
 /// [`row_scan_store`]. A contiguous node row set stays contiguous within
 /// every chunk run, so the per-chunk scans keep the sequential fast paths.
 pub fn col_scan_store(
@@ -1639,28 +1604,20 @@ pub fn col_scan_store(
     hist_f: &mut [f64],
     scalar: bool,
 ) -> u64 {
-    if let Some(qm) = store.as_single() {
-        return if scalar {
-            col_scan_scalar(qm, f, rows, grads, bin_range, hist_f)
-        } else {
-            col_scan(qm, f, rows, grads, bin_range, hist_f)
-        };
-    }
     let mut cells = 0u64;
-    for_each_chunk_run(store, rows, |c, span, run| {
-        let chunk = store.pin(c);
-        let sub = sub_grads(grads, run.clone(), span.start);
-        cells += LOCAL_ROWS.with(|lr| {
-            let mut lr = lr.borrow_mut();
-            lr.clear();
-            lr.extend(rows[run].iter().map(|&r| r - span.start as u32));
-            if scalar {
-                col_scan_scalar(&chunk, f, &lr, sub, bin_range.clone(), hist_f)
+    sweep_chunks(
+        store,
+        &[Rows::List(rows)],
+        |_| {},
+        |run| {
+            let (rows, grads, bins) = (run.rows.list(), sub_grads(grads, run), bin_range.clone());
+            cells += if scalar {
+                col_scan_scalar(run.slab, f, rows, grads, bins, hist_f)
             } else {
-                col_scan(&chunk, f, &lr, sub, bin_range.clone(), hist_f)
-            }
-        });
-    });
+                col_scan(run.slab, f, rows, grads, bins, hist_f)
+            };
+        },
+    );
     cells
 }
 

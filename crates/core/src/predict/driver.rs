@@ -4,7 +4,7 @@
 use super::flat::FlatForest;
 use super::kernel;
 use crate::plan::{n_row_blocks, row_block};
-use harp_binning::{QuantStore, QuantizedMatrix};
+use harp_binning::{sweep_chunks, QuantStore, Rows};
 use harp_data::FeatureMatrix;
 use harp_metrics::TimeBreakdown;
 use harp_parallel::{ScopedPhase, ThreadPool, TracePhase, TraceSink};
@@ -111,65 +111,44 @@ impl<'a> Predictor<'a> {
         out
     }
 
-    /// Raw scores for an already-binned matrix (the quantized fast path:
-    /// routes on `u8` bins, no raw values needed).
-    ///
-    /// # Panics
-    /// Panics if `qm` has fewer features than the model expects.
-    pub fn predict_raw_binned(&self, qm: &QuantizedMatrix) -> Vec<f32> {
-        self.check_features(qm.n_features());
-        let mut out = self.base_filled(qm.n_rows());
-        self.run(qm.n_rows(), &mut out, |lo, hi, dst| {
-            kernel::score_block_binned(self.forest, qm, lo, hi, dst, self.forest.n_groups, 0);
-        });
-        out
-    }
-
-    /// Raw scores through a [`QuantStore`]: an in-core store takes the
-    /// exact [`predict_raw_binned`](Self::predict_raw_binned) path; a
-    /// chunked store scores each row block against the chunk slabs it
-    /// intersects (pin → score → advance, prefetching the next chunk), with
-    /// bitwise-identical output — per-row scoring never crosses a chunk
-    /// boundary.
+    /// Raw scores for already-binned rows behind any [`QuantStore`] — the
+    /// in-memory [`harp_binning::QuantizedMatrix`] or a chunked store (the
+    /// quantized fast path: routes on `u8` bins, no raw values needed). Each
+    /// row block is scored against the chunk slabs it intersects, one
+    /// [`sweep_chunks`] step per slab; per-row scoring never crosses a chunk
+    /// boundary, so the output is bitwise identical whatever the chunking.
     ///
     /// # Panics
     /// Panics if `store` has fewer features than the model expects.
     pub fn predict_raw_store(&self, store: &dyn QuantStore) -> Vec<f32> {
-        if let Some(qm) = store.as_single() {
-            return self.predict_raw_binned(qm);
-        }
         self.check_features(store.n_features());
-        let n = store.n_rows();
         let stride = self.forest.n_groups;
-        let mut out = self.base_filled(n);
-        self.run(n, &mut out, |lo, hi, dst| {
-            let mut r = lo;
-            while r < hi {
-                let c = store.chunk_of_row(r);
-                let span = store.chunk_rows(c);
-                let b = span.end.min(hi);
-                if b < n {
-                    store.prefetch(store.chunk_of_row(b));
-                }
-                let chunk = store.pin(c);
-                kernel::score_block_binned(
-                    self.forest,
-                    &chunk,
-                    r - span.start,
-                    b - span.start,
-                    &mut dst[(r - lo) * stride..(b - lo) * stride],
-                    stride,
-                    0,
-                );
-                r = b;
-            }
+        let mut out = self.base_filled(store.n_rows());
+        self.run(store.n_rows(), &mut out, |lo, hi, dst| {
+            sweep_chunks(
+                store,
+                &[Rows::Range(lo..hi)],
+                |_| {},
+                |run| {
+                    let rows = run.rows.range();
+                    kernel::score_block_binned(
+                        self.forest,
+                        run.slab,
+                        rows.start,
+                        rows.end,
+                        &mut dst[run.pos.start * stride..run.pos.end * stride],
+                        stride,
+                        0,
+                    );
+                },
+            );
         });
         out
     }
 
     /// Raw scores for dense already-binned rows — the serving protocol's
     /// quantized payload: row-major `u8` bin ids routed on each split's bin
-    /// threshold exactly like [`predict_raw_binned`](Self::predict_raw_binned),
+    /// threshold exactly like [`predict_raw_store`](Self::predict_raw_store),
     /// with `harp_binning::MISSING_BIN` following the default direction.
     ///
     /// # Panics

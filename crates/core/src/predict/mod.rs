@@ -10,10 +10,10 @@
 //! * **Row blocking**: rows are scored in blocks (default
 //!   [`DEFAULT_ROW_BLOCK`]) with trees in the outer loop, so one tree's
 //!   node arrays stay cache-hot across a whole block.
-//! * **Quantized fast path**: [`Predictor::predict_raw_binned`] routes on
-//!   `u8` bins of an already-binned [`QuantizedMatrix`]
-//!   (`harp_binning::QuantizedMatrix`) using each split's bin threshold —
-//!   the same predicate the trainer partitions with.
+//! * **Quantized fast path**: [`Predictor::predict_raw_store`] routes on
+//!   `u8` bins of an already-binned [`QuantStore`] (an in-memory
+//!   `harp_binning::QuantizedMatrix` or a chunked store) using each split's
+//!   bin threshold — the same predicate the trainer partitions with.
 //! * **Parallel driver**: [`Predictor::with_pool`] fans row blocks out on
 //!   the instrumented `harp-parallel` pool; with
 //!   [`Predictor::with_breakdown`] the time lands in the dedicated
@@ -34,7 +34,7 @@ mod kernel;
 pub use driver::{BinRows, Predictor, DEFAULT_ROW_BLOCK};
 pub use flat::FlatForest;
 
-use harp_binning::QuantizedMatrix;
+use harp_binning::QuantStore;
 use harp_data::FeatureMatrix;
 use harp_parallel::ThreadPool;
 
@@ -52,9 +52,9 @@ impl FlatForest {
         Predictor::new(self).with_pool(pool).predict_raw(features)
     }
 
-    /// Raw scores for an already-binned matrix (routes on bins directly).
-    pub fn predict_raw_binned(&self, qm: &QuantizedMatrix) -> Vec<f32> {
-        Predictor::new(self).predict_raw_binned(qm)
+    /// Raw scores for already-binned rows (routes on bins directly).
+    pub fn predict_raw_store(&self, store: &dyn QuantStore) -> Vec<f32> {
+        Predictor::new(self).predict_raw_store(store)
     }
 
     /// Response-scale predictions (probabilities for logistic/softmax,
@@ -75,7 +75,7 @@ mod tests {
     use super::*;
     use crate::params::LossKind;
     use crate::tree::{NodeStats, SplitData, Tree};
-    use harp_binning::BinningConfig;
+    use harp_binning::{BinningConfig, QuantizedMatrix};
     use harp_data::{CsrMatrix, DenseMatrix};
     use harp_metrics::TimeBreakdown;
 
@@ -187,7 +187,7 @@ mod tests {
         ));
         let qm = QuantizedMatrix::from_matrix(&m, BinningConfig::default());
         let f = forest();
-        let got = f.predict_raw_binned(&qm);
+        let got = f.predict_raw_store(&qm);
         for (r, &score) in got.iter().enumerate() {
             let mut expect = 0.25f32;
             for t in 0..f.n_trees() {

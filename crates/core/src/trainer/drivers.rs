@@ -37,10 +37,7 @@
 //! have run any task and every replica conservatively takes the union.
 
 use crate::hist::{ReplicaBuf, ScratchPool};
-use crate::kernels::{
-    col_scan_store, row_scan, row_scan_root, row_scan_root_store, row_scan_scalar, row_scan_store,
-    GradSource, BYTES_PER_CELL, FLOPS_PER_CELL,
-};
+use crate::kernels::{col_scan_store, row_scan_run, GradSource, BYTES_PER_CELL, FLOPS_PER_CELL};
 use crate::loss::GradPair;
 use crate::params::TrainParams;
 use crate::partition::RowPartition;
@@ -49,10 +46,10 @@ use crate::plan::{
     ResolvedExtents, ScanLayout,
 };
 use crate::tree::NodeId;
-use harp_binning::QuantStore;
+use harp_binning::{sweep_chunks, QuantStore, Rows};
 use harp_parallel::{ThreadPool, TracePhase, TraceSink};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// A histogram to fill for one node.
 pub struct HistJob {
@@ -243,203 +240,113 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
     let root_identity = ctx.partition.is_identity_order();
 
     let trace = ctx.trace();
-    let run_task = |task: &BlockTask, slot: usize, lane: usize| {
-        let job_idx = task.jobs.start;
-        let job = &jobs_ro[job_idx];
-        let _span = trace.map(|s| {
-            s.span(lane, TracePhase::BuildHist, job.node, (task.rows.start / row_blk) as u32)
-        });
-        let membuf = ctx.partition.grads(job.node);
-        let grads = if membuf.is_empty() {
-            GradSource::Global(ctx.grads)
-        } else {
-            GradSource::MemBuf(&membuf[task.rows.clone()])
-        };
-        let dst = dst_of(job_idx, slot);
-        let c = if !use_scalar && job.node == 0 && root_identity {
-            // Root fast path: the root span starts at row 0 in identity
-            // order, so the chunk's positions ARE its row ids and the row-id
-            // indirection drops out.
-            row_scan_root_store(ctx.qm, task.rows.clone(), grads, task.features.clone(), dst)
-        } else {
-            let rows = &ctx.partition.rows(job.node)[task.rows.clone()];
-            row_scan_store(ctx.qm, rows, grads, task.features.clone(), dst, use_scalar)
-        };
-        cells.fetch_add(c, Ordering::Relaxed);
-    };
 
-    // Chunk-major stripe execution for out-of-core stores. Deep nodes
-    // scatter their rows over every chunk, so running each task to
-    // completion sweeps the whole chunk sequence once *per task* — under a
-    // resident budget that reloads the entire cache per task. Instead the
-    // slot sweeps the chunk sequence ONCE, scanning every stripe task's
-    // rows that fall inside the currently pinned chunk. Per histogram cell
-    // this is still ascending-row accumulation: tasks sharing a (job,
-    // feature) lane in one slot own ascending, disjoint position ranges of
-    // the node's ascending row list, so interleaving them chunk by chunk
-    // visits exactly the same rows in exactly the same order as running
-    // them back to back — the result is bitwise identical to in-core.
     // When the resident budget holds only `capacity` chunks, concurrent
-    // stripe cursors must stay within an eviction-free window of each other:
-    // a cursor that runs `capacity` chunks ahead evicts exactly the chunks
-    // the laggards are about to pin, degrading every sweep to a full
-    // reload. Cursors publish their step count and a leader spin-waits
-    // (bounded — task claiming is dynamic, so a slot may start late) until
-    // the slowest cursor is back inside the window; the laggards then hit
-    // the leader's decoded chunks instead of reloading their own.
+    // sweeps must stay within an eviction-free window of each other: one
+    // that runs `capacity` chunks ahead evicts exactly the chunks the
+    // laggards are about to pin, degrading every sweep to a full reload.
+    // Slots publish their step count and a leader spin-waits (bounded — a
+    // slot may start late) until the slowest is back inside the window; the
+    // laggards then hit the leader's decoded chunks instead of reloading
+    // their own.
     let capacity = ctx.qm.sweep_capacity();
     let window = if capacity == usize::MAX {
         usize::MAX
     } else {
         capacity.saturating_sub(n_slots + 1).max(1)
     };
-    let progress: Vec<std::sync::atomic::AtomicUsize> =
-        (0..n_slots).map(|_| std::sync::atomic::AtomicUsize::new(0)).collect();
+    let progress: Vec<AtomicUsize> = (0..n_slots).map(|_| AtomicUsize::new(0)).collect();
     let progress = &progress;
-
-    let run_stripe = |slot: usize, lane: usize| {
-        struct Cursor<'a> {
-            task: &'a BlockTask,
-            job_idx: usize,
-            /// Node-global row ids of the task (empty on the root fast path).
-            rows: &'a [u32],
-            /// Global row range on the root identity fast path.
-            root: Option<Range<usize>>,
-            /// Progress: index into `rows`, or rows consumed of `root`.
-            pos: usize,
-            /// Task-positional MemBuf slice (empty => global gradients).
-            membuf: &'a [GradPair],
+    let throttle = |slot: usize, steps: usize| {
+        if window == usize::MAX {
+            return;
         }
-        let store = ctx.qm;
-        let mut cursors: Vec<Cursor> = Vec::new();
-        let mut i = slot;
-        while i < tasks_ro.len() {
-            let task = &tasks_ro[i];
-            let job_idx = task.jobs.start;
-            let job = &jobs_ro[job_idx];
-            let mb = ctx.partition.grads(job.node);
-            let membuf = if mb.is_empty() { mb } else { &mb[task.rows.clone()] };
-            let root = (!use_scalar && job.node == 0 && root_identity).then(|| task.rows.clone());
-            let rows: &[u32] =
-                if root.is_some() { &[] } else { &ctx.partition.rows(job.node)[task.rows.clone()] };
-            cursors.push(Cursor { task, job_idx, rows, root, pos: 0, membuf });
-            i += n_slots;
-        }
-        let next_row = |c: &Cursor| -> Option<usize> {
-            match &c.root {
-                Some(r) => (r.start + c.pos < r.end).then_some(r.start + c.pos),
-                None => c.rows.get(c.pos).map(|&r| r as usize),
-            }
-        };
-        let mut local_cells = 0u64;
-        let mut local_rows: Vec<u32> = Vec::new();
-        let mut steps = 0usize;
-        loop {
-            let mut c_min = usize::MAX;
-            for cur in &cursors {
-                if let Some(r) = next_row(cur) {
-                    c_min = c_min.min(store.chunk_of_row(r));
-                }
-            }
-            if c_min == usize::MAX {
-                progress[slot].store(usize::MAX, Ordering::Release);
+        progress[slot].store(steps, Ordering::Release);
+        let behind = || progress.iter().map(|p| p.load(Ordering::Acquire)).min().unwrap_or(steps);
+        let mut spins = 0u32;
+        while steps > behind() + window {
+            // Bounded: if the pool handed two slots to one worker, the
+            // missing sweep never advances — yield so its worker gets
+            // scheduled, give up after ~ms and run unthrottled rather than
+            // deadlock.
+            spins += 1;
+            if spins > 1 << 22 {
                 break;
             }
-            if window != usize::MAX {
-                progress[slot].store(steps, Ordering::Release);
-                let behind =
-                    || progress.iter().map(|p| p.load(Ordering::Acquire)).min().unwrap_or(steps);
-                let mut spins = 0u32;
-                while steps > behind() + window {
-                    // Bounded: if the pool handed two slots to one worker,
-                    // the missing cursor never advances — yield so its
-                    // worker gets scheduled, give up after ~ms and run
-                    // unthrottled rather than deadlock.
-                    spins += 1;
-                    if spins > 1 << 22 {
-                        break;
-                    }
-                    if spins % 1024 == 0 {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
-                }
-            }
-            steps += 1;
-            // Sweeps are ascending and near-dense over the chunk range, so
-            // the sequential hint overlaps the next decode with this scan.
-            if c_min + 1 < store.n_chunks() {
-                store.prefetch(c_min + 1);
-            }
-            let span = store.chunk_rows(c_min);
-            let chunk = store.pin(c_min);
-            for cur in &mut cursors {
-                let Some(r0) = next_row(cur) else { continue };
-                if r0 >= span.end {
-                    continue;
-                }
-                let job = &jobs_ro[cur.job_idx];
-                let _span =
-                    trace.map(|s| s.span(lane, TracePhase::BuildHist, job.node, c_min as u32));
-                let dst = dst_of(cur.job_idx, slot);
-                let f_range = cur.task.features.clone();
-                local_cells += match &cur.root {
-                    Some(range) => {
-                        let hi = span.end.min(range.end);
-                        let grads = if cur.membuf.is_empty() {
-                            GradSource::Global(&ctx.grads[span.start..])
-                        } else {
-                            GradSource::MemBuf(&cur.membuf[r0 - range.start..])
-                        };
-                        cur.pos += hi - r0;
-                        row_scan_root(&chunk, r0 - span.start..hi - span.start, grads, f_range, dst)
-                    }
-                    None => {
-                        let end = cur.pos
-                            + cur.rows[cur.pos..].partition_point(|&r| (r as usize) < span.end);
-                        local_rows.clear();
-                        local_rows
-                            .extend(cur.rows[cur.pos..end].iter().map(|&r| r - span.start as u32));
-                        let grads = if cur.membuf.is_empty() {
-                            GradSource::Global(&ctx.grads[span.start..])
-                        } else {
-                            GradSource::MemBuf(&cur.membuf[cur.pos..end])
-                        };
-                        let c = if use_scalar {
-                            row_scan_scalar(&chunk, &local_rows, grads, f_range, dst)
-                        } else {
-                            row_scan(&chunk, &local_rows, grads, f_range, dst)
-                        };
-                        cur.pos = end;
-                        c
-                    }
-                };
+            if spins % 1024 == 0 {
+                std::thread::yield_now();
+            } else {
+                std::hint::spin_loop();
             }
         }
+    };
+
+    // The one task body: tasks `first, first + stride, …` become the cursors
+    // of ONE chunk sweep, which scans every task's rows that fall inside the
+    // pinned chunk before moving on. Deep nodes scatter their rows over
+    // every chunk, so running each task to completion would sweep the whole
+    // chunk sequence once *per task* — under a resident budget, a reload of
+    // the entire cache per task. Per histogram cell this is still
+    // ascending-row accumulation: tasks sharing a (job, feature) lane in one
+    // slot own ascending, disjoint position ranges of the node's ascending
+    // row list, so interleaving them chunk by chunk visits exactly the same
+    // rows in exactly the same order as running them back to back. In-core
+    // the sweep has one step, and that step *is* the tasks run back to back.
+    let run_tasks = |first: usize, stride: usize, slot: usize, lane: usize| {
+        let cursors: Vec<Rows<'_>> = tasks_ro
+            .iter()
+            .skip(first)
+            .step_by(stride)
+            .map(|task| {
+                let node = jobs_ro[task.jobs.start].node;
+                if !use_scalar && node == 0 && root_identity {
+                    // Root fast path: the root span starts at row 0 in
+                    // identity order, so a task's positions ARE its row ids
+                    // and the row-id indirection drops out.
+                    Rows::Range(task.rows.clone())
+                } else {
+                    Rows::List(&ctx.partition.rows(node)[task.rows.clone()])
+                }
+            })
+            .collect();
+        let mut local_cells = 0u64;
+        sweep_chunks(
+            ctx.qm,
+            &cursors,
+            |steps| throttle(slot, steps),
+            |run| {
+                let task = &tasks_ro[first + run.cursor * stride];
+                let job_idx = task.jobs.start;
+                let node = jobs_ro[job_idx].node;
+                let _span = trace.map(|s| {
+                    s.span(lane, TracePhase::BuildHist, node, (task.rows.start / row_blk) as u32)
+                });
+                let membuf = ctx.partition.grads(node);
+                let grads = if membuf.is_empty() {
+                    GradSource::Global(ctx.grads)
+                } else {
+                    GradSource::MemBuf(&membuf[task.rows.clone()])
+                };
+                let dst = dst_of(job_idx, slot);
+                local_cells += row_scan_run(run, grads, task.features.clone(), dst, use_scalar);
+            },
+        );
+        progress[slot].store(usize::MAX, Ordering::Release);
         cells.fetch_add(local_cells, Ordering::Relaxed);
     };
 
-    let chunked = ctx.qm.as_single().is_none();
-    // A chunked store always takes the static stripe schedule (so the
-    // chunk-major sweep owns a fixed task set); bitwise reproducibility in
-    // dynamic mode is no loss — dynamic replica assignment is already
-    // timing-dependent in-core.
-    let static_sched = ctx.params.deterministic || chunked;
-    if chunked {
-        ctx.pool.parallel_for(n_slots, run_stripe);
-    } else if ctx.params.deterministic {
-        // Static schedule: slot s runs tasks s, s+T, s+2T, ...
-        ctx.pool.parallel_for(n_slots, |slot, worker| {
-            let mut i = slot;
-            while i < tasks_ro.len() {
-                run_task(&tasks_ro[i], slot, worker);
-                i += n_slots;
-            }
-        });
+    // A multi-chunk store always takes the static schedule (so a sweep owns
+    // a fixed task set); bitwise reproducibility in dynamic mode is no loss —
+    // dynamic replica assignment is already timing-dependent in-core.
+    let static_sched = ctx.params.deterministic || ctx.qm.n_chunks() > 1;
+    if static_sched {
+        // Slot s runs tasks s, s+T, s+2T, ...
+        ctx.pool
+            .parallel_for(n_slots, |slot, worker| run_tasks(slot, n_slots, slot, worker));
     } else {
+        // Any worker takes any one task, into its own replica.
         ctx.pool.parallel_for(tasks_ro.len(), |i, worker| {
-            run_task(&tasks_ro[i], worker.min(n_slots - 1), worker);
+            run_tasks(i, tasks_ro.len(), worker.min(n_slots - 1), worker);
         });
     }
 

@@ -28,7 +28,8 @@ use crate::partition::RowPartition;
 use crate::split::{better_of, SplitCandidate, SplitSettings};
 use crate::tree::{NodeId, NodeStats, Tree};
 use harp_binning::{
-    BinningConfig, ChunkIoStats, LayoutOptions, QuantStore, QuantizedMatrix, MISSING_BIN,
+    sweep_chunks, BinningConfig, ChunkIoStats, LayoutOptions, QuantStore, QuantizedMatrix, Rows,
+    MISSING_BIN,
 };
 use harp_data::Dataset;
 use harp_metrics::{
@@ -266,6 +267,9 @@ impl GbdtTrainer {
     }
 
     /// Quantizes `dataset` and trains.
+    ///
+    /// # Panics
+    /// As [`train_with_eval`](Self::train_with_eval).
     pub fn train(&self, dataset: &Dataset) -> TrainOutput {
         self.train_with_eval(dataset, None)
     }
@@ -273,15 +277,12 @@ impl GbdtTrainer {
     /// Quantizes `dataset` and trains with optional validation. Query-group
     /// sizes attached to the dataset flow into listwise objectives and
     /// ranking metrics.
+    ///
+    /// # Panics
+    /// Panics with [`try_train_with_eval`](Self::try_train_with_eval)'s
+    /// message if the objective rejects the data.
     pub fn train_with_eval(&self, dataset: &Dataset, eval: Option<EvalOptions<'_>>) -> TrainOutput {
-        let qm = QuantizedMatrix::from_matrix_opts(&dataset.features, self.binning, self.layout);
-        self.train_prepared_grouped(
-            &qm,
-            &dataset.labels,
-            None,
-            dataset.query_groups.as_deref(),
-            eval,
-        )
+        self.try_train_with_eval(dataset, eval).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Like [`train_with_eval`](Self::train_with_eval) but with the
@@ -295,75 +296,24 @@ impl GbdtTrainer {
         dataset: &Dataset,
         eval: Option<EvalOptions<'_>>,
     ) -> Result<TrainOutput, String> {
-        let objective = self.params.loss.build();
-        objective
-            .validate_data(&dataset.labels, dataset.query_groups.as_deref())
-            .map_err(|e| format!("training data rejected by {}: {e}", self.params.loss.name()))?;
-        if let Some(e) = &eval {
-            objective
-                .validate_data(&e.data.labels, e.data.query_groups.as_deref())
-                .map_err(|err| {
-                    format!("eval data rejected by {}: {err}", self.params.loss.name())
-                })?;
-        }
-        Ok(self.train_with_eval(dataset, eval))
+        let qm = QuantizedMatrix::from_matrix_opts(&dataset.features, self.binning, self.layout);
+        self.try_train_store_grouped(
+            &qm,
+            &dataset.labels,
+            None,
+            dataset.query_groups.as_deref(),
+            eval,
+        )
     }
 
-    /// Trains on an already-quantized matrix (lets experiments bin once and
-    /// train many configurations on identical inputs).
+    /// Trains on already-quantized data through any [`QuantStore`] — the
+    /// in-memory [`QuantizedMatrix`] (lets experiments bin once and train
+    /// many configurations on identical inputs) or an out-of-core
+    /// [`harp_binning::ChunkedStore`]. Chunked training is bitwise identical
+    /// to in-core on the same data (see `tests/external_memory.rs`).
     ///
     /// # Panics
-    /// Panics if `labels.len() != qm.n_rows()`.
-    pub fn train_prepared(
-        &self,
-        qm: &QuantizedMatrix,
-        labels: &[f32],
-        eval: Option<EvalOptions<'_>>,
-    ) -> TrainOutput {
-        self.train_prepared_weighted(qm, labels, None, eval)
-    }
-
-    /// Like [`train_prepared`](Self::train_prepared) with optional per-row
-    /// sample weights, which scale each row's gradient pair.
-    ///
-    /// # Panics
-    /// Panics if `labels.len() != qm.n_rows()` or the weights length differs.
-    pub fn train_prepared_weighted(
-        &self,
-        qm: &QuantizedMatrix,
-        labels: &[f32],
-        weights: Option<&[f32]>,
-        eval: Option<EvalOptions<'_>>,
-    ) -> TrainOutput {
-        self.train_prepared_grouped(qm, labels, weights, None, eval)
-    }
-
-    /// The full prepared-input entry point: optional per-row weights plus
-    /// optional consecutive query-group sizes (required by listwise
-    /// objectives such as LambdaRank and by the `ndcg@k` metric).
-    ///
-    /// # Panics
-    /// Panics if `labels.len() != qm.n_rows()`, the weights length differs,
-    /// or the objective rejects the data (use
-    /// [`try_train_with_eval`](Self::try_train_with_eval) for a `Result`).
-    pub fn train_prepared_grouped(
-        &self,
-        qm: &QuantizedMatrix,
-        labels: &[f32],
-        weights: Option<&[f32]>,
-        query_groups: Option<&[u32]>,
-        eval: Option<EvalOptions<'_>>,
-    ) -> TrainOutput {
-        self.train_store_grouped(qm, labels, weights, query_groups, eval)
-    }
-
-    /// Trains through any [`QuantStore`] — the in-memory matrix or an
-    /// out-of-core [`harp_binning::ChunkedStore`]. Chunked training is
-    /// bitwise identical to in-core on the same data (see
-    /// `tests/external_memory.rs`).
-    ///
-    /// # Panics
-    /// Panics if `labels.len() != store.n_rows()`.
+    /// As [`train_store_grouped`](Self::train_store_grouped).
     pub fn train_store(
         &self,
         store: &dyn QuantStore,
@@ -373,41 +323,13 @@ impl GbdtTrainer {
         self.train_store_grouped(store, labels, None, None, eval)
     }
 
-    /// Like [`train_store_grouped`](Self::train_store_grouped) with the
-    /// objective's data validation surfaced as an error instead of a panic —
-    /// the CLI-friendly external-memory entry point.
-    ///
-    /// # Errors
-    /// Returns the objective's validation message for unusable data.
-    pub fn try_train_store_grouped(
-        &self,
-        store: &dyn QuantStore,
-        labels: &[f32],
-        weights: Option<&[f32]>,
-        query_groups: Option<&[u32]>,
-        eval: Option<EvalOptions<'_>>,
-    ) -> Result<TrainOutput, String> {
-        let objective = self.params.loss.build();
-        objective
-            .validate_data(labels, query_groups)
-            .map_err(|e| format!("training data rejected by {}: {e}", self.params.loss.name()))?;
-        if let Some(e) = &eval {
-            objective
-                .validate_data(&e.data.labels, e.data.query_groups.as_deref())
-                .map_err(|err| {
-                    format!("eval data rejected by {}: {err}", self.params.loss.name())
-                })?;
-        }
-        Ok(self.train_store_grouped(store, labels, weights, query_groups, eval))
-    }
-
-    /// The full store-mediated entry point; see
-    /// [`train_prepared_grouped`](Self::train_prepared_grouped) for the
-    /// weight/group semantics.
+    /// [`try_train_store_grouped`](Self::try_train_store_grouped) for
+    /// callers that know their data fits the objective.
     ///
     /// # Panics
     /// Panics if `labels.len() != store.n_rows()`, the weights length
-    /// differs, or the objective rejects the data.
+    /// differs, or — with `try_train_store_grouped`'s message — the
+    /// objective rejects the data.
     pub fn train_store_grouped(
         &self,
         store: &dyn QuantStore,
@@ -416,12 +338,42 @@ impl GbdtTrainer {
         query_groups: Option<&[u32]>,
         eval: Option<EvalOptions<'_>>,
     ) -> TrainOutput {
+        self.try_train_store_grouped(store, labels, weights, query_groups, eval)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The full store-mediated entry point, which every other one forwards
+    /// to: optional per-row sample weights (they scale each row's gradient
+    /// pair) plus optional consecutive query-group sizes (required by
+    /// listwise objectives such as LambdaRank and by the `ndcg@k` metric).
+    /// The objective's one check of the training and eval data happens
+    /// here.
+    ///
+    /// # Errors
+    /// Returns the objective's validation message for unusable data.
+    ///
+    /// # Panics
+    /// Panics if `labels.len() != store.n_rows()` or the weights length
+    /// differs.
+    pub fn try_train_store_grouped(
+        &self,
+        store: &dyn QuantStore,
+        labels: &[f32],
+        weights: Option<&[f32]>,
+        query_groups: Option<&[u32]>,
+        eval: Option<EvalOptions<'_>>,
+    ) -> Result<TrainOutput, String> {
         let qm = store;
         assert_eq!(labels.len(), qm.n_rows(), "one label per row required");
         let params = &self.params;
         let objective = params.loss.build();
-        if let Err(e) = objective.validate_data(labels, query_groups) {
-            panic!("training data rejected by {}: {e}", params.loss.name());
+        objective
+            .validate_data(labels, query_groups)
+            .map_err(|e| format!("training data rejected by {}: {e}", params.loss.name()))?;
+        if let Some(e) = &eval {
+            objective
+                .validate_data(&e.data.labels, e.data.query_groups.as_deref())
+                .map_err(|err| format!("eval data rejected by {}: {err}", params.loss.name()))?;
         }
         let profile = Arc::new(Profile::new());
         let mut pool = ThreadPool::with_profile(params.n_threads, Arc::clone(&profile));
@@ -787,10 +739,10 @@ impl GbdtTrainer {
             worker_skew,
             ledger: run_ledger,
         };
-        TrainOutput {
+        Ok(TrainOutput {
             model: GbdtModel::new(trees, base_scores, params.loss, qm.n_features()),
             diagnostics,
-        }
+        })
     }
 }
 
@@ -1008,9 +960,7 @@ impl<'a> TreeEngine<'a> {
                     self.params.max_leaves() - *leaves,
                 ));
             }
-            // Routing bins for the whole frontier come from one ascending
-            // chunk sweep (a no-op change for in-core stores, which borrow
-            // their routing columns per split).
+            // Routing bins for the whole frontier come from one chunk sweep.
             let items: Vec<(&[u32], &crate::tree::SplitData)> = splits
                 .iter()
                 .zip(&batch)
@@ -1299,9 +1249,29 @@ enum SplitRoute<'a> {
     Bundled { col: &'a [u8], lo: u16, width: u16 },
     /// Per-row CSR binary search (in-core sparse).
     Sparse(&'a QuantizedMatrix),
-    /// Owned copies of the node's row list and its effective routing bins,
+    /// The node's effective routing bins by position in its row list,
     /// gathered chunk by chunk up front (out-of-core stores).
-    Gathered { rows: Vec<u32>, bins: Vec<u8> },
+    Gathered(Vec<u8>),
+}
+
+impl<'a> SplitRoute<'a> {
+    /// The route that borrows feature `f`'s column from a store resident as
+    /// one matrix — nothing to gather, nothing to copy. One of the two
+    /// places that ask for the in-core *representation*
+    /// ([`QuantStore::as_single`]): a borrowed column is not a row read, so
+    /// it has no chunk sweep to go through.
+    fn borrowed(store: &'a dyn QuantStore, f: usize) -> Option<Self> {
+        let qm = store.as_single()?;
+        Some(if let Some(col) = qm.dense_col(f) {
+            SplitRoute::Dense(col)
+        } else if qm.is_bundled() {
+            let slot = qm.mapper().bundles().expect("bundle map").slot(f);
+            let col = qm.bundled_col(slot.col as usize).expect("bundled storage");
+            SplitRoute::Bundled { col, lo: slot.offset, width: slot.width }
+        } else {
+            SplitRoute::Sparse(qm)
+        })
+    }
 }
 
 /// The left/right routing predicate for one split over binned data.
@@ -1313,94 +1283,54 @@ pub(crate) struct SplitPred<'a> {
 }
 
 /// Builds the routing predicate for `split` over a node whose (ascending)
-/// row list is `rows`. In-core stores borrow the routing column directly —
-/// the exact pre-trait fast paths, `rows` unused; a chunked store gathers
-/// the node's effective bins once here, so the partition hot loop never
-/// pins chunks. Call this BEFORE `RowPartition::apply_split` mutates the
-/// node's span: the gathered route owns its copies and stays valid through
-/// the partition, a live borrow of the row list would not.
+/// row list is `rows`: [`split_preds_batch`] for a frontier of one.
 pub(crate) fn split_pred<'a>(
     store: &'a dyn QuantStore,
     rows: &[u32],
     split: &crate::tree::SplitData,
 ) -> SplitPred<'a> {
-    let f = split.feature as usize;
-    let route = match store.as_single() {
-        Some(qm) => {
-            if let Some(col) = qm.dense_col(f) {
-                SplitRoute::Dense(col)
-            } else if qm.is_bundled() {
-                let slot = qm.mapper().bundles().expect("bundle map").slot(f);
-                let col = qm.bundled_col(slot.col as usize).expect("bundled storage");
-                SplitRoute::Bundled { col, lo: slot.offset, width: slot.width }
-            } else {
-                SplitRoute::Sparse(qm)
-            }
-        }
-        None => {
-            let rows_owned = rows.to_vec();
-            let mut bins = Vec::with_capacity(rows_owned.len());
-            store.gather_route_bins(f, &rows_owned, &mut bins);
-            SplitRoute::Gathered { rows: rows_owned, bins }
-        }
-    };
-    SplitPred { f, bin: split.bin, default_left: split.default_left, route }
+    split_preds_batch(store, &[(rows, split)])
+        .pop()
+        .expect("one predicate per split")
 }
 
-/// Builds the routing predicates for a whole frontier of splits at once.
-/// In-core stores borrow their routing columns per split (O(1), exactly
-/// [`split_pred`]); a chunked store gathers every node's routing bins in
-/// ONE ascending sweep of the chunk sequence — per-node gathers would pin
-/// the node's full chunk span once per split, which under a resident
-/// budget reloads most of the cache for every split in the batch.
+/// Builds the routing predicates for a whole frontier of splits at once,
+/// each over its node's (ascending) row list. A store resident as one
+/// matrix lends its routing columns (O(1) per split, rows unused); any other
+/// store gathers every node's routing bins in ONE chunk sweep — per-node
+/// gathers would pin each node's full chunk span once per split, which under
+/// a resident budget reloads most of the cache for every split in the batch
+/// — so the partition hot loop never pins chunks. Call this BEFORE
+/// `RowPartition::apply_split` mutates the nodes' spans: the sweep reads the
+/// row lists in place, and the gathered bins stay valid by position.
 pub(crate) fn split_preds_batch<'a>(
     store: &'a dyn QuantStore,
     items: &[(&[u32], &crate::tree::SplitData)],
 ) -> Vec<SplitPred<'a>> {
-    if store.as_single().is_some() {
-        return items.iter().map(|&(rows, split)| split_pred(store, rows, split)).collect();
-    }
-    let rows_owned: Vec<Vec<u32>> = items.iter().map(|&(r, _)| r.to_vec()).collect();
-    let mut bins: Vec<Vec<u8>> = items.iter().map(|&(r, _)| Vec::with_capacity(r.len())).collect();
-    let mut pos = vec![0usize; items.len()];
-    let mut local: Vec<u32> = Vec::new();
-    loop {
-        let mut c_min = usize::MAX;
-        for (i, r) in rows_owned.iter().enumerate() {
-            if let Some(&row) = r.get(pos[i]) {
-                c_min = c_min.min(store.chunk_of_row(row as usize));
-            }
-        }
-        if c_min == usize::MAX {
-            break;
-        }
-        if c_min + 1 < store.n_chunks() {
-            store.prefetch(c_min + 1);
-        }
-        let span = store.chunk_rows(c_min);
-        let chunk = store.pin(c_min);
-        for (i, r) in rows_owned.iter().enumerate() {
-            let Some(&row) = r.get(pos[i]) else { continue };
-            if row as usize >= span.end {
-                continue;
-            }
-            let end = pos[i] + r[pos[i]..].partition_point(|&x| (x as usize) < span.end);
-            local.clear();
-            local.extend(r[pos[i]..end].iter().map(|&x| x - span.start as u32));
-            chunk.gather_route_bins(items[i].1.feature as usize, &local, &mut bins[i]);
-            pos[i] = end;
-        }
-    }
-    items
+    let mut preds: Vec<SplitPred<'a>> = items
         .iter()
-        .zip(rows_owned.into_iter().zip(bins))
-        .map(|(&(_, split), (rows, bins))| SplitPred {
-            f: split.feature as usize,
-            bin: split.bin,
-            default_left: split.default_left,
-            route: SplitRoute::Gathered { rows, bins },
+        .map(|&(rows, split)| {
+            let f = split.feature as usize;
+            let route = SplitRoute::borrowed(store, f)
+                .unwrap_or_else(|| SplitRoute::Gathered(Vec::with_capacity(rows.len())));
+            SplitPred { f, bin: split.bin, default_left: split.default_left, route }
         })
-        .collect()
+        .collect();
+    if preds.iter().any(|p| matches!(p.route, SplitRoute::Gathered(_))) {
+        let cursors: Vec<Rows<'_>> = items.iter().map(|&(rows, _)| Rows::List(rows)).collect();
+        sweep_chunks(
+            store,
+            &cursors,
+            |_| {},
+            |run| {
+                let pred = &mut preds[run.cursor];
+                if let SplitRoute::Gathered(bins) = &mut pred.route {
+                    run.slab.route_bins_for(pred.f, run.rows.list(), bins);
+                }
+            },
+        );
+    }
+    preds
 }
 
 impl SplitPred<'_> {
@@ -1432,10 +1362,7 @@ impl SplitPred<'_> {
                     Err(_) => MISSING_BIN,
                 }
             }
-            SplitRoute::Gathered { rows, bins } => {
-                debug_assert_eq!(rows[pos], row, "gathered route out of step with the span");
-                bins[pos]
-            }
+            SplitRoute::Gathered(bins) => bins[pos],
         };
         if b == MISSING_BIN {
             self.default_left

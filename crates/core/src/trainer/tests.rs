@@ -504,13 +504,12 @@ fn sample_weights_shift_the_decision_boundary() {
     // Upweight positives 10x: mean predicted probability must rise.
     let weights: Vec<f32> = data.labels.iter().map(|&y| if y > 0.5 { 10.0 } else { 1.0 }).collect();
     let params = TrainParams { n_trees: 8, ..base_params() };
-    let plain = GbdtTrainer::new(params.clone())
-        .unwrap()
-        .train_prepared(&qm, &data.labels, None);
-    let weighted = GbdtTrainer::new(params).unwrap().train_prepared_weighted(
+    let plain = GbdtTrainer::new(params.clone()).unwrap().train_store(&qm, &data.labels, None);
+    let weighted = GbdtTrainer::new(params).unwrap().train_store_grouped(
         &qm,
         &data.labels,
         Some(&weights),
+        None,
         None,
     );
     let mean = |out: &TrainOutput| {
@@ -519,6 +518,51 @@ fn sample_weights_shift_the_decision_boundary() {
     };
     let (mp, mw) = (mean(&plain), mean(&weighted));
     assert!(mw > mp + 0.05, "upweighting positives should raise mean probability: {mp} -> {mw}");
+}
+
+#[test]
+fn rejected_data_is_reported_one_way() {
+    // One validation, one message: every panicking entry point is its
+    // `try_*` form unwrapped, so the panic text IS the `Err` text.
+    let good = dataset(DatasetKind::HiggsLike, 0.02);
+    let mut bad = good.clone();
+    bad.labels[3] = 2.0;
+    let qm = |d: &Dataset| {
+        harp_binning::QuantizedMatrix::from_matrix(
+            &d.features,
+            harp_binning::BinningConfig::default(),
+        )
+    };
+    let (good_qm, bad_qm) = (qm(&good), qm(&bad));
+    let trainer = GbdtTrainer::new(TrainParams { n_trees: 1, ..base_params() }).unwrap();
+    let eval = |data| {
+        Some(EvalOptions { data, metric: EvalMetric::Auc, every: 1, early_stopping_rounds: None })
+    };
+    let panic_text = |train: &dyn Fn() -> TrainOutput| {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(train)).err()?;
+        payload.downcast_ref::<String>().cloned()
+    };
+
+    let err = trainer.try_train_store_grouped(&bad_qm, &bad.labels, None, None, None).err();
+    assert_eq!(
+        err.as_deref(),
+        Some("training data rejected by logistic: logistic labels must lie in [0, 1]; row 3 has 2")
+    );
+    assert_eq!(trainer.try_train_with_eval(&bad, None).err(), err);
+    assert_eq!(panic_text(&|| trainer.train(&bad)), err);
+    assert_eq!(panic_text(&|| trainer.train_with_eval(&bad, None)), err);
+    assert_eq!(panic_text(&|| trainer.train_store(&bad_qm, &bad.labels, None)), err);
+    assert_eq!(
+        panic_text(&|| trainer.train_store_grouped(&bad_qm, &bad.labels, None, None, None)),
+        err
+    );
+
+    let err = trainer.try_train_with_eval(&good, eval(&bad)).err();
+    assert!(err
+        .as_deref()
+        .is_some_and(|e| e.starts_with("eval data rejected by logistic: ")));
+    assert_eq!(panic_text(&|| trainer.train_store(&good_qm, &good.labels, eval(&bad))), err);
+    assert!(trainer.try_train_with_eval(&good, eval(&good)).is_ok());
 }
 
 #[test]

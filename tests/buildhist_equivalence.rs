@@ -503,7 +503,7 @@ fn bundled_training_is_bitwise_equal_to_uncompressed() {
         // The binned predict fast path routes through the bundle map too.
         let qm = QuantizedMatrix::from_matrix(&data.features, BinningConfig::default());
         assert!(qm.is_bundled());
-        let binned = bundled.model.compile().predict_raw_binned(&qm);
+        let binned = bundled.model.compile().predict_raw_store(&qm);
         assert_eq!(bits(&binned), bits(&pb), "{mode:?}: binned predict diverged on bundles");
     }
 }

@@ -16,7 +16,7 @@ fn every_dataset_shape_is_learnable() {
         let data = prepared(kind, scale, 5);
         let mut params = harp_params(4, 2);
         params.n_trees = 10;
-        let res = run_config(&data, params, false);
+        let res = run_config(&data, &data.quantized, params, false);
         assert!(res.test_auc > 0.60, "{}: held-out AUC only {:.3}", kind.name(), res.test_auc);
     }
 }
@@ -28,11 +28,11 @@ fn harp_beats_baselines_on_no_accuracy_dimension() {
     let data = prepared(DatasetKind::HiggsLike, 0.1, 9);
     let mut harp = harp_params(5, 2);
     harp.n_trees = 15;
-    let harp_res = run_config(&data, harp, false);
+    let harp_res = run_config(&data, &data.quantized, harp, false);
     for baseline in [Baseline::XgbLeaf, Baseline::LightGbm] {
         let mut params = baseline.params(5, 2);
         params.n_trees = 15;
-        let res = run_config(&data, params, false);
+        let res = run_config(&data, &data.quantized, params, false);
         assert!(
             (harp_res.test_auc - res.test_auc).abs() < 0.03,
             "{}: AUC {:.4} vs harp {:.4}",
@@ -48,7 +48,7 @@ fn model_persistence_roundtrip_preserves_predictions() {
     let data = prepared(DatasetKind::AirlineLike, 0.02, 3);
     let mut params = harp_params(4, 2);
     params.n_trees = 5;
-    let res = run_config(&data, params, false);
+    let res = run_config(&data, &data.quantized, params, false);
     let json = res.output.model.to_json().expect("serialize");
     let back = GbdtModel::from_json(&json).expect("parse");
     assert_eq!(
@@ -86,7 +86,7 @@ fn diagnostics_are_consistent_with_model() {
     let data = prepared(DatasetKind::CriteoLike, 0.04, 1);
     let mut params = harp_params(4, 2);
     params.n_trees = 6;
-    let res = run_config(&data, params, true);
+    let res = run_config(&data, &data.quantized, params, true);
     let d = &res.output.diagnostics;
     assert_eq!(d.per_tree_secs.len(), res.output.model.n_trees());
     assert_eq!(d.tree_shapes.len(), res.output.model.n_trees());
@@ -103,7 +103,7 @@ fn feature_importance_finds_informative_features() {
     let data = prepared(DatasetKind::YfccLike, 0.2, 2);
     let mut params = harp_params(4, 2);
     params.n_trees = 10;
-    let res = run_config(&data, params, false);
+    let res = run_config(&data, &data.quantized, params, false);
     let imp = res.output.model.feature_importance();
     let informative: f64 = imp.iter().take(32).map(|i| i.gain).sum();
     let total: f64 = imp.iter().map(|i| i.gain).sum();

@@ -68,7 +68,7 @@ fn chunked_training_is_bitwise_identical_in_every_mode_and_budget() {
         ParallelMode::Async,
     ] {
         let trainer = GbdtTrainer::new(params(mode)).unwrap();
-        let incore = trainer.train_prepared(&data.quantized, &data.train.labels, None);
+        let incore = trainer.train_store(&data.quantized, &data.train.labels, None);
         let incore_json = incore.model.to_json().unwrap();
         let incore_bits: Vec<u32> = incore
             .model
@@ -126,7 +126,7 @@ fn membuf_and_subtraction_survive_the_chunked_path() {
     for (use_membuf, hist_subtraction) in [(true, true), (true, false), (false, true)] {
         let p = TrainParams { use_membuf, hist_subtraction, ..params(ParallelMode::DataParallel) };
         let trainer = GbdtTrainer::new(p).unwrap();
-        let incore = trainer.train_prepared(&data.quantized, &data.train.labels, None);
+        let incore = trainer.train_store(&data.quantized, &data.train.labels, None);
         let store = ChunkedStore::open(&path, data.quantized.storage_bytes() as u64 / 4).unwrap();
         let chunked = trainer.train_store(&store, &data.train.labels, None);
         assert_eq!(
@@ -142,10 +142,10 @@ fn membuf_and_subtraction_survive_the_chunked_path() {
 fn prediction_through_the_store_matches_the_monolithic_matrix() {
     let data = prepared(harp_data::DatasetKind::HiggsLike, 0.02, 3);
     let trainer = GbdtTrainer::new(params(ParallelMode::DataParallel)).unwrap();
-    let model = trainer.train_prepared(&data.quantized, &data.train.labels, None).model;
+    let model = trainer.train_store(&data.quantized, &data.train.labels, None).model;
     let engine = model.compile();
     let predictor = Predictor::new(&engine);
-    let reference = predictor.predict_raw_binned(&data.quantized);
+    let reference = predictor.predict_raw_store(&data.quantized);
     // The in-core store takes the exact same code path…
     assert_eq!(reference, predictor.predict_raw_store(&data.quantized));
     // …and the chunked store re-scores each row block against its slabs.
@@ -159,6 +159,88 @@ fn prediction_through_the_store_matches_the_monolithic_matrix() {
         );
     }
     std::fs::remove_file(path).ok();
+}
+
+#[test]
+fn store_scans_are_bitwise_equal_to_the_in_core_kernels() {
+    // Elsewhere the three `*_store` scans meet in-core only through whole
+    // trainings; here histogram by histogram, against the kernels called on
+    // the matrix directly, through a one-chunk cache and a 32-row-chunk one.
+    use harpgbdt::kernels::{
+        col_scan, col_scan_store, row_scan, row_scan_root, row_scan_root_store, row_scan_store,
+        GradSource,
+    };
+    for (kind, scale, dense) in [
+        (harp_data::DatasetKind::HiggsLike, 0.02, true),
+        (harp_data::DatasetKind::YfccLike, 0.1, false),
+    ] {
+        let data = prepared(kind, scale, 4);
+        let qm = &data.quantized;
+        let layout = QuantStore::layout(qm);
+        assert!(layout.dense == dense && !layout.bundled, "{kind:?}: want dense u8 / plain CSR");
+        let (n, m, mapper) = (qm.n_rows(), qm.n_features(), qm.mapper());
+        assert!(n > 128, "the row range below must straddle several 32-row chunks");
+        let width = harpgbdt::hist::hist_width(mapper.total_bins(), m);
+        // Magnitudes over forty binades: the f64 sums round, so any change
+        // of accumulation order shows in the last bits.
+        let hash = |i: u64| (i ^ 0x9E37_79B9).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 20;
+        let wide =
+            |h: u64| (1.0 + (h % 1024) as f32 / 1024.0) * 2f32.powi((h >> 10) as i32 % 40 - 30);
+        let grads: Vec<[f32; 2]> = (0..n as u64).map(|i| [wide(hash(i)), wide(hash(!i))]).collect();
+        // A scattered ascending node list with its MemBuf replica, and a
+        // root-style row range with its aligned one.
+        let rows: Vec<u32> = (0..n as u32).filter(|&r| hash(u64::from(r) << 7) % 3 != 0).collect();
+        let membuf: Vec<[f32; 2]> = rows.iter().map(|&r| grads[r as usize]).collect();
+        let range = 20..n - 20;
+
+        // Every scan's cell count and histogram bits: through `store`, or
+        // with the kernels called on the matrix itself.
+        let hists = |store: Option<&dyn QuantStore>| {
+            let mut out: Vec<(u64, Vec<u64>)> = Vec::new();
+            let mut fill = |scan: &dyn Fn(&mut [f64]) -> u64| {
+                let mut hist = vec![0.0f64; width];
+                let cells = scan(&mut hist);
+                out.push((cells, hist.iter().map(|x| x.to_bits()).collect()));
+            };
+            for (node, aligned) in [
+                (GradSource::MemBuf(&membuf), GradSource::MemBuf(&grads[range.clone()])),
+                (GradSource::Global(&grads), GradSource::Global(&grads)),
+            ] {
+                fill(&|hist| match store {
+                    Some(s) => row_scan_store(s, &rows, node, 0..m, hist, false),
+                    None => row_scan(qm, &rows, node, 0..m, hist),
+                });
+                fill(&|hist| {
+                    let scan_col = |f: usize| {
+                        let bins = mapper.n_bins(f) as usize;
+                        let base = mapper.bin_offset(f) as usize * 2;
+                        let hist_f = &mut hist[base..base + bins * 2];
+                        match store {
+                            Some(s) => col_scan_store(s, f, &rows, node, 0..bins, hist_f, false),
+                            None => col_scan(qm, f, &rows, node, 0..bins, hist_f),
+                        }
+                    };
+                    (0..m).map(scan_col).sum()
+                });
+                fill(&|hist| match store {
+                    Some(s) => row_scan_root_store(s, range.clone(), aligned, 0..m, hist),
+                    None => row_scan_root(qm, range.clone(), aligned, 0..m, hist),
+                });
+            }
+            out
+        };
+        let want = hists(None);
+        assert!(want.iter().all(|&(cells, _)| cells > 0), "a scan saw no rows");
+        for rows_per_chunk in [n, 32] {
+            let path = cache_file(&data, rows_per_chunk, &format!("scans{rows_per_chunk}"));
+            let store = ChunkedStore::open(&path, u64::MAX).unwrap();
+            assert_eq!(store.n_chunks(), n.div_ceil(rows_per_chunk));
+            let got = hists(Some(&store));
+            assert!(want == got, "{kind:?}, {rows_per_chunk}-row chunks: a store scan diverged");
+            drop(store);
+            std::fs::remove_file(path).ok();
+        }
+    }
 }
 
 #[test]

@@ -40,14 +40,12 @@ fn leafwise_topk_k1_equals_classic_leafwise_tree_shapes() {
     // path (depth-unlimited, budget-limited) by checking budget adherence
     // and that shapes match across two identical configs.
     let mk = || TrainParams { growth: GrowthMethod::Leafwise, k: 1, tree_size: 5, ..base() };
-    let a =
-        GbdtTrainer::new(mk())
-            .unwrap()
-            .train_prepared(&data.quantized, &data.train.labels, None);
-    let b =
-        GbdtTrainer::new(mk())
-            .unwrap()
-            .train_prepared(&data.quantized, &data.train.labels, None);
+    let a = GbdtTrainer::new(mk())
+        .unwrap()
+        .train_store(&data.quantized, &data.train.labels, None);
+    let b = GbdtTrainer::new(mk())
+        .unwrap()
+        .train_store(&data.quantized, &data.train.labels, None);
     for (sa, sb) in a.diagnostics.tree_shapes.iter().zip(&b.diagnostics.tree_shapes) {
         assert_eq!(sa.n_leaves, sb.n_leaves);
         assert_eq!(sa.max_depth, sb.max_depth);
@@ -62,7 +60,7 @@ fn topk_leaf_budget_is_exact_when_gain_allows() {
     let data = prepared(DatasetKind::Synset, 0.05, 2);
     for k in [1usize, 7, 32] {
         let params = TrainParams { growth: GrowthMethod::Leafwise, k, tree_size: 4, ..base() };
-        let out = GbdtTrainer::new(params).unwrap().train_prepared(
+        let out = GbdtTrainer::new(params).unwrap().train_store(
             &data.quantized,
             &data.train.labels,
             None,
@@ -87,13 +85,12 @@ fn depthwise_k_variants_build_identical_trees() {
     let full =
         GbdtTrainer::new(mk(0))
             .unwrap()
-            .train_prepared(&data.quantized, &data.train.labels, None);
+            .train_store(&data.quantized, &data.train.labels, None);
     for k in [1usize, 3, 5] {
-        let sub = GbdtTrainer::new(mk(k)).unwrap().train_prepared(
-            &data.quantized,
-            &data.train.labels,
-            None,
-        );
+        let sub =
+            GbdtTrainer::new(mk(k))
+                .unwrap()
+                .train_store(&data.quantized, &data.train.labels, None);
         assert_eq!(
             full.model.predict_raw(&data.test.features),
             sub.model.predict_raw(&data.test.features),
@@ -117,7 +114,7 @@ fn larger_k_means_fewer_synchronizations() {
         };
         GbdtTrainer::new(params)
             .unwrap()
-            .train_prepared(&data.quantized, &data.train.labels, None)
+            .train_store(&data.quantized, &data.train.labels, None)
             .diagnostics
             .profile
             .regions
@@ -141,7 +138,7 @@ fn async_mode_trades_barriers_for_lock_traffic() {
         };
         GbdtTrainer::new(params)
             .unwrap()
-            .train_prepared(&data.quantized, &data.train.labels, None)
+            .train_store(&data.quantized, &data.train.labels, None)
     };
     let dp = run(ParallelMode::DataParallel);
     let asy = run(ParallelMode::Async);
@@ -168,7 +165,7 @@ fn min_child_weight_prunes_thin_leaves() {
             min_child_weight: mcw,
             ..base()
         };
-        let out = GbdtTrainer::new(params).unwrap().train_prepared(
+        let out = GbdtTrainer::new(params).unwrap().train_store(
             &data.quantized,
             &data.train.labels,
             None,
@@ -215,12 +212,12 @@ fn leafwise_huge_k_matches_depthwise_when_gain_limits_growth() {
         hist_subtraction: false,
         ..Default::default()
     };
-    let leaf = GbdtTrainer::new(mk(GrowthMethod::Leafwise, 1 << 10)).unwrap().train_prepared(
+    let leaf = GbdtTrainer::new(mk(GrowthMethod::Leafwise, 1 << 10)).unwrap().train_store(
         &data.quantized,
         &data.train.labels,
         None,
     );
-    let depth = GbdtTrainer::new(mk(GrowthMethod::Depthwise, 0)).unwrap().train_prepared(
+    let depth = GbdtTrainer::new(mk(GrowthMethod::Depthwise, 0)).unwrap().train_store(
         &data.quantized,
         &data.train.labels,
         None,
@@ -254,7 +251,7 @@ fn depthwise_k_at_level_width_equals_unbounded_k() {
         hist_subtraction: false,
         ..Default::default()
     };
-    let bounded = GbdtTrainer::new(mk(1 << 4)).unwrap().train_prepared(
+    let bounded = GbdtTrainer::new(mk(1 << 4)).unwrap().train_store(
         &data.quantized,
         &data.train.labels,
         None,
@@ -262,7 +259,7 @@ fn depthwise_k_at_level_width_equals_unbounded_k() {
     let unbounded =
         GbdtTrainer::new(mk(0))
             .unwrap()
-            .train_prepared(&data.quantized, &data.train.labels, None);
+            .train_store(&data.quantized, &data.train.labels, None);
     assert_eq!(
         bounded.model.predict_raw(&data.test.features),
         unbounded.model.predict_raw(&data.test.features),

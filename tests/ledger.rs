@@ -20,7 +20,7 @@ fn ledger_run(mut params: TrainParams, with_eval: bool) -> (RunLedger, usize) {
         every: 1,
         early_stopping_rounds: None,
     });
-    let out = trainer.train_prepared(&data.quantized, &data.train.labels, eval);
+    let out = trainer.train_store(&data.quantized, &data.train.labels, eval);
     let n_trees = out.model.n_trees();
     (out.diagnostics.ledger.expect("ledger enabled"), n_trees)
 }
@@ -223,7 +223,7 @@ fn lifecycle_run(
     tweak(&mut params);
     GbdtTrainer::new(params)
         .expect("valid params")
-        .train_prepared(&data.quantized, labels, None)
+        .train_store(&data.quantized, labels, None)
 }
 
 /// The assertions every lifecycle run must meet, whatever its mode.

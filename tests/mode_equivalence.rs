@@ -46,7 +46,7 @@ fn every_scheduler_is_bitwise_identical_at_one_thread() {
         configs.push((b.name().into(), p));
     }
     for (name, params) in configs {
-        let out = GbdtTrainer::new(params).unwrap().train_prepared(
+        let out = GbdtTrainer::new(params).unwrap().train_store(
             &data.quantized,
             &data.train.labels,
             None,
@@ -72,7 +72,7 @@ fn block_configuration_never_changes_the_model_multithreaded_mp() {
     };
     let reference = GbdtTrainer::new(mk(BlockConfig::default()))
         .unwrap()
-        .train_prepared(&data.quantized, &data.train.labels, None)
+        .train_store(&data.quantized, &data.train.labels, None)
         .model
         .predict_raw(&data.test.features);
     for blocks in [
@@ -80,7 +80,7 @@ fn block_configuration_never_changes_the_model_multithreaded_mp() {
         BlockConfig { row_blk_size: 0, node_blk_size: 0, feature_blk_size: 3, bin_blk_size: 16 },
         BlockConfig { row_blk_size: 0, node_blk_size: 2, feature_blk_size: 0, bin_blk_size: 7 },
     ] {
-        let out = GbdtTrainer::new(mk(blocks)).unwrap().train_prepared(
+        let out = GbdtTrainer::new(mk(blocks)).unwrap().train_store(
             &data.quantized,
             &data.train.labels,
             None,
@@ -106,12 +106,12 @@ fn async_and_sync_agree_when_gain_limits_growth() {
         hist_subtraction: false,
         ..params_t1()
     };
-    let sync = GbdtTrainer::new(mk(ParallelMode::Sync)).unwrap().train_prepared(
+    let sync = GbdtTrainer::new(mk(ParallelMode::Sync)).unwrap().train_store(
         &data.quantized,
         &data.train.labels,
         None,
     );
-    let asy = GbdtTrainer::new(mk(ParallelMode::Async)).unwrap().train_prepared(
+    let asy = GbdtTrainer::new(mk(ParallelMode::Async)).unwrap().train_store(
         &data.quantized,
         &data.train.labels,
         None,
@@ -131,7 +131,7 @@ fn deterministic_mode_is_stable_across_repeats_and_models_match() {
         .map(|_| {
             GbdtTrainer::new(params.clone())
                 .unwrap()
-                .train_prepared(&data.quantized, &data.train.labels, None)
+                .train_store(&data.quantized, &data.train.labels, None)
                 .model
                 .to_json()
                 .unwrap()
@@ -146,10 +146,10 @@ fn sparse_and_dense_schedulers_agree_on_yfcc() {
     let data = prepared(DatasetKind::YfccLike, 0.05, 8);
     let dp = GbdtTrainer::new(TrainParams { mode: ParallelMode::DataParallel, ..params_t1() })
         .unwrap()
-        .train_prepared(&data.quantized, &data.train.labels, None);
+        .train_store(&data.quantized, &data.train.labels, None);
     let mp = GbdtTrainer::new(TrainParams { mode: ParallelMode::ModelParallel, ..params_t1() })
         .unwrap()
-        .train_prepared(&data.quantized, &data.train.labels, None);
+        .train_store(&data.quantized, &data.train.labels, None);
     assert_eq!(
         dp.model.predict_raw(&data.test.features),
         mp.model.predict_raw(&data.test.features),

@@ -169,7 +169,7 @@ proptest! {
         let (dense, _) = random_matrices(seed, n_rows, n_features as usize);
         let qm = QuantizedMatrix::from_matrix(&dense, BinningConfig::default());
 
-        let got = forest.predict_raw_binned(&qm);
+        let got = forest.predict_raw_store(&qm);
         for (r, &score) in got.iter().enumerate() {
             let mut expect = base;
             for tree in &trees {
