@@ -29,6 +29,41 @@ pub enum ParallelMode {
     Async,
 }
 
+/// Below this mean node size, SYNC's end phase switches back to DP.
+const SYNC_SMALL_NODE_ROWS: usize = 512;
+
+/// How one batch of a mode's schedule runs — the cells of Table II.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchPolicy {
+    /// Row blocks accumulate into replicas that are reduced afterwards (DP).
+    Replicated,
+    /// ⟨node, feature, bin⟩ blocks write their job's histogram exclusively
+    /// (MP).
+    Exclusive,
+    /// No batch: barrier-free node tasks on the shared queue (ASYNC's
+    /// middle phase; a tree that enters it stays in it).
+    NodeTasks,
+}
+
+impl ParallelMode {
+    /// Table II in one place: the policy for a frontier of `width` nodes of
+    /// `mean_rows` rows each on a pool of `threads`. SYNC is (DP, MP, DP) —
+    /// DP while the frontier is narrow, DP again once nodes are small, MP in
+    /// between; ASYNC is DP until the frontier is as wide as the pool.
+    pub fn batch_policy(self, width: usize, mean_rows: usize, threads: usize) -> BatchPolicy {
+        match self {
+            ParallelMode::DataParallel => BatchPolicy::Replicated,
+            ParallelMode::ModelParallel => BatchPolicy::Exclusive,
+            ParallelMode::Sync if width >= threads / 2 && mean_rows >= SYNC_SMALL_NODE_ROWS => {
+                BatchPolicy::Exclusive
+            }
+            ParallelMode::Sync => BatchPolicy::Replicated,
+            ParallelMode::Async if width >= threads => BatchPolicy::NodeTasks,
+            ParallelMode::Async => BatchPolicy::Replicated,
+        }
+    }
+}
+
 pub use crate::objective::ObjectiveSpec;
 
 /// The historical name of [`ObjectiveSpec`]. The loss layer is now the open
@@ -422,6 +457,30 @@ impl TrainParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn table_ii_policies_over_a_widening_then_shrinking_frontier() {
+        use BatchPolicy::{Exclusive as E, NodeTasks, Replicated as R};
+        // (frontier width, mean rows per node) on a pool of 4: the root, the
+        // wide middle of the tree, and the many small nodes of its last
+        // levels.
+        let frontier = [(1, 100_000), (8, 12_000), (64, 100)];
+        let walk = |mode: ParallelMode| frontier.map(|(w, rows)| mode.batch_policy(w, rows, 4));
+        assert_eq!(walk(ParallelMode::DataParallel), [R, R, R]);
+        assert_eq!(walk(ParallelMode::ModelParallel), [E, E, E]);
+        assert_eq!(walk(ParallelMode::Sync), [R, E, R]);
+        // ASYNC leaves the batch engine at the second step and never asks
+        // again; the policy itself keeps saying so for any pool-wide frontier.
+        assert_eq!(walk(ParallelMode::Async), [R, NodeTasks, NodeTasks]);
+
+        // SYNC's two edges, exactly where the trainer has always put them.
+        let sync = |w, rows, t| ParallelMode::Sync.batch_policy(w, rows, t);
+        assert_eq!((sync(1, 512, 4), sync(2, 512, 4)), (R, E), "narrower than half the pool");
+        assert_eq!((sync(8, 511, 4), sync(8, 512, 4)), (R, E), "nodes below 512 rows");
+        assert_eq!(sync(0, 512, 1), E, "one thread: half the pool is no width at all");
+        let asy = |w, t| ParallelMode::Async.batch_policy(w, 0, t);
+        assert_eq!((asy(3, 4), asy(4, 4), asy(1, 1)), (R, NodeTasks, NodeTasks));
+    }
 
     #[test]
     fn defaults_match_paper_settings() {

@@ -6,8 +6,7 @@ use super::kernel;
 use crate::plan::{n_row_blocks, row_block};
 use harp_binning::{sweep_chunks, QuantStore, Rows};
 use harp_data::FeatureMatrix;
-use harp_metrics::TimeBreakdown;
-use harp_parallel::{ScopedPhase, ThreadPool, TracePhase, TraceSink};
+use harp_parallel::{PhaseClock, PhaseSpan, ThreadPool, TracePhase, TraceSink};
 
 /// Default rows per block: small enough that a block's outputs stay in L1,
 /// large enough to amortize streaming each tree's node arrays.
@@ -56,7 +55,7 @@ impl<'a> BinRows<'a> {
 pub struct Predictor<'a> {
     forest: &'a FlatForest,
     pool: Option<&'a ThreadPool>,
-    breakdown: Option<&'a TimeBreakdown>,
+    clock: Option<&'a PhaseClock>,
     trace: Option<&'a TraceSink>,
     block_rows: usize,
 }
@@ -64,7 +63,7 @@ pub struct Predictor<'a> {
 impl<'a> Predictor<'a> {
     /// A serial predictor with the default block size.
     pub fn new(forest: &'a FlatForest) -> Self {
-        Self { forest, pool: None, breakdown: None, trace: None, block_rows: DEFAULT_ROW_BLOCK }
+        Self { forest, pool: None, clock: None, trace: None, block_rows: DEFAULT_ROW_BLOCK }
     }
 
     /// Scores row blocks in parallel on `pool` (outputs stay bitwise
@@ -75,10 +74,10 @@ impl<'a> Predictor<'a> {
         self
     }
 
-    /// Attributes scoring time to `breakdown.predict_ns` (the Predict
-    /// phase next to BuildHist / FindSplit / ApplySplit).
-    pub fn with_breakdown(mut self, breakdown: &'a TimeBreakdown) -> Self {
-        self.breakdown = Some(breakdown);
+    /// Attributes scoring time to `clock`'s Predict entry (the phase next
+    /// to BuildHist / FindSplit / ApplySplit in the time breakdown).
+    pub fn with_breakdown(mut self, clock: &'a PhaseClock) -> Self {
+        self.clock = Some(clock);
         self
     }
 
@@ -241,7 +240,7 @@ impl<'a> Predictor<'a> {
         stride: usize,
         score: impl Fn(usize, usize, &mut [f32]) + Sync,
     ) {
-        let _phase = self.breakdown.map(|b| ScopedPhase::new(&b.predict_ns));
+        let _phase = PhaseSpan::begin(None, 0, TracePhase::Predict, 0, 0, self.clock);
         let block = self.block_rows;
         let n_blocks = n_row_blocks(n_rows, block);
         let trace = self.trace;

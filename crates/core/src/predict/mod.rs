@@ -16,9 +16,8 @@
 //!   bin threshold — the same predicate the trainer partitions with.
 //! * **Parallel driver**: [`Predictor::with_pool`] fans row blocks out on
 //!   the instrumented `harp-parallel` pool; with
-//!   [`Predictor::with_breakdown`] the time lands in the dedicated
-//!   Predict phase of
-//!   [`TimeBreakdown`](harp_metrics::TimeBreakdown), alongside
+//!   [`Predictor::with_breakdown`] the time lands in the Predict entry of
+//!   the run's [`PhaseClock`](harp_parallel::PhaseClock), alongside
 //!   BuildHist / FindSplit / ApplySplit.
 //!
 //! Every path is bitwise identical to the per-row recursive reference
@@ -77,7 +76,7 @@ mod tests {
     use crate::tree::{NodeStats, SplitData, Tree};
     use harp_binning::{BinningConfig, QuantizedMatrix};
     use harp_data::{CsrMatrix, DenseMatrix};
-    use harp_metrics::TimeBreakdown;
+    use harp_parallel::{PhaseClock, TracePhase};
 
     fn two_level_tree() -> Tree {
         let mut t = Tree::new_root(NodeStats { g: 0.0, h: 4.0, count: 4 });
@@ -241,10 +240,10 @@ mod tests {
     fn breakdown_records_the_predict_phase() {
         let f = forest();
         let m = FeatureMatrix::Dense(DenseMatrix::from_vec(4, 2, vec![0.0; 8]));
-        let bd = TimeBreakdown::new();
-        let _ = Predictor::new(&f).with_breakdown(&bd).predict_raw(&m);
-        let report = bd.report();
-        assert!(report.predict_secs > 0.0);
-        assert_eq!(report.predict_secs, report.total());
+        let clock = PhaseClock::new();
+        let _ = Predictor::new(&f).with_breakdown(&clock).predict_raw(&m);
+        let ns = clock.snapshot();
+        assert!(ns[TracePhase::Predict] > 0);
+        assert_eq!(ns[TracePhase::Predict], ns.0.iter().sum::<u64>(), "only Predict is fed");
     }
 }

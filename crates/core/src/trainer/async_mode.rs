@@ -94,7 +94,11 @@ pub(super) fn run_async(
     // cannot stay borrowed from `engine`.
     let mask_owned: Option<Vec<bool>> = engine.mask().map(<[bool]>::to_vec);
     let mask = mask_owned.as_deref();
-    let breakdown = engine.breakdown;
+    let clock = engine.clock;
+    // Per-worker phase timer: ASYNC attributes the sum of its workers' time.
+    let timed = |worker: usize, phase: TracePhase, node: NodeId, block: u32| {
+        PhaseSpan::begin(trace, worker, phase, node, block, Some(clock))
+    };
     let profile = engine.pool.profile();
     let lock_wait = &profile.lock_wait_ns;
 
@@ -122,14 +126,7 @@ pub(super) fn run_async(
 
         // Tree update (short critical section).
         let (l, r, child_depth) = {
-            let _phase = PhaseSpan::begin(
-                trace,
-                worker,
-                TracePhase::ApplySplit,
-                cand.node,
-                0,
-                Some(&breakdown.apply_split_ns),
-            );
+            let _phase = timed(worker, TracePhase::ApplySplit, cand.node, 0);
             let mut t = tree_lock.lock_timed(lock_wait);
             let (l, r) = t.apply_split(cand.node, cand.cand.split, cand.cand.left, cand.cand.right);
             (l, r, t.node(l).depth)
@@ -137,14 +134,7 @@ pub(super) fn run_async(
 
         // Partition this node's span (exclusive ownership, no lock).
         let (ln, rn) = {
-            let _phase = PhaseSpan::begin(
-                trace,
-                worker,
-                TracePhase::ApplySplit,
-                cand.node,
-                1,
-                Some(&breakdown.apply_split_ns),
-            );
+            let _phase = timed(worker, TracePhase::ApplySplit, cand.node, 1);
             let pred = split_pred(qm, partition.rows(cand.node), &cand.cand.split);
             partition.apply_split(cand.node, l, r, &|pos, row| pred.goes_left(pos, row), None)
         };
@@ -175,14 +165,7 @@ pub(super) fn run_async(
         // Build children histograms serially within this task.
         let mut built: Vec<(NodeId, Vec<f64>)> = Vec::with_capacity(2);
         {
-            let _phase = PhaseSpan::begin(
-                trace,
-                worker,
-                TracePhase::BuildHist,
-                cand.node,
-                0,
-                Some(&breakdown.build_hist_ns),
-            );
+            let _phase = timed(worker, TracePhase::BuildHist, cand.node, 0);
             let mut cells = 0u64;
             let mut fresh = |node: NodeId| -> Vec<f64> {
                 // The lock covers the pop off the free list; the
@@ -222,14 +205,7 @@ pub(super) fn run_async(
         }
 
         // FindSplit serially, then publish the children as new candidates.
-        let _phase = PhaseSpan::begin(
-            trace,
-            worker,
-            TracePhase::FindSplit,
-            cand.node,
-            0,
-            Some(&breakdown.find_split_ns),
-        );
+        let _phase = timed(worker, TracePhase::FindSplit, cand.node, 0);
         for (node, buf) in built {
             let stats = tree_lock.lock_timed(lock_wait).node(node).stats;
             let found = find_split_masked(&buf, &stats, mapper, 0..m, &settings, mask);

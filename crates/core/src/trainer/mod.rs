@@ -16,6 +16,7 @@
 
 mod async_mode;
 mod drivers;
+mod telemetry;
 
 pub use drivers::{build_hists_dp, build_hists_mp, DriverCtx, DriverScratch, HistJob};
 
@@ -23,26 +24,23 @@ use crate::ensemble::GbdtModel;
 use crate::growth::GrowthQueue;
 use crate::hist::{self, HistPool};
 use crate::loss::GradPair;
-use crate::params::{GrowthMethod, ParallelMode, TrainParams};
+use crate::params::{BatchPolicy, GrowthMethod, TrainParams};
 use crate::partition::RowPartition;
 use crate::split::{better_of, SplitCandidate, SplitSettings};
 use crate::tree::{NodeId, NodeStats, Tree};
 use harp_binning::{
-    sweep_chunks, BinningConfig, ChunkIoStats, LayoutOptions, QuantStore, QuantizedMatrix, Rows,
-    MISSING_BIN,
+    sweep_chunks, BinningConfig, LayoutOptions, QuantStore, QuantizedMatrix, Rows, MISSING_BIN,
 };
 use harp_data::Dataset;
 use harp_metrics::{
-    gauges, BreakdownReport, ConvergenceTrace, LedgerRecord, MemGauge, MemRegistry, PlanStats,
-    RunLedger, TimeBreakdown, WorkerSkewReport,
+    gauges, BreakdownReport, ConvergenceTrace, LedgerRecord, PlanStats, RunLedger, WorkerSkewReport,
 };
 use harp_parallel::{
-    PhaseSpan, Profile, ProfileReport, Stopwatch, ThreadPool, TracePhase, TraceSink, TraceSnapshot,
+    PhaseClock, PhaseSpan, Profile, ProfileReport, Stopwatch, ThreadPool, TracePhase, TraceSink,
+    TraceSnapshot,
 };
 use std::sync::Arc;
-
-/// Below this average node size, SYNC mode's end phase switches back to DP.
-const SYNC_SMALL_NODE_ROWS: usize = 512;
+use telemetry::{RoundLedger, Totals};
 
 /// Validation metric for the eval set.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -327,9 +325,8 @@ impl GbdtTrainer {
     /// callers that know their data fits the objective.
     ///
     /// # Panics
-    /// Panics if `labels.len() != store.n_rows()`, the weights length
-    /// differs, or — with `try_train_store_grouped`'s message — the
-    /// objective rejects the data.
+    /// Panics with `try_train_store_grouped`'s message if the data is
+    /// rejected.
     pub fn train_store_grouped(
         &self,
         store: &dyn QuantStore,
@@ -346,15 +343,12 @@ impl GbdtTrainer {
     /// to: optional per-row sample weights (they scale each row's gradient
     /// pair) plus optional consecutive query-group sizes (required by
     /// listwise objectives such as LambdaRank and by the `ndcg@k` metric).
-    /// The objective's one check of the training and eval data happens
-    /// here.
+    /// The one check of the training and eval data happens here.
     ///
     /// # Errors
-    /// Returns the objective's validation message for unusable data.
-    ///
-    /// # Panics
-    /// Panics if `labels.len() != store.n_rows()` or the weights length
-    /// differs.
+    /// Returns a message for unusable data: a label, weight or query-group
+    /// count that does not match `store.n_rows()`, or whatever the
+    /// objective's own validation rejects.
     pub fn try_train_store_grouped(
         &self,
         store: &dyn QuantStore,
@@ -364,12 +358,28 @@ impl GbdtTrainer {
         eval: Option<EvalOptions<'_>>,
     ) -> Result<TrainOutput, String> {
         let qm = store;
-        assert_eq!(labels.len(), qm.n_rows(), "one label per row required");
         let params = &self.params;
+        let n = qm.n_rows();
+        for (what, len) in [("label", Some(labels.len())), ("weight", weights.map(<[f32]>::len))] {
+            if let Some(len) = len.filter(|&len| len != n) {
+                return Err(format!(
+                    "training data rejected: one {what} per row required, got {len} {what}s for {n} rows"
+                ));
+            }
+        }
         let objective = params.loss.build();
         objective
             .validate_data(labels, query_groups)
             .map_err(|e| format!("training data rejected by {}: {e}", params.loss.name()))?;
+        // Listwise objectives have checked this already; row-wise ones
+        // ignore the groups, but sizes that miss the row count are a caller
+        // error either way.
+        let grouped_rows = query_groups.map(|qg| qg.iter().map(|&s| s as usize).sum::<usize>());
+        if let Some(total) = grouped_rows.filter(|&total| total != n) {
+            return Err(format!(
+                "training data rejected: query-group sizes sum to {total} but the data has {n} rows"
+            ));
+        }
         if let Some(e) = &eval {
             objective
                 .validate_data(&e.data.labels, e.data.query_groups.as_deref())
@@ -377,22 +387,16 @@ impl GbdtTrainer {
         }
         let profile = Arc::new(Profile::new());
         let mut pool = ThreadPool::with_profile(params.n_threads, Arc::clone(&profile));
-        // `None` unless tracing is both requested and compiled in; every
-        // recording site downstream branches on this option, so the disabled
-        // path performs no extra clock reads.
-        let sink = TraceSink::new_if(
-            params.trace.enabled,
-            params.n_threads,
-            params.trace.spans_per_worker,
-        );
-        if let Some(s) = &sink {
-            pool.install_trace(Arc::clone(s));
+        // Installed only when tracing is both requested and compiled in;
+        // every recording site downstream branches on `pool.trace()`, so the
+        // disabled path performs no extra clock reads.
+        if let Some(sink) =
+            TraceSink::new_if(params.trace.enabled, params.n_threads, params.trace.spans_per_worker)
+        {
+            pool.install_trace(sink);
         }
-        let sink = pool.trace().cloned();
-        let tsink = sink.as_deref();
-        let coord = params.n_threads; // coordinator lane of the sink
-        let breakdown = TimeBreakdown::new();
-        let n = qm.n_rows();
+        let sink = pool.trace().map(Arc::as_ref);
+        let clock = PhaseClock::new();
         let groups = objective.n_groups();
 
         let base_scores = objective.base_scores(labels);
@@ -407,7 +411,7 @@ impl GbdtTrainer {
             qm,
             params,
             pool: &pool,
-            breakdown: &breakdown,
+            clock: &clock,
             partition: RowPartition::new(n, max_nodes, params.use_membuf),
             hist_pool: HistPool::for_store(
                 qm,
@@ -425,49 +429,37 @@ impl GbdtTrainer {
             popped: 0,
         };
 
-        // Run-ledger state: byte gauges plus previous-round baselines for
-        // delta computation. Gauges are only allocated (and pools only pay
-        // the per-event `fetch_add`) when the ledger is on.
-        let mut mem_registry = params.ledger.enabled.then(MemRegistry::new);
-        let (hist_pool_g, hist_cache_g, scratch_g, membuf_g, partition_g, flat_g) =
-            match &mut mem_registry {
-                Some(reg) => (
-                    Some(reg.gauge(gauges::HIST_POOL)),
-                    Some(reg.gauge(gauges::HIST_CACHE)),
-                    Some(reg.gauge(gauges::SCRATCH_ARENA)),
-                    Some(reg.gauge(gauges::MEMBUF)),
-                    Some(reg.gauge(gauges::PARTITION)),
-                    Some(reg.gauge(gauges::FLAT_FOREST)),
-                ),
-                None => (None, None, None, None, None, None),
-            };
-        // Quantized-storage accounting: the decoded-equivalent bytes of the
-        // store (the dominant allocation of an in-core run) plus, for a
-        // chunked store, the resident decoded slab bytes whose high-water
-        // mark proves a --mem-budget run stayed under its budget.
-        let chunk_g = match &mut mem_registry {
-            Some(reg) => {
-                reg.gauge(gauges::QUANT_STORE).observe(qm.storage_bytes() as u64);
-                (qm.as_single().is_none()).then(|| reg.gauge(gauges::CHUNK_RESIDENT))
-            }
-            None => None,
-        };
+        // Every figure the run reports is a view of one `read_totals()`; the
+        // ledger (when on) holds the previous round's read as its one
+        // baseline. Gauges are only allocated (and pools only pay the
+        // per-event `fetch_add`) when the ledger is on.
+        let io_start = qm.io_stats();
+        let read_totals = || Totals::read(&pool, &clock, qm, &io_start);
+        // A chunked store also accounts its resident decoded slab bytes,
+        // whose high-water mark proves a --mem-budget run stayed under its
+        // budget.
+        let chunked = qm.as_single().is_none();
+        let mut ledger = params.ledger.enabled.then(|| RoundLedger::new(chunked, read_totals()));
+        let mut gauge = |name| ledger.as_mut().map(|l| l.mem.gauge(name));
         // Cache hit/miss/eviction counters are cheap relaxed atomics; wire
         // them unconditionally so whole-run profile reports always have them.
-        engine.hist_pool.instrument(Arc::clone(&profile), hist_pool_g, hist_cache_g);
-        if let Some(g) = scratch_g {
+        engine.hist_pool.instrument(
+            Arc::clone(&profile),
+            gauge(gauges::HIST_POOL),
+            gauge(gauges::HIST_CACHE),
+        );
+        if let Some(g) = gauge(gauges::SCRATCH_ARENA) {
             engine.scratch.set_replica_gauge(g);
         }
-        let mut run_ledger = params.ledger.enabled.then(RunLedger::new);
-        let mut prev_breakdown = BreakdownReport::default();
-        let mut prev_counters = profile.snapshot();
-        let mut prev_io: ChunkIoStats = qm.io_stats();
-        let mut prev_trace_counters = sink.as_ref().map(|s| s.counter_totals());
-        let mut prev_lane_busy = sink.as_ref().map(|s| s.phase_busy_by_lane());
+        // The decoded-equivalent bytes of the store: the dominant allocation
+        // of an in-core run.
+        if let Some(g) = gauge(gauges::QUANT_STORE) {
+            g.observe(qm.storage_bytes() as u64);
+        }
 
         // Record the layout decisions made at quantization time plus the SIMD
-        // tier the kernels will dispatch to. Placed after the baseline
-        // snapshot so the round-1 ledger delta carries them.
+        // tier the kernels will dispatch to. Placed after the ledger's
+        // baseline read so the round-1 delta carries them.
         let layout = qm.layout_stats();
         profile.add_layout_events(
             layout.cols_u4,
@@ -501,14 +493,7 @@ impl GbdtTrainer {
             let sw = Stopwatch::start();
             for group in 0..groups {
                 {
-                    let _phase = PhaseSpan::begin(
-                        tsink,
-                        coord,
-                        TracePhase::Gradients,
-                        0,
-                        iter as u32,
-                        Some(&breakdown.other_ns),
-                    );
+                    let _phase = engine.phase(TracePhase::Gradients, 0, iter as u32);
                     let scaling = crate::loss::RowScaling {
                         weights,
                         subsample: params.subsample,
@@ -528,14 +513,7 @@ impl GbdtTrainer {
                 engine.sample_features(params, iter as u64, group as u64);
                 let tree = engine.build_tree(&grads);
                 {
-                    let _phase = PhaseSpan::begin(
-                        tsink,
-                        coord,
-                        TracePhase::Other,
-                        0,
-                        iter as u32,
-                        Some(&breakdown.other_ns),
-                    );
+                    let _phase = engine.phase(TracePhase::Other, 0, iter as u32);
                     engine.update_predictions(&tree, &mut preds, groups, group);
                 }
                 tree_shapes.push(TreeShape {
@@ -555,20 +533,24 @@ impl GbdtTrainer {
             let mut round_metric: Option<f64> = None;
             let mut stop = false;
             if let Some(e) = &eval {
-                if (iter + 1) % e.every.max(1) == 0 || iter + 1 == params.n_trees {
-                    for group in 0..groups {
-                        let tree = &trees[trees.len() - groups + group];
-                        incremental_eval(
-                            tree,
-                            e.data,
-                            &mut eval_preds,
-                            groups,
-                            group,
-                            &breakdown,
-                            tsink,
-                            flat_g.as_deref(),
-                        );
+                // Every round, so the next evaluation uses all trees: each
+                // new tree's contribution goes into its group of the eval
+                // scores through the flat blocked engine (the Predict phase;
+                // bitwise identical to summing `tree.predict` per row).
+                let flat_gauge = ledger.as_mut().map(|l| l.mem.gauge(gauges::FLAT_FOREST));
+                for (group, tree) in trees[trees.len() - groups..].iter().enumerate() {
+                    let flat = crate::predict::FlatForest::single_tree(tree, e.data.n_features());
+                    if let Some(g) = &flat_gauge {
+                        g.observe(flat.memory_bytes() as u64);
                     }
+                    let mut predictor =
+                        crate::predict::Predictor::new(&flat).with_breakdown(&clock);
+                    if let Some(sink) = sink {
+                        predictor = predictor.with_trace(sink);
+                    }
+                    predictor.accumulate_raw(&e.data.features, &mut eval_preds, groups, group);
+                }
+                if (iter + 1) % e.every.max(1) == 0 || iter + 1 == params.n_trees {
                     let metric = e.metric.compute(
                         &e.data.labels,
                         &eval_preds,
@@ -601,125 +583,51 @@ impl GbdtTrainer {
                             }
                         }
                     }
-                } else {
-                    // Keep eval predictions current even on non-eval trees so
-                    // the next evaluation uses all trees.
-                    for group in 0..groups {
-                        let tree = &trees[trees.len() - groups + group];
-                        incremental_eval(
-                            tree,
-                            e.data,
-                            &mut eval_preds,
-                            groups,
-                            group,
-                            &breakdown,
-                            tsink,
-                            flat_g.as_deref(),
-                        );
-                    }
                 }
             }
 
-            // Chunk-I/O accounting: fold this round's store counters into
-            // the profile (all-zero deltas for an in-core store) and refresh
-            // the resident gauge. Runs before the ledger hook so the round's
-            // counter delta carries its own chunk traffic.
-            {
-                let io = qm.io_stats();
-                profile.add_chunk_io_events(
-                    io.chunk_loads - prev_io.chunk_loads,
-                    io.chunk_evictions - prev_io.chunk_evictions,
-                    io.chunk_prefetch_hits - prev_io.chunk_prefetch_hits,
-                );
-                prev_io = io;
-                if let Some(g) = &chunk_g {
-                    g.observe(io.resident_bytes);
-                    g.observe_peak(io.resident_high_water);
-                }
-            }
-
-            // Ledger hook: snapshot this round's deltas.
-            if let (Some(ledger), Some(registry)) = (&mut run_ledger, &mem_registry) {
-                let bd = breakdown.report();
-                let round_bd = bd.since(&prev_breakdown);
-                prev_breakdown = bd;
-                let now = profile.snapshot();
-                let round_counters = now.delta(&prev_counters);
-                prev_counters = now;
-                let mut counters: Vec<(String, u64)> =
-                    round_counters.named().iter().map(|&(n, v)| (n.to_string(), v)).collect();
-                if let (Some(s), Some(prev)) = (&sink, &mut prev_trace_counters) {
-                    let now = s.counter_totals();
-                    let d = now.delta(prev);
-                    *prev = now;
-                    counters.push(("queue_pops".into(), d.queue_pops));
-                    counters.push(("queue_pushes".into(), d.queue_pushes));
-                    counters.push(("queue_spin_ns".into(), d.queue_spin_ns));
-                }
-                let mut skew: Vec<(String, f64)> = Vec::new();
-                if let (Some(s), Some(prev)) = (&sink, &mut prev_lane_busy) {
-                    let now = s.phase_busy_by_lane();
-                    // Workers only: the coordinator lane mostly waits and
-                    // would drown the phase imbalance signal.
-                    let workers = now.len().saturating_sub(1);
-                    let rows: Vec<(&'static str, Vec<u64>)> = TracePhase::all()
-                        .into_iter()
-                        .map(|p| {
-                            let row = (0..workers)
-                                .map(|l| now[l][p as usize].saturating_sub(prev[l][p as usize]))
-                                .collect();
-                            (p.name(), row)
-                        })
-                        .collect();
-                    *prev = now;
-                    let report = WorkerSkewReport::from_phase_ns(&rows);
-                    skew = report.rows.into_iter().map(|r| (r.phase, r.imbalance)).collect();
-                }
-                if let Some(g) = &membuf_g {
-                    g.observe(engine.partition.membuf_bytes() as u64);
-                }
-                if let Some(g) = &partition_g {
-                    g.observe(engine.partition.index_bytes() as u64);
+            // Ledger hook: this round is one read minus the previous one.
+            if let Some(l) = &mut ledger {
+                l.mem.gauge(gauges::MEMBUF).observe(engine.partition.membuf_bytes() as u64);
+                l.mem.gauge(gauges::PARTITION).observe(engine.partition.index_bytes() as u64);
+                if chunked {
+                    let io = qm.io_stats();
+                    let resident = l.mem.gauge(gauges::CHUNK_RESIDENT);
+                    resident.observe(io.resident_bytes);
+                    resident.observe_peak(io.resident_high_water);
                 }
                 let shapes = &tree_shapes[tree_shapes.len() - groups..];
                 let (pops, popped) = engine.take_pop_stats();
                 let (plan_batches, plan_tasks, ext) = engine.scratch.take_plan_stats();
-                ledger.push(LedgerRecord {
-                    round: (iter + 1) as u64,
-                    elapsed_secs: train_secs,
-                    round_secs: secs,
-                    phase_secs: vec![
-                        ("build_hist".into(), round_bd.build_hist_secs),
-                        ("find_split".into(), round_bd.find_split_secs),
-                        ("apply_split".into(), round_bd.apply_split_secs),
-                        ("predict".into(), round_bd.predict_secs),
-                        ("other".into(), round_bd.other_secs),
-                    ],
-                    counters,
-                    eval_metric: round_metric,
-                    n_leaves: shapes.iter().map(|s| s.n_leaves).max().unwrap_or(0),
-                    max_depth: shapes.iter().map(|s| s.max_depth).max().unwrap_or(0),
-                    mean_k_per_pop: if pops > 0 { popped as f64 / pops as f64 } else { 0.0 },
-                    mem: registry.snapshot(),
-                    skew,
-                    plan: PlanStats {
-                        batches: plan_batches,
-                        tasks: plan_tasks,
-                        row_blk: ext.row_blk as u64,
-                        node_blk: ext.node_blk as u64,
-                        feature_blk: ext.feature_blk as u64,
-                        bin_blk: ext.bin_blk as u64,
-                        auto: ext.auto,
+                l.push(
+                    read_totals(),
+                    LedgerRecord {
+                        round: (iter + 1) as u64,
+                        elapsed_secs: train_secs,
+                        round_secs: secs,
+                        eval_metric: round_metric,
+                        n_leaves: shapes.iter().map(|s| s.n_leaves).max().unwrap_or(0),
+                        max_depth: shapes.iter().map(|s| s.max_depth).max().unwrap_or(0),
+                        mean_k_per_pop: if pops > 0 { popped as f64 / pops as f64 } else { 0.0 },
+                        plan: PlanStats {
+                            batches: plan_batches,
+                            tasks: plan_tasks,
+                            row_blk: ext.row_blk as u64,
+                            node_blk: ext.node_blk as u64,
+                            feature_blk: ext.feature_blk as u64,
+                            bin_blk: ext.bin_blk as u64,
+                            auto: ext.auto,
+                        },
+                        ..Default::default()
                     },
-                    latency: Default::default(),
-                });
+                );
             }
             if stop {
                 break;
             }
         }
 
-        let (span_trace, worker_skew) = match &sink {
+        let (span_trace, worker_skew) = match sink {
             Some(s) => {
                 let snap = s.snapshot();
                 let skew = WorkerSkewReport::from_phase_ns(&snap.worker_phase_ns());
@@ -727,17 +635,18 @@ impl GbdtTrainer {
             }
             None => (None, None),
         };
+        let totals = read_totals();
         let diagnostics = Diagnostics {
             train_secs,
             per_tree_secs,
-            breakdown: breakdown.report(),
-            profile: profile.report(params.n_threads),
+            breakdown: totals.breakdown(),
+            profile: totals.counters.report(params.n_threads),
             trace,
             best_iteration,
             tree_shapes,
             span_trace,
             worker_skew,
-            ledger: run_ledger,
+            ledger: ledger.map(|l| l.ledger),
         };
         Ok(TrainOutput {
             model: GbdtModel::new(trees, base_scores, params.loss, qm.n_features()),
@@ -746,37 +655,13 @@ impl GbdtTrainer {
     }
 }
 
-/// Adds one tree's contribution to group `group` of the row-major eval
-/// score buffer, through the flat blocked engine (attributed to the
-/// Predict phase). Bitwise identical to summing `tree.predict` per row.
-#[allow(clippy::too_many_arguments)]
-fn incremental_eval(
-    tree: &Tree,
-    data: &Dataset,
-    preds: &mut [f32],
-    groups: usize,
-    group: usize,
-    breakdown: &TimeBreakdown,
-    trace: Option<&TraceSink>,
-    flat_gauge: Option<&MemGauge>,
-) {
-    let flat = crate::predict::FlatForest::single_tree(tree, data.n_features());
-    if let Some(g) = flat_gauge {
-        g.observe(flat.memory_bytes() as u64);
-    }
-    let mut predictor = crate::predict::Predictor::new(&flat).with_breakdown(breakdown);
-    if let Some(sink) = trace {
-        predictor = predictor.with_trace(sink);
-    }
-    predictor.accumulate_raw(&data.features, preds, groups, group);
-}
-
 /// Per-tree construction engine; buffers persist across trees.
 struct TreeEngine<'a> {
     qm: &'a dyn QuantStore,
     params: &'a TrainParams,
     pool: &'a ThreadPool,
-    breakdown: &'a TimeBreakdown,
+    /// The run's phase clock, fed by [`phase`](Self::phase).
+    clock: &'a PhaseClock,
     partition: RowPartition,
     hist_pool: HistPool,
     /// Replica arena and task vectors reused by the drivers across
@@ -801,9 +686,13 @@ impl<'a> TreeEngine<'a> {
         self.pool.trace().map(Arc::as_ref)
     }
 
-    /// Lane index for spans recorded by the coordinating thread.
-    fn coord_lane(&self) -> usize {
-        self.pool.num_threads()
+    /// Times a coordinator-side phase: the interval lands in the run's
+    /// clock and, when tracing, as a span on the coordinator lane (the one
+    /// after the workers'). Barrier modes thereby attribute
+    /// coordinator-inclusive wall time.
+    fn phase(&self, phase: TracePhase, node: u32, block: u32) -> PhaseSpan<'a> {
+        let coord = self.pool.num_threads();
+        PhaseSpan::begin(self.sink(), coord, phase, node, block, Some(self.clock))
     }
 
     /// Takes and resets the growth-queue pop statistics: `(pops, candidates
@@ -871,28 +760,16 @@ impl<'a> TreeEngine<'a> {
             }
         }
 
+        // Barrier batches until the queue is spent — or, under ASYNC, until
+        // the frontier is as wide as the pool, when the rest of the tree
+        // grows barrier-free.
         let mut leaves = 1usize;
-        match self.params.mode {
-            ParallelMode::Async => {
-                // Begin phase: grow with the batch engine until the frontier
-                // is as wide as the pool, then go barrier-free.
-                while leaves < self.params.max_leaves()
-                    && !queue.is_empty()
-                    && queue.len() < self.params.n_threads
-                {
-                    if !self.grow_one_batch(grads, &mut tree, &mut queue, &mut leaves) {
-                        break;
-                    }
-                }
+        while leaves < self.params.max_leaves() && !queue.is_empty() {
+            if self.policy(queue.len(), 0) == BatchPolicy::NodeTasks {
                 async_mode::run_async(self, grads, &mut tree, &mut queue, &mut leaves);
+                break;
             }
-            _ => {
-                while leaves < self.params.max_leaves() {
-                    if !self.grow_one_batch(grads, &mut tree, &mut queue, &mut leaves) {
-                        break;
-                    }
-                }
-            }
+            self.grow_one_batch(grads, &mut tree, &mut queue, &mut leaves);
         }
 
         // Remaining candidates stay leaves; their cached hists are recycled.
@@ -917,20 +794,17 @@ impl<'a> TreeEngine<'a> {
         tree
     }
 
-    /// Pops one batch, splits it and — while the tree has leaves left to
-    /// spend — builds the children's histograms and queues the next
-    /// candidates. Returns `false` when the queue is exhausted.
+    /// Pops one batch off a non-empty queue (with leaves left to spend),
+    /// splits it and — while leaves remain after that — builds the
+    /// children's histograms and queues the next candidates.
     fn grow_one_batch(
         &mut self,
         grads: &[GradPair],
         tree: &mut Tree,
         queue: &mut GrowthQueue,
         leaves: &mut usize,
-    ) -> bool {
+    ) {
         let batch = queue.pop_batch(self.params.effective_k(), self.params.max_leaves() - *leaves);
-        if batch.is_empty() {
-            return false;
-        }
         self.pops += 1;
         self.popped += batch.len() as u64;
 
@@ -942,14 +816,7 @@ impl<'a> TreeEngine<'a> {
         let mut splits: Vec<(NodeId, NodeId, NodeId)> = Vec::with_capacity(batch.len());
         let mut parent_bufs: Vec<Option<Vec<f64>>> = Vec::with_capacity(batch.len());
         {
-            let _phase = PhaseSpan::begin(
-                self.sink(),
-                self.coord_lane(),
-                TracePhase::ApplySplit,
-                batch[0].node,
-                batch.len() as u32,
-                Some(&self.breakdown.apply_split_ns),
-            );
+            let _phase = self.phase(TracePhase::ApplySplit, batch[0].node, batch.len() as u32);
             for c in &batch {
                 let (l, r) = tree.apply_split(c.node, c.cand.split, c.cand.left, c.cand.right);
                 splits.push((c.node, l, r));
@@ -1010,7 +877,7 @@ impl<'a> TreeEngine<'a> {
                 skipped += u64::from(self.eligible(tree, l)) + u64::from(self.eligible(tree, r));
             }
             self.pool.profile().add_hist_builds_skipped(skipped);
-            return true;
+            return;
         }
 
         // Plan histogram jobs: fresh builds plus parent−sibling subtractions.
@@ -1053,34 +920,14 @@ impl<'a> TreeEngine<'a> {
 
         // BuildHist (the hotspot).
         {
-            let _phase = PhaseSpan::begin(
-                self.sink(),
-                self.coord_lane(),
-                TracePhase::BuildHist,
-                batch[0].node,
-                fresh.len() as u32,
-                Some(&self.breakdown.build_hist_ns),
-            );
+            let _phase = self.phase(TracePhase::BuildHist, batch[0].node, fresh.len() as u32);
             self.run_driver(grads, &mut fresh);
-            if !subs.is_empty() {
-                let fresh_ro: &[HistJob] = &fresh;
-                struct SubSlot(*mut f64, usize, NodeId);
-                unsafe impl Send for SubSlot {}
-                unsafe impl Sync for SubSlot {}
-                let slots: Vec<SubSlot> = subs
-                    .iter_mut()
-                    .map(|(large, buf, si, _)| SubSlot(buf.as_mut_ptr(), *si, *large))
-                    .collect();
-                let width = self.hist_pool.width();
-                let trace = self.sink();
-                self.pool.parallel_for(slots.len(), |i, w| {
-                    let SubSlot(ptr, small_idx, large) = slots[i];
-                    let _span = trace.map(|s| s.span(w, TracePhase::Reduce, large, i as u32));
-                    // SAFETY: each sub owns its parent buffer exclusively.
-                    let buf = unsafe { std::slice::from_raw_parts_mut(ptr, width) };
-                    hist::subtract_in_place(buf, &fresh_ro[small_idx].buf);
-                });
-            }
+            let fresh_ro: &[HistJob] = &fresh;
+            let trace = self.sink();
+            self.pool.parallel_for_each_mut(&mut subs, |i, (large, pbuf, small_idx, _), w| {
+                let _span = trace.map(|s| s.span(w, TracePhase::Reduce, *large, i as u32));
+                hist::subtract_in_place(pbuf, &fresh_ro[*small_idx].buf);
+            });
         }
 
         // FindSplit on all children that got a histogram.
@@ -1090,14 +937,7 @@ impl<'a> TreeEngine<'a> {
             place.push((true, i));
         }
         let found = {
-            let _phase = PhaseSpan::begin(
-                self.sink(),
-                self.coord_lane(),
-                TracePhase::FindSplit,
-                batch[0].node,
-                jobs.len() as u32,
-                Some(&self.breakdown.find_split_ns),
-            );
+            let _phase = self.phase(TracePhase::FindSplit, batch[0].node, jobs.len() as u32);
             self.find_splits(tree, &jobs)
         };
         let mut queued: Vec<_> = place.into_iter().zip(jobs.into_iter().zip(found)).collect();
@@ -1113,7 +953,6 @@ impl<'a> TreeEngine<'a> {
                 None => self.hist_pool.release(job.buf),
             }
         }
-        true
     }
 
     /// Whether `node` may be split further.
@@ -1129,24 +968,23 @@ impl<'a> TreeEngine<'a> {
         }
     }
 
-    /// Dispatches a batch of histogram jobs to the configured driver.
+    /// Table II for a frontier of `width` nodes holding `rows` rows in all.
+    fn policy(&self, width: usize, rows: usize) -> BatchPolicy {
+        self.params
+            .mode
+            .batch_policy(width, rows / width.max(1), self.pool.num_threads())
+    }
+
+    /// Dispatches a batch of histogram jobs to the driver the mode's policy
+    /// names.
     fn run_driver(&mut self, grads: &[GradPair], jobs: &mut [HistJob]) {
         if jobs.is_empty() {
             return;
         }
-        let use_mp = match self.params.mode {
-            ParallelMode::DataParallel => false,
-            ParallelMode::ModelParallel => true,
-            // ASYNC's begin phase behaves like DP.
-            ParallelMode::Async => false,
-            ParallelMode::Sync => {
-                let total_rows: usize = jobs.iter().map(|j| self.partition.node_len(j.node)).sum();
-                let avg = total_rows / jobs.len().max(1);
-                // (DP, MP, DP): DP while the frontier is narrow, DP again
-                // once nodes are small, MP in between.
-                jobs.len() >= self.pool.num_threads() / 2 && avg >= SYNC_SMALL_NODE_ROWS
-            }
-        };
+        let total_rows: usize = jobs.iter().map(|j| self.partition.node_len(j.node)).sum();
+        // A histogram batch is a barrier construct: ASYNC builds one only in
+        // its begin phase, which is DP whatever the batch's width.
+        let exclusive = self.policy(jobs.len(), total_rows) == BatchPolicy::Exclusive;
         let ctx = DriverCtx {
             qm: self.qm,
             params: self.params,
@@ -1154,7 +992,7 @@ impl<'a> TreeEngine<'a> {
             partition: &self.partition,
             grads,
         };
-        if use_mp {
+        if exclusive {
             drivers::build_hists_mp(&ctx, &mut self.scratch, jobs);
         } else {
             drivers::build_hists_dp(&ctx, &mut self.scratch, jobs);
@@ -1171,22 +1009,12 @@ impl<'a> TreeEngine<'a> {
         let n_chunks = ((4 * t).div_ceil(jobs.len())).clamp(1, m);
         let chunk = m.div_ceil(n_chunks);
         let n_chunks = m.div_ceil(chunk);
-        // Partial results per (job, chunk), written by exactly one task.
-        struct Partials(*mut Option<SplitCandidate>);
-        unsafe impl Send for Partials {}
-        unsafe impl Sync for Partials {}
-        impl Partials {
-            fn get(&self) -> *mut Option<SplitCandidate> {
-                self.0
-            }
-        }
-        let mut partials: Vec<Option<SplitCandidate>> = vec![None; jobs.len() * n_chunks];
-        let ptr = Partials(partials.as_mut_ptr());
         let mapper = self.qm.mapper();
         let settings = &self.settings;
         let mask = self.mask();
         let trace = self.sink();
-        self.pool.parallel_for(jobs.len() * n_chunks, |i, w| {
+        // One partial result per (job, feature chunk).
+        let partials = self.pool.parallel_map(jobs.len() * n_chunks, |i, w| {
             let job_idx = i / n_chunks;
             let c = i % n_chunks;
             let f_lo = c * chunk;
@@ -1194,16 +1022,14 @@ impl<'a> TreeEngine<'a> {
             let job = &jobs[job_idx];
             let _span = trace.map(|s| s.span(w, TracePhase::FindSplit, job.node, c as u32));
             let node = tree.node(job.node);
-            let cand = crate::split::find_split_masked(
+            crate::split::find_split_masked(
                 &job.buf,
                 &node.stats,
                 mapper,
                 f_lo..f_hi,
                 settings,
                 mask,
-            );
-            // SAFETY: slot `i` is written by exactly this task.
-            unsafe { *ptr.get().add(i) = cand };
+            )
         });
         (0..jobs.len())
             .map(|j| {

@@ -557,6 +557,54 @@ fn rejected_data_is_reported_one_way() {
         err
     );
 
+    // Lengths that do not match the store's rows are data errors like any
+    // other — not an assert, and not an index panic inside a pool worker.
+    let n = good.labels.len();
+    let store_err = |labels: &[f32], weights: Option<&[f32]>, groups: Option<&[u32]>| {
+        trainer.try_train_store_grouped(&good_qm, labels, weights, groups, None).err()
+    };
+    let err = store_err(&good.labels[..n - 1], None, None);
+    assert_eq!(
+        err,
+        Some(format!(
+            "training data rejected: one label per row required, got {} labels for {n} rows",
+            n - 1
+        ))
+    );
+    assert_eq!(panic_text(&|| trainer.train_store(&good_qm, &good.labels[..n - 1], None)), err);
+    let short = vec![1.0f32; n - 1];
+    assert_eq!(
+        store_err(&good.labels, Some(&short), None),
+        Some(format!(
+            "training data rejected: one weight per row required, got {} weights for {n} rows",
+            n - 1
+        ))
+    );
+    assert_eq!(
+        store_err(&good.labels, None, Some(&[n as u32 - 1])),
+        Some(format!(
+            "training data rejected: query-group sizes sum to {} but the data has {n} rows",
+            n - 1
+        )),
+        "a row-wise objective ignores the groups, so the trainer checks them"
+    );
+    let ranker = GbdtTrainer::new(TrainParams {
+        n_trees: 1,
+        loss: crate::params::LossKind::LambdaRank { k: 5 },
+        ..base_params()
+    })
+    .unwrap();
+    let err = ranker
+        .try_train_store_grouped(&good_qm, &good.labels, None, Some(&[n as u32 - 1]), None)
+        .err();
+    assert!(
+        err.as_deref()
+            .is_some_and(|e| e.starts_with("training data rejected by lambdarank")),
+        "a listwise objective's own message comes first: {err:?}"
+    );
+    let ones = vec![1.0f32; n];
+    assert!(store_err(&good.labels, Some(&ones), Some(&[n as u32])).is_none());
+
     let err = trainer.try_train_with_eval(&good, eval(&bad)).err();
     assert!(err
         .as_deref()

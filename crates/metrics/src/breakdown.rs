@@ -3,62 +3,15 @@
 //! Fig. 4 of the paper decomposes per-tree training time into the three core
 //! functions of Algorithm 1 — BuildHist, FindSplit, ApplySplit — and shows
 //! BuildHist growing as O(2^D) in the baselines where the serial algorithm
-//! predicts O(D). Trainers accumulate nanoseconds into a [`TimeBreakdown`];
-//! harnesses snapshot it per tree-size setting and normalize.
+//! predicts O(D). A [`BreakdownReport`] is that decomposition in seconds: the
+//! trainer derives it from a read of its phase clock (`harp-parallel`'s
+//! `PhaseClock`), harnesses take one per tree-size setting and normalize.
 
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Thread-safe accumulators for the three core phases (plus everything
-/// else, e.g. gradient computation and leaf updates).
-#[derive(Debug, Default)]
-pub struct TimeBreakdown {
-    /// Nanoseconds spent collecting gradient histograms.
-    pub build_hist_ns: AtomicU64,
-    /// Nanoseconds spent enumerating split candidates.
-    pub find_split_ns: AtomicU64,
-    /// Nanoseconds spent partitioning rows and updating the tree.
-    pub apply_split_ns: AtomicU64,
-    /// Nanoseconds spent scoring rows through the batch prediction
-    /// engine (incremental validation during training, batch inference
-    /// after it).
-    pub predict_ns: AtomicU64,
-    /// Nanoseconds in the remainder of the training loop.
-    pub other_ns: AtomicU64,
-}
-
-impl TimeBreakdown {
-    /// Creates a zeroed breakdown.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Zeroes all phases.
-    pub fn reset(&self) {
-        for c in [
-            &self.build_hist_ns,
-            &self.find_split_ns,
-            &self.apply_split_ns,
-            &self.predict_ns,
-            &self.other_ns,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Snapshots the counters into a report.
-    pub fn report(&self) -> BreakdownReport {
-        BreakdownReport {
-            build_hist_secs: self.build_hist_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            find_split_secs: self.find_split_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            apply_split_secs: self.apply_split_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            predict_secs: self.predict_ns.load(Ordering::Relaxed) as f64 / 1e9,
-            other_secs: self.other_ns.load(Ordering::Relaxed) as f64 / 1e9,
-        }
-    }
-}
-
-/// A snapshot of a [`TimeBreakdown`], in seconds.
+/// Seconds per core phase (plus everything else, e.g. gradient computation
+/// and leaf updates) — a plain view, so this crate stays independent of the
+/// parallel runtime that keeps the clock.
 #[derive(Debug, Clone, Copy, Default, Serialize)]
 pub struct BreakdownReport {
     /// BuildHist seconds.
@@ -74,6 +27,14 @@ pub struct BreakdownReport {
 }
 
 impl BreakdownReport {
+    /// From nanosecond totals in field order: BuildHist, FindSplit,
+    /// ApplySplit, Predict, other.
+    pub fn from_ns(ns: [u64; 5]) -> Self {
+        let [build_hist_secs, find_split_secs, apply_split_secs, predict_secs, other_secs] =
+            ns.map(|v| v as f64 / 1e9);
+        Self { build_hist_secs, find_split_secs, apply_split_secs, predict_secs, other_secs }
+    }
+
     /// Total attributed seconds.
     pub fn total(&self) -> f64 {
         self.build_hist_secs
@@ -94,15 +55,16 @@ impl BreakdownReport {
         }
     }
 
-    /// Element-wise difference (`self - earlier`), for per-interval deltas.
-    pub fn since(&self, earlier: &BreakdownReport) -> BreakdownReport {
-        BreakdownReport {
-            build_hist_secs: self.build_hist_secs - earlier.build_hist_secs,
-            find_split_secs: self.find_split_secs - earlier.find_split_secs,
-            apply_split_secs: self.apply_split_secs - earlier.apply_split_secs,
-            predict_secs: self.predict_secs - earlier.predict_secs,
-            other_secs: self.other_secs - earlier.other_secs,
-        }
+    /// `(name, seconds)` view in field order, under the names run ledgers
+    /// carry in `phase_secs`.
+    pub fn named(&self) -> [(&'static str, f64); 5] {
+        [
+            ("build_hist", self.build_hist_secs),
+            ("find_split", self.find_split_secs),
+            ("apply_split", self.apply_split_secs),
+            ("predict", self.predict_secs),
+            ("other", self.other_secs),
+        ]
     }
 }
 
@@ -221,54 +183,43 @@ mod tests {
 
     #[test]
     fn report_converts_ns_to_secs() {
-        let b = TimeBreakdown::new();
-        b.build_hist_ns.store(2_500_000_000, Ordering::Relaxed);
-        b.find_split_ns.store(500_000_000, Ordering::Relaxed);
-        let r = b.report();
+        let r = BreakdownReport::from_ns([2_500_000_000, 500_000_000, 0, 0, 0]);
         assert!((r.build_hist_secs - 2.5).abs() < 1e-12);
         assert!((r.total() - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn build_hist_share() {
-        let b = TimeBreakdown::new();
-        b.build_hist_ns.store(900, Ordering::Relaxed);
-        b.other_ns.store(100, Ordering::Relaxed);
-        assert!((b.report().build_hist_share() - 0.9).abs() < 1e-12);
+        let r = BreakdownReport::from_ns([900, 0, 0, 0, 100]);
+        assert!((r.build_hist_share() - 0.9).abs() < 1e-12);
     }
 
     #[test]
     fn empty_breakdown_share_is_zero() {
-        assert_eq!(TimeBreakdown::new().report().build_hist_share(), 0.0);
+        assert_eq!(BreakdownReport::default().build_hist_share(), 0.0);
     }
 
     #[test]
     fn predict_phase_is_tracked() {
-        let b = TimeBreakdown::new();
-        b.predict_ns.store(1_500_000_000, Ordering::Relaxed);
-        let r = b.report();
+        let r = BreakdownReport::from_ns([0, 0, 0, 1_500_000_000, 0]);
         assert!((r.predict_secs - 1.5).abs() < 1e-12);
         assert!((r.total() - 1.5).abs() < 1e-12);
-        b.reset();
-        assert_eq!(b.report().total(), 0.0);
+        assert!(format!("{r}").contains("Predict 1.500s"));
     }
 
     #[test]
-    fn since_subtracts() {
-        let b = TimeBreakdown::new();
-        b.apply_split_ns.store(1_000_000_000, Ordering::Relaxed);
-        let first = b.report();
-        b.apply_split_ns.store(3_000_000_000, Ordering::Relaxed);
-        let delta = b.report().since(&first);
-        assert!((delta.apply_split_secs - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let b = TimeBreakdown::new();
-        b.build_hist_ns.store(5, Ordering::Relaxed);
-        b.reset();
-        assert_eq!(b.report().total(), 0.0);
+    fn named_view_lists_every_phase_once_and_sums_to_total() {
+        let r = BreakdownReport {
+            build_hist_secs: 2.5,
+            find_split_secs: 0.5,
+            apply_split_secs: 0.25,
+            predict_secs: 0.125,
+            other_secs: 1.0,
+        };
+        let named = r.named();
+        let names: Vec<&str> = named.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, ["build_hist", "find_split", "apply_split", "predict", "other"]);
+        assert!((named.iter().map(|(_, v)| v).sum::<f64>() - r.total()).abs() < 1e-12);
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl serde::Deserialize for PlanStats {
 
 /// One boosting round's measurements. All time/counter values are deltas
 /// over the round; `mem` entries are point-in-time gauge reads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LedgerRecord {
     /// 1-based boosting round.
     pub round: u64,

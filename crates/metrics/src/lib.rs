@@ -5,7 +5,7 @@
 //! * [`ConvergenceTrace`] — per-iteration metric/time recording, plus the
 //!   "training time to reach the same highest accuracy" statistic that
 //!   defines the paper's *Convergence Speedup*.
-//! * [`TimeBreakdown`] — per-phase wall-time attribution (BuildHist /
+//! * [`BreakdownReport`] — per-phase wall-time attribution (BuildHist /
 //!   FindSplit / ApplySplit), the quantity plotted in Fig. 4.
 //! * [`RunLedger`] — the per-round JSON-lines run ledger: phase-time deltas,
 //!   profile-counter deltas, eval metric, tree shape, worker skew, and
@@ -25,7 +25,7 @@ mod memory;
 mod ranking;
 mod slo;
 
-pub use breakdown::{BreakdownReport, PhaseSkewRow, TimeBreakdown, WorkerSkewReport};
+pub use breakdown::{BreakdownReport, PhaseSkewRow, WorkerSkewReport};
 pub use convergence::{ConvergencePoint, ConvergenceTrace};
 pub use eval::{
     accuracy, auc, error_rate, huber_loss, log_loss, multiclass_error, multiclass_log_loss,

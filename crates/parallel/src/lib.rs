@@ -39,11 +39,11 @@ pub mod trace;
 mod worker_local;
 
 pub use pool::{current_num_threads_hint, ThreadPool};
-pub use profile::{Profile, ProfileCounters, ProfileReport, ScopedPhase, Stopwatch};
+pub use profile::{Profile, ProfileCounters, ProfileReport, Stopwatch};
 pub use queue::{QueueOutcome, WorkQueue};
 pub use spin::{SpinMutex, SpinMutexGuard};
 pub use trace::{
-    LaneSnapshot, PhaseSpan, Span, SpanGuard, SpanRing, TraceCounters, TracePhase, TraceSink,
-    TraceSnapshot, N_TRACE_PHASES, TRACE_COMPILED,
+    LaneSnapshot, PhaseClock, PhaseNs, PhaseSpan, Span, SpanRing, TraceCounters, TracePhase,
+    TraceSink, TraceSnapshot, N_TRACE_PHASES, TRACE_COMPILED,
 };
 pub use worker_local::PerWorker;

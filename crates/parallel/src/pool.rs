@@ -263,6 +263,49 @@ impl ThreadPool {
         self.dispatch(n_tasks, chunk.max(1), BusyAccounting::PerTask, &f);
     }
 
+    /// Parallel *for-each-mut*: runs `f(i, &mut items[i], worker_idx)` for
+    /// every element as one region, so tasks can write their own slot
+    /// without a hand-rolled pointer wrapper at the call site.
+    pub fn parallel_for_each_mut<T, F>(&self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T, usize) + Sync,
+    {
+        struct Base<T>(*mut T);
+        // SAFETY: the pointer is only ever dereferenced at distinct indices
+        // (see below), so sharing `&Base` shares no element; `T: Send` lets
+        // the worker that claims an index hold its `&mut T`.
+        unsafe impl<T: Send> Sync for Base<T> {}
+        impl<T> Base<T> {
+            fn at(&self, i: usize) -> *mut T {
+                // In bounds: callers pass `i < items.len()`.
+                self.0.wrapping_add(i)
+            }
+        }
+        let base = Base(items.as_mut_ptr());
+        self.parallel_for(items.len(), |i, worker| {
+            // SAFETY: a region hands each index in `0..items.len()` to
+            // exactly one invocation (`Region::work` claims indices with a
+            // `fetch_add`), so this is the only live reference to element
+            // `i`; `items` stays mutably borrowed by this call until the
+            // region's end barrier, so nothing else can touch it meanwhile.
+            let item = unsafe { &mut *base.at(i) };
+            f(i, item, worker);
+        });
+    }
+
+    /// Parallel *map*: runs `f(i, worker_idx)` for every `i in 0..n` as one
+    /// region and returns the results in index order.
+    pub fn parallel_map<T, F>(&self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, usize) -> T + Sync,
+    {
+        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        self.parallel_for_each_mut(&mut out, |i, slot, worker| *slot = Some(f(i, worker)));
+        out.into_iter().map(|slot| slot.expect("the region ran every index")).collect()
+    }
+
     /// Runs `f(worker_idx)` exactly once on every worker, with barrier
     /// accounting but no automatic busy-time accounting — the closure is
     /// expected to report busy time to the profile itself.
@@ -421,6 +464,32 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn map_and_for_each_mut_write_every_slot_exactly_once_in_index_order() {
+        for threads in 1..=4usize {
+            let pool = ThreadPool::new(threads);
+            for n in [0, 1, threads - 1, threads + 1, 10 * threads] {
+                let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let mapped = pool.parallel_map(n, |i, w| {
+                    assert!(w < threads);
+                    calls[i].fetch_add(1, Ordering::Relaxed);
+                    i * 3
+                });
+                assert_eq!(mapped, (0..n).map(|i| i * 3).collect::<Vec<_>>(), "T={threads} n={n}");
+                assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+
+                // (index the slot was handed with, times it was written).
+                let mut slots = vec![(usize::MAX, 0u32); n];
+                pool.parallel_for_each_mut(&mut slots, |i, slot, _| {
+                    slot.0 = i;
+                    slot.1 += 1;
+                });
+                let want: Vec<_> = (0..n).map(|i| (i, 1)).collect();
+                assert_eq!(slots, want, "T={threads} n={n}");
+            }
+        }
     }
 
     #[test]
@@ -593,10 +662,10 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_micros(200));
         });
         let snap = sink.snapshot();
-        let pops: u64 = snap.lanes.iter().map(|l| l.queue_pops).sum();
+        let pops: u64 = snap.lanes.iter().map(|l| l.waits.queue_pops).sum();
         assert_eq!(pops, 31, "16 fans out to 31 tasks");
         // Workers that found the queue momentarily empty log spin time.
-        let spin: u64 = snap.lanes.iter().map(|l| l.queue_spin_ns).sum();
+        let spin: u64 = snap.lanes.iter().map(|l| l.waits.queue_spin_ns).sum();
         assert!(spin > 0, "expected some queue spin with 4 workers on a serial frontier");
     }
 }

@@ -26,6 +26,8 @@
 //! clock reads — the disabled overhead budget is < 2% (asserted in the bench
 //! smoke).
 
+use crate::profile::counter_table;
+use serde::{Deserialize, Serialize};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,79 +37,120 @@ use std::time::Instant;
 /// feature, in which case [`TraceSink::new_if`] never constructs a sink.
 pub const TRACE_COMPILED: bool = cfg!(feature = "trace");
 
-/// Number of distinct [`TracePhase`] values.
-pub const N_TRACE_PHASES: usize = 9;
+/// Declares the phase list **once**: the enum (discriminants in declaration
+/// order), the display names, [`TracePhase::all`] and [`N_TRACE_PHASES`] all
+/// follow from it — a new phase is one line here.
+macro_rules! trace_phases {
+    ($( $(#[$doc:meta])* $variant:ident, )*) => {
+        /// The phase a span or a [`PhaseClock`] interval is attributed to:
+        /// the trainer's time breakdown plus the pool-level wait states.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum TracePhase {
+            $( $(#[$doc])* $variant, )*
+        }
 
-/// The phase a span is attributed to. Mirrors the trainer's time breakdown
-/// plus the pool-level wait states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum TracePhase {
+        /// Number of distinct [`TracePhase`] values.
+        pub const N_TRACE_PHASES: usize = [$( TracePhase::$variant, )*].len();
+
+        impl TracePhase {
+            /// All phases in discriminant order.
+            pub fn all() -> [TracePhase; N_TRACE_PHASES] {
+                [$( TracePhase::$variant, )*]
+            }
+
+            /// Stable display name (also the chrome-trace event name).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( TracePhase::$variant => stringify!($variant), )*
+                }
+            }
+        }
+    };
+}
+
+trace_phases! {
     /// GHSum histogram construction (one span per scheduled task).
-    BuildHist = 0,
+    BuildHist,
     /// Histogram reduction / subtraction work derived from BuildHist.
-    Reduce = 1,
+    Reduce,
     /// Split enumeration over finished histograms.
-    FindSplit = 2,
+    FindSplit,
     /// Row partitioning after a split is applied.
-    ApplySplit = 3,
+    ApplySplit,
     /// Inference blocks in the predict driver.
-    Predict = 4,
+    Predict,
     /// Gradient/hessian computation between trees.
-    Gradients = 5,
+    Gradients,
     /// End-of-region wait for the slowest worker (fork/join barrier).
-    BarrierWait = 6,
+    BarrierWait,
     /// Spinning on an empty-but-undrained ASYNC work queue.
-    QueueSpin = 7,
+    QueueSpin,
     /// Everything else the coordinator times (eval, bookkeeping).
-    Other = 8,
+    Other,
 }
 
 impl TracePhase {
-    /// Stable display name (also the chrome-trace event name).
-    pub fn name(self) -> &'static str {
-        match self {
-            TracePhase::BuildHist => "BuildHist",
-            TracePhase::Reduce => "Reduce",
-            TracePhase::FindSplit => "FindSplit",
-            TracePhase::ApplySplit => "ApplySplit",
-            TracePhase::Predict => "Predict",
-            TracePhase::Gradients => "Gradients",
-            TracePhase::BarrierWait => "BarrierWait",
-            TracePhase::QueueSpin => "QueueSpin",
-            TracePhase::Other => "Other",
-        }
-    }
-
     /// Inverse of `self as u8`; `None` for out-of-range values.
     pub fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            0 => Some(TracePhase::BuildHist),
-            1 => Some(TracePhase::Reduce),
-            2 => Some(TracePhase::FindSplit),
-            3 => Some(TracePhase::ApplySplit),
-            4 => Some(TracePhase::Predict),
-            5 => Some(TracePhase::Gradients),
-            6 => Some(TracePhase::BarrierWait),
-            7 => Some(TracePhase::QueueSpin),
-            8 => Some(TracePhase::Other),
-            _ => None,
+        Self::all().get(v as usize).copied()
+    }
+}
+
+/// Nanoseconds per phase, indexed by [`TracePhase`]: one read of a
+/// [`PhaseClock`], or the difference of two.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PhaseNs(pub [u64; N_TRACE_PHASES]);
+
+impl PhaseNs {
+    /// Element-wise saturating difference `self - earlier`.
+    pub fn delta(&self, earlier: &PhaseNs) -> PhaseNs {
+        let mut out = *self;
+        for (d, e) in out.0.iter_mut().zip(earlier.0) {
+            *d = d.saturating_sub(e);
         }
+        out
+    }
+}
+
+impl std::ops::Index<TracePhase> for PhaseNs {
+    type Output = u64;
+
+    fn index(&self, phase: TracePhase) -> &u64 {
+        &self.0[phase as usize]
+    }
+}
+
+/// `(phase name, per-lane ns)` rows in phase order — the shape the
+/// worker-skew table in `harp-metrics` is built from.
+pub fn phase_rows(lanes: &[PhaseNs]) -> Vec<(&'static str, Vec<u64>)> {
+    TracePhase::all()
+        .into_iter()
+        .map(|p| (p.name(), lanes.iter().map(|l| l[p]).collect()))
+        .collect()
+}
+
+/// The phase clock: one relaxed nanosecond accumulator per [`TracePhase`].
+/// The trainer owns one per run ([`PhaseSpan`] adds each timed interval to
+/// its phase's entry) and every lane of a [`TraceSink`] owns one for its
+/// span durations; time breakdowns are sums over a [`PhaseNs`] read of it.
+#[derive(Debug, Default)]
+pub struct PhaseClock([AtomicU64; N_TRACE_PHASES]);
+
+impl PhaseClock {
+    /// Creates a zeroed clock.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// All phases in discriminant order.
-    pub fn all() -> [TracePhase; N_TRACE_PHASES] {
-        [
-            TracePhase::BuildHist,
-            TracePhase::Reduce,
-            TracePhase::FindSplit,
-            TracePhase::ApplySplit,
-            TracePhase::Predict,
-            TracePhase::Gradients,
-            TracePhase::BarrierWait,
-            TracePhase::QueueSpin,
-            TracePhase::Other,
-        ]
+    /// Adds `ns` to `phase`'s entry.
+    pub fn add(&self, phase: TracePhase, ns: u64) {
+        self.0[phase as usize].fetch_add(ns, Ordering::Relaxed);
+    }
+
+    /// Reads every entry.
+    pub fn snapshot(&self) -> PhaseNs {
+        PhaseNs(std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed)))
     }
 }
 
@@ -220,15 +263,30 @@ impl SpanRing {
     }
 }
 
+counter_table! {
+    /// One lane's wait and queue totals.
+    atomics LaneWaits;
+    /// The sink's wait/queue totals, of one lane or summed over lanes —
+    /// cumulative since sink creation (subtract two reads for an interval
+    /// delta).
+    snapshot TraceCounters;
+
+    /// Settled end-of-region barrier wait.
+    barrier_wait_ns,
+    /// Time spent spinning on an empty ASYNC queue.
+    queue_spin_ns,
+    /// Successful ASYNC queue pops.
+    queue_pops,
+    /// ASYNC queue pushes.
+    queue_pushes,
+}
+
 /// Per-lane aggregate counters, padded to avoid false sharing between lanes.
 #[repr(align(128))]
 #[derive(Default)]
 struct LaneCounters {
-    busy_ns: [AtomicU64; N_TRACE_PHASES],
-    barrier_wait_ns: AtomicU64,
-    queue_spin_ns: AtomicU64,
-    queue_pops: AtomicU64,
-    queue_pushes: AtomicU64,
+    busy: PhaseClock,
+    waits: LaneWaits,
 }
 
 /// The trace ledger: one span ring + counter block per lane.
@@ -299,69 +357,56 @@ impl TraceSink {
     ) {
         let lane = lane.min(self.rings.len() - 1);
         self.rings[lane].push(Span { phase: phase as u8, node, block, t_start_ns, t_end_ns });
-        self.counters[lane].busy_ns[phase as usize]
-            .fetch_add(t_end_ns.saturating_sub(t_start_ns), Ordering::Relaxed);
+        self.counters[lane].busy.add(phase, t_end_ns.saturating_sub(t_start_ns));
     }
 
     /// Starts a scoped span on `lane`; the span is recorded when the guard
     /// drops.
-    pub fn span(&self, lane: usize, phase: TracePhase, node: u32, block: u32) -> SpanGuard<'_> {
-        SpanGuard { sink: self, lane, phase, node, block, start_ns: self.now_ns() }
+    pub fn span(&self, lane: usize, phase: TracePhase, node: u32, block: u32) -> PhaseSpan<'_> {
+        PhaseSpan::begin(Some(self), lane, phase, node, block, None)
+    }
+
+    /// `lane`'s wait/queue totals (out-of-range lanes land on the
+    /// coordinator's).
+    fn waits(&self, lane: usize) -> &LaneWaits {
+        &self.counters[lane.min(self.counters.len() - 1)].waits
     }
 
     /// Adds settled barrier-wait time for `lane` (also recorded as a span by
     /// the pool).
     pub fn add_barrier_wait(&self, lane: usize, ns: u64) {
-        let lane = lane.min(self.counters.len() - 1);
-        self.counters[lane].barrier_wait_ns.fetch_add(ns, Ordering::Relaxed);
+        self.waits(lane).barrier_wait_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Adds queue-spin time for `lane`.
     pub fn add_queue_spin(&self, lane: usize, ns: u64) {
-        let lane = lane.min(self.counters.len() - 1);
-        self.counters[lane].queue_spin_ns.fetch_add(ns, Ordering::Relaxed);
+        self.waits(lane).queue_spin_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Counts one successful pop from the ASYNC priority queue on `lane`.
     pub fn count_queue_pop(&self, lane: usize) {
-        let lane = lane.min(self.counters.len() - 1);
-        self.counters[lane].queue_pops.fetch_add(1, Ordering::Relaxed);
+        self.waits(lane).queue_pops.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one push into the ASYNC priority queue from `lane`.
     pub fn count_queue_push(&self, lane: usize) {
-        let lane = lane.min(self.counters.len() - 1);
-        self.counters[lane].queue_pushes.fetch_add(1, Ordering::Relaxed);
+        self.waits(lane).queue_pushes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Sums the wait/queue counters across lanes — a handful of relaxed
     /// loads, safe to call once per boosting round (unlike
     /// [`snapshot`](Self::snapshot), which drains the span rings).
     pub fn counter_totals(&self) -> TraceCounters {
-        let mut t = TraceCounters::default();
-        for c in &self.counters {
-            t.barrier_wait_ns += c.barrier_wait_ns.load(Ordering::Relaxed);
-            t.queue_spin_ns += c.queue_spin_ns.load(Ordering::Relaxed);
-            t.queue_pops += c.queue_pops.load(Ordering::Relaxed);
-            t.queue_pushes += c.queue_pushes.load(Ordering::Relaxed);
-        }
-        t
+        self.counters
+            .iter()
+            .fold(TraceCounters::default(), |t, c| t.plus(&c.waits.snapshot()))
     }
 
     /// Per-lane per-phase busy nanoseconds (cumulative). Two reads bracket
-    /// an interval; their element-wise difference feeds a per-round
-    /// worker-skew table without touching the span rings.
-    pub fn phase_busy_by_lane(&self) -> Vec<[u64; N_TRACE_PHASES]> {
-        self.counters
-            .iter()
-            .map(|c| {
-                let mut busy = [0u64; N_TRACE_PHASES];
-                for (dst, src) in busy.iter_mut().zip(&c.busy_ns) {
-                    *dst = src.load(Ordering::Relaxed);
-                }
-                busy
-            })
-            .collect()
+    /// an interval; their [`PhaseNs::delta`]s feed a per-round worker-skew
+    /// table without touching the span rings.
+    pub fn phase_busy_by_lane(&self) -> Vec<PhaseNs> {
+        self.counters.iter().map(|c| c.busy.snapshot()).collect()
     }
 
     /// Snapshots every lane: published spans sorted by start time plus a
@@ -376,10 +421,6 @@ impl TraceSink {
             .map(|(i, (ring, c))| {
                 let mut spans = ring.drain_valid();
                 spans.sort_by_key(|s| (s.t_start_ns, s.t_end_ns));
-                let mut busy_ns = [0u64; N_TRACE_PHASES];
-                for (dst, src) in busy_ns.iter_mut().zip(&c.busy_ns) {
-                    *dst = src.load(Ordering::Relaxed);
-                }
                 LaneSnapshot {
                     name: if i == coord {
                         "coordinator".to_string()
@@ -389,11 +430,8 @@ impl TraceSink {
                     spans,
                     spans_recorded: ring.pushed(),
                     spans_dropped: ring.pushed().saturating_sub(ring.capacity() as u64),
-                    busy_ns,
-                    barrier_wait_ns: c.barrier_wait_ns.load(Ordering::Relaxed),
-                    queue_spin_ns: c.queue_spin_ns.load(Ordering::Relaxed),
-                    queue_pops: c.queue_pops.load(Ordering::Relaxed),
-                    queue_pushes: c.queue_pushes.load(Ordering::Relaxed),
+                    busy_ns: c.busy.snapshot(),
+                    waits: c.waits.snapshot(),
                 }
             })
             .collect();
@@ -401,59 +439,14 @@ impl TraceSink {
     }
 }
 
-/// Cross-lane totals of the sink's wait/queue counters (cumulative since
-/// sink creation; subtract two reads for an interval delta).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TraceCounters {
-    /// End-of-region barrier wait summed over lanes.
-    pub barrier_wait_ns: u64,
-    /// ASYNC queue spin time summed over lanes.
-    pub queue_spin_ns: u64,
-    /// Successful ASYNC queue pops.
-    pub queue_pops: u64,
-    /// ASYNC queue pushes.
-    pub queue_pushes: u64,
-}
-
-impl TraceCounters {
-    /// Element-wise saturating difference `self - earlier`.
-    pub fn delta(&self, earlier: &TraceCounters) -> TraceCounters {
-        TraceCounters {
-            barrier_wait_ns: self.barrier_wait_ns.saturating_sub(earlier.barrier_wait_ns),
-            queue_spin_ns: self.queue_spin_ns.saturating_sub(earlier.queue_spin_ns),
-            queue_pops: self.queue_pops.saturating_sub(earlier.queue_pops),
-            queue_pushes: self.queue_pushes.saturating_sub(earlier.queue_pushes),
-        }
-    }
-}
-
-/// RAII span recorder returned by [`TraceSink::span`].
-pub struct SpanGuard<'a> {
-    sink: &'a TraceSink,
-    lane: usize,
-    phase: TracePhase,
-    node: u32,
-    block: u32,
-    start_ns: u64,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let end = self.sink.now_ns();
-        self.sink
-            .record(self.lane, self.phase, self.node, self.block, self.start_ns, end);
-    }
-}
-
-/// Scoped phase timer that subsumes [`crate::ScopedPhase`]: one clock pair
-/// feeds both a nanosecond accumulator (the legacy breakdown counter) and,
-/// when a sink is present, a span on the given lane.
+/// The one scoped phase timer: a single clock pair feeds the [`PhaseClock`]
+/// entry of its phase and, when a sink is present, a span on the given lane.
 ///
-/// With `sink == None` and `counter == None` the guard is inert and performs
-/// no clock reads — this is the tracing-disabled fast path.
+/// With neither a sink nor a clock the guard is inert and performs no clock
+/// reads — this is the tracing-disabled fast path.
 pub struct PhaseSpan<'a> {
     sink: Option<&'a TraceSink>,
-    counter: Option<&'a AtomicU64>,
+    clock: Option<&'a PhaseClock>,
     lane: usize,
     phase: TracePhase,
     node: u32,
@@ -463,19 +456,19 @@ pub struct PhaseSpan<'a> {
 }
 
 impl<'a> PhaseSpan<'a> {
-    /// Starts timing. `counter` receives elapsed nanoseconds on drop (like
-    /// `ScopedPhase`); `sink` additionally receives a span on `lane`.
+    /// Starts timing. On drop, `clock` receives the elapsed nanoseconds
+    /// under `phase` and `sink` a span on `lane`.
     pub fn begin(
         sink: Option<&'a TraceSink>,
         lane: usize,
         phase: TracePhase,
         node: u32,
         block: u32,
-        counter: Option<&'a AtomicU64>,
+        clock: Option<&'a PhaseClock>,
     ) -> Self {
         let start_ns = sink.map(|s| s.now_ns()).unwrap_or(0);
-        let start = if sink.is_none() && counter.is_some() { Some(Instant::now()) } else { None };
-        Self { sink, counter, lane, phase, node, block, start, start_ns }
+        let start = if sink.is_none() && clock.is_some() { Some(Instant::now()) } else { None };
+        Self { sink, clock, lane, phase, node, block, start, start_ns }
     }
 }
 
@@ -484,11 +477,11 @@ impl Drop for PhaseSpan<'_> {
         if let Some(sink) = self.sink {
             let end = sink.now_ns();
             sink.record(self.lane, self.phase, self.node, self.block, self.start_ns, end);
-            if let Some(c) = self.counter {
-                c.fetch_add(end.saturating_sub(self.start_ns), Ordering::Relaxed);
+            if let Some(c) = self.clock {
+                c.add(self.phase, end.saturating_sub(self.start_ns));
             }
-        } else if let (Some(c), Some(t0)) = (self.counter, self.start) {
-            c.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        } else if let (Some(c), Some(t0)) = (self.clock, self.start) {
+            c.add(self.phase, t0.elapsed().as_nanos() as u64);
         }
     }
 }
@@ -504,16 +497,10 @@ pub struct LaneSnapshot {
     pub spans_recorded: u64,
     /// Spans lost to drop-oldest overwrite.
     pub spans_dropped: u64,
-    /// Aggregate busy ns per phase (indexed by `TracePhase as usize`).
-    pub busy_ns: [u64; N_TRACE_PHASES],
-    /// Settled end-of-region barrier wait.
-    pub barrier_wait_ns: u64,
-    /// Time spent spinning on an empty ASYNC queue.
-    pub queue_spin_ns: u64,
-    /// Successful ASYNC queue pops.
-    pub queue_pops: u64,
-    /// ASYNC queue pushes issued from this lane.
-    pub queue_pushes: u64,
+    /// Aggregate busy ns per phase.
+    pub busy_ns: PhaseNs,
+    /// Barrier-wait and ASYNC queue totals of this lane.
+    pub waits: TraceCounters,
 }
 
 /// A drained copy of the whole ledger; the input to both exporters.
@@ -531,14 +518,8 @@ impl TraceSnapshot {
     /// Returns `(phase name, per-worker ns)` rows in phase order.
     pub fn worker_phase_ns(&self) -> Vec<(&'static str, Vec<u64>)> {
         let workers = self.lanes.len().saturating_sub(1);
-        TracePhase::all()
-            .into_iter()
-            .map(|p| {
-                let row: Vec<u64> =
-                    self.lanes[..workers].iter().map(|l| l.busy_ns[p as usize]).collect();
-                (p.name(), row)
-            })
-            .collect()
+        let busy: Vec<PhaseNs> = self.lanes[..workers].iter().map(|l| l.busy_ns).collect();
+        phase_rows(&busy)
     }
 
     /// Per-phase span durations in nanoseconds, pooled across all lanes
@@ -572,7 +553,7 @@ impl TraceSnapshot {
     /// Per-worker barrier-wait nanoseconds (worker lanes only).
     pub fn worker_barrier_wait_ns(&self) -> Vec<u64> {
         let workers = self.lanes.len().saturating_sub(1);
-        self.lanes[..workers].iter().map(|l| l.barrier_wait_ns).collect()
+        self.lanes[..workers].iter().map(|l| l.waits.barrier_wait_ns).collect()
     }
 
     /// Renders the snapshot as chrome `trace_event` JSON (the "JSON object
@@ -620,10 +601,10 @@ impl TraceSnapshot {
                  \"barrier_wait_ns\":{},\"queue_spin_ns\":{},\"queue_pops\":{},\
                  \"queue_pushes\":{},\"spans_recorded\":{},\"spans_dropped\":{}}}}}",
                 t_max as f64 / 1e3,
-                lane.barrier_wait_ns,
-                lane.queue_spin_ns,
-                lane.queue_pops,
-                lane.queue_pushes,
+                lane.waits.barrier_wait_ns,
+                lane.waits.queue_spin_ns,
+                lane.waits.queue_pops,
+                lane.waits.queue_pushes,
                 lane.spans_recorded,
                 lane.spans_dropped
             ));
@@ -857,13 +838,16 @@ mod tests {
         let s = snap.lanes[0].spans[0];
         assert_eq!((s.node, s.block), (7, 3));
         assert!(s.t_end_ns > s.t_start_ns);
-        assert!(snap.lanes[0].busy_ns[TracePhase::FindSplit as usize] >= 1_000_000);
+        assert!(snap.lanes[0].busy_ns[TracePhase::FindSplit] >= 1_000_000);
     }
 
     #[test]
     fn phase_span_feeds_both_counter_and_sink() {
+        let only = |phase: TracePhase, ns: &PhaseNs| {
+            TracePhase::all().into_iter().all(|p| (ns[p] > 0) == (p == phase))
+        };
         let sink = TraceSink::with_capacity(1, 64);
-        let counter = AtomicU64::new(0);
+        let clock = PhaseClock::new();
         {
             let _p = PhaseSpan::begin(
                 Some(&sink),
@@ -871,20 +855,38 @@ mod tests {
                 TracePhase::BuildHist,
                 1,
                 0,
-                Some(&counter),
+                Some(&clock),
             );
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        assert!(counter.load(Ordering::Relaxed) >= 1_000_000);
-        assert_eq!(sink.snapshot().count_phase(TracePhase::BuildHist), 1);
-        // Without a sink the guard still feeds the counter (ScopedPhase
-        // compatibility).
-        let c2 = AtomicU64::new(0);
-        {
-            let _p = PhaseSpan::begin(None, 0, TracePhase::Other, 0, 0, Some(&c2));
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        let snap = sink.snapshot();
+        assert_eq!(snap.count_phase(TracePhase::BuildHist), 1);
+        // One clock pair: the clock entry and the span carry the same interval.
+        let span = snap.lanes[sink.coordinator_lane()].spans[0];
+        let ns = clock.snapshot();
+        assert_eq!(ns[TracePhase::BuildHist], span.t_end_ns - span.t_start_ns);
+        assert!(ns[TracePhase::BuildHist] >= 1_000_000);
+        assert!(only(TracePhase::BuildHist, &ns), "{ns:?}");
+
+        // A clock and no sink: exactly one interval, in exactly the phase's
+        // entry, and each further guard adds exactly one more.
+        let c2 = PhaseClock::new();
+        let mut reads = Vec::new();
+        for _ in 0..3 {
+            {
+                let _p = PhaseSpan::begin(None, 0, TracePhase::Other, 0, 0, Some(&c2));
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+            reads.push(c2.snapshot());
         }
-        assert!(c2.load(Ordering::Relaxed) > 0);
+        assert!(reads.iter().all(|ns| only(TracePhase::Other, ns)), "{reads:?}");
+        assert!(reads.windows(2).all(|w| w[0][TracePhase::Other] < w[1][TracePhase::Other]));
+        assert_eq!(reads[2].delta(&reads[2]), PhaseNs::default());
+
+        // Neither: the guard is inert — it holds no start time, so its drop
+        // has nothing to read a clock against.
+        let inert = PhaseSpan::begin(None, 0, TracePhase::Other, 0, 0, None);
+        assert!(inert.start.is_none() && inert.start_ns == 0);
     }
 
     #[test]

@@ -151,18 +151,9 @@ fn histogram_series(
 /// exposition format permits — cumulative counts stay monotone.
 pub fn render_prometheus(snap: &StatsSnapshot) -> String {
     let mut out = String::with_capacity(4096);
-    counter(&mut out, "harp_serve_requests_total", "Score requests admitted.", snap.requests);
-    counter(&mut out, "harp_serve_rows_total", "Rows admitted in Score requests.", snap.rows);
-    counter(&mut out, "harp_serve_batches_total", "Micro-batches dispatched.", snap.batches);
-    counter(&mut out, "harp_serve_sheds_total", "Requests shed by admission control.", snap.sheds);
-    counter(
-        &mut out,
-        "harp_serve_protocol_errors_total",
-        "Protocol errors answered.",
-        snap.protocol_errors,
-    );
-    counter(&mut out, "harp_serve_swaps_total", "Model hot-swaps installed.", snap.swaps);
-    counter(&mut out, "harp_serve_connections_total", "Connections accepted.", snap.connections);
+    for (name, help, value) in snap.counters() {
+        counter(&mut out, &format!("harp_serve_{name}_total"), help, value);
+    }
     gauge(
         &mut out,
         "harp_serve_generation",
@@ -247,6 +238,48 @@ mod tests {
         ] {
             assert!(text.contains(family), "missing {family:?} in:\n{text}");
         }
+        // Counter and gauge families: names, help text, order and values,
+        // byte for byte.
+        let head = "\
+# HELP harp_serve_requests_total Score requests admitted.
+# TYPE harp_serve_requests_total counter
+harp_serve_requests_total 1
+# HELP harp_serve_rows_total Rows admitted in Score requests.
+# TYPE harp_serve_rows_total counter
+harp_serve_rows_total 64
+# HELP harp_serve_batches_total Micro-batches dispatched.
+# TYPE harp_serve_batches_total counter
+harp_serve_batches_total 0
+# HELP harp_serve_sheds_total Requests shed by admission control.
+# TYPE harp_serve_sheds_total counter
+harp_serve_sheds_total 0
+# HELP harp_serve_protocol_errors_total Protocol errors answered.
+# TYPE harp_serve_protocol_errors_total counter
+harp_serve_protocol_errors_total 0
+# HELP harp_serve_swaps_total Model hot-swaps installed.
+# TYPE harp_serve_swaps_total counter
+harp_serve_swaps_total 0
+# HELP harp_serve_connections_total Connections accepted.
+# TYPE harp_serve_connections_total counter
+harp_serve_connections_total 0
+# HELP harp_serve_generation Generation of the forest being served.
+# TYPE harp_serve_generation gauge
+harp_serve_generation 7
+# HELP harp_serve_queue_depth Jobs queued for dispatch.
+# TYPE harp_serve_queue_depth gauge
+harp_serve_queue_depth 0
+# HELP harp_serve_uptime_seconds Seconds since the server started.
+# TYPE harp_serve_uptime_seconds gauge
+harp_serve_uptime_seconds 12.5
+# HELP harp_serve_model_features Feature count of the forest being served.
+# TYPE harp_serve_model_features gauge
+harp_serve_model_features 28
+# HELP harp_serve_model_groups Score groups per row of the forest being served.
+# TYPE harp_serve_model_groups gauge
+harp_serve_model_groups 1
+# HELP harp_serve_phase_latency_seconds Server-side per-phase latency.
+";
+        assert!(text.starts_with(head), "exposition head changed:\n{text}");
         for phase in ["queue_wait", "assemble", "predict", "write"] {
             let needle = format!("harp_serve_phase_latency_seconds_bucket{{phase=\"{phase}\"");
             assert!(text.contains(&needle), "missing {needle:?} in:\n{text}");

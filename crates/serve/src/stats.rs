@@ -11,9 +11,7 @@
 //! feeds an [`AtomicHistogram`] so tails (p99/p999) are observable, not
 //! just totals; `end_to_end` spans admission to scored reply.
 
-use harp_metrics::{
-    AtomicHistogram, HistogramSnapshot, LatencySet, LedgerRecord, PlanStats, RunLedger,
-};
+use harp_metrics::{AtomicHistogram, HistogramSnapshot, LatencySet, LedgerRecord, RunLedger};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Hot-path counters for one server instance.
@@ -157,11 +155,38 @@ impl ServeStats {
 }
 
 impl StatsSnapshot {
+    /// The monotone counters as `(name, help, value)` in wire order — the
+    /// one listing behind the serve ledger's `counters` and the `/metrics`
+    /// `harp_serve_<name>_total` families.
+    pub fn counters(&self) -> [(&'static str, &'static str, u64); 7] {
+        [
+            ("requests", "Score requests admitted.", self.requests),
+            ("rows", "Rows admitted in Score requests.", self.rows),
+            ("batches", "Micro-batches dispatched.", self.batches),
+            ("sheds", "Requests shed by admission control.", self.sheds),
+            ("protocol_errors", "Protocol errors answered.", self.protocol_errors),
+            ("swaps", "Model hot-swaps installed.", self.swaps),
+            ("connections", "Connections accepted.", self.connections),
+        ]
+    }
+
+    /// The cumulative serve-phase seconds as `(name, seconds)`, in the order
+    /// a request passes through them.
+    pub fn phase_secs(&self) -> [(&'static str, f64); 4] {
+        [
+            ("queue_wait", self.queue_wait_secs),
+            ("assemble", self.assemble_secs),
+            ("predict", self.predict_secs),
+            ("write", self.write_secs),
+        ]
+    }
+
     /// Renders as one [`LedgerRecord`] for the serve ledger: the epoch
     /// index plays the role of the boosting round, phase seconds carry the
     /// serve phases, counters carry the deltas since the previous epoch,
-    /// latency histograms carry per-epoch bucket deltas; tree-shape fields
-    /// are zeroed (no trees are grown while serving).
+    /// latency histograms carry per-epoch bucket deltas; the tree-shape,
+    /// memory and plan fields stay at their zero defaults (no trees are
+    /// grown while serving).
     ///
     /// All deltas saturate at zero: the component loads are relaxed and
     /// can tear across a concurrent epoch boundary, so `prev` may be
@@ -185,33 +210,20 @@ impl StatsSnapshot {
         LedgerRecord {
             round: epoch,
             elapsed_secs,
-            round_secs: 0.0,
-            phase_secs: vec![
-                ("queue_wait".into(), (self.queue_wait_secs - prev.queue_wait_secs).max(0.0)),
-                ("assemble".into(), (self.assemble_secs - prev.assemble_secs).max(0.0)),
-                ("predict".into(), (self.predict_secs - prev.predict_secs).max(0.0)),
-                ("write".into(), (self.write_secs - prev.write_secs).max(0.0)),
-            ],
-            counters: vec![
-                ("requests".into(), self.requests.saturating_sub(prev.requests)),
-                ("rows".into(), self.rows.saturating_sub(prev.rows)),
-                ("batches".into(), self.batches.saturating_sub(prev.batches)),
-                ("sheds".into(), self.sheds.saturating_sub(prev.sheds)),
-                (
-                    "protocol_errors".into(),
-                    self.protocol_errors.saturating_sub(prev.protocol_errors),
-                ),
-                ("swaps".into(), self.swaps.saturating_sub(prev.swaps)),
-                ("connections".into(), self.connections.saturating_sub(prev.connections)),
-            ],
-            eval_metric: None,
-            n_leaves: 0,
-            max_depth: 0,
-            mean_k_per_pop: 0.0,
-            mem: Vec::new(),
-            skew: Vec::new(),
-            plan: PlanStats::default(),
+            phase_secs: self
+                .phase_secs()
+                .into_iter()
+                .zip(prev.phase_secs())
+                .map(|((name, now), (_, before))| (name.into(), (now - before).max(0.0)))
+                .collect(),
+            counters: self
+                .counters()
+                .into_iter()
+                .zip(prev.counters())
+                .map(|((name, _, now), (_, _, before))| (name.into(), now.saturating_sub(before)))
+                .collect(),
             latency,
+            ..Default::default()
         }
     }
 
@@ -285,6 +297,32 @@ mod tests {
         assert_eq!(records[0].counters[0], ("requests".into(), 2));
         assert_eq!(records[1].counters[0], ("requests".into(), 1));
         assert_eq!(records[1].round, 2);
+        // Names and order are the contract ledgers and dashboards read.
+        let names =
+            |pairs: &[(String, u64)]| pairs.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>();
+        assert_eq!(
+            names(&records[0].counters),
+            ["requests", "rows", "batches", "sheds", "protocol_errors", "swaps", "connections"]
+        );
+        assert_eq!(records[0].counters[1], ("rows".into(), 128));
+        assert_eq!(
+            records[0].phase_secs,
+            [("queue_wait", 0.0), ("assemble", 0.0), ("predict", 2.0), ("write", 0.0)]
+                .map(|(n, v)| (n.to_string(), v))
+        );
+        assert_eq!((records[0].round_secs, records[0].n_leaves, records[0].mem.len()), (0.0, 0, 0));
+        // The wire form of a `StatsReply` keeps its keys, in field order.
+        let json = serde_json::to_string(&snap).unwrap();
+        assert!(
+            json.starts_with(
+                "{\"requests\":2,\"rows\":128,\"batches\":0,\"sheds\":0,\"protocol_errors\":0,\
+                 \"swaps\":0,\"connections\":0,\"generation\":3,\"n_features\":28,\"n_groups\":1,\
+                 \"queue_wait_secs\":0.0,\"assemble_secs\":0.0,\"predict_secs\":2.0,\"write_secs\":0.0,\
+                 \"uptime_secs\":1.5,\"queue_depth\":0,\"latency\":["
+            ),
+            "{json}"
+        );
+        assert_eq!(serde_json::from_str::<StatsSnapshot>(&json).unwrap(), snap);
         // Epoch histograms are deltas: epoch 2 sees only the 1ms sample.
         let epoch2 = records[1].latency.get("predict").unwrap();
         assert_eq!(epoch2.count(), 1);

@@ -113,6 +113,115 @@ fn trace_enriches_records_with_skew_and_queue_counters() {
     );
 }
 
+/// The contract dashboards and `report --diff` read: a renamed, dropped or
+/// reordered metric must fail here, not there. The lists are the parent
+/// commit's round-1 output of a 1-thread traced run, copied literally.
+#[test]
+fn round_one_metric_names_and_order_are_the_recorded_contract() {
+    const PHASES: [&str; 5] = ["build_hist", "find_split", "apply_split", "predict", "other"];
+    const COUNTERS: [&str; 34] = [
+        "busy_ns",
+        "barrier_wait_ns",
+        "lock_wait_ns",
+        "regions",
+        "tasks",
+        "bytes_read",
+        "bytes_written",
+        "flops",
+        "region_write_ws_bytes",
+        "region_write_ws_samples",
+        "wall_ns",
+        "scratch_allocs",
+        "scratch_reuses",
+        "partition_scratch_allocs",
+        "partition_scratch_reuses",
+        "hist_cache_hits",
+        "hist_cache_misses",
+        "hist_cache_declined",
+        "hist_cache_evictions",
+        "hist_cache_trimmed",
+        "hist_builds_skipped",
+        "plan_tasks_replicated",
+        "plan_tasks_exclusive",
+        "plan_batches_auto",
+        "cols_u4",
+        "cols_bundled",
+        "bundle_conflicts",
+        "simd_tier",
+        "chunk_loads",
+        "chunk_evictions",
+        "chunk_prefetch_hits",
+        "queue_pops",
+        "queue_pushes",
+        "queue_spin_ns",
+    ];
+    const GAUGES: [&str; 7] = [
+        "hist_pool",
+        "hist_cache",
+        "scratch_arena",
+        "membuf",
+        "partition",
+        "flat_forest",
+        "quant_store",
+    ];
+
+    let data = prepared(DatasetKind::HiggsLike, 0.03, 7);
+    let mut params = harp_params(5, 1);
+    params.n_trees = 2;
+    params.trace = TraceConfig::enabled();
+    params.ledger = LedgerConfig::enabled();
+    let trainer = GbdtTrainer::new(params).expect("valid params");
+    let counter = |r: &harp_metrics::LedgerRecord, name: &str| {
+        r.counters.iter().find(|(n, _)| n == name).expect("counter present").1
+    };
+    let round_one = |store: &dyn harpgbdt::QuantStore| {
+        let diag = trainer.train_store(store, &data.train.labels, None).diagnostics;
+        let records = diag.ledger.expect("ledger enabled").records().to_vec();
+        // The run's report and the rounds are views of the same totals
+        // (a prefetch may still land after the last round is filed).
+        for name in ["regions", "flops", "chunk_loads"] {
+            let run = diag.profile.named().iter().find(|(n, _)| *n == name).expect("counter").1;
+            let rounds = records.iter().map(|r| counter(r, name)).sum::<u64>();
+            assert!(run == rounds || (name == "chunk_loads" && run > rounds), "{name}");
+        }
+        records[0].clone()
+    };
+    let names = |r: &harp_metrics::LedgerRecord| {
+        (
+            r.phase_secs.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
+            r.counters.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
+            r.mem.iter().map(|m| m.name.clone()).collect::<Vec<_>>(),
+        )
+    };
+
+    let incore = round_one(&data.quantized);
+    let (phases, counters, mem) = names(&incore);
+    assert_eq!(phases, PHASES);
+    assert_eq!(counters, COUNTERS);
+    assert_eq!(mem, GAUGES);
+
+    // A chunked store reports the same names plus its resident-slab gauge,
+    // and the same values wherever chunk traffic is not what is counted.
+    let path = std::env::temp_dir().join(format!("harp_ledger_names_{}.qsc", std::process::id()));
+    harpgbdt::write_cache(&data.quantized, 64, &path).expect("write cache");
+    let store = harpgbdt::ChunkedStore::open(&path, 1 << 30).expect("open cache");
+    let chunked = round_one(&store);
+    drop(store);
+    std::fs::remove_file(&path).ok();
+    let (phases, counters, mem) = names(&chunked);
+    assert_eq!(phases, PHASES);
+    assert_eq!(counters, COUNTERS);
+    assert_eq!(mem[..7], GAUGES);
+    assert_eq!(mem[7..], [gauges::CHUNK_RESIDENT]);
+    assert!(counter(&chunked, "chunk_loads") > 0, "the chunked run decoded chunks");
+    assert_eq!(counter(&incore, "chunk_loads"), 0);
+    for name in
+        ["regions", "tasks", "flops", "hist_cache_hits", "plan_tasks_exclusive", "simd_tier"]
+    {
+        assert_eq!(counter(&incore, name), counter(&chunked, name), "{name}");
+    }
+}
+
 #[test]
 fn ledger_file_roundtrip_and_self_diff() {
     let (ledger, _) = ledger_run(small_params(), true);
