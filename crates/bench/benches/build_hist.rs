@@ -15,8 +15,11 @@ use harpgbdt::kernels::{
     col_scan, col_scan_scalar, row_scan, row_scan_root, row_scan_scalar, GradSource,
 };
 use harpgbdt::partition::RowPartition;
-use harpgbdt::trainer::{build_hists_dp, build_hists_mp, DriverCtx, DriverScratch, HistJob};
-use harpgbdt::{hist, ParallelMode, TrainParams};
+use harpgbdt::split::SplitSettings;
+use harpgbdt::trainer::{
+    build_hists_dp, build_hists_mp, DriverCtx, DriverScratch, HistJob, SplitSearch, TileJob,
+};
+use harpgbdt::{hist, NodeStats, ParallelMode, TrainParams};
 
 struct Fixture {
     qm: QuantizedMatrix,
@@ -206,10 +209,24 @@ fn bench_drivers(c: &mut Criterion) {
                         .iter()
                         .map(|&node| HistJob { node, buf: vec![0.0; fx.width] })
                         .collect();
+                    // MP is the fused pipeline: scan and FindSplit per tile,
+                    // every node filed (its tiles are its buffer's lanes).
+                    let mut tile_jobs: Vec<TileJob> = nodes
+                        .iter()
+                        .map(|&node| {
+                            let mut stats = NodeStats {
+                                count: part.node_len(node) as u32,
+                                ..Default::default()
+                            };
+                            for &row in part.rows(node) {
+                                stats.g += f64::from(fx.grads[row as usize][0]);
+                                stats.h += f64::from(fx.grads[row as usize][1]);
+                            }
+                            TileJob { node, stats, buf: Some(vec![0.0; fx.width]), sibling: None }
+                        })
+                        .collect();
+                    let settings = SplitSettings { lambda: 1.0, gamma: 0.0, min_child_weight: 1.0 };
                     b.iter(|| {
-                        for j in &mut jobs {
-                            j.buf.fill(0.0);
-                        }
                         let ctx = DriverCtx {
                             qm: &fx.qm,
                             params: &params,
@@ -219,9 +236,19 @@ fn bench_drivers(c: &mut Criterion) {
                         };
                         match mode {
                             ParallelMode::ModelParallel => {
-                                build_hists_mp(&ctx, &mut scratch, &mut jobs)
+                                for j in &mut tile_jobs {
+                                    j.buf.as_mut().expect("filed").fill(0.0);
+                                }
+                                let search = SplitSearch { settings: &settings, mask: None };
+                                build_hists_mp(&ctx, &mut scratch, &mut tile_jobs, search).found
                             }
-                            _ => build_hists_dp(&ctx, &mut scratch, &mut jobs),
+                            _ => {
+                                for j in &mut jobs {
+                                    j.buf.fill(0.0);
+                                }
+                                build_hists_dp(&ctx, &mut scratch, &mut jobs);
+                                Vec::new()
+                            }
                         }
                     });
                 });

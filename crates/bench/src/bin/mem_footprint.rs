@@ -8,7 +8,11 @@
 //! reads the high-water marks off the final ledger record. A second,
 //! criteo-like data set at D10/K32 is TopK's other regime — a thousand
 //! leaves of a few dozen rows — where pool and arena follow the rows of a
-//! node, not the histogram width (DESIGN.md §11, §18).
+//! node, not the histogram width (DESIGN.md §11, §18). A third, yfcc-like
+//! set (4 096 CSR features) is the width-bound regime: under MP and SYNC's
+//! Exclusive batches a full-width histogram exists only where a subtraction
+//! will read it, everything else lives in a per-worker tile pair, while DP
+//! still holds one buffer per job of a batch.
 //!
 //! Regenerate `results/mem_footprint.txt` with:
 //! `cargo run --release -p harp-bench --bin mem_footprint > results/mem_footprint.txt`
@@ -17,7 +21,10 @@ use harp_bench::{prepared, ExpArgs, Table};
 use harp_data::DatasetKind;
 use harp_metrics::{gauges, MemGaugeRecord};
 use harpgbdt::trainer::GbdtTrainer;
-use harpgbdt::{BlockConfig, GrowthMethod, LedgerConfig, ParallelMode, TrainParams};
+use harpgbdt::{
+    BinningConfig, BlockConfig, GrowthMethod, LedgerConfig, ParallelMode, QuantizedMatrix,
+    TrainParams,
+};
 
 fn kb(mem: &[MemGaugeRecord], name: &str) -> f64 {
     mem.iter()
@@ -28,20 +35,43 @@ fn kb(mem: &[MemGaugeRecord], name: &str) -> f64 {
 fn main() {
     let args = ExpArgs::parse();
     let n_trees = args.n_trees(5, 20);
-    let datasets = [
-        (
-            DatasetKind::HiggsLike,
-            args.data_scale(2.0, 8.0),
-            &[(8, true), (8, false), (10, true)][..],
-        ),
-        (DatasetKind::CriteoLike, args.data_scale(1.5, 4.0), &[(10, true)][..]),
-    ];
-
     let modes = [
         (ParallelMode::DataParallel, "DP"),
         (ParallelMode::ModelParallel, "MP"),
         (ParallelMode::Sync, "SYNC"),
         (ParallelMode::Async, "ASYNC"),
+    ];
+    // The MP blocks of the paper's fat-matrix runs (§IV-C): with
+    // `feature_blk = 0` a tile would be the whole histogram.
+    let fat = BlockConfig { node_blk_size: 8, feature_blk_size: 32, ..BlockConfig::default() };
+    // (data, scale, (D, membuf) runs, modes, blocks, bins per feature).
+    let datasets = [
+        (
+            DatasetKind::HiggsLike,
+            args.data_scale(2.0, 8.0),
+            &[(8, true), (8, false), (10, true)][..],
+            &modes[..],
+            BlockConfig::default(),
+            None,
+        ),
+        (
+            DatasetKind::CriteoLike,
+            args.data_scale(1.5, 4.0),
+            &[(10, true)][..],
+            &modes[..],
+            BlockConfig::default(),
+            None,
+        ),
+        // 32 bins keep a node histogram at 2 MB (it is 16 MB at the default
+        // 255): DP's D6 batches hold some fifty of them.
+        (
+            DatasetKind::YfccLike,
+            args.data_scale(1.0, 3.0),
+            &[(4, true), (6, true)][..],
+            &modes[..3],
+            fat,
+            Some(32),
+        ),
     ];
     let mut table = Table::new(
         format!("Training memory high-water by mode ({} threads, KB)", args.threads),
@@ -62,10 +92,16 @@ fn main() {
             "total",
         ],
     );
-    for (kind, scale, runs) in datasets {
-        let data = prepared(kind, scale, args.seed);
+    for (kind, scale, runs, modes, blocks, max_bins) in datasets {
+        let mut data = prepared(kind, scale, args.seed);
+        if let Some(max_bins) = max_bins {
+            data.quantized = QuantizedMatrix::from_matrix(
+                &data.train.features,
+                BinningConfig::with_max_bins(max_bins),
+            );
+        }
         harp_bench::warmup(&data, args.threads);
-        for (mode, label) in modes {
+        for &(mode, label) in modes {
             for &(tree_size, use_membuf) in runs {
                 let params = TrainParams {
                     mode,
@@ -79,7 +115,7 @@ fn main() {
                     // grow towards their leaf budget.
                     gamma: 0.0,
                     ledger: LedgerConfig::enabled(),
-                    blocks: BlockConfig::default(),
+                    blocks,
                     ..TrainParams::default()
                 };
                 let trainer = GbdtTrainer::new(params).expect("valid params");
@@ -126,8 +162,16 @@ fn main() {
     table.note(
         "hist pool = every histogram buffer the trainer ever allocated (cached + in flight + \
          free); the cache keeps at most min(splittable leaves, leaves left to spend) of them, \
-         and only of nodes with rows x columns > total bins — declined = the share of splits \
-         whose node was below that and had both children scanned instead (DESIGN.md §18)",
+         and only of nodes with rows x stored cells per row > total bins — declined = the \
+         share of splits whose node was below that and had both children scanned instead \
+         (DESIGN.md §18)",
+    );
+    table.note(
+        "replicas also counts the tile pairs of the Exclusive executor (MP, SYNC's middle \
+         phase): one per worker, 2 x the widest feature block's lanes — the whole histogram \
+         under the default feature_blk = 0, 2 x 32 features on the yfcc-like rows (node_blk 8, \
+         feature_blk 32, 32 bins per feature) — where every child that cannot be filed is \
+         built, searched and dropped (DESIGN.md §11)",
     );
     table.note(
         "paper Table V: the replica arena is the mode-dependent cost, but it holds lanes only \

@@ -850,6 +850,24 @@ mod tests {
     }
 
     #[test]
+    fn stored_cells_is_exact_and_chunking_does_not_move_it() {
+        let sparse = sparse_qm(90, 6);
+        let entries = sparse.sparse_csr().expect("CSR storage").1.len() as u64;
+        assert_eq!(QuantStore::stored_cells(&sparse), entries);
+        let dense = dense_qm(100, 4);
+        assert_eq!(QuantStore::stored_cells(&dense), 400);
+        for (tag, qm, rows_per_chunk) in [("cells_s", &sparse, 25), ("cells_d", &dense, 32)] {
+            let path = tmp_path(tag);
+            write_cache(qm, rows_per_chunk, &path).unwrap();
+            let store = ChunkedStore::open(&path, u64::MAX).unwrap();
+            assert!(store.n_chunks() > 1);
+            assert_eq!(store.stored_cells(), QuantStore::stored_cells(qm));
+            drop(store);
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    #[test]
     fn tiny_budget_evicts_and_counts() {
         let qm = dense_qm(256, 4);
         let path = tmp_path("evict");

@@ -105,6 +105,23 @@ pub trait QuantStore: Sync {
     /// answers from its header without decoding anything.
     fn storage_bytes(&self) -> usize;
 
+    /// Cells a scan of every row reads: `n_rows × n_storage_cols` bytes on
+    /// dense and bundled storage, the CSR entry count on sparse storage —
+    /// exact, and equal for an in-core and a chunked store of the same data.
+    /// The sparse count is read back from [`storage_bytes`](Self::storage_bytes):
+    /// a sparse slab holds every entry twice (CSR and CSC, a 4-byte index
+    /// and a 1-byte bin each) plus 8-byte offset arrays of `rows + 1` and
+    /// `features + 1` entries, and a chunked store reports the sum over its
+    /// slabs.
+    fn stored_cells(&self) -> u64 {
+        let layout = self.layout();
+        if layout.dense || layout.bundled {
+            return self.n_rows() as u64 * layout.n_storage_cols as u64;
+        }
+        let offsets = 8 * (self.n_rows() + self.n_chunks() * (self.n_features() + 2));
+        (self.storage_bytes() - offsets) as u64 / 10
+    }
+
     /// Number of chunks (1 for in-memory).
     fn n_chunks(&self) -> usize;
 

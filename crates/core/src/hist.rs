@@ -22,7 +22,11 @@
 //! ([`RankKey`]) — and hands every other buffer straight back to the free
 //! list; the user's byte budget bounds it the same way. It caches a node
 //! only where the subtraction is the cheaper way to the node's larger child
-//! ([`min_cached_rows`]): below that size both children are scanned.
+//! ([`min_cached_rows`], one formula for dense, bundled and CSR stores):
+//! below that size both children are scanned. [`HistPool::files`] is the
+//! same decision asked ahead of the build, which lets the Exclusive executor
+//! (`trainer::drivers`) give a full-width buffer only to a histogram that
+//! can be filed and keep every other one in a per-worker tile.
 //! [`ScratchPool`] is the data-parallel replica arena: replica buffers —
 //! lanes for the jobs of a batch that are cut into several row blocks —
 //! survive across frontiers and trees, and dirty-range tracking re-zeroes
@@ -64,26 +68,27 @@ pub fn hist_width_for(store: &dyn harp_binning::QuantStore) -> usize {
 ///
 /// The cached histogram has one reader: `large child = parent − small
 /// child`, a pass over `total_bins` cells that saves the scan of the larger
-/// child, `rows × n_storage_cols` cells at most. On dense layouts (u8 or
-/// u4-packed) a scanned cell and a subtracted cell cost about the same, so
-/// the histogram is kept only where `rows × n_storage_cols > total_bins`;
-/// sparse and bundled scans cost an order of magnitude more per cell than a
-/// subtraction pass per bin, so there every node is cached. The node's own
-/// row count stands in for the larger child's (between half of it and all
-/// of it) because it is what is known when the histogram is filed, and the
-/// same count is at hand when the node is split, so both ends decide alike.
+/// child — `rows × stored cells per row` cells at most, a row's stored cells
+/// being [`QuantStore::stored_cells`](harp_binning::QuantStore::stored_cells)
+/// over the store's rows (the storage columns of a dense or bundled row, the
+/// mean entry count of a CSR row). The histogram is kept only where that
+/// scan is the larger of the two: `rows × stored_cells ÷ n_rows >
+/// total_bins`, one integer formula for every layout. On a wide sparse
+/// matrix that is most of the point: a 4 096-feature histogram of a million
+/// bins is not worth keeping for a node whose rows hold a few thousand
+/// entries. The node's own row count stands in for the larger child's
+/// (between half of it and all of it) because it is what is known when the
+/// histogram is filed, and the same count is at hand when the node is
+/// split, so both ends decide alike — as do all four modes, the rule being
+/// a function of the row count and the store alone.
 pub fn min_cached_rows(store: &dyn harp_binning::QuantStore) -> usize {
-    let layout = store.layout();
-    if layout.dense {
-        dense_min_cached_rows(store.mapper().total_bins(), layout.n_storage_cols)
-    } else {
-        0
-    }
+    min_rows_out_scanning(store.mapper().total_bins(), store.n_rows(), store.stored_cells())
 }
 
-/// Smallest `rows` with `rows × n_cols > total_bins`.
-fn dense_min_cached_rows(total_bins: u32, n_cols: usize) -> usize {
-    total_bins as usize / n_cols.max(1) + 1
+/// Smallest `rows` with `rows × stored_cells ÷ n_rows > total_bins`:
+/// `⌊total_bins × n_rows ÷ stored_cells⌋ + 1`.
+fn min_rows_out_scanning(total_bins: u32, n_rows: usize, stored_cells: u64) -> usize {
+    (u128::from(total_bins) * n_rows as u128 / u128::from(stored_cells.max(1))) as usize + 1
 }
 
 /// Zeroes a histogram buffer.
@@ -180,7 +185,8 @@ impl HistPool {
     pub fn new(total_bins: u32, n_features: usize, budget_bytes: usize) -> Self {
         Self::with_shape(
             hist_width(total_bins, n_features),
-            dense_min_cached_rows(total_bins, n_features),
+            // One row stores `n_features` cells.
+            min_rows_out_scanning(total_bins, 1, n_features as u64),
             budget_bytes,
         )
     }
@@ -247,6 +253,22 @@ impl HistPool {
         rows >= self.min_cached_rows
     }
 
+    /// How many histograms the byte budget holds.
+    fn byte_cap(&self) -> usize {
+        self.budget_bytes.checked_div(self.entry_bytes()).unwrap_or(usize::MAX)
+    }
+
+    /// Whether the histogram of a node of `rows` rows, built with
+    /// `remaining` leaves unspent, can be filed at all — the question an
+    /// executor asks *before* it builds, because a histogram that cannot be
+    /// filed needs no full-width buffer: [`caches`](Self::caches), a byte
+    /// budget that holds at least one, and a leaf left to spend on it.
+    /// (Whether it then *is* kept still depends on its candidate's rank,
+    /// which [`cache_insert`](Self::cache_insert) settles.)
+    pub fn files(&self, rows: usize, remaining: usize) -> bool {
+        remaining > 0 && self.byte_cap() > 0 && self.caches(rows)
+    }
+
     /// Returns a buffer to the free list.
     pub fn release(&mut self, buf: Vec<f64>) {
         debug_assert_eq!(buf.len(), self.width);
@@ -274,7 +296,7 @@ impl HistPool {
         key: RankKey,
         remaining: usize,
     ) {
-        let byte_cap = self.budget_bytes.checked_div(self.entry_bytes()).unwrap_or(usize::MAX);
+        let byte_cap = self.byte_cap();
         if byte_cap == 0 || !self.caches(rows) {
             self.release(data);
             return;
@@ -428,6 +450,14 @@ impl ScratchPool {
         self.gauge = Some(gauge);
     }
 
+    /// Counts `bytes` of driver scratch held next to the arena (the
+    /// Exclusive executor's per-worker tiles) under the arena's gauge.
+    pub fn count_outside(&self, bytes: u64) {
+        if let Some(g) = &self.gauge {
+            g.add(bytes);
+        }
+    }
+
     /// Hands out a zero-equivalent buffer of at least `len` lanes. Returns
     /// the buffer and whether a heap allocation (fresh buffer or capacity
     /// growth) occurred — the profiling signal for the steady-state
@@ -478,7 +508,7 @@ impl ScratchPool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::growth::GrowthQueue;
     use crate::params::GrowthMethod;
@@ -509,6 +539,27 @@ mod tests {
         fn gain(&mut self, gain: f64) -> RankKey {
             self.at_depth(0, gain)
         }
+    }
+
+    /// A bundled store of `n_rows` rows: four one-hot groups of four
+    /// features, every group present in every row.
+    pub(crate) fn one_hot_store(n_rows: u64) -> harp_binning::QuantizedMatrix {
+        use harp_binning::{BinningConfig, QuantStore, QuantizedMatrix};
+        use harp_data::{CsrMatrix, FeatureMatrix};
+        let rows: Vec<Vec<(u32, f32)>> = (0..n_rows)
+            .map(|r| {
+                let pick = |g: u64| crate::loss::hash64(r * 4 + g);
+                (0..4)
+                    .map(|g| ((g * 4 + pick(g) % 4) as u32, (pick(g) >> 8) as f32 % 5.0))
+                    .collect()
+            })
+            .collect();
+        let store = QuantizedMatrix::from_matrix(
+            &FeatureMatrix::Sparse(CsrMatrix::from_rows(16, &rows)),
+            BinningConfig::with_max_bins(32),
+        );
+        assert!(store.layout().bundled);
+        store
     }
 
     #[test]
@@ -591,18 +642,51 @@ mod tests {
 
     #[test]
     fn min_cached_rows_prices_the_layout() {
-        use harp_binning::{BinningConfig, QuantStore, QuantizedMatrix};
+        use harp_binning::{write_cache, BinningConfig, ChunkedStore, QuantStore, QuantizedMatrix};
         use harp_data::{DatasetKind, SynthConfig};
         let quantized = |kind| {
             let d = SynthConfig::new(kind, 42).with_scale(0.02).generate();
             QuantizedMatrix::from_matrix(&d.features, BinningConfig::with_max_bins(32))
         };
+        // The one formula, spelled out: the smallest `rows` whose scan reads
+        // more cells than the histogram has bins.
+        let check = |store: &dyn QuantStore, cells_per_row: f64| {
+            let bins = f64::from(store.mapper().total_bins());
+            let min = min_cached_rows(store);
+            assert!(min as f64 * cells_per_row > bins, "{min} rows x {cells_per_row} vs {bins}");
+            assert!((min - 1) as f64 * cells_per_row <= bins, "{} rows already pay", min - 1);
+            min
+        };
+
+        // Dense: the threshold it always was, `total_bins / columns + 1`.
         let dense = quantized(DatasetKind::HiggsLike);
         assert!(dense.layout().dense);
         let (bins, cols) = (dense.mapper().total_bins() as usize, dense.n_features());
-        let min = min_cached_rows(&dense);
-        assert!(min * cols > bins && (min - 1) * cols <= bins, "{min} rows x {cols} vs {bins}");
-        assert_eq!(min_cached_rows(&quantized(DatasetKind::YfccLike)), 0, "sparse: always cache");
+        assert_eq!(check(&dense, cols as f64), bins / cols + 1);
+        let pool = HistPool::for_store(&dense, 1 << 30);
+        assert!(pool.caches(bins / cols + 1) && !pool.caches(bins / cols));
+
+        // Bundled: a row stores one cell per bundle, not per feature.
+        let bundled = one_hot_store(200);
+        let cols = bundled.layout().n_storage_cols;
+        assert_eq!(check(&bundled, cols as f64), bundled.mapper().total_bins() as usize / cols + 1);
+
+        // CSR: a row stores its entries, so the threshold follows density,
+        // not width — and sits far above the dense one of the same shape.
+        let sparse = quantized(DatasetKind::YfccLike);
+        let entries = sparse.sparse_csr().expect("CSR storage").1.len();
+        let min = check(&sparse, entries as f64 / sparse.n_rows() as f64);
+        assert!(min > sparse.mapper().total_bins() as usize / sparse.n_features() + 1);
+
+        // The same CSR data behind a chunk cache decides alike.
+        let path =
+            std::env::temp_dir().join(format!("harp_min_cached_rows_{}.qsc", std::process::id()));
+        write_cache(&sparse, sparse.n_rows() / 3, &path).expect("write cache");
+        let chunked = ChunkedStore::open(&path, u64::MAX).expect("open cache");
+        assert!(chunked.n_chunks() > 1);
+        assert_eq!(min_cached_rows(&chunked), min);
+        drop(chunked);
+        std::fs::remove_file(&path).expect("remove cache");
     }
 
     #[test]

@@ -429,7 +429,11 @@ impl TrainParams {
         if self.learning_rate <= 0.0 || self.learning_rate.is_nan() {
             return Err("learning_rate must be positive".into());
         }
-        if self.lambda < 0.0 || self.gamma < 0.0 || self.min_child_weight < 0.0 {
+        // NaN is named: `NaN < 0.0` is false.
+        if [self.lambda, self.gamma, self.min_child_weight]
+            .iter()
+            .any(|v| v.is_nan() || *v < 0.0)
+        {
             return Err("regularizers must be non-negative".into());
         }
         if !(self.max_delta_step >= 0.0 && self.max_delta_step.is_finite()) {
@@ -509,6 +513,21 @@ mod tests {
             let p = TrainParams { max_delta_step: bad, ..Default::default() };
             assert!(p.validate().is_err(), "max_delta_step {bad} must be rejected");
         }
+    }
+
+    #[test]
+    fn nan_regularizers_are_rejected() {
+        for bad in [f64::NAN, -1.0] {
+            for p in [
+                TrainParams { lambda: bad, ..Default::default() },
+                TrainParams { gamma: bad, ..Default::default() },
+                TrainParams { min_child_weight: bad, ..Default::default() },
+            ] {
+                assert!(p.validate().is_err(), "{bad} must be rejected");
+            }
+        }
+        let zero = TrainParams { lambda: 0.0, min_child_weight: 0.0, ..Default::default() };
+        assert!(zero.validate().is_ok());
     }
 
     #[test]

@@ -177,6 +177,9 @@ pub struct BlockPlan {
     replica_slots: Vec<Option<usize>>,
     n_replicated_jobs: usize,
     extents: ResolvedExtents,
+    /// Tasks per [`group`](Self::groups): the bin blocks of one exclusive
+    /// ⟨node-block, feature-block⟩ pair; 1 for a replicated plan.
+    group_len: usize,
     accumulation: Option<Accumulation>,
     round_batches: u64,
     round_tasks: u64,
@@ -222,6 +225,15 @@ impl BlockPlan {
         self.n_replicated_jobs
     }
 
+    /// The last plan's tasks grouped by ⟨node-block, feature-block⟩, in
+    /// schedule order: an exclusive group holds the pair's bin-block tasks
+    /// (one task when bins are unblocked), which together cover whole
+    /// features — the unit the fused Exclusive executor hands a worker, so
+    /// FindSplit can follow the scan on the same tile.
+    pub fn groups(&self) -> std::slice::Chunks<'_, BlockTask> {
+        self.tasks.chunks(self.group_len.max(1))
+    }
+
     /// How many tasks of the last plan write their job's buffer directly.
     pub fn n_exclusive_tasks(&self) -> usize {
         self.tasks.iter().filter(|t| self.replica_slots[t.jobs.start].is_none()).count()
@@ -265,6 +277,7 @@ impl BlockPlan {
         self.replica_slots.clear();
         self.replica_slots.resize(job_lens.len(), None);
         self.n_replicated_jobs = 0;
+        self.group_len = 1;
         match acc {
             Accumulation::Replicated => self.enumerate_replicated(&cfg, shape, job_lens),
             Accumulation::Exclusive => self.enumerate_exclusive(&cfg, shape, job_lens.len()),
@@ -337,6 +350,7 @@ impl BlockPlan {
         let max_bins = shape.max_bins.max(1);
         let bin_blk = cfg.bins_per_block(max_bins);
         let n_bin_blocks = max_bins.div_ceil(bin_blk);
+        self.group_len = n_bin_blocks;
         self.extents = ResolvedExtents {
             row_blk: 0,
             node_blk,
@@ -605,6 +619,33 @@ mod tests {
         let bins: Vec<_> = plan.tasks().iter().filter_map(|t| t.bins).collect();
         assert!(bins.contains(&(0, 10)) && bins.contains(&(30, 40)));
         assert_eq!(plan.extents().bin_blk, 10);
+    }
+
+    #[test]
+    fn exclusive_groups_are_the_bin_blocks_of_one_node_and_feature_block() {
+        let mut plan = BlockPlan::new();
+        let cfg = BlockConfig {
+            node_blk_size: 2,
+            feature_blk_size: 2,
+            bin_blk_size: 10,
+            ..BlockConfig::default()
+        };
+        plan.rebuild(&cfg, &shape(3, true, 2), &[5, 0, 7], Accumulation::Exclusive);
+        // 2 node blocks x 2 feature blocks, 4 bin blocks (32 bins by 10) each.
+        assert_eq!(plan.groups().len(), 4);
+        for group in plan.groups() {
+            assert_eq!(group.len(), 4);
+            assert!(group
+                .iter()
+                .all(|t| (&t.jobs, &t.features) == (&group[0].jobs, &group[0].features)));
+            let bins: Vec<_> = group.iter().filter_map(|t| t.bins).collect();
+            assert_eq!(bins, [(0, 10), (10, 20), (20, 30), (30, 40)]);
+        }
+        // Unblocked bins: a group is its one task.
+        let cfg = BlockConfig { bin_blk_size: 0, ..cfg };
+        plan.rebuild(&cfg, &shape(3, true, 2), &[5, 0, 7], Accumulation::Exclusive);
+        assert!(plan.groups().all(|g| g.len() == 1 && g[0].bins.is_none()));
+        assert_eq!(plan.groups().len(), plan.tasks().len());
     }
 
     #[test]

@@ -66,6 +66,24 @@ pub fn find_split_masked(
     settings: &SplitSettings,
     mask: Option<&[bool]>,
 ) -> Option<SplitCandidate> {
+    find_split_tile(hist, 0, node, mapper, f_range, settings, mask)
+}
+
+/// [`find_split_masked`] over a *tile*: `tile[0]` is lane `lane_offset` of the
+/// node's full-width histogram, so the tile need only hold the lanes of
+/// `f_range` — the feature block a fused Exclusive task has just built and
+/// still has in cache.
+// `!(gain > 0.0)` is the point: a NaN gain must not pass.
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+pub fn find_split_tile(
+    tile: &[f64],
+    lane_offset: usize,
+    node: &NodeStats,
+    mapper: &BinMapper,
+    f_range: Range<usize>,
+    settings: &SplitSettings,
+    mask: Option<&[bool]>,
+) -> Option<SplitCandidate> {
     let mut best: Option<SplitCandidate> = None;
     let parent_score = node.score(settings.lambda);
     for f in f_range {
@@ -78,8 +96,8 @@ pub fn find_split_masked(
         if n_bins < 2 {
             continue;
         }
-        let base = mapper.bin_offset(f) as usize * 2;
-        let cells = &hist[base..base + n_bins * 2];
+        let base = mapper.bin_offset(f) as usize * 2 - lane_offset;
+        let cells = &tile[base..base + n_bins * 2];
         // Present totals; missing = node − present.
         let mut pg = 0.0f64;
         let mut ph = 0.0f64;
@@ -107,7 +125,10 @@ pub fn find_split_masked(
                 let gain = 0.5
                     * (left.score(settings.lambda) + right.score(settings.lambda) - parent_score)
                     - settings.gamma;
-                if gain <= 0.0 {
+                // An empty side at `lambda = 0` scores 0 / 0: the NaN gain
+                // compares false both ways, so `gain <= 0.0` would keep it
+                // and no later real split could beat it.
+                if !(gain > 0.0) {
                     continue;
                 }
                 if best.is_none_or(|b| gain > b.split.gain) {
@@ -285,6 +306,37 @@ mod tests {
         let hist = hist_of(&[(1.0, 1.0)]);
         let node = stats_of(&[(1.0, 1.0)]);
         assert!(find_split_range(&hist, &node, &mapper(&[1]), 0..1, &settings()).is_none());
+    }
+
+    #[test]
+    fn nan_gain_of_an_empty_side_is_not_a_split() {
+        // Bin 0 is empty in this node, the common case on a sparse tile:
+        // with `lambda = 0` the left child `(0, 0)` scores 0 / 0.
+        let pairs = [(0.0, 0.0), (-10.0, 5.0), (10.0, 5.0), (1.0, 1.0)];
+        let hist = hist_of(&pairs);
+        let node = stats_of(&pairs);
+        let s = SplitSettings { lambda: 0.0, gamma: 0.0, min_child_weight: 0.0 };
+        let c = find_split_range(&hist, &node, &mapper(&[4]), 0..1, &s).unwrap();
+        assert!(c.split.gain.is_finite() && c.split.gain > 0.0, "gain {}", c.split.gain);
+        assert_eq!(c.split.bin, 1, "the real split, after bins 0..=1");
+        assert_eq!((c.left.g, c.left.h), (-10.0, 5.0));
+    }
+
+    #[test]
+    fn tile_relative_scan_equals_the_full_width_scan() {
+        let f0 = [(-5.0, 2.0), (2.0, 1.0), (3.0, 1.0)];
+        let f1 = [(-1.0, 1.0), (1.0, 1.0)];
+        let f2 = [(0.5, 1.0), (0.5, 1.0), (-1.0, 1.0), (0.0, 1.0)];
+        let hist: Vec<f64> = [&f0[..], &f1, &f2].iter().flat_map(|f| hist_of(f)).collect();
+        let node = stats_of(&f0);
+        let m = mapper(&[3, 2, 4]);
+        // Features 1..3 start at lane 6; the mask drops feature 1.
+        for mask in [None, Some(&[true, false, true][..])] {
+            let full = find_split_masked(&hist, &node, &m, 1..3, &settings(), mask);
+            let tile = find_split_tile(&hist[6..], 6, &node, &m, 1..3, &settings(), mask);
+            assert!(full.is_some());
+            assert_eq!(full, tile);
+        }
     }
 
     #[test]

@@ -18,38 +18,56 @@
 //!   its node count — the node-proportional reduction is exactly the scaling
 //!   weakness of XGB-Hist that Fig. 11 shows for large trees.
 //! * **MP** ([`build_hists_mp`], [`Accumulation::Exclusive`]): tasks are
-//!   ⟨node-block, feature-block, bin-block⟩ triples writing disjoint
-//!   regions of the job buffers — no replicas, no reduction, but a task's
-//!   read traffic is the whole row set of its nodes (redundant reads when
-//!   feature blocks are small).
+//!   ⟨node-block, feature-block, bin-block⟩ triples over disjoint histogram
+//!   regions — no replicas, no reduction, but a task's read traffic is the
+//!   whole row set of its nodes (redundant reads when feature blocks are
+//!   small). Because a ⟨node-block, feature-block⟩ group owns whole
+//!   features of its nodes, the executor is a fused *tile pipeline*: a
+//!   worker takes one group (its bin-block tasks back to back) and, job by
+//!   job, column-scans the block's features into a tile, forms the sibling's
+//!   tile as `parent − small` when the parent's histogram came out of the
+//!   cache, and runs FindSplit on both while they sit in L2 — one region
+//!   where there used to be three (BuildHist, subtraction, FindSplit), and
+//!   one partial candidate per ⟨node, feature-block⟩ for the coordinator to
+//!   fold. Where a tile lives is the memory policy: a node whose histogram
+//!   can be filed ([`crate::hist::HistPool::files`]) is scanned straight
+//!   into its own full-width buffer and a filed sibling is subtracted in
+//!   place in the parent's buffer; every other tile lives in a per-worker
+//!   scratch pair of `2 × block lanes` (≤ `2 × feature_blk × max_bins × 16`
+//!   bytes) and is gone after FindSplit, so a full-width histogram exists
+//!   only where a later subtraction will read it.
 //!
 //! In deterministic mode DP emulates an OpenMP *static* schedule: task `t`
 //! of `T` processes every `T`-th block into replica `t`, so per-cell
 //! accumulation order is independent of thread timing.
 //!
-//! Both drivers draw their scratch — replica buffers and task vectors —
-//! from a caller-held [`DriverScratch`], so nothing is reallocated across
-//! frontiers or trees. Replicas come from a [`ScratchPool`] with
+//! Both drivers draw their scratch — replica buffers, tile pairs and task
+//! vectors — from a caller-held [`DriverScratch`], so nothing is reallocated
+//! across frontiers or trees. Replicas come from a [`ScratchPool`] with
 //! dirty-range tracking: a released replica remembers which `(job,
 //! feature-block)` lanes its tasks wrote, and the next acquire re-zeroes
 //! only those. In deterministic mode the static schedule pins each task to
 //! its replica, so the tracked set is exact; in dynamic mode any worker may
 //! have run any task and every replica conservatively takes the union.
 
-use crate::hist::{ReplicaBuf, ScratchPool};
+use crate::hist::{self, ReplicaBuf, ScratchPool};
 use crate::kernels::{col_scan_store, row_scan_run, GradSource, BYTES_PER_CELL, FLOPS_PER_CELL};
 use crate::loss::GradPair;
 use crate::params::TrainParams;
 use crate::partition::RowPartition;
 use crate::plan::{
-    dp_write_working_set, mp_write_working_set, Accumulation, BatchShape, BlockPlan, BlockTask,
-    ResolvedExtents, ScanLayout,
+    dp_write_working_set, feature_blocks, mp_write_working_set, Accumulation, BatchShape,
+    BlockPlan, BlockTask, ResolvedExtents, ScanLayout,
 };
-use crate::tree::NodeId;
+use crate::split::{better_of, find_split_tile, SplitCandidate, SplitSettings};
+use crate::tree::{NodeId, NodeStats};
 use harp_binning::{sweep_chunks, QuantStore, Rows};
-use harp_parallel::{ThreadPool, TracePhase, TraceSink};
+use harp_metrics::MemGauge;
+use harp_parallel::{PerWorker, ThreadPool, TracePhase, TraceSink};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// A histogram to fill for one node.
 pub struct HistJob {
@@ -57,6 +75,57 @@ pub struct HistJob {
     pub node: NodeId,
     /// The node's GHSum buffer ([`crate::hist::hist_width`] lanes, zeroed).
     pub buf: Vec<f64>,
+}
+
+/// A node an [`Accumulation::Exclusive`] batch scans from its rows, one
+/// feature-block tile at a time ([`build_hists_mp`]).
+pub struct TileJob {
+    /// The node whose rows are scanned.
+    pub node: NodeId,
+    /// Its gradient totals, FindSplit's node statistics.
+    pub stats: NodeStats,
+    /// The node's own zeroed full-width buffer when its histogram can be
+    /// filed ([`crate::hist::HistPool::files`]): the tiles are then its
+    /// lanes, and on return it is the node's histogram. `None` builds every
+    /// tile in the worker's scratch, where it is dropped after FindSplit.
+    pub buf: Option<Vec<f64>>,
+    /// The sibling to derive as `parent − node`, when the parent's histogram
+    /// was taken from the cache.
+    pub sibling: Option<DerivedSibling>,
+}
+
+/// The larger child of a split whose parent's histogram is at hand.
+pub struct DerivedSibling {
+    /// The derived node.
+    pub node: NodeId,
+    /// Its gradient totals.
+    pub stats: NodeStats,
+    /// The parent's histogram.
+    pub parent: Vec<f64>,
+    /// The sibling's histogram can be filed: each tile is subtracted in
+    /// place in `parent`, which on return is the sibling's histogram.
+    /// Otherwise `parent` is only read and the difference lives in scratch.
+    pub in_place: bool,
+}
+
+/// What FindSplit needs besides a histogram and the node's statistics.
+#[derive(Clone, Copy)]
+pub struct SplitSearch<'a> {
+    /// Regularization inputs to the gain formula.
+    pub settings: &'a SplitSettings,
+    /// Per-tree column-subsampling mask; `None` allows every feature.
+    pub mask: Option<&'a [bool]>,
+}
+
+/// What a fused Exclusive batch found.
+#[derive(Default)]
+pub struct TileOutcome {
+    /// Per job: the best split of its node and of its derived sibling.
+    pub found: Vec<[Option<SplitCandidate>; 2]>,
+    /// Nanoseconds the workers spent scanning and subtracting, summed.
+    pub build_ns: u64,
+    /// Nanoseconds the workers spent in FindSplit, summed.
+    pub find_ns: u64,
 }
 
 /// Shared context threaded through the drivers.
@@ -102,13 +171,20 @@ impl DriverCtx<'_> {
     }
 }
 
-/// Caller-held driver scratch: the replica arena, the reusable
-/// [`BlockPlan`], and range vectors. One per training engine; it survives
-/// across frontiers and trees so steady-state BuildHist performs no heap
-/// allocation.
+/// Caller-held driver scratch: the replica arena, the per-worker tile
+/// pairs, the reusable [`BlockPlan`], and range vectors. One per training
+/// engine; it survives across frontiers and trees so steady-state DP
+/// BuildHist performs no heap allocation (the Exclusive executor allocates
+/// its per-batch group tables, nothing histogram-sized).
 #[derive(Default)]
 pub struct DriverScratch {
     replicas: ScratchPool,
+    /// By worker index: the scan tile and the sibling tile of the fused
+    /// Exclusive executor, back to back. Empty until a worker first builds
+    /// a tile that has no full-width buffer to live in.
+    tiles: Vec<Vec<f64>>,
+    /// Bytes of `tiles` already counted under the arena's gauge.
+    tile_bytes: u64,
     plan: BlockPlan,
     job_lens: Vec<usize>,
     range_tmp: Vec<Range<usize>>,
@@ -121,8 +197,8 @@ impl DriverScratch {
         Self::default()
     }
 
-    /// Attaches the run-ledger byte gauge to the replica arena.
-    pub fn set_replica_gauge(&mut self, gauge: std::sync::Arc<harp_metrics::MemGauge>) {
+    /// Attaches the run-ledger byte gauge: replicas and tiles count under it.
+    pub fn set_replica_gauge(&mut self, gauge: Arc<MemGauge>) {
         self.replicas.set_gauge(gauge);
     }
 
@@ -132,17 +208,17 @@ impl DriverScratch {
         self.plan.take_round_stats()
     }
 
-    /// Rebuilds the shared plan for one batch of `jobs` and returns the
-    /// resolved extents. Split out so both drivers (and nothing else) go
-    /// through the single enumerator.
+    /// Rebuilds the shared plan for one batch of jobs over `nodes` and
+    /// returns the resolved extents. Split out so both drivers (and nothing
+    /// else) go through the single enumerator.
     fn plan_batch(
         &mut self,
         ctx: &DriverCtx<'_>,
-        jobs: &[HistJob],
+        nodes: impl Iterator<Item = NodeId>,
         acc: Accumulation,
     ) -> ResolvedExtents {
         self.job_lens.clear();
-        self.job_lens.extend(jobs.iter().map(|j| ctx.partition.node_len(j.node)));
+        self.job_lens.extend(nodes.map(|node| ctx.partition.node_len(node)));
         self.plan.rebuild(&ctx.params.blocks, &ctx.batch_shape(), &self.job_lens, acc);
         let ext = self.plan.extents();
         let exclusive = self.plan.n_exclusive_tasks();
@@ -179,7 +255,7 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
     if jobs.is_empty() {
         return;
     }
-    let ext = scratch.plan_batch(ctx, jobs, Accumulation::Replicated);
+    let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.node), Accumulation::Replicated);
     let DriverScratch { replicas: arena, plan, range_tmp, replica_stash, .. } = scratch;
     let width = jobs[0].buf.len();
     let t = ctx.pool.num_threads();
@@ -420,61 +496,225 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
     ctx.pool.profile().observe_region_bytes(ws as u64);
 }
 
-/// Fills the jobs' histograms with model parallelism (exclusive writes):
-/// executes an [`Accumulation::Exclusive`] plan.
-pub fn build_hists_mp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &mut [HistJob]) {
+/// Cuts `buf` at the ascending lane `bounds` (the first is 0): one disjoint
+/// piece per consecutive pair, in order.
+fn cut_at<'a>(buf: &'a mut [f64], bounds: &'a [usize]) -> impl Iterator<Item = &'a mut [f64]> {
+    let mut rest = buf;
+    bounds.windows(2).map(move |w| {
+        let (piece, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+        rest = tail;
+        piece
+    })
+}
+
+/// One job's share of a ⟨node-block, feature-block⟩ group: the block's lanes
+/// of the two full-width buffers the job may come with.
+struct BlockLanes<'a> {
+    /// Of the job's own buffer ([`TileJob::buf`]).
+    own: Option<&'a mut [f64]>,
+    /// Of the parent's histogram ([`DerivedSibling::parent`]).
+    parent: Option<&'a mut [f64]>,
+}
+
+/// One ⟨node-block, feature-block⟩ group as a worker receives it. The
+/// pieces of [`BlockLanes`] are cut out of the buffers up front, so that two
+/// groups share no lane is the borrow checker's statement, not a comment's.
+struct GroupWork<'a> {
+    /// The group's bin-block tasks, ascending.
+    tasks: &'a [BlockTask],
+    /// One per job of `tasks[0].jobs`.
+    lanes: Vec<BlockLanes<'a>>,
+    /// Per job, the block's best split of the node and of its sibling.
+    found: Vec<[Option<SplitCandidate>; 2]>,
+}
+
+/// Executes an [`Accumulation::Exclusive`] plan as the fused tile pipeline
+/// of the module docs: per ⟨node-block, feature-block⟩ group and
+/// job, scan → `parent − small` → FindSplit on one tile. Returns each job's
+/// best split (the blocks' partial candidates folded in ascending block
+/// order, which is the order a whole-histogram scan resolves ties in) and
+/// the time the workers spent building and searching.
+///
+/// Per histogram cell nothing moved: rows accumulate in ascending order
+/// into a zeroed cell, and a derived cell is `parent − small` of the same
+/// two operands, so a filed buffer is bitwise the histogram the three-region
+/// executor produced.
+pub fn build_hists_mp(
+    ctx: &DriverCtx<'_>,
+    scratch: &mut DriverScratch,
+    jobs: &mut [TileJob],
+    search: SplitSearch<'_>,
+) -> TileOutcome {
     if jobs.is_empty() {
-        return;
+        return TileOutcome::default();
     }
-    let ext = scratch.plan_batch(ctx, jobs, Accumulation::Exclusive);
+    let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.node), Accumulation::Exclusive);
     let mapper = ctx.qm.mapper();
     let max_bins = mapper.max_bins_used() as usize;
-
-    struct Ptr(*mut f64);
-    unsafe impl Send for Ptr {}
-    unsafe impl Sync for Ptr {}
-    let width = jobs[0].buf.len();
-    let job_ptrs: Vec<Ptr> = jobs.iter_mut().map(|j| Ptr(j.buf.as_mut_ptr())).collect();
-    let jobs_ro: &[HistJob] = jobs;
-    let cells = AtomicU64::new(0);
-    let tasks_ro: &[BlockTask] = scratch.plan.tasks();
+    let offsets = mapper.bin_offsets();
+    let lane_of = |f: usize| offsets[f] as usize * 2;
     let use_scalar = ctx.params.use_scalar_kernels;
     let trace = ctx.trace();
+    let n_threads = ctx.pool.num_threads();
+    let DriverScratch { plan, tiles: tile_stash, tile_bytes, replicas, .. } = scratch;
 
-    ctx.pool.parallel_for(tasks_ro.len(), |i, worker| {
-        let task = &tasks_ro[i];
-        let _span = trace.map(|s| {
-            s.span(worker, TracePhase::BuildHist, jobs_ro[task.jobs.start].node, i as u32)
-        });
-        let mut local_cells = 0u64;
-        for job_idx in task.jobs.clone() {
-            let job = &jobs_ro[job_idx];
-            let rows = ctx.partition.rows(job.node);
-            let grads = ctx.grad_source(job.node);
-            // SAFETY: tasks write disjoint (node, feature, bin) regions.
-            let buf = unsafe { std::slice::from_raw_parts_mut(job_ptrs[job_idx].0, width) };
-            for f in task.features.clone() {
-                let n_bins = mapper.n_bins(f) as usize;
-                if n_bins == 0 {
-                    continue;
-                }
-                let bin_range = match task.bins {
-                    None => 0..n_bins,
-                    Some((lo, hi)) => {
-                        if lo >= n_bins {
-                            continue;
-                        }
-                        lo..hi.min(n_bins)
+    // Lane bounds of the plan's feature blocks, and the widest block.
+    let m = ctx.qm.n_features();
+    let bounds: Vec<usize> = feature_blocks(m, ext.feature_blk)
+        .map(|block| lane_of(block.start))
+        .chain([lane_of(m)])
+        .collect();
+    let tile_lanes = bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+
+    // What the region reads of a job besides its lanes.
+    struct Meta {
+        node: NodeId,
+        stats: NodeStats,
+        /// `(node, stats, in_place)` of the derived sibling.
+        sibling: Option<(NodeId, NodeStats, bool)>,
+    }
+    let metas: Vec<Meta> = jobs
+        .iter()
+        .map(|j| Meta {
+            node: j.node,
+            stats: j.stats,
+            sibling: j.sibling.as_ref().map(|s| (s.node, s.stats, s.in_place)),
+        })
+        .collect();
+    let mut cuts: Vec<_> = jobs
+        .iter_mut()
+        .map(|j| {
+            (
+                j.buf.as_deref_mut().map(|b| cut_at(b, &bounds)),
+                j.sibling.as_mut().map(|s| cut_at(&mut s.parent, &bounds)),
+            )
+        })
+        .collect();
+    // Groups come node-block-major with feature blocks ascending, so a job's
+    // cuts are handed out in order.
+    let mut work: Vec<GroupWork<'_>> = plan
+        .groups()
+        .map(|tasks| GroupWork {
+            tasks,
+            lanes: tasks[0]
+                .jobs
+                .clone()
+                .map(|j| {
+                    let (own, parent) = &mut cuts[j];
+                    BlockLanes {
+                        own: own.as_mut().and_then(Iterator::next),
+                        parent: parent.as_mut().and_then(Iterator::next),
                     }
-                };
-                let base = mapper.bin_offset(f) as usize * 2;
-                let hist_f = &mut buf[base..base + n_bins * 2];
-                local_cells +=
-                    col_scan_store(ctx.qm, f, rows, grads, bin_range, hist_f, use_scalar);
+                })
+                .collect(),
+            found: Vec::new(),
+        })
+        .collect();
+
+    tile_stash.resize_with(n_threads, Vec::new);
+    let tiles = PerWorker::new(n_threads, |w| std::mem::take(&mut tile_stash[w]));
+    let cells = AtomicU64::new(0);
+    let (build_ns, find_ns) = (AtomicU64::new(0), AtomicU64::new(0));
+    let epoch = Instant::now();
+    let now = || trace.map_or_else(|| epoch.elapsed().as_nanos() as u64, TraceSink::now_ns);
+
+    ctx.pool.parallel_for_each_mut(&mut work, |g, group, worker| {
+        let features = group.tasks[0].features.clone();
+        let lane0 = lane_of(features.start);
+        let n_lanes = lane_of(features.end) - lane0;
+        let tile = tiles.get_mut(worker);
+        let (mut local_cells, mut local_build, mut local_find) = (0u64, 0u64, 0u64);
+        for (job_idx, lanes) in group.tasks[0].jobs.clone().zip(&mut group.lanes) {
+            let meta = &metas[job_idx];
+            let in_place = meta.sibling.is_some_and(|s| s.2);
+            let in_scratch = lanes.own.is_none() || (meta.sibling.is_some() && !in_place);
+            if in_scratch && tile.len() < 2 * tile_lanes {
+                tile.resize(2 * tile_lanes, 0.0);
+            }
+            let half = tile.len() / 2;
+            let (scan_tile, sibling_tile) = tile.split_at_mut(half);
+
+            let t0 = now();
+            let small: &mut [f64] = match &mut lanes.own {
+                Some(own) => own,
+                None => {
+                    let t = &mut scan_tile[..n_lanes];
+                    hist::zero(t);
+                    t
+                }
+            };
+            let rows = ctx.partition.rows(meta.node);
+            let grads = ctx.grad_source(meta.node);
+            for task in group.tasks {
+                for f in features.clone() {
+                    let n_bins = mapper.n_bins(f) as usize;
+                    let bin_range = match task.bins {
+                        None => 0..n_bins,
+                        Some((lo, hi)) => lo.min(n_bins)..hi.min(n_bins),
+                    };
+                    if bin_range.is_empty() {
+                        continue;
+                    }
+                    let base = lane_of(f) - lane0;
+                    let hist_f = &mut small[base..base + n_bins * 2];
+                    local_cells +=
+                        col_scan_store(ctx.qm, f, rows, grads, bin_range, hist_f, use_scalar);
+                }
+            }
+            let t_scan = trace.map(|s| s.now_ns());
+            let large: Option<&[f64]> = match (&mut lanes.parent, in_place) {
+                (Some(parent), true) => {
+                    hist::subtract_in_place(parent, small);
+                    Some(&**parent)
+                }
+                (Some(parent), false) => {
+                    let t = &mut sibling_tile[..n_lanes];
+                    hist::subtract(parent, small, t);
+                    Some(&*t)
+                }
+                (None, _) => None,
+            };
+            let t1 = now();
+            let find = |tile: &[f64], stats: &NodeStats| {
+                let SplitSearch { settings, mask } = search;
+                find_split_tile(tile, lane0, stats, mapper, features.clone(), settings, mask)
+            };
+            let found_small = find(small, &meta.stats);
+            let found_large =
+                large.zip(meta.sibling).and_then(|(l, (_, stats, _))| find(l, &stats));
+            let t2 = now();
+            group.found.push([found_small, found_large]);
+            local_build += t1 - t0;
+            local_find += t2 - t1;
+            if let (Some(sink), Some(t_scan)) = (trace, t_scan) {
+                sink.record(worker, TracePhase::BuildHist, meta.node, g as u32, t0, t_scan);
+                if let Some((sibling, ..)) = meta.sibling {
+                    sink.record(worker, TracePhase::Reduce, sibling, g as u32, t_scan, t1);
+                }
+                sink.record(worker, TracePhase::FindSplit, meta.node, g as u32, t1, t2);
             }
         }
         cells.fetch_add(local_cells, Ordering::Relaxed);
+        build_ns.fetch_add(local_build, Ordering::Relaxed);
+        find_ns.fetch_add(local_find, Ordering::Relaxed);
     });
+
+    let mut found = vec![[None, None]; metas.len()];
+    for group in &work {
+        for (job_idx, block) in group.tasks[0].jobs.clone().zip(&group.found) {
+            for (best, &partial) in found[job_idx].iter_mut().zip(block) {
+                *best = better_of(*best, partial);
+            }
+        }
+    }
+    drop(work);
+
+    *tile_stash = tiles.into_values();
+    let held = tile_stash.iter().map(|t| t.capacity() as u64 * 8).sum::<u64>();
+    if held > *tile_bytes {
+        replicas.count_outside(held - *tile_bytes);
+        *tile_bytes = held;
+    }
 
     ctx.report_cells(cells.load(Ordering::Relaxed));
     // §IV-E: consecutive-write region = 16 × bin_blk × feature_blk ×
@@ -482,14 +722,20 @@ pub fn build_hists_mp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
     let bin_blk = if ext.bin_blk == 0 { max_bins.max(1) } else { ext.bin_blk };
     let ws = mp_write_working_set(max_bins, bin_blk, ext.feature_blk, ext.node_blk);
     ctx.pool.profile().observe_region_bytes(ws as u64);
+    TileOutcome {
+        found,
+        build_ns: build_ns.load(Ordering::Relaxed),
+        find_ns: find_ns.load(Ordering::Relaxed),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::{hist_width, reduce_into};
+    use crate::hist::{hist_width, reduce_into, HistPool};
     use crate::kernels::row_scan_scalar;
     use crate::params::{BlockConfig, ParallelMode};
+    use crate::split::find_split_range;
     use harp_binning::{BinningConfig, QuantizedMatrix};
     use harp_data::{DatasetKind, SynthConfig};
     use harp_metrics::MemGauge;
@@ -557,15 +803,36 @@ mod tests {
     ) -> Vec<Vec<f64>> {
         let ctx = DriverCtx { qm, params, pool, partition: part, grads };
         let width = padded(qm);
-        let mut jobs: Vec<HistJob> =
-            nodes.iter().map(|&n| HistJob { node: n, buf: vec![0.0; width] }).collect();
         match mode {
-            ParallelMode::DataParallel => build_hists_dp(&ctx, scratch, &mut jobs),
-            ParallelMode::ModelParallel => build_hists_mp(&ctx, scratch, &mut jobs),
+            ParallelMode::DataParallel => {
+                let mut jobs: Vec<HistJob> =
+                    nodes.iter().map(|&n| HistJob { node: n, buf: vec![0.0; width] }).collect();
+                build_hists_dp(&ctx, scratch, &mut jobs);
+                jobs.into_iter().map(|j| j.buf).collect()
+            }
+            ParallelMode::ModelParallel => {
+                // Every node filed: the tiles are the lanes of its own buffer.
+                let mut jobs: Vec<TileJob> = nodes
+                    .iter()
+                    .map(|&node| TileJob {
+                        node,
+                        stats: NodeStats::default(),
+                        buf: Some(vec![0.0; width]),
+                        sibling: None,
+                    })
+                    .collect();
+                build_hists_mp(&ctx, scratch, &mut jobs, NO_SEARCH);
+                jobs.into_iter().map(|j| j.buf.expect("filed")).collect()
+            }
             _ => unreachable!("driver test"),
         }
-        jobs.into_iter().map(|j| j.buf).collect()
     }
+
+    /// FindSplit inputs for the tests that only read histograms.
+    const NO_SEARCH: SplitSearch<'static> = SplitSearch {
+        settings: &SplitSettings { lambda: 1.0, gamma: 0.0, min_child_weight: 0.0 },
+        mask: None,
+    };
 
     fn assert_close(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
@@ -807,7 +1074,7 @@ mod tests {
         let ctx =
             DriverCtx { qm: &qm, params: &params, pool: &pool, partition: &part, grads: &grads };
         build_hists_dp(&ctx, &mut scratch, &mut []);
-        build_hists_mp(&ctx, &mut scratch, &mut []);
+        build_hists_mp(&ctx, &mut scratch, &mut [], NO_SEARCH);
     }
 
     #[test]
@@ -951,6 +1218,188 @@ mod tests {
             }
             let replicas = if multi_block == 0 { 0 } else { n_slots };
             prop_assert_eq!(arena.high_water(), (replicas * multi_block * width * 8) as u64);
+        }
+    }
+
+    /// [`scan_layouts`] plus a bundled store (four one-hot groups of four).
+    fn tile_layouts() -> &'static [QuantizedMatrix] {
+        static LAYOUTS: OnceLock<Vec<QuantizedMatrix>> = OnceLock::new();
+        LAYOUTS.get_or_init(|| {
+            let bundled = crate::hist::tests::one_hot_store(160);
+            scan_layouts().iter().cloned().chain([bundled]).collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The fused Exclusive executor against the three regions it
+        /// replaced, spelled out with reference kernels. The root is cut
+        /// into leaves and every leaf is split — evenly, unevenly, into one
+        /// row and the rest, into nothing and everything — and the splits
+        /// form one batch: where the parent's histogram is "cached" the
+        /// smaller child is scanned and the larger derived, elsewhere both
+        /// are scanned; every histogram is filed or not at random. Each
+        /// node's folded candidate must be what `find_split_range` finds in
+        /// its full-width reference histogram (the scalar ascending-row
+        /// scan; for a derived sibling, parent − small of two such), every
+        /// filed buffer must be that histogram bit for bit, and a parent
+        /// that was only read must come back untouched. That holds only if
+        /// the groups of one job cover disjoint feature-block lanes that
+        /// together are all of them, and a parent's buffer is touched by its
+        /// own job's groups alone.
+        #[test]
+        fn fused_tiles_find_what_full_width_histograms_hold(
+            layout in 0usize..4,
+            splits in proptest::collection::vec((0u64..10, any::<bool>(), 0u8..8), 1..5),
+            threads in 1usize..5,
+            feature_blk in 0usize..5,
+            node_blk in 0usize..4,
+            bin_blk in 0usize..3,
+            membuf in any::<bool>(),
+        ) {
+            let qm = &tile_layouts()[layout];
+            let (n, m) = (qm.n_rows(), qm.n_features());
+            let mapper = qm.mapper();
+            let wide = |h: u64| {
+                (1.0 + (h % 1024) as f32 / 1024.0) * 2f32.powi((h >> 10) as i32 % 40 - 30)
+            };
+            let grads: Vec<GradPair> = (0..n as u64)
+                .map(|i| [wide(crate::loss::hash64(i)), wide(crate::loss::hash64(!i))])
+                .collect();
+            let mut part = RowPartition::new(n, 64, membuf);
+            part.reset(&grads);
+            // Leaves 1, 3, 5, … and the last right child, of about equal size.
+            let mut leaves: Vec<NodeId> = Vec::new();
+            for depth in 0..splits.len() - 1 {
+                let parent = 2 * depth as u32;
+                let left = (splits.len() - depth) as u64;
+                let keeps = |_, r: u32| crate::loss::hash64(u64::from(r) ^ 0xABCD) % left == 0;
+                part.apply_split(parent, parent + 1, parent + 2, &keeps, None);
+                leaves.push(parent + 1);
+            }
+            leaves.push(2 * (splits.len() as u32 - 1));
+
+            let width = crate::hist::hist_width_for(qm);
+            let reference = |node: NodeId| {
+                let mut buf = vec![0.0; width];
+                let all = GradSource::Global(&grads);
+                row_scan_scalar(qm, part.rows(node), all, 0..m, &mut buf);
+                buf
+            };
+            let stats_of = |node: NodeId| {
+                let mut s = NodeStats { count: part.node_len(node) as u32, ..Default::default() };
+                for &r in part.rows(node) {
+                    s.g += f64::from(grads[r as usize][0]);
+                    s.h += f64::from(grads[r as usize][1]);
+                }
+                s
+            };
+
+            // Split every leaf; what the batch is told and what it must find.
+            let parents: Vec<(NodeId, Vec<f64>)> =
+                leaves.iter().map(|&leaf| (leaf, reference(leaf))).collect();
+            let mut jobs: Vec<TileJob> = Vec::new();
+            // Per job: the reference histogram of its node and, with a
+            // sibling, the sibling's and the parent's.
+            type Refs<'a> = (Vec<f64>, Option<(Vec<f64>, &'a Vec<f64>)>);
+            let mut expect: Vec<Refs<'_>> = Vec::new();
+            let mut next = 2 * splits.len() as u32 - 1;
+            for (&(share, cached, flags), (leaf, parent_ref)) in splits.iter().zip(&parents) {
+                let (l, r) = (next, next + 1);
+                next += 2;
+                let first = part.rows(*leaf).first().copied();
+                let goes_left = |_, row: u32| match share {
+                    8 => false,
+                    9 => Some(row) == first,
+                    _ => crate::loss::hash64(u64::from(row) ^ 0x5EED) % 8 < share,
+                };
+                part.apply_split(*leaf, l, r, &goes_left, None);
+                let (small, large) = if part.node_len(l) <= part.node_len(r) { (l, r) } else { (r, l) };
+                let (file_small, file_large) = (flags & 1 != 0, flags & 2 != 0);
+                let job = |node, filed: bool, sibling| TileJob {
+                    node,
+                    stats: stats_of(node),
+                    buf: filed.then(|| vec![0.0; width]),
+                    sibling,
+                };
+                if cached {
+                    let small_ref = reference(small);
+                    let mut large_ref = vec![0.0; width];
+                    crate::hist::subtract(parent_ref, &small_ref, &mut large_ref);
+                    let sibling = DerivedSibling {
+                        node: large,
+                        stats: stats_of(large),
+                        parent: parent_ref.clone(),
+                        in_place: file_large,
+                    };
+                    jobs.push(job(small, file_small, Some(sibling)));
+                    expect.push((small_ref, Some((large_ref, parent_ref))));
+                } else {
+                    jobs.push(job(small, file_small, None));
+                    jobs.push(job(large, file_large, None));
+                    expect.extend([(reference(small), None), (reference(large), None)]);
+                }
+            }
+
+            let params = TrainParams {
+                n_threads: threads,
+                use_membuf: membuf,
+                blocks: BlockConfig {
+                    row_blk_size: 0,
+                    node_blk_size: node_blk,
+                    feature_blk_size: [0, 1, 2, 3, m / 2][feature_blk],
+                    bin_blk_size: [0, 5, 16][bin_blk],
+                },
+                ..Default::default()
+            };
+            let settings = SplitSettings { lambda: 1.0, gamma: 0.0, min_child_weight: 0.0 };
+            let pool = ThreadPool::new(threads);
+            let mut scratch = DriverScratch::new();
+            let arena = Arc::new(MemGauge::new());
+            scratch.set_replica_gauge(Arc::clone(&arena));
+            let ctx =
+                DriverCtx { qm, params: &params, pool: &pool, partition: &part, grads: &grads };
+            let search = SplitSearch { settings: &settings, mask: None };
+            let out = build_hists_mp(&ctx, &mut scratch, &mut jobs, search);
+
+            let mut hists = HistPool::for_store(qm, usize::MAX);
+            let mut all_filed = true;
+            for ((job, found), (small_ref, sibling_refs)) in
+                jobs.into_iter().zip(&out.found).zip(&expect)
+            {
+                let want = find_split_range(small_ref, &job.stats, mapper, 0..m, &settings);
+                prop_assert!(found[0] == want, "node {}: {:?} vs {:?}", job.node, found[0], want);
+                all_filed &= job.buf.is_some();
+                if let Some(buf) = &job.buf {
+                    prop_assert!(buf == small_ref, "filed node {} is not its scan", job.node);
+                }
+                let Some(s) = job.sibling else {
+                    prop_assert!(found[1].is_none());
+                    continue;
+                };
+                let (large_ref, parent_ref) = sibling_refs.as_ref().expect("sibling references");
+                let want = find_split_range(large_ref, &s.stats, mapper, 0..m, &settings);
+                prop_assert!(found[1] == want, "derived node {}: {:?} vs {:?}", s.node, found[1], want);
+                all_filed &= s.in_place;
+                if s.in_place {
+                    prop_assert!(&s.parent == large_ref, "node {} is not parent - small", s.node);
+                } else {
+                    prop_assert!(&s.parent == *parent_ref, "a parent that was only read changed");
+                    // Discarded: the next user must find it zeroed.
+                    hists.release(s.parent);
+                    prop_assert!(hists.alloc().zeroed().iter().all(|&x| x == 0.0));
+                }
+            }
+            // Scratch is a tile pair per worker that needed one, and nothing
+            // when every histogram had a buffer of its own.
+            let offsets = mapper.bin_offsets();
+            let widest = feature_blocks(m, params.blocks.features_per_block(m))
+                .map(|b| (offsets[b.end] - offsets[b.start]) as usize * 2)
+                .max()
+                .unwrap_or(0);
+            prop_assert!(arena.high_water() <= (threads * 2 * widest * 8) as u64);
+            prop_assert!(!all_filed || arena.high_water() == 0);
         }
     }
 

@@ -13,12 +13,21 @@
 //!   "mix mode (DP, MP, DP)");
 //! * `Async` — batch engine (DP) until the queue is as wide as the pool,
 //!   then the barrier-free node-task phase (`async_mode`).
+//!
+//! A DP batch is three kinds of region in turn — BuildHist into full-width
+//! job buffers, the parent − sibling subtractions, FindSplit. An MP batch is
+//! one: each ⟨node-block, feature-block⟩ task scans, subtracts and searches
+//! its tile while it is in cache, and a child gets a full-width buffer only
+//! if its histogram can be filed for a later subtraction (`drivers`).
 
 mod async_mode;
 mod drivers;
 mod telemetry;
 
-pub use drivers::{build_hists_dp, build_hists_mp, DriverCtx, DriverScratch, HistJob};
+pub use drivers::{
+    build_hists_dp, build_hists_mp, DerivedSibling, DriverCtx, DriverScratch, HistJob, SplitSearch,
+    TileJob, TileOutcome,
+};
 
 use crate::ensemble::GbdtModel;
 use crate::growth::GrowthQueue;
@@ -655,6 +664,24 @@ impl GbdtTrainer {
     }
 }
 
+/// A child of a batch to scan from its rows — with the sibling to derive from
+/// it as `parent − node`, when the parent's histogram was taken from the
+/// cache.
+struct Scan {
+    node: NodeId,
+    /// `(sibling, the parent's histogram)`.
+    derived: Option<(NodeId, Vec<f64>)>,
+}
+
+/// A child as [`TreeEngine::build_and_split`] leaves it.
+struct Built {
+    node: NodeId,
+    /// Its histogram, when that was built full-width.
+    buf: Option<Vec<f64>>,
+    /// Its best split, if it has an admissible one.
+    cand: Option<SplitCandidate>,
+}
+
 /// Per-tree construction engine; buffers persist across trees.
 struct TreeEngine<'a> {
     qm: &'a dyn QuantStore,
@@ -745,19 +772,10 @@ impl<'a> TreeEngine<'a> {
         let mut queue = GrowthQueue::new(self.params.growth);
 
         // Root histogram + split.
-        {
-            let mut jobs = vec![HistJob { node: 0, buf: self.hist_pool.alloc().zeroed() }];
-            self.run_driver(grads, &mut jobs);
-            let found = self.find_splits(&tree, &jobs);
-            let HistJob { buf, .. } = jobs.pop().expect("one job");
-            match found.into_iter().next().flatten() {
-                Some(cand) => {
-                    let key = queue.push(0, 0, cand);
-                    let remaining = self.params.max_leaves() - 1;
-                    self.hist_pool.cache_insert(0, grads.len(), buf, key, remaining);
-                }
-                None => self.hist_pool.release(buf),
-            }
+        let remaining = self.params.max_leaves() - 1;
+        let root = vec![Scan { node: 0, derived: None }];
+        for built in self.build_and_split(grads, &tree, root, remaining) {
+            self.file(&tree, &mut queue, built, remaining);
         }
 
         // Barrier batches until the queue is spent — or, under ASYNC, until
@@ -880,29 +898,29 @@ impl<'a> TreeEngine<'a> {
             return;
         }
 
-        // Plan histogram jobs: fresh builds plus parent−sibling subtractions.
-        // A parent too small to have been cached (the pool's rule, see
+        // Plan the children's histograms: scans from rows, plus the larger
+        // sibling as parent − smaller where the parent's histogram is at
+        // hand. A parent too small to have been cached (the pool's rule, see
         // `hist::min_cached_rows`) comes back `None` like an evicted one,
-        // and both its children are built from rows.
-        let mut fresh: Vec<HistJob> = Vec::new();
-        // (large_node, parent_buf, index of the small sibling in `fresh`,
-        // index of the split in the batch).
-        let mut subs: Vec<(NodeId, Vec<f64>, usize, usize)> = Vec::new();
-        // Each fresh job's place in the queue's FIFO order, which breaks gain
-        // ties and so shapes the tree: the smaller (or only) child of every
-        // split in batch order, then the larger children in batch order —
-        // whether derived or scanned, so the caching rule moves cost, never
-        // a tie.
+        // and both its children are scanned.
+        let mut scans: Vec<Scan> = Vec::new();
+        // Each built child's place in the queue's FIFO order, which breaks
+        // gain ties and so shapes the tree: the smaller (or only) child of
+        // every split in batch order, then the larger children in batch
+        // order — whether derived or scanned, so the caching rule moves
+        // cost, never a tie. Kept in the order `build_and_split` returns
+        // the children: the scanned ones, then the derived ones.
         let mut place: Vec<(bool, usize)> = Vec::new();
+        let mut derived_place: Vec<(bool, usize)> = Vec::new();
         for (i, (&(_, l, r), parent_buf)) in splits.iter().zip(parent_bufs).enumerate() {
             let (small, large) =
                 if tree.node(l).stats.count <= tree.node(r).stats.count { (l, r) } else { (r, l) };
             let both = self.eligible(tree, l) && self.eligible(tree, r);
             match parent_buf {
                 Some(pbuf) if both => {
-                    fresh.push(HistJob { node: small, buf: self.hist_pool.alloc().zeroed() });
+                    scans.push(Scan { node: small, derived: Some((large, pbuf)) });
                     place.push((false, i));
-                    subs.push((large, pbuf, fresh.len() - 1, i));
+                    derived_place.push((true, i));
                 }
                 parent_buf => {
                     if let Some(pbuf) = parent_buf {
@@ -910,7 +928,7 @@ impl<'a> TreeEngine<'a> {
                     }
                     for node in [small, large] {
                         if self.eligible(tree, node) {
-                            fresh.push(HistJob { node, buf: self.hist_pool.alloc().zeroed() });
+                            scans.push(Scan { node, derived: None });
                             place.push((both && node == large, i));
                         }
                     }
@@ -918,41 +936,143 @@ impl<'a> TreeEngine<'a> {
             }
         }
 
-        // BuildHist (the hotspot).
+        let built = self.build_and_split(grads, tree, scans, remaining);
+        let mut queued: Vec<_> = place.into_iter().chain(derived_place).zip(built).collect();
+        queued.sort_unstable_by_key(|&(place, _)| place);
+        for (_, built) in queued {
+            self.file(tree, queue, built, remaining);
+        }
+    }
+
+    /// Queues a built child's candidate and files its histogram (if it was
+    /// built full-width) for the split's subtraction; a child with no
+    /// admissible split stays a leaf and its buffer is recycled.
+    fn file(&mut self, tree: &Tree, queue: &mut GrowthQueue, built: Built, remaining: usize) {
+        let Built { node, buf, cand } = built;
+        let key = cand.map(|cand| queue.push(node, tree.node(node).depth, cand));
+        match (buf, key) {
+            (Some(buf), Some(key)) => {
+                let rows = self.partition.node_len(node);
+                self.hist_pool.cache_insert(node, rows, buf, key, remaining);
+            }
+            (Some(buf), None) => self.hist_pool.release(buf),
+            (None, _) => {}
+        }
+    }
+
+    /// BuildHist (the hotspot) and FindSplit for one batch; returns the
+    /// scanned nodes in `scans` order, then the derived siblings in `scans`
+    /// order. The mode's policy for the batch picks the executor.
+    /// `remaining` is the tree's unspent leaf budget.
+    fn build_and_split(
+        &mut self,
+        grads: &[GradPair],
+        tree: &Tree,
+        scans: Vec<Scan>,
+        remaining: usize,
+    ) -> Vec<Built> {
+        let Some(head) = scans.first().map(|s| s.node) else {
+            return Vec::new();
+        };
+        let total_rows: usize = scans.iter().map(|s| self.partition.node_len(s.node)).sum();
+        // A histogram batch is a barrier construct: ASYNC builds one only in
+        // its begin phase, which is DP whatever the batch's width.
+        let exclusive = self.policy(scans.len(), total_rows) == BatchPolicy::Exclusive;
+        let ctx = DriverCtx {
+            qm: self.qm,
+            params: self.params,
+            pool: self.pool,
+            partition: &self.partition,
+            grads,
+        };
+
+        if exclusive {
+            // The fused tile pipeline: a full-width buffer only for a
+            // histogram that can be filed, and only the parent's own for a
+            // sibling that can.
+            let mut jobs: Vec<TileJob> = Vec::with_capacity(scans.len());
+            for Scan { node, derived } in scans {
+                let pool = &mut self.hist_pool;
+                let files = |pool: &HistPool, n| pool.files(ctx.partition.node_len(n), remaining);
+                let sibling = derived.map(|(sibling, parent)| DerivedSibling {
+                    node: sibling,
+                    stats: tree.node(sibling).stats,
+                    in_place: files(pool, sibling),
+                    parent,
+                });
+                let buf = files(pool, node).then(|| pool.alloc().zeroed());
+                jobs.push(TileJob { node, stats: tree.node(node).stats, buf, sibling });
+            }
+            let search = SplitSearch {
+                settings: &self.settings,
+                mask: (!self.feature_mask.is_empty()).then_some(&self.feature_mask[..]),
+            };
+            let sw = Stopwatch::start();
+            let start_ns = self.sink().map(TraceSink::now_ns);
+            let TileOutcome { found, build_ns, find_ns } =
+                drivers::build_hists_mp(&ctx, &mut self.scratch, &mut jobs, search);
+            // The one region built, subtracted and searched: its wall goes
+            // to the clock (and, tracing, the coordinator lane) in the
+            // proportion the workers spent their time.
+            let wall = sw.elapsed_ns();
+            let build = if build_ns + find_ns == 0 {
+                wall
+            } else {
+                (u128::from(wall) * u128::from(build_ns) / u128::from(build_ns + find_ns)) as u64
+            };
+            self.clock.add(TracePhase::BuildHist, build);
+            self.clock.add(TracePhase::FindSplit, wall - build);
+            if let (Some(sink), Some(t0)) = (self.sink(), start_ns) {
+                let (coord, n) = (sink.coordinator_lane(), jobs.len() as u32);
+                sink.record(coord, TracePhase::BuildHist, head, n, t0, t0 + build);
+                sink.record(coord, TracePhase::FindSplit, head, n, t0 + build, t0 + wall);
+            }
+            let (mut scanned, mut derived) = (Vec::with_capacity(jobs.len()), Vec::new());
+            for (job, [cand, sibling_cand]) in jobs.into_iter().zip(found) {
+                scanned.push(Built { node: job.node, buf: job.buf, cand });
+                if let Some(DerivedSibling { node, parent, in_place, .. }) = job.sibling {
+                    let buf = if in_place {
+                        Some(parent)
+                    } else {
+                        self.hist_pool.release(parent);
+                        None
+                    };
+                    derived.push(Built { node, buf, cand: sibling_cand });
+                }
+            }
+            scanned.extend(derived);
+            return scanned;
+        }
+
+        // Replicated: full-width job buffers, then the subtractions, then
+        // FindSplit over every histogram — three kinds of region.
+        let mut fresh: Vec<HistJob> = Vec::with_capacity(scans.len());
+        // (sibling, parent's histogram, index of the scanned child in `fresh`).
+        let mut subs: Vec<(NodeId, Vec<f64>, usize)> = Vec::new();
+        for (i, Scan { node, derived }) in scans.into_iter().enumerate() {
+            fresh.push(HistJob { node, buf: self.hist_pool.alloc().zeroed() });
+            subs.extend(derived.map(|(sibling, parent)| (sibling, parent, i)));
+        }
         {
-            let _phase = self.phase(TracePhase::BuildHist, batch[0].node, fresh.len() as u32);
-            self.run_driver(grads, &mut fresh);
+            let _phase = self.phase(TracePhase::BuildHist, head, fresh.len() as u32);
+            drivers::build_hists_dp(&ctx, &mut self.scratch, &mut fresh);
             let fresh_ro: &[HistJob] = &fresh;
             let trace = self.sink();
-            self.pool.parallel_for_each_mut(&mut subs, |i, (large, pbuf, small_idx, _), w| {
-                let _span = trace.map(|s| s.span(w, TracePhase::Reduce, *large, i as u32));
+            self.pool.parallel_for_each_mut(&mut subs, |i, (sibling, pbuf, small_idx), w| {
+                let _span = trace.map(|s| s.span(w, TracePhase::Reduce, *sibling, i as u32));
                 hist::subtract_in_place(pbuf, &fresh_ro[*small_idx].buf);
             });
         }
-
-        // FindSplit on all children that got a histogram.
-        let mut jobs: Vec<HistJob> = fresh;
-        for (large, pbuf, _, i) in subs {
-            jobs.push(HistJob { node: large, buf: pbuf });
-            place.push((true, i));
-        }
+        let mut jobs = fresh;
+        jobs.extend(subs.into_iter().map(|(node, buf, _)| HistJob { node, buf }));
         let found = {
-            let _phase = self.phase(TracePhase::FindSplit, batch[0].node, jobs.len() as u32);
+            let _phase = self.phase(TracePhase::FindSplit, head, jobs.len() as u32);
             self.find_splits(tree, &jobs)
         };
-        let mut queued: Vec<_> = place.into_iter().zip(jobs.into_iter().zip(found)).collect();
-        queued.sort_unstable_by_key(|&(place, _)| place);
-        for (_, (job, cand)) in queued {
-            match cand {
-                Some(cand) => {
-                    let depth = tree.node(job.node).depth;
-                    let key = queue.push(job.node, depth, cand);
-                    let rows = self.partition.node_len(job.node);
-                    self.hist_pool.cache_insert(job.node, rows, job.buf, key, remaining);
-                }
-                None => self.hist_pool.release(job.buf),
-            }
-        }
+        jobs.into_iter()
+            .zip(found)
+            .map(|(HistJob { node, buf }, cand)| Built { node, buf: Some(buf), cand })
+            .collect()
     }
 
     /// Whether `node` may be split further.
@@ -973,30 +1093,6 @@ impl<'a> TreeEngine<'a> {
         self.params
             .mode
             .batch_policy(width, rows / width.max(1), self.pool.num_threads())
-    }
-
-    /// Dispatches a batch of histogram jobs to the driver the mode's policy
-    /// names.
-    fn run_driver(&mut self, grads: &[GradPair], jobs: &mut [HistJob]) {
-        if jobs.is_empty() {
-            return;
-        }
-        let total_rows: usize = jobs.iter().map(|j| self.partition.node_len(j.node)).sum();
-        // A histogram batch is a barrier construct: ASYNC builds one only in
-        // its begin phase, which is DP whatever the batch's width.
-        let exclusive = self.policy(jobs.len(), total_rows) == BatchPolicy::Exclusive;
-        let ctx = DriverCtx {
-            qm: self.qm,
-            params: self.params,
-            pool: self.pool,
-            partition: &self.partition,
-            grads,
-        };
-        if exclusive {
-            drivers::build_hists_mp(&ctx, &mut self.scratch, jobs);
-        } else {
-            drivers::build_hists_dp(&ctx, &mut self.scratch, jobs);
-        }
     }
 
     /// Finds the best split of every job's node, feature-chunk parallel.

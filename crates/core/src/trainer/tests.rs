@@ -264,6 +264,53 @@ fn sparse_dataset_trains_in_all_modes() {
     }
 }
 
+/// `lambda = 0`, `min_child_weight = 0` on sparse data: in almost every node
+/// some feature's leading bins are empty, and the empty left side scores
+/// 0 / 0. A NaN gain that won FindSplit would sit in the tree with a child
+/// of no rows, and nothing after it could beat it.
+#[test]
+fn unregularized_sparse_training_never_splits_on_a_nan_gain() {
+    let data = dataset(DatasetKind::YfccLike, 0.05);
+    let mut barrier_preds: Vec<Vec<u32>> = Vec::new();
+    for mode in [
+        ParallelMode::DataParallel,
+        ParallelMode::ModelParallel,
+        ParallelMode::Sync,
+        ParallelMode::Async,
+    ] {
+        let params = TrainParams {
+            mode,
+            lambda: 0.0,
+            min_child_weight: 0.0,
+            gamma: 0.0,
+            n_trees: 3,
+            growth: GrowthMethod::Leafwise,
+            k: 4,
+            ..base_params()
+        };
+        let out = train(&data, params);
+        for tree in out.model.trees() {
+            assert!(tree.n_leaves() > 1, "{mode:?}: nothing split");
+            for id in 0..tree.n_nodes() as NodeId {
+                let node = tree.node(id);
+                assert!(node.stats.count > 0, "{mode:?}: node {id} holds no rows");
+                match node.split {
+                    Some(split) => assert!(
+                        split.gain.is_finite() && split.gain > 0.0,
+                        "{mode:?}: node {id} split on gain {}",
+                        split.gain
+                    ),
+                    None => assert!(node.weight.is_finite(), "{mode:?}: leaf {id} weight"),
+                }
+            }
+        }
+        if mode != ParallelMode::Async {
+            barrier_preds.push(preds(&out, &data).iter().map(|p| p.to_bits()).collect());
+        }
+    }
+    assert!(barrier_preds.windows(2).all(|w| w[0] == w[1]), "DP, MP and SYNC models differ");
+}
+
 #[test]
 fn squared_error_regression_reduces_rmse() {
     // Regression on a noiseless linear target.

@@ -491,3 +491,79 @@ fn deep_trees_of_small_nodes_size_the_pool_and_the_arena_by_rows() {
     }
     assert!(barrier_preds.windows(2).all(|w| w[0] == w[1]), "DP, MP and SYNC models differ");
 }
+
+/// A wide sparse store — 4 096 CSR features, a node histogram some thousand
+/// times a small node's entries — through the fused Exclusive executor
+/// (DESIGN.md §11): a child gets a full-width buffer only if its histogram
+/// can be filed, so the pool follows how many disjoint nodes are big enough
+/// to cache (plus the root's buffer and one in flight), not how many
+/// children a K = 32 batch has. At the parent commit MP gave every child of
+/// the batch a buffer and cached them all.
+#[test]
+fn wide_sparse_histograms_exist_only_where_a_subtraction_reads_them() {
+    let mut data = prepared(DatasetKind::YfccLike, 1.0, 7);
+    // 16 bins keep a buffer near 1 MB: DP and SYNC's Replicated batches
+    // still hold one per job.
+    data.quantized = harpgbdt::QuantizedMatrix::from_matrix(
+        &data.train.features,
+        harpgbdt::BinningConfig::with_max_bins(16),
+    );
+    let width = harpgbdt::hist::hist_width_for(&data.quantized);
+    let min_rows = harpgbdt::hist::min_cached_rows(&data.quantized);
+    let big_nodes = data.quantized.n_rows() / min_rows;
+    assert!(big_nodes >= 2, "some nodes must be cached for the subtraction to be exercised");
+    let k = 32;
+    for tree_size in [4, 6] {
+        let mut barrier_preds: Vec<Vec<f32>> = Vec::new();
+        for mode in [ParallelMode::DataParallel, ParallelMode::ModelParallel, ParallelMode::Sync] {
+            let what = format!("{mode:?} yfcc-like D{tree_size} K{k}");
+            let out = lifecycle_run(&data, &data.train.labels, mode, tree_size, k, |p| {
+                // The MP blocks of the paper's fat-matrix runs (§IV-C); two
+                // threads let SYNC's wide batches of big nodes go Exclusive.
+                p.blocks = harpgbdt::BlockConfig {
+                    node_blk_size: 8,
+                    feature_blk_size: 32,
+                    ..harpgbdt::BlockConfig::default()
+                };
+                p.n_threads = 2;
+            });
+            let ledger = out.diagnostics.ledger.as_ref().expect("ledger enabled");
+            let summary = ledger.summary();
+            let get = |name: &str| summary.get(name).unwrap_or_else(|| panic!("{what}: no {name}"));
+            let splits: u32 = out.diagnostics.tree_shapes.iter().map(|s| s.n_leaves - 1).sum();
+            assert_eq!(
+                get("counter/hist_cache_hits") + get("counter/hist_cache_declined"),
+                f64::from(splits),
+                "{what}: every split finds its histogram, or was never meant to"
+            );
+            assert!(
+                get("counter/hist_cache_hits") > 0.0 && get("counter/hist_cache_declined") > 0.0
+            );
+            assert_eq!(
+                get("counter/hist_cache_misses"),
+                0.0,
+                "{what}: a dropped histogram was needed"
+            );
+            for r in ledger.records() {
+                assert_eq!(r.n_leaves, 1 << tree_size, "{what}: round {} stopped short", r.round);
+                let pops = (f64::from(r.n_leaves - 1) / r.mean_k_per_pop).round();
+                assert_eq!(r.plan.batches as f64, pops, "{what}: round {} batches", r.round);
+            }
+            if mode == ParallelMode::ModelParallel {
+                let pool = get("mem/hist_pool/high_water_bytes") / (width * 8) as f64;
+                assert!(
+                    pool <= (big_nodes + 2) as f64,
+                    "{what}: pool grew to {pool} buffers with {big_nodes} cacheable nodes"
+                );
+                // Everything else lived in a tile pair per worker.
+                let tile_pair = (2 * 32 * 16 * 2 * 8) as f64;
+                assert!(get("mem/scratch_arena/high_water_bytes") <= 2.0 * tile_pair, "{what}");
+            }
+            barrier_preds.push(out.model.predict_raw(&data.test.features));
+        }
+        assert!(
+            barrier_preds.windows(2).all(|w| w[0] == w[1]),
+            "yfcc-like D{tree_size} K{k}: DP, MP and SYNC models differ"
+        );
+    }
+}
