@@ -1,7 +1,7 @@
 //! Per-mode training memory footprint from the run-ledger memory gauges.
 //!
 //! Reproduces the paper's Table V argument in byte terms: MemBuf trades a
-//! fixed 2x-gradient-copy for contiguous BuildHist reads, and the DP replica
+//! fixed second gradient plane for contiguous BuildHist reads, and the DP replica
 //! arena — not MemBuf — is what scales with thread count and tree size.
 //! Trains each parallel mode with MemBuf on and off at a small scale (D8,
 //! plus one D10 run per mode, where the histogram pool is what grows), then
@@ -152,7 +152,10 @@ fn main() {
     }
     table.note(
         "high-water bytes from the run-ledger memory gauges (final round record); \
-         membuf buf = 2 gradient replicas x n_rows x 8 B, constant across modes",
+         membuf buf = the gradient halves of the partition's two planes, 2 x n_rows x 8 B, \
+         constant across modes; partition = their row-id halves (2 x 4 B), the routing mask \
+         (1 B) and, with MemBuf off, the one row-ordered gradient array (8 B) per row, plus \
+         the span and batch-task tables — there is no other gradient copy",
     );
     table.note(
         "quant store = the quantized matrix itself (row/col/u4/bundled/CSC storage), \

@@ -31,7 +31,6 @@ use super::{split_pred, TreeEngine};
 use crate::growth::GrowthQueue;
 use crate::hist::{self, HistPool};
 use crate::kernels::{row_scan_store, GradSource, BYTES_PER_CELL, FLOPS_PER_CELL};
-use crate::loss::GradPair;
 use crate::split::find_split_masked;
 use crate::tree::{NodeId, NodeStats, Tree};
 use harp_parallel::{PhaseSpan, SpinMutex, TracePhase, WorkQueue};
@@ -50,7 +49,6 @@ struct Frontier<'a> {
 /// updated in place.
 pub(super) fn run_async(
     engine: &mut TreeEngine<'_>,
-    grads: &[GradPair],
     tree: &mut Tree,
     queue: &mut GrowthQueue,
     leaves: &mut usize,
@@ -89,6 +87,7 @@ pub(super) fn run_async(
     };
     let mapper = qm.mapper();
     let partition = &engine.partition;
+    let grads = partition.global_grads();
     let settings = engine.settings;
     // Owned copy: `engine.hist_pool` is mutably borrowed below, so the mask
     // cannot stay borrowed from `engine`.

@@ -32,7 +32,6 @@ pub use drivers::{
 use crate::ensemble::GbdtModel;
 use crate::growth::GrowthQueue;
 use crate::hist::{self, HistPool};
-use crate::loss::GradPair;
 use crate::params::{BatchPolicy, GrowthMethod, TrainParams};
 use crate::partition::RowPartition;
 use crate::split::{better_of, SplitCandidate, SplitSettings};
@@ -355,9 +354,10 @@ impl GbdtTrainer {
     /// The one check of the training and eval data happens here.
     ///
     /// # Errors
-    /// Returns a message for unusable data: a label, weight or query-group
-    /// count that does not match `store.n_rows()`, or whatever the
-    /// objective's own validation rejects.
+    /// Returns a message for unusable data: more rows than one
+    /// [`RowPartition`] holds, a label, weight or query-group count that does
+    /// not match `store.n_rows()`, or whatever the objective's own validation
+    /// rejects.
     pub fn try_train_store_grouped(
         &self,
         store: &dyn QuantStore,
@@ -369,6 +369,7 @@ impl GbdtTrainer {
         let qm = store;
         let params = &self.params;
         let n = qm.n_rows();
+        RowPartition::check_rows(n).map_err(|e| format!("training data rejected: {e}"))?;
         for (what, len) in [("label", Some(labels.len())), ("weight", weights.map(<[f32]>::len))] {
             if let Some(len) = len.filter(|&len| len != n) {
                 return Err(format!(
@@ -414,29 +415,7 @@ impl GbdtTrainer {
         for r in 0..n {
             preds[r * groups..(r + 1) * groups].copy_from_slice(&base_scores);
         }
-        let mut grads: Vec<GradPair> = vec![[0.0; 2]; n];
-        let max_nodes = 2 * params.max_leaves() + 8;
-        let mut engine = TreeEngine {
-            qm,
-            params,
-            pool: &pool,
-            clock: &clock,
-            partition: RowPartition::new(n, max_nodes, params.use_membuf),
-            hist_pool: HistPool::for_store(
-                qm,
-                // Subtraction is the cache's only reader.
-                if params.hist_subtraction { params.hist_cache_bytes } else { 0 },
-            ),
-            scratch: DriverScratch::new(),
-            settings: SplitSettings {
-                lambda: params.lambda,
-                gamma: params.gamma,
-                min_child_weight: params.min_child_weight,
-            },
-            feature_mask: Vec::new(),
-            pops: 0,
-            popped: 0,
-        };
+        let mut engine = TreeEngine::new(qm, params, &pool, &clock);
 
         // Every figure the run reports is a view of one `read_totals()`; the
         // ledger (when on) holds the previous round's read as its one
@@ -516,11 +495,11 @@ impl GbdtTrainer {
                         query_groups,
                         group,
                         &scaling,
-                        &mut grads,
+                        engine.partition.gradients_mut(),
                     );
                 }
                 engine.sample_features(params, iter as u64, group as u64);
-                let tree = engine.build_tree(&grads);
+                let tree = engine.build_tree();
                 {
                     let _phase = engine.phase(TracePhase::Other, 0, iter as u32);
                     engine.update_predictions(&tree, &mut preds, groups, group);
@@ -706,6 +685,36 @@ struct TreeEngine<'a> {
 }
 
 impl<'a> TreeEngine<'a> {
+    fn new(
+        qm: &'a dyn QuantStore,
+        params: &'a TrainParams,
+        pool: &'a ThreadPool,
+        clock: &'a PhaseClock,
+    ) -> Self {
+        let max_nodes = 2 * params.max_leaves() + 8;
+        Self {
+            qm,
+            params,
+            pool,
+            clock,
+            partition: RowPartition::new(qm.n_rows(), max_nodes, params.use_membuf),
+            hist_pool: HistPool::for_store(
+                qm,
+                // Subtraction is the cache's only reader.
+                if params.hist_subtraction { params.hist_cache_bytes } else { 0 },
+            ),
+            scratch: DriverScratch::new(),
+            settings: SplitSettings {
+                lambda: params.lambda,
+                gamma: params.gamma,
+                min_child_weight: params.min_child_weight,
+            },
+            feature_mask: Vec::new(),
+            pops: 0,
+            popped: 0,
+        }
+    }
+
     /// The span ledger installed on the pool, if tracing is enabled. The
     /// returned borrow is tied to the pool, not `self`, so spans can stay
     /// open across `&mut self` calls.
@@ -761,8 +770,15 @@ impl<'a> TreeEngine<'a> {
         }
     }
 
-    fn build_tree(&mut self, grads: &[GradPair]) -> Tree {
-        self.partition.reset(grads);
+    /// Grows one tree over the gradients the objective wrote into
+    /// `self.partition.gradients_mut()`.
+    fn build_tree(&mut self) -> Tree {
+        self.partition.start_tree();
+        // Row order, whichever array holds the round's gradients.
+        let grads = match self.partition.grads(0) {
+            [] => self.partition.global_grads(),
+            membuf => membuf,
+        };
         let mut root_stats = NodeStats { g: 0.0, h: 0.0, count: grads.len() as u32 };
         for gp in grads {
             root_stats.g += f64::from(gp[0]);
@@ -774,7 +790,7 @@ impl<'a> TreeEngine<'a> {
         // Root histogram + split.
         let remaining = self.params.max_leaves() - 1;
         let root = vec![Scan { node: 0, derived: None }];
-        for built in self.build_and_split(grads, &tree, root, remaining) {
+        for built in self.build_and_split(&tree, root, remaining) {
             self.file(&tree, &mut queue, built, remaining);
         }
 
@@ -784,10 +800,10 @@ impl<'a> TreeEngine<'a> {
         let mut leaves = 1usize;
         while leaves < self.params.max_leaves() && !queue.is_empty() {
             if self.policy(queue.len(), 0) == BatchPolicy::NodeTasks {
-                async_mode::run_async(self, grads, &mut tree, &mut queue, &mut leaves);
+                async_mode::run_async(self, &mut tree, &mut queue, &mut leaves);
                 break;
             }
-            self.grow_one_batch(grads, &mut tree, &mut queue, &mut leaves);
+            self.grow_one_batch(&mut tree, &mut queue, &mut leaves);
         }
 
         // Remaining candidates stay leaves; their cached hists are recycled.
@@ -815,22 +831,16 @@ impl<'a> TreeEngine<'a> {
     /// Pops one batch off a non-empty queue (with leaves left to spend),
     /// splits it and — while leaves remain after that — builds the
     /// children's histograms and queues the next candidates.
-    fn grow_one_batch(
-        &mut self,
-        grads: &[GradPair],
-        tree: &mut Tree,
-        queue: &mut GrowthQueue,
-        leaves: &mut usize,
-    ) {
+    fn grow_one_batch(&mut self, tree: &mut Tree, queue: &mut GrowthQueue, leaves: &mut usize) {
         let batch = queue.pop_batch(self.params.effective_k(), self.params.max_leaves() - *leaves);
         self.pops += 1;
         self.popped += batch.len() as u64;
 
-        // ApplySplit: update the tree, then partition rows node by node
-        // (chunk-parallel within a node for wide spans, node-parallel when
-        // the batch is large). Each candidate spends its leaf and takes its
-        // cached histogram in one step, as an ASYNC node task does, so the
-        // pool sees the budget exactly as that pop left it.
+        // ApplySplit: update the tree, then partition the rows of the whole
+        // batch as one region of ⟨node, row-block⟩ tasks (inline when the
+        // batch holds few rows). Each candidate spends its leaf and takes
+        // its cached histogram in one step, as an ASYNC node task does, so
+        // the pool sees the budget exactly as that pop left it.
         let mut splits: Vec<(NodeId, NodeId, NodeId)> = Vec::with_capacity(batch.len());
         let mut parent_bufs: Vec<Option<Vec<f64>>> = Vec::with_capacity(batch.len());
         {
@@ -853,29 +863,11 @@ impl<'a> TreeEngine<'a> {
                 .collect();
             let preds = split_preds_batch(self.qm, &items);
             drop(items);
-            if batch.len() >= self.pool.num_threads() * 2 {
-                let partition = &self.partition;
-                let splits_ro = &splits;
-                let preds_ro = &preds;
-                let trace = self.sink();
-                self.pool.parallel_for(batch.len(), |i, w| {
-                    let (parent, l, r) = splits_ro[i];
-                    let _span = trace.map(|s| s.span(w, TracePhase::ApplySplit, parent, i as u32));
-                    let pred = &preds_ro[i];
-                    partition.apply_split(parent, l, r, &|pos, row| pred.goes_left(pos, row), None);
-                });
-            } else {
-                for (i, &(parent, l, r)) in splits.iter().enumerate() {
-                    let pred = &preds[i];
-                    self.partition.apply_split(
-                        parent,
-                        l,
-                        r,
-                        &|pos, row| pred.goes_left(pos, row),
-                        Some(self.pool),
-                    );
-                }
-            }
+            self.partition.apply_splits(
+                &splits,
+                &|i, pos, row| preds[i].goes_left(pos, row),
+                Some(self.pool),
+            );
             for &(_, l, r) in &splits {
                 tree.node_mut(l).stats.count = self.partition.node_len(l) as u32;
                 tree.node_mut(r).stats.count = self.partition.node_len(r) as u32;
@@ -936,7 +928,7 @@ impl<'a> TreeEngine<'a> {
             }
         }
 
-        let built = self.build_and_split(grads, tree, scans, remaining);
+        let built = self.build_and_split(tree, scans, remaining);
         let mut queued: Vec<_> = place.into_iter().chain(derived_place).zip(built).collect();
         queued.sort_unstable_by_key(|&(place, _)| place);
         for (_, built) in queued {
@@ -964,13 +956,7 @@ impl<'a> TreeEngine<'a> {
     /// scanned nodes in `scans` order, then the derived siblings in `scans`
     /// order. The mode's policy for the batch picks the executor.
     /// `remaining` is the tree's unspent leaf budget.
-    fn build_and_split(
-        &mut self,
-        grads: &[GradPair],
-        tree: &Tree,
-        scans: Vec<Scan>,
-        remaining: usize,
-    ) -> Vec<Built> {
+    fn build_and_split(&mut self, tree: &Tree, scans: Vec<Scan>, remaining: usize) -> Vec<Built> {
         let Some(head) = scans.first().map(|s| s.node) else {
             return Vec::new();
         };
@@ -983,7 +969,7 @@ impl<'a> TreeEngine<'a> {
             params: self.params,
             pool: self.pool,
             partition: &self.partition,
-            grads,
+            grads: self.partition.global_grads(),
         };
 
         if exclusive {
@@ -1143,6 +1129,9 @@ impl<'a> TreeEngine<'a> {
     fn update_predictions(&self, tree: &Tree, preds: &mut [f32], stride: usize, offset: usize) {
         let leaf_ids: Vec<NodeId> = tree.leaf_ids().collect();
         struct Ptr(*mut f32);
+        // SAFETY: the pointer is only dereferenced inside the region below,
+        // while `preds` stays mutably borrowed by this call, and at indices
+        // no two tasks share (see the loop).
         unsafe impl Send for Ptr {}
         unsafe impl Sync for Ptr {}
         impl Ptr {
@@ -1155,7 +1144,11 @@ impl<'a> TreeEngine<'a> {
         self.pool.parallel_for(leaf_ids.len(), |i, _| {
             let id = leaf_ids[i];
             let w = tree.node(id).weight;
-            // SAFETY: leaves own disjoint row sets.
+            // SAFETY: leaves own disjoint row sets — their row lists are a
+            // permutation of `0..n` (the partition's spans tile the planes;
+            // `leaves_hold_a_permutation_of_the_rows_after_every_tree` pins
+            // it in all four modes) — so no two tasks touch one score, and
+            // `row * stride + offset < n * stride = preds.len()`.
             for &row in partition.rows(id) {
                 unsafe { *ptr.get().add(row as usize * stride + offset) += w };
             }

@@ -696,3 +696,103 @@ fn multiclass_model_json_roundtrip() {
     let t1 = out.model.truncated(2);
     assert_eq!(t1.n_trees(), 6);
 }
+
+#[test]
+fn degenerate_row_counts_train_in_every_mode_with_and_without_membuf() {
+    // 0, 1 and 2 rows: the in-place gradient path has no root plane to
+    // write when there are no rows, and one-row nodes can never split.
+    for n in 0..3usize {
+        let values: Vec<f32> = (0..n).map(|r| r as f32).collect();
+        let labels: Vec<f32> = (0..n).map(|r| (r % 2) as f32).collect();
+        let data =
+            Dataset::new("tiny", FeatureMatrix::Dense(DenseMatrix::from_vec(n, 1, values)), labels);
+        let probe = Dataset::new(
+            "probe",
+            FeatureMatrix::Dense(DenseMatrix::from_vec(3, 1, vec![-1.0, 0.5, 2.0])),
+            vec![0.0; 3],
+        );
+        let bits = |mode, use_membuf| {
+            let params = TrainParams {
+                mode,
+                use_membuf,
+                n_trees: 2,
+                tree_size: 2,
+                n_threads: 2,
+                min_child_weight: 0.0,
+                gamma: 0.0,
+                ..base_params()
+            };
+            let out = train(&data, params);
+            assert_eq!(out.model.n_trees(), 2, "n={n} {mode:?} membuf={use_membuf}");
+            preds(&out, &probe).iter().map(|p| p.to_bits()).collect::<Vec<u32>>()
+        };
+        let reference = bits(ParallelMode::DataParallel, true);
+        for mode in [ParallelMode::DataParallel, ParallelMode::ModelParallel, ParallelMode::Sync] {
+            for membuf in [true, false] {
+                assert_eq!(bits(mode, membuf), reference, "n={n} {mode:?} membuf={membuf}");
+            }
+        }
+        // ASYNC numbers nodes in completion order; on trees this small the
+        // logical model is still the same, MemBuf on or off.
+        assert_eq!(bits(ParallelMode::Async, true), bits(ParallelMode::Async, false), "n={n}");
+    }
+}
+
+#[test]
+fn leaves_hold_a_permutation_of_the_rows_after_every_tree() {
+    // What `update_predictions`' unsynchronized `+=` and the partition's
+    // scatter rest on: however a mode schedules its splits, the leaves' row
+    // lists are disjoint and cover `0..n`.
+    let data = dataset(DatasetKind::HiggsLike, 1.3);
+    let qm = harp_binning::QuantizedMatrix::from_matrix(
+        &data.features,
+        harp_binning::BinningConfig::default(),
+    );
+    let n = qm.n_rows();
+    assert!(n >= 3 * 8192, "the root and its children must be partitioned by pool tasks");
+    let pool = ThreadPool::new(4);
+    let clock = PhaseClock::new();
+    for mode in [
+        ParallelMode::DataParallel,
+        ParallelMode::ModelParallel,
+        ParallelMode::Sync,
+        ParallelMode::Async,
+    ] {
+        for use_membuf in [true, false] {
+            let params =
+                TrainParams { mode, use_membuf, tree_size: 6, k: 8, n_threads: 4, ..base_params() };
+            let objective = params.loss.build();
+            let mut engine = TreeEngine::new(&qm, &params, &pool, &clock);
+            let mut scores = vec![0.0f32; n];
+            for iter in 0..3 {
+                let scaling = crate::loss::RowScaling { weights: None, subsample: 1.0, seed: 0 };
+                crate::objective::compute_gradients_group(
+                    objective.as_ref(),
+                    &pool,
+                    &scores,
+                    &data.labels,
+                    None,
+                    0,
+                    &scaling,
+                    engine.partition.gradients_mut(),
+                );
+                let tree = engine.build_tree();
+                assert!(tree.n_leaves() > 8, "{mode:?}: tree {iter} barely grew");
+                let mut seen = vec![false; n];
+                for leaf in tree.leaf_ids() {
+                    for &row in engine.partition.rows(leaf) {
+                        assert!(
+                            !std::mem::replace(&mut seen[row as usize], true),
+                            "{mode:?} membuf={use_membuf} tree {iter}: row {row} in two leaves"
+                        );
+                    }
+                }
+                assert!(
+                    seen.iter().all(|&s| s),
+                    "{mode:?} membuf={use_membuf} tree {iter}: a row is in no leaf"
+                );
+                engine.update_predictions(&tree, &mut scores, 1, 0);
+            }
+        }
+    }
+}

@@ -104,10 +104,12 @@ pub mod gauges {
     pub const HIST_CACHE: &str = "hist_cache";
     /// DP replica arena (whole-batch histogram replicas).
     pub const SCRATCH_ARENA: &str = "scratch_arena";
-    /// MemBuf gradient replicas (`grads` + `scratch_grads`), zero when
-    /// `use_membuf` is off.
+    /// MemBuf: the gradient halves of the row partition's two planes, zero
+    /// when `use_membuf` is off.
     pub const MEMBUF: &str = "membuf";
-    /// Row-partition index buffers plus parallel-partition scratch.
+    /// The rest of the row partition: the row-id halves of the two planes,
+    /// the routing mask, the span and batch-task tables and — with MemBuf
+    /// off — the row-ordered gradient array.
     pub const PARTITION: &str = "partition";
     /// Flat inference forest compiled for incremental evaluation.
     pub const FLAT_FOREST: &str = "flat_forest";

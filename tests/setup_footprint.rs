@@ -9,51 +9,15 @@
 //!
 //! The allocator is process-wide, so this file holds a single `#[test]`.
 
+mod counting_alloc;
+
 use harp_binning::{BinningConfig, QuantizedMatrix};
 use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 /// Bookkeeping the bound does not model: per-feature cut vectors, task
 /// lists, thread stacks' heap side, the CSR/CSC offset tables' twins.
 const SLACK_BYTES: usize = 1 << 20;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-struct Counting;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are plain statistics.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        // SAFETY: the caller's `layout` obligations pass straight through.
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Relaxed) + layout.size();
-            PEAK.fetch_max(live, Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Relaxed);
-        // SAFETY: `p` came from `alloc` above, i.e. from `System`, with `layout`.
-        unsafe { System.dealloc(p, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// Peak of live heap bytes during `f`, over what was live when it started.
-fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let before = LIVE.load(Relaxed);
-    PEAK.store(before, Relaxed);
-    let out = f();
-    (out, PEAK.load(Relaxed) - before)
-}
 
 #[test]
 fn setup_peak_is_storage_plus_the_designed_transient() {
@@ -65,7 +29,9 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
         .map(|i| if i % 41 == 0 { f32::NAN } else { rng.gen_range(-4.0f32..4.0) })
         .collect();
     let dense = FeatureMatrix::Dense(DenseMatrix::from_vec(n, m, values));
-    let (q, peak) = peak_during(|| QuantizedMatrix::from_matrix(&dense, BinningConfig::default()));
+    let (q, peak) = counting_alloc::peak_during(|| {
+        QuantizedMatrix::from_matrix(&dense, BinningConfig::default())
+    });
     assert!(q.is_dense() && q.mapper().max_bins_used() == 255);
     let bound = q.storage_bytes() + threads * n * 4 + SLACK_BYTES;
     assert!(
@@ -88,7 +54,9 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
     let sparse = FeatureMatrix::Sparse(CsrMatrix::from_rows(m as usize, &rows));
     drop(rows);
     let nnz = sparse.n_present();
-    let (q, peak) = peak_during(|| QuantizedMatrix::from_matrix(&sparse, BinningConfig::default()));
+    let (q, peak) = counting_alloc::peak_during(|| {
+        QuantizedMatrix::from_matrix(&sparse, BinningConfig::default())
+    });
     assert!(q.sparse_csr().is_some(), "the sparse input must stay sparse");
     let bound = q.storage_bytes() + nnz * 8 + SLACK_BYTES;
     assert!(
