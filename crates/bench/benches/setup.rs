@@ -1,14 +1,21 @@
 //! Set-up micro-benchmark: pass 1 (cut search, `BinMapper::from_matrix`) and
 //! pass 2 (quantization, `QuantizedMatrix::with_mapper`) at 50k and 500k
 //! rows, on a dense 8-feature matrix and a CSR matrix of the same shape at
-//! 30% density.
+//! 30% density — and, on the end-to-end benchmark's own shape (the dense
+//! 360 000 × 28 `higgs` train split), the two passes plus the two chunk
+//! cache steps (`write_cache`, `ChunkedStore::open`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use harp_binning::{BinMapper, BinningConfig, QuantizedMatrix};
-use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
+use harp_binning::{
+    write_cache, BinMapper, BinningConfig, ChunkedStore, QuantStore, QuantizedMatrix,
+};
+use harp_data::{CsrMatrix, DatasetKind, DenseMatrix, FeatureMatrix, SynthConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const FEATURES: usize = 8;
+/// `benchmark/src/workloads.rs`: the `higgs_*` train split and chunk size.
+const HIGGS_ROWS: usize = 360_000;
+const ROWS_PER_CHUNK: usize = 16_384;
 
 fn dense(n: usize, rng: &mut StdRng) -> FeatureMatrix {
     let values = (0..n * FEATURES).map(|_| rng.gen()).collect();
@@ -26,31 +33,65 @@ fn csr(n: usize, rng: &mut StdRng) -> FeatureMatrix {
     FeatureMatrix::Sparse(CsrMatrix::from_rows(FEATURES, &rows))
 }
 
+fn higgs() -> FeatureMatrix {
+    let config = SynthConfig::new(DatasetKind::HiggsLike, 7);
+    let scale = HIGGS_ROWS as f64 / DatasetKind::HiggsLike.base_rows() as f64;
+    config.with_scale(scale).generate().features
+}
+
+fn bench_passes(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    layout: &str,
+    n: usize,
+    matrix: &FeatureMatrix,
+) {
+    group.bench_with_input(BenchmarkId::new(format!("cut_search_{layout}"), n), matrix, |b, m| {
+        b.iter(|| BinMapper::from_matrix(m, BinningConfig::default()))
+    });
+    let mapper = BinMapper::from_matrix(matrix, BinningConfig::default());
+    group.bench_with_input(BenchmarkId::new(format!("quantize_{layout}"), n), matrix, |b, m| {
+        b.iter_batched(
+            || mapper.clone(),
+            |mapper| QuantizedMatrix::with_mapper(m, mapper),
+            BatchSize::LargeInput,
+        )
+    });
+}
+
 fn bench_setup(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(9);
     let mut group = c.benchmark_group("setup");
     group.sample_size(10);
     for n in [50_000usize, 500_000] {
-        for (layout, matrix) in [("dense", dense(n, &mut rng)), ("csr", csr(n, &mut rng))] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("cut_search_{layout}"), n),
-                &matrix,
-                |b, m| b.iter(|| BinMapper::from_matrix(m, BinningConfig::default())),
-            );
-            let mapper = BinMapper::from_matrix(&matrix, BinningConfig::default());
-            group.bench_with_input(
-                BenchmarkId::new(format!("quantize_{layout}"), n),
-                &matrix,
-                |b, m| {
-                    b.iter_batched(
-                        || mapper.clone(),
-                        |mapper| QuantizedMatrix::with_mapper(m, mapper),
-                        BatchSize::LargeInput,
-                    )
-                },
-            );
-        }
+        bench_passes(&mut group, "dense", n, &dense(n, &mut rng));
+        bench_passes(&mut group, "csr", n, &csr(n, &mut rng));
     }
+
+    let matrix = higgs();
+    let n = matrix.n_rows();
+    bench_passes(&mut group, "higgs", n, &matrix);
+    let qm = QuantizedMatrix::from_matrix(&matrix, BinningConfig::default());
+    drop(matrix);
+    let path = std::env::temp_dir().join(format!("harp_bench_setup_{}.qsc", std::process::id()));
+    // To a path that holds no file, as every set-up of the end-to-end
+    // benchmark writes it (replacing a file also pays for freeing the old).
+    group.bench_function(format!("cache_write_higgs/{n}"), |b| {
+        b.iter_batched(
+            || drop(std::fs::remove_file(&path)),
+            |()| write_cache(&qm, ROWS_PER_CHUNK, &path).expect("write chunk cache"),
+            BatchSize::PerIteration,
+        )
+    });
+    // Outside the timed closures, so `-- --test` (CI) drives the whole
+    // chunked set-up once and checks the cache reopens as the matrix.
+    write_cache(&qm, ROWS_PER_CHUNK, &path).expect("write chunk cache");
+    let store = ChunkedStore::open(&path, u64::MAX).expect("open chunk cache");
+    assert_eq!(QuantStore::storage_bytes(&store), qm.storage_bytes());
+    drop(store);
+    group.bench_function(format!("cache_open_higgs/{n}"), |b| {
+        b.iter(|| ChunkedStore::open(&path, u64::MAX).expect("open chunk cache"))
+    });
+    let _ = std::fs::remove_file(&path);
     group.finish();
 }
 

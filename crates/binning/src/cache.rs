@@ -33,6 +33,23 @@
 //! over each chunk blob; [`ChunkedStore::open`] verifies every one up front,
 //! so corruption surfaces as a typed [`CacheError`] — never as UB in a scan.
 //!
+//! # Building and verifying
+//!
+//! A chunk blob's length follows from the layout alone, so [`write_cache`]
+//! fixes every offset before encoding anything and then runs ⟨chunk-range⟩
+//! tasks on scoped threads: a worker encodes a few adjacent chunks into its
+//! one buffer, checksums them together (`codec::fnv1a_each` — FNV-1a is a
+//! serial chain per blob, so several blobs hash in the time of one) and
+//! writes the group at its offset. The bytes do not depend on the thread
+//! count. [`ChunkedStore::open`] verifies with the same tasks and names the
+//! lowest failing chunk.
+//!
+//! The file is never rewritten in place: it is built under a sibling
+//! temporary name, `sync_all`ed and renamed over the target, so a store that
+//! has the previous file mapped keeps reading the previous bytes (truncating
+//! a mapped file turns the next page fault into SIGBUS) and a failed build
+//! leaves the previous file — or no file — rather than a zeroed header.
+//!
 //! # Chunk lifecycle
 //!
 //! `pin(c)` decodes chunk `c`'s blob into a self-contained slab matrix
@@ -47,9 +64,10 @@
 //! [`prefetch`]: crate::QuantStore::prefetch
 
 use crate::bytes::SharedBytes;
-use crate::codec::{fnv1a, put_u32, put_u64, Cursor};
+use crate::codec::{fnv1a_each, put_u32, put_u64, Cursor, FNV_LANES};
 use crate::mapper::{BinMapper, FeatureCuts};
 use crate::quantized::{LayoutStats, QuantizedMatrix};
+use crate::setup::{run_tasks, setup_threads, split_mut, split_ranges};
 use crate::store::{ChunkIoStats, PinnedChunk, QuantStore, StoreLayout};
 use std::collections::HashMap;
 use std::fs::File;
@@ -193,54 +211,122 @@ struct ChunkMeta {
     decoded_bytes: u64,
 }
 
-/// Builds the versioned chunk cache for `qm` at `path`, overwriting any
+/// Builds the versioned chunk cache for `qm` at `path`, replacing any
 /// existing file. Chunks are `rows_per_chunk`-row blocks in row order; the
 /// matrix itself is unchanged (the cache is a re-encoding, built once and
 /// reopened by [`ChunkedStore`] on later runs).
+///
+/// The file is built under a sibling temporary name, synced, and renamed
+/// over `path`: a store that has the previous file mapped keeps reading the
+/// previous bytes, and a failed or interrupted build leaves `path` as it
+/// was (the temporary file is removed on any error).
 pub fn write_cache(
     qm: &QuantizedMatrix,
     rows_per_chunk: usize,
     path: &Path,
 ) -> Result<CacheSummary, CacheError> {
     assert!(rows_per_chunk > 0, "rows_per_chunk must be positive");
+    assert!(qm.n_rows() > 0, "cannot cache an empty matrix");
+    static BUILDS: AtomicU64 = AtomicU64::new(0);
+    let mut temp = path.as_os_str().to_owned();
+    temp.push(format!(".tmp.{}.{}", std::process::id(), BUILDS.fetch_add(1, Relaxed)));
+    let temp = std::path::PathBuf::from(temp);
+    let built = write_cache_file(qm, rows_per_chunk, &temp, setup_threads()).and_then(|summary| {
+        std::fs::rename(&temp, path)?;
+        // The rename is durable once the directory entry is.
+        #[cfg(unix)]
+        File::open(path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new(".")))?
+            .sync_all()?;
+        Ok(summary)
+    });
+    if built.is_err() {
+        let _ = std::fs::remove_file(&temp);
+    }
+    built
+}
+
+/// Writes the cache file itself (at its temporary path). Chunk blob lengths
+/// are known before encoding, so every offset is laid out first and the
+/// chunks are encoded, checksummed and written as ⟨chunk-range⟩ tasks, each
+/// worker reusing one blob buffer.
+fn write_cache_file(
+    qm: &QuantizedMatrix,
+    rows_per_chunk: usize,
+    path: &Path,
+    threads: usize,
+) -> Result<CacheSummary, CacheError> {
     let n_rows = qm.n_rows();
-    assert!(n_rows > 0, "cannot cache an empty matrix");
     let n_chunks = n_rows.div_ceil(rows_per_chunk);
+    let chunk_rows = |c: usize| c * rows_per_chunk..((c + 1) * rows_per_chunk).min(n_rows);
 
     let mut mapper_blob = Vec::new();
     encode_mapper(qm.mapper(), &mut mapper_blob)?;
     // flags + 6 scalars + 3 layout stats + mapper + table.
     let header_len = 1 + 6 * 8 + 3 * 8 + mapper_blob.len() + n_chunks * TABLE_ENTRY;
-    let data_start = DATA_PRELUDE + header_len as u64;
 
-    let mut file = File::create(path)?;
-    file.write_all(&CACHE_MAGIC)?;
-    file.write_all(&CACHE_VERSION.to_le_bytes())?;
-    file.write_all(&(header_len as u64).to_le_bytes())?;
-    file.write_all(&vec![0u8; header_len])?; // header placeholder
+    let mut offset = DATA_PRELUDE + header_len as u64;
+    let mut table: Vec<ChunkMeta> = (0..n_chunks)
+        .map(|c| {
+            let meta = ChunkMeta {
+                offset,
+                len: qm.encoded_chunk_bytes(chunk_rows(c)) as u64,
+                checksum: 0,
+                n_rows: chunk_rows(c).len() as u64,
+                decoded_bytes: qm.chunk_storage_bytes(chunk_rows(c)) as u64,
+            };
+            offset += meta.len;
+            meta
+        })
+        .collect();
+    let decoded_total: u64 = table.iter().map(|m| m.decoded_bytes).sum();
 
-    let mut table = Vec::with_capacity(n_chunks);
-    let mut offset = data_start;
-    let mut decoded_total = 0u64;
-    let mut blob = Vec::new();
-    for c in 0..n_chunks {
-        let rows = c * rows_per_chunk..((c + 1) * rows_per_chunk).min(n_rows);
-        blob.clear();
-        qm.encode_chunk(rows.clone(), &mut blob);
-        let decoded = qm.chunk_storage_bytes(rows.clone()) as u64;
-        decoded_total += decoded;
-        table.push(ChunkMeta {
-            offset,
-            len: blob.len() as u64,
-            checksum: fnv1a(&blob),
-            n_rows: rows.len() as u64,
-            decoded_bytes: decoded,
+    let file = Mutex::new(File::options().write(true).create_new(true).open(path)?);
+    let ranges = split_ranges(n_chunks, threads, 1);
+    // One buffer per worker, holding a group of adjacent blobs. Allocated
+    // here and lent to the workers, like pass 1's key buffers.
+    let group_bytes = |group: &[ChunkMeta]| group.iter().map(|m| m.len as usize).sum::<usize>();
+    let mut buffers: Vec<Vec<u8>> = ranges
+        .iter()
+        .map(|r| table[r.clone()].chunks(FNV_LANES).map(group_bytes).max().unwrap_or(0))
+        .map(Vec::with_capacity)
+        .collect();
+    let mut results: Vec<std::io::Result<()>> = ranges.iter().map(|_| Ok(())).collect();
+    let metas = split_mut(&mut table, ranges.iter().map(|r| r.len()));
+    let mut tasks = Vec::new();
+    for (((range, metas), buffer), result) in
+        ranges.into_iter().zip(metas).zip(&mut buffers).zip(&mut results)
+    {
+        let file = &file;
+        tasks.push(move || {
+            let groups = range.step_by(FNV_LANES).zip(metas.chunks_mut(FNV_LANES));
+            *result = groups.into_iter().try_for_each(|(first, group)| {
+                buffer.clear();
+                for (c, meta) in (first..).zip(group.iter()) {
+                    qm.encode_chunk(chunk_rows(c), buffer);
+                    let end = meta.offset + meta.len - group[0].offset;
+                    assert_eq!(buffer.len() as u64, end, "chunk {c} blob length");
+                }
+                let base = group[0].offset;
+                let blobs: Vec<&[u8]> = group
+                    .iter()
+                    .map(|meta| &buffer[(meta.offset - base) as usize..][..meta.len as usize])
+                    .collect();
+                for (meta, sum) in group.iter_mut().zip(fnv1a_each(&blobs)) {
+                    meta.checksum = sum;
+                }
+                let mut file = file.lock().expect("a cache writer panicked");
+                file.seek(SeekFrom::Start(group[0].offset))?;
+                file.write_all(buffer)
+            });
         });
-        file.write_all(&blob)?;
-        offset += blob.len() as u64;
     }
+    run_tasks(tasks);
+    results.into_iter().collect::<std::io::Result<()>>()?;
 
-    let mut header = Vec::with_capacity(header_len);
+    let mut header = Vec::with_capacity(DATA_PRELUDE as usize + header_len);
+    header.extend_from_slice(&CACHE_MAGIC);
+    put_u32(&mut header, CACHE_VERSION);
+    put_u64(&mut header, header_len as u64);
     let mut flags = 0u8;
     let layout = QuantStore::layout(qm);
     if layout.dense {
@@ -271,8 +357,9 @@ pub fn write_cache(
         put_u64(&mut header, m.n_rows);
         put_u64(&mut header, m.decoded_bytes);
     }
-    debug_assert_eq!(header.len(), header_len);
-    file.seek(SeekFrom::Start(DATA_PRELUDE))?;
+    debug_assert_eq!(header.len(), DATA_PRELUDE as usize + header_len);
+    let mut file = file.into_inner().expect("a cache writer panicked");
+    file.seek(SeekFrom::Start(0))?;
     file.write_all(&header)?;
     file.sync_all()?;
 
@@ -366,22 +453,6 @@ enum Source {
 }
 
 impl Source {
-    fn with_blob<R>(&self, meta: &ChunkMeta, f: impl FnOnce(&[u8]) -> R) -> std::io::Result<R> {
-        let (off, len) = (meta.offset as usize, meta.len as usize);
-        match self {
-            #[cfg(unix)]
-            Source::Mapped(m) => Ok(f(&m.as_slice()[off..off + len])),
-            #[cfg(unix)]
-            Source::File(file) => {
-                use std::os::unix::fs::FileExt;
-                let mut buf = vec![0u8; len];
-                file.read_exact_at(&mut buf, meta.offset)?;
-                Ok(f(&buf))
-            }
-            Source::Heap(bytes) => Ok(f(&bytes[off..off + len])),
-        }
-    }
-
     /// One chunk's blob as a shared buffer. Mapped and heap sources hand
     /// out a view of the backing (no copy — for a mapping, decode then
     /// reads straight from page cache); a plain-file source materializes
@@ -401,6 +472,29 @@ impl Source {
             Source::Heap(bytes) => Ok(SharedBytes::from_backing(bytes.clone(), off..off + len)),
         }
     }
+}
+
+/// Checks chunks `range` against their table checksums, a few blobs at a
+/// time ([`fnv1a_each`]); the error names the lowest failing chunk.
+fn verify_chunks(
+    source: &Source,
+    table: &[ChunkMeta],
+    range: Range<usize>,
+) -> Result<(), CacheError> {
+    for start in range.clone().step_by(FNV_LANES) {
+        let group = start..(start + FNV_LANES).min(range.end);
+        let blobs = table[group.clone()]
+            .iter()
+            .map(|meta| source.blob(meta))
+            .collect::<std::io::Result<Vec<SharedBytes>>>()?;
+        let sums = fnv1a_each(&blobs.iter().map(|b| &b[..]).collect::<Vec<_>>());
+        for (c, sum) in group.zip(sums) {
+            if sum != table[c].checksum {
+                return Err(CacheError::ChecksumMismatch { chunk: c });
+            }
+        }
+    }
+    Ok(())
 }
 
 /// One chunk's residency slot. Handles are cloned out of the map so decode
@@ -542,6 +636,11 @@ impl ChunkedStore {
     /// structure, and every chunk checksum. Nothing is decoded yet; chunks
     /// load lazily on [`pin`](QuantStore::pin).
     pub fn open(path: &Path, mem_budget: u64) -> Result<Self, CacheError> {
+        Self::open_on(path, mem_budget, setup_threads())
+    }
+
+    /// [`open`](Self::open), verifying on `threads` threads.
+    fn open_on(path: &Path, mem_budget: u64, threads: usize) -> Result<Self, CacheError> {
         let mut file = File::open(path)?;
         let file_bytes = file.metadata()?.len();
         let mut prelude = [0u8; DATA_PRELUDE as usize];
@@ -616,12 +715,17 @@ impl ChunkedStore {
 
         // Verify every chunk before handing out data: a flipped bit fails
         // here as a typed error instead of decoding garbage mid-train.
-        for (c, meta) in table.iter().enumerate() {
-            let sum = source.with_blob(meta, fnv1a)?;
-            if sum != meta.checksum {
-                return Err(CacheError::ChecksumMismatch { chunk: c });
-            }
+        // ⟨chunk-range⟩ tasks; ranges ascend, so the first failure in task
+        // order is the lowest failing chunk.
+        let ranges = split_ranges(n_chunks, threads, 1);
+        let mut verdicts: Vec<Result<(), CacheError>> = ranges.iter().map(|_| Ok(())).collect();
+        let mut tasks = Vec::new();
+        for (range, verdict) in ranges.into_iter().zip(&mut verdicts) {
+            let (source, table) = (&source, &table);
+            tasks.push(move || *verdict = verify_chunks(source, table, range));
         }
+        run_tasks(tasks);
+        verdicts.into_iter().collect::<Result<(), CacheError>>()?;
 
         let inner = Arc::new(Inner {
             source,
@@ -942,6 +1046,102 @@ mod tests {
             Ok(_) => panic!("corrupt cache opened cleanly"),
         }
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The file does not depend on how many ⟨chunk-range⟩ tasks wrote it:
+    /// dense with u4, sparse and bundled, more threads than chunks included.
+    #[test]
+    fn cache_bytes_are_identical_at_any_thread_count() {
+        let one_hot: Vec<Vec<(u32, f32)>> = (0..64usize)
+            .map(|r| (0..16).map(|g| ((g * 4 + r % 4) as u32, 1.0 + (r % 4) as f32)).collect())
+            .collect();
+        let bundled = QuantizedMatrix::from_matrix(
+            &FeatureMatrix::Sparse(CsrMatrix::from_rows(64, &one_hot)),
+            BinningConfig::default(),
+        );
+        assert!(bundled.is_bundled());
+        for (tag, qm, rows_per_chunk) in
+            [("d", dense_qm(300, 4), 32), ("s", sparse_qm(90, 6), 7), ("b", bundled, 5)]
+        {
+            let file_at = |threads: usize| {
+                let path = tmp_path(&format!("threads_{tag}{threads}"));
+                write_cache_file(&qm, rows_per_chunk, &path, threads).unwrap();
+                let bytes = std::fs::read(&path).unwrap();
+                std::fs::remove_file(&path).unwrap();
+                bytes
+            };
+            let one = file_at(1);
+            for threads in [2, 3, 64] {
+                assert!(one == file_at(threads), "{tag}: {threads} threads wrote another file");
+            }
+        }
+    }
+
+    #[test]
+    fn open_names_the_lowest_corrupt_chunk_at_any_thread_count() {
+        let qm = dense_qm(320, 4);
+        let path = tmp_path("corrupt2");
+        write_cache(&qm, 16, &path).unwrap();
+        let store = ChunkedStore::open(&path, 0).unwrap();
+        let table = store.inner.table.clone();
+        drop(store);
+        assert_eq!(table.len(), 20);
+        let mut bytes = std::fs::read(&path).unwrap();
+        for c in [6, 17] {
+            bytes[(table[c].offset + table[c].len / 2) as usize] ^= 1;
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        for threads in [1, 2, 3, 5, 64] {
+            match ChunkedStore::open_on(&path, 0, threads) {
+                Err(CacheError::ChecksumMismatch { chunk: 6 }) => {}
+                Err(other) => panic!("{threads} threads: expected chunk 6, got {other:?}"),
+                Ok(_) => panic!("corrupt cache opened cleanly"),
+            }
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Rewriting the cache a store has open replaces the file: the open
+    /// store keeps reading the bytes it verified (an in-place rewrite would
+    /// fault or hand it the new ones), and a fresh open sees the new file.
+    #[test]
+    fn rewriting_an_open_cache_replaces_the_file() {
+        let (old, new) = (dense_qm(200, 4), sparse_qm(130, 5));
+        let path = tmp_path("replace");
+        write_cache(&old, 32, &path).unwrap();
+        let store = ChunkedStore::open(&path, u64::MAX).unwrap();
+        write_cache(&new, 25, &path).unwrap();
+        assert_store_matches(&old, &store);
+        assert_store_matches(&new, &ChunkedStore::open(&path, u64::MAX).unwrap());
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A build that fails leaves the previous cache openable and no
+    /// temporary file behind.
+    #[test]
+    fn a_failed_write_leaves_the_previous_cache_and_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("harp_cache_fail_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (old, new) = (dense_qm(64, 3), dense_qm(96, 3));
+        let path = dir.join("train.qsc");
+        write_cache(&old, 16, &path).unwrap();
+        // The target's parent is not a directory; the target is one.
+        for target in [path.join("nested.qsc"), dir.clone()] {
+            assert!(matches!(write_cache(&new, 16, &target), Err(CacheError::Io(_))));
+        }
+        assert_store_matches(&old, &ChunkedStore::open(&path, u64::MAX).unwrap());
+        let temps_beside = |of: &Path| -> Vec<String> {
+            let prefix = format!("{}.tmp.", of.file_name().unwrap().to_str().unwrap());
+            let entries = std::fs::read_dir(of.parent().unwrap()).unwrap();
+            entries
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .filter(|name| name.starts_with(&prefix))
+                .collect()
+        };
+        assert_eq!(temps_beside(&path), Vec::<String>::new());
+        assert_eq!(temps_beside(&dir), Vec::<String>::new());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

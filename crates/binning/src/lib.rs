@@ -6,7 +6,8 @@
 //! only 1 Byte when max bin size is 256". This crate owns that step:
 //!
 //! * [`BinMapper`] — per-feature cut points at the exact quantiles of each
-//!   column (one in-place sort per column, columns in parallel), plus
+//!   column (long columns bucketed by counting with each quantile selected
+//!   inside its bucket, short ones sorted; columns in parallel), plus
 //!   value→bin lookup.
 //! * [`QuantizedMatrix`] — the binned dataset in both row-major and
 //!   column-major layouts (data parallelism scans rows; feature/model
@@ -14,9 +15,9 @@
 //!   by row-block tasks in parallel.
 //!
 //! Together the two are *set-up*: what a user pays before the first tree.
-//! It holds `threads × n_rows × 4` transient bytes beyond the storage it
-//! returns (`nnz × 8` for sparse input); `tests/setup_footprint.rs` gates
-//! that with a counting allocator.
+//! It holds `threads × (n_rows × 6 + 256 KiB)` transient bytes beyond the
+//! storage it returns (plus `nnz × 8` for sparse input);
+//! `tests/setup_footprint.rs` gates that with a counting allocator.
 //!
 //! One bin id is reserved as the missing-value sentinel in dense storage, so
 //! `max_bins` is capped at 255 rather than the paper's 256; missing-value

@@ -2,9 +2,19 @@
 //!
 //! Cut search is pass 1 of set-up (pass 2, quantization, lives in
 //! [`crate::quantized`]): ⟨feature⟩ tasks on scoped threads, each gathering
-//! one column into a per-worker buffer, sorting it in place and reading the
-//! cuts off the sorted run. Transient memory is `threads × n_rows × 4` bytes
-//! — never a whole-matrix copy.
+//! one column into a per-worker key buffer. The cuts are at most `max_bins`
+//! order statistics, so a long column is not sorted: its keys are bucketed
+//! by one counting pass, a prefix sum and a scatter, and each quantile rank
+//! is selected inside its own bucket (`CountingScratch::cuts_by_counting`).
+//! A column too short to repay 64 Ki counters is sorted in place. Either
+//! way the cuts equal the exact-sort oracle kept in this module's tests, bit
+//! for bit. Transient memory is `threads × (n_rows × 6 + 256 KiB)` bytes —
+//! never a whole-matrix copy.
+//!
+//! The module also owns both ways of mapping a value to its bin:
+//! [`FeatureCuts::value_to_bin`], a binary search, for single values
+//! (prediction, tests), and the crate-private `BinLookup`, a monotone slot
+//! table pass 2 builds once per feature and task for whole columns.
 
 use crate::bundling::BundleMap;
 use crate::setup::{run_tasks, setup_threads, split_mut, split_ranges, SetupInput};
@@ -65,6 +75,79 @@ impl FeatureCuts {
     /// at this bin corresponds to.
     pub fn upper(&self, bin: u8) -> f32 {
         self.cuts[bin as usize]
+    }
+}
+
+/// [`FeatureCuts::value_to_bin`] for pass 2 of set-up, where one feature's
+/// cuts serve a whole column: a table over equal-width slots of the finite
+/// cuts' span that says how many cuts lie in lower slots. `slot` is monotone
+/// in `v` and the cuts are slotted by the same function, so every cut in a
+/// lower slot than `v`'s is `< v`, every cut in a higher one is not, and only
+/// the cuts sharing `v`'s slot — usually none — are compared. At most
+/// [`MAX_SLOTS`](Self::MAX_SLOTS) + 1 bytes.
+pub(crate) struct BinLookup<'a> {
+    cuts: &'a [f32],
+    vmin: f32,
+    /// Slots per unit of value; 0 when the span overflows (every value is in
+    /// slot 0 and the walk is the plain search), `inf` when it is empty.
+    scale: f32,
+    /// `start[s]` = cuts in slots below `s`; length `slots + 1`.
+    start: Vec<u8>,
+}
+
+impl<'a> BinLookup<'a> {
+    const MAX_SLOTS: usize = 4096;
+    /// The table's `u8` counts hold this many cuts — every mapper set-up
+    /// builds, since bin 255 is the missing sentinel.
+    const MAX_CUTS: usize = 255;
+
+    /// The lookup for `cuts`, or `None` when a column of `n_values` is too
+    /// short to repay building it (or the cuts are more than bins can hold).
+    pub(crate) fn for_column(cuts: &'a FeatureCuts, n_values: usize) -> Option<Self> {
+        let cuts = &cuts.cuts[..];
+        let slots = (16 * cuts.len()).next_power_of_two().min(Self::MAX_SLOTS);
+        if cuts.is_empty() || cuts.len() > Self::MAX_CUTS || n_values < 4 * slots {
+            return None;
+        }
+        let mut finite = cuts.iter().copied().filter(|c| c.is_finite());
+        let vmin = finite.next().unwrap_or(0.0);
+        let span = finite.next_back().unwrap_or(vmin) - vmin;
+        let scale = if span.is_finite() { slots as f32 / span } else { 0.0 };
+        let mut lookup = Self { cuts, vmin, scale, start: vec![0; slots + 1] };
+        for &c in cuts {
+            let s = lookup.slot(c);
+            lookup.start[s + 1] += 1;
+        }
+        for s in 0..slots {
+            lookup.start[s + 1] += lookup.start[s];
+        }
+        Some(lookup)
+    }
+
+    /// Monotone in `v`: subtraction, multiplication by a non-negative
+    /// constant and the saturating cast (`NaN` — `0 × inf`, `inf × 0` — and
+    /// negatives to 0) all are.
+    #[inline]
+    fn slot(&self, v: f32) -> usize {
+        (((v - self.vmin) * self.scale) as usize).min(self.start.len() - 2)
+    }
+
+    /// Equals [`FeatureCuts::value_to_bin`] for every non-`NaN` `v`.
+    #[inline]
+    pub(crate) fn bin(&self, v: f32) -> u8 {
+        debug_assert!(!v.is_nan(), "missing values have no bin");
+        let s = self.slot(v);
+        let (lo, hi) = (usize::from(self.start[s]), usize::from(self.start[s + 1]));
+        let last = self.cuts.len() - 1;
+        let below = if hi - lo <= 1 {
+            // No branch on whether the slot holds a cut: the next cut up is
+            // in a higher slot, hence not `< v` (and past the last cut the
+            // clamp below absorbs the count).
+            usize::from(self.cuts[lo.min(last)] < v)
+        } else {
+            self.cuts[lo..hi].partition_point(|&c| c < v)
+        };
+        (lo + below).min(last) as u8
     }
 }
 
@@ -189,7 +272,8 @@ impl BinMapper {
 }
 
 /// Pass 1 of set-up: ⟨feature⟩ tasks over contiguous feature ranges, one
-/// range per thread, each worker reusing one key buffer for its columns.
+/// range per thread, each worker reusing one key buffer (and, for long
+/// columns, one [`CountingScratch`]) for its columns.
 fn search_cuts(input: &SetupInput<'_>, max_bins: usize, threads: usize) -> Vec<FeatureCuts> {
     let mut features = vec![FeatureCuts { cuts: Vec::new() }; input.n_cols()];
     let ranges = split_ranges(input.n_cols(), threads, 1);
@@ -197,16 +281,18 @@ fn search_cuts(input: &SetupInput<'_>, max_bins: usize, threads: usize) -> Vec<F
     // short-lived thread stays resident in that thread's allocator arena,
     // where nothing the caller allocates afterwards can reuse it.
     let buffer_len = input.max_column_len();
-    let mut buffers: Vec<Vec<u32>> =
-        ranges.iter().map(|_| Vec::with_capacity(buffer_len)).collect();
+    let mut buffers: Vec<(Vec<u32>, CountingScratch)> = ranges
+        .iter()
+        .map(|_| (Vec::with_capacity(buffer_len), CountingScratch::for_columns_of(buffer_len)))
+        .collect();
     let outputs = split_mut(&mut features, ranges.iter().map(|r| r.len()));
     let mut tasks = Vec::new();
-    for ((range, mine), keys) in ranges.into_iter().zip(outputs).zip(&mut buffers) {
+    for ((range, mine), (keys, scratch)) in ranges.into_iter().zip(outputs).zip(&mut buffers) {
         tasks.push(move || {
             for (f, out) in range.zip(mine) {
                 keys.clear();
                 input.for_each_in_col(f, |v| keys.push(sort_key(v)));
-                *out = cuts_from_keys(keys, max_bins);
+                *out = cuts_from_keys(keys, scratch, max_bins);
             }
         });
     }
@@ -231,34 +317,173 @@ fn key_value(key: u32) -> f32 {
     f32::from_bits(if key & 0x8000_0000 != 0 { key ^ 0x8000_0000 } else { !key })
 }
 
-/// Builds the cuts of one column from the sort keys of its present values,
-/// sorting them in place. Up to `max_bins` distinct values get one bin each;
-/// beyond that the cuts are the exact `i/max_bins` quantiles, the largest
-/// value last. "Distinct" is `f32` equality, so `-0.0` and `+0.0` share the
-/// cut `-0.0`.
-fn cuts_from_keys(keys: &mut [u32], max_bins: usize) -> FeatureCuts {
-    keys.sort_unstable();
-    let n = keys.len();
-    fn push_new(cuts: &mut Vec<f32>, key: u32) {
-        let v = key_value(key);
-        if cuts.last() != Some(&v) {
-            cuts.push(v);
-        }
+/// Columns at least this long take the counting arm of [`cuts_from_keys`]:
+/// it zeroes and prefix-sums up to [`BUCKETS`] counters per column, which a
+/// short column (the 558-value columns of a 4 096-feature sparse matrix)
+/// would pay thousands of times over for a sort that is already cheap.
+const COUNTING_MIN_KEYS: usize = 1 << 15;
+
+/// `log2` of the bucket count of the counting arm.
+const BUCKET_BITS: u32 = 16;
+const BUCKETS: usize = 1 << BUCKET_BITS;
+
+/// Appends the value of `key` unless it equals the last cut — `f32`
+/// equality, so `-0.0` and `+0.0` share the cut `-0.0`.
+fn push_new(cuts: &mut Vec<f32>, key: u32) {
+    let v = key_value(key);
+    if cuts.last() != Some(&v) {
+        cuts.push(v);
     }
+}
+
+/// Position in the ascending run of `n` keys of quantile rank `i` of
+/// `max_bins` (the largest key is rank `max_bins`).
+fn rank_position(i: usize, n: usize, max_bins: usize) -> usize {
+    (i * n / max_bins).max(1) - 1
+}
+
+/// Builds the cuts of one column from the sort keys of its present values,
+/// reordering them in place. Up to `max_bins` distinct values get one bin
+/// each; beyond that the cuts are the exact `i/max_bins` quantiles, the
+/// largest value last. "Distinct" is `f32` equality, so `-0.0` and `+0.0`
+/// share the cut `-0.0`.
+///
+/// A short column is sorted. A long one ([`COUNTING_MIN_KEYS`]) is bucketed
+/// by counting, and each quantile rank is selected inside its own bucket;
+/// only when the column may fit one bin per distinct value are the buckets
+/// sorted into the full ascending run.
+fn cuts_from_keys(keys: &mut [u32], scratch: &mut CountingScratch, max_bins: usize) -> FeatureCuts {
+    let cuts = if keys.len() < COUNTING_MIN_KEYS {
+        keys.sort_unstable();
+        cuts_of_run(keys, max_bins)
+    } else {
+        scratch.cuts_by_counting(keys, max_bins)
+    };
+    FeatureCuts { cuts }
+}
+
+/// The cut rule, read off the ascending run of a column's keys.
+fn cuts_of_run(keys: &[u32], max_bins: usize) -> Vec<f32> {
+    let n = keys.len();
     let mut cuts: Vec<f32> = Vec::new();
     // A high-cardinality column leaves this loop after `max_bins + 1`
     // distinct values, i.e. almost at once.
-    for &key in keys.iter() {
+    for &key in keys {
         push_new(&mut cuts, key);
         if cuts.len() > max_bins {
             cuts.clear();
             for i in 1..=max_bins {
-                push_new(&mut cuts, keys[(i * n / max_bins).max(1) - 1]);
+                push_new(&mut cuts, keys[rank_position(i, n, max_bins)]);
             }
             break;
         }
     }
-    FeatureCuts { cuts }
+    cuts
+}
+
+/// A pass-1 worker's buffers for the counting arm of [`cuts_from_keys`]:
+/// one counter per bucket and the keys' low bits in bucket order. Empty
+/// when no column of the input is long enough to use them.
+struct CountingScratch {
+    /// Per bucket: its key count, then its start, then (after the scatter)
+    /// its exclusive end in `low`.
+    ends: Vec<u32>,
+    /// The bits of `key - kmin` below the bucket index, grouped by bucket.
+    low: Vec<u16>,
+}
+
+impl CountingScratch {
+    /// Scratch for columns of at most `max_column_len` keys.
+    fn for_columns_of(max_column_len: usize) -> Self {
+        if max_column_len < COUNTING_MIN_KEYS {
+            return Self { ends: Vec::new(), low: Vec::new() };
+        }
+        Self { ends: vec![0; BUCKETS], low: vec![0; max_column_len] }
+    }
+
+    /// The cuts of a column without sorting it: buckets `keys` by the top
+    /// [`BUCKET_BITS`] bits of their span with one counting pass, a prefix
+    /// sum and one scatter of the remaining low bits (at most 16 of them, so
+    /// a narrow-range column still spreads over the buckets). With more than
+    /// `max_bins + 1` non-empty buckets the column certainly holds more than
+    /// `max_bins` distinct values — `-0.0` and `+0.0` are the one pair of
+    /// keys that is a single value — and each quantile rank is resolved
+    /// inside its own bucket. Otherwise every bucket is sorted, `keys` is
+    /// rewritten as the full ascending run and [`cuts_of_run`] reads it.
+    fn cuts_by_counting(&mut self, keys: &mut [u32], max_bins: usize) -> Vec<f32> {
+        let n = keys.len();
+        let (kmin, kmax) = keys.iter().fold((u32::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        let span = kmax - kmin;
+        let shift = (u32::BITS - span.leading_zeros()).saturating_sub(BUCKET_BITS);
+        let low_mask = (1u32 << shift) - 1;
+        let ends = &mut self.ends[..(span >> shift) as usize + 1];
+        let low = &mut self.low[..n];
+
+        ends.fill(0);
+        for &k in keys.iter() {
+            ends[((k - kmin) >> shift) as usize] += 1;
+        }
+        let (mut start, mut non_empty) = (0u32, 0usize);
+        for e in ends.iter_mut() {
+            non_empty += usize::from(*e != 0);
+            start += std::mem::replace(e, start);
+        }
+        for &k in keys.iter() {
+            let at = &mut ends[((k - kmin) >> shift) as usize];
+            low[*at as usize] = ((k - kmin) & low_mask) as u16;
+            *at += 1;
+        }
+        let bucket = |b: usize| {
+            let start = if b == 0 { 0 } else { ends[b - 1] as usize };
+            (start, ends[b] as usize, kmin + ((b as u32) << shift))
+        };
+
+        if non_empty <= max_bins + 1 {
+            for b in 0..ends.len() {
+                let (start, end, base) = bucket(b);
+                low[start..end].sort_unstable();
+                for (key, &l) in keys[start..end].iter_mut().zip(&low[start..end]) {
+                    *key = base + u32::from(l);
+                }
+            }
+            return cuts_of_run(keys, max_bins);
+        }
+
+        let mut cuts = Vec::with_capacity(max_bins);
+        let (mut b, mut i) = (0, 1);
+        while i <= max_bins {
+            let first = rank_position(i, n, max_bins);
+            while ends[b] as usize <= first {
+                b += 1;
+            }
+            let (start, end, base) = bucket(b);
+            // Ranks `i..next` fall in this bucket.
+            let mut next = i + 1;
+            while next <= max_bins && rank_position(next, n, max_bins) < end {
+                next += 1;
+            }
+            let members = &mut low[start..end];
+            let at = |r: usize| rank_position(r, n, max_bins) - start;
+            if next - i > 2 {
+                // One sort serves them all: a column whose keys share a
+                // bucket costs one sort, never `max_bins` selections.
+                members.sort_unstable();
+                for r in i..next {
+                    push_new(&mut cuts, base + u32::from(members[at(r)]));
+                }
+            } else {
+                let (_, &mut l, above) = members.select_nth_unstable(at(i));
+                push_new(&mut cuts, base + u32::from(l));
+                // A second rank at the same position is the same cut.
+                if next - i == 2 && at(i + 1) > at(i) {
+                    let (_, &mut l, _) = above.select_nth_unstable(at(i + 1) - at(i) - 1);
+                    push_new(&mut cuts, base + u32::from(l));
+                }
+            }
+            i = next;
+        }
+        cuts
+    }
 }
 
 #[cfg(test)]
@@ -403,6 +628,167 @@ mod tests {
                 assert_eq!(bits(one.cuts(f)), bits(many.cuts(f)), "feature {f} at {threads}");
             }
         }
+    }
+
+    /// Cuts of a one-column input through both layouts at 1 and 3 threads,
+    /// against the oracle.
+    fn assert_matches_oracle(column: &[Option<f32>], max_bins: u16) {
+        let present: Vec<f32> = column.iter().flatten().copied().collect();
+        let want = build_cuts_oracle(present, usize::from(max_bins));
+        for matrix in as_matrices(column) {
+            for threads in [1, 3] {
+                let mapper = BinMapper::from_input(
+                    &SetupInput::new(&matrix),
+                    BinningConfig::with_max_bins(max_bins),
+                    threads,
+                );
+                assert_eq!(bits(mapper.cuts(0)), bits(&want), "{max_bins} bins");
+            }
+        }
+    }
+
+    /// Long columns (the counting arm) whose keys crowd the buckets in every
+    /// way the arm distinguishes.
+    #[test]
+    fn counting_arm_matches_the_oracle_on_crowded_columns() {
+        let n = 40_000usize;
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut column = |value: &mut dyn FnMut(usize, &mut StdRng) -> f32| -> Vec<Option<f32>> {
+            (0..n).map(|i| Some(value(i, &mut rng))).collect()
+        };
+        let columns = [
+            // Neighbouring floats: a key span of a few bucket widths.
+            column(&mut |i, _| 1.0 + i as f32 * 1e-7),
+            // One outlier stretches the span; the rest share one bucket.
+            column(&mut |i, rng| if i == 7 { 1e30 } else { 1.0 + rng.gen::<f32>() * 1e-4 }),
+            // Most keys in a few buckets (dozens of ranks each), the rest
+            // over enough buckets to certify high cardinality.
+            column(&mut |i, rng| match i % 10 {
+                0 => rng.gen_range(-1e3f32..1e3),
+                _ => 1.0 + rng.gen::<f32>() * 0.05,
+            }),
+            column(&mut |_, _| 2.5),
+            column(&mut |_, rng| match rng.gen_range(0..4u32) {
+                0 => f32::INFINITY,
+                1 => f32::NEG_INFINITY,
+                _ => rng.gen_range(-5f32..5.0),
+            }),
+        ];
+        for column in &columns {
+            for max_bins in [1, 2, 3, 16, 254, 255] {
+                assert_matches_oracle(column, max_bins);
+            }
+        }
+    }
+
+    /// `-0.0` and `+0.0` are two keys — two buckets, once the span is narrow
+    /// enough — and one cut: a column of exactly `max_bins` distinct values
+    /// fills `max_bins + 1` buckets and still gets one bin per value, and one
+    /// more value tips it into quantiles.
+    #[test]
+    fn both_zeros_count_as_one_value_in_the_counting_arm() {
+        for max_bins in [3u16, 16, 255] {
+            for distinct in [max_bins, max_bins + 1] {
+                // Zeros and subnormals: adjacent keys, so every key has its
+                // own bucket.
+                let mut levels = vec![-0.0f32, 0.0];
+                levels.extend((1..u32::from(distinct)).map(f32::from_bits));
+                let mut rng = StdRng::seed_from_u64(u64::from(distinct));
+                let column: Vec<Option<f32>> = (0..40_000)
+                    .map(|i| {
+                        Some(
+                            levels
+                                [if i < levels.len() { i } else { rng.gen_range(0..levels.len()) }],
+                        )
+                    })
+                    .collect();
+                assert_matches_oracle(&column, max_bins);
+                let mapper = BinMapper::from_matrix(
+                    &as_matrices(&column)[0],
+                    BinningConfig::with_max_bins(max_bins),
+                );
+                if distinct == max_bins {
+                    assert_eq!(mapper.n_bins(0), max_bins, "one bin per value");
+                    assert_eq!(mapper.cuts(0).cuts[0].to_bits(), (-0.0f32).to_bits());
+                }
+            }
+        }
+    }
+
+    /// The column-length rule picks an arm, never a result: lengths on both
+    /// sides of it match the oracle, and one short column gives the same
+    /// cuts through either arm.
+    #[test]
+    fn both_arms_of_the_length_rule_give_the_same_cuts() {
+        for shape in 0..4 {
+            for n in [COUNTING_MIN_KEYS - 1, COUNTING_MIN_KEYS, COUNTING_MIN_KEYS + 1] {
+                assert_matches_oracle(&shaped_column(3, n, shape, 0.0), 255);
+            }
+            for (n, max_bins) in [(1, 4), (2, 1), (300, 255), (5_000, 16), (5_000, 255)] {
+                let column = shaped_column(9, n, shape, 0.0);
+                let mut keys: Vec<u32> = column.iter().flatten().map(|&v| sort_key(v)).collect();
+                let mut scratch = CountingScratch { ends: vec![0; BUCKETS], low: vec![0; n] };
+                let counted = scratch.cuts_by_counting(&mut keys.clone(), max_bins);
+                let sorted = cuts_from_keys(&mut keys, &mut scratch, max_bins);
+                assert_eq!(
+                    bits(&FeatureCuts { cuts: counted }),
+                    bits(&sorted),
+                    "shape {shape}, n {n}"
+                );
+            }
+        }
+    }
+
+    /// `BinLookup::bin` is `value_to_bin` on every probe a cut set can be
+    /// asked about: each cut and its two neighbours, the zeros, the
+    /// infinities, the extremes, the smallest subnormals and random bits.
+    #[test]
+    fn bin_lookup_equals_value_to_bin() {
+        let mut cut_sets: Vec<Vec<f32>> = vec![
+            vec![0.75],
+            vec![f32::NEG_INFINITY, f32::INFINITY],
+            vec![f32::NEG_INFINITY, -1.0, 2.0, f32::INFINITY],
+            // A span that overflows: `scale` is 0, the walk the plain search.
+            vec![-3e38, 3e38],
+            (1..=9u32).map(f32::from_bits).collect(),
+            vec![-0.0, 1e-45, 3e-45],
+            (0..3).map(|i| f32::from_bits(1.5f32.to_bits() + i)).collect(),
+            (0..255).map(|i| 1e-3 * 1.07f32.powi(i)).collect(),
+            (0..255).map(|i| (i - 100) as f32).collect(),
+        ];
+        for shape in 0..4 {
+            let present: Vec<f32> =
+                shaped_column(21, 20_000, shape, 0.0).into_iter().flatten().collect();
+            cut_sets.extend([3, 31, 255].map(|bins| build_cuts_oracle(present.clone(), bins).cuts));
+        }
+        let mut rng = StdRng::seed_from_u64(4);
+        for cuts in cut_sets {
+            let cuts = FeatureCuts { cuts };
+            let lookup = BinLookup::for_column(&cuts, usize::MAX).expect("long column");
+            let mut probes = vec![0.0, -0.0, 1e-45, -1e-45, f32::MAX, f32::MIN];
+            probes.extend([f32::INFINITY, f32::NEG_INFINITY]);
+            for &c in &cuts.cuts {
+                let key = sort_key(c);
+                probes.extend([key.wrapping_sub(1), key, key.wrapping_add(1)].map(key_value));
+            }
+            probes.extend((0..4_000).map(|_| f32::from_bits(rng.gen())));
+            for v in probes.into_iter().filter(|v| !v.is_nan()) {
+                assert_eq!(lookup.bin(v), cuts.value_to_bin(v), "{v:e} in {:?}", cuts.cuts);
+            }
+        }
+    }
+
+    /// The lookup is built only for columns long enough to repay it, and
+    /// never for a feature without cuts.
+    #[test]
+    fn bin_lookup_is_for_long_columns_only() {
+        let cuts = FeatureCuts { cuts: (0..255).map(|i| i as f32).collect() };
+        assert!(BinLookup::for_column(&cuts, 4 * 4096 - 1).is_none());
+        assert!(BinLookup::for_column(&cuts, 4 * 4096).is_some());
+        let few = FeatureCuts { cuts: vec![1.0, 2.0] };
+        assert!(BinLookup::for_column(&few, 127).is_none());
+        assert!(BinLookup::for_column(&few, 128).is_some());
+        assert!(BinLookup::for_column(&FeatureCuts { cuts: vec![] }, usize::MAX).is_none());
     }
 
     #[test]
@@ -594,6 +980,36 @@ mod tests {
                 if b > 0 {
                     prop_assert!(v > mapper.cuts(0).upper(b - 1));
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The counting arm (columns of 2^15 keys and more) equals the
+        /// oracle bit for bit too. Few cases: each sorts 10^5 floats twice.
+        #[test]
+        fn prop_counting_cut_search_matches_oracle(
+            seed in any::<u64>(),
+            n in (1usize << 15)..100_000,
+            shape in 0u8..4,
+            missing in 0.0f64..0.3,
+            max_bins in 0usize..6,
+            threads in 1usize..4,
+        ) {
+            let max_bins = [1u16, 2, 3, 16, 254, 255][max_bins];
+            // Missing cells may leave fewer than 2^15 keys: either arm must agree.
+            let column = shaped_column(seed, n, shape, missing);
+            let present: Vec<f32> = column.iter().flatten().copied().collect();
+            let want = build_cuts_oracle(present, usize::from(max_bins));
+            for matrix in as_matrices(&column) {
+                let mapper = BinMapper::from_input(
+                    &SetupInput::new(&matrix),
+                    BinningConfig::with_max_bins(max_bins),
+                    threads,
+                );
+                prop_assert_eq!(bits(mapper.cuts(0)), bits(&want));
             }
         }
     }

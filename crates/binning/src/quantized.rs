@@ -24,7 +24,7 @@
 
 use crate::bundling::{plan_bundles, BundleConfig, BundleMap};
 use crate::bytes::SharedBytes;
-use crate::mapper::{BinMapper, BinningConfig};
+use crate::mapper::{BinLookup, BinMapper, BinningConfig, FeatureCuts};
 use crate::setup::{run_tasks, setup_threads, split_mut, split_ranges, SetupInput, ValueCsc};
 use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
 use std::time::Instant;
@@ -742,6 +742,28 @@ impl QuantizedMatrix {
         }
     }
 
+    /// Exact length of the blob [`encode_chunk`](Self::encode_chunk) writes
+    /// for `rows` — known without encoding, so the cache writer can lay out
+    /// every chunk's offset before any task starts.
+    pub(crate) fn encoded_chunk_bytes(&self, rows: std::ops::Range<usize>) -> usize {
+        let n = rows.len();
+        let m = self.n_features();
+        // kind, u4 flag, n_rows.
+        let head = 1 + 1 + 8;
+        match &self.storage {
+            Storage::Dense { u4, .. } => {
+                let u4_bytes =
+                    if u4.is_some() { n * m.div_ceil(2) + m * n.div_ceil(2) + m } else { 0 };
+                head + 2 * n * m + u4_bytes
+            }
+            Storage::Bundled { n_cols, .. } => head + 8 + 2 * n * n_cols,
+            Storage::Sparse { csr, .. } => {
+                let nnz = csr.indptr[rows.end] - csr.indptr[rows.start];
+                head + 8 + (n + 1) * 8 + nnz * (4 + 1)
+            }
+        }
+    }
+
     /// Serializes rows `rows` as a self-contained chunk blob (rows re-rooted
     /// at 0). Dense and bundled chunks write the *decoded* layouts verbatim
     /// (row major, gathered column major, pre-packed u4 nibbles) so that
@@ -757,30 +779,30 @@ impl QuantizedMatrix {
         use crate::codec::{put_u32, put_u64};
         let m = self.n_features();
         let n = rows.len();
+        out.reserve(self.encoded_chunk_bytes(rows.clone()));
         match &self.storage {
             Storage::Dense { row_major, col_major, u4 } => {
+                out.push(0);
+                out.push(u8::from(u4.is_some()));
+                put_u64(out, n as u64);
+                let payload = out.len();
+                out.extend_from_slice(&row_major[rows.start * m..rows.end * m]);
                 // The chunk's column major: rows.start..rows.end of each
-                // column, gathered into a contiguous slab-shaped buffer.
-                let mut chunk_cm = Vec::with_capacity(n * m);
+                // column, gathered into a contiguous slab-shaped run.
                 for f in 0..m {
                     let col = &col_major[f * self.n_rows..(f + 1) * self.n_rows];
-                    chunk_cm.extend_from_slice(&col[rows.clone()]);
+                    out.extend_from_slice(&col[rows.clone()]);
                 }
-                // Re-pack the chunk's nibbles with the construction routine
-                // (nibble phase depends on the chunk-local row index, so the
-                // full matrix's pack cannot be sliced). Succeeds whenever the
-                // full-matrix pack did: bin widths are mapper-global and a
-                // missing-free column stays missing-free in any row subset.
-                let chunk_rm = &row_major[rows.start * m..rows.end * m];
-                let pack = u4
-                    .as_ref()
-                    .and_then(|_| U4Pack::build(n, m, chunk_rm, &chunk_cm, &self.mapper));
-                out.push(0);
-                out.push(u8::from(pack.is_some()));
-                put_u64(out, n as u64);
-                out.extend_from_slice(chunk_rm);
-                out.extend_from_slice(&chunk_cm);
-                if let Some(p) = pack {
+                if u4.is_some() {
+                    // Re-pack the chunk's nibbles with the construction
+                    // routine (nibble phase depends on the chunk-local row
+                    // index, so the full matrix's pack cannot be sliced).
+                    // Succeeds because the full-matrix pack did: bin widths
+                    // are mapper-global and a missing-free column stays
+                    // missing-free in any row subset.
+                    let (chunk_rm, chunk_cm) = out[payload..].split_at(n * m);
+                    let p = U4Pack::build(n, m, chunk_rm, chunk_cm, &self.mapper)
+                        .expect("a chunk of a u4-packed matrix packs");
                     out.extend_from_slice(&p.row_major);
                     out.extend_from_slice(&p.col_major);
                     out.extend(p.clean.iter().map(|&c| u8::from(c)));
@@ -928,8 +950,10 @@ const TILE_ROWS: usize = 256;
 /// every column of `col_major`, so nothing is staged or copied afterwards.
 fn quantize_dense(dense: &DenseMatrix, mapper: &BinMapper, threads: usize) -> (Vec<u8>, Vec<u8>) {
     let (n_rows, m) = (dense.n_rows(), dense.n_cols());
-    let mut row_major = vec![MISSING_BIN; n_rows * m];
-    let mut col_major = vec![MISSING_BIN; n_rows * m];
+    // Zeroed, not filled: the pages are first touched by the tasks that
+    // own them, which write every cell, [`MISSING_BIN`] included.
+    let mut row_major = vec![0; n_rows * m];
+    let mut col_major = vec![0; n_rows * m];
     if row_major.is_empty() {
         return (row_major, col_major);
     }
@@ -953,25 +977,35 @@ fn quantize_dense(dense: &DenseMatrix, mapper: &BinMapper, threads: usize) -> (V
 }
 
 /// Quantizes one row block tile by tile, feature by feature within a tile:
-/// the feature's cuts are looked up once per tile, not once per cell, and
-/// each bin goes to both majors while the tile is hot. `cols[f]` is the
-/// block's slice of column `f`; absent (`NaN`) cells keep [`MISSING_BIN`].
+/// one feature's cuts (or its [`BinLookup`], built once per block) are live
+/// at a time, and each bin goes to both majors while the tile is hot.
+/// `cols[f]` is the block's slice of column `f`; absent (`NaN`) cells get
+/// [`MISSING_BIN`].
 fn quantize_block(values: &[f32], mapper: &BinMapper, rows: &mut [u8], cols: &mut [&mut [u8]]) {
     let m = cols.len();
     let n_rows = rows.len() / m;
+    let lookups: Vec<_> = (0..m).map(|f| BinLookup::for_column(mapper.cuts(f), n_rows)).collect();
     for tile in (0..n_rows).step_by(TILE_ROWS) {
         let tile = tile..(tile + TILE_ROWS).min(n_rows);
         for (f, col) in cols.iter_mut().enumerate() {
-            let cuts = mapper.cuts(f);
+            let (cuts, lookup) = (mapper.cuts(f), &lookups[f]);
             for r in tile.clone() {
                 let v = values[r * m + f];
-                if !v.is_nan() {
-                    let bin = cuts.value_to_bin(v);
-                    rows[r * m + f] = bin;
-                    col[r] = bin;
-                }
+                let bin = if v.is_nan() { MISSING_BIN } else { bin_of(cuts, lookup, v) };
+                rows[r * m + f] = bin;
+                col[r] = bin;
             }
         }
+    }
+}
+
+/// The bin of a present value: through the column's [`BinLookup`] when it
+/// has one (a long column), by binary search otherwise.
+#[inline]
+fn bin_of(cuts: &FeatureCuts, lookup: &Option<BinLookup<'_>>, v: f32) -> u8 {
+    match lookup {
+        Some(lookup) => lookup.bin(v),
+        None => cuts.value_to_bin(v),
     }
 }
 
@@ -997,8 +1031,11 @@ fn quantize_sparse(
         tasks.push(move || {
             for f in range {
                 let cuts = mapper.cuts(f);
-                for i in col_ptr[f]..col_ptr[f + 1] {
-                    mine[i - base] = cuts.value_to_bin(vals[i]);
+                let col = col_ptr[f]..col_ptr[f + 1];
+                let bins = &mut mine[col.start - base..col.end - base];
+                let lookup = BinLookup::for_column(cuts, col.len());
+                for (bin, &v) in bins.iter_mut().zip(&vals[col]) {
+                    *bin = bin_of(cuts, &lookup, v);
                 }
             }
         });
@@ -1461,6 +1498,7 @@ mod tests {
     fn assert_chunk_round_trip(q: &QuantizedMatrix, rows: std::ops::Range<usize>) {
         let mut blob = Vec::new();
         q.encode_chunk(rows.clone(), &mut blob);
+        assert_eq!(blob.len(), q.encoded_chunk_bytes(rows.clone()), "advertised blob length");
         let slab = QuantizedMatrix::decode_chunk(&blob.into(), q.mapper()).expect("decode");
         assert_eq!(slab.n_rows(), rows.len());
         assert_eq!(slab.n_features(), q.n_features());

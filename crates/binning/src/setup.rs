@@ -6,7 +6,9 @@
 //! ([`crate::quantized`]) runs one task per row block (dense) or feature
 //! range (sparse) and writes the bins. Every task owns a disjoint slice of
 //! the output and no task's result depends on which thread ran it, so the
-//! outcome is byte-identical at any thread count.
+//! outcome is byte-identical at any thread count. The chunk cache
+//! ([`crate::cache`]) is written and verified by ⟨chunk-range⟩ tasks under
+//! the same rule.
 
 use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
 use std::ops::Range;

@@ -10,6 +10,7 @@ use harpgbdt::{
 };
 use std::fmt::Write as _;
 use std::path::Path;
+use std::time::Instant;
 
 fn load(path: &str) -> Result<Dataset, String> {
     harp_data::io::read_path(path).map_err(|e| format!("failed to read {path}: {e}"))
@@ -125,6 +126,29 @@ fn quantize_default(data: &Dataset) -> (harpgbdt::QuantizedMatrix, String) {
     (qm, format!("setup: cuts {:.3} s, quantize {:.3} s", t.cut_secs, t.quantize_secs))
 }
 
+/// Quantizes `data`, writes its chunk cache to `path` and opens (which
+/// verifies) it under `mem_budget` resident bytes. The returned line times
+/// all four steps of the chunked set-up.
+fn build_cache(
+    data: &Dataset,
+    path: &str,
+    rows_per_chunk: usize,
+    mem_budget: u64,
+) -> Result<(harpgbdt::ChunkedStore, String), String> {
+    let (qm, mut line) = quantize_default(data);
+    let start = Instant::now();
+    harpgbdt::write_cache(&qm, rows_per_chunk, Path::new(path))
+        .map_err(|e| format!("failed to build cache {path}: {e}"))?;
+    let write_secs = start.elapsed().as_secs_f64();
+    drop(qm);
+    let start = Instant::now();
+    let store = harpgbdt::ChunkedStore::open(Path::new(path), mem_budget)
+        .map_err(|e| format!("failed to open cache {path}: {e}"))?;
+    let open_secs = start.elapsed().as_secs_f64();
+    let _ = write!(line, ", cache write {write_secs:.3} s, open+verify {open_secs:.3} s");
+    Ok((store, line))
+}
+
 /// Ensures a chunk cache for `data` exists at `path` (building it on first
 /// use) and opens it under `mem_budget` resident bytes. Returns the opened
 /// store plus a human line describing what happened.
@@ -134,20 +158,19 @@ fn open_or_build_cache(
     rows_per_chunk: usize,
     mem_budget: u64,
 ) -> Result<(harpgbdt::ChunkedStore, String), String> {
-    let mut note;
-    if Path::new(path).exists() {
-        note = format!("external memory: reusing cache {path}");
+    let (store, mut note) = if Path::new(path).exists() {
+        let store = harpgbdt::ChunkedStore::open(Path::new(path), mem_budget)
+            .map_err(|e| format!("failed to open cache {path}: {e}"))?;
+        (store, format!("external memory: reusing cache {path}"))
     } else {
-        let (qm, setup_line) = quantize_default(data);
-        let summary = harpgbdt::write_cache(&qm, rows_per_chunk, Path::new(path))
-            .map_err(|e| format!("failed to build cache {path}: {e}"))?;
-        note = format!(
+        let (store, setup_line) = build_cache(data, path, rows_per_chunk, mem_budget)?;
+        let s = store.summary();
+        let note = format!(
             "{setup_line}\nexternal memory: built cache {path} ({} chunks x {} rows, {} file bytes)",
-            summary.n_chunks, summary.rows_per_chunk, summary.file_bytes
+            s.n_chunks, s.rows_per_chunk, s.file_bytes
         );
-    }
-    let store = harpgbdt::ChunkedStore::open(Path::new(path), mem_budget)
-        .map_err(|e| format!("failed to open cache {path}: {e}"))?;
+        (store, note)
+    };
     let s = store.summary();
     let _ = write!(note, "; budget {mem_budget} bytes over {} decoded", s.decoded_bytes);
     Ok((store, note))
@@ -808,9 +831,9 @@ pub fn cache(args: &[String]) -> Result<String, String> {
         .get("--out")
         .map_or_else(|| default_cache_path(opts.required("--data").unwrap()), str::to_string);
     let rows_per_chunk = opts.parse_or("--rows-per-chunk", harpgbdt::DEFAULT_ROWS_PER_CHUNK)?;
-    let (qm, setup_line) = quantize_default(&data);
-    let summary = harpgbdt::write_cache(&qm, rows_per_chunk, Path::new(&out_path))
-        .map_err(|e| format!("failed to build cache {out_path}: {e}"))?;
+    // Opened only to verify what was written; nothing is decoded.
+    let (store, setup_line) = build_cache(&data, &out_path, rows_per_chunk, 0)?;
+    let summary = store.summary();
     Ok(format!(
         "{setup_line}\n\
          cached {} rows x {} features to {out_path}\n\
@@ -1024,7 +1047,14 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("chunks"), "{out}");
-        assert!(out.contains("setup: cuts "), "{out}");
+        // The set-up line covers all four steps of the chunked set-up.
+        let covers_setup = |text: &str| {
+            let line = text.lines().find(|l| l.starts_with("setup: cuts ")).unwrap_or("");
+            ["quantize ", "cache write ", "open+verify "]
+                .iter()
+                .all(|part| line.contains(part))
+        };
+        assert!(covers_setup(&out), "{out}");
 
         let common = ["--trees", "4", "--tree-size", "3", "--threads", "2", "--seed", "7"];
         let mut a = args(&["--data", data_path.to_str().unwrap()]);
@@ -1051,6 +1081,13 @@ mod tests {
         let ja = std::fs::read_to_string(&model_a).unwrap();
         let jb = std::fs::read_to_string(&model_b).unwrap();
         assert_eq!(ja, jb, "chunked training must match in-core bitwise");
+
+        // First use builds the cache itself and reports the same line.
+        std::fs::remove_file(&cache_path).unwrap();
+        let report = train(&b).unwrap();
+        assert!(report.contains("built cache"), "{report}");
+        assert!(covers_setup(&report), "{report}");
+        assert_eq!(ja, std::fs::read_to_string(&model_b).unwrap());
         for p in [data_path, model_a, model_b, cache_path] {
             std::fs::remove_file(p).ok();
         }

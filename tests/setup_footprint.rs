@@ -7,11 +7,17 @@
 //! values (what the pre-pipeline `BinMapper::from_matrix` made) breaks the
 //! bound.
 //!
+//! Pass 1 runs before the storage exists, so the whole-call bound would
+//! admit a pass-1 transient as large as the storage. `BinMapper::from_matrix`
+//! is therefore measured alone as well: per thread one `u32` key and one
+//! `u16` low-bits entry per row plus the bucket counters of the counting cut
+//! search — still less than a copy of the matrix.
+//!
 //! The allocator is process-wide, so this file holds a single `#[test]`.
 
 mod counting_alloc;
 
-use harp_binning::{BinningConfig, QuantizedMatrix};
+use harp_binning::{BinMapper, BinningConfig, QuantizedMatrix};
 use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -29,6 +35,17 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
         .map(|i| if i % 41 == 0 { f32::NAN } else { rng.gen_range(-4.0f32..4.0) })
         .collect();
     let dense = FeatureMatrix::Dense(DenseMatrix::from_vec(n, m, values));
+    let (mapper, peak) =
+        counting_alloc::peak_during(|| BinMapper::from_matrix(&dense, BinningConfig::default()));
+    assert_eq!(mapper.max_bins_used(), 255);
+    let bound = threads * (n * 6 + 2 * 65_536 * 4) + SLACK_BYTES;
+    assert!(
+        peak <= bound,
+        "the cut search peaked at {peak} live bytes, over {threads} threads x ({n} rows x 6 + two \
+         64 Ki-counter arrays) + slack = {bound}"
+    );
+    drop(mapper);
+
     let (q, peak) = counting_alloc::peak_during(|| {
         QuantizedMatrix::from_matrix(&dense, BinningConfig::default())
     });
