@@ -1,9 +1,12 @@
 //! Set-up micro-benchmark: pass 1 (cut search, `BinMapper::from_matrix`) and
 //! pass 2 (quantization, `QuantizedMatrix::with_mapper`) at 50k and 500k
 //! rows, on a dense 8-feature matrix and a CSR matrix of the same shape at
-//! 30% density — and, on the end-to-end benchmark's own shape (the dense
-//! 360 000 × 28 `higgs` train split), the two passes plus the two chunk
-//! cache steps (`write_cache`, `ChunkedStore::open`).
+//! 30% density — and, on the end-to-end benchmark's own shapes, the two
+//! passes of the sparse path (the 1 800 × 4 096 CSR `yfcc` train split at
+//! S ≈ 0.31, whose rows hold ≈ 1 270 features where the 8-feature CSR above
+//! shows no transpose cost) and, on the dense 360 000 × 28 `higgs` train
+//! split, the two passes plus the two chunk cache steps (`write_cache`,
+//! `ChunkedStore::open`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use harp_binning::{
@@ -13,8 +16,10 @@ use harp_data::{CsrMatrix, DatasetKind, DenseMatrix, FeatureMatrix, SynthConfig}
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const FEATURES: usize = 8;
-/// `benchmark/src/workloads.rs`: the `higgs_*` train split and chunk size.
+/// `benchmark/src/workloads.rs`: the `higgs_*` and `yfcc_sparse_mp` train
+/// splits and the chunk size.
 const HIGGS_ROWS: usize = 360_000;
+const YFCC_ROWS: usize = 1_800;
 const ROWS_PER_CHUNK: usize = 16_384;
 
 fn dense(n: usize, rng: &mut StdRng) -> FeatureMatrix {
@@ -33,10 +38,9 @@ fn csr(n: usize, rng: &mut StdRng) -> FeatureMatrix {
     FeatureMatrix::Sparse(CsrMatrix::from_rows(FEATURES, &rows))
 }
 
-fn higgs() -> FeatureMatrix {
-    let config = SynthConfig::new(DatasetKind::HiggsLike, 7);
-    let scale = HIGGS_ROWS as f64 / DatasetKind::HiggsLike.base_rows() as f64;
-    config.with_scale(scale).generate().features
+fn synth(kind: DatasetKind, rows: usize) -> FeatureMatrix {
+    let scale = rows as f64 / kind.base_rows() as f64;
+    SynthConfig::new(kind, 7).with_scale(scale).generate().features
 }
 
 fn bench_passes(
@@ -67,7 +71,11 @@ fn bench_setup(c: &mut Criterion) {
         bench_passes(&mut group, "csr", n, &csr(n, &mut rng));
     }
 
-    let matrix = higgs();
+    let matrix = synth(DatasetKind::YfccLike, YFCC_ROWS);
+    assert!(matches!(matrix, FeatureMatrix::Sparse(_)), "the yfcc shape takes the sparse path");
+    bench_passes(&mut group, "yfcc", matrix.n_rows(), &matrix);
+
+    let matrix = synth(DatasetKind::HiggsLike, HIGGS_ROWS);
     let n = matrix.n_rows();
     bench_passes(&mut group, "higgs", n, &matrix);
     let qm = QuantizedMatrix::from_matrix(&matrix, BinningConfig::default());

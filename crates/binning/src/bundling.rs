@@ -146,6 +146,20 @@ impl BundleMap {
     }
 }
 
+/// Whether [`plan_bundles`] can only decline, known from the longest row
+/// alone. Without a conflict budget no two features present in one row share
+/// a bundle, so a row's `longest_row` present features (those with a bin)
+/// need as many bundles, and a plan of more than `n_features / 4` bundles is
+/// never profitable. Exact: it answers `true` only where planning would
+/// return `None`, and a positive budget always plans.
+pub(crate) fn too_long_a_row_to_bundle(
+    longest_row: usize,
+    n_features: usize,
+    cfg: BundleConfig,
+) -> bool {
+    cfg.max_conflict_rate <= 0.0 && longest_row * 4 > n_features
+}
+
 /// Greedy first-fit bundle planning over quantized CSC columns.
 ///
 /// `col_rows(f)` yields the ascending row ids where feature `f` is present;
@@ -255,6 +269,8 @@ pub fn plan_bundles<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     /// 3 one-hot groups of 4 features over 12 rows: row r has feature
     /// `g*4 + (r % 4)` present for each group g.
@@ -350,5 +366,94 @@ mod tests {
             .expect("5% budget allows the single overlap");
         assert_eq!(map.conflicts(), 1);
         assert_eq!(map.slot(0).col, map.slot(1).col, "overlapping pair shares a bundle");
+    }
+
+    /// Present-row lists of an `n × m` pattern — `kind` 0: one-hot groups of
+    /// `k` features (a row holds one member of each group); 1: every cell
+    /// present with probability `density`; 2: the first half of the features
+    /// one-hot, the rest uniformly dense — and the longest row.
+    fn pattern(
+        seed: u64,
+        n: usize,
+        m: usize,
+        kind: u8,
+        k: usize,
+        density: f64,
+    ) -> (Vec<Vec<u32>>, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let one_hot = match kind {
+            0 => m,
+            1 => 0,
+            _ => m / 2,
+        };
+        let mut cols = vec![Vec::new(); m];
+        let mut longest = 0;
+        for r in 0..n {
+            let mut present = 0;
+            for group in (0..one_hot).step_by(k) {
+                let member = group + rng.gen_range(0..k.min(one_hot - group));
+                cols[member].push(r as u32);
+                present += 1;
+            }
+            for col in &mut cols[one_hot..] {
+                if rng.gen_bool(density) {
+                    col.push(r as u32);
+                    present += 1;
+                }
+            }
+            longest = longest.max(present);
+        }
+        (cols, longest)
+    }
+
+    #[test]
+    fn row_length_precheck_declines_dense_rows_and_plans_one_hot_ones() {
+        let cfg = BundleConfig::default();
+        // 16 groups of 4: rows of 16 features out of 64 — plannable.
+        assert!(!too_long_a_row_to_bundle(16, 64, cfg));
+        assert!(too_long_a_row_to_bundle(17, 64, cfg));
+        // The benchmark's sparse shape: rows of ≈ 1 270 features out of 4 096.
+        assert!(too_long_a_row_to_bundle(1_270, 4_096, cfg));
+        assert!(!too_long_a_row_to_bundle(0, 0, cfg));
+        // A positive budget lets features of one row share a bundle: always
+        // planned.
+        let lossy = BundleConfig { max_conflict_rate: 1e-9, ..cfg };
+        assert!(!too_long_a_row_to_bundle(4_096, 4_096, lossy));
+    }
+
+    proptest! {
+        /// The precheck is exact: wherever it declines, the full plan
+        /// declines too — over one-hot, uniformly dense and mixed patterns,
+        /// bin widths up to the 254-bin column cap and any probe cap.
+        #[test]
+        fn prop_precheck_declines_only_what_planning_declines(
+            seed in any::<u64>(),
+            n in 1usize..48,
+            m in 8usize..72,
+            kind in 0u8..3,
+            k in 1usize..9,
+            density in 0.0f64..1.0,
+            max_width in 1u16..80,
+            max_probes in 1usize..40,
+        ) {
+            let (cols, longest) = pattern(seed, n, m, kind, k, density);
+            let mut rng = StdRng::seed_from_u64(seed ^ 1);
+            // As a mapper gives them: no bin for a never-present feature.
+            let widths: Vec<u16> = cols
+                .iter()
+                .map(|c| if c.is_empty() { 0 } else { rng.gen_range(1..max_width + 1) })
+                .collect();
+            let off = offsets(&widths);
+            let cfg = BundleConfig { max_probes, ..BundleConfig::default() };
+            let plan = plan_bundles(n, &widths, &off, |f| &cols[f], cfg);
+            if too_long_a_row_to_bundle(longest, m, cfg) {
+                prop_assert!(plan.is_none(), "declined a plan of {} columns", plan.unwrap().n_cols());
+            }
+            if let Some(plan) = plan {
+                prop_assert!(plan.n_cols() >= longest, "a row of {longest} in {} bundles", plan.n_cols());
+            }
+            let lossy = BundleConfig { max_conflict_rate: 0.25, ..cfg };
+            prop_assert!(!too_long_a_row_to_bundle(longest, m, lossy));
+        }
     }
 }

@@ -172,7 +172,8 @@ impl BinMapper {
     /// first half of set-up — the wall-clock a user pays before the first
     /// tree, which no trainer phase accounts for.
     pub fn from_matrix(matrix: &FeatureMatrix, config: BinningConfig) -> Self {
-        Self::from_input(&SetupInput::new(matrix), config, setup_threads())
+        let threads = setup_threads();
+        Self::from_input(&SetupInput::new(matrix, threads), config, threads)
     }
 
     /// [`from_matrix`](Self::from_matrix) over an already gathered input, on
@@ -606,7 +607,7 @@ mod tests {
         for matrix in as_matrices(&column) {
             for threads in [1, 3] {
                 let mapper = BinMapper::from_input(
-                    &SetupInput::new(&matrix),
+                    &SetupInput::new(&matrix, threads),
                     BinningConfig::default(),
                     threads,
                 );
@@ -620,7 +621,7 @@ mod tests {
         let d = harp_data::SynthConfig::new(harp_data::DatasetKind::HiggsLike, 3)
             .with_scale(0.1)
             .generate();
-        let input = SetupInput::new(&d.features);
+        let input = SetupInput::new(&d.features, 1);
         let one = BinMapper::from_input(&input, BinningConfig::default(), 1);
         for threads in [2, 5, 64] {
             let many = BinMapper::from_input(&input, BinningConfig::default(), threads);
@@ -638,7 +639,7 @@ mod tests {
         for matrix in as_matrices(column) {
             for threads in [1, 3] {
                 let mapper = BinMapper::from_input(
-                    &SetupInput::new(&matrix),
+                    &SetupInput::new(&matrix, threads),
                     BinningConfig::with_max_bins(max_bins),
                     threads,
                 );
@@ -943,7 +944,7 @@ mod tests {
             let want = build_cuts_oracle(present, usize::from(max_bins));
             for matrix in as_matrices(&column) {
                 let mapper = BinMapper::from_input(
-                    &SetupInput::new(&matrix),
+                    &SetupInput::new(&matrix, threads),
                     BinningConfig::with_max_bins(max_bins),
                     threads,
                 );
@@ -1005,7 +1006,7 @@ mod tests {
             let want = build_cuts_oracle(present, usize::from(max_bins));
             for matrix in as_matrices(&column) {
                 let mapper = BinMapper::from_input(
-                    &SetupInput::new(&matrix),
+                    &SetupInput::new(&matrix, threads),
                     BinningConfig::with_max_bins(max_bins),
                     threads,
                 );

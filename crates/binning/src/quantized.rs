@@ -22,10 +22,12 @@
 //!   exclusive sparse features fuse into dense synthetic columns so sparse
 //!   workloads leave the merge/gallop path entirely.
 
-use crate::bundling::{plan_bundles, BundleConfig, BundleMap};
+use crate::bundling::{plan_bundles, too_long_a_row_to_bundle, BundleConfig, BundleMap};
 use crate::bytes::SharedBytes;
 use crate::mapper::{BinLookup, BinMapper, BinningConfig, FeatureCuts};
-use crate::setup::{run_tasks, setup_threads, split_mut, split_ranges, SetupInput, ValueCsc};
+use crate::setup::{
+    run_tasks, setup_threads, split_mut, split_ranges, CscCopy, SetupInput, ValueCsc,
+};
 use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
 use std::time::Instant;
 
@@ -318,7 +320,7 @@ impl QuantizedMatrix {
         threads: usize,
     ) -> (Self, SetupTimings) {
         let start = Instant::now();
-        let input = SetupInput::new(matrix);
+        let input = SetupInput::new(matrix, threads);
         let mapper = BinMapper::from_input(&input, config, threads);
         let cut_secs = start.elapsed().as_secs_f64();
         let start = Instant::now();
@@ -344,7 +346,8 @@ impl QuantizedMatrix {
         mapper: BinMapper,
         layout: LayoutOptions,
     ) -> Self {
-        Self::from_input(SetupInput::new(matrix), mapper, layout, setup_threads())
+        let threads = setup_threads();
+        Self::from_input(SetupInput::new(matrix, threads), mapper, layout, threads)
     }
 
     /// Pass 2 of set-up: quantizes `input` with `mapper`'s cuts.
@@ -390,6 +393,12 @@ impl QuantizedMatrix {
     /// dense columns when profitable (no-op otherwise).
     fn try_bundle(&mut self, cfg: BundleConfig) {
         let Storage::Sparse { csr, csc } = &self.storage else { return };
+        // Every stored entry has a bin, so a CSR row's length is its count of
+        // present features with a bin.
+        let longest_row = csr.indptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        if too_long_a_row_to_bundle(longest_row, self.n_features(), cfg) {
+            return;
+        }
         let widths: Vec<u16> = self.mapper.bin_widths().collect();
         let map = plan_bundles(
             self.n_rows,
@@ -893,8 +902,8 @@ impl QuantizedMatrix {
                 for _ in 0..=n {
                     indptr.push(cur.get_u64().ok_or("chunk blob truncated: indptr")? as usize);
                 }
-                if indptr[0] != 0 || indptr[n] != nnz {
-                    return Err("chunk indptr does not bracket nnz".into());
+                if indptr[0] != 0 || indptr[n] != nnz || indptr.windows(2).any(|w| w[0] > w[1]) {
+                    return Err("chunk indptr does not walk nnz entries".into());
                 }
                 let mut cols = Vec::with_capacity(nnz);
                 for _ in 0..nnz {
@@ -904,28 +913,10 @@ impl QuantizedMatrix {
                 if cols.iter().any(|&c| c as usize >= m) {
                     return Err("chunk column id out of range".into());
                 }
-                // Rebuild CSC by the same bucket placement as construction:
-                // CSR rows ascend, so CSC rows come out sorted identically.
-                let mut col_counts = vec![0usize; m];
-                for &c in &cols {
-                    col_counts[c as usize] += 1;
-                }
-                let mut csc_indptr = Vec::with_capacity(m + 1);
-                csc_indptr.push(0usize);
-                for c in 0..m {
-                    csc_indptr.push(csc_indptr[c] + col_counts[c]);
-                }
-                let mut rows = vec![0u32; nnz];
-                let mut csc_bins = vec![0u8; nnz];
-                let mut cursor = csc_indptr[..m].to_vec();
-                for r in 0..n {
-                    for i in indptr[r]..indptr[r + 1] {
-                        let c = cols[i] as usize;
-                        rows[cursor[c]] = r as u32;
-                        csc_bins[cursor[c]] = bins[i];
-                        cursor[c] += 1;
-                    }
-                }
+                // The CSC mirror by the transpose construction uses, on this
+                // thread: chunks are decoded by tasks of their own.
+                let CscCopy { indptr: csc_indptr, rows, vals: csc_bins, .. } =
+                    CscCopy::transpose(m, &indptr, &cols, &bins, 1);
                 Storage::Sparse {
                     csr: QCsr { indptr, cols, bins },
                     csc: QCsc { indptr: csc_indptr, rows, bins: csc_bins },
@@ -1011,15 +1002,16 @@ fn bin_of(cuts: &FeatureCuts, lookup: &Option<BinLookup<'_>>, v: f32) -> u8 {
 
 /// Quantizes a sparse matrix into CSR + CSC bin storage from its value CSC:
 /// ⟨feature-range⟩ tasks quantize column-at-a-time (one cut table live per
-/// task), then one scatter writes the bins into CSR order. `value_csc.rows`
-/// becomes the CSC mirror's row ids as is.
+/// task), then the ⟨row-block⟩ tasks of the transpose gather the bins back
+/// into CSR order, each writing its own rows of the CSR arrays.
+/// `value_csc.rows` becomes the CSC mirror's row ids as is.
 fn quantize_sparse(
     sparse: &CsrMatrix,
-    value_csc: ValueCsc,
+    mut value_csc: ValueCsc,
     mapper: &BinMapper,
     threads: usize,
 ) -> (QCsr, QCsc) {
-    let ValueCsc { indptr: col_ptr, rows, vals } = value_csc;
+    let (col_ptr, vals) = (&value_csc.indptr, &value_csc.vals);
     let mut csc_bins = vec![0u8; vals.len()];
     let ranges = split_ranges(sparse.n_cols(), threads, 1);
     let outputs =
@@ -1027,7 +1019,6 @@ fn quantize_sparse(
     let mut tasks = Vec::new();
     for (range, mine) in ranges.into_iter().zip(outputs) {
         let base = col_ptr[range.start];
-        let (col_ptr, vals) = (&col_ptr, &vals);
         tasks.push(move || {
             for f in range {
                 let cuts = mapper.cuts(f);
@@ -1041,21 +1032,32 @@ fn quantize_sparse(
         });
     }
     run_tasks(tasks);
-    drop(vals);
-    // CSC order visits features ascending, which is also the order of a CSR
-    // row's entries: a row's next free slot is always its next column.
+    value_csc.vals = Vec::new();
+
     let (row_ptr, cols, _) = sparse.parts();
-    let mut bins = vec![0u8; csc_bins.len()];
-    let mut next_slot = row_ptr[..sparse.n_rows()].to_vec();
-    for (&r, &bin) in rows.iter().zip(&csc_bins) {
-        let slot = &mut next_slot[r as usize];
-        bins[*slot] = bin;
-        *slot += 1;
+    let (n_rows, nnz) = (sparse.n_rows(), cols.len());
+    // Zeroed, not copied: the pages are first touched by the tasks that own
+    // them.
+    let mut csr = QCsr { indptr: vec![0; n_rows + 1], cols: vec![0; nnz], bins: vec![0; nnz] };
+    csr.indptr[n_rows] = nnz;
+    let blocks = value_csc.gather_blocks();
+    let ptr_out = split_mut(&mut csr.indptr[..n_rows], blocks.iter().map(|b| b.rows.len()));
+    let cols_out = split_mut(&mut csr.cols, blocks.iter().map(|b| b.entries(row_ptr).len()));
+    let bins_out = split_mut(&mut csr.bins, blocks.iter().map(|b| b.entries(row_ptr).len()));
+    let mut tasks = Vec::new();
+    for (((block, ptr), block_cols), block_bins) in
+        blocks.into_iter().zip(ptr_out).zip(cols_out).zip(bins_out)
+    {
+        let csc_bins = &csc_bins;
+        tasks.push(move || {
+            ptr.copy_from_slice(&row_ptr[block.rows.clone()]);
+            block_cols.copy_from_slice(&cols[block.entries(row_ptr)]);
+            block.gather(block_cols, csc_bins, block_bins);
+        });
     }
-    (
-        QCsr { indptr: row_ptr.to_vec(), cols: cols.to_vec(), bins },
-        QCsc { indptr: col_ptr, rows, bins: csc_bins },
-    )
+    run_tasks(tasks);
+    let CscCopy { indptr, rows, .. } = value_csc;
+    (csr, QCsc { indptr, rows, bins: csc_bins })
 }
 
 /// Materializes bundled dense majors from quantized CSR entries and a
@@ -1556,6 +1558,24 @@ mod tests {
         let mut long = blob;
         long.push(0);
         assert!(QuantizedMatrix::decode_chunk(&long.into(), q.mapper()).is_err());
+    }
+
+    /// A chunk blob is input from outside the program: an `indptr` that
+    /// starts at 0 and ends at `nnz` but steps backwards in between is an
+    /// `Err`, not the panic the transpose would raise on it.
+    #[test]
+    fn chunk_decode_rejects_a_non_monotone_indptr() {
+        let q = QuantizedMatrix::from_matrix(&sparse_matrix(), BinningConfig::default());
+        let mut blob = Vec::new();
+        q.encode_chunk(0..3, &mut blob);
+        // kind, u4 flag, n_rows, nnz, then the four row offsets [0, 2, 3, 6].
+        let indptr_at = |k: usize| 18 + 8 * k..18 + 8 * (k + 1);
+        assert_eq!(blob[indptr_at(1)], 2u64.to_le_bytes());
+        assert_eq!(blob[indptr_at(2)], 3u64.to_le_bytes());
+        blob[indptr_at(1)].copy_from_slice(&3u64.to_le_bytes());
+        blob[indptr_at(2)].copy_from_slice(&2u64.to_le_bytes());
+        let err = QuantizedMatrix::decode_chunk(&blob.into(), q.mapper()).map(|_| ()).unwrap_err();
+        assert!(err.contains("indptr"), "{err}");
     }
 
     #[test]

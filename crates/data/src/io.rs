@@ -46,8 +46,9 @@ fn parse_err(line: usize, message: impl Into<String>) -> LoadError {
 pub fn read_libsvm<R: BufRead>(reader: R, name: &str) -> Result<Dataset, LoadError> {
     let mut rows: Vec<Vec<(u32, f32)>> = Vec::new();
     let mut labels: Vec<f32> = Vec::new();
-    let mut max_col: u32 = 0;
-    let mut min_idx: u32 = u32::MAX;
+    // The largest index and the line it is on.
+    let mut max_col: (u32, usize) = (0, 0);
+    let mut min_idx: Option<u32> = None;
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let line = line.split('#').next().unwrap_or("").trim();
@@ -55,8 +56,11 @@ pub fn read_libsvm<R: BufRead>(reader: R, name: &str) -> Result<Dataset, LoadErr
             continue;
         }
         let mut parts = line.split_ascii_whitespace();
-        let label: f32 =
-            parts.next().unwrap().parse().map_err(|_| parse_err(lineno + 1, "bad label"))?;
+        let label: f32 = parts
+            .next()
+            .ok_or_else(|| parse_err(lineno + 1, "missing label"))?
+            .parse()
+            .map_err(|_| parse_err(lineno + 1, "bad label"))?;
         let mut row: Vec<(u32, f32)> = Vec::new();
         for tok in parts {
             let (idx, val) = tok
@@ -69,8 +73,8 @@ pub fn read_libsvm<R: BufRead>(reader: R, name: &str) -> Result<Dataset, LoadErr
                     return Err(parse_err(lineno + 1, "feature indices must increase"));
                 }
             }
-            min_idx = min_idx.min(idx);
-            max_col = max_col.max(idx);
+            min_idx = Some(min_idx.map_or(idx, |min| min.min(idx)));
+            max_col = max_col.max((idx, lineno + 1));
             row.push((idx, val));
         }
         rows.push(row);
@@ -78,9 +82,20 @@ pub fn read_libsvm<R: BufRead>(reader: R, name: &str) -> Result<Dataset, LoadErr
         labels.push(if label < 0.0 { 0.0 } else { label });
     }
     // Shift 1-based indices down.
-    let offset = if min_idx == u32::MAX || min_idx == 0 { 0 } else { 1 };
-    let n_cols =
-        if rows.iter().all(|r| r.is_empty()) { 0 } else { (max_col - offset + 1) as usize };
+    let offset = if matches!(min_idx, None | Some(0)) { 0 } else { 1 };
+    // The column count must itself fit a feature index: 0-based data that
+    // uses index `u32::MAX` has one column too many.
+    let n_cols = if rows.iter().all(|r| r.is_empty()) {
+        0
+    } else {
+        let (idx, line) = max_col;
+        (idx - offset).checked_add(1).ok_or_else(|| {
+            parse_err(
+                line,
+                format!("feature index {idx} does not fit: at most {} columns", u32::MAX),
+            )
+        })? as usize
+    };
     for row in &mut rows {
         for entry in row.iter_mut() {
             entry.0 -= offset;
@@ -245,6 +260,20 @@ mod tests {
         let text = "1 2:1.0 1:2.0\n";
         let err = read_libsvm(Cursor::new(text), "t").unwrap_err();
         assert!(matches!(err, LoadError::Parse { line: 1, .. }));
+    }
+
+    /// The largest 0-based index makes a column count no `u32` holds: a typed
+    /// error naming the line, not an overflow (debug) or a wrapped count and
+    /// a panic in `CsrMatrix::from_parts` (release).
+    #[test]
+    fn libsvm_rejects_an_index_that_does_not_fit() {
+        let err = read_libsvm(Cursor::new("0 1:1\n1 0:1 4294967295:1\n"), "t").unwrap_err();
+        assert!(matches!(err, LoadError::Parse { line: 2, .. }), "{err}");
+        assert!(format!("{err}").contains("4294967295 does not fit"), "{err}");
+        // One more digit never parsed; 1-based data may use the index.
+        assert!(read_libsvm(Cursor::new("1 4294967296:1\n"), "t").is_err());
+        let d = read_libsvm(Cursor::new("1 4294967295:1\n"), "t").unwrap();
+        assert_eq!((d.n_features(), d.features.n_present()), (u32::MAX as usize, 1));
     }
 
     #[test]

@@ -89,23 +89,70 @@ impl CsrMatrix {
         indices: Vec<u32>,
         values: Vec<f32>,
     ) -> Self {
+        let mut m = Self { n_rows, n_cols, indptr, indices, values };
+        m.assert_consistent();
+        if m.values.iter().any(|v| v.is_nan()) {
+            m.drop_nan_entries();
+        }
+        m
+    }
+
+    /// The checks of [`from_parts`](Self::from_parts).
+    fn assert_consistent(&self) {
+        let Self { n_rows, n_cols, indptr, indices, values } = self;
         assert_eq!(indptr.len(), n_rows + 1, "indptr length must be n_rows + 1");
         assert_eq!(indices.len(), values.len(), "indices/values length mismatch");
         assert_eq!(*indptr.last().unwrap_or(&0), indices.len(), "indptr must end at nnz");
-        for r in 0..n_rows {
+        for r in 0..*n_rows {
             assert!(indptr[r] <= indptr[r + 1], "indptr must be monotonic");
             let row = &indices[indptr[r]..indptr[r + 1]];
             for pair in row.windows(2) {
                 assert!(pair[0] < pair[1], "column indices must be strictly increasing in a row");
             }
             if let Some(&last) = row.last() {
-                assert!((last as usize) < n_cols, "column index out of range");
+                assert!((last as usize) < *n_cols, "column index out of range");
             }
         }
-        let mut m = Self { n_rows, n_cols, indptr, indices, values };
-        if m.values.iter().any(|v| v.is_nan()) {
-            m.drop_nan_entries();
+    }
+
+    /// The rows in `idx` (any order, repeats allowed) as a matrix. Rows of a
+    /// consistent matrix are consistent and hold no `NaN`, so the arrays are
+    /// assembled from the source slices as they are.
+    fn select_rows(&self, idx: &[u32]) -> Self {
+        let nnz = idx.iter().map(|&r| self.indptr[r as usize + 1] - self.indptr[r as usize]).sum();
+        let mut indptr = Vec::with_capacity(idx.len() + 1);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        indptr.push(0);
+        for &r in idx {
+            let span = self.indptr[r as usize]..self.indptr[r as usize + 1];
+            indices.extend_from_slice(&self.indices[span.clone()]);
+            values.extend_from_slice(&self.values[span]);
+            indptr.push(indices.len());
         }
+        let m = Self { n_rows: idx.len(), n_cols: self.n_cols, indptr, indices, values };
+        #[cfg(debug_assertions)]
+        m.assert_consistent();
+        m
+    }
+
+    /// `self` on top of `other` (same column count): the arrays
+    /// concatenated, `other`'s offsets moved past `self`'s entries.
+    fn vstack(&self, other: &Self) -> Self {
+        let indptr = self
+            .indptr
+            .iter()
+            .copied()
+            .chain(other.indptr[1..].iter().map(|&p| p + self.nnz()));
+        let m = Self {
+            n_rows: self.n_rows + other.n_rows,
+            n_cols: self.n_cols,
+            indptr: indptr.collect(),
+            indices: [&self.indices[..], &other.indices].concat(),
+            values: [&self.values[..], &other.values].concat(),
+        };
+        #[cfg(debug_assertions)]
+        m.assert_consistent();
         m
     }
 
@@ -282,11 +329,7 @@ impl FeatureMatrix {
                 }
                 Self::Dense(DenseMatrix::from_vec(idx.len(), m.n_cols(), values))
             }
-            Self::Sparse(m) => {
-                let rows: Vec<Vec<(u32, f32)>> =
-                    idx.iter().map(|&r| m.row(r as usize).collect()).collect();
-                Self::Sparse(CsrMatrix::from_rows(m.n_cols(), &rows))
-            }
+            Self::Sparse(m) => Self::Sparse(m.select_rows(idx)),
         }
     }
 
@@ -302,13 +345,7 @@ impl FeatureMatrix {
                 values.extend_from_slice(b.values());
                 Self::Dense(DenseMatrix::from_vec(a.n_rows() + b.n_rows(), a.n_cols(), values))
             }
-            (Self::Sparse(a), Self::Sparse(b)) => {
-                let rows: Vec<Vec<(u32, f32)>> = (0..a.n_rows())
-                    .map(|r| a.row(r).collect())
-                    .chain((0..b.n_rows()).map(|r| b.row(r).collect()))
-                    .collect();
-                Self::Sparse(CsrMatrix::from_rows(a.n_cols(), &rows))
-            }
+            (Self::Sparse(a), Self::Sparse(b)) => Self::Sparse(a.vstack(b)),
             _ => panic!("vstack requires matching layouts"),
         }
     }
@@ -401,6 +438,36 @@ mod tests {
         let both = m.vstack(&m);
         assert_eq!(both.n_rows(), 4);
         assert_eq!(both.n_present(), 8);
+    }
+
+    /// `select_rows` and `vstack` assemble CSR arrays from the source slices;
+    /// the result equals the per-row `from_rows` construction they replaced,
+    /// on random matrices with empty rows, repeats and reordering.
+    #[test]
+    fn sparse_select_rows_and_vstack_equal_the_per_row_construction() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        fn random(rng: &mut StdRng, n_rows: usize, n_cols: u32) -> Vec<Vec<(u32, f32)>> {
+            (0..n_rows)
+                .map(|r| {
+                    let density = if r % 3 == 0 { 0.0 } else { rng.gen_range(0.1..0.9) };
+                    let present: Vec<u32> = (0..n_cols).filter(|_| rng.gen_bool(density)).collect();
+                    present.into_iter().map(|c| (c, rng.gen())).collect()
+                })
+                .collect()
+        }
+        for (n_a, n_b, n_cols) in [(17, 9, 6), (1, 0, 3), (0, 4, 5), (0, 0, 0), (40, 40, 1)] {
+            let (rows_a, rows_b) = (random(&mut rng, n_a, n_cols), random(&mut rng, n_b, n_cols));
+            let sparse = |rows: &[Vec<(u32, f32)>]| {
+                FeatureMatrix::Sparse(CsrMatrix::from_rows(n_cols as usize, rows))
+            };
+            let (a, b) = (sparse(&rows_a), sparse(&rows_b));
+            assert_eq!(a.vstack(&b), sparse(&[rows_a.clone(), rows_b].concat()));
+            let idx: Vec<u32> = (0..3 * n_a).map(|_| rng.gen_range(0..n_a) as u32).collect();
+            let picked: Vec<_> = idx.iter().map(|&r| rows_a[r as usize].clone()).collect();
+            assert_eq!(a.select_rows(&idx), sparse(&picked));
+            assert_eq!(a.select_rows(&[]), sparse(&[]));
+        }
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! runs, and the peak may exceed the storage the call returns only by the
 //! transient the pipeline is designed to hold — one `n_rows × 4`-byte key
 //! buffer per thread for dense input, the `nnz × 8`-byte column-major copy
-//! for sparse input — plus a fixed slack. A whole-matrix copy of the raw
-//! values (what the pre-pipeline `BinMapper::from_matrix` made) breaks the
-//! bound.
+//! and its `blocks × n_cols × 8`-byte cursor table for sparse input — plus a
+//! fixed slack. A whole-matrix copy of the raw values (what the pre-pipeline
+//! `BinMapper::from_matrix` made) breaks the bound, and so does a cursor
+//! table per thread on a matrix wider than its threads' share of entries.
 //!
 //! Pass 1 runs before the storage exists, so the whole-call bound would
 //! admit a pass-1 transient as large as the storage. `BinMapper::from_matrix`
@@ -17,7 +18,7 @@
 
 mod counting_alloc;
 
-use harp_binning::{BinMapper, BinningConfig, QuantizedMatrix};
+use harp_binning::{BinMapper, BinningConfig, LayoutOptions, QuantizedMatrix};
 use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -75,10 +76,54 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
         QuantizedMatrix::from_matrix(&sparse, BinningConfig::default())
     });
     assert!(q.sparse_csr().is_some(), "the sparse input must stay sparse");
-    let bound = q.storage_bytes() + nnz * 8 + SLACK_BYTES;
+    let table = transpose_table_bytes(nnz, m as usize, threads);
+    let bound = q.storage_bytes() + nnz * 8 + table + SLACK_BYTES;
     assert!(
         peak <= bound,
-        "sparse set-up peaked at {peak} live bytes, over storage {} + nnz {nnz} x 8 + slack = {bound}",
+        "sparse set-up peaked at {peak} live bytes, over storage {} + nnz {nnz} x 8 + cursor \
+         table {table} + slack = {bound}",
         q.storage_bytes()
     );
+    drop((q, sparse));
+
+    // Wide and short: 2^18 columns for 2^15 entries. One cursor per ⟨thread,
+    // column⟩ would be `threads` x 2 MB to place 128 KB of row ids; the block
+    // rule transposes such a matrix as one block, through one cursor per
+    // column (`n_cols` words, what its `indptr` takes anyway). Its mapper —
+    // one cut vector per column — is what is big here, and is counted.
+    let (n, m, row_len) = (64usize, 1usize << 18, 512usize);
+    let rows: Vec<Vec<(u32, f32)>> = (0..n)
+        .map(|r| (0..row_len).map(|k| ((k * (m / row_len) + r) as u32, rng.gen())).collect())
+        .collect();
+    let sparse = FeatureMatrix::Sparse(CsrMatrix::from_rows(m, &rows));
+    drop(rows);
+    let nnz = sparse.n_present();
+    assert!(m > nnz / threads.max(1) && nnz / (4 * m) == 0);
+    let (q, peak) = counting_alloc::peak_during(|| {
+        QuantizedMatrix::from_matrix_opts(
+            &sparse,
+            BinningConfig::default(),
+            LayoutOptions::uncompressed(),
+        )
+    });
+    assert!(q.sparse_csr().is_some());
+    let mapper = q.mapper();
+    let cut_bytes: usize = (0..m).map(|f| mapper.cuts(f).cuts.capacity() * 4).sum();
+    let mapper_bytes = m * std::mem::size_of_val(mapper.cuts(0)) + (m + 1) * 4 + cut_bytes;
+    let table = transpose_table_bytes(nnz, m, threads);
+    assert_eq!(table, m * 8, "one block: the table is one cursor per column");
+    let bound = q.storage_bytes() + mapper_bytes + nnz * 8 + table + SLACK_BYTES;
+    assert!(
+        peak <= bound,
+        "wide sparse set-up peaked at {peak} live bytes, over storage {} + mapper {mapper_bytes} \
+         + nnz {nnz} x 8 + cursor table {table} + slack = {bound}",
+        q.storage_bytes()
+    );
+}
+
+/// Bytes of the sparse transpose's cursor table: `n_cols` words for each of
+/// `clamp(nnz / (4 x n_cols), 1, threads)` row blocks, so never more than a
+/// quarter of the entries' words unless one block's worth already is.
+fn transpose_table_bytes(nnz: usize, n_cols: usize, threads: usize) -> usize {
+    (nnz / (4 * n_cols)).clamp(1, threads.max(1)) * n_cols * 8
 }
