@@ -1,47 +1,55 @@
-//! Block-wise BuildHist drivers: data-parallel and model-parallel.
+//! Block-wise BuildHist drivers, and the one tile pipeline behind them.
 //!
-//! Both drivers take a batch of *hist jobs* (one per tree node that needs a
-//! histogram) and fill each node's GHSum buffer. The block decomposition
-//! itself lives in [`crate::plan`]: each driver rebuilds the shared
-//! [`BlockPlan`] for its accumulation policy and executes the task list —
-//! the DP/MP distinction is the [`Accumulation`] policy, not a separate
-//! enumeration:
+//! A batch is a list of jobs — one per tree node scanned from its rows, with
+//! the sibling to derive from it as `parent − node` where the parent's
+//! histogram came out of the cache ([`TileJob`], [`DerivedSibling`]) — and
+//! expanding it is always the same two steps. The scanned child's lanes are
+//! *filled*, which is all a parallel mode has a say in; then **one tile
+//! body** (in `run_tiles`) takes a *tile* — one job's lanes of one feature
+//! block — forms the sibling's tile as `parent − small`, in place in the
+//! parent's buffer or into scratch, and runs FindSplit on both, one partial
+//! candidate per ⟨node, feature-block⟩ for the caller to fold in ascending
+//! block order. Nothing else in the trainer subtracts or searches. The three
+//! fills, by [`crate::params::BatchPolicy`]; the block decomposition of the
+//! first two lives in [`crate::plan`], each rebuilding the shared
+//! [`BlockPlan`] for its [`Accumulation`] policy:
 //!
-//! * **DP** ([`build_hists_dp`], [`Accumulation::Replicated`]): tasks are
-//!   ⟨node-block, feature-block, row-chunk⟩ triples. A job cut into several
-//!   row chunks gets a lane range in every replica; its tasks accumulate
-//!   into their slot's replica and a reduction folds the replicas into the
-//!   job buffer afterwards. A job that is one row chunk has tasks that
-//!   differ only in feature block: they write the job buffer directly, with
-//!   no replica lanes, re-zeroing or reduction ([`BlockPlan::replica_slot`]).
-//!   Replica and reduction cost therefore follow the rows of a batch, not
-//!   its node count — the node-proportional reduction is exactly the scaling
-//!   weakness of XGB-Hist that Fig. 11 shows for large trees.
-//! * **MP** ([`build_hists_mp`], [`Accumulation::Exclusive`]): tasks are
-//!   ⟨node-block, feature-block, bin-block⟩ triples over disjoint histogram
-//!   regions — no replicas, no reduction, but a task's read traffic is the
-//!   whole row set of its nodes (redundant reads when feature blocks are
-//!   small). Because a ⟨node-block, feature-block⟩ group owns whole
-//!   features of its nodes, the executor is a fused *tile pipeline*: a
-//!   worker takes one group (its bin-block tasks back to back) and, job by
-//!   job, column-scans the block's features into a tile, forms the sibling's
-//!   tile as `parent − small` when the parent's histogram came out of the
-//!   cache, and runs FindSplit on both while they sit in L2 — one region
-//!   where there used to be three (BuildHist, subtraction, FindSplit), and
-//!   one partial candidate per ⟨node, feature-block⟩ for the coordinator to
-//!   fold. Where a tile lives is the memory policy: a node whose histogram
-//!   can be filed ([`crate::hist::HistPool::files`]) is scanned straight
-//!   into its own full-width buffer and a filed sibling is subtracted in
-//!   place in the parent's buffer; every other tile lives in a per-worker
-//!   scratch pair of `2 × block lanes` (≤ `2 × feature_blk × max_bins × 16`
-//!   bytes) and is gone after FindSplit, so a full-width histogram exists
-//!   only where a later subtraction will read it.
+//! * **Replicated** (DP; [`build_hists_dp`] behind `fill_dp`, then
+//!   `finish_dp`): tasks are ⟨node-block, feature-block, row-chunk⟩ triples
+//!   into full-width job buffers. A job cut into several row chunks gets a
+//!   lane range in every replica; its tasks accumulate into their slot's
+//!   replica and a reduction folds the replicas into the job buffer
+//!   afterwards. A job that is one row chunk has tasks that differ only in
+//!   feature block: they write the job buffer directly, with no replica
+//!   lanes, re-zeroing or reduction ([`BlockPlan::replica_slot`]). Replica
+//!   and reduction cost therefore follow the rows of a batch, not its node
+//!   count — the node-proportional reduction is exactly the scaling weakness
+//!   of XGB-Hist that Fig. 11 shows for large trees. The tiles then come
+//!   filled: one more region of ⟨job, feature-chunk⟩ tiles finishes them.
+//! * **Exclusive** (MP; [`build_hists_mp`]): tasks are ⟨node-block,
+//!   feature-block, bin-block⟩ triples over disjoint histogram regions — no
+//!   replicas, no reduction, but a task's read traffic is the whole row set
+//!   of its nodes (redundant reads when feature blocks are small). Because a
+//!   ⟨node-block, feature-block⟩ group owns whole features of its nodes, the
+//!   fill happens *inside* the tile: a worker takes one group (its bin-block
+//!   tasks back to back) and, job by job, column-scans the block's features
+//!   into the tile and finishes it while it sits in L2 — the whole batch is
+//!   one region. Where a tile lives is the memory policy: a node whose
+//!   histogram can be filed ([`crate::hist::HistPool::files`]) is scanned
+//!   straight into its own full-width buffer and a filed sibling is
+//!   subtracted in place in the parent's buffer; every other tile lives in a
+//!   per-worker scratch pair of `2 × block lanes` (≤ `2 × feature_blk ×
+//!   max_bins × 16` bytes) and is gone after FindSplit, so a full-width
+//!   histogram exists only where a later subtraction will read it.
+//! * **NodeTasks** (ASYNC's node tasks; `fill_node`, then `finish_node`):
+//!   no plan and no region — the task row-scans each child into its
+//!   full-width buffer and finishes that buffer as one tile itself.
 //!
 //! In deterministic mode DP emulates an OpenMP *static* schedule: task `t`
 //! of `T` processes every `T`-th block into replica `t`, so per-cell
 //! accumulation order is independent of thread timing.
 //!
-//! Both drivers draw their scratch — replica buffers, tile pairs and task
+//! The barrier fills draw their scratch — replica buffers, tile pairs and task
 //! vectors — from a caller-held [`DriverScratch`], so nothing is reallocated
 //! across frontiers or trees. Replicas come from a [`ScratchPool`] with
 //! dirty-range tracking: a released replica remembers which `(job,
@@ -51,7 +59,9 @@
 //! have run any task and every replica conservatively takes the union.
 
 use crate::hist::{self, ReplicaBuf, ScratchPool};
-use crate::kernels::{col_scan_store, row_scan_run, GradSource, BYTES_PER_CELL, FLOPS_PER_CELL};
+use crate::kernels::{
+    col_scan_store, row_scan_run, row_scan_store, GradSource, BYTES_PER_CELL, FLOPS_PER_CELL,
+};
 use crate::loss::GradPair;
 use crate::params::TrainParams;
 use crate::partition::RowPartition;
@@ -77,17 +87,18 @@ pub struct HistJob {
     pub buf: Vec<f64>,
 }
 
-/// A node an [`Accumulation::Exclusive`] batch scans from its rows, one
-/// feature-block tile at a time ([`build_hists_mp`]).
+/// A node a batch scans from its rows, to be finished one feature-block tile
+/// at a time.
 pub struct TileJob {
     /// The node whose rows are scanned.
     pub node: NodeId,
     /// Its gradient totals, FindSplit's node statistics.
     pub stats: NodeStats,
-    /// The node's own zeroed full-width buffer when its histogram can be
-    /// filed ([`crate::hist::HistPool::files`]): the tiles are then its
-    /// lanes, and on return it is the node's histogram. `None` builds every
-    /// tile in the worker's scratch, where it is dropped after FindSplit.
+    /// The node's own zeroed full-width buffer: the tiles are then its
+    /// lanes, and on return it is the node's histogram. `None` (a node of an
+    /// Exclusive batch whose histogram cannot be filed,
+    /// [`crate::hist::HistPool::files`]) builds every tile in the worker's
+    /// scratch, where it is dropped after FindSplit.
     pub buf: Option<Vec<f64>>,
     /// The sibling to derive as `parent − node`, when the parent's histogram
     /// was taken from the cache.
@@ -117,12 +128,12 @@ pub struct SplitSearch<'a> {
     pub mask: Option<&'a [bool]>,
 }
 
-/// What a fused Exclusive batch found.
+/// What the tile pipeline found.
 #[derive(Default)]
 pub struct TileOutcome {
     /// Per job: the best split of its node and of its derived sibling.
     pub found: Vec<[Option<SplitCandidate>; 2]>,
-    /// Nanoseconds the workers spent scanning and subtracting, summed.
+    /// Nanoseconds the workers spent filling tiles and subtracting, summed.
     pub build_ns: u64,
     /// Nanoseconds the workers spent in FindSplit, summed.
     pub find_ns: u64,
@@ -179,9 +190,9 @@ impl DriverCtx<'_> {
 #[derive(Default)]
 pub struct DriverScratch {
     replicas: ScratchPool,
-    /// By worker index: the scan tile and the sibling tile of the fused
-    /// Exclusive executor, back to back. Empty until a worker first builds
-    /// a tile that has no full-width buffer to live in.
+    /// By worker index: the scan tile and the sibling tile of a fused
+    /// Exclusive batch, back to back. Empty until a worker first builds a
+    /// tile that has no full-width buffer to live in.
     tiles: Vec<Vec<f64>>,
     /// Bytes of `tiles` already counted under the arena's gauge.
     tile_bytes: u64,
@@ -507,8 +518,8 @@ fn cut_at<'a>(buf: &'a mut [f64], bounds: &'a [usize]) -> impl Iterator<Item = &
     })
 }
 
-/// One job's share of a ⟨node-block, feature-block⟩ group: the block's lanes
-/// of the two full-width buffers the job may come with.
+/// One job's share of a tile: the block's lanes of the two full-width
+/// buffers the job may come with.
 struct BlockLanes<'a> {
     /// Of the job's own buffer ([`TileJob::buf`]).
     own: Option<&'a mut [f64]>,
@@ -516,57 +527,55 @@ struct BlockLanes<'a> {
     parent: Option<&'a mut [f64]>,
 }
 
-/// One ⟨node-block, feature-block⟩ group as a worker receives it. The
-/// pieces of [`BlockLanes`] are cut out of the buffers up front, so that two
-/// groups share no lane is the borrow checker's statement, not a comment's.
-struct GroupWork<'a> {
-    /// The group's bin-block tasks, ascending.
-    tasks: &'a [BlockTask],
-    /// One per job of `tasks[0].jobs`.
+/// One ⟨job-range, feature-block⟩ tile as a worker receives it. The pieces
+/// of [`BlockLanes`] are cut out of the buffers up front, so that two tiles
+/// share no lane is the borrow checker's statement, not a comment's.
+struct TileWork<'a> {
+    jobs: Range<usize>,
+    features: Range<usize>,
+    /// The Exclusive fill: the group's bin-block tasks, ascending, to
+    /// column-scan into the tile first. Empty when the lanes come filled.
+    scans: &'a [BlockTask],
+    /// One per job of `jobs`.
     lanes: Vec<BlockLanes<'a>>,
     /// Per job, the block's best split of the node and of its sibling.
     found: Vec<[Option<SplitCandidate>; 2]>,
 }
 
-/// Executes an [`Accumulation::Exclusive`] plan as the fused tile pipeline
-/// of the module docs: per ⟨node-block, feature-block⟩ group and
-/// job, scan → `parent − small` → FindSplit on one tile. Returns each job's
-/// best split (the blocks' partial candidates folded in ascending block
-/// order, which is the order a whole-histogram scan resolves ties in) and
-/// the time the workers spent building and searching.
-///
-/// Per histogram cell nothing moved: rows accumulate in ascending order
-/// into a zeroed cell, and a derived cell is `parent − small` of the same
-/// two operands, so a filed buffer is bitwise the histogram the three-region
-/// executor produced.
-pub fn build_hists_mp(
+/// The tile pipeline every expansion ends in: per tile of `tiles` —
+/// job-major, each job's feature blocks (of `f_blk` features) ascending —
+/// and job, the tile's fill if it has one, then the one tile body: `parent −
+/// small` in place or into the scratch tile → FindSplit on both. The tiles
+/// are one pool region, or run here when the caller is itself a task of the
+/// pool (`inline_on`: its worker index). Returns each job's best split (the
+/// blocks' partial candidates folded in ascending block order, which is the
+/// order a whole-histogram scan resolves ties in) and the time spent
+/// building and searching, summed over the workers.
+fn run_tiles<'a>(
     ctx: &DriverCtx<'_>,
-    scratch: &mut DriverScratch,
-    jobs: &mut [TileJob],
+    stash: &mut Vec<Vec<f64>>,
+    jobs: &'a mut [TileJob],
     search: SplitSearch<'_>,
+    f_blk: usize,
+    tiles: impl Iterator<Item = (Range<usize>, Range<usize>, &'a [BlockTask])>,
+    inline_on: Option<usize>,
 ) -> TileOutcome {
-    if jobs.is_empty() {
-        return TileOutcome::default();
-    }
-    let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.node), Accumulation::Exclusive);
     let mapper = ctx.qm.mapper();
-    let max_bins = mapper.max_bins_used() as usize;
     let offsets = mapper.bin_offsets();
     let lane_of = |f: usize| offsets[f] as usize * 2;
     let use_scalar = ctx.params.use_scalar_kernels;
     let trace = ctx.trace();
     let n_threads = ctx.pool.num_threads();
-    let DriverScratch { plan, tiles: tile_stash, tile_bytes, replicas, .. } = scratch;
 
-    // Lane bounds of the plan's feature blocks, and the widest block.
+    // Lane bounds of the feature blocks, and the widest block.
     let m = ctx.qm.n_features();
-    let bounds: Vec<usize> = feature_blocks(m, ext.feature_blk)
+    let bounds: Vec<usize> = feature_blocks(m, f_blk)
         .map(|block| lane_of(block.start))
         .chain([lane_of(m)])
         .collect();
     let tile_lanes = bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
 
-    // What the region reads of a job besides its lanes.
+    // What the tiles read of a job besides its lanes.
     struct Meta {
         node: NodeId,
         stats: NodeStats,
@@ -590,14 +599,10 @@ pub fn build_hists_mp(
             )
         })
         .collect();
-    // Groups come node-block-major with feature blocks ascending, so a job's
-    // cuts are handed out in order.
-    let mut work: Vec<GroupWork<'_>> = plan
-        .groups()
-        .map(|tasks| GroupWork {
-            tasks,
-            lanes: tasks[0]
-                .jobs
+    // A job's blocks come ascending, so its cuts are handed out in order.
+    let mut work: Vec<TileWork<'_>> = tiles
+        .map(|(jobs, features, scans)| TileWork {
+            lanes: jobs
                 .clone()
                 .map(|j| {
                     let (own, parent) = &mut cuts[j];
@@ -607,32 +612,35 @@ pub fn build_hists_mp(
                     }
                 })
                 .collect(),
+            jobs,
+            features,
+            scans,
             found: Vec::new(),
         })
         .collect();
 
-    tile_stash.resize_with(n_threads, Vec::new);
-    let tiles = PerWorker::new(n_threads, |w| std::mem::take(&mut tile_stash[w]));
+    stash.resize_with(n_threads, Vec::new);
+    let scratch = PerWorker::new(n_threads, |w| std::mem::take(&mut stash[w]));
     let cells = AtomicU64::new(0);
     let (build_ns, find_ns) = (AtomicU64::new(0), AtomicU64::new(0));
     let epoch = Instant::now();
     let now = || trace.map_or_else(|| epoch.elapsed().as_nanos() as u64, TraceSink::now_ns);
 
-    ctx.pool.parallel_for_each_mut(&mut work, |g, group, worker| {
-        let features = group.tasks[0].features.clone();
+    let run = |g: usize, tile: &mut TileWork<'_>, worker: usize| {
+        let features = tile.features.clone();
         let lane0 = lane_of(features.start);
         let n_lanes = lane_of(features.end) - lane0;
-        let tile = tiles.get_mut(worker);
+        let pair = scratch.get_mut(worker);
         let (mut local_cells, mut local_build, mut local_find) = (0u64, 0u64, 0u64);
-        for (job_idx, lanes) in group.tasks[0].jobs.clone().zip(&mut group.lanes) {
+        for (job_idx, lanes) in tile.jobs.clone().zip(&mut tile.lanes) {
             let meta = &metas[job_idx];
             let in_place = meta.sibling.is_some_and(|s| s.2);
             let in_scratch = lanes.own.is_none() || (meta.sibling.is_some() && !in_place);
-            if in_scratch && tile.len() < 2 * tile_lanes {
-                tile.resize(2 * tile_lanes, 0.0);
+            if in_scratch && pair.len() < 2 * tile_lanes {
+                pair.resize(2 * tile_lanes, 0.0);
             }
-            let half = tile.len() / 2;
-            let (scan_tile, sibling_tile) = tile.split_at_mut(half);
+            let half = pair.len() / 2;
+            let (scan_tile, sibling_tile) = pair.split_at_mut(half);
 
             let t0 = now();
             let small: &mut [f64] = match &mut lanes.own {
@@ -645,7 +653,7 @@ pub fn build_hists_mp(
             };
             let rows = ctx.partition.rows(meta.node);
             let grads = ctx.grad_source(meta.node);
-            for task in group.tasks {
+            for task in tile.scans {
                 for f in features.clone() {
                     let n_bins = mapper.n_bins(f) as usize;
                     let bin_range = match task.bins {
@@ -661,7 +669,8 @@ pub fn build_hists_mp(
                         col_scan_store(ctx.qm, f, rows, grads, bin_range, hist_f, use_scalar);
                 }
             }
-            let t_scan = trace.map(|s| s.now_ns());
+            // The one tile body.
+            let t_filled = trace.map(|s| s.now_ns());
             let large: Option<&[f64]> = match (&mut lanes.parent, in_place) {
                 (Some(parent), true) => {
                     hist::subtract_in_place(parent, small);
@@ -683,13 +692,15 @@ pub fn build_hists_mp(
             let found_large =
                 large.zip(meta.sibling).and_then(|(l, (_, stats, _))| find(l, &stats));
             let t2 = now();
-            group.found.push([found_small, found_large]);
+            tile.found.push([found_small, found_large]);
             local_build += t1 - t0;
             local_find += t2 - t1;
-            if let (Some(sink), Some(t_scan)) = (trace, t_scan) {
-                sink.record(worker, TracePhase::BuildHist, meta.node, g as u32, t0, t_scan);
+            if let (Some(sink), Some(t_filled)) = (trace, t_filled) {
+                if !tile.scans.is_empty() {
+                    sink.record(worker, TracePhase::BuildHist, meta.node, g as u32, t0, t_filled);
+                }
                 if let Some((sibling, ..)) = meta.sibling {
-                    sink.record(worker, TracePhase::Reduce, sibling, g as u32, t_scan, t1);
+                    sink.record(worker, TracePhase::Reduce, sibling, g as u32, t_filled, t1);
                 }
                 sink.record(worker, TracePhase::FindSplit, meta.node, g as u32, t1, t2);
             }
@@ -697,36 +708,137 @@ pub fn build_hists_mp(
         cells.fetch_add(local_cells, Ordering::Relaxed);
         build_ns.fetch_add(local_build, Ordering::Relaxed);
         find_ns.fetch_add(local_find, Ordering::Relaxed);
-    });
+    };
+    match inline_on {
+        Some(worker) => work.iter_mut().enumerate().for_each(|(g, tile)| run(g, tile, worker)),
+        None => ctx.pool.parallel_for_each_mut(&mut work, run),
+    }
 
     let mut found = vec![[None, None]; metas.len()];
-    for group in &work {
-        for (job_idx, block) in group.tasks[0].jobs.clone().zip(&group.found) {
-            for (best, &partial) in found[job_idx].iter_mut().zip(block) {
+    for tile in work {
+        for (job_idx, block) in tile.jobs.zip(tile.found) {
+            for (best, partial) in found[job_idx].iter_mut().zip(block) {
                 *best = better_of(*best, partial);
             }
         }
     }
-    drop(work);
-
-    *tile_stash = tiles.into_values();
-    let held = tile_stash.iter().map(|t| t.capacity() as u64 * 8).sum::<u64>();
-    if held > *tile_bytes {
-        replicas.count_outside(held - *tile_bytes);
-        *tile_bytes = held;
-    }
-
+    *stash = scratch.into_values();
     ctx.report_cells(cells.load(Ordering::Relaxed));
-    // §IV-E: consecutive-write region = 16 × bin_blk × feature_blk ×
-    // node_blk (shared with the cost model).
-    let bin_blk = if ext.bin_blk == 0 { max_bins.max(1) } else { ext.bin_blk };
-    let ws = mp_write_working_set(max_bins, bin_blk, ext.feature_blk, ext.node_blk);
-    ctx.pool.profile().observe_region_bytes(ws as u64);
     TileOutcome {
         found,
         build_ns: build_ns.load(Ordering::Relaxed),
         find_ns: find_ns.load(Ordering::Relaxed),
     }
+}
+
+/// The Replicated fill: the jobs' histograms by data parallelism
+/// ([`build_hists_dp`]), each into the job's own full-width buffer.
+pub(super) fn fill_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &mut [TileJob]) {
+    let mut fills: Vec<HistJob> = jobs
+        .iter_mut()
+        .map(|j| HistJob {
+            node: j.node,
+            buf: j.buf.take().expect("a Replicated child is full-width"),
+        })
+        .collect();
+    build_hists_dp(ctx, scratch, &mut fills);
+    for (job, fill) in jobs.iter_mut().zip(fills) {
+        job.buf = Some(fill.buf);
+    }
+}
+
+/// What a Replicated batch runs after [`fill_dp`]: one region of ⟨job,
+/// feature-chunk⟩ tiles whose lanes come filled, `⌈4T / jobs⌉` chunks per
+/// job so that a narrow batch still spreads over the pool.
+pub(super) fn finish_dp(
+    ctx: &DriverCtx<'_>,
+    scratch: &mut DriverScratch,
+    jobs: &mut [TileJob],
+    search: SplitSearch<'_>,
+) -> TileOutcome {
+    let (n, m) = (jobs.len(), ctx.qm.n_features());
+    let n_chunks = (4 * ctx.pool.num_threads()).div_ceil(n.max(1)).clamp(1, m.max(1));
+    let chunk = m.div_ceil(n_chunks);
+    let tiles =
+        (0..n).flat_map(|j| feature_blocks(m, chunk).map(move |block| (j..j + 1, block, &[][..])));
+    run_tiles(ctx, &mut scratch.tiles, jobs, search, chunk, tiles, None)
+}
+
+/// Fills the jobs' histograms with model parallelism and finishes them in
+/// the same region: executes an [`Accumulation::Exclusive`] plan, a worker
+/// taking one ⟨node-block, feature-block⟩ group as one tile per job.
+///
+/// Per histogram cell nothing moved: rows accumulate in ascending order
+/// into a zeroed cell, and a derived cell is `parent − small` of the same
+/// two operands, so a filed buffer is bitwise the histogram the three-region
+/// executor produced.
+pub fn build_hists_mp(
+    ctx: &DriverCtx<'_>,
+    scratch: &mut DriverScratch,
+    jobs: &mut [TileJob],
+    search: SplitSearch<'_>,
+) -> TileOutcome {
+    if jobs.is_empty() {
+        return TileOutcome::default();
+    }
+    let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.node), Accumulation::Exclusive);
+    let DriverScratch { plan, tiles, tile_bytes, replicas, .. } = scratch;
+    let groups = plan
+        .groups()
+        .map(|tasks| (tasks[0].jobs.clone(), tasks[0].features.clone(), tasks));
+    let out = run_tiles(ctx, tiles, jobs, search, ext.feature_blk, groups, None);
+    let held = tiles.iter().map(|t| t.capacity() as u64 * 8).sum::<u64>();
+    if held > *tile_bytes {
+        replicas.count_outside(held - *tile_bytes);
+        *tile_bytes = held;
+    }
+    // §IV-E: consecutive-write region = 16 × bin_blk × feature_blk ×
+    // node_blk (shared with the cost model).
+    let max_bins = ctx.qm.mapper().max_bins_used() as usize;
+    let bin_blk = if ext.bin_blk == 0 { max_bins.max(1) } else { ext.bin_blk };
+    let ws = mp_write_working_set(max_bins, bin_blk, ext.feature_blk, ext.node_blk);
+    ctx.pool.profile().observe_region_bytes(ws as u64);
+    out
+}
+
+/// The NodeTasks fill: inside an ASYNC node task each job is the degenerate
+/// ⟨one node, all rows⟩ plan task, row-scanned serially into its own
+/// full-width buffer. An explicit `feature_blk_size` still slices the scan
+/// into plan feature blocks: blocks write disjoint histogram lanes in the
+/// same per-lane row order, so the result is bitwise-identical while trading
+/// grad re-reads for write locality exactly as in the DP executor. Sparse
+/// rows have no per-block substructure and Auto resolves per DP batch, not
+/// per node; both scan whole.
+pub(super) fn fill_node(ctx: &DriverCtx<'_>, jobs: &mut [TileJob]) {
+    let m = ctx.qm.n_features();
+    let f_blk = if ctx.qm.layout().dense && !ctx.params.blocks.is_auto() {
+        ctx.params.blocks.features_per_block(m)
+    } else {
+        m
+    };
+    let mut cells = 0u64;
+    for job in jobs {
+        let rows = ctx.partition.rows(job.node);
+        let grads = ctx.grad_source(job.node);
+        let buf = job.buf.as_deref_mut().expect("a node task's child is full-width");
+        for block in feature_blocks(m, f_blk) {
+            cells += row_scan_store(ctx.qm, rows, grads, block, buf, ctx.params.use_scalar_kernels);
+        }
+    }
+    ctx.report_cells(cells);
+}
+
+/// What a node task (running as pool worker `worker`) does after
+/// [`fill_node`]: each job's buffer is its one tile, finished here and now.
+pub(super) fn finish_node(
+    ctx: &DriverCtx<'_>,
+    jobs: &mut [TileJob],
+    search: SplitSearch<'_>,
+    worker: usize,
+) -> TileOutcome {
+    let m = ctx.qm.n_features();
+    let tiles = (0..jobs.len()).map(|j| (j..j + 1, 0..m, &[][..]));
+    run_tiles(ctx, &mut Vec::new(), jobs, search, m, tiles, Some(worker))
 }
 
 #[cfg(test)]
@@ -1233,13 +1345,18 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The fused Exclusive executor against the three regions it
-        /// replaced, spelled out with reference kernels. The root is cut
-        /// into leaves and every leaf is split — evenly, unevenly, into one
+        /// The tile pipeline under each of its three fills against the
+        /// three regions it replaced, spelled out with reference kernels —
+        /// the Exclusive fill (the column scan inside the tile), the
+        /// Replicated fill (`fill_dp` of one-block jobs, which is bitwise the
+        /// ascending scan, then `finish_dp`) and the NodeTasks fill
+        /// (`fill_node`, then `finish_node` on the calling thread). The root is
+        /// cut into leaves and every leaf is split — evenly, unevenly, into one
         /// row and the rest, into nothing and everything — and the splits
         /// form one batch: where the parent's histogram is "cached" the
         /// smaller child is scanned and the larger derived, elsewhere both
-        /// are scanned; every histogram is filed or not at random. Each
+        /// are scanned; every histogram is filed or not at random under the
+        /// Exclusive fill and full-width under the other two. Each
         /// node's folded candidate must be what `find_split_range` finds in
         /// its full-width reference histogram (the scalar ascending-row
         /// scan; for a derived sibling, parent − small of two such), every
@@ -1257,6 +1374,7 @@ mod tests {
             node_blk in 0usize..4,
             bin_blk in 0usize..3,
             membuf in any::<bool>(),
+            fill in 0usize..3,
         ) {
             let qm = &tile_layouts()[layout];
             let (n, m) = (qm.n_rows(), qm.n_features());
@@ -1316,7 +1434,10 @@ mod tests {
                 };
                 part.apply_split(*leaf, l, r, &goes_left, None);
                 let (small, large) = if part.node_len(l) <= part.node_len(r) { (l, r) } else { (r, l) };
-                let (file_small, file_large) = (flags & 1 != 0, flags & 2 != 0);
+                // Only an Exclusive batch builds a histogram it cannot file
+                // in scratch.
+                let file_small = fill != 0 || flags & 1 != 0;
+                let file_large = fill != 0 || flags & 2 != 0;
                 let job = |node, filed: bool, sibling| TileJob {
                     node,
                     stats: stats_of(node),
@@ -1346,7 +1467,9 @@ mod tests {
                 n_threads: threads,
                 use_membuf: membuf,
                 blocks: BlockConfig {
-                    row_blk_size: 0,
+                    // One row block per job: the Replicated fill is then the
+                    // ascending scan the reference is, bit for bit.
+                    row_blk_size: n,
                     node_blk_size: node_blk,
                     feature_blk_size: [0, 1, 2, 3, m / 2][feature_blk],
                     bin_blk_size: [0, 5, 16][bin_blk],
@@ -1361,7 +1484,17 @@ mod tests {
             let ctx =
                 DriverCtx { qm, params: &params, pool: &pool, partition: &part, grads: &grads };
             let search = SplitSearch { settings: &settings, mask: None };
-            let out = build_hists_mp(&ctx, &mut scratch, &mut jobs, search);
+            let out = match fill {
+                0 => build_hists_mp(&ctx, &mut scratch, &mut jobs, search),
+                1 => {
+                    fill_dp(&ctx, &mut scratch, &mut jobs);
+                    finish_dp(&ctx, &mut scratch, &mut jobs, search)
+                }
+                _ => {
+                    fill_node(&ctx, &mut jobs);
+                    finish_node(&ctx, &mut jobs, search, threads - 1)
+                }
+            };
 
             let mut hists = HistPool::for_store(qm, usize::MAX);
             let mut all_filed = true;

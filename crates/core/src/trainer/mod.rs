@@ -14,14 +14,21 @@
 //! * `Async` — batch engine (DP) until the queue is as wide as the pool,
 //!   then the barrier-free node-task phase (`async_mode`).
 //!
-//! A DP batch is three kinds of region in turn — BuildHist into full-width
-//! job buffers, the parent − sibling subtractions, FindSplit. An MP batch is
-//! one: each ⟨node-block, feature-block⟩ task scans, subtracts and searches
-//! its tile while it is in cache, and a child gets a full-width buffer only
-//! if its histogram can be filed for a later subtraction (`drivers`).
+//! Whatever the mode, a split's children are expanded by one pipeline: the
+//! growth state ([`frontier`]) claims the candidate, plans which child is
+//! scanned and which derived, and files the results; the batch's policy
+//! picks only how a scanned child's lanes are *filled*; and one tile body
+//! (`drivers`) does `parent − small` → FindSplit on the filled lanes. A DP
+//! batch is BuildHist into full-width job buffers (+ the replica reduction)
+//! and one finish region of ⟨job, feature-chunk⟩ tiles. An MP batch is one
+//! region: each ⟨node-block, feature-block⟩ task scans, subtracts and
+//! searches its tile while it is in cache, and a child gets a full-width
+//! buffer only if its histogram can be filed. An ASYNC node task row-scans
+//! its children's buffers and finishes each as one tile, on the spot.
 
 mod async_mode;
 mod drivers;
+mod frontier;
 mod telemetry;
 
 pub use drivers::{
@@ -30,12 +37,12 @@ pub use drivers::{
 };
 
 use crate::ensemble::GbdtModel;
-use crate::growth::GrowthQueue;
-use crate::hist::{self, HistPool};
-use crate::params::{BatchPolicy, GrowthMethod, TrainParams};
+use crate::hist::HistPool;
+use crate::params::{BatchPolicy, TrainParams};
 use crate::partition::RowPartition;
-use crate::split::{better_of, SplitCandidate, SplitSettings};
+use crate::split::{SplitCandidate, SplitSettings};
 use crate::tree::{NodeId, NodeStats, Tree};
+use frontier::{Children, Frontier};
 use harp_binning::{
     sweep_chunks, BinningConfig, LayoutOptions, QuantStore, QuantizedMatrix, Rows, MISSING_BIN,
 };
@@ -431,7 +438,7 @@ impl GbdtTrainer {
         let mut gauge = |name| ledger.as_mut().map(|l| l.mem.gauge(name));
         // Cache hit/miss/eviction counters are cheap relaxed atomics; wire
         // them unconditionally so whole-run profile reports always have them.
-        engine.hist_pool.instrument(
+        engine.frontier.hists.instrument(
             Arc::clone(&profile),
             gauge(gauges::HIST_POOL),
             gauge(gauges::HIST_CACHE),
@@ -643,24 +650,6 @@ impl GbdtTrainer {
     }
 }
 
-/// A child of a batch to scan from its rows — with the sibling to derive from
-/// it as `parent − node`, when the parent's histogram was taken from the
-/// cache.
-struct Scan {
-    node: NodeId,
-    /// `(sibling, the parent's histogram)`.
-    derived: Option<(NodeId, Vec<f64>)>,
-}
-
-/// A child as [`TreeEngine::build_and_split`] leaves it.
-struct Built {
-    node: NodeId,
-    /// Its histogram, when that was built full-width.
-    buf: Option<Vec<f64>>,
-    /// Its best split, if it has an admissible one.
-    cand: Option<SplitCandidate>,
-}
-
 /// Per-tree construction engine; buffers persist across trees.
 struct TreeEngine<'a> {
     qm: &'a dyn QuantStore,
@@ -669,7 +658,8 @@ struct TreeEngine<'a> {
     /// The run's phase clock, fed by [`phase`](Self::phase).
     clock: &'a PhaseClock,
     partition: RowPartition,
-    hist_pool: HistPool,
+    /// The growth queue, the histogram pool and the leaf count.
+    frontier: Frontier<'a>,
     /// Replica arena and task vectors reused by the drivers across
     /// frontiers and trees.
     scratch: DriverScratch,
@@ -698,10 +688,14 @@ impl<'a> TreeEngine<'a> {
             pool,
             clock,
             partition: RowPartition::new(qm.n_rows(), max_nodes, params.use_membuf),
-            hist_pool: HistPool::for_store(
-                qm,
+            frontier: Frontier::new(
+                params,
+                pool.profile(),
                 // Subtraction is the cache's only reader.
-                if params.hist_subtraction { params.hist_cache_bytes } else { 0 },
+                HistPool::for_store(
+                    qm,
+                    if params.hist_subtraction { params.hist_cache_bytes } else { 0 },
+                ),
             ),
             scratch: DriverScratch::new(),
             settings: SplitSettings {
@@ -762,14 +756,6 @@ impl<'a> TreeEngine<'a> {
         }
     }
 
-    fn mask(&self) -> Option<&[bool]> {
-        if self.feature_mask.is_empty() {
-            None
-        } else {
-            Some(&self.feature_mask)
-        }
-    }
-
     /// Grows one tree over the gradients the objective wrote into
     /// `self.partition.gradients_mut()`.
     fn build_tree(&mut self) -> Tree {
@@ -785,30 +771,23 @@ impl<'a> TreeEngine<'a> {
             root_stats.h += f64::from(gp[1]);
         }
         let mut tree = Tree::new_root(root_stats);
-        let mut queue = GrowthQueue::new(self.params.growth);
 
         // Root histogram + split.
-        let remaining = self.params.max_leaves() - 1;
-        let root = vec![Scan { node: 0, derived: None }];
-        for built in self.build_and_split(&tree, root, remaining) {
-            self.file(&tree, &mut queue, built, remaining);
-        }
+        let mut root = Children::root(root_stats);
+        let found = self.expand(&mut root);
+        self.frontier.file(root, found);
 
         // Barrier batches until the queue is spent — or, under ASYNC, until
         // the frontier is as wide as the pool, when the rest of the tree
         // grows barrier-free.
-        let mut leaves = 1usize;
-        while leaves < self.params.max_leaves() && !queue.is_empty() {
-            if self.policy(queue.len(), 0) == BatchPolicy::NodeTasks {
-                async_mode::run_async(self, &mut tree, &mut queue, &mut leaves);
+        while self.frontier.open() {
+            if self.policy(self.frontier.width(), 0) == BatchPolicy::NodeTasks {
+                async_mode::run_async(self, &mut tree);
                 break;
             }
-            self.grow_one_batch(&mut tree, &mut queue, &mut leaves);
+            self.grow_one_batch(&mut tree);
         }
-
-        // Remaining candidates stay leaves; their cached hists are recycled.
-        self.hist_pool.clear_cache();
-        let _ = queue.drain();
+        self.frontier.reset();
 
         // Leaf weights (Eq. 2), scaled by the learning rate. `max_delta_step`
         // caps the unscaled Newton step first (0 = off), which tames the
@@ -828,38 +807,27 @@ impl<'a> TreeEngine<'a> {
         tree
     }
 
-    /// Pops one batch off a non-empty queue (with leaves left to spend),
-    /// splits it and — while leaves remain after that — builds the
-    /// children's histograms and queues the next candidates.
-    fn grow_one_batch(&mut self, tree: &mut Tree, queue: &mut GrowthQueue, leaves: &mut usize) {
-        let batch = queue.pop_batch(self.params.effective_k(), self.params.max_leaves() - *leaves);
+    /// Claims one batch off an open frontier, splits it, and expands and
+    /// files the children the leaf budget still pays for.
+    fn grow_one_batch(&mut self, tree: &mut Tree) {
+        let batch = self.frontier.claim(self.params.effective_k(), &self.partition);
         self.pops += 1;
         self.popped += batch.len() as u64;
 
         // ApplySplit: update the tree, then partition the rows of the whole
         // batch as one region of ⟨node, row-block⟩ tasks (inline when the
-        // batch holds few rows). Each candidate spends its leaf and takes
-        // its cached histogram in one step, as an ASYNC node task does, so
-        // the pool sees the budget exactly as that pop left it.
+        // batch holds few rows).
         let mut splits: Vec<(NodeId, NodeId, NodeId)> = Vec::with_capacity(batch.len());
-        let mut parent_bufs: Vec<Option<Vec<f64>>> = Vec::with_capacity(batch.len());
         {
-            let _phase = self.phase(TracePhase::ApplySplit, batch[0].node, batch.len() as u32);
-            for c in &batch {
+            let _phase = self.phase(TracePhase::ApplySplit, batch[0].0.node, batch.len() as u32);
+            for (c, _) in &batch {
                 let (l, r) = tree.apply_split(c.node, c.cand.split, c.cand.left, c.cand.right);
                 splits.push((c.node, l, r));
-                *leaves += 1;
-                parent_bufs.push(self.hist_pool.cache_take(
-                    c.node,
-                    self.partition.node_len(c.node),
-                    self.params.max_leaves() - *leaves,
-                ));
             }
             // Routing bins for the whole frontier come from one chunk sweep.
-            let items: Vec<(&[u32], &crate::tree::SplitData)> = splits
+            let items: Vec<(&[u32], &crate::tree::SplitData)> = batch
                 .iter()
-                .zip(&batch)
-                .map(|(&(parent, _, _), c)| (self.partition.rows(parent), &c.cand.split))
+                .map(|(c, _)| (self.partition.rows(c.node), &c.cand.split))
                 .collect();
             let preds = split_preds_batch(self.qm, &items);
             drop(items);
@@ -874,96 +842,30 @@ impl<'a> TreeEngine<'a> {
             }
         }
 
-        // The remaining leaf budget decides which histograms can still be
-        // read: none once it is spent (these children can never split), and
-        // otherwise only those of the `remaining` best-ranked candidates.
-        let remaining = self.params.max_leaves() - *leaves;
-        if remaining == 0 {
-            let mut skipped = 0;
-            for (&(_, l, r), pbuf) in splits.iter().zip(parent_bufs) {
-                if let Some(pbuf) = pbuf {
-                    self.hist_pool.release(pbuf);
-                }
-                skipped += u64::from(self.eligible(tree, l)) + u64::from(self.eligible(tree, r));
-            }
-            self.pool.profile().add_hist_builds_skipped(skipped);
-            return;
+        let mut children = Children::default();
+        for (&(_, l, r), (c, parent)) in splits.iter().zip(batch) {
+            let kids = [l, r].map(|node| (node, tree.node(node).stats));
+            self.frontier.children(parent, c.depth + 1, kids, &mut children);
         }
-
-        // Plan the children's histograms: scans from rows, plus the larger
-        // sibling as parent − smaller where the parent's histogram is at
-        // hand. A parent too small to have been cached (the pool's rule, see
-        // `hist::min_cached_rows`) comes back `None` like an evicted one,
-        // and both its children are scanned.
-        let mut scans: Vec<Scan> = Vec::new();
-        // Each built child's place in the queue's FIFO order, which breaks
-        // gain ties and so shapes the tree: the smaller (or only) child of
-        // every split in batch order, then the larger children in batch
-        // order — whether derived or scanned, so the caching rule moves
-        // cost, never a tie. Kept in the order `build_and_split` returns
-        // the children: the scanned ones, then the derived ones.
-        let mut place: Vec<(bool, usize)> = Vec::new();
-        let mut derived_place: Vec<(bool, usize)> = Vec::new();
-        for (i, (&(_, l, r), parent_buf)) in splits.iter().zip(parent_bufs).enumerate() {
-            let (small, large) =
-                if tree.node(l).stats.count <= tree.node(r).stats.count { (l, r) } else { (r, l) };
-            let both = self.eligible(tree, l) && self.eligible(tree, r);
-            match parent_buf {
-                Some(pbuf) if both => {
-                    scans.push(Scan { node: small, derived: Some((large, pbuf)) });
-                    place.push((false, i));
-                    derived_place.push((true, i));
-                }
-                parent_buf => {
-                    if let Some(pbuf) = parent_buf {
-                        self.hist_pool.release(pbuf);
-                    }
-                    for node in [small, large] {
-                        if self.eligible(tree, node) {
-                            scans.push(Scan { node, derived: None });
-                            place.push((both && node == large, i));
-                        }
-                    }
-                }
-            }
-        }
-
-        let built = self.build_and_split(tree, scans, remaining);
-        let mut queued: Vec<_> = place.into_iter().chain(derived_place).zip(built).collect();
-        queued.sort_unstable_by_key(|&(place, _)| place);
-        for (_, built) in queued {
-            self.file(tree, queue, built, remaining);
-        }
+        let found = self.expand(&mut children);
+        self.frontier.file(children, found);
     }
 
-    /// Queues a built child's candidate and files its histogram (if it was
-    /// built full-width) for the split's subtraction; a child with no
-    /// admissible split stays a leaf and its buffer is recycled.
-    fn file(&mut self, tree: &Tree, queue: &mut GrowthQueue, built: Built, remaining: usize) {
-        let Built { node, buf, cand } = built;
-        let key = cand.map(|cand| queue.push(node, tree.node(node).depth, cand));
-        match (buf, key) {
-            (Some(buf), Some(key)) => {
-                let rows = self.partition.node_len(node);
-                self.hist_pool.cache_insert(node, rows, buf, key, remaining);
-            }
-            (Some(buf), None) => self.hist_pool.release(buf),
-            (None, _) => {}
-        }
-    }
-
-    /// BuildHist (the hotspot) and FindSplit for one batch; returns the
-    /// scanned nodes in `scans` order, then the derived siblings in `scans`
-    /// order. The mode's policy for the batch picks the executor.
-    /// `remaining` is the tree's unspent leaf budget.
-    fn build_and_split(&mut self, tree: &Tree, scans: Vec<Scan>, remaining: usize) -> Vec<Built> {
-        let Some(head) = scans.first().map(|s| s.node) else {
+    /// BuildHist (the hotspot) and FindSplit for one batch of planned
+    /// children: `found[j]` is the best split of job `j`'s node and of its
+    /// derived sibling. The mode's policy for the batch picks how the
+    /// scanned children's lanes are filled, and whether a child that cannot
+    /// be filed gets a full-width buffer at all; the tile body
+    /// (`drivers`) does the rest.
+    fn expand(&mut self, children: &mut Children) -> Vec<[Option<SplitCandidate>; 2]> {
+        let jobs = &mut children.jobs[..];
+        let Some(head) = jobs.first().map(|j| j.node) else {
             return Vec::new();
         };
-        let total_rows: usize = scans.iter().map(|s| self.partition.node_len(s.node)).sum();
+        let total_rows: usize = jobs.iter().map(|j| self.partition.node_len(j.node)).sum();
         // A histogram batch is a barrier construct: ASYNC builds one only in
         // its begin phase, which is DP whatever the batch's width.
-        let exclusive = self.policy(scans.len(), total_rows) == BatchPolicy::Exclusive;
+        let fused = self.policy(jobs.len(), total_rows) == BatchPolicy::Exclusive;
         let ctx = DriverCtx {
             qm: self.qm,
             params: self.params,
@@ -971,107 +873,49 @@ impl<'a> TreeEngine<'a> {
             partition: &self.partition,
             grads: self.partition.global_grads(),
         };
+        let search = split_search(&self.settings, &self.feature_mask);
 
-        if exclusive {
-            // The fused tile pipeline: a full-width buffer only for a
-            // histogram that can be filed, and only the parent's own for a
-            // sibling that can.
-            let mut jobs: Vec<TileJob> = Vec::with_capacity(scans.len());
-            for Scan { node, derived } in scans {
-                let pool = &mut self.hist_pool;
-                let files = |pool: &HistPool, n| pool.files(ctx.partition.node_len(n), remaining);
-                let sibling = derived.map(|(sibling, parent)| DerivedSibling {
-                    node: sibling,
-                    stats: tree.node(sibling).stats,
-                    in_place: files(pool, sibling),
-                    parent,
-                });
-                let buf = files(pool, node).then(|| pool.alloc().zeroed());
-                jobs.push(TileJob { node, stats: tree.node(node).stats, buf, sibling });
+        // A fused batch holds a full-width buffer only for a histogram that
+        // can be filed, and only the parent's own for a sibling that can.
+        let remaining = self.frontier.remaining();
+        let hists = &mut self.frontier.hists;
+        for job in jobs.iter_mut() {
+            let full = |node| !fused || hists.files(ctx.partition.node_len(node), remaining);
+            if let Some(sibling) = &mut job.sibling {
+                sibling.in_place = full(sibling.node);
             }
-            let search = SplitSearch {
-                settings: &self.settings,
-                mask: (!self.feature_mask.is_empty()).then_some(&self.feature_mask[..]),
-            };
-            let sw = Stopwatch::start();
-            let start_ns = self.sink().map(TraceSink::now_ns);
-            let TileOutcome { found, build_ns, find_ns } =
-                drivers::build_hists_mp(&ctx, &mut self.scratch, &mut jobs, search);
-            // The one region built, subtracted and searched: its wall goes
-            // to the clock (and, tracing, the coordinator lane) in the
-            // proportion the workers spent their time.
-            let wall = sw.elapsed_ns();
-            let build = if build_ns + find_ns == 0 {
-                wall
-            } else {
-                (u128::from(wall) * u128::from(build_ns) / u128::from(build_ns + find_ns)) as u64
-            };
-            self.clock.add(TracePhase::BuildHist, build);
-            self.clock.add(TracePhase::FindSplit, wall - build);
-            if let (Some(sink), Some(t0)) = (self.sink(), start_ns) {
-                let (coord, n) = (sink.coordinator_lane(), jobs.len() as u32);
-                sink.record(coord, TracePhase::BuildHist, head, n, t0, t0 + build);
-                sink.record(coord, TracePhase::FindSplit, head, n, t0 + build, t0 + wall);
-            }
-            let (mut scanned, mut derived) = (Vec::with_capacity(jobs.len()), Vec::new());
-            for (job, [cand, sibling_cand]) in jobs.into_iter().zip(found) {
-                scanned.push(Built { node: job.node, buf: job.buf, cand });
-                if let Some(DerivedSibling { node, parent, in_place, .. }) = job.sibling {
-                    let buf = if in_place {
-                        Some(parent)
-                    } else {
-                        self.hist_pool.release(parent);
-                        None
-                    };
-                    derived.push(Built { node, buf, cand: sibling_cand });
-                }
-            }
-            scanned.extend(derived);
-            return scanned;
+            job.buf = full(job.node).then(|| hists.alloc().zeroed());
         }
 
-        // Replicated: full-width job buffers, then the subtractions, then
-        // FindSplit over every histogram — three kinds of region.
-        let mut fresh: Vec<HistJob> = Vec::with_capacity(scans.len());
-        // (sibling, parent's histogram, index of the scanned child in `fresh`).
-        let mut subs: Vec<(NodeId, Vec<f64>, usize)> = Vec::new();
-        for (i, Scan { node, derived }) in scans.into_iter().enumerate() {
-            fresh.push(HistJob { node, buf: self.hist_pool.alloc().zeroed() });
-            subs.extend(derived.map(|(sibling, parent)| (sibling, parent, i)));
+        let n = jobs.len() as u32;
+        if !fused {
+            let _phase = self.phase(TracePhase::BuildHist, head, n);
+            drivers::fill_dp(&ctx, &mut self.scratch, jobs);
         }
-        {
-            let _phase = self.phase(TracePhase::BuildHist, head, fresh.len() as u32);
-            drivers::build_hists_dp(&ctx, &mut self.scratch, &mut fresh);
-            let fresh_ro: &[HistJob] = &fresh;
-            let trace = self.sink();
-            self.pool.parallel_for_each_mut(&mut subs, |i, (sibling, pbuf, small_idx), w| {
-                let _span = trace.map(|s| s.span(w, TracePhase::Reduce, *sibling, i as u32));
-                hist::subtract_in_place(pbuf, &fresh_ro[*small_idx].buf);
-            });
-        }
-        let mut jobs = fresh;
-        jobs.extend(subs.into_iter().map(|(node, buf, _)| HistJob { node, buf }));
-        let found = {
-            let _phase = self.phase(TracePhase::FindSplit, head, jobs.len() as u32);
-            self.find_splits(tree, &jobs)
+        let sw = Stopwatch::start();
+        let start_ns = self.sink().map(TraceSink::now_ns);
+        let TileOutcome { found, build_ns, find_ns } = if fused {
+            drivers::build_hists_mp(&ctx, &mut self.scratch, jobs, search)
+        } else {
+            drivers::finish_dp(&ctx, &mut self.scratch, jobs, search)
         };
-        jobs.into_iter()
-            .zip(found)
-            .map(|(HistJob { node, buf }, cand)| Built { node, buf: Some(buf), cand })
-            .collect()
-    }
-
-    /// Whether `node` may be split further.
-    fn eligible(&self, tree: &Tree, node: NodeId) -> bool {
-        let n = tree.node(node);
-        n.depth < self.max_depth_limit() && n.stats.count >= 2
-    }
-
-    fn max_depth_limit(&self) -> u32 {
-        match self.params.growth {
-            GrowthMethod::Depthwise => self.params.tree_size,
-            GrowthMethod::Leafwise => u32::MAX,
+        // The one region subtracted and searched (and, fused, built): its
+        // wall goes to the clock (and, tracing, the coordinator lane) in the
+        // proportion the workers spent their time.
+        let wall = sw.elapsed_ns();
+        let build = if build_ns + find_ns == 0 {
+            wall
+        } else {
+            (u128::from(wall) * u128::from(build_ns) / u128::from(build_ns + find_ns)) as u64
+        };
+        self.clock.add(TracePhase::BuildHist, build);
+        self.clock.add(TracePhase::FindSplit, wall - build);
+        if let (Some(sink), Some(t0)) = (self.sink(), start_ns) {
+            let coord = sink.coordinator_lane();
+            sink.record(coord, TracePhase::BuildHist, head, n, t0, t0 + build);
+            sink.record(coord, TracePhase::FindSplit, head, n, t0 + build, t0 + wall);
         }
+        found
     }
 
     /// Table II for a frontier of `width` nodes holding `rows` rows in all.
@@ -1079,49 +923,6 @@ impl<'a> TreeEngine<'a> {
         self.params
             .mode
             .batch_policy(width, rows / width.max(1), self.pool.num_threads())
-    }
-
-    /// Finds the best split of every job's node, feature-chunk parallel.
-    fn find_splits(&self, tree: &Tree, jobs: &[HistJob]) -> Vec<Option<SplitCandidate>> {
-        let m = self.qm.n_features();
-        if jobs.is_empty() || m == 0 {
-            return vec![None; jobs.len()];
-        }
-        let t = self.pool.num_threads();
-        let n_chunks = ((4 * t).div_ceil(jobs.len())).clamp(1, m);
-        let chunk = m.div_ceil(n_chunks);
-        let n_chunks = m.div_ceil(chunk);
-        let mapper = self.qm.mapper();
-        let settings = &self.settings;
-        let mask = self.mask();
-        let trace = self.sink();
-        // One partial result per (job, feature chunk).
-        let partials = self.pool.parallel_map(jobs.len() * n_chunks, |i, w| {
-            let job_idx = i / n_chunks;
-            let c = i % n_chunks;
-            let f_lo = c * chunk;
-            let f_hi = (f_lo + chunk).min(m);
-            let job = &jobs[job_idx];
-            let _span = trace.map(|s| s.span(w, TracePhase::FindSplit, job.node, c as u32));
-            let node = tree.node(job.node);
-            crate::split::find_split_masked(
-                &job.buf,
-                &node.stats,
-                mapper,
-                f_lo..f_hi,
-                settings,
-                mask,
-            )
-        });
-        (0..jobs.len())
-            .map(|j| {
-                let mut best = None;
-                for c in 0..n_chunks {
-                    best = better_of(best, partials[j * n_chunks + c]);
-                }
-                best
-            })
-            .collect()
     }
 
     /// Adds each leaf's weight to its rows' predictions (group `offset` of
@@ -1154,6 +955,12 @@ impl<'a> TreeEngine<'a> {
             }
         });
     }
+}
+
+/// FindSplit's inputs for the tree being grown (`mask` empty: every feature
+/// is allowed).
+fn split_search<'s>(settings: &'s SplitSettings, mask: &'s [bool]) -> SplitSearch<'s> {
+    SplitSearch { settings, mask: (!mask.is_empty()).then_some(mask) }
 }
 
 /// How a [`SplitPred`] resolves a row's routing bin.

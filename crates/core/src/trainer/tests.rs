@@ -796,3 +796,42 @@ fn leaves_hold_a_permutation_of_the_rows_after_every_tree() {
         }
     }
 }
+
+#[test]
+fn a_dp_batch_that_derives_a_sibling_costs_three_regions_and_its_apply_split() {
+    // BuildHist, the replica reduction and one finish region of ⟨job,
+    // feature-chunk⟩ tiles that subtract and search — plus the ApplySplit
+    // region where the batch's rows reach the partition's pool threshold.
+    // K = 1 and leafwise, so the larger tree repeats the smaller one's pops
+    // and then carries on: it pays for the children of the split that spent
+    // the smaller one's budget and for every split after it but its own last.
+    let data = dataset(DatasetKind::HiggsLike, 0.3);
+    let run = |tree_size: u32| {
+        let params = TrainParams {
+            n_trees: 1,
+            tree_size,
+            k: 1,
+            growth: GrowthMethod::Leafwise,
+            mode: ParallelMode::DataParallel,
+            n_threads: 2,
+            gamma: 0.0,
+            ..Default::default()
+        };
+        let out = train(&data, params);
+        let profile = out.diagnostics.profile.counters;
+        let splits = u64::from(out.diagnostics.tree_shapes[0].n_leaves) - 1;
+        assert_eq!(splits, (1 << tree_size) - 1, "the tree must spend its whole budget");
+        assert_eq!(profile.hist_cache_hits, splits, "every split must find its parent cached");
+        let pooled = profile.partition_scratch_allocs + profile.partition_scratch_reuses;
+        (profile.regions, pooled, splits)
+    };
+    let (small_regions, small_pooled, small_splits) = run(3);
+    let (big_regions, big_pooled, big_splits) = run(4);
+    let batches = big_splits - small_splits;
+    assert!(
+        big_regions - small_regions <= 3 * batches + (big_pooled - small_pooled),
+        "{batches} more batches cost {} more regions ({} of them ApplySplit)",
+        big_regions - small_regions,
+        big_pooled - small_pooled
+    );
+}
