@@ -6,19 +6,23 @@
 //! S ≈ 0.31, whose rows hold ≈ 1 270 features where the 8-feature CSR above
 //! shows no transpose cost) and, on the dense 360 000 × 28 `higgs` train
 //! split, the two passes plus the two chunk cache steps (`write_cache`,
-//! `ChunkedStore::open`).
+//! `ChunkedStore::open`). `quantize_dense/*` times dense pass 2 on that shape
+//! and on `airline`'s thin 864 000 × 8 through the library and through the
+//! per-cell definition it must equal.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use harp_binning::{
-    write_cache, BinMapper, BinningConfig, ChunkedStore, QuantStore, QuantizedMatrix,
+    write_cache, BinMapper, BinningConfig, ChunkedStore, LayoutOptions, QuantStore,
+    QuantizedMatrix, MISSING_BIN,
 };
 use harp_data::{CsrMatrix, DatasetKind, DenseMatrix, FeatureMatrix, SynthConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const FEATURES: usize = 8;
-/// `benchmark/src/workloads.rs`: the `higgs_*` and `yfcc_sparse_mp` train
-/// splits and the chunk size.
+/// `benchmark/src/workloads.rs`: the `higgs_*`, `airline_thin_sync` and
+/// `yfcc_sparse_mp` train splits and the chunk size.
 const HIGGS_ROWS: usize = 360_000;
+const AIRLINE_ROWS: usize = 864_000;
 const YFCC_ROWS: usize = 1_800;
 const ROWS_PER_CHUNK: usize = 16_384;
 
@@ -62,6 +66,50 @@ fn bench_passes(
     });
 }
 
+/// Dense pass 2 by both bodies there are to compare from outside the crate:
+/// `run_kernel`, the library's quantizer (whole tiles through
+/// `BinLookup::bin_run` — eight cells a step where the host has AVX2, its
+/// scalar body elsewhere — on every set-up thread), and `per_cell`, the
+/// definition of a stored byte: [`FeatureCuts::value_to_bin`] of each present
+/// cell on one thread. The two stores are compared byte for byte outside the
+/// timed closures, so `-- --test` (CI) checks the kernel on the full shape.
+///
+/// [`FeatureCuts::value_to_bin`]: harp_binning::FeatureCuts::value_to_bin
+fn bench_quantize_dense(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    shape: &str,
+    matrix: &FeatureMatrix,
+) {
+    let FeatureMatrix::Dense(dense) = matrix else { panic!("{shape} is a dense shape") };
+    let (n, m) = (dense.n_rows(), dense.n_cols());
+    let mapper = BinMapper::from_matrix(matrix, BinningConfig::default());
+    let per_cell = || {
+        let (mut rows, mut cols) = (vec![0u8; n * m], vec![0u8; n * m]);
+        for (i, &v) in dense.values().iter().enumerate() {
+            let (r, f) = (i / m, i % m);
+            let bin = if v.is_nan() { MISSING_BIN } else { mapper.cuts(f).value_to_bin(v) };
+            rows[i] = bin;
+            cols[f * n + r] = bin;
+        }
+        (rows, cols)
+    };
+    let run_kernel = |mapper: BinMapper| {
+        QuantizedMatrix::with_mapper_opts(matrix, mapper, LayoutOptions::uncompressed())
+    };
+
+    let (qm, (rows, cols)) = (run_kernel(mapper.clone()), per_cell());
+    assert_eq!(qm.dense_row_major(), Some(&rows[..]), "{shape}: row-major bytes");
+    for (f, col) in cols.chunks(n).enumerate() {
+        assert_eq!(qm.dense_col(f), Some(col), "{shape}: column {f}");
+    }
+    drop((qm, rows, cols));
+
+    group.bench_function(format!("quantize_dense/run_kernel/{shape}"), |b| {
+        b.iter_batched(|| mapper.clone(), run_kernel, BatchSize::LargeInput)
+    });
+    group.bench_function(format!("quantize_dense/per_cell/{shape}"), |b| b.iter(per_cell));
+}
+
 fn bench_setup(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(9);
     let mut group = c.benchmark_group("setup");
@@ -75,9 +123,13 @@ fn bench_setup(c: &mut Criterion) {
     assert!(matches!(matrix, FeatureMatrix::Sparse(_)), "the yfcc shape takes the sparse path");
     bench_passes(&mut group, "yfcc", matrix.n_rows(), &matrix);
 
+    let matrix = synth(DatasetKind::AirlineLike, AIRLINE_ROWS);
+    bench_quantize_dense(&mut group, &format!("{}x{}", matrix.n_rows(), matrix.n_cols()), &matrix);
+
     let matrix = synth(DatasetKind::HiggsLike, HIGGS_ROWS);
     let n = matrix.n_rows();
     bench_passes(&mut group, "higgs", n, &matrix);
+    bench_quantize_dense(&mut group, &format!("{n}x{}", matrix.n_cols()), &matrix);
     let qm = QuantizedMatrix::from_matrix(&matrix, BinningConfig::default());
     drop(matrix);
     let path = std::env::temp_dir().join(format!("harp_bench_setup_{}.qsc", std::process::id()));

@@ -15,7 +15,7 @@
 //!   by row-block tasks in parallel.
 //!
 //! Together the two are *set-up*: what a user pays before the first tree.
-//! It holds `threads × (n_rows × 6 + 256 KiB)` transient bytes beyond the
+//! It holds `threads × (n_rows × 6 + 260 KiB)` transient bytes beyond the
 //! storage it returns (plus `nnz × 8` for sparse input);
 //! `tests/setup_footprint.rs` gates that with a counting allocator.
 //!

@@ -6,15 +6,18 @@
 //! order statistics, so a long column is not sorted: its keys are bucketed
 //! by one counting pass, a prefix sum and a scatter, and each quantile rank
 //! is selected inside its own bucket (`CountingScratch::cuts_by_counting`).
-//! A column too short to repay 64 Ki counters is sorted in place. Either
+//! A column too short to repay 64 Ki counters is sorted in place; a long one
+//! that turns out to hold at most `max_bins` distinct values is finished by
+//! its gather, which collected them in a small capped set (`FewKeys`). Every
 //! way the cuts equal the exact-sort oracle kept in this module's tests, bit
-//! for bit. Transient memory is `threads × (n_rows × 6 + 256 KiB)` bytes —
+//! for bit. Transient memory is `threads × (n_rows × 6 + 260 KiB)` bytes —
 //! never a whole-matrix copy.
 //!
 //! The module also owns both ways of mapping a value to its bin:
 //! [`FeatureCuts::value_to_bin`], a binary search, for single values
 //! (prediction, tests), and the crate-private `BinLookup`, a monotone slot
-//! table pass 2 builds once per feature and task for whole columns.
+//! table pass 2 builds once per feature and task and runs whole columns
+//! through, eight cells a step where the host has AVX2.
 
 use crate::bundling::BundleMap;
 use crate::setup::{run_tasks, setup_threads, split_mut, split_ranges, SetupInput};
@@ -84,14 +87,23 @@ impl FeatureCuts {
 /// in `v` and the cuts are slotted by the same function, so every cut in a
 /// lower slot than `v`'s is `< v`, every cut in a higher one is not, and only
 /// the cuts sharing `v`'s slot — usually none — are compared. At most
-/// [`MAX_SLOTS`](Self::MAX_SLOTS) + 1 bytes.
+/// [`MAX_SLOTS`](Self::MAX_SLOTS) + 4 bytes.
+///
+/// A cell's bin has one definition, [`bin`](Self::bin); whole columns go
+/// through [`bin_run`](Self::bin_run), whose vector body computes eight
+/// cells per step and hands back to `bin` every lane it cannot finish.
 pub(crate) struct BinLookup<'a> {
     cuts: &'a [f32],
     vmin: f32,
     /// Slots per unit of value; 0 when the span overflows (every value is in
     /// slot 0 and the walk is the plain search), `inf` when it is empty.
     scale: f32,
-    /// `start[s]` = cuts in slots below `s`; length `slots + 1`.
+    /// The highest slot, `slots - 1`.
+    last_slot: usize,
+    /// `start[s]` = cuts in slots below `s` for `s` in `0..=slots`, then
+    /// [`START_PAD`](Self::START_PAD) bytes nobody interprets: the vector
+    /// body reads `start[s]` and `start[s + 1]` as the low bytes of one
+    /// 32-bit load at `s`.
     start: Vec<u8>,
 }
 
@@ -100,6 +112,9 @@ impl<'a> BinLookup<'a> {
     /// The table's `u8` counts hold this many cuts — every mapper set-up
     /// builds, since bin 255 is the missing sentinel.
     const MAX_CUTS: usize = 255;
+    /// Bytes after `start[slots]`, so that four bytes can be read at any index
+    /// of the table.
+    const START_PAD: usize = 3;
 
     /// The lookup for `cuts`, or `None` when a column of `n_values` is too
     /// short to repay building it (or the cuts are more than bins can hold).
@@ -113,7 +128,8 @@ impl<'a> BinLookup<'a> {
         let vmin = finite.next().unwrap_or(0.0);
         let span = finite.next_back().unwrap_or(vmin) - vmin;
         let scale = if span.is_finite() { slots as f32 / span } else { 0.0 };
-        let mut lookup = Self { cuts, vmin, scale, start: vec![0; slots + 1] };
+        let start = vec![0; slots + 1 + Self::START_PAD];
+        let mut lookup = Self { cuts, vmin, scale, last_slot: slots - 1, start };
         for &c in cuts {
             let s = lookup.slot(c);
             lookup.start[s + 1] += 1;
@@ -129,7 +145,7 @@ impl<'a> BinLookup<'a> {
     /// negatives to 0) all are.
     #[inline]
     fn slot(&self, v: f32) -> usize {
-        (((v - self.vmin) * self.scale) as usize).min(self.start.len() - 2)
+        (((v - self.vmin) * self.scale) as usize).min(self.last_slot)
     }
 
     /// Equals [`FeatureCuts::value_to_bin`] for every non-`NaN` `v`.
@@ -149,6 +165,148 @@ impl<'a> BinLookup<'a> {
         };
         (lo + below).min(last) as u8
     }
+
+    /// Bins a run of cells: `out[i]` becomes the bin of `values[i * stride]`,
+    /// or `missing` where that value is `NaN`. One body per call: eight cells
+    /// a step where the host has AVX2, `bin` cell by cell elsewhere — the
+    /// same bytes either way.
+    ///
+    /// # Panics
+    /// Panics if the run's last cell lies outside `values`.
+    pub(crate) fn bin_run(&self, values: &[f32], stride: usize, missing: u8, out: &mut [u8]) {
+        let Some(steps) = out.len().checked_sub(1) else { return };
+        let last_cell = steps.checked_mul(stride);
+        assert!(last_cell.is_some_and(|cell| cell < values.len()), "run outside the values");
+        #[cfg(target_arch = "x86_64")]
+        if stride <= Self::MAX_VECTOR_STRIDE && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 was detected just now; the run's last cell, hence
+            // every cell, is inside `values` (asserted above), and the stride
+            // is within the vector body's limit.
+            unsafe { self.bin_run_avx2(values, stride, missing, out) };
+            return;
+        }
+        self.bin_run_scalar(values, stride, missing, out);
+    }
+
+    /// The scalar body of [`bin_run`](Self::bin_run), and the tail of the
+    /// vector one.
+    fn bin_run_scalar(&self, values: &[f32], stride: usize, missing: u8, out: &mut [u8]) {
+        for (i, bin) in out.iter_mut().enumerate() {
+            let v = values[i * stride];
+            *bin = if v.is_nan() { missing } else { self.bin(v) };
+        }
+    }
+
+    /// Largest stride the vector body takes: its eight lane offsets
+    /// `0..=7 × stride` are 32-bit gather indices.
+    #[cfg(target_arch = "x86_64")]
+    const MAX_VECTOR_STRIDE: usize = i32::MAX as usize / 8;
+
+    /// The vector body of [`bin_run`](Self::bin_run): the arithmetic of
+    /// [`slot`](Self::slot) and of the one-cut arm of [`bin`](Self::bin) on
+    /// eight cells at once. A lane whose slot holds several cuts is handed
+    /// to `bin` itself, so there is no second search to keep equal. The loop
+    /// over the run lives in here because nothing inlines across a
+    /// `target_feature` boundary: called once per eight cells from an
+    /// un-annotated loop this body was slower than the scalar one.
+    ///
+    /// # Safety
+    /// The host supports AVX2; `i * stride < values.len()` for every
+    /// `i < out.len()`; `stride <= MAX_VECTOR_STRIDE`.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn bin_run_avx2(&self, values: &[f32], stride: usize, missing: u8, out: &mut [u8]) {
+        use std::arch::x86_64::*;
+        let vmin = _mm256_set1_ps(self.vmin);
+        let scale = _mm256_set1_ps(self.scale);
+        let zero = _mm256_setzero_ps();
+        let last_slot = _mm256_set1_ps(self.last_slot as f32);
+        let last_cut = _mm256_set1_epi32(self.cuts.len() as i32 - 1);
+        let low_byte = _mm256_set1_epi32(0xFF);
+        let one = _mm256_set1_epi32(1);
+        let missing_lanes = _mm256_set1_epi32(i32::from(missing));
+        let lane_cells = _mm256_mullo_epi32(
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            _mm256_set1_epi32(stride as i32),
+        );
+        // Byte 0 of each 32-bit lane, gathered into the low four bytes of
+        // its 128-bit half.
+        let low_bytes = _mm256_setr_epi8(
+            0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, //
+            0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1, -1,
+        );
+
+        let whole = out.len() - out.len() % 8;
+        for (step, bins) in out[..whole].chunks_exact_mut(8).enumerate() {
+            let cell = step * 8 * stride;
+            debug_assert!(cell + 7 * stride < values.len());
+            // SAFETY: lane `i` reads `values[cell + i * stride]`, cell
+            // `step * 8 + i < out.len()` of the run — in bounds by this
+            // function's contract — and `7 * stride` fits an `i32`.
+            let v = unsafe {
+                let at = values.as_ptr().add(cell);
+                if stride == 1 {
+                    _mm256_loadu_ps(at)
+                } else {
+                    _mm256_i32gather_ps::<4>(at, lane_cells)
+                }
+            };
+            // `slot`: `max` and `min` return their second operand when the
+            // first is `NaN`, so `NaN` goes to slot 0 as in the saturating
+            // cast, and what is left converts exactly.
+            let scaled = _mm256_mul_ps(_mm256_sub_ps(v, vmin), scale);
+            let slot = _mm256_cvttps_epi32(_mm256_min_ps(_mm256_max_ps(scaled, zero), last_slot));
+            debug_assert!(lanes_are_below(slot, self.start.len().saturating_sub(3)));
+            // SAFETY: every lane of `slot` is in `0..=last_slot`, and the
+            // four bytes at `start[slot]` end at most at `last_slot + 3`,
+            // inside the table of `last_slot + 2 + START_PAD` bytes.
+            let counts = unsafe { _mm256_i32gather_epi32::<1>(self.start.as_ptr().cast(), slot) };
+            let lo = _mm256_and_si256(counts, low_byte);
+            let hi = _mm256_and_si256(_mm256_srli_epi32::<8>(counts), low_byte);
+            let candidate = _mm256_min_epi32(lo, last_cut);
+            debug_assert!(lanes_are_below(candidate, self.cuts.len()));
+            // SAFETY: the index is clamped to `cuts.len() - 1`, and the
+            // lookup is never built for an empty cut set.
+            let cut = unsafe { _mm256_i32gather_ps::<4>(self.cuts.as_ptr(), candidate) };
+            // An all-ones lane is −1: subtracting it counts the cut below `v`.
+            let below = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_LT_OQ>(cut, v));
+            let bin = _mm256_min_epi32(_mm256_sub_epi32(lo, below), last_cut);
+            let absent = _mm256_castps_si256(_mm256_cmp_ps::<_CMP_UNORD_Q>(v, v));
+            let bin = _mm256_blendv_epi8(bin, missing_lanes, absent);
+            let packed = _mm256_shuffle_epi8(bin, low_bytes);
+            let (low, high) = (
+                _mm256_extract_epi32::<0>(packed) as u32,
+                _mm256_extract_epi32::<4>(packed) as u32,
+            );
+            bins.copy_from_slice(&(u64::from(low) | u64::from(high) << 32).to_le_bytes());
+
+            let crowded = _mm256_cmpgt_epi32(_mm256_sub_epi32(hi, lo), one);
+            let mut again =
+                _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_andnot_si256(absent, crowded)));
+            while again != 0 {
+                let lane = again.trailing_zeros() as usize;
+                bins[lane] = self.bin(values[cell + lane * stride]);
+                again &= again - 1;
+            }
+        }
+        if whole < out.len() {
+            self.bin_run_scalar(&values[whole * stride..], stride, missing, &mut out[whole..]);
+        }
+    }
+}
+
+/// Whether every 32-bit lane of `v` is in `0..bound`: the debug-build check
+/// of the vector body's gather indices.
+///
+/// # Safety
+/// The host supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn lanes_are_below(v: std::arch::x86_64::__m256i, bound: usize) -> bool {
+    let mut lanes = [0i32; 8];
+    // SAFETY: `lanes` is 32 writable bytes, and the store is unaligned.
+    unsafe { std::arch::x86_64::_mm256_storeu_si256(lanes.as_mut_ptr().cast(), v) };
+    lanes.iter().all(|&lane| usize::try_from(lane).is_ok_and(|lane| lane < bound))
 }
 
 /// Per-feature cuts for a whole dataset plus flattened-histogram offsets.
@@ -274,7 +432,10 @@ impl BinMapper {
 
 /// Pass 1 of set-up: ⟨feature⟩ tasks over contiguous feature ranges, one
 /// range per thread, each worker reusing one key buffer (and, for long
-/// columns, one [`CountingScratch`]) for its columns.
+/// columns, one [`CountingScratch`]) for its columns. A long column's keys
+/// also pass through the worker's [`FewKeys`] as they are gathered, and a
+/// column that turns out to hold at most `max_bins` values is finished by
+/// its gather: the set is its cuts.
 fn search_cuts(input: &SetupInput<'_>, max_bins: usize, threads: usize) -> Vec<FeatureCuts> {
     let mut features = vec![FeatureCuts { cuts: Vec::new() }; input.n_cols()];
     let ranges = split_ranges(input.n_cols(), threads, 1);
@@ -292,7 +453,23 @@ fn search_cuts(input: &SetupInput<'_>, max_bins: usize, threads: usize) -> Vec<F
         tasks.push(move || {
             for (f, out) in range.zip(mine) {
                 keys.clear();
-                input.for_each_in_col(f, |v| keys.push(sort_key(v)));
+                // Only where the counting arm would run: a short column's
+                // sort is cheaper than probing for every key of it.
+                if input.column_len(f) >= COUNTING_MIN_KEYS {
+                    let few = &mut scratch.few;
+                    few.reset(max_bins);
+                    input.for_each_in_col(f, |v| {
+                        let key = sort_key(v);
+                        keys.push(key);
+                        few.insert(key);
+                    });
+                    if let Some(cuts) = few.cuts() {
+                        *out = FeatureCuts { cuts };
+                        continue;
+                    }
+                } else {
+                    input.for_each_in_col(f, |v| keys.push(sort_key(v)));
+                }
                 *out = cuts_from_keys(keys, scratch, max_bins);
             }
         });
@@ -382,10 +559,79 @@ fn cuts_of_run(keys: &[u32], max_bins: usize) -> Vec<f32> {
     cuts
 }
 
-/// A pass-1 worker's buffers for the counting arm of [`cuts_from_keys`]:
-/// one counter per bucket and the keys' low bits in bucket order. Empty
-/// when no column of the input is long enough to use them.
+/// The distinct keys of a column for as long as they may be `max_bins`
+/// distinct values — `max_bins + 1` keys, since `-0.0` and `+0.0` are two
+/// keys and one value: an open-addressed table at a quarter full or less.
+/// Once one key too many has arrived the set is *overflowed*, holds nothing
+/// of use and takes no more.
+struct FewKeys {
+    /// [`SLOTS`](Self::SLOTS) keys, 0 = empty: no value has the sort key 0
+    /// (it is that of a `NaN` bit pattern). Empty for a worker that will not
+    /// meet a long column.
+    table: Vec<u32>,
+    /// Distinct keys seen, `max_bins + 2` once overflowed.
+    len: usize,
+    max_bins: usize,
+}
+
+impl FewKeys {
+    const SLOTS: usize = 1024;
+
+    /// Empties the set for a column that gets at most `max_bins` bins.
+    fn reset(&mut self, max_bins: usize) {
+        assert!(4 * (max_bins + 1) <= Self::SLOTS, "a probe must find an empty slot");
+        self.table.fill(0);
+        (self.len, self.max_bins) = (0, max_bins);
+    }
+
+    fn overflowed(&self) -> bool {
+        self.len > self.max_bins + 1
+    }
+
+    #[inline]
+    fn insert(&mut self, key: u32) {
+        debug_assert_ne!(key, 0, "not the sort key of a value");
+        if self.overflowed() {
+            return;
+        }
+        let mut at = (key.wrapping_mul(0x9E37_79B1) >> 22) as usize;
+        loop {
+            match self.table[at] {
+                held if held == key => return,
+                0 => break,
+                _ => at = (at + 1) % Self::SLOTS,
+            }
+        }
+        self.len += 1;
+        if !self.overflowed() {
+            self.table[at] = key;
+        }
+    }
+
+    /// The cuts of the column whose keys were inserted, when it holds at
+    /// most `max_bins` distinct values — one bin each, as [`cuts_of_run`]
+    /// reads them off the sorted column. `None` otherwise, overflowed or
+    /// holding `max_bins + 1` keys without both zeros among them.
+    fn cuts(&self) -> Option<Vec<f32>> {
+        if self.overflowed() {
+            return None;
+        }
+        let mut keys: Vec<u32> = self.table.iter().copied().filter(|&key| key != 0).collect();
+        keys.sort_unstable();
+        let mut cuts = Vec::with_capacity(keys.len());
+        for key in keys {
+            push_new(&mut cuts, key);
+        }
+        (cuts.len() <= self.max_bins).then_some(cuts)
+    }
+}
+
+/// A pass-1 worker's buffers for long columns: the [`FewKeys`] their gather
+/// feeds and, for the counting arm of [`cuts_from_keys`], one counter per
+/// bucket and the keys' low bits in bucket order. Empty when no column of
+/// the input is long enough to use them.
 struct CountingScratch {
+    few: FewKeys,
     /// Per bucket: its key count, then its start, then (after the scatter)
     /// its exclusive end in `low`.
     ends: Vec<u32>,
@@ -396,10 +642,13 @@ struct CountingScratch {
 impl CountingScratch {
     /// Scratch for columns of at most `max_column_len` keys.
     fn for_columns_of(max_column_len: usize) -> Self {
-        if max_column_len < COUNTING_MIN_KEYS {
-            return Self { ends: Vec::new(), low: Vec::new() };
+        let long = max_column_len >= COUNTING_MIN_KEYS;
+        let sized = |len: usize| if long { len } else { 0 };
+        Self {
+            few: FewKeys { table: vec![0; sized(FewKeys::SLOTS)], len: 0, max_bins: 0 },
+            ends: vec![0; sized(BUCKETS)],
+            low: vec![0; sized(max_column_len)],
         }
-        Self { ends: vec![0; BUCKETS], low: vec![0; max_column_len] }
     }
 
     /// The cuts of a column without sorting it: buckets `keys` by the top
@@ -728,7 +977,7 @@ mod tests {
             for (n, max_bins) in [(1, 4), (2, 1), (300, 255), (5_000, 16), (5_000, 255)] {
                 let column = shaped_column(9, n, shape, 0.0);
                 let mut keys: Vec<u32> = column.iter().flatten().map(|&v| sort_key(v)).collect();
-                let mut scratch = CountingScratch { ends: vec![0; BUCKETS], low: vec![0; n] };
+                let mut scratch = CountingScratch::for_columns_of(n.max(COUNTING_MIN_KEYS));
                 let counted = scratch.cuts_by_counting(&mut keys.clone(), max_bins);
                 let sorted = cuts_from_keys(&mut keys, &mut scratch, max_bins);
                 assert_eq!(
@@ -790,6 +1039,163 @@ mod tests {
         assert!(BinLookup::for_column(&few, 127).is_none());
         assert!(BinLookup::for_column(&few, 128).is_some());
         assert!(BinLookup::for_column(&FeatureCuts { cuts: vec![] }, usize::MAX).is_none());
+    }
+
+    /// The capped set finishes exactly the long columns that fit one bin per
+    /// value: columns of `max_bins`, `max_bins + 1` and `max_bins + 2`
+    /// distinct keys, with and without the `±0` pair (two keys, one value)
+    /// and with missing cells, against the oracle through both layouts — and
+    /// the set itself says `Some` where the values fit and `None` where they
+    /// do not, overflowed or one key short of it.
+    #[test]
+    fn few_keys_finish_the_columns_that_fit_one_bin_per_value() {
+        let n = COUNTING_MIN_KEYS + 1_000;
+        for max_bins in [1usize, 3, 16, 255] {
+            for n_keys in max_bins..=max_bins + 2 {
+                for (zero_pair, missing) in [(false, 0.0), (true, 0.0), (false, 0.2), (true, 0.2)] {
+                    if zero_pair && n_keys < 2 {
+                        continue;
+                    }
+                    let mut levels: Vec<f32> = if zero_pair { vec![-0.0, 0.0] } else { Vec::new() };
+                    let others =
+                        (1..).map(|i| if i % 2 == 0 { i as f32 * 0.5 } else { -(i as f32) });
+                    levels.extend(others.take(n_keys - levels.len()));
+                    let mut rng = StdRng::seed_from_u64((max_bins * 8 + n_keys) as u64);
+                    // Every level once, then levels and holes at random.
+                    let column: Vec<Option<f32>> = (0..n)
+                        .map(|i| match levels.get(i) {
+                            Some(&level) => Some(level),
+                            None if rng.gen::<f64>() < missing => None,
+                            None => Some(levels[rng.gen_range(0..levels.len())]),
+                        })
+                        .collect();
+
+                    let present: Vec<f32> = column.iter().flatten().copied().collect();
+                    let want = build_cuts_oracle(present.clone(), max_bins);
+                    let mut few = CountingScratch::for_columns_of(n).few;
+                    few.reset(max_bins);
+                    present.iter().for_each(|&v| few.insert(sort_key(v)));
+                    let fits = n_keys - usize::from(zero_pair) <= max_bins;
+                    let case = format!("{n_keys} keys for {max_bins} bins, zeros {zero_pair}");
+                    match few.cuts() {
+                        Some(cuts) => {
+                            assert!(fits, "{case}: finished a column that needs quantiles");
+                            assert_eq!(bits(&FeatureCuts { cuts }), bits(&want), "{case}");
+                        }
+                        None => assert!(!fits, "{case}: declined a column it holds"),
+                    }
+                    assert_matches_oracle(&column, max_bins as u16);
+                }
+            }
+        }
+    }
+
+    /// A reset set is empty, whatever it held and however it overflowed, and
+    /// a key colliding with a held one still finds its own slot.
+    #[test]
+    fn few_keys_reset_forgets_and_collisions_probe_on() {
+        let mut few = CountingScratch::for_columns_of(COUNTING_MIN_KEYS).few;
+        few.reset(3);
+        (1..=9u32).for_each(|i| few.insert(sort_key(i as f32)));
+        assert_eq!(few.cuts(), None, "nine keys overflow a set for three bins");
+        few.reset(255);
+        assert_eq!(few.cuts(), Some(Vec::new()), "an all-missing column has no cuts");
+        // 255 keys into 1 024 slots collide; every one must come back.
+        let values: Vec<f32> = (0..255).map(|i| i as f32 * 1e-3).collect();
+        for _ in 0..2 {
+            values.iter().for_each(|&v| few.insert(sort_key(v)));
+        }
+        assert_eq!(few.cuts(), Some(values));
+    }
+
+    /// Cut sets for every arm of the run kernel, by `kind`: a single cut,
+    /// infinite ends (alone and around finite cuts), a span that overflows
+    /// (`scale == 0`, every cut in slot 0), subnormals around the zeros,
+    /// neighbouring floats far from a lone outlier (many cuts a slot),
+    /// geometric and random spacings.
+    fn run_kernel_cuts(kind: u8, rng: &mut StdRng) -> Vec<f32> {
+        let mut random = |n: usize, lo: f32, hi: f32| -> Vec<f32> {
+            let mut cuts: Vec<f32> = (0..n).map(|_| rng.gen_range(lo..hi)).collect();
+            cuts.sort_by(f32::total_cmp);
+            cuts.dedup();
+            cuts
+        };
+        match kind {
+            0 => random(1, -10.0, 10.0),
+            1 => vec![f32::NEG_INFINITY, f32::INFINITY],
+            2 => {
+                let mut cuts = vec![f32::NEG_INFINITY];
+                cuts.extend(random(30, -5.0, 5.0));
+                cuts.push(f32::INFINITY);
+                cuts
+            }
+            3 => {
+                let mut cuts = vec![-3e38];
+                cuts.extend(random(20, -1e3, 1e3));
+                cuts.push(3e38);
+                cuts
+            }
+            4 => {
+                let mut cuts: Vec<f32> = (1..=6u32).rev().map(|b| -f32::from_bits(b)).collect();
+                cuts.push(-0.0);
+                cuts.extend((1..=6u32).map(f32::from_bits));
+                cuts
+            }
+            5 => {
+                let mut cuts: Vec<f32> =
+                    (0..40).map(|i| f32::from_bits(1.5f32.to_bits() + i)).collect();
+                cuts.push(1e6);
+                cuts
+            }
+            6 => (0..255).map(|i| 1e-3 * 1.07f32.powi(i)).collect(),
+            _ => random(255, -1e3, 1e3),
+        }
+    }
+
+    /// Values a run can hold: missing cells, the zeros, the infinities, the
+    /// extremes, subnormals, every cut with its two neighbours, values
+    /// inside the cuts' span and random bit patterns.
+    fn run_kernel_values(cuts: &[f32], n: usize, rng: &mut StdRng) -> Vec<f32> {
+        let specials =
+            [f32::NAN, -f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::MAX, f32::MIN];
+        let (lo, hi) = (cuts[0].max(-1e30), cuts[cuts.len() - 1].min(1e30));
+        (0..n)
+            .map(|_| match rng.gen_range(0..6u32) {
+                0 => specials[rng.gen_range(0..specials.len())],
+                1 => f32::from_bits(rng.gen_range(0..4u32) | rng.gen_range(0..2u32) << 31),
+                2 | 3 => {
+                    let key = sort_key(cuts[rng.gen_range(0..cuts.len())]);
+                    let near = key.wrapping_add(rng.gen_range(0..3u32)).wrapping_sub(1);
+                    // One below `-inf`'s key or above `+inf`'s is a `NaN`'s:
+                    // a missing cell, as good a probe as any.
+                    key_value(near)
+                }
+                4 if lo < hi => rng.gen_range(lo..hi),
+                _ => f32::from_bits(rng.gen()),
+            })
+            .collect()
+    }
+
+    /// Says once per test binary that the vector body cannot run here.
+    #[cfg(target_arch = "x86_64")]
+    fn host_has_avx2() -> bool {
+        static SAID: std::sync::Once = std::sync::Once::new();
+        let has = std::arch::is_x86_feature_detected!("avx2");
+        if !has {
+            SAID.call_once(|| {
+                eprintln!("SKIPPED: no AVX2 on this host, BinLookup::bin_run_avx2 is NOT tested")
+            });
+        }
+        has
+    }
+
+    #[test]
+    #[should_panic(expected = "run outside the values")]
+    fn bin_run_rejects_a_run_that_leaves_the_values() {
+        let cuts = FeatureCuts { cuts: vec![1.0, 2.0] };
+        let lookup = BinLookup::for_column(&cuts, usize::MAX).expect("long column");
+        // Nine cells at stride 3 end at cell 24.
+        lookup.bin_run(&[0.5; 24], 3, 255, &mut [0; 9]);
     }
 
     #[test]
@@ -949,6 +1355,55 @@ mod tests {
                     threads,
                 );
                 prop_assert_eq!(bits(mapper.cuts(0)), bits(&want));
+            }
+        }
+
+        /// The run kernel's two bodies and its dispatcher write, lane for
+        /// lane, `value_to_bin` of every present cell and the missing byte
+        /// for every `NaN`: run lengths 0..=17 (every tail of the eight-lane
+        /// step), stride 1 and a row-major matrix's, the run ending on the
+        /// last element of `values` (a lane read past its cell would leave
+        /// the allocation) and `out` poisoned beforehand. The cut sets put
+        /// values in the last slot (the padded 32-bit read of `start`),
+        /// above the last cut (the clamped cut index) and in slots holding
+        /// several cuts (the re-run lanes).
+        #[test]
+        fn prop_bin_run_bodies_equal_value_to_bin(
+            seed in any::<u64>(),
+            kind in 0u8..8,
+            m in 2usize..40,
+            first in 0usize..3,
+            missing in any::<u8>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cuts = FeatureCuts { cuts: run_kernel_cuts(kind, &mut rng) };
+            let lookup = BinLookup::for_column(&cuts, usize::MAX).expect("long column");
+            let poison = missing.wrapping_add(1);
+            for (n, stride) in (0..=17usize).flat_map(|n| [(n, 1), (n, m)]) {
+                let len = if n == 0 { first } else { first + (n - 1) * stride + 1 };
+                let values = run_kernel_values(&cuts.cuts, len, &mut rng);
+                // Any alignment of the first cell.
+                let values = &values[first..];
+                let want: Vec<u8> = (0..n)
+                    .map(|i| values[i * stride])
+                    .map(|v| if v.is_nan() { missing } else { cuts.value_to_bin(v) })
+                    .collect();
+                let case = format!("{n} cells at stride {stride} of {values:?} in {:?}", cuts.cuts);
+
+                let mut out = vec![poison; n];
+                lookup.bin_run_scalar(values, stride, missing, &mut out);
+                prop_assert!(out == want, "scalar body {out:?} != {want:?}: {case}");
+                out.fill(poison);
+                lookup.bin_run(values, stride, missing, &mut out);
+                prop_assert!(out == want, "dispatcher {out:?} != {want:?}: {case}");
+                #[cfg(target_arch = "x86_64")]
+                if host_has_avx2() {
+                    out.fill(poison);
+                    // SAFETY: AVX2 detected; `values` holds the run's last
+                    // cell (`len` above); `stride` is far below the limit.
+                    unsafe { lookup.bin_run_avx2(values, stride, missing, &mut out) };
+                    prop_assert!(out == want, "vector body {out:?} != {want:?}: {case}");
+                }
             }
         }
 

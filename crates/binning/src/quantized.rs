@@ -24,7 +24,7 @@
 
 use crate::bundling::{plan_bundles, too_long_a_row_to_bundle, BundleConfig, BundleMap};
 use crate::bytes::SharedBytes;
-use crate::mapper::{BinLookup, BinMapper, BinningConfig, FeatureCuts};
+use crate::mapper::{BinLookup, BinMapper, BinningConfig};
 use crate::setup::{
     run_tasks, setup_threads, split_mut, split_ranges, CscCopy, SetupInput, ValueCsc,
 };
@@ -968,8 +968,12 @@ fn quantize_dense(dense: &DenseMatrix, mapper: &BinMapper, threads: usize) -> (V
 }
 
 /// Quantizes one row block tile by tile, feature by feature within a tile:
-/// one feature's cuts (or its [`BinLookup`], built once per block) are live
-/// at a time, and each bin goes to both majors while the tile is hot.
+/// one feature's cuts are live at a time. A tile's cells of one feature are
+/// binned as one strided run into the block's slice of that column
+/// ([`BinLookup::bin_run`]; cell by cell through
+/// [`value_to_bin`](crate::FeatureCuts::value_to_bin) when the block is too
+/// short for a lookup), and the run is copied out to the row-major bytes
+/// while the tile is hot.
 /// `cols[f]` is the block's slice of column `f`; absent (`NaN`) cells get
 /// [`MISSING_BIN`].
 fn quantize_block(values: &[f32], mapper: &BinMapper, rows: &mut [u8], cols: &mut [&mut [u8]]) {
@@ -979,24 +983,21 @@ fn quantize_block(values: &[f32], mapper: &BinMapper, rows: &mut [u8], cols: &mu
     for tile in (0..n_rows).step_by(TILE_ROWS) {
         let tile = tile..(tile + TILE_ROWS).min(n_rows);
         for (f, col) in cols.iter_mut().enumerate() {
-            let (cuts, lookup) = (mapper.cuts(f), &lookups[f]);
-            for r in tile.clone() {
-                let v = values[r * m + f];
-                let bin = if v.is_nan() { MISSING_BIN } else { bin_of(cuts, lookup, v) };
+            let col = &mut col[tile.clone()];
+            match &lookups[f] {
+                Some(lookup) => lookup.bin_run(&values[tile.start * m + f..], m, MISSING_BIN, col),
+                None => {
+                    let cuts = mapper.cuts(f);
+                    for (bin, r) in col.iter_mut().zip(tile.clone()) {
+                        let v = values[r * m + f];
+                        *bin = if v.is_nan() { MISSING_BIN } else { cuts.value_to_bin(v) };
+                    }
+                }
+            }
+            for (r, &bin) in tile.clone().zip(col.iter()) {
                 rows[r * m + f] = bin;
-                col[r] = bin;
             }
         }
-    }
-}
-
-/// The bin of a present value: through the column's [`BinLookup`] when it
-/// has one (a long column), by binary search otherwise.
-#[inline]
-fn bin_of(cuts: &FeatureCuts, lookup: &Option<BinLookup<'_>>, v: f32) -> u8 {
-    match lookup {
-        Some(lookup) => lookup.bin(v),
-        None => cuts.value_to_bin(v),
     }
 }
 
@@ -1024,9 +1025,15 @@ fn quantize_sparse(
                 let cuts = mapper.cuts(f);
                 let col = col_ptr[f]..col_ptr[f + 1];
                 let bins = &mut mine[col.start - base..col.end - base];
-                let lookup = BinLookup::for_column(cuts, col.len());
-                for (bin, &v) in bins.iter_mut().zip(&vals[col]) {
-                    *bin = bin_of(cuts, &lookup, v);
+                let vals = &vals[col];
+                // A stored entry is never `NaN`, so no bin is the missing one.
+                match BinLookup::for_column(cuts, vals.len()) {
+                    Some(lookup) => lookup.bin_run(vals, 1, MISSING_BIN, bins),
+                    None => {
+                        for (bin, &v) in bins.iter_mut().zip(vals) {
+                            *bin = cuts.value_to_bin(v);
+                        }
+                    }
                 }
             }
         });
@@ -1376,6 +1383,55 @@ mod tests {
             let col = q.dense_col(f).unwrap();
             for r in 0..n {
                 assert_eq!(col[r], rm[r * m + f], "cell ({r},{f})");
+            }
+        }
+    }
+
+    /// Both quantizers store, for every cell, `value_to_bin` of its value —
+    /// or nothing for a missing one — whichever way the cell was binned. The
+    /// matrix is long enough at one thread for every column to get its
+    /// lookup (the run kernel: stride `m` in 256-row tiles, stride 1 down a
+    /// CSC column holding eleven cells in twelve) and short enough from two
+    /// threads up that a dense block's 255-cut columns fall back to the
+    /// per-cell search; its row count leaves a tail in the last tile and in
+    /// the last eight-lane step.
+    #[test]
+    fn both_quantizers_store_value_to_bin_of_every_cell() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (n, m) = (5 * 4096 + 203, 5usize);
+        let mut rng = StdRng::seed_from_u64(11);
+        let cells: Vec<Option<f32>> = (0..n * m)
+            .map(|i| match (i % m, rng.gen_range(0..12u32)) {
+                (_, 0) => None,
+                (0, _) => Some(rng.gen_range(-1e3f32..1e3)),
+                (1, _) => Some(rng.gen_range(0..7u32) as f32 * 0.5 - 1.0),
+                (2, k) => Some([f32::NEG_INFINITY, -0.0, 0.0, f32::INFINITY][k as usize % 4]),
+                // Crowded near 1, with a far tail: several cuts share a slot.
+                (3, k) if k < 10 => Some(1.0 + rng.gen::<f32>() * 1e-4),
+                (3, _) => Some(rng.gen_range(1e3f32..1e6)),
+                _ => Some(rng.gen::<f32>().powi(8)),
+            })
+            .collect();
+        let dense: Vec<f32> = cells.iter().map(|c| c.unwrap_or(f32::NAN)).collect();
+        let rows: Vec<Vec<(u32, f32)>> = cells
+            .chunks(m)
+            .map(|row| (0u32..).zip(row).filter_map(|(c, v)| v.map(|v| (c, v))).collect())
+            .collect();
+        let matrices = [
+            FeatureMatrix::Dense(DenseMatrix::from_vec(n, m, dense)),
+            FeatureMatrix::Sparse(CsrMatrix::from_rows(m, &rows)),
+        ];
+        for matrix in &matrices {
+            for threads in [1, 2, 7] {
+                let (cfg, layout) = (BinningConfig::default(), LayoutOptions::uncompressed());
+                let q = QuantizedMatrix::from_matrix_threads(matrix, cfg, layout, threads).0;
+                assert_eq!(q.is_dense(), matches!(matrix, FeatureMatrix::Dense(_)));
+                assert_eq!(q.mapper().n_bins(0), 255, "a column on the 4 096-slot table");
+                for (i, cell) in cells.iter().enumerate() {
+                    let (r, f) = (i / m, i % m);
+                    let want = cell.map(|v| q.mapper().cuts(f).value_to_bin(v));
+                    assert_eq!(q.bin(r, f), want, "cell ({r}, {f}) at {threads} threads");
+                }
             }
         }
     }

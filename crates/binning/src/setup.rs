@@ -298,13 +298,18 @@ impl<'a> SetupInput<'a> {
         }
     }
 
+    /// Most present values column `f` can hold.
+    pub fn column_len(&self, f: usize) -> usize {
+        match self {
+            Self::Dense(d) => d.n_rows(),
+            Self::Sparse(_, csc) => csc.col(f).len(),
+        }
+    }
+
     /// Most present values any one column can hold — the size of a pass-1
     /// worker's buffer.
     pub fn max_column_len(&self) -> usize {
-        match self {
-            Self::Dense(d) => d.n_rows(),
-            Self::Sparse(_, csc) => csc.indptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0),
-        }
+        (0..self.n_cols()).map(|f| self.column_len(f)).max().unwrap_or(0)
     }
 
     /// Visits the present values of column `f` (dense: a strided read that
@@ -312,7 +317,11 @@ impl<'a> SetupInput<'a> {
     pub fn for_each_in_col(&self, f: usize, mut visit: impl FnMut(f32)) {
         match self {
             Self::Dense(d) => {
-                for &v in d.values().iter().skip(f).step_by(d.n_cols()) {
+                let (values, m) = (d.values(), d.n_cols());
+                let last = values.len().saturating_sub(1);
+                for at in (f..values.len()).step_by(m) {
+                    prefetch_read(&values[(at + GATHER_AHEAD_ROWS * m).min(last)]);
+                    let v = values[at];
                     if !v.is_nan() {
                         visit(v);
                     }
@@ -321,6 +330,26 @@ impl<'a> SetupInput<'a> {
             Self::Sparse(_, csc) => csc.vals[csc.col(f)].iter().copied().for_each(visit),
         }
     }
+}
+
+/// How many rows ahead of the cell it reads the dense column gather asks
+/// for: the strided sweep touches one cell per cache line or two, too far
+/// apart for the hardware to run ahead of, and waits for each miss in turn.
+const GATHER_AHEAD_ROWS: usize = 256;
+
+/// Asks for `cell` to be brought into cache; a no-op off x86-64.
+#[inline(always)]
+fn prefetch_read(cell: &f32) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: the address is that of a live reference, so it is in bounds;
+    // the instruction is a hint that reads and writes nothing the program
+    // can observe.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(std::ptr::from_ref(cell).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = cell;
 }
 
 #[cfg(test)]
