@@ -4,7 +4,10 @@
 //! 30% density — and, on the end-to-end benchmark's own shapes, the two
 //! passes of the sparse path (the 1 800 × 4 096 CSR `yfcc` train split at
 //! S ≈ 0.31, whose rows hold ≈ 1 270 features where the 8-feature CSR above
-//! shows no transpose cost) and, on the dense 360 000 × 28 `higgs` train
+//! shows no transpose cost) plus `setup_yfcc`, its whole set-up through
+//! `QuantizedMatrix::from_matrix` — the benchmark's path, on which pass 1
+//! also bins the columns it sorts, its store checked against `with_mapper`'s
+//! — and, on the dense 360 000 × 28 `higgs` train
 //! split, the two passes plus the two chunk cache steps (`write_cache`,
 //! `ChunkedStore::open`). `quantize_dense/*` times dense pass 2 on that shape
 //! and on `airline`'s thin 864 000 × 8 through the library and through the
@@ -66,6 +69,27 @@ fn bench_passes(
     });
 }
 
+/// The whole sparse set-up as the end-to-end benchmark runs it,
+/// `QuantizedMatrix::from_matrix`: pass 1 bins every column it sorts, so
+/// `quantize_yfcc` (`with_mapper`, which searches every bin) no longer times
+/// the path the benchmark takes. Its store is compared byte for byte with
+/// `with_mapper`'s of the same mapper outside the timed closure, so `--
+/// --test` (CI) checks pass 1's bins on the full shape.
+fn bench_setup_sparse(group: &mut criterion::BenchmarkGroup<'_>, n: usize, matrix: &FeatureMatrix) {
+    let walked = QuantizedMatrix::from_matrix(matrix, BinningConfig::default());
+    let searched = QuantizedMatrix::with_mapper(matrix, walked.mapper().clone());
+    assert!(walked.sparse_csr().is_some(), "the yfcc shape stays sparse");
+    // `assert!`, not `assert_eq!`: a failure would print 2.3 M entries.
+    assert!(walked.sparse_csr() == searched.sparse_csr(), "yfcc: CSR bins differ");
+    for f in 0..walked.n_features() {
+        assert!(walked.sparse_col(f) == searched.sparse_col(f), "yfcc: CSC column {f} differs");
+    }
+    drop((walked, searched));
+    group.bench_with_input(BenchmarkId::new("setup_yfcc", n), matrix, |b, m| {
+        b.iter(|| QuantizedMatrix::from_matrix(m, BinningConfig::default()))
+    });
+}
+
 /// Dense pass 2 by both bodies there are to compare from outside the crate:
 /// `run_kernel`, the library's quantizer (whole tiles through
 /// `BinLookup::bin_run` — eight cells a step where the host has AVX2, its
@@ -122,6 +146,7 @@ fn bench_setup(c: &mut Criterion) {
     let matrix = synth(DatasetKind::YfccLike, YFCC_ROWS);
     assert!(matches!(matrix, FeatureMatrix::Sparse(_)), "the yfcc shape takes the sparse path");
     bench_passes(&mut group, "yfcc", matrix.n_rows(), &matrix);
+    bench_setup_sparse(&mut group, matrix.n_rows(), &matrix);
 
     let matrix = synth(DatasetKind::AirlineLike, AIRLINE_ROWS);
     bench_quantize_dense(&mut group, &format!("{}x{}", matrix.n_rows(), matrix.n_cols()), &matrix);

@@ -6,18 +6,23 @@
 //! order statistics, so a long column is not sorted: its keys are bucketed
 //! by one counting pass, a prefix sum and a scatter, and each quantile rank
 //! is selected inside its own bucket (`CountingScratch::cuts_by_counting`).
-//! A column too short to repay 64 Ki counters is sorted in place; a long one
+//! A column too short to repay 64 Ki counters is sorted in place — a sparse
+//! one as ⟨key, position⟩ pairs, which also bin it in one walk when set-up
+//! hands in the CSC-order bins, so pass 2 never searches its cuts; a long one
 //! that turns out to hold at most `max_bins` distinct values is finished by
 //! its gather, which collected them in a small capped set (`FewKeys`). Every
 //! way the cuts equal the exact-sort oracle kept in this module's tests, bit
-//! for bit. Transient memory is `threads × (n_rows × 6 + 260 KiB)` bytes —
+//! for bit. Transient memory is `threads × (n_rows × 6 + 260 KiB)` bytes,
+//! plus `threads × min(longest column, 2¹⁵) × 8` of pairs for sparse input —
 //! never a whole-matrix copy.
 //!
-//! The module also owns both ways of mapping a value to its bin:
+//! The module also owns every way of mapping a value to its bin:
 //! [`FeatureCuts::value_to_bin`], a binary search, for single values
-//! (prediction, tests), and the crate-private `BinLookup`, a monotone slot
-//! table pass 2 builds once per feature and task and runs whole columns
-//! through, eight cells a step where the host has AVX2.
+//! (prediction, pass 2 on runs too short for a lookup, tests) and the
+//! definition the others are tested against; the crate-private `BinLookup`,
+//! a monotone slot table pass 2 builds once per feature and task and runs
+//! long columns through, eight cells a step where the host has AVX2; and
+//! the walk over a sorted sparse column (`cuts_of_sorted_pairs`).
 
 use crate::bundling::BundleMap;
 use crate::setup::{run_tasks, setup_threads, split_mut, split_ranges, SetupInput};
@@ -331,18 +336,22 @@ impl BinMapper {
     /// tree, which no trainer phase accounts for.
     pub fn from_matrix(matrix: &FeatureMatrix, config: BinningConfig) -> Self {
         let threads = setup_threads();
-        Self::from_input(&SetupInput::new(matrix, threads), config, threads)
+        Self::from_input(&SetupInput::new(matrix, threads), config, threads, None)
     }
 
     /// [`from_matrix`](Self::from_matrix) over an already gathered input, on
-    /// `threads` threads (the cuts do not depend on the count).
+    /// `threads` threads (the cuts do not depend on the count). Handed
+    /// `csc_bins` — sparse input only, one byte per entry of the value CSC in
+    /// its order — it also writes the bins of every column it sorts
+    /// ([`bins_while_cutting`]); the other bytes are left as they were.
     pub(crate) fn from_input(
         input: &SetupInput<'_>,
         config: BinningConfig,
         threads: usize,
+        csc_bins: Option<&mut [u8]>,
     ) -> Self {
         assert!((1..=255).contains(&config.max_bins), "max_bins must be in 1..=255");
-        Self::from_cuts(search_cuts(input, usize::from(config.max_bins), threads))
+        Self::from_cuts(search_cuts(input, usize::from(config.max_bins), threads, csc_bins))
     }
 
     /// Assembles a mapper from precomputed cuts.
@@ -436,22 +445,62 @@ impl BinMapper {
 /// also pass through the worker's [`FewKeys`] as they are gathered, and a
 /// column that turns out to hold at most `max_bins` values is finished by
 /// its gather: the set is its cuts.
-fn search_cuts(input: &SetupInput<'_>, max_bins: usize, threads: usize) -> Vec<FeatureCuts> {
+///
+/// A sparse column the sort arm takes ([`bins_while_cutting`]) is sorted as
+/// ⟨key, position⟩ pairs instead, in a buffer of its own, and when
+/// `csc_bins` — one byte per entry of the value CSC, in its order — is
+/// given, the sorted pairs also write that column's bins
+/// ([`cuts_of_sorted_pairs`]).
+fn search_cuts(
+    input: &SetupInput<'_>,
+    max_bins: usize,
+    threads: usize,
+    csc_bins: Option<&mut [u8]>,
+) -> Vec<FeatureCuts> {
     let mut features = vec![FeatureCuts { cuts: Vec::new() }; input.n_cols()];
     let ranges = split_ranges(input.n_cols(), threads, 1);
+    let csc = match input {
+        SetupInput::Sparse(_, csc) => Some(csc),
+        SetupInput::Dense(_) => None,
+    };
+    let range_bins: Vec<Option<&mut [u8]>> = match (csc, csc_bins) {
+        (Some(csc), Some(bins)) => {
+            assert_eq!(bins.len(), csc.vals.len(), "one bin per entry of the value CSC");
+            let lens = ranges.iter().map(|r| csc.indptr[r.end] - csc.indptr[r.start]);
+            split_mut(bins, lens).into_iter().map(Some).collect()
+        }
+        (None, Some(_)) => panic!("only a sparse input has CSC-order bins"),
+        (_, None) => ranges.iter().map(|_| None).collect(),
+    };
     // Allocated here and lent to the workers: memory freed inside a
     // short-lived thread stays resident in that thread's allocator arena,
-    // where nothing the caller allocates afterwards can reuse it.
-    let buffer_len = input.max_column_len();
-    let mut buffers: Vec<(Vec<u32>, CountingScratch)> = ranges
+    // where nothing the caller allocates afterwards can reuse it. Only the
+    // columns no pair buffer takes gather bare keys.
+    let longest = input.max_column_len();
+    let key_len = if csc.is_some() && bins_while_cutting(longest) { 0 } else { longest };
+    let pair_len = if csc.is_some() { longest.min(COUNTING_MIN_KEYS) } else { 0 };
+    let mut buffers: Vec<(Vec<u32>, Vec<u64>, CountingScratch)> = ranges
         .iter()
-        .map(|_| (Vec::with_capacity(buffer_len), CountingScratch::for_columns_of(buffer_len)))
+        .map(|_| {
+            let scratch = CountingScratch::for_columns_of(key_len);
+            (Vec::with_capacity(key_len), Vec::with_capacity(pair_len), scratch)
+        })
         .collect();
     let outputs = split_mut(&mut features, ranges.iter().map(|r| r.len()));
     let mut tasks = Vec::new();
-    for ((range, mine), (keys, scratch)) in ranges.into_iter().zip(outputs).zip(&mut buffers) {
+    for (((range, mine), mut bins), (keys, pairs, scratch)) in
+        ranges.into_iter().zip(outputs).zip(range_bins).zip(&mut buffers)
+    {
         tasks.push(move || {
+            let base = csc.map_or(0, |c| c.indptr[range.start]);
             for (f, out) in range.zip(mine) {
+                if let Some(csc) = csc.filter(|c| bins_while_cutting(c.col(f).len())) {
+                    let col = csc.col(f);
+                    let col_bins =
+                        bins.as_deref_mut().map(|b| &mut b[col.start - base..col.end - base]);
+                    *out = cuts_of_sorted_pairs(&csc.vals[col], pairs, max_bins, col_bins);
+                    continue;
+                }
                 keys.clear();
                 // Only where the counting arm would run: a short column's
                 // sort is cheaper than probing for every key of it.
@@ -476,6 +525,48 @@ fn search_cuts(input: &SetupInput<'_>, max_bins: usize, threads: usize) -> Vec<F
     }
     run_tasks(tasks);
     features
+}
+
+/// Whether pass 1 sorts a sparse column of `column_len` entries — and so,
+/// handed the CSC-order bins, bins it too, leaving pass 2 only the columns
+/// long enough for the counting arm.
+pub(crate) fn bins_while_cutting(column_len: usize) -> bool {
+    column_len < COUNTING_MIN_KEYS
+}
+
+/// The sort arm for one sparse column of `values` (shorter than
+/// [`COUNTING_MIN_KEYS`], so a position fits the low half of a pair): sorts
+/// `sort_key(v) << 32 | position` pairs, reads the cuts off their high
+/// halves by the one [`cuts_of_run`] rule and, given `bins` (the column's
+/// slice of the CSC-order bins), bins the column in one walk over the pairs.
+///
+/// The walk equals [`FeatureCuts::value_to_bin`]: that is the clamped number
+/// of cuts `c < v`, and because the values arrive ascending in
+/// [`f32::total_cmp`] order — never descending in `<`, `±0` included — that
+/// number never falls along the walk, so the cursor only moves up.
+fn cuts_of_sorted_pairs(
+    values: &[f32],
+    pairs: &mut Vec<u64>,
+    max_bins: usize,
+    bins: Option<&mut [u8]>,
+) -> FeatureCuts {
+    assert!(bins_while_cutting(values.len()), "a position fits the low half of a pair");
+    let key = |pair: u64| (pair >> 32) as u32;
+    pairs.clear();
+    pairs.extend((0u64..).zip(values).map(|(at, &v)| u64::from(sort_key(v)) << 32 | at));
+    pairs.sort_unstable();
+    let cuts = cuts_of_run(pairs, key, max_bins);
+    if let Some(bins) = bins {
+        let mut p = 0;
+        for &pair in pairs.iter() {
+            let v = key_value(key(pair));
+            while p < cuts.len() && cuts[p] < v {
+                p += 1;
+            }
+            bins[pair as u32 as usize] = p.min(cuts.len() - 1) as u8;
+        }
+    }
+    FeatureCuts { cuts }
 }
 
 /// Maps a non-`NaN` value to a `u32` whose unsigned order is
@@ -533,25 +624,26 @@ fn rank_position(i: usize, n: usize, max_bins: usize) -> usize {
 fn cuts_from_keys(keys: &mut [u32], scratch: &mut CountingScratch, max_bins: usize) -> FeatureCuts {
     let cuts = if keys.len() < COUNTING_MIN_KEYS {
         keys.sort_unstable();
-        cuts_of_run(keys, max_bins)
+        cuts_of_run(keys, |key| key, max_bins)
     } else {
         scratch.cuts_by_counting(keys, max_bins)
     };
     FeatureCuts { cuts }
 }
 
-/// The cut rule, read off the ascending run of a column's keys.
-fn cuts_of_run(keys: &[u32], max_bins: usize) -> Vec<f32> {
-    let n = keys.len();
+/// The cut rule, read off a run ascending in the keys `key` reads from its
+/// items (a column's bare keys, or its ⟨key, position⟩ pairs).
+fn cuts_of_run<T: Copy>(run: &[T], key: impl Fn(T) -> u32, max_bins: usize) -> Vec<f32> {
+    let n = run.len();
     let mut cuts: Vec<f32> = Vec::new();
     // A high-cardinality column leaves this loop after `max_bins + 1`
     // distinct values, i.e. almost at once.
-    for &key in keys {
-        push_new(&mut cuts, key);
+    for &item in run {
+        push_new(&mut cuts, key(item));
         if cuts.len() > max_bins {
             cuts.clear();
             for i in 1..=max_bins {
-                push_new(&mut cuts, keys[rank_position(i, n, max_bins)]);
+                push_new(&mut cuts, key(run[rank_position(i, n, max_bins)]));
             }
             break;
         }
@@ -696,7 +788,7 @@ impl CountingScratch {
                     *key = base + u32::from(l);
                 }
             }
-            return cuts_of_run(keys, max_bins);
+            return cuts_of_run(keys, |key| key, max_bins);
         }
 
         let mut cuts = Vec::with_capacity(max_bins);
@@ -859,6 +951,7 @@ mod tests {
                     &SetupInput::new(&matrix, threads),
                     BinningConfig::default(),
                     threads,
+                    None,
                 );
                 assert_eq!(bits(mapper.cuts(0)), bits(&want));
             }
@@ -871,9 +964,9 @@ mod tests {
             .with_scale(0.1)
             .generate();
         let input = SetupInput::new(&d.features, 1);
-        let one = BinMapper::from_input(&input, BinningConfig::default(), 1);
+        let one = BinMapper::from_input(&input, BinningConfig::default(), 1, None);
         for threads in [2, 5, 64] {
-            let many = BinMapper::from_input(&input, BinningConfig::default(), threads);
+            let many = BinMapper::from_input(&input, BinningConfig::default(), threads, None);
             for f in 0..one.n_features() {
                 assert_eq!(bits(one.cuts(f)), bits(many.cuts(f)), "feature {f} at {threads}");
             }
@@ -891,6 +984,7 @@ mod tests {
                     &SetupInput::new(&matrix, threads),
                     BinningConfig::with_max_bins(max_bins),
                     threads,
+                    None,
                 );
                 assert_eq!(bits(mapper.cuts(0)), bits(&want), "{max_bins} bins");
             }
@@ -1353,6 +1447,7 @@ mod tests {
                     &SetupInput::new(&matrix, threads),
                     BinningConfig::with_max_bins(max_bins),
                     threads,
+                    None,
                 );
                 prop_assert_eq!(bits(mapper.cuts(0)), bits(&want));
             }
@@ -1464,6 +1559,7 @@ mod tests {
                     &SetupInput::new(&matrix, threads),
                     BinningConfig::with_max_bins(max_bins),
                     threads,
+                    None,
                 );
                 prop_assert_eq!(bits(mapper.cuts(0)), bits(&want));
             }

@@ -24,7 +24,7 @@
 
 use crate::bundling::{plan_bundles, too_long_a_row_to_bundle, BundleConfig, BundleMap};
 use crate::bytes::SharedBytes;
-use crate::mapper::{BinLookup, BinMapper, BinningConfig};
+use crate::mapper::{bins_while_cutting, BinLookup, BinMapper, BinningConfig};
 use crate::setup::{
     run_tasks, setup_threads, split_mut, split_ranges, CscCopy, SetupInput, ValueCsc,
 };
@@ -270,10 +270,14 @@ pub struct LayoutStats {
 /// ([`QuantizedMatrix::from_matrix_timed`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SetupTimings {
-    /// Pass 1: gathering columns and searching their cuts.
+    /// Pass 1: gathering columns and searching their cuts. For sparse input
+    /// also the CSR → CSC transpose before it and the bins of every column
+    /// shorter than 2¹⁵ entries, which the cut search's sort writes.
     pub cut_secs: f64,
     /// Pass 2: quantizing into both majors, then layout selection (u4
-    /// packing, bundling).
+    /// packing, bundling). For sparse input that is binning the columns of
+    /// 2¹⁵ entries and more, the gather back to CSR order and layout
+    /// selection.
     pub quantize_secs: f64,
 }
 
@@ -321,10 +325,15 @@ impl QuantizedMatrix {
     ) -> (Self, SetupTimings) {
         let start = Instant::now();
         let input = SetupInput::new(matrix, threads);
-        let mapper = BinMapper::from_input(&input, config, threads);
+        // Zeroed, not filled: first touched by the pass that bins the column.
+        let mut csc_bins = match &input {
+            SetupInput::Sparse(_, csc) => Some(vec![0u8; csc.vals.len()]),
+            SetupInput::Dense(_) => None,
+        };
+        let mapper = BinMapper::from_input(&input, config, threads, csc_bins.as_deref_mut());
         let cut_secs = start.elapsed().as_secs_f64();
         let start = Instant::now();
-        let mut qm = Self::from_input(input, mapper, layout, threads);
+        let mut qm = Self::from_input(input, mapper, layout, threads, csc_bins);
         if layout.enable_bundling {
             qm.try_bundle(layout.bundle);
         }
@@ -347,15 +356,18 @@ impl QuantizedMatrix {
         layout: LayoutOptions,
     ) -> Self {
         let threads = setup_threads();
-        Self::from_input(SetupInput::new(matrix, threads), mapper, layout, threads)
+        Self::from_input(SetupInput::new(matrix, threads), mapper, layout, threads, None)
     }
 
-    /// Pass 2 of set-up: quantizes `input` with `mapper`'s cuts.
+    /// Pass 2 of set-up: quantizes `input` with `mapper`'s cuts. `csc_bins`
+    /// is what pass 1 handed back for sparse input: the CSC-order bins with
+    /// every column it sorted already written.
     fn from_input(
         input: SetupInput<'_>,
         mapper: BinMapper,
         layout: LayoutOptions,
         threads: usize,
+        csc_bins: Option<Vec<u8>>,
     ) -> Self {
         assert_eq!(input.n_cols(), mapper.n_features(), "mapper/matrix feature mismatch");
         let (n_rows, storage) = match input {
@@ -371,7 +383,7 @@ impl QuantizedMatrix {
             }
             SetupInput::Sparse(sparse, value_csc) => {
                 let n_rows = sparse.n_rows();
-                let (csr, csc) = quantize_sparse(sparse, value_csc, &mapper, threads);
+                let (csr, csc) = quantize_sparse(sparse, value_csc, &mapper, threads, csc_bins);
                 let storage = match mapper.bundles() {
                     Some(map) => {
                         let (row_major, col_major, n_cols) = build_bundled(n_rows, &csr, map);
@@ -1005,15 +1017,20 @@ fn quantize_block(values: &[f32], mapper: &BinMapper, rows: &mut [u8], cols: &mu
 /// ⟨feature-range⟩ tasks quantize column-at-a-time (one cut table live per
 /// task), then the ⟨row-block⟩ tasks of the transpose gather the bins back
 /// into CSR order, each writing its own rows of the CSR arrays.
-/// `value_csc.rows` becomes the CSC mirror's row ids as is.
+/// `value_csc.rows` becomes the CSC mirror's row ids as is. Given
+/// `csc_bins` from pass 1, the columns it sorted are binned already
+/// ([`bins_while_cutting`]) and only the long ones are binned here.
 fn quantize_sparse(
     sparse: &CsrMatrix,
     mut value_csc: ValueCsc,
     mapper: &BinMapper,
     threads: usize,
+    csc_bins: Option<Vec<u8>>,
 ) -> (QCsr, QCsc) {
     let (col_ptr, vals) = (&value_csc.indptr, &value_csc.vals);
-    let mut csc_bins = vec![0u8; vals.len()];
+    let binned_while_cutting = csc_bins.is_some();
+    let mut csc_bins = csc_bins.unwrap_or_else(|| vec![0u8; vals.len()]);
+    assert_eq!(csc_bins.len(), vals.len(), "one bin per entry of the value CSC");
     let ranges = split_ranges(sparse.n_cols(), threads, 1);
     let outputs =
         split_mut(&mut csc_bins, ranges.iter().map(|r| col_ptr[r.end] - col_ptr[r.start]));
@@ -1022,8 +1039,11 @@ fn quantize_sparse(
         let base = col_ptr[range.start];
         tasks.push(move || {
             for f in range {
-                let cuts = mapper.cuts(f);
                 let col = col_ptr[f]..col_ptr[f + 1];
+                if binned_while_cutting && bins_while_cutting(col.len()) {
+                    continue;
+                }
+                let cuts = mapper.cuts(f);
                 let bins = &mut mine[col.start - base..col.end - base];
                 let vals = &vals[col];
                 // A stored entry is never `NaN`, so no bin is the missing one.
@@ -1099,6 +1119,8 @@ fn build_bundled(n_rows: usize, csr: &QCsr, map: &BundleMap) -> (Vec<u8>, Vec<u8
 mod tests {
     use super::*;
     use harp_data::{CsrMatrix, DenseMatrix};
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn dense_matrix() -> FeatureMatrix {
         // 4 rows x 3 features; feature 1 has a missing value.
@@ -1507,6 +1529,87 @@ mod tests {
             ],
             "the four inputs must cover the four storages"
         );
+    }
+
+    /// One sparse column's values, by `shape`: continuous; runs of equal
+    /// values up to two quantile steps long, so ties straddle the rank
+    /// positions; both zeros and both infinities among ±1; at most
+    /// `max_bins` distinct values; one to three more than `max_bins`.
+    fn walk_column(rng: &mut StdRng, len: usize, shape: u8, max_bins: usize) -> Vec<f32> {
+        match shape {
+            0 => (0..len).map(|_| rng.gen_range(-1e3f32..1e3)).collect(),
+            1 => {
+                let run = rng.gen_range(1..2 * (len / max_bins) + 3);
+                (0..len).map(|i| (i / run) as f32 * 0.25).collect()
+            }
+            2 => {
+                let levels = [-0.0, 0.0, f32::NEG_INFINITY, f32::INFINITY, -1.0, 1.0];
+                (0..len).map(|_| levels[rng.gen_range(0..levels.len())]).collect()
+            }
+            _ => {
+                let n = if shape == 3 {
+                    rng.gen_range(1..max_bins + 1)
+                } else {
+                    max_bins + rng.gen_range(1..4usize)
+                };
+                let levels: Vec<f32> = (0..n).map(|_| rng.gen_range(-1e3f32..1e3)).collect();
+                (0..len).map(|_| levels[rng.gen_range(0..n)]).collect()
+            }
+        }
+    }
+
+    /// A 2¹⁵-row sparse matrix holding, in random column order, one column
+    /// of 2¹⁵ − 1 entries (the longest pass 1 sorts) and one of 2¹⁵ (the
+    /// shortest it counts), an empty and a one-entry column, and short
+    /// columns of up to 800 entries, each at rows of its own stride.
+    fn walk_matrix(seed: u64, max_bins: usize, n_short: usize) -> FeatureMatrix {
+        let n = 1usize << 15;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut lens = vec![n - 1, n];
+        lens.extend((0..n_short).map(|i| match i {
+            0 | 1 => i,
+            _ => rng.gen_range(2..800),
+        }));
+        for i in (1..lens.len()).rev() {
+            lens.swap(i, rng.gen_range(0..i + 1));
+        }
+        let mut rows = vec![Vec::new(); n];
+        for (c, &len) in lens.iter().enumerate() {
+            let shape = rng.gen_range(0..5u8);
+            let values = walk_column(&mut rng, len, shape, max_bins);
+            // An odd stride visits every row of a power-of-two count once.
+            let (start, stride) = (rng.gen_range(0..n), 2 * rng.gen_range(0..n / 2) + 1);
+            for (k, v) in values.into_iter().enumerate() {
+                rows[(start + k * stride) % n].push((c as u32, v));
+            }
+        }
+        FeatureMatrix::Sparse(CsrMatrix::from_rows(lens.len(), &rows))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The bins pass 1 writes by walking a sorted column are the bins the
+        /// search writes: sparse set-up stores exactly what `with_mapper_opts`
+        /// stores with the mapper it built, at 1, 2 and 7 threads (every
+        /// range's last column walked), over every `max_bins` and the value
+        /// shapes of `walk_column`, with both arms of the length rule in one
+        /// matrix.
+        #[test]
+        fn prop_sparse_setup_stores_what_the_search_stores(
+            seed in any::<u64>(),
+            max_bins in 1u16..256,
+            n_short in 2usize..12,
+        ) {
+            let matrix = walk_matrix(seed, usize::from(max_bins), n_short);
+            let (config, layout) = (BinningConfig::with_max_bins(max_bins), LayoutOptions::uncompressed());
+            for threads in [1, 2, 7] {
+                let q = QuantizedMatrix::from_matrix_threads(&matrix, config, layout, threads).0;
+                prop_assert!(q.sparse_csr().is_some());
+                let searched = QuantizedMatrix::with_mapper_opts(&matrix, q.mapper().clone(), layout);
+                assert_same_storage(&q, &searched);
+            }
+        }
     }
 
     /// NaN in sparse input is a missing entry end to end, and ±inf take the

@@ -2,17 +2,22 @@
 //! measures the peak of live heap bytes while `QuantizedMatrix::from_matrix`
 //! runs, and the peak may exceed the storage the call returns only by the
 //! transient the pipeline is designed to hold — one `n_rows × 4`-byte key
-//! buffer per thread for dense input, the `nnz × 8`-byte column-major copy
-//! and its `blocks × n_cols × 8`-byte cursor table for sparse input — plus a
-//! fixed slack. A whole-matrix copy of the raw values (what the pre-pipeline
-//! `BinMapper::from_matrix` made) breaks the bound, and so does a cursor
-//! table per thread on a matrix wider than its threads' share of entries.
+//! buffer per thread for dense input; for sparse input the `nnz × 8`-byte
+//! column-major copy, its `blocks × n_cols × 8`-byte cursor table and one
+//! pair buffer per thread, 8 bytes for each entry of the longest column the
+//! cut search sorts (fewer than 2¹⁵) — plus a fixed slack. A whole-matrix
+//! copy of the raw values (what the pre-pipeline `BinMapper::from_matrix`
+//! made) breaks the bound, and so does a cursor table per thread on a matrix
+//! wider than its threads' share of entries.
 //!
 //! Pass 1 runs before the storage exists, so the whole-call bound would
 //! admit a pass-1 transient as large as the storage. `BinMapper::from_matrix`
-//! is therefore measured alone as well: per thread one `u32` key and one
-//! `u16` low-bits entry per row plus the bucket counters of the counting cut
-//! search — still less than a copy of the matrix.
+//! is therefore measured alone as well: on dense input, per thread one `u32`
+//! key and one `u16` low-bits entry per row plus the bucket counters of the
+//! counting cut search — still less than a copy of the matrix; on sparse
+//! input whose columns all sort as pairs, the column-major copy, its table
+//! and the pair buffers, under a slack smaller than a key buffer — a pair
+//! buffer sized by `nnz`, or a key buffer held beside it, breaks that bound.
 //!
 //! The allocator is process-wide, so this file holds a single `#[test]`.
 
@@ -25,6 +30,12 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 /// Bookkeeping the bound does not model: per-feature cut vectors, task
 /// lists, thread stacks' heap side, the CSR/CSC offset tables' twins.
 const SLACK_BYTES: usize = 1 << 20;
+
+/// The same for sparse pass 1 alone, whose bookkeeping is little more than
+/// a cut vector per feature (≈ 35 KB on the 32-feature matrix below): less
+/// than one `u32` key per entry of its longest column, so a worker holding
+/// such a key buffer beside its pair buffer breaks the bound.
+const PASS1_SLACK_BYTES: usize = 96 << 10;
 
 #[test]
 fn setup_peak_is_storage_plus_the_designed_transient() {
@@ -72,16 +83,30 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
     let sparse = FeatureMatrix::Sparse(CsrMatrix::from_rows(m as usize, &rows));
     drop(rows);
     let nnz = sparse.n_present();
+    // ≈ 30 000 entries a column: all of them take the sort arm, as pairs.
+    let longest = longest_column(&sparse);
+    assert!(longest < 1 << 15 && PASS1_SLACK_BYTES < longest * 4);
+    let table = transpose_table_bytes(nnz, m as usize, threads);
+    let pairs = pair_buffer_bytes(longest, threads);
+    let (mapper, peak) =
+        counting_alloc::peak_during(|| BinMapper::from_matrix(&sparse, BinningConfig::default()));
+    assert_eq!(mapper.max_bins_used(), 255);
+    let bound = nnz * 8 + table + pairs + PASS1_SLACK_BYTES;
+    assert!(
+        peak <= bound,
+        "sparse cut search peaked at {peak} live bytes, over nnz {nnz} x 8 + cursor table \
+         {table} + pair buffers {pairs} + slack = {bound}"
+    );
+    drop(mapper);
     let (q, peak) = counting_alloc::peak_during(|| {
         QuantizedMatrix::from_matrix(&sparse, BinningConfig::default())
     });
     assert!(q.sparse_csr().is_some(), "the sparse input must stay sparse");
-    let table = transpose_table_bytes(nnz, m as usize, threads);
-    let bound = q.storage_bytes() + nnz * 8 + table + SLACK_BYTES;
+    let bound = q.storage_bytes() + nnz * 8 + table + pairs + SLACK_BYTES;
     assert!(
         peak <= bound,
         "sparse set-up peaked at {peak} live bytes, over storage {} + nnz {nnz} x 8 + cursor \
-         table {table} + slack = {bound}",
+         table {table} + pair buffers {pairs} + slack = {bound}",
         q.storage_bytes()
     );
     drop((q, sparse));
@@ -112,11 +137,12 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
     let mapper_bytes = m * std::mem::size_of_val(mapper.cuts(0)) + (m + 1) * 4 + cut_bytes;
     let table = transpose_table_bytes(nnz, m, threads);
     assert_eq!(table, m * 8, "one block: the table is one cursor per column");
-    let bound = q.storage_bytes() + mapper_bytes + nnz * 8 + table + SLACK_BYTES;
+    let pairs = pair_buffer_bytes(longest_column(&sparse), threads);
+    let bound = q.storage_bytes() + mapper_bytes + nnz * 8 + table + pairs + SLACK_BYTES;
     assert!(
         peak <= bound,
         "wide sparse set-up peaked at {peak} live bytes, over storage {} + mapper {mapper_bytes} \
-         + nnz {nnz} x 8 + cursor table {table} + slack = {bound}",
+         + nnz {nnz} x 8 + cursor table {table} + pair buffers {pairs} + slack = {bound}",
         q.storage_bytes()
     );
 }
@@ -126,4 +152,18 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
 /// quarter of the entries' words unless one block's worth already is.
 fn transpose_table_bytes(nnz: usize, n_cols: usize, threads: usize) -> usize {
     (nnz / (4 * n_cols)).clamp(1, threads.max(1)) * n_cols * 8
+}
+
+/// Bytes of pass 1's ⟨key, position⟩ pair buffers: one per thread, `u64`s
+/// for the longest column the sort arm takes (`< 2^15` entries).
+fn pair_buffer_bytes(longest_column: usize, threads: usize) -> usize {
+    threads * longest_column.min(1 << 15) * 8
+}
+
+/// Entries in the longest column of a sparse matrix.
+fn longest_column(matrix: &FeatureMatrix) -> usize {
+    let FeatureMatrix::Sparse(csr) = matrix else { panic!("a sparse matrix") };
+    let mut counts = vec![0usize; csr.n_cols()];
+    csr.parts().1.iter().for_each(|&c| counts[c as usize] += 1);
+    counts.into_iter().max().unwrap_or(0)
 }
