@@ -1,11 +1,12 @@
-//! BuildHist before/after throughput runner — emits `BENCH_buildhist.json`.
+//! BuildHist throughput runner — emits `BENCH_buildhist.json`.
 //!
-//! "Before" is the retained scalar reference kernels (`row_scan_scalar`,
-//! `col_scan_scalar`, toggled in training via
-//! `TrainParams::use_scalar_kernels`); "after" is the specialized
-//! branch-lean kernels that are now the default. Both paths are bitwise
-//! identical (see `tests/buildhist_equivalence.rs`), so the delta is pure
-//! throughput.
+//! The kernel table times the scalar reference kernels (`row_scan_scalar`,
+//! `col_scan_scalar`, which tests compare against and training never runs)
+//! beside the specialized branch-lean kernels training uses. Both are
+//! bitwise identical (see `tests/buildhist_equivalence.rs`), so the delta is
+//! pure throughput. The other tables compare compressed against
+//! uncompressed layouts, a chunked store against in-core scans, and the
+//! span trace and run ledger on against off.
 //!
 //! Regenerate the committed snapshot with:
 //! `cargo run --release -p harp-bench --bin bench_buildhist`
@@ -187,7 +188,7 @@ fn main() {
         },
     );
     kernels.note(
-        "scalar = retained reference kernels (TrainParams::use_scalar_kernels); \
+        "scalar = retained reference kernels (row_scan_scalar, col_scan_scalar); \
          specialized = branch-lean default path; outputs are bitwise identical",
     );
     kernels.note(format!(
@@ -387,42 +388,9 @@ fn main() {
     }
     xmem.print();
 
-    // --- End-to-end training throughput with the kernel toggle flipped.
     let data = prepared(DatasetKind::HiggsLike, args.data_scale(0.5, 4.0), args.seed);
     let n_trees = args.n_trees(10, 60);
     harp_bench::warmup(&data, args.threads);
-    let mut training = Table::new(
-        format!("Training throughput, HIGGS-like, {} threads", args.threads),
-        &["config", "ms/tree", "scratch alloc/reuse", "speedup vs scalar"],
-    );
-    for (mode_name, mode) in
-        [("dp", ParallelMode::DataParallel), ("mp", ParallelMode::ModelParallel)]
-    {
-        let mut base: Option<f64> = None;
-        for (kernel_name, scalar) in [("scalar", true), ("specialized", false)] {
-            let params = TrainParams {
-                n_trees,
-                n_threads: args.threads,
-                mode,
-                use_scalar_kernels: scalar,
-                ..TrainParams::default()
-            };
-            let res = run_config(&data, &data.quantized, params, false);
-            let prof = &res.output.diagnostics.profile;
-            let b = *base.get_or_insert(res.tree_secs);
-            training.row(vec![
-                format!("{mode_name} / {kernel_name}"),
-                format!("{:.2}", res.tree_secs * 1e3),
-                format!("{} / {}", prof.scratch_allocs, prof.scratch_reuses),
-                format!("{:.2}x", b / res.tree_secs),
-            ]);
-        }
-    }
-    training.note(
-        "scratch alloc/reuse counts replica-arena events across the whole run; \
-         allocations stop after the first tree's frontiers have been seen",
-    );
-    training.print();
 
     // --- Span-ledger overhead: the same training config with the trace
     // ledger off (the shipping default) and on. The disabled path performs no
@@ -531,7 +499,7 @@ fn main() {
     );
     ledger_tbl.print();
 
-    Table::write_json(&[&kernels, &layouts, &xmem, &training, &overhead, &ledger_tbl], out)
+    Table::write_json(&[&kernels, &layouts, &xmem, &overhead, &ledger_tbl], out)
         .expect("write json");
     println!("\nwrote {}", out.display());
     if dense_row_speedup < 1.5 {

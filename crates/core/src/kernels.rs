@@ -12,14 +12,15 @@
 //! Both are monomorphized over [`GradRead`] (MemBuf slice vs. global
 //! gather, the "+MemBuf" ablation of Table V) so the per-cell gradient
 //! dispatch disappears, and both index the mapper's flattened
-//! [`harp_binning::BinMapper::bin_offsets`] table directly. Each kernel
-//! picks a storage-specific body — dense `u8`, nibble-packed u4, bundled,
-//! or sparse CSR/CSC (DESIGN.md §13) — and a [`SimdTier`] accumulate path
-//! detected once at startup (SSE2 is the x86-64 baseline; AVX2 folds two
-//! *distinct* cells per 256-bit add). Every tier performs the identical
-//! per-cell IEEE adds in the identical row-ascending order, so output is
-//! bitwise identical to the retained scalar reference ([`row_scan_scalar`]
-//! / [`col_scan_scalar`]).
+//! [`harp_binning::BinMapper::bin_offsets`] table directly. The storage
+//! layout picks the body — dense `u8`, nibble-packed u4, bundled, or sparse
+//! CSR/CSC (DESIGN.md §13) — and the CPU picks the [`SimdTier`], detected
+//! once: on AVX2 the u4 and sparse bodies fold two *distinct* cells per
+//! 256-bit add, and every other body (or any body on another CPU) issues
+//! two scalar adds per cell. Every tier performs the identical per-cell
+//! IEEE adds in the identical row-ascending order, so output is bitwise
+//! identical to the retained scalar reference ([`row_scan_scalar`] /
+//! [`col_scan_scalar`]).
 //!
 //! The dense bodies route `MISSING_BIN` cells branch-free into per-feature
 //! *sink cells* appended past the real histogram (see [`row_scan`] for the
@@ -178,20 +179,20 @@ pub fn sink_lanes(n_features: usize) -> usize {
 // SIMD tier detection
 // ---------------------------------------------------------------------------
 
-/// Instruction tier the specialized kernels accumulate with, detected once
-/// at first use. `HARP_SIMD_TIER=scalar|sse2|avx2` overrides, clamped to
-/// what the CPU supports. Every tier produces bitwise-identical histograms
-/// (DESIGN.md §13): the lanes of a 128/256-bit add are independent IEEE
-/// adds, and cells are never paired unless provably distinct.
+/// Instruction tier the specialized kernels accumulate with, picked by CPU
+/// detection alone. Only the bodies that can fold two *distinct* cells into
+/// one add (u4 feature pairs, sparse entry pairs) have an AVX2 variant;
+/// every other body accumulates with two scalar adds per cell on every
+/// tier. Every tier produces bitwise-identical histograms (DESIGN.md §13):
+/// the lanes of a 256-bit add are independent IEEE adds, and cells are
+/// never paired unless provably distinct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
-    /// Portable two-scalar-adds path (also the non-x86-64 fallback).
-    Scalar,
-    /// One 128-bit `(Σg, Σh)` add per cell; x86-64 baseline.
-    Sse2,
+    /// Portable two-scalar-adds path (any CPU without AVX2).
+    Scalar = 0,
     /// Two distinct cells folded per 256-bit add (sparse pairs, u4 feature
     /// pairs); runtime-gated on `is_x86_feature_detected!("avx2")`.
-    Avx2,
+    Avx2 = 2,
 }
 
 impl SimdTier {
@@ -199,12 +200,12 @@ impl SimdTier {
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
-            SimdTier::Sse2 => "sse2",
             SimdTier::Avx2 => "avx2",
         }
     }
 
-    /// Ledger encoding: 0 = scalar, 1 = sse2, 2 = avx2.
+    /// Ledger encoding: 0 = scalar, 2 = avx2. The values are the explicit
+    /// discriminants, fixed so that ledgers of different builds compare.
     pub fn as_u64(self) -> u64 {
         self as u64
     }
@@ -215,33 +216,17 @@ fn detected_tier() -> SimdTier {
     static DETECTED: OnceLock<SimdTier> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
-        {
-            if is_x86_feature_detected!("avx2") {
-                SimdTier::Avx2
-            } else {
-                SimdTier::Sse2
-            }
+        if is_x86_feature_detected!("avx2") {
+            return SimdTier::Avx2;
         }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            SimdTier::Scalar
-        }
+        SimdTier::Scalar
     })
 }
 
-/// The tier the specialized kernels dispatch to (detection ∧ the optional
-/// `HARP_SIMD_TIER` override), cached after the first call.
+/// The tier the specialized kernels dispatch to: the detected one, cached
+/// after the first call.
 pub fn simd_tier() -> SimdTier {
-    static TIER: OnceLock<SimdTier> = OnceLock::new();
-    *TIER.get_or_init(|| {
-        let detected = detected_tier();
-        match std::env::var("HARP_SIMD_TIER").ok().as_deref() {
-            Some("scalar") => SimdTier::Scalar,
-            Some("sse2") => SimdTier::Sse2.min(detected),
-            Some("avx2") => SimdTier::Avx2.min(detected),
-            _ => detected,
-        }
-    })
+    detected_tier()
 }
 
 // ---------------------------------------------------------------------------
@@ -250,8 +235,8 @@ pub fn simd_tier() -> SimdTier {
 
 /// One histogram-cell accumulate, monomorphized per [`SimdTier`]. A "cell"
 /// is the `(Σg, Σh)` f64 pair at lanes `cell` and `cell + 1`. All
-/// implementations perform the same two IEEE f64 adds — SIMD variants just
-/// issue them as one (or, for provably distinct cells, two) vector ops, so
+/// implementations perform the same two IEEE f64 adds — the AVX2 variant
+/// just issues them for two provably distinct cells as one vector op, so
 /// results are bitwise identical across tiers.
 trait CellAcc: Copy {
     /// The packed `(g, h)` pair, widened to f64 once per row.
@@ -306,32 +291,9 @@ mod x86 {
     use super::CellAcc;
     use core::arch::x86_64::*;
 
-    /// Baseline tier: one unaligned 128-bit `(Σg, Σh)` add per cell —
-    /// lanewise IEEE, bitwise equal to two scalar f64 adds.
-    #[derive(Clone, Copy)]
-    pub(super) struct Sse2Acc;
-
-    impl CellAcc for Sse2Acc {
-        type Gh = __m128d;
-
-        #[inline(always)]
-        fn pack(g: f32, h: f32) -> __m128d {
-            // SAFETY: SSE2 is part of the x86-64 baseline.
-            unsafe { _mm_set_pd(f64::from(h), f64::from(g)) }
-        }
-
-        #[inline(always)]
-        unsafe fn add(hp: *mut f64, cell: usize, gh: __m128d) {
-            // SAFETY: caller guarantees bounds; loads/stores are unaligned.
-            unsafe {
-                let p = hp.add(cell);
-                _mm_storeu_pd(p, _mm_add_pd(_mm_loadu_pd(p), gh));
-            }
-        }
-    }
-
-    /// AVX2 tier: per-cell math identical to SSE2, but two *distinct* cells
-    /// of one row fold into a single 256-bit add. Only reached through the
+    /// AVX2 tier: one unaligned 128-bit `(Σg, Σh)` add per cell (lanewise
+    /// IEEE, bitwise equal to two scalar f64 adds), and two *distinct* cells
+    /// of one row folded into a single 256-bit add. Only reached through the
     /// `#[target_feature(enable = "avx2")]` kernel wrappers.
     #[derive(Clone, Copy)]
     pub(super) struct Avx2Acc;
@@ -436,7 +398,7 @@ pub fn row_scan_root(
     hist: &mut [f64],
 ) -> u64 {
     assert!(row_range.end <= qm.n_rows(), "row range out of bounds");
-    let tier = simd_tier().min(detected_tier());
+    let tier = simd_tier();
     let rows = ContigRows { base: row_range.start as u32, len: row_range.len() };
     match grads {
         GradSource::MemBuf(m) => {
@@ -447,8 +409,11 @@ pub fn row_scan_root(
     }
 }
 
-/// Storage × tier dispatch: u4-packed before plain dense (a pack rides on
-/// dense storage), then bundled, then sparse.
+/// The layout picks the body: u4-packed before plain dense (a pack rides on
+/// dense storage), then bundled, then sparse. The tier only matters to the
+/// two bodies that fold distinct cell pairs (u4, sparse); the dense u8 and
+/// bundled bodies have no such pair (two rows of a quad may hit the same
+/// cell), so they accumulate with [`PortableAcc`] on every tier.
 fn row_scan_impl<R: RowSet, G: GradRead>(
     qm: &QuantizedMatrix,
     rows: R,
@@ -461,53 +426,23 @@ fn row_scan_impl<R: RowSet, G: GradRead>(
     assert!(f_range.end <= m, "feature range out of bounds");
     if let Some(pack) = qm.u4() {
         return match tier {
-            SimdTier::Scalar => {
-                u4_row_scan::<R, G, PortableAcc>(qm, pack, rows, grads, f_range, hist)
-            }
-            #[cfg(target_arch = "x86_64")]
-            SimdTier::Sse2 => {
-                u4_row_scan::<R, G, x86::Sse2Acc>(qm, pack, rows, grads, f_range, hist)
-            }
             #[cfg(target_arch = "x86_64")]
             // SAFETY: tier is clamped to the detected ceiling, so AVX2 is
             // available on this CPU.
             SimdTier::Avx2 => unsafe { u4_row_scan_avx2(qm, pack, rows, grads, f_range, hist) },
-            #[cfg(not(target_arch = "x86_64"))]
             _ => u4_row_scan::<R, G, PortableAcc>(qm, pack, rows, grads, f_range, hist),
         };
     }
     if let Some(row_major) = qm.dense_row_major() {
-        // No cell pairing in the dense u8 body (two rows of a quad may hit
-        // the same cell), so AVX2 adds nothing over the SSE2 accumulate.
-        return match tier {
-            SimdTier::Scalar => {
-                dense_row_scan::<R, G, PortableAcc>(qm, row_major, rows, grads, f_range, hist)
-            }
-            #[cfg(target_arch = "x86_64")]
-            _ => dense_row_scan::<R, G, x86::Sse2Acc>(qm, row_major, rows, grads, f_range, hist),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => dense_row_scan::<R, G, PortableAcc>(qm, row_major, rows, grads, f_range, hist),
-        };
+        return dense_row_scan(qm, row_major, rows, grads, f_range, hist);
     }
     if qm.is_bundled() {
-        return match tier {
-            SimdTier::Scalar => {
-                bundled_row_scan::<R, G, PortableAcc>(qm, rows, grads, f_range, hist)
-            }
-            #[cfg(target_arch = "x86_64")]
-            _ => bundled_row_scan::<R, G, x86::Sse2Acc>(qm, rows, grads, f_range, hist),
-            #[cfg(not(target_arch = "x86_64"))]
-            _ => bundled_row_scan::<R, G, PortableAcc>(qm, rows, grads, f_range, hist),
-        };
+        return bundled_row_scan(qm, rows, grads, f_range, hist);
     }
     match tier {
-        SimdTier::Scalar => sparse_row_scan::<R, G, PortableAcc>(qm, rows, grads, f_range, hist),
-        #[cfg(target_arch = "x86_64")]
-        SimdTier::Sse2 => sparse_row_scan::<R, G, x86::Sse2Acc>(qm, rows, grads, f_range, hist),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: clamped tier ⇒ AVX2 available.
         SimdTier::Avx2 => unsafe { sparse_row_scan_avx2(qm, rows, grads, f_range, hist) },
-        #[cfg(not(target_arch = "x86_64"))]
         _ => sparse_row_scan::<R, G, PortableAcc>(qm, rows, grads, f_range, hist),
     }
 }
@@ -516,7 +451,7 @@ fn row_scan_impl<R: RowSet, G: GradRead>(
 /// (same-cell accumulation order stays row-ascending, as in the scalar
 /// scan), software prefetch [`PREFETCH_ROWS`] ahead, and branch-free
 /// missing-bin routing into the per-feature sinks.
-fn dense_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
+fn dense_row_scan<R: RowSet, G: GradRead>(
     qm: &QuantizedMatrix,
     row_major: &[u8],
     rows: R,
@@ -539,13 +474,13 @@ fn dense_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
     // offsets[f] + b < offsets[f+1] <= total or the sink total + f < total
     // + m; both fit the padded buffer asserted above.
     #[inline(always)]
-    unsafe fn acc<A: CellAcc>(hp: *mut f64, off: u32, sink: u32, b: u8, gh: A::Gh) -> u64 {
+    unsafe fn acc(hp: *mut f64, off: u32, sink: u32, b: u8, gh: (f64, f64)) -> u64 {
         let miss = u32::from(b == MISSING_BIN);
         let mask = miss.wrapping_neg();
         let cell = (((off + u32::from(b)) & !mask) | (sink & mask)) as usize * 2;
         // SAFETY: cell bounds per the invariant above.
         unsafe {
-            A::add(hp, cell, gh);
+            PortableAcc::add(hp, cell, gh);
         }
         u64::from(1 - miss)
     }
@@ -564,8 +499,8 @@ fn dense_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
         let (r0, r1, r2, r3) = (rows.get(i), rows.get(i + 1), rows.get(i + 2), rows.get(i + 3));
         let ([g0, h0], [g1, h1]) = (grads.get(i, r0), grads.get(i + 1, r1));
         let ([g2, h2], [g3, h3]) = (grads.get(i + 2, r2), grads.get(i + 3, r3));
-        let (gh0, gh1, gh2, gh3) =
-            (A::pack(g0, h0), A::pack(g1, h1), A::pack(g2, h2), A::pack(g3, h3));
+        let pack = PortableAcc::pack;
+        let (gh0, gh1, gh2, gh3) = (pack(g0, h0), pack(g1, h1), pack(g2, h2), pack(g3, h3));
         let (b0, b1, b2, b3) = (row_bins(r0), row_bins(r1), row_bins(r2), row_bins(r3));
         for f in f_range.clone() {
             // SAFETY: f < f_range.end <= m bounds every slice; cell indices
@@ -573,10 +508,10 @@ fn dense_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
             unsafe {
                 let off = *offsets.get_unchecked(f);
                 let sink = total + f as u32;
-                cells += acc::<A>(hp, off, sink, *b0.get_unchecked(f), gh0);
-                cells += acc::<A>(hp, off, sink, *b1.get_unchecked(f), gh1);
-                cells += acc::<A>(hp, off, sink, *b2.get_unchecked(f), gh2);
-                cells += acc::<A>(hp, off, sink, *b3.get_unchecked(f), gh3);
+                cells += acc(hp, off, sink, *b0.get_unchecked(f), gh0);
+                cells += acc(hp, off, sink, *b1.get_unchecked(f), gh1);
+                cells += acc(hp, off, sink, *b2.get_unchecked(f), gh2);
+                cells += acc(hp, off, sink, *b3.get_unchecked(f), gh3);
             }
         }
         i += 4;
@@ -584,13 +519,13 @@ fn dense_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
     while i < n {
         let r = rows.get(i);
         let [g, h] = grads.get(i, r);
-        let gh = A::pack(g, h);
+        let gh = PortableAcc::pack(g, h);
         let bins = row_bins(r);
         for f in f_range.clone() {
             // SAFETY: as in the unrolled body.
             unsafe {
                 let off = *offsets.get_unchecked(f);
-                cells += acc::<A>(hp, off, total + f as u32, *bins.get_unchecked(f), gh);
+                cells += acc(hp, off, total + f as u32, *bins.get_unchecked(f), gh);
             }
         }
         i += 1;
@@ -781,7 +716,7 @@ unsafe fn u4_row_scan_avx2<R: RowSet, G: GradRead>(
 /// branch-free into one shared sink cell at lane `total_bins` (absence is
 /// common in bundled data, so a branch would mispredict constantly); the
 /// sink is re-zeroed before the buffer leaves the kernel.
-fn bundled_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
+fn bundled_row_scan<R: RowSet, G: GradRead>(
     qm: &QuantizedMatrix,
     rows: R,
     grads: G,
@@ -811,7 +746,7 @@ fn bundled_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
             grads.prefetch(i + PREFETCH_ROWS, r);
         }
         let [g, h] = grads.get(i, row);
-        let gh = A::pack(g, h);
+        let gh = PortableAcc::pack(g, h);
         let rb = &brm[row as usize * n_cols..row as usize * n_cols + n_cols];
         for (c, &b) in rb.iter().enumerate() {
             // SAFETY: the LUT has 256 entries per storage column; a passing
@@ -821,7 +756,7 @@ fn bundled_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
                 let lane = *lut.get_unchecked((c << 8) | b as usize);
                 let hit = lane.wrapping_sub(lane_lo) < win;
                 let target = if hit { lane } else { total };
-                A::add(hp, target as usize * 2, gh);
+                PortableAcc::add(hp, target as usize * 2, gh);
                 cells += u64::from(hit);
             }
         }
@@ -1166,22 +1101,6 @@ pub fn col_scan(
     bin_range: Range<usize>,
     hist_f: &mut [f64],
 ) -> u64 {
-    col_scan_forced_tier(simd_tier(), qm, f, rows, grads, bin_range, hist_f)
-}
-
-/// [`col_scan`] pinned to `tier` (clamped to the detected ceiling). Test
-/// hook for the tier-equivalence suites.
-#[doc(hidden)]
-pub fn col_scan_forced_tier(
-    tier: SimdTier,
-    qm: &QuantizedMatrix,
-    f: usize,
-    rows: &[u32],
-    grads: GradSource<'_>,
-    bin_range: Range<usize>,
-    hist_f: &mut [f64],
-) -> u64 {
-    let tier = tier.min(detected_tier());
     if rows.is_empty() {
         return 0;
     }
@@ -1191,45 +1110,44 @@ pub fn col_scan_forced_tier(
             assert!(m.len() >= rows.len(), "MemBuf shorter than the row set");
             if contig {
                 let r = ContigRows { base: rows[0], len: rows.len() };
-                col_scan_impl(qm, f, r, MemBufRead(m), bin_range, hist_f, tier)
+                col_scan_body(qm, f, r, MemBufRead(m), bin_range, hist_f)
             } else {
-                col_scan_impl(qm, f, SliceRows(rows), MemBufRead(m), bin_range, hist_f, tier)
+                col_scan_body(qm, f, SliceRows(rows), MemBufRead(m), bin_range, hist_f)
             }
         }
         GradSource::Global(g) => {
             if contig {
                 let r = ContigRows { base: rows[0], len: rows.len() };
-                col_scan_impl(qm, f, r, GlobalRead(g), bin_range, hist_f, tier)
+                col_scan_body(qm, f, r, GlobalRead(g), bin_range, hist_f)
             } else {
-                col_scan_impl(qm, f, SliceRows(rows), GlobalRead(g), bin_range, hist_f, tier)
+                col_scan_body(qm, f, SliceRows(rows), GlobalRead(g), bin_range, hist_f)
             }
         }
     }
 }
 
-fn col_scan_impl<R: RowSet, G: GradRead>(
+/// [`col_scan`] at `tier`. Test hook for the tier-equivalence suites: a
+/// column scan accumulates one cell per matching row, with no distinct pair
+/// to fold, so every tier runs the same `PortableAcc` body.
+#[doc(hidden)]
+pub fn col_scan_forced_tier(
+    _tier: SimdTier,
     qm: &QuantizedMatrix,
     f: usize,
-    rows: R,
-    grads: G,
+    rows: &[u32],
+    grads: GradSource<'_>,
     bin_range: Range<usize>,
     hist_f: &mut [f64],
-    tier: SimdTier,
 ) -> u64 {
-    // Column scans accumulate one cell per matching row — no provably
-    // distinct pair to fold — so SSE2 is the widest useful tier.
-    match tier {
-        SimdTier::Scalar => {
-            col_scan_body::<R, G, PortableAcc>(qm, f, rows, grads, bin_range, hist_f)
-        }
-        #[cfg(target_arch = "x86_64")]
-        _ => col_scan_body::<R, G, x86::Sse2Acc>(qm, f, rows, grads, bin_range, hist_f),
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => col_scan_body::<R, G, PortableAcc>(qm, f, rows, grads, bin_range, hist_f),
-    }
+    col_scan(qm, f, rows, grads, bin_range, hist_f)
 }
 
-fn col_scan_body<R: RowSet, G: GradRead, A: CellAcc>(
+/// The column-scan body. Kept out of line so that each ⟨row set, gradient
+/// source⟩ instantiation is a function of its own: inlined, all four share
+/// `col_scan`'s code, and the single-thread column probe ran ≈ 40 % slower
+/// with the same instructions (EXPERIMENTS.md).
+#[inline(never)]
+fn col_scan_body<R: RowSet, G: GradRead>(
     qm: &QuantizedMatrix,
     f: usize,
     rows: R,
@@ -1265,7 +1183,13 @@ fn col_scan_body<R: RowSet, G: GradRead, A: CellAcc>(
                 if row & 1 == 1 {
                     let [g, h] = grads.get(0, row as u32);
                     // SAFETY: nibbles of a clean column are < n_bins.
-                    unsafe { A::add(hp, usize::from(pcol[row >> 1] >> 4) * 2, A::pack(g, h)) };
+                    unsafe {
+                        PortableAcc::add(
+                            hp,
+                            usize::from(pcol[row >> 1] >> 4) * 2,
+                            PortableAcc::pack(g, h),
+                        )
+                    };
                     row += 1;
                 }
                 while row + 2 <= end {
@@ -1274,16 +1198,22 @@ fn col_scan_body<R: RowSet, G: GradRead, A: CellAcc>(
                     unsafe {
                         let byte = *pcol.get_unchecked(row >> 1);
                         let [g, h] = grads.get(row - base, row as u32);
-                        A::add(hp, usize::from(byte & 0xF) * 2, A::pack(g, h));
+                        PortableAcc::add(hp, usize::from(byte & 0xF) * 2, PortableAcc::pack(g, h));
                         let [g, h] = grads.get(row + 1 - base, (row + 1) as u32);
-                        A::add(hp, usize::from(byte >> 4) * 2, A::pack(g, h));
+                        PortableAcc::add(hp, usize::from(byte >> 4) * 2, PortableAcc::pack(g, h));
                     }
                     row += 2;
                 }
                 if row < end {
                     let [g, h] = grads.get(row - base, row as u32);
                     // SAFETY: as above.
-                    unsafe { A::add(hp, usize::from(pcol[row >> 1] & 0xF) * 2, A::pack(g, h)) };
+                    unsafe {
+                        PortableAcc::add(
+                            hp,
+                            usize::from(pcol[row >> 1] & 0xF) * 2,
+                            PortableAcc::pack(g, h),
+                        )
+                    };
                 }
                 return n as u64;
             }
@@ -1292,7 +1222,7 @@ fn col_scan_body<R: RowSet, G: GradRead, A: CellAcc>(
                 if b < n_bins && (full_bins || bin_range.contains(&b)) {
                     let [g, h] = grads.get(row - base, row as u32);
                     // SAFETY: b < n_bins; buffer length asserted above.
-                    unsafe { A::add(hp, b * 2, A::pack(g, h)) };
+                    unsafe { PortableAcc::add(hp, b * 2, PortableAcc::pack(g, h)) };
                     cells += 1;
                 }
             };
@@ -1327,7 +1257,7 @@ fn col_scan_body<R: RowSet, G: GradRead, A: CellAcc>(
             }
             let [g, h] = grads.get(i, row as u32);
             // SAFETY: b < n_bins; buffer length asserted above.
-            unsafe { A::add(hp, b * 2, A::pack(g, h)) };
+            unsafe { PortableAcc::add(hp, b * 2, PortableAcc::pack(g, h)) };
             cells += 1;
         }
         return cells;
@@ -1347,7 +1277,7 @@ fn col_scan_body<R: RowSet, G: GradRead, A: CellAcc>(
             }
             let [g, h] = grads.get(i, row);
             // SAFETY: b < n_bins (QuantizedMatrix invariant).
-            unsafe { A::add(hp, usize::from(b) * 2, A::pack(g, h)) };
+            unsafe { PortableAcc::add(hp, usize::from(b) * 2, PortableAcc::pack(g, h)) };
             cells += 1;
         }
         return cells;
@@ -1374,7 +1304,7 @@ fn col_scan_body<R: RowSet, G: GradRead, A: CellAcc>(
             }
             let [g, h] = grads.get(i, row);
             // SAFETY: local < slot.width == n_bins(f).
-            unsafe { A::add(hp, local * 2, A::pack(g, h)) };
+            unsafe { PortableAcc::add(hp, local * 2, PortableAcc::pack(g, h)) };
             cells += 1;
         }
         return cells;
@@ -1394,7 +1324,7 @@ fn col_scan_body<R: RowSet, G: GradRead, A: CellAcc>(
             if full_bins || bin_range.contains(&b) {
                 let [g, h] = grads.get((row - base) as usize, row);
                 // SAFETY: b < n_bins (QuantizedMatrix invariant).
-                unsafe { A::add(hp, b * 2, A::pack(g, h)) };
+                unsafe { PortableAcc::add(hp, b * 2, PortableAcc::pack(g, h)) };
                 cells += 1;
             }
         }
@@ -1422,7 +1352,7 @@ fn col_scan_body<R: RowSet, G: GradRead, A: CellAcc>(
             if full_bins || bin_range.contains(&(b as usize)) {
                 let [g, h] = grads.get(i, row);
                 // SAFETY: b < n_bins (QuantizedMatrix invariant).
-                unsafe { A::add(hp, usize::from(b) * 2, A::pack(g, h)) };
+                unsafe { PortableAcc::add(hp, usize::from(b) * 2, PortableAcc::pack(g, h)) };
                 cells += 1;
             }
             k += 1;
@@ -1526,46 +1456,27 @@ fn sub_grads<'a>(grads: GradSource<'a>, run: &ChunkRun<'_>) -> GradSource<'a> {
 
 /// Row-scans one run of a chunk sweep — where every store-mediated row scan
 /// meets a kernel. `grads` belongs to the run's whole cursor. A list run
-/// takes [`row_scan`] ([`row_scan_scalar`] when `scalar`), a range run the
-/// root fast path [`row_scan_root`], which has no scalar twin.
+/// takes [`row_scan`], a range run the root fast path [`row_scan_root`].
 pub(crate) fn row_scan_run(
     run: &ChunkRun<'_>,
     grads: GradSource<'_>,
     f_range: Range<usize>,
     hist: &mut [f64],
-    scalar: bool,
 ) -> u64 {
     let grads = sub_grads(grads, run);
     match &run.rows {
-        Rows::List(rows) if scalar => row_scan_scalar(run.slab, rows, grads, f_range, hist),
         Rows::List(rows) => row_scan(run.slab, rows, grads, f_range, hist),
         Rows::Range(rows) => row_scan_root(run.slab, rows.clone(), grads, f_range, hist),
     }
 }
 
-fn row_scan_sweep(
-    store: &dyn QuantStore,
-    rows: Rows<'_>,
-    grads: GradSource<'_>,
-    f_range: Range<usize>,
-    hist: &mut [f64],
-    scalar: bool,
-) -> u64 {
-    let mut cells = 0u64;
-    sweep_chunks(
-        store,
-        &[rows],
-        |_| {},
-        |run| cells += row_scan_run(run, grads, f_range.clone(), hist, scalar),
-    );
-    cells
-}
-
-/// [`row_scan`] (or [`row_scan_scalar`] when `scalar`) through a
-/// [`QuantStore`]: a [`sweep_chunks`] of the ascending row list, whose
-/// chunk-ascending runs preserve the per-cell row-ascending `f64`
-/// accumulation order, so the result is bitwise identical to a monolithic
-/// scan — which is what the sweep's single step over an in-memory store is.
+/// [`row_scan`] through a [`QuantStore`]: a [`sweep_chunks`] of the
+/// ascending row list, whose chunk-ascending runs preserve the per-cell
+/// row-ascending `f64` accumulation order, so the result is bitwise
+/// identical to a monolithic scan — which is what the sweep's single step
+/// over an in-memory store is. With `scalar`, every run takes the reference
+/// [`row_scan_scalar`] instead, for callers that time or check the
+/// specialized path against it; training always passes `false`.
 pub fn row_scan_store(
     store: &dyn QuantStore,
     rows: &[u32],
@@ -1574,7 +1485,21 @@ pub fn row_scan_store(
     hist: &mut [f64],
     scalar: bool,
 ) -> u64 {
-    row_scan_sweep(store, Rows::List(rows), grads, f_range, hist, scalar)
+    let mut cells = 0u64;
+    sweep_chunks(
+        store,
+        &[Rows::List(rows)],
+        |_| {},
+        |run| {
+            cells += if scalar {
+                let grads = sub_grads(grads, run);
+                row_scan_scalar(run.slab, run.rows.list(), grads, f_range.clone(), hist)
+            } else {
+                row_scan_run(run, grads, f_range.clone(), hist)
+            };
+        },
+    );
+    cells
 }
 
 /// [`row_scan_root`] through a [`QuantStore`]: contiguous global rows map
@@ -1588,13 +1513,20 @@ pub fn row_scan_root_store(
     f_range: Range<usize>,
     hist: &mut [f64],
 ) -> u64 {
-    row_scan_sweep(store, Rows::Range(row_range), grads, f_range, hist, false)
+    let mut cells = 0u64;
+    sweep_chunks(
+        store,
+        &[Rows::Range(row_range)],
+        |_| {},
+        |run| cells += row_scan_run(run, grads, f_range.clone(), hist),
+    );
+    cells
 }
 
-/// [`col_scan`] (or [`col_scan_scalar`] when `scalar`) through a
-/// [`QuantStore`]; same sweep and determinism argument as
-/// [`row_scan_store`]. A contiguous node row set stays contiguous within
-/// every chunk run, so the per-chunk scans keep the sequential fast paths.
+/// [`col_scan`] through a [`QuantStore`]; same sweep and determinism
+/// argument as [`row_scan_store`]. A contiguous node row set stays
+/// contiguous within every chunk run, so the per-chunk scans keep the
+/// sequential fast paths.
 pub fn col_scan_store(
     store: &dyn QuantStore,
     f: usize,
@@ -1602,7 +1534,6 @@ pub fn col_scan_store(
     grads: GradSource<'_>,
     bin_range: Range<usize>,
     hist_f: &mut [f64],
-    scalar: bool,
 ) -> u64 {
     let mut cells = 0u64;
     sweep_chunks(
@@ -1610,12 +1541,8 @@ pub fn col_scan_store(
         &[Rows::List(rows)],
         |_| {},
         |run| {
-            let (rows, grads, bins) = (run.rows.list(), sub_grads(grads, run), bin_range.clone());
-            cells += if scalar {
-                col_scan_scalar(run.slab, f, rows, grads, bins, hist_f)
-            } else {
-                col_scan(run.slab, f, rows, grads, bins, hist_f)
-            };
+            let (rows, grads) = (run.rows.list(), sub_grads(grads, run));
+            cells += col_scan(run.slab, f, rows, grads, bin_range.clone(), hist_f);
         },
     );
     cells
@@ -1855,7 +1782,7 @@ mod tests {
             let rows: Vec<u32> = (0..n as u32).collect();
             let mut scalar = hist_for(&qm);
             row_scan_scalar(&qm, &rows, GradSource::Global(&g), 0..m, &mut scalar);
-            for tier in [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
+            for tier in [SimdTier::Scalar, SimdTier::Avx2] {
                 let mut fast = hist_for(&qm);
                 row_scan_forced_tier(tier, &qm, &rows, GradSource::Global(&g), 0..m, &mut fast);
                 assert_eq!(fast, scalar, "tier {} differs", tier.name());
@@ -2021,7 +1948,7 @@ mod tests {
                 let n_bins = qm.mapper().n_bins(f) as usize;
                 let mut scalar = vec![0.0; n_bins * 2];
                 col_scan_scalar(&qm, f, &rows, GradSource::Global(&g), 0..n_bins, &mut scalar);
-                for tier in [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2] {
+                for tier in [SimdTier::Scalar, SimdTier::Avx2] {
                     let mut fast = vec![0.0; n_bins * 2];
                     col_scan_forced_tier(
                         tier,
@@ -2042,7 +1969,7 @@ mod tests {
     fn simd_tier_is_clamped_and_named() {
         let t = simd_tier();
         assert!(t <= detected_tier());
-        assert!(["scalar", "sse2", "avx2"].contains(&t.name()));
+        assert!(["scalar", "avx2"].contains(&t.name()));
         assert_eq!(SimdTier::Scalar.as_u64(), 0);
         assert_eq!(SimdTier::Avx2.as_u64(), 2);
     }

@@ -484,7 +484,7 @@ pub fn compute_gradients_group(
     }
     match objective.gradients() {
         GradientFn::RowWise(rw) => {
-            parallel_rows(pool, n, out, |r, gp| {
+            parallel_rows(pool, out, |r, gp| {
                 let row = &preds[r * groups..(r + 1) * groups];
                 let mut pair = rw.grad(row, labels[r], group);
                 pair[1] = pair[1].max(HESSIAN_FLOOR);
@@ -508,7 +508,7 @@ pub fn compute_gradients_group(
                 "query-group sizes must sum to the row count"
             );
             lw.grads(&GradScope { preds, labels, query_groups: qg }, out);
-            parallel_rows(pool, n, out, |r, gp| {
+            parallel_rows(pool, out, |r, gp| {
                 let mut pair = *gp;
                 pair[1] = pair[1].max(HESSIAN_FLOOR);
                 let scale = scaling.scale(r);
@@ -523,31 +523,12 @@ pub fn compute_gradients_group(
 /// The chunked parallel fill loop shared by both gradient paths. Chunk
 /// geometry is unchanged from the pre-trait implementation so gradient
 /// buffers stay bitwise identical.
-fn parallel_rows(
-    pool: &ThreadPool,
-    n: usize,
-    out: &mut [GradPair],
-    f: impl Fn(usize, &mut GradPair) + Sync,
-) {
-    let chunk = (n / (pool.num_threads() * 4)).max(1024);
-    let n_chunks = n.div_ceil(chunk);
-    // Chunks write disjoint ranges; reconstruct the range from the task
-    // index and use raw slices through a shared pointer wrapper.
-    struct SendPtr(*mut GradPair);
-    unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
-    impl SendPtr {
-        fn get(&self) -> *mut GradPair {
-            self.0
-        }
-    }
-    let base = SendPtr(out.as_mut_ptr());
-    pool.parallel_for(n_chunks, |c, _| {
+fn parallel_rows(pool: &ThreadPool, out: &mut [GradPair], f: impl Fn(usize, &mut GradPair) + Sync) {
+    let chunk = (out.len() / (pool.num_threads() * 4)).max(1024);
+    let mut pieces: Vec<&mut [GradPair]> = out.chunks_mut(chunk).collect();
+    pool.parallel_for_each_mut(&mut pieces, |c, piece, _| {
         let lo = c * chunk;
-        let hi = (lo + chunk).min(n);
-        // SAFETY: chunks are disjoint ranges of `out`.
-        let slice = unsafe { std::slice::from_raw_parts_mut(base.get().add(lo), hi - lo) };
-        for (i, gp) in slice.iter_mut().enumerate() {
+        for (i, gp) in piece.iter_mut().enumerate() {
             f(lo + i, gp);
         }
     });

@@ -341,11 +341,6 @@ pub struct TrainParams {
     /// Use a static task schedule in data-parallel reductions so results are
     /// bitwise reproducible run-to-run.
     pub deterministic: bool,
-    /// Force the scalar reference BuildHist kernels instead of the
-    /// specialized (unrolled, offset-table, sink-cell) ones. A/B lever for
-    /// the bench runner and the kernel-equivalence tests; both paths produce
-    /// bitwise identical histograms.
-    pub use_scalar_kernels: bool,
     /// Per-tree row subsampling rate in `(0, 1]` (stochastic gradient
     /// boosting). Excluded rows get zero gradient mass for that tree; `1.0`
     /// disables sampling, as in all paper experiments (§V-A4 excludes
@@ -382,7 +377,6 @@ impl Default for TrainParams {
             hist_subtraction: true,
             hist_cache_bytes: 512 << 20,
             deterministic: true,
-            use_scalar_kernels: false,
             subsample: 1.0,
             colsample_bytree: 1.0,
             seed: 0,

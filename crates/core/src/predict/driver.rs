@@ -246,27 +246,13 @@ impl<'a> Predictor<'a> {
         let trace = self.trace;
         match self.pool {
             Some(pool) if n_blocks > 1 => {
-                struct Ptr(*mut f32);
-                unsafe impl Send for Ptr {}
-                unsafe impl Sync for Ptr {}
-                impl Ptr {
-                    fn get(&self) -> *mut f32 {
-                        self.0
-                    }
-                }
-                let ptr = Ptr(out.as_mut_ptr());
-                pool.parallel_for(n_blocks, |b, w| {
+                // One piece per row block: `row_block(b)` rows × `stride`.
+                let mut pieces: Vec<&mut [f32]> =
+                    out[..n_rows * stride].chunks_mut(block.max(1) * stride).collect();
+                pool.parallel_for_each_mut(&mut pieces, |b, dst, w| {
                     let _span = trace.map(|s| s.span(w, TracePhase::Predict, 0, b as u32));
                     let rows = row_block(b, block, n_rows);
-                    let (lo, hi) = (rows.start, rows.end);
-                    // SAFETY: blocks cover disjoint row ranges of `out`.
-                    let dst = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            ptr.get().add(lo * stride),
-                            (hi - lo) * stride,
-                        )
-                    };
-                    score(lo, hi, dst);
+                    score(rows.start, rows.end, dst);
                 });
             }
             _ => {

@@ -323,7 +323,6 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
         // touch disjoint lanes as argued above.
         unsafe { std::slice::from_raw_parts_mut(ptr, width) }
     };
-    let use_scalar = ctx.params.use_scalar_kernels;
     let root_identity = ctx.partition.is_identity_order();
 
     let trace = ctx.trace();
@@ -386,7 +385,7 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
             .step_by(stride)
             .map(|task| {
                 let node = jobs_ro[task.jobs.start].node;
-                if !use_scalar && node == 0 && root_identity {
+                if node == 0 && root_identity {
                     // Root fast path: the root span starts at row 0 in
                     // identity order, so a task's positions ARE its row ids
                     // and the row-id indirection drops out.
@@ -415,7 +414,7 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
                     GradSource::MemBuf(&membuf[task.rows.clone()])
                 };
                 let dst = dst_of(job_idx, slot);
-                local_cells += row_scan_run(run, grads, task.features.clone(), dst, use_scalar);
+                local_cells += row_scan_run(run, grads, task.features.clone(), dst);
             },
         );
         progress[slot].store(usize::MAX, Ordering::Release);
@@ -563,7 +562,6 @@ fn run_tiles<'a>(
     let mapper = ctx.qm.mapper();
     let offsets = mapper.bin_offsets();
     let lane_of = |f: usize| offsets[f] as usize * 2;
-    let use_scalar = ctx.params.use_scalar_kernels;
     let trace = ctx.trace();
     let n_threads = ctx.pool.num_threads();
 
@@ -665,8 +663,7 @@ fn run_tiles<'a>(
                     }
                     let base = lane_of(f) - lane0;
                     let hist_f = &mut small[base..base + n_bins * 2];
-                    local_cells +=
-                        col_scan_store(ctx.qm, f, rows, grads, bin_range, hist_f, use_scalar);
+                    local_cells += col_scan_store(ctx.qm, f, rows, grads, bin_range, hist_f);
                 }
             }
             // The one tile body.
@@ -822,7 +819,7 @@ pub(super) fn fill_node(ctx: &DriverCtx<'_>, jobs: &mut [TileJob]) {
         let grads = ctx.grad_source(job.node);
         let buf = job.buf.as_deref_mut().expect("a node task's child is full-width");
         for block in feature_blocks(m, f_blk) {
-            cells += row_scan_store(ctx.qm, rows, grads, block, buf, ctx.params.use_scalar_kernels);
+            cells += row_scan_store(ctx.qm, rows, grads, block, buf, false);
         }
     }
     ctx.report_cells(cells);
@@ -1011,26 +1008,6 @@ mod tests {
         let hists = run_driver(ParallelMode::DataParallel, &params, &qm, &part, &grads, &nodes);
         for (i, &n) in nodes.iter().enumerate() {
             assert_close(&hists[i], &reference_hist(&qm, &part, &grads, n));
-        }
-    }
-
-    #[test]
-    fn scalar_kernel_toggle_matches_specialized() {
-        let (qm, grads, part) = setup(DatasetKind::HiggsLike, true);
-        let nodes = [3u32, 4, 2];
-        for mode in [ParallelMode::DataParallel, ParallelMode::ModelParallel] {
-            let fast = {
-                let params = TrainParams { n_threads: 4, ..Default::default() };
-                run_driver(mode, &params, &qm, &part, &grads, &nodes)
-            };
-            let scalar = {
-                let params =
-                    TrainParams { n_threads: 4, use_scalar_kernels: true, ..Default::default() };
-                run_driver(mode, &params, &qm, &part, &grads, &nodes)
-            };
-            for i in 0..nodes.len() {
-                assert_eq!(fast[i], scalar[i], "node {i} not bitwise equal across kernels");
-            }
         }
     }
 

@@ -412,11 +412,7 @@ impl std::fmt::Display for ProfileReport {
             "hist declined / trimmed / skipped {:>4} / {} / {}",
             self.hist_cache_declined, self.hist_cache_trimmed, self.hist_builds_skipped
         )?;
-        let tier = match self.simd_tier {
-            0 => "scalar",
-            1 => "sse2",
-            _ => "avx2",
-        };
+        let tier = if self.simd_tier == 0 { "scalar" } else { "avx2" };
         writeln!(
             f,
             "layout u4/bundled/conflicts {:>2} / {} / {} (simd {})",

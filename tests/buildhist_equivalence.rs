@@ -338,10 +338,10 @@ proptest! {
     fn forced_tiers_bitwise_equal_scalar(
         dense in u4_case(),
         matrix in one_hot_matrix(),
-        tier_idx in 0usize..3,
+        tier_idx in 0usize..2,
     ) {
         use harpgbdt::kernels::{col_scan_forced_tier, row_scan_forced_tier, SimdTier};
-        let tier = [SimdTier::Scalar, SimdTier::Sse2, SimdTier::Avx2][tier_idx];
+        let tier = [SimdTier::Scalar, SimdTier::Avx2][tier_idx];
         let sparse_qm = QuantizedMatrix::from_matrix_opts(
             &matrix,
             BinningConfig::with_max_bins(16),
@@ -428,20 +428,6 @@ fn training_fixture_is_bitwise_stable_across_versions() {
         let (n, h) = prediction_hash(params, &data);
         assert_eq!(n, EXPECTED_N, "{name}: prediction count changed");
         assert_eq!(h, EXPECTED_HASH, "{name}: predictions changed bitwise across versions");
-    }
-}
-
-/// The scalar-kernel toggle trains to bitwise identical models.
-#[test]
-fn scalar_kernel_toggle_trains_identically() {
-    let data = fixture_data();
-    for mode in [ParallelMode::DataParallel, ParallelMode::ModelParallel] {
-        let fast = prediction_hash(fixture_params(mode, true), &data);
-        let scalar = prediction_hash(
-            TrainParams { use_scalar_kernels: true, ..fixture_params(mode, true) },
-            &data,
-        );
-        assert_eq!(fast, scalar, "{mode:?}: kernel specialization changed training output");
     }
 }
 

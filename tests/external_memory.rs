@@ -216,7 +216,7 @@ fn store_scans_are_bitwise_equal_to_the_in_core_kernels() {
                         let base = mapper.bin_offset(f) as usize * 2;
                         let hist_f = &mut hist[base..base + bins * 2];
                         match store {
-                            Some(s) => col_scan_store(s, f, &rows, node, 0..bins, hist_f, false),
+                            Some(s) => col_scan_store(s, f, &rows, node, 0..bins, hist_f),
                             None => col_scan(qm, f, &rows, node, 0..bins, hist_f),
                         }
                     };
@@ -240,6 +240,87 @@ fn store_scans_are_bitwise_equal_to_the_in_core_kernels() {
             drop(store);
             std::fs::remove_file(path).ok();
         }
+    }
+}
+
+#[test]
+fn the_reference_arm_of_row_scan_store_is_bitwise_the_specialized_scan() {
+    // `row_scan_store(.., true)` is the one scalar branch left outside the
+    // kernels' own tests: it must visit the same chunk runs in the same
+    // order as the specialized arm, on every layout, in-core and chunked.
+    use harp_binning::{BinningConfig, LayoutOptions, QuantizedMatrix};
+    use harp_data::{CsrMatrix, DatasetKind, FeatureMatrix, SynthConfig};
+    use harpgbdt::kernels::{row_scan, row_scan_store, GradSource};
+    let higgs = SynthConfig::new(DatasetKind::HiggsLike, 5).with_scale(0.02).generate().features;
+    // Grouped one-hot rows: at most one feature of each group per row. Plain
+    // CSR with compression off, bundled with it on; both with many entries
+    // per cell, so a reordered sum shows.
+    let mut s = 0x0E0Fu64;
+    let one_hot: Vec<Vec<(u32, f32)>> = (0..400)
+        .map(|_| {
+            (0..6u32)
+                .filter_map(|g| {
+                    s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let r = s >> 33;
+                    (r % 4 != 0).then(|| (g * 4 + (r >> 4) as u32 % 4, (r >> 8) as f32 % 13.0))
+                })
+                .collect()
+        })
+        .collect();
+    let one_hot = FeatureMatrix::Sparse(CsrMatrix::from_rows(24, &one_hot));
+    let plain = LayoutOptions::uncompressed();
+    // At most 15 bins: the nibble 0xF stays free for a missing cell.
+    let low = BinningConfig::with_max_bins(15);
+    let layouts = [
+        ("dense", QuantizedMatrix::from_matrix_opts(&higgs, BinningConfig::default(), plain)),
+        ("u4", QuantizedMatrix::from_matrix(&higgs, low)),
+        ("sparse", QuantizedMatrix::from_matrix_opts(&one_hot, low, plain)),
+        ("bundled", QuantizedMatrix::from_matrix(&one_hot, low)),
+    ];
+    for (name, qm) in &layouts {
+        let want_layout = match *name {
+            "dense" => qm.is_dense() && qm.u4().is_none(),
+            "u4" => qm.u4().is_some(),
+            "sparse" => !qm.is_dense() && !qm.is_bundled(),
+            _ => qm.is_bundled(),
+        };
+        assert!(want_layout, "{name}: the fixture did not produce its layout");
+        let (n, m) = (qm.n_rows(), qm.n_features());
+        assert!(n > 128, "{name}: the rows must straddle several 32-row chunks");
+        let width = harpgbdt::hist::hist_width(qm.mapper().total_bins(), m);
+        // Magnitudes over forty binades, as above: a reordered sum shows.
+        let hash = |i: u64| (i ^ 0x9E37_79B9).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 20;
+        let wide =
+            |h: u64| (1.0 + (h % 1024) as f32 / 1024.0) * 2f32.powi((h >> 10) as i32 % 40 - 30);
+        let grads: Vec<[f32; 2]> = (0..n as u64).map(|i| [wide(hash(i)), wide(hash(!i))]).collect();
+        let rows: Vec<u32> = (0..n as u32).filter(|&r| hash(u64::from(r) << 7) % 3 != 0).collect();
+        let membuf: Vec<[f32; 2]> = rows.iter().map(|&r| grads[r as usize]).collect();
+        let path = std::env::temp_dir()
+            .join(format!("harp_xmem_{}_{n}_reference_{name}.qsc", std::process::id()));
+        write_cache(qm, 32, &path).expect("write cache");
+        let chunked = ChunkedStore::open(&path, u64::MAX).unwrap();
+        assert_eq!(chunked.n_chunks(), n.div_ceil(32));
+        for grads in [GradSource::Global(&grads), GradSource::MemBuf(&membuf)] {
+            let bits = |scan: &mut dyn FnMut(&mut [f64]) -> u64| {
+                let mut hist = vec![0.0f64; width];
+                let cells = scan(&mut hist);
+                (cells, hist.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+            };
+            let want = bits(&mut |hist| row_scan(qm, &rows, grads, 0..m, hist));
+            assert!(want.0 > 0, "{name}: the scan saw no cells");
+            for (store, label) in [(qm as &dyn QuantStore, "in-core"), (&chunked, "chunked")] {
+                for scalar in [false, true] {
+                    let got =
+                        bits(&mut |hist| row_scan_store(store, &rows, grads, 0..m, hist, scalar));
+                    assert!(
+                        want == got,
+                        "{name}, {label}, scalar={scalar}: diverged from row_scan"
+                    );
+                }
+            }
+        }
+        drop(chunked);
+        std::fs::remove_file(path).ok();
     }
 }
 
