@@ -1,13 +1,14 @@
-//! Experiment harness for the HarpGBDT reproduction.
-//!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` §3 for the index). This library holds the shared pieces:
+//! Shared pieces of the two gated bench binaries (`bench_buildhist`,
+//! `bench_serve`), the Criterion micro-benchmarks and the workspace-root
+//! integration tests. Paper tables and figures are not regenerated here:
+//! `benchmark/` measures the layers they describe, and DESIGN.md §3 says
+//! what measures or checks each one.
 //!
 //! * [`ExpArgs`] — uniform CLI (`--scale`, `--threads`, `--trees`,
-//!   `--seed`, `--full`, `--out`);
-//! * [`Table`] — aligned-markdown table rendering plus optional JSON dump;
-//! * [`prepared`] — dataset generation + quantization, done once per
-//!   experiment so every trainer sees byte-identical inputs;
+//!   `--seed`, `--full`, `--test`, `--out`);
+//! * [`Table`] — aligned-markdown table rendering plus JSON dump;
+//! * [`prepared`] — dataset generation + quantization, done once so every
+//!   trainer sees byte-identical inputs;
 //! * [`harp_params`] — the HarpGBDT configuration the paper uses in its
 //!   headline comparisons (§V-E: K=32, feature_blk=4, node_blk=32, DP at
 //!   D8 and ASYNC above).
@@ -19,6 +20,5 @@ pub mod runner;
 pub use args::ExpArgs;
 pub use report::Table;
 pub use runner::{
-    chunked_store, harp_params, harp_params_for, prepared, quantize_default, run_config, warmup,
-    PreparedData, RunResult,
+    harp_params, prepared, quantize_default, run_config, warmup, PreparedData, RunResult,
 };

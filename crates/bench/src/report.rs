@@ -79,7 +79,7 @@ impl Table {
         print!("{}", self.render());
     }
 
-    /// Optionally writes the table (and any sibling tables) as JSON.
+    /// Writes the table (and any sibling tables) as JSON.
     ///
     /// # Errors
     /// Propagates I/O errors.
@@ -87,26 +87,6 @@ impl Table {
         let json = serde_json::to_string_pretty(tables).map_err(std::io::Error::other)?;
         std::fs::write(path, json)
     }
-}
-
-/// Formats a float with 4 significant decimals for table cells.
-pub fn f(x: f64) -> String {
-    format!("{x:.4}")
-}
-
-/// Formats milliseconds from seconds.
-pub fn ms(secs: f64) -> String {
-    format!("{:.2}", secs * 1e3)
-}
-
-/// Formats a ratio as `N.NNx`.
-pub fn speedup(x: f64) -> String {
-    format!("{x:.2}x")
-}
-
-/// Formats a share as a percentage.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
 }
 
 #[cfg(test)]
@@ -145,13 +125,5 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"title\": \"demo\""));
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn formatters() {
-        assert_eq!(f(1.23456), "1.2346");
-        assert_eq!(ms(0.0015), "1.50");
-        assert_eq!(speedup(2.5), "2.50x");
-        assert_eq!(pct(0.421), "42.1%");
     }
 }

@@ -8,8 +8,6 @@ use harpgbdt::{BlockConfig, GbdtTrainer, GrowthMethod, ParallelMode, TrainParams
 /// A dataset prepared once for many trainer configurations: raw train/test
 /// split plus the quantized training matrix.
 pub struct PreparedData {
-    /// Which paper dataset this imitates.
-    pub kind: DatasetKind,
     /// Raw training split.
     pub train: Dataset,
     /// Raw held-out split.
@@ -18,7 +16,7 @@ pub struct PreparedData {
     pub quantized: QuantizedMatrix,
 }
 
-/// The one shared quantizer for every bench binary: trainer-default binning
+/// The one shared quantizer for the bench binaries: trainer-default binning
 /// and layout options, so a matrix built here is exactly what `GbdtTrainer`
 /// would build internally (and what the external-memory cache re-encodes).
 pub fn quantize_default(features: &harp_data::FeatureMatrix) -> QuantizedMatrix {
@@ -30,29 +28,7 @@ pub fn prepared(kind: DatasetKind, scale: f64, seed: u64) -> PreparedData {
     let full = SynthConfig::new(kind, seed).with_scale(scale).generate();
     let (train, test) = full.split(0.1, seed);
     let quantized = quantize_default(&train.features);
-    PreparedData { kind, train, test, quantized }
-}
-
-/// Writes the prepared matrix's chunk cache to a scratch file and opens it
-/// with a resident budget of `budget_frac` × the decoded byte total (so
-/// `0.25` forces ~¾ of the chunks out at any time and `1.0` lets everything
-/// stay resident). Chunk granularity targets ~64 chunks so a fractional
-/// budget still leaves a multi-chunk sweep window for the DP slots' sweeps
-/// while small bench scales keep exercising eviction.
-pub fn chunked_store(data: &PreparedData, budget_frac: f64) -> harp_binning::ChunkedStore {
-    let qm = &data.quantized;
-    let rows_per_chunk = (qm.n_rows() / 64).max(256);
-    let path = std::env::temp_dir().join(format!(
-        "harp_bench_{}_{}_{}.qsc",
-        std::process::id(),
-        data.kind.name(),
-        qm.n_rows()
-    ));
-    if !path.exists() {
-        harp_binning::write_cache(qm, rows_per_chunk, &path).expect("write chunk cache");
-    }
-    let budget = (qm.storage_bytes() as f64 * budget_frac).max(1.0) as u64;
-    harp_binning::ChunkedStore::open(&path, budget).expect("open chunk cache")
+    PreparedData { train, test, quantized }
 }
 
 /// The HarpGBDT configuration used in the paper's headline comparisons
@@ -73,25 +49,6 @@ pub fn harp_params(tree_size: u32, threads: usize) -> TrainParams {
         },
         ..TrainParams::default()
     }
-}
-
-/// Shape-aware HarpGBDT configuration (§IV-C / §V-F: "selecting different
-/// parallelism method according to the shape of the input matrix"): fat or
-/// sparse matrices (many features) use model parallelism with wide feature
-/// blocks — conflict-free writes and no replica as wide as the feature
-/// axis — while thin dense matrices use the [`harp_params`] recipe.
-pub fn harp_params_for(data: &PreparedData, tree_size: u32, threads: usize) -> TrainParams {
-    let mut params = harp_params(tree_size, threads);
-    if data.train.n_features() >= 512 || !data.quantized.is_dense() {
-        params.mode = ParallelMode::ModelParallel;
-        params.blocks = BlockConfig {
-            row_blk_size: 0,
-            node_blk_size: 8,
-            feature_blk_size: 32,
-            bin_blk_size: 0,
-        };
-    }
-    params
 }
 
 /// Warms caches, the allocator and CPU frequency before timed runs by
@@ -125,7 +82,7 @@ pub struct RunResult {
 }
 
 /// Trains `params` on `data`'s labels through `store` — the prepared
-/// `&data.quantized`, or a [`chunked_store`] of it, which trains the
+/// `&data.quantized`, or a chunk cache of it, which trains the
 /// bitwise-identical model at a different speed — optionally recording a
 /// per-iteration AUC trace against the test split, and evaluates the result.
 pub fn run_config(

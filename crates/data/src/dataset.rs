@@ -130,21 +130,6 @@ impl Dataset {
         (part(train_q), part(test_q))
     }
 
-    /// Duplicates the dataset `factor` times (rows stacked). Used by the
-    /// weak-scaling experiment (Fig. 13b), which grows the input
-    /// proportionally to the thread count "by duplicating the HIGGS dataset".
-    pub fn duplicated(&self, factor: usize) -> Self {
-        assert!(factor >= 1, "duplication factor must be >= 1");
-        let mut features = self.features.clone();
-        let mut labels = self.labels.clone();
-        for _ in 1..factor {
-            features = features.vstack(&self.features);
-            labels.extend_from_slice(&self.labels);
-        }
-        let query_groups = self.query_groups.as_ref().map(|g| g.repeat(factor));
-        Self { name: format!("{}x{}", self.name, factor), features, labels, query_groups }
-    }
-
     /// Shape and balance statistics (the data-side half of Table III).
     pub fn stats(&self) -> DatasetStats {
         let n = self.n_rows();
@@ -228,15 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn duplicated_stacks_rows() {
-        let d = tiny(10);
-        let dd = d.duplicated(3);
-        assert_eq!(dd.n_rows(), 30);
-        assert_eq!(dd.labels[0], dd.labels[10]);
-        assert_eq!(dd.features.get(0, 1), dd.features.get(20, 1));
-    }
-
-    #[test]
     fn stats_reports_shape_and_balance() {
         let d = tiny(10);
         let s = d.stats();
@@ -254,11 +230,9 @@ mod tests {
     }
 
     #[test]
-    fn query_groups_attach_and_survive_duplication() {
+    fn query_groups_attach() {
         let d = tiny(10).with_query_groups(vec![4, 3, 3]);
         assert_eq!(d.query_groups.as_deref(), Some(&[4, 3, 3][..]));
-        let dd = d.duplicated(2);
-        assert_eq!(dd.query_groups.as_deref(), Some(&[4, 3, 3, 4, 3, 3][..]));
     }
 
     #[test]

@@ -40,9 +40,15 @@ fn parse_err(line: usize, message: impl Into<String>) -> LoadError {
     LoadError::Parse { line, message: message.into() }
 }
 
+/// The most columns a LIBSVM file may name (2²⁴). Set-up sizes per-column
+/// tables by the column count, so a dozen bytes naming index 4·10⁹ would
+/// otherwise abort the process on allocation.
+pub const MAX_LIBSVM_COLS: usize = 1 << 24;
+
 /// Reads a LIBSVM-format dataset (`label idx:value idx:value ...`, indices
 /// 1-based or 0-based — auto-detected; comments after `#` ignored; a literal
-/// `nan` value is a missing entry, as in CSV).
+/// `nan` value is a missing entry, as in CSV). At most [`MAX_LIBSVM_COLS`]
+/// columns.
 pub fn read_libsvm<R: BufRead>(reader: R, name: &str) -> Result<Dataset, LoadError> {
     let mut rows: Vec<Vec<(u32, f32)>> = Vec::new();
     let mut labels: Vec<f32> = Vec::new();
@@ -83,18 +89,18 @@ pub fn read_libsvm<R: BufRead>(reader: R, name: &str) -> Result<Dataset, LoadErr
     }
     // Shift 1-based indices down.
     let offset = if matches!(min_idx, None | Some(0)) { 0 } else { 1 };
-    // The column count must itself fit a feature index: 0-based data that
-    // uses index `u32::MAX` has one column too many.
     let n_cols = if rows.iter().all(|r| r.is_empty()) {
         0
     } else {
         let (idx, line) = max_col;
-        (idx - offset).checked_add(1).ok_or_else(|| {
-            parse_err(
+        let n_cols = (idx - offset) as usize + 1;
+        if n_cols > MAX_LIBSVM_COLS {
+            return Err(parse_err(
                 line,
-                format!("feature index {idx} does not fit: at most {} columns", u32::MAX),
-            )
-        })? as usize
+                format!("feature index {idx} does not fit: at most {MAX_LIBSVM_COLS} columns"),
+            ));
+        }
+        n_cols
     };
     for row in &mut rows {
         for entry in row.iter_mut() {
@@ -270,10 +276,34 @@ mod tests {
         let err = read_libsvm(Cursor::new("0 1:1\n1 0:1 4294967295:1\n"), "t").unwrap_err();
         assert!(matches!(err, LoadError::Parse { line: 2, .. }), "{err}");
         assert!(format!("{err}").contains("4294967295 does not fit"), "{err}");
-        // One more digit never parsed; 1-based data may use the index.
+        // One more digit never parses; 1-based data is over the cap too.
         assert!(read_libsvm(Cursor::new("1 4294967296:1\n"), "t").is_err());
-        let d = read_libsvm(Cursor::new("1 4294967295:1\n"), "t").unwrap();
-        assert_eq!((d.n_features(), d.features.n_present()), (u32::MAX as usize, 1));
+        assert!(read_libsvm(Cursor::new("1 4294967295:1\n"), "t").is_err());
+    }
+
+    /// Fourteen bytes naming 4·10⁹ columns are a typed error on their line,
+    /// not a column count set-up would size its tables by.
+    #[test]
+    fn libsvm_rejects_a_column_count_over_the_cap() {
+        let err = read_libsvm(Cursor::new("0 1:1\n1 4000000000:1\n"), "t").unwrap_err();
+        assert!(matches!(err, LoadError::Parse { line: 2, .. }), "{err}");
+        assert!(format!("{err}").contains(&format!("at most {MAX_LIBSVM_COLS} columns")), "{err}");
+        let one_over = format!("1 1:1 {}:1\n", MAX_LIBSVM_COLS + 1);
+        assert!(matches!(
+            read_libsvm(Cursor::new(one_over), "t"),
+            Err(LoadError::Parse { line: 1, .. })
+        ));
+    }
+
+    /// A largest index exactly at the cap still parses, 1-based or 0-based.
+    #[test]
+    fn libsvm_parses_a_column_count_at_the_cap() {
+        for text in
+            [format!("1 1:1 {MAX_LIBSVM_COLS}:1\n"), format!("1 0:1 {}:1\n", MAX_LIBSVM_COLS - 1)]
+        {
+            let d = read_libsvm(Cursor::new(text), "t").unwrap();
+            assert_eq!((d.n_features(), d.features.n_present()), (MAX_LIBSVM_COLS, 2));
+        }
     }
 
     #[test]

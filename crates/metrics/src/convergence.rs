@@ -1,10 +1,10 @@
-//! Per-iteration convergence recording and the Convergence-Speedup metric.
+//! Per-iteration convergence recording.
 //!
 //! §V-A4 of the paper: "training time to achieve the same highest accuracy
 //! when training with 1000 trees is used as the performance metric and
 //! Convergence Speedup is defined as the ratio of this metric on two
 //! systems." [`ConvergenceTrace::time_to_reach`] implements the inner
-//! statistic; harnesses take ratios across trainers.
+//! statistic; a Convergence Speedup is the ratio of two such times.
 
 use serde::Serialize;
 
@@ -76,24 +76,6 @@ impl ConvergenceTrace {
     pub fn total_time(&self) -> f64 {
         self.points.last().map_or(0.0, |p| p.elapsed_secs)
     }
-
-    /// Convergence-speedup numerator/denominator helper: time for `self` to
-    /// reach the *worse* of the two traces' best metrics, divided by the
-    /// same for `other`. Returns `None` if either trace is empty or never
-    /// reaches the shared target (shouldn't happen by construction).
-    ///
-    /// A value above 1.0 means `other` converges faster than `self`.
-    pub fn convergence_speedup_vs(&self, other: &ConvergenceTrace) -> Option<f64> {
-        let (a, b) = (self.best()?, other.best()?);
-        // The shared accuracy target is the one both systems can reach.
-        let target = if self.higher_is_better { a.min(b) } else { a.max(b) };
-        let t_self = self.time_to_reach(target)?;
-        let t_other = other.time_to_reach(target)?;
-        if t_other <= 0.0 {
-            return None;
-        }
-        Some(t_self / t_other)
-    }
 }
 
 #[cfg(test)]
@@ -123,17 +105,6 @@ mod tests {
         let t = trace(&[(1, 1.0, 0.5), (2, 2.0, 0.7), (3, 3.0, 0.7), (4, 4.0, 0.9)]);
         assert_eq!(t.time_to_reach(0.7), Some(2.0));
         assert_eq!(t.time_to_reach(0.95), None);
-    }
-
-    #[test]
-    fn convergence_speedup_uses_shared_target() {
-        // Fast system reaches 0.8 at t=1; slow one reaches 0.75 max at t=10.
-        let fast = trace(&[(1, 0.5, 0.7), (2, 1.0, 0.8)]);
-        let slow = trace(&[(1, 4.0, 0.6), (2, 10.0, 0.75)]);
-        // Shared target is 0.75: fast hits it at t=1.0 (its first point >= .75
-        // is the 0.8 one), slow at t=10.
-        let speedup = slow.convergence_speedup_vs(&fast).unwrap();
-        assert!((speedup - 10.0).abs() < 1e-9);
     }
 
     #[test]
