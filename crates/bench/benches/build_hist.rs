@@ -290,45 +290,39 @@ fn trace_smoke(_c: &mut Criterion) {
     }
 
     let mut traced_pool = ThreadPool::new(4);
-    if let Some(sink) = TraceSink::new_if(true, 4, 1 << 12) {
-        traced_pool.install_trace(sink);
-    }
+    traced_pool.install_trace(TraceSink::with_capacity(4, 1 << 12));
     let traced = run(&traced_pool);
     assert_eq!(untraced, traced, "span ledger must not perturb histogram results");
 
-    // A live sink implies the `trace` feature is compiled in (TRACE_COMPILED);
-    // without it this whole block is skipped and the smoke only checks the
-    // untraced/traced pools agree trivially.
-    if let Some(sink) = traced_pool.trace() {
-        let snap = sink.snapshot();
-        let n_tasks = snap.count_phase(TracePhase::BuildHist);
-        assert!(n_tasks > 0, "traced driver run must record BuildHist spans");
+    let sink = traced_pool.trace().expect("installed above");
+    let snap = sink.snapshot();
+    let n_tasks = snap.count_phase(TracePhase::BuildHist);
+    assert!(n_tasks > 0, "traced driver run must record BuildHist spans");
 
-        // Disabled-path budget: `PhaseSpan::begin` with no sink and no
-        // counter is the per-task cost every recording site pays when
-        // tracing is off. Amortize 1M inert begins and compare against the
-        // measured per-task BuildHist time.
-        let calls = 1_000_000u32;
-        let t = std::time::Instant::now();
-        for i in 0..calls {
-            std::hint::black_box(PhaseSpan::begin(
-                std::hint::black_box(None),
-                0,
-                TracePhase::BuildHist,
-                i,
-                0,
-                std::hint::black_box(None),
-            ));
-        }
-        let disabled_per_call = t.elapsed().as_secs_f64() / calls as f64;
-        let per_task = frontier_secs * 4.0 / n_tasks as f64;
-        assert!(
-            disabled_per_call < 0.02 * per_task,
-            "disabled span overhead {:.1}ns per call exceeds 2% of a {:.1}us BuildHist task",
-            disabled_per_call * 1e9,
-            per_task * 1e6
-        );
+    // Disabled-path budget: `PhaseSpan::begin` with no sink and no
+    // counter is the per-task cost every recording site pays when
+    // tracing is off. Amortize 1M inert begins and compare against the
+    // measured per-task BuildHist time.
+    let calls = 1_000_000u32;
+    let t = std::time::Instant::now();
+    for i in 0..calls {
+        std::hint::black_box(PhaseSpan::begin(
+            std::hint::black_box(None),
+            0,
+            TracePhase::BuildHist,
+            i,
+            0,
+            std::hint::black_box(None),
+        ));
     }
+    let disabled_per_call = t.elapsed().as_secs_f64() / calls as f64;
+    let per_task = frontier_secs * 4.0 / n_tasks as f64;
+    assert!(
+        disabled_per_call < 0.02 * per_task,
+        "disabled span overhead {:.1}ns per call exceeds 2% of a {:.1}us BuildHist task",
+        disabled_per_call * 1e9,
+        per_task * 1e6
+    );
 }
 
 criterion_group!(benches, trace_smoke, bench_kernels, bench_drivers);

@@ -306,10 +306,9 @@ fn main() {
             &mut |buf| layout_col_sweep(&sparse_qm, &brows, &bgrads, buf),
             &mut |buf| layout_col_sweep(&bundled_qm, &brows, &bgrads, buf),
         );
-        let stats = bundled_qm.layout_stats();
         layouts.note(format!(
-            "bundling fused {bm} one-hot features into {} columns ({} conflicts)",
-            stats.cols_bundled, stats.bundle_conflicts
+            "bundling fused {bm} one-hot features into {} columns",
+            bundled_qm.layout_stats().cols_bundled
         ));
         layouts.note(
             "bundled col_scan is expected to lose badly: each original feature pays a full \

@@ -282,50 +282,6 @@ fn run_saturation(forest: FlatForest, threads: usize, seed: u64) -> SaturationRe
     out
 }
 
-/// Interleaved A/B of histogram-record overhead: two otherwise-identical
-/// in-process servers (`record_latency` on vs off) driven with alternating
-/// mini-sweeps; returns the median mean-latency of each arm in ns.
-///
-/// Interleaving (same discipline as the trainer benches) cancels slow
-/// machine-state drift: each round measures both arms back-to-back.
-fn run_overhead_ab(
-    forest: FlatForest,
-    threads: usize,
-    n_features: usize,
-    n_groups: usize,
-    seed: u64,
-    reqs: usize,
-) -> (f64, f64) {
-    let start = |record_latency: bool| {
-        let cfg = ServeConfig { threads, record_latency, ..ServeConfig::default() };
-        harp_serve::serve(forest.clone(), cfg).expect("start A/B server")
-    };
-    let mut arm_on = start(true);
-    let mut arm_off = start(false);
-    let mean_of = |addr: SocketAddr, round: u64| {
-        let res = run_sweep(addr, 2, reqs, n_features, n_groups, false, seed ^ round);
-        res.latencies.iter().sum::<u64>() as f64 / res.latencies.len().max(1) as f64
-    };
-    // Warm both arms before measuring.
-    mean_of(arm_on.local_addr(), 1 << 60);
-    mean_of(arm_off.local_addr(), 1 << 61);
-    let mut on_means = Vec::new();
-    let mut off_means = Vec::new();
-    for round in 0..5u64 {
-        on_means.push(mean_of(arm_on.local_addr(), round));
-        off_means.push(mean_of(arm_off.local_addr(), round));
-    }
-    arm_on.shutdown();
-    arm_off.shutdown();
-    arm_on.wait();
-    arm_off.wait();
-    let median = |v: &mut Vec<f64>| {
-        v.sort_by(f64::total_cmp);
-        v[v.len() / 2]
-    };
-    (median(&mut on_means), median(&mut off_means))
-}
-
 fn main() {
     let args = parse_args();
     let exp = &args.exp;
@@ -518,47 +474,10 @@ fn main() {
     );
     server_tbl.print();
 
-    // --- Histogram record() overhead on the serve hot path (in-process
-    // only: needs to start two servers with record_latency on/off).
-    let mut overhead_tbl = Table::new(
-        "Histogram record overhead (interleaved A/B, record_latency on vs off)",
-        &["metric", "value"],
-    );
-    if let Some(h) = &in_process {
-        let ab_forest = h.slot().load().forest.clone();
-        let (on_ns, off_ns) = run_overhead_ab(
-            ab_forest,
-            exp.threads,
-            n_features,
-            n_groups,
-            exp.seed,
-            reqs_per_client,
-        );
-        let overhead_pct = 100.0 * (on_ns - off_ns) / off_ns;
-        overhead_tbl
-            .row(vec!["mean latency, recording on".into(), format!("~{:.1} us", on_ns / 1e3)]);
-        overhead_tbl
-            .row(vec!["mean latency, recording off".into(), format!("~{:.1} us", off_ns / 1e3)]);
-        overhead_tbl.row(vec!["overhead".into(), format!("~{overhead_pct:+.2}%")]);
-        overhead_tbl.note(
-            "5 interleaved mini-sweeps per arm, median of mean request latency; budget: \
-             recording must cost <= 1% of the serve hot path (two relaxed fetch_adds per \
-             sample) — `~` cells are informational, run-to-run noise exceeds the effect",
-        );
-    } else {
-        overhead_tbl.row(vec!["skipped".into(), "external --addr server".into()]);
-        overhead_tbl
-            .note("the A/B needs to start two in-process servers with record_latency on/off");
-    }
-    overhead_tbl.print();
-
     let default_out = std::path::PathBuf::from("results/BENCH_serve.json");
     let out = exp.out.as_deref().unwrap_or(&default_out);
-    Table::write_json(
-        &[&sweep_tbl, &layout_tbl, &sat_tbl, &battery_tbl, &server_tbl, &overhead_tbl],
-        out,
-    )
-    .expect("write json");
+    Table::write_json(&[&sweep_tbl, &layout_tbl, &sat_tbl, &battery_tbl, &server_tbl], out)
+        .expect("write json");
     println!("\nwrote {}", out.display());
 
     if args.shutdown {

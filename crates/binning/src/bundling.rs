@@ -19,11 +19,9 @@
 //! * `FindSplit` therefore needs no translation at all — it already sees
 //!   per-original-feature histogram ranges and reports original feature ids.
 //!
-//! The conflict budget (fraction of rows where a second member of the same
-//! bundle is present) defaults to 0: bundles are exactly disjoint and no
-//! information is dropped. With a positive budget, the first present member
-//! of a row wins and later conflicting entries are dropped (counted in
-//! [`BundleMap::conflicts`]).
+//! Bundles are exclusive by construction: no row holds two members of one
+//! bundle, so every stored cell has exactly one owner and no information is
+//! dropped.
 
 use serde::{Deserialize, Serialize};
 
@@ -31,23 +29,9 @@ use serde::{Deserialize, Serialize};
 /// (missing bytes and out-of-range values). Larger than any real lane.
 pub const NO_LANE: u32 = u32::MAX;
 
-/// Tuning knobs for the bundling pass.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct BundleConfig {
-    /// Maximum fraction of rows, per bundle, allowed to hold more than one
-    /// present member (those extra entries are dropped at quantization).
-    /// `0.0` (the default) requires exact mutual exclusivity.
-    pub max_conflict_rate: f64,
-    /// Each feature probes at most this many existing bundles before
-    /// opening a new one (bounds the planning pass at `O(nnz · probes)`).
-    pub max_probes: usize,
-}
-
-impl Default for BundleConfig {
-    fn default() -> Self {
-        Self { max_conflict_rate: 0.0, max_probes: 32 }
-    }
-}
+/// Each feature probes at most this many existing bundles before opening a
+/// new one (bounds the planning pass at `O(nnz · probes)`).
+const MAX_PROBES: usize = 32;
 
 /// One original feature inside a bundle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,9 +66,6 @@ pub struct BundleMap {
     locate: Vec<BundleSlot>,
     /// Used bins of each storage column (sum of member widths, ≤ 254).
     col_widths: Vec<u16>,
-    /// Rows whose second-or-later present member was dropped (0 under the
-    /// default zero-conflict budget).
-    conflicts: u64,
     /// Flattened per-column stored-bin → histogram-lane tables:
     /// `cell_lut[col * 256 + stored_bin]` is the original flattened
     /// histogram lane (NOT doubled), or [`NO_LANE`] for missing/invalid
@@ -118,11 +99,6 @@ impl BundleMap {
         self.col_widths[c]
     }
 
-    /// Conflicting entries dropped during planning/quantization.
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts
-    }
-
     /// The stored-bin → histogram-lane table of column `c` (256 entries;
     /// [`NO_LANE`] marks missing/invalid stored bins).
     pub fn cell_lut(&self, c: usize) -> &[u32] {
@@ -147,20 +123,17 @@ impl BundleMap {
 }
 
 /// Whether [`plan_bundles`] can only decline, known from the longest row
-/// alone. Without a conflict budget no two features present in one row share
-/// a bundle, so a row's `longest_row` present features (those with a bin)
-/// need as many bundles, and a plan of more than `n_features / 4` bundles is
-/// never profitable. Exact: it answers `true` only where planning would
-/// return `None`, and a positive budget always plans.
-pub(crate) fn too_long_a_row_to_bundle(
-    longest_row: usize,
-    n_features: usize,
-    cfg: BundleConfig,
-) -> bool {
-    cfg.max_conflict_rate <= 0.0 && longest_row * 4 > n_features
+/// alone. No two features present in one row share a bundle, so a row's
+/// `longest_row` present features (those with a bin) need as many bundles,
+/// and a plan of more than `n_features / 4` bundles is never profitable.
+/// Exact: it answers `true` only where planning would return `None`.
+pub(crate) fn too_long_a_row_to_bundle(longest_row: usize, n_features: usize) -> bool {
+    longest_row * 4 > n_features
 }
 
-/// Greedy first-fit bundle planning over quantized CSC columns.
+/// Greedy first-fit bundle planning over quantized CSC columns: a feature
+/// joins the first of the first [`MAX_PROBES`] bundles none of whose members
+/// is present in any of its rows.
 ///
 /// `col_rows(f)` yields the ascending row ids where feature `f` is present;
 /// `widths[f]` its used-bin count; `bin_offsets` the mapper's original
@@ -173,13 +146,11 @@ pub fn plan_bundles<'a>(
     widths: &[u16],
     bin_offsets: &[u32],
     col_rows: impl Fn(usize) -> &'a [u32],
-    cfg: BundleConfig,
 ) -> Option<BundleMap> {
     let m = widths.len();
     if m < 8 || n_rows == 0 {
         return None;
     }
-    let budget = (cfg.max_conflict_rate * n_rows as f64) as u64;
 
     // Features by descending support, ties by id — deterministic order.
     let mut order: Vec<usize> = (0..m).filter(|&f| widths[f] > 0).collect();
@@ -189,35 +160,23 @@ pub fn plan_bundles<'a>(
         occupancy: Vec<u64>,
         members: Vec<usize>,
         width: u32,
-        conflicts: u64,
     }
     let words = n_rows.div_ceil(64);
     let mut bundles: Vec<Bundle> = Vec::new();
-    let mut total_conflicts = 0u64;
     for &f in &order {
         let rows = col_rows(f);
         let w = u32::from(widths[f]);
         let mut placed = false;
-        for b in bundles.iter_mut().take(cfg.max_probes) {
+        for b in bundles.iter_mut().take(MAX_PROBES) {
             if b.width + w > 254 {
                 continue;
             }
-            let headroom = budget - b.conflicts.min(budget);
-            let mut clashes = 0u64;
-            let fits = rows.iter().all(|&r| {
-                if (b.occupancy[r as usize / 64] >> (r % 64)) & 1 == 1 {
-                    clashes += 1;
-                }
-                clashes <= headroom
-            });
-            if fits {
+            if rows.iter().all(|&r| (b.occupancy[r as usize / 64] >> (r % 64)) & 1 == 0) {
                 for &r in rows {
                     b.occupancy[r as usize / 64] |= 1 << (r % 64);
                 }
                 b.members.push(f);
                 b.width += w;
-                b.conflicts += clashes;
-                total_conflicts += clashes;
                 placed = true;
                 break;
             }
@@ -227,7 +186,7 @@ pub fn plan_bundles<'a>(
             for &r in rows {
                 occupancy[r as usize / 64] |= 1 << (r % 64);
             }
-            bundles.push(Bundle { occupancy, members: vec![f], width: w, conflicts: 0 });
+            bundles.push(Bundle { occupancy, members: vec![f], width: w });
         }
     }
     if bundles.is_empty() {
@@ -263,7 +222,7 @@ pub fn plan_bundles<'a>(
         members.push(ms);
         col_widths.push(offset);
     }
-    Some(BundleMap { members, locate, col_widths, conflicts: total_conflicts, cell_lut })
+    Some(BundleMap { members, locate, col_widths, cell_lut })
 }
 
 #[cfg(test)]
@@ -298,8 +257,8 @@ mod tests {
         let cols = one_hot_cols();
         let widths = vec![1u16; cols.len()];
         let off = offsets(&widths);
-        let map = plan_bundles(12, &widths, &off, |f| &cols[f], BundleConfig::default())
-            .expect("one-hot groups are profitable");
+        let map =
+            plan_bundles(12, &widths, &off, |f| &cols[f]).expect("one-hot groups are profitable");
         assert_eq!(map.n_cols(), 3, "4 disjoint features per bundle");
         assert_eq!(map.n_original_features(), 12);
         // Every feature has a slot consistent with its column's members.
@@ -319,7 +278,7 @@ mod tests {
         let cols = one_hot_cols();
         let widths = vec![1u16; cols.len()];
         let off = offsets(&widths);
-        let map = plan_bundles(12, &widths, &off, |f| &cols[f], BundleConfig::default()).unwrap();
+        let map = plan_bundles(12, &widths, &off, |f| &cols[f]).unwrap();
         for f in 0..12u32 {
             let s = map.slot(f as usize);
             for local in 0..s.width {
@@ -344,28 +303,9 @@ mod tests {
         let widths = vec![1u16; 16];
         let off = offsets(&widths);
         assert!(
-            plan_bundles(4, &widths, &off, |f| &cols[f], BundleConfig::default()).is_none(),
+            plan_bundles(4, &widths, &off, |f| &cols[f]).is_none(),
             "16 singleton bundles compress nothing"
         );
-    }
-
-    #[test]
-    fn positive_budget_tolerates_bounded_conflicts() {
-        // Two near-exclusive features over 100 rows: overlap on row 0 only.
-        let mut cols: Vec<Vec<u32>> =
-            vec![(0..50).collect(), std::iter::once(0).chain(50..100).collect()];
-        // Pad with 14 disjoint singleton-row features so m >= 8 and the
-        // compression gate passes.
-        for _ in 0..14 {
-            cols.push(vec![]);
-        }
-        let widths = vec![1u16; cols.len()];
-        let off = offsets(&widths);
-        let cfg = BundleConfig { max_conflict_rate: 0.05, max_probes: 32 };
-        let map = plan_bundles(100, &widths, &off, |f| &cols[f], cfg)
-            .expect("5% budget allows the single overlap");
-        assert_eq!(map.conflicts(), 1);
-        assert_eq!(map.slot(0).col, map.slot(1).col, "overlapping pair shares a bundle");
     }
 
     /// Present-row lists of an `n × m` pattern — `kind` 0: one-hot groups of
@@ -408,23 +348,20 @@ mod tests {
 
     #[test]
     fn row_length_precheck_declines_dense_rows_and_plans_one_hot_ones() {
-        let cfg = BundleConfig::default();
         // 16 groups of 4: rows of 16 features out of 64 — plannable.
-        assert!(!too_long_a_row_to_bundle(16, 64, cfg));
-        assert!(too_long_a_row_to_bundle(17, 64, cfg));
+        assert!(!too_long_a_row_to_bundle(16, 64));
+        assert!(too_long_a_row_to_bundle(17, 64));
         // The benchmark's sparse shape: rows of ≈ 1 270 features out of 4 096.
-        assert!(too_long_a_row_to_bundle(1_270, 4_096, cfg));
-        assert!(!too_long_a_row_to_bundle(0, 0, cfg));
-        // A positive budget lets features of one row share a bundle: always
-        // planned.
-        let lossy = BundleConfig { max_conflict_rate: 1e-9, ..cfg };
-        assert!(!too_long_a_row_to_bundle(4_096, 4_096, lossy));
+        assert!(too_long_a_row_to_bundle(1_270, 4_096));
+        assert!(!too_long_a_row_to_bundle(0, 0));
     }
 
     proptest! {
         /// The precheck is exact: wherever it declines, the full plan
-        /// declines too — over one-hot, uniformly dense and mixed patterns,
-        /// bin widths up to the 254-bin column cap and any probe cap.
+        /// declines too — over one-hot, uniformly dense and mixed patterns
+        /// and bin widths up to the 254-bin column cap. And every planned
+        /// bundle is exclusive: its members are present in pairwise-disjoint
+        /// rows.
         #[test]
         fn prop_precheck_declines_only_what_planning_declines(
             seed in any::<u64>(),
@@ -434,7 +371,6 @@ mod tests {
             k in 1usize..9,
             density in 0.0f64..1.0,
             max_width in 1u16..80,
-            max_probes in 1usize..40,
         ) {
             let (cols, longest) = pattern(seed, n, m, kind, k, density);
             let mut rng = StdRng::seed_from_u64(seed ^ 1);
@@ -444,16 +380,26 @@ mod tests {
                 .map(|c| if c.is_empty() { 0 } else { rng.gen_range(1..max_width + 1) })
                 .collect();
             let off = offsets(&widths);
-            let cfg = BundleConfig { max_probes, ..BundleConfig::default() };
-            let plan = plan_bundles(n, &widths, &off, |f| &cols[f], cfg);
-            if too_long_a_row_to_bundle(longest, m, cfg) {
+            let plan = plan_bundles(n, &widths, &off, |f| &cols[f]);
+            if too_long_a_row_to_bundle(longest, m) {
                 prop_assert!(plan.is_none(), "declined a plan of {} columns", plan.unwrap().n_cols());
             }
             if let Some(plan) = plan {
                 prop_assert!(plan.n_cols() >= longest, "a row of {longest} in {} bundles", plan.n_cols());
+                for c in 0..plan.n_cols() {
+                    let mut owner = vec![None; n];
+                    for mem in plan.members(c) {
+                        for &r in &cols[mem.feature as usize] {
+                            let prev = owner[r as usize].replace(mem.feature);
+                            prop_assert!(
+                                prev.is_none(),
+                                "row {r} holds features {prev:?} and {} of bundle {c}",
+                                mem.feature
+                            );
+                        }
+                    }
+                }
             }
-            let lossy = BundleConfig { max_conflict_rate: 0.25, ..cfg };
-            prop_assert!(!too_long_a_row_to_bundle(longest, m, lossy));
         }
     }
 }

@@ -2,7 +2,7 @@
 //! [`ChunkedStore`], which memory-maps it and streams row-block-aligned
 //! chunks through a resident-byte budget with LRU eviction.
 //!
-//! # Cache file format (version 1, little-endian)
+//! # Cache file format (version 2, little-endian)
 //!
 //! ```text
 //! offset  size  field
@@ -19,7 +19,7 @@
 //! flags u8              bit0 dense, bit1 bundled, bit2 u4
 //! n_rows u64 · n_features u64 · n_storage_cols u64
 //! rows_per_chunk u64 · n_chunks u64 · decoded_bytes u64
-//! layout_stats          cols_u4 u64 · cols_bundled u64 · bundle_conflicts u64
+//! layout_stats          cols_u4 u64 · cols_bundled u64
 //! mapper                n_features u64, then per feature {n_cuts u64,
 //!                       cuts as f32::to_bits u32…}; bundle flag u8, then
 //!                       {json_len u64, BundleMap json} when set
@@ -81,7 +81,7 @@ use std::thread;
 /// First 8 bytes of every cache file.
 pub const CACHE_MAGIC: [u8; 8] = *b"HARPQSC1";
 /// Format version this build reads and writes.
-pub const CACHE_VERSION: u32 = 1;
+pub const CACHE_VERSION: u32 = 2;
 /// Default chunk granularity (rows): large enough that a chunk's scan
 /// amortizes its decode, small enough that tiny `--mem-budget` values can
 /// still hold a handful of chunks resident.
@@ -262,7 +262,7 @@ fn write_cache_file(
     let mut mapper_blob = Vec::new();
     encode_mapper(qm.mapper(), &mut mapper_blob)?;
     // flags + 6 scalars + 3 layout stats + mapper + table.
-    let header_len = 1 + 6 * 8 + 3 * 8 + mapper_blob.len() + n_chunks * TABLE_ENTRY;
+    let header_len = 1 + 6 * 8 + 2 * 8 + mapper_blob.len() + n_chunks * TABLE_ENTRY;
 
     let mut offset = DATA_PRELUDE + header_len as u64;
     let mut table: Vec<ChunkMeta> = (0..n_chunks)
@@ -348,7 +348,6 @@ fn write_cache_file(
     let stats = qm.layout_stats();
     put_u64(&mut header, stats.cols_u4);
     put_u64(&mut header, stats.cols_bundled);
-    put_u64(&mut header, stats.bundle_conflicts);
     header.extend_from_slice(&mapper_blob);
     for m in &table {
         put_u64(&mut header, m.offset);
@@ -671,7 +670,6 @@ impl ChunkedStore {
         let layout_stats = LayoutStats {
             cols_u4: cur.get_u64().ok_or_else(short)?,
             cols_bundled: cur.get_u64().ok_or_else(short)?,
-            bundle_conflicts: cur.get_u64().ok_or_else(short)?,
         };
         let mapper = decode_mapper(&mut cur)?;
         if mapper.n_features() != n_features {

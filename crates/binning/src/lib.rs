@@ -28,7 +28,7 @@
 //! nibble-packed dense bins ([`U4Pack`], auto-selected when every feature
 //! fits 16 bins) and exclusive feature bundling ([`bundling`], fusing
 //! mutually-exclusive sparse features into dense synthetic columns). Both
-//! are exact re-encodings; [`LayoutOptions`] selects them explicitly.
+//! are exact re-encodings; one [`LayoutOptions`] switch turns both on or off.
 
 pub mod bundling;
 mod bytes;
@@ -39,7 +39,7 @@ mod quantized;
 mod setup;
 mod store;
 
-pub use bundling::{BundleConfig, BundleMap, BundleMember, BundleSlot};
+pub use bundling::{BundleMap, BundleMember, BundleSlot};
 pub use cache::{
     write_cache, CacheError, CacheSummary, ChunkedStore, CACHE_MAGIC, CACHE_VERSION,
     DEFAULT_ROWS_PER_CHUNK,

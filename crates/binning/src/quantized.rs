@@ -22,7 +22,7 @@
 //!   exclusive sparse features fuse into dense synthetic columns so sparse
 //!   workloads leave the merge/gallop path entirely.
 
-use crate::bundling::{plan_bundles, too_long_a_row_to_bundle, BundleConfig, BundleMap};
+use crate::bundling::{plan_bundles, too_long_a_row_to_bundle, BundleMap};
 use crate::bytes::SharedBytes;
 use crate::mapper::{bins_while_cutting, BinLookup, BinMapper, BinningConfig};
 use crate::setup::{
@@ -229,28 +229,25 @@ enum Storage {
     },
 }
 
-/// Compressed-layout selection knobs (all on by default; every layout is an
-/// exact, loss-free re-encoding under the default zero-conflict budget).
+/// Compressed-layout selection (on by default; every compressed layout is an
+/// exact, loss-free re-encoding).
 #[derive(Debug, Clone, Copy)]
 pub struct LayoutOptions {
-    /// Attach a nibble-packed copy to dense storage when eligible.
-    pub enable_u4: bool,
-    /// Try exclusive feature bundling on sparse storage.
-    pub enable_bundling: bool,
-    /// Bundling pass knobs (conflict budget, probe cap).
-    pub bundle: BundleConfig,
+    /// Attach a nibble-packed copy to dense storage when eligible, and try
+    /// exclusive feature bundling on sparse storage.
+    pub compress: bool,
 }
 
 impl Default for LayoutOptions {
     fn default() -> Self {
-        Self { enable_u4: true, enable_bundling: true, bundle: BundleConfig::default() }
+        Self { compress: true }
     }
 }
 
 impl LayoutOptions {
     /// Plain u8 layouts only — the pre-compression behavior.
     pub fn uncompressed() -> Self {
-        Self { enable_u4: false, enable_bundling: false, bundle: BundleConfig::default() }
+        Self { compress: false }
     }
 }
 
@@ -261,9 +258,6 @@ pub struct LayoutStats {
     pub cols_u4: u64,
     /// Synthetic storage columns when bundling engaged (0 otherwise).
     pub cols_bundled: u64,
-    /// Conflicting entries dropped by bundling (0 under the default
-    /// zero-conflict budget).
-    pub bundle_conflicts: u64,
 }
 
 /// Wall seconds of the two passes of one set-up
@@ -334,8 +328,8 @@ impl QuantizedMatrix {
         let cut_secs = start.elapsed().as_secs_f64();
         let start = Instant::now();
         let mut qm = Self::from_input(input, mapper, layout, threads, csc_bins);
-        if layout.enable_bundling {
-            qm.try_bundle(layout.bundle);
+        if layout.compress {
+            qm.try_bundle();
         }
         (qm, SetupTimings { cut_secs, quantize_secs: start.elapsed().as_secs_f64() })
     }
@@ -343,6 +337,11 @@ impl QuantizedMatrix {
     /// Quantizes `matrix` with existing cuts (e.g. apply training cuts to a
     /// validation set). A mapper carrying a bundle map reproduces bundled
     /// storage for sparse input deterministically (no re-planning).
+    ///
+    /// # Panics
+    /// Panics if the mapper's bundle map puts two features present in one
+    /// row of `matrix` into one bundle (it never does on the rows it was
+    /// planned on).
     pub fn with_mapper(matrix: &FeatureMatrix, mapper: BinMapper) -> Self {
         Self::with_mapper_opts(matrix, mapper, LayoutOptions::default())
     }
@@ -374,7 +373,7 @@ impl QuantizedMatrix {
             SetupInput::Dense(dense) => {
                 let (n_rows, m) = (dense.n_rows(), dense.n_cols());
                 let (row_major, col_major) = quantize_dense(dense, &mapper, threads);
-                let u4 = (layout.enable_u4 && mapper.max_bins_used() <= 16)
+                let u4 = (layout.compress && mapper.max_bins_used() <= 16)
                     .then(|| U4Pack::build(n_rows, m, &row_major, &col_major, &mapper))
                     .flatten();
                 let storage =
@@ -403,22 +402,18 @@ impl QuantizedMatrix {
 
     /// Runs the EFB planning pass on sparse storage and switches to bundled
     /// dense columns when profitable (no-op otherwise).
-    fn try_bundle(&mut self, cfg: BundleConfig) {
+    fn try_bundle(&mut self) {
         let Storage::Sparse { csr, csc } = &self.storage else { return };
         // Every stored entry has a bin, so a CSR row's length is its count of
         // present features with a bin.
         let longest_row = csr.indptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-        if too_long_a_row_to_bundle(longest_row, self.n_features(), cfg) {
+        if too_long_a_row_to_bundle(longest_row, self.n_features()) {
             return;
         }
         let widths: Vec<u16> = self.mapper.bin_widths().collect();
-        let map = plan_bundles(
-            self.n_rows,
-            &widths,
-            self.mapper.bin_offsets(),
-            |f| &csc.rows[csc.indptr[f]..csc.indptr[f + 1]],
-            cfg,
-        );
+        let map = plan_bundles(self.n_rows, &widths, self.mapper.bin_offsets(), |f| {
+            &csc.rows[csc.indptr[f]..csc.indptr[f + 1]]
+        });
         let Some(map) = map else { return };
         let (row_major, col_major, n_cols) = build_bundled(self.n_rows, csr, &map);
         self.mapper.set_bundles(map);
@@ -477,11 +472,9 @@ impl QuantizedMatrix {
                 cols_u4: if u4.is_some() { self.n_features() as u64 } else { 0 },
                 ..LayoutStats::default()
             },
-            Storage::Bundled { n_cols, .. } => LayoutStats {
-                cols_bundled: *n_cols as u64,
-                bundle_conflicts: self.mapper.bundles().map_or(0, BundleMap::conflicts),
-                ..LayoutStats::default()
-            },
+            Storage::Bundled { n_cols, .. } => {
+                LayoutStats { cols_bundled: *n_cols as u64, ..LayoutStats::default() }
+            }
             Storage::Sparse { .. } => LayoutStats::default(),
         }
     }
@@ -1088,9 +1081,12 @@ fn quantize_sparse(
 }
 
 /// Materializes bundled dense majors from quantized CSR entries and a
-/// bundle map. Under a positive conflict budget the first present member of
-/// a row wins (row entries arrive in ascending original-feature order) and
-/// later conflicting entries are dropped.
+/// bundle map.
+///
+/// # Panics
+/// Panics if a row holds two members of one bundle: a map is exclusive on
+/// the rows it was planned on, and storing one of the two would drop the
+/// other.
 fn build_bundled(n_rows: usize, csr: &QCsr, map: &BundleMap) -> (Vec<u8>, Vec<u8>, usize) {
     let n_cols = map.n_cols();
     let mut row_major = vec![MISSING_BIN; n_rows * n_cols];
@@ -1101,9 +1097,8 @@ fn build_bundled(n_rows: usize, csr: &QCsr, map: &BundleMap) -> (Vec<u8>, Vec<u8
                 continue;
             }
             let cell = &mut row_major[r * n_cols + slot.col as usize];
-            if *cell == MISSING_BIN {
-                *cell = (slot.offset + u16::from(csr.bins[i])) as u8;
-            }
+            assert_eq!(*cell, MISSING_BIN, "row {r} holds two members of bundle {}", slot.col);
+            *cell = (slot.offset + u16::from(csr.bins[i])) as u8;
         }
     }
     let mut col_major = vec![MISSING_BIN; n_rows * n_cols];
@@ -1326,7 +1321,6 @@ mod tests {
         assert_eq!(q.n_features(), 64);
         let stats = q.layout_stats();
         assert_eq!(stats.cols_bundled, 16);
-        assert_eq!(stats.bundle_conflicts, 0);
         // Dense/sparse views are both unavailable; the bundled views exist.
         assert!(q.dense_row(0).is_none() && q.sparse_row(0).is_none());
         assert!(q.bundled_row_major().is_some() && q.bundled_col(0).is_some());

@@ -226,23 +226,8 @@ pub fn train(args: &[String]) -> Result<String, String> {
     let opts = Opts::parse(args)?;
     let trace_out = opts.get("--trace-out");
     let ledger_out = opts.get("--ledger-out");
-    // Reject unusable flags up front — before the (possibly long) data load —
-    // rather than silently writing an empty file at the end.
-    if !harp_parallel::TRACE_COMPILED {
-        if trace_out.is_some() {
-            return Err("--trace-out requires the harp-parallel \"trace\" feature \
-                        (rebuild without `--no-default-features`)"
-                .into());
-        }
-        if ledger_out.is_some() {
-            return Err("--ledger-out requires the harp-parallel \"trace\" feature: the \
-                        ledger's worker-skew and queue-counter sections come from the span \
-                        trace (rebuild without `--no-default-features`)"
-                .into());
-        }
-    }
-    // Like the trace flags above: reject unusable external-memory knobs
-    // before the (possibly long) data load.
+    // Reject unusable external-memory knobs up front — before the (possibly
+    // long) data load — rather than silently ignoring them.
     let external = opts.switch("--external-memory");
     if !external {
         for flag in ["--mem-budget", "--cache", "--rows-per-chunk"] {
@@ -859,11 +844,6 @@ pub fn serve(args: &[String]) -> Result<String, String> {
     let forest = model.compile();
     let (n_trees, n_features) = (forest.n_trees(), forest.n_features());
     let trace_out = opts.get("--trace-out").map(str::to_string);
-    if trace_out.is_some() && !harp_parallel::TRACE_COMPILED {
-        return Err("--trace-out requires the harp-parallel \"trace\" feature \
-                    (rebuild without `--no-default-features`)"
-            .into());
-    }
     let defaults = harp_serve::ServeConfig::default();
     let cfg = harp_serve::ServeConfig {
         addr: opts.get("--addr").unwrap_or("127.0.0.1:7077").to_string(),
@@ -872,14 +852,12 @@ pub fn serve(args: &[String]) -> Result<String, String> {
         max_batch_rows: opts.parse_or("--max-batch-rows", defaults.max_batch_rows)?,
         queue_depth: opts.parse_or("--queue-depth", defaults.queue_depth)?,
         max_rows_per_req: opts.parse_or("--max-rows-per-req", defaults.max_rows_per_req)?,
-        max_payload: defaults.max_payload,
         model_path: Some(model_path.into()),
         watch_ms: opts.parse_opt("--watch-ms")?,
         ledger_out: opts.get("--ledger-out").map(Into::into),
         ledger_every_batches: opts.parse_or("--ledger-every", defaults.ledger_every_batches)?,
         trace: trace_out.is_some(),
         metrics_addr: opts.get("--metrics-addr").map(str::to_string),
-        record_latency: defaults.record_latency,
     };
     let mut handle =
         harp_serve::serve(forest, cfg).map_err(|e| format!("failed to start server: {e}"))?;

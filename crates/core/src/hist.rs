@@ -20,9 +20,10 @@
 //! keeps at most as many as the tree has leaves left to spend — the
 //! best-ranked ones, in the growth queue's own order
 //! ([`RankKey`]) — and hands every other buffer straight back to the free
-//! list; the user's byte budget bounds it the same way. It caches a node
-//! only where the subtraction is the cheaper way to the node's larger child
-//! ([`min_cached_rows`], one formula for dense, bundled and CSR stores):
+//! list; a byte budget ([`HIST_CACHE_BYTES`] in training) bounds it the same
+//! way. It caches a node only where the subtraction is the cheaper way to
+//! the node's larger child ([`min_cached_rows`], one formula for dense,
+//! bundled and CSR stores):
 //! below that size both children are scanned. [`HistPool::files`] is the
 //! same decision asked ahead of the build, which lets the Exclusive executor
 //! (`trainer::drivers`) give a full-width buffer only to a histogram that
@@ -40,6 +41,12 @@ use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
+/// Byte budget of the trainer's candidate-histogram cache. The cache never
+/// holds more than the tree has leaves left to spend, which costs nothing;
+/// under this budget it gives up the candidates the growth queue would pop
+/// last, and those may miss.
+pub const HIST_CACHE_BYTES: usize = 512 << 20;
+
 /// Width in `f64` lanes of one node histogram in the *padded* layout:
 /// `total_bins * 2` real lanes plus one sink cell (2 lanes) per feature.
 pub fn hist_width(total_bins: u32, n_features: usize) -> usize {
@@ -49,7 +56,7 @@ pub fn hist_width(total_bins: u32, n_features: usize) -> usize {
 /// Storage-aware [`hist_width`]: only dense layouts (u8 or u4-packed) route
 /// missing values through the per-feature sink cells, so sparse matrices
 /// get unpadded `total_bins * 2` buffers and bundled matrices a single
-/// shared sink cell (absent/conflict-dropped bins route there branch-free).
+/// shared sink cell (absent bins route there branch-free).
 /// A wider (padded) buffer is always acceptable to the kernels; this trims
 /// the per-node footprint where the padding is provably never written.
 pub fn hist_width_for(store: &dyn harp_binning::QuantStore) -> usize {

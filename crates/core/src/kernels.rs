@@ -1126,22 +1126,6 @@ pub fn col_scan(
     }
 }
 
-/// [`col_scan`] at `tier`. Test hook for the tier-equivalence suites: a
-/// column scan accumulates one cell per matching row, with no distinct pair
-/// to fold, so every tier runs the same `PortableAcc` body.
-#[doc(hidden)]
-pub fn col_scan_forced_tier(
-    _tier: SimdTier,
-    qm: &QuantizedMatrix,
-    f: usize,
-    rows: &[u32],
-    grads: GradSource<'_>,
-    bin_range: Range<usize>,
-    hist_f: &mut [f64],
-) -> u64 {
-    col_scan(qm, f, rows, grads, bin_range, hist_f)
-}
-
 /// The column-scan body. Kept out of line so that each ⟨row set, gradient
 /// source⟩ instantiation is a function of its own: inlined, all four share
 /// `col_scan`'s code, and the single-thread column probe ran ≈ 40 % slower
@@ -1948,19 +1932,11 @@ mod tests {
                 let n_bins = qm.mapper().n_bins(f) as usize;
                 let mut scalar = vec![0.0; n_bins * 2];
                 col_scan_scalar(&qm, f, &rows, GradSource::Global(&g), 0..n_bins, &mut scalar);
-                for tier in [SimdTier::Scalar, SimdTier::Avx2] {
-                    let mut fast = vec![0.0; n_bins * 2];
-                    col_scan_forced_tier(
-                        tier,
-                        &qm,
-                        f,
-                        &rows,
-                        GradSource::Global(&g),
-                        0..n_bins,
-                        &mut fast,
-                    );
-                    assert_eq!(fast, scalar, "feature {f} tier {}", tier.name());
-                }
+                // One body serves every tier: a column scan accumulates one
+                // cell per matching row, with no distinct pair to fold.
+                let mut fast = vec![0.0; n_bins * 2];
+                col_scan(&qm, f, &rows, GradSource::Global(&g), 0..n_bins, &mut fast);
+                assert_eq!(fast, scalar, "feature {f}");
             }
         }
     }

@@ -1,9 +1,7 @@
 //! Training hyper-parameters and the system parameters of Table IV.
 
-use serde::{Deserialize, Serialize};
-
 /// Tree growth method (§II-A, §IV-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrowthMethod {
     /// Split leaves level by level; `k = 0` splits a whole level at once
     /// (classic depthwise), `k > 0` selects K leaves at a time, building the
@@ -15,7 +13,7 @@ pub enum GrowthMethod {
 }
 
 /// Parallel mode (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParallelMode {
     /// Data parallelism: row blocks, per-thread model replicas, reduction.
     DataParallel,
@@ -75,7 +73,7 @@ pub type LossKind = ObjectiveSpec;
 /// Block-size system parameters (Table IV). `0` means "all" (the paper's
 /// convention for unlimited block extent); [`BlockConfig::Auto`] defers the
 /// choice to the per-batch cost model in [`crate::plan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockConfig {
     /// Rows per data-parallel task; `0` derives `N / n_threads`.
     pub row_blk_size: usize,
@@ -95,10 +93,10 @@ impl Default for BlockConfig {
 }
 
 impl BlockConfig {
-    /// Sentinel extent marking an auto-tuned field. Deliberately `2^53` —
-    /// the largest integer the JSON number representation round-trips
-    /// exactly — so a serialized `Auto` config survives model save/load
-    /// (`usize::MAX` would come back off by one and stop comparing equal).
+    /// Sentinel extent marking an auto-tuned field: `2^53`, far beyond any
+    /// real block extent and the largest integer an `f64` (a JSON number)
+    /// holds exactly, so no explicit extent [`validate`](Self::validate)
+    /// accepts can be mistaken for it, written out as a number or not.
     pub const AUTO_EXTENT: usize = 1 << 53;
 
     /// Defer block sizing to the per-batch cost model
@@ -134,7 +132,7 @@ impl BlockConfig {
     ///   bin blocking);
     /// * extents at or beyond [`Self::AUTO_EXTENT`] unless *all four* carry
     ///   the sentinel (a partially-auto config is a construction bug, and
-    ///   larger extents would not survive JSON serialization).
+    ///   larger extents are not exact as a JSON number).
     ///
     /// # Errors
     /// Returns a message describing the first degenerate field.
@@ -214,45 +212,21 @@ impl BlockConfig {
 ///
 /// Off by default: training then performs no extra clock reads and the
 /// diagnostics carry no snapshot. When enabled, every worker (plus the
-/// coordinator) records phase spans into a fixed `spans_per_worker` ring —
+/// coordinator) records phase spans into a ring of
+/// [`TraceSink::new`](harp_parallel::TraceSink::new)'s fixed capacity —
 /// drop-oldest, so long runs keep the newest window — and the trainer
 /// attaches a [`harp_parallel::TraceSnapshot`] plus a per-phase worker-skew
 /// table to its diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Record spans and counters during training.
     pub enabled: bool,
-    /// Ring capacity per worker lane, in spans (rounded up to a power of
-    /// two by the sink).
-    pub spans_per_worker: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self { enabled: false, spans_per_worker: 1 << 14 }
-    }
 }
 
 impl TraceConfig {
-    /// Convenience constructor for an enabled default-capacity config.
+    /// Convenience constructor for an enabled config.
     pub fn enabled() -> Self {
-        Self { enabled: true, ..Self::default() }
-    }
-}
-
-// Manual impl (not derived) so models serialized before this field existed
-// still deserialize: a missing `trace` object falls back to the default.
-impl serde::Deserialize for TraceConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v.as_obj().ok_or_else(|| serde::Error::new("expected trace config object"))?;
-        Ok(Self {
-            enabled: serde::field(obj, "enabled")?,
-            spans_per_worker: serde::field(obj, "spans_per_worker")?,
-        })
-    }
-
-    fn missing() -> Option<Self> {
-        Some(Self::default())
+        Self { enabled: true }
     }
 }
 
@@ -262,7 +236,7 @@ impl serde::Deserialize for TraceConfig {
 /// profile-counter deltas, the eval metric, tree shape, worker skew, and
 /// memory-gauge bytes once per boosting round, and the diagnostics carry a
 /// [`harp_metrics::RunLedger`] ready to stream as JSON-lines.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LedgerConfig {
     /// Record one ledger entry per boosting round.
     pub enabled: bool,
@@ -275,24 +249,11 @@ impl LedgerConfig {
     }
 }
 
-// Manual impl (not derived) so models serialized before this field existed
-// still deserialize: a missing `ledger` object falls back to the default.
-impl serde::Deserialize for LedgerConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v.as_obj().ok_or_else(|| serde::Error::new("expected ledger config object"))?;
-        Ok(Self { enabled: serde::field(obj, "enabled")? })
-    }
-
-    fn missing() -> Option<Self> {
-        Some(Self::default())
-    }
-}
-
 /// Full training configuration.
 ///
 /// Defaults follow §V-A4: `learning_rate = 0.1`, `γ = 1.0`, `λ = 1.0`,
 /// `min_child_weight = 1`, logistic loss, 100 trees.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainParams {
     /// Number of boosting rounds.
     pub n_trees: usize,
@@ -330,14 +291,10 @@ pub struct TrainParams {
     /// the ablation in Table V.
     pub use_membuf: bool,
     /// Use the parent − sibling histogram subtraction trick when the parent
-    /// histogram is cached (off: nothing is cached). Changes floating-point
+    /// histogram is cached (off: nothing is cached; on: the cache holds up
+    /// to [`crate::hist::HIST_CACHE_BYTES`]). Changes floating-point
     /// association, so the determinism tests disable it.
     pub hist_subtraction: bool,
-    /// Byte budget for cached candidate histograms. The cache never holds
-    /// more than the tree has leaves left to spend, which costs nothing;
-    /// under this budget it gives up the candidates the growth queue would
-    /// pop last, and those may miss.
-    pub hist_cache_bytes: usize,
     /// Use a static task schedule in data-parallel reductions so results are
     /// bitwise reproducible run-to-run.
     pub deterministic: bool,
@@ -375,7 +332,6 @@ impl Default for TrainParams {
             loss: LossKind::Logistic,
             use_membuf: true,
             hist_subtraction: true,
-            hist_cache_bytes: 512 << 20,
             deterministic: true,
             subsample: 1.0,
             colsample_bytree: 1.0,
@@ -563,10 +519,9 @@ mod tests {
         assert!(auto.is_auto());
         assert!(auto.validate().is_ok());
         assert!(!BlockConfig::default().is_auto());
-        // The sentinel must survive the JSON model format exactly.
-        let text = serde_json::to_string(&auto).expect("serialize");
-        let back: BlockConfig = serde_json::from_str(&text).expect("parse");
-        assert!(back.is_auto(), "auto sentinel corrupted by JSON round-trip");
+        // The sentinel must survive a JSON number (an `f64`) exactly.
+        let back = BlockConfig::AUTO_EXTENT as f64 as usize;
+        assert_eq!(back, BlockConfig::AUTO_EXTENT, "auto sentinel corrupted by an f64 round trip");
         let p = TrainParams { blocks: BlockConfig::Auto, ..Default::default() };
         assert!(p.validate().is_ok());
     }
@@ -597,7 +552,7 @@ mod tests {
             BlockConfig { feature_blk_size: BlockConfig::AUTO_EXTENT, ..Default::default() };
         let err = partial.validate().unwrap_err();
         assert!(err.contains("auto sentinel"), "got: {err}");
-        // Extents beyond the sentinel would not survive serialization.
+        // Extents beyond the sentinel are not exact as a JSON number.
         let huge = BlockConfig { row_blk_size: usize::MAX, ..Default::default() };
         let err = huge.validate().unwrap_err();
         assert!(err.contains("row_blk_size"), "got: {err}");

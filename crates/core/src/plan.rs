@@ -21,8 +21,10 @@
 //! On top of the explicit configs sits [`BlockConfig::Auto`]: a small cost
 //! model ([`auto_config`]) that picks block extents per batch from the
 //! working-set-vs-L2 fit of §IV-E, the task count versus the thread count,
-//! and the redundant-read volume of each policy. `bench_blocks` validates
-//! its picks against the swept grid of Fig. 10.
+//! and the redundant-read volume of each policy.
+//! `tests/ledger.rs::auto_blocks_train_comparably_and_mark_the_ledger`
+//! holds its picks to the default config's eval quality and checks that
+//! every round's plan stats carry the auto flag.
 
 use crate::params::BlockConfig;
 use std::ops::Range;

@@ -404,13 +404,11 @@ impl GbdtTrainer {
         }
         let profile = Arc::new(Profile::new());
         let mut pool = ThreadPool::with_profile(params.n_threads, Arc::clone(&profile));
-        // Installed only when tracing is both requested and compiled in;
-        // every recording site downstream branches on `pool.trace()`, so the
-        // disabled path performs no extra clock reads.
-        if let Some(sink) =
-            TraceSink::new_if(params.trace.enabled, params.n_threads, params.trace.spans_per_worker)
-        {
-            pool.install_trace(sink);
+        // Installed only when tracing is requested; every recording site
+        // downstream branches on `pool.trace()`, so the disabled path
+        // performs no extra clock reads.
+        if params.trace.enabled {
+            pool.install_trace(TraceSink::new(params.n_threads));
         }
         let sink = pool.trace().map(Arc::as_ref);
         let clock = PhaseClock::new();
@@ -459,7 +457,6 @@ impl GbdtTrainer {
         profile.add_layout_events(
             layout.cols_u4,
             layout.cols_bundled,
-            layout.bundle_conflicts,
             crate::kernels::simd_tier().as_u64(),
         );
 
@@ -694,7 +691,7 @@ impl<'a> TreeEngine<'a> {
                 // Subtraction is the cache's only reader.
                 HistPool::for_store(
                     qm,
-                    if params.hist_subtraction { params.hist_cache_bytes } else { 0 },
+                    if params.hist_subtraction { crate::hist::HIST_CACHE_BYTES } else { 0 },
                 ),
             ),
             scratch: DriverScratch::new(),

@@ -22,8 +22,8 @@
 //! * [`TraceSink`] / [`TraceSnapshot`] — the span-level ledger behind the
 //!   aggregate counters: per-worker drop-oldest ring buffers of phase spans
 //!   plus barrier/queue wait counters, exportable as chrome-trace JSON
-//!   (`chrome://tracing`, Perfetto). Feature-gated (`trace`, default on) so
-//!   a build without it pays nothing.
+//!   (`chrome://tracing`, Perfetto). Off unless a caller installs a sink,
+//!   and then free: no sink, no clock reads.
 //!
 //! The pool is deliberately simple: no work stealing between unrelated jobs,
 //! no nested regions. GBDT tree construction is a sequence of wide, flat
@@ -44,6 +44,6 @@ pub use queue::{QueueOutcome, WorkQueue};
 pub use spin::{SpinMutex, SpinMutexGuard};
 pub use trace::{
     LaneSnapshot, PhaseClock, PhaseNs, PhaseSpan, Span, SpanRing, TraceCounters, TracePhase,
-    TraceSink, TraceSnapshot, N_TRACE_PHASES, TRACE_COMPILED,
+    TraceSink, TraceSnapshot, N_TRACE_PHASES,
 };
 pub use worker_local::PerWorker;

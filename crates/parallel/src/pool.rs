@@ -228,12 +228,8 @@ impl ThreadPool {
     /// Attaches a span ledger. Regions then record per-worker barrier-wait
     /// spans and [`run_queue`](Self::run_queue) records queue-spin spans and
     /// pop counts; trainer kernels find the sink via [`trace`](Self::trace).
-    ///
-    /// No-op when the crate is built without the `trace` feature.
     pub fn install_trace(&mut self, sink: Arc<TraceSink>) {
-        if crate::trace::TRACE_COMPILED {
-            self.trace = Some(sink);
-        }
+        self.trace = Some(sink);
     }
 
     /// The installed span ledger, if tracing is enabled.
@@ -624,9 +620,6 @@ mod tests {
 
     #[test]
     fn trace_records_barrier_waits_per_worker() {
-        if !crate::trace::TRACE_COMPILED {
-            return;
-        }
         let mut pool = ThreadPool::new(4);
         let sink = TraceSink::new(4);
         pool.install_trace(Arc::clone(&sink));
@@ -646,9 +639,6 @@ mod tests {
 
     #[test]
     fn trace_counts_queue_pops_and_spin() {
-        if !crate::trace::TRACE_COMPILED {
-            return;
-        }
         let mut pool = ThreadPool::new(4);
         let sink = TraceSink::new(4);
         pool.install_trace(Arc::clone(&sink));

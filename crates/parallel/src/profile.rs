@@ -199,11 +199,7 @@ counter_table! {
     cols_u4,
     /// Original feature columns fused into bundled synthetic columns.
     cols_bundled,
-    /// Cell conflicts dropped by the bundle planner (non-zero only with a
-    /// positive conflict budget).
-    bundle_conflicts,
-    /// Kernel SIMD tier dispatched (0 scalar, 1 sse2, 2 avx2); a level, not
-    /// a count.
+    /// Kernel SIMD tier dispatched (0 scalar, 2 avx2); a level, not a count.
     simd_tier,
     /// Out-of-core chunks decoded from the cache file (zero when training
     /// in-core). The store keeps the three chunk totals itself; the trainer
@@ -287,18 +283,11 @@ impl Profile {
     }
 
     /// Records the compressed-layout decisions of one quantized matrix
-    /// (counts of u4-packed and bundled columns plus planner conflicts) and
-    /// the kernel SIMD tier dispatched (stored as a level, not added).
-    pub fn add_layout_events(
-        &self,
-        cols_u4: u64,
-        cols_bundled: u64,
-        bundle_conflicts: u64,
-        simd_tier: u64,
-    ) {
+    /// (counts of u4-packed and bundled columns) and the kernel SIMD tier
+    /// dispatched (stored as a level, not added).
+    pub fn add_layout_events(&self, cols_u4: u64, cols_bundled: u64, simd_tier: u64) {
         self.cols_u4.fetch_add(cols_u4, Ordering::Relaxed);
         self.cols_bundled.fetch_add(cols_bundled, Ordering::Relaxed);
-        self.bundle_conflicts.fetch_add(bundle_conflicts, Ordering::Relaxed);
         self.simd_tier.store(simd_tier, Ordering::Relaxed);
     }
 
@@ -415,8 +404,8 @@ impl std::fmt::Display for ProfileReport {
         let tier = if self.simd_tier == 0 { "scalar" } else { "avx2" };
         writeln!(
             f,
-            "layout u4/bundled/conflicts {:>2} / {} / {} (simd {})",
-            self.cols_u4, self.cols_bundled, self.bundle_conflicts, tier
+            "layout u4/bundled {:>2} / {} (simd {})",
+            self.cols_u4, self.cols_bundled, tier
         )?;
         write!(
             f,

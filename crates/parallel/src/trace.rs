@@ -20,11 +20,10 @@
 //! * [`TraceSnapshot::worker_phase_ns`] feeds the per-phase worker-skew
 //!   table in `harp-metrics`.
 //!
-//! The whole module sits behind the default-on `trace` cargo feature; with
-//! the feature off [`TraceSink::new_if`] always returns `None`, every
-//! recording site short-circuits on that `None`, and the hot path carries no
-//! clock reads — the disabled overhead budget is < 2% (asserted in the bench
-//! smoke).
+//! Tracing is a runtime switch: a sink exists only when a caller asks for
+//! one ([`TraceSink::new_if`]), every recording site short-circuits on its
+//! absence, and the hot path then carries no clock reads — the disabled
+//! overhead budget is < 2% (asserted in the bench smoke).
 
 use crate::profile::counter_table;
 use serde::{Deserialize, Serialize};
@@ -32,10 +31,6 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Compile-time switch: `false` when the crate is built without the `trace`
-/// feature, in which case [`TraceSink::new_if`] never constructs a sink.
-pub const TRACE_COMPILED: bool = cfg!(feature = "trace");
 
 /// Declares the phase list **once**: the enum (discriminants in declaration
 /// order), the display names, [`TracePhase::all`] and [`N_TRACE_PHASES`] all
@@ -317,16 +312,11 @@ impl TraceSink {
         })
     }
 
-    /// Feature-gated constructor: `None` when `enabled` is false **or** the
-    /// crate was built without the `trace` feature. All recording sites
-    /// branch on the resulting `Option`, so the disabled path performs no
-    /// clock reads at all.
+    /// A sink when `enabled`, `None` otherwise. All recording sites branch
+    /// on the resulting `Option`, so the disabled path performs no clock
+    /// reads at all.
     pub fn new_if(enabled: bool, n_workers: usize, spans_per_lane: usize) -> Option<Arc<Self>> {
-        if TRACE_COMPILED && enabled {
-            Some(Self::with_capacity(n_workers, spans_per_lane.max(8)))
-        } else {
-            None
-        }
+        enabled.then(|| Self::with_capacity(n_workers, spans_per_lane))
     }
 
     /// Number of lanes (workers + coordinator).
@@ -890,9 +880,9 @@ mod tests {
     }
 
     #[test]
-    fn new_if_respects_flag_and_feature() {
+    fn new_if_respects_flag() {
         assert!(TraceSink::new_if(false, 4, 64).is_none());
-        assert_eq!(TraceSink::new_if(true, 4, 64).is_some(), TRACE_COMPILED);
+        assert!(TraceSink::new_if(true, 4, 64).is_some());
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub const VERSION: u8 = 1;
 /// Header bytes before the payload.
 pub const HEADER_LEN: usize = 12;
 
-/// Default cap on a single frame's payload (16 MiB). A length field above
-/// the configured cap is rejected *before* any allocation.
+/// Cap on a single frame's payload (16 MiB), the server's and the client's.
+/// A length field above the cap is rejected *before* any allocation.
 pub const DEFAULT_MAX_PAYLOAD: u32 = 16 << 20;
 
 /// Frame discriminants. `0x0*` = client → server, `0x8*` = server → client.

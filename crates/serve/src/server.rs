@@ -69,8 +69,6 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Per-request row cap (larger requests get `BadShape`).
     pub max_rows_per_req: usize,
-    /// Frame payload cap in bytes.
-    pub max_payload: u32,
     /// Model file for `Reload` frames with no explicit path and for the
     /// file watcher.
     pub model_path: Option<PathBuf>,
@@ -87,9 +85,6 @@ pub struct ServeConfig {
     /// Bind a plain-HTTP `/metrics` endpoint (Prometheus text exposition)
     /// here (`None` = no endpoint; `127.0.0.1:0` picks a free port).
     pub metrics_addr: Option<String>,
-    /// Record per-request latency histograms (on by default; `bench_serve`
-    /// turns it off for one arm of its overhead A/B).
-    pub record_latency: bool,
 }
 
 impl Default for ServeConfig {
@@ -101,14 +96,12 @@ impl Default for ServeConfig {
             max_batch_rows: 4096,
             queue_depth: 1024,
             max_rows_per_req: 1 << 16,
-            max_payload: DEFAULT_MAX_PAYLOAD,
             model_path: None,
             watch_ms: None,
             ledger_out: None,
             ledger_every_batches: 64,
             trace: false,
             metrics_addr: None,
-            record_latency: true,
         }
     }
 }
@@ -405,7 +398,7 @@ enum ReadOutcome {
     Stop,
 }
 
-fn read_one(stream: &mut TcpStream, max_payload: u32, shutdown: &AtomicBool) -> ReadOutcome {
+fn read_one(stream: &mut TcpStream, shutdown: &AtomicBool) -> ReadOutcome {
     let mut header = [0u8; HEADER_LEN];
     match read_full(stream, &mut header, shutdown, true) {
         Ok(Fill::Done) => {}
@@ -414,7 +407,7 @@ fn read_one(stream: &mut TcpStream, max_payload: u32, shutdown: &AtomicBool) -> 
             return ReadOutcome::Violation(ProtocolError::Truncated { what: "header" })
         }
     }
-    let h = match parse_header(&header, max_payload) {
+    let h = match parse_header(&header, DEFAULT_MAX_PAYLOAD) {
         Ok(h) => h,
         Err(e) => return ReadOutcome::Violation(e),
     };
@@ -440,9 +433,7 @@ fn send_reply(writer: &Arc<Mutex<TcpStream>>, ctx: &ServerCtx, frame: &Frame) {
     }
     let ns = t0.elapsed().as_nanos() as u64;
     ServeStats::add_ns(&ctx.stats.write_ns, ns);
-    if ctx.cfg.record_latency {
-        ctx.stats.write_hist.record(ns);
-    }
+    ctx.stats.write_hist.record(ns);
 }
 
 fn connection_loop(stream: TcpStream, ctx: Arc<ServerCtx>, tx: SyncSender<ScoreJob>) {
@@ -454,7 +445,7 @@ fn connection_loop(stream: TcpStream, ctx: Arc<ServerCtx>, tx: SyncSender<ScoreJ
     };
     let mut reader = stream;
     loop {
-        match read_one(&mut reader, ctx.cfg.max_payload, &ctx.shutdown) {
+        match read_one(&mut reader, &ctx.shutdown) {
             ReadOutcome::Stop => break,
             ReadOutcome::Violation(e) => {
                 ServeStats::bump(&ctx.stats.protocol_errors);
@@ -649,14 +640,11 @@ fn dispatch_loop(rx: Receiver<ScoreJob>, ctx: Arc<ServerCtx>) {
 /// Scores one micro-batch against a single forest snapshot and writes
 /// every response.
 fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>) {
-    let record = ctx.cfg.record_latency;
     let now = ctx.clock.now_ns();
     for job in &batch {
         let wait = now.saturating_sub(job.enqueue_ns);
         ServeStats::add_ns(&ctx.stats.queue_wait_ns, wait);
-        if record {
-            ctx.stats.queue_wait_hist.record(wait);
-        }
+        ctx.stats.queue_wait_hist.record(wait);
     }
     ctx.stats.queue_depth.fetch_sub(batch.len() as u64, Ordering::Relaxed);
     ServeStats::bump(&ctx.stats.batches);
@@ -722,9 +710,7 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
                           hist: &harp_metrics::AtomicHistogram| {
             let ns = t0.elapsed().as_nanos() as u64;
             ServeStats::add_ns(counter, ns);
-            if record {
-                hist.record(ns);
-            }
+            hist.record(ns);
         };
         let scores = if group.binned {
             let t0 = Instant::now();
@@ -771,10 +757,8 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
                     scores: scores[offset..offset + len].to_vec(),
                 },
             );
-            if record {
-                let e2e = ctx.clock.now_ns().saturating_sub(job.enqueue_ns);
-                ctx.stats.e2e_hist.record(e2e);
-            }
+            let e2e = ctx.clock.now_ns().saturating_sub(job.enqueue_ns);
+            ctx.stats.e2e_hist.record(e2e);
             offset += len;
         }
     }
