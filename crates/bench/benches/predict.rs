@@ -24,7 +24,11 @@ fn bench_predict(c: &mut Criterion) {
     group.sample_size(10);
 
     group.bench_function("recursive/per_row", |b| {
-        b.iter(|| model.predict_raw_recursive(&test.features));
+        b.iter(|| {
+            (0..test.features.n_rows())
+                .flat_map(|r| model.predict_raw_groups_row(|f| test.features.get(r, f as usize)))
+                .collect::<Vec<f32>>()
+        });
     });
     for block in [16usize, 64, 256, 1024] {
         group.bench_with_input(BenchmarkId::new("flat/block", block), &block, |b, &block| {

@@ -79,11 +79,6 @@ impl BundleMap {
         self.col_widths.len()
     }
 
-    /// Number of original features covered by the map.
-    pub fn n_original_features(&self) -> usize {
-        self.locate.len()
-    }
-
     /// Members of storage column `c`, in bin-offset order.
     pub fn members(&self, c: usize) -> &[BundleMember] {
         &self.members[c]
@@ -92,11 +87,6 @@ impl BundleMap {
     /// Storage slot of original feature `f`.
     pub fn slot(&self, f: usize) -> BundleSlot {
         self.locate[f]
-    }
-
-    /// Used bins of storage column `c`.
-    pub fn col_width(&self, c: usize) -> u16 {
-        self.col_widths[c]
     }
 
     /// The stored-bin → histogram-lane table of column `c` (256 entries;
@@ -260,7 +250,7 @@ mod tests {
         let map =
             plan_bundles(12, &widths, &off, |f| &cols[f]).expect("one-hot groups are profitable");
         assert_eq!(map.n_cols(), 3, "4 disjoint features per bundle");
-        assert_eq!(map.n_original_features(), 12);
+        assert_eq!(map.locate.len(), 12);
         // Every feature has a slot consistent with its column's members.
         for f in 0..12 {
             let s = map.slot(f);
@@ -290,7 +280,7 @@ mod tests {
         }
         // Out-of-range stored bins have no lane.
         for c in 0..map.n_cols() {
-            let w = map.col_width(c) as usize;
+            let w = map.col_widths[c] as usize;
             assert!(map.cell_lut(c)[w..].iter().all(|&l| l == NO_LANE));
             assert_eq!(map.translate(c, 255), None);
         }

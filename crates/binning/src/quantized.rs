@@ -165,13 +165,6 @@ impl U4Pack {
         self.n_rows.div_ceil(2)
     }
 
-    /// Packed bytes of row `r`.
-    #[inline]
-    pub fn packed_row(&self, r: usize) -> &[u8] {
-        let s = self.row_stride();
-        &self.row_major[r * s..(r + 1) * s]
-    }
-
     /// Packed bytes of feature column `f`.
     #[inline]
     pub fn packed_col(&self, f: usize) -> &[u8] {

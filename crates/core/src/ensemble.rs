@@ -58,11 +58,6 @@ impl GbdtModel {
         self.n_features
     }
 
-    /// The constant initial score (group 0 for multiclass models).
-    pub fn base_score(&self) -> f32 {
-        self.base_scores[0]
-    }
-
     /// Per-group constant initial scores.
     pub fn base_scores(&self) -> &[f32] {
         &self.base_scores
@@ -121,33 +116,13 @@ impl GbdtModel {
     /// Raw scores for every row of a matrix: length `n_rows` for scalar
     /// losses, row-major `n_rows × n_groups` for multiclass. Scores
     /// through the flat blocked engine; see [`compile`](Self::compile) to
-    /// amortize compilation over many calls.
+    /// amortize compilation over many calls, and
+    /// [`FlatForest::predict_raw_parallel`] to score row blocks on a pool.
+    /// The per-row reference it is bitwise equal to is
+    /// [`predict_raw_groups_row`](Self::predict_raw_groups_row) over the rows
+    /// (`tests/predict_equivalence.rs`).
     pub fn predict_raw(&self, features: &FeatureMatrix) -> Vec<f32> {
         self.compile().predict_raw(features)
-    }
-
-    /// The per-row recursive traversal the flat engine replaced, retained
-    /// as the correctness reference: equivalence tests assert the blocked
-    /// kernels are bitwise identical to this path.
-    pub fn predict_raw_recursive(&self, features: &FeatureMatrix) -> Vec<f32> {
-        let g = self.n_groups();
-        let mut out = Vec::with_capacity(features.n_rows() * g);
-        for r in 0..features.n_rows() {
-            out.extend(self.predict_raw_groups_row(|f| features.get(r, f as usize)));
-        }
-        out
-    }
-
-    /// Like [`predict_raw`](Self::predict_raw) but scoring row blocks in
-    /// parallel on the given pool. Output is bitwise identical to the
-    /// serial path (blocks are disjoint, per-row accumulation order is
-    /// unchanged).
-    pub fn predict_raw_parallel(
-        &self,
-        features: &FeatureMatrix,
-        pool: &harp_parallel::ThreadPool,
-    ) -> Vec<f32> {
-        self.compile().predict_raw_parallel(features, pool)
     }
 
     /// Response-scale predictions: probabilities for logistic, identity for
@@ -309,7 +284,7 @@ mod tests {
         assert_eq!(m.n_trees(), 2);
         let t1 = m.truncated(1);
         assert_eq!(t1.n_trees(), 1);
-        assert_eq!(t1.base_score(), m.base_score());
+        assert_eq!(t1.base_scores(), m.base_scores());
     }
 
     #[test]
@@ -340,17 +315,10 @@ mod tests {
             .map(|i| if i % 9 == 0 { f32::NAN } else { (i % 13) as f32 / 6.0 })
             .collect();
         let features = FeatureMatrix::Dense(DenseMatrix::from_vec(n, 2, values));
-        assert_eq!(m.predict_raw(&features), m.predict_raw_recursive(&features));
-    }
-
-    #[test]
-    fn parallel_prediction_matches_serial() {
-        let m = model_with_one_split();
-        let n = 500;
-        let values: Vec<f32> = (0..n * 2).map(|i| (i % 13) as f32 / 6.0).collect();
-        let features = FeatureMatrix::Dense(DenseMatrix::from_vec(n, 2, values));
-        let pool = harp_parallel::ThreadPool::new(4);
-        assert_eq!(m.predict_raw(&features), m.predict_raw_parallel(&features, &pool));
+        let per_row: Vec<f32> = (0..n)
+            .flat_map(|r| m.predict_raw_groups_row(|f| features.get(r, f as usize)))
+            .collect();
+        assert_eq!(m.predict_raw(&features), per_row);
     }
 
     #[test]
@@ -362,7 +330,7 @@ mod tests {
         m.save(&path).unwrap();
         let back = GbdtModel::load(&path).unwrap();
         assert_eq!(back.n_trees(), 1);
-        assert_eq!(back.base_score(), 0.5);
+        assert_eq!(back.base_scores(), [0.5]);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -507,11 +507,6 @@ impl ScratchPool {
     pub fn release(&mut self, buf: ReplicaBuf) {
         self.free.push(buf);
     }
-
-    /// Number of pooled buffers currently free.
-    pub fn free_len(&self) -> usize {
-        self.free.len()
-    }
 }
 
 #[cfg(test)]

@@ -295,8 +295,10 @@ pub struct TrainParams {
     /// to [`crate::hist::HIST_CACHE_BYTES`]). Changes floating-point
     /// association, so the determinism tests disable it.
     pub hist_subtraction: bool,
-    /// Use a static task schedule in data-parallel reductions so results are
-    /// bitwise reproducible run-to-run.
+    /// Must be `true`: data parallelism runs one static task schedule, so
+    /// results are bitwise reproducible run-to-run. The field stays only
+    /// until the end-to-end benchmark stops naming it (ROADMAP 1e);
+    /// [`TrainParams::validate`] rejects `false`.
     pub deterministic: bool,
     /// Per-tree row subsampling rate in `(0, 1]` (stochastic gradient
     /// boosting). Excluded rows get zero gradient mass for that tree; `1.0`
@@ -395,6 +397,11 @@ impl TrainParams {
         if self.n_threads == 0 {
             return Err("n_threads must be positive".into());
         }
+        if !self.deterministic {
+            return Err("deterministic must be true: data parallelism runs only the static \
+                        schedule (the field goes with ROADMAP item 1e)"
+                .into());
+        }
         for (name, v) in
             [("subsample", self.subsample), ("colsample_bytree", self.colsample_bytree)]
         {
@@ -478,6 +485,13 @@ mod tests {
         }
         let zero = TrainParams { lambda: 0.0, min_child_weight: 0.0, ..Default::default() };
         assert!(zero.validate().is_ok());
+    }
+
+    #[test]
+    fn the_dynamic_schedule_is_rejected() {
+        let p = TrainParams { deterministic: false, ..Default::default() };
+        let err = p.validate().expect_err("deterministic: false must be rejected");
+        assert!(err.contains("deterministic") && err.contains("1e"), "{err}");
     }
 
     #[test]

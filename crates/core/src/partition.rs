@@ -313,11 +313,6 @@ impl RowPartition {
         self.n_rows
     }
 
-    /// Whether gradients travel with the row ids.
-    pub fn has_membuf(&self) -> bool {
-        self.use_membuf
-    }
-
     /// Bytes held by MemBuf — the gradient halves of the two planes; zero
     /// when MemBuf is off. This is the "+MemBuf" overhead of Table V.
     pub fn membuf_bytes(&self) -> usize {
@@ -791,7 +786,7 @@ mod tests {
     #[test]
     fn membuf_disabled_returns_empty() {
         let p = fresh(10, false);
-        assert!(!p.has_membuf());
+        assert!(!p.use_membuf);
         assert!(p.grads(0).is_empty());
         p.apply_split(0, 1, 2, &|_, r| r < 5, None);
         assert_eq!(p.rows(1), &[0, 1, 2, 3, 4]);

@@ -11,8 +11,9 @@
 //! the same enumerator, so "XGBoost-hist and LightGBM fall out as special
 //! configurations" is literally true of the code path, not just the math.
 //!
-//! The enumeration order is part of the contract: deterministic DP pins
-//! task → replica assignment to the task index, so any reordering would
+//! The enumeration order is part of the contract: DP's static schedule pins
+//! task → replica assignment to the task index (slot `s` of `T` runs tasks
+//! `s, s + T, s + 2T, …`), so any reordering would
 //! change floating-point accumulation order. The loops below reproduce the
 //! historical driver loops exactly and the equivalence batteries
 //! (`tests/mode_equivalence.rs`, `tests/buildhist_equivalence.rs`) hold the
@@ -239,14 +240,6 @@ impl BlockPlan {
     /// How many tasks of the last plan write their job's buffer directly.
     pub fn n_exclusive_tasks(&self) -> usize {
         self.tasks.iter().filter(|t| self.replica_slots[t.jobs.start].is_none()).count()
-    }
-
-    /// The schedule slot (replica index) task `i` runs in, out of
-    /// `n_slots`. The static schedule of deterministic DP: slot `s` runs
-    /// tasks `s, s + T, s + 2T, …` so accumulation order is independent of
-    /// thread timing.
-    pub fn lane_of(&self, task_idx: usize, n_slots: usize) -> usize {
-        task_idx % n_slots.max(1)
     }
 
     /// Takes and resets the per-round batch/task tally (the ledger hook
@@ -656,14 +649,6 @@ mod tests {
         assert_eq!(task.row_range_for(7), 0..7);
         let chunk = BlockTask { jobs: 0..1, features: 0..1, rows: 4..8, bins: None };
         assert_eq!(chunk.row_range_for(6), 4..6);
-    }
-
-    #[test]
-    fn static_lane_assignment_strides_by_slot_count() {
-        let plan = BlockPlan::new();
-        assert_eq!(plan.lane_of(0, 4), 0);
-        assert_eq!(plan.lane_of(5, 4), 1);
-        assert_eq!(plan.lane_of(7, 4), 3);
     }
 
     #[test]

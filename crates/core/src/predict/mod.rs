@@ -22,9 +22,10 @@
 //!
 //! Every path is bitwise identical to the per-row recursive reference
 //! ([`Tree::predict`](crate::tree::Tree::predict) summed in ensemble
-//! order), which `GbdtModel` retains as
-//! [`predict_raw_recursive`](crate::GbdtModel::predict_raw_recursive) for
-//! correctness testing.
+//! order, i.e.
+//! [`GbdtModel::predict_raw_groups_row`](crate::GbdtModel::predict_raw_groups_row)
+//! row by row), which the tests spell out as their reference
+//! (`tests/predict_equivalence.rs::recursive_reference`).
 
 mod driver;
 mod flat;

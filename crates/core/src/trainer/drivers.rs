@@ -45,18 +45,17 @@
 //!   no plan and no region — the task row-scans each child into its
 //!   full-width buffer and finishes that buffer as one tile itself.
 //!
-//! In deterministic mode DP emulates an OpenMP *static* schedule: task `t`
-//! of `T` processes every `T`-th block into replica `t`, so per-cell
-//! accumulation order is independent of thread timing.
+//! DP runs one schedule, an OpenMP *static* one: slot `t` of `T` processes
+//! every `T`-th block into replica `t`, so per-cell accumulation order is
+//! independent of thread timing.
 //!
 //! The barrier fills draw their scratch — replica buffers, tile pairs and task
 //! vectors — from a caller-held [`DriverScratch`], so nothing is reallocated
 //! across frontiers or trees. Replicas come from a [`ScratchPool`] with
 //! dirty-range tracking: a released replica remembers which `(job,
 //! feature-block)` lanes its tasks wrote, and the next acquire re-zeroes
-//! only those. In deterministic mode the static schedule pins each task to
-//! its replica, so the tracked set is exact; in dynamic mode any worker may
-//! have run any task and every replica conservatively takes the union.
+//! only those. The static schedule pins each task to its replica, so the
+//! tracked set is exact.
 
 use crate::hist::{self, ReplicaBuf, ScratchPool};
 use crate::kernels::{
@@ -143,7 +142,7 @@ pub struct TileOutcome {
 pub struct DriverCtx<'a> {
     /// Quantized input, chunk-mediated (in-core or out-of-core).
     pub qm: &'a dyn QuantStore,
-    /// Training parameters (block sizes, determinism, MemBuf flag).
+    /// Training parameters (block sizes, MemBuf flag).
     pub params: &'a TrainParams,
     /// Worker pool.
     pub pool: &'a ThreadPool,
@@ -310,10 +309,8 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
     // accumulates.
     let dst_of = |job_idx: usize, slot: usize| -> &mut [f64] {
         let ptr = match plan.replica_slot(job_idx) {
-            // SAFETY: each replica is written by exactly one schedule slot
-            // at a time (slot == task index group in static mode, == worker
-            // index in dynamic mode), and lanes `k * width..` lie within its
-            // `replica_len`.
+            // SAFETY: each replica is written by exactly one schedule slot,
+            // and lanes `k * width..` lie within its `replica_len`.
             Some(k) => unsafe { replica_ptrs[slot].0.add(k * width) },
             // A one-block job: its tasks differ only in feature block and so
             // write disjoint lanes of the job's own buffer.
@@ -367,22 +364,22 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
         }
     };
 
-    // The one task body: tasks `first, first + stride, …` become the cursors
-    // of ONE chunk sweep, which scans every task's rows that fall inside the
-    // pinned chunk before moving on. Deep nodes scatter their rows over
-    // every chunk, so running each task to completion would sweep the whole
-    // chunk sequence once *per task* — under a resident budget, a reload of
-    // the entire cache per task. Per histogram cell this is still
+    // The static schedule: slot `s` runs tasks `s, s + T, s + 2T, …` as the
+    // cursors of ONE chunk sweep, which scans every task's rows that fall
+    // inside the pinned chunk before moving on. Deep nodes scatter their rows
+    // over every chunk, so running each task to completion would sweep the
+    // whole chunk sequence once *per task* — under a resident budget, a
+    // reload of the entire cache per task. Per histogram cell this is still
     // ascending-row accumulation: tasks sharing a (job, feature) lane in one
     // slot own ascending, disjoint position ranges of the node's ascending
     // row list, so interleaving them chunk by chunk visits exactly the same
     // rows in exactly the same order as running them back to back. In-core
     // the sweep has one step, and that step *is* the tasks run back to back.
-    let run_tasks = |first: usize, stride: usize, slot: usize, lane: usize| {
+    ctx.pool.parallel_for(n_slots, |slot, lane| {
         let cursors: Vec<Rows<'_>> = tasks_ro
             .iter()
-            .skip(first)
-            .step_by(stride)
+            .skip(slot)
+            .step_by(n_slots)
             .map(|task| {
                 let node = jobs_ro[task.jobs.start].node;
                 if node == 0 && root_identity {
@@ -401,7 +398,7 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
             &cursors,
             |steps| throttle(slot, steps),
             |run| {
-                let task = &tasks_ro[first + run.cursor * stride];
+                let task = &tasks_ro[slot + run.cursor * n_slots];
                 let job_idx = task.jobs.start;
                 let node = jobs_ro[job_idx].node;
                 let _span = trace.map(|s| {
@@ -419,22 +416,7 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
         );
         progress[slot].store(usize::MAX, Ordering::Release);
         cells.fetch_add(local_cells, Ordering::Relaxed);
-    };
-
-    // A multi-chunk store always takes the static schedule (so a sweep owns
-    // a fixed task set); bitwise reproducibility in dynamic mode is no loss —
-    // dynamic replica assignment is already timing-dependent in-core.
-    let static_sched = ctx.params.deterministic || ctx.qm.n_chunks() > 1;
-    if static_sched {
-        // Slot s runs tasks s, s+T, s+2T, ...
-        ctx.pool
-            .parallel_for(n_slots, |slot, worker| run_tasks(slot, n_slots, slot, worker));
-    } else {
-        // Any worker takes any one task, into its own replica.
-        ctx.pool.parallel_for(tasks_ro.len(), |i, worker| {
-            run_tasks(i, tasks_ro.len(), worker.min(n_slots - 1), worker);
-        });
-    }
+    });
 
     // Reduction: fold replicas (in order) into the buffers of the jobs that
     // have replica lanes. Parallel over (job, width-chunk) cells; replica
@@ -474,22 +456,11 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
             lo..hi
         })
     };
-    if static_sched {
-        // Exact per-slot sets from the static schedule.
-        for (slot, rep) in replicas.iter_mut().enumerate() {
-            range_tmp.clear();
-            range_tmp.extend(tasks.iter().skip(slot).step_by(n_slots).filter_map(lane_range));
-            merge_ranges(range_tmp);
-            rep.set_dirty(range_tmp.drain(..));
-        }
-    } else {
-        // Any worker may have run any task: conservative union everywhere.
+    for (slot, rep) in replicas.iter_mut().enumerate() {
         range_tmp.clear();
-        range_tmp.extend(tasks.iter().filter_map(lane_range));
+        range_tmp.extend(tasks.iter().skip(slot).step_by(n_slots).filter_map(lane_range));
         merge_ranges(range_tmp);
-        for rep in &mut replicas {
-            rep.set_dirty(range_tmp.iter().cloned());
-        }
+        rep.set_dirty(range_tmp.drain(..));
     }
     for rep in replicas.drain(..) {
         arena.release(rep);
@@ -1045,7 +1016,7 @@ mod tests {
     #[test]
     fn deterministic_dp_is_bitwise_reproducible() {
         let (qm, grads, part) = setup(DatasetKind::HiggsLike, true);
-        let params = TrainParams { n_threads: 4, deterministic: true, ..Default::default() };
+        let params = TrainParams { n_threads: 4, ..Default::default() };
         let nodes = [3u32, 4, 2];
         let a = run_driver(ParallelMode::DataParallel, &params, &qm, &part, &grads, &nodes);
         let b = run_driver(ParallelMode::DataParallel, &params, &qm, &part, &grads, &nodes);
@@ -1062,7 +1033,6 @@ mod tests {
         let (qm, grads, part) = setup(DatasetKind::HiggsLike, true);
         let params = TrainParams {
             n_threads: 4,
-            deterministic: true,
             blocks: BlockConfig { row_blk_size: 64, ..Default::default() },
             ..Default::default()
         };
@@ -1209,11 +1179,10 @@ mod tests {
         /// leaves of mixed sizes — the root split down a chain, each level
         /// keeping a random share — goes through the DP executor. A job of
         /// one row block must come out bitwise as the scalar ascending-row
-        /// scan, under either schedule; under the static schedule every job
-        /// must come out bitwise as the all-replicated executor produced it
-        /// (each slot's tasks accumulated into a zeroed replica, replicas
-        /// folded in slot order); and the arena must have been asked for
-        /// lanes for the multi-block jobs only.
+        /// scan; every job must come out bitwise as the replayed static
+        /// schedule produces it (each slot's tasks accumulated into a zeroed
+        /// replica, replicas folded in slot order); and the arena must have
+        /// been asked for lanes for the multi-block jobs only.
         #[test]
         fn one_block_jobs_write_their_own_buffer_and_nothing_else_changes(
             layout in 0usize..3,
@@ -1221,7 +1190,6 @@ mod tests {
             threads in 1usize..5,
             row_blk in 0usize..4,
             feature_blk in 0usize..6,
-            deterministic in any::<bool>(),
             membuf in any::<bool>(),
         ) {
             let qm = &scan_layouts()[layout];
@@ -1247,7 +1215,6 @@ mod tests {
             nodes.push(2 * shares.len() as u32);
             let params = TrainParams {
                 n_threads: threads,
-                deterministic,
                 use_membuf: membuf,
                 blocks: BlockConfig {
                     row_blk_size: ROW_BLKS[row_blk],
@@ -1276,34 +1243,28 @@ mod tests {
             let width = padded(qm);
             let mut multi_block = 0;
             for (j, &node) in nodes.iter().enumerate() {
-                let ascending = reference_hist(qm, &part, &grads, node);
                 if job_lens[j] <= plan.extents().row_blk {
+                    let ascending = reference_hist(qm, &part, &grads, node);
                     prop_assert!(hists[j] == ascending, "one-block job {} is not the scan", j);
                 } else {
                     multi_block += 1;
-                    for (a, b) in hists[j].iter().zip(&ascending) {
-                        let close = (a - b).abs() <= 1e-9 * (1.0 + b);
-                        prop_assert!(close, "job {}: {} vs {}", j, a, b);
-                    }
                 }
-                if deterministic {
-                    let mut all_replicated = vec![0.0; width];
-                    for slot in 0..n_slots {
-                        let mut replica = vec![0.0; width];
-                        let tasks = plan.tasks().iter().skip(slot).step_by(n_slots);
-                        for task in tasks.filter(|t| t.jobs.start == j) {
-                            row_scan_scalar(
-                                qm,
-                                &part.rows(node)[task.rows.clone()],
-                                GradSource::Global(&grads),
-                                task.features.clone(),
-                                &mut replica,
-                            );
-                        }
-                        reduce_into(&mut all_replicated, &replica);
+                let mut all_replicated = vec![0.0; width];
+                for slot in 0..n_slots {
+                    let mut replica = vec![0.0; width];
+                    let tasks = plan.tasks().iter().skip(slot).step_by(n_slots);
+                    for task in tasks.filter(|t| t.jobs.start == j) {
+                        row_scan_scalar(
+                            qm,
+                            &part.rows(node)[task.rows.clone()],
+                            GradSource::Global(&grads),
+                            task.features.clone(),
+                            &mut replica,
+                        );
                     }
-                    prop_assert!(hists[j] == all_replicated, "job {} is not what it was", j);
+                    reduce_into(&mut all_replicated, &replica);
                 }
+                prop_assert!(hists[j] == all_replicated, "job {} is not the static schedule", j);
             }
             let replicas = if multi_block == 0 { 0 } else { n_slots };
             prop_assert_eq!(arena.high_water(), (replicas * multi_block * width * 8) as u64);

@@ -326,31 +326,15 @@ impl GbdtTrainer {
     /// to in-core on the same data (see `tests/external_memory.rs`).
     ///
     /// # Panics
-    /// As [`train_store_grouped`](Self::train_store_grouped).
+    /// Panics with [`try_train_store_grouped`](Self::try_train_store_grouped)'s
+    /// message if the data is rejected.
     pub fn train_store(
         &self,
         store: &dyn QuantStore,
         labels: &[f32],
         eval: Option<EvalOptions<'_>>,
     ) -> TrainOutput {
-        self.train_store_grouped(store, labels, None, None, eval)
-    }
-
-    /// [`try_train_store_grouped`](Self::try_train_store_grouped) for
-    /// callers that know their data fits the objective.
-    ///
-    /// # Panics
-    /// Panics with `try_train_store_grouped`'s message if the data is
-    /// rejected.
-    pub fn train_store_grouped(
-        &self,
-        store: &dyn QuantStore,
-        labels: &[f32],
-        weights: Option<&[f32]>,
-        query_groups: Option<&[u32]>,
-        eval: Option<EvalOptions<'_>>,
-    ) -> TrainOutput {
-        self.try_train_store_grouped(store, labels, weights, query_groups, eval)
+        self.try_train_store_grouped(store, labels, None, None, eval)
             .unwrap_or_else(|e| panic!("{e}"))
     }
 

@@ -126,7 +126,7 @@ fn async_matches_dp_when_growth_is_gain_limited() {
 #[test]
 fn deterministic_training_is_bitwise_reproducible() {
     let data = dataset(DatasetKind::CriteoLike, 0.02);
-    let params = TrainParams { n_trees: 5, deterministic: true, ..base_params() };
+    let params = TrainParams { n_trees: 5, ..base_params() };
     let a = train(&data, params.clone());
     let b = train(&data, params);
     assert_eq!(
@@ -552,13 +552,10 @@ fn sample_weights_shift_the_decision_boundary() {
     let weights: Vec<f32> = data.labels.iter().map(|&y| if y > 0.5 { 10.0 } else { 1.0 }).collect();
     let params = TrainParams { n_trees: 8, ..base_params() };
     let plain = GbdtTrainer::new(params.clone()).unwrap().train_store(&qm, &data.labels, None);
-    let weighted = GbdtTrainer::new(params).unwrap().train_store_grouped(
-        &qm,
-        &data.labels,
-        Some(&weights),
-        None,
-        None,
-    );
+    let weighted = GbdtTrainer::new(params)
+        .unwrap()
+        .try_train_store_grouped(&qm, &data.labels, Some(&weights), None, None)
+        .unwrap();
     let mean = |out: &TrainOutput| {
         let p = out.model.predict(&data.features);
         p.iter().sum::<f32>() / p.len() as f32
@@ -599,10 +596,6 @@ fn rejected_data_is_reported_one_way() {
     assert_eq!(panic_text(&|| trainer.train(&bad)), err);
     assert_eq!(panic_text(&|| trainer.train_with_eval(&bad, None)), err);
     assert_eq!(panic_text(&|| trainer.train_store(&bad_qm, &bad.labels, None)), err);
-    assert_eq!(
-        panic_text(&|| trainer.train_store_grouped(&bad_qm, &bad.labels, None, None, None)),
-        err
-    );
 
     // Lengths that do not match the store's rows are data errors like any
     // other — not an assert, and not an index panic inside a pool worker.

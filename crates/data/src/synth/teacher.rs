@@ -100,11 +100,6 @@ impl Teacher {
         }
         s
     }
-
-    /// Number of additive terms (for tests).
-    pub fn n_terms(&self) -> usize {
-        self.terms.len()
-    }
 }
 
 #[cfg(test)]
@@ -159,6 +154,6 @@ mod tests {
     fn term_counts_scale_with_m() {
         let small = Teacher::generate(2, &mut rng(5));
         let large = Teacher::generate(32, &mut rng(5));
-        assert!(small.n_terms() < large.n_terms());
+        assert!(small.terms.len() < large.terms.len());
     }
 }

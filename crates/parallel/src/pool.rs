@@ -2,7 +2,7 @@
 //!
 //! A [`ThreadPool`] owns `T` worker threads. [`ThreadPool::parallel_for`]
 //! opens a *region*: all `T` workers participate, dynamically claiming task
-//! indices in chunks (OpenMP `schedule(dynamic)`), and the caller blocks until
+//! indices one at a time (OpenMP `schedule(dynamic)`), and the caller blocks until
 //! every worker has drained its share — the implicit end-of-loop barrier.
 //! For each region the pool records into its [`Profile`]:
 //!
@@ -48,8 +48,6 @@ struct Region {
     /// Next unclaimed task index.
     next: AtomicUsize,
     n_tasks: usize,
-    /// Task indices claimed per atomic grab.
-    chunk: usize,
     /// Workers that have not yet finished their share.
     active: AtomicUsize,
     /// Per-worker finish timestamp, ns relative to `start`.
@@ -76,35 +74,32 @@ unsafe impl Send for Region {}
 unsafe impl Sync for Region {}
 
 impl Region {
-    /// Worker body: claim chunks of task indices until exhausted, then check
-    /// out of the region; the last worker to finish settles the barrier
+    /// Worker body: claim task indices one at a time until exhausted, then
+    /// check out of the region; the last worker to finish settles the barrier
     /// accounting and wakes the caller.
     fn work(&self, worker: usize) {
         let mut busy_ns = 0u64;
         let mut tasks_done = 0u64;
         loop {
-            let begin = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-            if begin >= self.n_tasks {
+            let idx = self.next.fetch_add(1, Ordering::Relaxed);
+            if idx >= self.n_tasks {
                 break;
             }
-            let end = (begin + self.chunk).min(self.n_tasks);
-            for idx in begin..end {
-                let t0 = Instant::now();
-                let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    // SAFETY: `func`/`call` were erased from a `&F` that the
-                    // blocked caller keeps alive; `F: Sync` allows shared
-                    // invocation from many workers.
-                    unsafe { (self.call)(self.func, idx, worker) }
-                }));
-                if res.is_err() {
-                    self.panicked.store(true, Ordering::Relaxed);
-                    // Prevent further tasks from running; the region still
-                    // joins cleanly and the caller re-raises.
-                    self.next.store(self.n_tasks, Ordering::Relaxed);
-                }
-                busy_ns += t0.elapsed().as_nanos() as u64;
-                tasks_done += 1;
+            let t0 = Instant::now();
+            let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                // SAFETY: `func`/`call` were erased from a `&F` that the
+                // blocked caller keeps alive; `F: Sync` allows shared
+                // invocation from many workers.
+                unsafe { (self.call)(self.func, idx, worker) }
+            }));
+            if res.is_err() {
+                self.panicked.store(true, Ordering::Relaxed);
+                // Prevent further tasks from running; the region still
+                // joins cleanly and the caller re-raises.
+                self.next.store(self.n_tasks, Ordering::Relaxed);
             }
+            busy_ns += t0.elapsed().as_nanos() as u64;
+            tasks_done += 1;
         }
         if self.accounting == BusyAccounting::PerTask {
             self.profile.busy_ns.fetch_add(busy_ns, Ordering::Relaxed);
@@ -238,25 +233,13 @@ impl ThreadPool {
     }
 
     /// Runs `f(task_idx, worker_idx)` for every `task_idx in 0..n_tasks`
-    /// across all workers, blocking until the implicit end barrier.
-    ///
-    /// Tasks are claimed dynamically one at a time; use
-    /// [`parallel_for_chunked`](Self::parallel_for_chunked) to claim several
-    /// indices per grab when tasks are tiny.
+    /// across all workers, blocking until the implicit end barrier. Tasks are
+    /// claimed dynamically one at a time.
     pub fn parallel_for<F>(&self, n_tasks: usize, f: F)
     where
         F: Fn(usize, usize) + Sync,
     {
-        self.dispatch(n_tasks, 1, BusyAccounting::PerTask, &f);
-    }
-
-    /// Like [`parallel_for`](Self::parallel_for) but workers claim `chunk`
-    /// consecutive indices per atomic grab.
-    pub fn parallel_for_chunked<F>(&self, n_tasks: usize, chunk: usize, f: F)
-    where
-        F: Fn(usize, usize) + Sync,
-    {
-        self.dispatch(n_tasks, chunk.max(1), BusyAccounting::PerTask, &f);
+        self.dispatch(n_tasks, BusyAccounting::PerTask, &f);
     }
 
     /// Parallel *for-each-mut*: runs `f(i, &mut items[i], worker_idx)` for
@@ -290,18 +273,6 @@ impl ThreadPool {
         });
     }
 
-    /// Parallel *map*: runs `f(i, worker_idx)` for every `i in 0..n` as one
-    /// region and returns the results in index order.
-    pub fn parallel_map<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, usize) -> T + Sync,
-    {
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        self.parallel_for_each_mut(&mut out, |i, slot, worker| *slot = Some(f(i, worker)));
-        out.into_iter().map(|slot| slot.expect("the region ran every index")).collect()
-    }
-
     /// Runs `f(worker_idx)` exactly once on every worker, with barrier
     /// accounting but no automatic busy-time accounting — the closure is
     /// expected to report busy time to the profile itself.
@@ -310,7 +281,7 @@ impl ThreadPool {
         F: Fn(usize) + Sync,
     {
         let g = |_task: usize, worker: usize| f(worker);
-        self.dispatch(self.shared.n_threads, 1, BusyAccounting::Manual, &g);
+        self.dispatch(self.shared.n_threads, BusyAccounting::Manual, &g);
     }
 
     /// ASYNC-mode driver: every worker loops popping the highest-priority
@@ -372,7 +343,7 @@ impl ThreadPool {
         });
     }
 
-    fn dispatch<F>(&self, n_tasks: usize, chunk: usize, accounting: BusyAccounting, f: &F)
+    fn dispatch<F>(&self, n_tasks: usize, accounting: BusyAccounting, f: &F)
     where
         F: Fn(usize, usize) + Sync,
     {
@@ -395,7 +366,6 @@ impl ThreadPool {
             call: call_erased::<F>,
             next: AtomicUsize::new(0),
             n_tasks,
-            chunk,
             active: AtomicUsize::new(n_threads),
             finish_ns: (0..n_threads).map(|_| AtomicU64::new(0)).collect(),
             start: Instant::now(),
@@ -453,32 +423,14 @@ mod tests {
     }
 
     #[test]
-    fn chunked_covers_every_index_once() {
-        let pool = ThreadPool::new(3);
-        let hits: Vec<AtomicUsize> = (0..997).map(|_| AtomicUsize::new(0)).collect();
-        pool.parallel_for_chunked(997, 64, |i, _| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn map_and_for_each_mut_write_every_slot_exactly_once_in_index_order() {
         for threads in 1..=4usize {
             let pool = ThreadPool::new(threads);
             for n in [0, 1, threads - 1, threads + 1, 10 * threads] {
-                let calls: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                let mapped = pool.parallel_map(n, |i, w| {
-                    assert!(w < threads);
-                    calls[i].fetch_add(1, Ordering::Relaxed);
-                    i * 3
-                });
-                assert_eq!(mapped, (0..n).map(|i| i * 3).collect::<Vec<_>>(), "T={threads} n={n}");
-                assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
-
                 // (index the slot was handed with, times it was written).
                 let mut slots = vec![(usize::MAX, 0u32); n];
-                pool.parallel_for_each_mut(&mut slots, |i, slot, _| {
+                pool.parallel_for_each_mut(&mut slots, |i, slot, w| {
+                    assert!(w < threads);
                     slot.0 = i;
                     slot.1 += 1;
                 });

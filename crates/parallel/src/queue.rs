@@ -117,18 +117,6 @@ impl<T: Ord> WorkQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drains all queued tasks into a vector (highest priority first).
-    /// Intended for the caller after the parallel phase, e.g. to collect
-    /// unexpanded leaves.
-    pub fn drain_sorted(&self) -> Vec<T> {
-        let mut s = self.state.lock();
-        let mut out = Vec::with_capacity(s.heap.len());
-        while let Some(t) = s.heap.pop() {
-            out.push(t);
-        }
-        out
-    }
 }
 
 impl<T: Ord> Default for WorkQueue<T> {
@@ -175,14 +163,6 @@ mod tests {
         q.push(20);
         q.complete();
         assert_eq!(q.pop(), QueueOutcome::Task(20));
-    }
-
-    #[test]
-    fn drain_sorted_is_descending() {
-        let q = WorkQueue::new();
-        q.push_all([2, 9, 4]);
-        assert_eq!(q.drain_sorted(), vec![9, 4, 2]);
-        assert!(q.is_empty());
     }
 
     #[test]

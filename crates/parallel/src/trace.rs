@@ -21,8 +21,8 @@
 //!   table in `harp-metrics`.
 //!
 //! Tracing is a runtime switch: a sink exists only when a caller asks for
-//! one ([`TraceSink::new_if`]), every recording site short-circuits on its
-//! absence, and the hot path then carries no clock reads — the disabled
+//! one (an `Option<Arc<TraceSink>>`), every recording site short-circuits on
+//! its absence, and the hot path then carries no clock reads — the disabled
 //! overhead budget is < 2% (asserted in the bench smoke).
 
 use crate::profile::counter_table;
@@ -310,13 +310,6 @@ impl TraceSink {
             rings: (0..n_lanes).map(|_| SpanRing::new(spans_per_lane)).collect(),
             counters: (0..n_lanes).map(|_| LaneCounters::default()).collect(),
         })
-    }
-
-    /// A sink when `enabled`, `None` otherwise. All recording sites branch
-    /// on the resulting `Option`, so the disabled path performs no clock
-    /// reads at all.
-    pub fn new_if(enabled: bool, n_workers: usize, spans_per_lane: usize) -> Option<Arc<Self>> {
-        enabled.then(|| Self::with_capacity(n_workers, spans_per_lane))
     }
 
     /// Number of lanes (workers + coordinator).
@@ -877,12 +870,6 @@ mod tests {
         // has nothing to read a clock against.
         let inert = PhaseSpan::begin(None, 0, TracePhase::Other, 0, 0, None);
         assert!(inert.start.is_none() && inert.start_ns == 0);
-    }
-
-    #[test]
-    fn new_if_respects_flag() {
-        assert!(TraceSink::new_if(false, 4, 64).is_none());
-        assert!(TraceSink::new_if(true, 4, 64).is_some());
     }
 
     #[test]

@@ -244,7 +244,7 @@ pub fn serve_with_clock(
     let local_addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
 
-    let trace = TraceSink::new_if(cfg.trace, cfg.threads.max(1), 4096);
+    let trace = cfg.trace.then(|| TraceSink::with_capacity(cfg.threads.max(1), 4096));
     let (tx, rx) = std::sync::mpsc::sync_channel::<ScoreJob>(cfg.queue_depth.max(1));
     let ctx = Arc::new(ServerCtx {
         slot: ForestSlot::new(forest),
@@ -431,9 +431,7 @@ fn send_reply(writer: &Arc<Mutex<TcpStream>>, ctx: &ServerCtx, frame: &Frame) {
         let mut w = writer.lock().expect("writer poisoned");
         let _ = write_frame(&mut *w, frame);
     }
-    let ns = t0.elapsed().as_nanos() as u64;
-    ServeStats::add_ns(&ctx.stats.write_ns, ns);
-    ctx.stats.write_hist.record(ns);
+    ctx.stats.write_hist.record(t0.elapsed().as_nanos() as u64);
 }
 
 fn connection_loop(stream: TcpStream, ctx: Arc<ServerCtx>, tx: SyncSender<ScoreJob>) {
@@ -511,14 +509,20 @@ fn handle_frame(
             let n_rows = rows.n_rows() as u64;
             let job =
                 ScoreJob { corr, rows, writer: Arc::clone(writer), enqueue_ns: ctx.clock.now_ns() };
+            // Gauge up *before* the job is visible: the dispatcher may take
+            // it and run score_batch's gauge-down before `try_send` returns,
+            // and a gauge raised afterwards would wrap below zero meanwhile.
+            // Raised first, the send/receive pair orders the raise before
+            // that gauge-down even with relaxed updates. A refused job
+            // gauges back down here.
+            ctx.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
             match tx.try_send(job) {
                 Ok(()) => {
                     ServeStats::bump(&ctx.stats.requests);
                     ctx.stats.rows.fetch_add(n_rows, Ordering::Relaxed);
-                    // Gauge up on admission; score_batch gauges back down.
-                    ctx.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(TrySendError::Full(_)) => {
+                    ctx.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
                     ServeStats::bump(&ctx.stats.sheds);
                     send_reply(
                         writer,
@@ -530,7 +534,10 @@ fn handle_frame(
                         },
                     );
                 }
-                Err(TrySendError::Disconnected(_)) => return false,
+                Err(TrySendError::Disconnected(_)) => {
+                    ctx.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                    return false;
+                }
             }
         }
         // Server-to-client frame types arriving at the server are
@@ -642,9 +649,7 @@ fn dispatch_loop(rx: Receiver<ScoreJob>, ctx: Arc<ServerCtx>) {
 fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>) {
     let now = ctx.clock.now_ns();
     for job in &batch {
-        let wait = now.saturating_sub(job.enqueue_ns);
-        ServeStats::add_ns(&ctx.stats.queue_wait_ns, wait);
-        ctx.stats.queue_wait_hist.record(wait);
+        ctx.stats.queue_wait_hist.record(now.saturating_sub(job.enqueue_ns));
     }
     ctx.stats.queue_depth.fetch_sub(batch.len() as u64, Ordering::Relaxed);
     ServeStats::bump(&ctx.stats.batches);
@@ -703,14 +708,8 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
             predictor = predictor.with_trace(sink);
         }
 
-        // Explicit Instant timing so the same measurement feeds both the
-        // running totals and the latency histograms.
-        let phase_done = |t0: Instant,
-                          counter: &std::sync::atomic::AtomicU64,
-                          hist: &harp_metrics::AtomicHistogram| {
-            let ns = t0.elapsed().as_nanos() as u64;
-            ServeStats::add_ns(counter, ns);
-            hist.record(ns);
+        let phase_done = |t0: Instant, hist: &harp_metrics::AtomicHistogram| {
+            hist.record(t0.elapsed().as_nanos() as u64);
         };
         let scores = if group.binned {
             let t0 = Instant::now();
@@ -722,10 +721,10 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
                 }
             }
             let n_rows = bins.len() / n_cols;
-            phase_done(t0, &ctx.stats.assemble_ns, &ctx.stats.assemble_hist);
+            phase_done(t0, &ctx.stats.assemble_hist);
             let t0 = Instant::now();
             let scores = predictor.predict_raw_bin_rows(&BinRows::new(n_rows, n_cols, &bins));
-            phase_done(t0, &ctx.stats.predict_ns, &ctx.stats.predict_hist);
+            phase_done(t0, &ctx.stats.predict_hist);
             scores
         } else {
             let t0 = Instant::now();
@@ -738,10 +737,10 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
             }
             let n_rows = values.len() / n_cols;
             let matrix = FeatureMatrix::Dense(DenseMatrix::from_vec(n_rows, n_cols, values));
-            phase_done(t0, &ctx.stats.assemble_ns, &ctx.stats.assemble_hist);
+            phase_done(t0, &ctx.stats.assemble_hist);
             let t0 = Instant::now();
             let scores = predictor.predict_raw(&matrix);
-            phase_done(t0, &ctx.stats.predict_ns, &ctx.stats.predict_hist);
+            phase_done(t0, &ctx.stats.predict_hist);
             scores
         };
 
@@ -780,5 +779,71 @@ fn watch_loop(ctx: Arc<ServerCtx>, path: PathBuf, every: Duration) {
             last = now;
             let _ = ctx.reload(&path);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{ScoreReply, ServeClient};
+    use harp_data::{DatasetKind, SynthConfig};
+    use harpgbdt::{GbdtTrainer, TrainParams};
+
+    /// The gauge is raised before a job is offered to the queue, so a
+    /// dispatcher that takes the job at once can never lower it first. With
+    /// the window at zero every admission races the dispatcher; a sampler
+    /// spinning on the gauge meanwhile must never read more than the jobs
+    /// that can be outstanding — the channel bound plus one per client (a
+    /// wrapped gauge reads ≈ 1.8·10¹⁹) — and the gauge ends at zero, a shed
+    /// job included.
+    #[test]
+    fn queue_depth_gauge_never_wraps_under_immediate_dispatch() {
+        const CLIENTS: usize = 4;
+        const REQUESTS: usize = 1_500;
+        let data = SynthConfig::new(DatasetKind::HiggsLike, 3).with_scale(0.005).generate();
+        let params =
+            TrainParams { n_trees: 2, tree_size: 2, n_threads: 1, ..TrainParams::default() };
+        let forest = GbdtTrainer::new(params).expect("valid").train(&data).model.compile();
+        let n_cols = forest.n_features() as u32;
+        let cfg = ServeConfig { window_us: 0, queue_depth: 2, ..ServeConfig::default() };
+        let bound = (cfg.queue_depth + CLIENTS) as u64;
+        let mut h = serve(forest, cfg).expect("start server");
+        let addr = h.local_addr();
+
+        let done = Arc::new(AtomicBool::new(false));
+        let sampler = {
+            let (ctx, done) = (Arc::clone(&h.ctx), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut max = 0u64;
+                while !done.load(Ordering::Relaxed) {
+                    max = max.max(ctx.stats.queue_depth.load(Ordering::Relaxed));
+                }
+                max
+            })
+        };
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                std::thread::spawn(move || {
+                    let mut client = ServeClient::connect(addr).expect("connect");
+                    for i in 0..REQUESTS {
+                        let row = (0..n_cols).map(|f| ((c + i) as u32 ^ f) as f32 / 7.0).collect();
+                        match client.score_dense(n_cols, row).expect("io") {
+                            ScoreReply::Scores { .. } => {}
+                            ScoreReply::Rejected { code: ErrorCode::Overloaded, .. } => {}
+                            other => panic!("unexpected reply {other:?}"),
+                        }
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().expect("client panicked");
+        }
+        done.store(true, Ordering::Relaxed);
+        let max = sampler.join().expect("sampler panicked");
+        assert!(max <= bound, "queue_depth gauge read {max}, bound {bound}");
+        assert_eq!(h.snapshot().queue_depth, Some(0));
+        h.shutdown();
+        h.wait();
     }
 }

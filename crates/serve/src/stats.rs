@@ -4,12 +4,13 @@
 //! [`StatsSnapshot`] is a consistent-enough point-in-time read used for
 //! the `Stats` protocol reply, the shutdown summary, the `/metrics`
 //! exposition, and the serve [`RunLedger`](harp_metrics::RunLedger)
-//! epochs. Phase nanoseconds mirror the trainer's breakdown discipline:
-//! `queue_wait` (admission to dispatch), `assemble` (batch → matrix),
-//! `predict` (forest traversal), and `write` (response serialization +
-//! socket write) partition a request's server-side life. Each phase also
-//! feeds an [`AtomicHistogram`] so tails (p99/p999) are observable, not
-//! just totals; `end_to_end` spans admission to scored reply.
+//! epochs. Phases mirror the trainer's breakdown discipline: `queue_wait`
+//! (admission to dispatch), `assemble` (batch → matrix), `predict` (forest
+//! traversal), and `write` (response serialization + socket write)
+//! partition a request's server-side life. Each phase is recorded once, in
+//! an [`AtomicHistogram`], so tails (p99/p999) are observable and the
+//! cumulative phase seconds are the histogram's sum; `end_to_end` spans
+//! admission to scored reply.
 
 use harp_metrics::{AtomicHistogram, HistogramSnapshot, LatencySet, LedgerRecord, RunLedger};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,16 +32,9 @@ pub struct ServeStats {
     pub swaps: AtomicU64,
     /// Connections accepted.
     pub connections: AtomicU64,
-    /// Jobs currently queued for dispatch (gauge: admitted − dispatched).
+    /// Jobs currently queued for dispatch (gauge: raised before a job is
+    /// offered to the queue, lowered when it is refused or dispatched).
     pub queue_depth: AtomicU64,
-    /// Nanoseconds requests spent queued before their batch dispatched.
-    pub queue_wait_ns: AtomicU64,
-    /// Nanoseconds assembling batch matrices.
-    pub assemble_ns: AtomicU64,
-    /// Nanoseconds in forest traversal.
-    pub predict_ns: AtomicU64,
-    /// Nanoseconds serializing and writing responses.
-    pub write_ns: AtomicU64,
     /// Admission → scored-reply latency distribution, per request.
     pub e2e_hist: AtomicHistogram,
     /// Queue-wait latency distribution, per request.
@@ -81,7 +75,8 @@ pub struct StatsSnapshot {
     pub n_features: u64,
     /// Score groups per row of the forest being served.
     pub n_groups: u64,
-    /// Queue-wait seconds (sum over requests).
+    /// Queue-wait seconds (sum over requests): the `queue_wait` histogram's
+    /// sum, as are the three phases below theirs.
     pub queue_wait_secs: f64,
     /// Batch-assembly seconds.
     pub assemble_secs: f64,
@@ -101,11 +96,6 @@ pub struct StatsSnapshot {
 }
 
 impl ServeStats {
-    /// Adds `ns` to a phase counter.
-    pub fn add_ns(counter: &AtomicU64, ns: u64) {
-        counter.fetch_add(ns, Ordering::Relaxed);
-    }
-
     /// Bumps a count by one.
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
@@ -119,7 +109,20 @@ impl ServeStats {
         n_groups: u64,
         uptime_secs: f64,
     ) -> StatsSnapshot {
-        let secs = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64 / 1e9;
+        let latency = LatencySet(
+            PHASE_HIST_NAMES
+                .iter()
+                .zip([
+                    &self.e2e_hist,
+                    &self.queue_wait_hist,
+                    &self.assemble_hist,
+                    &self.predict_hist,
+                    &self.write_hist,
+                ])
+                .map(|(name, h)| ((*name).to_string(), h.snapshot()))
+                .collect(),
+        );
+        let secs = |name| latency.get(name).map_or(0.0, |h| h.sum() as f64 / 1e9);
         StatsSnapshot {
             requests: self.requests.load(Ordering::Relaxed),
             rows: self.rows.load(Ordering::Relaxed),
@@ -131,25 +134,13 @@ impl ServeStats {
             generation,
             n_features,
             n_groups,
-            queue_wait_secs: secs(&self.queue_wait_ns),
-            assemble_secs: secs(&self.assemble_ns),
-            predict_secs: secs(&self.predict_ns),
-            write_secs: secs(&self.write_ns),
+            queue_wait_secs: secs("queue_wait"),
+            assemble_secs: secs("assemble"),
+            predict_secs: secs("predict"),
+            write_secs: secs("write"),
             uptime_secs: Some(uptime_secs),
             queue_depth: Some(self.queue_depth.load(Ordering::Relaxed)),
-            latency: LatencySet(
-                PHASE_HIST_NAMES
-                    .iter()
-                    .zip([
-                        &self.e2e_hist,
-                        &self.queue_wait_hist,
-                        &self.assemble_hist,
-                        &self.predict_hist,
-                        &self.write_hist,
-                    ])
-                    .map(|(name, h)| ((*name).to_string(), h.snapshot()))
-                    .collect(),
-            ),
+            latency,
         }
     }
 }
@@ -272,7 +263,6 @@ mod tests {
         ServeStats::bump(&s.requests);
         ServeStats::bump(&s.requests);
         s.rows.fetch_add(128, Ordering::Relaxed);
-        ServeStats::add_ns(&s.predict_ns, 2_000_000_000);
         s.predict_hist.record(2_000_000_000);
         let snap = s.snapshot(3, 28, 1, 1.5);
         assert_eq!(snap.requests, 2);
@@ -331,6 +321,19 @@ mod tests {
         let text = ledger.ledger().to_jsonl();
         let back = RunLedger::from_jsonl(&text).unwrap();
         assert_eq!(back.records(), ledger.ledger().records());
+
+        // A phase is recorded once: its seconds are its histogram's sum.
+        s.queue_wait_hist.record(3_000);
+        s.assemble_hist.record(5_000);
+        s.write_hist.record(7_000);
+        s.write_hist.record(11);
+        for snap in [&snap, &s.snapshot(3, 28, 1, 3.5)] {
+            for (name, secs) in snap.phase_secs() {
+                let sum = snap.latency.get(name).unwrap().sum();
+                assert_eq!(secs, sum as f64 / 1e9, "{name}");
+            }
+        }
+        assert_eq!(s.snapshot(3, 28, 1, 3.5).write_secs, 7_011.0 / 1e9);
     }
 
     #[test]

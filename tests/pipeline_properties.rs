@@ -127,7 +127,7 @@ proptest! {
         for r in 0..data.n_rows().min(8) {
             let value = |f: u32| data.features.get(r, f as usize);
             let direct = model.predict_raw_row(value);
-            let manual: f32 = model.base_score()
+            let manual: f32 = model.base_scores()[0]
                 + model.trees().iter().map(|t| t.predict(value)).sum::<f32>();
             prop_assert!((direct - manual).abs() < 1e-5);
         }
