@@ -56,10 +56,7 @@ pub use harp_binning::{
     LayoutOptions, QuantStore, QuantizedMatrix, SetupTimings, DEFAULT_ROWS_PER_CHUNK,
 };
 pub use loss::RowScaling;
-pub use objective::{
-    GradScope, GradientFn, ListwiseGrad, Objective, ObjectiveInfo, ObjectiveSpec, RowWiseGrad,
-    HESSIAN_FLOOR,
-};
+pub use objective::{ObjectiveInfo, ObjectiveSpec, HESSIAN_FLOOR};
 pub use params::{
     BlockConfig, GrowthMethod, LedgerConfig, LossKind, ParallelMode, TraceConfig, TrainParams,
 };

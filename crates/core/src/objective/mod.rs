@@ -1,50 +1,40 @@
-//! The open objective layer: gradient boosting is objective-agnostic by
+//! The objective layer: gradient boosting is objective-agnostic by
 //! construction — every tree fits second-order pairs `(gᵢ, hᵢ)` (Eq. 1) —
-//! so the loss is a plug-in point, not a hard-coded enum.
+//! and which loss produced them is one closed, serialized choice.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
-//! * [`Objective`] — the object-safe trait: per-row or listwise gradient
-//!   pairs, group count, label validation, data-derived base scores, score
-//!   transform, and a preferred [`EvalMetric`].
-//! * [`ObjectiveSpec`] — the serde-stable registry of named objective
-//!   specs. This is what models and [`crate::TrainParams`] store (the field
-//!   keeps its historical name `loss`, and the three original variants keep
-//!   their exact serialized shape), what the CLI `--loss` strings parse
-//!   into, and what [`ObjectiveSpec::build`] turns into a live objective.
-//! * [`compute_gradients_group`] — the gradient-phase driver: the parallel
-//!   chunked fill loop, the centralized Hessian floor, and the per-row
-//!   weight/subsample scaling. Objectives return *raw* pairs; numerical
-//!   protection is uniform and lives here, not in each impl.
+//! * [`ObjectiveSpec`] — the objective itself. It is what models and
+//!   [`crate::TrainParams`] store (the field keeps its historical name
+//!   `loss`, and the three original variants keep their exact serialized
+//!   shape) and what the CLI `--loss` strings parse into, and its methods
+//!   are the one definition of each loss's label validation, base scores,
+//!   score transform and default metric, one `match` arm per loss.
+//! * [`compute_gradients_group`] — the gradient-phase driver and the one
+//!   definition of each loss's gradients. It picks the loss's formula once
+//!   per call, outside the row loop, runs the parallel chunked fill, and
+//!   applies the centralized Hessian floor and the per-row weight/subsample
+//!   scaling: the formulas give *raw* pairs, and numerical protection is
+//!   uniform. Row-wise losses fill their pairs row by row; LambdaRank, whose
+//!   pairs couple the rows of a query, fills the whole buffer first.
 //!
-//! The split between [`RowWiseGrad`] and [`ListwiseGrad`] makes the old
-//! "softmax panics in the scalar `grad` path" bug unrepresentable: grouped
-//! and listwise objectives simply do not expose a scalar entry point, and
-//! the driver dispatches on [`Objective::gradients`] instead of matching an
-//! enum.
-//!
-//! Adding an objective (see DESIGN.md §12): implement [`Objective`] plus
-//! one of the gradient traits, add a [`ObjectiveSpec`] variant with its
-//! [`REGISTRY`] row, and wire `parse`/`name`/`build`. Everything else —
-//! trainer, model persistence, CLI, eval — picks it up through the trait.
+//! Adding an objective (see DESIGN.md §12): an [`ObjectiveSpec`] variant, a
+//! `parse` arm, a [`REGISTRY`] row, and the arms the compiler's exhaustive
+//! `match`es ask for. Trainer, model persistence, CLI and eval need nothing
+//! else.
 
-mod builtin;
 mod ranking;
 mod regression;
 
-pub use builtin::{LogisticObjective, SoftmaxObjective, SquaredErrorObjective};
-pub use ranking::LambdaRankObjective;
-pub use regression::{HuberObjective, QuantileObjective, TweedieObjective};
-
-use crate::loss::{GradPair, RowScaling};
+use crate::loss::{sigmoid, GradPair, RowScaling};
 use crate::trainer::EvalMetric;
 use harp_parallel::ThreadPool;
 use serde::{Deserialize, Serialize};
 
 /// Uniform lower bound on every objective's Hessian, applied by the
 /// gradient-phase driver. Leaf weights divide by `H + λ`; with `λ = 0` a
-/// zero Hessian would blow up, so the floor protects every objective —
-/// including user impls — without each one clamping ad hoc.
+/// zero Hessian would blow up, so the floor protects every objective
+/// without each one clamping ad hoc.
 pub const HESSIAN_FLOOR: f32 = 1e-16;
 
 /// A named, serializable objective specification — the registry key that
@@ -271,21 +261,53 @@ impl ObjectiveSpec {
         }
     }
 
-    /// Builds the live objective this spec names.
+    /// Checks labels (and the query-group sizes ranking needs) before
+    /// training or evaluation.
     ///
-    /// # Panics
-    /// Panics on an invalid spec; [`validate`](Self::validate) first (the
-    /// trainer does, via `TrainParams::validate`).
-    pub fn build(&self) -> Box<dyn Objective> {
-        self.validate().expect("invalid objective spec");
-        match *self {
-            Self::Logistic => Box::new(LogisticObjective),
-            Self::SquaredError => Box::new(SquaredErrorObjective),
-            Self::Softmax { n_classes } => Box::new(SoftmaxObjective::new(n_classes)),
-            Self::Quantile { alpha } => Box::new(QuantileObjective::new(alpha)),
-            Self::Tweedie { power } => Box::new(TweedieObjective::new(power)),
-            Self::Huber { delta } => Box::new(HuberObjective::new(delta)),
-            Self::LambdaRank { k } => Box::new(LambdaRankObjective::new(k)),
+    /// # Errors
+    /// Returns a user-facing message naming the first offending row or the
+    /// missing metadata.
+    pub fn validate_data(self, labels: &[f32], query_groups: Option<&[u32]>) -> Result<(), String> {
+        let check = |valid: &dyn Fn(f32) -> bool, rule: &str| match labels
+            .iter()
+            .enumerate()
+            .find(|&(_, &y)| !valid(y))
+        {
+            Some((i, y)) => Err(format!("{rule}; row {i} has {y}")),
+            None => Ok(()),
+        };
+        let non_negative = |y: f32| y.is_finite() && y >= 0.0;
+        match self {
+            Self::Logistic => {
+                check(&|y| (0.0..=1.0).contains(&y), "logistic labels must lie in [0, 1]")
+            }
+            Self::SquaredError | Self::Quantile { .. } | Self::Huber { .. } => {
+                check(&|y| y.is_finite(), "labels must be finite")
+            }
+            Self::Softmax { n_classes } => check(
+                // `y as usize` saturates a negative id to class 0, so the
+                // sign is checked first.
+                &|y| non_negative(y) && y.fract() == 0.0 && (y as usize) < n_classes as usize,
+                &format!("softmax labels must be class ids 0..{n_classes}"),
+            ),
+            Self::Tweedie { .. } => {
+                check(&non_negative, "tweedie labels must be finite and non-negative")
+            }
+            Self::LambdaRank { .. } => {
+                let Some(qg) = query_groups else {
+                    return Err("lambdarank needs query-group sizes \
+                                (Dataset::with_query_groups or --groups)"
+                        .into());
+                };
+                let total: usize = qg.iter().map(|&s| s as usize).sum();
+                if total != labels.len() {
+                    return Err(format!(
+                        "query-group sizes sum to {total} but the dataset has {} rows",
+                        labels.len()
+                    ));
+                }
+                check(&non_negative, "relevance labels must be finite and non-negative")
+            }
         }
     }
 
@@ -311,31 +333,71 @@ impl ObjectiveSpec {
         }
     }
 
-    /// Converts one raw score to the response scale. Kept as a direct
-    /// match (no boxing) because per-row prediction paths call it in a
-    /// loop. Softmax rows need joint normalization — see
+    /// Converts one raw score to the response scale; per-row prediction
+    /// paths call it in a loop. Softmax rows need joint normalization — see
     /// [`transform_scores`](Self::transform_scores).
     #[inline]
     pub fn transform(self, raw: f32) -> f32 {
         match self {
-            Self::Logistic => crate::loss::sigmoid(raw),
+            Self::Logistic => sigmoid(raw),
             Self::Tweedie { .. } => raw.exp(),
             _ => raw,
         }
     }
 
     /// Transforms a full row-major `n_rows × n_groups` raw-score buffer to
-    /// the response scale through the built objective.
+    /// the response scale: [`transform`](Self::transform) per score, except
+    /// that softmax normalizes each row of class scores jointly.
     pub fn transform_scores(self, raw: &[f32]) -> Vec<f32> {
-        self.build().transform_scores(raw)
+        let Self::Softmax { n_classes } = self else {
+            return raw.iter().map(|&s| self.transform(s)).collect();
+        };
+        let c = n_classes as usize;
+        assert_eq!(raw.len() % c, 0, "raw score buffer not divisible by class count");
+        let mut out = Vec::with_capacity(raw.len());
+        for row in raw.chunks_exact(c) {
+            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let exps: Vec<f32> = row.iter().map(|&s| (s - max).exp()).collect();
+            let sum: f32 = exps.iter().sum();
+            out.extend(exps.iter().map(|&e| e / sum));
+        }
+        out
     }
 
-    /// Per-group constant initial scores derived from the label
-    /// distribution (log-odds for logistic, mean for squared error,
-    /// per-class log priors for softmax, the empirical quantile/median for
-    /// quantile/Huber, log-mean for Tweedie, zero for ranking).
+    /// Per-group constant initial raw scores minimizing the loss over
+    /// `labels` — the data-derived base score of the ensemble: log-odds for
+    /// logistic, mean for squared error, per-class log priors for softmax,
+    /// the empirical quantile/median for quantile/Huber, log-mean for
+    /// Tweedie, zero for ranking (and for every scalar loss on no labels).
     pub fn base_scores(self, labels: &[f32]) -> Vec<f32> {
-        self.build().base_scores(labels)
+        let mean = || labels.iter().sum::<f32>() / labels.len() as f32;
+        match self {
+            Self::Softmax { n_classes } => {
+                let c = n_classes as usize;
+                let mut counts = vec![0usize; c];
+                for &y in labels {
+                    let idx = y as usize;
+                    assert!(idx < c, "label {y} out of range for {c} classes");
+                    counts[idx] += 1;
+                }
+                let n = labels.len().max(1) as f32;
+                counts.into_iter().map(|cnt| ((cnt as f32 / n).max(1e-6)).ln()).collect()
+            }
+            _ if labels.is_empty() => vec![0.0],
+            Self::Logistic => {
+                let p = mean().clamp(1e-6, 1.0 - 1e-6);
+                vec![(p / (1.0 - p)).ln()]
+            }
+            Self::SquaredError => vec![mean()],
+            Self::Quantile { alpha } => vec![regression::empirical_quantile(labels, alpha)],
+            Self::Tweedie { .. } => vec![mean().max(1e-6).ln()],
+            // The median minimizes the Huber loss in the linear regime and
+            // is near-optimal in the quadratic one — and it is
+            // outlier-robust, which is the point of this objective.
+            Self::Huber { .. } => vec![regression::empirical_quantile(labels, 0.5)],
+            // Ranking scores are translation-invariant.
+            Self::LambdaRank { .. } => vec![0.0],
+        }
     }
 
     /// Convenience: fills `out` with unweighted gradient pairs for a
@@ -352,99 +414,8 @@ impl ObjectiveSpec {
         labels: &[f32],
         out: &mut [GradPair],
     ) {
-        let obj = self.build();
-        compute_gradients_group(
-            obj.as_ref(),
-            pool,
-            preds,
-            labels,
-            None,
-            0,
-            &RowScaling::default(),
-            out,
-        );
+        compute_gradients_group(self, pool, preds, labels, None, 0, &RowScaling::default(), out);
     }
-}
-
-/// The object-safe objective trait: everything the trainer, the model, and
-/// the CLI need from a loss function.
-///
-/// Implementations also implement exactly one of [`RowWiseGrad`] or
-/// [`ListwiseGrad`] and surface it through [`gradients`](Self::gradients);
-/// the driver dispatches on that, so a grouped or listwise objective has
-/// no scalar gradient entry point to panic in.
-pub trait Objective: Send + Sync {
-    /// The registry spec that rebuilds this objective.
-    fn spec(&self) -> ObjectiveSpec;
-
-    /// Trees per boosting round (1 unless one-vs-all grouped, e.g.
-    /// softmax).
-    fn n_groups(&self) -> usize {
-        1
-    }
-
-    /// Checks labels (and required metadata such as query-group sizes)
-    /// before training or evaluation.
-    ///
-    /// # Errors
-    /// Returns a user-facing message describing the first offending row or
-    /// missing metadata.
-    fn validate_data(&self, labels: &[f32], query_groups: Option<&[u32]>) -> Result<(), String>;
-
-    /// Per-group constant initial raw scores minimizing the loss over
-    /// `labels` — the data-derived base score of the ensemble.
-    fn base_scores(&self, labels: &[f32]) -> Vec<f32>;
-
-    /// Transforms a row-major `n_rows × n_groups` raw-score buffer to the
-    /// response scale.
-    fn transform_scores(&self, raw: &[f32]) -> Vec<f32>;
-
-    /// The objective's preferred validation metric.
-    fn default_metric(&self) -> EvalMetric;
-
-    /// How this objective computes gradients: row-wise (each row's pair
-    /// depends only on that row) or listwise (pairs couple across rows of
-    /// a query group).
-    fn gradients(&self) -> GradientFn<'_>;
-}
-
-/// The gradient path of an objective — the dispatch point that replaces
-/// the old panicking scalar/grouped split.
-pub enum GradientFn<'a> {
-    /// Row-independent: the driver parallelizes over row chunks.
-    RowWise(&'a dyn RowWiseGrad),
-    /// Whole-buffer: pairs couple across rows (ranking); the driver hands
-    /// the objective the full scope and post-processes uniformly.
-    Listwise(&'a dyn ListwiseGrad),
-}
-
-/// Row-wise first/second-order gradients.
-pub trait RowWiseGrad: Sync {
-    /// The *raw* `(g, h)` pair of model group `group` for one row.
-    /// `scores` is the row's per-group raw-score slice (length
-    /// `n_groups`; scalar objectives read `scores[0]`). Do not clamp `h`
-    /// or apply sample weights — the driver does both.
-    fn grad(&self, scores: &[f32], label: f32, group: usize) -> GradPair;
-}
-
-/// Listwise gradients over query groups.
-pub trait ListwiseGrad: Sync {
-    /// Fills `out` (one pair per row) with raw gradients for the whole
-    /// buffer. Rows are grouped consecutively per `scope.query_groups`.
-    /// Do not clamp `h` or apply sample weights — the driver does both.
-    fn grads(&self, scope: &GradScope<'_>, out: &mut [GradPair]);
-}
-
-/// Everything a listwise objective sees: predictions, labels, and the
-/// consecutive query-group sizes.
-pub struct GradScope<'a> {
-    /// Raw scores, row-major `n_rows × n_groups` (`n_groups = 1` for every
-    /// current listwise objective).
-    pub preds: &'a [f32],
-    /// One label per row (graded relevance for ranking).
-    pub labels: &'a [f32],
-    /// Consecutive group sizes summing to `labels.len()`.
-    pub query_groups: &'a [u32],
 }
 
 /// Fills `out` with the gradient pairs of model group `group` for all
@@ -454,15 +425,14 @@ pub struct GradScope<'a> {
 /// post-processing every objective gets uniformly, in this order per row:
 /// raw `(g, h)` from the objective, the [`HESSIAN_FLOOR`] clamp on `h`,
 /// then the [`RowScaling`] weight/subsample scale (excluded rows carry
-/// zero mass). Listwise objectives fill the whole buffer first
-/// (`query_groups` required), then the same clamp+scale pass runs.
+/// zero mass). LambdaRank fills the whole buffer first (`query_groups`
+/// required), then the same clamp+scale pass runs.
 ///
 /// # Panics
-/// Panics on shape mismatches, or for a listwise objective without query
-/// groups.
+/// Panics on shape mismatches, or for LambdaRank without query groups.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_gradients_group(
-    objective: &dyn Objective,
+    spec: ObjectiveSpec,
     pool: &ThreadPool,
     preds: &[f32],
     labels: &[f32],
@@ -471,7 +441,7 @@ pub fn compute_gradients_group(
     scaling: &RowScaling<'_>,
     out: &mut [GradPair],
 ) {
-    let groups = objective.n_groups();
+    let groups = spec.n_groups();
     assert!(group < groups, "group {group} out of range");
     assert_eq!(preds.len(), labels.len() * groups, "preds shape mismatch");
     assert_eq!(labels.len(), out.len(), "labels/out length mismatch");
@@ -482,24 +452,52 @@ pub fn compute_gradients_group(
     if n == 0 {
         return;
     }
-    match objective.gradients() {
-        GradientFn::RowWise(rw) => {
-            parallel_rows(pool, out, |r, gp| {
-                let row = &preds[r * groups..(r + 1) * groups];
-                let mut pair = rw.grad(row, labels[r], group);
-                pair[1] = pair[1].max(HESSIAN_FLOOR);
-                let scale = scaling.scale(r);
-                pair[0] *= scale;
-                pair[1] *= scale;
-                *gp = pair;
-            });
+    // Every arm but softmax's has one score per row, `preds[r]`.
+    match spec {
+        ObjectiveSpec::Logistic => fill_rows(pool, scaling, out, |r, _| {
+            let p = sigmoid(preds[r]);
+            [p - labels[r], p * (1.0 - p)]
+        }),
+        ObjectiveSpec::SquaredError => {
+            fill_rows(pool, scaling, out, |r, _| [preds[r] - labels[r], 1.0])
         }
-        GradientFn::Listwise(lw) => {
+        ObjectiveSpec::Softmax { .. } => fill_rows(pool, scaling, out, |r, _| {
+            let scores = &preds[r * groups..(r + 1) * groups];
+            let max = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            let sum: f32 = scores.iter().map(|&s| (s - max).exp()).sum();
+            let p = (scores[group] - max).exp() / sum;
+            let y = if labels[r] as usize == group { 1.0 } else { 0.0 };
+            // The conventional 2x hessian scaling of softmax boosting
+            // (matches XGBoost/LightGBM).
+            [p - y, 2.0 * p * (1.0 - p)]
+        }),
+        // Pinball loss `(α - 1[y < s]) · (y - s)`: piecewise linear, so a
+        // unit stand-in Hessian turns the Newton step into a damped
+        // gradient step (the standard GBDT treatment).
+        ObjectiveSpec::Quantile { alpha } => fill_rows(pool, scaling, out, |r, _| {
+            [if preds[r] >= labels[r] { 1.0 - alpha } else { -alpha }, 1.0]
+        }),
+        // Deviance in the log-mean `s` (constant 2 dropped):
+        // `g = -y·e^{(1-p)s} + e^{(2-p)s}`,
+        // `h = (p-1)·y·e^{(1-p)s} + (2-p)·e^{(2-p)s}` — both terms positive
+        // on valid data, the XGBoost/LightGBM convention.
+        ObjectiveSpec::Tweedie { power: rho } => fill_rows(pool, scaling, out, |r, _| {
+            let (s, y) = (preds[r], labels[r]);
+            let e1 = ((1.0 - rho) * s).exp();
+            let e2 = ((2.0 - rho) * s).exp();
+            [-y * e1 + e2, (rho - 1.0) * y * e1 + (2.0 - rho) * e2]
+        }),
+        // Residuals beyond `±delta` contribute a bounded gradient; the tail
+        // second derivative is zero, so like quantile a unit Hessian.
+        ObjectiveSpec::Huber { delta } => {
+            fill_rows(pool, scaling, out, |r, _| [(preds[r] - labels[r]).clamp(-delta, delta), 1.0])
+        }
+        ObjectiveSpec::LambdaRank { k } => {
             let qg = query_groups.unwrap_or_else(|| {
                 panic!(
                     "objective {:?} is listwise and needs query-group sizes \
                      (Dataset::with_query_groups)",
-                    objective.spec().name()
+                    spec.name()
                 )
             });
             assert_eq!(
@@ -507,29 +505,33 @@ pub fn compute_gradients_group(
                 n,
                 "query-group sizes must sum to the row count"
             );
-            lw.grads(&GradScope { preds, labels, query_groups: qg }, out);
-            parallel_rows(pool, out, |r, gp| {
-                let mut pair = *gp;
-                pair[1] = pair[1].max(HESSIAN_FLOOR);
-                let scale = scaling.scale(r);
-                pair[0] *= scale;
-                pair[1] *= scale;
-                *gp = pair;
-            });
+            ranking::lambdarank_grads(k as usize, preds, labels, qg, out);
+            fill_rows(pool, scaling, out, |_, pair| pair);
         }
     }
 }
 
-/// The chunked parallel fill loop shared by both gradient paths. Chunk
-/// geometry is unchanged from the pre-trait implementation so gradient
-/// buffers stay bitwise identical.
-fn parallel_rows(pool: &ThreadPool, out: &mut [GradPair], f: impl Fn(usize, &mut GradPair) + Sync) {
+/// The chunked parallel fill loop: row `r`'s raw pair is `raw(r, out[r])`,
+/// then the [`HESSIAN_FLOOR`] clamp, then the row scale. Each row's pair
+/// depends only on that row, so the chunking cannot change a bit.
+fn fill_rows(
+    pool: &ThreadPool,
+    scaling: &RowScaling<'_>,
+    out: &mut [GradPair],
+    raw: impl Fn(usize, GradPair) -> GradPair + Sync,
+) {
     let chunk = (out.len() / (pool.num_threads() * 4)).max(1024);
     let mut pieces: Vec<&mut [GradPair]> = out.chunks_mut(chunk).collect();
     pool.parallel_for_each_mut(&mut pieces, |c, piece, _| {
         let lo = c * chunk;
         for (i, gp) in piece.iter_mut().enumerate() {
-            f(lo + i, gp);
+            let r = lo + i;
+            let mut pair = raw(r, *gp);
+            pair[1] = pair[1].max(HESSIAN_FLOOR);
+            let scale = scaling.scale(r);
+            pair[0] *= scale;
+            pair[1] *= scale;
+            *gp = pair;
         }
     });
 }
@@ -537,11 +539,33 @@ fn parallel_rows(pool: &ThreadPool, out: &mut [GradPair], f: impl Fn(usize, &mut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::loss::sigmoid;
     use crate::params::LossKind;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(2)
+    }
+
+    /// The pair the driver gives one row of `scores` (one per group) at
+    /// `label`, unweighted.
+    pub(super) fn one_row(
+        spec: ObjectiveSpec,
+        scores: &[f32],
+        label: f32,
+        group: usize,
+    ) -> GradPair {
+        let mut out = [[0.0f32; 2]; 1];
+        let pool = ThreadPool::new(1);
+        compute_gradients_group(
+            spec,
+            &pool,
+            scores,
+            &[label],
+            None,
+            group,
+            &RowScaling::default(),
+            &mut out,
+        );
+        out[0]
     }
 
     #[test]
@@ -600,17 +624,16 @@ mod tests {
     #[test]
     fn logistic_gradients() {
         // At pred 0 (p = 0.5): g = 0.5 - y, h = 0.25.
-        let rw = LogisticObjective;
-        let [g, h] = rw.grad(&[0.0], 1.0, 0);
+        let [g, h] = one_row(LossKind::Logistic, &[0.0], 1.0, 0);
         assert!((g + 0.5).abs() < 1e-6);
         assert!((h - 0.25).abs() < 1e-6);
-        let [g, _] = rw.grad(&[0.0], 0.0, 0);
+        let [g, _] = one_row(LossKind::Logistic, &[0.0], 0.0, 0);
         assert!((g - 0.5).abs() < 1e-6);
     }
 
     #[test]
     fn squared_gradients() {
-        let [g, h] = SquaredErrorObjective.grad(&[3.0], 1.0, 0);
+        let [g, h] = one_row(LossKind::SquaredError, &[3.0], 1.0, 0);
         assert_eq!(g, 2.0);
         assert_eq!(h, 1.0);
     }
@@ -635,10 +658,9 @@ mod tests {
         let labels: Vec<f32> = (0..n).map(|i| (i % 2) as f32).collect();
         let mut par = vec![[0.0f32; 2]; n];
         LossKind::Logistic.compute_gradients(&pool, &preds, &labels, &mut par);
-        let rw = LogisticObjective;
         for i in 0..n {
-            let mut expect = rw.grad(&preds[i..=i], labels[i], 0);
-            expect[1] = expect[1].max(HESSIAN_FLOOR);
+            let p = sigmoid(preds[i]);
+            let expect = [p - labels[i], (p * (1.0 - p)).max(HESSIAN_FLOOR)];
             assert_eq!(par[i], expect, "row {i}");
         }
     }
@@ -647,14 +669,13 @@ mod tests {
     fn softmax_gradients_sum_to_zero_across_classes() {
         let pool = pool();
         let spec = LossKind::Softmax { n_classes: 3 };
-        let obj = spec.build();
         let n = 50;
         let preds: Vec<f32> = (0..n * 3).map(|i| ((i * 31) % 17) as f32 / 5.0).collect();
         let labels: Vec<f32> = (0..n).map(|i| (i % 3) as f32).collect();
         let mut per_class = vec![vec![[0.0f32; 2]; n]; 3];
         for (c, out) in per_class.iter_mut().enumerate() {
             compute_gradients_group(
-                obj.as_ref(),
+                spec,
                 &pool,
                 &preds,
                 &labels,
@@ -703,8 +724,16 @@ mod tests {
         let weights = [1.0f32, 3.0];
         let mut out = [[0.0f32; 2]; 2];
         let scaling = RowScaling { weights: Some(&weights), subsample: 1.0, seed: 0 };
-        let obj = LossKind::Logistic.build();
-        compute_gradients_group(obj.as_ref(), &pool, &preds, &labels, None, 0, &scaling, &mut out);
+        compute_gradients_group(
+            LossKind::Logistic,
+            &pool,
+            &preds,
+            &labels,
+            None,
+            0,
+            &scaling,
+            &mut out,
+        );
         assert!((out[1][0] / out[0][0] - 3.0).abs() < 1e-6);
         assert!((out[1][1] / out[0][1] - 3.0).abs() < 1e-6);
     }
@@ -719,53 +748,17 @@ mod tests {
         assert!(out[0][1] > 0.0);
     }
 
-    /// A pathological objective whose raw Hessian is exactly zero — the
-    /// driver's centralized floor must protect it (the satellite-2
-    /// guarantee for user impls that never heard of the clamp).
-    struct ZeroHessian;
-    impl RowWiseGrad for ZeroHessian {
-        fn grad(&self, scores: &[f32], label: f32, _group: usize) -> GradPair {
-            [scores[0] - label, 0.0]
-        }
-    }
-    impl Objective for ZeroHessian {
-        fn spec(&self) -> ObjectiveSpec {
-            ObjectiveSpec::SquaredError
-        }
-        fn validate_data(&self, _: &[f32], _: Option<&[u32]>) -> Result<(), String> {
-            Ok(())
-        }
-        fn base_scores(&self, _: &[f32]) -> Vec<f32> {
-            vec![0.0]
-        }
-        fn transform_scores(&self, raw: &[f32]) -> Vec<f32> {
-            raw.to_vec()
-        }
-        fn default_metric(&self) -> EvalMetric {
-            EvalMetric::Rmse
-        }
-        fn gradients(&self) -> GradientFn<'_> {
-            GradientFn::RowWise(self)
-        }
-    }
+    // Logistic at a saturated score has a raw Hessian of exactly zero:
+    // `sigmoid(100.0)` is 1.0 in f32, so `p · (1 − p)` is 0.
 
     #[test]
     fn driver_floors_every_hessian() {
         let pool = pool();
         let n = 3000; // spans multiple parallel chunks
-        let preds: Vec<f32> = (0..n).map(|i| i as f32 / 100.0).collect();
+        let preds: Vec<f32> = (0..n).map(|i| 100.0 + i as f32 / 100.0).collect();
         let labels = vec![0.0f32; n];
         let mut out = vec![[0.0f32; 2]; n];
-        compute_gradients_group(
-            &ZeroHessian,
-            &pool,
-            &preds,
-            &labels,
-            None,
-            0,
-            &RowScaling::default(),
-            &mut out,
-        );
+        LossKind::Logistic.compute_gradients(&pool, &preds, &labels, &mut out);
         for (i, gp) in out.iter().enumerate() {
             assert!(gp[1] >= HESSIAN_FLOOR, "row {i}: hessian {} below floor", gp[1]);
         }
@@ -774,13 +767,21 @@ mod tests {
     #[test]
     fn floor_is_applied_before_row_scaling() {
         // A weighted row's floored hessian scales with the weight — the
-        // clamp happens on the raw pair, then the scale multiplies, exactly
-        // like the pre-trait logistic/softmax arithmetic.
+        // clamp happens on the raw pair, then the scale multiplies.
         let pool = ThreadPool::new(1);
         let weights = [2.5f32];
         let scaling = RowScaling { weights: Some(&weights), subsample: 1.0, seed: 0 };
         let mut out = [[0.0f32; 2]; 1];
-        compute_gradients_group(&ZeroHessian, &pool, &[1.0], &[0.0], None, 0, &scaling, &mut out);
+        compute_gradients_group(
+            LossKind::Logistic,
+            &pool,
+            &[100.0],
+            &[0.0],
+            None,
+            0,
+            &scaling,
+            &mut out,
+        );
         assert_eq!(out[0][1], HESSIAN_FLOOR * 2.5);
         assert_eq!(out[0][0], 2.5);
     }

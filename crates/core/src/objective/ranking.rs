@@ -1,138 +1,76 @@
 //! LambdaMART ranking: pairwise lambda gradients weighted by |ΔNDCG@k|,
-//! computed per query group — the listwise side of the gradient dispatch.
+//! computed per query group — the one loss whose pairs couple rows, so the
+//! gradient driver hands it the whole buffer.
 
-use super::{GradScope, GradientFn, ListwiseGrad, Objective, ObjectiveSpec};
 use crate::loss::GradPair;
-use crate::trainer::EvalMetric;
 
-/// LambdaMART: for every in-query document pair with different relevance,
-/// add the RankNet gradient `ρ = 1/(1 + exp(s_hi - s_lo))` scaled by the
-/// NDCG@k swap delta `|Δ| = |gain_hi - gain_lo| · |disc(p_hi) - disc(p_lo)| / IDCG`.
+/// Fills `out` (one raw pair per row) with LambdaMART gradients: for every
+/// in-query document pair with different relevance, add the RankNet
+/// gradient `ρ = 1/(1 + exp(s_hi - s_lo))` scaled by the NDCG@k swap delta
+/// `|Δ| = |gain_hi - gain_lo| · |disc(p_hi) - disc(p_lo)| / IDCG`.
 /// Gains are `2^rel - 1`, discounts `1/log2(pos + 2)` truncated at `k`.
 /// Queries with `IDCG = 0` (no relevant documents) contribute nothing.
+/// Rows are grouped consecutively per `query_groups`.
 ///
 /// Pair enumeration is O(n²) per query — fine at the few-dozen documents
 /// per query of real ranking data and of the synthetic generator.
-pub struct LambdaRankObjective {
+pub(super) fn lambdarank_grads(
     k: usize,
-}
+    preds: &[f32],
+    all_labels: &[f32],
+    query_groups: &[u32],
+    out: &mut [GradPair],
+) {
+    // Truncated DCG discount of rank position `pos` (0-based).
+    let discount = |pos: usize| if pos < k { 1.0 / ((pos + 2) as f64).log2() } else { 0.0 };
+    out.fill([0.0, 0.0]);
+    let mut start = 0usize;
+    for &sz in query_groups {
+        let sz = sz as usize;
+        let scores = &preds[start..start + sz];
+        let labels = &all_labels[start..start + sz];
 
-impl LambdaRankObjective {
-    /// Creates a LambdaRank objective truncated at NDCG depth `k` (>= 1).
-    pub fn new(k: u32) -> Self {
-        assert!(k >= 1, "lambdarank truncation k must be >= 1");
-        Self { k: k as usize }
-    }
-
-    /// Truncated DCG discount of rank position `pos` (0-based).
-    #[inline]
-    fn discount(&self, pos: usize) -> f64 {
-        if pos < self.k {
-            1.0 / ((pos + 2) as f64).log2()
-        } else {
-            0.0
+        // Rank documents by score descending; ties break by index
+        // ascending for determinism.
+        let mut order: Vec<usize> = (0..sz).collect();
+        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+        // rank[doc] = position of doc in the current ranking.
+        let mut rank = vec![0usize; sz];
+        for (pos, &doc) in order.iter().enumerate() {
+            rank[doc] = pos;
         }
-    }
-}
 
-impl ListwiseGrad for LambdaRankObjective {
-    fn grads(&self, scope: &GradScope<'_>, out: &mut [GradPair]) {
-        out.fill([0.0, 0.0]);
-        let mut start = 0usize;
-        for &sz in scope.query_groups {
-            let sz = sz as usize;
-            let scores = &scope.preds[start..start + sz];
-            let labels = &scope.labels[start..start + sz];
-
-            // Rank documents by score descending; ties break by index
-            // ascending for determinism.
-            let mut order: Vec<usize> = (0..sz).collect();
-            order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-            // rank[doc] = position of doc in the current ranking.
-            let mut rank = vec![0usize; sz];
-            for (pos, &doc) in order.iter().enumerate() {
-                rank[doc] = pos;
-            }
-
-            // Ideal DCG: gains sorted descending against the discounts.
-            let gains: Vec<f64> = labels.iter().map(|&y| 2f64.powf(y as f64) - 1.0).collect();
-            let mut ideal = gains.clone();
-            ideal.sort_by(|a, b| b.total_cmp(a));
-            let idcg: f64 = ideal.iter().enumerate().map(|(pos, g)| g * self.discount(pos)).sum();
-            if idcg <= 0.0 {
-                start += sz;
-                continue;
-            }
-            for i in 0..sz {
-                for j in 0..sz {
-                    if labels[i] <= labels[j] {
-                        continue;
-                    }
-                    // i is the more relevant document of the pair.
-                    let delta = (gains[i] - gains[j]).abs()
-                        * (self.discount(rank[i]) - self.discount(rank[j])).abs()
-                        / idcg;
-                    if delta == 0.0 {
-                        continue;
-                    }
-                    let rho = 1.0 / (1.0 + ((scores[i] - scores[j]) as f64).exp());
-                    let lambda = (rho * delta) as f32;
-                    let weight = (rho * (1.0 - rho) * delta) as f32;
-                    out[start + i][0] -= lambda;
-                    out[start + j][0] += lambda;
-                    out[start + i][1] += weight;
-                    out[start + j][1] += weight;
-                }
-            }
+        // Ideal DCG: gains sorted descending against the discounts.
+        let gains: Vec<f64> = labels.iter().map(|&y| 2f64.powf(y as f64) - 1.0).collect();
+        let mut ideal = gains.clone();
+        ideal.sort_by(|a, b| b.total_cmp(a));
+        let idcg: f64 = ideal.iter().enumerate().map(|(pos, g)| g * discount(pos)).sum();
+        if idcg <= 0.0 {
             start += sz;
+            continue;
         }
-    }
-}
-
-impl Objective for LambdaRankObjective {
-    fn spec(&self) -> ObjectiveSpec {
-        ObjectiveSpec::LambdaRank { k: self.k as u32 }
-    }
-
-    fn validate_data(&self, labels: &[f32], query_groups: Option<&[u32]>) -> Result<(), String> {
-        let Some(qg) = query_groups else {
-            return Err(
-                "lambdarank needs query-group sizes (Dataset::with_query_groups or --groups)"
-                    .into(),
-            );
-        };
-        let total: usize = qg.iter().map(|&s| s as usize).sum();
-        if total != labels.len() {
-            return Err(format!(
-                "query-group sizes sum to {total} but the dataset has {} rows",
-                labels.len()
-            ));
-        }
-        for (i, &y) in labels.iter().enumerate() {
-            if !y.is_finite() || y < 0.0 {
-                return Err(format!(
-                    "relevance labels must be finite and non-negative; row {i} has {y}"
-                ));
+        for i in 0..sz {
+            for j in 0..sz {
+                if labels[i] <= labels[j] {
+                    continue;
+                }
+                // i is the more relevant document of the pair.
+                let delta = (gains[i] - gains[j]).abs()
+                    * (discount(rank[i]) - discount(rank[j])).abs()
+                    / idcg;
+                if delta == 0.0 {
+                    continue;
+                }
+                let rho = 1.0 / (1.0 + ((scores[i] - scores[j]) as f64).exp());
+                let lambda = (rho * delta) as f32;
+                let weight = (rho * (1.0 - rho) * delta) as f32;
+                out[start + i][0] -= lambda;
+                out[start + j][0] += lambda;
+                out[start + i][1] += weight;
+                out[start + j][1] += weight;
             }
         }
-        Ok(())
-    }
-
-    fn base_scores(&self, _labels: &[f32]) -> Vec<f32> {
-        // Ranking scores are translation-invariant; start at zero.
-        vec![0.0]
-    }
-
-    fn transform_scores(&self, raw: &[f32]) -> Vec<f32> {
-        raw.to_vec()
-    }
-
-    fn default_metric(&self) -> EvalMetric {
-        EvalMetric::NdcgAt { k: self.k as u32 }
-    }
-
-    fn gradients(&self) -> GradientFn<'_> {
-        GradientFn::Listwise(self)
+        start += sz;
     }
 }
 
@@ -141,9 +79,8 @@ mod tests {
     use super::*;
 
     fn grads_of(scores: &[f32], labels: &[f32], groups: &[u32], k: u32) -> Vec<GradPair> {
-        let obj = LambdaRankObjective::new(k);
         let mut out = vec![[0.0f32; 2]; labels.len()];
-        obj.grads(&GradScope { preds: scores, labels, query_groups: groups }, &mut out);
+        lambdarank_grads(k as usize, scores, labels, groups, &mut out);
         out
     }
 

@@ -1,188 +1,10 @@
-//! New regression workloads opened by the objective seam: quantile
-//! (pinball), Tweedie (zero-inflated non-negative targets), and Huber
-//! (outlier-robust) regression.
-
-use super::{builtin::finite_labels, GradientFn, Objective, ObjectiveSpec, RowWiseGrad};
-use crate::loss::GradPair;
-use crate::trainer::EvalMetric;
-
-/// Quantile regression under the pinball loss
-/// `L(y, s) = (α - 1[y < s]) · (y - s)`: the model estimates the
-/// `alpha`-quantile of `y | x`. The loss is piecewise linear, so the true
-/// second derivative is zero almost everywhere; a unit Hessian turns the
-/// Newton step into a damped gradient step (the standard GBDT treatment).
-pub struct QuantileObjective {
-    alpha: f32,
-}
-
-impl QuantileObjective {
-    /// Creates a quantile objective at `alpha` in `(0, 1)`.
-    pub fn new(alpha: f32) -> Self {
-        assert!(alpha > 0.0 && alpha < 1.0, "quantile alpha must be in (0, 1)");
-        Self { alpha }
-    }
-}
-
-impl RowWiseGrad for QuantileObjective {
-    #[inline]
-    fn grad(&self, scores: &[f32], label: f32, _group: usize) -> GradPair {
-        let g = if scores[0] >= label { 1.0 - self.alpha } else { -self.alpha };
-        [g, 1.0]
-    }
-}
-
-impl Objective for QuantileObjective {
-    fn spec(&self) -> ObjectiveSpec {
-        ObjectiveSpec::Quantile { alpha: self.alpha }
-    }
-
-    fn validate_data(&self, labels: &[f32], _query_groups: Option<&[u32]>) -> Result<(), String> {
-        finite_labels(labels)
-    }
-
-    fn base_scores(&self, labels: &[f32]) -> Vec<f32> {
-        vec![empirical_quantile(labels, self.alpha)]
-    }
-
-    fn transform_scores(&self, raw: &[f32]) -> Vec<f32> {
-        raw.to_vec()
-    }
-
-    fn default_metric(&self) -> EvalMetric {
-        EvalMetric::Pinball { alpha: self.alpha }
-    }
-
-    fn gradients(&self) -> GradientFn<'_> {
-        GradientFn::RowWise(self)
-    }
-}
-
-/// Tweedie regression with variance power `p` in `(1, 2)` — the compound
-/// Poisson–gamma family for zero-inflated non-negative targets (e.g.
-/// insurance claim amounts). Raw scores are log-means (`μ = exp(s)`), so
-/// with the deviance loss
-/// `L = 2(y^{2-p}/((1-p)(2-p)) - y·μ^{1-p}/(1-p) + μ^{2-p}/(2-p))`
-/// the gradients in `s` (dropping the constant 2) are
-/// `g = -y·e^{(1-p)s} + e^{(2-p)s}` and
-/// `h = (p-1)·y·e^{(1-p)s} + (2-p)·e^{(2-p)s}` — both terms positive on
-/// valid data, matching the XGBoost/LightGBM convention.
-pub struct TweedieObjective {
-    power: f32,
-}
-
-impl TweedieObjective {
-    /// Creates a Tweedie objective with variance power in `(1, 2)`.
-    pub fn new(power: f32) -> Self {
-        assert!(power > 1.0 && power < 2.0, "tweedie power must be in (1, 2)");
-        Self { power }
-    }
-}
-
-impl RowWiseGrad for TweedieObjective {
-    #[inline]
-    fn grad(&self, scores: &[f32], label: f32, _group: usize) -> GradPair {
-        let s = scores[0];
-        let rho = self.power;
-        let e1 = ((1.0 - rho) * s).exp();
-        let e2 = ((2.0 - rho) * s).exp();
-        let g = -label * e1 + e2;
-        let h = (rho - 1.0) * label * e1 + (2.0 - rho) * e2;
-        [g, h]
-    }
-}
-
-impl Objective for TweedieObjective {
-    fn spec(&self) -> ObjectiveSpec {
-        ObjectiveSpec::Tweedie { power: self.power }
-    }
-
-    fn validate_data(&self, labels: &[f32], _query_groups: Option<&[u32]>) -> Result<(), String> {
-        for (i, &y) in labels.iter().enumerate() {
-            if !y.is_finite() || y < 0.0 {
-                return Err(format!(
-                    "tweedie labels must be finite and non-negative; row {i} has {y}"
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    fn base_scores(&self, labels: &[f32]) -> Vec<f32> {
-        if labels.is_empty() {
-            return vec![0.0];
-        }
-        let mean = labels.iter().sum::<f32>() / labels.len() as f32;
-        vec![mean.max(1e-6).ln()]
-    }
-
-    fn transform_scores(&self, raw: &[f32]) -> Vec<f32> {
-        raw.iter().map(|&s| s.exp()).collect()
-    }
-
-    fn default_metric(&self) -> EvalMetric {
-        EvalMetric::TweedieDeviance { power: self.power }
-    }
-
-    fn gradients(&self) -> GradientFn<'_> {
-        GradientFn::RowWise(self)
-    }
-}
-
-/// Huber (robust) regression: quadratic for residuals within `±delta`,
-/// linear outside, so gross outliers contribute a bounded gradient
-/// `±delta` instead of dragging the fit. Like quantile, the tail second
-/// derivative is zero, so a unit Hessian gives damped gradient steps.
-pub struct HuberObjective {
-    delta: f32,
-}
-
-impl HuberObjective {
-    /// Creates a Huber objective with transition width `delta` > 0.
-    pub fn new(delta: f32) -> Self {
-        assert!(delta > 0.0 && delta.is_finite(), "huber delta must be positive");
-        Self { delta }
-    }
-}
-
-impl RowWiseGrad for HuberObjective {
-    #[inline]
-    fn grad(&self, scores: &[f32], label: f32, _group: usize) -> GradPair {
-        let r = scores[0] - label;
-        [r.clamp(-self.delta, self.delta), 1.0]
-    }
-}
-
-impl Objective for HuberObjective {
-    fn spec(&self) -> ObjectiveSpec {
-        ObjectiveSpec::Huber { delta: self.delta }
-    }
-
-    fn validate_data(&self, labels: &[f32], _query_groups: Option<&[u32]>) -> Result<(), String> {
-        finite_labels(labels)
-    }
-
-    fn base_scores(&self, labels: &[f32]) -> Vec<f32> {
-        // The median minimizes the Huber loss in the linear regime and is
-        // near-optimal in the quadratic one — and it is outlier-robust,
-        // which is the point of this objective.
-        vec![empirical_quantile(labels, 0.5)]
-    }
-
-    fn transform_scores(&self, raw: &[f32]) -> Vec<f32> {
-        raw.to_vec()
-    }
-
-    fn default_metric(&self) -> EvalMetric {
-        EvalMetric::HuberLoss { delta: self.delta }
-    }
-
-    fn gradients(&self) -> GradientFn<'_> {
-        GradientFn::RowWise(self)
-    }
-}
+//! The empirical quantile behind the quantile and Huber base scores, and
+//! the behaviour tests of the three robust/skewed regression losses:
+//! quantile (pinball), Tweedie (zero-inflated non-negative targets) and
+//! Huber (outlier-robust).
 
 /// Empirical `alpha`-quantile by sorting (nearest-rank); 0 on empty input.
-fn empirical_quantile(labels: &[f32], alpha: f32) -> f32 {
+pub(super) fn empirical_quantile(labels: &[f32], alpha: f32) -> f32 {
     if labels.is_empty() {
         return 0.0;
     }
@@ -194,47 +16,45 @@ fn empirical_quantile(labels: &[f32], alpha: f32) -> f32 {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use super::super::tests::one_row;
+    use super::super::ObjectiveSpec;
 
     #[test]
     fn quantile_base_is_empirical_quantile() {
         let labels: Vec<f32> = (0..101).map(|i| i as f32).collect();
-        let q = QuantileObjective::new(0.9);
-        assert_eq!(q.base_scores(&labels)[0], 90.0);
-        let med = HuberObjective::new(1.0);
-        assert_eq!(med.base_scores(&labels)[0], 50.0);
+        assert_eq!(ObjectiveSpec::Quantile { alpha: 0.9 }.base_scores(&labels)[0], 90.0);
+        assert_eq!(ObjectiveSpec::Huber { delta: 1.0 }.base_scores(&labels)[0], 50.0);
     }
 
     #[test]
     fn quantile_gradient_signs() {
-        let q = QuantileObjective::new(0.9);
+        let q = ObjectiveSpec::Quantile { alpha: 0.9 };
         // Under-prediction should be pulled up hard (g = -0.9), over-
         // prediction pushed down gently (g = 0.1).
-        assert_eq!(q.grad(&[0.0], 1.0, 0)[0], -0.9);
-        assert!((q.grad(&[2.0], 1.0, 0)[0] - 0.1).abs() < 1e-6);
+        assert_eq!(one_row(q, &[0.0], 1.0, 0)[0], -0.9);
+        assert!((one_row(q, &[2.0], 1.0, 0)[0] - 0.1).abs() < 1e-6);
     }
 
     #[test]
     fn tweedie_gradient_zero_at_optimum() {
         // At s = ln(y), μ = y and the deviance gradient vanishes.
-        let t = TweedieObjective::new(1.5);
         let y = 3.7f32;
-        let [g, h] = t.grad(&[y.ln()], y, 0);
+        let [g, h] = one_row(ObjectiveSpec::Tweedie { power: 1.5 }, &[y.ln()], y, 0);
         assert!(g.abs() < 1e-5, "g = {g}");
         assert!(h > 0.0);
     }
 
     #[test]
     fn huber_gradient_is_bounded() {
-        let hu = HuberObjective::new(2.0);
-        assert_eq!(hu.grad(&[100.0], 0.0, 0)[0], 2.0);
-        assert_eq!(hu.grad(&[-100.0], 0.0, 0)[0], -2.0);
-        assert_eq!(hu.grad(&[1.0], 0.0, 0)[0], 1.0);
+        let hu = ObjectiveSpec::Huber { delta: 2.0 };
+        assert_eq!(one_row(hu, &[100.0], 0.0, 0)[0], 2.0);
+        assert_eq!(one_row(hu, &[-100.0], 0.0, 0)[0], -2.0);
+        assert_eq!(one_row(hu, &[1.0], 0.0, 0)[0], 1.0);
     }
 
     #[test]
     fn tweedie_rejects_negative_labels() {
-        let t = TweedieObjective::new(1.5);
+        let t = ObjectiveSpec::Tweedie { power: 1.5 };
         assert!(t.validate_data(&[1.0, -0.5], None).is_err());
         assert!(t.validate_data(&[0.0, 2.5], None).is_ok());
     }

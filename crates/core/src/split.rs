@@ -53,26 +53,14 @@ pub fn find_split_range(
     f_range: Range<usize>,
     settings: &SplitSettings,
 ) -> Option<SplitCandidate> {
-    find_split_masked(hist, node, mapper, f_range, settings, None)
+    find_split_tile(hist, 0, node, mapper, f_range, settings, None)
 }
 
-/// Like [`find_split_range`] but skipping features whose `mask` entry is
-/// `false` (per-tree column subsampling). `None` allows every feature.
-pub fn find_split_masked(
-    hist: &[f64],
-    node: &NodeStats,
-    mapper: &BinMapper,
-    f_range: Range<usize>,
-    settings: &SplitSettings,
-    mask: Option<&[bool]>,
-) -> Option<SplitCandidate> {
-    find_split_tile(hist, 0, node, mapper, f_range, settings, mask)
-}
-
-/// [`find_split_masked`] over a *tile*: `tile[0]` is lane `lane_offset` of the
-/// node's full-width histogram, so the tile need only hold the lanes of
-/// `f_range` — the feature block a fused Exclusive task has just built and
-/// still has in cache.
+/// [`find_split_range`] over a *tile*, skipping features whose `mask` entry
+/// is `false` (per-tree column subsampling; `None` allows every feature):
+/// `tile[0]` is lane `lane_offset` of the node's full-width histogram, so
+/// the tile need only hold the lanes of `f_range` — the feature block a
+/// fused Exclusive task has just built and still has in cache.
 // `!(gain > 0.0)` is the point: a NaN gain must not pass.
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 pub fn find_split_tile(
@@ -332,7 +320,7 @@ mod tests {
         let m = mapper(&[3, 2, 4]);
         // Features 1..3 start at lane 6; the mask drops feature 1.
         for mask in [None, Some(&[true, false, true][..])] {
-            let full = find_split_masked(&hist, &node, &m, 1..3, &settings(), mask);
+            let full = find_split_tile(&hist, 0, &node, &m, 1..3, &settings(), mask);
             let tile = find_split_tile(&hist[6..], 6, &node, &m, 1..3, &settings(), mask);
             assert!(full.is_some());
             assert_eq!(full, tile);

@@ -51,10 +51,10 @@ use harp_metrics::{
     gauges, BreakdownReport, ConvergenceTrace, LedgerRecord, PlanStats, RunLedger, WorkerSkewReport,
 };
 use harp_parallel::{
-    PhaseClock, PhaseSpan, Profile, ProfileReport, Stopwatch, ThreadPool, TracePhase, TraceSink,
-    TraceSnapshot,
+    PhaseClock, PhaseSpan, Profile, ProfileReport, ThreadPool, TracePhase, TraceSink, TraceSnapshot,
 };
 use std::sync::Arc;
+use std::time::Instant;
 use telemetry::{RoundLedger, Totals};
 
 /// Validation metric for the eval set.
@@ -368,8 +368,8 @@ impl GbdtTrainer {
                 ));
             }
         }
-        let objective = params.loss.build();
-        objective
+        params
+            .loss
             .validate_data(labels, query_groups)
             .map_err(|e| format!("training data rejected by {}: {e}", params.loss.name()))?;
         // Listwise objectives have checked this already; row-wise ones
@@ -382,7 +382,8 @@ impl GbdtTrainer {
             ));
         }
         if let Some(e) = &eval {
-            objective
+            params
+                .loss
                 .validate_data(&e.data.labels, e.data.query_groups.as_deref())
                 .map_err(|err| format!("eval data rejected by {}: {err}", params.loss.name()))?;
         }
@@ -396,9 +397,9 @@ impl GbdtTrainer {
         }
         let sink = pool.trace().map(Arc::as_ref);
         let clock = PhaseClock::new();
-        let groups = objective.n_groups();
+        let groups = params.loss.n_groups();
 
-        let base_scores = objective.base_scores(labels);
+        let base_scores = params.loss.base_scores(labels);
         // Row-major n x groups raw scores.
         let mut preds = vec![0.0f32; n * groups];
         for r in 0..n {
@@ -466,7 +467,7 @@ impl GbdtTrainer {
         let mut train_secs = 0.0f64;
 
         for iter in 0..params.n_trees {
-            let sw = Stopwatch::start();
+            let t0 = Instant::now();
             for group in 0..groups {
                 {
                     let _phase = engine.phase(TracePhase::Gradients, 0, iter as u32);
@@ -476,7 +477,7 @@ impl GbdtTrainer {
                         seed: params.seed ^ (iter as u64).wrapping_mul(0x9E37_79B9),
                     };
                     crate::objective::compute_gradients_group(
-                        objective.as_ref(),
+                        params.loss,
                         &pool,
                         &preds,
                         labels,
@@ -498,8 +499,9 @@ impl GbdtTrainer {
                 });
                 trees.push(tree);
             }
-            let secs = sw.elapsed_secs();
-            profile.add_wall_ns(sw.elapsed_ns());
+            let elapsed = t0.elapsed();
+            let secs = elapsed.as_secs_f64();
+            profile.add_wall_ns(elapsed.as_nanos() as u64);
             train_secs += secs;
             per_tree_secs.push(secs);
 
@@ -873,7 +875,7 @@ impl<'a> TreeEngine<'a> {
             let _phase = self.phase(TracePhase::BuildHist, head, n);
             drivers::fill_dp(&ctx, &mut self.scratch, jobs);
         }
-        let sw = Stopwatch::start();
+        let wall_start = Instant::now();
         let start_ns = self.sink().map(TraceSink::now_ns);
         let TileOutcome { found, build_ns, find_ns } = if fused {
             drivers::build_hists_mp(&ctx, &mut self.scratch, jobs, search)
@@ -883,7 +885,7 @@ impl<'a> TreeEngine<'a> {
         // The one region subtracted and searched (and, fused, built): its
         // wall goes to the clock (and, tracing, the coordinator lane) in the
         // proportion the workers spent their time.
-        let wall = sw.elapsed_ns();
+        let wall = wall_start.elapsed().as_nanos() as u64;
         let build = if build_ns + find_ns == 0 {
             wall
         } else {

@@ -18,10 +18,10 @@ pub(super) struct Totals {
     pub phase_ns: PhaseNs,
     /// The pool's profile, with the store's chunk traffic read in.
     pub counters: ProfileCounters,
-    /// The sink's queue totals; `None` when not tracing.
+    /// The sink's queue counts; `None` when not tracing.
     queue: Option<TraceCounters>,
-    /// The sink's per-lane phase busy time (coordinator last); empty when
-    /// not tracing.
+    /// The sink's per-lane phase busy time (coordinator last), queue spin
+    /// included; empty when not tracing.
     lane_busy: Vec<PhaseNs>,
 }
 
@@ -123,7 +123,10 @@ impl RoundLedger {
             record.counters.extend([
                 ("queue_pops".to_string(), q.queue_pops),
                 ("queue_pushes".to_string(), q.queue_pushes),
-                ("queue_spin_ns".to_string(), q.queue_spin_ns),
+                (
+                    "queue_spin_ns".to_string(),
+                    round.lane_busy.iter().map(|l| l[TracePhase::QueueSpin]).sum(),
+                ),
             ]);
         }
         // Workers only: the coordinator lane (the last) mostly waits and

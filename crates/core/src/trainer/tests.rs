@@ -654,6 +654,43 @@ fn rejected_data_is_reported_one_way() {
 }
 
 #[test]
+fn softmax_rejects_a_negative_class_id() {
+    // `-1.0 as usize` saturates to 0 and `(-1.0).fract()` is -0.0, which
+    // equals 0.0: only the sign check keeps this row from training as
+    // class 0. Eval labels go through the same check.
+    let mut good = dataset(DatasetKind::HiggsLike, 0.02);
+    for (i, y) in good.labels.iter_mut().enumerate() {
+        *y = (i % 3) as f32;
+    }
+    let mut bad = good.clone();
+    bad.labels[5] = -1.0;
+    let trainer = GbdtTrainer::new(TrainParams {
+        n_trees: 1,
+        loss: crate::params::LossKind::Softmax { n_classes: 3 },
+        ..base_params()
+    })
+    .unwrap();
+    let eval = |data| {
+        Some(EvalOptions {
+            data,
+            metric: EvalMetric::MulticlassLogLoss,
+            every: 1,
+            early_stopping_rounds: None,
+        })
+    };
+    let rule = "softmax labels must be class ids 0..3; row 5 has -1";
+    assert_eq!(
+        trainer.try_train_with_eval(&bad, None).err(),
+        Some(format!("training data rejected by softmax:3: {rule}"))
+    );
+    assert_eq!(
+        trainer.try_train_with_eval(&good, eval(&bad)).err(),
+        Some(format!("eval data rejected by softmax:3: {rule}"))
+    );
+    assert!(trainer.try_train_with_eval(&good, eval(&good)).is_ok());
+}
+
+#[test]
 fn predict_leaf_and_dump_text_work() {
     let data = dataset(DatasetKind::AirlineLike, 0.005);
     let out = train(&data, TrainParams { n_trees: 3, ..base_params() });
@@ -754,13 +791,12 @@ fn leaves_hold_a_permutation_of_the_rows_after_every_tree() {
         for use_membuf in [true, false] {
             let params =
                 TrainParams { mode, use_membuf, tree_size: 6, k: 8, n_threads: 4, ..base_params() };
-            let objective = params.loss.build();
             let mut engine = TreeEngine::new(&qm, &params, &pool, &clock);
             let mut scores = vec![0.0f32; n];
             for iter in 0..3 {
                 let scaling = crate::loss::RowScaling { weights: None, subsample: 1.0, seed: 0 };
                 crate::objective::compute_gradients_group(
-                    objective.as_ref(),
+                    params.loss,
                     &pool,
                     &scores,
                     &data.labels,

@@ -39,7 +39,7 @@ pub mod trace;
 mod worker_local;
 
 pub use pool::{current_num_threads_hint, ThreadPool};
-pub use profile::{Profile, ProfileCounters, ProfileReport, Stopwatch};
+pub use profile::{Profile, ProfileCounters, ProfileReport};
 pub use queue::{QueueOutcome, WorkQueue};
 pub use spin::{SpinMutex, SpinMutexGuard};
 pub use trace::{

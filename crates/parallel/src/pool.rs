@@ -131,7 +131,6 @@ impl Region {
                 for (w, t) in self.finish_ns.iter().enumerate() {
                     let fin = t.load(Ordering::Relaxed);
                     if fin < last {
-                        sink.add_barrier_wait(w, last - fin);
                         sink.record(
                             w,
                             TracePhase::BarrierWait,
@@ -306,7 +305,6 @@ impl ThreadPool {
                     let ns = t0.elapsed().as_nanos() as u64;
                     profile.barrier_wait_ns.fetch_add(ns, Ordering::Relaxed);
                     if let Some(sink) = trace {
-                        sink.add_queue_spin(worker, ns);
                         sink.record(worker, TracePhase::QueueSpin, 0, 0, start_ns, start_ns + ns);
                     }
                 }
@@ -607,7 +605,7 @@ mod tests {
         let pops: u64 = snap.lanes.iter().map(|l| l.waits.queue_pops).sum();
         assert_eq!(pops, 31, "16 fans out to 31 tasks");
         // Workers that found the queue momentarily empty log spin time.
-        let spin: u64 = snap.lanes.iter().map(|l| l.waits.queue_spin_ns).sum();
+        let spin: u64 = snap.lanes.iter().map(|l| l.busy_ns[TracePhase::QueueSpin]).sum();
         assert!(spin > 0, "expected some queue spin with 4 workers on a serial frontier");
     }
 }

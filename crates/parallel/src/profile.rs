@@ -19,36 +19,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
-
-/// Monotonic nanosecond stopwatch.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Starts a new stopwatch.
-    pub fn start() -> Self {
-        Self { start: Instant::now() }
-    }
-
-    /// Elapsed nanoseconds since start.
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
-    /// Elapsed seconds since start.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
-}
 
 /// Declares a table of monotone `u64` counters **once**: each entry's name
 /// and doc become a `pub AtomicU64` field of the `atomics` struct and a

@@ -10,8 +10,9 @@
 //! the newest window of activity.
 //!
 //! Alongside the rings, each lane keeps aggregate counters: per-phase busy
-//! nanoseconds, barrier-wait time (settled by the pool's fork/join regions),
-//! queue-spin time and pop/push counts for the ASYNC priority queue.
+//! nanoseconds — barrier-wait time (settled by the pool's fork/join regions)
+//! and ASYNC queue-spin time among them, as their own phases — and pop/push
+//! counts for the ASYNC priority queue.
 //!
 //! Two consumers exist:
 //! * [`TraceSnapshot::to_chrome_trace`] renders the ledger as a chrome
@@ -259,17 +260,14 @@ impl SpanRing {
 }
 
 counter_table! {
-    /// One lane's wait and queue totals.
+    /// One lane's ASYNC queue counts. Its barrier-wait and queue-spin time
+    /// are the lane's `BarrierWait` and `QueueSpin` busy entries.
     atomics LaneWaits;
-    /// The sink's wait/queue totals, of one lane or summed over lanes —
+    /// The sink's queue counts, of one lane or summed over lanes —
     /// cumulative since sink creation (subtract two reads for an interval
     /// delta).
     snapshot TraceCounters;
 
-    /// Settled end-of-region barrier wait.
-    barrier_wait_ns,
-    /// Time spent spinning on an empty ASYNC queue.
-    queue_spin_ns,
     /// Successful ASYNC queue pops.
     queue_pops,
     /// ASYNC queue pushes.
@@ -349,21 +347,10 @@ impl TraceSink {
         PhaseSpan::begin(Some(self), lane, phase, node, block, None)
     }
 
-    /// `lane`'s wait/queue totals (out-of-range lanes land on the
+    /// `lane`'s queue counts (out-of-range lanes land on the
     /// coordinator's).
     fn waits(&self, lane: usize) -> &LaneWaits {
         &self.counters[lane.min(self.counters.len() - 1)].waits
-    }
-
-    /// Adds settled barrier-wait time for `lane` (also recorded as a span by
-    /// the pool).
-    pub fn add_barrier_wait(&self, lane: usize, ns: u64) {
-        self.waits(lane).barrier_wait_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Adds queue-spin time for `lane`.
-    pub fn add_queue_spin(&self, lane: usize, ns: u64) {
-        self.waits(lane).queue_spin_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Counts one successful pop from the ASYNC priority queue on `lane`.
@@ -376,7 +363,7 @@ impl TraceSink {
         self.waits(lane).queue_pushes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Sums the wait/queue counters across lanes — a handful of relaxed
+    /// Sums the queue counters across lanes — a handful of relaxed
     /// loads, safe to call once per boosting round (unlike
     /// [`snapshot`](Self::snapshot), which drains the span rings).
     pub fn counter_totals(&self) -> TraceCounters {
@@ -482,7 +469,7 @@ pub struct LaneSnapshot {
     pub spans_dropped: u64,
     /// Aggregate busy ns per phase.
     pub busy_ns: PhaseNs,
-    /// Barrier-wait and ASYNC queue totals of this lane.
+    /// ASYNC queue counts of this lane.
     pub waits: TraceCounters,
 }
 
@@ -536,7 +523,10 @@ impl TraceSnapshot {
     /// Per-worker barrier-wait nanoseconds (worker lanes only).
     pub fn worker_barrier_wait_ns(&self) -> Vec<u64> {
         let workers = self.lanes.len().saturating_sub(1);
-        self.lanes[..workers].iter().map(|l| l.waits.barrier_wait_ns).collect()
+        self.lanes[..workers]
+            .iter()
+            .map(|l| l.busy_ns[TracePhase::BarrierWait])
+            .collect()
     }
 
     /// Renders the snapshot as chrome `trace_event` JSON (the "JSON object
@@ -584,8 +574,8 @@ impl TraceSnapshot {
                  \"barrier_wait_ns\":{},\"queue_spin_ns\":{},\"queue_pops\":{},\
                  \"queue_pushes\":{},\"spans_recorded\":{},\"spans_dropped\":{}}}}}",
                 t_max as f64 / 1e3,
-                lane.waits.barrier_wait_ns,
-                lane.waits.queue_spin_ns,
+                lane.busy_ns[TracePhase::BarrierWait],
+                lane.busy_ns[TracePhase::QueueSpin],
                 lane.waits.queue_pops,
                 lane.waits.queue_pushes,
                 lane.spans_recorded,
@@ -742,7 +732,6 @@ mod tests {
                 );
             }
         }
-        sink.add_barrier_wait(0, 123);
         sink.count_queue_pop(1);
         let json = sink.snapshot().to_chrome_trace();
 

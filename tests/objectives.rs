@@ -4,14 +4,13 @@
 //!   against numeric derivatives of its reference loss;
 //! * serde round-trips for every registered spec, including through a
 //!   saved model file;
-//! * gradient dispatch over the full registry with no panic path (the
-//!   regression the trait split exists to prevent: the old scalar
-//!   `LossKind::grad` panicked for softmax);
+//! * gradient dispatch over the full registry with no panic path (the old
+//!   scalar `LossKind::grad` panicked for softmax);
 //! * parse/name round-trips and registry-derived error messages.
 
 use harp_data::workloads;
 use harpgbdt::objective::{compute_gradients_group, registry_names, REGISTRY};
-use harpgbdt::{GbdtTrainer, GradScope, GradientFn, LossKind, RowScaling, TrainParams};
+use harpgbdt::{GbdtTrainer, LossKind, RowScaling, TrainParams};
 use serde::{Deserialize, Serialize};
 
 /// One spec per registry entry; a length mismatch means an objective was
@@ -30,15 +29,23 @@ fn all_specs() -> Vec<LossKind> {
     specs
 }
 
-/// The raw analytic pair straight off the objective, bypassing the
-/// driver's Hessian floor and row scaling.
+/// The analytic pair of group `group` for one row, through the gradient
+/// driver: unweighted, so only the Hessian floor (far below every
+/// tolerance here) separates it from the raw formula.
 fn raw_gh(spec: LossKind, scores: &[f32], label: f32, group: usize) -> [f32; 2] {
-    let obj = spec.build();
-    let pair = match obj.gradients() {
-        GradientFn::RowWise(rw) => rw.grad(scores, label, group),
-        GradientFn::Listwise(_) => panic!("{:?} is not row-wise", spec),
-    };
-    pair
+    let pool = harp_parallel::ThreadPool::new(1);
+    let mut out = [[0.0f32; 2]; 1];
+    compute_gradients_group(
+        spec,
+        &pool,
+        scores,
+        &[label],
+        None,
+        group,
+        &RowScaling::default(),
+        &mut out,
+    );
+    out[0]
 }
 
 /// Central finite differences of a scalar reference loss: `g ≈ L'`,
@@ -172,12 +179,18 @@ fn lambdarank_two_document_closed_form() {
     // Δndcg = 1 − 1/log2(3). The pair weight is the logistic of the score
     // gap, ρ = 1/(1+e^{s_hi−s_lo}) = 1/(1+e^{−1}) — large because the
     // pair is misranked.
-    let obj = LossKind::LambdaRank { k: 10 }.build();
-    let GradientFn::Listwise(lw) = obj.gradients() else {
-        panic!("lambdarank must be listwise");
-    };
+    let pool = harp_parallel::ThreadPool::new(1);
     let mut out = [[0.0f32; 2]; 2];
-    lw.grads(&GradScope { preds: &[0.0, 1.0], labels: &[1.0, 0.0], query_groups: &[2] }, &mut out);
+    compute_gradients_group(
+        LossKind::LambdaRank { k: 10 },
+        &pool,
+        &[0.0, 1.0],
+        &[1.0, 0.0],
+        Some(&[2]),
+        0,
+        &RowScaling::default(),
+        &mut out,
+    );
     let delta_ndcg = 1.0 - 1.0 / 3.0f64.log2();
     let rho = 1.0 / (1.0 + (-1.0f64).exp());
     let lambda = (rho * delta_ndcg) as f32;
@@ -200,7 +213,7 @@ fn every_registered_spec_serde_round_trips() {
 
 #[test]
 fn classic_variant_names_stay_serde_stable() {
-    // Saved models from before the Objective trait carry these exact
+    // Saved models from before the objective layer carry these exact
     // names; renaming a variant would orphan them.
     let json = serde_json::to_string(&LossKind::Logistic).expect("serialize");
     assert!(json.contains("Logistic"), "{json}");
@@ -248,9 +261,9 @@ fn saved_models_keep_their_objective() {
 
 #[test]
 fn gradient_dispatch_covers_the_registry_without_panicking() {
-    // The old enum had a scalar `grad` that panicked for softmax. The
-    // trait split must leave no input that reaches a panic: every spec
-    // computes gradients for every one of its groups here.
+    // The old enum had a scalar `grad` that panicked for softmax. No input
+    // may reach a panic: every spec computes gradients for every one of
+    // its groups here, LambdaRank with the query groups it needs.
     let pool = harp_parallel::ThreadPool::new(2);
     let n = 50usize;
     let labels: Vec<f32> = (0..n).map(|i| (i % 2) as f32).collect();
@@ -258,15 +271,11 @@ fn gradient_dispatch_covers_the_registry_without_panicking() {
     for spec in all_specs() {
         let g = spec.n_groups();
         let preds = vec![0.1f32; n * g];
-        let obj = spec.build();
-        let qg = match obj.gradients() {
-            GradientFn::Listwise(_) => Some(&groups[..]),
-            GradientFn::RowWise(_) => None,
-        };
+        let qg = matches!(spec, LossKind::LambdaRank { .. }).then_some(&groups[..]);
         let mut out = vec![[0.0f32; 2]; n];
         for group in 0..g {
             compute_gradients_group(
-                obj.as_ref(),
+                spec,
                 &pool,
                 &preds,
                 &labels,
