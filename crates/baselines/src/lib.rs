@@ -39,13 +39,6 @@ pub enum Baseline {
     XgbLeaf,
     /// LightGBM: feature-parallel, leafwise ("LightGBM").
     LightGbm,
-    /// The original XGBoost proposal ("XGB-Approx", §IV-A): feature-wise
-    /// parallelism whose tasks write "a vertical plain crossing all tree
-    /// nodes in GHSum" — `⟨X, 0, 0, 1⟩`, i.e. `node_blk_size = 0` (all
-    /// level nodes in one task) with one feature column per task,
-    /// depthwise. Not benchmarked in the paper's evaluation, provided for
-    /// completeness.
-    XgbApprox,
 }
 
 impl Baseline {
@@ -58,7 +51,6 @@ impl Baseline {
             Baseline::XgbDepth => "XGB-Depth",
             Baseline::XgbLeaf => "XGB-Leaf",
             Baseline::LightGbm => "LightGBM",
-            Baseline::XgbApprox => "XGB-Approx",
         }
     }
 
@@ -91,17 +83,6 @@ impl Baseline {
                 },
                 Accumulation::Exclusive,
             ),
-            // ⟨X, 0, 0, 1⟩: one feature per task across all level nodes —
-            // "a vertical plain crossing all tree nodes in GHSum".
-            Baseline::XgbApprox => (
-                BlockConfig {
-                    row_blk_size: 0,
-                    node_blk_size: 0,
-                    feature_blk_size: 1,
-                    bin_blk_size: 0,
-                },
-                Accumulation::Exclusive,
-            ),
         }
     }
 
@@ -115,7 +96,7 @@ impl Baseline {
     pub fn params(self, tree_size: u32, n_threads: usize) -> TrainParams {
         let growth = match self {
             Baseline::XgbLeaf | Baseline::LightGbm => GrowthMethod::Leafwise,
-            Baseline::XgbDepth | Baseline::XgbApprox => GrowthMethod::Depthwise,
+            Baseline::XgbDepth => GrowthMethod::Depthwise,
         };
         let (blocks, accumulation) = self.plan_preset();
         let mode = match accumulation {
@@ -126,8 +107,8 @@ impl Baseline {
             growth,
             mode,
             blocks,
-            // Leaf-by-leaf (XGB-Approx processes whole levels instead).
-            k: if self == Baseline::XgbApprox { 0 } else { 1 },
+            // Leaf-by-leaf.
+            k: 1,
             tree_size,
             n_threads,
             use_membuf: false,
@@ -290,20 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn xgb_approx_processes_levels() {
-        let p = Baseline::XgbApprox.params(6, 2);
-        assert_eq!(p.k, 0, "whole-level batches");
-        assert_eq!(p.blocks.node_blk_size, 0, "one task spans all level nodes");
-        assert_eq!(p.growth, GrowthMethod::Depthwise);
-        let d = data(0.03);
-        let mut p = p;
-        p.n_trees = 6;
-        let out = GbdtTrainer::new(p).unwrap().train(&d);
-        let auc = harp_metrics::auc(&d.labels, &out.model.predict(&d.features));
-        assert!(auc > 0.72, "XGB-Approx should learn: {auc}");
-    }
-
-    #[test]
     fn presets_enumerate_through_shared_plan() {
         // The presets are corners of the one shared enumerator: building a
         // plan from each preset config yields exactly the task shapes the
@@ -324,12 +291,6 @@ mod tests {
         plan.rebuild(&cfg, &shape, &job_lens, acc);
         assert_eq!(plan.tasks().len(), job_lens.len() * shape.n_features);
         assert!(plan.tasks().iter().all(|t| t.features.len() == 1 && t.jobs.len() == 1));
-
-        // XGB-Approx: one feature column spanning all level nodes per task.
-        let (cfg, acc) = Baseline::XgbApprox.plan_preset();
-        plan.rebuild(&cfg, &shape, &job_lens, acc);
-        assert_eq!(plan.tasks().len(), shape.n_features);
-        assert!(plan.tasks().iter().all(|t| t.jobs.len() == job_lens.len()));
 
         // XGB-Hist: row blocks with all features, one node per task group.
         let (cfg, acc) = Baseline::XgbDepth.plan_preset();

@@ -61,6 +61,16 @@
 //! chunk *i+1* overlaps the scan of chunk *i*; pins that find their chunk
 //! already resident from the worker count as `chunk_prefetch_hits`.
 //!
+//! A mapped slab is a view of the file's pages, so the budget bounds the
+//! process's memory only because the store gives pages back: `open`
+//! releases each group of blobs once it is hashed (and the whole mapping
+//! once every group is), and eviction releases the victim's blob
+//! (`madvise(MADV_DONTNEED)` on the whole pages inside it). The mapping's
+//! resident pages therefore stay within the budget up to page rounding and
+//! the folio a read fault maps around itself, which leaves with its own
+//! chunk. A released page refaults exactly the verified bytes: the mapping
+//! is private and never written, and the file is never rewritten in place.
+//!
 //! [`prefetch`]: crate::QuantStore::prefetch
 
 use crate::bytes::SharedBytes;
@@ -209,6 +219,13 @@ struct ChunkMeta {
     checksum: u64,
     n_rows: u64,
     decoded_bytes: u64,
+}
+
+impl ChunkMeta {
+    /// The blob's bytes in the file.
+    fn span(&self) -> Range<usize> {
+        self.offset as usize..(self.offset + self.len) as usize
+    }
 }
 
 /// Builds the versioned chunk cache for `qm` at `path`, replacing any
@@ -371,11 +388,13 @@ fn write_cache_file(
     })
 }
 
-/// A read-only `mmap(2)` of the cache file. Minimal FFI — `libc` is always
-/// linked on the platforms we build for, so no new dependency.
+/// A read-only `mmap(2)` of the cache file, and `madvise(2)` to hand its
+/// pages back. Minimal FFI — `libc` is always linked on the platforms we
+/// build for, so no new dependency.
 #[cfg(unix)]
 mod map {
     use std::ffi::{c_int, c_void};
+    use std::ops::Range;
     use std::os::unix::io::AsRawFd;
 
     extern "C" {
@@ -390,8 +409,26 @@ mod map {
         fn munmap(addr: *mut c_void, len: usize) -> c_int;
     }
 
+    #[cfg(target_os = "linux")]
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+        fn sysconf(name: c_int) -> std::ffi::c_long;
+    }
+
     const PROT_READ: c_int = 1;
     const MAP_PRIVATE: c_int = 2;
+    #[cfg(target_os = "linux")]
+    const MADV_DONTNEED: c_int = 4;
+    #[cfg(target_os = "linux")]
+    const SC_PAGESIZE: c_int = 30;
+
+    /// The kernel's page size, `sysconf(_SC_PAGESIZE)`.
+    #[cfg(target_os = "linux")]
+    pub(super) fn page_size() -> Option<usize> {
+        // SAFETY: sysconf only reads a constant of the running system.
+        let page = unsafe { sysconf(SC_PAGESIZE) };
+        usize::try_from(page).ok().filter(|p| p.is_power_of_two())
+    }
 
     pub(super) struct Mmap {
         ptr: *const u8,
@@ -422,6 +459,35 @@ mod map {
             // SAFETY: the mapping covers `len` readable bytes until Drop.
             unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
         }
+
+        /// Hands the whole pages inside `range` back to the kernel, so they
+        /// stop counting toward the process's resident set. The start is
+        /// rounded up and the end down: a page shared with a neighbouring
+        /// blob stays. Views into the range stay valid and read the same
+        /// bytes, at the price of a page fault each.
+        #[cfg(target_os = "linux")]
+        pub(super) fn release(&self, range: Range<usize>) {
+            let Some(page) = page_size() else { return };
+            // `ptr` is page-aligned, so offsets round like addresses.
+            let start = range.start.next_multiple_of(page);
+            let end = range.end.min(self.len) / page * page;
+            if start < end {
+                // SAFETY: `start..end` is whole pages inside the mapping. It
+                // is PROT_READ + MAP_PRIVATE and never written, so it holds
+                // no private copies, and the file is never rewritten in
+                // place (`write_cache` renames a new file over it): a
+                // released page refaults from the file exactly the bytes
+                // `open`'s checksum verified. A failure only leaves the
+                // pages resident.
+                unsafe {
+                    madvise(self.ptr.add(start).cast_mut().cast(), end - start, MADV_DONTNEED)
+                };
+            }
+        }
+
+        /// Other kernels take `MADV_DONTNEED` as a hint; the pages stay.
+        #[cfg(not(target_os = "linux"))]
+        pub(super) fn release(&self, _: Range<usize>) {}
     }
 
     impl AsRef<[u8]> for Mmap {
@@ -457,24 +523,38 @@ impl Source {
     /// reads straight from page cache); a plain-file source materializes
     /// the blob once and the slab's buffers view that single allocation.
     fn blob(&self, meta: &ChunkMeta) -> std::io::Result<SharedBytes> {
-        let (off, len) = (meta.offset as usize, meta.len as usize);
         match self {
             #[cfg(unix)]
-            Source::Mapped(m) => Ok(SharedBytes::from_backing(m.clone(), off..off + len)),
+            Source::Mapped(m) => Ok(SharedBytes::from_backing(m.clone(), meta.span())),
             #[cfg(unix)]
             Source::File(file) => {
                 use std::os::unix::fs::FileExt;
-                let mut buf = vec![0u8; len];
+                let mut buf = vec![0u8; meta.len as usize];
                 file.read_exact_at(&mut buf, meta.offset)?;
                 Ok(SharedBytes::from(buf))
             }
-            Source::Heap(bytes) => Ok(SharedBytes::from_backing(bytes.clone(), off..off + len)),
+            Source::Heap(bytes) => Ok(SharedBytes::from_backing(bytes.clone(), meta.span())),
+        }
+    }
+
+    /// Hands file bytes `range` back once the store stops referencing
+    /// them ([`map::Mmap::release`]). A plain-file source has nothing to
+    /// return — its slabs own heap copies, which eviction frees — and the
+    /// heap source holds the whole file for the store's life.
+    fn release(&self, range: Range<usize>) {
+        match self {
+            #[cfg(unix)]
+            Source::Mapped(m) => m.release(range),
+            #[cfg(unix)]
+            Source::File(_) => {}
+            Source::Heap(_) => {}
         }
     }
 }
 
 /// Checks chunks `range` against their table checksums, a few blobs at a
-/// time ([`fnv1a_each`]); the error names the lowest failing chunk.
+/// time ([`fnv1a_each`]), releasing each group once it is hashed; the error
+/// names the lowest failing chunk.
 fn verify_chunks(
     source: &Source,
     table: &[ChunkMeta],
@@ -487,6 +567,9 @@ fn verify_chunks(
             .map(|meta| source.blob(meta))
             .collect::<std::io::Result<Vec<SharedBytes>>>()?;
         let sums = fnv1a_each(&blobs.iter().map(|b| &b[..]).collect::<Vec<_>>());
+        for meta in &table[group.clone()] {
+            source.release(meta.span());
+        }
         for (c, sum) in group.zip(sums) {
             if sum != table[c].checksum {
                 return Err(CacheError::ChecksumMismatch { chunk: c });
@@ -555,8 +638,11 @@ impl Inner {
     /// critical section so concurrent loaders cannot jointly overshoot the
     /// budget (each sees the others' reservations). The high-water can
     /// still exceed a budget that is smaller than the chunks concurrently
-    /// pinned by scanning workers: pinned slabs never leave.
+    /// pinned by scanning workers: pinned slabs never leave. The victims'
+    /// blobs are released once the lock is dropped; a concurrent re-pin of
+    /// one only refaults the same bytes.
     fn reserve(&self, extra: u64, keep: usize) {
+        let mut victims = Vec::new();
         let mut slots = self.slots.lock().unwrap();
         while self.resident.load(Relaxed) + extra > self.budget {
             let victim = slots
@@ -570,11 +656,16 @@ impl Inner {
                 .map(|(k, _)| k);
             let Some(k) = victim else { break };
             slots.remove(&k);
+            victims.push(k);
             self.resident.fetch_sub(self.table[k].decoded_bytes, Relaxed);
             self.evictions.fetch_add(1, Relaxed);
         }
         let now = self.resident.fetch_add(extra, Relaxed) + extra;
         self.high_water.fetch_max(now, Relaxed);
+        drop(slots);
+        for k in victims {
+            self.source.release(self.table[k].span());
+        }
     }
 
     /// Returns chunk `c`'s slab (decoding on miss) and whether this call
@@ -714,7 +805,10 @@ impl ChunkedStore {
         // Verify every chunk before handing out data: a flipped bit fails
         // here as a typed error instead of decoding garbage mid-train.
         // ⟨chunk-range⟩ tasks; ranges ascend, so the first failure in task
-        // order is the lowest failing chunk.
+        // order is the lowest failing chunk. Each task holds one group of
+        // blobs resident at a time; the final release drops what a group's
+        // release cannot: the pages blobs share, and those a read fault
+        // mapped ahead of a task into blobs another task already released.
         let ranges = split_ranges(n_chunks, threads, 1);
         let mut verdicts: Vec<Result<(), CacheError>> = ranges.iter().map(|_| Ok(())).collect();
         let mut tasks = Vec::new();
@@ -723,6 +817,7 @@ impl ChunkedStore {
             tasks.push(move || *verdict = verify_chunks(source, table, range));
         }
         run_tasks(tasks);
+        source.release(0..file_bytes as usize);
         verdicts.into_iter().collect::<Result<(), CacheError>>()?;
 
         let inner = Arc::new(Inner {
@@ -1206,6 +1301,122 @@ mod tests {
         assert!(store.inner.is_resident(5), "prefetch worker never loaded chunk 5");
         let _slab = store.pin(5);
         assert_eq!(store.io_stats().chunk_prefetch_hits, 1);
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Bytes of `map` the kernel holds resident: the `Rss:` of its
+    /// `/proc/self/smaps` entry, found by its start address.
+    #[cfg(target_os = "linux")]
+    fn resident_bytes(map: &map::Mmap) -> u64 {
+        let head = format!("{:08x}-", map.as_slice().as_ptr() as usize);
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let mut entry = smaps.lines().skip_while(|l| !l.starts_with(&head)).skip(1);
+        let kb = entry.find_map(|l| l.strip_prefix("Rss:")).expect("the mapping is in smaps");
+        kb.trim().trim_end_matches("kB").trim().parse::<u64>().unwrap() * 1024
+    }
+
+    #[cfg(target_os = "linux")]
+    fn mapping(store: &ChunkedStore) -> &map::Mmap {
+        match &store.inner.source {
+            Source::Mapped(map) => map,
+            _ => panic!("the cache is not mapped"),
+        }
+    }
+
+    /// Every byte of a dense slab, read the way a scan reads it.
+    #[cfg(target_os = "linux")]
+    fn dense_bytes(slab: &QuantizedMatrix) -> Vec<u8> {
+        let mut bytes = slab.dense_row_major().unwrap().to_vec();
+        (0..slab.n_features()).for_each(|f| bytes.extend_from_slice(slab.dense_col(f).unwrap()));
+        bytes
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn release_drops_only_the_whole_pages_inside_the_range() {
+        let page = map::page_size().unwrap();
+        let path = tmp_path("release");
+        std::fs::write(&path, vec![7u8; 8 * page]).unwrap();
+        let map = map::Mmap::new(&File::open(&path).unwrap(), 8 * page).unwrap();
+        assert!(map.as_slice().iter().all(|&b| b == 7));
+        assert_eq!(resident_bytes(&map), 8 * page as u64);
+        // Pages 1 to 4: the start rounds up, the end down.
+        map.release(page / 2..5 * page + 1);
+        assert_eq!(resident_bytes(&map), 4 * page as u64);
+        assert!(map.as_slice().iter().all(|&b| b == 7), "released pages refault the file");
+        drop(map);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// The budget bounds what the process holds of the cache file, as the
+    /// kernel counts it: `open` keeps no verified blob resident, and two
+    /// ascending sweeps at a quarter budget keep the mapping within the
+    /// budget, the chunk being loaded, page rounding and one fault-around
+    /// window. (A read fault also maps the page-cache folio around it —
+    /// Linux 6.18 maps whole large folios — so pages of the blobs next in
+    /// the sweep can be resident before their chunk is pinned; they leave
+    /// with it. One page table's span bounds what one fault maps.)
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_budget_bounds_the_mappings_resident_pages() {
+        let page = map::page_size().unwrap() as u64;
+        let fault_around = page * (page / 8);
+        // 24 chunks of 64 pages: 16 384 rows x 8 features, two layouts.
+        let qm = dense_qm(24 * 16_384, 8);
+        let path = tmp_path("smaps");
+        let summary = write_cache(&qm, 16_384, &path).unwrap();
+        drop(qm);
+        let budget = summary.decoded_bytes / 4;
+        let store = ChunkedStore::open(&path, budget).unwrap();
+        let n_chunks = store.n_chunks();
+        let after_open = resident_bytes(mapping(&store));
+        assert!(
+            after_open <= (n_chunks as u64 + 1) * page,
+            "open left {after_open} B of a {} B file resident",
+            summary.file_bytes
+        );
+        let largest = store.inner.table.iter().map(|m| m.len).max().unwrap();
+        for c in (0..n_chunks).chain(0..n_chunks) {
+            std::hint::black_box(dense_bytes(&store.pin(c)));
+            let slots = store.inner.slots.lock().unwrap();
+            let resident_chunks = slots.values().filter(|s| s.cell.get().is_some()).count() as u64;
+            drop(slots);
+            let bound = budget + largest + 2 * page * resident_chunks + fault_around;
+            let rss = resident_bytes(mapping(&store));
+            assert!(rss <= bound, "after chunk {c}: {rss} B resident, bound {bound} B");
+        }
+        assert!(store.io_stats().chunk_evictions >= n_chunks as u64);
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Two neighbouring blobs share a page: evicting one while the other is
+    /// pinned leaves the pinned slab reading the same bytes.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn evicting_a_neighbour_leaves_the_pinned_slab_intact() {
+        let page = map::page_size().unwrap();
+        let qm = dense_qm(3 * 4000, 3);
+        let path = tmp_path("neighbour");
+        write_cache(&qm, 4000, &path).unwrap();
+        let per_chunk = qm.chunk_storage_bytes(0..4000) as u64;
+        let store = ChunkedStore::open(&path, 2 * per_chunk).unwrap();
+        assert_ne!(store.inner.table[1].offset as usize % page, 0, "chunks 0 and 1 share a page");
+        drop(store.pin(0));
+        let one = store.pin(1);
+        let before = dense_bytes(&one);
+        // Chunk 0 is the least recently used unpinned slab.
+        drop(store.pin(2));
+        assert_eq!(store.io_stats().chunk_evictions, 1);
+        assert!(!store.inner.is_resident(0) && store.inner.is_resident(1));
+        assert!(dense_bytes(&one) == before, "the pinned slab changed under an eviction");
+        for (local, row) in (4000..8000).enumerate() {
+            for f in 0..3 {
+                assert_eq!(one.bin(local, f), qm.bin(row, f), "cell ({row},{f})");
+            }
+        }
+        drop(one);
         drop(store);
         std::fs::remove_file(&path).unwrap();
     }

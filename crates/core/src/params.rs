@@ -123,8 +123,8 @@ impl BlockConfig {
     ///
     /// The `0 = unlimited` sentinel is always legal — including
     /// `node_blk_size = 0` under model parallelism, which is exactly the
-    /// XGB-Approx vertical-plane preset (all nodes of the batch fused into
-    /// one task group, see `harp-baselines`). Rejected instead are configs
+    /// paper's XGB-Approx vertical plane (all nodes of the batch fused into
+    /// one task group, §IV-A). Rejected instead are configs
     /// that are degenerate under every dataset:
     ///
     /// * a `bin_blk_size` beyond the 256-bin quantization ceiling (bins are

@@ -3,8 +3,8 @@
 //! §V-A4 of the paper: "training time to achieve the same highest accuracy
 //! when training with 1000 trees is used as the performance metric and
 //! Convergence Speedup is defined as the ratio of this metric on two
-//! systems." [`ConvergenceTrace::time_to_reach`] implements the inner
-//! statistic; a Convergence Speedup is the ratio of two such times.
+//! systems." [`ConvergenceTrace`] records the series that statistic is
+//! read from.
 
 use serde::Serialize;
 
@@ -30,8 +30,7 @@ pub struct ConvergenceTrace {
 
 impl ConvergenceTrace {
     /// Creates an empty trace; `higher_is_better` selects the comparison
-    /// direction for [`best`](Self::best) and
-    /// [`time_to_reach`](Self::time_to_reach).
+    /// direction for [`best`](Self::best).
     pub fn new(higher_is_better: bool) -> Self {
         Self { points: Vec::new(), higher_is_better }
     }
@@ -63,15 +62,6 @@ impl ConvergenceTrace {
         }
     }
 
-    /// The earliest elapsed time at which the trace reached `target`
-    /// (`>= target` if higher is better, else `<=`). `None` if never reached.
-    pub fn time_to_reach(&self, target: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .find(|p| if self.higher_is_better { p.metric >= target } else { p.metric <= target })
-            .map(|p| p.elapsed_secs)
-    }
-
     /// Total recorded training time (elapsed time of the last point).
     pub fn total_time(&self) -> f64 {
         self.points.last().map_or(0.0, |p| p.elapsed_secs)
@@ -101,18 +91,10 @@ mod tests {
     }
 
     #[test]
-    fn time_to_reach_finds_first_crossing() {
-        let t = trace(&[(1, 1.0, 0.5), (2, 2.0, 0.7), (3, 3.0, 0.7), (4, 4.0, 0.9)]);
-        assert_eq!(t.time_to_reach(0.7), Some(2.0));
-        assert_eq!(t.time_to_reach(0.95), None);
-    }
-
-    #[test]
     fn empty_trace_behaviour() {
         let t = ConvergenceTrace::new(true);
         assert_eq!(t.best(), None);
         assert_eq!(t.total_time(), 0.0);
-        assert_eq!(t.time_to_reach(0.5), None);
     }
 
     #[test]

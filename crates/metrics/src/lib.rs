@@ -2,9 +2,8 @@
 //!
 //! * [`auc`], [`log_loss`], [`error_rate`], [`rmse`] — the accuracy metrics
 //!   used in §V (AUC is the paper's headline accuracy measure).
-//! * [`ConvergenceTrace`] — per-iteration metric/time recording, plus the
-//!   "training time to reach the same highest accuracy" statistic that
-//!   defines the paper's *Convergence Speedup*.
+//! * [`ConvergenceTrace`] — per-iteration metric/time recording, the
+//!   series the paper's *Convergence Speedup* is read from.
 //! * [`BreakdownReport`] — per-phase wall-time attribution (BuildHist /
 //!   FindSplit / ApplySplit), the quantity plotted in Fig. 4.
 //! * [`RunLedger`] — the per-round JSON-lines run ledger: phase-time deltas,
