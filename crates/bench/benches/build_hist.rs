@@ -14,10 +14,11 @@ use harp_parallel::{PhaseSpan, ThreadPool, TracePhase, TraceSink};
 use harpgbdt::kernels::{
     col_scan, col_scan_scalar, row_scan, row_scan_root, row_scan_scalar, GradSource,
 };
+use harpgbdt::params::BatchPolicy;
 use harpgbdt::partition::RowPartition;
 use harpgbdt::split::SplitSettings;
 use harpgbdt::trainer::{
-    build_hists_dp, build_hists_mp, DriverCtx, DriverScratch, HistJob, SplitSearch, TileJob,
+    build_hists_dp, expand, DriverCtx, DriverScratch, HistJob, SplitSearch, TileJob,
 };
 use harpgbdt::{hist, NodeStats, ParallelMode, TrainParams};
 
@@ -240,7 +241,9 @@ fn bench_drivers(c: &mut Criterion) {
                                     j.buf.as_mut().expect("filed").fill(0.0);
                                 }
                                 let search = SplitSearch { settings: &settings, mask: None };
-                                build_hists_mp(&ctx, &mut scratch, &mut tile_jobs, search).found
+                                let policy = BatchPolicy::Exclusive;
+                                expand(&ctx, &mut scratch, &mut tile_jobs, search, policy, None)
+                                    .found
                             }
                             _ => {
                                 for j in &mut jobs {

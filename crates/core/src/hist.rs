@@ -30,15 +30,14 @@
 //! can be filed and keep every other one in a per-worker tile.
 //! [`ScratchPool`] is the data-parallel replica arena: replica buffers —
 //! lanes for the jobs of a batch that are cut into several row blocks —
-//! survive across frontiers and trees, and dirty-range tracking re-zeroes
-//! only the lanes the previous use touched.
+//! survive across frontiers and trees, and come back zeroed from the fold
+//! that reads them, so reuse clears nothing.
 
 use crate::growth::RankKey;
 use crate::tree::NodeId;
 use harp_metrics::MemGauge;
 use harp_parallel::Profile;
 use std::collections::{BTreeSet, HashMap};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Byte budget of the trainer's candidate-histogram cache. The cache never
@@ -406,41 +405,14 @@ impl HistPool {
     }
 }
 
-/// A pooled data-parallel replica buffer plus the lane ranges its last use
-/// dirtied. The buffer's length only grows; lanes outside the recorded dirty
-/// ranges are guaranteed zero — exactly like a fresh zeroed allocation.
-pub struct ReplicaBuf {
-    data: Vec<f64>,
-    dirty: Vec<Range<usize>>,
-}
-
-impl ReplicaBuf {
-    /// The writable buffer (length ≥ the acquire request).
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Read view for the reduction.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Records the lane ranges this use dirtied (reuses the existing vec's
-    /// capacity; ranges need not be sorted or disjoint).
-    pub fn set_dirty(&mut self, ranges: impl Iterator<Item = Range<usize>>) {
-        self.dirty.clear();
-        self.dirty.extend(ranges);
-    }
-}
-
-/// Reusable arena of DP replica buffers. Replicas survive across
-/// frontiers and trees; [`acquire`](Self::acquire) hands back a buffer whose
-/// previously-dirty lanes are re-zeroed — the rest never left zero — so the
-/// caller always sees the equivalent of a fresh `vec![0.0; len]` without the
-/// allocation or the full-width clear.
+/// Reusable arena of DP replica buffers. Replicas survive across frontiers
+/// and trees, and a replica in the arena holds zeros: the replica fold zeroes
+/// every lane it reads, and the kernels leave nothing else written. So
+/// [`acquire`](Self::acquire) hands a buffer out as it is — the equivalent of
+/// a fresh `vec![0.0; len]` without the allocation or a clear.
 #[derive(Default)]
 pub struct ScratchPool {
-    free: Vec<ReplicaBuf>,
+    free: Vec<Vec<f64>>,
     /// Bytes of replica capacity owned by the arena (counted at allocation
     /// and growth; monotone, since replicas circulate rather than drop).
     gauge: Option<Arc<MemGauge>>,
@@ -457,54 +429,43 @@ impl ScratchPool {
         self.gauge = Some(gauge);
     }
 
-    /// Counts `bytes` of driver scratch held next to the arena (the
-    /// Exclusive executor's per-worker tiles) under the arena's gauge.
+    /// Counts `bytes` of driver scratch under the arena's gauge (replica
+    /// capacity, and the Exclusive executor's per-worker tiles next to it).
     pub fn count_outside(&self, bytes: u64) {
         if let Some(g) = &self.gauge {
             g.add(bytes);
         }
     }
 
-    /// Hands out a zero-equivalent buffer of at least `len` lanes. Returns
-    /// the buffer and whether a heap allocation (fresh buffer or capacity
-    /// growth) occurred — the profiling signal for the steady-state
-    /// zero-alloc guarantee.
-    pub fn acquire(&mut self, len: usize) -> (ReplicaBuf, bool) {
-        match self.free.pop() {
-            Some(mut buf) => {
-                for r in buf.dirty.drain(..) {
-                    buf.data[r].fill(0.0);
-                }
-                let grown = buf.data.capacity() < len;
-                if grown {
-                    let before = buf.data.capacity();
-                    // Round up so repeated small growth amortizes.
-                    buf.data.reserve(len.next_power_of_two() - buf.data.len());
-                    if let Some(g) = &self.gauge {
-                        g.add(((buf.data.capacity() - before) * 8) as u64);
-                    }
-                }
-                if buf.data.len() < len {
-                    // Within capacity this is a fill, not an allocation; the
-                    // new lanes start at exactly +0.0 like a fresh buffer.
-                    buf.data.resize(len, 0.0);
-                }
-                (buf, grown)
-            }
-            None => {
-                let buf = ReplicaBuf { data: vec![0.0; len], dirty: Vec::new() };
-                if let Some(g) = &self.gauge {
-                    g.add((buf.data.capacity() * 8) as u64);
-                }
-                (buf, true)
-            }
+    /// Hands out a zeroed buffer of at least `len` lanes. Returns the buffer
+    /// and whether a heap allocation (fresh buffer or capacity growth)
+    /// occurred — the profiling signal for the steady-state zero-alloc
+    /// guarantee.
+    pub fn acquire(&mut self, len: usize) -> (Vec<f64>, bool) {
+        let Some(mut buf) = self.free.pop() else {
+            let buf = vec![0.0; len];
+            self.count_outside((buf.capacity() * 8) as u64);
+            return (buf, true);
+        };
+        let grown = buf.capacity() < len;
+        if grown {
+            let before = buf.capacity();
+            // Round up so repeated small growth amortizes.
+            buf.reserve(len.next_power_of_two() - buf.len());
+            self.count_outside(((buf.capacity() - before) * 8) as u64);
         }
+        if buf.len() < len {
+            // Within capacity this is a fill, not an allocation; the new
+            // lanes start at exactly +0.0 like a fresh buffer.
+            buf.resize(len, 0.0);
+        }
+        (buf, grown)
     }
 
-    /// Returns a buffer to the arena. The caller must have recorded the
-    /// dirtied lanes via [`ReplicaBuf::set_dirty`]; unrecorded dirty lanes
-    /// would resurface as garbage in a later acquire.
-    pub fn release(&mut self, buf: ReplicaBuf) {
+    /// Returns a buffer to the arena. It must hold zeros: the next
+    /// [`acquire`](Self::acquire) hands it out as it is.
+    pub fn release(&mut self, buf: Vec<f64>) {
+        debug_assert!(buf.iter().all(|&x| x == 0.0), "a replica came back written");
         self.free.push(buf);
     }
 }
@@ -876,33 +837,42 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn scratch_pool_zeroes_only_dirty_ranges() {
+    fn scratch_pool_hands_back_what_it_was_given() {
         let mut pool = ScratchPool::new();
-        let (mut buf, fresh) = pool.acquire(8);
+        let (buf, fresh) = pool.acquire(8);
         assert!(fresh, "first acquire allocates");
-        buf.as_mut_slice()[2] = 7.0;
-        buf.as_mut_slice()[5] = 3.0;
-        buf.set_dirty([2..3, 5..6].into_iter());
+        let at = buf.as_ptr();
         pool.release(buf);
         let (buf, fresh) = pool.acquire(8);
         assert!(!fresh, "steady-state acquire must not allocate");
-        assert!(buf.as_slice().iter().all(|&x| x == 0.0), "dirty lanes must be re-zeroed");
+        assert_eq!(buf.as_ptr(), at, "the released buffer is the one handed out");
+        assert!(buf.iter().all(|&x| x == 0.0));
+        pool.release(buf);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a replica came back written")]
+    fn scratch_pool_rejects_a_written_replica() {
+        let mut pool = ScratchPool::new();
+        let (mut buf, _) = pool.acquire(4);
+        buf[1] = 1.0;
         pool.release(buf);
     }
 
     #[test]
     fn scratch_pool_growth_counts_as_alloc() {
         let mut pool = ScratchPool::new();
-        let (mut buf, _) = pool.acquire(4);
-        buf.set_dirty(std::iter::once(0..4));
+        let (buf, _) = pool.acquire(4);
         pool.release(buf);
         let (buf, grown) = pool.acquire(16);
         assert!(grown, "growth is an allocation event");
-        assert_eq!(&buf.as_slice()[..16], &[0.0; 16]);
+        assert_eq!(&buf[..16], &[0.0; 16]);
         pool.release(buf);
         let (buf, grown) = pool.acquire(16);
         assert!(!grown);
-        assert!(buf.as_slice().len() >= 16);
+        assert!(buf.len() >= 16);
+        pool.release(buf);
     }
 
     #[test]
@@ -980,10 +950,9 @@ pub(crate) mod tests {
         let gauge = Arc::new(MemGauge::new());
         let mut pool = ScratchPool::new();
         pool.set_gauge(Arc::clone(&gauge));
-        let (mut buf, _) = pool.acquire(4);
+        let (buf, _) = pool.acquire(4);
         let cap0 = gauge.current();
         assert!(cap0 >= 32, "fresh 4-lane replica counted");
-        buf.set_dirty(std::iter::once(0..4));
         pool.release(buf);
         let (buf, grown) = pool.acquire(16);
         assert!(grown);

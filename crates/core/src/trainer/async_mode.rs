@@ -24,9 +24,10 @@
 //! order lives in the frontier — a task takes the best candidate there is
 //! when it starts, not the one that was best when its token was pushed.
 
-use super::drivers::{self, DriverCtx};
+use super::drivers::{self, DriverCtx, DriverScratch};
 use super::frontier::Children;
 use super::{split_pred, split_search, TreeEngine};
+use crate::params::BatchPolicy;
 use crate::tree::{NodeId, NodeStats, Tree};
 use harp_parallel::{PhaseSpan, SpinMutex, TracePhase, WorkQueue};
 
@@ -110,13 +111,16 @@ pub(super) fn run_async(engine: &mut TreeEngine<'_>, tree: &mut Tree) {
             let _phase = timed(worker, TracePhase::BuildHist, cand.node, 0);
             for job in &mut children.jobs {
                 // The lock covers the pop off the free list; the width-sized
-                // fill happens after it is released.
+                // zero-fill happens after it is released.
                 let stale = frontier.lock_timed(lock_wait).hists.alloc();
                 job.buf = Some(stale.zeroed());
             }
-            drivers::fill_node(&ctx, &mut children.jobs);
         }
-        let out = drivers::finish_node(&ctx, &mut children.jobs, search, worker);
+        // The children's one-group plan, run inline: the task is itself a
+        // pool task and holds no share of the engine's scratch.
+        let (jobs, policy) = (&mut children.jobs, BatchPolicy::NodeTasks);
+        let out =
+            drivers::expand(&ctx, &mut DriverScratch::new(), jobs, search, policy, Some(worker));
         clock.add(TracePhase::BuildHist, out.build_ns);
         clock.add(TracePhase::FindSplit, out.find_ns);
 

@@ -1,68 +1,53 @@
-//! Block-wise BuildHist drivers, and the one tile pipeline behind them.
+//! The one BlockPlan executor: every mode expands a batch through [`expand`].
 //!
 //! A batch is a list of jobs — one per tree node scanned from its rows, with
 //! the sibling to derive from it as `parent − node` where the parent's
-//! histogram came out of the cache ([`TileJob`], [`DerivedSibling`]) — and
-//! expanding it is always the same two steps. The scanned child's lanes are
-//! *filled*, which is all a parallel mode has a say in; then **one tile
-//! body** (in `run_tiles`) takes a *tile* — one job's lanes of one feature
-//! block — forms the sibling's tile as `parent − small`, in place in the
-//! parent's buffer or into scratch, and runs FindSplit on both, one partial
-//! candidate per ⟨node, feature-block⟩ for the caller to fold in ascending
-//! block order. Nothing else in the trainer subtracts or searches. The three
-//! fills, by [`crate::params::BatchPolicy`]; the block decomposition of the
-//! first two lives in [`crate::plan`], each rebuilding the shared
-//! [`BlockPlan`] for its [`Accumulation`] policy:
+//! histogram came out of the cache ([`TileJob`], [`DerivedSibling`]).
+//! Expanding it always ends in **one tile body** (in `run_tiles`): a *tile* is
+//! one job's lanes of one feature block; the body fills them unless they come
+//! filled, forms the sibling's tile as `parent − small` (in place in the
+//! parent's buffer or into scratch) and runs FindSplit on both, one partial
+//! candidate per ⟨node, feature-block⟩, folded in ascending block order.
+//! Nothing else in the trainer subtracts or searches. The batch's
+//! [`BatchPolicy`] picks only where the lanes are filled; the block
+//! decomposition lives in [`crate::plan`]:
 //!
-//! * **Replicated** (DP; [`build_hists_dp`] behind `fill_dp`, then
-//!   `finish_dp`): tasks are ⟨node-block, feature-block, row-chunk⟩ triples
-//!   into full-width job buffers. A job cut into several row chunks gets a
-//!   lane range in every replica; its tasks accumulate into their slot's
-//!   replica and a reduction folds the replicas into the job buffer
-//!   afterwards. A job that is one row chunk has tasks that differ only in
-//!   feature block: they write the job buffer directly, with no replica
-//!   lanes, re-zeroing or reduction ([`BlockPlan::replica_slot`]). Replica
-//!   and reduction cost therefore follow the rows of a batch, not its node
-//!   count — the node-proportional reduction is exactly the scaling weakness
-//!   of XGB-Hist that Fig. 11 shows for large trees. The tiles then come
-//!   filled: one more region of ⟨job, feature-chunk⟩ tiles finishes them.
-//! * **Exclusive** (MP; [`build_hists_mp`]): tasks are ⟨node-block,
-//!   feature-block, bin-block⟩ triples over disjoint histogram regions — no
-//!   replicas, no reduction, but a task's read traffic is the whole row set
-//!   of its nodes (redundant reads when feature blocks are small). Because a
-//!   ⟨node-block, feature-block⟩ group owns whole features of its nodes, the
-//!   fill happens *inside* the tile: a worker takes one group (its bin-block
-//!   tasks back to back) and, job by job, column-scans the block's features
-//!   into the tile and finishes it while it sits in L2 — the whole batch is
-//!   one region. Where a tile lives is the memory policy: a node whose
-//!   histogram can be filed ([`crate::hist::HistPool::files`]) is scanned
-//!   straight into its own full-width buffer and a filed sibling is
-//!   subtracted in place in the parent's buffer; every other tile lives in a
-//!   per-worker scratch pair of `2 × block lanes` (≤ `2 × feature_blk ×
-//!   max_bins × 16` bytes) and is gone after FindSplit, so a full-width
-//!   histogram exists only where a later subtraction will read it.
-//! * **NodeTasks** (ASYNC's node tasks; `fill_node`, then `finish_node`):
-//!   no plan and no region — the task row-scans each child into its
-//!   full-width buffer and finishes that buffer as one tile itself.
+//! * **Replicated** (DP): a [`BlockPlan`] of ⟨node-block, feature-block,
+//!   row-chunk⟩ tasks fills the full-width job buffers in one region before
+//!   the tiles run ([`build_hists_dp`]). A job cut into several row chunks
+//!   gets lanes in one replica per schedule slot, and a second region folds
+//!   the replicas into its buffer. A job of one row chunk has tasks that
+//!   differ only in feature block: they write its buffer directly
+//!   ([`BlockPlan::replica_slot`]). Replica and fold cost therefore follow
+//!   the rows of a batch, not its node count — the node-proportional
+//!   reduction is the scaling weakness of XGB-Hist that Fig. 11 shows for
+//!   large trees. The tiles are ⟨job, feature-chunk⟩, `⌈4T / jobs⌉` chunks
+//!   per job, so that a narrow batch still spreads over the pool.
+//! * **Exclusive** (MP): the plan's ⟨node-block, feature-block⟩ groups are
+//!   the tiles, and the fill happens inside them: a worker column-scans the
+//!   group's bin-block tasks into the tile and finishes it while it sits in
+//!   L2, so the whole batch is one region. A node whose histogram can be
+//!   filed ([`crate::hist::HistPool::files`]) is scanned into its own
+//!   full-width buffer and a filed sibling is subtracted in place; every
+//!   other tile lives in a per-worker scratch pair of `2 × block lanes` and is
+//!   gone after FindSplit.
+//! * **NodeTasks** (an ASYNC node task): one tile per job over every
+//!   feature, row-scanned into the job's buffer and finished on the calling
+//!   worker — no plan and no region.
 //!
 //! DP runs one schedule, an OpenMP *static* one: slot `t` of `T` processes
-//! every `T`-th block into replica `t`, so per-cell accumulation order is
-//! independent of thread timing.
-//!
-//! The barrier fills draw their scratch — replica buffers, tile pairs and task
-//! vectors — from a caller-held [`DriverScratch`], so nothing is reallocated
-//! across frontiers or trees. Replicas come from a [`ScratchPool`] with
-//! dirty-range tracking: a released replica remembers which `(job,
-//! feature-block)` lanes its tasks wrote, and the next acquire re-zeroes
-//! only those. The static schedule pins each task to its replica, so the
-//! tracked set is exact.
+//! every `T`-th task into replica `t`, so per-cell accumulation order is
+//! independent of thread timing. The replicas, tile pairs and plan come from
+//! a caller-held [`DriverScratch`] that survives across frontiers and trees.
+//! The fold zeroes each replica lane as it reads it, so the arena only ever
+//! holds zeroed replicas and hands them out as they are.
 
-use crate::hist::{self, ReplicaBuf, ScratchPool};
+use crate::hist::{self, ScratchPool};
 use crate::kernels::{
     col_scan_store, row_scan_run, row_scan_store, GradSource, BYTES_PER_CELL, FLOPS_PER_CELL,
 };
 use crate::loss::GradPair;
-use crate::params::TrainParams;
+use crate::params::{BatchPolicy, TrainParams};
 use crate::partition::RowPartition;
 use crate::plan::{
     dp_write_working_set, feature_blocks, mp_write_working_set, Accumulation, BatchShape,
@@ -127,11 +112,14 @@ pub struct SplitSearch<'a> {
     pub mask: Option<&'a [bool]>,
 }
 
-/// What the tile pipeline found.
+/// What an expansion found, and where its time went.
 #[derive(Default)]
 pub struct TileOutcome {
     /// Per job: the best split of its node and of its derived sibling.
     pub found: Vec<[Option<SplitCandidate>; 2]>,
+    /// Wall nanoseconds of the regions a Replicated batch fills its job
+    /// buffers in before the tiles run; 0 under the other policies.
+    pub fill_ns: u64,
     /// Nanoseconds the workers spent filling tiles and subtracting, summed.
     pub build_ns: u64,
     /// Nanoseconds the workers spent in FindSplit, summed.
@@ -182,23 +170,20 @@ impl DriverCtx<'_> {
 }
 
 /// Caller-held driver scratch: the replica arena, the per-worker tile
-/// pairs, the reusable [`BlockPlan`], and range vectors. One per training
-/// engine; it survives across frontiers and trees so steady-state DP
-/// BuildHist performs no heap allocation (the Exclusive executor allocates
-/// its per-batch group tables, nothing histogram-sized).
+/// pairs and the reusable [`BlockPlan`]. One per training engine; it
+/// survives across frontiers and trees, so steady-state BuildHist allocates
+/// nothing histogram-sized.
 #[derive(Default)]
 pub struct DriverScratch {
     replicas: ScratchPool,
-    /// By worker index: the scan tile and the sibling tile of a fused
-    /// Exclusive batch, back to back. Empty until a worker first builds a
-    /// tile that has no full-width buffer to live in.
+    /// By worker index: the scan tile and the sibling tile of an Exclusive
+    /// batch, back to back. Empty until a worker first builds a tile that
+    /// has no full-width buffer to live in.
     tiles: Vec<Vec<f64>>,
     /// Bytes of `tiles` already counted under the arena's gauge.
     tile_bytes: u64,
     plan: BlockPlan,
     job_lens: Vec<usize>,
-    range_tmp: Vec<Range<usize>>,
-    replica_stash: Vec<ReplicaBuf>,
 }
 
 impl DriverScratch {
@@ -219,8 +204,8 @@ impl DriverScratch {
     }
 
     /// Rebuilds the shared plan for one batch of jobs over `nodes` and
-    /// returns the resolved extents. Split out so both drivers (and nothing
-    /// else) go through the single enumerator.
+    /// returns the resolved extents: every planned batch goes through the
+    /// one enumerator.
     fn plan_batch(
         &mut self,
         ctx: &DriverCtx<'_>,
@@ -240,89 +225,129 @@ impl DriverScratch {
     }
 }
 
-/// Sorts and coalesces ranges in place (empty ranges dropped).
-fn merge_ranges(ranges: &mut Vec<Range<usize>>) {
-    ranges.sort_unstable_by_key(|r| (r.start, r.end));
-    let mut w = 0usize;
-    for i in 0..ranges.len() {
-        let r = ranges[i].clone();
-        if r.start >= r.end {
-            continue;
-        }
-        if w > 0 && r.start <= ranges[w - 1].end {
-            ranges[w - 1].end = ranges[w - 1].end.max(r.end);
-        } else {
-            ranges[w] = r;
-            w += 1;
-        }
+/// Expands one batch: fills each job's histogram where `policy` says,
+/// derives the siblings and runs FindSplit (see the module docs). The tiles
+/// run as one pool region, or here when the caller is itself a task of the
+/// pool (`inline_on`: its worker index, as for an ASYNC node task).
+pub fn expand(
+    ctx: &DriverCtx<'_>,
+    scratch: &mut DriverScratch,
+    jobs: &mut [TileJob],
+    search: SplitSearch<'_>,
+    policy: BatchPolicy,
+    inline_on: Option<usize>,
+) -> TileOutcome {
+    let (n, m) = (jobs.len(), ctx.qm.n_features());
+    if n == 0 {
+        return TileOutcome::default();
     }
-    ranges.truncate(w);
+    let mut fill_ns = 0;
+    let out = match policy {
+        BatchPolicy::Replicated => {
+            let fill_start = Instant::now();
+            let mut bufs: Vec<(NodeId, &mut [f64])> = jobs
+                .iter_mut()
+                .map(|j| (j.node, j.buf.as_deref_mut().expect("a Replicated child is full-width")))
+                .collect();
+            fill_replicated(ctx, scratch, &mut bufs);
+            fill_ns = fill_start.elapsed().as_nanos() as u64;
+            let n_chunks = (4 * ctx.pool.num_threads()).div_ceil(n).clamp(1, m.max(1));
+            let chunk = m.div_ceil(n_chunks);
+            let tiles = (0..n).flat_map(|j| {
+                feature_blocks(m, chunk).map(move |block| (j..j + 1, block, Fill::Filled))
+            });
+            run_tiles(ctx, &mut scratch.tiles, jobs, search, chunk, tiles, inline_on)
+        }
+        BatchPolicy::Exclusive => {
+            let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.node), Accumulation::Exclusive);
+            // §IV-E: consecutive-write region = 16 × bin_blk × feature_blk ×
+            // node_blk (shared with the cost model).
+            let max_bins = ctx.qm.mapper().max_bins_used() as usize;
+            let bin_blk = if ext.bin_blk == 0 { max_bins.max(1) } else { ext.bin_blk };
+            let ws = mp_write_working_set(max_bins, bin_blk, ext.feature_blk, ext.node_blk);
+            ctx.pool.profile().observe_region_bytes(ws as u64);
+            let groups = scratch.plan.groups().map(|tasks| {
+                (tasks[0].jobs.clone(), tasks[0].features.clone(), Fill::Columns(tasks))
+            });
+            run_tiles(ctx, &mut scratch.tiles, jobs, search, ext.feature_blk, groups, inline_on)
+        }
+        BatchPolicy::NodeTasks => {
+            // The degenerate ⟨one node, all rows⟩ task of a Replicated plan:
+            // an explicit feature block still slices a dense scan (the same
+            // per-lane row order, so the same bits); sparse rows have no
+            // per-block substructure and Auto resolves per planned batch, so
+            // both scan whole.
+            let scan_blk = if ctx.qm.layout().dense && !ctx.params.blocks.is_auto() {
+                ctx.params.blocks.features_per_block(m)
+            } else {
+                m
+            };
+            let tiles = (0..n).map(|j| (j..j + 1, 0..m, Fill::Rows(scan_blk)));
+            run_tiles(ctx, &mut scratch.tiles, jobs, search, m, tiles, inline_on)
+        }
+    };
+    let held = scratch.tiles.iter().map(|t| t.capacity() as u64 * 8).sum::<u64>();
+    if held > scratch.tile_bytes {
+        scratch.replicas.count_outside(held - scratch.tile_bytes);
+        scratch.tile_bytes = held;
+    }
+    TileOutcome { fill_ns, ..out }
 }
 
 /// Fills the jobs' histograms with data parallelism: executes a
-/// [`Accumulation::Replicated`] plan.
+/// [`Accumulation::Replicated`] plan, the fill regions of a Replicated
+/// [`expand`].
 pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &mut [HistJob]) {
+    let mut bufs: Vec<(NodeId, &mut [f64])> =
+        jobs.iter_mut().map(|j| (j.node, &mut j.buf[..])).collect();
+    fill_replicated(ctx, scratch, &mut bufs);
+}
+
+/// [`build_hists_dp`] over `(node, zeroed full-width buffer)` pairs.
+fn fill_replicated(
+    ctx: &DriverCtx<'_>,
+    scratch: &mut DriverScratch,
+    jobs: &mut [(NodeId, &mut [f64])],
+) {
     if jobs.is_empty() {
         return;
     }
-    let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.node), Accumulation::Replicated);
-    let DriverScratch { replicas: arena, plan, range_tmp, replica_stash, .. } = scratch;
-    let width = jobs[0].buf.len();
-    let t = ctx.pool.num_threads();
-    let row_blk = ext.row_blk;
-
+    let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.0), Accumulation::Replicated);
+    let DriverScratch { replicas: arena, plan, .. } = scratch;
     let tasks = plan.tasks();
     if tasks.is_empty() {
         ctx.report_cells(0);
         return;
     }
+    let width = jobs[0].1.len();
+    let n_slots = ctx.pool.num_threads().min(tasks.len());
 
-    // Replicas: one per schedule slot, covering the batch's multi-block
-    // jobs, drawn from the arena (previously dirtied lanes re-zeroed, rest
-    // untouched). A batch of one-block jobs needs none.
-    let n_slots = t.min(tasks.len());
+    // One replica per schedule slot, with lanes for the batch's multi-block
+    // jobs, drawn zeroed from the arena. A batch of one-block jobs needs none.
     let replica_len = plan.n_replicated_jobs() * width;
     let n_replicas = if replica_len == 0 { 0 } else { n_slots };
-    let mut replicas = std::mem::take(replica_stash);
-    let (mut allocs, mut reuses) = (0u64, 0u64);
-    for _ in 0..n_replicas {
-        let (buf, allocated) = arena.acquire(replica_len);
-        if allocated {
-            allocs += 1;
-        } else {
-            reuses += 1;
-        }
-        replicas.push(buf);
-    }
-    ctx.pool.profile().add_scratch_events(allocs, reuses);
+    let mut allocs = 0u64;
+    let mut replicas: Vec<Vec<f64>> = (0..n_replicas)
+        .map(|_| {
+            let (buf, allocated) = arena.acquire(replica_len);
+            allocs += u64::from(allocated);
+            buf
+        })
+        .collect();
+    ctx.pool.profile().add_scratch_events(allocs, n_replicas as u64 - allocs);
 
-    struct Ptr(*mut f64);
-    unsafe impl Send for Ptr {}
-    unsafe impl Sync for Ptr {}
-    let replica_ptrs: Vec<Ptr> =
-        replicas.iter_mut().map(|r| Ptr(r.as_mut_slice().as_mut_ptr())).collect();
-    let job_ptrs: Vec<Ptr> = jobs.iter_mut().map(|j| Ptr(j.buf.as_mut_ptr())).collect();
-    let cells = AtomicU64::new(0);
-    let jobs_ro: &[HistJob] = jobs;
-    let tasks_ro: &[BlockTask] = tasks;
-    // Where a task of job `job_idx` running in schedule slot `slot`
-    // accumulates.
-    let dst_of = |job_idx: usize, slot: usize| -> &mut [f64] {
-        let ptr = match plan.replica_slot(job_idx) {
-            // SAFETY: each replica is written by exactly one schedule slot,
-            // and lanes `k * width..` lie within its `replica_len`.
-            Some(k) => unsafe { replica_ptrs[slot].0.add(k * width) },
-            // A one-block job: its tasks differ only in feature block and so
-            // write disjoint lanes of the job's own buffer.
-            None => job_ptrs[job_idx].0,
-        };
-        // SAFETY: `width` lanes are in bounds either way; concurrent writers
-        // touch disjoint lanes as argued above.
-        unsafe { std::slice::from_raw_parts_mut(ptr, width) }
-    };
+    let nodes: Vec<NodeId> = jobs.iter().map(|j| j.0).collect();
+    /// A one-block job's buffer, which every slot running one of its tasks
+    /// writes.
+    struct Shared(*mut f64);
+    // SAFETY: sharing `&Shared` shares only the address of a buffer that
+    // `jobs` keeps borrowed past the region; it is dereferenced only at `dst`
+    // below, at lanes no two concurrent tasks share.
+    unsafe impl Sync for Shared {}
+    let shared: Vec<Shared> = jobs.iter_mut().map(|j| Shared(j.1.as_mut_ptr())).collect();
     let root_identity = ctx.partition.is_identity_order();
-
     let trace = ctx.trace();
+    let row_blk = ext.row_blk;
 
     // When the resident budget holds only `capacity` chunks, concurrent
     // sweeps must stay within an eviction-free window of each other: one
@@ -364,24 +389,28 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
         }
     };
 
-    // The static schedule: slot `s` runs tasks `s, s + T, s + 2T, …` as the
-    // cursors of ONE chunk sweep, which scans every task's rows that fall
-    // inside the pinned chunk before moving on. Deep nodes scatter their rows
-    // over every chunk, so running each task to completion would sweep the
-    // whole chunk sequence once *per task* — under a resident budget, a
-    // reload of the entire cache per task. Per histogram cell this is still
-    // ascending-row accumulation: tasks sharing a (job, feature) lane in one
-    // slot own ascending, disjoint position ranges of the node's ascending
-    // row list, so interleaving them chunk by chunk visits exactly the same
-    // rows in exactly the same order as running them back to back. In-core
-    // the sweep has one step, and that step *is* the tasks run back to back.
-    ctx.pool.parallel_for(n_slots, |slot, lane| {
-        let cursors: Vec<Rows<'_>> = tasks_ro
+    // The static schedule: slot `s` runs tasks `s, s + T, s + 2T, …` into
+    // its own replica, as the cursors of ONE chunk sweep, which scans every
+    // task's rows that fall inside the pinned chunk before moving on. Deep
+    // nodes scatter their rows over every chunk, so running each task to
+    // completion would sweep the whole chunk sequence once *per task* —
+    // under a resident budget, a reload of the entire cache per task. Per
+    // histogram cell this is still ascending-row accumulation: tasks sharing
+    // a (job, feature) lane in one slot own ascending, disjoint position
+    // ranges of the node's ascending row list, so interleaving them chunk by
+    // chunk visits exactly the same rows in exactly the same order as
+    // running them back to back. In-core the sweep has one step, and that
+    // step *is* the tasks run back to back.
+    let cells = AtomicU64::new(0);
+    let mut slots: Vec<&mut [f64]> = replicas.iter_mut().map(|r| &mut r[..replica_len]).collect();
+    slots.resize_with(n_slots, Default::default);
+    ctx.pool.parallel_for_each_mut(&mut slots, |slot, replica, lane| {
+        let cursors: Vec<Rows<'_>> = tasks
             .iter()
             .skip(slot)
             .step_by(n_slots)
             .map(|task| {
-                let node = jobs_ro[task.jobs.start].node;
+                let node = nodes[task.jobs.start];
                 if node == 0 && root_identity {
                     // Root fast path: the root span starts at row 0 in
                     // identity order, so a task's positions ARE its row ids
@@ -398,9 +427,9 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
             &cursors,
             |steps| throttle(slot, steps),
             |run| {
-                let task = &tasks_ro[slot + run.cursor * n_slots];
+                let task = &tasks[slot + run.cursor * n_slots];
                 let job_idx = task.jobs.start;
-                let node = jobs_ro[job_idx].node;
+                let node = nodes[job_idx];
                 let _span = trace.map(|s| {
                     s.span(lane, TracePhase::BuildHist, node, (task.rows.start / row_blk) as u32)
                 });
@@ -410,7 +439,15 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
                 } else {
                     GradSource::MemBuf(&membuf[task.rows.clone()])
                 };
-                let dst = dst_of(job_idx, slot);
+                let dst: &mut [f64] = match plan.replica_slot(job_idx) {
+                    Some(k) => &mut replica[k * width..(k + 1) * width],
+                    // SAFETY: a one-block job's tasks differ only in feature
+                    // block, and a task writes the bins and the sink cells of
+                    // its own features alone, so concurrent tasks touch
+                    // disjoint lanes of the job's `width`-lane buffer, which
+                    // `jobs` keeps borrowed until the region has ended.
+                    None => unsafe { std::slice::from_raw_parts_mut(shared[job_idx].0, width) },
+                };
                 local_cells += row_scan_run(run, grads, task.features.clone(), dst);
             },
         );
@@ -418,71 +455,82 @@ pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &m
         cells.fetch_add(local_cells, Ordering::Relaxed);
     });
 
-    // Reduction: fold replicas (in order) into the buffers of the jobs that
-    // have replica lanes. Parallel over (job, width-chunk) cells; replica
-    // order fixed => deterministic. Only the real lanes are folded — the
-    // sink padding never leaves a kernel non-zero.
+    // The fold: each multi-block job's lanes, in chunks, take the replicas'
+    // sums in slot order — deterministic — and every replica lane is zeroed
+    // as it is read, so the replicas go back to the arena zeroed. Only the
+    // real lanes are folded: the sink padding never leaves a kernel
+    // non-zero.
+    struct Fold<'a> {
+        node: NodeId,
+        dst: &'a mut [f64],
+        srcs: Vec<&'a mut [f64]>,
+    }
     let real = ctx.qm.mapper().total_bins() as usize * 2;
     let chunk = (real / 4).max(1024).min(real.max(1));
-    let chunks_per_job = real.div_ceil(chunk);
-    let replicated_jobs: Vec<usize> =
-        (0..jobs_ro.len()).filter(|&j| plan.replica_slot(j).is_some()).collect();
-    let replicas_ro: &[ReplicaBuf] = &replicas;
-    ctx.pool.parallel_for(replicated_jobs.len() * chunks_per_job, |i, worker| {
-        let (k, job_idx) = (i / chunks_per_job, replicated_jobs[i / chunks_per_job]);
-        let _span =
-            trace.map(|s| s.span(worker, TracePhase::Reduce, jobs_ro[job_idx].node, i as u32));
-        let lo = (i % chunks_per_job) * chunk;
-        let hi = (lo + chunk).min(real);
-        // SAFETY: (job, lane-range) pairs are disjoint across tasks.
-        let dst = unsafe { std::slice::from_raw_parts_mut(job_ptrs[job_idx].0.add(lo), hi - lo) };
-        for rep in replicas_ro {
-            let src = &rep.as_slice()[k * width + lo..k * width + hi];
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d += s;
+    let mut pieces: Vec<_> = replicas
+        .iter_mut()
+        .map(|r| {
+            let lanes = r[..replica_len].chunks_mut(width);
+            lanes.flat_map(move |job| job[..real].chunks_mut(chunk))
+        })
+        .collect();
+    let mut folds: Vec<Fold<'_>> = Vec::new();
+    for (job_idx, (node, buf)) in jobs.iter_mut().enumerate() {
+        if plan.replica_slot(job_idx).is_some() {
+            for dst in buf[..real].chunks_mut(chunk) {
+                let srcs = pieces.iter_mut().map(|p| p.next().expect("a replica lane")).collect();
+                folds.push(Fold { node: *node, dst, srcs });
+            }
+        }
+    }
+    ctx.pool.parallel_for_each_mut(&mut folds, |i, fold, worker| {
+        let _span = trace.map(|s| s.span(worker, TracePhase::Reduce, fold.node, i as u32));
+        for src in &mut fold.srcs {
+            for (d, s) in fold.dst.iter_mut().zip(src.iter_mut()) {
+                *d += *s;
+                *s = 0.0;
             }
         }
     });
-
-    // Record dirtied lanes per replica so the next acquire re-zeroes only
-    // those. Sink lanes leave every kernel zeroed and real lanes of a task
-    // cover features [f_lo, f_hi) of its job, so a task's dirty region is
-    // one contiguous lane range; a one-block job's task dirtied no replica.
-    let offsets = ctx.qm.mapper().bin_offsets();
-    let lane_range = |task: &BlockTask| {
-        plan.replica_slot(task.jobs.start).map(|k| {
-            let lo = k * width + offsets[task.features.start] as usize * 2;
-            let hi = k * width + offsets[task.features.end] as usize * 2;
-            lo..hi
-        })
-    };
-    for (slot, rep) in replicas.iter_mut().enumerate() {
-        range_tmp.clear();
-        range_tmp.extend(tasks.iter().skip(slot).step_by(n_slots).filter_map(lane_range));
-        merge_ranges(range_tmp);
-        rep.set_dirty(range_tmp.drain(..));
-    }
-    for rep in replicas.drain(..) {
+    for rep in replicas {
         arena.release(rep);
     }
-    *replica_stash = replicas;
 
     ctx.report_cells(cells.load(Ordering::Relaxed));
     // The write working set of one DP task: the feature block's share of the
     // replica, across the node block (§IV-E, 16 bytes per cell). Shared with
-    // the cost model; the floating-point order no longer truncates to zero
-    // for narrow feature blocks on wide histograms.
+    // the cost model.
     let total_bins = ctx.qm.mapper().total_bins() as usize;
     let ws = dp_write_working_set(total_bins, ctx.qm.n_features(), ext.feature_blk, ext.node_blk);
     ctx.pool.profile().observe_region_bytes(ws as u64);
 }
 
+/// How a tile's lanes are filled before the tile body runs.
+#[derive(Clone, Copy)]
+enum Fill<'a> {
+    /// They come filled: a Replicated batch's fill regions ran first.
+    Filled,
+    /// Column-scan the block's features, one of the group's ascending
+    /// bin-block tasks at a time (Exclusive).
+    Columns(&'a [BlockTask]),
+    /// Row-scan the job's rows, this many features at a time, into the
+    /// job's own buffer; the tile spans every feature (NodeTasks).
+    Rows(usize),
+}
+
+/// One tile as [`expand`] hands it to `run_tiles`: jobs, feature block,
+/// fill.
+type Tile<'a> = (Range<usize>, Range<usize>, Fill<'a>);
+
 /// Cuts `buf` at the ascending lane `bounds` (the first is 0): one disjoint
-/// piece per consecutive pair, in order.
+/// piece per consecutive pair, in order, the last one running on to the end
+/// of `buf` over the sink lanes.
 fn cut_at<'a>(buf: &'a mut [f64], bounds: &'a [usize]) -> impl Iterator<Item = &'a mut [f64]> {
     let mut rest = buf;
-    bounds.windows(2).map(move |w| {
-        let (piece, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+    let n = bounds.len() - 1;
+    (0..n).map(move |i| {
+        let len = if i + 1 == n { rest.len() } else { bounds[i + 1] - bounds[i] };
+        let (piece, tail) = std::mem::take(&mut rest).split_at_mut(len);
         rest = tail;
         piece
     })
@@ -503,9 +551,7 @@ struct BlockLanes<'a> {
 struct TileWork<'a> {
     jobs: Range<usize>,
     features: Range<usize>,
-    /// The Exclusive fill: the group's bin-block tasks, ascending, to
-    /// column-scan into the tile first. Empty when the lanes come filled.
-    scans: &'a [BlockTask],
+    fill: Fill<'a>,
     /// One per job of `jobs`.
     lanes: Vec<BlockLanes<'a>>,
     /// Per job, the block's best split of the node and of its sibling.
@@ -514,20 +560,19 @@ struct TileWork<'a> {
 
 /// The tile pipeline every expansion ends in: per tile of `tiles` —
 /// job-major, each job's feature blocks (of `f_blk` features) ascending —
-/// and job, the tile's fill if it has one, then the one tile body: `parent −
-/// small` in place or into the scratch tile → FindSplit on both. The tiles
-/// are one pool region, or run here when the caller is itself a task of the
-/// pool (`inline_on`: its worker index). Returns each job's best split (the
-/// blocks' partial candidates folded in ascending block order, which is the
-/// order a whole-histogram scan resolves ties in) and the time spent
-/// building and searching, summed over the workers.
+/// and job, the tile's fill, then the one tile body: `parent − small` in
+/// place or into the scratch tile → FindSplit on both. The tiles are one
+/// pool region, or run here on worker `inline_on`. Returns each job's best
+/// split (the blocks' partial candidates folded in ascending block order,
+/// which is the order a whole-histogram scan resolves ties in) and the time
+/// spent building and searching, summed over the workers.
 fn run_tiles<'a>(
     ctx: &DriverCtx<'_>,
     stash: &mut Vec<Vec<f64>>,
     jobs: &'a mut [TileJob],
     search: SplitSearch<'_>,
     f_blk: usize,
-    tiles: impl Iterator<Item = (Range<usize>, Range<usize>, &'a [BlockTask])>,
+    tiles: impl Iterator<Item = Tile<'a>>,
     inline_on: Option<usize>,
 ) -> TileOutcome {
     let mapper = ctx.qm.mapper();
@@ -570,7 +615,7 @@ fn run_tiles<'a>(
         .collect();
     // A job's blocks come ascending, so its cuts are handed out in order.
     let mut work: Vec<TileWork<'_>> = tiles
-        .map(|(jobs, features, scans)| TileWork {
+        .map(|(jobs, features, fill)| TileWork {
             lanes: jobs
                 .clone()
                 .map(|j| {
@@ -583,7 +628,7 @@ fn run_tiles<'a>(
                 .collect(),
             jobs,
             features,
-            scans,
+            fill,
             found: Vec::new(),
         })
         .collect();
@@ -596,7 +641,7 @@ fn run_tiles<'a>(
     let now = || trace.map_or_else(|| epoch.elapsed().as_nanos() as u64, TraceSink::now_ns);
 
     let run = |g: usize, tile: &mut TileWork<'_>, worker: usize| {
-        let features = tile.features.clone();
+        let (features, fill) = (tile.features.clone(), tile.fill);
         let lane0 = lane_of(features.start);
         let n_lanes = lane_of(features.end) - lane0;
         let pair = scratch.get_mut(worker);
@@ -622,31 +667,46 @@ fn run_tiles<'a>(
             };
             let rows = ctx.partition.rows(meta.node);
             let grads = ctx.grad_source(meta.node);
-            for task in tile.scans {
-                for f in features.clone() {
-                    let n_bins = mapper.n_bins(f) as usize;
-                    let bin_range = match task.bins {
-                        None => 0..n_bins,
-                        Some((lo, hi)) => lo.min(n_bins)..hi.min(n_bins),
-                    };
-                    if bin_range.is_empty() {
-                        continue;
+            match fill {
+                Fill::Filled => {}
+                Fill::Columns(tasks) => {
+                    for task in tasks {
+                        for f in features.clone() {
+                            let n_bins = mapper.n_bins(f) as usize;
+                            let bin_range = match task.bins {
+                                None => 0..n_bins,
+                                Some((lo, hi)) => lo.min(n_bins)..hi.min(n_bins),
+                            };
+                            if bin_range.is_empty() {
+                                continue;
+                            }
+                            let base = lane_of(f) - lane0;
+                            let hist_f = &mut small[base..base + n_bins * 2];
+                            local_cells +=
+                                col_scan_store(ctx.qm, f, rows, grads, bin_range, hist_f);
+                        }
                     }
-                    let base = lane_of(f) - lane0;
-                    let hist_f = &mut small[base..base + n_bins * 2];
-                    local_cells += col_scan_store(ctx.qm, f, rows, grads, bin_range, hist_f);
+                }
+                // The tile spans every feature, so `small` is the job's
+                // whole buffer, sink lanes included, as a row scan needs.
+                Fill::Rows(scan_blk) => {
+                    for block in feature_blocks(m, scan_blk) {
+                        local_cells += row_scan_store(ctx.qm, rows, grads, block, small, false);
+                    }
                 }
             }
             // The one tile body.
+            let small = &mut small[..n_lanes];
             let t_filled = trace.map(|s| s.now_ns());
             let large: Option<&[f64]> = match (&mut lanes.parent, in_place) {
                 (Some(parent), true) => {
+                    let parent = &mut parent[..n_lanes];
                     hist::subtract_in_place(parent, small);
-                    Some(&**parent)
+                    Some(&*parent)
                 }
                 (Some(parent), false) => {
                     let t = &mut sibling_tile[..n_lanes];
-                    hist::subtract(parent, small, t);
+                    hist::subtract(&parent[..n_lanes], small, t);
                     Some(&*t)
                 }
                 (None, _) => None,
@@ -664,7 +724,7 @@ fn run_tiles<'a>(
             local_build += t1 - t0;
             local_find += t2 - t1;
             if let (Some(sink), Some(t_filled)) = (trace, t_filled) {
-                if !tile.scans.is_empty() {
+                if !matches!(fill, Fill::Filled) {
                     sink.record(worker, TracePhase::BuildHist, meta.node, g as u32, t0, t_filled);
                 }
                 if let Some((sibling, ..)) = meta.sibling {
@@ -694,119 +754,10 @@ fn run_tiles<'a>(
     ctx.report_cells(cells.load(Ordering::Relaxed));
     TileOutcome {
         found,
+        fill_ns: 0,
         build_ns: build_ns.load(Ordering::Relaxed),
         find_ns: find_ns.load(Ordering::Relaxed),
     }
-}
-
-/// The Replicated fill: the jobs' histograms by data parallelism
-/// ([`build_hists_dp`]), each into the job's own full-width buffer.
-pub(super) fn fill_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &mut [TileJob]) {
-    let mut fills: Vec<HistJob> = jobs
-        .iter_mut()
-        .map(|j| HistJob {
-            node: j.node,
-            buf: j.buf.take().expect("a Replicated child is full-width"),
-        })
-        .collect();
-    build_hists_dp(ctx, scratch, &mut fills);
-    for (job, fill) in jobs.iter_mut().zip(fills) {
-        job.buf = Some(fill.buf);
-    }
-}
-
-/// What a Replicated batch runs after [`fill_dp`]: one region of ⟨job,
-/// feature-chunk⟩ tiles whose lanes come filled, `⌈4T / jobs⌉` chunks per
-/// job so that a narrow batch still spreads over the pool.
-pub(super) fn finish_dp(
-    ctx: &DriverCtx<'_>,
-    scratch: &mut DriverScratch,
-    jobs: &mut [TileJob],
-    search: SplitSearch<'_>,
-) -> TileOutcome {
-    let (n, m) = (jobs.len(), ctx.qm.n_features());
-    let n_chunks = (4 * ctx.pool.num_threads()).div_ceil(n.max(1)).clamp(1, m.max(1));
-    let chunk = m.div_ceil(n_chunks);
-    let tiles =
-        (0..n).flat_map(|j| feature_blocks(m, chunk).map(move |block| (j..j + 1, block, &[][..])));
-    run_tiles(ctx, &mut scratch.tiles, jobs, search, chunk, tiles, None)
-}
-
-/// Fills the jobs' histograms with model parallelism and finishes them in
-/// the same region: executes an [`Accumulation::Exclusive`] plan, a worker
-/// taking one ⟨node-block, feature-block⟩ group as one tile per job.
-///
-/// Per histogram cell nothing moved: rows accumulate in ascending order
-/// into a zeroed cell, and a derived cell is `parent − small` of the same
-/// two operands, so a filed buffer is bitwise the histogram the three-region
-/// executor produced.
-pub fn build_hists_mp(
-    ctx: &DriverCtx<'_>,
-    scratch: &mut DriverScratch,
-    jobs: &mut [TileJob],
-    search: SplitSearch<'_>,
-) -> TileOutcome {
-    if jobs.is_empty() {
-        return TileOutcome::default();
-    }
-    let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.node), Accumulation::Exclusive);
-    let DriverScratch { plan, tiles, tile_bytes, replicas, .. } = scratch;
-    let groups = plan
-        .groups()
-        .map(|tasks| (tasks[0].jobs.clone(), tasks[0].features.clone(), tasks));
-    let out = run_tiles(ctx, tiles, jobs, search, ext.feature_blk, groups, None);
-    let held = tiles.iter().map(|t| t.capacity() as u64 * 8).sum::<u64>();
-    if held > *tile_bytes {
-        replicas.count_outside(held - *tile_bytes);
-        *tile_bytes = held;
-    }
-    // §IV-E: consecutive-write region = 16 × bin_blk × feature_blk ×
-    // node_blk (shared with the cost model).
-    let max_bins = ctx.qm.mapper().max_bins_used() as usize;
-    let bin_blk = if ext.bin_blk == 0 { max_bins.max(1) } else { ext.bin_blk };
-    let ws = mp_write_working_set(max_bins, bin_blk, ext.feature_blk, ext.node_blk);
-    ctx.pool.profile().observe_region_bytes(ws as u64);
-    out
-}
-
-/// The NodeTasks fill: inside an ASYNC node task each job is the degenerate
-/// ⟨one node, all rows⟩ plan task, row-scanned serially into its own
-/// full-width buffer. An explicit `feature_blk_size` still slices the scan
-/// into plan feature blocks: blocks write disjoint histogram lanes in the
-/// same per-lane row order, so the result is bitwise-identical while trading
-/// grad re-reads for write locality exactly as in the DP executor. Sparse
-/// rows have no per-block substructure and Auto resolves per DP batch, not
-/// per node; both scan whole.
-pub(super) fn fill_node(ctx: &DriverCtx<'_>, jobs: &mut [TileJob]) {
-    let m = ctx.qm.n_features();
-    let f_blk = if ctx.qm.layout().dense && !ctx.params.blocks.is_auto() {
-        ctx.params.blocks.features_per_block(m)
-    } else {
-        m
-    };
-    let mut cells = 0u64;
-    for job in jobs {
-        let rows = ctx.partition.rows(job.node);
-        let grads = ctx.grad_source(job.node);
-        let buf = job.buf.as_deref_mut().expect("a node task's child is full-width");
-        for block in feature_blocks(m, f_blk) {
-            cells += row_scan_store(ctx.qm, rows, grads, block, buf, false);
-        }
-    }
-    ctx.report_cells(cells);
-}
-
-/// What a node task (running as pool worker `worker`) does after
-/// [`fill_node`]: each job's buffer is its one tile, finished here and now.
-pub(super) fn finish_node(
-    ctx: &DriverCtx<'_>,
-    jobs: &mut [TileJob],
-    search: SplitSearch<'_>,
-    worker: usize,
-) -> TileOutcome {
-    let m = ctx.qm.n_features();
-    let tiles = (0..jobs.len()).map(|j| (j..j + 1, 0..m, &[][..]));
-    run_tiles(ctx, &mut Vec::new(), jobs, search, m, tiles, Some(worker))
 }
 
 #[cfg(test)]
@@ -901,7 +852,7 @@ mod tests {
                         sibling: None,
                     })
                     .collect();
-                build_hists_mp(&ctx, scratch, &mut jobs, NO_SEARCH);
+                expand(&ctx, scratch, &mut jobs, NO_SEARCH, BatchPolicy::Exclusive, None);
                 jobs.into_iter().map(|j| j.buf.expect("filed")).collect()
             }
             _ => unreachable!("driver test"),
@@ -1133,7 +1084,10 @@ mod tests {
         let ctx =
             DriverCtx { qm: &qm, params: &params, pool: &pool, partition: &part, grads: &grads };
         build_hists_dp(&ctx, &mut scratch, &mut []);
-        build_hists_mp(&ctx, &mut scratch, &mut [], NO_SEARCH);
+        for policy in [BatchPolicy::Replicated, BatchPolicy::Exclusive, BatchPolicy::NodeTasks] {
+            let out = expand(&ctx, &mut scratch, &mut [], NO_SEARCH, policy, None);
+            assert!(out.found.is_empty());
+        }
     }
 
     #[test]
@@ -1286,11 +1240,12 @@ mod tests {
         /// The tile pipeline under each of its three fills against the
         /// three regions it replaced, spelled out with reference kernels —
         /// the Exclusive fill (the column scan inside the tile), the
-        /// Replicated fill (`fill_dp` of one-block jobs, which is bitwise the
-        /// ascending scan, then `finish_dp`) and the NodeTasks fill
-        /// (`fill_node`, then `finish_node` on the calling thread). The root is
-        /// cut into leaves and every leaf is split — evenly, unevenly, into one
-        /// row and the rest, into nothing and everything — and the splits
+        /// Replicated fill (the fill region, bitwise the ascending scan for
+        /// one-block jobs, then tiles that come filled) and the NodeTasks
+        /// fill (the row scan inside the tile, on the calling thread). The
+        /// root is cut into leaves and every leaf is split — evenly,
+        /// unevenly, into one row and the rest, into nothing and
+        /// everything — and the splits
         /// form one batch: where the parent's histogram is "cached" the
         /// smaller child is scanned and the larger derived, elsewhere both
         /// are scanned; every histogram is filed or not at random under the
@@ -1423,14 +1378,11 @@ mod tests {
                 DriverCtx { qm, params: &params, pool: &pool, partition: &part, grads: &grads };
             let search = SplitSearch { settings: &settings, mask: None };
             let out = match fill {
-                0 => build_hists_mp(&ctx, &mut scratch, &mut jobs, search),
-                1 => {
-                    fill_dp(&ctx, &mut scratch, &mut jobs);
-                    finish_dp(&ctx, &mut scratch, &mut jobs, search)
-                }
+                0 => expand(&ctx, &mut scratch, &mut jobs, search, BatchPolicy::Exclusive, None),
+                1 => expand(&ctx, &mut scratch, &mut jobs, search, BatchPolicy::Replicated, None),
                 _ => {
-                    fill_node(&ctx, &mut jobs);
-                    finish_node(&ctx, &mut jobs, search, threads - 1)
+                    let (policy, worker) = (BatchPolicy::NodeTasks, Some(threads - 1));
+                    expand(&ctx, &mut scratch, &mut jobs, search, policy, worker)
                 }
             };
 
@@ -1472,12 +1424,5 @@ mod tests {
             prop_assert!(arena.high_water() <= (threads * 2 * widest * 8) as u64);
             prop_assert!(!all_filed || arena.high_water() == 0);
         }
-    }
-
-    #[test]
-    fn merge_ranges_coalesces() {
-        let mut r = vec![5..7, 0..2, 1..3, 7..7, 6..9];
-        merge_ranges(&mut r);
-        assert_eq!(r, vec![0..3, 5..9]);
     }
 }

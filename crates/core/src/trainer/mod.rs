@@ -16,9 +16,10 @@
 //!
 //! Whatever the mode, a split's children are expanded by one pipeline: the
 //! growth state ([`frontier`]) claims the candidate, plans which child is
-//! scanned and which derived, and files the results; the batch's policy
-//! picks only how a scanned child's lanes are *filled*; and one tile body
-//! (`drivers`) does `parent − small` → FindSplit on the filled lanes. A DP
+//! scanned and which derived, and files the results; one executor
+//! ([`expand`]) runs the batch, its policy picking only how a scanned
+//! child's lanes are *filled*; and one tile body does `parent − small` →
+//! FindSplit on the filled lanes. A DP
 //! batch is BuildHist into full-width job buffers (+ the replica reduction)
 //! and one finish region of ⟨job, feature-chunk⟩ tiles. An MP batch is one
 //! region: each ⟨node-block, feature-block⟩ task scans, subtracts and
@@ -32,7 +33,7 @@ mod frontier;
 mod telemetry;
 
 pub use drivers::{
-    build_hists_dp, build_hists_mp, DerivedSibling, DriverCtx, DriverScratch, HistJob, SplitSearch,
+    build_hists_dp, expand, DerivedSibling, DriverCtx, DriverScratch, HistJob, SplitSearch,
     TileJob, TileOutcome,
 };
 
@@ -838,8 +839,8 @@ impl<'a> TreeEngine<'a> {
     /// children: `found[j]` is the best split of job `j`'s node and of its
     /// derived sibling. The mode's policy for the batch picks how the
     /// scanned children's lanes are filled, and whether a child that cannot
-    /// be filed gets a full-width buffer at all; the tile body
-    /// (`drivers`) does the rest.
+    /// be filed gets a full-width buffer at all; `drivers::expand` does the
+    /// rest.
     fn expand(&mut self, children: &mut Children) -> Vec<[Option<SplitCandidate>; 2]> {
         let jobs = &mut children.jobs[..];
         let Some(head) = jobs.first().map(|j| j.node) else {
@@ -848,7 +849,10 @@ impl<'a> TreeEngine<'a> {
         let total_rows: usize = jobs.iter().map(|j| self.partition.node_len(j.node)).sum();
         // A histogram batch is a barrier construct: ASYNC builds one only in
         // its begin phase, which is DP whatever the batch's width.
-        let fused = self.policy(jobs.len(), total_rows) == BatchPolicy::Exclusive;
+        let policy = match self.policy(jobs.len(), total_rows) {
+            BatchPolicy::Exclusive => BatchPolicy::Exclusive,
+            _ => BatchPolicy::Replicated,
+        };
         let ctx = DriverCtx {
             qm: self.qm,
             params: self.params,
@@ -858,8 +862,10 @@ impl<'a> TreeEngine<'a> {
         };
         let search = split_search(&self.settings, &self.feature_mask);
 
-        // A fused batch holds a full-width buffer only for a histogram that
-        // can be filed, and only the parent's own for a sibling that can.
+        // An Exclusive batch holds a full-width buffer only for a histogram
+        // that can be filed, and only the parent's own for a sibling that
+        // can.
+        let fused = policy == BatchPolicy::Exclusive;
         let remaining = self.frontier.remaining();
         let hists = &mut self.frontier.hists;
         for job in jobs.iter_mut() {
@@ -870,31 +876,26 @@ impl<'a> TreeEngine<'a> {
             job.buf = full(job.node).then(|| hists.alloc().zeroed());
         }
 
-        let n = jobs.len() as u32;
-        if !fused {
-            let _phase = self.phase(TracePhase::BuildHist, head, n);
-            drivers::fill_dp(&ctx, &mut self.scratch, jobs);
-        }
         let wall_start = Instant::now();
         let start_ns = self.sink().map(TraceSink::now_ns);
-        let TileOutcome { found, build_ns, find_ns } = if fused {
-            drivers::build_hists_mp(&ctx, &mut self.scratch, jobs, search)
-        } else {
-            drivers::finish_dp(&ctx, &mut self.scratch, jobs, search)
-        };
-        // The one region subtracted and searched (and, fused, built): its
-        // wall goes to the clock (and, tracing, the coordinator lane) in the
-        // proportion the workers spent their time.
+        let TileOutcome { found, fill_ns, build_ns, find_ns } =
+            drivers::expand(&ctx, &mut self.scratch, jobs, search, policy, None);
+        // A Replicated fill is all BuildHist; the tile region's wall goes to
+        // the clock (and, tracing, the coordinator lane) in the proportion
+        // the workers spent their time.
         let wall = wall_start.elapsed().as_nanos() as u64;
-        let build = if build_ns + find_ns == 0 {
-            wall
-        } else {
-            (u128::from(wall) * u128::from(build_ns) / u128::from(build_ns + find_ns)) as u64
-        };
+        let tiles = wall - fill_ns;
+        let build = fill_ns
+            + if build_ns + find_ns == 0 {
+                tiles
+            } else {
+                (u128::from(tiles) * u128::from(build_ns) / u128::from(build_ns + find_ns)) as u64
+            };
         self.clock.add(TracePhase::BuildHist, build);
         self.clock.add(TracePhase::FindSplit, wall - build);
         if let (Some(sink), Some(t0)) = (self.sink(), start_ns) {
             let coord = sink.coordinator_lane();
+            let n = jobs.len() as u32;
             sink.record(coord, TracePhase::BuildHist, head, n, t0, t0 + build);
             sink.record(coord, TracePhase::FindSplit, head, n, t0 + build, t0 + wall);
         }
