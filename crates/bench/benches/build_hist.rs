@@ -32,6 +32,9 @@ struct Fixture {
 fn setup(kind: DatasetKind, scale: f64) -> Fixture {
     let d = SynthConfig::new(kind, 1).with_scale(scale).generate();
     let qm = QuantizedMatrix::from_matrix(&d.features, BinningConfig::default());
+    // A sparse store transposes its CSC into a CSR on the first row read:
+    // read one here, so no timed iteration pays for the transpose.
+    qm.sparse_csr();
     let n = qm.n_rows();
     let grads: Vec<[f32; 2]> = (0..n).map(|i| [((i % 17) as f32) - 8.0, 0.25]).collect();
     let rows: Vec<u32> = (0..n as u32).collect();

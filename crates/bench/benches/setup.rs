@@ -4,7 +4,9 @@
 //! 30% density — and, on the end-to-end benchmark's own shapes, the two
 //! passes of the sparse path (the 1 800 × 4 096 CSR `yfcc` train split at
 //! S ≈ 0.31, whose rows hold ≈ 1 270 features where the 8-feature CSR above
-//! shows no transpose cost) plus `setup_yfcc`, its whole set-up through
+//! shows no transpose cost; neither pass builds the store's CSR, which the
+//! first row read transposes from its CSC) plus `setup_yfcc`, its whole
+//! set-up through
 //! `QuantizedMatrix::from_matrix` — the benchmark's path, on which pass 1
 //! also bins the columns it sorts, its store checked against `with_mapper`'s
 //! — and, on the dense 360 000 × 28 `higgs` train
@@ -72,9 +74,11 @@ fn bench_passes(
 /// The whole sparse set-up as the end-to-end benchmark runs it,
 /// `QuantizedMatrix::from_matrix`: pass 1 bins every column it sorts, so
 /// `quantize_yfcc` (`with_mapper`, which searches every bin) no longer times
-/// the path the benchmark takes. Its store is compared byte for byte with
-/// `with_mapper`'s of the same mapper outside the timed closure, so `--
-/// --test` (CI) checks pass 1's bins on the full shape.
+/// the path the benchmark takes. Set-up builds the CSC alone; the CSR is
+/// transposed from it on the first row read, which no timed closure makes.
+/// The store is compared byte for byte with `with_mapper`'s of the same
+/// mapper outside the timed closure, CSR included, so `-- --test` (CI)
+/// checks pass 1's bins and the transpose back on the full shape.
 fn bench_setup_sparse(group: &mut criterion::BenchmarkGroup<'_>, n: usize, matrix: &FeatureMatrix) {
     let walked = QuantizedMatrix::from_matrix(matrix, BinningConfig::default());
     let searched = QuantizedMatrix::with_mapper(matrix, walked.mapper().clone());

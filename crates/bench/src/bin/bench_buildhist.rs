@@ -32,6 +32,9 @@ struct Fixture {
 fn fixture(kind: DatasetKind, scale: f64, seed: u64) -> Fixture {
     let d = SynthConfig::new(kind, seed).with_scale(scale).generate();
     let qm = harp_bench::quantize_default(&d.features);
+    // A sparse store transposes its CSC into a CSR on the first row read
+    // (the sparse row-scan cell): read one here, outside every timing.
+    qm.sparse_csr();
     let n = qm.n_rows();
     let grads: Vec<[f32; 2]> = (0..n).map(|i| [((i % 17) as f32) - 8.0, 0.25]).collect();
     let rows: Vec<u32> = (0..n as u32).collect();
@@ -244,6 +247,7 @@ fn main() {
     let bundle_matrix = FeatureMatrix::Sparse(CsrMatrix::from_rows(bm, &bundle_rows));
     let sparse_qm =
         QuantizedMatrix::from_matrix_opts(&bundle_matrix, low_card, LayoutOptions::uncompressed());
+    sparse_qm.sparse_csr();
     let bundled_qm =
         QuantizedMatrix::from_matrix_opts(&bundle_matrix, low_card, LayoutOptions::default());
     let bundled_on = bundled_qm.is_bundled();

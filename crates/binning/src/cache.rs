@@ -113,7 +113,8 @@ pub enum CacheError {
         /// Index of the corrupt chunk.
         chunk: usize,
     },
-    /// The header or a structure inside it failed to parse.
+    /// The header or a structure inside it failed to parse, or a chunk
+    /// blob's row count disagrees with its table entry.
     Malformed(String),
 }
 
@@ -553,8 +554,10 @@ impl Source {
 }
 
 /// Checks chunks `range` against their table checksums, a few blobs at a
-/// time ([`fnv1a_each`]), releasing each group once it is hashed; the error
-/// names the lowest failing chunk.
+/// time ([`fnv1a_each`]), releasing each group once it is hashed, and each
+/// blob's row count against its table entry: a blob is input from outside
+/// the program, and one whose checksum matches may still lie about its
+/// rows. The error names the lowest failing chunk.
 fn verify_chunks(
     source: &Source,
     table: &[ChunkMeta],
@@ -567,12 +570,22 @@ fn verify_chunks(
             .map(|meta| source.blob(meta))
             .collect::<std::io::Result<Vec<SharedBytes>>>()?;
         let sums = fnv1a_each(&blobs.iter().map(|b| &b[..]).collect::<Vec<_>>());
+        // Kind and u4 flag, then the row count.
+        let rows: Vec<Option<u64>> = blobs
+            .iter()
+            .map(|b| Some(u64::from_le_bytes(b.get(2..10)?.try_into().ok()?)))
+            .collect();
         for meta in &table[group.clone()] {
             source.release(meta.span());
         }
-        for (c, sum) in group.zip(sums) {
+        for ((c, sum), rows) in group.zip(sums).zip(rows) {
             if sum != table[c].checksum {
                 return Err(CacheError::ChecksumMismatch { chunk: c });
+            }
+            if rows != Some(table[c].n_rows) {
+                return Err(CacheError::Malformed(format!(
+                    "chunk {c} holds another row count than its table entry"
+                )));
             }
         }
     }
@@ -962,6 +975,7 @@ impl QuantStore for ChunkedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::fnv1a;
     use crate::mapper::BinningConfig;
     use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
 
@@ -1279,6 +1293,133 @@ mod tests {
                     assert_eq!(a, b, "feature {f}, {rows_per_chunk}-row chunks");
                 }
                 drop(store);
+                std::fs::remove_file(&path).unwrap();
+            }
+        }
+    }
+
+    /// The route in-core sparse splits took before routing walked the CSC
+    /// column: a binary search of each listed row's CSR entries. The oracle
+    /// of [`QuantizedMatrix::route_bins_for`]'s column walk.
+    fn route_by_row_search(qm: &QuantizedMatrix, f: usize, rows: &[u32]) -> Vec<u8> {
+        rows.iter()
+            .map(|&r| {
+                let (cols, bins) = qm.sparse_row(r as usize).expect("sparse storage");
+                cols.binary_search(&(f as u32)).map_or(crate::MISSING_BIN, |i| bins[i])
+            })
+            .collect()
+    }
+
+    /// Column-walk routing equals the per-row search, in core and through a
+    /// ten-chunk store, over columns that hold every row, every seventh
+    /// row, only the rows below 200, one row and none, and over node row
+    /// lists that are empty, one row, rows past a column's last entry,
+    /// strides longer than a gallop's linear steps and random subsets.
+    #[test]
+    fn column_walk_routing_equals_the_per_row_search() {
+        use crate::quantized::{LayoutOptions, GALLOP_AFTER};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let n = 600usize;
+        let rows: Vec<Vec<(u32, f32)>> = (0..n)
+            .map(|r| {
+                let mut row = vec![(0, (r % 13) as f32)];
+                if r % 7 == 0 {
+                    row.push((1, (r % 5) as f32));
+                }
+                if r < 200 {
+                    row.push((2, (r % 3) as f32));
+                }
+                if r == 311 {
+                    row.push((3, 1.0));
+                }
+                row
+            })
+            .collect();
+        let qm = QuantizedMatrix::from_matrix_opts(
+            &FeatureMatrix::Sparse(CsrMatrix::from_rows(5, &rows)),
+            BinningConfig::default(),
+            LayoutOptions::uncompressed(),
+        );
+        assert!(qm.sparse_col(4).is_some_and(|(rows, _)| rows.is_empty()));
+        let stride = 3 * GALLOP_AFTER;
+        let mut lists: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![0],
+            vec![311],
+            vec![n as u32 - 1],
+            (0..n as u32).collect(),
+            (250..n as u32).collect(),
+            (0..n as u32).step_by(stride).collect(),
+            (5..n as u32).step_by(stride + 1).collect(),
+        ];
+        let mut rng = StdRng::seed_from_u64(34);
+        for _ in 0..48 {
+            let density = rng.gen::<f64>().powi(3);
+            lists.push((0..n as u32).filter(|_| rng.gen_bool(density)).collect());
+        }
+        let path = tmp_path("column_walk");
+        write_cache(&qm, 64, &path).unwrap();
+        let store = ChunkedStore::open(&path, u64::MAX).unwrap();
+        assert_eq!(store.n_chunks(), 10);
+        for list in &lists {
+            for f in 0..qm.n_features() {
+                let want = route_by_row_search(&qm, f, list);
+                let (mut walked, mut in_core, mut chunked) = (Vec::new(), Vec::new(), Vec::new());
+                qm.route_bins_for(f, list, &mut walked);
+                QuantStore::gather_route_bins(&qm, f, list, &mut in_core);
+                store.gather_route_bins(f, list, &mut chunked);
+                let what = format!("feature {f}, {} rows", list.len());
+                assert_eq!(walked, want, "{what}");
+                assert_eq!(in_core, want, "{what}, in core");
+                assert_eq!(chunked, want, "{what}, chunked");
+            }
+        }
+        drop(store);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Rewrites chunk `c`'s blob of the `n_chunks`-chunk cache at `path`
+    /// with `craft`, and its table checksum to match: a cache whose every
+    /// checksum holds while its counts lie.
+    fn recraft(path: &Path, n_chunks: usize, c: usize, craft: impl FnOnce(&mut [u8])) {
+        let mut bytes = std::fs::read(path).unwrap();
+        let word = |bytes: &[u8], at: usize| {
+            u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize
+        };
+        let table_end = DATA_PRELUDE as usize + word(&bytes, 12);
+        let entry = table_end - (n_chunks - c) * TABLE_ENTRY;
+        let blob = word(&bytes, entry)..word(&bytes, entry) + word(&bytes, entry + 8);
+        craft(&mut bytes[blob.clone()]);
+        let sum = fnv1a(&bytes[blob]);
+        bytes[entry + 16..entry + 24].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(path, bytes).unwrap();
+    }
+
+    /// A blob whose row count is not its table entry's fails `open` with a
+    /// typed error — dense, bundled and sparse, whether the count would
+    /// overflow the sizes it implies, ask for terabytes, or be one too many
+    /// — where it used to pass the checksum and abort or panic in the
+    /// chunk's first decode, mid-training.
+    #[test]
+    fn a_cache_whose_row_counts_lie_fails_to_open() {
+        let one_hot: Vec<Vec<(u32, f32)>> = (0..64usize)
+            .map(|r| (0..16).map(|g| ((g * 4 + r % 4) as u32, 1.0 + (r % 4) as f32)).collect())
+            .collect();
+        let bundled = QuantizedMatrix::from_matrix(
+            &FeatureMatrix::Sparse(CsrMatrix::from_rows(64, &one_hot)),
+            BinningConfig::default(),
+        );
+        let sparse = sparse_qm(64, 5);
+        assert!(bundled.is_bundled() && sparse.sparse_col(0).is_some());
+        for (tag, qm) in [("d", dense_qm(64, 4)), ("b", bundled), ("s", sparse)] {
+            for lie in [u64::MAX, 1 << 62, 1 << 40, 17] {
+                let path = tmp_path(&format!("lie_{tag}"));
+                write_cache(&qm, 16, &path).unwrap();
+                recraft(&path, 4, 1, |blob| blob[2..10].copy_from_slice(&lie.to_le_bytes()));
+                match ChunkedStore::open(&path, u64::MAX).err() {
+                    Some(CacheError::Malformed(m)) => assert!(m.contains("chunk 1"), "{m}"),
+                    other => panic!("{tag}, {lie} rows: {other:?}"),
+                }
                 std::fs::remove_file(&path).unwrap();
             }
         }

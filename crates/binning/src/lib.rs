@@ -11,12 +11,13 @@
 //!   value→bin lookup.
 //! * [`QuantizedMatrix`] — the binned dataset in both row-major and
 //!   column-major layouts (data parallelism scans rows; feature/model
-//!   parallelism scans columns), with CSR/CSC pairs for sparse data, written
-//!   by row-block tasks in parallel.
+//!   parallelism scans columns), written by row-block tasks in parallel;
+//!   sparse data is stored as a CSC, and its CSR is made on the first row
+//!   read.
 //!
 //! Together the two are *set-up*: what a user pays before the first tree.
 //! It holds `threads × (n_rows × 6 + 260 KiB)` transient bytes beyond the
-//! storage it returns (plus `nnz × 8` for sparse input);
+//! storage it returns (plus `nnz × 4` for sparse input);
 //! `tests/setup_footprint.rs` gates that with a counting allocator.
 //!
 //! One bin id is reserved as the missing-value sentinel in dense storage, so
@@ -46,6 +47,7 @@ pub use cache::{
 };
 pub use mapper::{BinMapper, BinningConfig, FeatureCuts};
 pub use quantized::{
-    LayoutOptions, LayoutStats, QuantizedMatrix, SetupTimings, U4Pack, MISSING_BIN, MISSING_NIBBLE,
+    seek_row, LayoutOptions, LayoutStats, QuantizedMatrix, SetupTimings, U4Pack, MISSING_BIN,
+    MISSING_NIBBLE,
 };
 pub use store::{sweep_chunks, ChunkIoStats, ChunkRun, PinnedChunk, QuantStore, Rows, StoreLayout};

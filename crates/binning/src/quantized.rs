@@ -9,8 +9,11 @@
 //!   block across the rows of one node — served by column-major dense
 //!   storage or CSC.
 //!
-//! Both layouts are materialized at construction; the 2× memory cost of the
-//! 1-byte bins is still 2× smaller than the original 4-byte floats.
+//! Dense storage materializes both layouts at construction; the 2× memory
+//! cost of the 1-byte bins is still 2× smaller than the original 4-byte
+//! floats. Sparse storage is built as the CSC alone, and its CSR is the
+//! transpose of that CSC, made on the first row read: a run that only
+//! scans columns never holds it.
 //!
 //! Two compressed layouts ride on top (see DESIGN.md §13):
 //!
@@ -28,7 +31,8 @@ use crate::mapper::{bins_while_cutting, BinLookup, BinMapper, BinningConfig};
 use crate::setup::{
     run_tasks, setup_threads, split_mut, split_ranges, CscCopy, SetupInput, ValueCsc,
 };
-use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
+use harp_data::{DenseMatrix, FeatureMatrix};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Dense-storage sentinel for a missing value. Real bins are `0..=254`.
@@ -50,6 +54,37 @@ struct QCsc {
     indptr: Vec<usize>,
     rows: Vec<u32>,
     bins: Vec<u8>,
+}
+
+impl QCsc {
+    /// The CSR of the same entries: the transpose of the transpose, with
+    /// columns ascending in every row.
+    fn to_csr(&self, n_rows: usize) -> QCsr {
+        let CscCopy { indptr, rows: cols, vals: bins } =
+            CscCopy::transpose(n_rows, &self.indptr, &self.rows, &self.bins, setup_threads());
+        QCsr { indptr, cols, bins }
+    }
+}
+
+/// Linear steps [`seek_row`] takes before it gallops.
+pub(crate) const GALLOP_AFTER: usize = 16;
+
+/// One step of a merge-walk down a CSC column whose rows `col_rows` ascend:
+/// the first position at or after `k` whose row is not below `row`. Up to
+/// 16 linear steps, then a binary search of the rest (a skewed column
+/// degrades a linear cursor to O(entries) per node). Column scans and split
+/// routing both walk a column's rows this way.
+#[inline]
+pub fn seek_row(col_rows: &[u32], mut k: usize, row: u32) -> usize {
+    let mut steps = 0usize;
+    while k < col_rows.len() && col_rows[k] < row {
+        k += 1;
+        steps += 1;
+        if steps == GALLOP_AFTER {
+            return k + col_rows[k..].partition_point(|&r| r < row);
+        }
+    }
+    k
 }
 
 /// Nibble-packed (u4) copy of dense storage: two bins per byte in both
@@ -216,8 +251,11 @@ enum Storage {
         col_major: SharedBytes,
         n_cols: usize,
     },
+    /// Built as the CSC; the CSR is filled by the first row read
+    /// ([`QuantizedMatrix::sparse_rows`]), or set by a chunk decode, whose
+    /// blob holds it.
     Sparse {
-        csr: QCsr,
+        csr: OnceLock<QCsr>,
         csc: QCsc,
     },
 }
@@ -258,18 +296,20 @@ pub struct LayoutStats {
 #[derive(Debug, Clone, Copy)]
 pub struct SetupTimings {
     /// Pass 1: gathering columns and searching their cuts. For sparse input
-    /// also the CSR → CSC transpose before it and the bins of every column
-    /// shorter than 2¹⁵ entries, which the cut search's sort writes.
+    /// also the CSR → CSC scatter of the values before it and the bins of
+    /// every column shorter than 2¹⁵ entries, which the cut search's sort
+    /// writes.
     pub cut_secs: f64,
     /// Pass 2: quantizing into both majors, then layout selection (u4
     /// packing, bundling). For sparse input that is binning the columns of
-    /// 2¹⁵ entries and more, the gather back to CSR order and layout
-    /// selection.
+    /// 2¹⁵ entries and more, scattering the row ids into the values' buffer
+    /// and layout selection.
     pub quantize_secs: f64,
 }
 
 /// A binned dataset: [`BinMapper`] plus `u8` bin storage in both row- and
-/// column-major layouts.
+/// column-major layouts (sparse storage makes its row-major CSR on the
+/// first row read).
 #[derive(Debug, Clone)]
 pub struct QuantizedMatrix {
     n_rows: usize,
@@ -312,6 +352,14 @@ impl QuantizedMatrix {
     ) -> (Self, SetupTimings) {
         let start = Instant::now();
         let input = SetupInput::new(matrix, threads);
+        // Every input entry gets a bin, so an input row's length is its
+        // count of present features with a bin.
+        let longest_row = match matrix {
+            FeatureMatrix::Sparse(s) => {
+                Some(s.parts().0.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0))
+            }
+            FeatureMatrix::Dense(_) => None,
+        };
         // Zeroed, not filled: first touched by the pass that bins the column.
         let mut csc_bins = match &input {
             SetupInput::Sparse(_, csc) => Some(vec![0u8; csc.vals.len()]),
@@ -321,8 +369,8 @@ impl QuantizedMatrix {
         let cut_secs = start.elapsed().as_secs_f64();
         let start = Instant::now();
         let mut qm = Self::from_input(input, mapper, layout, threads, csc_bins);
-        if layout.compress {
-            qm.try_bundle();
+        if let Some(longest_row) = longest_row.filter(|_| layout.compress) {
+            qm.try_bundle(longest_row);
         }
         (qm, SetupTimings { cut_secs, quantize_secs: start.elapsed().as_secs_f64() })
     }
@@ -375,17 +423,10 @@ impl QuantizedMatrix {
             }
             SetupInput::Sparse(sparse, value_csc) => {
                 let n_rows = sparse.n_rows();
-                let (csr, csc) = quantize_sparse(sparse, value_csc, &mapper, threads, csc_bins);
+                let csc = quantize_sparse(value_csc, &mapper, threads, csc_bins);
                 let storage = match mapper.bundles() {
-                    Some(map) => {
-                        let (row_major, col_major, n_cols) = build_bundled(n_rows, &csr, map);
-                        Storage::Bundled {
-                            row_major: row_major.into(),
-                            col_major: col_major.into(),
-                            n_cols,
-                        }
-                    }
-                    None => Storage::Sparse { csr, csc },
+                    Some(map) => bundled_storage(n_rows, &csc, map),
+                    None => Storage::Sparse { csr: OnceLock::new(), csc },
                 };
                 (n_rows, storage)
             }
@@ -393,13 +434,11 @@ impl QuantizedMatrix {
         Self { n_rows, mapper, storage }
     }
 
-    /// Runs the EFB planning pass on sparse storage and switches to bundled
-    /// dense columns when profitable (no-op otherwise).
-    fn try_bundle(&mut self) {
-        let Storage::Sparse { csr, csc } = &self.storage else { return };
-        // Every stored entry has a bin, so a CSR row's length is its count of
-        // present features with a bin.
-        let longest_row = csr.indptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+    /// Runs the EFB planning pass on sparse storage, whose longest row holds
+    /// `longest_row` entries, and switches to bundled dense columns when
+    /// profitable (no-op otherwise).
+    fn try_bundle(&mut self, longest_row: usize) {
+        let Storage::Sparse { csc, .. } = &self.storage else { return };
         if too_long_a_row_to_bundle(longest_row, self.n_features()) {
             return;
         }
@@ -408,10 +447,17 @@ impl QuantizedMatrix {
             &csc.rows[csc.indptr[f]..csc.indptr[f + 1]]
         });
         let Some(map) = map else { return };
-        let (row_major, col_major, n_cols) = build_bundled(self.n_rows, csr, &map);
+        self.storage = bundled_storage(self.n_rows, csc, &map);
         self.mapper.set_bundles(map);
-        self.storage =
-            Storage::Bundled { row_major: row_major.into(), col_major: col_major.into(), n_cols };
+    }
+
+    /// The sparse CSR, transposed from the CSC on the first call, or `None`
+    /// for dense/bundled storage. Every row read goes through here.
+    fn sparse_rows(&self) -> Option<&QCsr> {
+        match &self.storage {
+            Storage::Sparse { csr, csc } => Some(csr.get_or_init(|| csc.to_csr(self.n_rows))),
+            _ => None,
+        }
     }
 
     /// Number of rows.
@@ -493,12 +539,9 @@ impl QuantizedMatrix {
                 let b = u16::from(b);
                 (b >= slot.offset && b < slot.offset + slot.width).then(|| (b - slot.offset) as u8)
             }
-            Storage::Sparse { csr, .. } => {
-                let span = csr.indptr[row]..csr.indptr[row + 1];
-                csr.cols[span.clone()]
-                    .binary_search(&(f as u32))
-                    .ok()
-                    .map(|i| csr.bins[span.start + i])
+            Storage::Sparse { .. } => {
+                let (cols, bins) = self.sparse_row(row).expect("sparse storage");
+                cols.binary_search(&(f as u32)).ok().map(|i| bins[i])
             }
         }
     }
@@ -587,10 +630,9 @@ impl QuantizedMatrix {
                     }
                 }
             }
-            Storage::Sparse { csr, .. } => {
-                for i in csr.indptr[row]..csr.indptr[row + 1] {
-                    visit(csr.cols[i], csr.bins[i]);
-                }
+            Storage::Sparse { .. } => {
+                let (cols, bins) = self.sparse_row(row).expect("sparse storage");
+                cols.iter().zip(bins).for_each(|(&c, &b)| visit(c, b));
             }
         }
     }
@@ -644,41 +686,35 @@ impl QuantizedMatrix {
 
     /// The raw sparse CSR arrays as `(indptr, cols, bins)`, or `None` for
     /// dense/bundled storage. Row `r` owns entries `indptr[r]..indptr[r+1]`
-    /// of `cols`/`bins`; columns are strictly ascending within a row.
+    /// of `cols`/`bins`; columns are strictly ascending within a row. The
+    /// first row read of a matrix builds its CSR.
     pub fn sparse_csr(&self) -> Option<(&[usize], &[u32], &[u8])> {
-        match &self.storage {
-            Storage::Sparse { csr, .. } => Some((&csr.indptr, &csr.cols, &csr.bins)),
-            _ => None,
-        }
+        self.sparse_rows().map(|csr| (&csr.indptr[..], &csr.cols[..], &csr.bins[..]))
     }
 
     /// Sparse CSR entries of row `r` as `(cols, bins)` slices, or `None`
     /// for dense/bundled storage.
     pub fn sparse_row(&self, r: usize) -> Option<(&[u32], &[u8])> {
-        match &self.storage {
-            Storage::Sparse { csr, .. } => {
-                let span = csr.indptr[r]..csr.indptr[r + 1];
-                Some((&csr.cols[span.clone()], &csr.bins[span]))
-            }
-            _ => None,
-        }
+        self.sparse_rows().map(|csr| {
+            let span = csr.indptr[r]..csr.indptr[r + 1];
+            (&csr.cols[span.clone()], &csr.bins[span])
+        })
     }
 
-    /// Approximate heap footprint of the bin storage in bytes (compressed
-    /// side-copies included).
+    /// Decoded-equivalent heap bytes of the bin storage (compressed
+    /// side-copies included). Sparse storage counts both majors, a 4-byte
+    /// index and a 1-byte bin per entry in each plus their offset arrays,
+    /// whether or not its CSR has been built: the figure is a property of
+    /// the data, equal for an in-core matrix and the slabs of its cache.
     pub fn storage_bytes(&self) -> usize {
         match &self.storage {
             Storage::Dense { row_major, col_major, u4 } => {
                 row_major.len() + col_major.len() + u4.as_ref().map_or(0, U4Pack::bytes)
             }
             Storage::Bundled { row_major, col_major, .. } => row_major.len() + col_major.len(),
-            Storage::Sparse { csr, csc } => {
-                csr.bins.len()
-                    + csr.cols.len() * 4
-                    + csr.indptr.len() * 8
-                    + csc.bins.len()
-                    + csc.rows.len() * 4
-                    + csc.indptr.len() * 8
+            Storage::Sparse { csc, .. } => {
+                let nnz = csc.rows.len();
+                (nnz + nnz * 4 + (self.n_rows + 1) * 8) + (nnz + nnz * 4 + csc.indptr.len() * 8)
             }
         }
     }
@@ -689,7 +725,9 @@ impl QuantizedMatrix {
     /// drives split routing uniformly across storages — `MISSING_BIN`
     /// follows the split's default direction, any real bin compares against
     /// the threshold — which is what lets a chunked store hand ApplySplit an
-    /// owned per-node gather instead of a borrowed column.
+    /// owned per-node gather instead of a borrowed column. `rows` must
+    /// ascend: sparse storage merges them with the column's CSC rows
+    /// ([`seek_row`]), so routing never builds the CSR.
     pub fn route_bins_for(&self, f: usize, rows: &[u32], out: &mut Vec<u8>) {
         out.reserve(rows.len());
         match &self.storage {
@@ -714,12 +752,16 @@ impl QuantizedMatrix {
                     }
                 }));
             }
-            Storage::Sparse { csr, .. } => {
+            Storage::Sparse { csc, .. } => {
+                let span = csc.indptr[f]..csc.indptr[f + 1];
+                let (col_rows, col_bins) = (&csc.rows[span.clone()], &csc.bins[span]);
+                let mut k = 0;
                 out.extend(rows.iter().map(|&r| {
-                    let span = csr.indptr[r as usize]..csr.indptr[r as usize + 1];
-                    match csr.cols[span.clone()].binary_search(&(f as u32)) {
-                        Ok(i) => csr.bins[span.start + i],
-                        Err(_) => MISSING_BIN,
+                    k = seek_row(col_rows, k, r);
+                    if col_rows.get(k) == Some(&r) {
+                        col_bins[k]
+                    } else {
+                        MISSING_BIN
                     }
                 }));
             }
@@ -742,8 +784,9 @@ impl QuantizedMatrix {
                 2 * n * m + u4_bytes
             }
             Storage::Bundled { n_cols, .. } => 2 * n * n_cols,
-            Storage::Sparse { csr, .. } => {
-                let e = csr.indptr[rows.end] - csr.indptr[rows.start];
+            Storage::Sparse { .. } => {
+                let (indptr, _, _) = self.sparse_csr().expect("sparse storage");
+                let e = indptr[rows.end] - indptr[rows.start];
                 (e + e * 4 + (n + 1) * 8) + (e + e * 4 + (m + 1) * 8)
             }
         }
@@ -764,8 +807,9 @@ impl QuantizedMatrix {
                 head + 2 * n * m + u4_bytes
             }
             Storage::Bundled { n_cols, .. } => head + 8 + 2 * n * n_cols,
-            Storage::Sparse { csr, .. } => {
-                let nnz = csr.indptr[rows.end] - csr.indptr[rows.start];
+            Storage::Sparse { .. } => {
+                let (indptr, _, _) = self.sparse_csr().expect("sparse storage");
+                let nnz = indptr[rows.end] - indptr[rows.start];
                 head + 8 + (n + 1) * 8 + nnz * (4 + 1)
             }
         }
@@ -826,20 +870,21 @@ impl QuantizedMatrix {
                     out.extend_from_slice(&col[rows.clone()]);
                 }
             }
-            Storage::Sparse { csr, .. } => {
+            Storage::Sparse { .. } => {
+                let (indptr, cols, bins) = self.sparse_csr().expect("sparse storage");
                 out.push(2);
                 out.push(0);
                 put_u64(out, n as u64);
-                let base = csr.indptr[rows.start];
-                let nnz = csr.indptr[rows.end] - base;
+                let base = indptr[rows.start];
+                let nnz = indptr[rows.end] - base;
                 put_u64(out, nnz as u64);
-                for r in rows.start..=rows.end {
-                    put_u64(out, (csr.indptr[r] - base) as u64);
+                for &at in &indptr[rows.start..=rows.end] {
+                    put_u64(out, (at - base) as u64);
                 }
-                for &c in &csr.cols[base..base + nnz] {
+                for &c in &cols[base..base + nnz] {
                     put_u32(out, c);
                 }
-                out.extend_from_slice(&csr.bins[base..base + nnz]);
+                out.extend_from_slice(&bins[base..base + nnz]);
             }
         }
     }
@@ -863,14 +908,26 @@ impl QuantizedMatrix {
             cur.take(len).ok_or_else(|| format!("chunk blob truncated: {what}"))?;
             Ok(blob.slice(start..start + len))
         };
+        // The counts are read from the blob too: the bytes a count implies
+        // must be left in it before anything of that size is viewed or
+        // allocated, and the product must not overflow.
+        let sized = |cur: &Cursor, count: usize, width: usize, what: &str| {
+            count
+                .checked_mul(width)
+                .filter(|&len| len <= cur.remaining())
+                .ok_or_else(|| format!("chunk blob too short for its {what}"))
+        };
         let kind = cur.get_u8().ok_or("chunk blob truncated: kind")?;
         let want_u4 = cur.get_u8().ok_or("chunk blob truncated: u4 flag")? != 0;
         let n = cur.get_u64().ok_or("chunk blob truncated: n_rows")? as usize;
         let storage = match kind {
             0 => {
-                let row_major = view(&mut cur, n * m, "dense rows")?;
-                let col_major = view(&mut cur, n * m, "dense cols")?;
+                let cells = sized(&cur, n, m, "dense cells")?;
+                let row_major = view(&mut cur, cells, "dense rows")?;
+                let col_major = view(&mut cur, cells, "dense cols")?;
                 let u4 = if want_u4 {
+                    // No larger than the dense cells already taken: the
+                    // products cannot overflow, and `view` checks the rest.
                     let rm = view(&mut cur, n * m.div_ceil(2), "u4 rows")?;
                     let cm = view(&mut cur, m * n.div_ceil(2), "u4 cols")?;
                     let clean: Vec<bool> = cur
@@ -890,19 +947,23 @@ impl QuantizedMatrix {
                 if mapper.bundles().is_none() {
                     return Err("bundled chunk but mapper has no bundle map".into());
                 }
-                let row_major = view(&mut cur, n * n_cols, "bundled rows")?;
-                let col_major = view(&mut cur, n * n_cols, "bundled cols")?;
+                let cells = sized(&cur, n, n_cols, "bundled cells")?;
+                let row_major = view(&mut cur, cells, "bundled rows")?;
+                let col_major = view(&mut cur, cells, "bundled cols")?;
                 Storage::Bundled { row_major, col_major, n_cols }
             }
             2 => {
                 let nnz = cur.get_u64().ok_or("chunk blob truncated: nnz")? as usize;
-                let mut indptr = Vec::with_capacity(n + 1);
-                for _ in 0..=n {
+                let offsets = n.checked_add(1).ok_or("chunk row count out of range")?;
+                sized(&cur, offsets, 8, "indptr")?;
+                let mut indptr = Vec::with_capacity(offsets);
+                for _ in 0..offsets {
                     indptr.push(cur.get_u64().ok_or("chunk blob truncated: indptr")? as usize);
                 }
                 if indptr[0] != 0 || indptr[n] != nnz || indptr.windows(2).any(|w| w[0] > w[1]) {
                     return Err("chunk indptr does not walk nnz entries".into());
                 }
+                sized(&cur, nnz, 4 + 1, "entries")?;
                 let mut cols = Vec::with_capacity(nnz);
                 for _ in 0..nnz {
                     cols.push(cur.get_u32().ok_or("chunk blob truncated: cols")?);
@@ -911,12 +972,13 @@ impl QuantizedMatrix {
                 if cols.iter().any(|&c| c as usize >= m) {
                     return Err("chunk column id out of range".into());
                 }
-                // The CSC mirror by the transpose construction uses, on this
-                // thread: chunks are decoded by tasks of their own.
-                let CscCopy { indptr: csc_indptr, rows, vals: csc_bins, .. } =
+                // The blob holds the CSR; its CSC comes from the transpose
+                // construction uses, on this thread: chunks are decoded by
+                // tasks of their own.
+                let CscCopy { indptr: csc_indptr, rows, vals: csc_bins } =
                     CscCopy::transpose(m, &indptr, &cols, &bins, 1);
                 Storage::Sparse {
-                    csr: QCsr { indptr, cols, bins },
+                    csr: OnceLock::from(QCsr { indptr, cols, bins }),
                     csc: QCsc { indptr: csc_indptr, rows, bins: csc_bins },
                 }
             }
@@ -999,25 +1061,22 @@ fn quantize_block(values: &[f32], mapper: &BinMapper, rows: &mut [u8], cols: &mu
     }
 }
 
-/// Quantizes a sparse matrix into CSR + CSC bin storage from its value CSC:
-/// ⟨feature-range⟩ tasks quantize column-at-a-time (one cut table live per
-/// task), then the ⟨row-block⟩ tasks of the transpose gather the bins back
-/// into CSR order, each writing its own rows of the CSR arrays.
-/// `value_csc.rows` becomes the CSC mirror's row ids as is. Given
+/// Quantizes a sparse matrix from its value CSC: ⟨feature-range⟩ tasks
+/// quantize column-at-a-time (one cut table live per task), then the
+/// values' buffer takes the CSC's row ids ([`ValueCsc::into_rows`]). Given
 /// `csc_bins` from pass 1, the columns it sorted are binned already
 /// ([`bins_while_cutting`]) and only the long ones are binned here.
 fn quantize_sparse(
-    sparse: &CsrMatrix,
-    mut value_csc: ValueCsc,
+    value_csc: ValueCsc<'_>,
     mapper: &BinMapper,
     threads: usize,
     csc_bins: Option<Vec<u8>>,
-) -> (QCsr, QCsc) {
+) -> QCsc {
     let (col_ptr, vals) = (&value_csc.indptr, &value_csc.vals);
     let binned_while_cutting = csc_bins.is_some();
     let mut csc_bins = csc_bins.unwrap_or_else(|| vec![0u8; vals.len()]);
     assert_eq!(csc_bins.len(), vals.len(), "one bin per entry of the value CSC");
-    let ranges = split_ranges(sparse.n_cols(), threads, 1);
+    let ranges = split_ranges(col_ptr.len() - 1, threads, 1);
     let outputs =
         split_mut(&mut csc_bins, ranges.iter().map(|r| col_ptr[r.end] - col_ptr[r.start]));
     let mut tasks = Vec::new();
@@ -1045,62 +1104,40 @@ fn quantize_sparse(
         });
     }
     run_tasks(tasks);
-    value_csc.vals = Vec::new();
-
-    let (row_ptr, cols, _) = sparse.parts();
-    let (n_rows, nnz) = (sparse.n_rows(), cols.len());
-    // Zeroed, not copied: the pages are first touched by the tasks that own
-    // them.
-    let mut csr = QCsr { indptr: vec![0; n_rows + 1], cols: vec![0; nnz], bins: vec![0; nnz] };
-    csr.indptr[n_rows] = nnz;
-    let blocks = value_csc.gather_blocks();
-    let ptr_out = split_mut(&mut csr.indptr[..n_rows], blocks.iter().map(|b| b.rows.len()));
-    let cols_out = split_mut(&mut csr.cols, blocks.iter().map(|b| b.entries(row_ptr).len()));
-    let bins_out = split_mut(&mut csr.bins, blocks.iter().map(|b| b.entries(row_ptr).len()));
-    let mut tasks = Vec::new();
-    for (((block, ptr), block_cols), block_bins) in
-        blocks.into_iter().zip(ptr_out).zip(cols_out).zip(bins_out)
-    {
-        let csc_bins = &csc_bins;
-        tasks.push(move || {
-            ptr.copy_from_slice(&row_ptr[block.rows.clone()]);
-            block_cols.copy_from_slice(&cols[block.entries(row_ptr)]);
-            block.gather(block_cols, csc_bins, block_bins);
-        });
-    }
-    run_tasks(tasks);
-    let CscCopy { indptr, rows, .. } = value_csc;
-    (csr, QCsc { indptr, rows, bins: csc_bins })
+    let (indptr, rows) = value_csc.into_rows();
+    QCsc { indptr, rows, bins: csc_bins }
 }
 
-/// Materializes bundled dense majors from quantized CSR entries and a
-/// bundle map.
+/// Bundled dense majors from quantized CSC entries and a bundle map: every
+/// member column is written into its bundle's column, and the row major is
+/// the transpose of the result.
 ///
 /// # Panics
 /// Panics if a row holds two members of one bundle: a map is exclusive on
 /// the rows it was planned on, and storing one of the two would drop the
 /// other.
-fn build_bundled(n_rows: usize, csr: &QCsr, map: &BundleMap) -> (Vec<u8>, Vec<u8>, usize) {
+fn bundled_storage(n_rows: usize, csc: &QCsc, map: &BundleMap) -> Storage {
     let n_cols = map.n_cols();
-    let mut row_major = vec![MISSING_BIN; n_rows * n_cols];
-    for r in 0..n_rows {
-        for i in csr.indptr[r]..csr.indptr[r + 1] {
-            let slot = map.slot(csr.cols[i] as usize);
-            if slot.width == 0 {
-                continue;
-            }
-            let cell = &mut row_major[r * n_cols + slot.col as usize];
-            assert_eq!(*cell, MISSING_BIN, "row {r} holds two members of bundle {}", slot.col);
-            *cell = (slot.offset + u16::from(csr.bins[i])) as u8;
-        }
-    }
     let mut col_major = vec![MISSING_BIN; n_rows * n_cols];
-    for r in 0..n_rows {
-        for c in 0..n_cols {
-            col_major[c * n_rows + r] = row_major[r * n_cols + c];
+    for f in 0..csc.indptr.len() - 1 {
+        let slot = map.slot(f);
+        if slot.width == 0 {
+            continue;
+        }
+        let col = &mut col_major[slot.col as usize * n_rows..][..n_rows];
+        for k in csc.indptr[f]..csc.indptr[f + 1] {
+            let r = csc.rows[k] as usize;
+            assert_eq!(col[r], MISSING_BIN, "row {r} holds two members of bundle {}", slot.col);
+            col[r] = (slot.offset + u16::from(csc.bins[k])) as u8;
         }
     }
-    (row_major, col_major, n_cols)
+    let mut row_major = vec![MISSING_BIN; n_rows * n_cols];
+    for (r, row) in row_major.chunks_exact_mut(n_cols).enumerate() {
+        for (c, cell) in row.iter_mut().enumerate() {
+            *cell = col_major[c * n_rows + r];
+        }
+    }
+    Storage::Bundled { row_major: row_major.into(), col_major: col_major.into(), n_cols }
 }
 
 #[cfg(test)]
@@ -1722,6 +1759,85 @@ mod tests {
         blob[indptr_at(2)].copy_from_slice(&2u64.to_le_bytes());
         let err = QuantizedMatrix::decode_chunk(&blob.into(), q.mapper()).map(|_| ()).unwrap_err();
         assert!(err.contains("indptr"), "{err}");
+    }
+
+    /// A chunk blob's counts are input from outside the program too: a
+    /// row, entry or column count the blob's bytes cannot hold is an `Err`
+    /// before anything of its size is allocated or viewed, whether its sizes
+    /// overflow or only outrun the blob — dense with and without the u4
+    /// pack, bundled and sparse.
+    #[test]
+    fn chunk_decode_rejects_counts_the_blob_cannot_hold() {
+        let plain = QuantizedMatrix::from_matrix_opts(
+            &dense_matrix(),
+            BinningConfig::default(),
+            LayoutOptions::uncompressed(),
+        );
+        for q in [
+            QuantizedMatrix::from_matrix(&dense_matrix(), BinningConfig::default()),
+            plain,
+            QuantizedMatrix::from_matrix(&one_hot_matrix(), BinningConfig::default()),
+            QuantizedMatrix::from_matrix(&sparse_matrix(), BinningConfig::default()),
+        ] {
+            let mut blob = Vec::new();
+            q.encode_chunk(0..q.n_rows(), &mut blob);
+            // The row count, then the bundled column or sparse entry count.
+            let fields = [2..10, 10..18];
+            for field in &fields[..if q.is_dense() { 1 } else { 2 }] {
+                for lie in [u64::MAX, 1 << 62, 1 << 40, 1 << 20] {
+                    let mut bad = blob.clone();
+                    bad[field.clone()].copy_from_slice(&lie.to_le_bytes());
+                    let got = QuantizedMatrix::decode_chunk(&bad.into(), q.mapper());
+                    assert!(got.is_err(), "{lie} at {field:?} decoded");
+                }
+            }
+        }
+    }
+
+    /// Sparse set-up as it used to be built: the input's own CSR, every
+    /// entry binned by `value_to_bin`. The oracle of the CSR the first row
+    /// read transposes from the CSC.
+    fn binned_input_csr(csr: &CsrMatrix, mapper: &BinMapper) -> (Vec<usize>, Vec<u32>, Vec<u8>) {
+        let (row_ptr, cols, vals) = csr.parts();
+        let bins = cols.iter().zip(vals).map(|(&c, &v)| mapper.cuts(c as usize).value_to_bin(v));
+        (row_ptr.to_vec(), cols.to_vec(), bins.collect())
+    }
+
+    /// Whether a sparse matrix's CSR has been built.
+    fn holds_a_csr(q: &QuantizedMatrix) -> bool {
+        matches!(&q.storage, Storage::Sparse { csr, .. } if csr.get().is_some())
+    }
+
+    /// Set-up builds the CSC alone; column reads and split routing leave it
+    /// so, and the first row read makes the CSR set-up used to build, byte
+    /// for byte: over the transpose battery's shapes (holes, empty rows and
+    /// columns, one column, wider than long, nothing at all) and the yfcc
+    /// shape, set up at 1, 2, 3 and 7 threads. (`CscCopy::transpose` of the
+    /// CSC is checked at any thread count in `setup.rs`.)
+    #[test]
+    fn the_first_row_read_builds_the_binned_input_csr() {
+        use harp_data::{DatasetKind, SynthConfig};
+        let yfcc = SynthConfig::new(DatasetKind::YfccLike, 5).with_scale(0.05).generate().features;
+        let FeatureMatrix::Sparse(yfcc) = yfcc else { panic!("the yfcc shape is sparse") };
+        let mut matrices = crate::setup::tests::holed_matrices();
+        matrices.push(yfcc);
+        for csr in matrices {
+            let matrix = FeatureMatrix::Sparse(csr.clone());
+            for threads in [1, 2, 3, 7] {
+                let (cfg, layout) = (BinningConfig::default(), LayoutOptions::uncompressed());
+                let q = QuantizedMatrix::from_matrix_threads(&matrix, cfg, layout, threads).0;
+                assert!(!holds_a_csr(&q), "set-up built a CSR");
+                let rows: Vec<u32> = (0..q.n_rows() as u32).step_by(2).collect();
+                for f in 0..q.n_features() {
+                    q.for_each_in_col(f, |_, _| {});
+                    q.route_bins_for(f, &rows, &mut Vec::new());
+                }
+                assert!(!holds_a_csr(&q), "a column read built a CSR");
+                let want = binned_input_csr(&csr, q.mapper());
+                assert_eq!(q.sparse_csr(), Some((&want.0[..], &want.1[..], &want.2[..])));
+                assert!(holds_a_csr(&q));
+            }
+        }
     }
 
     #[test]

@@ -11,11 +11,13 @@
 //! ⟨chunk-range⟩ tasks under the same rule.
 //!
 //! A sparse matrix adds three regions of ⟨row-block⟩ tasks around the two
-//! passes, all over the same blocks: before pass 1, [`CscCopy::transpose`]
-//! counts entries per ⟨block, column⟩ and, after one prefix sum over those
-//! counts, scatters every block's rows into the column-major copy both
-//! passes read; after pass 2's columns are binned, [`BlockGather::gather`]
-//! walks the scatter's cursors back and brings the bins to CSR order.
+//! passes, all over the same blocks ([`Scatter`]): before pass 1 every
+//! block counts its entries per ⟨block, column⟩ and, after one prefix sum
+//! over those counts, scatters its values into the column-major copy both
+//! passes read; after pass 2 has binned them, the blocks walk the same
+//! cursors back and scatter the row ids into the buffer that held the
+//! values. Set-up never builds a CSR: the quantized matrix transposes its
+//! CSC back on the first row read.
 
 use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
 use std::marker::PhantomData;
@@ -65,33 +67,56 @@ pub(crate) fn run_tasks<F: FnOnce() + Send>(tasks: Vec<F>) {
     });
 }
 
-/// Column-major copy of a CSR matrix's entries. Pass 1 reads each column's
-/// values for the cut search; pass 2 quantizes them column-at-a-time (each
-/// feature's cut table is touched once), keeps `rows` as the row ids of the
-/// quantized CSC mirror and brings the bins back to CSR order with
-/// [`gather_blocks`](Self::gather_blocks).
-///
-/// Built by a counting sort whose passes are ⟨row-block⟩ tasks: every block
-/// counts its entries per column, one prefix over the ⟨column, block⟩ counts
-/// (column-major, block-minor, so a column's rows still ascend) gives each
-/// pair its slot range, and every block scatters its own rows through its
-/// own cursors. Where a task's entries land depends on the blocks, what the
-/// copy holds does not.
+/// Column-major copy of a CSR matrix's entries: one [`Scatter`] plan, then
+/// one walk that places the values and the row ids together.
 pub(crate) struct CscCopy<T> {
     /// Column start offsets into `rows`/`vals`; length `n_cols + 1`.
     pub indptr: Vec<usize>,
     /// Row ids, ascending within a column.
     pub rows: Vec<u32>,
     pub vals: Vec<T>,
-    /// The row blocks the copy was scattered by.
-    blocks: Vec<Range<usize>>,
-    /// `cursors[b * n_cols + c]`: one past the last slot of ⟨block `b`,
-    /// column `c`⟩ — where the scatter left that block's cursor.
-    cursors: Vec<usize>,
 }
 
-/// The set-up input's copy: raw values.
-pub(crate) type ValueCsc = CscCopy<f32>;
+/// The set-up input's column-major copy. Pass 1 reads each column's values
+/// for the cut search and pass 2 quantizes them column-at-a-time (each
+/// feature's cut table is touched once); then [`into_rows`](Self::into_rows)
+/// scatters the row ids of the quantized CSC into the buffer that held the
+/// values, so set-up holds one 4-byte array per entry, never two.
+pub(crate) struct ValueCsc<'a> {
+    /// Column start offsets into `vals`; length `n_cols + 1`.
+    pub indptr: Vec<usize>,
+    /// The entries' values, column by column, rows ascending in a column.
+    pub vals: Vec<f32>,
+    scatter: Scatter<'a>,
+}
+
+impl<'a> ValueCsc<'a> {
+    /// Transposes the values of `csr` on at most `threads` threads.
+    fn new(csr: &'a CsrMatrix, threads: usize) -> Self {
+        let (row_ptr, cols, values) = csr.parts();
+        let (indptr, mut scatter) = Scatter::plan(csr.n_cols(), row_ptr, cols, threads);
+        let mut vals = vec![0f32; cols.len()];
+        scatter.place(&mut vals, |_, i| values[i], None);
+        Self { indptr, vals, scatter }
+    }
+
+    /// Entry range of column `f`.
+    pub fn col(&self, f: usize) -> Range<usize> {
+        self.indptr[f]..self.indptr[f + 1]
+    }
+
+    /// Trades the values for the entries' row ids, in the same allocation:
+    /// the `(indptr, rows)` of the quantized CSC.
+    pub fn into_rows(self) -> (Vec<usize>, Vec<u32>) {
+        let Self { indptr, vals, mut scatter } = self;
+        // `f32` and `u32` share size and alignment, so the collect reuses
+        // the values' allocation (`value_buffer_becomes_the_row_ids` pins
+        // it).
+        let mut rows: Vec<u32> = vals.into_iter().map(f32::to_bits).collect();
+        scatter.place(&mut rows, |r, _| r as u32, None);
+        (indptr, rows)
+    }
+}
 
 /// How many row blocks a transpose of `nnz` entries over `n_cols` columns
 /// runs as: one per thread, but no more than keep the `blocks × n_cols`
@@ -145,25 +170,45 @@ fn block_cursors<'a>(
     blocks.iter().cloned().zip(split_mut(cursors, blocks.iter().map(|_| n_cols)))
 }
 
-impl<T: Copy + Default + Send + Sync> CscCopy<T> {
-    /// Transposes the CSR arrays `(row_ptr, cols, vals)` of a matrix with
-    /// `n_cols` columns on at most `threads` threads.
+/// A counting sort of a CSR matrix's entries into column-major slots, run
+/// as ⟨row-block⟩ tasks: every block counts its entries per column, one
+/// prefix over the ⟨column, block⟩ counts (column-major, block-minor, so a
+/// column's rows still ascend) gives each pair its slot range, and then
+/// every [`place`](Self::place) walks each block's own rows through its own
+/// cursors. Where a task's entries land depends on the blocks, what a slot
+/// receives does not.
+pub(crate) struct Scatter<'a> {
+    row_ptr: &'a [usize],
+    cols: &'a [u32],
+    n_cols: usize,
+    /// The row blocks the entries are placed by.
+    blocks: Vec<Range<usize>>,
+    /// `cursors[b * n_cols + c]`: where ⟨block `b`, column `c`⟩'s cursor
+    /// stands — at the first slot of the pair's range, or one past its last
+    /// once a walk went up.
+    cursors: Vec<usize>,
+    /// Whether the cursors stand at the ends of their ranges.
+    at_end: bool,
+}
+
+impl<'a> Scatter<'a> {
+    /// Counts the entries of the CSR arrays `(row_ptr, cols)` of a matrix
+    /// with `n_cols` columns on at most `threads` threads; returns the
+    /// column-major copy's `indptr` (length `n_cols + 1`) and the plan.
     ///
     /// # Panics
     /// Panics on a column id `>= n_cols` or a `row_ptr` that does not walk
     /// `0..cols.len()`.
-    pub fn transpose(
+    pub fn plan(
         n_cols: usize,
-        row_ptr: &[usize],
-        cols: &[u32],
-        vals: &[T],
+        row_ptr: &'a [usize],
+        cols: &'a [u32],
         threads: usize,
-    ) -> Self {
+    ) -> (Vec<usize>, Self) {
         let (n_rows, nnz) = (row_ptr.len().saturating_sub(1), cols.len());
-        assert_eq!(vals.len(), nnz, "cols/vals length mismatch");
         let blocks = split_ranges(n_rows, transpose_blocks(nnz, n_cols, threads), 1);
 
-        // Region 1: entries per ⟨block, column⟩.
+        // Entries per ⟨block, column⟩.
         let mut cursors = vec![0usize; blocks.len() * n_cols];
         let mut tasks = Vec::new();
         for (block, counts) in block_cursors(&blocks, &mut cursors, n_cols) {
@@ -189,86 +234,96 @@ impl<T: Copy + Default + Send + Sync> CscCopy<T> {
         }
         indptr.push(slot);
         // The slot ranges of the ⟨block, column⟩ pairs now tile `0..slot`,
-        // and every entry was counted once: what region 2's writes rely on.
+        // and every entry was counted once: what `place`'s writes rely on.
         assert_eq!(slot, nnz, "row_ptr does not walk the entries once");
+        (indptr, Self { row_ptr, cols, n_cols, blocks, cursors, at_end: false })
+    }
 
-        // Region 2: every block scatters its rows through its cursors.
-        let mut rows = vec![0u32; nnz];
-        let mut out = vec![T::default(); nnz];
-        let (row_slots, val_slots) = (ScatterSlice::new(&mut rows), ScatterSlice::new(&mut out));
+    /// Writes `item(r, i)` of every entry `i` (of row `r`) at the entry's
+    /// slot of `out` and, given `rows`, `r` at the same slot of `rows`. A
+    /// walk goes up its cursors, the next one walks the entries backwards
+    /// and goes back down, so each leaves the cursors where the next one
+    /// starts and every walk puts an entry in the same slot.
+    pub fn place<T: Copy + Send>(
+        &mut self,
+        out: &mut [T],
+        item: impl Fn(usize, usize) -> T + Sync,
+        rows: Option<&mut [u32]>,
+    ) {
+        let nnz = self.cols.len();
+        assert!(
+            out.len() == nnz && rows.as_ref().is_none_or(|r| r.len() == nnz),
+            "one slot per entry"
+        );
+        let (row_ptr, cols, down) = (self.row_ptr, self.cols, self.at_end);
+        let (out, rows) = (ScatterSlice::new(out), rows.map(ScatterSlice::new));
         let mut tasks = Vec::new();
-        for (block, cursor) in block_cursors(&blocks, &mut cursors, n_cols) {
-            let (row_slots, val_slots) = (&row_slots, &val_slots);
+        for (block, cursor) in block_cursors(&self.blocks, &mut self.cursors, self.n_cols) {
+            let (out, rows, item) = (&out, &rows, &item);
             tasks.push(move || {
-                for r in block {
-                    for i in row_ptr[r]..row_ptr[r + 1] {
-                        let at = &mut cursor[cols[i] as usize];
-                        // SAFETY: `*at` is inside the slot range of this
-                        // task's ⟨block, column⟩ pair: it started at the
-                        // range's first slot and has advanced once per entry
-                        // of that column among `row_ptr[r]..row_ptr[r + 1]`
-                        // of the block's rows — the walk region 1 counted
-                        // the range's length by. The ranges of distinct
-                        // pairs are disjoint (one prefix sum laid them end
-                        // to end) and this task alone holds this cursor, so
-                        // no other thread names the slot.
-                        unsafe {
-                            row_slots.write(*at, r as u32);
-                            val_slots.write(*at, vals[i]);
+                let mut put = |r: usize, i: usize| {
+                    let at = &mut cursor[cols[i] as usize];
+                    if down {
+                        *at -= 1;
+                    }
+                    // SAFETY: `*at` is inside the slot range of this task's
+                    // ⟨block, column⟩ pair. Going up, the cursor started at
+                    // the range's first slot and has advanced once per entry
+                    // of that column among the block's rows — the walk
+                    // `plan` counted the range's length by; going down, it
+                    // started one past the range's last slot, where the walk
+                    // up left it, and has stepped back once per such entry.
+                    // The ranges of distinct pairs are disjoint (one prefix
+                    // sum laid them end to end) and this task alone holds
+                    // this cursor, so no other thread names the slot.
+                    unsafe {
+                        out.write(*at, item(r, i));
+                        if let Some(rows) = rows {
+                            rows.write(*at, r as u32);
                         }
+                    }
+                    if !down {
                         *at += 1;
+                    }
+                };
+                if down {
+                    for r in block.rev() {
+                        (row_ptr[r]..row_ptr[r + 1]).rev().for_each(|i| put(r, i));
+                    }
+                } else {
+                    for r in block {
+                        (row_ptr[r]..row_ptr[r + 1]).for_each(|i| put(r, i));
                     }
                 }
             });
         }
         run_tasks(tasks);
-        Self { indptr, rows, vals: out, blocks, cursors }
+        self.at_end = !down;
     }
 }
 
-impl<T> CscCopy<T> {
-    /// Entry range of column `f`.
-    pub fn col(&self, f: usize) -> Range<usize> {
-        self.indptr[f]..self.indptr[f + 1]
-    }
-
-    /// The way back to CSR order: one [`BlockGather`] per row block of the
-    /// transpose, each to be used once.
-    pub fn gather_blocks(&mut self) -> Vec<BlockGather<'_>> {
-        let n_cols = self.indptr.len() - 1;
-        block_cursors(&self.blocks, &mut self.cursors, n_cols)
-            .map(|(rows, cursors)| BlockGather { rows, cursors })
-            .collect()
-    }
-}
-
-/// One row block of a [`CscCopy`] with the cursors its scatter left at the
-/// end of their slot ranges: the inverse walk of that scatter, without a
-/// position array.
-pub(crate) struct BlockGather<'a> {
-    /// The block's rows.
-    pub rows: Range<usize>,
-    cursors: &'a mut [usize],
-}
-
-impl BlockGather<'_> {
-    /// The block's entries in the CSR arrays that `row_ptr` indexes.
-    pub fn entries(&self, row_ptr: &[usize]) -> Range<usize> {
-        row_ptr[self.rows.start]..row_ptr[self.rows.end]
-    }
-
-    /// Brings `by_col` — one item per entry, in the copy's column-major
-    /// order — to CSR order for this block: `by_row[k]` becomes the item of
-    /// the block's `k`-th entry, whose column is `cols[k]`. The entries are
-    /// walked backwards, each cursor back down the slots it went up.
-    pub fn gather<U: Copy>(self, cols: &[u32], by_col: &[U], by_row: &mut [U]) {
-        assert_eq!(cols.len(), by_row.len(), "one column id per gathered entry");
-        let Self { cursors, .. } = self;
-        for (out, &c) in by_row.iter_mut().zip(cols).rev() {
-            let at = &mut cursors[c as usize];
-            *at -= 1;
-            *out = by_col[*at];
-        }
+impl<T: Copy + Default + Send + Sync> CscCopy<T> {
+    /// Transposes the CSR arrays `(row_ptr, cols, vals)` of a matrix with
+    /// `n_cols` columns on at most `threads` threads. A column-major copy is
+    /// the CSR of the transposed matrix, so the same call turns a CSC back
+    /// into a CSR.
+    ///
+    /// # Panics
+    /// Panics on a column id `>= n_cols` or a `row_ptr` that does not walk
+    /// `0..cols.len()`.
+    pub fn transpose(
+        n_cols: usize,
+        row_ptr: &[usize],
+        cols: &[u32],
+        vals: &[T],
+        threads: usize,
+    ) -> Self {
+        assert_eq!(vals.len(), cols.len(), "cols/vals length mismatch");
+        let (indptr, mut scatter) = Scatter::plan(n_cols, row_ptr, cols, threads);
+        let mut out = vec![T::default(); cols.len()];
+        let mut rows = vec![0u32; cols.len()];
+        scatter.place(&mut out, |_, i| vals[i], Some(&mut rows));
+        Self { indptr, rows, vals: out }
     }
 }
 
@@ -276,7 +331,7 @@ impl BlockGather<'_> {
 /// matrix with its column-major copy.
 pub(crate) enum SetupInput<'a> {
     Dense(&'a DenseMatrix),
-    Sparse(&'a CsrMatrix, ValueCsc),
+    Sparse(&'a CsrMatrix, ValueCsc<'a>),
 }
 
 impl<'a> SetupInput<'a> {
@@ -284,10 +339,7 @@ impl<'a> SetupInput<'a> {
     pub fn new(matrix: &'a FeatureMatrix, threads: usize) -> Self {
         match matrix {
             FeatureMatrix::Dense(d) => Self::Dense(d),
-            FeatureMatrix::Sparse(s) => {
-                let (row_ptr, cols, values) = s.parts();
-                Self::Sparse(s, ValueCsc::transpose(s.n_cols(), row_ptr, cols, values, threads))
-            }
+            FeatureMatrix::Sparse(s) => Self::Sparse(s, ValueCsc::new(s, threads)),
         }
     }
 
@@ -353,7 +405,7 @@ fn prefetch_read(cell: &f32) {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -408,9 +460,9 @@ mod tests {
         (indptr, rows, vals)
     }
 
-    fn transpose(csr: &CsrMatrix, threads: usize) -> ValueCsc {
+    fn transpose(csr: &CsrMatrix, threads: usize) -> CscCopy<f32> {
         let (row_ptr, cols, values) = csr.parts();
-        ValueCsc::transpose(csr.n_cols(), row_ptr, cols, values, threads)
+        CscCopy::transpose(csr.n_cols(), row_ptr, cols, values, threads)
     }
 
     /// `n_rows × n_cols` with each cell present with probability `density`,
@@ -430,6 +482,24 @@ mod tests {
         CsrMatrix::from_rows(n_cols, &rows)
     }
 
+    /// The matrices of the transpose battery: holes, one column, more
+    /// threads than rows, wider than long, many blocks over many columns,
+    /// and no rows, columns or entries at all.
+    pub(crate) fn holed_matrices() -> Vec<CsrMatrix> {
+        vec![
+            holed_matrix(97, 13, 0.6, 5),
+            holed_matrix(400, 3, 0.9, 7),
+            holed_matrix(64, 1, 1.0, 9),
+            holed_matrix(5, 2, 1.0, 4),
+            // Wider than its rows are long: the block rule allows one block.
+            holed_matrix(6, 300, 0.2, 11),
+            holed_matrix(40, 700, 0.5, 13),
+            CsrMatrix::from_rows(4, &[]),
+            CsrMatrix::from_rows(0, &[vec![], vec![]]),
+            CsrMatrix::from_rows(3, &[vec![], vec![], vec![]]),
+        ]
+    }
+
     #[test]
     fn value_csc_is_the_transpose() {
         let csr = CsrMatrix::from_rows(
@@ -446,64 +516,73 @@ mod tests {
     /// a slot written twice, or by the wrong block, puts a wrong row id or
     /// value (or leaves a zero) where the oracle has the right one — and its
     /// cursor table holds the invariant the scatter's `unsafe` writes rest
-    /// on. The gather is its inverse.
+    /// on, after the walk up and again after the walk back down. Set-up's
+    /// copy (values up, row ids down into the same buffer) and the
+    /// transpose of the transpose agree with it too.
     #[test]
     fn transpose_equals_the_serial_oracle_at_any_thread_count() {
-        let matrices = [
-            holed_matrix(97, 13, 0.6, 5),
-            holed_matrix(400, 3, 0.9, 7),
-            // One column; more threads asked for than rows.
-            holed_matrix(64, 1, 1.0, 9),
-            holed_matrix(5, 2, 1.0, 4),
-            // Wider than its rows are long: the block rule allows one block.
-            holed_matrix(6, 300, 0.2, 11),
-            // Several blocks over many columns.
-            holed_matrix(40, 700, 0.5, 13),
-            // Zero rows, zero columns, no entries.
-            CsrMatrix::from_rows(4, &[]),
-            CsrMatrix::from_rows(0, &[vec![], vec![]]),
-            CsrMatrix::from_rows(3, &[vec![], vec![], vec![]]),
-        ];
         let mut most_blocks = 0;
-        for csr in &matrices {
+        for csr in &holed_matrices() {
             let want = serial_transpose(csr);
             let (row_ptr, cols, values) = csr.parts();
+            let m = csr.n_cols();
             for threads in [1, 2, 3, 7, 10_000] {
-                let mut csc = transpose(csr, threads);
+                let csc = transpose(csr, threads);
                 assert_eq!((&csc.indptr, &csc.rows, &csc.vals), (&want.0, &want.1, &want.2));
-
-                let n_blocks = csc.blocks.len();
-                most_blocks = most_blocks.max(n_blocks);
-                assert!(
-                    n_blocks <= threads && n_blocks * csr.n_cols() <= csr.nnz().max(csr.n_cols())
+                let back =
+                    CscCopy::transpose(csr.n_rows(), &csc.indptr, &csc.rows, &csc.vals, threads);
+                assert_eq!(
+                    (&back.indptr[..], &back.rows[..], &back.vals[..]),
+                    (row_ptr, cols, values)
                 );
-                let covered: Vec<usize> = csc.blocks.iter().flat_map(|b| b.clone()).collect();
-                assert_eq!(covered, (0..csr.n_rows()).collect::<Vec<_>>());
-                // After the scatter a pair's cursor is its range's end: in
-                // column-major, block-minor order the ends ascend from the
-                // column's start to the next column's.
-                for c in 0..csr.n_cols() {
-                    let mut at = csc.indptr[c];
-                    for b in 0..n_blocks {
-                        let end = csc.cursors[b * csr.n_cols() + c];
-                        assert!(at <= end, "pair ({b}, {c}) overlaps its predecessor");
-                        at = end;
-                    }
-                    assert_eq!(at, csc.indptr[c + 1], "column {c} is not tiled");
-                }
 
-                let mut back = vec![f32::NAN; csr.nnz()];
-                let by_col = csc.vals.clone();
-                let blocks = csc.gather_blocks();
-                let outs = split_mut(&mut back, blocks.iter().map(|b| b.entries(row_ptr).len()));
-                for (block, out) in blocks.into_iter().zip(outs) {
-                    let span = block.entries(row_ptr);
-                    block.gather(&cols[span], &by_col, out);
+                let value_csc = ValueCsc::new(csr, threads);
+                assert_eq!((&value_csc.indptr, &value_csc.vals), (&want.0, &want.2));
+                assert_eq!(value_csc.into_rows(), (want.0.clone(), want.1.clone()));
+
+                let (indptr, mut scatter) = Scatter::plan(m, row_ptr, cols, threads);
+                let n_blocks = scatter.blocks.len();
+                most_blocks = most_blocks.max(n_blocks);
+                assert!(n_blocks <= threads && n_blocks * m <= csr.nnz().max(m));
+                let covered: Vec<usize> = scatter.blocks.iter().flat_map(|b| b.clone()).collect();
+                assert_eq!(covered, (0..csr.n_rows()).collect::<Vec<_>>());
+                // The walk up moves every pair's cursor from its range's start
+                // to its end: in column-major, block-minor order one pair's
+                // end is the next one's start, from the column's first slot
+                // to the next column's.
+                let starts = scatter.cursors.clone();
+                let mut slots = vec![f32::NAN; csr.nnz()];
+                scatter.place(&mut slots, |_, i| values[i], None);
+                assert_eq!(slots, want.2);
+                for c in 0..m {
+                    assert_eq!(starts.get(c).copied().unwrap_or(indptr[c]), indptr[c]);
+                    for b in 0..n_blocks {
+                        let end = scatter.cursors[b * m + c];
+                        let next = starts.get((b + 1) * m + c).copied().unwrap_or(indptr[c + 1]);
+                        assert!(
+                            starts[b * m + c] <= end && end == next,
+                            "pair ({b}, {c}) is not tiled"
+                        );
+                    }
                 }
-                assert_eq!(back, values, "gather at {threads} threads");
+                let mut ids = vec![u32::MAX; csr.nnz()];
+                scatter.place(&mut ids, |r, _| r as u32, None);
+                assert_eq!(ids, want.1, "the walk down at {threads} threads");
+                assert_eq!(scatter.cursors, starts, "the walk down returns every cursor");
             }
         }
         assert!(most_blocks >= 7, "the battery must reach many-block transposes");
+    }
+
+    /// The trade in [`ValueCsc::into_rows`] keeps the allocation: set-up's
+    /// footprint counts one 4-byte array per entry, not two.
+    #[test]
+    fn value_buffer_becomes_the_row_ids() {
+        let csr = holed_matrix(97, 13, 0.6, 5);
+        let csc = ValueCsc::new(&csr, 2);
+        let at = csc.vals.as_ptr() as usize;
+        let (_, rows) = csc.into_rows();
+        assert_eq!(rows.as_ptr() as usize, at);
     }
 
     #[test]

@@ -106,13 +106,13 @@ pub trait QuantStore: Sync {
     fn storage_bytes(&self) -> usize;
 
     /// Cells a scan of every row reads: `n_rows × n_storage_cols` bytes on
-    /// dense and bundled storage, the CSR entry count on sparse storage —
+    /// dense and bundled storage, the entry count on sparse storage —
     /// exact, and equal for an in-core and a chunked store of the same data.
-    /// The sparse count is read back from [`storage_bytes`](Self::storage_bytes):
-    /// a sparse slab holds every entry twice (CSR and CSC, a 4-byte index
-    /// and a 1-byte bin each) plus 8-byte offset arrays of `rows + 1` and
-    /// `features + 1` entries, and a chunked store reports the sum over its
-    /// slabs.
+    /// The sparse count is read back from [`storage_bytes`](Self::storage_bytes),
+    /// which counts every entry twice (CSR and CSC, a 4-byte index and a
+    /// 1-byte bin each — the CSR whether or not a row read has built it)
+    /// plus 8-byte offset arrays of `rows + 1` and `features + 1` entries
+    /// per slab; a chunked store reports the sum over its slabs.
     fn stored_cells(&self) -> u64 {
         let layout = self.layout();
         if layout.dense || layout.bundled {

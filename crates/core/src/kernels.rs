@@ -33,7 +33,7 @@
 //! drivers can report byte traffic and FLOPs to the profiler.
 
 use crate::loss::GradPair;
-use harp_binning::{QuantizedMatrix, MISSING_BIN};
+use harp_binning::{seek_row, QuantizedMatrix, MISSING_BIN};
 use std::ops::Range;
 use std::sync::OnceLock;
 
@@ -1079,11 +1079,6 @@ pub fn row_scan_scalar(
 // Column scan
 // ---------------------------------------------------------------------------
 
-/// After this many linear probe steps, the sparse column merge-walk switches
-/// to a `partition_point` gallop (skewed columns degrade the linear cursor
-/// to O(nnz_col) per node otherwise).
-const GALLOP_AFTER: usize = 16;
-
 /// Accumulates feature `f` over `rows` into `hist_f` (that feature's bins
 /// only: `n_bins * 2` lanes), restricted to bins in `bin_range`. Returns the
 /// accumulation count. `f` is always an ORIGINAL feature id; bundled
@@ -1319,15 +1314,7 @@ fn col_scan_body<R: RowSet, G: GradRead>(
     let mut k = 0usize;
     for i in 0..n {
         let row = rows.get(i);
-        let mut steps = 0usize;
-        while k < col_rows.len() && col_rows[k] < row {
-            k += 1;
-            steps += 1;
-            if steps == GALLOP_AFTER {
-                k += col_rows[k..].partition_point(|&r| r < row);
-                break;
-            }
-        }
+        k = seek_row(col_rows, k, row);
         if k == col_rows.len() {
             break;
         }

@@ -431,7 +431,9 @@ impl GbdtTrainer {
             engine.scratch.set_replica_gauge(g);
         }
         // The decoded-equivalent bytes of the store: the dominant allocation
-        // of an in-core run.
+        // of an in-core run. A sparse store counts its CSR whether or not a
+        // row read has built it (an MP run never does), so the gauge is a
+        // property of the data, not of the mode.
         if let Some(g) = gauge(gauges::QUANT_STORE) {
             g.observe(qm.storage_bytes() as u64);
         }
@@ -953,30 +955,30 @@ enum SplitRoute<'a> {
     Dense(&'a [u8]),
     /// Bundled synthetic column borrow plus the feature's slot window.
     Bundled { col: &'a [u8], lo: u16, width: u16 },
-    /// Per-row CSR binary search (in-core sparse).
-    Sparse(&'a QuantizedMatrix),
     /// The node's effective routing bins by position in its row list,
-    /// gathered chunk by chunk up front (out-of-core stores).
+    /// gathered chunk by chunk up front (out-of-core stores, and sparse
+    /// storage, whose gather walks the feature's CSC column).
     Gathered(Vec<u8>),
 }
 
 impl<'a> SplitRoute<'a> {
-    /// The route that borrows feature `f`'s column from a store resident as
-    /// one matrix — nothing to gather, nothing to copy. One of the two
-    /// places that ask for the in-core *representation*
+    /// The route that borrows feature `f`'s dense or bundled column from a
+    /// store resident as one matrix — nothing to gather, nothing to copy.
+    /// One of the two places that ask for the in-core *representation*
     /// ([`QuantStore::as_single`]): a borrowed column is not a row read, so
-    /// it has no chunk sweep to go through.
+    /// it has no chunk sweep to go through. Sparse storage has no column to
+    /// lend by row id, so it is gathered like a chunked store.
     fn borrowed(store: &'a dyn QuantStore, f: usize) -> Option<Self> {
         let qm = store.as_single()?;
-        Some(if let Some(col) = qm.dense_col(f) {
-            SplitRoute::Dense(col)
-        } else if qm.is_bundled() {
-            let slot = qm.mapper().bundles().expect("bundle map").slot(f);
-            let col = qm.bundled_col(slot.col as usize).expect("bundled storage");
-            SplitRoute::Bundled { col, lo: slot.offset, width: slot.width }
-        } else {
-            SplitRoute::Sparse(qm)
-        })
+        if let Some(col) = qm.dense_col(f) {
+            return Some(SplitRoute::Dense(col));
+        }
+        if !qm.is_bundled() {
+            return None;
+        }
+        let slot = qm.mapper().bundles().expect("bundle map").slot(f);
+        let col = qm.bundled_col(slot.col as usize).expect("bundled storage");
+        Some(SplitRoute::Bundled { col, lo: slot.offset, width: slot.width })
     }
 }
 
@@ -1001,12 +1003,12 @@ pub(crate) fn split_pred<'a>(
 }
 
 /// Builds the routing predicates for a whole frontier of splits at once,
-/// each over its node's (ascending) row list. A store resident as one
-/// matrix lends its routing columns (O(1) per split, rows unused); any other
-/// store gathers every node's routing bins in ONE chunk sweep — per-node
-/// gathers would pin each node's full chunk span once per split, which under
-/// a resident budget reloads most of the cache for every split in the batch
-/// — so the partition hot loop never pins chunks. Call this BEFORE
+/// each over its node's (ascending) row list. A dense or bundled store
+/// resident as one matrix lends its routing columns (O(1) per split, rows
+/// unused); any other store gathers every node's routing bins in ONE chunk
+/// sweep — per-node gathers would pin each node's full chunk span once per
+/// split, which under a resident budget reloads most of the cache for every
+/// split in the batch — so the partition hot loop never pins chunks. Call this BEFORE
 /// `RowPartition::apply_split` mutates the nodes' spans: the sweep reads the
 /// row lists in place, and the gathered bins stay valid by position.
 pub(crate) fn split_preds_batch<'a>(
@@ -1059,13 +1061,6 @@ impl SplitPred<'_> {
                     (b - lo) as u8
                 } else {
                     MISSING_BIN
-                }
-            }
-            SplitRoute::Sparse(qm) => {
-                let (cols, bins) = qm.sparse_row(row as usize).expect("sparse storage");
-                match cols.binary_search(&(self.f as u32)) {
-                    Ok(i) => bins[i],
-                    Err(_) => MISSING_BIN,
                 }
             }
             SplitRoute::Gathered(bins) => bins[pos],

@@ -1,34 +1,45 @@
 //! Set-up's memory footprint, gated exactly: a counting global allocator
 //! measures the peak of live heap bytes while `QuantizedMatrix::from_matrix`
-//! runs, and the peak may exceed the storage the call returns only by the
-//! transient the pipeline is designed to hold — one `n_rows × 4`-byte key
-//! buffer per thread for dense input; for sparse input the `nnz × 8`-byte
-//! column-major copy, its `blocks × n_cols × 8`-byte cursor table and one
-//! pair buffer per thread, 8 bytes for each entry of the longest column the
-//! cut search sorts (fewer than 2¹⁵) — plus a fixed slack. A whole-matrix
-//! copy of the raw values (what the pre-pipeline `BinMapper::from_matrix`
-//! made) breaks the bound, and so does a cursor table per thread on a matrix
-//! wider than its threads' share of entries.
+//! runs. On dense input the peak may exceed the storage the call returns
+//! only by the transient the pipeline is designed to hold — one
+//! `n_rows × 4`-byte key buffer per thread — plus a fixed slack. A
+//! whole-matrix copy of the raw values (what the pre-pipeline
+//! `BinMapper::from_matrix` made) breaks the bound.
+//!
+//! Sparse set-up builds the CSC alone: one 4-byte word per entry (first the
+//! value, then the row id, in one buffer) and one bin byte, the CSC's
+//! offsets, the `blocks × n_cols × 8`-byte cursor table of the transpose and
+//! one pair buffer per thread, 8 bytes for each entry of the longest column
+//! the cut search sorts (fewer than 2¹⁵), plus a fixed slack. The bound has
+//! no term for a CSR, whose `nnz × 5` bytes are far over the slack; a value
+//! copy held beside the row ids breaks it too, and so does a cursor table
+//! per thread on a matrix wider than its threads' share of entries. Set-up
+//! followed by model-parallel training is gated the same way: MP scans and
+//! routes by column, so the run never builds a CSR.
 //!
 //! Pass 1 runs before the storage exists, so the whole-call bound would
 //! admit a pass-1 transient as large as the storage. `BinMapper::from_matrix`
 //! is therefore measured alone as well: on dense input, per thread one `u32`
 //! key and one `u16` low-bits entry per row plus the bucket counters of the
 //! counting cut search — still less than a copy of the matrix; on sparse
-//! input whose columns all sort as pairs, the column-major copy, its table
-//! and the pair buffers, under a slack smaller than a key buffer — a pair
-//! buffer sized by `nnz`, or a key buffer held beside it, breaks that bound.
+//! input whose columns all sort as pairs, the column-major values, their
+//! offsets and table and the pair buffers, under a slack smaller than a key
+//! buffer — a pair buffer sized by `nnz`, a key buffer held beside it, or
+//! row ids beside the values, breaks that bound.
 //!
 //! The allocator is process-wide, so this file holds a single `#[test]`.
 
 mod counting_alloc;
 
 use harp_binning::{BinMapper, BinningConfig, LayoutOptions, QuantizedMatrix};
-use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
+use harp_data::{CsrMatrix, DatasetKind, DenseMatrix, FeatureMatrix, SynthConfig};
+use harp_metrics::gauges;
+use harpgbdt::{GbdtTrainer, LedgerConfig, ParallelMode, TrainParams};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Bookkeeping the bound does not model: per-feature cut vectors, task
-/// lists, thread stacks' heap side, the CSR/CSC offset tables' twins.
+/// lists, thread stacks' heap side; in training, trees, ledger records,
+/// plan and task tables.
 const SLACK_BYTES: usize = 1 << 20;
 
 /// The same for sparse pass 1 alone, whose bookkeeping is little more than
@@ -72,7 +83,7 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
     drop((q, dense));
 
     // 30%-dense columns overlap in almost every row, so nothing bundles and
-    // the storage stays CSR + CSC.
+    // the storage stays sparse.
     let (n, m) = (100_000usize, 32u32);
     let rows: Vec<Vec<(u32, f32)>> = (0..n)
         .map(|_| {
@@ -91,23 +102,23 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
     let (mapper, peak) =
         counting_alloc::peak_during(|| BinMapper::from_matrix(&sparse, BinningConfig::default()));
     assert_eq!(mapper.max_bins_used(), 255);
-    let bound = nnz * 8 + table + pairs + PASS1_SLACK_BYTES;
+    let offsets = (m as usize + 1) * 8;
+    let bound = nnz * 4 + offsets + table + pairs + PASS1_SLACK_BYTES;
     assert!(
         peak <= bound,
-        "sparse cut search peaked at {peak} live bytes, over nnz {nnz} x 8 + cursor table \
-         {table} + pair buffers {pairs} + slack = {bound}"
+        "sparse cut search peaked at {peak} live bytes, over nnz {nnz} x 4 + offsets {offsets} + \
+         cursor table {table} + pair buffers {pairs} + slack = {bound}"
     );
     drop(mapper);
     let (q, peak) = counting_alloc::peak_during(|| {
         QuantizedMatrix::from_matrix(&sparse, BinningConfig::default())
     });
-    assert!(q.sparse_csr().is_some(), "the sparse input must stay sparse");
-    let bound = q.storage_bytes() + nnz * 8 + table + pairs + SLACK_BYTES;
+    assert!(q.sparse_col(0).is_some() && !q.is_bundled(), "the sparse input must stay sparse");
+    let bound = nnz * 5 + offsets + table + pairs + SLACK_BYTES;
     assert!(
         peak <= bound,
-        "sparse set-up peaked at {peak} live bytes, over storage {} + nnz {nnz} x 8 + cursor \
-         table {table} + pair buffers {pairs} + slack = {bound}",
-        q.storage_bytes()
+        "sparse set-up peaked at {peak} live bytes, over nnz {nnz} x 5 + offsets {offsets} + \
+         cursor table {table} + pair buffers {pairs} + slack = {bound}"
     );
     drop((q, sparse));
 
@@ -131,20 +142,72 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
             LayoutOptions::uncompressed(),
         )
     });
-    assert!(q.sparse_csr().is_some());
-    let mapper = q.mapper();
-    let cut_bytes: usize = (0..m).map(|f| mapper.cuts(f).cuts.capacity() * 4).sum();
-    let mapper_bytes = m * std::mem::size_of_val(mapper.cuts(0)) + (m + 1) * 4 + cut_bytes;
+    assert!(q.sparse_col(0).is_some());
+    let mapper = mapper_bytes(q.mapper());
     let table = transpose_table_bytes(nnz, m, threads);
     assert_eq!(table, m * 8, "one block: the table is one cursor per column");
     let pairs = pair_buffer_bytes(longest_column(&sparse), threads);
-    let bound = q.storage_bytes() + mapper_bytes + nnz * 8 + table + pairs + SLACK_BYTES;
+    let offsets = (m + 1) * 8;
+    let bound = nnz * 5 + offsets + mapper + table + pairs + SLACK_BYTES;
     assert!(
         peak <= bound,
-        "wide sparse set-up peaked at {peak} live bytes, over storage {} + mapper {mapper_bytes} \
-         + nnz {nnz} x 8 + cursor table {table} + pair buffers {pairs} + slack = {bound}",
-        q.storage_bytes()
+        "wide sparse set-up peaked at {peak} live bytes, over nnz {nnz} x 5 + offsets {offsets} \
+         + mapper {mapper} + cursor table {table} + pair buffers {pairs} + slack = {bound}"
     );
+    drop((q, sparse));
+
+    // The end-to-end benchmark's sparse shape at half its rows, set up and
+    // trained model-parallel in one measurement: beside the set-up bound,
+    // training holds its row partition (two planes of row id + MemBuf
+    // gradient pair, the routing mask), the raw scores and the histograms
+    // its ledger reports. Its CSR would be ≈ 6 MB.
+    let yfcc = SynthConfig::new(DatasetKind::YfccLike, 5).with_scale(0.5).generate();
+    let (n, m) = (yfcc.features.n_rows(), yfcc.features.n_cols());
+    let nnz = yfcc.features.n_present();
+    let params = TrainParams {
+        n_trees: 2,
+        tree_size: 4,
+        n_threads: 2,
+        mode: ParallelMode::ModelParallel,
+        ledger: LedgerConfig::enabled(),
+        ..Default::default()
+    };
+    let trainer = GbdtTrainer::new(params).expect("valid params");
+    let ((q, out), peak) = counting_alloc::peak_during(|| {
+        let q = QuantizedMatrix::from_matrix(&yfcc.features, BinningConfig::default());
+        let out = trainer.train_store(&q, &yfcc.labels, None);
+        (q, out)
+    });
+    assert!(q.sparse_col(0).is_some() && !q.is_bundled(), "the yfcc shape stays sparse");
+    assert!(out.model.n_trees() == 2 && out.diagnostics.tree_shapes[0].n_leaves > 4);
+    let ledger = out.diagnostics.ledger.as_ref().expect("ledger on");
+    let last = ledger.records().last().expect("one record per round");
+    let high_water = |name: &str| {
+        last.mem
+            .iter()
+            .find(|g| g.name == name)
+            .map_or(0, |g| g.high_water_bytes as usize)
+    };
+    let hists = high_water(gauges::HIST_POOL) + high_water(gauges::SCRATCH_ARENA);
+    let csc = nnz * 5 + (m + 1) * 8 + mapper_bytes(q.mapper());
+    let setup = transpose_table_bytes(nnz, m, threads)
+        + pair_buffer_bytes(longest_column(&yfcc.features), threads);
+    let training = n * (2 * 12 + 1 + 4) + hists;
+    let bound = csc + setup + training + SLACK_BYTES;
+    let csr = nnz * 5 + (n + 1) * 8;
+    assert!(csr > 4 * SLACK_BYTES, "a CSR must be far over the slack");
+    assert!(
+        peak <= bound,
+        "set-up and MP training peaked at {peak} live bytes, over CSC {csc} + set-up transient \
+         {setup} + training {training} + slack = {bound} (a CSR is {csr})"
+    );
+}
+
+/// Heap bytes of a mapper: one cut vector per feature and the offsets.
+fn mapper_bytes(mapper: &BinMapper) -> usize {
+    let m = mapper.n_features();
+    let cut_bytes: usize = (0..m).map(|f| mapper.cuts(f).cuts.capacity() * 4).sum();
+    m * std::mem::size_of_val(mapper.cuts(0)) + (m + 1) * 4 + cut_bytes
 }
 
 /// Bytes of the sparse transpose's cursor table: `n_cols` words for each of
