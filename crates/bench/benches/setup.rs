@@ -17,8 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use harp_binning::{
-    write_cache, BinMapper, BinningConfig, ChunkedStore, LayoutOptions, QuantStore,
-    QuantizedMatrix, MISSING_BIN,
+    write_cache, BinMapper, BinningConfig, ChunkedStore, QuantStore, QuantizedMatrix, MISSING_BIN,
 };
 use harp_data::{CsrMatrix, DatasetKind, DenseMatrix, FeatureMatrix, SynthConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -121,9 +120,7 @@ fn bench_quantize_dense(
         }
         (rows, cols)
     };
-    let run_kernel = |mapper: BinMapper| {
-        QuantizedMatrix::with_mapper_opts(matrix, mapper, LayoutOptions::uncompressed())
-    };
+    let run_kernel = |mapper: BinMapper| QuantizedMatrix::with_mapper(matrix, mapper);
 
     let (qm, (rows, cols)) = (run_kernel(mapper.clone()), per_cell());
     assert_eq!(qm.dense_row_major(), Some(&rows[..]), "{shape}: row-major bytes");

@@ -19,6 +19,4 @@ pub mod runner;
 
 pub use args::ExpArgs;
 pub use report::Table;
-pub use runner::{
-    harp_params, prepared, quantize_default, run_config, warmup, PreparedData, RunResult,
-};
+pub use runner::{harp_params, prepared, quantize_default, run_config, PreparedData, RunResult};

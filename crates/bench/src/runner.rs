@@ -51,24 +51,6 @@ pub fn harp_params(tree_size: u32, threads: usize) -> TrainParams {
     }
 }
 
-/// Warms caches, the allocator and CPU frequency before timed runs by
-/// training a few small trees on the prepared data. Call once per binary
-/// before the first measured configuration.
-pub fn warmup(data: &PreparedData, threads: usize) {
-    let params = TrainParams {
-        n_trees: 2,
-        tree_size: 6,
-        n_threads: threads,
-        gamma: 0.0,
-        ..TrainParams::default()
-    };
-    let _ = GbdtTrainer::new(params).expect("valid params").train_store(
-        &data.quantized,
-        &data.train.labels,
-        None,
-    );
-}
-
 /// Everything one configured training run produces for the report tables.
 pub struct RunResult {
     /// Mean seconds per tree (the paper's efficiency metric).

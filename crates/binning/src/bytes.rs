@@ -1,7 +1,7 @@
 //! Shared byte slabs: an owned buffer or a zero-copy view into a
 //! refcounted backing allocation (a chunk blob, a cache-file mmap).
 //!
-//! The chunk cache writes dense and bundled layouts *decoded* (see
+//! The chunk cache writes dense layouts *decoded* (see
 //! [`crate::quantized::QuantizedMatrix::encode_chunk`]), so a decoded slab's
 //! byte buffers can alias the cache file's memory mapping directly instead
 //! of copying out of it. [`SharedBytes`] is the type that makes both shapes

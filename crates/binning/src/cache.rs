@@ -2,7 +2,7 @@
 //! [`ChunkedStore`], which memory-maps it and streams row-block-aligned
 //! chunks through a resident-byte budget with LRU eviction.
 //!
-//! # Cache file format (version 2, little-endian)
+//! # Cache file format (version 3, little-endian)
 //!
 //! ```text
 //! offset  size  field
@@ -16,13 +16,11 @@
 //! Header blob:
 //!
 //! ```text
-//! flags u8              bit0 dense, bit1 bundled, bit2 u4
-//! n_rows u64 · n_features u64 · n_storage_cols u64
+//! flags u8              bit0 dense
+//! n_rows u64 · n_features u64
 //! rows_per_chunk u64 · n_chunks u64 · decoded_bytes u64
-//! layout_stats          cols_u4 u64 · cols_bundled u64
 //! mapper                n_features u64, then per feature {n_cuts u64,
-//!                       cuts as f32::to_bits u32…}; bundle flag u8, then
-//!                       {json_len u64, BundleMap json} when set
+//!                       cuts as f32::to_bits u32…}
 //! chunk table           n_chunks × {offset u64, len u64, checksum u64,
 //!                       n_rows u64, decoded_bytes u64}
 //! ```
@@ -31,7 +29,12 @@
 //! `±inf` cuts the mapper uses), so a reopened mapper is bit-identical and
 //! chunked training stays bitwise equal to in-core. Checksums are FNV-1a 64
 //! over each chunk blob; [`ChunkedStore::open`] verifies every one up front,
-//! so corruption surfaces as a typed [`CacheError`] — never as UB in a scan.
+//! and in the same pass checks that every bin a blob stores is one its
+//! feature has (the kernels index histograms by bin unchecked), so
+//! corruption and hostile bytes surface as a typed [`CacheError`] — never
+//! as UB in a scan. Version 2 caches, whose header also described the
+//! nibble-packed and bundled layouts, are refused as
+//! [`CacheError::BadVersion`].
 //!
 //! # Building and verifying
 //!
@@ -76,9 +79,9 @@
 use crate::bytes::SharedBytes;
 use crate::codec::{fnv1a_each, put_u32, put_u64, Cursor, FNV_LANES};
 use crate::mapper::{BinMapper, FeatureCuts};
-use crate::quantized::{LayoutStats, QuantizedMatrix};
+use crate::quantized::QuantizedMatrix;
 use crate::setup::{run_tasks, setup_threads, split_mut, split_ranges};
-use crate::store::{ChunkIoStats, PinnedChunk, QuantStore, StoreLayout};
+use crate::store::{ChunkIoStats, PinnedChunk, QuantStore};
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -91,7 +94,7 @@ use std::thread;
 /// First 8 bytes of every cache file.
 pub const CACHE_MAGIC: [u8; 8] = *b"HARPQSC1";
 /// Format version this build reads and writes.
-pub const CACHE_VERSION: u32 = 2;
+pub const CACHE_VERSION: u32 = 3;
 /// Default chunk granularity (rows): large enough that a chunk's scan
 /// amortizes its decode, small enough that tiny `--mem-budget` values can
 /// still hold a handful of chunks resident.
@@ -114,7 +117,8 @@ pub enum CacheError {
         chunk: usize,
     },
     /// The header or a structure inside it failed to parse, or a chunk
-    /// blob's row count disagrees with its table entry.
+    /// blob's counts disagree with its bytes or its table entry, or it
+    /// stores a bin its feature does not have.
     Malformed(String),
 }
 
@@ -159,14 +163,12 @@ pub struct CacheSummary {
 }
 
 const FLAG_DENSE: u8 = 1;
-const FLAG_BUNDLED: u8 = 2;
-const FLAG_U4: u8 = 4;
 /// Bytes per chunk-table entry: offset, len, checksum, n_rows, decoded.
 const TABLE_ENTRY: usize = 40;
 /// magic + version + header_len.
 const DATA_PRELUDE: u64 = 8 + 4 + 8;
 
-fn encode_mapper(mapper: &BinMapper, out: &mut Vec<u8>) -> Result<(), CacheError> {
+fn encode_mapper(mapper: &BinMapper, out: &mut Vec<u8>) {
     put_u64(out, mapper.n_features() as u64);
     for f in 0..mapper.n_features() {
         let cuts = &mapper.cuts(f).cuts;
@@ -175,17 +177,6 @@ fn encode_mapper(mapper: &BinMapper, out: &mut Vec<u8>) -> Result<(), CacheError
             put_u32(out, c.to_bits());
         }
     }
-    match mapper.bundles() {
-        Some(map) => {
-            out.push(1);
-            let json = serde_json::to_string(map)
-                .map_err(|e| CacheError::Malformed(format!("bundle map encode: {e}")))?;
-            put_u64(out, json.len() as u64);
-            out.extend_from_slice(json.as_bytes());
-        }
-        None => out.push(0),
-    }
-    Ok(())
 }
 
 fn decode_mapper(cur: &mut Cursor<'_>) -> Result<BinMapper, CacheError> {
@@ -200,17 +191,7 @@ fn decode_mapper(cur: &mut Cursor<'_>) -> Result<BinMapper, CacheError> {
         }
         features.push(FeatureCuts { cuts });
     }
-    let mut mapper = BinMapper::from_cuts(features);
-    if cur.get_u8().ok_or_else(short)? != 0 {
-        let len = cur.get_u64().ok_or_else(short)? as usize;
-        let json = cur.take(len).ok_or_else(short)?;
-        let json = std::str::from_utf8(json)
-            .map_err(|e| CacheError::Malformed(format!("bundle map utf8: {e}")))?;
-        let map = serde_json::from_str(json)
-            .map_err(|e| CacheError::Malformed(format!("bundle map decode: {e}")))?;
-        mapper.set_bundles(map);
-    }
-    Ok(mapper)
+    Ok(BinMapper::from_cuts(features))
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -278,9 +259,9 @@ fn write_cache_file(
     let chunk_rows = |c: usize| c * rows_per_chunk..((c + 1) * rows_per_chunk).min(n_rows);
 
     let mut mapper_blob = Vec::new();
-    encode_mapper(qm.mapper(), &mut mapper_blob)?;
-    // flags + 6 scalars + 3 layout stats + mapper + table.
-    let header_len = 1 + 6 * 8 + 2 * 8 + mapper_blob.len() + n_chunks * TABLE_ENTRY;
+    encode_mapper(qm.mapper(), &mut mapper_blob);
+    // flags + 5 scalars + mapper + table.
+    let header_len = 1 + 5 * 8 + mapper_blob.len() + n_chunks * TABLE_ENTRY;
 
     let mut offset = DATA_PRELUDE + header_len as u64;
     let mut table: Vec<ChunkMeta> = (0..n_chunks)
@@ -345,27 +326,12 @@ fn write_cache_file(
     header.extend_from_slice(&CACHE_MAGIC);
     put_u32(&mut header, CACHE_VERSION);
     put_u64(&mut header, header_len as u64);
-    let mut flags = 0u8;
-    let layout = QuantStore::layout(qm);
-    if layout.dense {
-        flags |= FLAG_DENSE;
-    }
-    if layout.bundled {
-        flags |= FLAG_BUNDLED;
-    }
-    if layout.has_u4 {
-        flags |= FLAG_U4;
-    }
-    header.push(flags);
+    header.push(if qm.is_dense() { FLAG_DENSE } else { 0 });
     put_u64(&mut header, n_rows as u64);
     put_u64(&mut header, qm.n_features() as u64);
-    put_u64(&mut header, layout.n_storage_cols as u64);
     put_u64(&mut header, rows_per_chunk as u64);
     put_u64(&mut header, n_chunks as u64);
     put_u64(&mut header, decoded_total);
-    let stats = qm.layout_stats();
-    put_u64(&mut header, stats.cols_u4);
-    put_u64(&mut header, stats.cols_bundled);
     header.extend_from_slice(&mapper_blob);
     for m in &table {
         put_u64(&mut header, m.offset);
@@ -554,13 +520,16 @@ impl Source {
 }
 
 /// Checks chunks `range` against their table checksums, a few blobs at a
-/// time ([`fnv1a_each`]), releasing each group once it is hashed, and each
-/// blob's row count against its table entry: a blob is input from outside
-/// the program, and one whose checksum matches may still lie about its
-/// rows. The error names the lowest failing chunk.
+/// time ([`fnv1a_each`]), and, while the group is resident, each blob's
+/// counts against its bytes and its table entry and each stored bin against
+/// its feature ([`QuantizedMatrix::check_chunk`]): a blob is input from
+/// outside the program, and one whose checksum matches may still lie. Each
+/// group is released once it is checked. The error names the lowest
+/// failing chunk.
 fn verify_chunks(
     source: &Source,
     table: &[ChunkMeta],
+    mapper: &BinMapper,
     range: Range<usize>,
 ) -> Result<(), CacheError> {
     for start in range.clone().step_by(FNV_LANES) {
@@ -570,22 +539,23 @@ fn verify_chunks(
             .map(|meta| source.blob(meta))
             .collect::<std::io::Result<Vec<SharedBytes>>>()?;
         let sums = fnv1a_each(&blobs.iter().map(|b| &b[..]).collect::<Vec<_>>());
-        // Kind and u4 flag, then the row count.
-        let rows: Vec<Option<u64>> = blobs
-            .iter()
-            .map(|b| Some(u64::from_le_bytes(b.get(2..10)?.try_into().ok()?)))
-            .collect();
+        let checked: Vec<_> =
+            blobs.iter().map(|b| QuantizedMatrix::check_chunk(b, mapper)).collect();
         for meta in &table[group.clone()] {
             source.release(meta.span());
         }
-        for ((c, sum), rows) in group.zip(sums).zip(rows) {
+        for ((c, sum), checked) in group.zip(sums).zip(checked) {
             if sum != table[c].checksum {
                 return Err(CacheError::ChecksumMismatch { chunk: c });
             }
-            if rows != Some(table[c].n_rows) {
-                return Err(CacheError::Malformed(format!(
-                    "chunk {c} holds another row count than its table entry"
-                )));
+            match checked {
+                Err(e) => return Err(CacheError::Malformed(format!("chunk {c}: {e}"))),
+                Ok(rows) if rows as u64 != table[c].n_rows => {
+                    return Err(CacheError::Malformed(format!(
+                        "chunk {c} holds another row count than its table entry"
+                    )));
+                }
+                Ok(_) => {}
             }
         }
     }
@@ -619,8 +589,7 @@ struct Inner {
     n_rows: usize,
     n_features: usize,
     rows_per_chunk: usize,
-    layout: StoreLayout,
-    layout_stats: LayoutStats,
+    dense: bool,
     decoded_bytes: u64,
     budget: u64,
     slots: Mutex<HashMap<usize, Slot>>,
@@ -736,8 +705,8 @@ pub struct ChunkedStore {
 
 impl ChunkedStore {
     /// Opens and fully verifies a cache file: magic, version, header
-    /// structure, and every chunk checksum. Nothing is decoded yet; chunks
-    /// load lazily on [`pin`](QuantStore::pin).
+    /// structure, and every chunk's checksum, counts and bins. Nothing is
+    /// decoded yet; chunks load lazily on [`pin`](QuantStore::pin).
     pub fn open(path: &Path, mem_budget: u64) -> Result<Self, CacheError> {
         Self::open_on(path, mem_budget, setup_threads())
     }
@@ -767,14 +736,9 @@ impl ChunkedStore {
         let flags = cur.get_u8().ok_or_else(short)?;
         let n_rows = cur.get_u64().ok_or_else(short)? as usize;
         let n_features = cur.get_u64().ok_or_else(short)? as usize;
-        let n_storage_cols = cur.get_u64().ok_or_else(short)? as usize;
         let rows_per_chunk = cur.get_u64().ok_or_else(short)? as usize;
         let n_chunks = cur.get_u64().ok_or_else(short)? as usize;
         let decoded_bytes = cur.get_u64().ok_or_else(short)?;
-        let layout_stats = LayoutStats {
-            cols_u4: cur.get_u64().ok_or_else(short)?,
-            cols_bundled: cur.get_u64().ok_or_else(short)?,
-        };
         let mapper = decode_mapper(&mut cur)?;
         if mapper.n_features() != n_features {
             return Err(CacheError::Malformed("mapper/header feature count disagree".into()));
@@ -826,8 +790,8 @@ impl ChunkedStore {
         let mut verdicts: Vec<Result<(), CacheError>> = ranges.iter().map(|_| Ok(())).collect();
         let mut tasks = Vec::new();
         for (range, verdict) in ranges.into_iter().zip(&mut verdicts) {
-            let (source, table) = (&source, &table);
-            tasks.push(move || *verdict = verify_chunks(source, table, range));
+            let (source, table, mapper) = (&source, &table, &mapper);
+            tasks.push(move || *verdict = verify_chunks(source, table, mapper, range));
         }
         run_tasks(tasks);
         source.release(0..file_bytes as usize);
@@ -840,13 +804,7 @@ impl ChunkedStore {
             n_rows,
             n_features,
             rows_per_chunk,
-            layout: StoreLayout {
-                dense: flags & FLAG_DENSE != 0,
-                bundled: flags & FLAG_BUNDLED != 0,
-                has_u4: flags & FLAG_U4 != 0,
-                n_storage_cols,
-            },
-            layout_stats,
+            dense: flags & FLAG_DENSE != 0,
             decoded_bytes,
             budget: mem_budget,
             slots: Mutex::new(HashMap::new()),
@@ -909,12 +867,8 @@ impl QuantStore for ChunkedStore {
         &self.inner.mapper
     }
 
-    fn layout(&self) -> StoreLayout {
-        self.inner.layout
-    }
-
-    fn layout_stats(&self) -> LayoutStats {
-        self.inner.layout_stats
+    fn is_dense(&self) -> bool {
+        self.inner.dense
     }
 
     fn storage_bytes(&self) -> usize {
@@ -1012,8 +966,7 @@ mod tests {
     fn assert_store_matches(qm: &QuantizedMatrix, store: &ChunkedStore) {
         assert_eq!(QuantStore::n_rows(store), qm.n_rows());
         assert_eq!(QuantStore::n_features(store), qm.n_features());
-        assert_eq!(QuantStore::layout(store), QuantStore::layout(qm));
-        assert_eq!(QuantStore::layout_stats(store), qm.layout_stats());
+        assert_eq!(QuantStore::is_dense(store), qm.is_dense());
         // Advertised decoded bytes equal the real slab total (per-chunk
         // indptr/CSC overhead means this can exceed the monolithic matrix).
         let slab_total: usize = (0..store.n_chunks()).map(|c| store.pin(c).storage_bytes()).sum();
@@ -1156,20 +1109,10 @@ mod tests {
     }
 
     /// The file does not depend on how many ⟨chunk-range⟩ tasks wrote it:
-    /// dense with u4, sparse and bundled, more threads than chunks included.
+    /// dense and sparse, more threads than chunks included.
     #[test]
     fn cache_bytes_are_identical_at_any_thread_count() {
-        let one_hot: Vec<Vec<(u32, f32)>> = (0..64usize)
-            .map(|r| (0..16).map(|g| ((g * 4 + r % 4) as u32, 1.0 + (r % 4) as f32)).collect())
-            .collect();
-        let bundled = QuantizedMatrix::from_matrix(
-            &FeatureMatrix::Sparse(CsrMatrix::from_rows(64, &one_hot)),
-            BinningConfig::default(),
-        );
-        assert!(bundled.is_bundled());
-        for (tag, qm, rows_per_chunk) in
-            [("d", dense_qm(300, 4), 32), ("s", sparse_qm(90, 6), 7), ("b", bundled, 5)]
-        {
+        for (tag, qm, rows_per_chunk) in [("d", dense_qm(300, 4), 32), ("s", sparse_qm(90, 6), 7)] {
             let file_at = |threads: usize| {
                 let path = tmp_path(&format!("threads_{tag}{threads}"));
                 write_cache_file(&qm, rows_per_chunk, &path, threads).unwrap();
@@ -1317,7 +1260,7 @@ mod tests {
     /// strides longer than a gallop's linear steps and random subsets.
     #[test]
     fn column_walk_routing_equals_the_per_row_search() {
-        use crate::quantized::{LayoutOptions, GALLOP_AFTER};
+        use crate::quantized::GALLOP_AFTER;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let n = 600usize;
         let rows: Vec<Vec<(u32, f32)>> = (0..n)
@@ -1335,10 +1278,9 @@ mod tests {
                 row
             })
             .collect();
-        let qm = QuantizedMatrix::from_matrix_opts(
+        let qm = QuantizedMatrix::from_matrix(
             &FeatureMatrix::Sparse(CsrMatrix::from_rows(5, &rows)),
             BinningConfig::default(),
-            LayoutOptions::uncompressed(),
         );
         assert!(qm.sparse_col(4).is_some_and(|(rows, _)| rows.is_empty()));
         let stride = 3 * GALLOP_AFTER;
@@ -1396,26 +1338,20 @@ mod tests {
     }
 
     /// A blob whose row count is not its table entry's fails `open` with a
-    /// typed error — dense, bundled and sparse, whether the count would
-    /// overflow the sizes it implies, ask for terabytes, or be one too many
-    /// — where it used to pass the checksum and abort or panic in the
-    /// chunk's first decode, mid-training.
+    /// typed error — dense and sparse, whether the count would overflow the
+    /// sizes it implies, ask for terabytes, or be one too many — where it
+    /// used to pass the checksum and abort or panic in the chunk's first
+    /// decode, mid-training.
     #[test]
     fn a_cache_whose_row_counts_lie_fails_to_open() {
-        let one_hot: Vec<Vec<(u32, f32)>> = (0..64usize)
-            .map(|r| (0..16).map(|g| ((g * 4 + r % 4) as u32, 1.0 + (r % 4) as f32)).collect())
-            .collect();
-        let bundled = QuantizedMatrix::from_matrix(
-            &FeatureMatrix::Sparse(CsrMatrix::from_rows(64, &one_hot)),
-            BinningConfig::default(),
-        );
         let sparse = sparse_qm(64, 5);
-        assert!(bundled.is_bundled() && sparse.sparse_col(0).is_some());
-        for (tag, qm) in [("d", dense_qm(64, 4)), ("b", bundled), ("s", sparse)] {
+        assert!(sparse.sparse_col(0).is_some());
+        for (tag, qm) in [("d", dense_qm(64, 4)), ("s", sparse)] {
             for lie in [u64::MAX, 1 << 62, 1 << 40, 17] {
                 let path = tmp_path(&format!("lie_{tag}"));
                 write_cache(&qm, 16, &path).unwrap();
-                recraft(&path, 4, 1, |blob| blob[2..10].copy_from_slice(&lie.to_le_bytes()));
+                // The kind byte, then the row count.
+                recraft(&path, 4, 1, |blob| blob[1..9].copy_from_slice(&lie.to_le_bytes()));
                 match ChunkedStore::open(&path, u64::MAX).err() {
                     Some(CacheError::Malformed(m)) => assert!(m.contains("chunk 1"), "{m}"),
                     other => panic!("{tag}, {lie} rows: {other:?}"),
@@ -1423,6 +1359,71 @@ mod tests {
                 std::fs::remove_file(&path).unwrap();
             }
         }
+    }
+
+    /// A checksum-valid blob that stores a bin its feature does not have
+    /// fails `open` with a typed error naming the chunk: in a dense row
+    /// major, in a dense column major and in a sparse entry — each one bin
+    /// past the feature's last, which the kernels would have written past
+    /// the feature's histogram cells.
+    #[test]
+    fn a_cache_holding_a_bin_its_feature_lacks_fails_to_open() {
+        let (dense, sparse) = (dense_qm(64, 4), sparse_qm(64, 5));
+        // Blob offsets: the kind byte and the row count, then the payload.
+        let (head, n, m) = (1 + 8, 16, 4);
+        let past = |qm: &QuantizedMatrix, f: usize| qm.mapper().n_bins(f) as u8;
+        let row_major = head + 3 * m + 2;
+        let col_major = head + n * m + 2 * n + 3;
+        let first_bin = |blob: &[u8]| {
+            let nnz = u64::from_le_bytes(blob[head..head + 8].try_into().unwrap()) as usize;
+            let cols = head + 8 + (n + 1) * 8;
+            let col = u32::from_le_bytes(blob[cols..cols + 4].try_into().unwrap());
+            (cols + 4 * nnz, col as usize)
+        };
+        type Craft<'a> = Box<dyn Fn(&mut [u8]) + 'a>;
+        let cases: [(&str, &QuantizedMatrix, Craft<'_>); 3] = [
+            ("row major", &dense, Box::new(|blob| blob[row_major] = past(&dense, 2))),
+            ("column major", &dense, Box::new(|blob| blob[col_major] = past(&dense, 2))),
+            (
+                "sparse",
+                &sparse,
+                Box::new(|blob| {
+                    let (at, col) = first_bin(blob);
+                    blob[at] = past(&sparse, col);
+                }),
+            ),
+        ];
+        for (what, qm, craft) in cases {
+            let path = tmp_path(&format!("bin_{}", what.replace(' ', "_")));
+            write_cache(qm, 16, &path).unwrap();
+            recraft(&path, 4, 1, craft);
+            match ChunkedStore::open(&path, u64::MAX).err() {
+                Some(CacheError::Malformed(m)) => assert!(m.contains("chunk 1"), "{what}: {m}"),
+                other => panic!("{what}: {other:?}"),
+            }
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
+    /// A checksum-valid sparse blob whose row offsets step back fails `open`
+    /// as `Malformed`, not in the transpose of the chunk's first pin.
+    #[test]
+    fn a_cache_whose_sparse_offsets_step_back_fails_to_open() {
+        let path = tmp_path("offsets");
+        write_cache(&sparse_qm(64, 5), 16, &path).unwrap();
+        // The kind byte, the row count and the entry count, then offsets.
+        let offset = |k: usize| 17 + 8 * k..17 + 8 * (k + 1);
+        recraft(&path, 4, 1, |blob| {
+            let (one, two) = (blob[offset(1)].to_vec(), blob[offset(2)].to_vec());
+            assert_ne!(one, two, "rows 0 and 1 of the chunk hold entries");
+            blob[offset(1)].copy_from_slice(&two);
+            blob[offset(2)].copy_from_slice(&one);
+        });
+        match ChunkedStore::open(&path, u64::MAX).err() {
+            Some(CacheError::Malformed(m)) => assert!(m.contains("chunk 1"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -25,13 +25,10 @@
 //! statistics are recovered as `node_total − Σ bins` (the LightGBM trick) and
 //! the split finder decides a per-split default direction for them.
 //!
-//! Two compressed layouts sit on top of the base storage (DESIGN.md §13):
-//! nibble-packed dense bins ([`U4Pack`], auto-selected when every feature
-//! fits 16 bins) and exclusive feature bundling ([`bundling`], fusing
-//! mutually-exclusive sparse features into dense synthetic columns). Both
-//! are exact re-encodings; one [`LayoutOptions`] switch turns both on or off.
+//! Storage has one byte layout per kind: dense `u8` bins in both majors, or
+//! a sparse CSC whose CSR is made on the first row read. Nothing is packed
+//! or bundled on top (DESIGN.md §13).
 
-pub mod bundling;
 mod bytes;
 mod cache;
 mod codec;
@@ -40,14 +37,10 @@ mod quantized;
 mod setup;
 mod store;
 
-pub use bundling::{BundleMap, BundleMember, BundleSlot};
 pub use cache::{
     write_cache, CacheError, CacheSummary, ChunkedStore, CACHE_MAGIC, CACHE_VERSION,
     DEFAULT_ROWS_PER_CHUNK,
 };
 pub use mapper::{BinMapper, BinningConfig, FeatureCuts};
-pub use quantized::{
-    seek_row, LayoutOptions, LayoutStats, QuantizedMatrix, SetupTimings, U4Pack, MISSING_BIN,
-    MISSING_NIBBLE,
-};
-pub use store::{sweep_chunks, ChunkIoStats, ChunkRun, PinnedChunk, QuantStore, Rows, StoreLayout};
+pub use quantized::{seek_row, QuantizedMatrix, SetupTimings, MISSING_BIN};
+pub use store::{sweep_chunks, ChunkIoStats, ChunkRun, PinnedChunk, QuantStore, Rows};

@@ -24,7 +24,6 @@
 //! long columns through, eight cells a step where the host has AVX2; and
 //! the walk over a sorted sparse column (`cuts_of_sorted_pairs`).
 
-use crate::bundling::BundleMap;
 use crate::setup::{run_tasks, setup_threads, split_mut, split_ranges, SetupInput};
 use harp_data::FeatureMatrix;
 use serde::{Deserialize, Serialize};
@@ -321,11 +320,6 @@ pub struct BinMapper {
     /// `bin_offsets[f]` = sum of bins of features `0..f`; length
     /// `n_features + 1`.
     bin_offsets: Vec<u32>,
-    /// Exclusive-feature-bundling storage map, when the quantizer decided to
-    /// fuse mutually-exclusive sparse features into dense synthetic columns.
-    /// Features, cuts, and offsets above always stay in ORIGINAL feature
-    /// coordinates — the bundle map only describes how bins are stored.
-    bundles: Option<BundleMap>,
 }
 
 impl BinMapper {
@@ -363,7 +357,7 @@ impl BinMapper {
             acc += u32::from(f.n_bins());
             bin_offsets.push(acc);
         }
-        Self { features, bin_offsets, bundles: None }
+        Self { features, bin_offsets }
     }
 
     /// Number of features.
@@ -382,21 +376,9 @@ impl BinMapper {
     }
 
     /// Per-feature used-bin widths (actual cut counts, not the configured
-    /// cap) — drives compressed-layout selection (u4 vs u8) and sink
-    /// padding.
+    /// cap).
     pub fn bin_widths(&self) -> impl ExactSizeIterator<Item = u16> + '_ {
         self.features.iter().map(FeatureCuts::n_bins)
-    }
-
-    /// The exclusive-feature-bundling storage map, if bundling engaged.
-    pub fn bundles(&self) -> Option<&BundleMap> {
-        self.bundles.as_ref()
-    }
-
-    /// Attaches a bundle map (set by the quantizer once it decides bundled
-    /// storage pays off for this dataset).
-    pub(crate) fn set_bundles(&mut self, map: BundleMap) {
-        self.bundles = Some(map);
     }
 
     /// Sum of bins over all features (flattened histogram width).

@@ -13,34 +13,23 @@
 //! cost of the 1-byte bins is still 2× smaller than the original 4-byte
 //! floats. Sparse storage is built as the CSC alone, and its CSR is the
 //! transpose of that CSC, made on the first row read: a run that only
-//! scans columns never holds it.
-//!
-//! Two compressed layouts ride on top (see DESIGN.md §13):
-//!
-//! * **u4 packing** ([`U4Pack`]): when every feature uses ≤ 16 bins, a
-//!   nibble-packed copy of both majors halves the bin bytes the scan
-//!   kernels stream. The `u8` majors are kept — partitioning, prediction,
-//!   and the scalar reference kernels keep their byte views.
-//! * **Exclusive feature bundling** ([`crate::bundling`]): mutually
-//!   exclusive sparse features fuse into dense synthetic columns so sparse
-//!   workloads leave the merge/gallop path entirely.
+//! scans columns never holds it. Those are the only two layouts: a store is
+//! dense `u8` in both majors or a sparse CSC with its lazy CSR (DESIGN.md
+//! §13 says why nothing is packed or bundled on top).
 
-use crate::bundling::{plan_bundles, too_long_a_row_to_bundle, BundleMap};
 use crate::bytes::SharedBytes;
+use crate::codec::Cursor;
 use crate::mapper::{bins_while_cutting, BinLookup, BinMapper, BinningConfig};
 use crate::setup::{
     run_tasks, setup_threads, split_mut, split_ranges, CscCopy, SetupInput, ValueCsc,
 };
 use harp_data::{DenseMatrix, FeatureMatrix};
+use std::ops::Range;
 use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Dense-storage sentinel for a missing value. Real bins are `0..=254`.
 pub const MISSING_BIN: u8 = u8::MAX;
-
-/// Packed-nibble sentinel for a missing value (only features with ≤ 15 used
-/// bins can hold missing values in a u4 pack).
-pub const MISSING_NIBBLE: u8 = 0xF;
 
 #[derive(Debug, Clone)]
 struct QCsr {
@@ -87,169 +76,11 @@ pub fn seek_row(col_rows: &[u32], mut k: usize, row: u32) -> usize {
     k
 }
 
-/// Nibble-packed (u4) copy of dense storage: two bins per byte in both
-/// majors, selected automatically when every feature fits 16 bins. Kernels
-/// read half the bin bytes; missing packs as [`MISSING_NIBBLE`] and resolves
-/// through the per-feature lane table, so accumulation stays branch-free.
-#[derive(Debug, Clone)]
-pub struct U4Pack {
-    n_rows: usize,
-    n_cols: usize,
-    /// `n_rows × ceil(m/2)` bytes; the low nibble holds the even feature.
-    /// Owned when packed in-core; a zero-copy view of the cache mapping
-    /// when decoded from a chunk blob.
-    row_major: SharedBytes,
-    /// `m × ceil(n_rows/2)` bytes; the low nibble holds the even row.
-    col_major: SharedBytes,
-    /// `m × 16` flattened-histogram lanes: `lanes[f*16 + nibble]` is
-    /// `bin_offset(f) + nibble` for a used bin and the per-feature sink lane
-    /// `total_bins + f` otherwise (missing or unused nibble).
-    lanes: Vec<u32>,
-    /// Per-feature "no missing value in this column" flags. A clean
-    /// feature's stored nibbles are all real bins (a 16-bin feature only
-    /// packs when clean), so kernels can resolve its lanes as plain
-    /// `bin_offset(f) + nibble` with no missing-sentinel select at all.
-    clean: Vec<bool>,
-}
-
-impl U4Pack {
-    /// Packs dense `u8` majors. Returns `None` unless every feature has
-    /// ≤ 15 used bins, or exactly 16 with no missing value in its column
-    /// (nibble `0xF` must stay free as the missing sentinel otherwise).
-    fn build(
-        n_rows: usize,
-        m: usize,
-        row_major: &[u8],
-        col_major: &[u8],
-        mapper: &BinMapper,
-    ) -> Option<Self> {
-        if n_rows == 0 || m == 0 {
-            return None;
-        }
-        let widths: Vec<u16> = mapper.bin_widths().collect();
-        for (f, &w) in widths.iter().enumerate() {
-            if w > 16 {
-                return None;
-            }
-            if w == 16 && col_major[f * n_rows..(f + 1) * n_rows].contains(&MISSING_BIN) {
-                return None;
-            }
-        }
-        let row_stride = m.div_ceil(2);
-        let mut rm = vec![0u8; n_rows * row_stride];
-        for r in 0..n_rows {
-            for (f, &b) in row_major[r * m..(r + 1) * m].iter().enumerate() {
-                let nib = if b == MISSING_BIN { MISSING_NIBBLE } else { b };
-                debug_assert!(nib < 16);
-                rm[r * row_stride + f / 2] |= nib << (4 * (f & 1));
-            }
-        }
-        let col_stride = n_rows.div_ceil(2);
-        let mut cm = vec![0u8; m * col_stride];
-        for f in 0..m {
-            for (r, &b) in col_major[f * n_rows..(f + 1) * n_rows].iter().enumerate() {
-                let nib = if b == MISSING_BIN { MISSING_NIBBLE } else { b };
-                cm[f * col_stride + r / 2] |= nib << (4 * (r & 1));
-            }
-        }
-        let total = mapper.total_bins();
-        let mut lanes = vec![0u32; m * 16];
-        for (f, &w) in widths.iter().enumerate() {
-            for nib in 0..16u16 {
-                lanes[f * 16 + nib as usize] =
-                    if nib < w { mapper.bin_offset(f) + u32::from(nib) } else { total + f as u32 };
-            }
-        }
-        let clean = (0..m)
-            .map(|f| !col_major[f * n_rows..(f + 1) * n_rows].contains(&MISSING_BIN))
-            .collect();
-        Some(Self { n_rows, n_cols: m, row_major: rm.into(), col_major: cm.into(), lanes, clean })
-    }
-
-    /// Reassembles a pack from already-packed nibble buffers (the chunk
-    /// cache stores them verbatim so decode hands views straight through —
-    /// zero-copy when the buffers alias the cache mapping). The lane table
-    /// is a pure function of the mapper and is the one piece recomputed —
-    /// it is `m × 16` entries, negligible next to the nibble payloads.
-    fn from_packed(
-        n_rows: usize,
-        n_cols: usize,
-        row_major: SharedBytes,
-        col_major: SharedBytes,
-        clean: Vec<bool>,
-        mapper: &BinMapper,
-    ) -> Self {
-        let total = mapper.total_bins();
-        let mut lanes = vec![0u32; n_cols * 16];
-        for (f, w) in mapper.bin_widths().enumerate() {
-            for nib in 0..16u16 {
-                lanes[f * 16 + nib as usize] =
-                    if nib < w { mapper.bin_offset(f) + u32::from(nib) } else { total + f as u32 };
-            }
-        }
-        Self { n_rows, n_cols, row_major, col_major, lanes, clean }
-    }
-
-    /// Bytes per packed row.
-    pub fn row_stride(&self) -> usize {
-        self.n_cols.div_ceil(2)
-    }
-
-    /// Bytes per packed column.
-    pub fn col_stride(&self) -> usize {
-        self.n_rows.div_ceil(2)
-    }
-
-    /// Packed bytes of feature column `f`.
-    #[inline]
-    pub fn packed_col(&self, f: usize) -> &[u8] {
-        let s = self.col_stride();
-        &self.col_major[f * s..(f + 1) * s]
-    }
-
-    /// The whole packed row-major buffer.
-    pub fn packed_rows(&self) -> &[u8] {
-        &self.row_major
-    }
-
-    /// The nibble stored at `(row, f)` ([`MISSING_NIBBLE`] marks gaps in
-    /// features with ≤ 15 bins).
-    #[inline]
-    pub fn nibble(&self, r: usize, f: usize) -> u8 {
-        (self.row_major[r * self.row_stride() + f / 2] >> (4 * (f & 1))) & 0xF
-    }
-
-    /// The `m × 16` nibble → histogram-lane table (sinks included).
-    pub fn lanes(&self) -> &[u32] {
-        &self.lanes
-    }
-
-    /// Per-feature missing-free flags: `clean()[f]` means column `f` stores
-    /// no [`MISSING_BIN`], so every stored nibble is a real bin and
-    /// `bin_offset(f) + nibble` is its histogram lane unconditionally.
-    pub fn clean(&self) -> &[bool] {
-        &self.clean
-    }
-
-    /// Heap bytes of the packed copies (both majors + lane table).
-    pub fn bytes(&self) -> usize {
-        self.row_major.len() + self.col_major.len() + self.lanes.len() * 4 + self.clean.len()
-    }
-}
-
 #[derive(Debug, Clone)]
 enum Storage {
     Dense {
         row_major: SharedBytes,
         col_major: SharedBytes,
-        u4: Option<U4Pack>,
-    },
-    /// EFB output: dense majors over `n_cols` synthetic columns in
-    /// bundle-local bin coordinates (see [`crate::bundling::BundleMap`]).
-    Bundled {
-        row_major: SharedBytes,
-        col_major: SharedBytes,
-        n_cols: usize,
     },
     /// Built as the CSC; the CSR is filled by the first row read
     /// ([`QuantizedMatrix::sparse_rows`]), or set by a chunk decode, whose
@@ -258,37 +89,6 @@ enum Storage {
         csr: OnceLock<QCsr>,
         csc: QCsc,
     },
-}
-
-/// Compressed-layout selection (on by default; every compressed layout is an
-/// exact, loss-free re-encoding).
-#[derive(Debug, Clone, Copy)]
-pub struct LayoutOptions {
-    /// Attach a nibble-packed copy to dense storage when eligible, and try
-    /// exclusive feature bundling on sparse storage.
-    pub compress: bool,
-}
-
-impl Default for LayoutOptions {
-    fn default() -> Self {
-        Self { compress: true }
-    }
-}
-
-impl LayoutOptions {
-    /// Plain u8 layouts only — the pre-compression behavior.
-    pub fn uncompressed() -> Self {
-        Self { compress: false }
-    }
-}
-
-/// Layout decisions made for one matrix, for ledger/profile surfacing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LayoutStats {
-    /// Feature columns carried in the u4 side-pack (0 or `n_features`).
-    pub cols_u4: u64,
-    /// Synthetic storage columns when bundling engaged (0 otherwise).
-    pub cols_bundled: u64,
 }
 
 /// Wall seconds of the two passes of one set-up
@@ -300,10 +100,9 @@ pub struct SetupTimings {
     /// every column shorter than 2¹⁵ entries, which the cut search's sort
     /// writes.
     pub cut_secs: f64,
-    /// Pass 2: quantizing into both majors, then layout selection (u4
-    /// packing, bundling). For sparse input that is binning the columns of
-    /// 2¹⁵ entries and more, scattering the row ids into the values' buffer
-    /// and layout selection.
+    /// Pass 2: quantizing into both majors. For sparse input that is
+    /// binning the columns of 2¹⁵ entries and more and scattering the row
+    /// ids into the values' buffer.
     pub quantize_secs: f64,
 }
 
@@ -318,48 +117,28 @@ pub struct QuantizedMatrix {
 }
 
 impl QuantizedMatrix {
-    /// Builds cuts from `matrix` and quantizes it, with default layout
-    /// selection (u4 packing and bundling auto-engage when profitable).
+    /// Builds cuts from `matrix` and quantizes it.
     pub fn from_matrix(matrix: &FeatureMatrix, config: BinningConfig) -> Self {
-        Self::from_matrix_opts(matrix, config, LayoutOptions::default())
+        Self::from_matrix_timed(matrix, config).0
     }
 
-    /// [`from_matrix`](Self::from_matrix) with explicit layout selection.
-    pub fn from_matrix_opts(
-        matrix: &FeatureMatrix,
-        config: BinningConfig,
-        layout: LayoutOptions,
-    ) -> Self {
-        Self::from_matrix_timed(matrix, config, layout).0
-    }
-
-    /// [`from_matrix_opts`](Self::from_matrix_opts) that also reports how
-    /// long each set-up pass took.
+    /// [`from_matrix`](Self::from_matrix) that also reports how long each
+    /// set-up pass took.
     pub fn from_matrix_timed(
         matrix: &FeatureMatrix,
         config: BinningConfig,
-        layout: LayoutOptions,
     ) -> (Self, SetupTimings) {
-        Self::from_matrix_threads(matrix, config, layout, setup_threads())
+        Self::from_matrix_threads(matrix, config, setup_threads())
     }
 
     /// Set-up on `threads` threads; the result does not depend on the count.
     pub(crate) fn from_matrix_threads(
         matrix: &FeatureMatrix,
         config: BinningConfig,
-        layout: LayoutOptions,
         threads: usize,
     ) -> (Self, SetupTimings) {
         let start = Instant::now();
         let input = SetupInput::new(matrix, threads);
-        // Every input entry gets a bin, so an input row's length is its
-        // count of present features with a bin.
-        let longest_row = match matrix {
-            FeatureMatrix::Sparse(s) => {
-                Some(s.parts().0.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0))
-            }
-            FeatureMatrix::Dense(_) => None,
-        };
         // Zeroed, not filled: first touched by the pass that bins the column.
         let mut csc_bins = match &input {
             SetupInput::Sparse(_, csc) => Some(vec![0u8; csc.vals.len()]),
@@ -368,35 +147,15 @@ impl QuantizedMatrix {
         let mapper = BinMapper::from_input(&input, config, threads, csc_bins.as_deref_mut());
         let cut_secs = start.elapsed().as_secs_f64();
         let start = Instant::now();
-        let mut qm = Self::from_input(input, mapper, layout, threads, csc_bins);
-        if let Some(longest_row) = longest_row.filter(|_| layout.compress) {
-            qm.try_bundle(longest_row);
-        }
+        let qm = Self::from_input(input, mapper, threads, csc_bins);
         (qm, SetupTimings { cut_secs, quantize_secs: start.elapsed().as_secs_f64() })
     }
 
     /// Quantizes `matrix` with existing cuts (e.g. apply training cuts to a
-    /// validation set). A mapper carrying a bundle map reproduces bundled
-    /// storage for sparse input deterministically (no re-planning).
-    ///
-    /// # Panics
-    /// Panics if the mapper's bundle map puts two features present in one
-    /// row of `matrix` into one bundle (it never does on the rows it was
-    /// planned on).
+    /// validation set).
     pub fn with_mapper(matrix: &FeatureMatrix, mapper: BinMapper) -> Self {
-        Self::with_mapper_opts(matrix, mapper, LayoutOptions::default())
-    }
-
-    /// [`with_mapper`](Self::with_mapper) with explicit layout selection
-    /// (bundle planning never runs here; only a map already attached to the
-    /// mapper is applied).
-    pub fn with_mapper_opts(
-        matrix: &FeatureMatrix,
-        mapper: BinMapper,
-        layout: LayoutOptions,
-    ) -> Self {
         let threads = setup_threads();
-        Self::from_input(SetupInput::new(matrix, threads), mapper, layout, threads, None)
+        Self::from_input(SetupInput::new(matrix, threads), mapper, threads, None)
     }
 
     /// Pass 2 of set-up: quantizes `input` with `mapper`'s cuts. `csc_bins`
@@ -405,54 +164,27 @@ impl QuantizedMatrix {
     fn from_input(
         input: SetupInput<'_>,
         mapper: BinMapper,
-        layout: LayoutOptions,
         threads: usize,
         csc_bins: Option<Vec<u8>>,
     ) -> Self {
         assert_eq!(input.n_cols(), mapper.n_features(), "mapper/matrix feature mismatch");
         let (n_rows, storage) = match input {
             SetupInput::Dense(dense) => {
-                let (n_rows, m) = (dense.n_rows(), dense.n_cols());
                 let (row_major, col_major) = quantize_dense(dense, &mapper, threads);
-                let u4 = (layout.compress && mapper.max_bins_used() <= 16)
-                    .then(|| U4Pack::build(n_rows, m, &row_major, &col_major, &mapper))
-                    .flatten();
                 let storage =
-                    Storage::Dense { row_major: row_major.into(), col_major: col_major.into(), u4 };
-                (n_rows, storage)
+                    Storage::Dense { row_major: row_major.into(), col_major: col_major.into() };
+                (dense.n_rows(), storage)
             }
             SetupInput::Sparse(sparse, value_csc) => {
-                let n_rows = sparse.n_rows();
                 let csc = quantize_sparse(value_csc, &mapper, threads, csc_bins);
-                let storage = match mapper.bundles() {
-                    Some(map) => bundled_storage(n_rows, &csc, map),
-                    None => Storage::Sparse { csr: OnceLock::new(), csc },
-                };
-                (n_rows, storage)
+                (sparse.n_rows(), Storage::Sparse { csr: OnceLock::new(), csc })
             }
         };
         Self { n_rows, mapper, storage }
     }
 
-    /// Runs the EFB planning pass on sparse storage, whose longest row holds
-    /// `longest_row` entries, and switches to bundled dense columns when
-    /// profitable (no-op otherwise).
-    fn try_bundle(&mut self, longest_row: usize) {
-        let Storage::Sparse { csc, .. } = &self.storage else { return };
-        if too_long_a_row_to_bundle(longest_row, self.n_features()) {
-            return;
-        }
-        let widths: Vec<u16> = self.mapper.bin_widths().collect();
-        let map = plan_bundles(self.n_rows, &widths, self.mapper.bin_offsets(), |f| {
-            &csc.rows[csc.indptr[f]..csc.indptr[f + 1]]
-        });
-        let Some(map) = map else { return };
-        self.storage = bundled_storage(self.n_rows, csc, &map);
-        self.mapper.set_bundles(map);
-    }
-
     /// The sparse CSR, transposed from the CSC on the first call, or `None`
-    /// for dense/bundled storage. Every row read goes through here.
+    /// for dense storage. Every row read goes through here.
     fn sparse_rows(&self) -> Option<&QCsr> {
         match &self.storage {
             Storage::Sparse { csr, csc } => Some(csr.get_or_init(|| csc.to_csr(self.n_rows))),
@@ -470,74 +202,23 @@ impl QuantizedMatrix {
         self.mapper.n_features()
     }
 
-    /// Number of physical storage columns: `n_features`, or the bundle
-    /// count when bundling engaged.
-    pub fn n_storage_cols(&self) -> usize {
-        match &self.storage {
-            Storage::Bundled { n_cols, .. } => *n_cols,
-            _ => self.n_features(),
-        }
-    }
-
     /// The cut points used for quantization.
     pub fn mapper(&self) -> &BinMapper {
         &self.mapper
     }
 
-    /// Whether storage is plain dense (one byte column per feature).
-    /// Bundled storage answers `false`: its columns are synthetic, so
-    /// per-feature slicing of scans does not apply.
+    /// Whether storage is dense (one byte column per feature).
     pub fn is_dense(&self) -> bool {
         matches!(self.storage, Storage::Dense { .. })
     }
 
-    /// Whether exclusive feature bundling engaged.
-    pub fn is_bundled(&self) -> bool {
-        matches!(self.storage, Storage::Bundled { .. })
-    }
-
-    /// The nibble-packed copy of dense storage, when selected.
-    pub fn u4(&self) -> Option<&U4Pack> {
-        match &self.storage {
-            Storage::Dense { u4, .. } => u4.as_ref(),
-            _ => None,
-        }
-    }
-
-    /// Layout decisions for ledger/profile counters.
-    pub fn layout_stats(&self) -> LayoutStats {
-        match &self.storage {
-            Storage::Dense { u4, .. } => LayoutStats {
-                cols_u4: if u4.is_some() { self.n_features() as u64 } else { 0 },
-                ..LayoutStats::default()
-            },
-            Storage::Bundled { n_cols, .. } => {
-                LayoutStats { cols_bundled: *n_cols as u64, ..LayoutStats::default() }
-            }
-            Storage::Sparse { .. } => LayoutStats::default(),
-        }
-    }
-
     /// The bin of `(row, f)`, or `None` if missing. Slow; for tests and
-    /// single lookups. `f` is always an ORIGINAL feature id — bundled
-    /// storage translates internally.
+    /// single lookups.
     pub fn bin(&self, row: usize, f: usize) -> Option<u8> {
         match &self.storage {
             Storage::Dense { row_major, .. } => {
                 let b = row_major[row * self.n_features() + f];
                 (b != MISSING_BIN).then_some(b)
-            }
-            Storage::Bundled { row_major, n_cols, .. } => {
-                let slot = self.mapper.bundles().expect("bundled storage has a map").slot(f);
-                if slot.width == 0 {
-                    return None;
-                }
-                let b = row_major[row * n_cols + slot.col as usize];
-                if b == MISSING_BIN {
-                    return None;
-                }
-                let b = u16::from(b);
-                (b >= slot.offset && b < slot.offset + slot.width).then(|| (b - slot.offset) as u8)
             }
             Storage::Sparse { .. } => {
                 let (cols, bins) = self.sparse_row(row).expect("sparse storage");
@@ -547,7 +228,7 @@ impl QuantizedMatrix {
     }
 
     /// Dense row-major slice of one row (`MISSING_BIN` marks gaps), or
-    /// `None` for sparse/bundled storage.
+    /// `None` for sparse storage.
     #[inline]
     pub fn dense_row(&self, row: usize) -> Option<&[u8]> {
         match &self.storage {
@@ -555,61 +236,38 @@ impl QuantizedMatrix {
                 let m = self.n_features();
                 Some(&row_major[row * m..(row + 1) * m])
             }
-            _ => None,
+            Storage::Sparse { .. } => None,
         }
     }
 
     /// The whole dense row-major bin matrix (`n_rows * n_features` bytes,
-    /// `MISSING_BIN` marks gaps), or `None` for sparse/bundled storage.
+    /// `MISSING_BIN` marks gaps), or `None` for sparse storage.
     /// Every stored bin is either `MISSING_BIN` or strictly below the
-    /// feature's [`BinMapper::n_bins`] — quantization clamps into range —
-    /// which lets scan kernels index flattened histograms without per-cell
-    /// checks.
+    /// feature's [`BinMapper::n_bins`] — quantization clamps into range, and
+    /// a cache is checked for it when opened — which lets scan kernels index
+    /// flattened histograms without per-cell checks.
     #[inline]
     pub fn dense_row_major(&self) -> Option<&[u8]> {
         match &self.storage {
             Storage::Dense { row_major, .. } => Some(row_major),
-            _ => None,
+            Storage::Sparse { .. } => None,
         }
     }
 
     /// Dense column-major slice of one feature (`MISSING_BIN` marks gaps),
-    /// or `None` for sparse/bundled storage.
+    /// or `None` for sparse storage.
     #[inline]
     pub fn dense_col(&self, f: usize) -> Option<&[u8]> {
         match &self.storage {
             Storage::Dense { col_major, .. } => {
                 Some(&col_major[f * self.n_rows..(f + 1) * self.n_rows])
             }
-            _ => None,
+            Storage::Sparse { .. } => None,
         }
     }
 
-    /// The bundled row-major storage (`n_rows × n_storage_cols` bytes in
-    /// bundle-local bin coordinates), or `None` when bundling is off.
-    #[inline]
-    pub fn bundled_row_major(&self) -> Option<&[u8]> {
-        match &self.storage {
-            Storage::Bundled { row_major, .. } => Some(row_major),
-            _ => None,
-        }
-    }
-
-    /// Bundled column-major slice of synthetic column `c`, or `None` when
-    /// bundling is off.
-    #[inline]
-    pub fn bundled_col(&self, c: usize) -> Option<&[u8]> {
-        match &self.storage {
-            Storage::Bundled { col_major, .. } => {
-                Some(&col_major[c * self.n_rows..(c + 1) * self.n_rows])
-            }
-            _ => None,
-        }
-    }
-
-    /// Visits the present `(feature, bin)` pairs of one row, in original
-    /// feature coordinates. Dense/sparse storage visits in ascending
-    /// feature order; bundled storage visits in storage-column order.
+    /// Visits the present `(feature, bin)` pairs of one row, in ascending
+    /// feature order.
     pub fn for_each_in_row(&self, row: usize, mut visit: impl FnMut(u32, u8)) {
         match &self.storage {
             Storage::Dense { row_major, .. } => {
@@ -620,16 +278,6 @@ impl QuantizedMatrix {
                     }
                 }
             }
-            Storage::Bundled { row_major, n_cols, .. } => {
-                let map = self.mapper.bundles().expect("bundled storage has a map");
-                for (c, &b) in row_major[row * n_cols..(row + 1) * n_cols].iter().enumerate() {
-                    if b != MISSING_BIN {
-                        if let Some((f, local)) = map.translate(c, b) {
-                            visit(f, local);
-                        }
-                    }
-                }
-            }
             Storage::Sparse { .. } => {
                 let (cols, bins) = self.sparse_row(row).expect("sparse storage");
                 cols.iter().zip(bins).for_each(|(&c, &b)| visit(c, b));
@@ -637,8 +285,8 @@ impl QuantizedMatrix {
         }
     }
 
-    /// Visits the present `(row, bin)` pairs of one (original) feature
-    /// column, in row order.
+    /// Visits the present `(row, bin)` pairs of one feature column, in row
+    /// order.
     pub fn for_each_in_col(&self, f: usize, mut visit: impl FnMut(u32, u8)) {
         match &self.storage {
             Storage::Dense { col_major, .. } => {
@@ -646,21 +294,6 @@ impl QuantizedMatrix {
                 {
                     if b != MISSING_BIN {
                         visit(r as u32, b);
-                    }
-                }
-            }
-            Storage::Bundled { col_major, .. } => {
-                let slot = self.mapper.bundles().expect("bundled storage has a map").slot(f);
-                if slot.width == 0 {
-                    return;
-                }
-                let c = slot.col as usize;
-                let (lo, hi) = (slot.offset, slot.offset + slot.width);
-                for (r, &b) in col_major[c * self.n_rows..(c + 1) * self.n_rows].iter().enumerate()
-                {
-                    let b = u16::from(b);
-                    if b >= lo && b < hi {
-                        visit(r as u32, (b - lo) as u8);
                     }
                 }
             }
@@ -673,27 +306,27 @@ impl QuantizedMatrix {
     }
 
     /// Sparse CSC entries of feature `f` as `(rows, bins)` slices (row
-    /// order), or `None` for dense/bundled storage.
+    /// order), or `None` for dense storage.
     pub fn sparse_col(&self, f: usize) -> Option<(&[u32], &[u8])> {
         match &self.storage {
             Storage::Sparse { csc, .. } => {
                 let span = csc.indptr[f]..csc.indptr[f + 1];
                 Some((&csc.rows[span.clone()], &csc.bins[span]))
             }
-            _ => None,
+            Storage::Dense { .. } => None,
         }
     }
 
     /// The raw sparse CSR arrays as `(indptr, cols, bins)`, or `None` for
-    /// dense/bundled storage. Row `r` owns entries `indptr[r]..indptr[r+1]`
-    /// of `cols`/`bins`; columns are strictly ascending within a row. The
+    /// dense storage. Row `r` owns entries `indptr[r]..indptr[r+1]` of
+    /// `cols`/`bins`; columns are strictly ascending within a row. The
     /// first row read of a matrix builds its CSR.
     pub fn sparse_csr(&self) -> Option<(&[usize], &[u32], &[u8])> {
         self.sparse_rows().map(|csr| (&csr.indptr[..], &csr.cols[..], &csr.bins[..]))
     }
 
     /// Sparse CSR entries of row `r` as `(cols, bins)` slices, or `None`
-    /// for dense/bundled storage.
+    /// for dense storage.
     pub fn sparse_row(&self, r: usize) -> Option<(&[u32], &[u8])> {
         self.sparse_rows().map(|csr| {
             let span = csr.indptr[r]..csr.indptr[r + 1];
@@ -701,17 +334,14 @@ impl QuantizedMatrix {
         })
     }
 
-    /// Decoded-equivalent heap bytes of the bin storage (compressed
-    /// side-copies included). Sparse storage counts both majors, a 4-byte
-    /// index and a 1-byte bin per entry in each plus their offset arrays,
-    /// whether or not its CSR has been built: the figure is a property of
-    /// the data, equal for an in-core matrix and the slabs of its cache.
+    /// Decoded-equivalent heap bytes of the bin storage: both dense majors,
+    /// or, for sparse storage, both majors, a 4-byte index and a 1-byte bin
+    /// per entry in each plus their offset arrays, whether or not its CSR
+    /// has been built: the figure is a property of the data, equal for an
+    /// in-core matrix and the slabs of its cache.
     pub fn storage_bytes(&self) -> usize {
         match &self.storage {
-            Storage::Dense { row_major, col_major, u4 } => {
-                row_major.len() + col_major.len() + u4.as_ref().map_or(0, U4Pack::bytes)
-            }
-            Storage::Bundled { row_major, col_major, .. } => row_major.len() + col_major.len(),
+            Storage::Dense { row_major, col_major } => row_major.len() + col_major.len(),
             Storage::Sparse { csc, .. } => {
                 let nnz = csc.rows.len();
                 (nnz + nnz * 4 + (self.n_rows + 1) * 8) + (nnz + nnz * 4 + csc.indptr.len() * 8)
@@ -719,9 +349,8 @@ impl QuantizedMatrix {
         }
     }
 
-    /// Appends, for each listed row, the *routing byte* of original feature
-    /// `f`: the stored bin, or [`MISSING_BIN`] when the cell is absent, with
-    /// bundled storage translated back into feature-local bins. The result
+    /// Appends, for each listed row, the *routing byte* of feature `f`: the
+    /// stored bin, or [`MISSING_BIN`] when the cell is absent. The result
     /// drives split routing uniformly across storages — `MISSING_BIN`
     /// follows the split's default direction, any real bin compares against
     /// the threshold — which is what lets a chunked store hand ApplySplit an
@@ -734,23 +363,6 @@ impl QuantizedMatrix {
             Storage::Dense { col_major, .. } => {
                 let col = &col_major[f * self.n_rows..(f + 1) * self.n_rows];
                 out.extend(rows.iter().map(|&r| col[r as usize]));
-            }
-            Storage::Bundled { col_major, .. } => {
-                let slot = self.mapper.bundles().expect("bundled storage has a map").slot(f);
-                if slot.width == 0 {
-                    out.extend(std::iter::repeat_n(MISSING_BIN, rows.len()));
-                    return;
-                }
-                let col = &col_major[slot.col as usize * self.n_rows..];
-                let (lo, width) = (slot.offset, slot.width);
-                out.extend(rows.iter().map(|&r| {
-                    let b = u16::from(col[r as usize]);
-                    if b.wrapping_sub(lo) < width {
-                        (b - lo) as u8
-                    } else {
-                        MISSING_BIN
-                    }
-                }));
             }
             Storage::Sparse { csc, .. } => {
                 let span = csc.indptr[f]..csc.indptr[f + 1];
@@ -775,15 +387,7 @@ impl QuantizedMatrix {
         let n = rows.len();
         let m = self.n_features();
         match &self.storage {
-            Storage::Dense { u4, .. } => {
-                let u4_bytes = if u4.is_some() {
-                    n * m.div_ceil(2) + m * n.div_ceil(2) + m * 16 * 4 + m
-                } else {
-                    0
-                };
-                2 * n * m + u4_bytes
-            }
-            Storage::Bundled { n_cols, .. } => 2 * n * n_cols,
+            Storage::Dense { .. } => 2 * n * m,
             Storage::Sparse { .. } => {
                 let (indptr, _, _) = self.sparse_csr().expect("sparse storage");
                 let e = indptr[rows.end] - indptr[rows.start];
@@ -797,16 +401,10 @@ impl QuantizedMatrix {
     /// every chunk's offset before any task starts.
     pub(crate) fn encoded_chunk_bytes(&self, rows: std::ops::Range<usize>) -> usize {
         let n = rows.len();
-        let m = self.n_features();
-        // kind, u4 flag, n_rows.
-        let head = 1 + 1 + 8;
+        // kind, n_rows.
+        let head = 1 + 8;
         match &self.storage {
-            Storage::Dense { u4, .. } => {
-                let u4_bytes =
-                    if u4.is_some() { n * m.div_ceil(2) + m * n.div_ceil(2) + m } else { 0 };
-                head + 2 * n * m + u4_bytes
-            }
-            Storage::Bundled { n_cols, .. } => head + 8 + 2 * n * n_cols,
+            Storage::Dense { .. } => head + 2 * n * self.n_features(),
             Storage::Sparse { .. } => {
                 let (indptr, _, _) = self.sparse_csr().expect("sparse storage");
                 let nnz = indptr[rows.end] - indptr[rows.start];
@@ -816,27 +414,26 @@ impl QuantizedMatrix {
     }
 
     /// Serializes rows `rows` as a self-contained chunk blob (rows re-rooted
-    /// at 0). Dense and bundled chunks write the *decoded* layouts verbatim
-    /// (row major, gathered column major, pre-packed u4 nibbles) so that
-    /// [`decode_chunk`] on the training hot path is a handful of `memcpy`s —
-    /// a chunked scan re-decodes a chunk on every cache miss, so the
-    /// transpose/pack cost belongs here, paid once at cache-build time.
-    /// Sparse chunks still rebuild their CSC mirror on decode (an `O(nnz)`
-    /// bucket pass; sparse storage is column-scanned far less often).
+    /// at 0). Dense chunks write both majors verbatim (row major, gathered
+    /// column major) so that [`decode_chunk`] on the training hot path is a
+    /// pair of views — a chunked scan re-decodes a chunk on every cache
+    /// miss, so the transpose cost belongs here, paid once at cache-build
+    /// time. Sparse chunks write their CSR and rebuild the CSC mirror on
+    /// decode (an `O(nnz)` bucket pass).
     ///
-    /// Blob layout: `kind u8` (0 dense / 1 bundled / 2 sparse), `u4 u8`
-    /// flag, `n_rows u64`, then per-kind payload.
+    /// Blob layout: `kind u8` ([`CHUNK_DENSE`] / [`CHUNK_SPARSE`]),
+    /// `n_rows u64`, then for dense the `n_rows × m` row major and the
+    /// `m × n_rows` column major, for sparse `nnz u64`, the `n_rows + 1`
+    /// offsets as `u64`, the column ids as `u32` and the bins.
     pub(crate) fn encode_chunk(&self, rows: std::ops::Range<usize>, out: &mut Vec<u8>) {
         use crate::codec::{put_u32, put_u64};
         let m = self.n_features();
         let n = rows.len();
         out.reserve(self.encoded_chunk_bytes(rows.clone()));
         match &self.storage {
-            Storage::Dense { row_major, col_major, u4 } => {
-                out.push(0);
-                out.push(u8::from(u4.is_some()));
+            Storage::Dense { row_major, col_major } => {
+                out.push(CHUNK_DENSE);
                 put_u64(out, n as u64);
-                let payload = out.len();
                 out.extend_from_slice(&row_major[rows.start * m..rows.end * m]);
                 // The chunk's column major: rows.start..rows.end of each
                 // column, gathered into a contiguous slab-shaped run.
@@ -844,36 +441,10 @@ impl QuantizedMatrix {
                     let col = &col_major[f * self.n_rows..(f + 1) * self.n_rows];
                     out.extend_from_slice(&col[rows.clone()]);
                 }
-                if u4.is_some() {
-                    // Re-pack the chunk's nibbles with the construction
-                    // routine (nibble phase depends on the chunk-local row
-                    // index, so the full matrix's pack cannot be sliced).
-                    // Succeeds because the full-matrix pack did: bin widths
-                    // are mapper-global and a missing-free column stays
-                    // missing-free in any row subset.
-                    let (chunk_rm, chunk_cm) = out[payload..].split_at(n * m);
-                    let p = U4Pack::build(n, m, chunk_rm, chunk_cm, &self.mapper)
-                        .expect("a chunk of a u4-packed matrix packs");
-                    out.extend_from_slice(&p.row_major);
-                    out.extend_from_slice(&p.col_major);
-                    out.extend(p.clean.iter().map(|&c| u8::from(c)));
-                }
-            }
-            Storage::Bundled { row_major, col_major, n_cols } => {
-                out.push(1);
-                out.push(0);
-                put_u64(out, n as u64);
-                put_u64(out, *n_cols as u64);
-                out.extend_from_slice(&row_major[rows.start * n_cols..rows.end * n_cols]);
-                for c in 0..*n_cols {
-                    let col = &col_major[c * self.n_rows..(c + 1) * self.n_rows];
-                    out.extend_from_slice(&col[rows.clone()]);
-                }
             }
             Storage::Sparse { .. } => {
                 let (indptr, cols, bins) = self.sparse_csr().expect("sparse storage");
-                out.push(2);
-                out.push(0);
+                out.push(CHUNK_SPARSE);
                 put_u64(out, n as u64);
                 let base = indptr[rows.start];
                 let nnz = indptr[rows.end] - base;
@@ -891,84 +462,30 @@ impl QuantizedMatrix {
 
     /// Decodes an [`encode_chunk`](Self::encode_chunk) blob into a
     /// self-contained slab matrix (rows numbered `0..chunk_len`) carrying a
-    /// clone of `mapper`. Dense and bundled layouts were written decoded, so
-    /// their byte buffers become bounds-checked *views* of the blob — when
-    /// the blob aliases the cache file's mapping, decode allocates nothing
-    /// but the u4 lane table (a pure function of the mapper) and the slab
-    /// reads straight from page cache. Sparse chunks still rebuild their
-    /// CSC mirror with the same bucket placement construction uses. Either
-    /// way a decoded slab is bitwise-identical to slicing the original
-    /// matrix.
+    /// clone of `mapper`. A dense slab's majors are bounds-checked *views*
+    /// of the blob — when the blob aliases the cache file's mapping, decode
+    /// allocates nothing and the slab reads straight from page cache. Sparse
+    /// chunks rebuild their CSC mirror with the same bucket placement
+    /// construction uses. Either way a decoded slab is bitwise-identical to
+    /// slicing the original matrix. The bins are not checked here: a cache
+    /// checks every chunk's once, when it is opened ([`check_chunk`]).
+    ///
+    /// [`check_chunk`]: Self::check_chunk
     pub(crate) fn decode_chunk(blob: &SharedBytes, mapper: &BinMapper) -> Result<Self, String> {
-        use crate::codec::Cursor;
         let m = mapper.n_features();
-        let mut cur = Cursor::new(blob);
-        let view = |cur: &mut Cursor, len: usize, what: &str| -> Result<SharedBytes, String> {
-            let start = cur.pos();
-            cur.take(len).ok_or_else(|| format!("chunk blob truncated: {what}"))?;
-            Ok(blob.slice(start..start + len))
-        };
-        // The counts are read from the blob too: the bytes a count implies
-        // must be left in it before anything of that size is viewed or
-        // allocated, and the product must not overflow.
-        let sized = |cur: &Cursor, count: usize, width: usize, what: &str| {
-            count
-                .checked_mul(width)
-                .filter(|&len| len <= cur.remaining())
-                .ok_or_else(|| format!("chunk blob too short for its {what}"))
-        };
-        let kind = cur.get_u8().ok_or("chunk blob truncated: kind")?;
-        let want_u4 = cur.get_u8().ok_or("chunk blob truncated: u4 flag")? != 0;
-        let n = cur.get_u64().ok_or("chunk blob truncated: n_rows")? as usize;
-        let storage = match kind {
-            0 => {
-                let cells = sized(&cur, n, m, "dense cells")?;
-                let row_major = view(&mut cur, cells, "dense rows")?;
-                let col_major = view(&mut cur, cells, "dense cols")?;
-                let u4 = if want_u4 {
-                    // No larger than the dense cells already taken: the
-                    // products cannot overflow, and `view` checks the rest.
-                    let rm = view(&mut cur, n * m.div_ceil(2), "u4 rows")?;
-                    let cm = view(&mut cur, m * n.div_ceil(2), "u4 cols")?;
-                    let clean: Vec<bool> = cur
-                        .take(m)
-                        .ok_or("chunk blob truncated: u4 clean flags")?
-                        .iter()
-                        .map(|&b| b != 0)
-                        .collect();
-                    Some(U4Pack::from_packed(n, m, rm, cm, clean, mapper))
-                } else {
-                    None
-                };
-                Storage::Dense { row_major, col_major, u4 }
-            }
-            1 => {
-                let n_cols = cur.get_u64().ok_or("chunk blob truncated: n_cols")? as usize;
-                if mapper.bundles().is_none() {
-                    return Err("bundled chunk but mapper has no bundle map".into());
-                }
-                let cells = sized(&cur, n, n_cols, "bundled cells")?;
-                let row_major = view(&mut cur, cells, "bundled rows")?;
-                let col_major = view(&mut cur, cells, "bundled cols")?;
-                Storage::Bundled { row_major, col_major, n_cols }
-            }
-            2 => {
-                let nnz = cur.get_u64().ok_or("chunk blob truncated: nnz")? as usize;
-                let offsets = n.checked_add(1).ok_or("chunk row count out of range")?;
-                sized(&cur, offsets, 8, "indptr")?;
-                let mut indptr = Vec::with_capacity(offsets);
-                for _ in 0..offsets {
-                    indptr.push(cur.get_u64().ok_or("chunk blob truncated: indptr")? as usize);
-                }
-                if indptr[0] != 0 || indptr[n] != nnz || indptr.windows(2).any(|w| w[0] > w[1]) {
-                    return Err("chunk indptr does not walk nnz entries".into());
-                }
-                sized(&cur, nnz, 4 + 1, "entries")?;
-                let mut cols = Vec::with_capacity(nnz);
-                for _ in 0..nnz {
-                    cols.push(cur.get_u32().ok_or("chunk blob truncated: cols")?);
-                }
-                let bins = cur.take(nnz).ok_or("chunk blob truncated: bins")?.to_vec();
+        let (n_rows, storage) = match ChunkParts::of(blob, m)? {
+            ChunkParts::Dense { n, row_major, col_major } => (
+                n,
+                Storage::Dense {
+                    row_major: blob.slice(row_major),
+                    col_major: blob.slice(col_major),
+                },
+            ),
+            ChunkParts::Sparse { n, indptr, cols, bins } => {
+                let indptr: Vec<usize> =
+                    blob[indptr].chunks_exact(8).map(|w| le_u64(w) as usize).collect();
+                let cols: Vec<u32> = blob[cols].chunks_exact(4).map(le_u32).collect();
+                let bins = blob[bins].to_vec();
                 if cols.iter().any(|&c| c as usize >= m) {
                     return Err("chunk column id out of range".into());
                 }
@@ -977,18 +494,152 @@ impl QuantizedMatrix {
                 // tasks of their own.
                 let CscCopy { indptr: csc_indptr, rows, vals: csc_bins } =
                     CscCopy::transpose(m, &indptr, &cols, &bins, 1);
-                Storage::Sparse {
+                let storage = Storage::Sparse {
                     csr: OnceLock::from(QCsr { indptr, cols, bins }),
                     csc: QCsc { indptr: csc_indptr, rows, bins: csc_bins },
+                };
+                (n, storage)
+            }
+        };
+        Ok(Self { n_rows, mapper: mapper.clone(), storage })
+    }
+
+    /// Checks a chunk blob the way [`ChunkedStore::open`] must before any
+    /// scan reads it, and returns its row count: the blob's counts fit its
+    /// bytes, and every bin it stores is one its feature has — a dense cell
+    /// of either major below `n_bins(f)` or [`MISSING_BIN`], a sparse entry
+    /// below the `n_bins` of its column, whose id is below `n_features`.
+    /// The kernels index histograms by stored bin without a check, so a
+    /// checksum-valid blob breaking this would write out of bounds.
+    ///
+    /// [`ChunkedStore::open`]: crate::ChunkedStore::open
+    pub(crate) fn check_chunk(blob: &[u8], mapper: &BinMapper) -> Result<usize, String> {
+        let m = mapper.n_features();
+        // `n_bins(f)`, capped at 255: every byte below it is a bin of `f`.
+        let limits: Vec<u8> =
+            mapper.bin_widths().map(|w| u8::try_from(w).unwrap_or(u8::MAX)).collect();
+        match ChunkParts::of(blob, m)? {
+            ChunkParts::Dense { n, row_major, col_major } => {
+                if n == 0 || m == 0 {
+                    return Ok(n);
                 }
+                // `b + 1` wraps MISSING_BIN to 0, so a cell is valid iff
+                // `b + 1 <= n_bins(f)`: one running maximum per feature.
+                let row_high = row_major_high(&blob[row_major], m);
+                let col_high = blob[col_major]
+                    .chunks_exact(n)
+                    .map(|col| col.iter().fold(0u8, |high, &b| high.max(b.wrapping_add(1))));
+                for (f, ((&row, col), &limit)) in
+                    row_high.iter().zip(col_high).zip(&limits).enumerate()
+                {
+                    if row > limit || col > limit {
+                        let major = if row > limit { "row" } else { "column" };
+                        return Err(format!("feature {f} stores a bin it lacks ({major} major)"));
+                    }
+                }
+                Ok(n)
+            }
+            ChunkParts::Sparse { n, cols, bins, .. } => {
+                let cols = blob[cols].chunks_exact(4).map(le_u32);
+                for (c, &b) in cols.zip(&blob[bins]) {
+                    if limits.get(c as usize).is_none_or(|&limit| b >= limit) {
+                        return Err(format!("entry of column {c} stores a bin it lacks"));
+                    }
+                }
+                Ok(n)
+            }
+        }
+    }
+}
+
+/// Chunk blob kinds ([`QuantizedMatrix::encode_chunk`]).
+const CHUNK_DENSE: u8 = 0;
+const CHUNK_SPARSE: u8 = 1;
+
+/// Where the parts of a chunk blob lie, every count read from it checked
+/// against the bytes it holds: a count must not overflow, and the bytes it
+/// implies must be left in the blob, before anything of that size is viewed
+/// or allocated.
+enum ChunkParts {
+    Dense { n: usize, row_major: Range<usize>, col_major: Range<usize> },
+    Sparse { n: usize, indptr: Range<usize>, cols: Range<usize>, bins: Range<usize> },
+}
+
+impl ChunkParts {
+    fn of(blob: &[u8], m: usize) -> Result<Self, String> {
+        fn take(
+            cur: &mut Cursor<'_>,
+            count: usize,
+            width: usize,
+            what: &str,
+        ) -> Result<Range<usize>, String> {
+            let start = cur.pos();
+            count
+                .checked_mul(width)
+                .and_then(|len| cur.take(len))
+                .map(|_| start..cur.pos())
+                .ok_or_else(|| format!("chunk blob too short for its {what}"))
+        }
+        let mut cur = Cursor::new(blob);
+        let kind = cur.get_u8().ok_or("chunk blob truncated: kind")?;
+        let n = cur.get_u64().ok_or("chunk blob truncated: n_rows")? as usize;
+        let parts = match kind {
+            CHUNK_DENSE => {
+                let row_major = take(&mut cur, n, m, "dense rows")?;
+                let col_major = take(&mut cur, n, m, "dense cols")?;
+                ChunkParts::Dense { n, row_major, col_major }
+            }
+            CHUNK_SPARSE => {
+                let nnz = cur.get_u64().ok_or("chunk blob truncated: nnz")?;
+                let offsets = n.checked_add(1).ok_or("chunk row count out of range")?;
+                let indptr = take(&mut cur, offsets, 8, "indptr")?;
+                let cols = take(&mut cur, nnz as usize, 4, "column ids")?;
+                let bins = take(&mut cur, nnz as usize, 1, "bins")?;
+                // The row offsets walk the entries: from 0 to `nnz`, never
+                // backwards (the transpose would panic on a step back).
+                let mut at = blob[indptr.clone()].chunks_exact(8).map(le_u64);
+                let walks = at.next() == Some(0)
+                    && at.try_fold(0, |prev, next| (next >= prev).then_some(next)) == Some(nnz);
+                if !walks {
+                    return Err("chunk indptr does not walk nnz entries".into());
+                }
+                ChunkParts::Sparse { n, indptr, cols, bins }
             }
             k => return Err(format!("unknown chunk kind {k}")),
         };
         if cur.remaining() != 0 {
             return Err("trailing bytes after chunk payload".into());
         }
-        Ok(Self { n_rows: n, mapper: mapper.clone(), storage })
+        Ok(parts)
     }
+}
+
+/// The largest `b + 1` of each column of the `m`-wide row-major `cells`
+/// (wrapping, so [`MISSING_BIN`] counts as 0). The running maximum is kept
+/// over blocks of whole rows a multiple of 32 cells long, so that for any
+/// `m` its loop is one the compiler vectorizes.
+fn row_major_high(cells: &[u8], m: usize) -> Vec<u8> {
+    let rows_per_block = 32 >> m.trailing_zeros().min(5);
+    let mut high = vec![0u8; m * rows_per_block];
+    let blocks = cells.chunks_exact(high.len());
+    let rest = blocks.remainder();
+    for block in blocks.chain([rest]) {
+        for (high, &b) in high.iter_mut().zip(block) {
+            *high = (*high).max(b.wrapping_add(1));
+        }
+    }
+    high.chunks_exact(m).fold(vec![0u8; m], |mut acc, row| {
+        acc.iter_mut().zip(row).for_each(|(a, &h)| *a = (*a).max(h));
+        acc
+    })
+}
+
+fn le_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("eight bytes"))
+}
+
+fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes(bytes.try_into().expect("four bytes"))
 }
 
 /// Rows per dense transpose tile: a tile's raw values and the row-major
@@ -1108,38 +759,6 @@ fn quantize_sparse(
     QCsc { indptr, rows, bins: csc_bins }
 }
 
-/// Bundled dense majors from quantized CSC entries and a bundle map: every
-/// member column is written into its bundle's column, and the row major is
-/// the transpose of the result.
-///
-/// # Panics
-/// Panics if a row holds two members of one bundle: a map is exclusive on
-/// the rows it was planned on, and storing one of the two would drop the
-/// other.
-fn bundled_storage(n_rows: usize, csc: &QCsc, map: &BundleMap) -> Storage {
-    let n_cols = map.n_cols();
-    let mut col_major = vec![MISSING_BIN; n_rows * n_cols];
-    for f in 0..csc.indptr.len() - 1 {
-        let slot = map.slot(f);
-        if slot.width == 0 {
-            continue;
-        }
-        let col = &mut col_major[slot.col as usize * n_rows..][..n_rows];
-        for k in csc.indptr[f]..csc.indptr[f + 1] {
-            let r = csc.rows[k] as usize;
-            assert_eq!(col[r], MISSING_BIN, "row {r} holds two members of bundle {}", slot.col);
-            col[r] = (slot.offset + u16::from(csc.bins[k])) as u8;
-        }
-    }
-    let mut row_major = vec![MISSING_BIN; n_rows * n_cols];
-    for (r, row) in row_major.chunks_exact_mut(n_cols).enumerate() {
-        for (c, cell) in row.iter_mut().enumerate() {
-            *cell = col_major[c * n_rows + r];
-        }
-    }
-    Storage::Bundled { row_major: row_major.into(), col_major: col_major.into(), n_cols }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1174,16 +793,6 @@ mod tests {
             3,
             &[vec![(0, 1.0), (2, 5.0)], vec![(1, 2.0)], vec![(0, 3.0), (1, 4.0), (2, 6.0)]],
         ))
-    }
-
-    /// 64 rows over 16 one-hot groups of 4 features each — bundling fuses
-    /// each group into one synthetic column.
-    fn one_hot_matrix() -> FeatureMatrix {
-        let (n, groups, k) = (64usize, 16usize, 4usize);
-        let rows: Vec<Vec<(u32, f32)>> = (0..n)
-            .map(|r| (0..groups).map(|g| ((g * k + r % k) as u32, 1.0 + (r % k) as f32)).collect())
-            .collect();
-        FeatureMatrix::Sparse(CsrMatrix::from_rows(groups * k, &rows))
     }
 
     #[test]
@@ -1271,136 +880,21 @@ mod tests {
     }
 
     #[test]
-    fn storage_bytes_counts_both_copies_and_u4_pack() {
+    fn storage_bytes_counts_both_copies() {
+        // Every width is ≤ 4 bins, and the two majors are all there is.
         let q = QuantizedMatrix::from_matrix(&dense_matrix(), BinningConfig::default());
-        // All widths ≤ 4 so the u4 pack engages: 4 packed rows of
-        // ceil(3/2) bytes + 3 packed cols of ceil(4/2) bytes + the 3×16
-        // lane table + the 3 clean flags.
-        assert!(q.u4().is_some());
-        assert_eq!(q.storage_bytes(), 2 * 4 * 3 + (4 * 2 + 3 * 2 + 3 * 16 * 4 + 3));
-        let plain = QuantizedMatrix::from_matrix_opts(
-            &dense_matrix(),
-            BinningConfig::default(),
-            LayoutOptions::uncompressed(),
-        );
-        assert!(plain.u4().is_none());
-        assert_eq!(plain.storage_bytes(), 2 * 4 * 3);
-    }
-
-    #[test]
-    fn u4_pack_round_trips_every_cell() {
-        let q = QuantizedMatrix::from_matrix(&dense_matrix(), BinningConfig::default());
-        let pack = q.u4().expect("widths ≤ 15 pack");
-        for r in 0..q.n_rows() {
-            for f in 0..q.n_features() {
-                let nib = pack.nibble(r, f);
-                match q.bin(r, f) {
-                    Some(b) => assert_eq!(nib, b),
-                    None => assert_eq!(nib, MISSING_NIBBLE),
-                }
-            }
-        }
-        // Lane table: used nibbles map to the feature's histogram range,
-        // the rest to the per-feature sink.
-        let total = q.mapper().total_bins();
-        for f in 0..q.n_features() {
-            let w = q.mapper().n_bins(f);
-            for nib in 0..16u16 {
-                let lane = pack.lanes()[f * 16 + nib as usize];
-                if nib < w {
-                    assert_eq!(lane, q.mapper().bin_offset(f) + u32::from(nib));
-                } else {
-                    assert_eq!(lane, total + f as u32);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn u4_pack_declines_wide_features() {
-        // 17 distinct values -> 17 bins on feature 0: no pack.
-        let vals: Vec<f32> = (0..17).map(|i| i as f32).collect();
-        let m = FeatureMatrix::Dense(DenseMatrix::from_vec(17, 1, vals));
-        let q = QuantizedMatrix::from_matrix(&m, BinningConfig::default());
-        assert!(q.u4().is_none());
-        assert_eq!(q.layout_stats(), LayoutStats::default());
-    }
-
-    #[test]
-    fn u4_pack_declines_16_bins_with_missing() {
-        // Exactly 16 bins AND a missing value: nibble 0xF can't serve both.
-        let mut vals: Vec<f32> = (0..17).map(|i| (i % 16) as f32).collect();
-        vals[16] = f32::NAN;
-        let m = FeatureMatrix::Dense(DenseMatrix::from_vec(17, 1, vals));
-        let q = QuantizedMatrix::from_matrix(&m, BinningConfig::default());
-        assert_eq!(q.mapper().max_bins_used(), 16);
-        assert!(q.u4().is_none());
-
-        // 16 bins with no missing value packs fine.
-        let vals: Vec<f32> = (0..32).map(|i| (i % 16) as f32).collect();
-        let m = FeatureMatrix::Dense(DenseMatrix::from_vec(32, 1, vals));
-        let q = QuantizedMatrix::from_matrix(&m, BinningConfig::default());
-        assert!(q.u4().is_some());
-    }
-
-    #[test]
-    fn bundling_fuses_one_hot_groups() {
-        let q = QuantizedMatrix::from_matrix(&one_hot_matrix(), BinningConfig::default());
-        assert!(q.is_bundled());
-        assert_eq!(q.n_storage_cols(), 16, "one synthetic column per one-hot group");
-        assert_eq!(q.n_features(), 64);
-        let stats = q.layout_stats();
-        assert_eq!(stats.cols_bundled, 16);
-        // Dense/sparse views are both unavailable; the bundled views exist.
-        assert!(q.dense_row(0).is_none() && q.sparse_row(0).is_none());
-        assert!(q.bundled_row_major().is_some() && q.bundled_col(0).is_some());
-    }
-
-    #[test]
-    fn bundling_preserves_every_cell() {
-        let plain = QuantizedMatrix::from_matrix_opts(
-            &one_hot_matrix(),
-            BinningConfig::default(),
-            LayoutOptions::uncompressed(),
-        );
-        let bundled = QuantizedMatrix::from_matrix(&one_hot_matrix(), BinningConfig::default());
-        assert!(!plain.is_bundled() && bundled.is_bundled());
-        for r in 0..plain.n_rows() {
-            for f in 0..plain.n_features() {
-                assert_eq!(plain.bin(r, f), bundled.bin(r, f), "cell ({r},{f})");
-            }
-        }
-        // Column visits agree too (row order, original coordinates).
-        for f in 0..plain.n_features() {
-            let mut a = vec![];
-            let mut b = vec![];
-            plain.for_each_in_col(f, |r, bin| a.push((r, bin)));
-            bundled.for_each_in_col(f, |r, bin| b.push((r, bin)));
-            assert_eq!(a, b, "feature {f}");
-        }
-    }
-
-    #[test]
-    fn with_mapper_reproduces_bundled_storage() {
-        let train = one_hot_matrix();
-        let q = QuantizedMatrix::from_matrix(&train, BinningConfig::default());
-        assert!(q.is_bundled());
-        let q2 = QuantizedMatrix::with_mapper(&train, q.mapper().clone());
-        assert!(q2.is_bundled());
-        assert_eq!(q.bundled_row_major().unwrap(), q2.bundled_row_major().unwrap());
+        assert_eq!(q.storage_bytes(), 2 * 4 * 3);
     }
 
     #[test]
     fn uniformly_dense_sparse_data_stays_sparse() {
-        // Every feature present in every row: zero-conflict bundling finds
-        // nothing to fuse.
+        // Every feature present in every row: the store is still a CSC.
         let rows: Vec<Vec<(u32, f32)>> = (0..32)
             .map(|r| (0..16).map(|f| (f as u32, (r * f % 7) as f32)).collect())
             .collect();
         let m = FeatureMatrix::Sparse(CsrMatrix::from_rows(16, &rows));
         let q = QuantizedMatrix::from_matrix(&m, BinningConfig::default());
-        assert!(!q.is_bundled());
-        assert!(q.sparse_row(0).is_some());
+        assert!(!q.is_dense() && q.sparse_row(0).is_some());
     }
 
     #[test]
@@ -1469,8 +963,9 @@ mod tests {
         ];
         for matrix in &matrices {
             for threads in [1, 2, 7] {
-                let (cfg, layout) = (BinningConfig::default(), LayoutOptions::uncompressed());
-                let q = QuantizedMatrix::from_matrix_threads(matrix, cfg, layout, threads).0;
+                let q =
+                    QuantizedMatrix::from_matrix_threads(matrix, BinningConfig::default(), threads)
+                        .0;
                 assert_eq!(q.is_dense(), matches!(matrix, FeatureMatrix::Dense(_)));
                 assert_eq!(q.mapper().n_bins(0), 255, "a column on the 4 096-slot table");
                 for (i, cell) in cells.iter().enumerate() {
@@ -1482,8 +977,7 @@ mod tests {
         }
     }
 
-    /// Every stored byte, the u4 side-pack and the mapper (cuts, offsets,
-    /// bundle map) agree.
+    /// Every stored byte and the mapper (cuts, offsets) agree.
     fn assert_same_storage(a: &QuantizedMatrix, b: &QuantizedMatrix) {
         assert_eq!(
             serde_json::to_string(a.mapper()).unwrap(),
@@ -1491,27 +985,17 @@ mod tests {
         );
         assert_eq!(a.storage_bytes(), b.storage_bytes());
         assert_eq!(a.dense_row_major(), b.dense_row_major());
-        assert_eq!(a.bundled_row_major(), b.bundled_row_major());
         assert_eq!(a.sparse_csr(), b.sparse_csr());
-        assert_eq!(a.n_storage_cols(), b.n_storage_cols());
-        for c in 0..a.n_storage_cols() {
+        assert_eq!(a.n_features(), b.n_features());
+        for c in 0..a.n_features() {
             assert_eq!(a.dense_col(c), b.dense_col(c), "column {c}");
-            assert_eq!(a.bundled_col(c), b.bundled_col(c), "column {c}");
             assert_eq!(a.sparse_col(c), b.sparse_col(c), "column {c}");
-        }
-        assert_eq!(a.u4().is_some(), b.u4().is_some());
-        if let (Some(pa), Some(pb)) = (a.u4(), b.u4()) {
-            assert_eq!(pa.packed_rows(), pb.packed_rows());
-            assert_eq!((pa.lanes(), pa.clean()), (pb.lanes(), pb.clean()));
-            for f in 0..a.n_features() {
-                assert_eq!(pa.packed_col(f), pb.packed_col(f), "packed column {f}");
-            }
         }
     }
 
     /// Set-up at 1 thread and at N threads (more than there are tiles or
-    /// features, too) builds the same matrix: u8 dense, u4-packed dense,
-    /// sparse and bundled.
+    /// features, too) builds the same matrix: dense at many and at few
+    /// bins, and sparse.
     #[test]
     fn setup_is_identical_at_any_thread_count() {
         use harp_data::{DatasetKind, SynthConfig};
@@ -1522,13 +1006,11 @@ mod tests {
             SynthConfig::new(DatasetKind::HiggsLike, 5).with_scale(0.1).generate().features,
             FeatureMatrix::Dense(DenseMatrix::from_vec(1000, 5, low_card)),
             SynthConfig::new(DatasetKind::YfccLike, 5).with_scale(0.1).generate().features,
-            one_hot_matrix(),
         ];
         let build = |m: &FeatureMatrix, threads| {
-            let (cfg, layout) = (BinningConfig::default(), LayoutOptions::default());
-            QuantizedMatrix::from_matrix_threads(m, cfg, layout, threads).0
+            QuantizedMatrix::from_matrix_threads(m, BinningConfig::default(), threads).0
         };
-        let kinds: Vec<(bool, bool, bool)> = inputs
+        let dense: Vec<bool> = inputs
             .iter()
             .map(|m| {
                 let one = build(m, 1);
@@ -1540,19 +1022,10 @@ mod tests {
                     &one,
                     &QuantizedMatrix::from_matrix(m, BinningConfig::default()),
                 );
-                (one.is_dense(), one.u4().is_some(), one.is_bundled())
+                one.is_dense()
             })
             .collect();
-        assert_eq!(
-            kinds,
-            vec![
-                (true, false, false),
-                (true, true, false),
-                (false, false, false),
-                (false, false, true)
-            ],
-            "the four inputs must cover the four storages"
-        );
+        assert_eq!(dense, [true, true, false], "the inputs must cover both storages");
     }
 
     /// One sparse column's values, by `shape`: continuous; runs of equal
@@ -1614,7 +1087,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The bins pass 1 writes by walking a sorted column are the bins the
-        /// search writes: sparse set-up stores exactly what `with_mapper_opts`
+        /// search writes: sparse set-up stores exactly what `with_mapper`
         /// stores with the mapper it built, at 1, 2 and 7 threads (every
         /// range's last column walked), over every `max_bins` and the value
         /// shapes of `walk_column`, with both arms of the length rule in one
@@ -1626,11 +1099,11 @@ mod tests {
             n_short in 2usize..12,
         ) {
             let matrix = walk_matrix(seed, usize::from(max_bins), n_short);
-            let (config, layout) = (BinningConfig::with_max_bins(max_bins), LayoutOptions::uncompressed());
+            let config = BinningConfig::with_max_bins(max_bins);
             for threads in [1, 2, 7] {
-                let q = QuantizedMatrix::from_matrix_threads(&matrix, config, layout, threads).0;
+                let q = QuantizedMatrix::from_matrix_threads(&matrix, config, threads).0;
                 prop_assert!(q.sparse_csr().is_some());
-                let searched = QuantizedMatrix::with_mapper_opts(&matrix, q.mapper().clone(), layout);
+                let searched = QuantizedMatrix::with_mapper(&matrix, q.mapper().clone());
                 assert_same_storage(&q, &searched);
             }
         }
@@ -1654,11 +1127,7 @@ mod tests {
             }
         }
         for m in [sparse, FeatureMatrix::Dense(dense)] {
-            let q = QuantizedMatrix::from_matrix_opts(
-                &m,
-                BinningConfig::default(),
-                LayoutOptions::uncompressed(),
-            );
+            let q = QuantizedMatrix::from_matrix(&m, BinningConfig::default());
             assert_eq!(q.mapper().n_bins(0), 3);
             assert_eq!(q.mapper().n_bins(1), 2);
             let col0: Vec<_> = (0..4).map(|r| q.bin(r, 0)).collect();
@@ -1688,8 +1157,6 @@ mod tests {
         assert_eq!(slab.n_rows(), rows.len());
         assert_eq!(slab.n_features(), q.n_features());
         assert_eq!(slab.is_dense(), q.is_dense());
-        assert_eq!(slab.is_bundled(), q.is_bundled());
-        assert_eq!(slab.u4().is_some(), q.u4().is_some());
         for (local, global) in rows.clone().enumerate() {
             for f in 0..q.n_features() {
                 assert_eq!(slab.bin(local, f), q.bin(global, f), "cell ({global},{f})");
@@ -1703,9 +1170,8 @@ mod tests {
     }
 
     #[test]
-    fn chunk_codec_round_trips_dense_with_u4() {
+    fn chunk_codec_round_trips_dense() {
         let q = QuantizedMatrix::from_matrix(&dense_matrix(), BinningConfig::default());
-        assert!(q.u4().is_some());
         assert_chunk_round_trip(&q, 0..2);
         assert_chunk_round_trip(&q, 2..4);
         assert_chunk_round_trip(&q, 0..4);
@@ -1718,14 +1184,6 @@ mod tests {
         assert_chunk_round_trip(&q, 0..1);
         assert_chunk_round_trip(&q, 1..3);
         assert_chunk_round_trip(&q, 0..3);
-    }
-
-    #[test]
-    fn chunk_codec_round_trips_bundled() {
-        let q = QuantizedMatrix::from_matrix(&one_hot_matrix(), BinningConfig::default());
-        assert!(q.is_bundled());
-        assert_chunk_round_trip(&q, 0..16);
-        assert_chunk_round_trip(&q, 16..64);
     }
 
     #[test]
@@ -1751,8 +1209,8 @@ mod tests {
         let q = QuantizedMatrix::from_matrix(&sparse_matrix(), BinningConfig::default());
         let mut blob = Vec::new();
         q.encode_chunk(0..3, &mut blob);
-        // kind, u4 flag, n_rows, nnz, then the four row offsets [0, 2, 3, 6].
-        let indptr_at = |k: usize| 18 + 8 * k..18 + 8 * (k + 1);
+        // kind, n_rows, nnz, then the four row offsets [0, 2, 3, 6].
+        let indptr_at = |k: usize| 17 + 8 * k..17 + 8 * (k + 1);
         assert_eq!(blob[indptr_at(1)], 2u64.to_le_bytes());
         assert_eq!(blob[indptr_at(2)], 3u64.to_le_bytes());
         blob[indptr_at(1)].copy_from_slice(&3u64.to_le_bytes());
@@ -1764,25 +1222,17 @@ mod tests {
     /// A chunk blob's counts are input from outside the program too: a
     /// row, entry or column count the blob's bytes cannot hold is an `Err`
     /// before anything of its size is allocated or viewed, whether its sizes
-    /// overflow or only outrun the blob — dense with and without the u4
-    /// pack, bundled and sparse.
+    /// overflow or only outrun the blob — dense and sparse.
     #[test]
     fn chunk_decode_rejects_counts_the_blob_cannot_hold() {
-        let plain = QuantizedMatrix::from_matrix_opts(
-            &dense_matrix(),
-            BinningConfig::default(),
-            LayoutOptions::uncompressed(),
-        );
         for q in [
             QuantizedMatrix::from_matrix(&dense_matrix(), BinningConfig::default()),
-            plain,
-            QuantizedMatrix::from_matrix(&one_hot_matrix(), BinningConfig::default()),
             QuantizedMatrix::from_matrix(&sparse_matrix(), BinningConfig::default()),
         ] {
             let mut blob = Vec::new();
             q.encode_chunk(0..q.n_rows(), &mut blob);
-            // The row count, then the bundled column or sparse entry count.
-            let fields = [2..10, 10..18];
+            // The row count, then the sparse entry count.
+            let fields = [1..9, 9..17];
             for field in &fields[..if q.is_dense() { 1 } else { 2 }] {
                 for lie in [u64::MAX, 1 << 62, 1 << 40, 1 << 20] {
                     let mut bad = blob.clone();
@@ -1824,8 +1274,12 @@ mod tests {
         for csr in matrices {
             let matrix = FeatureMatrix::Sparse(csr.clone());
             for threads in [1, 2, 3, 7] {
-                let (cfg, layout) = (BinningConfig::default(), LayoutOptions::uncompressed());
-                let q = QuantizedMatrix::from_matrix_threads(&matrix, cfg, layout, threads).0;
+                let q = QuantizedMatrix::from_matrix_threads(
+                    &matrix,
+                    BinningConfig::default(),
+                    threads,
+                )
+                .0;
                 assert!(!holds_a_csr(&q), "set-up built a CSR");
                 let rows: Vec<u32> = (0..q.n_rows() as u32).step_by(2).collect();
                 for f in 0..q.n_features() {
@@ -1845,7 +1299,6 @@ mod tests {
         for q in [
             QuantizedMatrix::from_matrix(&dense_matrix(), BinningConfig::default()),
             QuantizedMatrix::from_matrix(&sparse_matrix(), BinningConfig::default()),
-            QuantizedMatrix::from_matrix(&one_hot_matrix(), BinningConfig::default()),
         ] {
             let rows: Vec<u32> = (0..q.n_rows() as u32).step_by(2).collect();
             for f in 0..q.n_features() {

@@ -19,25 +19,9 @@
 //! the case where it has one step.
 
 use crate::mapper::BinMapper;
-use crate::quantized::{LayoutStats, QuantizedMatrix};
+use crate::quantized::QuantizedMatrix;
 use std::ops::{Deref, Range};
 use std::sync::Arc;
-
-/// Storage-shape summary a driver can branch on without pinning a chunk.
-/// Every chunk of a store shares one shape — mixed-layout stores don't
-/// exist, so plan/kernel dispatch decided from these flags holds for every
-/// slab the scan later pins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreLayout {
-    /// Plain dense u8 storage (one byte column per feature).
-    pub dense: bool,
-    /// Exclusive-feature-bundled dense storage over synthetic columns.
-    pub bundled: bool,
-    /// Dense storage carries the nibble-packed side copy.
-    pub has_u4: bool,
-    /// Physical storage columns (`n_features`, or the bundle count).
-    pub n_storage_cols: usize,
-}
 
 /// Chunk-I/O counters of a store. All zero for an in-memory store; a
 /// chunked store reports cumulative loads/evictions/prefetch hits plus the
@@ -91,22 +75,21 @@ pub trait QuantStore: Sync {
     /// Number of (original) features.
     fn n_features(&self) -> usize;
 
-    /// The cut points (and bundle map, if any) shared by every chunk.
+    /// The cut points shared by every chunk.
     fn mapper(&self) -> &BinMapper;
 
-    /// Storage shape, uniform across chunks.
-    fn layout(&self) -> StoreLayout;
-
-    /// Layout decisions for ledger/profile counters.
-    fn layout_stats(&self) -> LayoutStats;
+    /// Whether storage is dense `u8` (one byte column per feature) rather
+    /// than sparse. Every chunk of a store shares its kind, so plan and
+    /// kernel dispatch decided from it holds for every slab a scan pins.
+    fn is_dense(&self) -> bool;
 
     /// Decoded-equivalent storage bytes of the whole matrix (what an
     /// in-memory store of the same data would occupy). A chunked store
     /// answers from its header without decoding anything.
     fn storage_bytes(&self) -> usize;
 
-    /// Cells a scan of every row reads: `n_rows × n_storage_cols` bytes on
-    /// dense and bundled storage, the entry count on sparse storage —
+    /// Cells a scan of every row reads: `n_rows × n_features` bytes on
+    /// dense storage, the entry count on sparse storage —
     /// exact, and equal for an in-core and a chunked store of the same data.
     /// The sparse count is read back from [`storage_bytes`](Self::storage_bytes),
     /// which counts every entry twice (CSR and CSC, a 4-byte index and a
@@ -114,9 +97,8 @@ pub trait QuantStore: Sync {
     /// plus 8-byte offset arrays of `rows + 1` and `features + 1` entries
     /// per slab; a chunked store reports the sum over its slabs.
     fn stored_cells(&self) -> u64 {
-        let layout = self.layout();
-        if layout.dense || layout.bundled {
-            return self.n_rows() as u64 * layout.n_storage_cols as u64;
+        if self.is_dense() {
+            return self.n_rows() as u64 * self.n_features() as u64;
         }
         let offsets = 8 * (self.n_rows() + self.n_chunks() * (self.n_features() + 2));
         (self.storage_bytes() - offsets) as u64 / 10
@@ -190,17 +172,8 @@ impl QuantStore for QuantizedMatrix {
         QuantizedMatrix::mapper(self)
     }
 
-    fn layout(&self) -> StoreLayout {
-        StoreLayout {
-            dense: self.is_dense(),
-            bundled: self.is_bundled(),
-            has_u4: self.u4().is_some(),
-            n_storage_cols: self.n_storage_cols(),
-        }
-    }
-
-    fn layout_stats(&self) -> LayoutStats {
-        QuantizedMatrix::layout_stats(self)
+    fn is_dense(&self) -> bool {
+        QuantizedMatrix::is_dense(self)
     }
 
     fn storage_bytes(&self) -> usize {
@@ -428,10 +401,8 @@ mod tests {
     #[test]
     fn in_memory_layout_reflects_matrix_flags() {
         let q = qm();
-        let layout = QuantStore::layout(&q);
-        assert!(layout.dense && !layout.bundled);
-        assert_eq!(layout.has_u4, q.u4().is_some());
-        assert_eq!(layout.n_storage_cols, 4);
+        assert!(QuantStore::is_dense(&q));
+        assert_eq!(QuantStore::stored_cells(&q), 10 * 4);
     }
 
     /// Chunk geometry only: chunk `c` is rows `bounds[c]..bounds[c + 1]`,
@@ -454,11 +425,8 @@ mod tests {
         fn mapper(&self) -> &BinMapper {
             self.slab.mapper()
         }
-        fn layout(&self) -> StoreLayout {
-            QuantStore::layout(&self.slab)
-        }
-        fn layout_stats(&self) -> LayoutStats {
-            self.slab.layout_stats()
+        fn is_dense(&self) -> bool {
+            self.slab.is_dense()
         }
         fn storage_bytes(&self) -> usize {
             self.slab.storage_bytes()

@@ -112,7 +112,7 @@ fn default_cache_path(data: &str) -> String {
     format!("{data}.qsc")
 }
 
-/// Quantizes `data` with the trainer's default binning/layout configuration
+/// Quantizes `data` with the trainer's default binning configuration
 /// (the cache must hold exactly the matrix `train` would build in-core, or
 /// chunked training could not be bitwise-identical). Also returns the
 /// report line saying how long the two set-up passes took — time no trainer
@@ -121,7 +121,6 @@ fn quantize_default(data: &Dataset) -> (harpgbdt::QuantizedMatrix, String) {
     let (qm, t) = harpgbdt::QuantizedMatrix::from_matrix_timed(
         &data.features,
         harpgbdt::BinningConfig::default(),
-        harpgbdt::LayoutOptions::default(),
     );
     (qm, format!("setup: cuts {:.3} s, quantize {:.3} s", t.cut_secs, t.quantize_secs))
 }

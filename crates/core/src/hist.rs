@@ -22,8 +22,8 @@
 //! ([`RankKey`]) — and hands every other buffer straight back to the free
 //! list; a byte budget ([`HIST_CACHE_BYTES`] in training) bounds it the same
 //! way. It caches a node only where the subtraction is the cheaper way to
-//! the node's larger child ([`min_cached_rows`], one formula for dense,
-//! bundled and CSR stores):
+//! the node's larger child ([`min_cached_rows`], one formula for dense and
+//! CSR stores):
 //! below that size both children are scanned. [`HistPool::files`] is the
 //! same decision asked ahead of the build, which lets the Exclusive executor
 //! (`trainer::drivers`) give a full-width buffer only to a histogram that
@@ -52,21 +52,13 @@ pub fn hist_width(total_bins: u32, n_features: usize) -> usize {
     total_bins as usize * 2 + crate::kernels::sink_lanes(n_features)
 }
 
-/// Storage-aware [`hist_width`]: only dense layouts (u8 or u4-packed) route
-/// missing values through the per-feature sink cells, so sparse matrices
-/// get unpadded `total_bins * 2` buffers and bundled matrices a single
-/// shared sink cell (absent bins route there branch-free).
-/// A wider (padded) buffer is always acceptable to the kernels; this trims
-/// the per-node footprint where the padding is provably never written.
+/// Storage-aware [`hist_width`]: only dense storage routes missing values
+/// through the per-feature sink cells, so sparse matrices get unpadded
+/// `total_bins * 2` buffers. A wider (padded) buffer is always acceptable
+/// to the kernels; this trims the per-node footprint where the padding is
+/// provably never written.
 pub fn hist_width_for(store: &dyn harp_binning::QuantStore) -> usize {
-    let layout = store.layout();
-    let sinks = if layout.dense {
-        crate::kernels::sink_lanes(store.n_features())
-    } else if layout.bundled {
-        2
-    } else {
-        0
-    };
+    let sinks = if store.is_dense() { crate::kernels::sink_lanes(store.n_features()) } else { 0 };
     store.mapper().total_bins() as usize * 2 + sinks
 }
 
@@ -76,8 +68,8 @@ pub fn hist_width_for(store: &dyn harp_binning::QuantStore) -> usize {
 /// child`, a pass over `total_bins` cells that saves the scan of the larger
 /// child — `rows × stored cells per row` cells at most, a row's stored cells
 /// being [`QuantStore::stored_cells`](harp_binning::QuantStore::stored_cells)
-/// over the store's rows (the storage columns of a dense or bundled row, the
-/// mean entry count of a CSR row). The histogram is kept only where that
+/// over the store's rows (the columns of a dense row, the mean entry count
+/// of a CSR row). The histogram is kept only where that
 /// scan is the larger of the two: `rows × stored_cells ÷ n_rows >
 /// total_bins`, one integer formula for every layout. On a wide sparse
 /// matrix that is most of the point: a 4 096-feature histogram of a million
@@ -504,27 +496,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// A bundled store of `n_rows` rows: four one-hot groups of four
-    /// features, every group present in every row.
-    pub(crate) fn one_hot_store(n_rows: u64) -> harp_binning::QuantizedMatrix {
-        use harp_binning::{BinningConfig, QuantStore, QuantizedMatrix};
-        use harp_data::{CsrMatrix, FeatureMatrix};
-        let rows: Vec<Vec<(u32, f32)>> = (0..n_rows)
-            .map(|r| {
-                let pick = |g: u64| crate::loss::hash64(r * 4 + g);
-                (0..4)
-                    .map(|g| ((g * 4 + pick(g) % 4) as u32, (pick(g) >> 8) as f32 % 5.0))
-                    .collect()
-            })
-            .collect();
-        let store = QuantizedMatrix::from_matrix(
-            &FeatureMatrix::Sparse(CsrMatrix::from_rows(16, &rows)),
-            BinningConfig::with_max_bins(32),
-        );
-        assert!(store.layout().bundled);
-        store
-    }
-
     #[test]
     fn reduce_adds_cellwise() {
         let mut a = vec![1.0, 2.0, 3.0];
@@ -623,16 +594,11 @@ pub(crate) mod tests {
 
         // Dense: the threshold it always was, `total_bins / columns + 1`.
         let dense = quantized(DatasetKind::HiggsLike);
-        assert!(dense.layout().dense);
+        assert!(dense.is_dense());
         let (bins, cols) = (dense.mapper().total_bins() as usize, dense.n_features());
         assert_eq!(check(&dense, cols as f64), bins / cols + 1);
         let pool = HistPool::for_store(&dense, 1 << 30);
         assert!(pool.caches(bins / cols + 1) && !pool.caches(bins / cols));
-
-        // Bundled: a row stores one cell per bundle, not per feature.
-        let bundled = one_hot_store(200);
-        let cols = bundled.layout().n_storage_cols;
-        assert_eq!(check(&bundled, cols as f64), bundled.mapper().total_bins() as usize / cols + 1);
 
         // CSR: a row stores its entries, so the threshold follows density,
         // not width — and sits far above the dense one of the same shape.

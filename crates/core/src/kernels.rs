@@ -13,21 +13,20 @@
 //! gather, the "+MemBuf" ablation of Table V) so the per-cell gradient
 //! dispatch disappears, and both index the mapper's flattened
 //! [`harp_binning::BinMapper::bin_offsets`] table directly. The storage
-//! layout picks the body — dense `u8`, nibble-packed u4, bundled, or sparse
-//! CSR/CSC (DESIGN.md §13) — and the CPU picks the [`SimdTier`], detected
-//! once: on AVX2 the u4 and sparse bodies fold two *distinct* cells per
-//! 256-bit add, and every other body (or any body on another CPU) issues
-//! two scalar adds per cell. Every tier performs the identical per-cell
-//! IEEE adds in the identical row-ascending order, so output is bitwise
-//! identical to the retained scalar reference ([`row_scan_scalar`] /
-//! [`col_scan_scalar`]).
+//! kind picks the body — dense `u8` or sparse CSR/CSC, the store's only two
+//! byte layouts (DESIGN.md §13) — and the CPU picks the [`SimdTier`],
+//! detected once: on AVX2 the sparse row body folds two *distinct* cells
+//! per 256-bit add, and every other body (or any body on another CPU)
+//! issues two scalar adds per cell. Every tier performs the identical
+//! per-cell IEEE adds in the identical row-ascending order, so output is
+//! bitwise identical to the retained scalar reference ([`row_scan_scalar`]
+//! / [`col_scan_scalar`]).
 //!
-//! The dense bodies route `MISSING_BIN` cells branch-free into per-feature
-//! *sink cells* appended past the real histogram (see [`row_scan`] for the
-//! layout contract) and zero them before the buffer leaves the kernel; the
-//! bundled body routes absent cells into one shared sink cell the same
-//! way. Sparse storage has no missing sentinel to route and needs no sink
-//! padding.
+//! The dense row body routes `MISSING_BIN` cells branch-free into
+//! per-feature *sink cells* appended past the real histogram (see
+//! [`row_scan`] for the layout contract) and zeroes them before the buffer
+//! leaves the kernel. Sparse storage has no missing sentinel to route and
+//! needs no sink padding.
 //!
 //! All kernels return the number of histogram accumulations performed so
 //! drivers can report byte traffic and FLOPs to the profiler.
@@ -180,18 +179,17 @@ pub fn sink_lanes(n_features: usize) -> usize {
 // ---------------------------------------------------------------------------
 
 /// Instruction tier the specialized kernels accumulate with, picked by CPU
-/// detection alone. Only the bodies that can fold two *distinct* cells into
-/// one add (u4 feature pairs, sparse entry pairs) have an AVX2 variant;
-/// every other body accumulates with two scalar adds per cell on every
-/// tier. Every tier produces bitwise-identical histograms (DESIGN.md §13):
+/// detection alone. Only the body that can fold two *distinct* cells into
+/// one add (the sparse row scan's entry pairs) has an AVX2 variant; every
+/// other body accumulates with two scalar adds per cell on every tier. Every tier produces bitwise-identical histograms (DESIGN.md §13):
 /// the lanes of a 256-bit add are independent IEEE adds, and cells are
 /// never paired unless provably distinct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
     /// Portable two-scalar-adds path (any CPU without AVX2).
     Scalar = 0,
-    /// Two distinct cells folded per 256-bit add (sparse pairs, u4 feature
-    /// pairs); runtime-gated on `is_x86_feature_detected!("avx2")`.
+    /// Two distinct cells folded per 256-bit add (sparse entry pairs);
+    /// runtime-gated on `is_x86_feature_detected!("avx2")`.
     Avx2 = 2,
 }
 
@@ -341,16 +339,14 @@ mod x86 {
 /// count (missing cells excluded).
 ///
 /// # Layout contract
-/// For dense storage (u8 or u4-packed), `hist` must be the *padded* layout
+/// For dense storage, `hist` must be the *padded* layout
 /// of [`crate::hist::hist_width`]: `total_bins * 2` real lanes followed by
 /// [`sink_lanes`] zeroed sink lanes. Missing cells accumulate branch-free
 /// into feature `f`'s sink cell at index `total_bins + f` and the kernel
 /// re-zeroes the sinks of `f_range` before returning, so the buffer's real
 /// cells — and the sinks — leave exactly as the scalar reference
-/// ([`row_scan_scalar`]) produces them. Bundled storage routes absent
-/// cells into one shared sink cell at lane `total_bins` (two extra lanes,
-/// re-zeroed likewise); sparse storage has no absent entries to route and
-/// needs no padding (`total_bins * 2` lanes suffice).
+/// ([`row_scan_scalar`]) produces them. Sparse storage has no absent
+/// entries to route and needs no padding (`total_bins * 2` lanes suffice).
 pub fn row_scan(
     qm: &QuantizedMatrix,
     rows: &[u32],
@@ -409,11 +405,10 @@ pub fn row_scan_root(
     }
 }
 
-/// The layout picks the body: u4-packed before plain dense (a pack rides on
-/// dense storage), then bundled, then sparse. The tier only matters to the
-/// two bodies that fold distinct cell pairs (u4, sparse); the dense u8 and
-/// bundled bodies have no such pair (two rows of a quad may hit the same
-/// cell), so they accumulate with [`PortableAcc`] on every tier.
+/// The storage picks the body: dense or sparse. The tier only matters to
+/// the sparse body, which folds distinct cell pairs; the dense body has no
+/// such pair (two rows of a quad may hit the same cell), so it accumulates
+/// with [`PortableAcc`] on every tier.
 fn row_scan_impl<R: RowSet, G: GradRead>(
     qm: &QuantizedMatrix,
     rows: R,
@@ -424,24 +419,13 @@ fn row_scan_impl<R: RowSet, G: GradRead>(
 ) -> u64 {
     let m = qm.n_features();
     assert!(f_range.end <= m, "feature range out of bounds");
-    if let Some(pack) = qm.u4() {
-        return match tier {
-            #[cfg(target_arch = "x86_64")]
-            // SAFETY: tier is clamped to the detected ceiling, so AVX2 is
-            // available on this CPU.
-            SimdTier::Avx2 => unsafe { u4_row_scan_avx2(qm, pack, rows, grads, f_range, hist) },
-            _ => u4_row_scan::<R, G, PortableAcc>(qm, pack, rows, grads, f_range, hist),
-        };
-    }
     if let Some(row_major) = qm.dense_row_major() {
         return dense_row_scan(qm, row_major, rows, grads, f_range, hist);
     }
-    if qm.is_bundled() {
-        return bundled_row_scan(qm, rows, grads, f_range, hist);
-    }
     match tier {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: clamped tier ⇒ AVX2 available.
+        // SAFETY: tier is clamped to the detected ceiling, so AVX2 is
+        // available on this CPU.
         SimdTier::Avx2 => unsafe { sparse_row_scan_avx2(qm, rows, grads, f_range, hist) },
         _ => sparse_row_scan::<R, G, PortableAcc>(qm, rows, grads, f_range, hist),
     }
@@ -536,233 +520,6 @@ fn dense_row_scan<R: RowSet, G: GradRead>(
         hist[(total as usize + f) * 2] = 0.0;
         hist[(total as usize + f) * 2 + 1] = 0.0;
     }
-    cells
-}
-
-/// The u4-packed dense body: half the bin bytes of [`dense_row_scan`], the
-/// same 4-row unroll and sink routing, plus feature-pairing so the AVX2
-/// tier folds two cells per add. Nibbles resolve to histogram lanes with
-/// pure arithmetic — a stored nibble is either a real bin (`offset + nib`)
-/// or `0xF`, whose meaning (bin 15 of a missing-free 16-bin feature, or
-/// [`harp_binning::MISSING_NIBBLE`] → sink) is pre-resolved per feature
-/// from the pack's lane table, so no per-cell table load is needed.
-/// Distinct features always map to distinct lanes (disjoint bin windows;
-/// per-feature sinks), satisfying the [`CellAcc::add2`] contract.
-fn u4_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
-    qm: &QuantizedMatrix,
-    pack: &harp_binning::U4Pack,
-    rows: R,
-    grads: G,
-    f_range: Range<usize>,
-    hist: &mut [f64],
-) -> u64 {
-    let m = qm.n_features();
-    let total = qm.mapper().total_bins();
-    assert!(
-        hist.len() >= total as usize * 2 + sink_lanes(m),
-        "u4 row_scan needs the padded hist layout (total_bins*2 + sink lanes)"
-    );
-    let offsets = qm.mapper().bin_offsets();
-    let lanes = pack.lanes();
-    let clean = pack.clean();
-    let stride = pack.row_stride();
-    let packed = pack.packed_rows();
-    let hp = hist.as_mut_ptr();
-    let n = rows.len();
-    let mut cells = 0u64;
-
-    /// Lane of one extracted nibble: `off + nib` for a real bin, the
-    /// feature's pre-resolved nibble-15 lane (`l15`) otherwise. Branch-free
-    /// (mask select), mirroring the dense u8 missing routing.
-    #[inline(always)]
-    fn lane(nib: u32, off: u32, l15: u32) -> u32 {
-        let mask = u32::from(nib == 0xF).wrapping_neg();
-        ((off + nib) & !mask) | (l15 & mask)
-    }
-
-    /// `(bin_offset, nibble-15 lane)` of feature `f`.
-    ///
-    /// # Safety
-    /// `f < m` (offsets has m+1 entries, lanes has m*16).
-    #[inline(always)]
-    unsafe fn consts_of(offsets: &[u32], lanes: &[u32], f: usize) -> (u32, u32) {
-        // SAFETY: per the contract above.
-        unsafe { (*offsets.get_unchecked(f), *lanes.get_unchecked(f * 16 + 15)) }
-    }
-
-    let row_bits =
-        |row: u32| -> &[u8] { &packed[row as usize * stride..row as usize * stride + stride] };
-    let mut i = 0usize;
-    while i + 4 <= n {
-        if i + PREFETCH_ROWS + 4 <= n {
-            for d in 0..4 {
-                let r = rows.get(i + PREFETCH_ROWS + d);
-                prefetch_read(&packed[r as usize * stride + (f_range.start >> 1)]);
-                grads.prefetch(i + PREFETCH_ROWS + d, r);
-            }
-        }
-        let (r0, r1, r2, r3) = (rows.get(i), rows.get(i + 1), rows.get(i + 2), rows.get(i + 3));
-        let ([g0, h0], [g1, h1]) = (grads.get(i, r0), grads.get(i + 1, r1));
-        let ([g2, h2], [g3, h3]) = (grads.get(i + 2, r2), grads.get(i + 3, r3));
-        let (gh0, gh1, gh2, gh3) =
-            (A::pack(g0, h0), A::pack(g1, h1), A::pack(g2, h2), A::pack(g3, h3));
-        let (p0, p1, p2, p3) = (row_bits(r0), row_bits(r1), row_bits(r2), row_bits(r3));
-        let quad = [(p0, gh0), (p1, gh1), (p2, gh2), (p3, gh3)];
-        let mut f = f_range.start;
-        // Head: an odd-aligned leading feature (high nibble of its byte) so
-        // the paired body below always starts on a byte boundary.
-        if f & 1 == 1 && f < f_range.end {
-            // SAFETY: f < f_range.end <= m; f >> 1 < stride.
-            unsafe {
-                let (off, l15) = consts_of(offsets, lanes, f);
-                for (p, gh) in quad {
-                    let a = lane(u32::from(*p.get_unchecked(f >> 1) >> 4), off, l15);
-                    A::add(hp, a as usize * 2, gh);
-                    cells += u64::from(a < total);
-                }
-            }
-            f += 1;
-        }
-        while f + 2 <= f_range.end {
-            // SAFETY: f + 1 < f_range.end <= m; f is even so both nibbles
-            // of byte f >> 1 belong to features f (low) and f + 1 (high),
-            // whose lanes are always distinct (add2 contract).
-            unsafe {
-                let bix = f >> 1;
-                let off0 = *offsets.get_unchecked(f);
-                let off1 = *offsets.get_unchecked(f + 1);
-                if *clean.get_unchecked(f) & *clean.get_unchecked(f + 1) {
-                    // Missing-free feature pair: every nibble is a real
-                    // bin, so the lane is plain offset arithmetic and the
-                    // count is unconditional.
-                    for (p, gh) in quad {
-                        let byte = u32::from(*p.get_unchecked(bix));
-                        let (a, b) = (off0 + (byte & 0xF), off1 + (byte >> 4));
-                        A::add2(hp, a as usize * 2, b as usize * 2, gh);
-                    }
-                    cells += 8;
-                } else {
-                    let l15_0 = *lanes.get_unchecked(f * 16 + 15);
-                    let l15_1 = *lanes.get_unchecked(f * 16 + 31);
-                    for (p, gh) in quad {
-                        let byte = u32::from(*p.get_unchecked(bix));
-                        let (a, b) = (lane(byte & 0xF, off0, l15_0), lane(byte >> 4, off1, l15_1));
-                        A::add2(hp, a as usize * 2, b as usize * 2, gh);
-                        cells += u64::from(a < total) + u64::from(b < total);
-                    }
-                }
-            }
-            f += 2;
-        }
-        if f < f_range.end {
-            // Tail: one even-aligned feature left (low nibble).
-            // SAFETY: f < f_range.end <= m.
-            unsafe {
-                let (off, l15) = consts_of(offsets, lanes, f);
-                for (p, gh) in quad {
-                    let a = lane(u32::from(*p.get_unchecked(f >> 1) & 0xF), off, l15);
-                    A::add(hp, a as usize * 2, gh);
-                    cells += u64::from(a < total);
-                }
-            }
-        }
-        i += 4;
-    }
-    while i < n {
-        let r = rows.get(i);
-        let [g, h] = grads.get(i, r);
-        let gh = A::pack(g, h);
-        let p = row_bits(r);
-        for f in f_range.clone() {
-            // SAFETY: f < f_range.end <= m.
-            unsafe {
-                let (off, l15) = consts_of(offsets, lanes, f);
-                let nib = u32::from((*p.get_unchecked(f >> 1) >> ((f & 1) * 4)) & 0xF);
-                let a = lane(nib, off, l15);
-                A::add(hp, a as usize * 2, gh);
-                cells += u64::from(a < total);
-            }
-        }
-        i += 1;
-    }
-    for f in f_range {
-        hist[(total as usize + f) * 2] = 0.0;
-        hist[(total as usize + f) * 2 + 1] = 0.0;
-    }
-    cells
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn u4_row_scan_avx2<R: RowSet, G: GradRead>(
-    qm: &QuantizedMatrix,
-    pack: &harp_binning::U4Pack,
-    rows: R,
-    grads: G,
-    f_range: Range<usize>,
-    hist: &mut [f64],
-) -> u64 {
-    u4_row_scan::<R, G, x86::Avx2Acc>(qm, pack, rows, grads, f_range, hist)
-}
-
-/// The bundled body: walk the synthetic dense columns and resolve each
-/// stored bin through the per-column lane LUT, which lands accumulates
-/// directly in the ORIGINAL flattened histogram (so FindSplit needs no
-/// translation). A feature block restricts by lane window — feature `f`'s
-/// lanes occupy `bin_offsets[f]..bin_offsets[f+1]`, so
-/// `bin_offsets[start]..bin_offsets[end]` covers exactly `f_range`; missing
-/// and conflict-dropped bins resolve to [`harp_binning::bundling::NO_LANE`]
-/// (`u32::MAX`), which no window contains. Out-of-window cells accumulate
-/// branch-free into one shared sink cell at lane `total_bins` (absence is
-/// common in bundled data, so a branch would mispredict constantly); the
-/// sink is re-zeroed before the buffer leaves the kernel.
-fn bundled_row_scan<R: RowSet, G: GradRead>(
-    qm: &QuantizedMatrix,
-    rows: R,
-    grads: G,
-    f_range: Range<usize>,
-    hist: &mut [f64],
-) -> u64 {
-    let map = qm.mapper().bundles().expect("bundled storage has a map");
-    let brm = qm.bundled_row_major().expect("bundled storage");
-    let n_cols = qm.n_storage_cols();
-    let offsets = qm.mapper().bin_offsets();
-    let total = qm.mapper().total_bins();
-    assert!(
-        hist.len() >= total as usize * 2 + 2,
-        "bundled row_scan needs the sink cell past total_bins"
-    );
-    let lut = map.cell_lut_flat();
-    let lane_lo = offsets[f_range.start];
-    let win = offsets[f_range.end] - lane_lo;
-    let hp = hist.as_mut_ptr();
-    let n = rows.len();
-    let mut cells = 0u64;
-    for i in 0..n {
-        let row = rows.get(i);
-        if !R::SEQUENTIAL && i + PREFETCH_ROWS < n {
-            let r = rows.get(i + PREFETCH_ROWS);
-            prefetch_read(&brm[r as usize * n_cols]);
-            grads.prefetch(i + PREFETCH_ROWS, r);
-        }
-        let [g, h] = grads.get(i, row);
-        let gh = PortableAcc::pack(g, h);
-        let rb = &brm[row as usize * n_cols..row as usize * n_cols + n_cols];
-        for (c, &b) in rb.iter().enumerate() {
-            // SAFETY: the LUT has 256 entries per storage column; a passing
-            // lane is < total and the sink is lane `total`, both in bounds
-            // of the buffer asserted above.
-            unsafe {
-                let lane = *lut.get_unchecked((c << 8) | b as usize);
-                let hit = lane.wrapping_sub(lane_lo) < win;
-                let target = if hit { lane } else { total };
-                PortableAcc::add(hp, target as usize * 2, gh);
-                cells += u64::from(hit);
-            }
-        }
-    }
-    hist[total as usize * 2] = 0.0;
-    hist[total as usize * 2 + 1] = 0.0;
     cells
 }
 
@@ -1007,9 +764,8 @@ unsafe fn sparse_row_scan_avx2<R: RowSet, G: GradRead>(
 /// The scalar row-scan reference: one `match` per gradient read, one
 /// `bin_offset` call and one missing-bin branch per cell. Retained verbatim
 /// so the specialized kernels have a bitwise ground truth (and the bench
-/// runner a "before" measurement). Needs no sink padding. Handles every
-/// storage layout through the slow accessors (a u4 pack rides on dense u8
-/// storage, so the dense branch covers it).
+/// runner a "before" measurement). Needs no sink padding. Handles both
+/// storage kinds through the slow accessors.
 pub fn row_scan_scalar(
     qm: &QuantizedMatrix,
     rows: &[u32],
@@ -1033,22 +789,6 @@ pub fn row_scan_scalar(
                 hist[cell + 1] += f64::from(h);
                 cells += 1;
             }
-        }
-    } else if qm.is_bundled() {
-        // Storage-column order, matching the specialized bundled body; a
-        // cell is touched at most once per row, so per-cell accumulation
-        // order is row-ascending either way.
-        for (i, &row) in rows.iter().enumerate() {
-            let [g, h] = grads.get(i, row);
-            qm.for_each_in_row(row as usize, |f, b| {
-                let f = f as usize;
-                if f_range.contains(&f) {
-                    let cell = (mapper.bin_offset(f) + u32::from(b)) as usize * 2;
-                    hist[cell] += f64::from(g);
-                    hist[cell + 1] += f64::from(h);
-                    cells += 1;
-                }
-            });
         }
     } else {
         let full = f_range.start == 0 && f_range.end == qm.n_features();
@@ -1081,8 +821,7 @@ pub fn row_scan_scalar(
 
 /// Accumulates feature `f` over `rows` into `hist_f` (that feature's bins
 /// only: `n_bins * 2` lanes), restricted to bins in `bin_range`. Returns the
-/// accumulation count. `f` is always an ORIGINAL feature id; bundled
-/// storage resolves it to its synthetic column internally.
+/// accumulation count.
 ///
 /// `rows` must be ascending (guaranteed by the stable partition). A
 /// contiguous row set (detected: `last - first + 1 == len`, e.g. all rows,
@@ -1144,103 +883,6 @@ fn col_scan_body<R: RowSet, G: GradRead>(
     let hp = hist_f.as_mut_ptr();
     let mut cells = 0u64;
 
-    if let Some(pack) = qm.u4() {
-        // Half the bin bytes of the u8 column. A nibble is valid iff it is
-        // < n_bins(f): MISSING_NIBBLE (0xF) exceeds any packable width ≤ 15,
-        // and a 16-bin feature only packs when its column has no missing.
-        let pcol = pack.packed_col(f);
-        if R::SEQUENTIAL {
-            // Contiguous rows: each packed byte covers two consecutive
-            // rows, so walk bytes and unpack both nibbles — half the loads
-            // of the u8 column walk, all shifts constant.
-            let base = rows.get(0) as usize;
-            let end = base + n;
-            if full_bins && pack.clean()[f] {
-                // Missing-free column, whole bin range: every nibble is a
-                // real in-range bin, so the walk is check-free.
-                let mut row = base;
-                if row & 1 == 1 {
-                    let [g, h] = grads.get(0, row as u32);
-                    // SAFETY: nibbles of a clean column are < n_bins.
-                    unsafe {
-                        PortableAcc::add(
-                            hp,
-                            usize::from(pcol[row >> 1] >> 4) * 2,
-                            PortableAcc::pack(g, h),
-                        )
-                    };
-                    row += 1;
-                }
-                while row + 2 <= end {
-                    // SAFETY: row + 1 < end <= n_rows ⇒ row >> 1 <
-                    // col_stride; clean nibbles are < n_bins.
-                    unsafe {
-                        let byte = *pcol.get_unchecked(row >> 1);
-                        let [g, h] = grads.get(row - base, row as u32);
-                        PortableAcc::add(hp, usize::from(byte & 0xF) * 2, PortableAcc::pack(g, h));
-                        let [g, h] = grads.get(row + 1 - base, (row + 1) as u32);
-                        PortableAcc::add(hp, usize::from(byte >> 4) * 2, PortableAcc::pack(g, h));
-                    }
-                    row += 2;
-                }
-                if row < end {
-                    let [g, h] = grads.get(row - base, row as u32);
-                    // SAFETY: as above.
-                    unsafe {
-                        PortableAcc::add(
-                            hp,
-                            usize::from(pcol[row >> 1] & 0xF) * 2,
-                            PortableAcc::pack(g, h),
-                        )
-                    };
-                }
-                return n as u64;
-            }
-            let mut handle = |row: usize, nib: u8| {
-                let b = nib as usize;
-                if b < n_bins && (full_bins || bin_range.contains(&b)) {
-                    let [g, h] = grads.get(row - base, row as u32);
-                    // SAFETY: b < n_bins; buffer length asserted above.
-                    unsafe { PortableAcc::add(hp, b * 2, PortableAcc::pack(g, h)) };
-                    cells += 1;
-                }
-            };
-            let mut row = base;
-            if row & 1 == 1 {
-                handle(row, pcol[row >> 1] >> 4);
-                row += 1;
-            }
-            while row + 2 <= end {
-                // SAFETY: row + 1 < end <= n_rows, so row >> 1 < col_stride.
-                let byte = unsafe { *pcol.get_unchecked(row >> 1) };
-                handle(row, byte & 0xF);
-                handle(row + 1, byte >> 4);
-                row += 2;
-            }
-            if row < end {
-                handle(row, pcol[row >> 1] & 0xF);
-            }
-            return cells;
-        }
-        for i in 0..n {
-            let row = rows.get(i) as usize;
-            if i + PREFETCH_ROWS < n {
-                prefetch_read(&pcol[rows.get(i + PREFETCH_ROWS) as usize >> 1]);
-            }
-            let b = ((pcol[row >> 1] >> ((row & 1) * 4)) & 0xF) as usize;
-            if b >= n_bins {
-                continue;
-            }
-            if !full_bins && !bin_range.contains(&b) {
-                continue;
-            }
-            let [g, h] = grads.get(i, row as u32);
-            // SAFETY: b < n_bins; buffer length asserted above.
-            unsafe { PortableAcc::add(hp, b * 2, PortableAcc::pack(g, h)) };
-            cells += 1;
-        }
-        return cells;
-    }
     if let Some(col) = qm.dense_col(f) {
         for i in 0..n {
             let row = rows.get(i);
@@ -1257,33 +899,6 @@ fn col_scan_body<R: RowSet, G: GradRead>(
             let [g, h] = grads.get(i, row);
             // SAFETY: b < n_bins (QuantizedMatrix invariant).
             unsafe { PortableAcc::add(hp, usize::from(b) * 2, PortableAcc::pack(g, h)) };
-            cells += 1;
-        }
-        return cells;
-    }
-    if qm.is_bundled() {
-        let slot = qm.mapper().bundles().expect("bundled storage has a map").slot(f);
-        if slot.width == 0 {
-            return 0;
-        }
-        let col = qm.bundled_col(slot.col as usize).expect("bundled storage");
-        let (lo, hi) = (slot.offset, slot.offset + slot.width);
-        for i in 0..n {
-            let row = rows.get(i);
-            if !R::SEQUENTIAL && i + PREFETCH_ROWS < n {
-                prefetch_read(&col[rows.get(i + PREFETCH_ROWS) as usize]);
-            }
-            let b = u16::from(col[row as usize]);
-            if b < lo || b >= hi {
-                continue;
-            }
-            let local = usize::from(b - lo);
-            if !full_bins && !bin_range.contains(&local) {
-                continue;
-            }
-            let [g, h] = grads.get(i, row);
-            // SAFETY: local < slot.width == n_bins(f).
-            unsafe { PortableAcc::add(hp, local * 2, PortableAcc::pack(g, h)) };
             cells += 1;
         }
         return cells;
@@ -1333,8 +948,7 @@ fn col_scan_body<R: RowSet, G: GradRead>(
 }
 
 /// The scalar column-scan reference (per-cell gradient `match`, linear
-/// merge cursor); see [`row_scan_scalar`]. The dense branch covers
-/// u4-packed matrices (the pack rides on dense u8 storage).
+/// merge cursor); see [`row_scan_scalar`].
 pub fn col_scan_scalar(
     qm: &QuantizedMatrix,
     f: usize,
@@ -1358,27 +972,6 @@ pub fn col_scan_scalar(
             let cell = usize::from(b) * 2;
             hist_f[cell] += f64::from(g);
             hist_f[cell + 1] += f64::from(h);
-            cells += 1;
-        }
-    } else if qm.is_bundled() {
-        let slot = qm.mapper().bundles().expect("bundled storage has a map").slot(f);
-        if slot.width == 0 {
-            return 0;
-        }
-        let col = qm.bundled_col(slot.col as usize).expect("bundled storage");
-        let (lo, hi) = (slot.offset, slot.offset + slot.width);
-        for (i, &row) in rows.iter().enumerate() {
-            let b = u16::from(col[row as usize]);
-            if b < lo || b >= hi {
-                continue;
-            }
-            let local = usize::from(b - lo);
-            if !full_bins && !bin_range.contains(&local) {
-                continue;
-            }
-            let [g, h] = grads.get(i, row);
-            hist_f[local * 2] += f64::from(g);
-            hist_f[local * 2 + 1] += f64::from(h);
             cells += 1;
         }
     } else {
@@ -1529,7 +1122,7 @@ pub const FLOPS_PER_CELL: u64 = 2;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harp_binning::{BinningConfig, LayoutOptions};
+    use harp_binning::BinningConfig;
     use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
 
     fn dense_matrix() -> FeatureMatrix {
@@ -1560,23 +1153,8 @@ mod tests {
         ))
     }
 
-    /// All features fit 16 bins, so the default layout attaches a u4 pack
-    /// and `row_scan`/`col_scan` exercise the nibble paths.
     fn dense_qm() -> QuantizedMatrix {
-        let qm = QuantizedMatrix::from_matrix(&dense_matrix(), BinningConfig::default());
-        assert!(qm.u4().is_some(), "test fixture expects the u4 pack to engage");
-        qm
-    }
-
-    /// The same matrix with compression off: the plain dense u8 kernels.
-    fn dense_qm_u8() -> QuantizedMatrix {
-        let qm = QuantizedMatrix::from_matrix_opts(
-            &dense_matrix(),
-            BinningConfig::default(),
-            LayoutOptions::uncompressed(),
-        );
-        assert!(qm.u4().is_none());
-        qm
+        QuantizedMatrix::from_matrix(&dense_matrix(), BinningConfig::default())
     }
 
     fn sparse_qm() -> QuantizedMatrix {
@@ -1584,25 +1162,11 @@ mod tests {
             3,
             &[vec![(0, 1.0), (2, 4.0)], vec![(1, 2.0)], vec![(0, 2.0), (1, 3.0)], vec![(2, 5.0)]],
         ));
-        let qm = QuantizedMatrix::from_matrix(&m, BinningConfig::default());
-        assert!(!qm.is_bundled(), "3 features must stay plain sparse");
-        qm
-    }
-
-    /// 32 rows × 16 one-hot-grouped features: bundling fuses each group of
-    /// 4 mutually-exclusive features into one synthetic column.
-    fn bundled_qm() -> QuantizedMatrix {
-        let rows: Vec<Vec<(u32, f32)>> = (0..32)
-            .map(|r| (0..4u32).map(|grp| (grp * 4 + (r + grp) % 4, (r % 3 + 1) as f32)).collect())
-            .collect();
-        let m = FeatureMatrix::Sparse(CsrMatrix::from_rows(16, &rows));
-        let qm = QuantizedMatrix::from_matrix(&m, BinningConfig::default());
-        assert!(qm.is_bundled(), "test fixture expects bundling to engage");
-        qm
+        QuantizedMatrix::from_matrix(&m, BinningConfig::default())
     }
 
     fn all_qms() -> Vec<QuantizedMatrix> {
-        vec![dense_qm(), dense_qm_u8(), sparse_qm(), bundled_qm()]
+        vec![dense_qm(), sparse_qm()]
     }
 
     fn grads(n: usize) -> Vec<GradPair> {
@@ -1636,38 +1200,35 @@ mod tests {
 
     #[test]
     fn row_scan_dense_matches_reference() {
-        for qm in [dense_qm(), dense_qm_u8()] {
-            let g = grads(6);
-            let rows: Vec<u32> = vec![0, 2, 3, 5];
-            let mut hist = hist_for(&qm);
-            let cells = row_scan(&qm, &rows, GradSource::Global(&g), 0..3, &mut hist);
-            assert_eq!(hist, reference(&qm, &rows, &g, 0..3));
-            assert_eq!(cells, 12); // 4 rows x 3 features, none missing for these rows
-        }
+        let qm = dense_qm();
+        let g = grads(6);
+        let rows: Vec<u32> = vec![0, 2, 3, 5];
+        let mut hist = hist_for(&qm);
+        let cells = row_scan(&qm, &rows, GradSource::Global(&g), 0..3, &mut hist);
+        assert_eq!(hist, reference(&qm, &rows, &g, 0..3));
+        assert_eq!(cells, 12); // 4 rows x 3 features, none missing for these rows
     }
 
     #[test]
     fn row_scan_skips_missing() {
-        for qm in [dense_qm(), dense_qm_u8()] {
-            let g = grads(6);
-            let rows: Vec<u32> = vec![1, 4]; // rows with a missing feature-1 cell
-            let mut hist = hist_for(&qm);
-            let cells = row_scan(&qm, &rows, GradSource::Global(&g), 0..3, &mut hist);
-            assert_eq!(cells, 4);
-            assert_eq!(hist, reference(&qm, &rows, &g, 0..3));
-        }
+        let qm = dense_qm();
+        let g = grads(6);
+        let rows: Vec<u32> = vec![1, 4]; // rows with a missing feature-1 cell
+        let mut hist = hist_for(&qm);
+        let cells = row_scan(&qm, &rows, GradSource::Global(&g), 0..3, &mut hist);
+        assert_eq!(cells, 4);
+        assert_eq!(hist, reference(&qm, &rows, &g, 0..3));
     }
 
     #[test]
     fn row_scan_strips_sink_cells() {
-        for qm in [dense_qm(), dense_qm_u8()] {
-            let g = grads(6);
-            let rows: Vec<u32> = (0..6).collect();
-            let mut hist = hist_for(&qm);
-            row_scan(&qm, &rows, GradSource::Global(&g), 0..3, &mut hist);
-            let total = qm.mapper().total_bins() as usize;
-            assert!(hist[total * 2..].iter().all(|&x| x == 0.0), "sinks must leave zeroed");
-        }
+        let qm = dense_qm();
+        let g = grads(6);
+        let rows: Vec<u32> = (0..6).collect();
+        let mut hist = hist_for(&qm);
+        row_scan(&qm, &rows, GradSource::Global(&g), 0..3, &mut hist);
+        let total = qm.mapper().total_bins() as usize;
+        assert!(hist[total * 2..].iter().all(|&x| x == 0.0), "sinks must leave zeroed");
     }
 
     #[test]
@@ -1783,18 +1344,6 @@ mod tests {
     }
 
     #[test]
-    fn row_scan_bundled_matches_reference_and_counts() {
-        let qm = bundled_qm();
-        let n = qm.n_rows();
-        let g = grads(n);
-        let rows: Vec<u32> = (0..n as u32).collect();
-        let mut hist = hist_for(&qm);
-        let cells = row_scan(&qm, &rows, GradSource::Global(&g), 0..16, &mut hist);
-        assert_eq!(cells, 32 * 4, "one present feature per group per row");
-        assert_eq!(hist, reference(&qm, &rows, &g, 0..16));
-    }
-
-    #[test]
     fn col_scan_matches_row_scan_per_feature() {
         for qm in all_qms() {
             let n = qm.n_rows();
@@ -1840,19 +1389,18 @@ mod tests {
 
     #[test]
     fn col_scan_bin_block_restricts_bins() {
-        for qm in [dense_qm(), dense_qm_u8()] {
-            let g = grads(6);
-            let rows: Vec<u32> = (0..6).collect();
-            let f = 0;
-            let n_bins = qm.mapper().n_bins(f) as usize;
-            assert!(n_bins >= 3);
-            let mut blocked = vec![0.0; n_bins * 2];
-            col_scan(&qm, f, &rows, GradSource::Global(&g), 0..1, &mut blocked);
-            let mut full = vec![0.0; n_bins * 2];
-            col_scan(&qm, f, &rows, GradSource::Global(&g), 0..n_bins, &mut full);
-            assert_eq!(&blocked[..2], &full[..2]);
-            assert!(blocked[2..].iter().all(|&x| x == 0.0));
-        }
+        let qm = dense_qm();
+        let g = grads(6);
+        let rows: Vec<u32> = (0..6).collect();
+        let f = 0;
+        let n_bins = qm.mapper().n_bins(f) as usize;
+        assert!(n_bins >= 3);
+        let mut blocked = vec![0.0; n_bins * 2];
+        col_scan(&qm, f, &rows, GradSource::Global(&g), 0..1, &mut blocked);
+        let mut full = vec![0.0; n_bins * 2];
+        col_scan(&qm, f, &rows, GradSource::Global(&g), 0..n_bins, &mut full);
+        assert_eq!(&blocked[..2], &full[..2]);
+        assert!(blocked[2..].iter().all(|&x| x == 0.0));
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub use ensemble::{FeatureImportance, GbdtModel};
 // integration tests) reach the whole train-from-a-store story through one
 // crate: quantize → `write_cache` → `ChunkedStore::open` → `train_store`.
 pub use harp_binning::{
-    write_cache, BinningConfig, CacheError, CacheSummary, ChunkIoStats, ChunkedStore,
-    LayoutOptions, QuantStore, QuantizedMatrix, SetupTimings, DEFAULT_ROWS_PER_CHUNK,
+    write_cache, BinningConfig, CacheError, CacheSummary, ChunkIoStats, ChunkedStore, QuantStore,
+    QuantizedMatrix, SetupTimings, DEFAULT_ROWS_PER_CHUNK,
 };
 pub use loss::RowScaling;
 pub use objective::{ObjectiveInfo, ObjectiveSpec, HESSIAN_FLOOR};

@@ -49,32 +49,19 @@ pub enum Accumulation {
 /// a row scan can slice its feature range without re-walking the row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanLayout {
-    /// Plain dense: one byte per ⟨row, feature⟩.
+    /// Dense: one byte per ⟨row, feature⟩.
     DenseU8,
-    /// Nibble-packed dense: half the bin bytes of [`ScanLayout::DenseU8`].
-    DenseU4,
-    /// EFB-bundled: one byte per ⟨row, storage column⟩; rows have no
-    /// per-original-feature substructure, so scans cover all features.
-    Bundled {
-        /// Synthetic storage columns after bundling.
-        n_storage_cols: usize,
-    },
     /// CSR/CSC: a 4-byte column id plus a 1-byte bin per stored entry.
     Sparse,
 }
 
 impl ScanLayout {
-    /// Classifies a quantized store. The shape flags are uniform across
-    /// chunks (see [`harp_binning::StoreLayout`]), so one classification
-    /// holds for every slab a chunked scan later pins.
+    /// Classifies a quantized store. Every chunk of a store shares its kind
+    /// ([`harp_binning::QuantStore::is_dense`]), so one classification holds
+    /// for every slab a chunked scan later pins.
     pub fn of(store: &dyn harp_binning::QuantStore) -> Self {
-        let l = store.layout();
-        if l.has_u4 {
-            ScanLayout::DenseU4
-        } else if l.dense {
+        if store.is_dense() {
             ScanLayout::DenseU8
-        } else if l.bundled {
-            ScanLayout::Bundled { n_storage_cols: l.n_storage_cols }
         } else {
             ScanLayout::Sparse
         }
@@ -87,19 +74,17 @@ impl ScanLayout {
     pub fn bin_bytes_per_row(self, n_features: usize) -> f64 {
         match self {
             ScanLayout::DenseU8 => n_features as f64,
-            ScanLayout::DenseU4 => n_features.div_ceil(2) as f64,
-            ScanLayout::Bundled { n_storage_cols } => n_storage_cols as f64,
             ScanLayout::Sparse => 5.0 * n_features as f64,
         }
     }
 
     /// Whether a replicated row scan over this layout can restrict itself
     /// to a feature block without re-reading the rest of the row. Dense
-    /// bytes and nibbles are sliceable; CSR rows and bundled storage rows
-    /// are walked whole (the kernels filter, but the bytes are still read),
-    /// so feature-blocking them only multiplies row traffic.
+    /// bytes are sliceable; CSR rows are walked whole (the kernels filter,
+    /// but the bytes are still read), so feature-blocking them only
+    /// multiplies row traffic.
     pub fn feature_sliceable(self) -> bool {
-        matches!(self, ScanLayout::DenseU8 | ScanLayout::DenseU4)
+        self == ScanLayout::DenseU8
     }
 }
 
@@ -299,9 +284,9 @@ impl BlockPlan {
     /// are bit-for-bit unchanged by the nesting.
     fn enumerate_replicated(&mut self, cfg: &BlockConfig, shape: &BatchShape, job_lens: &[usize]) {
         let m = shape.n_features;
-        // Feature-blocking a CSR or bundled row scan would re-walk every
-        // row once per block (those rows have no per-original-feature
-        // substructure); dense bytes and nibbles are sliceable.
+        // Feature-blocking a CSR row scan would re-walk every row once per
+        // block (a CSR row has no per-feature substructure); dense bytes are
+        // sliceable.
         let f_blk = if shape.layout.feature_sliceable() { cfg.features_per_block(m) } else { m };
         let n_total: usize = job_lens.iter().sum();
         let row_blk = cfg.rows_per_block(n_total.max(1), shape.n_threads);
@@ -481,7 +466,7 @@ pub fn auto_config(shape: &BatchShape, job_lens: &[usize], acc: Accumulation) ->
             let cost = match acc {
                 Accumulation::Replicated => {
                     if !shape.layout.feature_sliceable() && f_blk != m {
-                        continue; // CSR/bundled row scans cannot slice features
+                        continue; // CSR row scans cannot slice features
                     }
                     let passes = m.div_ceil(f_blk) as f64;
                     // 4 B row id + 8 B GradPair re-read per pass, plus the
@@ -510,14 +495,8 @@ pub fn auto_config(shape: &BatchShape, job_lens: &[usize], acc: Accumulation) ->
                     );
 
                     // Column scans read each ⟨row, feature⟩ bin once, at
-                    // the layout's byte width — except bundled storage,
-                    // where the per-original-feature walk re-reads the
-                    // shared storage column once per member feature.
-                    let col_bytes = match shape.layout {
-                        ScanLayout::Bundled { .. } => m as f64,
-                        l => l.bin_bytes_per_row(m),
-                    };
-                    let reads = n_total as f64 * col_bytes;
+                    // the layout's byte width.
+                    let reads = n_total as f64 * shape.layout.bin_bytes_per_row(m);
                     let writes =
                         n_total as f64 * m as f64 * CELL_BYTES * (ws / L2_TARGET_BYTES).max(1.0);
                     let grain = tasks * TASK_OVERHEAD + tasks * GROUP_OVERHEAD;
@@ -721,26 +700,10 @@ mod tests {
     }
 
     #[test]
-    fn bundled_layout_scans_whole_feature_set() {
-        let mut s = shape(64, true, 4);
-        s.layout = ScanLayout::Bundled { n_storage_cols: 9 };
-        let cfg = auto_config(&s, &[1000, 1000], Accumulation::Replicated);
-        assert_eq!(cfg.feature_blk_size, 64, "bundled rows are scanned whole");
-        let mut plan = BlockPlan::new();
-        let two = BlockConfig { feature_blk_size: 2, ..BlockConfig::default() };
-        plan.rebuild(&two, &s, &[16], Accumulation::Replicated);
-        assert!(plan.tasks().iter().all(|t| t.features == (0..64)));
-    }
-
-    #[test]
     fn layout_byte_constants() {
-        assert_eq!(ScanLayout::DenseU4.bin_bytes_per_row(9), 5.0);
-        assert_eq!(
-            ScanLayout::DenseU4.bin_bytes_per_row(64) * 2.0,
-            ScanLayout::DenseU8.bin_bytes_per_row(64)
-        );
-        assert_eq!(ScanLayout::Bundled { n_storage_cols: 3 }.bin_bytes_per_row(64), 3.0);
-        assert!(!ScanLayout::Bundled { n_storage_cols: 3 }.feature_sliceable());
-        assert!(ScanLayout::DenseU4.feature_sliceable());
+        assert_eq!(ScanLayout::DenseU8.bin_bytes_per_row(9), 9.0);
+        assert_eq!(ScanLayout::Sparse.bin_bytes_per_row(9), 45.0);
+        assert!(ScanLayout::DenseU8.feature_sliceable());
+        assert!(!ScanLayout::Sparse.feature_sliceable());
     }
 }

@@ -231,7 +231,6 @@ pub(super) fn score_block_binned(
 ) {
     let g = forest.n_groups;
     let dense_storage = qm.dense_row(lo.min(qm.n_rows().saturating_sub(1))).is_some();
-    let bundled = qm.mapper().bundles().zip(qm.bundled_row_major());
     for t in 0..forest.n_trees() {
         let group = t % g;
         let root = forest.tree_offsets[t] as usize;
@@ -266,22 +265,6 @@ pub(super) fn score_block_binned(
                 if let Some(row) = qm.dense_row(r) {
                     while !forest.is_leaf(n) {
                         n = step_binned(forest, n, row);
-                    }
-                } else if let Some((map, rm)) = bundled {
-                    // Bundled storage: route through the slot window — a
-                    // stored bin outside the split feature's window means
-                    // the feature is absent in this row (default path).
-                    let n_cols = qm.n_storage_cols();
-                    let row = &rm[r * n_cols..(r + 1) * n_cols];
-                    while !forest.is_leaf(n) {
-                        let slot = map.slot(forest.feature[n] as usize);
-                        let b = u16::from(row[slot.col as usize]);
-                        let go_left = if b.wrapping_sub(slot.offset) < slot.width {
-                            (b - slot.offset) as u8 <= forest.bin[n]
-                        } else {
-                            forest.default_left[n]
-                        };
-                        n = (if go_left { forest.left[n] } else { forest.right[n] }) as usize;
                     }
                 } else {
                     let (cols, bins) = qm.sparse_row(r).expect("sparse storage");

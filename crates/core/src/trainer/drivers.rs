@@ -277,7 +277,7 @@ pub fn expand(
             // per-lane row order, so the same bits); sparse rows have no
             // per-block substructure and Auto resolves per planned batch, so
             // both scan whole.
-            let scan_blk = if ctx.qm.layout().dense && !ctx.params.blocks.is_auto() {
+            let scan_blk = if ctx.qm.is_dense() && !ctx.params.blocks.is_auto() {
                 ctx.params.blocks.features_per_block(m)
             } else {
                 m
@@ -1104,7 +1104,7 @@ mod tests {
         assert_close(&hists[2], &reference_hist(&qm, &part, &grads, 4));
     }
 
-    /// A dense u8, a u4-packed and a sparse matrix, quantized once.
+    /// A dense matrix at 32 and at 12 bins and a sparse one, quantized once.
     fn scan_layouts() -> &'static [QuantizedMatrix] {
         static LAYOUTS: OnceLock<Vec<QuantizedMatrix>> = OnceLock::new();
         LAYOUTS.get_or_init(|| {
@@ -1118,7 +1118,7 @@ mod tests {
                 quantize(DatasetKind::YfccLike, 32),
             ];
             let kinds: Vec<ScanLayout> = layouts.iter().map(|qm| ScanLayout::of(qm)).collect();
-            assert_eq!(kinds, [ScanLayout::DenseU8, ScanLayout::DenseU4, ScanLayout::Sparse]);
+            assert_eq!(kinds, [ScanLayout::DenseU8, ScanLayout::DenseU8, ScanLayout::Sparse]);
             layouts
         })
     }
@@ -1225,15 +1225,6 @@ mod tests {
         }
     }
 
-    /// [`scan_layouts`] plus a bundled store (four one-hot groups of four).
-    fn tile_layouts() -> &'static [QuantizedMatrix] {
-        static LAYOUTS: OnceLock<Vec<QuantizedMatrix>> = OnceLock::new();
-        LAYOUTS.get_or_init(|| {
-            let bundled = crate::hist::tests::one_hot_store(160);
-            scan_layouts().iter().cloned().chain([bundled]).collect()
-        })
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1260,7 +1251,7 @@ mod tests {
         /// own job's groups alone.
         #[test]
         fn fused_tiles_find_what_full_width_histograms_hold(
-            layout in 0usize..4,
+            layout in 0usize..3,
             splits in proptest::collection::vec((0u64..10, any::<bool>(), 0u8..8), 1..5),
             threads in 1usize..5,
             feature_blk in 0usize..5,
@@ -1269,7 +1260,7 @@ mod tests {
             membuf in any::<bool>(),
             fill in 0usize..3,
         ) {
-            let qm = &tile_layouts()[layout];
+            let qm = &scan_layouts()[layout];
             let (n, m) = (qm.n_rows(), qm.n_features());
             let mapper = qm.mapper();
             let wide = |h: u64| {

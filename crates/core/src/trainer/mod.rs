@@ -44,9 +44,7 @@ use crate::partition::RowPartition;
 use crate::split::{SplitCandidate, SplitSettings};
 use crate::tree::{NodeId, NodeStats, Tree};
 use frontier::{Children, Frontier};
-use harp_binning::{
-    sweep_chunks, BinningConfig, LayoutOptions, QuantStore, QuantizedMatrix, Rows, MISSING_BIN,
-};
+use harp_binning::{sweep_chunks, BinningConfig, QuantStore, QuantizedMatrix, Rows, MISSING_BIN};
 use harp_data::Dataset;
 use harp_metrics::{
     gauges, BreakdownReport, ConvergenceTrace, LedgerRecord, PlanStats, RunLedger, WorkerSkewReport,
@@ -249,7 +247,6 @@ pub struct TrainOutput {
 pub struct GbdtTrainer {
     params: TrainParams,
     binning: BinningConfig,
-    layout: LayoutOptions,
 }
 
 impl GbdtTrainer {
@@ -259,19 +256,12 @@ impl GbdtTrainer {
     /// Returns the validation message for inconsistent parameters.
     pub fn new(params: TrainParams) -> Result<Self, String> {
         params.validate()?;
-        Ok(Self { params, binning: BinningConfig::default(), layout: LayoutOptions::default() })
+        Ok(Self { params, binning: BinningConfig::default() })
     }
 
     /// Overrides the histogram-initialization configuration.
     pub fn with_binning(mut self, binning: BinningConfig) -> Self {
         self.binning = binning;
-        self
-    }
-
-    /// Overrides the storage-layout selection (u4 packing, feature
-    /// bundling). The default auto-selects compressed layouts.
-    pub fn with_layout(mut self, layout: LayoutOptions) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -310,7 +300,7 @@ impl GbdtTrainer {
         dataset: &Dataset,
         eval: Option<EvalOptions<'_>>,
     ) -> Result<TrainOutput, String> {
-        let qm = QuantizedMatrix::from_matrix_opts(&dataset.features, self.binning, self.layout);
+        let qm = QuantizedMatrix::from_matrix(&dataset.features, self.binning);
         self.try_train_store_grouped(
             &qm,
             &dataset.labels,
@@ -438,15 +428,9 @@ impl GbdtTrainer {
             g.observe(qm.storage_bytes() as u64);
         }
 
-        // Record the layout decisions made at quantization time plus the SIMD
-        // tier the kernels will dispatch to. Placed after the ledger's
-        // baseline read so the round-1 delta carries them.
-        let layout = qm.layout_stats();
-        profile.add_layout_events(
-            layout.cols_u4,
-            layout.cols_bundled,
-            crate::kernels::simd_tier().as_u64(),
-        );
+        // Record the SIMD tier the kernels will dispatch to. Placed after the
+        // ledger's baseline read so the round-1 delta carries it.
+        profile.set_simd_tier(crate::kernels::simd_tier().as_u64());
 
         // Evaluation state.
         let mut trace = eval.as_ref().map(|e| ConvergenceTrace::new(e.metric.higher_is_better()));
@@ -953,8 +937,6 @@ fn split_search<'s>(settings: &'s SplitSettings, mask: &'s [bool]) -> SplitSearc
 enum SplitRoute<'a> {
     /// Dense u8 column borrow (in-core fast path).
     Dense(&'a [u8]),
-    /// Bundled synthetic column borrow plus the feature's slot window.
-    Bundled { col: &'a [u8], lo: u16, width: u16 },
     /// The node's effective routing bins by position in its row list,
     /// gathered chunk by chunk up front (out-of-core stores, and sparse
     /// storage, whose gather walks the feature's CSC column).
@@ -962,23 +944,14 @@ enum SplitRoute<'a> {
 }
 
 impl<'a> SplitRoute<'a> {
-    /// The route that borrows feature `f`'s dense or bundled column from a
-    /// store resident as one matrix — nothing to gather, nothing to copy.
+    /// The route that borrows feature `f`'s dense column from a store
+    /// resident as one matrix — nothing to gather, nothing to copy.
     /// One of the two places that ask for the in-core *representation*
     /// ([`QuantStore::as_single`]): a borrowed column is not a row read, so
     /// it has no chunk sweep to go through. Sparse storage has no column to
     /// lend by row id, so it is gathered like a chunked store.
     fn borrowed(store: &'a dyn QuantStore, f: usize) -> Option<Self> {
-        let qm = store.as_single()?;
-        if let Some(col) = qm.dense_col(f) {
-            return Some(SplitRoute::Dense(col));
-        }
-        if !qm.is_bundled() {
-            return None;
-        }
-        let slot = qm.mapper().bundles().expect("bundle map").slot(f);
-        let col = qm.bundled_col(slot.col as usize).expect("bundled storage");
-        Some(SplitRoute::Bundled { col, lo: slot.offset, width: slot.width })
+        store.as_single()?.dense_col(f).map(SplitRoute::Dense)
     }
 }
 
@@ -1003,8 +976,8 @@ pub(crate) fn split_pred<'a>(
 }
 
 /// Builds the routing predicates for a whole frontier of splits at once,
-/// each over its node's (ascending) row list. A dense or bundled store
-/// resident as one matrix lends its routing columns (O(1) per split, rows
+/// each over its node's (ascending) row list. A dense store resident as
+/// one matrix lends its routing columns (O(1) per split, rows
 /// unused); any other store gathers every node's routing bins in ONE chunk
 /// sweep — per-node gathers would pin each node's full chunk span once per
 /// split, which under a resident budget reloads most of the cache for every
@@ -1044,25 +1017,14 @@ pub(crate) fn split_preds_batch<'a>(
 impl SplitPred<'_> {
     /// Whether `row` routes left. Every route resolves the row to its
     /// feature-local effective bin (or [`MISSING_BIN`] when absent), then
-    /// applies one shared `b <= bin` / default-direction rule, so all four
-    /// storage paths route identically. `pos` is the row's index within the
+    /// applies one shared `b <= bin` / default-direction rule, so every
+    /// route agrees. `pos` is the row's index within the
     /// split node's span (what [`RowPartition::apply_split`] passes); the
     /// gathered route resolves it positionally — a by-row binary search per
     /// routed row dominated out-of-core ApplySplit time.
     pub(crate) fn goes_left(&self, pos: usize, row: u32) -> bool {
         let b = match &self.route {
             SplitRoute::Dense(col) => col[row as usize],
-            SplitRoute::Bundled { col, lo, width } => {
-                // The stored bin encodes which member feature is present:
-                // only values inside `f`'s slot window belong to it,
-                // anything else means `f` is absent in this row.
-                let b = u16::from(col[row as usize]);
-                if b.wrapping_sub(*lo) < *width {
-                    (b - lo) as u8
-                } else {
-                    MISSING_BIN
-                }
-            }
             SplitRoute::Gathered(bins) => bins[pos],
         };
         if b == MISSING_BIN {

@@ -113,8 +113,8 @@ pub mod gauges {
     pub const PARTITION: &str = "partition";
     /// Flat inference forest compiled for incremental evaluation.
     pub const FLAT_FOREST: &str = "flat_forest";
-    /// Quantized bin storage (row/col majors + u4/bundled side copies) when
-    /// training in-core — the dominant allocation of a training run.
+    /// Quantized bin storage (both majors, dense or sparse) when training
+    /// in-core — the dominant allocation of a training run.
     pub const QUANT_STORE: &str = "quant_store";
     /// Decoded chunk slabs resident in the out-of-core store; the high-water
     /// mark proves a `--mem-budget` run stayed under its budget.

@@ -164,11 +164,6 @@ counter_table! {
     /// BuildHist batches whose block extents came from the auto-tuner cost
     /// model rather than an explicit config.
     plan_batches_auto,
-    /// Feature columns stored nibble-packed (u4) by the compressed-layout
-    /// selector.
-    cols_u4,
-    /// Original feature columns fused into bundled synthetic columns.
-    cols_bundled,
     /// Kernel SIMD tier dispatched (0 scalar, 2 avx2); a level, not a count.
     simd_tier,
     /// Out-of-core chunks decoded from the cache file (zero when training
@@ -252,12 +247,9 @@ impl Profile {
         self.plan_batches_auto.fetch_add(auto_batches, Ordering::Relaxed);
     }
 
-    /// Records the compressed-layout decisions of one quantized matrix
-    /// (counts of u4-packed and bundled columns) and the kernel SIMD tier
-    /// dispatched (stored as a level, not added).
-    pub fn add_layout_events(&self, cols_u4: u64, cols_bundled: u64, simd_tier: u64) {
-        self.cols_u4.fetch_add(cols_u4, Ordering::Relaxed);
-        self.cols_bundled.fetch_add(cols_bundled, Ordering::Relaxed);
+    /// Records the kernel SIMD tier dispatched (stored as a level, not
+    /// added).
+    pub fn set_simd_tier(&self, simd_tier: u64) {
         self.simd_tier.store(simd_tier, Ordering::Relaxed);
     }
 
@@ -372,11 +364,7 @@ impl std::fmt::Display for ProfileReport {
             self.hist_cache_declined, self.hist_cache_trimmed, self.hist_builds_skipped
         )?;
         let tier = if self.simd_tier == 0 { "scalar" } else { "avx2" };
-        writeln!(
-            f,
-            "layout u4/bundled {:>2} / {} (simd {})",
-            self.cols_u4, self.cols_bundled, tier
-        )?;
+        writeln!(f, "simd tier               {tier:>12}")?;
         write!(
             f,
             "chunk load/evict/prefetch {:>4} / {} / {}",

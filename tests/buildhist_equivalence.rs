@@ -8,7 +8,7 @@
 //! across versions, and the steady-state tests pin the replica arena's
 //! zero-allocation guarantee.
 
-use harp_binning::{BinningConfig, LayoutOptions, QuantizedMatrix, MISSING_NIBBLE};
+use harp_binning::{BinningConfig, QuantizedMatrix};
 use harp_data::{CsrMatrix, Dataset, DatasetKind, DenseMatrix, FeatureMatrix, SynthConfig};
 use harp_parallel::{Profile, ThreadPool};
 use harpgbdt::hist::hist_width;
@@ -98,17 +98,14 @@ fn sparse_case() -> impl Strategy<Value = Case> {
 }
 
 /// Random grouped one-hot CSR matrix: features inside a group are mutually
-/// exclusive (at most one present per row), groups are independent — the
-/// shape the EFB bundling pass exists for.
+/// exclusive (at most one present per row), groups are independent.
 fn one_hot_matrix() -> impl Strategy<Value = FeatureMatrix> {
     (8usize..80, 2usize..5, any::<u64>()).prop_map(|(n, groups, seed)| {
         let mut s = seed;
         let per = 4usize;
         let m = groups * per;
         // Deterministic preamble: every cross-group feature pair co-occurs
-        // in some row, so the greedy planner can never merge two groups
-        // whose sampled supports happen to be disjoint — engagement is
-        // guaranteed, with exactly one storage column per group.
+        // in some row.
         let mut rows: Vec<Vec<(u32, f32)>> = Vec::new();
         for g in 0..groups {
             for g2 in g + 1..groups {
@@ -134,8 +131,7 @@ fn one_hot_matrix() -> impl Strategy<Value = FeatureMatrix> {
     })
 }
 
-/// Dense matrix whose features all use few enough bins that the u4 pack
-/// always engages.
+/// Dense matrix whose features all use at most 12 bins.
 fn u4_case() -> impl Strategy<Value = Case> {
     (1usize..100, 1usize..9, any::<u64>()).prop_map(|(n, m, seed)| {
         let mut s = seed;
@@ -266,70 +262,6 @@ proptest! {
         prop_assert_eq!(&chunk_slice, &chunk_range);
     }
 
-    /// u4 pack/unpack round-trip: every nibble in both packed majors decodes
-    /// to exactly the `u8` bin it was packed from (missing included).
-    #[test]
-    fn u4_pack_round_trips(case in u4_case()) {
-        let qm = &case.qm;
-        let pack = qm.u4().expect("low-cardinality dense must engage the u4 pack");
-        for r in 0..qm.n_rows() {
-            for f in 0..qm.n_features() {
-                let nib = pack.nibble(r, f);
-                match qm.bin(r, f) {
-                    Some(b) => prop_assert_eq!(nib, b),
-                    None => prop_assert_eq!(nib, MISSING_NIBBLE),
-                }
-                let from_col = (pack.packed_col(f)[r / 2] >> (4 * (r & 1))) & 0xF;
-                prop_assert_eq!(from_col, nib);
-            }
-        }
-    }
-
-    /// The u4 kernels are bitwise-equal to the scalar reference.
-    #[test]
-    fn u4_kernels_bitwise_equal_scalar(case in u4_case(), n_blocks in 1usize..4) {
-        check_row_scan(&case, n_blocks);
-        check_col_scan(&case);
-    }
-
-    /// Bundle build + translate-back exactness: every ⟨row, feature, bin⟩ of
-    /// the uncompressed sparse storage survives the round trip through the
-    /// bundled layout, and nothing extra appears.
-    #[test]
-    fn bundling_translates_back_exactly(matrix in one_hot_matrix()) {
-        let cfg = BinningConfig::with_max_bins(16);
-        let plain = QuantizedMatrix::from_matrix_opts(&matrix, cfg, LayoutOptions::uncompressed());
-        let bundled = QuantizedMatrix::from_matrix_opts(&matrix, cfg, LayoutOptions::default());
-        prop_assert!(bundled.is_bundled(), "grouped one-hot features must bundle");
-        for r in 0..plain.n_rows() {
-            for f in 0..plain.n_features() {
-                prop_assert_eq!(bundled.bin(r, f), plain.bin(r, f));
-            }
-            let mut seen: Vec<(u32, u8)> = Vec::new();
-            bundled.for_each_in_row(r, |f, b| seen.push((f, b)));
-            seen.sort_unstable();
-            let (cols, bins) = plain.sparse_row(r).unwrap();
-            let expect: Vec<(u32, u8)> =
-                cols.iter().copied().zip(bins.iter().copied()).collect();
-            prop_assert_eq!(seen, expect);
-        }
-    }
-
-    /// The bundled kernels are bitwise-equal to the scalar reference.
-    #[test]
-    fn bundled_kernels_bitwise_equal_scalar(
-        matrix in one_hot_matrix(),
-        n_blocks in 1usize..4,
-        seed in any::<u64>(),
-    ) {
-        let qm = QuantizedMatrix::from_matrix(&matrix, BinningConfig::with_max_bins(16));
-        prop_assert!(qm.is_bundled());
-        let (grads, rows) = grads_and_rows(qm.n_rows(), seed);
-        let case = Case { qm, grads, rows };
-        check_row_scan(&case, n_blocks);
-        check_col_scan(&case);
-    }
-
     /// Every SIMD tier (clamped to what the host supports) produces bitwise
     /// the same histograms as the scalar reference, on every layout.
     #[test]
@@ -340,11 +272,7 @@ proptest! {
     ) {
         use harpgbdt::kernels::{row_scan_forced_tier, SimdTier};
         let tier = [SimdTier::Scalar, SimdTier::Avx2][tier_idx];
-        let sparse_qm = QuantizedMatrix::from_matrix_opts(
-            &matrix,
-            BinningConfig::with_max_bins(16),
-            LayoutOptions::uncompressed(),
-        );
+        let sparse_qm = QuantizedMatrix::from_matrix(&matrix, BinningConfig::with_max_bins(16));
         let (sgrads, srows) = grads_and_rows(sparse_qm.n_rows(), 0x5eed);
         let sparse = Case { qm: sparse_qm, grads: sgrads, rows: srows };
         for case in [&dense, &sparse] {
@@ -426,69 +354,6 @@ fn training_fixture_is_bitwise_stable_across_versions() {
         let (n, h) = prediction_hash(params, &data);
         assert_eq!(n, EXPECTED_N, "{name}: prediction count changed");
         assert_eq!(h, EXPECTED_HASH, "{name}: predictions changed bitwise across versions");
-    }
-}
-
-/// A sparse grouped one-hot dataset large enough to train on, labels tied
-/// to which feature of each group fires.
-fn one_hot_dataset(n: usize) -> Dataset {
-    let (groups, per) = (4usize, 4usize);
-    let m = groups * per;
-    let mut s = 0x0E0Fu64;
-    let mut rows = Vec::with_capacity(n);
-    let mut labels = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut row: Vec<(u32, f32)> = Vec::new();
-        let mut y = 0.0f32;
-        for g in 0..groups {
-            let r = splitmix(&mut s);
-            if r % 4 != 0 {
-                let f = g * per + ((r >> 4) % per as u64) as usize;
-                let v = ((r >> 8) % 5) as f32 + 1.0;
-                row.push((f as u32, v));
-                y += if f % 2 == 0 { v } else { -v };
-            }
-        }
-        labels.push(f32::from(u8::from(y > 0.0)));
-        rows.push(row);
-    }
-    Dataset {
-        name: "one-hot".into(),
-        features: FeatureMatrix::Sparse(CsrMatrix::from_rows(m, &rows)),
-        labels,
-        query_groups: None,
-    }
-}
-
-/// Training on the bundled layout is bitwise identical to training on
-/// uncompressed sparse storage, in both parallel modes — the histograms,
-/// split translation, ApplySplit routing and binned prediction all round-
-/// trip through the bundle map exactly.
-#[test]
-fn bundled_training_is_bitwise_equal_to_uncompressed() {
-    let data = one_hot_dataset(600);
-    for mode in [ParallelMode::DataParallel, ParallelMode::ModelParallel] {
-        let params = fixture_params(mode, true);
-        let bundled = GbdtTrainer::new(params.clone()).unwrap().train(&data);
-        assert!(
-            bundled.diagnostics.profile.cols_bundled > 0,
-            "{mode:?}: one-hot groups must engage bundling"
-        );
-        let plain = GbdtTrainer::new(params)
-            .unwrap()
-            .with_layout(LayoutOptions::uncompressed())
-            .train(&data);
-        assert_eq!(plain.diagnostics.profile.cols_bundled, 0);
-        let pb = bundled.model.predict_raw(&data.features);
-        let pp = plain.model.predict_raw(&data.features);
-        let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&pb), bits(&pp), "{mode:?}: bundled training diverged");
-
-        // The binned predict fast path routes through the bundle map too.
-        let qm = QuantizedMatrix::from_matrix(&data.features, BinningConfig::default());
-        assert!(qm.is_bundled());
-        let binned = bundled.model.compile().predict_raw_store(&qm);
-        assert_eq!(bits(&binned), bits(&pb), "{mode:?}: binned predict diverged on bundles");
     }
 }
 

@@ -176,8 +176,7 @@ fn store_scans_are_bitwise_equal_to_the_in_core_kernels() {
     ] {
         let data = prepared(kind, scale, 4);
         let qm = &data.quantized;
-        let layout = QuantStore::layout(qm);
-        assert!(layout.dense == dense && !layout.bundled, "{kind:?}: want dense u8 / plain CSR");
+        assert!(QuantStore::is_dense(qm) == dense, "{kind:?}: want dense u8 / CSR");
         let (n, m, mapper) = (qm.n_rows(), qm.n_features(), qm.mapper());
         assert!(n > 128, "the row range below must straddle several 32-row chunks");
         let width = harpgbdt::hist::hist_width(mapper.total_bins(), m);
@@ -247,14 +246,13 @@ fn store_scans_are_bitwise_equal_to_the_in_core_kernels() {
 fn the_reference_arm_of_row_scan_store_is_bitwise_the_specialized_scan() {
     // `row_scan_store(.., true)` is the one scalar branch left outside the
     // kernels' own tests: it must visit the same chunk runs in the same
-    // order as the specialized arm, on every layout, in-core and chunked.
-    use harp_binning::{BinningConfig, LayoutOptions, QuantizedMatrix};
+    // order as the specialized arm, on both layouts, in-core and chunked.
+    use harp_binning::{BinningConfig, QuantizedMatrix};
     use harp_data::{CsrMatrix, DatasetKind, FeatureMatrix, SynthConfig};
     use harpgbdt::kernels::{row_scan, row_scan_store, GradSource};
     let higgs = SynthConfig::new(DatasetKind::HiggsLike, 5).with_scale(0.02).generate().features;
-    // Grouped one-hot rows: at most one feature of each group per row. Plain
-    // CSR with compression off, bundled with it on; both with many entries
-    // per cell, so a reordered sum shows.
+    // Grouped one-hot rows: at most one feature of each group per row, with
+    // many entries per cell, so a reordered sum shows.
     let mut s = 0x0E0Fu64;
     let one_hot: Vec<Vec<(u32, f32)>> = (0..400)
         .map(|_| {
@@ -268,23 +266,17 @@ fn the_reference_arm_of_row_scan_store_is_bitwise_the_specialized_scan() {
         })
         .collect();
     let one_hot = FeatureMatrix::Sparse(CsrMatrix::from_rows(24, &one_hot));
-    let plain = LayoutOptions::uncompressed();
-    // At most 15 bins: the nibble 0xF stays free for a missing cell.
     let low = BinningConfig::with_max_bins(15);
     let layouts = [
-        ("dense", QuantizedMatrix::from_matrix_opts(&higgs, BinningConfig::default(), plain)),
-        ("u4", QuantizedMatrix::from_matrix(&higgs, low)),
-        ("sparse", QuantizedMatrix::from_matrix_opts(&one_hot, low, plain)),
-        ("bundled", QuantizedMatrix::from_matrix(&one_hot, low)),
+        ("dense", QuantizedMatrix::from_matrix(&higgs, BinningConfig::default())),
+        ("sparse", QuantizedMatrix::from_matrix(&one_hot, low)),
     ];
     for (name, qm) in &layouts {
-        let want_layout = match *name {
-            "dense" => qm.is_dense() && qm.u4().is_none(),
-            "u4" => qm.u4().is_some(),
-            "sparse" => !qm.is_dense() && !qm.is_bundled(),
-            _ => qm.is_bundled(),
-        };
-        assert!(want_layout, "{name}: the fixture did not produce its layout");
+        assert_eq!(
+            qm.is_dense(),
+            *name == "dense",
+            "{name}: the fixture did not produce its layout"
+        );
         let (n, m) = (qm.n_rows(), qm.n_features());
         assert!(n > 128, "{name}: the rows must straddle several 32-row chunks");
         let width = harpgbdt::hist::hist_width(qm.mapper().total_bins(), m);

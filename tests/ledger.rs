@@ -119,7 +119,7 @@ fn trace_enriches_records_with_skew_and_queue_counters() {
 #[test]
 fn round_one_metric_names_and_order_are_the_recorded_contract() {
     const PHASES: [&str; 5] = ["build_hist", "find_split", "apply_split", "predict", "other"];
-    const COUNTERS: [&str; 33] = [
+    const COUNTERS: [&str; 31] = [
         "busy_ns",
         "barrier_wait_ns",
         "lock_wait_ns",
@@ -144,8 +144,6 @@ fn round_one_metric_names_and_order_are_the_recorded_contract() {
         "plan_tasks_replicated",
         "plan_tasks_exclusive",
         "plan_batches_auto",
-        "cols_u4",
-        "cols_bundled",
         "simd_tier",
         "chunk_loads",
         "chunk_evictions",

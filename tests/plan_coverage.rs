@@ -35,14 +35,9 @@ fn config() -> impl Strategy<Value = BlockConfig> {
 }
 
 fn shape_and_jobs() -> impl Strategy<Value = (BatchShape, Vec<usize>)> {
-    (1usize..12, 0usize..4, 1usize..32, 1usize..8, prop::collection::vec(0usize..60, 1..6))
-        .prop_map(|(m, lay, max_bins, threads, jobs)| {
-            let layout = match lay {
-                0 => ScanLayout::DenseU8,
-                1 => ScanLayout::DenseU4,
-                2 => ScanLayout::Bundled { n_storage_cols: (m / 2).max(1) },
-                _ => ScanLayout::Sparse,
-            };
+    (1usize..12, any::<bool>(), 1usize..32, 1usize..8, prop::collection::vec(0usize..60, 1..6))
+        .prop_map(|(m, dense, max_bins, threads, jobs)| {
+            let layout = if dense { ScanLayout::DenseU8 } else { ScanLayout::Sparse };
             (
                 BatchShape {
                     n_features: m,

@@ -6,6 +6,10 @@
 //! whole-matrix copy of the raw values (what the pre-pipeline
 //! `BinMapper::from_matrix` made) breaks the bound.
 //!
+//! A dense matrix whose features all fit 16 bins is stored as its two byte
+//! majors and nothing else (`2 × n × m` bytes), under the same bound: a
+//! nibble-packed side copy of the cells breaks it.
+//!
 //! Sparse set-up builds the CSC alone: one 4-byte word per entry (first the
 //! value, then the row id, in one buffer) and one bin byte, the CSC's
 //! offsets, the `blocks × n_cols × 8`-byte cursor table of the transpose and
@@ -13,7 +17,8 @@
 //! the cut search sorts (fewer than 2¹⁵), plus a fixed slack. The bound has
 //! no term for a CSR, whose `nnz × 5` bytes are far over the slack; a value
 //! copy held beside the row ids breaks it too, and so does a cursor table
-//! per thread on a matrix wider than its threads' share of entries. Set-up
+//! per thread on a matrix wider than its threads' share of entries, and so
+//! does a dense copy of one-hot groups fused into shared columns. Set-up
 //! followed by model-parallel training is gated the same way: MP scans and
 //! routes by column, so the run never builds a CSR.
 //!
@@ -31,7 +36,7 @@
 
 mod counting_alloc;
 
-use harp_binning::{BinMapper, BinningConfig, LayoutOptions, QuantizedMatrix};
+use harp_binning::{BinMapper, BinningConfig, QuantizedMatrix};
 use harp_data::{CsrMatrix, DatasetKind, DenseMatrix, FeatureMatrix, SynthConfig};
 use harp_metrics::gauges;
 use harpgbdt::{GbdtTrainer, LedgerConfig, ParallelMode, TrainParams};
@@ -82,8 +87,27 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
     );
     drop((q, dense));
 
-    // 30%-dense columns overlap in almost every row, so nothing bundles and
-    // the storage stays sparse.
+    // Every feature on at most 13 bins: one byte per cell in each major is
+    // the whole store.
+    let (n, m) = (100_000usize, 28usize);
+    let values: Vec<f32> = (0..n * m)
+        .map(|i| if i % 23 == 0 { f32::NAN } else { f32::from(rng.gen_range(0..13u8)) })
+        .collect();
+    let low = FeatureMatrix::Dense(DenseMatrix::from_vec(n, m, values));
+    let (q, peak) = counting_alloc::peak_during(|| {
+        QuantizedMatrix::from_matrix(&low, BinningConfig::default())
+    });
+    assert!(q.is_dense() && q.mapper().max_bins_used() <= 16);
+    assert_eq!(q.storage_bytes(), 2 * n * m, "a <= 16-bin dense store is its two majors alone");
+    let bound = 2 * n * m + threads * n * 4 + SLACK_BYTES;
+    assert!(
+        peak <= bound,
+        "<= 16-bin dense set-up peaked at {peak} live bytes, over 2 majors of {n} x {m} + \
+         {threads} threads x {n} rows x 4 + slack = {bound}"
+    );
+    drop((q, low));
+
+    // 30%-dense columns overlap in almost every row.
     let (n, m) = (100_000usize, 32u32);
     let rows: Vec<Vec<(u32, f32)>> = (0..n)
         .map(|_| {
@@ -113,7 +137,7 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
     let (q, peak) = counting_alloc::peak_during(|| {
         QuantizedMatrix::from_matrix(&sparse, BinningConfig::default())
     });
-    assert!(q.sparse_col(0).is_some() && !q.is_bundled(), "the sparse input must stay sparse");
+    assert!(q.sparse_col(0).is_some(), "the sparse input must stay sparse");
     let bound = nnz * 5 + offsets + table + pairs + SLACK_BYTES;
     assert!(
         peak <= bound,
@@ -121,6 +145,40 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
          cursor table {table} + pair buffers {pairs} + slack = {bound}"
     );
     drop((q, sparse));
+
+    // One-hot: 20 groups of 16 features, one feature of each group in every
+    // row. The store is the CSC (and its CSR's size, counted as the data's),
+    // with no dense copy of the groups beside or instead of it.
+    let (n, groups, per) = (50_000usize, 20usize, 16usize);
+    let m = groups * per;
+    let rows: Vec<Vec<(u32, f32)>> = (0..n)
+        .map(|_| {
+            (0..groups)
+                .map(|g| {
+                    ((g * per + rng.gen_range(0..per)) as u32, f32::from(rng.gen_range(1..4u8)))
+                })
+                .collect()
+        })
+        .collect();
+    let one_hot = FeatureMatrix::Sparse(CsrMatrix::from_rows(m, &rows));
+    drop(rows);
+    let nnz = one_hot.n_present();
+    assert_eq!(nnz, n * groups);
+    let table = transpose_table_bytes(nnz, m, threads);
+    let pairs = pair_buffer_bytes(longest_column(&one_hot), threads);
+    let (q, peak) = counting_alloc::peak_during(|| {
+        QuantizedMatrix::from_matrix(&one_hot, BinningConfig::default())
+    });
+    assert!(q.sparse_col(0).is_some(), "one-hot groups are stored as a CSC");
+    let offsets = (m + 1) * 8;
+    assert_eq!(q.storage_bytes(), 2 * nnz * 5 + (n + 1) * 8 + offsets);
+    let bound = nnz * 5 + offsets + table + pairs + SLACK_BYTES;
+    assert!(
+        peak <= bound,
+        "one-hot set-up peaked at {peak} live bytes, over nnz {nnz} x 5 + offsets {offsets} + \
+         cursor table {table} + pair buffers {pairs} + slack = {bound}"
+    );
+    drop((q, one_hot));
 
     // Wide and short: 2^18 columns for 2^15 entries. One cursor per ⟨thread,
     // column⟩ would be `threads` x 2 MB to place 128 KB of row ids; the block
@@ -136,11 +194,7 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
     let nnz = sparse.n_present();
     assert!(m > nnz / threads.max(1) && nnz / (4 * m) == 0);
     let (q, peak) = counting_alloc::peak_during(|| {
-        QuantizedMatrix::from_matrix_opts(
-            &sparse,
-            BinningConfig::default(),
-            LayoutOptions::uncompressed(),
-        )
+        QuantizedMatrix::from_matrix(&sparse, BinningConfig::default())
     });
     assert!(q.sparse_col(0).is_some());
     let mapper = mapper_bytes(q.mapper());
@@ -178,7 +232,7 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
         let out = trainer.train_store(&q, &yfcc.labels, None);
         (q, out)
     });
-    assert!(q.sparse_col(0).is_some() && !q.is_bundled(), "the yfcc shape stays sparse");
+    assert!(q.sparse_col(0).is_some(), "the yfcc shape stays sparse");
     assert!(out.model.n_trees() == 2 && out.diagnostics.tree_shapes[0].n_leaves > 4);
     let ledger = out.diagnostics.ledger.as_ref().expect("ledger on");
     let last = ledger.records().last().expect("one record per round");
