@@ -1,4 +1,4 @@
-//! Uniform command-line arguments for the experiment binaries.
+//! Uniform command-line arguments for `bench_serve`.
 
 /// Parsed experiment options.
 #[derive(Debug, Clone)]

@@ -1,8 +1,9 @@
-//! Shared pieces of the two gated bench binaries (`bench_buildhist`,
-//! `bench_serve`), the Criterion micro-benchmarks and the workspace-root
-//! integration tests. Paper tables and figures are not regenerated here:
-//! `benchmark/` measures the layers they describe, and DESIGN.md §3 says
-//! what measures or checks each one.
+//! Shared pieces of `bench_serve` (the serving load generator whose JSON
+//! snapshot `report --bench-diff` gates) and of the workspace-root examples
+//! and integration tests. Kernel and layer timings live in `benchmark/`, the
+//! repo's one experiment harness; paper tables and figures are not
+//! regenerated here either, and DESIGN.md §3 says what measures or checks
+//! each one.
 //!
 //! * [`ExpArgs`] — uniform CLI (`--scale`, `--threads`, `--trees`,
 //!   `--seed`, `--full`, `--test`, `--out`);
@@ -19,4 +20,4 @@ pub mod runner;
 
 pub use args::ExpArgs;
 pub use report::Table;
-pub use runner::{harp_params, prepared, quantize_default, run_config, PreparedData, RunResult};
+pub use runner::{harp_params, prepared, run_config, PreparedData, RunResult};

@@ -16,18 +16,13 @@ pub struct PreparedData {
     pub quantized: QuantizedMatrix,
 }
 
-/// The one shared quantizer for the bench binaries: trainer-default binning
-/// and layout options, so a matrix built here is exactly what `GbdtTrainer`
+/// Generates, splits (10% test) and quantizes one dataset with the
+/// trainer-default binning, so the matrix is exactly what `GbdtTrainer`
 /// would build internally (and what the external-memory cache re-encodes).
-pub fn quantize_default(features: &harp_data::FeatureMatrix) -> QuantizedMatrix {
-    QuantizedMatrix::from_matrix(features, BinningConfig::default())
-}
-
-/// Generates, splits (10% test) and quantizes one dataset.
 pub fn prepared(kind: DatasetKind, scale: f64, seed: u64) -> PreparedData {
     let full = SynthConfig::new(kind, seed).with_scale(scale).generate();
     let (train, test) = full.split(0.1, seed);
-    let quantized = quantize_default(&train.features);
+    let quantized = QuantizedMatrix::from_matrix(&train.features, BinningConfig::default());
     PreparedData { train, test, quantized }
 }
 

@@ -24,7 +24,8 @@
 //! Tracing is a runtime switch: a sink exists only when a caller asks for
 //! one (an `Option<Arc<TraceSink>>`), every recording site short-circuits on
 //! its absence, and the hot path then carries no clock reads — the disabled
-//! overhead budget is < 2% (asserted in the bench smoke).
+//! overhead budget is < 2% of one BuildHist task (asserted in
+//! `tests/span_trace.rs`).
 
 use crate::profile::counter_table;
 use serde::{Deserialize, Serialize};

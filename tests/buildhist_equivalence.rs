@@ -131,8 +131,9 @@ fn one_hot_matrix() -> impl Strategy<Value = FeatureMatrix> {
     })
 }
 
-/// Dense matrix whose features all use at most 12 bins.
-fn u4_case() -> impl Strategy<Value = Case> {
+/// Dense matrix of at most 12 distinct values per feature, quantized at a
+/// 16-bin budget, so every feature's bins fit well inside the budget.
+fn few_values_dense_case() -> impl Strategy<Value = Case> {
     (1usize..100, 1usize..9, any::<u64>()).prop_map(|(n, m, seed)| {
         let mut s = seed;
         let values: Vec<f32> = (0..n * m)
@@ -263,10 +264,11 @@ proptest! {
     }
 
     /// Every SIMD tier (clamped to what the host supports) produces bitwise
-    /// the same histograms as the scalar reference, on every layout.
+    /// the same histograms as the scalar reference, on a dense and on a
+    /// sparse store.
     #[test]
     fn forced_tiers_bitwise_equal_scalar(
-        dense in u4_case(),
+        dense in few_values_dense_case(),
         matrix in one_hot_matrix(),
         tier_idx in 0usize..2,
     ) {
@@ -302,6 +304,44 @@ proptest! {
                 );
                 prop_assert_eq!(&fast, &slow);
             }
+        }
+    }
+}
+
+/// The proptests above draw small random matrices only. This runs the three
+/// kernels on two whole benchmark-shaped stores at scale 0.25 — SYNSET's
+/// dense 5 000 rows, and YFCC-like's 500 rows of 4 096 sparse features,
+/// whose CSR the first row read transposes from the CSC — over every row:
+/// `row_scan` and the root fast path against the scalar row reference, and
+/// `col_scan` against the scalar column reference on every fourth feature.
+#[test]
+fn kernels_bitwise_equal_scalar_on_synset_and_yfcc_shapes() {
+    for kind in [DatasetKind::Synset, DatasetKind::YfccLike] {
+        let d = SynthConfig::new(kind, 1).with_scale(0.25).generate();
+        let qm = QuantizedMatrix::from_matrix(&d.features, BinningConfig::default());
+        let (n, m) = (qm.n_rows(), qm.n_features());
+        let grads: Vec<Grad> = (0..n).map(|i| [((i % 17) as f32) - 8.0, 0.25]).collect();
+        let rows: Vec<u32> = (0..n as u32).collect();
+        let src = GradSource::Global(&grads);
+        let width = padded(&qm);
+        let mut fast = vec![0.0; width];
+        let mut scalar = vec![0.0; width];
+        let mut root = vec![0.0; width];
+        row_scan(&qm, &rows, src, 0..m, &mut fast);
+        row_scan_scalar(&qm, &rows, src, 0..m, &mut scalar);
+        row_scan_root(&qm, 0..n, src, 0..m, &mut root);
+        assert_eq!(fast, scalar, "{kind:?}: row_scan diverged from the scalar reference");
+        assert_eq!(root, scalar, "{kind:?}: row_scan_root diverged from the scalar reference");
+        for f in (0..m).step_by((m / 4).max(1)) {
+            let n_bins = qm.mapper().n_bins(f) as usize;
+            if n_bins == 0 {
+                continue;
+            }
+            let mut cf = vec![0.0; n_bins * 2];
+            let mut cs = vec![0.0; n_bins * 2];
+            col_scan(&qm, f, &rows, src, 0..n_bins, &mut cf);
+            col_scan_scalar(&qm, f, &rows, src, 0..n_bins, &mut cs);
+            assert_eq!(cf, cs, "{kind:?}: col_scan diverged from the scalar reference at {f}");
         }
     }
 }

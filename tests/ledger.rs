@@ -113,9 +113,44 @@ fn trace_enriches_records_with_skew_and_queue_counters() {
     );
 }
 
+/// What one traced, ledgered SYNC run records, as exact counts: one ledger
+/// round per tree, some spans, and the same number of spans when the run is
+/// repeated — a change of that count is a change of work, not noise.
+#[test]
+fn a_traced_ledgered_sync_run_records_a_round_per_tree_and_a_repeatable_span_count() {
+    let data = prepared(DatasetKind::HiggsLike, 0.1, 42);
+    let params = TrainParams {
+        n_trees: 10,
+        n_threads: 2,
+        mode: ParallelMode::Sync,
+        trace: TraceConfig::enabled(),
+        ledger: LedgerConfig::enabled(),
+        ..TrainParams::default()
+    };
+    let spans_and_rounds = || {
+        let out = GbdtTrainer::new(params.clone()).expect("valid params").train_store(
+            &data.quantized,
+            &data.train.labels,
+            None,
+        );
+        let diagnostics = out.diagnostics;
+        let spans = diagnostics.span_trace.expect("trace enabled").n_spans();
+        (spans, diagnostics.ledger.expect("ledger enabled").len())
+    };
+    let (spans, rounds) = spans_and_rounds();
+    assert_eq!(rounds, 10, "one ledger round per tree");
+    assert!(spans > 0, "a traced run must record spans");
+    assert_eq!(spans_and_rounds(), (spans, rounds), "an identical run recorded other counts");
+}
+
 /// The contract dashboards and `report --diff` read: a renamed, dropped or
 /// reordered metric must fail here, not there. The lists are the parent
 /// commit's round-1 output of a 1-thread traced run, copied literally.
+/// A change here re-records `results/ledger_sample.jsonl`, from the repo
+/// root: `harpgbdt synth --kind higgs --out train.csv --rows 9000 --seed 42
+/// && harpgbdt train --data train.csv --model model.json --trees 10 --mode
+/// sync --threads 2 --trace-out trace.json --ledger-out
+/// results/ledger_sample.jsonl`.
 #[test]
 fn round_one_metric_names_and_order_are_the_recorded_contract() {
     const PHASES: [&str; 5] = ["build_hist", "find_split", "apply_split", "predict", "other"];
