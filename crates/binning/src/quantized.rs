@@ -266,45 +266,6 @@ impl QuantizedMatrix {
         }
     }
 
-    /// Visits the present `(feature, bin)` pairs of one row, in ascending
-    /// feature order.
-    pub fn for_each_in_row(&self, row: usize, mut visit: impl FnMut(u32, u8)) {
-        match &self.storage {
-            Storage::Dense { row_major, .. } => {
-                let m = self.n_features();
-                for (c, &b) in row_major[row * m..(row + 1) * m].iter().enumerate() {
-                    if b != MISSING_BIN {
-                        visit(c as u32, b);
-                    }
-                }
-            }
-            Storage::Sparse { .. } => {
-                let (cols, bins) = self.sparse_row(row).expect("sparse storage");
-                cols.iter().zip(bins).for_each(|(&c, &b)| visit(c, b));
-            }
-        }
-    }
-
-    /// Visits the present `(row, bin)` pairs of one feature column, in row
-    /// order.
-    pub fn for_each_in_col(&self, f: usize, mut visit: impl FnMut(u32, u8)) {
-        match &self.storage {
-            Storage::Dense { col_major, .. } => {
-                for (r, &b) in col_major[f * self.n_rows..(f + 1) * self.n_rows].iter().enumerate()
-                {
-                    if b != MISSING_BIN {
-                        visit(r as u32, b);
-                    }
-                }
-            }
-            Storage::Sparse { csc, .. } => {
-                for i in csc.indptr[f]..csc.indptr[f + 1] {
-                    visit(csc.rows[i], csc.bins[i]);
-                }
-            }
-        }
-    }
-
     /// Sparse CSC entries of feature `f` as `(rows, bins)` slices (row
     /// order), or `None` for dense storage.
     pub fn sparse_col(&self, f: usize) -> Option<(&[u32], &[u8])> {
@@ -807,35 +768,52 @@ mod tests {
         assert_eq!(q.bin(1, 1), None);
     }
 
-    #[test]
-    fn row_and_col_scans_agree_dense() {
-        let q = QuantizedMatrix::from_matrix(&dense_matrix(), BinningConfig::default());
+    /// Every present `(row, feature, bin)` of `q`, sorted: read from its row
+    /// major (the dense rows or the sparse CSR) and from its column major
+    /// (the dense columns or the CSC).
+    fn entries_by_major(q: &QuantizedMatrix) -> [Vec<(u32, u32, u8)>; 2] {
+        let present = |bins: &[u8]| -> Vec<(u32, u8)> {
+            let cells = bins.iter().enumerate().filter(|&(_, &b)| b != MISSING_BIN);
+            cells.map(|(i, &b)| (i as u32, b)).collect()
+        };
         let mut from_rows = vec![];
         for r in 0..q.n_rows() {
-            q.for_each_in_row(r, |c, b| from_rows.push((r as u32, c, b)));
+            let row = match q.dense_row(r) {
+                Some(bins) => present(bins),
+                None => {
+                    let (cols, bins) = q.sparse_row(r).expect("sparse storage");
+                    cols.iter().copied().zip(bins.iter().copied()).collect()
+                }
+            };
+            from_rows.extend(row.into_iter().map(|(c, b)| (r as u32, c, b)));
         }
         let mut from_cols = vec![];
         for c in 0..q.n_features() {
-            q.for_each_in_col(c, |r, b| from_cols.push((r, c as u32, b)));
+            let col = match q.dense_col(c) {
+                Some(bins) => present(bins),
+                None => {
+                    let (rows, bins) = q.sparse_col(c).expect("sparse storage");
+                    rows.iter().copied().zip(bins.iter().copied()).collect()
+                }
+            };
+            from_cols.extend(col.into_iter().map(|(r, b)| (r, c as u32, b)));
         }
         from_rows.sort_unstable();
         from_cols.sort_unstable();
+        [from_rows, from_cols]
+    }
+
+    #[test]
+    fn row_and_col_scans_agree_dense() {
+        let q = QuantizedMatrix::from_matrix(&dense_matrix(), BinningConfig::default());
+        let [from_rows, from_cols] = entries_by_major(&q);
         assert_eq!(from_rows, from_cols);
     }
 
     #[test]
     fn row_and_col_scans_agree_sparse() {
         let q = QuantizedMatrix::from_matrix(&sparse_matrix(), BinningConfig::default());
-        let mut from_rows = vec![];
-        for r in 0..q.n_rows() {
-            q.for_each_in_row(r, |c, b| from_rows.push((r as u32, c, b)));
-        }
-        let mut from_cols = vec![];
-        for c in 0..q.n_features() {
-            q.for_each_in_col(c, |r, b| from_cols.push((r, c as u32, b)));
-        }
-        from_rows.sort_unstable();
-        from_cols.sort_unstable();
+        let [from_rows, from_cols] = entries_by_major(&q);
         assert_eq!(from_rows, from_cols);
         assert_eq!(from_rows.len(), 6);
     }
@@ -1283,7 +1261,7 @@ mod tests {
                 assert!(!holds_a_csr(&q), "set-up built a CSR");
                 let rows: Vec<u32> = (0..q.n_rows() as u32).step_by(2).collect();
                 for f in 0..q.n_features() {
-                    q.for_each_in_col(f, |_, _| {});
+                    q.sparse_col(f).expect("sparse storage");
                     q.route_bins_for(f, &rows, &mut Vec::new());
                 }
                 assert!(!holds_a_csr(&q), "a column read built a CSR");

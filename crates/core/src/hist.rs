@@ -10,9 +10,9 @@
 //!
 //! Buffers carry `n_features` extra *sink cells* past the real bins — the
 //! branch-free missing-value target of the specialized row-scan kernel
-//! ([`crate::kernels::row_scan`]). The kernels strip them before a buffer is
-//! read, so every consumer (reduction, subtraction, FindSplit) sees zeros
-//! there and the padding is inert.
+//! ([`crate::kernels::row_scan_store`]). The kernels strip them before a
+//! buffer is read, so every consumer (reduction, subtraction, FindSplit)
+//! sees zeros there and the padding is inert.
 //!
 //! [`HistPool`] recycles buffers and caches candidate histograms so the
 //! parent−sibling subtraction trick can skip half of BuildHist. A cached

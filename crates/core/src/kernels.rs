@@ -1,15 +1,17 @@
 //! BuildHist scan kernels (Algorithm 2).
 //!
-//! Two access patterns, matching the two parallelism families of §II-B:
+//! Two access patterns, matching the two parallelism families of §II-B,
+//! each reached through a [`QuantStore`] sweep:
 //!
-//! * [`row_scan`] — walk a set of rows, accumulating every feature in a
-//!   feature block: the data-parallel kernel (writes span the whole feature
-//!   block of one node — a private replica or an exclusively owned buffer).
-//! * [`col_scan`] — walk one feature column restricted to a node's rows:
-//!   the model-parallel kernel (writes confined to that feature's bins of
-//!   that node — a `16 × bin_blk × feature_blk × node_blk` region, §IV-E).
+//! * [`row_scan_store`] — walk a set of rows, accumulating every feature in
+//!   a feature block: the data-parallel kernel (writes span the whole
+//!   feature block of one node — a private replica or an exclusively owned
+//!   buffer). [`row_scan_root_store`] is its root fast path.
+//! * [`col_scan_store`] — walk one feature column restricted to a node's
+//!   rows: the model-parallel kernel (writes confined to that feature's bins
+//!   of that node — a `16 × bin_blk × feature_blk × node_blk` region, §IV-E).
 //!
-//! Both are monomorphized over [`GradRead`] (MemBuf slice vs. global
+//! Both are monomorphized over a gradient reader (MemBuf slice vs. global
 //! gather, the "+MemBuf" ablation of Table V) so the per-cell gradient
 //! dispatch disappears, and both index the mapper's flattened
 //! [`harp_binning::BinMapper::bin_offsets`] table directly. The storage
@@ -19,14 +21,15 @@
 //! per 256-bit add, and every other body (or any body on another CPU)
 //! issues two scalar adds per cell. Every tier performs the identical
 //! per-cell IEEE adds in the identical row-ascending order, so output is
-//! bitwise identical to the retained scalar reference ([`row_scan_scalar`]
-//! / [`col_scan_scalar`]).
+//! bitwise identical to the retained scalar row reference (the `scalar` arm
+//! of [`row_scan_store`]; the column reference lives in this module's
+//! tests).
 //!
 //! The dense row body routes `MISSING_BIN` cells branch-free into
 //! per-feature *sink cells* appended past the real histogram (see
-//! [`row_scan`] for the layout contract) and zeroes them before the buffer
-//! leaves the kernel. Sparse storage has no missing sentinel to route and
-//! needs no sink padding.
+//! [`row_scan_store`] for the layout contract) and zeroes them before the
+//! buffer leaves the kernel. Sparse storage has no missing sentinel to
+//! route and needs no sink padding.
 //!
 //! All kernels return the number of histogram accumulations performed so
 //! drivers can report byte traffic and FLOPs to the profiler.
@@ -154,7 +157,7 @@ impl RowSet for ContigRows {
 
 /// How many rows ahead the dense scan prefetches bin rows and gathered
 /// gradients (two unrolled quads).
-pub const PREFETCH_ROWS: usize = 8;
+const PREFETCH_ROWS: usize = 8;
 
 /// Software prefetch into all cache levels; portable no-op off x86-64.
 #[inline(always)]
@@ -170,7 +173,7 @@ fn prefetch_read<T>(p: *const T) {
 
 /// Lanes a row-scan histogram buffer must have beyond the real cells: one
 /// `(Σg, Σh)` sink cell per feature, appended after `total_bins`.
-pub fn sink_lanes(n_features: usize) -> usize {
+pub(crate) fn sink_lanes(n_features: usize) -> usize {
     n_features * 2
 }
 
@@ -336,31 +339,21 @@ mod x86 {
 
 /// Accumulates `rows` × features `f_range` into `hist` (one node's full
 /// buffer, indexed by the mapper's bin offsets). Returns the accumulation
-/// count (missing cells excluded).
-///
-/// # Layout contract
-/// For dense storage, `hist` must be the *padded* layout
-/// of [`crate::hist::hist_width`]: `total_bins * 2` real lanes followed by
-/// [`sink_lanes`] zeroed sink lanes. Missing cells accumulate branch-free
-/// into feature `f`'s sink cell at index `total_bins + f` and the kernel
-/// re-zeroes the sinks of `f_range` before returning, so the buffer's real
-/// cells — and the sinks — leave exactly as the scalar reference
-/// ([`row_scan_scalar`]) produces them. Sparse storage has no absent
-/// entries to route and needs no padding (`total_bins * 2` lanes suffice).
-pub fn row_scan(
+/// count (missing cells excluded). The layout contract is
+/// [`row_scan_store`]'s.
+fn row_scan(
     qm: &QuantizedMatrix,
     rows: &[u32],
     grads: GradSource<'_>,
     f_range: Range<usize>,
     hist: &mut [f64],
 ) -> u64 {
-    row_scan_forced_tier(simd_tier(), qm, rows, grads, f_range, hist)
+    row_scan_at(simd_tier(), qm, rows, grads, f_range, hist)
 }
 
-/// [`row_scan`] pinned to `tier` (clamped to the detected ceiling). Test
-/// hook for the tier-equivalence suites.
-#[doc(hidden)]
-pub fn row_scan_forced_tier(
+/// [`row_scan`] pinned to `tier` (clamped to the detected ceiling), so the
+/// unit tests can run the `Scalar` bodies beside the detected ones.
+fn row_scan_at(
     tier: SimdTier,
     qm: &QuantizedMatrix,
     rows: &[u32],
@@ -386,7 +379,7 @@ pub fn row_scan_forced_tier(
 ///
 /// A `GradSource::MemBuf` slice must be aligned to `row_range` (entry `i`
 /// belongs to row `row_range.start + i`), which at the root it is.
-pub fn row_scan_root(
+fn row_scan_root(
     qm: &QuantizedMatrix,
     row_range: Range<usize>,
     grads: GradSource<'_>,
@@ -763,10 +756,10 @@ unsafe fn sparse_row_scan_avx2<R: RowSet, G: GradRead>(
 
 /// The scalar row-scan reference: one `match` per gradient read, one
 /// `bin_offset` call and one missing-bin branch per cell. Retained verbatim
-/// so the specialized kernels have a bitwise ground truth (and the bench
-/// runner a "before" measurement). Needs no sink padding. Handles both
-/// storage kinds through the slow accessors.
-pub fn row_scan_scalar(
+/// so the specialized kernels have a bitwise ground truth, which
+/// [`row_scan_store`]'s `scalar` arm runs. Needs no sink padding. Handles
+/// both storage kinds through the slow accessors.
+pub(crate) fn row_scan_scalar(
     qm: &QuantizedMatrix,
     rows: &[u32],
     grads: GradSource<'_>,
@@ -827,7 +820,7 @@ pub fn row_scan_scalar(
 /// contiguous row set (detected: `last - first + 1 == len`, e.g. all rows,
 /// or one side of a contiguous partition) takes a sequential fast path with
 /// no per-row prefetch and, for sparse storage, a direct CSC span walk.
-pub fn col_scan(
+fn col_scan(
     qm: &QuantizedMatrix,
     f: usize,
     rows: &[u32],
@@ -947,59 +940,6 @@ fn col_scan_body<R: RowSet, G: GradRead>(
     cells
 }
 
-/// The scalar column-scan reference (per-cell gradient `match`, linear
-/// merge cursor); see [`row_scan_scalar`].
-pub fn col_scan_scalar(
-    qm: &QuantizedMatrix,
-    f: usize,
-    rows: &[u32],
-    grads: GradSource<'_>,
-    bin_range: Range<usize>,
-    hist_f: &mut [f64],
-) -> u64 {
-    let mut cells = 0u64;
-    let full_bins = bin_range.start == 0 && bin_range.end >= qm.mapper().n_bins(f) as usize;
-    if let Some(col) = qm.dense_col(f) {
-        for (i, &row) in rows.iter().enumerate() {
-            let b = col[row as usize];
-            if b == MISSING_BIN {
-                continue;
-            }
-            if !full_bins && !bin_range.contains(&(b as usize)) {
-                continue;
-            }
-            let [g, h] = grads.get(i, row);
-            let cell = usize::from(b) * 2;
-            hist_f[cell] += f64::from(g);
-            hist_f[cell + 1] += f64::from(h);
-            cells += 1;
-        }
-    } else {
-        let (col_rows, col_bins) = qm.sparse_col(f).expect("sparse storage");
-        let mut k = 0usize;
-        for (i, &row) in rows.iter().enumerate() {
-            while k < col_rows.len() && col_rows[k] < row {
-                k += 1;
-            }
-            if k == col_rows.len() {
-                break;
-            }
-            if col_rows[k] == row {
-                let b = col_bins[k];
-                if full_bins || bin_range.contains(&(b as usize)) {
-                    let [g, h] = grads.get(i, row);
-                    let cell = usize::from(b) * 2;
-                    hist_f[cell] += f64::from(g);
-                    hist_f[cell + 1] += f64::from(h);
-                    cells += 1;
-                }
-                k += 1;
-            }
-        }
-    }
-    cells
-}
-
 // ---------------------------------------------------------------------------
 // Store-mediated scans (out-of-core chunk dispatch)
 // ---------------------------------------------------------------------------
@@ -1034,13 +974,25 @@ pub(crate) fn row_scan_run(
     }
 }
 
-/// [`row_scan`] through a [`QuantStore`]: a [`sweep_chunks`] of the
-/// ascending row list, whose chunk-ascending runs preserve the per-cell
-/// row-ascending `f64` accumulation order, so the result is bitwise
-/// identical to a monolithic scan — which is what the sweep's single step
-/// over an in-memory store is. With `scalar`, every run takes the reference
-/// [`row_scan_scalar`] instead, for callers that time or check the
-/// specialized path against it; training always passes `false`.
+/// Accumulates `rows` × features `f_range` into `hist` (one node's full
+/// buffer, indexed by the mapper's bin offsets) through a [`QuantStore`]: a
+/// [`sweep_chunks`] of the ascending row list, whose chunk-ascending runs
+/// preserve the per-cell row-ascending `f64` accumulation order, so the
+/// result is bitwise identical to a monolithic scan — which is what the
+/// sweep's single step over an in-memory store is. Returns the
+/// accumulation count (missing cells excluded). With `scalar`, every run
+/// takes the scalar reference scan instead, for callers that time or check
+/// the specialized path against it; training always passes `false`.
+///
+/// # Layout contract
+/// For dense storage, `hist` must be the *padded* layout
+/// of [`crate::hist::hist_width`]: `total_bins * 2` real lanes followed by
+/// one zeroed `(Σg, Σh)` sink cell per feature. Missing cells accumulate
+/// branch-free into feature `f`'s sink cell at index `total_bins + f` and
+/// the kernel re-zeroes the sinks of `f_range` before returning, so the
+/// buffer's real cells — and the sinks — leave exactly as the scalar
+/// reference produces them. Sparse storage has no absent entries to route
+/// and needs no padding (`total_bins * 2` lanes suffice).
 pub fn row_scan_store(
     store: &dyn QuantStore,
     rows: &[u32],
@@ -1066,10 +1018,12 @@ pub fn row_scan_store(
     cells
 }
 
-/// [`row_scan_root`] through a [`QuantStore`]: contiguous global rows map
-/// to contiguous chunk-local rows, so each chunk run keeps the root fast
-/// path (no row-id list at all). A `GradSource::MemBuf` slice must be
-/// aligned to `row_range` exactly as in [`row_scan_root`].
+/// [`row_scan_store`] over the contiguous rows `row_range` — the root fast
+/// path, where the row set is `0..n` (or any span of it): contiguous global
+/// rows map to contiguous chunk-local rows, so each chunk run scans its
+/// rows with no row-id list at all. A `GradSource::MemBuf` slice must be
+/// aligned to `row_range` (entry `i` belongs to row `row_range.start + i`),
+/// which at the root it is.
 pub fn row_scan_root_store(
     store: &dyn QuantStore,
     row_range: Range<usize>,
@@ -1087,10 +1041,12 @@ pub fn row_scan_root_store(
     cells
 }
 
-/// [`col_scan`] through a [`QuantStore`]; same sweep and determinism
-/// argument as [`row_scan_store`]. A contiguous node row set stays
-/// contiguous within every chunk run, so the per-chunk scans keep the
-/// sequential fast paths.
+/// Accumulates feature `f` over `rows` into `hist_f` (that feature's bins
+/// only: `n_bins * 2` lanes), restricted to bins in `bin_range`, through a
+/// [`QuantStore`]; same sweep and determinism argument as
+/// [`row_scan_store`]. Returns the accumulation count. `rows` must ascend.
+/// A contiguous node row set stays contiguous within every chunk run, so
+/// the per-chunk scans keep the sequential fast paths.
 pub fn col_scan_store(
     store: &dyn QuantStore,
     f: usize,
@@ -1117,13 +1073,68 @@ pub fn col_scan_store(
 pub const BYTES_PER_CELL: u64 = 41;
 
 /// FLOPs per accumulation (one add each for g and h).
-pub const FLOPS_PER_CELL: u64 = 2;
+pub(crate) const FLOPS_PER_CELL: u64 = 2;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use harp_binning::BinningConfig;
     use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
+    use proptest::prelude::*;
+
+    /// The scalar column-scan reference (per-cell gradient `match`, linear
+    /// merge cursor) that the column scan is held to bit for bit; see
+    /// [`row_scan_scalar`].
+    fn col_scan_scalar(
+        qm: &QuantizedMatrix,
+        f: usize,
+        rows: &[u32],
+        grads: GradSource<'_>,
+        bin_range: Range<usize>,
+        hist_f: &mut [f64],
+    ) -> u64 {
+        let mut cells = 0u64;
+        let full_bins = bin_range.start == 0 && bin_range.end >= qm.mapper().n_bins(f) as usize;
+        if let Some(col) = qm.dense_col(f) {
+            for (i, &row) in rows.iter().enumerate() {
+                let b = col[row as usize];
+                if b == MISSING_BIN {
+                    continue;
+                }
+                if !full_bins && !bin_range.contains(&(b as usize)) {
+                    continue;
+                }
+                let [g, h] = grads.get(i, row);
+                let cell = usize::from(b) * 2;
+                hist_f[cell] += f64::from(g);
+                hist_f[cell + 1] += f64::from(h);
+                cells += 1;
+            }
+        } else {
+            let (col_rows, col_bins) = qm.sparse_col(f).expect("sparse storage");
+            let mut k = 0usize;
+            for (i, &row) in rows.iter().enumerate() {
+                while k < col_rows.len() && col_rows[k] < row {
+                    k += 1;
+                }
+                if k == col_rows.len() {
+                    break;
+                }
+                if col_rows[k] == row {
+                    let b = col_bins[k];
+                    if full_bins || bin_range.contains(&(b as usize)) {
+                        let [g, h] = grads.get(i, row);
+                        let cell = usize::from(b) * 2;
+                        hist_f[cell] += f64::from(g);
+                        hist_f[cell + 1] += f64::from(h);
+                        cells += 1;
+                    }
+                    k += 1;
+                }
+            }
+        }
+        cells
+    }
 
     fn dense_matrix() -> FeatureMatrix {
         // 6 rows x 3 features; feature 1 has two missing cells.
@@ -1316,7 +1327,7 @@ mod tests {
             row_scan_scalar(&qm, &rows, GradSource::Global(&g), 0..m, &mut scalar);
             for tier in [SimdTier::Scalar, SimdTier::Avx2] {
                 let mut fast = hist_for(&qm);
-                row_scan_forced_tier(tier, &qm, &rows, GradSource::Global(&g), 0..m, &mut fast);
+                row_scan_at(tier, &qm, &rows, GradSource::Global(&g), 0..m, &mut fast);
                 assert_eq!(fast, scalar, "tier {} differs", tier.name());
             }
         }
@@ -1491,5 +1502,130 @@ mod tests {
         let mb = grads(1);
         assert!(matches!(GradSource::select(&mb, &g), GradSource::MemBuf(_)));
         assert!(matches!(GradSource::select(&[], &g), GradSource::Global(_)));
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Per-row gradients, and an ascending subset keeping 1/1, 1/2 or 1/3 of
+    /// the rows (like a tree node's row set).
+    fn grads_and_rows(n: usize, seed: u64) -> (Vec<GradPair>, Vec<u32>) {
+        let mut s = seed;
+        let grads = (0..n)
+            .map(|_| {
+                let r = splitmix(&mut s);
+                [((r % 31) as f32) - 15.0, ((r >> 8) % 7) as f32 * 0.25 + 0.25]
+            })
+            .collect();
+        let keep = (splitmix(&mut s) % 3) + 1;
+        let rows = (0..n as u32).filter(|r| u64::from(*r) % keep == 0).collect();
+        (grads, rows)
+    }
+
+    /// Dense matrix of at most 12 distinct values per feature, some
+    /// missing, quantized at a 16-bin budget, with its gradients and rows.
+    fn few_values_dense_case() -> impl Strategy<Value = (QuantizedMatrix, Vec<GradPair>, Vec<u32>)>
+    {
+        (1usize..100, 1usize..9, any::<u64>()).prop_map(|(n, m, seed)| {
+            let mut s = seed;
+            let values: Vec<f32> = (0..n * m)
+                .map(|_| {
+                    let r = splitmix(&mut s);
+                    if r % 11 == 0 {
+                        f32::NAN
+                    } else {
+                        (r % 12) as f32
+                    }
+                })
+                .collect();
+            let qm = QuantizedMatrix::from_matrix(
+                &FeatureMatrix::Dense(DenseMatrix::from_vec(n, m, values)),
+                BinningConfig::with_max_bins(16),
+            );
+            let (grads, rows) = grads_and_rows(n, seed ^ 0xABCD);
+            (qm, grads, rows)
+        })
+    }
+
+    /// Random grouped one-hot CSR matrix: features inside a group are
+    /// mutually exclusive (at most one present per row), groups are
+    /// independent, and every cross-group feature pair co-occurs in some
+    /// row.
+    fn one_hot_matrix() -> impl Strategy<Value = FeatureMatrix> {
+        (8usize..80, 2usize..5, any::<u64>()).prop_map(|(n, groups, seed)| {
+            let mut s = seed;
+            let per = 4usize;
+            let m = groups * per;
+            let mut rows: Vec<Vec<(u32, f32)>> = Vec::new();
+            for g in 0..groups {
+                for g2 in g + 1..groups {
+                    for a in 0..per {
+                        for b in 0..per {
+                            rows.push(vec![
+                                ((g * per + a) as u32, 1.0),
+                                ((g2 * per + b) as u32, 1.0),
+                            ]);
+                        }
+                    }
+                }
+            }
+            rows.extend((0..n).map(|_| {
+                (0..groups)
+                    .filter_map(|g| {
+                        let r = splitmix(&mut s);
+                        (r % 4 != 0).then(|| {
+                            let f = (g * per) as u32 + ((r >> 4) % per as u64) as u32;
+                            (f, ((r >> 8) % 5) as f32 + 1.0)
+                        })
+                    })
+                    .collect()
+            }));
+            FeatureMatrix::Sparse(CsrMatrix::from_rows(m, &rows))
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every SIMD tier (clamped to what the host supports) produces
+        /// bitwise the same histograms as the scalar references, on a dense
+        /// and on a sparse store: the row scan pinned to the tier, and the
+        /// column scan, whose one body serves every tier.
+        #[test]
+        fn forced_tiers_bitwise_equal_scalar(
+            dense in few_values_dense_case(),
+            matrix in one_hot_matrix(),
+            tier_idx in 0usize..2,
+        ) {
+            let tier = [SimdTier::Scalar, SimdTier::Avx2][tier_idx];
+            let sparse_qm = QuantizedMatrix::from_matrix(&matrix, BinningConfig::with_max_bins(16));
+            let (sgrads, srows) = grads_and_rows(sparse_qm.n_rows(), 0x5eed);
+            let sparse = (sparse_qm, sgrads, srows);
+            for (qm, grads, rows) in [&dense, &sparse] {
+                let m = qm.n_features();
+                let all = GradSource::Global(grads);
+                let mut forced = hist_for(qm);
+                let mut scalar = hist_for(qm);
+                row_scan_at(tier, qm, rows, all, 0..m, &mut forced);
+                row_scan_scalar(qm, rows, all, 0..m, &mut scalar);
+                prop_assert_eq!(&forced, &scalar);
+                for f in 0..m {
+                    let n_bins = qm.mapper().n_bins(f) as usize;
+                    if n_bins == 0 {
+                        continue;
+                    }
+                    let mut fast = vec![0.0; n_bins * 2];
+                    let mut slow = vec![0.0; n_bins * 2];
+                    col_scan(qm, f, rows, all, 0..n_bins, &mut fast);
+                    col_scan_scalar(qm, f, rows, all, 0..n_bins, &mut slow);
+                    prop_assert_eq!(&fast, &slow);
+                }
+            }
+        }
     }
 }

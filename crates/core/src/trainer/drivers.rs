@@ -14,7 +14,7 @@
 //!
 //! * **Replicated** (DP): a [`BlockPlan`] of ⟨node-block, feature-block,
 //!   row-chunk⟩ tasks fills the full-width job buffers in one region before
-//!   the tiles run ([`build_hists_dp`]). A job cut into several row chunks
+//!   the tiles run (`fill_replicated`). A job cut into several row chunks
 //!   gets lanes in one replica per schedule slot, and a second region folds
 //!   the replicas into its buffer. A job of one row chunk has tasks that
 //!   differ only in feature block: they write its buffer directly
@@ -62,14 +62,6 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// A histogram to fill for one node.
-pub struct HistJob {
-    /// The node whose rows are scanned.
-    pub node: NodeId,
-    /// The node's GHSum buffer ([`crate::hist::hist_width`] lanes, zeroed).
-    pub buf: Vec<f64>,
-}
 
 /// A node a batch scans from its rows, to be finished one feature-block tile
 /// at a time.
@@ -294,16 +286,9 @@ pub fn expand(
     TileOutcome { fill_ns, ..out }
 }
 
-/// Fills the jobs' histograms with data parallelism: executes a
-/// [`Accumulation::Replicated`] plan, the fill regions of a Replicated
-/// [`expand`].
-pub fn build_hists_dp(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &mut [HistJob]) {
-    let mut bufs: Vec<(NodeId, &mut [f64])> =
-        jobs.iter_mut().map(|j| (j.node, &mut j.buf[..])).collect();
-    fill_replicated(ctx, scratch, &mut bufs);
-}
-
-/// [`build_hists_dp`] over `(node, zeroed full-width buffer)` pairs.
+/// Fills `(node, zeroed full-width buffer)` pairs with data parallelism:
+/// executes a [`Accumulation::Replicated`] plan, the fill regions of a
+/// Replicated [`expand`].
 fn fill_replicated(
     ctx: &DriverCtx<'_>,
     scratch: &mut DriverScratch,
@@ -442,10 +427,11 @@ fn fill_replicated(
                 let dst: &mut [f64] = match plan.replica_slot(job_idx) {
                     Some(k) => &mut replica[k * width..(k + 1) * width],
                     // SAFETY: a one-block job's tasks differ only in feature
-                    // block, and a task writes the bins and the sink cells of
-                    // its own features alone, so concurrent tasks touch
-                    // disjoint lanes of the job's `width`-lane buffer, which
-                    // `jobs` keeps borrowed until the region has ended.
+                    // block (`tests/plan_coverage.rs` holds every plan to it),
+                    // and a task writes the bins and the sink cells of its
+                    // own features alone, so concurrent tasks touch disjoint
+                    // lanes of the job's `width`-lane buffer, which `jobs`
+                    // keeps borrowed until the region has ended.
                     None => unsafe { std::slice::from_raw_parts_mut(shared[job_idx].0, width) },
                 };
                 local_cells += row_scan_run(run, grads, task.features.clone(), dst);
@@ -765,7 +751,7 @@ mod tests {
     use super::*;
     use crate::hist::{hist_width, reduce_into, HistPool};
     use crate::kernels::row_scan_scalar;
-    use crate::params::{BlockConfig, ParallelMode};
+    use crate::params::BlockConfig;
     use crate::split::find_split_range;
     use harp_binning::{BinningConfig, QuantizedMatrix};
     use harp_data::{DatasetKind, SynthConfig};
@@ -809,7 +795,7 @@ mod tests {
     }
 
     fn run_driver(
-        mode: ParallelMode,
+        policy: BatchPolicy,
         params: &TrainParams,
         qm: &QuantizedMatrix,
         part: &RowPartition,
@@ -818,12 +804,12 @@ mod tests {
     ) -> Vec<Vec<f64>> {
         let pool = ThreadPool::new(params.n_threads);
         let mut scratch = DriverScratch::new();
-        run_driver_with(mode, params, qm, part, grads, nodes, &pool, &mut scratch)
+        run_driver_with(policy, params, qm, part, grads, nodes, &pool, &mut scratch)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn run_driver_with(
-        mode: ParallelMode,
+        policy: BatchPolicy,
         params: &TrainParams,
         qm: &QuantizedMatrix,
         part: &RowPartition,
@@ -834,29 +820,19 @@ mod tests {
     ) -> Vec<Vec<f64>> {
         let ctx = DriverCtx { qm, params, pool, partition: part, grads };
         let width = padded(qm);
-        match mode {
-            ParallelMode::DataParallel => {
-                let mut jobs: Vec<HistJob> =
-                    nodes.iter().map(|&n| HistJob { node: n, buf: vec![0.0; width] }).collect();
-                build_hists_dp(&ctx, scratch, &mut jobs);
-                jobs.into_iter().map(|j| j.buf).collect()
-            }
-            ParallelMode::ModelParallel => {
-                // Every node filed: the tiles are the lanes of its own buffer.
-                let mut jobs: Vec<TileJob> = nodes
-                    .iter()
-                    .map(|&node| TileJob {
-                        node,
-                        stats: NodeStats::default(),
-                        buf: Some(vec![0.0; width]),
-                        sibling: None,
-                    })
-                    .collect();
-                expand(&ctx, scratch, &mut jobs, NO_SEARCH, BatchPolicy::Exclusive, None);
-                jobs.into_iter().map(|j| j.buf.expect("filed")).collect()
-            }
-            _ => unreachable!("driver test"),
-        }
+        // Every node has its own buffer and no sibling: on return each
+        // buffer is the node's histogram.
+        let mut jobs: Vec<TileJob> = nodes
+            .iter()
+            .map(|&node| TileJob {
+                node,
+                stats: NodeStats::default(),
+                buf: Some(vec![0.0; width]),
+                sibling: None,
+            })
+            .collect();
+        expand(&ctx, scratch, &mut jobs, NO_SEARCH, policy, None);
+        jobs.into_iter().map(|j| j.buf.expect("full-width")).collect()
     }
 
     /// FindSplit inputs for the tests that only read histograms.
@@ -877,7 +853,7 @@ mod tests {
         let (qm, grads, part) = setup(DatasetKind::HiggsLike, true);
         let params = TrainParams { n_threads: 4, ..Default::default() };
         let nodes = [3u32, 4, 2];
-        let hists = run_driver(ParallelMode::DataParallel, &params, &qm, &part, &grads, &nodes);
+        let hists = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &nodes);
         for (i, &n) in nodes.iter().enumerate() {
             assert_close(&hists[i], &reference_hist(&qm, &part, &grads, n));
         }
@@ -894,8 +870,7 @@ mod tests {
             part.reset(&grads);
             assert!(part.is_identity_order());
             let params = TrainParams { n_threads: 4, use_membuf: membuf, ..Default::default() };
-            let hists =
-                run_driver(ParallelMode::DataParallel, &params, &qm, &part, &grads, &[0u32]);
+            let hists = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &[0u32]);
             assert_close(&hists[0], &reference_hist(&qm, &part, &grads, 0));
         }
     }
@@ -905,7 +880,7 @@ mod tests {
         let (qm, grads, part) = setup(DatasetKind::HiggsLike, true);
         let params = TrainParams { n_threads: 4, ..Default::default() };
         let nodes = [3u32, 4, 2];
-        let hists = run_driver(ParallelMode::ModelParallel, &params, &qm, &part, &grads, &nodes);
+        let hists = run_driver(BatchPolicy::Exclusive, &params, &qm, &part, &grads, &nodes);
         for (i, &n) in nodes.iter().enumerate() {
             assert_close(&hists[i], &reference_hist(&qm, &part, &grads, n));
         }
@@ -916,7 +891,7 @@ mod tests {
         let (qm, grads, part) = setup(DatasetKind::YfccLike, true);
         let params = TrainParams { n_threads: 3, ..Default::default() };
         let nodes = [3u32, 4, 2];
-        let hists = run_driver(ParallelMode::ModelParallel, &params, &qm, &part, &grads, &nodes);
+        let hists = run_driver(BatchPolicy::Exclusive, &params, &qm, &part, &grads, &nodes);
         for (i, &n) in nodes.iter().enumerate() {
             assert_close(&hists[i], &reference_hist(&qm, &part, &grads, n));
         }
@@ -927,7 +902,7 @@ mod tests {
         let (qm, grads, part) = setup(DatasetKind::YfccLike, false);
         let params = TrainParams { n_threads: 2, use_membuf: false, ..Default::default() };
         let nodes = [3u32, 4, 2];
-        let hists = run_driver(ParallelMode::DataParallel, &params, &qm, &part, &grads, &nodes);
+        let hists = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &nodes);
         for (i, &n) in nodes.iter().enumerate() {
             assert_close(&hists[i], &reference_hist(&qm, &part, &grads, n));
         }
@@ -939,7 +914,7 @@ mod tests {
         let nodes = [3u32, 4, 2];
         let base = {
             let params = TrainParams { n_threads: 4, ..Default::default() };
-            run_driver(ParallelMode::ModelParallel, &params, &qm, &part, &grads, &nodes)
+            run_driver(BatchPolicy::Exclusive, &params, &qm, &part, &grads, &nodes)
         };
         for (f_blk, n_blk, b_blk) in [(1, 1, 0), (2, 2, 8), (4, 3, 4), (0, 0, 1)] {
             let params = TrainParams {
@@ -952,12 +927,11 @@ mod tests {
                 },
                 ..Default::default()
             };
-            let hists =
-                run_driver(ParallelMode::ModelParallel, &params, &qm, &part, &grads, &nodes);
+            let hists = run_driver(BatchPolicy::Exclusive, &params, &qm, &part, &grads, &nodes);
             for i in 0..nodes.len() {
                 assert_close(&hists[i], &base[i]);
             }
-            let dp = run_driver(ParallelMode::DataParallel, &params, &qm, &part, &grads, &nodes);
+            let dp = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &nodes);
             for i in 0..nodes.len() {
                 assert_close(&dp[i], &base[i]);
             }
@@ -969,8 +943,8 @@ mod tests {
         let (qm, grads, part) = setup(DatasetKind::HiggsLike, true);
         let params = TrainParams { n_threads: 4, ..Default::default() };
         let nodes = [3u32, 4, 2];
-        let a = run_driver(ParallelMode::DataParallel, &params, &qm, &part, &grads, &nodes);
-        let b = run_driver(ParallelMode::DataParallel, &params, &qm, &part, &grads, &nodes);
+        let a = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &nodes);
+        let b = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &nodes);
         for i in 0..nodes.len() {
             assert_eq!(a[i], b[i], "node {i} not bitwise equal");
         }
@@ -991,7 +965,7 @@ mod tests {
         let pool = ThreadPool::new(params.n_threads);
         let mut scratch = DriverScratch::new();
         let first = run_driver_with(
-            ParallelMode::DataParallel,
+            BatchPolicy::Replicated,
             &params,
             &qm,
             &part,
@@ -1003,7 +977,7 @@ mod tests {
         // A second call over a *different* node set in between, to dirty
         // other lanes.
         let _ = run_driver_with(
-            ParallelMode::DataParallel,
+            BatchPolicy::Replicated,
             &params,
             &qm,
             &part,
@@ -1013,7 +987,7 @@ mod tests {
             &mut scratch,
         );
         let second = run_driver_with(
-            ParallelMode::DataParallel,
+            BatchPolicy::Replicated,
             &params,
             &qm,
             &part,
@@ -1038,7 +1012,7 @@ mod tests {
         let mut first_call_allocs = 0;
         for call in 0..3 {
             let _ = run_driver_with(
-                ParallelMode::DataParallel,
+                BatchPolicy::Replicated,
                 &params,
                 &qm,
                 &part,
@@ -1067,9 +1041,8 @@ mod tests {
         let params_mb = TrainParams { n_threads: 2, ..Default::default() };
         let params_nomb = TrainParams { n_threads: 2, use_membuf: false, ..Default::default() };
         let nodes = [3u32, 4, 2];
-        let a = run_driver(ParallelMode::ModelParallel, &params_mb, &qm, &part_mb, &grads, &nodes);
-        let b =
-            run_driver(ParallelMode::ModelParallel, &params_nomb, &qm, &part_nomb, &grads, &nodes);
+        let a = run_driver(BatchPolicy::Exclusive, &params_mb, &qm, &part_mb, &grads, &nodes);
+        let b = run_driver(BatchPolicy::Exclusive, &params_nomb, &qm, &part_nomb, &grads, &nodes);
         for i in 0..nodes.len() {
             assert_close(&a[i], &b[i]);
         }
@@ -1083,7 +1056,6 @@ mod tests {
         let mut scratch = DriverScratch::new();
         let ctx =
             DriverCtx { qm: &qm, params: &params, pool: &pool, partition: &part, grads: &grads };
-        build_hists_dp(&ctx, &mut scratch, &mut []);
         for policy in [BatchPolicy::Replicated, BatchPolicy::Exclusive, BatchPolicy::NodeTasks] {
             let out = expand(&ctx, &mut scratch, &mut [], NO_SEARCH, policy, None);
             assert!(out.found.is_empty());
@@ -1097,8 +1069,7 @@ mod tests {
         part.apply_split(2, 5, 6, &|_, _| true, None);
         assert_eq!(part.node_len(6), 0);
         let params = TrainParams { n_threads: 4, ..Default::default() };
-        let hists =
-            run_driver(ParallelMode::DataParallel, &params, &qm, &part, &grads, &[3u32, 6, 4]);
+        let hists = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &[3u32, 6, 4]);
         assert!(hists[1].iter().all(|&x| x == 0.0), "zero-row job must stay zeroed");
         assert_close(&hists[0], &reference_hist(&qm, &part, &grads, 3));
         assert_close(&hists[2], &reference_hist(&qm, &part, &grads, 4));
@@ -1183,7 +1154,7 @@ mod tests {
             let arena = Arc::new(MemGauge::new());
             scratch.set_replica_gauge(Arc::clone(&arena));
             let hists = run_driver_with(
-                ParallelMode::DataParallel, &params, qm, &part, &grads, &nodes, &pool, &mut scratch,
+                BatchPolicy::Replicated, &params, qm, &part, &grads, &nodes, &pool, &mut scratch,
             );
 
             // The plan the executor ran, rebuilt here to tell the jobs apart

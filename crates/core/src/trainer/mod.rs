@@ -33,8 +33,7 @@ mod frontier;
 mod telemetry;
 
 pub use drivers::{
-    build_hists_dp, expand, DerivedSibling, DriverCtx, DriverScratch, HistJob, SplitSearch,
-    TileJob, TileOutcome,
+    expand, DerivedSibling, DriverCtx, DriverScratch, SplitSearch, TileJob, TileOutcome,
 };
 
 use crate::ensemble::GbdtModel;

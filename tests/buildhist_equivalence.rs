@@ -2,22 +2,25 @@
 //!
 //! The specialized kernels (unrolled dense row scan with sink cells, root
 //! fast path, galloping column scan) must be *bitwise* equal to the retained
-//! scalar references on any input — same values, same accumulation order.
+//! scalar row reference on any input — same values, same accumulation order.
 //! These property tests drive random dense/sparse matrices with missing
-//! values through both paths; the fixture test pins whole-training output
-//! across versions, and the steady-state tests pin the replica arena's
-//! zero-allocation guarantee.
+//! values through the store-level scans training calls, on the quantized
+//! matrix as an in-core store (whose sweep is one step into the kernel), and
+//! through `row_scan_store`'s reference arm; the fixture test pins
+//! whole-training output across versions, and the steady-state tests pin
+//! the replica arena's zero-allocation guarantee through the Replicated
+//! fill of `expand`.
 
 use harp_binning::{BinningConfig, QuantizedMatrix};
 use harp_data::{CsrMatrix, Dataset, DatasetKind, DenseMatrix, FeatureMatrix, SynthConfig};
 use harp_parallel::{Profile, ThreadPool};
 use harpgbdt::hist::hist_width;
-use harpgbdt::kernels::{
-    col_scan, col_scan_scalar, row_scan, row_scan_root, row_scan_scalar, GradSource,
-};
+use harpgbdt::kernels::{col_scan_store, row_scan_root_store, row_scan_store, GradSource};
+use harpgbdt::params::BatchPolicy;
 use harpgbdt::partition::RowPartition;
-use harpgbdt::trainer::{build_hists_dp, DriverCtx, DriverScratch, HistJob};
-use harpgbdt::{GbdtTrainer, GrowthMethod, ParallelMode, TrainParams};
+use harpgbdt::split::SplitSettings;
+use harpgbdt::trainer::{expand, DriverCtx, DriverScratch, SplitSearch, TileJob};
+use harpgbdt::{GbdtTrainer, GrowthMethod, NodeStats, ParallelMode, TrainParams};
 use proptest::prelude::*;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -97,73 +100,16 @@ fn sparse_case() -> impl Strategy<Value = Case> {
     })
 }
 
-/// Random grouped one-hot CSR matrix: features inside a group are mutually
-/// exclusive (at most one present per row), groups are independent.
-fn one_hot_matrix() -> impl Strategy<Value = FeatureMatrix> {
-    (8usize..80, 2usize..5, any::<u64>()).prop_map(|(n, groups, seed)| {
-        let mut s = seed;
-        let per = 4usize;
-        let m = groups * per;
-        // Deterministic preamble: every cross-group feature pair co-occurs
-        // in some row.
-        let mut rows: Vec<Vec<(u32, f32)>> = Vec::new();
-        for g in 0..groups {
-            for g2 in g + 1..groups {
-                for a in 0..per {
-                    for b in 0..per {
-                        rows.push(vec![((g * per + a) as u32, 1.0), ((g2 * per + b) as u32, 1.0)]);
-                    }
-                }
-            }
-        }
-        rows.extend((0..n).map(|_| {
-            (0..groups)
-                .filter_map(|g| {
-                    let r = splitmix(&mut s);
-                    (r % 4 != 0).then(|| {
-                        let f = (g * per) as u32 + ((r >> 4) % per as u64) as u32;
-                        (f, ((r >> 8) % 5) as f32 + 1.0)
-                    })
-                })
-                .collect()
-        }));
-        FeatureMatrix::Sparse(CsrMatrix::from_rows(m, &rows))
-    })
-}
-
-/// Dense matrix of at most 12 distinct values per feature, quantized at a
-/// 16-bin budget, so every feature's bins fit well inside the budget.
-fn few_values_dense_case() -> impl Strategy<Value = Case> {
-    (1usize..100, 1usize..9, any::<u64>()).prop_map(|(n, m, seed)| {
-        let mut s = seed;
-        let values: Vec<f32> = (0..n * m)
-            .map(|_| {
-                let r = splitmix(&mut s);
-                if r % 11 == 0 {
-                    f32::NAN
-                } else {
-                    (r % 12) as f32
-                }
-            })
-            .collect();
-        let qm = QuantizedMatrix::from_matrix(
-            &FeatureMatrix::Dense(DenseMatrix::from_vec(n, m, values)),
-            BinningConfig::with_max_bins(16),
-        );
-        let (grads, rows) = grads_and_rows(n, seed ^ 0xABCD);
-        Case { qm, grads, rows }
-    })
-}
-
 fn padded(qm: &QuantizedMatrix) -> usize {
     hist_width(qm.mapper().total_bins(), qm.n_features())
 }
 
 /// Fast vs scalar row scan over a feature-block split, both grad sources.
 fn check_row_scan(case: &Case, n_blocks: usize) {
-    let m = case.qm.n_features();
-    let width = padded(&case.qm);
-    let membuf: Vec<Grad> = case.rows.iter().map(|&r| case.grads[r as usize]).collect();
+    let (qm, rows) = (&case.qm, &case.rows);
+    let m = qm.n_features();
+    let width = padded(qm);
+    let membuf: Vec<Grad> = rows.iter().map(|&r| case.grads[r as usize]).collect();
     let blk = m.div_ceil(n_blocks.clamp(1, m));
     let mut fast = vec![0.0; width];
     let mut scalar = vec![0.0; width];
@@ -173,49 +119,33 @@ fn check_row_scan(case: &Case, n_blocks: usize) {
     let mut lo = 0;
     while lo < m {
         let hi = (lo + blk).min(m);
-        cells_fast +=
-            row_scan(&case.qm, &case.rows, GradSource::Global(&case.grads), lo..hi, &mut fast);
-        cells_scalar += row_scan_scalar(
-            &case.qm,
-            &case.rows,
-            GradSource::Global(&case.grads),
-            lo..hi,
-            &mut scalar,
-        );
-        row_scan(&case.qm, &case.rows, GradSource::MemBuf(&membuf), lo..hi, &mut fast_mb);
+        let all = GradSource::Global(&case.grads);
+        cells_fast += row_scan_store(qm, rows, all, lo..hi, &mut fast, false);
+        cells_scalar += row_scan_store(qm, rows, all, lo..hi, &mut scalar, true);
+        row_scan_store(qm, rows, GradSource::MemBuf(&membuf), lo..hi, &mut fast_mb, false);
         lo = hi;
     }
-    assert_eq!(fast, scalar, "specialized row_scan != scalar ({n_blocks} blocks)");
-    assert_eq!(fast_mb, scalar, "MemBuf row_scan != scalar ({n_blocks} blocks)");
+    assert_eq!(fast, scalar, "specialized row scan != scalar ({n_blocks} blocks)");
+    assert_eq!(fast_mb, scalar, "MemBuf row scan != scalar ({n_blocks} blocks)");
     assert_eq!(cells_fast, cells_scalar, "cell counts diverged");
 }
 
-/// Fast vs scalar column scan, every feature.
+/// Column scan vs the scalar row reference, every feature: a feature's
+/// lanes of the row reference are its column, summed in the same ascending
+/// row order.
 fn check_col_scan(case: &Case) {
-    for f in 0..case.qm.n_features() {
-        let n_bins = case.qm.mapper().n_bins(f) as usize;
+    let (qm, rows, all) = (&case.qm, &case.rows, GradSource::Global(&case.grads));
+    for f in 0..qm.n_features() {
+        let n_bins = qm.mapper().n_bins(f) as usize;
         if n_bins == 0 {
             continue;
         }
         let mut fast = vec![0.0; n_bins * 2];
-        let mut scalar = vec![0.0; n_bins * 2];
-        let cf = col_scan(
-            &case.qm,
-            f,
-            &case.rows,
-            GradSource::Global(&case.grads),
-            0..n_bins,
-            &mut fast,
-        );
-        let cs = col_scan_scalar(
-            &case.qm,
-            f,
-            &case.rows,
-            GradSource::Global(&case.grads),
-            0..n_bins,
-            &mut scalar,
-        );
-        assert_eq!(fast, scalar, "col_scan != scalar at feature {f}");
+        let mut scalar = vec![0.0; padded(qm)];
+        let cf = col_scan_store(qm, f, rows, all, 0..n_bins, &mut fast);
+        let cs = row_scan_store(qm, rows, all, f..f + 1, &mut scalar, true);
+        let base = qm.mapper().bin_offset(f) as usize * 2;
+        assert_eq!(fast, scalar[base..base + n_bins * 2], "column scan != scalar at feature {f}");
         assert_eq!(cf, cs);
     }
 }
@@ -248,72 +178,30 @@ proptest! {
         let n = case.qm.n_rows();
         let m = case.qm.n_features();
         let width = padded(&case.qm);
+        let (qm, grads) = (&case.qm, GradSource::Global(&case.grads));
         let all: Vec<u32> = (0..n as u32).collect();
         let mut by_slice = vec![0.0; width];
         let mut by_range = vec![0.0; width];
-        row_scan(&case.qm, &all, GradSource::Global(&case.grads), 0..m, &mut by_slice);
-        row_scan_root(&case.qm, 0..n, GradSource::Global(&case.grads), 0..m, &mut by_range);
+        row_scan_store(qm, &all, grads, 0..m, &mut by_slice, false);
+        row_scan_root_store(qm, 0..n, grads, 0..m, &mut by_range);
         prop_assert_eq!(&by_slice, &by_range);
         // Sub-range of the root span (a row chunk of a DP task).
         let lo = n / 3;
         let mut chunk_slice = vec![0.0; width];
         let mut chunk_range = vec![0.0; width];
-        row_scan(&case.qm, &all[lo..], GradSource::Global(&case.grads), 0..m, &mut chunk_slice);
-        row_scan_root(&case.qm, lo..n, GradSource::Global(&case.grads), 0..m, &mut chunk_range);
+        row_scan_store(qm, &all[lo..], grads, 0..m, &mut chunk_slice, false);
+        row_scan_root_store(qm, lo..n, grads, 0..m, &mut chunk_range);
         prop_assert_eq!(&chunk_slice, &chunk_range);
-    }
-
-    /// Every SIMD tier (clamped to what the host supports) produces bitwise
-    /// the same histograms as the scalar reference, on a dense and on a
-    /// sparse store.
-    #[test]
-    fn forced_tiers_bitwise_equal_scalar(
-        dense in few_values_dense_case(),
-        matrix in one_hot_matrix(),
-        tier_idx in 0usize..2,
-    ) {
-        use harpgbdt::kernels::{row_scan_forced_tier, SimdTier};
-        let tier = [SimdTier::Scalar, SimdTier::Avx2][tier_idx];
-        let sparse_qm = QuantizedMatrix::from_matrix(&matrix, BinningConfig::with_max_bins(16));
-        let (sgrads, srows) = grads_and_rows(sparse_qm.n_rows(), 0x5eed);
-        let sparse = Case { qm: sparse_qm, grads: sgrads, rows: srows };
-        for case in [&dense, &sparse] {
-            let m = case.qm.n_features();
-            let width = padded(&case.qm);
-            let mut forced = vec![0.0; width];
-            let mut scalar = vec![0.0; width];
-            row_scan_forced_tier(
-                tier, &case.qm, &case.rows, GradSource::Global(&case.grads), 0..m, &mut forced,
-            );
-            row_scan_scalar(&case.qm, &case.rows, GradSource::Global(&case.grads), 0..m, &mut scalar);
-            prop_assert_eq!(&forced, &scalar);
-            for f in 0..m {
-                let n_bins = case.qm.mapper().n_bins(f) as usize;
-                if n_bins == 0 {
-                    continue;
-                }
-                let mut fast = vec![0.0; n_bins * 2];
-                let mut slow = vec![0.0; n_bins * 2];
-                col_scan(
-                    &case.qm, f, &case.rows, GradSource::Global(&case.grads),
-                    0..n_bins, &mut fast,
-                );
-                col_scan_scalar(
-                    &case.qm, f, &case.rows, GradSource::Global(&case.grads),
-                    0..n_bins, &mut slow,
-                );
-                prop_assert_eq!(&fast, &slow);
-            }
-        }
     }
 }
 
 /// The proptests above draw small random matrices only. This runs the three
-/// kernels on two whole benchmark-shaped stores at scale 0.25 — SYNSET's
-/// dense 5 000 rows, and YFCC-like's 500 rows of 4 096 sparse features,
-/// whose CSR the first row read transposes from the CSC — over every row:
-/// `row_scan` and the root fast path against the scalar row reference, and
-/// `col_scan` against the scalar column reference on every fourth feature.
+/// store-level scans on two whole benchmark-shaped stores at scale 0.25 —
+/// SYNSET's dense 5 000 rows, and YFCC-like's 500 rows of 4 096 sparse
+/// features, whose CSR the first row read transposes from the CSC — over
+/// every row: the row scan and the root fast path against the scalar row
+/// reference, and the column scan against that reference's lanes on every
+/// fourth feature.
 #[test]
 fn kernels_bitwise_equal_scalar_on_synset_and_yfcc_shapes() {
     for kind in [DatasetKind::Synset, DatasetKind::YfccLike] {
@@ -327,21 +215,24 @@ fn kernels_bitwise_equal_scalar_on_synset_and_yfcc_shapes() {
         let mut fast = vec![0.0; width];
         let mut scalar = vec![0.0; width];
         let mut root = vec![0.0; width];
-        row_scan(&qm, &rows, src, 0..m, &mut fast);
-        row_scan_scalar(&qm, &rows, src, 0..m, &mut scalar);
-        row_scan_root(&qm, 0..n, src, 0..m, &mut root);
-        assert_eq!(fast, scalar, "{kind:?}: row_scan diverged from the scalar reference");
-        assert_eq!(root, scalar, "{kind:?}: row_scan_root diverged from the scalar reference");
+        row_scan_store(&qm, &rows, src, 0..m, &mut fast, false);
+        row_scan_store(&qm, &rows, src, 0..m, &mut scalar, true);
+        row_scan_root_store(&qm, 0..n, src, 0..m, &mut root);
+        assert_eq!(fast, scalar, "{kind:?}: the row scan diverged from the scalar reference");
+        assert_eq!(root, scalar, "{kind:?}: the root scan diverged from the scalar reference");
         for f in (0..m).step_by((m / 4).max(1)) {
             let n_bins = qm.mapper().n_bins(f) as usize;
             if n_bins == 0 {
                 continue;
             }
             let mut cf = vec![0.0; n_bins * 2];
-            let mut cs = vec![0.0; n_bins * 2];
-            col_scan(&qm, f, &rows, src, 0..n_bins, &mut cf);
-            col_scan_scalar(&qm, f, &rows, src, 0..n_bins, &mut cs);
-            assert_eq!(cf, cs, "{kind:?}: col_scan diverged from the scalar reference at {f}");
+            col_scan_store(&qm, f, &rows, src, 0..n_bins, &mut cf);
+            let base = qm.mapper().bin_offset(f) as usize * 2;
+            assert_eq!(
+                cf,
+                scalar[base..base + n_bins * 2],
+                "{kind:?}: the column scan diverged from the scalar reference at {f}"
+            );
         }
     }
 }
@@ -397,6 +288,27 @@ fn training_fixture_is_bitwise_stable_across_versions() {
     }
 }
 
+/// The Replicated fill of `nodes`, each into its own zeroed full-width
+/// buffer: `expand` under `BatchPolicy::Replicated` with no sibling to
+/// derive, whose tiles only read the filled buffers, so on return each
+/// buffer is its node's histogram.
+fn dp_fill(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, nodes: &[u32]) -> Vec<Vec<f64>> {
+    let width = hist_width(ctx.qm.mapper().total_bins(), ctx.qm.n_features());
+    let mut jobs: Vec<TileJob> = nodes
+        .iter()
+        .map(|&node| TileJob {
+            node,
+            stats: NodeStats::default(),
+            buf: Some(vec![0.0; width]),
+            sibling: None,
+        })
+        .collect();
+    let settings = SplitSettings { lambda: 1.0, gamma: 0.0, min_child_weight: 0.0 };
+    let search = SplitSearch { settings: &settings, mask: None };
+    expand(ctx, scratch, &mut jobs, search, BatchPolicy::Replicated, None);
+    jobs.into_iter().map(|j| j.buf.expect("full-width")).collect()
+}
+
 /// Two consecutive driver calls on pooled replicas are bitwise identical:
 /// the dirty-range re-zeroing restores exact fresh-buffer state.
 #[test]
@@ -411,19 +323,11 @@ fn pooled_replicas_reproduce_bitwise_across_frontiers() {
     part.apply_split(1, 3, 4, &|_, r| r % 5 == 0, None);
     let params = TrainParams { n_threads: 4, deterministic: true, ..TrainParams::default() };
     let pool = ThreadPool::new(4);
-    let width = hist_width(qm.mapper().total_bins(), qm.n_features());
+    let ctx = DriverCtx { qm: &qm, params: &params, pool: &pool, partition: &part, grads: &grads };
     let mut scratch = DriverScratch::new();
-    let run = |nodes: &[u32], scratch: &mut DriverScratch| -> Vec<Vec<f64>> {
-        let ctx =
-            DriverCtx { qm: &qm, params: &params, pool: &pool, partition: &part, grads: &grads };
-        let mut jobs: Vec<HistJob> =
-            nodes.iter().map(|&node| HistJob { node, buf: vec![0.0; width] }).collect();
-        build_hists_dp(&ctx, scratch, &mut jobs);
-        jobs.into_iter().map(|j| j.buf).collect()
-    };
-    let first = run(&[3, 4, 2], &mut scratch);
-    let _interleaved = run(&[2], &mut scratch);
-    let second = run(&[3, 4, 2], &mut scratch);
+    let first = dp_fill(&ctx, &mut scratch, &[3, 4, 2]);
+    let _interleaved = dp_fill(&ctx, &mut scratch, &[2]);
+    let second = dp_fill(&ctx, &mut scratch, &[3, 4, 2]);
     assert_eq!(first, second, "pooled replicas leaked state between frontiers");
 }
 
@@ -461,14 +365,10 @@ fn driver_steady_state_is_allocation_free() {
     let params = TrainParams { n_threads: 4, ..TrainParams::default() };
     let profile = Arc::new(Profile::new());
     let pool = ThreadPool::with_profile(4, Arc::clone(&profile));
-    let width = hist_width(qm.mapper().total_bins(), qm.n_features());
+    let ctx = DriverCtx { qm: &qm, params: &params, pool: &pool, partition: &part, grads: &grads };
     let mut scratch = DriverScratch::new();
     for call in 0..4 {
-        let ctx =
-            DriverCtx { qm: &qm, params: &params, pool: &pool, partition: &part, grads: &grads };
-        let mut jobs: Vec<HistJob> =
-            [1u32, 2].iter().map(|&node| HistJob { node, buf: vec![0.0; width] }).collect();
-        build_hists_dp(&ctx, &mut scratch, &mut jobs);
+        dp_fill(&ctx, &mut scratch, &[1, 2]);
         let allocs = profile.scratch_allocs.load(Ordering::Relaxed);
         let reuses = profile.scratch_reuses.load(Ordering::Relaxed);
         if call == 0 {

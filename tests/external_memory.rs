@@ -163,13 +163,11 @@ fn prediction_through_the_store_matches_the_monolithic_matrix() {
 
 #[test]
 fn store_scans_are_bitwise_equal_to_the_in_core_kernels() {
-    // Elsewhere the three `*_store` scans meet in-core only through whole
-    // trainings; here histogram by histogram, against the kernels called on
-    // the matrix directly, through a one-chunk cache and a 32-row-chunk one.
-    use harpgbdt::kernels::{
-        col_scan, col_scan_store, row_scan, row_scan_root, row_scan_root_store, row_scan_store,
-        GradSource,
-    };
+    // Elsewhere the three `*_store` scans meet a chunk cache only through
+    // whole trainings; here histogram by histogram, against the same scans
+    // over the in-core matrix (one sweep step, straight into the kernel),
+    // through a one-chunk cache and a 32-row-chunk one.
+    use harpgbdt::kernels::{col_scan_store, row_scan_root_store, row_scan_store, GradSource};
     for (kind, scale, dense) in [
         (harp_data::DatasetKind::HiggsLike, 0.02, true),
         (harp_data::DatasetKind::YfccLike, 0.1, false),
@@ -192,9 +190,8 @@ fn store_scans_are_bitwise_equal_to_the_in_core_kernels() {
         let membuf: Vec<[f32; 2]> = rows.iter().map(|&r| grads[r as usize]).collect();
         let range = 20..n - 20;
 
-        // Every scan's cell count and histogram bits: through `store`, or
-        // with the kernels called on the matrix itself.
-        let hists = |store: Option<&dyn QuantStore>| {
+        // Every scan's cell count and histogram bits through `store`.
+        let hists = |store: &dyn QuantStore| {
             let mut out: Vec<(u64, Vec<u64>)> = Vec::new();
             let mut fill = |scan: &dyn Fn(&mut [f64]) -> u64| {
                 let mut hist = vec![0.0f64; width];
@@ -205,36 +202,27 @@ fn store_scans_are_bitwise_equal_to_the_in_core_kernels() {
                 (GradSource::MemBuf(&membuf), GradSource::MemBuf(&grads[range.clone()])),
                 (GradSource::Global(&grads), GradSource::Global(&grads)),
             ] {
-                fill(&|hist| match store {
-                    Some(s) => row_scan_store(s, &rows, node, 0..m, hist, false),
-                    None => row_scan(qm, &rows, node, 0..m, hist),
-                });
+                fill(&|hist| row_scan_store(store, &rows, node, 0..m, hist, false));
                 fill(&|hist| {
                     let scan_col = |f: usize| {
                         let bins = mapper.n_bins(f) as usize;
                         let base = mapper.bin_offset(f) as usize * 2;
                         let hist_f = &mut hist[base..base + bins * 2];
-                        match store {
-                            Some(s) => col_scan_store(s, f, &rows, node, 0..bins, hist_f),
-                            None => col_scan(qm, f, &rows, node, 0..bins, hist_f),
-                        }
+                        col_scan_store(store, f, &rows, node, 0..bins, hist_f)
                     };
                     (0..m).map(scan_col).sum()
                 });
-                fill(&|hist| match store {
-                    Some(s) => row_scan_root_store(s, range.clone(), aligned, 0..m, hist),
-                    None => row_scan_root(qm, range.clone(), aligned, 0..m, hist),
-                });
+                fill(&|hist| row_scan_root_store(store, range.clone(), aligned, 0..m, hist));
             }
             out
         };
-        let want = hists(None);
+        let want = hists(qm);
         assert!(want.iter().all(|&(cells, _)| cells > 0), "a scan saw no rows");
         for rows_per_chunk in [n, 32] {
             let path = cache_file(&data, rows_per_chunk, &format!("scans{rows_per_chunk}"));
             let store = ChunkedStore::open(&path, u64::MAX).unwrap();
             assert_eq!(store.n_chunks(), n.div_ceil(rows_per_chunk));
-            let got = hists(Some(&store));
+            let got = hists(&store);
             assert!(want == got, "{kind:?}, {rows_per_chunk}-row chunks: a store scan diverged");
             drop(store);
             std::fs::remove_file(path).ok();
@@ -249,7 +237,7 @@ fn the_reference_arm_of_row_scan_store_is_bitwise_the_specialized_scan() {
     // order as the specialized arm, on both layouts, in-core and chunked.
     use harp_binning::{BinningConfig, QuantizedMatrix};
     use harp_data::{CsrMatrix, DatasetKind, FeatureMatrix, SynthConfig};
-    use harpgbdt::kernels::{row_scan, row_scan_store, GradSource};
+    use harpgbdt::kernels::{row_scan_store, GradSource};
     let higgs = SynthConfig::new(DatasetKind::HiggsLike, 5).with_scale(0.02).generate().features;
     // Grouped one-hot rows: at most one feature of each group per row, with
     // many entries per cell, so a reordered sum shows.
@@ -298,7 +286,7 @@ fn the_reference_arm_of_row_scan_store_is_bitwise_the_specialized_scan() {
                 let cells = scan(&mut hist);
                 (cells, hist.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
             };
-            let want = bits(&mut |hist| row_scan(qm, &rows, grads, 0..m, hist));
+            let want = bits(&mut |hist| row_scan_store(qm, &rows, grads, 0..m, hist, false));
             assert!(want.0 > 0, "{name}: the scan saw no cells");
             for (store, label) in [(qm as &dyn QuantStore, "in-core"), (&chunked, "chunked")] {
                 for scalar in [false, true] {
@@ -306,7 +294,7 @@ fn the_reference_arm_of_row_scan_store_is_bitwise_the_specialized_scan() {
                         bits(&mut |hist| row_scan_store(store, &rows, grads, 0..m, hist, scalar));
                     assert!(
                         want == got,
-                        "{name}, {label}, scalar={scalar}: diverged from row_scan"
+                        "{name}, {label}, scalar={scalar}: diverged from the in-core scan"
                     );
                 }
             }

@@ -52,14 +52,27 @@ fn shape_and_jobs() -> impl Strategy<Value = (BatchShape, Vec<usize>)> {
 }
 
 /// Every live ⟨job, feature, row⟩ cell exactly once; zero-row jobs skipped
-/// entirely (their replica lanes would only add zeroes).
+/// entirely (their replica lanes would only add zeroes). A job without a
+/// replica slot is written through one shared pointer by concurrent tasks,
+/// which is sound only if those tasks differ in feature block alone: each
+/// spans all of the job's rows. The replica slots index distinct lanes of
+/// one replica.
 fn check_replicated(plan: &BlockPlan, shape: &BatchShape, job_lens: &[usize]) {
     let m = shape.n_features;
+    let mut slots: Vec<usize> = (0..job_lens.len()).filter_map(|j| plan.replica_slot(j)).collect();
+    assert!(slots.iter().all(|&k| k < plan.n_replicated_jobs()), "replica slot out of range");
+    let n_slots = slots.len();
+    slots.sort_unstable();
+    slots.dedup();
+    assert_eq!(slots.len(), n_slots, "two jobs share a replica slot");
     let mut seen = vec![0u32; job_lens.len() * m * 60];
     for task in plan.tasks() {
         assert_eq!(task.jobs.len(), 1, "DP tasks are single-job");
         let j = task.jobs.start;
         assert!(job_lens[j] > 0, "zero-row job {j} must be skipped");
+        if plan.replica_slot(j).is_none() {
+            assert_eq!(task.rows, 0..job_lens[j], "job {j} has no replica but a row-block task");
+        }
         assert!(task.bins.is_none(), "DP never bin-blocks");
         if !shape.layout.feature_sliceable() {
             assert_eq!(task.features, 0..m, "unsliceable rows are scanned whole");

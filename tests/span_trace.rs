@@ -8,16 +8,20 @@ use harp_binning::{BinningConfig, QuantizedMatrix};
 use harp_data::{DatasetKind, SynthConfig};
 use harp_parallel::{PhaseSpan, ThreadPool, TracePhase, TraceSink};
 use harpgbdt::hist::hist_width;
+use harpgbdt::params::BatchPolicy;
 use harpgbdt::partition::RowPartition;
-use harpgbdt::trainer::{build_hists_dp, DriverCtx, DriverScratch, HistJob};
-use harpgbdt::TrainParams;
+use harpgbdt::split::SplitSettings;
+use harpgbdt::trainer::{expand, DriverCtx, DriverScratch, SplitSearch, TileJob};
+use harpgbdt::{NodeStats, TrainParams};
 
-/// A DP fill of a 3-node mid-tree frontier on 4 workers, traced and not:
-/// the histograms are bitwise equal and the traced pool records BuildHist
-/// spans. A disabled `PhaseSpan::begin` (no sink, no counter: the per-task
-/// cost every recording site pays when tracing is off), amortized over 1 M
-/// calls, costs less than 2 % of one BuildHist task of that fill (its best
-/// of 5 wall times × 4 workers / tasks).
+/// A DP fill of a 3-node mid-tree frontier on 4 workers — the Replicated
+/// fill of `expand`, each node into its own buffer, with no sibling to
+/// derive — traced and not: the histograms are bitwise equal and the traced
+/// pool records BuildHist spans. A disabled `PhaseSpan::begin` (no sink, no
+/// counter: the per-task cost every recording site pays when tracing is
+/// off), amortized over 1 M calls, costs less than 2 % of one BuildHist task
+/// of that fill (the best of 5 wall times of its fill regions × 4 workers /
+/// tasks).
 #[test]
 fn traced_dp_fill_is_bitwise_untraced_and_a_disabled_span_costs_under_2pc_of_a_task() {
     let d = SynthConfig::new(DatasetKind::Synset, 1).with_scale(0.08).generate();
@@ -30,29 +34,37 @@ fn traced_dp_fill_is_bitwise_untraced_and_a_disabled_span_costs_under_2pc_of_a_t
     part.apply_split(0, 1, 2, &|_, r| r % 2 == 0, None);
     part.apply_split(1, 3, 4, &|_, r| r % 3 == 0, None);
     let params = TrainParams { n_threads: 4, ..TrainParams::default() };
-    let run = |pool: &ThreadPool| -> Vec<Vec<f64>> {
+    let settings = SplitSettings { lambda: 1.0, gamma: 0.0, min_child_weight: 0.0 };
+    let search = SplitSearch { settings: &settings, mask: None };
+    // The histograms, and the wall nanoseconds of the fill regions.
+    let run = |pool: &ThreadPool| -> (Vec<Vec<f64>>, u64) {
         let mut scratch = DriverScratch::new();
-        let mut jobs: Vec<HistJob> = [3u32, 4, 2]
+        let mut jobs: Vec<TileJob> = [3u32, 4, 2]
             .iter()
-            .map(|&node| HistJob { node, buf: vec![0.0; width] })
+            .map(|&node| TileJob {
+                node,
+                stats: NodeStats::default(),
+                buf: Some(vec![0.0; width]),
+                sibling: None,
+            })
             .collect();
         let ctx = DriverCtx { qm: &qm, params: &params, pool, partition: &part, grads: &grads };
-        build_hists_dp(&ctx, &mut scratch, &mut jobs);
-        jobs.into_iter().map(|j| j.buf).collect()
+        let out = expand(&ctx, &mut scratch, &mut jobs, search, BatchPolicy::Replicated, None);
+        (jobs.into_iter().map(|j| j.buf.expect("full-width")).collect(), out.fill_ns)
     };
 
     let plain = ThreadPool::new(4);
-    let untraced = run(&plain);
+    let (untraced, _) = run(&plain);
     let mut frontier_secs = f64::INFINITY;
     for _ in 0..5 {
-        let t = std::time::Instant::now();
-        std::hint::black_box(run(&plain));
-        frontier_secs = frontier_secs.min(t.elapsed().as_secs_f64());
+        let (hists, fill_ns) = run(&plain);
+        std::hint::black_box(hists);
+        frontier_secs = frontier_secs.min(fill_ns as f64 * 1e-9);
     }
 
     let mut traced_pool = ThreadPool::new(4);
     traced_pool.install_trace(TraceSink::with_capacity(4, 1 << 12));
-    let traced = run(&traced_pool);
+    let (traced, _) = run(&traced_pool);
     assert_eq!(untraced, traced, "the span trace must not perturb histogram results");
     let n_tasks = traced_pool
         .trace()
