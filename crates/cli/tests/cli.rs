@@ -255,5 +255,30 @@ fn predict_rejects_feature_mismatch() {
     }
     // Extra columns are harmless (the model just never looks at them).
     run_ok(&["predict", "--model", model.to_str().unwrap(), "--data", wide.to_str().unwrap()]);
+    // A hand-edited model whose root points at a node that does not exist
+    // would send the walk's unchecked read out of bounds: loading it is an
+    // error (exit code 2), not a crash.
+    let hostile = dir.join("hostile.json");
+    let leaf = |depth| {
+        format!(
+            r#"{{"parent":0,"left":4294967295,"right":4294967295,"depth":{depth},"split":null,"weight":0.25,"stats":{{"g":0.0,"h":1.0,"count":1}}}}"#
+        )
+    };
+    std::fs::write(
+        &hostile,
+        format!(
+            r#"{{"trees":[{{"nodes":[{{"parent":4294967295,"left":1000,"right":2,"depth":0,"split":{{"feature":0,"bin":0,"threshold":0.5,"default_left":false,"gain":1.0}},"weight":0.0,"stats":{{"g":0.0,"h":2.0,"count":2}}}},{},{}]}}],"base_scores":[0.0],"loss":"Logistic","n_features":3}}"#,
+            leaf(1),
+            leaf(2)
+        ),
+    )
+    .unwrap();
+    for cmd in ["predict", "eval"] {
+        let args = [cmd, "--model", hostile.to_str().unwrap(), "--data", wide.to_str().unwrap()];
+        let out = bin().args(args).output().expect("spawn harpgbdt");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd}: {err}");
+        assert!(err.contains("invalid model: tree 0: node 0 has child 1000"), "{cmd}: {err}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

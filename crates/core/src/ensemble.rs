@@ -1,7 +1,7 @@
 //! The trained ensemble: prediction, persistence, feature importance.
 
 use crate::params::LossKind;
-use crate::predict::FlatForest;
+use crate::predict::{check_model, FlatForest};
 use crate::tree::Tree;
 use harp_data::FeatureMatrix;
 use serde::{Deserialize, Serialize};
@@ -88,39 +88,14 @@ impl GbdtModel {
         FlatForest::from_trees(&self.trees, self.base_scores.clone(), self.loss, self.n_features)
     }
 
-    /// Raw (margin) score of one row; `value(f)` returns the raw feature
-    /// value or `None` when missing.
-    ///
-    /// # Panics
-    /// Panics for multiclass models — use
-    /// [`predict_raw_groups_row`](Self::predict_raw_groups_row).
-    pub fn predict_raw_row(&self, value: impl Fn(u32) -> Option<f32> + Copy) -> f32 {
-        assert_eq!(self.n_groups(), 1, "scalar prediction on a multiclass model");
-        let mut s = self.base_scores[0];
-        for tree in &self.trees {
-            s += tree.predict(value);
-        }
-        s
-    }
-
-    /// Per-group raw scores of one row.
-    pub fn predict_raw_groups_row(&self, value: impl Fn(u32) -> Option<f32> + Copy) -> Vec<f32> {
-        let g = self.n_groups();
-        let mut scores = self.base_scores.clone();
-        for (t, tree) in self.trees.iter().enumerate() {
-            scores[t % g] += tree.predict(value);
-        }
-        scores
-    }
-
     /// Raw scores for every row of a matrix: length `n_rows` for scalar
     /// losses, row-major `n_rows × n_groups` for multiclass. Scores
     /// through the flat blocked engine; see [`compile`](Self::compile) to
     /// amortize compilation over many calls, and
     /// [`FlatForest::predict_raw_parallel`] to score row blocks on a pool.
-    /// The per-row reference it is bitwise equal to is
-    /// [`predict_raw_groups_row`](Self::predict_raw_groups_row) over the rows
-    /// (`tests/predict_equivalence.rs`).
+    /// It is bitwise equal to the per-row reference, every tree's
+    /// [`Tree::predict`] added in ensemble order
+    /// (`tests/predict_equivalence.rs::recursive_reference`).
     pub fn predict_raw(&self, features: &FeatureMatrix) -> Vec<f32> {
         self.compile().predict_raw(features)
     }
@@ -186,12 +161,22 @@ impl GbdtModel {
         serde_json::to_string(self)
     }
 
-    /// Deserializes a model from JSON.
+    /// Deserializes a model from JSON and checks its structure: a model
+    /// file is untrusted input, and the compiled walk relies on every tree
+    /// being well formed.
     ///
     /// # Errors
-    /// Propagates parse failures.
+    /// Propagates parse failures, and fails on a model that
+    /// [`compile`](Self::compile) would refuse: a child id out of range or
+    /// missing on a split, a leaf with a child, a node unreachable from
+    /// the root or reached twice, a depth that is not the parent's plus
+    /// one, a split feature `>= n_features`, an empty tree, a base-score or
+    /// tree count that does not match the groups, or an invalid objective.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+        let model: Self = serde_json::from_str(json)?;
+        check_model(&model.trees, &model.base_scores, model.loss, model.n_features, |_, _, _| {})
+            .map_err(|e| serde::Error::new(format!("invalid model: {e}")))?;
+        Ok(model)
     }
 
     /// Writes the model to a file as JSON.
@@ -255,11 +240,17 @@ mod tests {
         GbdtModel::new(vec![t], vec![0.5], LossKind::Logistic, 2)
     }
 
+    /// The engine's raw score of one row whose every feature is `v` (NaN:
+    /// missing).
+    fn score(m: &GbdtModel, v: f32) -> f32 {
+        m.predict_raw(&FeatureMatrix::Dense(DenseMatrix::from_vec(1, 2, vec![v; 2])))[0]
+    }
+
     #[test]
     fn predict_raw_adds_base_and_trees() {
         let m = model_with_one_split();
-        assert_eq!(m.predict_raw_row(|_| Some(0.0)), 1.5);
-        assert_eq!(m.predict_raw_row(|_| Some(1.0)), -0.5);
+        assert_eq!(score(&m, 0.0), 1.5);
+        assert_eq!(score(&m, 1.0), -0.5);
     }
 
     #[test]
@@ -274,7 +265,7 @@ mod tests {
     fn missing_uses_default_direction() {
         let m = model_with_one_split();
         // default_left = false -> right leaf.
-        assert_eq!(m.predict_raw_row(|_| None), -0.5);
+        assert_eq!(score(&m, f32::NAN), -0.5);
     }
 
     #[test]
@@ -303,7 +294,7 @@ mod tests {
         let json = m.to_json().unwrap();
         let back = GbdtModel::from_json(&json).unwrap();
         for v in [-1.0f32, 0.0, 0.3, 0.7, 2.0] {
-            assert_eq!(m.predict_raw_row(|_| Some(v)), back.predict_raw_row(|_| Some(v)));
+            assert_eq!(score(&m, v), score(&back, v));
         }
     }
 
@@ -315,8 +306,13 @@ mod tests {
             .map(|i| if i % 9 == 0 { f32::NAN } else { (i % 13) as f32 / 6.0 })
             .collect();
         let features = FeatureMatrix::Dense(DenseMatrix::from_vec(n, 2, values));
+        // The per-row reference: every tree's leaf weight added to the base
+        // score in ensemble order.
         let per_row: Vec<f32> = (0..n)
-            .flat_map(|r| m.predict_raw_groups_row(|f| features.get(r, f as usize)))
+            .map(|r| {
+                let value = |f: u32| features.get(r, f as usize);
+                m.trees.iter().fold(m.base_scores[0], |s, tree| s + tree.predict(value))
+            })
             .collect();
         assert_eq!(m.predict_raw(&features), per_row);
     }

@@ -2,11 +2,12 @@
 //! optional phase attribution.
 
 use super::flat::FlatForest;
-use super::kernel;
+use super::kernel::{self, Input};
 use crate::plan::{n_row_blocks, row_block};
 use harp_binning::{sweep_chunks, QuantStore, Rows};
 use harp_data::FeatureMatrix;
 use harp_parallel::{PhaseClock, PhaseSpan, ThreadPool, TracePhase, TraceSink};
+use std::ops::Range;
 
 /// Default rows per block: small enough that a block's outputs stay in L1,
 /// large enough to amortize streaming each tree's node arrays.
@@ -103,11 +104,7 @@ impl<'a> Predictor<'a> {
     /// than the model reads the *next row's* values) is never acceptable.
     pub fn predict_raw(&self, features: &FeatureMatrix) -> Vec<f32> {
         self.check_features(features.n_cols());
-        let mut out = self.base_filled(features.n_rows());
-        self.run(features.n_rows(), &mut out, |lo, hi, dst| {
-            kernel::score_block(self.forest, features, lo, hi, dst, self.forest.n_groups, 0);
-        });
-        out
+        self.scores(Input::Features(features), features.n_rows())
     }
 
     /// Raw scores for already-binned rows behind any [`QuantStore`] — the
@@ -123,22 +120,15 @@ impl<'a> Predictor<'a> {
         self.check_features(store.n_features());
         let stride = self.forest.n_groups;
         let mut out = self.base_filled(store.n_rows());
-        self.run(store.n_rows(), &mut out, |lo, hi, dst| {
+        self.run(store.n_rows(), &mut out, stride, |rows, dst| {
             sweep_chunks(
                 store,
-                &[Rows::Range(lo..hi)],
+                &[Rows::Range(rows)],
                 |_| {},
                 |run| {
-                    let rows = run.rows.range();
-                    kernel::score_block_binned(
-                        self.forest,
-                        run.slab,
-                        rows.start,
-                        rows.end,
-                        &mut dst[run.pos.start * stride..run.pos.end * stride],
-                        stride,
-                        0,
-                    );
+                    let slab = Input::Quantized(run.slab);
+                    let dst = &mut dst[run.pos.start * stride..run.pos.end * stride];
+                    kernel::score_block(self.forest, slab, run.rows.range(), dst, stride, 0);
                 },
             );
         });
@@ -154,20 +144,7 @@ impl<'a> Predictor<'a> {
     /// Panics if `rows` has fewer columns than the model's feature count.
     pub fn predict_raw_bin_rows(&self, rows: &BinRows<'_>) -> Vec<f32> {
         self.check_features(rows.n_cols);
-        let mut out = self.base_filled(rows.n_rows);
-        self.run(rows.n_rows, &mut out, |lo, hi, dst| {
-            kernel::score_block_bin_rows(
-                self.forest,
-                rows.bins,
-                rows.n_cols,
-                lo,
-                hi,
-                dst,
-                self.forest.n_groups,
-                0,
-            );
-        });
-        out
+        self.scores(Input::Bins(rows), rows.n_rows)
     }
 
     /// Response-scale predictions (probabilities for logistic/softmax,
@@ -201,8 +178,8 @@ impl<'a> Predictor<'a> {
         let n = features.n_rows();
         assert_eq!(preds.len(), n * stride, "prediction buffer shape mismatch");
         assert!(offset + self.forest.n_groups() <= stride, "group offset out of range");
-        self.run_strided(n, preds, stride, |lo, hi, dst| {
-            kernel::score_block(self.forest, features, lo, hi, dst, stride, offset);
+        self.run(n, preds, stride, |rows, dst| {
+            kernel::score_block(self.forest, Input::Features(features), rows, dst, stride, offset);
         });
     }
 
@@ -218,6 +195,17 @@ impl<'a> Predictor<'a> {
         );
     }
 
+    /// Base scores plus every tree's contribution for the `n_rows` rows of
+    /// `input`, row-major `n_rows × n_groups`.
+    fn scores(&self, input: Input<'_>, n_rows: usize) -> Vec<f32> {
+        let g = self.forest.n_groups;
+        let mut out = self.base_filled(n_rows);
+        self.run(n_rows, &mut out, g, |rows, dst| {
+            kernel::score_block(self.forest, input, rows, dst, g, 0);
+        });
+        out
+    }
+
     fn base_filled(&self, n_rows: usize) -> Vec<f32> {
         let g = self.forest.n_groups();
         let mut out = vec![0.0f32; n_rows * g];
@@ -227,18 +215,14 @@ impl<'a> Predictor<'a> {
         out
     }
 
-    fn run(&self, n_rows: usize, out: &mut [f32], score: impl Fn(usize, usize, &mut [f32]) + Sync) {
-        self.run_strided(n_rows, out, self.forest.n_groups(), score);
-    }
-
     /// Drives `score` over row blocks; `out` is row-major `n × stride` and
     /// each call receives the sub-slice for its block.
-    fn run_strided(
+    fn run(
         &self,
         n_rows: usize,
         out: &mut [f32],
         stride: usize,
-        score: impl Fn(usize, usize, &mut [f32]) + Sync,
+        score: impl Fn(Range<usize>, &mut [f32]) + Sync,
     ) {
         let _phase = PhaseSpan::begin(None, 0, TracePhase::Predict, 0, 0, self.clock);
         let block = self.block_rows;
@@ -251,8 +235,7 @@ impl<'a> Predictor<'a> {
                     out[..n_rows * stride].chunks_mut(block.max(1) * stride).collect();
                 pool.parallel_for_each_mut(&mut pieces, |b, dst, w| {
                     let _span = trace.map(|s| s.span(w, TracePhase::Predict, 0, b as u32));
-                    let rows = row_block(b, block, n_rows);
-                    score(rows.start, rows.end, dst);
+                    score(row_block(b, block, n_rows), dst);
                 });
             }
             _ => {
@@ -260,8 +243,8 @@ impl<'a> Predictor<'a> {
                     .map(|s| s.span(s.coordinator_lane(), TracePhase::Predict, 0, n_blocks as u32));
                 for b in 0..n_blocks {
                     let rows = row_block(b, block, n_rows);
-                    let (lo, hi) = (rows.start, rows.end);
-                    score(lo, hi, &mut out[lo * stride..hi * stride]);
+                    let dst = &mut out[rows.start * stride..rows.end * stride];
+                    score(rows, dst);
                 }
             }
         }

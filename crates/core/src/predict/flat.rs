@@ -1,128 +1,139 @@
-//! The flattened struct-of-arrays forest layout.
+//! The flattened forest layout: one packed record per node.
 
+use super::check::check_model;
 use crate::params::LossKind;
-use crate::tree::Tree;
+use crate::tree::{SplitData, Tree};
 
-/// Hot node data packed into 16 bytes so one load per hop fetches the
+/// One node's routing data in 16 bytes, so one load per hop fetches the
 /// split feature (with the missing-value direction in the top bit), the
 /// raw threshold, and both children.
 #[derive(Debug, Clone, Copy)]
 #[repr(C)]
-pub(crate) struct PackedNode {
+pub(super) struct PackedNode {
     /// Split feature in the low 31 bits; top bit set = missing goes left.
-    pub(crate) feature_and_default: u32,
+    pub(super) feature_and_default: u32,
     /// Raw-value threshold: `value <= threshold` goes left.
-    pub(crate) threshold: f32,
+    pub(super) threshold: f32,
     /// Absolute left-child index; a leaf points to itself.
-    pub(crate) left: u32,
+    pub(super) left: u32,
     /// Absolute right-child index; a leaf points to itself.
-    pub(crate) right: u32,
+    pub(super) right: u32,
 }
 
 impl PackedNode {
     #[inline(always)]
-    pub(crate) fn feature(self) -> usize {
+    pub(super) fn feature(self) -> usize {
         (self.feature_and_default & 0x7FFF_FFFF) as usize
     }
 
     #[inline(always)]
-    pub(crate) fn default_left(self) -> bool {
+    pub(super) fn default_left(self) -> bool {
         self.feature_and_default & 0x8000_0000 != 0
     }
 }
+
+/// What a leaf routes on: feature 0, threshold +inf, bin 255 and missing
+/// left all go left, and a leaf's children are itself, so a padded walk
+/// can keep stepping without a leaf check.
+const LEAF: SplitData =
+    SplitData { feature: 0, bin: u8::MAX, threshold: f32::INFINITY, default_left: true, gain: 0.0 };
 
 /// An ensemble compiled into contiguous per-node arrays for batch scoring.
 ///
 /// The arena [`Tree`] layout is convenient to grow but hostile to traverse
 /// at inference time: every hop dereferences a 70-byte `Node` whose split
 /// lives behind an `Option`, so a batch of rows thrashes the cache. The
-/// flat layout concatenates all trees into parallel arrays — split feature,
-/// raw threshold, bin threshold, child indices, default direction, leaf
-/// value — so the blocked kernel streams a tree's few cache lines across a
-/// whole row block before moving on.
+/// flat layout concatenates all trees into three per-node arrays — the
+/// 16-byte `PackedNode` a hop reads, the bin threshold the binned path
+/// compares against, and the leaf value — 21 bytes per node, so the
+/// blocked walk streams a tree's few cache lines across a whole row block
+/// before moving on.
 ///
 /// Node `i` of tree `t` lives at index `tree_offsets[t] + i`; child indices
-/// are absolute. A **leaf points to itself** (`left[n] == right[n] == n`),
-/// so walking exactly [`max_steps`](Self::max_steps) hops from the root
-/// always parks on the row's leaf — shallow trees can therefore be
-/// traversed with a fixed, branch-free step count. Routing is identical to
-/// [`Tree::route`]: `value <= threshold[n]` (or, on binned input,
-/// `bin <= bin[n]`) goes left, missing values follow `default_left[n]`.
+/// are absolute. A **leaf points to itself** (`left == right == n`), so
+/// walking exactly `max_steps` hops from the root always parks on the
+/// row's leaf — shallow trees can therefore be traversed with a fixed,
+/// branch-free step count. Routing is identical to
+/// [`Tree::route`]: `value <= threshold` (or, on binned input,
+/// `bin <= bin[n]`) goes left, missing values follow the default direction.
 #[derive(Debug, Clone)]
 pub struct FlatForest {
-    pub(crate) n_features: usize,
-    pub(crate) n_groups: usize,
-    pub(crate) loss: LossKind,
-    pub(crate) base_scores: Vec<f32>,
+    pub(super) n_features: usize,
+    pub(super) n_groups: usize,
+    pub(super) loss: LossKind,
+    pub(super) base_scores: Vec<f32>,
     /// Start of each tree's nodes; length `n_trees + 1`.
-    pub(crate) tree_offsets: Vec<u32>,
+    pub(super) tree_offsets: Vec<u32>,
     /// Max depth per tree: walking this many hops from the root reaches
     /// the leaf (leaves self-loop, so overshooting is harmless).
-    pub(crate) max_steps: Vec<u32>,
-    /// Split feature per node (undefined for leaves).
-    pub(crate) feature: Vec<u32>,
-    /// Raw-value threshold per node: `value <= threshold` goes left.
-    pub(crate) threshold: Vec<f32>,
+    pub(super) max_steps: Vec<u32>,
+    /// Routing record per node.
+    pub(super) packed: Vec<PackedNode>,
     /// Bin threshold per node: `bin <= bin` goes left on quantized input.
-    pub(crate) bin: Vec<u8>,
-    /// Missing-value direction per node.
-    pub(crate) default_left: Vec<bool>,
-    /// Absolute left-child index; a leaf points to itself.
-    pub(crate) left: Vec<u32>,
-    /// Absolute right-child index; a leaf points to itself.
-    pub(crate) right: Vec<u32>,
+    pub(super) bin: Vec<u8>,
     /// Leaf value (0 for internal nodes).
-    pub(crate) value: Vec<f32>,
-    /// The hot per-node fields of the arrays above, packed 16 bytes/node
-    /// for the traversal kernels.
-    pub(crate) packed: Vec<PackedNode>,
+    pub(super) value: Vec<f32>,
 }
 
 impl FlatForest {
     /// Compiles `trees` into the flat layout.
     ///
     /// # Panics
-    /// Panics if `base_scores.len() != loss.n_groups()` or the tree count
-    /// is not a multiple of the group count.
+    /// Panics if the model fails the structural check a loaded model is
+    /// held to (`GbdtModel::from_json` returns the same failure as an
+    /// error): a base score per group, whole rounds of trees, and every
+    /// tree a well-formed binary tree on features below `n_features`
+    /// whose node depths are their path lengths.
     pub fn from_trees(
         trees: &[Tree],
         base_scores: Vec<f32>,
         loss: LossKind,
         n_features: usize,
     ) -> Self {
-        assert_eq!(base_scores.len(), loss.n_groups(), "one base score per group");
-        assert_eq!(trees.len() % loss.n_groups(), 0, "trees must fill whole rounds");
-        assert!(n_features <= 0x7FFF_FFFF, "feature ids must fit 31 bits");
         let n_nodes: usize = trees.iter().map(Tree::n_nodes).sum();
-        let mut forest = Self {
+        let mut tree_offsets = Vec::with_capacity(trees.len() + 1);
+        let mut max_steps = vec![0; trees.len()];
+        let mut packed = Vec::with_capacity(n_nodes);
+        let mut bin = Vec::with_capacity(n_nodes);
+        let mut value = Vec::with_capacity(n_nodes);
+        // One pass over the nodes checks and compiles them; node 0 opens
+        // each tree. The visited children are in range, so the absolute
+        // ids fit the node count the check has bounded.
+        let checked = check_model(trees, &base_scores, loss, n_features, |t, i, node| {
+            if i == 0 {
+                tree_offsets.push(packed.len() as u32);
+            }
+            let offset = tree_offsets[t];
+            max_steps[t] = max_steps[t].max(node.depth);
+            let (split, left, right) = match &node.split {
+                Some(s) => (*s, offset + node.left, offset + node.right),
+                None => (LEAF, offset + i, offset + i),
+            };
+            packed.push(PackedNode {
+                feature_and_default: split.feature | (u32::from(split.default_left) << 31),
+                threshold: split.threshold,
+                left,
+                right,
+            });
+            bin.push(split.bin);
+            value.push(if node.split.is_some() { 0.0 } else { node.weight });
+        });
+        if let Err(e) = checked {
+            panic!("invalid model: {e}");
+        }
+        tree_offsets.push(packed.len() as u32);
+        let n_groups = loss.n_groups();
+        Self {
             n_features,
-            n_groups: loss.n_groups(),
+            n_groups,
             loss,
             base_scores,
-            tree_offsets: Vec::with_capacity(trees.len() + 1),
-            max_steps: Vec::with_capacity(trees.len()),
-            feature: Vec::with_capacity(n_nodes),
-            threshold: Vec::with_capacity(n_nodes),
-            bin: Vec::with_capacity(n_nodes),
-            default_left: Vec::with_capacity(n_nodes),
-            left: Vec::with_capacity(n_nodes),
-            right: Vec::with_capacity(n_nodes),
-            value: Vec::with_capacity(n_nodes),
-            packed: Vec::new(),
-        };
-        forest.tree_offsets.push(0);
-        for tree in trees {
-            forest.push_tree(tree);
+            tree_offsets,
+            max_steps,
+            packed,
+            bin,
+            value,
         }
-        forest.packed = (0..n_nodes)
-            .map(|i| PackedNode {
-                feature_and_default: forest.feature[i] | (u32::from(forest.default_left[i]) << 31),
-                threshold: forest.threshold[i],
-                left: forest.left[i],
-                right: forest.right[i],
-            })
-            .collect();
-        forest
     }
 
     /// Compiles a single tree as a scalar forest with a zero base score —
@@ -131,42 +142,10 @@ impl FlatForest {
         Self::from_trees(std::slice::from_ref(tree), vec![0.0], LossKind::SquaredError, n_features)
     }
 
-    fn push_tree(&mut self, tree: &Tree) {
-        let offset = *self.tree_offsets.last().expect("offsets start at 0");
-        for i in 0..tree.n_nodes() {
-            let node = tree.node(i as u32);
-            match &node.split {
-                Some(s) => {
-                    self.feature.push(s.feature);
-                    self.threshold.push(s.threshold);
-                    self.bin.push(s.bin);
-                    self.default_left.push(s.default_left);
-                    self.left.push(offset + node.left);
-                    self.right.push(offset + node.right);
-                    self.value.push(0.0);
-                }
-                None => {
-                    // Leaves self-loop, and route left on any value
-                    // (feature 0, threshold +inf), so a padded walk can
-                    // keep stepping without a leaf check.
-                    self.feature.push(0);
-                    self.threshold.push(f32::INFINITY);
-                    self.bin.push(u8::MAX);
-                    self.default_left.push(true);
-                    self.left.push(offset + i as u32);
-                    self.right.push(offset + i as u32);
-                    self.value.push(node.weight);
-                }
-            }
-        }
-        self.max_steps.push(tree.max_depth());
-        self.tree_offsets.push(offset + tree.n_nodes() as u32);
-    }
-
     /// Whether absolute node `n` is a leaf (leaves self-loop).
     #[inline]
-    pub(crate) fn is_leaf(&self, n: usize) -> bool {
-        self.left[n] as usize == n
+    pub(super) fn is_leaf(&self, n: usize) -> bool {
+        self.packed[n].left as usize == n
     }
 
     /// Number of trees.
@@ -176,7 +155,7 @@ impl FlatForest {
 
     /// Total node count across all trees.
     pub fn n_nodes(&self) -> usize {
-        self.value.len()
+        self.packed.len()
     }
 
     /// Number of model groups (1 for scalar losses, classes for softmax).
@@ -205,14 +184,9 @@ impl FlatForest {
         self.base_scores.capacity() * 4
             + self.tree_offsets.capacity() * 4
             + self.max_steps.capacity() * 4
-            + self.feature.capacity() * 4
-            + self.threshold.capacity() * 4
-            + self.bin.capacity()
-            + self.default_left.capacity()
-            + self.left.capacity() * 4
-            + self.right.capacity() * 4
-            + self.value.capacity() * 4
             + self.packed.capacity() * std::mem::size_of::<PackedNode>()
+            + self.bin.capacity()
+            + self.value.capacity() * 4
     }
 
     /// Argmax class per row of row-major raw scores (0.5-thresholded

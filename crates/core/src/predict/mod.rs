@@ -3,13 +3,14 @@
 //! The training side of this crate is built around cache-conscious blocked
 //! kernels; this module applies the same discipline to the *prediction*
 //! path. A trained [`GbdtModel`](crate::GbdtModel) compiles into a
-//! [`FlatForest`] — a struct-of-arrays layout with every tree's nodes in
-//! contiguous parallel arrays — and a [`Predictor`] drives blocked
-//! traversal over it:
+//! [`FlatForest`] — every tree's nodes concatenated into one array of
+//! 16-byte packed records, beside a bin threshold and a leaf value per
+//! node — and a [`Predictor`] drives one blocked walk over it, whatever
+//! the rows are stored as:
 //!
 //! * **Row blocking**: rows are scored in blocks (default
 //!   [`DEFAULT_ROW_BLOCK`]) with trees in the outer loop, so one tree's
-//!   node arrays stay cache-hot across a whole block.
+//!   nodes stay cache-hot across a whole block.
 //! * **Quantized fast path**: [`Predictor::predict_raw_store`] routes on
 //!   `u8` bins of an already-binned [`QuantStore`] (an in-memory
 //!   `harp_binning::QuantizedMatrix` or a chunked store) using each split's
@@ -19,18 +20,21 @@
 //!   [`Predictor::with_breakdown`] the time lands in the Predict entry of
 //!   the run's [`PhaseClock`](harp_parallel::PhaseClock), alongside
 //!   BuildHist / FindSplit / ApplySplit.
+//! * **Checked structure**: compiling runs the structural check that makes
+//!   the walk's unchecked node reads sound; a model loaded from JSON is
+//!   held to it before it is returned.
 //!
 //! Every path is bitwise identical to the per-row recursive reference
 //! ([`Tree::predict`](crate::tree::Tree::predict) summed in ensemble
-//! order, i.e.
-//! [`GbdtModel::predict_raw_groups_row`](crate::GbdtModel::predict_raw_groups_row)
-//! row by row), which the tests spell out as their reference
+//! order), which the tests spell out as their reference
 //! (`tests/predict_equivalence.rs::recursive_reference`).
 
+mod check;
 mod driver;
 mod flat;
 mod kernel;
 
+pub(crate) use check::check_model;
 pub use driver::{BinRows, Predictor, DEFAULT_ROW_BLOCK};
 pub use flat::FlatForest;
 
@@ -115,12 +119,18 @@ mod tests {
         assert_eq!(f.n_nodes(), 10);
         assert_eq!(f.tree_offsets, vec![0, 5, 10]);
         // Second tree's children are absolute indices.
-        assert_eq!(f.left[5], 5 + 1);
-        assert_eq!(f.right[5], 5 + 2);
+        assert_eq!((f.packed[5].left, f.packed[5].right), (5 + 1, 5 + 2));
         // Leaves self-loop (node 7 is the second tree's right leaf).
-        assert_eq!(f.left[7], 7);
-        assert_eq!(f.right[7], 7);
+        assert_eq!((f.packed[7].left, f.packed[7].right), (7, 7));
         assert_eq!(f.max_steps, vec![2, 2]);
+    }
+
+    #[test]
+    fn memory_bytes_is_21_bytes_per_node() {
+        let f = forest();
+        let fixed =
+            4 * (f.base_scores.capacity() + f.tree_offsets.capacity() + f.max_steps.capacity());
+        assert_eq!(f.memory_bytes() - fixed, 21 * f.n_nodes());
     }
 
     #[test]
@@ -192,12 +202,13 @@ mod tests {
             let mut expect = 0.25f32;
             for t in 0..f.n_trees() {
                 let mut n = f.tree_offsets[t] as usize;
-                while f.left[n] as usize != n {
-                    let go_left = match qm.bin(r, f.feature[n] as usize) {
+                while !f.is_leaf(n) {
+                    let node = f.packed[n];
+                    let go_left = match qm.bin(r, node.feature()) {
                         Some(b) => b <= f.bin[n],
-                        None => f.default_left[n],
+                        None => node.default_left(),
                     };
-                    n = (if go_left { f.left[n] } else { f.right[n] }) as usize;
+                    n = (if go_left { node.left } else { node.right }) as usize;
                 }
                 expect += f.value[n];
             }

@@ -124,9 +124,9 @@ proptest! {
             .unwrap()
             .train(&data);
         let model = &out.model;
-        for r in 0..data.n_rows().min(8) {
+        let raw = model.predict_raw(&data.features);
+        for (r, &direct) in raw.iter().enumerate().take(8) {
             let value = |f: u32| data.features.get(r, f as usize);
-            let direct = model.predict_raw_row(value);
             let manual: f32 = model.base_scores()[0]
                 + model.trees().iter().map(|t| t.predict(value)).sum::<f32>();
             prop_assert!((direct - manual).abs() < 1e-5);

@@ -518,11 +518,27 @@ fn reload_frame_installs_model_from_disk() {
         .expect("reload succeeds");
     assert_eq!(gen, 2, "second generation installed");
 
-    match client.score_dense(n_features as u32, values).expect("io ok") {
+    match client.score_dense(n_features as u32, values.clone()).expect("io ok") {
         ScoreReply::Scores { scores, .. } => {
             assert_eq!(scores, expect_b, "post-reload scores must come from the new model");
         }
         other => panic!("request rejected after reload: {other:?}"),
+    }
+
+    // A model file whose tree points past its nodes is refused before it is
+    // compiled, and the installed forest keeps serving.
+    let mut json = out_b.model.to_json().expect("serialize");
+    json = json.replacen(r#""left":1,"#, r#""left":1000,"#, 1);
+    let hostile = dir.join("hostile.json");
+    std::fs::write(&hostile, json).expect("write hostile model");
+    let refused = client.reload(Some(hostile.to_str().expect("utf8 path"))).expect("io ok");
+    match refused {
+        Err((ErrorCode::ReloadFailed, msg)) => assert!(msg.contains("child 1000"), "{msg}"),
+        other => panic!("hostile model must be ReloadFailed, got {other:?}"),
+    }
+    match client.score_dense(n_features as u32, values).expect("io ok") {
+        ScoreReply::Scores { scores, .. } => assert_eq!(scores, expect_b, "old forest serves"),
+        other => panic!("request rejected after a refused reload: {other:?}"),
     }
     h.shutdown();
     h.wait();
