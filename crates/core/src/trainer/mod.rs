@@ -44,13 +44,14 @@ use crate::split::{SplitCandidate, SplitSettings};
 use crate::tree::{NodeId, NodeStats, Tree};
 use frontier::{Children, Frontier};
 use harp_binning::{sweep_chunks, BinningConfig, QuantStore, QuantizedMatrix, Rows, MISSING_BIN};
-use harp_data::Dataset;
+use harp_data::{CsrMatrix, Dataset, FeatureMatrix};
 use harp_metrics::{
     gauges, BreakdownReport, ConvergenceTrace, LedgerRecord, PlanStats, RunLedger, WorkerSkewReport,
 };
 use harp_parallel::{
     PhaseClock, PhaseSpan, Profile, ProfileReport, ThreadPool, TracePhase, TraceSink, TraceSnapshot,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{RoundLedger, Totals};
@@ -242,6 +243,29 @@ pub struct TrainOutput {
     pub diagnostics: Diagnostics,
 }
 
+/// The eval features at the training data's width `width`. A sparse matrix
+/// may be narrower (LIBSVM takes the width from the highest index present):
+/// its absent columns are missing, so each split on one follows its default
+/// direction, and it is widened. A narrower dense matrix has no such reading.
+fn eval_features_at(
+    features: &FeatureMatrix,
+    width: usize,
+) -> Result<Cow<'_, FeatureMatrix>, String> {
+    match features {
+        f if f.n_cols() >= width => Ok(Cow::Borrowed(f)),
+        FeatureMatrix::Sparse(m) => {
+            let (indptr, indices, values) = m.parts();
+            let (indptr, indices, values) = (indptr.to_vec(), indices.to_vec(), values.to_vec());
+            let m = CsrMatrix::from_parts(m.n_rows(), width, indptr, indices, values);
+            Ok(Cow::Owned(FeatureMatrix::Sparse(m)))
+        }
+        FeatureMatrix::Dense(m) => Err(format!(
+            "eval data rejected: it has {} features but the training data has {width}",
+            m.n_cols()
+        )),
+    }
+}
+
 /// The HarpGBDT trainer.
 pub struct GbdtTrainer {
     params: TrainParams,
@@ -337,8 +361,9 @@ impl GbdtTrainer {
     /// # Errors
     /// Returns a message for unusable data: more rows than one
     /// [`RowPartition`] holds, a label, weight or query-group count that does
-    /// not match `store.n_rows()`, or whatever the objective's own validation
-    /// rejects.
+    /// not match `store.n_rows()`, whatever the objective's own validation
+    /// rejects, or a dense eval matrix narrower than `store` (a narrower
+    /// sparse one is widened: its absent columns are missing).
     pub fn try_train_store_grouped(
         &self,
         store: &dyn QuantStore,
@@ -377,6 +402,10 @@ impl GbdtTrainer {
                 .validate_data(&e.data.labels, e.data.query_groups.as_deref())
                 .map_err(|err| format!("eval data rejected by {}: {err}", params.loss.name()))?;
         }
+        let eval_features = eval
+            .as_ref()
+            .map(|e| eval_features_at(&e.data.features, qm.n_features()))
+            .transpose()?;
         let profile = Arc::new(Profile::new());
         let mut pool = ThreadPool::with_profile(params.n_threads, Arc::clone(&profile));
         // Installed only when tracing is requested; every recording site
@@ -503,7 +532,7 @@ impl GbdtTrainer {
                 // bitwise identical to summing `tree.predict` per row).
                 let flat_gauge = ledger.as_mut().map(|l| l.mem.gauge(gauges::FLAT_FOREST));
                 for (group, tree) in trees[trees.len() - groups..].iter().enumerate() {
-                    let flat = crate::predict::FlatForest::single_tree(tree, e.data.n_features());
+                    let flat = crate::predict::FlatForest::single_tree(tree, qm.n_features());
                     if let Some(g) = &flat_gauge {
                         g.observe(flat.memory_bytes() as u64);
                     }
@@ -512,7 +541,8 @@ impl GbdtTrainer {
                     if let Some(sink) = sink {
                         predictor = predictor.with_trace(sink);
                     }
-                    predictor.accumulate_raw(&e.data.features, &mut eval_preds, groups, group);
+                    let features = eval_features.as_deref().expect("set with `eval`");
+                    predictor.accumulate_raw(features, &mut eval_preds, groups, group);
                 }
                 if (iter + 1) % e.every.max(1) == 0 || iter + 1 == params.n_trees {
                     let metric = e.metric.compute(

@@ -271,6 +271,49 @@ fn incremental_eval_equals_full_rescore_binary() {
     assert_eq!(last, full, "incremental rescoring must equal a full rescore");
 }
 
+/// A sparse eval set may be narrower than the training data (a LIBSVM file
+/// takes its width from the highest index present). Its absent columns are
+/// missing: the trainer scores it exactly as the same entries at the
+/// training width. A narrower dense eval set is a typed error.
+#[test]
+fn a_narrower_eval_set_is_widened_when_sparse_and_rejected_when_dense() {
+    let data = SynthConfig::new(DatasetKind::HiggsLike, 5).with_scale(0.05).generate();
+    let (train, valid) = data.split(0.25, 5);
+    let (width, kept) = (train.n_features(), 4);
+    let rows: Vec<Vec<(u32, f32)>> = (0..valid.n_rows())
+        .map(|r| (0..kept).filter_map(|f| Some((f as u32, valid.features.get(r, f)?))).collect())
+        .collect();
+    let sparse = |n_cols| FeatureMatrix::Sparse(CsrMatrix::from_rows(n_cols, &rows));
+    let narrow = Dataset::new("narrow", sparse(kept), valid.labels.clone());
+    let eval = |data| {
+        Some(EvalOptions { data, metric: EvalMetric::Auc, every: 1, early_stopping_rounds: None })
+    };
+    let params = TrainParams { n_trees: 12, tree_size: 4, n_threads: 2, ..TrainParams::default() };
+    let trainer = GbdtTrainer::new(params).expect("valid params");
+    let out = trainer
+        .try_train_with_eval(&train, eval(&narrow))
+        .expect("a sparse eval set widens");
+    let splits_past = |t: &harpgbdt::tree::Tree| {
+        (0..t.n_nodes() as u32).any(|i| t.node(i).split.is_some_and(|s| s.feature >= kept as u32))
+    };
+    assert!(out.model.trees().iter().any(splits_past), "no split reads a dropped column");
+    let trace = out.diagnostics.trace.expect("trace recorded");
+    let last = trace.points().last().expect("at least one eval").metric;
+    let full = harp_metrics::auc(&valid.labels, &out.model.predict_raw(&sparse(width)));
+    assert_eq!(last, full, "absent columns must follow each split's default direction");
+
+    let cells = (0..valid.n_rows()).flat_map(|r| (0..kept).map(move |f| (r, f)));
+    let values = cells.map(|(r, f)| valid.features.get(r, f).unwrap_or(f32::NAN)).collect();
+    let dense = DenseMatrix::from_vec(valid.n_rows(), kept, values);
+    let dense = Dataset::new("narrow", FeatureMatrix::Dense(dense), valid.labels.clone());
+    assert_eq!(
+        trainer.try_train_with_eval(&train, eval(&dense)).err(),
+        Some(format!(
+            "eval data rejected: it has {kept} features but the training data has {width}"
+        ))
+    );
+}
+
 #[test]
 fn incremental_eval_equals_full_rescore_multiclass() {
     let mut rng = Rng::new(99);
