@@ -1,18 +1,20 @@
 //! GHSum histogram buffers, reduction, subtraction and the candidate cache.
 //!
 //! A node's histogram ("GHSum", Fig. 5) is one flat `f64` buffer of
-//! interleaved `(Σg, Σh)` cells, feature-major with per-feature bin offsets
-//! from the [`harp_binning::BinMapper`]:
-//! `cell(f, b) = (bin_offset(f) + b) * 2`. A batch of nodes is simply a batch
-//! of such buffers — the ⟨node, feature, bin⟩ cube of §IV-A with the node
-//! axis unrolled, which lets block tasks address private index ranges with no
-//! atomics.
+//! interleaved `(Σg, Σh)` cells, feature-major: feature `f` owns the lanes
+//! [`lanes`]`(f..f + 1)`, its `n_bins(f)` cells followed by one *sink cell*,
+//! so `cell(f, b) = (bin_offset(f) + f + b) * 2` and the buffer is
+//! `(total_bins + n_features) * 2` lanes wide. A batch of nodes is simply a
+//! batch of such buffers — the ⟨node, feature, bin⟩ cube of §IV-A with the
+//! node axis unrolled — and a feature block is one contiguous lane range,
+//! which lets block tasks own private pieces of a buffer with no atomics.
 //!
-//! Buffers carry `n_features` extra *sink cells* past the real bins — the
-//! branch-free missing-value target of the specialized row-scan kernel
-//! ([`crate::kernels::row_scan_store`]). The kernels strip them before a
-//! buffer is read, so every consumer (reduction, subtraction, FindSplit)
-//! sees zeros there and the padding is inert.
+//! The sink cell is the branch-free missing-value target of the dense
+//! row-scan kernel ([`crate::kernels::row_scan_store`]), which zeroes it
+//! before the buffer leaves the kernel, so every consumer (reduction,
+//! subtraction, FindSplit) sees zeros there and the cell is inert. Sparse
+//! stores have no missing sentinel and never write it; they share the
+//! layout so that one lane function serves every store.
 //!
 //! [`HistPool`] recycles buffers and caches candidate histograms so the
 //! parent−sibling subtraction trick can skip half of BuildHist. A cached
@@ -38,6 +40,7 @@ use crate::tree::NodeId;
 use harp_metrics::MemGauge;
 use harp_parallel::Profile;
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Byte budget of the trainer's candidate-histogram cache. The cache never
@@ -46,20 +49,26 @@ use std::sync::Arc;
 /// last, and those may miss.
 pub const HIST_CACHE_BYTES: usize = 512 << 20;
 
-/// Width in `f64` lanes of one node histogram in the *padded* layout:
-/// `total_bins * 2` real lanes plus one sink cell (2 lanes) per feature.
-pub fn hist_width(total_bins: u32, n_features: usize) -> usize {
-    total_bins as usize * 2 + crate::kernels::sink_lanes(n_features)
+/// Width in `f64` lanes of one node histogram: `total_bins` cells plus one
+/// sink cell per feature, two lanes each.
+fn hist_width(total_bins: u32, n_features: usize) -> usize {
+    (total_bins as usize + n_features) * 2
 }
 
-/// Storage-aware [`hist_width`]: only dense storage routes missing values
-/// through the per-feature sink cells, so sparse matrices get unpadded
-/// `total_bins * 2` buffers. A wider (padded) buffer is always acceptable
-/// to the kernels; this trims the per-node footprint where the padding is
-/// provably never written.
+/// Width in `f64` lanes of one node histogram of `store`.
 pub fn hist_width_for(store: &dyn harp_binning::QuantStore) -> usize {
-    let sinks = if store.is_dense() { crate::kernels::sink_lanes(store.n_features()) } else { 0 };
-    store.mapper().total_bins() as usize * 2 + sinks
+    hist_width(store.mapper().total_bins(), store.n_features())
+}
+
+/// The first lane of feature `f` (`f == n_features`: the width).
+pub fn lane(mapper: &harp_binning::BinMapper, f: usize) -> usize {
+    (mapper.bin_offset(f) as usize + f) * 2
+}
+
+/// The lanes of features `features`: each feature's bin cells, then its
+/// sink cell.
+pub fn lanes(mapper: &harp_binning::BinMapper, features: Range<usize>) -> Range<usize> {
+    lane(mapper, features.start)..lane(mapper, features.end)
 }
 
 /// The fewest rows a node must have for its histogram to be cached.
@@ -178,8 +187,7 @@ pub struct HistPool {
 
 impl HistPool {
     /// Creates a pool for a dense u8 matrix of `n_features` columns and
-    /// `total_bins` bins (padded histograms) with a cache budget of
-    /// `budget_bytes`.
+    /// `total_bins` bins with a cache budget of `budget_bytes`.
     pub fn new(total_bins: u32, n_features: usize, budget_bytes: usize) -> Self {
         Self::with_shape(
             hist_width(total_bins, n_features),
@@ -222,7 +230,7 @@ impl HistPool {
         self.cache_gauge = cache_gauge;
     }
 
-    /// Histogram lane count (padded).
+    /// Histogram lane count.
     pub fn width(&self) -> usize {
         self.width
     }
@@ -517,8 +525,21 @@ pub(crate) mod tests {
 
     #[test]
     fn width_includes_sink_cells() {
+        use harp_binning::{BinMapper, FeatureCuts};
         assert_eq!(hist_width(4, 3), 8 + 6);
         assert_eq!(hist_width(4, 0), 8);
+        // Each feature owns its bins, then its sink: three bins, an
+        // all-missing column (no bins) and two bins.
+        let mapper = BinMapper::from_cuts(
+            [3, 0, 2]
+                .iter()
+                .map(|&n| FeatureCuts { cuts: (0..n).map(|i| i as f32).collect() })
+                .collect(),
+        );
+        assert_eq!(lanes(&mapper, 0..1), 0..8);
+        assert_eq!(lanes(&mapper, 1..2), 8..10, "a 0-bin feature owns its sink alone");
+        assert_eq!(lanes(&mapper, 2..3), 10..16);
+        assert_eq!(lanes(&mapper, 0..3).end, hist_width(mapper.total_bins(), 3));
     }
 
     #[test]

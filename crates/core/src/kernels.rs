@@ -25,11 +25,12 @@
 //! of [`row_scan_store`]; the column reference lives in this module's
 //! tests).
 //!
-//! The dense row body routes `MISSING_BIN` cells branch-free into
-//! per-feature *sink cells* appended past the real histogram (see
-//! [`row_scan_store`] for the layout contract) and zeroes them before the
-//! buffer leaves the kernel. Sparse storage has no missing sentinel to
-//! route and needs no sink padding.
+//! The row scans write the lanes of their feature block, laid out as
+//! [`crate::hist`] says: each feature's bins, then its *sink cell*. The
+//! dense row body routes `MISSING_BIN` cells branch-free into their
+//! feature's sink and zeroes the sinks before the buffer leaves the kernel
+//! (see [`row_scan_store`] for the layout contract). Sparse storage has no
+//! missing sentinel to route and never writes a sink.
 //!
 //! All kernels return the number of histogram accumulations performed so
 //! drivers can report byte traffic and FLOPs to the profiler.
@@ -55,6 +56,18 @@ impl<'a> GradSource<'a> {
             GradSource::Global(global)
         } else {
             GradSource::MemBuf(membuf)
+        }
+    }
+
+    /// Narrows the source to the scan positions `positions`, whose row ids
+    /// are re-based to start at `first_row`: a MemBuf replica is positional,
+    /// so it keeps the positions' sub-slice; the global array is row-id
+    /// indexed, so it is re-based at `first_row` (0 keeps the ids global).
+    #[inline]
+    pub(crate) fn narrow(self, positions: Range<usize>, first_row: usize) -> Self {
+        match self {
+            GradSource::MemBuf(m) => GradSource::MemBuf(&m[positions]),
+            GradSource::Global(g) => GradSource::Global(&g[first_row..]),
         }
     }
 
@@ -169,12 +182,6 @@ fn prefetch_read<T>(p: *const T) {
     }
     #[cfg(not(target_arch = "x86_64"))]
     let _ = p;
-}
-
-/// Lanes a row-scan histogram buffer must have beyond the real cells: one
-/// `(Σg, Σh)` sink cell per feature, appended after `total_bins`.
-pub(crate) fn sink_lanes(n_features: usize) -> usize {
-    n_features * 2
 }
 
 // ---------------------------------------------------------------------------
@@ -337,10 +344,9 @@ mod x86 {
 // Row scan
 // ---------------------------------------------------------------------------
 
-/// Accumulates `rows` × features `f_range` into `hist` (one node's full
-/// buffer, indexed by the mapper's bin offsets). Returns the accumulation
-/// count (missing cells excluded). The layout contract is
-/// [`row_scan_store`]'s.
+/// Accumulates `rows` × features `f_range` into `hist` (the lanes of
+/// `f_range`). Returns the accumulation count (missing cells excluded). The
+/// layout contract is [`row_scan_store`]'s.
 fn row_scan(
     qm: &QuantizedMatrix,
     rows: &[u32],
@@ -410,8 +416,11 @@ fn row_scan_impl<R: RowSet, G: GradRead>(
     hist: &mut [f64],
     tier: SimdTier,
 ) -> u64 {
-    let m = qm.n_features();
-    assert!(f_range.end <= m, "feature range out of bounds");
+    assert!(f_range.end <= qm.n_features(), "feature range out of bounds");
+    // The bodies' unchecked writes rest on this: every cell they address
+    // is a cell of `f_range`'s lanes.
+    let lanes = crate::hist::lanes(qm.mapper(), f_range.clone());
+    assert_eq!(hist.len(), lanes.len(), "a row scan writes exactly its feature block's lanes");
     if let Some(row_major) = qm.dense_row_major() {
         return dense_row_scan(qm, row_major, rows, grads, f_range, hist);
     }
@@ -427,7 +436,7 @@ fn row_scan_impl<R: RowSet, G: GradRead>(
 /// The specialized dense body: 4-row unroll, feature-outer within each quad
 /// (same-cell accumulation order stays row-ascending, as in the scalar
 /// scan), software prefetch [`PREFETCH_ROWS`] ahead, and branch-free
-/// missing-bin routing into the per-feature sinks.
+/// missing-bin routing into each feature's sink cell.
 fn dense_row_scan<R: RowSet, G: GradRead>(
     qm: &QuantizedMatrix,
     row_major: &[u8],
@@ -438,28 +447,24 @@ fn dense_row_scan<R: RowSet, G: GradRead>(
 ) -> u64 {
     let m = qm.n_features();
     let offsets = qm.mapper().bin_offsets();
-    let total = qm.mapper().total_bins();
-    assert!(
-        hist.len() >= total as usize * 2 + sink_lanes(m),
-        "dense row_scan needs the padded hist layout (total_bins*2 + sink lanes)"
-    );
+    // `hist` is the lanes of `f_range`, feature after feature: each one's
+    // `n_bins` bin cells, then its sink. A walk over `block.windows(2)`
+    // meets each feature's bin offset next to the following one's.
+    let block = &offsets[f_range.start..=f_range.end];
     let n = rows.len();
     let hp = hist.as_mut_ptr();
 
-    // Per-cell safety: a stored bin is < n_bins(f) or MISSING_BIN (the
-    // QuantizedMatrix invariant), so the selected index is either
-    // offsets[f] + b < offsets[f+1] <= total or the sink total + f < total
-    // + m; both fit the padded buffer asserted above.
+    // Per-cell safety: a stored bin is < n_bins(f) <= 255 or MISSING_BIN =
+    // 255 (the QuantizedMatrix invariant), so `min(b, n_bins)` is bin b or,
+    // for a missing cell, the sink — one of the `n_bins + 1` cells at
+    // `cells_f`, which lie in `hist` (row_scan_impl asserts its length). The
+    // same compare counts the cell: `b < n_bins` exactly when it is present.
     #[inline(always)]
-    unsafe fn acc(hp: *mut f64, off: u32, sink: u32, b: u8, gh: (f64, f64)) -> u64 {
-        let miss = u32::from(b == MISSING_BIN);
-        let mask = miss.wrapping_neg();
-        let cell = (((off + u32::from(b)) & !mask) | (sink & mask)) as usize * 2;
+    unsafe fn acc(cells_f: *mut f64, n_bins: u32, b: u8, gh: (f64, f64)) -> u64 {
+        let b = u32::from(b);
         // SAFETY: cell bounds per the invariant above.
-        unsafe {
-            PortableAcc::add(hp, cell, gh);
-        }
-        u64::from(1 - miss)
+        unsafe { PortableAcc::add(cells_f, b.min(n_bins) as usize * 2, gh) };
+        u64::from(b < n_bins)
     }
 
     let row_bins = |row: u32| -> &[u8] { &row_major[row as usize * m..row as usize * m + m] };
@@ -479,16 +484,18 @@ fn dense_row_scan<R: RowSet, G: GradRead>(
         let pack = PortableAcc::pack;
         let (gh0, gh1, gh2, gh3) = (pack(g0, h0), pack(g1, h1), pack(g2, h2), pack(g3, h3));
         let (b0, b1, b2, b3) = (row_bins(r0), row_bins(r1), row_bins(r2), row_bins(r3));
-        for f in f_range.clone() {
-            // SAFETY: f < f_range.end <= m bounds every slice; cell indices
-            // per the invariant above.
+        let mut cells_f = hp;
+        for (f, w) in f_range.clone().zip(block.windows(2)) {
+            let n_bins = w[1] - w[0];
+            // SAFETY: f < f_range.end <= m bounds every slice; `cells_f` is
+            // feature f's first cell (one past `hist` after the last
+            // feature); cell indices per the invariant above.
             unsafe {
-                let off = *offsets.get_unchecked(f);
-                let sink = total + f as u32;
-                cells += acc(hp, off, sink, *b0.get_unchecked(f), gh0);
-                cells += acc(hp, off, sink, *b1.get_unchecked(f), gh1);
-                cells += acc(hp, off, sink, *b2.get_unchecked(f), gh2);
-                cells += acc(hp, off, sink, *b3.get_unchecked(f), gh3);
+                cells += acc(cells_f, n_bins, *b0.get_unchecked(f), gh0);
+                cells += acc(cells_f, n_bins, *b1.get_unchecked(f), gh1);
+                cells += acc(cells_f, n_bins, *b2.get_unchecked(f), gh2);
+                cells += acc(cells_f, n_bins, *b3.get_unchecked(f), gh3);
+                cells_f = cells_f.add(n_bins as usize * 2 + 2);
             }
         }
         i += 4;
@@ -498,20 +505,23 @@ fn dense_row_scan<R: RowSet, G: GradRead>(
         let [g, h] = grads.get(i, r);
         let gh = PortableAcc::pack(g, h);
         let bins = row_bins(r);
-        for f in f_range.clone() {
+        let mut cells_f = hp;
+        for (f, w) in f_range.clone().zip(block.windows(2)) {
+            let n_bins = w[1] - w[0];
             // SAFETY: as in the unrolled body.
             unsafe {
-                let off = *offsets.get_unchecked(f);
-                cells += acc(hp, off, total + f as u32, *bins.get_unchecked(f), gh);
+                cells += acc(cells_f, n_bins, *bins.get_unchecked(f), gh);
+                cells_f = cells_f.add(n_bins as usize * 2 + 2);
             }
         }
         i += 1;
     }
     // Strip the sinks: missing mass never leaves the kernel, keeping the
     // buffer bitwise identical to the scalar reference.
+    let base = block[0] as usize + f_range.start;
     for f in f_range {
-        hist[(total as usize + f) * 2] = 0.0;
-        hist[(total as usize + f) * 2 + 1] = 0.0;
+        let sink = (offsets[f + 1] as usize + f - base) * 2;
+        hist[sink..sink + 2].fill(0.0);
     }
     cells
 }
@@ -553,24 +563,25 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
     hist: &mut [f64],
 ) -> u64 {
     let offsets = qm.mapper().bin_offsets();
-    let total = qm.mapper().total_bins();
-    assert!(hist.len() >= total as usize * 2, "hist shorter than total_bins * 2");
     let m = qm.n_features();
     let n = rows.len();
     let hp = hist.as_mut_ptr();
     let mut cells = 0u64;
     let mut cellbuf = [0usize; SPARSE_CHUNK];
+    // `hist` holds the lanes of `f_range`: cell `offsets[c] + c + b - base`
+    // is column c's bin b.
+    let base = offsets[f_range.start] as usize + f_range.start;
 
-    // SAFETY contract: k < cols.len(); cols[k] < m and bins[k] <
-    // n_bins(cols[k]) (QuantizedMatrix invariant), so the returned cell is
-    // < total_bins * 2.
+    // SAFETY contract: k < cols.len(); f_range.start <= cols[k] <
+    // f_range.end and bins[k] < n_bins(cols[k]) (QuantizedMatrix
+    // invariant), so the returned lane is in the lanes of `f_range`, which
+    // `hist` is (row_scan_impl asserts its length).
     #[inline(always)]
-    unsafe fn cell_at(offsets: &[u32], cols: &[u32], bins: &[u8], k: usize) -> usize {
+    unsafe fn cell_at(offsets: &[u32], base: usize, cols: &[u32], bins: &[u8], k: usize) -> usize {
         // SAFETY: per the contract above.
         unsafe {
-            (*offsets.get_unchecked(*cols.get_unchecked(k) as usize) as usize
-                + *bins.get_unchecked(k) as usize)
-                * 2
+            let c = *cols.get_unchecked(k) as usize;
+            (*offsets.get_unchecked(c) as usize + c + *bins.get_unchecked(k) as usize - base) * 2
         }
     }
 
@@ -580,9 +591,11 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
     //
     // SAFETY contract: `lo <= hi <= cols.len()`; paired cells belong to
     // strictly ascending columns, hence are distinct (add2 contract).
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     unsafe fn accumulate_direct<A: CellAcc>(
         offsets: &[u32],
+        base: usize,
         cols: &[u32],
         bins: &[u8],
         lo: usize,
@@ -594,13 +607,13 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
         unsafe {
             let mut k = lo;
             while k + 2 <= hi {
-                let a = cell_at(offsets, cols, bins, k);
-                let b = cell_at(offsets, cols, bins, k + 1);
+                let a = cell_at(offsets, base, cols, bins, k);
+                let b = cell_at(offsets, base, cols, bins, k + 1);
                 A::add2(hp, a, b, gh);
                 k += 2;
             }
             if k < hi {
-                A::add(hp, cell_at(offsets, cols, bins, k), gh);
+                A::add(hp, cell_at(offsets, base, cols, bins, k), gh);
             }
         }
     }
@@ -613,6 +626,7 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
     #[inline(always)]
     unsafe fn accumulate<A: CellAcc>(
         offsets: &[u32],
+        base: usize,
         cols: &[u32],
         bins: &[u8],
         lo: usize,
@@ -627,7 +641,7 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
             while k < hi {
                 let c = (hi - k).min(SPARSE_CHUNK);
                 for (j, slot) in cellbuf[..c].iter_mut().enumerate() {
-                    let cell = cell_at(offsets, cols, bins, k + j);
+                    let cell = cell_at(offsets, base, cols, bins, k + j);
                     prefetch_read(hp.add(cell));
                     *slot = cell;
                 }
@@ -698,6 +712,7 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
                     }
                     accumulate_direct::<A>(
                         offsets,
+                        base,
                         all_cols,
                         all_bins,
                         lo,
@@ -735,7 +750,7 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
         // SAFETY: accumulate per its contract (lo <= hi <= cols.len() from
         // partition_point, ascending columns within a row).
         unsafe {
-            accumulate::<A>(offsets, cols, bins, lo, hi, gh, hp, &mut cellbuf);
+            accumulate::<A>(offsets, base, cols, bins, lo, hi, gh, hp, &mut cellbuf);
         }
         cells += (hi - lo) as u64;
     }
@@ -755,10 +770,11 @@ unsafe fn sparse_row_scan_avx2<R: RowSet, G: GradRead>(
 }
 
 /// The scalar row-scan reference: one `match` per gradient read, one
-/// `bin_offset` call and one missing-bin branch per cell. Retained verbatim
-/// so the specialized kernels have a bitwise ground truth, which
-/// [`row_scan_store`]'s `scalar` arm runs. Needs no sink padding. Handles
-/// both storage kinds through the slow accessors.
+/// [`crate::hist::lane`] call and one missing-bin branch per cell, so the
+/// specialized kernels have a bitwise ground truth, which
+/// [`row_scan_store`]'s `scalar` arm runs. Writes no sink cell. Handles
+/// both storage kinds through the slow accessors; `hist` is the lanes of
+/// `f_range`, as for every row scan.
 pub(crate) fn row_scan_scalar(
     qm: &QuantizedMatrix,
     rows: &[u32],
@@ -767,6 +783,8 @@ pub(crate) fn row_scan_scalar(
     hist: &mut [f64],
 ) -> u64 {
     let mapper = qm.mapper();
+    let base = crate::hist::lane(mapper, f_range.start);
+    let cell_of = |f: usize, b: u8| crate::hist::lane(mapper, f) - base + usize::from(b) * 2;
     let mut cells = 0u64;
     if qm.is_dense() {
         for (i, &row) in rows.iter().enumerate() {
@@ -777,7 +795,7 @@ pub(crate) fn row_scan_scalar(
                 if b == MISSING_BIN {
                     continue;
                 }
-                let cell = (mapper.bin_offset(f) + u32::from(b)) as usize * 2;
+                let cell = cell_of(f, b);
                 hist[cell] += f64::from(g);
                 hist[cell + 1] += f64::from(h);
                 cells += 1;
@@ -798,7 +816,7 @@ pub(crate) fn row_scan_scalar(
             };
             for k in lo..hi {
                 let f = cols[k] as usize;
-                let cell = (mapper.bin_offset(f) + u32::from(bins[k])) as usize * 2;
+                let cell = cell_of(f, bins[k]);
                 hist[cell] += f64::from(g);
                 hist[cell + 1] += f64::from(h);
                 cells += 1;
@@ -946,36 +964,26 @@ fn col_scan_body<R: RowSet, G: GradRead>(
 
 use harp_binning::{sweep_chunks, ChunkRun, QuantStore, Rows};
 
-/// Narrows a cursor's gradient source to one of its runs: a MemBuf replica
-/// is positional within the cursor, so the run's sub-slice stays aligned
-/// with the chunk-local rows; the global array is row-id indexed, so
-/// re-basing it at the chunk start makes chunk-local ids index correctly.
-#[inline]
-fn sub_grads<'a>(grads: GradSource<'a>, run: &ChunkRun<'_>) -> GradSource<'a> {
-    match grads {
-        GradSource::MemBuf(m) => GradSource::MemBuf(&m[run.pos.clone()]),
-        GradSource::Global(g) => GradSource::Global(&g[run.start..]),
-    }
-}
-
 /// Row-scans one run of a chunk sweep — where every store-mediated row scan
-/// meets a kernel. `grads` belongs to the run's whole cursor. A list run
-/// takes [`row_scan`], a range run the root fast path [`row_scan_root`].
+/// meets a kernel. `grads` belongs to the run's whole cursor and is narrowed
+/// to the run (its positions in the cursor, its rows re-based at the chunk
+/// start, so chunk-local row ids index it). A list run takes [`row_scan`], a
+/// range run the root fast path [`row_scan_root`].
 pub(crate) fn row_scan_run(
     run: &ChunkRun<'_>,
     grads: GradSource<'_>,
     f_range: Range<usize>,
     hist: &mut [f64],
 ) -> u64 {
-    let grads = sub_grads(grads, run);
+    let grads = grads.narrow(run.pos.clone(), run.start);
     match &run.rows {
         Rows::List(rows) => row_scan(run.slab, rows, grads, f_range, hist),
         Rows::Range(rows) => row_scan_root(run.slab, rows.clone(), grads, f_range, hist),
     }
 }
 
-/// Accumulates `rows` × features `f_range` into `hist` (one node's full
-/// buffer, indexed by the mapper's bin offsets) through a [`QuantStore`]: a
+/// Accumulates `rows` × features `f_range` into `hist`, the lanes of
+/// `f_range` in a node's histogram, through a [`QuantStore`]: a
 /// [`sweep_chunks`] of the ascending row list, whose chunk-ascending runs
 /// preserve the per-cell row-ascending `f64` accumulation order, so the
 /// result is bitwise identical to a monolithic scan — which is what the
@@ -985,14 +993,14 @@ pub(crate) fn row_scan_run(
 /// the specialized path against it; training always passes `false`.
 ///
 /// # Layout contract
-/// For dense storage, `hist` must be the *padded* layout
-/// of [`crate::hist::hist_width`]: `total_bins * 2` real lanes followed by
-/// one zeroed `(Σg, Σh)` sink cell per feature. Missing cells accumulate
-/// branch-free into feature `f`'s sink cell at index `total_bins + f` and
-/// the kernel re-zeroes the sinks of `f_range` before returning, so the
-/// buffer's real cells — and the sinks — leave exactly as the scalar
-/// reference produces them. Sparse storage has no absent entries to route
-/// and needs no padding (`total_bins * 2` lanes suffice).
+/// `hist` is exactly [`crate::hist::lanes`]`(f_range)` of a node's
+/// histogram, rebased to 0 (for `0..n_features`, the whole buffer): each
+/// feature's bin cells followed by its zeroed `(Σg, Σh)` sink cell. On dense
+/// storage a missing cell accumulates branch-free into its feature's sink,
+/// and the kernel re-zeroes the sinks of `f_range` before returning, so the
+/// bin cells — and the sinks — leave exactly as the scalar reference
+/// produces them. Sparse storage has no absent entries to route and never
+/// writes a sink.
 pub fn row_scan_store(
     store: &dyn QuantStore,
     rows: &[u32],
@@ -1008,7 +1016,7 @@ pub fn row_scan_store(
         |_| {},
         |run| {
             cells += if scalar {
-                let grads = sub_grads(grads, run);
+                let grads = grads.narrow(run.pos.clone(), run.start);
                 row_scan_scalar(run.slab, run.rows.list(), grads, f_range.clone(), hist)
             } else {
                 row_scan_run(run, grads, f_range.clone(), hist)
@@ -1019,7 +1027,8 @@ pub fn row_scan_store(
 }
 
 /// [`row_scan_store`] over the contiguous rows `row_range` — the root fast
-/// path, where the row set is `0..n` (or any span of it): contiguous global
+/// path, where the row set is `0..n` (or any span of it), with the same
+/// layout contract: contiguous global
 /// rows map to contiguous chunk-local rows, so each chunk run scans its
 /// rows with no row-id list at all. A `GradSource::MemBuf` slice must be
 /// aligned to `row_range` (entry `i` belongs to row `row_range.start + i`),
@@ -1061,7 +1070,7 @@ pub fn col_scan_store(
         &[Rows::List(rows)],
         |_| {},
         |run| {
-            let (rows, grads) = (run.rows.list(), sub_grads(grads, run));
+            let (rows, grads) = (run.rows.list(), grads.narrow(run.pos.clone(), run.start));
             cells += col_scan(run.slab, f, rows, grads, bin_range.clone(), hist_f);
         },
     );
@@ -1184,12 +1193,21 @@ mod tests {
         (0..n).map(|i| [1.0 + i as f32, 0.5]).collect()
     }
 
-    /// Padded buffer: real cells plus the per-feature sinks.
+    /// A whole node histogram: every feature's bins and its sink.
     fn hist_for(qm: &QuantizedMatrix) -> Vec<f64> {
-        vec![0.0; qm.mapper().total_bins() as usize * 2 + sink_lanes(qm.n_features())]
+        vec![0.0; crate::hist::hist_width_for(qm)]
     }
 
-    /// Reference accumulation via the slow accessor (padded, sinks zero).
+    /// The lanes of `features` in `hist`, which a row scan of them takes.
+    fn block<'a>(
+        qm: &QuantizedMatrix,
+        hist: &'a mut [f64],
+        features: Range<usize>,
+    ) -> &'a mut [f64] {
+        &mut hist[crate::hist::lanes(qm.mapper(), features)]
+    }
+
+    /// Reference accumulation via the slow accessor (sinks zero).
     fn reference(
         qm: &QuantizedMatrix,
         rows: &[u32],
@@ -1200,7 +1218,7 @@ mod tests {
         for &row in rows {
             for f in f_range.clone() {
                 if let Some(b) = qm.bin(row as usize, f) {
-                    let cell = (qm.mapper().bin_offset(f) + u32::from(b)) as usize * 2;
+                    let cell = crate::hist::lane(qm.mapper(), f) + usize::from(b) * 2;
                     hist[cell] += f64::from(g[row as usize][0]);
                     hist[cell + 1] += f64::from(g[row as usize][1]);
                 }
@@ -1238,8 +1256,11 @@ mod tests {
         let rows: Vec<u32> = (0..6).collect();
         let mut hist = hist_for(&qm);
         row_scan(&qm, &rows, GradSource::Global(&g), 0..3, &mut hist);
-        let total = qm.mapper().total_bins() as usize;
-        assert!(hist[total * 2..].iter().all(|&x| x == 0.0), "sinks must leave zeroed");
+        for f in 0..3 {
+            // A feature's sink is the last cell of its lanes.
+            let sink = crate::hist::lane(qm.mapper(), f + 1) - 2;
+            assert_eq!(hist[sink..sink + 2], [0.0, 0.0], "feature {f}'s sink must leave zeroed");
+        }
     }
 
     #[test]
@@ -1249,7 +1270,7 @@ mod tests {
             let g = grads(n);
             let rows: Vec<u32> = (0..n as u32).collect();
             let mut hist = hist_for(&qm);
-            row_scan(&qm, &rows, GradSource::Global(&g), 1..2, &mut hist);
+            row_scan(&qm, &rows, GradSource::Global(&g), 1..2, block(&qm, &mut hist, 1..2));
             assert_eq!(hist, reference(&qm, &rows, &g, 1..2));
             // Feature 0's cells untouched.
             let f0_cells = qm.mapper().n_bins(0) as usize * 2;
@@ -1308,8 +1329,11 @@ mod tests {
                 let rows: Vec<u32> = (0..n as u32).collect();
                 let mut fast = hist_for(&qm);
                 let mut scalar = hist_for(&qm);
-                let cf = row_scan(&qm, &rows, GradSource::Global(&g), f_range.clone(), &mut fast);
-                let cs = row_scan_scalar(&qm, &rows, GradSource::Global(&g), f_range, &mut scalar);
+                let all = GradSource::Global(&g);
+                let fast_lanes = block(&qm, &mut fast, f_range.clone());
+                let cf = row_scan(&qm, &rows, all, f_range.clone(), fast_lanes);
+                let scalar_lanes = block(&qm, &mut scalar, f_range.clone());
+                let cs = row_scan_scalar(&qm, &rows, all, f_range, scalar_lanes);
                 assert_eq!(cf, cs);
                 assert_eq!(fast, scalar);
             }
@@ -1350,7 +1374,7 @@ mod tests {
         let g = grads(4);
         let rows: Vec<u32> = vec![0, 2, 3];
         let mut hist = hist_for(&qm);
-        row_scan(&qm, &rows, GradSource::Global(&g), 1..3, &mut hist);
+        row_scan(&qm, &rows, GradSource::Global(&g), 1..3, block(&qm, &mut hist, 1..3));
         assert_eq!(hist, reference(&qm, &rows, &g, 1..3));
     }
 
@@ -1366,7 +1390,7 @@ mod tests {
                 let n_bins = qm.mapper().n_bins(f) as usize;
                 let mut hist_f = vec![0.0; n_bins * 2];
                 col_scan(&qm, f, &rows, GradSource::Global(&g), 0..n_bins, &mut hist_f);
-                let base = qm.mapper().bin_offset(f) as usize * 2;
+                let base = crate::hist::lane(qm.mapper(), f);
                 assert_eq!(&full[base..base + n_bins * 2], &hist_f[..], "feature {f}");
                 let mut scalar_f = vec![0.0; n_bins * 2];
                 col_scan_scalar(&qm, f, &rows, GradSource::Global(&g), 0..n_bins, &mut scalar_f);
@@ -1427,7 +1451,7 @@ mod tests {
             let mut hist_f = vec![0.0; n_bins * 2];
             col_scan(&qm, f, &rows, GradSource::Global(&g), 0..n_bins, &mut hist_f);
             let reference_full = reference(&qm, &rows, &g, f..f + 1);
-            let base = qm.mapper().bin_offset(f) as usize * 2;
+            let base = crate::hist::lane(qm.mapper(), f);
             assert_eq!(&reference_full[base..base + n_bins * 2], &hist_f[..], "feature {f}");
         }
     }

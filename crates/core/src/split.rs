@@ -84,7 +84,7 @@ pub fn find_split_tile(
         if n_bins < 2 {
             continue;
         }
-        let base = mapper.bin_offset(f) as usize * 2 - lane_offset;
+        let base = crate::hist::lane(mapper, f) - lane_offset;
         let cells = &tile[base..base + n_bins * 2];
         // Present totals; missing = node − present.
         let mut pg = 0.0f64;
@@ -173,13 +173,15 @@ mod tests {
         SplitSettings { lambda: 1.0, gamma: 0.0, min_child_weight: 0.0 }
     }
 
-    /// Builds a histogram for one feature from per-bin (g, h) pairs.
+    /// Builds the lanes of one feature from per-bin (g, h) pairs: its bin
+    /// cells, then its zeroed sink cell.
     fn hist_of(pairs: &[(f64, f64)]) -> Vec<f64> {
-        let mut h = Vec::with_capacity(pairs.len() * 2);
+        let mut h = Vec::with_capacity(pairs.len() * 2 + 2);
         for &(g, hh) in pairs {
             h.push(g);
             h.push(hh);
         }
+        h.extend([0.0, 0.0]);
         h
     }
 
@@ -318,10 +320,10 @@ mod tests {
         let hist: Vec<f64> = [&f0[..], &f1, &f2].iter().flat_map(|f| hist_of(f)).collect();
         let node = stats_of(&f0);
         let m = mapper(&[3, 2, 4]);
-        // Features 1..3 start at lane 6; the mask drops feature 1.
+        // Features 1..3 start at lane 8; the mask drops feature 1.
         for mask in [None, Some(&[true, false, true][..])] {
             let full = find_split_tile(&hist, 0, &node, &m, 1..3, &settings(), mask);
-            let tile = find_split_tile(&hist[6..], 6, &node, &m, 1..3, &settings(), mask);
+            let tile = find_split_tile(&hist[8..], 8, &node, &m, 1..3, &settings(), mask);
             assert!(full.is_some());
             assert_eq!(full, tile);
         }

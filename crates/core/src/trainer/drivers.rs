@@ -17,7 +17,8 @@
 //!   the tiles run (`fill_replicated`). A job cut into several row chunks
 //!   gets lanes in one replica per schedule slot, and a second region folds
 //!   the replicas into its buffer. A job of one row chunk has tasks that
-//!   differ only in feature block: they write its buffer directly
+//!   differ only in feature block: its buffer is cut into their feature
+//!   blocks' lanes and each task writes its own piece
 //!   ([`BlockPlan::replica_slot`]). Replica and fold cost therefore follow
 //!   the rows of a batch, not its node count — the node-proportional
 //!   reduction is the scaling weakness of XGB-Hist that Fig. 11 shows for
@@ -55,7 +56,7 @@ use crate::plan::{
 };
 use crate::split::{better_of, find_split_tile, SplitCandidate, SplitSettings};
 use crate::tree::{NodeId, NodeStats};
-use harp_binning::{sweep_chunks, QuantStore, Rows};
+use harp_binning::{sweep_chunks, BinMapper, QuantStore, Rows};
 use harp_metrics::MemGauge;
 use harp_parallel::{PerWorker, ThreadPool, TracePhase, TraceSink};
 use std::ops::Range;
@@ -237,11 +238,7 @@ pub fn expand(
     let out = match policy {
         BatchPolicy::Replicated => {
             let fill_start = Instant::now();
-            let mut bufs: Vec<(NodeId, &mut [f64])> = jobs
-                .iter_mut()
-                .map(|j| (j.node, j.buf.as_deref_mut().expect("a Replicated child is full-width")))
-                .collect();
-            fill_replicated(ctx, scratch, &mut bufs);
+            fill_replicated(ctx, scratch, jobs);
             fill_ns = fill_start.elapsed().as_nanos() as u64;
             let n_chunks = (4 * ctx.pool.num_threads()).div_ceil(n).clamp(1, m.max(1));
             let chunk = m.div_ceil(n_chunks);
@@ -286,25 +283,21 @@ pub fn expand(
     TileOutcome { fill_ns, ..out }
 }
 
-/// Fills `(node, zeroed full-width buffer)` pairs with data parallelism:
+/// Fills each job's zeroed full-width buffer with data parallelism:
 /// executes a [`Accumulation::Replicated`] plan, the fill regions of a
 /// Replicated [`expand`].
-fn fill_replicated(
-    ctx: &DriverCtx<'_>,
-    scratch: &mut DriverScratch,
-    jobs: &mut [(NodeId, &mut [f64])],
-) {
-    if jobs.is_empty() {
-        return;
+fn fill_replicated(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &mut [TileJob]) {
+    fn full_width(job: &mut TileJob) -> &mut [f64] {
+        job.buf.as_deref_mut().expect("a Replicated child is full-width")
     }
-    let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.0), Accumulation::Replicated);
+    let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.node), Accumulation::Replicated);
     let DriverScratch { replicas: arena, plan, .. } = scratch;
     let tasks = plan.tasks();
     if tasks.is_empty() {
         ctx.report_cells(0);
         return;
     }
-    let width = jobs[0].1.len();
+    let width = hist::hist_width_for(ctx.qm);
     let n_slots = ctx.pool.num_threads().min(tasks.len());
 
     // One replica per schedule slot, with lanes for the batch's multi-block
@@ -321,15 +314,22 @@ fn fill_replicated(
         .collect();
     ctx.pool.profile().add_scratch_events(allocs, n_replicas as u64 - allocs);
 
-    let nodes: Vec<NodeId> = jobs.iter().map(|j| j.0).collect();
-    /// A one-block job's buffer, which every slot running one of its tasks
-    /// writes.
-    struct Shared(*mut f64);
-    // SAFETY: sharing `&Shared` shares only the address of a buffer that
-    // `jobs` keeps borrowed past the region; it is dereferenced only at `dst`
-    // below, at lanes no two concurrent tasks share.
-    unsafe impl Sync for Shared {}
-    let shared: Vec<Shared> = jobs.iter_mut().map(|j| Shared(j.1.as_mut_ptr())).collect();
+    let nodes: Vec<NodeId> = jobs.iter().map(|j| j.node).collect();
+    // What each slot writes: its replica, and per task it runs (in the order
+    // it runs them) the task's piece of a one-block job's own buffer. Such a
+    // job's tasks are its feature blocks, ascending, so its buffer is cut at
+    // their lanes and each piece goes to the slot that runs its task.
+    let bounds = block_bounds(ctx.qm.mapper(), ext.feature_blk);
+    let mut cuts: Vec<_> = jobs.iter_mut().map(|j| cut_at(full_width(j), &bounds)).collect();
+    let mut replica_lanes = replicas.iter_mut().map(|r| &mut r[..replica_len]);
+    let mut slots: Vec<_> = (0..n_slots)
+        .map(|_| (replica_lanes.next().unwrap_or_default(), Vec::new()))
+        .collect();
+    for (i, task) in tasks.iter().enumerate() {
+        let j = task.jobs.start;
+        let own = if plan.replica_slot(j).is_none() { cuts[j].next() } else { None };
+        slots[i % n_slots].1.push(own);
+    }
     let root_identity = ctx.partition.is_identity_order();
     let trace = ctx.trace();
     let row_blk = ext.row_blk;
@@ -387,9 +387,7 @@ fn fill_replicated(
     // running them back to back. In-core the sweep has one step, and that
     // step *is* the tasks run back to back.
     let cells = AtomicU64::new(0);
-    let mut slots: Vec<&mut [f64]> = replicas.iter_mut().map(|r| &mut r[..replica_len]).collect();
-    slots.resize_with(n_slots, Default::default);
-    ctx.pool.parallel_for_each_mut(&mut slots, |slot, replica, lane| {
+    ctx.pool.parallel_for_each_mut(&mut slots, |slot, (replica, own), lane| {
         let cursors: Vec<Rows<'_>> = tasks
             .iter()
             .skip(slot)
@@ -418,21 +416,14 @@ fn fill_replicated(
                 let _span = trace.map(|s| {
                     s.span(lane, TracePhase::BuildHist, node, (task.rows.start / row_blk) as u32)
                 });
-                let membuf = ctx.partition.grads(node);
-                let grads = if membuf.is_empty() {
-                    GradSource::Global(ctx.grads)
-                } else {
-                    GradSource::MemBuf(&membuf[task.rows.clone()])
-                };
-                let dst: &mut [f64] = match plan.replica_slot(job_idx) {
-                    Some(k) => &mut replica[k * width..(k + 1) * width],
-                    // SAFETY: a one-block job's tasks differ only in feature
-                    // block (`tests/plan_coverage.rs` holds every plan to it),
-                    // and a task writes the bins and the sink cells of its
-                    // own features alone, so concurrent tasks touch disjoint
-                    // lanes of the job's `width`-lane buffer, which `jobs`
-                    // keeps borrowed until the region has ended.
-                    None => unsafe { std::slice::from_raw_parts_mut(shared[job_idx].0, width) },
+                let grads = ctx.grad_source(node).narrow(task.rows.clone(), 0);
+                let dst: &mut [f64] = match &mut own[run.cursor] {
+                    Some(piece) => piece,
+                    None => {
+                        let k = plan.replica_slot(job_idx).expect("a one-block job's piece");
+                        &mut replica[k * width..]
+                            [hist::lanes(ctx.qm.mapper(), task.features.clone())]
+                    }
                 };
                 local_cells += row_scan_run(run, grads, task.features.clone(), dst);
             },
@@ -440,32 +431,27 @@ fn fill_replicated(
         progress[slot].store(usize::MAX, Ordering::Release);
         cells.fetch_add(local_cells, Ordering::Relaxed);
     });
+    drop(cuts);
 
     // The fold: each multi-block job's lanes, in chunks, take the replicas'
     // sums in slot order — deterministic — and every replica lane is zeroed
-    // as it is read, so the replicas go back to the arena zeroed. Only the
-    // real lanes are folded: the sink padding never leaves a kernel
-    // non-zero.
+    // as it is read, so the replicas go back to the arena zeroed.
     struct Fold<'a> {
         node: NodeId,
         dst: &'a mut [f64],
         srcs: Vec<&'a mut [f64]>,
     }
-    let real = ctx.qm.mapper().total_bins() as usize * 2;
-    let chunk = (real / 4).max(1024).min(real.max(1));
+    let chunk = (width / 4).max(1024).min(width.max(1));
     let mut pieces: Vec<_> = replicas
         .iter_mut()
-        .map(|r| {
-            let lanes = r[..replica_len].chunks_mut(width);
-            lanes.flat_map(move |job| job[..real].chunks_mut(chunk))
-        })
+        .map(|r| r[..replica_len].chunks_mut(width).flat_map(move |job| job.chunks_mut(chunk)))
         .collect();
     let mut folds: Vec<Fold<'_>> = Vec::new();
-    for (job_idx, (node, buf)) in jobs.iter_mut().enumerate() {
+    for (job_idx, job) in jobs.iter_mut().enumerate() {
         if plan.replica_slot(job_idx).is_some() {
-            for dst in buf[..real].chunks_mut(chunk) {
+            for dst in full_width(job).chunks_mut(chunk) {
                 let srcs = pieces.iter_mut().map(|p| p.next().expect("a replica lane")).collect();
-                folds.push(Fold { node: *node, dst, srcs });
+                folds.push(Fold { node: nodes[job_idx], dst, srcs });
             }
         }
     }
@@ -499,8 +485,8 @@ enum Fill<'a> {
     /// Column-scan the block's features, one of the group's ascending
     /// bin-block tasks at a time (Exclusive).
     Columns(&'a [BlockTask]),
-    /// Row-scan the job's rows, this many features at a time, into the
-    /// job's own buffer; the tile spans every feature (NodeTasks).
+    /// Row-scan the job's rows over the block's features, this many at a
+    /// time (NodeTasks).
     Rows(usize),
 }
 
@@ -508,15 +494,21 @@ enum Fill<'a> {
 /// fill.
 type Tile<'a> = (Range<usize>, Range<usize>, Fill<'a>);
 
-/// Cuts `buf` at the ascending lane `bounds` (the first is 0): one disjoint
-/// piece per consecutive pair, in order, the last one running on to the end
-/// of `buf` over the sink lanes.
+/// The lane bounds of the blocks of `f_blk` features: each block's first
+/// lane, then the width.
+fn block_bounds(mapper: &BinMapper, f_blk: usize) -> Vec<usize> {
+    let m = mapper.n_features();
+    let starts = feature_blocks(m, f_blk).map(|block| hist::lane(mapper, block.start));
+    starts.chain([hist::lane(mapper, m)]).collect()
+}
+
+/// Cuts `buf` at the ascending lane `bounds` (the first is 0, the last the
+/// width): one disjoint piece per consecutive pair, in order.
 fn cut_at<'a>(buf: &'a mut [f64], bounds: &'a [usize]) -> impl Iterator<Item = &'a mut [f64]> {
+    assert_eq!(Some(&buf.len()), bounds.last(), "cuts cover the whole buffer");
     let mut rest = buf;
-    let n = bounds.len() - 1;
-    (0..n).map(move |i| {
-        let len = if i + 1 == n { rest.len() } else { bounds[i + 1] - bounds[i] };
-        let (piece, tail) = std::mem::take(&mut rest).split_at_mut(len);
+    bounds.windows(2).map(move |w| {
+        let (piece, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
         rest = tail;
         piece
     })
@@ -562,17 +554,12 @@ fn run_tiles<'a>(
     inline_on: Option<usize>,
 ) -> TileOutcome {
     let mapper = ctx.qm.mapper();
-    let offsets = mapper.bin_offsets();
-    let lane_of = |f: usize| offsets[f] as usize * 2;
+    let lane_of = |f: usize| hist::lane(mapper, f);
     let trace = ctx.trace();
     let n_threads = ctx.pool.num_threads();
 
     // Lane bounds of the feature blocks, and the widest block.
-    let m = ctx.qm.n_features();
-    let bounds: Vec<usize> = feature_blocks(m, f_blk)
-        .map(|block| lane_of(block.start))
-        .chain([lane_of(m)])
-        .collect();
+    let bounds = block_bounds(mapper, f_blk);
     let tile_lanes = bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
 
     // What the tiles read of a job besides its lanes.
@@ -673,26 +660,24 @@ fn run_tiles<'a>(
                         }
                     }
                 }
-                // The tile spans every feature, so `small` is the job's
-                // whole buffer, sink lanes included, as a row scan needs.
                 Fill::Rows(scan_blk) => {
-                    for block in feature_blocks(m, scan_blk) {
-                        local_cells += row_scan_store(ctx.qm, rows, grads, block, small, false);
+                    for b in feature_blocks(features.len(), scan_blk) {
+                        let fs = features.start + b.start..features.start + b.end;
+                        let hist = &mut small[lane_of(fs.start) - lane0..lane_of(fs.end) - lane0];
+                        local_cells += row_scan_store(ctx.qm, rows, grads, fs, hist, false);
                     }
                 }
             }
             // The one tile body.
-            let small = &mut small[..n_lanes];
             let t_filled = trace.map(|s| s.now_ns());
             let large: Option<&[f64]> = match (&mut lanes.parent, in_place) {
                 (Some(parent), true) => {
-                    let parent = &mut parent[..n_lanes];
                     hist::subtract_in_place(parent, small);
-                    Some(&*parent)
+                    Some(&**parent)
                 }
                 (Some(parent), false) => {
                     let t = &mut sibling_tile[..n_lanes];
-                    hist::subtract(&parent[..n_lanes], small, t);
+                    hist::subtract(parent, small, t);
                     Some(&*t)
                 }
                 (None, _) => None,
@@ -749,7 +734,7 @@ fn run_tiles<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist::{hist_width, reduce_into, HistPool};
+    use crate::hist::{hist_width_for, reduce_into, HistPool};
     use crate::kernels::row_scan_scalar;
     use crate::params::BlockConfig;
     use crate::split::find_split_range;
@@ -773,17 +758,13 @@ mod tests {
         (qm, grads, part)
     }
 
-    fn padded(qm: &QuantizedMatrix) -> usize {
-        hist_width(qm.mapper().total_bins(), qm.n_features())
-    }
-
     fn reference_hist(
         qm: &QuantizedMatrix,
         part: &RowPartition,
         grads: &[GradPair],
         node: NodeId,
     ) -> Vec<f64> {
-        let mut buf = vec![0.0; padded(qm)];
+        let mut buf = vec![0.0; hist_width_for(qm)];
         row_scan_scalar(
             qm,
             part.rows(node),
@@ -819,7 +800,7 @@ mod tests {
         scratch: &mut DriverScratch,
     ) -> Vec<Vec<f64>> {
         let ctx = DriverCtx { qm, params, pool, partition: part, grads };
-        let width = padded(qm);
+        let width = hist_width_for(qm);
         // Every node has its own buffer and no sibling: on return each
         // buffer is the node's histogram.
         let mut jobs: Vec<TileJob> = nodes
@@ -1165,7 +1146,7 @@ mod tests {
             let mut plan = BlockPlan::new();
             plan.rebuild(&params.blocks, &ctx.batch_shape(), &job_lens, Accumulation::Replicated);
             let n_slots = threads.min(plan.tasks().len());
-            let width = padded(qm);
+            let width = hist_width_for(qm);
             let mut multi_block = 0;
             for (j, &node) in nodes.iter().enumerate() {
                 if job_lens[j] <= plan.extents().row_blk {
@@ -1184,7 +1165,7 @@ mod tests {
                             &part.rows(node)[task.rows.clone()],
                             GradSource::Global(&grads),
                             task.features.clone(),
-                            &mut replica,
+                            &mut replica[hist::lanes(qm.mapper(), task.features.clone())],
                         );
                     }
                     reduce_into(&mut all_replicated, &replica);
@@ -1253,7 +1234,7 @@ mod tests {
             }
             leaves.push(2 * (splits.len() as u32 - 1));
 
-            let width = crate::hist::hist_width_for(qm);
+            let width = hist_width_for(qm);
             let reference = |node: NodeId| {
                 let mut buf = vec![0.0; width];
                 let all = GradSource::Global(&grads);
@@ -1378,9 +1359,8 @@ mod tests {
             }
             // Scratch is a tile pair per worker that needed one, and nothing
             // when every histogram had a buffer of its own.
-            let offsets = mapper.bin_offsets();
             let widest = feature_blocks(m, params.blocks.features_per_block(m))
-                .map(|b| (offsets[b.end] - offsets[b.start]) as usize * 2)
+                .map(|b| hist::lanes(mapper, b).len())
                 .max()
                 .unwrap_or(0);
             prop_assert!(arena.high_water() <= (threads * 2 * widest * 8) as u64);

@@ -4,7 +4,8 @@
 //! fast path, galloping column scan) must be *bitwise* equal to the retained
 //! scalar row reference on any input — same values, same accumulation order.
 //! These property tests drive random dense/sparse matrices with missing
-//! values through the store-level scans training calls, on the quantized
+//! values, some with an all-missing (0-bin) first, middle or last column,
+//! through the store-level scans training calls, on the quantized
 //! matrix as an in-core store (whose sweep is one step into the kernel), and
 //! through `row_scan_store`'s reference arm; the fixture test pins
 //! whole-training output across versions, and the steady-state tests pin
@@ -14,7 +15,7 @@
 use harp_binning::{BinningConfig, QuantizedMatrix};
 use harp_data::{CsrMatrix, Dataset, DatasetKind, DenseMatrix, FeatureMatrix, SynthConfig};
 use harp_parallel::{Profile, ThreadPool};
-use harpgbdt::hist::hist_width;
+use harpgbdt::hist::{hist_width_for, lane, lanes};
 use harpgbdt::kernels::{col_scan_store, row_scan_root_store, row_scan_store, GradSource};
 use harpgbdt::params::BatchPolicy;
 use harpgbdt::partition::RowPartition;
@@ -55,60 +56,73 @@ fn grads_and_rows(n: usize, seed: u64) -> (Vec<Grad>, Vec<u32>) {
     (grads, rows)
 }
 
+/// The column `blank` picks to be all-missing among `m`: none, the first,
+/// a middle one or the last.
+fn blank_column(blank: usize, m: usize) -> Option<usize> {
+    [None, Some(0), Some(m / 2), Some(m - 1)][blank]
+}
+
+/// Quantizes `matrix`; an all-missing column has no bins.
+fn quantized(matrix: &FeatureMatrix, blank: Option<usize>) -> QuantizedMatrix {
+    let qm = QuantizedMatrix::from_matrix(matrix, BinningConfig::with_max_bins(16));
+    if let Some(c) = blank {
+        assert_eq!(qm.mapper().n_bins(c), 0, "all-missing column {c} has bins");
+    }
+    qm
+}
+
 /// Random dense matrix with missing values (NaN), quantized.
 fn dense_case() -> impl Strategy<Value = Case> {
-    (1usize..120, 1usize..9, any::<u64>()).prop_map(|(n, m, seed)| {
+    (1usize..120, 1usize..9, any::<u64>(), 0usize..4).prop_map(|(n, m, seed, blank)| {
+        let blank = blank_column(blank, m);
         let mut s = seed;
         let mut values = Vec::with_capacity(n * m);
-        for _ in 0..n * m {
+        for i in 0..n * m {
             let r = splitmix(&mut s);
-            if r % 13 == 0 {
+            if r % 13 == 0 || Some(i % m) == blank {
                 values.push(f32::NAN);
             } else {
                 values.push((r % 500) as f32 / 100.0);
             }
         }
-        let qm = QuantizedMatrix::from_matrix(
-            &FeatureMatrix::Dense(DenseMatrix::from_vec(n, m, values)),
-            BinningConfig::with_max_bins(16),
-        );
+        let qm = quantized(&FeatureMatrix::Dense(DenseMatrix::from_vec(n, m, values)), blank);
         let (grads, rows) = grads_and_rows(n, seed ^ 0xABCD);
         Case { qm, grads, rows }
     })
 }
 
-/// Random CSR matrix (absent = missing), quantized.
+/// Random CSR matrix (absent = missing; a blank column's entries are NaN),
+/// quantized.
 fn sparse_case() -> impl Strategy<Value = Case> {
-    (1usize..120, 2usize..9, any::<u64>()).prop_map(|(n, m, seed)| {
+    (1usize..120, 2usize..9, any::<u64>(), 0usize..4).prop_map(|(n, m, seed, blank)| {
+        let blank = blank_column(blank, m);
         let mut s = seed;
         let rows_vec: Vec<Vec<(u32, f32)>> = (0..n)
             .map(|_| {
                 (0..m as u32)
                     .filter_map(|c| {
                         let r = splitmix(&mut s);
-                        (r % 3 != 0).then_some((c, (r % 500) as f32 / 100.0))
+                        let v = if Some(c as usize) == blank {
+                            f32::NAN
+                        } else {
+                            (r % 500) as f32 / 100.0
+                        };
+                        (r % 3 != 0).then_some((c, v))
                     })
                     .collect()
             })
             .collect();
-        let qm = QuantizedMatrix::from_matrix(
-            &FeatureMatrix::Sparse(CsrMatrix::from_rows(m, &rows_vec)),
-            BinningConfig::with_max_bins(16),
-        );
+        let qm = quantized(&FeatureMatrix::Sparse(CsrMatrix::from_rows(m, &rows_vec)), blank);
         let (grads, rows) = grads_and_rows(n, seed ^ 0xABCD);
         Case { qm, grads, rows }
     })
-}
-
-fn padded(qm: &QuantizedMatrix) -> usize {
-    hist_width(qm.mapper().total_bins(), qm.n_features())
 }
 
 /// Fast vs scalar row scan over a feature-block split, both grad sources.
 fn check_row_scan(case: &Case, n_blocks: usize) {
     let (qm, rows) = (&case.qm, &case.rows);
     let m = qm.n_features();
-    let width = padded(qm);
+    let width = hist_width_for(qm);
     let membuf: Vec<Grad> = rows.iter().map(|&r| case.grads[r as usize]).collect();
     let blk = m.div_ceil(n_blocks.clamp(1, m));
     let mut fast = vec![0.0; width];
@@ -119,10 +133,11 @@ fn check_row_scan(case: &Case, n_blocks: usize) {
     let mut lo = 0;
     while lo < m {
         let hi = (lo + blk).min(m);
-        let all = GradSource::Global(&case.grads);
-        cells_fast += row_scan_store(qm, rows, all, lo..hi, &mut fast, false);
-        cells_scalar += row_scan_store(qm, rows, all, lo..hi, &mut scalar, true);
-        row_scan_store(qm, rows, GradSource::MemBuf(&membuf), lo..hi, &mut fast_mb, false);
+        let (all, block) = (GradSource::Global(&case.grads), lanes(qm.mapper(), lo..hi));
+        cells_fast += row_scan_store(qm, rows, all, lo..hi, &mut fast[block.clone()], false);
+        cells_scalar += row_scan_store(qm, rows, all, lo..hi, &mut scalar[block.clone()], true);
+        let mb = GradSource::MemBuf(&membuf);
+        row_scan_store(qm, rows, mb, lo..hi, &mut fast_mb[block], false);
         lo = hi;
     }
     assert_eq!(fast, scalar, "specialized row scan != scalar ({n_blocks} blocks)");
@@ -141,10 +156,11 @@ fn check_col_scan(case: &Case) {
             continue;
         }
         let mut fast = vec![0.0; n_bins * 2];
-        let mut scalar = vec![0.0; padded(qm)];
+        let mut scalar = vec![0.0; hist_width_for(qm)];
         let cf = col_scan_store(qm, f, rows, all, 0..n_bins, &mut fast);
-        let cs = row_scan_store(qm, rows, all, f..f + 1, &mut scalar, true);
-        let base = qm.mapper().bin_offset(f) as usize * 2;
+        let block = lanes(qm.mapper(), f..f + 1);
+        let cs = row_scan_store(qm, rows, all, f..f + 1, &mut scalar[block], true);
+        let base = lane(qm.mapper(), f);
         assert_eq!(fast, scalar[base..base + n_bins * 2], "column scan != scalar at feature {f}");
         assert_eq!(cf, cs);
     }
@@ -177,7 +193,7 @@ proptest! {
     fn root_scan_bitwise_equals_slice_scan(case in dense_case()) {
         let n = case.qm.n_rows();
         let m = case.qm.n_features();
-        let width = padded(&case.qm);
+        let width = hist_width_for(&case.qm);
         let (qm, grads) = (&case.qm, GradSource::Global(&case.grads));
         let all: Vec<u32> = (0..n as u32).collect();
         let mut by_slice = vec![0.0; width];
@@ -211,7 +227,7 @@ fn kernels_bitwise_equal_scalar_on_synset_and_yfcc_shapes() {
         let grads: Vec<Grad> = (0..n).map(|i| [((i % 17) as f32) - 8.0, 0.25]).collect();
         let rows: Vec<u32> = (0..n as u32).collect();
         let src = GradSource::Global(&grads);
-        let width = padded(&qm);
+        let width = hist_width_for(&qm);
         let mut fast = vec![0.0; width];
         let mut scalar = vec![0.0; width];
         let mut root = vec![0.0; width];
@@ -227,7 +243,7 @@ fn kernels_bitwise_equal_scalar_on_synset_and_yfcc_shapes() {
             }
             let mut cf = vec![0.0; n_bins * 2];
             col_scan_store(&qm, f, &rows, src, 0..n_bins, &mut cf);
-            let base = qm.mapper().bin_offset(f) as usize * 2;
+            let base = lane(qm.mapper(), f);
             assert_eq!(
                 cf,
                 scalar[base..base + n_bins * 2],
@@ -293,7 +309,7 @@ fn training_fixture_is_bitwise_stable_across_versions() {
 /// derive, whose tiles only read the filled buffers, so on return each
 /// buffer is its node's histogram.
 fn dp_fill(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, nodes: &[u32]) -> Vec<Vec<f64>> {
-    let width = hist_width(ctx.qm.mapper().total_bins(), ctx.qm.n_features());
+    let width = hist_width_for(ctx.qm);
     let mut jobs: Vec<TileJob> = nodes
         .iter()
         .map(|&node| TileJob {
@@ -310,7 +326,7 @@ fn dp_fill(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, nodes: &[u32]) -> V
 }
 
 /// Two consecutive driver calls on pooled replicas are bitwise identical:
-/// the dirty-range re-zeroing restores exact fresh-buffer state.
+/// the fold hands every replica back zeroed, as a fresh one.
 #[test]
 fn pooled_replicas_reproduce_bitwise_across_frontiers() {
     let data = fixture_data();

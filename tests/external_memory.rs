@@ -177,7 +177,7 @@ fn store_scans_are_bitwise_equal_to_the_in_core_kernels() {
         assert!(QuantStore::is_dense(qm) == dense, "{kind:?}: want dense u8 / CSR");
         let (n, m, mapper) = (qm.n_rows(), qm.n_features(), qm.mapper());
         assert!(n > 128, "the row range below must straddle several 32-row chunks");
-        let width = harpgbdt::hist::hist_width(mapper.total_bins(), m);
+        let width = harpgbdt::hist::hist_width_for(qm);
         // Magnitudes over forty binades: the f64 sums round, so any change
         // of accumulation order shows in the last bits.
         let hash = |i: u64| (i ^ 0x9E37_79B9).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 20;
@@ -206,7 +206,7 @@ fn store_scans_are_bitwise_equal_to_the_in_core_kernels() {
                 fill(&|hist| {
                     let scan_col = |f: usize| {
                         let bins = mapper.n_bins(f) as usize;
-                        let base = mapper.bin_offset(f) as usize * 2;
+                        let base = harpgbdt::hist::lane(mapper, f);
                         let hist_f = &mut hist[base..base + bins * 2];
                         col_scan_store(store, f, &rows, node, 0..bins, hist_f)
                     };
@@ -267,7 +267,7 @@ fn the_reference_arm_of_row_scan_store_is_bitwise_the_specialized_scan() {
         );
         let (n, m) = (qm.n_rows(), qm.n_features());
         assert!(n > 128, "{name}: the rows must straddle several 32-row chunks");
-        let width = harpgbdt::hist::hist_width(qm.mapper().total_bins(), m);
+        let width = harpgbdt::hist::hist_width_for(qm);
         // Magnitudes over forty binades, as above: a reordered sum shows.
         let hash = |i: u64| (i ^ 0x9E37_79B9).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 20;
         let wide =

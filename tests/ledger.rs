@@ -587,8 +587,9 @@ fn wide_sparse_histograms_exist_only_where_a_subtraction_reads_them() {
                     pool <= (big_nodes + 2) as f64,
                     "{what}: pool grew to {pool} buffers with {big_nodes} cacheable nodes"
                 );
-                // Everything else lived in a tile pair per worker.
-                let tile_pair = (2 * 32 * 16 * 2 * 8) as f64;
+                // Everything else lived in a tile pair per worker: a tile is
+                // 32 features of 16 bins and a sink cell, two lanes each.
+                let tile_pair = (2 * 32 * (16 + 1) * 2 * 8) as f64;
                 assert!(get("mem/scratch_arena/high_water_bytes") <= 2.0 * tile_pair, "{what}");
             }
             barrier_preds.push(out.model.predict_raw(&data.test.features));

@@ -53,10 +53,10 @@ fn shape_and_jobs() -> impl Strategy<Value = (BatchShape, Vec<usize>)> {
 
 /// Every live ⟨job, feature, row⟩ cell exactly once; zero-row jobs skipped
 /// entirely (their replica lanes would only add zeroes). A job without a
-/// replica slot is written through one shared pointer by concurrent tasks,
-/// which is sound only if those tasks differ in feature block alone: each
-/// spans all of the job's rows. The replica slots index distinct lanes of
-/// one replica.
+/// replica slot has its buffer cut into one piece per task, at the tasks'
+/// feature-block lanes, which needs those tasks to differ in feature block
+/// alone: each spans all of the job's rows. The replica slots index
+/// distinct lanes of one replica.
 fn check_replicated(plan: &BlockPlan, shape: &BatchShape, job_lens: &[usize]) {
     let m = shape.n_features;
     let mut slots: Vec<usize> = (0..job_lens.len()).filter_map(|j| plan.replica_slot(j)).collect();

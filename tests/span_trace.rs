@@ -7,7 +7,7 @@
 use harp_binning::{BinningConfig, QuantizedMatrix};
 use harp_data::{DatasetKind, SynthConfig};
 use harp_parallel::{PhaseSpan, ThreadPool, TracePhase, TraceSink};
-use harpgbdt::hist::hist_width;
+use harpgbdt::hist::hist_width_for;
 use harpgbdt::params::BatchPolicy;
 use harpgbdt::partition::RowPartition;
 use harpgbdt::split::SplitSettings;
@@ -28,7 +28,7 @@ fn traced_dp_fill_is_bitwise_untraced_and_a_disabled_span_costs_under_2pc_of_a_t
     let qm = QuantizedMatrix::from_matrix(&d.features, BinningConfig::default());
     let n = qm.n_rows();
     let grads: Vec<[f32; 2]> = (0..n).map(|i| [((i % 17) as f32) - 8.0, 0.25]).collect();
-    let width = hist_width(qm.mapper().total_bins(), qm.n_features());
+    let width = hist_width_for(&qm);
     let mut part = RowPartition::new(n, 64, true);
     part.reset(&grads);
     part.apply_split(0, 1, 2, &|_, r| r % 2 == 0, None);
