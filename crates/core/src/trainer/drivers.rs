@@ -3,7 +3,7 @@
 //! A batch is a list of jobs — one per tree node scanned from its rows, with
 //! the sibling to derive from it as `parent − node` where the parent's
 //! histogram came out of the cache ([`TileJob`], [`DerivedSibling`]).
-//! Expanding it always ends in **one tile body** (in `run_tiles`): a *tile* is
+//! Expanding it always ends in **one tile body** (`TileBody`): a *tile* is
 //! one job's lanes of one feature block; the body fills them unless they come
 //! filled, forms the sibling's tile as `parent − small` (in place in the
 //! parent's buffer or into scratch) and runs FindSplit on both, one partial
@@ -13,17 +13,18 @@
 //! decomposition lives in [`crate::plan`]:
 //!
 //! * **Replicated** (DP): a [`BlockPlan`] of ⟨node-block, feature-block,
-//!   row-chunk⟩ tasks fills the full-width job buffers in one region before
-//!   the tiles run (`fill_replicated`). A job cut into several row chunks
-//!   gets lanes in one replica per schedule slot, and a second region folds
-//!   the replicas into its buffer. A job of one row chunk has tasks that
-//!   differ only in feature block: its buffer is cut into their feature
-//!   blocks' lanes and each task writes its own piece
-//!   ([`BlockPlan::replica_slot`]). Replica and fold cost therefore follow
+//!   row-chunk⟩ tasks runs as one region of schedule slots. A job of one
+//!   row chunk has tasks that differ only in feature block, so each task
+//!   fills one tile of the job's own buffer ([`BlockPlan::replica_slot`]);
+//!   the slot that filled it finishes it once its chunk sweep has ended,
+//!   and a batch of such jobs is that one region. A job cut into several
+//!   row chunks gets lanes in one replica per slot; a second region cuts it
+//!   into ⟨job, feature-chunk⟩ tiles, `⌈4T / jobs⌉` chunks per job so that a
+//!   narrow batch still spreads over the pool, and each tile's fill is the
+//!   fold of its replicas' lanes. Replica and fold cost therefore follow
 //!   the rows of a batch, not its node count — the node-proportional
 //!   reduction is the scaling weakness of XGB-Hist that Fig. 11 shows for
-//!   large trees. The tiles are ⟨job, feature-chunk⟩, `⌈4T / jobs⌉` chunks
-//!   per job, so that a narrow batch still spreads over the pool.
+//!   large trees.
 //! * **Exclusive** (MP): the plan's ⟨node-block, feature-block⟩ groups are
 //!   the tiles, and the fill happens inside them: a worker column-scans the
 //!   group's bin-block tasks into the tile and finishes it while it sits in
@@ -38,10 +39,11 @@
 //!
 //! DP runs one schedule, an OpenMP *static* one: slot `t` of `T` processes
 //! every `T`-th task into replica `t`, so per-cell accumulation order is
-//! independent of thread timing. The replicas, tile pairs and plan come from
-//! a caller-held [`DriverScratch`] that survives across frontiers and trees.
-//! The fold zeroes each replica lane as it reads it, so the arena only ever
-//! holds zeroed replicas and hands them out as they are.
+//! independent of thread timing, and a tile folds the replicas in slot
+//! order however the lanes are cut. The replicas, tile pairs and plan come
+//! from a caller-held [`DriverScratch`] that survives across frontiers and
+//! trees. A tile zeroes each replica lane as it folds it, so the arena only
+//! ever holds zeroed replicas and hands them out as they are.
 
 use crate::hist::{self, ScratchPool};
 use crate::kernels::{
@@ -59,6 +61,7 @@ use crate::tree::{NodeId, NodeStats};
 use harp_binning::{sweep_chunks, BinMapper, QuantStore, Rows};
 use harp_metrics::MemGauge;
 use harp_parallel::{PerWorker, ThreadPool, TracePhase, TraceSink};
+use std::mem::take;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -110,10 +113,8 @@ pub struct SplitSearch<'a> {
 pub struct TileOutcome {
     /// Per job: the best split of its node and of its derived sibling.
     pub found: Vec<[Option<SplitCandidate>; 2]>,
-    /// Wall nanoseconds of the regions a Replicated batch fills its job
-    /// buffers in before the tiles run; 0 under the other policies.
-    pub fill_ns: u64,
-    /// Nanoseconds the workers spent filling tiles and subtracting, summed.
+    /// Nanoseconds the workers spent filling tiles (a schedule slot's chunk
+    /// sweep included) and subtracting, summed.
     pub build_ns: u64,
     /// Nanoseconds the workers spent in FindSplit, summed.
     pub find_ns: u64,
@@ -221,7 +222,8 @@ impl DriverScratch {
 /// Expands one batch: fills each job's histogram where `policy` says,
 /// derives the siblings and runs FindSplit (see the module docs). The tiles
 /// run as one pool region, or here when the caller is itself a task of the
-/// pool (`inline_on`: its worker index, as for an ASYNC node task).
+/// pool (`inline_on`: its worker index, as for an ASYNC node task); a
+/// Replicated batch always runs on the pool.
 pub fn expand(
     ctx: &DriverCtx<'_>,
     scratch: &mut DriverScratch,
@@ -234,20 +236,10 @@ pub fn expand(
     if n == 0 {
         return TileOutcome::default();
     }
-    let mut fill_ns = 0;
-    let out = match policy {
-        BatchPolicy::Replicated => {
-            let fill_start = Instant::now();
-            fill_replicated(ctx, scratch, jobs);
-            fill_ns = fill_start.elapsed().as_nanos() as u64;
-            let n_chunks = (4 * ctx.pool.num_threads()).div_ceil(n).clamp(1, m.max(1));
-            let chunk = m.div_ceil(n_chunks);
-            let tiles = (0..n).flat_map(|j| {
-                feature_blocks(m, chunk).map(move |block| (j..j + 1, block, Fill::Filled))
-            });
-            run_tiles(ctx, &mut scratch.tiles, jobs, search, chunk, tiles, inline_on)
-        }
-        BatchPolicy::Exclusive => {
+    let out = if policy == BatchPolicy::Replicated {
+        expand_replicated(ctx, scratch, jobs, search)
+    } else {
+        let (f_blk, tiles): (usize, Vec<Tile<'_>>) = if policy == BatchPolicy::Exclusive {
             let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.node), Accumulation::Exclusive);
             // §IV-E: consecutive-write region = 16 × bin_blk × feature_blk ×
             // node_blk (shared with the cost model).
@@ -258,81 +250,93 @@ pub fn expand(
             let groups = scratch.plan.groups().map(|tasks| {
                 (tasks[0].jobs.clone(), tasks[0].features.clone(), Fill::Columns(tasks))
             });
-            run_tiles(ctx, &mut scratch.tiles, jobs, search, ext.feature_blk, groups, inline_on)
+            (ext.feature_blk, groups.collect())
+        } else {
+            // NodeTasks, the degenerate ⟨one node, all rows⟩ task of a
+            // Replicated plan: an explicit feature block still slices a dense
+            // scan (the same per-lane row order, so the same bits); sparse
+            // rows have no per-block substructure and Auto resolves per
+            // planned batch, so both scan whole.
+            let sliced = ctx.qm.is_dense() && !ctx.params.blocks.is_auto();
+            let scan_blk = if sliced { ctx.params.blocks.features_per_block(m) } else { m };
+            (m, (0..n).map(|j| (j..j + 1, 0..m, Fill::Rows(scan_blk))).collect())
+        };
+        // The tiles come job-major, each job's feature blocks ascending.
+        let bounds = block_bounds(ctx.qm.mapper(), f_blk);
+        let body = TileBody::new(ctx, &mut scratch.tiles, jobs, search, &[&bounds]);
+        let mut lanes: Vec<_> = jobs.iter_mut().map(|job| block_lanes(job, &bounds)).collect();
+        let mut work: Vec<_> =
+            tiles.into_iter().map(|tile| TileWork::new(tile, &mut lanes)).collect();
+        match inline_on {
+            Some(worker) => work.iter_mut().enumerate().for_each(|(g, t)| body.run(g, t, worker)),
+            None => ctx.pool.parallel_for_each_mut(&mut work, |g, t, w| body.run(g, t, w)),
         }
-        BatchPolicy::NodeTasks => {
-            // The degenerate ⟨one node, all rows⟩ task of a Replicated plan:
-            // an explicit feature block still slices a dense scan (the same
-            // per-lane row order, so the same bits); sparse rows have no
-            // per-block substructure and Auto resolves per planned batch, so
-            // both scan whole.
-            let scan_blk = if ctx.qm.is_dense() && !ctx.params.blocks.is_auto() {
-                ctx.params.blocks.features_per_block(m)
-            } else {
-                m
-            };
-            let tiles = (0..n).map(|j| (j..j + 1, 0..m, Fill::Rows(scan_blk)));
-            run_tiles(ctx, &mut scratch.tiles, jobs, search, m, tiles, inline_on)
-        }
+        body.finish(work, &mut scratch.tiles)
     };
     let held = scratch.tiles.iter().map(|t| t.capacity() as u64 * 8).sum::<u64>();
     if held > scratch.tile_bytes {
         scratch.replicas.count_outside(held - scratch.tile_bytes);
         scratch.tile_bytes = held;
     }
-    TileOutcome { fill_ns, ..out }
+    out
 }
 
-/// Fills each job's zeroed full-width buffer with data parallelism:
-/// executes a [`Accumulation::Replicated`] plan, the fill regions of a
-/// Replicated [`expand`].
-fn fill_replicated(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &mut [TileJob]) {
-    fn full_width(job: &mut TileJob) -> &mut [f64] {
-        job.buf.as_deref_mut().expect("a Replicated child is full-width")
-    }
+/// Expands a Replicated batch: executes an [`Accumulation::Replicated`]
+/// plan with the static schedule, each slot finishing the one-block jobs'
+/// tiles it filled, and then the other jobs' tiles, which fold their
+/// replicas, as a second region.
+fn expand_replicated(
+    ctx: &DriverCtx<'_>,
+    scratch: &mut DriverScratch,
+    jobs: &mut [TileJob],
+    search: SplitSearch<'_>,
+) -> TileOutcome {
     let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.node), Accumulation::Replicated);
-    let DriverScratch { replicas: arena, plan, .. } = scratch;
+    let DriverScratch { replicas: arena, tiles: stash, plan, job_lens, .. } = scratch;
     let tasks = plan.tasks();
-    if tasks.is_empty() {
-        ctx.report_cells(0);
-        return;
-    }
+    let (n, m, mapper) = (jobs.len(), ctx.qm.n_features(), ctx.qm.mapper());
     let width = hist::hist_width_for(ctx.qm);
     let n_slots = ctx.pool.num_threads().min(tasks.len());
+
+    // A job of one row block is finished by the slots: its tasks are its
+    // feature blocks, ascending, and each fills one tile of its own buffer.
+    // Every other job — several row blocks, or none — is cut into ⟨job,
+    // feature-chunk⟩ tiles, `⌈4T / jobs⌉` chunks per job, so that a narrow
+    // batch still spreads over the pool.
+    let by_slot = |j: usize| plan.replica_slot(j).is_none() && job_lens[j] > 0;
+    let n_rest = (0..n).filter(|&j| !by_slot(j)).count();
+    let n_chunks = (4 * ctx.pool.num_threads()).div_ceil(n_rest.max(1)).clamp(1, m.max(1));
+    let chunk = m.div_ceil(n_chunks);
+    let (task_bounds, chunk_bounds) =
+        (block_bounds(mapper, ext.feature_blk), block_bounds(mapper, chunk));
+    let body = TileBody::new(ctx, stash, jobs, search, &[&task_bounds, &chunk_bounds]);
+    let mut lanes: Vec<_> = jobs
+        .iter_mut()
+        .enumerate()
+        .map(|(j, job)| block_lanes(job, if by_slot(j) { &task_bounds } else { &chunk_bounds }))
+        .collect();
 
     // One replica per schedule slot, with lanes for the batch's multi-block
     // jobs, drawn zeroed from the arena. A batch of one-block jobs needs none.
     let replica_len = plan.n_replicated_jobs() * width;
     let n_replicas = if replica_len == 0 { 0 } else { n_slots };
-    let mut allocs = 0u64;
-    let mut replicas: Vec<Vec<f64>> = (0..n_replicas)
-        .map(|_| {
-            let (buf, allocated) = arena.acquire(replica_len);
-            allocs += u64::from(allocated);
-            buf
-        })
-        .collect();
+    let (mut replicas, fresh): (Vec<_>, Vec<bool>) =
+        (0..n_replicas).map(|_| arena.acquire(replica_len)).unzip();
+    let allocs = fresh.iter().filter(|&&allocated| allocated).count() as u64;
     ctx.pool.profile().add_scratch_events(allocs, n_replicas as u64 - allocs);
 
-    let nodes: Vec<NodeId> = jobs.iter().map(|j| j.node).collect();
     // What each slot writes: its replica, and per task it runs (in the order
-    // it runs them) the task's piece of a one-block job's own buffer. Such a
-    // job's tasks are its feature blocks, ascending, so its buffer is cut at
-    // their lanes and each piece goes to the slot that runs its task.
-    let bounds = block_bounds(ctx.qm.mapper(), ext.feature_blk);
-    let mut cuts: Vec<_> = jobs.iter_mut().map(|j| cut_at(full_width(j), &bounds)).collect();
-    let mut replica_lanes = replicas.iter_mut().map(|r| &mut r[..replica_len]);
-    let mut slots: Vec<_> = (0..n_slots)
-        .map(|_| (replica_lanes.next().unwrap_or_default(), Vec::new()))
-        .collect();
+    // it runs them) the task's tile when the task is a one-block job's.
+    let mut slots: Vec<(&mut [f64], Vec<_>)> =
+        replicas.iter_mut().map(|r| (&mut r[..replica_len], Vec::new())).collect();
+    slots.resize_with(n_slots, Default::default);
     for (i, task) in tasks.iter().enumerate() {
-        let j = task.jobs.start;
-        let own = if plan.replica_slot(j).is_none() { cuts[j].next() } else { None };
-        slots[i % n_slots].1.push(own);
+        let (j, features) = (task.jobs.start, task.features.clone());
+        let tile =
+            by_slot(j).then(|| TileWork::new((j..j + 1, features, Fill::Filled), &mut lanes));
+        slots[i % n_slots].1.push(tile);
     }
-    let root_identity = ctx.partition.is_identity_order();
-    let trace = ctx.trace();
-    let row_blk = ext.row_blk;
+    let (root_identity, row_blk) = (ctx.partition.is_identity_order(), ext.row_blk);
 
     // When the resident budget holds only `capacity` chunks, concurrent
     // sweeps must stay within an eviction-free window of each other: one
@@ -385,15 +389,17 @@ fn fill_replicated(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &mut 
     // ranges of the node's ascending row list, so interleaving them chunk by
     // chunk visits exactly the same rows in exactly the same order as
     // running them back to back. In-core the sweep has one step, and that
-    // step *is* the tasks run back to back.
-    let cells = AtomicU64::new(0);
-    ctx.pool.parallel_for_each_mut(&mut slots, |slot, (replica, own), lane| {
+    // step *is* the tasks run back to back. A tile is complete only once
+    // the sweep has ended: the slot then steps out of the throttle and
+    // finishes the tiles it filled.
+    ctx.pool.parallel_for_each_mut(&mut slots, |slot, (replica, tiles), lane| {
+        let t0 = body.now();
         let cursors: Vec<Rows<'_>> = tasks
             .iter()
             .skip(slot)
             .step_by(n_slots)
             .map(|task| {
-                let node = nodes[task.jobs.start];
+                let node = body.metas[task.jobs.start].0;
                 if node == 0 && root_identity {
                     // Root fast path: the root span starts at row 0 in
                     // identity order, so a task's positions ARE its row ids
@@ -404,83 +410,82 @@ fn fill_replicated(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, jobs: &mut 
                 }
             })
             .collect();
-        let mut local_cells = 0u64;
+        let mut cells = 0u64;
         sweep_chunks(
             ctx.qm,
             &cursors,
             |steps| throttle(slot, steps),
             |run| {
                 let task = &tasks[slot + run.cursor * n_slots];
-                let job_idx = task.jobs.start;
-                let node = nodes[job_idx];
-                let _span = trace.map(|s| {
+                let (job_idx, features) = (task.jobs.start, task.features.clone());
+                let node = body.metas[job_idx].0;
+                let _span = ctx.trace().map(|s| {
                     s.span(lane, TracePhase::BuildHist, node, (task.rows.start / row_blk) as u32)
                 });
                 let grads = ctx.grad_source(node).narrow(task.rows.clone(), 0);
-                let dst: &mut [f64] = match &mut own[run.cursor] {
-                    Some(piece) => piece,
+                let dst: &mut [f64] = match &mut tiles[run.cursor] {
+                    Some(tile) => tile.lanes[0].own.as_mut().expect("a full-width job"),
                     None => {
-                        let k = plan.replica_slot(job_idx).expect("a one-block job's piece");
-                        &mut replica[k * width..]
-                            [hist::lanes(ctx.qm.mapper(), task.features.clone())]
+                        let k = plan.replica_slot(job_idx).expect("a multi-block job");
+                        &mut replica[k * width..][hist::lanes(mapper, features.clone())]
                     }
                 };
-                local_cells += row_scan_run(run, grads, task.features.clone(), dst);
+                cells += row_scan_run(run, grads, features, dst);
             },
         );
         progress[slot].store(usize::MAX, Ordering::Release);
-        cells.fetch_add(local_cells, Ordering::Relaxed);
+        body.cells.fetch_add(cells, Ordering::Relaxed);
+        body.build_ns.fetch_add(body.now() - t0, Ordering::Relaxed);
+        for (cursor, tile) in tiles.iter_mut().enumerate() {
+            if let Some(tile) = tile {
+                body.run(slot + cursor * n_slots, tile, lane);
+            }
+        }
     });
-    drop(cuts);
+    let mut work: Vec<_> = slots.into_iter().flat_map(|(_, tiles)| tiles).flatten().collect();
+    let done = work.len();
 
-    // The fold: each multi-block job's lanes, in chunks, take the replicas'
-    // sums in slot order — deterministic — and every replica lane is zeroed
-    // as it is read, so the replicas go back to the arena zeroed.
-    struct Fold<'a> {
-        node: NodeId,
-        dst: &'a mut [f64],
-        srcs: Vec<&'a mut [f64]>,
-    }
-    let chunk = (width / 4).max(1024).min(width.max(1));
-    let mut pieces: Vec<_> = replicas
+    // The other jobs' tiles. A multi-block job's tile takes its replicas'
+    // lanes, cut at the same bounds, and folds them in slot order.
+    let mut folds: Vec<Vec<_>> = replicas
         .iter_mut()
-        .map(|r| r[..replica_len].chunks_mut(width).flat_map(move |job| job.chunks_mut(chunk)))
+        .map(|r| r[..replica_len].chunks_mut(width).map(|l| cut_at(l, &chunk_bounds)).collect())
         .collect();
-    let mut folds: Vec<Fold<'_>> = Vec::new();
-    for (job_idx, job) in jobs.iter_mut().enumerate() {
-        if plan.replica_slot(job_idx).is_some() {
-            for dst in full_width(job).chunks_mut(chunk) {
-                let srcs = pieces.iter_mut().map(|p| p.next().expect("a replica lane")).collect();
-                folds.push(Fold { node: nodes[job_idx], dst, srcs });
+    for j in (0..n).filter(|&j| !by_slot(j)) {
+        for features in feature_blocks(m, chunk) {
+            let mut tile = TileWork::new((j..j + 1, features, Fill::Filled), &mut lanes);
+            if let Some(k) = plan.replica_slot(j) {
+                let srcs = folds.iter_mut().map(|r| r[k].next().expect("a replica lane"));
+                tile.lanes[0].replicas = srcs.collect();
             }
+            work.push(tile);
         }
     }
-    ctx.pool.parallel_for_each_mut(&mut folds, |i, fold, worker| {
-        let _span = trace.map(|s| s.span(worker, TracePhase::Reduce, fold.node, i as u32));
-        for src in &mut fold.srcs {
-            for (d, s) in fold.dst.iter_mut().zip(src.iter_mut()) {
-                *d += *s;
-                *s = 0.0;
-            }
-        }
-    });
+    ctx.pool.parallel_for_each_mut(&mut work[done..], |g, t, w| body.run(g, t, w));
+    let out = body.finish(work, stash);
+    // The fold pieces borrow the replicas until here.
+    drop(folds);
     for rep in replicas {
         arena.release(rep);
     }
 
-    ctx.report_cells(cells.load(Ordering::Relaxed));
     // The write working set of one DP task: the feature block's share of the
     // replica, across the node block (§IV-E, 16 bytes per cell). Shared with
     // the cost model.
-    let total_bins = ctx.qm.mapper().total_bins() as usize;
-    let ws = dp_write_working_set(total_bins, ctx.qm.n_features(), ext.feature_blk, ext.node_blk);
+    let total_bins = mapper.total_bins() as usize;
+    let ws = dp_write_working_set(total_bins, m, ext.feature_blk, ext.node_blk);
     ctx.pool.profile().observe_region_bytes(ws as u64);
+    out
 }
 
 /// How a tile's lanes are filled before the tile body runs.
 #[derive(Clone, Copy)]
 enum Fill<'a> {
-    /// They come filled: a Replicated batch's fill regions ran first.
+    /// A Replicated batch's: the schedule slot that runs the tile filled
+    /// them in its chunk sweep (a one-block job), or the tile adds in its
+    /// lanes of the job's replicas in slot order ([`BlockLanes::replicas`]),
+    /// zeroing each as it reads it, so the replicas go back to the arena
+    /// zeroed.
     Filled,
     /// Column-scan the block's features, one of the group's ascending
     /// bin-block tasks at a time (Exclusive).
@@ -490,8 +495,7 @@ enum Fill<'a> {
     Rows(usize),
 }
 
-/// One tile as [`expand`] hands it to `run_tiles`: jobs, feature block,
-/// fill.
+/// One tile as [`expand`] plans it: jobs, feature block, fill.
 type Tile<'a> = (Range<usize>, Range<usize>, Fill<'a>);
 
 /// The lane bounds of the blocks of `f_blk` features: each block's first
@@ -508,19 +512,37 @@ fn cut_at<'a>(buf: &'a mut [f64], bounds: &'a [usize]) -> impl Iterator<Item = &
     assert_eq!(Some(&buf.len()), bounds.last(), "cuts cover the whole buffer");
     let mut rest = buf;
     bounds.windows(2).map(move |w| {
-        let (piece, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+        let (piece, tail) = take(&mut rest).split_at_mut(w[1] - w[0]);
         rest = tail;
         piece
     })
 }
 
-/// One job's share of a tile: the block's lanes of the two full-width
-/// buffers the job may come with.
+/// One job's share of a tile: the block's lanes of the full-width buffers
+/// the job may come with.
 struct BlockLanes<'a> {
     /// Of the job's own buffer ([`TileJob::buf`]).
     own: Option<&'a mut [f64]>,
     /// Of the parent's histogram ([`DerivedSibling::parent`]).
     parent: Option<&'a mut [f64]>,
+    /// Of each replica, in slot order, for a multi-block job of a
+    /// Replicated batch.
+    replicas: Vec<&'a mut [f64]>,
+}
+
+/// `job`'s buffers cut at the ascending lane `bounds`: its block lanes,
+/// block by block.
+fn block_lanes<'a>(
+    job: &'a mut TileJob,
+    bounds: &'a [usize],
+) -> impl Iterator<Item = BlockLanes<'a>> {
+    let mut own = job.buf.as_deref_mut().map(|b| cut_at(b, bounds));
+    let mut parent = job.sibling.as_mut().map(|s| cut_at(&mut s.parent, bounds));
+    (1..bounds.len()).map(move |_| BlockLanes {
+        own: own.as_mut().and_then(Iterator::next),
+        parent: parent.as_mut().and_then(Iterator::next),
+        replicas: Vec::new(),
+    })
 }
 
 /// One ⟨job-range, feature-block⟩ tile as a worker receives it. The pieces
@@ -536,100 +558,93 @@ struct TileWork<'a> {
     found: Vec<[Option<SplitCandidate>; 2]>,
 }
 
-/// The tile pipeline every expansion ends in: per tile of `tiles` —
-/// job-major, each job's feature blocks (of `f_blk` features) ascending —
-/// and job, the tile's fill, then the one tile body: `parent − small` in
-/// place or into the scratch tile → FindSplit on both. The tiles are one
-/// pool region, or run here on worker `inline_on`. Returns each job's best
-/// split (the blocks' partial candidates folded in ascending block order,
-/// which is the order a whole-histogram scan resolves ties in) and the time
-/// spent building and searching, summed over the workers.
-fn run_tiles<'a>(
-    ctx: &DriverCtx<'_>,
-    stash: &mut Vec<Vec<f64>>,
-    jobs: &'a mut [TileJob],
-    search: SplitSearch<'_>,
-    f_blk: usize,
-    tiles: impl Iterator<Item = Tile<'a>>,
-    inline_on: Option<usize>,
-) -> TileOutcome {
-    let mapper = ctx.qm.mapper();
-    let lane_of = |f: usize| hist::lane(mapper, f);
-    let trace = ctx.trace();
-    let n_threads = ctx.pool.num_threads();
-
-    // Lane bounds of the feature blocks, and the widest block.
-    let bounds = block_bounds(mapper, f_blk);
-    let tile_lanes = bounds.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-
-    // What the tiles read of a job besides its lanes.
-    struct Meta {
-        node: NodeId,
-        stats: NodeStats,
-        /// `(node, stats, in_place)` of the derived sibling.
-        sibling: Option<(NodeId, NodeStats, bool)>,
+impl<'a> TileWork<'a> {
+    /// `tile`, taking each of its jobs' next block from `lanes` (by job, the
+    /// blocks ascending).
+    fn new(
+        (jobs, features, fill): Tile<'a>,
+        lanes: &mut [impl Iterator<Item = BlockLanes<'a>>],
+    ) -> Self {
+        let lanes = jobs.clone().map(|j| lanes[j].next().expect("a block per tile")).collect();
+        Self { jobs, features, fill, lanes, found: Vec::new() }
     }
-    let metas: Vec<Meta> = jobs
-        .iter()
-        .map(|j| Meta {
-            node: j.node,
-            stats: j.stats,
-            sibling: j.sibling.as_ref().map(|s| (s.node, s.stats, s.in_place)),
-        })
-        .collect();
-    let mut cuts: Vec<_> = jobs
-        .iter_mut()
-        .map(|j| {
-            (
-                j.buf.as_deref_mut().map(|b| cut_at(b, &bounds)),
-                j.sibling.as_mut().map(|s| cut_at(&mut s.parent, &bounds)),
-            )
-        })
-        .collect();
-    // A job's blocks come ascending, so its cuts are handed out in order.
-    let mut work: Vec<TileWork<'_>> = tiles
-        .map(|(jobs, features, fill)| TileWork {
-            lanes: jobs
-                .clone()
-                .map(|j| {
-                    let (own, parent) = &mut cuts[j];
-                    BlockLanes {
-                        own: own.as_mut().and_then(Iterator::next),
-                        parent: parent.as_mut().and_then(Iterator::next),
-                    }
-                })
-                .collect(),
-            jobs,
-            features,
-            fill,
-            found: Vec::new(),
-        })
-        .collect();
+}
 
-    stash.resize_with(n_threads, Vec::new);
-    let scratch = PerWorker::new(n_threads, |w| std::mem::take(&mut stash[w]));
-    let cells = AtomicU64::new(0);
-    let (build_ns, find_ns) = (AtomicU64::new(0), AtomicU64::new(0));
-    let epoch = Instant::now();
-    let now = || trace.map_or_else(|| epoch.elapsed().as_nanos() as u64, TraceSink::now_ns);
+/// What the tile body reads of a job besides its lanes: its node, the
+/// node's statistics and `(node, stats, in_place)` of the derived sibling.
+type Meta = (NodeId, NodeStats, Option<(NodeId, NodeStats, bool)>);
 
-    let run = |g: usize, tile: &mut TileWork<'_>, worker: usize| {
+/// The one tile body every expansion ends in — per job of a tile, the
+/// tile's fill, then `parent − small` in place or into the scratch tile,
+/// then FindSplit on both — and what it sums over a batch.
+struct TileBody<'c> {
+    ctx: &'c DriverCtx<'c>,
+    search: SplitSearch<'c>,
+    metas: Vec<Meta>,
+    /// By worker: the scan tile and the sibling tile, back to back.
+    pairs: PerWorker<Vec<f64>>,
+    /// The lanes of the widest tile.
+    tile_lanes: usize,
+    cells: AtomicU64,
+    /// Nanoseconds the workers spent filling tiles and subtracting.
+    build_ns: AtomicU64,
+    /// Nanoseconds the workers spent in FindSplit.
+    find_ns: AtomicU64,
+    epoch: Instant,
+}
+
+impl<'c> TileBody<'c> {
+    /// A body for the tiles of `jobs` cut at any of `bounds`; it holds the
+    /// worker tile pairs of `stash` until [`TileBody::finish`].
+    fn new(
+        ctx: &'c DriverCtx<'c>,
+        stash: &mut [Vec<f64>],
+        jobs: &[TileJob],
+        search: SplitSearch<'c>,
+        bounds: &[&[usize]],
+    ) -> Self {
+        let n_threads = ctx.pool.num_threads();
+        let sibling = |j: &TileJob| j.sibling.as_ref().map(|s| (s.node, s.stats, s.in_place));
+        let widths = bounds.iter().flat_map(|b| b.windows(2).map(|w| w[1] - w[0]));
+        Self {
+            ctx,
+            search,
+            metas: jobs.iter().map(|j| (j.node, j.stats, sibling(j))).collect(),
+            pairs: PerWorker::new(n_threads, |w| stash.get_mut(w).map(take).unwrap_or_default()),
+            tile_lanes: widths.max().unwrap_or(0),
+            cells: AtomicU64::new(0),
+            build_ns: AtomicU64::new(0),
+            find_ns: AtomicU64::new(0),
+            epoch: Instant::now(),
+        }
+    }
+
+    fn now(&self) -> u64 {
+        self.ctx
+            .trace()
+            .map_or_else(|| self.epoch.elapsed().as_nanos() as u64, TraceSink::now_ns)
+    }
+
+    /// Runs the body on tile `g` on `worker`.
+    fn run(&self, g: usize, tile: &mut TileWork<'_>, worker: usize) {
+        let (ctx, mapper, trace) = (self.ctx, self.ctx.qm.mapper(), self.ctx.trace());
+        let lane_of = |f: usize| hist::lane(mapper, f);
         let (features, fill) = (tile.features.clone(), tile.fill);
         let lane0 = lane_of(features.start);
         let n_lanes = lane_of(features.end) - lane0;
-        let pair = scratch.get_mut(worker);
+        let pair = self.pairs.get_mut(worker);
         let (mut local_cells, mut local_build, mut local_find) = (0u64, 0u64, 0u64);
         for (job_idx, lanes) in tile.jobs.clone().zip(&mut tile.lanes) {
-            let meta = &metas[job_idx];
-            let in_place = meta.sibling.is_some_and(|s| s.2);
-            let in_scratch = lanes.own.is_none() || (meta.sibling.is_some() && !in_place);
-            if in_scratch && pair.len() < 2 * tile_lanes {
-                pair.resize(2 * tile_lanes, 0.0);
+            let (node, stats, sibling) = self.metas[job_idx];
+            let in_place = sibling.is_some_and(|s| s.2);
+            let in_scratch = lanes.own.is_none() || (sibling.is_some() && !in_place);
+            if in_scratch && pair.len() < 2 * self.tile_lanes {
+                pair.resize(2 * self.tile_lanes, 0.0);
             }
             let half = pair.len() / 2;
             let (scan_tile, sibling_tile) = pair.split_at_mut(half);
 
-            let t0 = now();
+            let t0 = self.now();
             let small: &mut [f64] = match &mut lanes.own {
                 Some(own) => own,
                 None => {
@@ -638,10 +653,17 @@ fn run_tiles<'a>(
                     t
                 }
             };
-            let rows = ctx.partition.rows(meta.node);
-            let grads = ctx.grad_source(meta.node);
+            let rows = ctx.partition.rows(node);
+            let grads = ctx.grad_source(node);
             match fill {
-                Fill::Filled => {}
+                Fill::Filled => {
+                    for src in &mut lanes.replicas {
+                        for (d, s) in small.iter_mut().zip(src.iter_mut()) {
+                            *d += *s;
+                            *s = 0.0;
+                        }
+                    }
+                }
                 Fill::Columns(tasks) => {
                     for task in tasks {
                         for f in features.clone() {
@@ -682,52 +704,55 @@ fn run_tiles<'a>(
                 }
                 (None, _) => None,
             };
-            let t1 = now();
+            let t1 = self.now();
             let find = |tile: &[f64], stats: &NodeStats| {
-                let SplitSearch { settings, mask } = search;
+                let SplitSearch { settings, mask } = self.search;
                 find_split_tile(tile, lane0, stats, mapper, features.clone(), settings, mask)
             };
-            let found_small = find(small, &meta.stats);
-            let found_large =
-                large.zip(meta.sibling).and_then(|(l, (_, stats, _))| find(l, &stats));
-            let t2 = now();
+            let found_small = find(small, &stats);
+            let found_large = large.zip(sibling).and_then(|(l, (_, stats, _))| find(l, &stats));
+            let t2 = self.now();
             tile.found.push([found_small, found_large]);
             local_build += t1 - t0;
             local_find += t2 - t1;
             if let (Some(sink), Some(t_filled)) = (trace, t_filled) {
                 if !matches!(fill, Fill::Filled) {
-                    sink.record(worker, TracePhase::BuildHist, meta.node, g as u32, t0, t_filled);
+                    sink.record(worker, TracePhase::BuildHist, node, g as u32, t0, t_filled);
+                } else if !lanes.replicas.is_empty() {
+                    sink.record(worker, TracePhase::Reduce, node, g as u32, t0, t_filled);
                 }
-                if let Some((sibling, ..)) = meta.sibling {
+                if let Some((sibling, ..)) = sibling {
                     sink.record(worker, TracePhase::Reduce, sibling, g as u32, t_filled, t1);
                 }
-                sink.record(worker, TracePhase::FindSplit, meta.node, g as u32, t1, t2);
+                sink.record(worker, TracePhase::FindSplit, node, g as u32, t1, t2);
             }
         }
-        cells.fetch_add(local_cells, Ordering::Relaxed);
-        build_ns.fetch_add(local_build, Ordering::Relaxed);
-        find_ns.fetch_add(local_find, Ordering::Relaxed);
-    };
-    match inline_on {
-        Some(worker) => work.iter_mut().enumerate().for_each(|(g, tile)| run(g, tile, worker)),
-        None => ctx.pool.parallel_for_each_mut(&mut work, run),
+        self.cells.fetch_add(local_cells, Ordering::Relaxed);
+        self.build_ns.fetch_add(local_build, Ordering::Relaxed);
+        self.find_ns.fetch_add(local_find, Ordering::Relaxed);
     }
 
-    let mut found = vec![[None, None]; metas.len()];
-    for tile in work {
-        for (job_idx, block) in tile.jobs.zip(tile.found) {
-            for (best, partial) in found[job_idx].iter_mut().zip(block) {
-                *best = better_of(*best, partial);
+    /// Each job's best split — the partial candidates of `tiles` folded in
+    /// ascending block order, the order a whole-histogram scan resolves ties
+    /// in — and the time the workers spent building and searching. Hands
+    /// the tile pairs back to `stash`.
+    fn finish(self, mut tiles: Vec<TileWork<'_>>, stash: &mut Vec<Vec<f64>>) -> TileOutcome {
+        tiles.sort_by_key(|tile| (tile.jobs.start, tile.features.start));
+        let mut found = vec![[None, None]; self.metas.len()];
+        for tile in tiles {
+            for (job_idx, block) in tile.jobs.zip(tile.found) {
+                for (best, partial) in found[job_idx].iter_mut().zip(block) {
+                    *best = better_of(*best, partial);
+                }
             }
         }
-    }
-    *stash = scratch.into_values();
-    ctx.report_cells(cells.load(Ordering::Relaxed));
-    TileOutcome {
-        found,
-        fill_ns: 0,
-        build_ns: build_ns.load(Ordering::Relaxed),
-        find_ns: find_ns.load(Ordering::Relaxed),
+        *stash = self.pairs.into_values();
+        self.ctx.report_cells(self.cells.into_inner());
+        TileOutcome {
+            found,
+            build_ns: self.build_ns.into_inner(),
+            find_ns: self.find_ns.into_inner(),
+        }
     }
 }
 
@@ -1056,6 +1081,60 @@ mod tests {
         assert_close(&hists[2], &reference_hist(&qm, &part, &grads, 4));
     }
 
+    #[test]
+    fn a_replicated_batch_opens_one_region_or_two_with_a_multi_block_job() {
+        let (qm, grads, part) = setup(DatasetKind::HiggsLike, true);
+        let profile = Arc::new(Profile::new());
+        let pool = ThreadPool::with_profile(2, Arc::clone(&profile));
+        let regions = |row_blk_size: usize, nodes: &[NodeId]| {
+            let blocks = BlockConfig { row_blk_size, ..Default::default() };
+            let params = TrainParams { n_threads: 2, blocks, ..Default::default() };
+            let mut scratch = DriverScratch::new();
+            let before = profile.regions.load(Ordering::Relaxed);
+            let policy = BatchPolicy::Replicated;
+            run_driver_with(policy, &params, &qm, &part, &grads, nodes, &pool, &mut scratch);
+            profile.regions.load(Ordering::Relaxed) - before
+        };
+        // Three jobs of one row block each: the slots fill and finish them.
+        assert_eq!(regions(qm.n_rows(), &[3, 4, 2]), 1);
+        // At the default `rows / T`, node 2 (half the rows) spans two row
+        // blocks and node 3 (a sixth) one: the slots fill both and finish
+        // node 3, node 2's tiles fold its replicas and finish it.
+        let lens = (part.node_len(2), part.node_len(3));
+        assert!(lens.0 > (lens.0 + lens.1) / 2 && lens.1 <= (lens.0 + lens.1) / 2, "{lens:?}");
+        assert_eq!(regions(0, &[3, 2]), 2);
+    }
+
+    /// Job `j`'s histogram (of node `node`) as the static schedule of `plan`
+    /// over `n_slots` slots builds it: each slot's tasks of the job
+    /// accumulated into a zeroed replica, the replicas folded in slot order.
+    fn replay_schedule(
+        qm: &QuantizedMatrix,
+        part: &RowPartition,
+        grads: &[GradPair],
+        plan: &BlockPlan,
+        n_slots: usize,
+        (j, node): (usize, NodeId),
+    ) -> Vec<f64> {
+        let width = hist_width_for(qm);
+        let mut all_replicated = vec![0.0; width];
+        for slot in 0..n_slots {
+            let mut replica = vec![0.0; width];
+            let tasks = plan.tasks().iter().skip(slot).step_by(n_slots);
+            for task in tasks.filter(|t| t.jobs.start == j) {
+                row_scan_scalar(
+                    qm,
+                    &part.rows(node)[task.rows.clone()],
+                    GradSource::Global(grads),
+                    task.features.clone(),
+                    &mut replica[hist::lanes(qm.mapper(), task.features.clone())],
+                );
+            }
+            reduce_into(&mut all_replicated, &replica);
+        }
+        all_replicated
+    }
+
     /// A dense matrix at 32 and at 12 bins and a sparse one, quantized once.
     fn scan_layouts() -> &'static [QuantizedMatrix] {
         static LAYOUTS: OnceLock<Vec<QuantizedMatrix>> = OnceLock::new();
@@ -1155,22 +1234,8 @@ mod tests {
                 } else {
                     multi_block += 1;
                 }
-                let mut all_replicated = vec![0.0; width];
-                for slot in 0..n_slots {
-                    let mut replica = vec![0.0; width];
-                    let tasks = plan.tasks().iter().skip(slot).step_by(n_slots);
-                    for task in tasks.filter(|t| t.jobs.start == j) {
-                        row_scan_scalar(
-                            qm,
-                            &part.rows(node)[task.rows.clone()],
-                            GradSource::Global(&grads),
-                            task.features.clone(),
-                            &mut replica[hist::lanes(qm.mapper(), task.features.clone())],
-                        );
-                    }
-                    reduce_into(&mut all_replicated, &replica);
-                }
-                prop_assert!(hists[j] == all_replicated, "job {} is not the static schedule", j);
+                let replayed = replay_schedule(qm, &part, &grads, &plan, n_slots, (j, node));
+                prop_assert!(hists[j] == replayed, "job {} is not the static schedule", j);
             }
             let replicas = if multi_block == 0 { 0 } else { n_slots };
             prop_assert_eq!(arena.high_water(), (replicas * multi_block * width * 8) as u64);
@@ -1183,9 +1248,11 @@ mod tests {
         /// The tile pipeline under each of its three fills against the
         /// three regions it replaced, spelled out with reference kernels —
         /// the Exclusive fill (the column scan inside the tile), the
-        /// Replicated fill (the fill region, bitwise the ascending scan for
-        /// one-block jobs, then tiles that come filled) and the NodeTasks
-        /// fill (the row scan inside the tile, on the calling thread). The
+        /// Replicated fill (the slots' chunk sweeps, each slot finishing the
+        /// one-block jobs' tiles it filled; with `split_rows`, a job of more
+        /// than 48 rows spans several row blocks and its tiles fold its
+        /// replicas) and the NodeTasks fill (the row scan inside the tile,
+        /// on the calling thread). The
         /// root is cut into leaves and every leaf is split — evenly,
         /// unevenly, into one row and the rest, into nothing and
         /// everything — and the splits
@@ -1195,7 +1262,8 @@ mod tests {
         /// Exclusive fill and full-width under the other two. Each
         /// node's folded candidate must be what `find_split_range` finds in
         /// its full-width reference histogram (the scalar ascending-row
-        /// scan; for a derived sibling, parent − small of two such), every
+        /// scan, or the replayed static schedule for a job of several row
+        /// blocks; for a derived sibling, parent − small of two such), every
         /// filed buffer must be that histogram bit for bit, and a parent
         /// that was only read must come back untouched. That holds only if
         /// the groups of one job cover disjoint feature-block lanes that
@@ -1211,6 +1279,7 @@ mod tests {
             bin_blk in 0usize..3,
             membuf in any::<bool>(),
             fill in 0usize..3,
+            split_rows in any::<bool>(),
         ) {
             let qm = &scan_layouts()[layout];
             let (n, m) = (qm.n_rows(), qm.n_features());
@@ -1303,9 +1372,9 @@ mod tests {
                 n_threads: threads,
                 use_membuf: membuf,
                 blocks: BlockConfig {
-                    // One row block per job: the Replicated fill is then the
-                    // ascending scan the reference is, bit for bit.
-                    row_blk_size: n,
+                    // One row block per job, or several for a Replicated job
+                    // of more than 48 rows.
+                    row_blk_size: if fill == 1 && split_rows { 48 } else { n },
                     node_blk_size: node_blk,
                     feature_blk_size: [0, 1, 2, 3, m / 2][feature_blk],
                     bin_blk_size: [0, 5, 16][bin_blk],
@@ -1320,6 +1389,26 @@ mod tests {
             let ctx =
                 DriverCtx { qm, params: &params, pool: &pool, partition: &part, grads: &grads };
             let search = SplitSearch { settings: &settings, mask: None };
+            // A Replicated job of several row blocks is what the static
+            // schedule builds, and each slot holds a replica of such jobs.
+            let mut replica_bytes = 0;
+            if fill == 1 {
+                let job_lens: Vec<usize> = jobs.iter().map(|j| part.node_len(j.node)).collect();
+                let mut plan = BlockPlan::new();
+                plan.rebuild(&params.blocks, &ctx.batch_shape(), &job_lens, Accumulation::Replicated);
+                let n_slots = threads.min(plan.tasks().len());
+                for (j, (job, refs)) in jobs.iter().zip(&mut expect).enumerate() {
+                    if plan.replica_slot(j).is_some() {
+                        refs.0 = replay_schedule(qm, &part, &grads, &plan, n_slots, (j, job.node));
+                        if let Some((large_ref, parent_ref)) = &mut refs.1 {
+                            crate::hist::subtract(parent_ref, &refs.0, large_ref);
+                        }
+                    }
+                }
+                if plan.n_replicated_jobs() > 0 {
+                    replica_bytes = n_slots * plan.n_replicated_jobs() * width * 8;
+                }
+            }
             let out = match fill {
                 0 => expand(&ctx, &mut scratch, &mut jobs, search, BatchPolicy::Exclusive, None),
                 1 => expand(&ctx, &mut scratch, &mut jobs, search, BatchPolicy::Replicated, None),
@@ -1357,14 +1446,15 @@ mod tests {
                     prop_assert!(hists.alloc().zeroed().iter().all(|&x| x == 0.0));
                 }
             }
-            // Scratch is a tile pair per worker that needed one, and nothing
-            // when every histogram had a buffer of its own.
+            // Scratch is the replicas, plus a tile pair per worker that
+            // needed one, and nothing more when every histogram had a buffer
+            // of its own.
             let widest = feature_blocks(m, params.blocks.features_per_block(m))
                 .map(|b| hist::lanes(mapper, b).len())
                 .max()
                 .unwrap_or(0);
-            prop_assert!(arena.high_water() <= (threads * 2 * widest * 8) as u64);
-            prop_assert!(!all_filed || arena.high_water() == 0);
+            prop_assert!(arena.high_water() <= (replica_bytes + threads * 2 * widest * 8) as u64);
+            prop_assert!(!all_filed || arena.high_water() == replica_bytes as u64);
         }
     }
 }

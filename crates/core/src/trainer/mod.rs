@@ -20,9 +20,11 @@
 //! ([`expand`]) runs the batch, its policy picking only how a scanned
 //! child's lanes are *filled*; and one tile body does `parent − small` →
 //! FindSplit on the filled lanes. A DP
-//! batch is BuildHist into full-width job buffers (+ the replica reduction)
-//! and one finish region of ⟨job, feature-chunk⟩ tiles. An MP batch is one
-//! region: each ⟨node-block, feature-block⟩ task scans, subtracts and
+//! batch is one region of schedule slots, each sweeping its tasks' rows
+//! into full-width job buffers and finishing the one-row-block jobs' tiles
+//! it filled, plus, when a job spans several row blocks, one region of
+//! ⟨job, feature-chunk⟩ tiles that fold its replicas and finish it. An MP
+//! batch is one region: each ⟨node-block, feature-block⟩ task scans, subtracts and
 //! searches its tile while it is in cache, and a child gets a full-width
 //! buffer only if its histogram can be filed. An ASYNC node task row-scans
 //! its children's buffers and finishes each as one tile, on the spot.
@@ -893,19 +895,16 @@ impl<'a> TreeEngine<'a> {
 
         let wall_start = Instant::now();
         let start_ns = self.sink().map(TraceSink::now_ns);
-        let TileOutcome { found, fill_ns, build_ns, find_ns } =
+        let TileOutcome { found, build_ns, find_ns } =
             drivers::expand(&ctx, &mut self.scratch, jobs, search, policy, None);
-        // A Replicated fill is all BuildHist; the tile region's wall goes to
-        // the clock (and, tracing, the coordinator lane) in the proportion
-        // the workers spent their time.
+        // The batch's wall goes to the clock (and, tracing, the coordinator
+        // lane) in the proportion the workers spent their time.
         let wall = wall_start.elapsed().as_nanos() as u64;
-        let tiles = wall - fill_ns;
-        let build = fill_ns
-            + if build_ns + find_ns == 0 {
-                tiles
-            } else {
-                (u128::from(tiles) * u128::from(build_ns) / u128::from(build_ns + find_ns)) as u64
-            };
+        let build = if build_ns + find_ns == 0 {
+            wall
+        } else {
+            (u128::from(wall) * u128::from(build_ns) / u128::from(build_ns + find_ns)) as u64
+        };
         self.clock.add(TracePhase::BuildHist, build);
         self.clock.add(TracePhase::FindSplit, wall - build);
         if let (Some(sink), Some(t0)) = (self.sink(), start_ns) {
