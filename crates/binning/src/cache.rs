@@ -60,9 +60,15 @@
 //! and hands back an `Arc` guard. Before each decode the store evicts
 //! least-recently-used **unpinned** slabs until the incoming chunk fits the
 //! budget, so the resident high-water stays under the budget whenever any
-//! one chunk does. A background worker decodes [`prefetch`]ed chunks so
-//! chunk *i+1* overlaps the scan of chunk *i*; pins that find their chunk
-//! already resident from the worker count as `chunk_prefetch_hits`.
+//! one chunk does. A chunk is decoded only by a thread that pins it — the
+//! store starts no thread of its own — and a slot's `OnceLock` makes
+//! concurrent pinners of one chunk share one decode. Loads and evictions
+//! are therefore a function of the order of pins and unpins alone: a run
+//! at one thread repeats them exactly. With several threads they follow
+//! how the sweeps interleave, which the trainer's sweep throttle keeps
+//! within [`sweep_capacity`] of each other.
+//!
+//! [`sweep_capacity`]: crate::QuantStore::sweep_capacity
 //!
 //! A mapped slab is a view of the file's pages, so the budget bounds the
 //! process's memory only because the store gives pages back: `open`
@@ -73,8 +79,6 @@
 //! the folio a read fault maps around itself, which leaves with its own
 //! chunk. A released page refaults exactly the verified bytes: the mapping
 //! is private and never written, and the file is never rewritten in place.
-//!
-//! [`prefetch`]: crate::QuantStore::prefetch
 
 use crate::bytes::SharedBytes;
 use crate::codec::{fnv1a_each, put_u32, put_u64, Cursor, FNV_LANES};
@@ -87,9 +91,8 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
-use std::thread;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// First 8 bytes of every cache file.
 pub const CACHE_MAGIC: [u8; 8] = *b"HARPQSC1";
@@ -569,16 +572,11 @@ fn verify_chunks(
 struct Slot {
     cell: Arc<OnceLock<Arc<QuantizedMatrix>>>,
     last_used: Arc<AtomicU64>,
-    prefetched: Arc<AtomicBool>,
 }
 
 impl Slot {
     fn empty() -> Self {
-        Self {
-            cell: Arc::new(OnceLock::new()),
-            last_used: Arc::new(AtomicU64::new(0)),
-            prefetched: Arc::new(AtomicBool::new(false)),
-        }
+        Self { cell: Arc::new(OnceLock::new()), last_used: Arc::new(AtomicU64::new(0)) }
     }
 }
 
@@ -598,7 +596,6 @@ struct Inner {
     high_water: AtomicU64,
     loads: AtomicU64,
     evictions: AtomicU64,
-    prefetch_hits: AtomicU64,
 }
 
 impl Inner {
@@ -649,58 +646,15 @@ impl Inner {
             self.source.release(self.table[k].span());
         }
     }
-
-    /// Returns chunk `c`'s slab (decoding on miss) and whether this call
-    /// found it resident courtesy of the prefetch worker.
-    fn acquire(&self, c: usize, via_prefetch: bool) -> (Arc<QuantizedMatrix>, bool) {
-        let slot = {
-            let mut slots = self.slots.lock().unwrap();
-            let slot = slots.entry(c).or_insert_with(Slot::empty).clone();
-            slot.last_used.store(self.clock.fetch_add(1, Relaxed) + 1, Relaxed);
-            slot
-        };
-        if let Some(m) = slot.cell.get() {
-            return (m.clone(), slot.prefetched.swap(false, Relaxed));
-        }
-        let mut loaded_here = false;
-        let m = slot
-            .cell
-            .get_or_init(|| {
-                loaded_here = true;
-                let bytes = self.table[c].decoded_bytes;
-                // Make room and reserve *before* decoding so the resident
-                // high-water stays under budget whenever the concurrently
-                // pinned chunks fit it.
-                self.reserve(bytes, c);
-                let slab = self.decode(c);
-                slot.prefetched.store(via_prefetch, Relaxed);
-                self.loads.fetch_add(1, Relaxed);
-                Arc::new(slab)
-            })
-            .clone();
-        if loaded_here {
-            (m, false)
-        } else {
-            // Lost an init race to another loader (possibly the prefetch
-            // worker) — from this caller's view the chunk was resident.
-            (m, slot.prefetched.swap(false, Relaxed))
-        }
-    }
-
-    fn is_resident(&self, c: usize) -> bool {
-        let slots = self.slots.lock().unwrap();
-        slots.get(&c).is_some_and(|s| s.cell.get().is_some())
-    }
 }
 
 /// The out-of-core [`QuantStore`]: row-block chunks streamed from a cache
 /// file built by [`write_cache`], under `mem_budget` resident decoded bytes
-/// with LRU eviction and background prefetch. See the [module docs](self).
+/// with LRU eviction. A chunk is decoded by the thread that pins it; the
+/// store runs no thread of its own. See the [module docs](self).
 pub struct ChunkedStore {
-    inner: Arc<Inner>,
+    inner: Inner,
     file_bytes: u64,
-    tx: Option<mpsc::Sender<usize>>,
-    worker: Option<thread::JoinHandle<()>>,
 }
 
 impl ChunkedStore {
@@ -797,7 +751,7 @@ impl ChunkedStore {
         source.release(0..file_bytes as usize);
         verdicts.into_iter().collect::<Result<(), CacheError>>()?;
 
-        let inner = Arc::new(Inner {
+        let inner = Inner {
             source,
             mapper,
             table,
@@ -813,19 +767,8 @@ impl ChunkedStore {
             high_water: AtomicU64::new(0),
             loads: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            prefetch_hits: AtomicU64::new(0),
-        });
-        let (tx, rx) = mpsc::channel::<usize>();
-        let worker_inner = Arc::clone(&inner);
-        let worker = thread::Builder::new()
-            .name("harp-chunk-prefetch".into())
-            .spawn(move || {
-                while let Ok(c) = rx.recv() {
-                    let _ = worker_inner.acquire(c, true);
-                }
-            })
-            .expect("spawn chunk prefetch worker");
-        Ok(Self { inner, file_bytes, tx: Some(tx), worker: Some(worker) })
+        };
+        Ok(Self { inner, file_bytes })
     }
 
     /// The geometry and size summary of the opened cache.
@@ -842,15 +785,6 @@ impl ChunkedStore {
     /// The resident-byte budget this store was opened with.
     pub fn mem_budget(&self) -> u64 {
         self.inner.budget
-    }
-}
-
-impl Drop for ChunkedStore {
-    fn drop(&mut self) {
-        drop(self.tx.take());
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
     }
 }
 
@@ -898,28 +832,33 @@ impl QuantStore for ChunkedStore {
         }
     }
 
+    /// Decodes on the calling thread on a miss. Concurrent pinners of one
+    /// absent chunk wait on its slot's `OnceLock`, so it is decoded and
+    /// counted once.
     fn pin(&self, c: usize) -> PinnedChunk<'_> {
-        let (slab, was_prefetched) = self.inner.acquire(c, false);
-        if was_prefetched {
-            self.inner.prefetch_hits.fetch_add(1, Relaxed);
-        }
-        PinnedChunk::Cached(slab)
-    }
-
-    fn prefetch(&self, c: usize) {
-        if c >= self.inner.table.len() || self.inner.is_resident(c) {
-            return;
-        }
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(c);
-        }
+        let inner = &self.inner;
+        let slot = {
+            let mut slots = inner.slots.lock().unwrap();
+            let slot = slots.entry(c).or_insert_with(Slot::empty).clone();
+            slot.last_used.store(inner.clock.fetch_add(1, Relaxed) + 1, Relaxed);
+            slot
+        };
+        let slab = slot.cell.get_or_init(|| {
+            // Make room and reserve *before* decoding so the resident
+            // high-water stays under budget whenever the concurrently
+            // pinned chunks fit it.
+            inner.reserve(inner.table[c].decoded_bytes, c);
+            let slab = inner.decode(c);
+            inner.loads.fetch_add(1, Relaxed);
+            Arc::new(slab)
+        });
+        PinnedChunk::Cached(slab.clone())
     }
 
     fn io_stats(&self) -> ChunkIoStats {
         ChunkIoStats {
             chunk_loads: self.inner.loads.load(Relaxed),
             chunk_evictions: self.inner.evictions.load(Relaxed),
-            chunk_prefetch_hits: self.inner.prefetch_hits.load(Relaxed),
             resident_bytes: self.inner.resident.load(Relaxed),
             resident_high_water: self.inner.high_water.load(Relaxed),
         }
@@ -1426,27 +1365,6 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    #[test]
-    fn prefetch_overlap_counts_hits() {
-        let qm = dense_qm(256, 4);
-        let path = tmp_path("prefetch");
-        write_cache(&qm, 32, &path).unwrap();
-        let store = ChunkedStore::open(&path, u64::MAX).unwrap();
-        store.prefetch(5);
-        // Wait for the worker to decode it, then pin: a prefetch hit.
-        for _ in 0..500 {
-            if store.inner.is_resident(5) {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        assert!(store.inner.is_resident(5), "prefetch worker never loaded chunk 5");
-        let _slab = store.pin(5);
-        assert_eq!(store.io_stats().chunk_prefetch_hits, 1);
-        drop(store);
-        std::fs::remove_file(&path).unwrap();
-    }
-
     /// Bytes of `map` the kernel holds resident: the `Rss:` of its
     /// `/proc/self/smaps` entry, found by its start address.
     #[cfg(target_os = "linux")]
@@ -1533,6 +1451,13 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Whether chunk `c` has a decoded slab in the store's slot map.
+    #[cfg(target_os = "linux")]
+    fn is_resident(store: &ChunkedStore, c: usize) -> bool {
+        let slots = store.inner.slots.lock().unwrap();
+        slots.get(&c).is_some_and(|s| s.cell.get().is_some())
+    }
+
     /// Two neighbouring blobs share a page: evicting one while the other is
     /// pinned leaves the pinned slab reading the same bytes.
     #[cfg(target_os = "linux")]
@@ -1551,7 +1476,7 @@ mod tests {
         // Chunk 0 is the least recently used unpinned slab.
         drop(store.pin(2));
         assert_eq!(store.io_stats().chunk_evictions, 1);
-        assert!(!store.inner.is_resident(0) && store.inner.is_resident(1));
+        assert!(!is_resident(&store, 0) && is_resident(&store, 1));
         assert!(dense_bytes(&one) == before, "the pinned slab changed under an eviction");
         for (local, row) in (4000..8000).enumerate() {
             for f in 0..3 {

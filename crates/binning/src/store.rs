@@ -24,8 +24,8 @@ use std::ops::{Deref, Range};
 use std::sync::Arc;
 
 /// Chunk-I/O counters of a store. All zero for an in-memory store; a
-/// chunked store reports cumulative loads/evictions/prefetch hits plus the
-/// current and high-water resident decoded bytes.
+/// chunked store reports cumulative loads and evictions plus the current
+/// and high-water resident decoded bytes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChunkIoStats {
     /// Chunks decoded from the cache file (a re-load after eviction counts
@@ -33,9 +33,6 @@ pub struct ChunkIoStats {
     pub chunk_loads: u64,
     /// Chunks evicted to stay under the resident-byte budget.
     pub chunk_evictions: u64,
-    /// Pins that found their chunk already resident because the prefetch
-    /// worker decoded it.
-    pub chunk_prefetch_hits: u64,
     /// Decoded bytes currently resident.
     pub resident_bytes: u64,
     /// High-water mark of `resident_bytes` over the store's lifetime.
@@ -114,12 +111,9 @@ pub trait QuantStore: Sync {
     /// The chunk containing global row `row`.
     fn chunk_of_row(&self, row: usize) -> usize;
 
-    /// Pins chunk `c`'s decoded slab for a scan (loading it if absent).
+    /// Pins chunk `c`'s decoded slab for a scan, loading it on the calling
+    /// thread if absent.
     fn pin(&self, c: usize) -> PinnedChunk<'_>;
-
-    /// Hints that chunk `c` will be pinned soon; may decode it on a
-    /// background worker. No-op by default.
-    fn prefetch(&self, _c: usize) {}
 
     /// How many decoded chunks fit the resident budget at once, or
     /// `usize::MAX` when residency is unbounded (in-core stores, or a
@@ -290,12 +284,10 @@ pub struct ChunkRun<'a> {
 /// [module docs](self)). `before_step(i)` runs ahead of step `i`'s pin: the
 /// place to pace concurrent sweeps ([`QuantStore::sweep_capacity`]).
 ///
-/// Three guarantees callers rely on:
+/// Two guarantees callers rely on:
 /// * **ascending chunks** — a chunk is pinned at most once per sweep, and
-///   only while its runs are visited;
-/// * **exact prefetch** — before a step's pin, the chunk of the *next* step
-///   (known, since this step's runs are already cut) is
-///   [`prefetch`](QuantStore::prefetch)ed, and nothing else is;
+///   only while its runs are visited; a sweep pins nothing else, so its
+///   pins are exactly the chunks its cursors touch;
 /// * **borrow at zero** — a chunk that starts at row 0 hands the visitor the
 ///   caller's own id slice; only later chunks are renumbered into a buffer.
 ///   A one-chunk store therefore costs no search, no copy and no allocation.
@@ -341,9 +333,6 @@ pub fn sweep_chunks<S: QuantStore + ?Sized>(
         for (k, [pos, cut]) in at.iter_mut().enumerate() {
             *cut = *pos + cursors[k].count_below(*pos, span.end);
             next = next.into_iter().chain(chunk_at(k, *cut)).min();
-        }
-        if let Some(n) = next {
-            store.prefetch(n);
         }
         let slab = store.pin(c);
         for (cursor, [pos, cut]) in at.iter_mut().enumerate() {
@@ -407,12 +396,12 @@ mod tests {
 
     /// Chunk geometry only: chunk `c` is rows `bounds[c]..bounds[c + 1]`,
     /// every pin lends the same slab (the sweep's visitor need not read it),
-    /// and prefetches and pins are logged in call order.
+    /// and pins are logged in call order.
     struct Geometry {
         bounds: Vec<usize>,
         slab: QuantizedMatrix,
-        /// `(is_pin, chunk)`.
-        log: Mutex<Vec<(bool, usize)>>,
+        /// Pinned chunks.
+        log: Mutex<Vec<usize>>,
     }
 
     impl QuantStore for Geometry {
@@ -441,11 +430,8 @@ mod tests {
             self.bounds.partition_point(|&b| b <= row) - 1
         }
         fn pin(&self, c: usize) -> PinnedChunk<'_> {
-            self.log.lock().unwrap().push((true, c));
+            self.log.lock().unwrap().push(c);
             PinnedChunk::Borrowed(&self.slab)
-        }
-        fn prefetch(&self, c: usize) {
-            self.log.lock().unwrap().push((false, c));
         }
     }
 
@@ -462,8 +448,7 @@ mod tests {
         /// included), 1..=4 random ascending lists and one contiguous range,
         /// every row of every cursor is visited exactly once and in order,
         /// steps ascend in chunk index and are never empty, `before_step`
-        /// counts them, `local + start == global`, the only prefetch before
-        /// a step's pin names the next step's chunk, and a chunk starting at
+        /// counts them, `local + start == global`, and a chunk starting at
         /// row 0 hands back the caller's own slice.
         #[test]
         fn sweep_visits_every_row_once_in_chunk_order(
@@ -496,7 +481,7 @@ mod tests {
                 &cursors,
                 |i| steps.push(i),
                 |run| {
-                    let (_, chunk) = *store.log.lock().unwrap().last().expect("pinned");
+                    let chunk = *store.log.lock().unwrap().last().expect("pinned");
                     let span = store.chunk_rows(chunk);
                     let local: Vec<usize> = match &run.rows {
                         Rows::List(l) => l.iter().map(|&r| r as usize).collect(),
@@ -530,17 +515,10 @@ mod tests {
                 };
                 prop_assert_eq!(seen, &want);
             }
-            let log = store.log.lock().unwrap();
-            let pins: Vec<usize> = log.iter().filter(|e| e.0).map(|e| e.1).collect();
+            let pins = store.log.lock().unwrap();
             prop_assert!(pins.windows(2).all(|w| w[0] < w[1]), "pins {:?}", pins);
-            prop_assert_eq!(&pins, &visited_steps);
+            prop_assert_eq!(&*pins, &visited_steps);
             prop_assert_eq!(steps, (0..pins.len()).collect::<Vec<_>>());
-            let mut want_log = Vec::new();
-            for (i, &c) in pins.iter().enumerate() {
-                want_log.extend(pins.get(i + 1).map(|&next| (false, next)));
-                want_log.push((true, c));
-            }
-            prop_assert_eq!(&*log, &want_log);
         }
     }
 

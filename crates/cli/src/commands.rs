@@ -309,8 +309,8 @@ pub fn train(args: &[String]) -> Result<String, String> {
         )?;
         let io = harpgbdt::QuantStore::io_stats(&store);
         setup_notes.push(format!(
-            "chunk I/O: {} loads, {} evictions, {} prefetch hits; resident high water {} bytes",
-            io.chunk_loads, io.chunk_evictions, io.chunk_prefetch_hits, io.resident_high_water
+            "chunk I/O: {} loads, {} evictions; resident high water {} bytes",
+            io.chunk_loads, io.chunk_evictions, io.resident_high_water
         ));
         out
     } else {

@@ -345,7 +345,9 @@ fn expand_replicated(
     // Slots publish their step count and a leader spin-waits (bounded — a
     // slot may start late) until the slowest is back inside the window; the
     // laggards then hit the leader's decoded chunks instead of reloading
-    // their own.
+    // their own. The window leaves one chunk of slack beyond the slots'
+    // pins: without it a leader's load can evict a chunk a laggard is
+    // about to pin, and the load count moves with the slots' timing.
     let capacity = ctx.qm.sweep_capacity();
     let window = if capacity == usize::MAX {
         usize::MAX

@@ -39,7 +39,6 @@ impl Totals {
         let mut counters = pool.profile().snapshot();
         counters.chunk_loads = io.chunk_loads - io_start.chunk_loads;
         counters.chunk_evictions = io.chunk_evictions - io_start.chunk_evictions;
-        counters.chunk_prefetch_hits = io.chunk_prefetch_hits - io_start.chunk_prefetch_hits;
         let sink = pool.trace();
         Self {
             phase_ns: clock.snapshot(),

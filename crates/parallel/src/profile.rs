@@ -167,12 +167,14 @@ counter_table! {
     /// Kernel SIMD tier dispatched (0 scalar, 2 avx2); a level, not a count.
     simd_tier,
     /// Out-of-core chunks decoded from the cache file (zero when training
-    /// in-core). The store keeps the three chunk totals itself; the trainer
-    /// reads them into each snapshot it takes.
+    /// in-core). The store keeps the chunk totals itself; the trainer reads
+    /// them into each snapshot it takes.
     chunk_loads,
     /// Out-of-core chunks evicted under the resident-byte budget.
     chunk_evictions,
-    /// Chunk pins satisfied by the background prefetch worker.
+    /// Always 0: chunks are decoded by the thread that pins them, so no pin
+    /// finds a chunk another thread loaded ahead of it. Kept because the
+    /// end-to-end benchmark's `binning.chunk_prefetch_hit_ratio` reads it.
     chunk_prefetch_hits,
 }
 
@@ -365,11 +367,7 @@ impl std::fmt::Display for ProfileReport {
         )?;
         let tier = if self.simd_tier == 0 { "scalar" } else { "avx2" };
         writeln!(f, "simd tier               {tier:>12}")?;
-        write!(
-            f,
-            "chunk load/evict/prefetch {:>4} / {} / {}",
-            self.chunk_loads, self.chunk_evictions, self.chunk_prefetch_hits
-        )
+        write!(f, "chunk load/evict        {:>4} / {}", self.chunk_loads, self.chunk_evictions)
     }
 }
 

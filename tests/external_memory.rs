@@ -53,7 +53,7 @@ fn chunked_training_is_bitwise_identical_in_every_mode_and_budget() {
     let qm_bytes = data.quantized.storage_bytes() as u64;
     // Chunks well under the budget: a worker can only scan one chunk at a
     // time, so the budget holds as long as it covers the handful of
-    // concurrently-pinned chunks (workers + prefetch), which ~3% chunks do.
+    // concurrently-pinned chunks (one per worker), which ~3% chunks do.
     // The floor stays small because the synth split is only a few hundred
     // rows — a 64-row floor would make each chunk a third of the budget.
     let rows_per_chunk = (data.quantized.n_rows() / 32).max(16);
@@ -112,6 +112,29 @@ fn chunked_training_is_bitwise_identical_in_every_mode_and_budget() {
                 ),
             }
         }
+    }
+    std::fs::remove_file(path).ok();
+}
+
+/// A chunk is decoded only by the thread that pins it, so at one thread the
+/// chunk traffic is a function of the training run alone: two runs of each
+/// batch mode through fresh stores on one cache, under a quarter-size
+/// budget, load and evict exactly the same chunks.
+#[test]
+fn chunk_loads_and_evictions_repeat_exactly_at_one_thread() {
+    let data = prepared(harp_data::DatasetKind::HiggsLike, 0.03, 5);
+    let budget = data.quantized.storage_bytes() as u64 / 4;
+    let path = cache_file(&data, (data.quantized.n_rows() / 32).max(16), "repeat");
+    for mode in [ParallelMode::DataParallel, ParallelMode::ModelParallel, ParallelMode::Sync] {
+        let trainer = GbdtTrainer::new(TrainParams { n_threads: 1, ..params(mode) }).unwrap();
+        let traffic = || {
+            let store = ChunkedStore::open(&path, budget).expect("open cache");
+            let profile = trainer.train_store(&store, &data.train.labels, None).diagnostics.profile;
+            (profile.chunk_loads, profile.chunk_evictions)
+        };
+        let first = traffic();
+        assert!(first.1 > 0, "{mode:?}: a quarter-size budget must evict");
+        assert_eq!(first, traffic(), "{mode:?}: (loads, evictions) moved between two runs");
     }
     std::fs::remove_file(path).ok();
 }

@@ -209,12 +209,13 @@ fn round_one_metric_names_and_order_are_the_recorded_contract() {
     let round_one = |store: &dyn harpgbdt::QuantStore| {
         let diag = trainer.train_store(store, &data.train.labels, None).diagnostics;
         let records = diag.ledger.expect("ledger enabled").records().to_vec();
-        // The run's report and the rounds are views of the same totals
-        // (a prefetch may still land after the last round is filed).
+        // The run's report and the rounds are views of the same totals: a
+        // chunk loads only on the thread that pins it, so none lands after
+        // the last round is filed.
         for name in ["regions", "flops", "chunk_loads"] {
             let run = diag.profile.named().iter().find(|(n, _)| *n == name).expect("counter").1;
             let rounds = records.iter().map(|r| counter(r, name)).sum::<u64>();
-            assert!(run == rounds || (name == "chunk_loads" && run > rounds), "{name}");
+            assert_eq!(run, rounds, "{name}");
         }
         records[0].clone()
     };
