@@ -222,13 +222,23 @@ impl ChunkMeta {
 /// over `path`: a store that has the previous file mapped keeps reading the
 /// previous bytes, and a failed or interrupted build leaves `path` as it
 /// was (the temporary file is removed on any error).
+///
+/// # Errors
+/// [`CacheError::Io`] of kind [`std::io::ErrorKind::InvalidInput`] when
+/// `rows_per_chunk` is 0 or `qm` has no rows (nothing is written then), and
+/// any filesystem failure.
 pub fn write_cache(
     qm: &QuantizedMatrix,
     rows_per_chunk: usize,
     path: &Path,
 ) -> Result<CacheSummary, CacheError> {
-    assert!(rows_per_chunk > 0, "rows_per_chunk must be positive");
-    assert!(qm.n_rows() > 0, "cannot cache an empty matrix");
+    let invalid = |msg| CacheError::Io(std::io::Error::new(std::io::ErrorKind::InvalidInput, msg));
+    if rows_per_chunk == 0 {
+        return Err(invalid("rows per chunk must be positive"));
+    }
+    if qm.n_rows() == 0 {
+        return Err(invalid("cannot cache an empty matrix"));
+    }
     static BUILDS: AtomicU64 = AtomicU64::new(0);
     let mut temp = path.as_os_str().to_owned();
     temp.push(format!(".tmp.{}.{}", std::process::id(), BUILDS.fetch_add(1, Relaxed)));
@@ -1130,6 +1140,24 @@ mod tests {
         };
         assert_eq!(temps_beside(&path), Vec::<String>::new());
         assert_eq!(temps_beside(&dir), Vec::<String>::new());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A zero chunk height or a matrix with no rows is the caller's input,
+    /// not a bug: an `InvalidInput` error, with no file and no temporary
+    /// file left behind.
+    #[test]
+    fn invalid_input_is_a_typed_error_and_writes_nothing() {
+        let dir = std::env::temp_dir().join(format!("harp_cache_invalid_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("train.qsc");
+        for (qm, rows_per_chunk) in [(dense_qm(10, 3), 0), (dense_qm(0, 3), 16)] {
+            match write_cache(&qm, rows_per_chunk, &path) {
+                Err(CacheError::Io(e)) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput),
+                other => panic!("expected an InvalidInput error, got {other:?}"),
+            }
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "the build wrote a file");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -282,3 +282,76 @@ fn predict_rejects_feature_mismatch() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn cache_input_errors_exit_cleanly() {
+    let dir = tmp_dir("cache-input");
+    let data = dir.join("train.csv");
+    let empty = dir.join("empty.csv");
+    std::fs::write(&data, "label,a,b\n1,0.5,0.1\n0,0.2,0.3\n1,0.7,0.2\n").unwrap();
+    std::fs::write(&empty, "label,a,b\n").unwrap();
+    let (data, empty) = (data.to_str().unwrap(), empty.to_str().unwrap());
+    let out = dir.join("c.qsc");
+    let model = dir.join("m.json");
+    let (out, model) = (out.to_str().unwrap(), model.to_str().unwrap());
+    let cases: [(&[&str], &str); 3] = [
+        (&["cache", "--data", data, "--out", out, "--rows-per-chunk", "0"], "must be positive"),
+        (
+            &[
+                "train",
+                "--data",
+                data,
+                "--model",
+                model,
+                "--external-memory",
+                "--cache",
+                out,
+                "--rows-per-chunk",
+                "0",
+            ],
+            "must be positive",
+        ),
+        (&["cache", "--data", empty, "--out", out], "empty matrix"),
+    ];
+    for (args, expected) in cases {
+        let run = bin().args(args).output().expect("spawn harpgbdt");
+        let err = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(expected), "{args:?}: {err}");
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+    assert_eq!(left.len(), 2, "only the two inputs may remain: {left:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn squared_loss_keeps_negative_targets() {
+    let dir = tmp_dir("negative-targets");
+    let data = dir.join("train.csv");
+    // Targets x - 8 over x in 0..10: 80 % of them negative, mean -3.5.
+    let mut text = String::from("label,x\n");
+    for i in 0..200 {
+        let x = i % 10;
+        text.push_str(&format!("{},{x}\n", x - 8));
+    }
+    std::fs::write(&data, text).unwrap();
+    let model = dir.join("m.json");
+    run_ok(&[
+        "train",
+        "--data",
+        data.to_str().unwrap(),
+        "--model",
+        model.to_str().unwrap(),
+        "--loss",
+        "squared",
+        "--trees",
+        "2",
+        "--threads",
+        "1",
+    ]);
+    let json = std::fs::read_to_string(&model).unwrap();
+    let scores = json.split("\"base_scores\":[").nth(1).expect("base_scores in the model");
+    let base: f64 = scores[..scores.find(']').unwrap()].parse().unwrap();
+    assert!((base + 3.5).abs() < 1e-6, "base score {base}: negative targets were clamped");
+    std::fs::remove_dir_all(&dir).ok();
+}

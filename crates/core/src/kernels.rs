@@ -15,12 +15,10 @@
 //! gather, the "+MemBuf" ablation of Table V) so the per-cell gradient
 //! dispatch disappears, and both index the mapper's flattened
 //! [`harp_binning::BinMapper::bin_offsets`] table directly. The storage
-//! kind picks the body — dense `u8` or sparse CSR/CSC, the store's only two
-//! byte layouts (DESIGN.md §13) — and the CPU picks the [`SimdTier`],
-//! detected once: on AVX2 the sparse row body folds two *distinct* cells
-//! per 256-bit add, and every other body (or any body on another CPU)
-//! issues two scalar adds per cell. Every tier performs the identical
-//! per-cell IEEE adds in the identical row-ascending order, so output is
+//! kind alone picks the body — dense `u8` or sparse CSR/CSC, the store's
+//! only two byte layouts (DESIGN.md §13) — and every body accumulates
+//! through one function, `add_cell`: two IEEE `f64` adds per cell, on every
+//! CPU. Each cell gets those adds in row-ascending order, so output is
 //! bitwise identical to the retained scalar row reference (the `scalar` arm
 //! of [`row_scan_store`]; the column reference lives in this module's
 //! tests).
@@ -184,22 +182,41 @@ fn prefetch_read<T>(p: *const T) {
     let _ = p;
 }
 
+/// Adds `gh` to the `(Σg, Σh)` cell at lanes `cell` and `cell + 1` of the
+/// buffer behind `hp`: two IEEE `f64` adds, which LLVM emits as one 128-bit
+/// `addpd`. Every BuildHist body accumulates through it.
+///
+/// # Safety
+/// `cell + 1` must be in bounds of the buffer behind `hp`.
+#[inline(always)]
+unsafe fn add_cell(hp: *mut f64, cell: usize, gh: (f64, f64)) {
+    // SAFETY: the caller guarantees `cell..cell + 2` in bounds.
+    unsafe {
+        *hp.add(cell) += gh.0;
+        *hp.add(cell + 1) += gh.1;
+    }
+}
+
+/// A row's `(g, h)` pair widened to the histogram's `f64`.
+#[inline(always)]
+fn widen([g, h]: GradPair) -> (f64, f64) {
+    (f64::from(g), f64::from(h))
+}
+
 // ---------------------------------------------------------------------------
-// SIMD tier detection
+// CPU vector tier (reported, not dispatched on)
 // ---------------------------------------------------------------------------
 
-/// Instruction tier the specialized kernels accumulate with, picked by CPU
-/// detection alone. Only the body that can fold two *distinct* cells into
-/// one add (the sparse row scan's entry pairs) has an AVX2 variant; every
-/// other body accumulates with two scalar adds per cell on every tier. Every tier produces bitwise-identical histograms (DESIGN.md §13):
-/// the lanes of a 256-bit add are independent IEEE adds, and cells are
-/// never paired unless provably distinct.
+/// The CPU's vector tier, detected once: `Avx2` where the CPU has AVX2.
+/// Set-up's `BinLookup::bin_run` takes its vector body on the same test;
+/// BuildHist does not dispatch on it — its bodies accumulate one way on
+/// every CPU (DESIGN.md §13). The ledger's `simd_tier` entry records it, so
+/// a run says which set-up body it had.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdTier {
-    /// Portable two-scalar-adds path (any CPU without AVX2).
+    /// No AVX2 (any CPU off x86-64, or one without it).
     Scalar = 0,
-    /// Two distinct cells folded per 256-bit add (sparse entry pairs);
-    /// runtime-gated on `is_x86_feature_detected!("avx2")`.
+    /// `is_x86_feature_detected!("avx2")` holds.
     Avx2 = 2,
 }
 
@@ -219,8 +236,8 @@ impl SimdTier {
     }
 }
 
-/// The widest tier this CPU supports.
-fn detected_tier() -> SimdTier {
+/// This CPU's [`SimdTier`], cached after the first call.
+pub fn simd_tier() -> SimdTier {
     static DETECTED: OnceLock<SimdTier> = OnceLock::new();
     *DETECTED.get_or_init(|| {
         #[cfg(target_arch = "x86_64")]
@@ -229,115 +246,6 @@ fn detected_tier() -> SimdTier {
         }
         SimdTier::Scalar
     })
-}
-
-/// The tier the specialized kernels dispatch to: the detected one, cached
-/// after the first call.
-pub fn simd_tier() -> SimdTier {
-    detected_tier()
-}
-
-// ---------------------------------------------------------------------------
-// Cell accumulators
-// ---------------------------------------------------------------------------
-
-/// One histogram-cell accumulate, monomorphized per [`SimdTier`]. A "cell"
-/// is the `(Σg, Σh)` f64 pair at lanes `cell` and `cell + 1`. All
-/// implementations perform the same two IEEE f64 adds — the AVX2 variant
-/// just issues them for two provably distinct cells as one vector op, so
-/// results are bitwise identical across tiers.
-trait CellAcc: Copy {
-    /// The packed `(g, h)` pair, widened to f64 once per row.
-    type Gh: Copy;
-
-    fn pack(g: f32, h: f32) -> Self::Gh;
-
-    /// Accumulates `gh` into the cell at lanes `cell..cell + 2`.
-    ///
-    /// # Safety
-    /// `cell + 1` must be in bounds of the buffer behind `hp`.
-    unsafe fn add(hp: *mut f64, cell: usize, gh: Self::Gh);
-
-    /// Accumulates `gh` into two cells of the same row.
-    ///
-    /// # Safety
-    /// Both cells in bounds, and `cell0 != cell1` — a 256-bit fold of the
-    /// same cell would collapse two ordered adds into one.
-    #[inline(always)]
-    unsafe fn add2(hp: *mut f64, cell0: usize, cell1: usize, gh: Self::Gh) {
-        // SAFETY: forwarded per-cell contracts.
-        unsafe {
-            Self::add(hp, cell0, gh);
-            Self::add(hp, cell1, gh);
-        }
-    }
-}
-
-#[derive(Clone, Copy)]
-struct PortableAcc;
-
-impl CellAcc for PortableAcc {
-    type Gh = (f64, f64);
-
-    #[inline(always)]
-    fn pack(g: f32, h: f32) -> (f64, f64) {
-        (f64::from(g), f64::from(h))
-    }
-
-    #[inline(always)]
-    unsafe fn add(hp: *mut f64, cell: usize, gh: (f64, f64)) {
-        // SAFETY: caller guarantees cell..cell + 2 in bounds.
-        unsafe {
-            *hp.add(cell) += gh.0;
-            *hp.add(cell + 1) += gh.1;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::CellAcc;
-    use core::arch::x86_64::*;
-
-    /// AVX2 tier: one unaligned 128-bit `(Σg, Σh)` add per cell (lanewise
-    /// IEEE, bitwise equal to two scalar f64 adds), and two *distinct* cells
-    /// of one row folded into a single 256-bit add. Only reached through the
-    /// `#[target_feature(enable = "avx2")]` kernel wrappers.
-    #[derive(Clone, Copy)]
-    pub(super) struct Avx2Acc;
-
-    impl CellAcc for Avx2Acc {
-        type Gh = __m128d;
-
-        #[inline(always)]
-        fn pack(g: f32, h: f32) -> __m128d {
-            // SAFETY: SSE2 is part of the x86-64 baseline.
-            unsafe { _mm_set_pd(f64::from(h), f64::from(g)) }
-        }
-
-        #[inline(always)]
-        unsafe fn add(hp: *mut f64, cell: usize, gh: __m128d) {
-            // SAFETY: caller guarantees bounds.
-            unsafe {
-                let p = hp.add(cell);
-                _mm_storeu_pd(p, _mm_add_pd(_mm_loadu_pd(p), gh));
-            }
-        }
-
-        #[inline(always)]
-        unsafe fn add2(hp: *mut f64, cell0: usize, cell1: usize, gh: __m128d) {
-            // SAFETY: caller guarantees bounds and cell0 != cell1, so the
-            // two 128-bit halves are independent IEEE adds.
-            unsafe {
-                let p0 = hp.add(cell0);
-                let p1 = hp.add(cell1);
-                let cur = _mm256_set_m128d(_mm_loadu_pd(p1), _mm_loadu_pd(p0));
-                let sum = _mm256_add_pd(cur, _mm256_set_m128d(gh, gh));
-                _mm_storeu_pd(p0, _mm256_castpd256_pd128(sum));
-                _mm_storeu_pd(p1, _mm256_extractf128_pd::<1>(sum));
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -354,28 +262,12 @@ fn row_scan(
     f_range: Range<usize>,
     hist: &mut [f64],
 ) -> u64 {
-    row_scan_at(simd_tier(), qm, rows, grads, f_range, hist)
-}
-
-/// [`row_scan`] pinned to `tier` (clamped to the detected ceiling), so the
-/// unit tests can run the `Scalar` bodies beside the detected ones.
-fn row_scan_at(
-    tier: SimdTier,
-    qm: &QuantizedMatrix,
-    rows: &[u32],
-    grads: GradSource<'_>,
-    f_range: Range<usize>,
-    hist: &mut [f64],
-) -> u64 {
-    let tier = tier.min(detected_tier());
     match grads {
         GradSource::MemBuf(m) => {
             assert!(m.len() >= rows.len(), "MemBuf shorter than the row set");
-            row_scan_impl(qm, SliceRows(rows), MemBufRead(m), f_range, hist, tier)
+            row_scan_impl(qm, SliceRows(rows), MemBufRead(m), f_range, hist)
         }
-        GradSource::Global(g) => {
-            row_scan_impl(qm, SliceRows(rows), GlobalRead(g), f_range, hist, tier)
-        }
+        GradSource::Global(g) => row_scan_impl(qm, SliceRows(rows), GlobalRead(g), f_range, hist),
     }
 }
 
@@ -393,28 +285,23 @@ fn row_scan_root(
     hist: &mut [f64],
 ) -> u64 {
     assert!(row_range.end <= qm.n_rows(), "row range out of bounds");
-    let tier = simd_tier();
     let rows = ContigRows { base: row_range.start as u32, len: row_range.len() };
     match grads {
         GradSource::MemBuf(m) => {
             assert!(m.len() >= rows.len, "MemBuf shorter than the row range");
-            row_scan_impl(qm, rows, MemBufRead(m), f_range, hist, tier)
+            row_scan_impl(qm, rows, MemBufRead(m), f_range, hist)
         }
-        GradSource::Global(g) => row_scan_impl(qm, rows, GlobalRead(g), f_range, hist, tier),
+        GradSource::Global(g) => row_scan_impl(qm, rows, GlobalRead(g), f_range, hist),
     }
 }
 
-/// The storage picks the body: dense or sparse. The tier only matters to
-/// the sparse body, which folds distinct cell pairs; the dense body has no
-/// such pair (two rows of a quad may hit the same cell), so it accumulates
-/// with [`PortableAcc`] on every tier.
+/// The storage picks the body: dense or sparse.
 fn row_scan_impl<R: RowSet, G: GradRead>(
     qm: &QuantizedMatrix,
     rows: R,
     grads: G,
     f_range: Range<usize>,
     hist: &mut [f64],
-    tier: SimdTier,
 ) -> u64 {
     assert!(f_range.end <= qm.n_features(), "feature range out of bounds");
     // The bodies' unchecked writes rest on this: every cell they address
@@ -424,13 +311,7 @@ fn row_scan_impl<R: RowSet, G: GradRead>(
     if let Some(row_major) = qm.dense_row_major() {
         return dense_row_scan(qm, row_major, rows, grads, f_range, hist);
     }
-    match tier {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: tier is clamped to the detected ceiling, so AVX2 is
-        // available on this CPU.
-        SimdTier::Avx2 => unsafe { sparse_row_scan_avx2(qm, rows, grads, f_range, hist) },
-        _ => sparse_row_scan::<R, G, PortableAcc>(qm, rows, grads, f_range, hist),
-    }
+    sparse_row_scan(qm, rows, grads, f_range, hist)
 }
 
 /// The specialized dense body: 4-row unroll, feature-outer within each quad
@@ -463,7 +344,7 @@ fn dense_row_scan<R: RowSet, G: GradRead>(
     unsafe fn acc(cells_f: *mut f64, n_bins: u32, b: u8, gh: (f64, f64)) -> u64 {
         let b = u32::from(b);
         // SAFETY: cell bounds per the invariant above.
-        unsafe { PortableAcc::add(cells_f, b.min(n_bins) as usize * 2, gh) };
+        unsafe { add_cell(cells_f, b.min(n_bins) as usize * 2, gh) };
         u64::from(b < n_bins)
     }
 
@@ -479,10 +360,8 @@ fn dense_row_scan<R: RowSet, G: GradRead>(
             }
         }
         let (r0, r1, r2, r3) = (rows.get(i), rows.get(i + 1), rows.get(i + 2), rows.get(i + 3));
-        let ([g0, h0], [g1, h1]) = (grads.get(i, r0), grads.get(i + 1, r1));
-        let ([g2, h2], [g3, h3]) = (grads.get(i + 2, r2), grads.get(i + 3, r3));
-        let pack = PortableAcc::pack;
-        let (gh0, gh1, gh2, gh3) = (pack(g0, h0), pack(g1, h1), pack(g2, h2), pack(g3, h3));
+        let (gh0, gh1) = (widen(grads.get(i, r0)), widen(grads.get(i + 1, r1)));
+        let (gh2, gh3) = (widen(grads.get(i + 2, r2)), widen(grads.get(i + 3, r3)));
         let (b0, b1, b2, b3) = (row_bins(r0), row_bins(r1), row_bins(r2), row_bins(r3));
         let mut cells_f = hp;
         for (f, w) in f_range.clone().zip(block.windows(2)) {
@@ -502,8 +381,7 @@ fn dense_row_scan<R: RowSet, G: GradRead>(
     }
     while i < n {
         let r = rows.get(i);
-        let [g, h] = grads.get(i, r);
-        let gh = PortableAcc::pack(g, h);
+        let gh = widen(grads.get(i, r));
         let bins = row_bins(r);
         let mut cells_f = hp;
         for (f, w) in f_range.clone().zip(block.windows(2)) {
@@ -526,13 +404,6 @@ fn dense_row_scan<R: RowSet, G: GradRead>(
     cells
 }
 
-/// Entries resolved-and-prefetched ahead of accumulation by the sparse
-/// scan: cell indices for up to one chunk are materialized (issuing a
-/// prefetch each) before any of the chunk's adds run, so every random hist
-/// access has a full chunk's worth of address-generation work between its
-/// prefetch and its use — enough to cover a DRAM miss on multi-MB buffers.
-const SPARSE_CHUNK: usize = 16;
-
 /// Bin capacity of one internal pass of the sparse scan (≈ 1.5 MiB of
 /// `(Σg, Σh)` cells, sized to sit inside a 2 MiB L2 with headroom for the
 /// entry stream): histograms wider than this are built in feature blocks
@@ -540,22 +411,14 @@ const SPARSE_CHUNK: usize = 16;
 /// whole multi-MB buffer row by row.
 const SPARSE_PASS_BINS: u32 = 96 * 1024;
 
-/// The sparse CSR body: per-row feature-range restriction by binary search
-/// and entry-paired accumulates (distinct columns ⇒ distinct cells, so the
-/// AVX2 tier folds two per add). The random hist write is the bound, and
-/// two layers address it:
-///
-/// * **Cache blocking.** When `f_range` spans more than
-///   [`SPARSE_PASS_BINS`] bins, the scan runs in several feature-block
-///   passes over the row set, each touching only a cache-sized slice of
-///   the histogram. Distinct cells commute, and within one cell the row
-///   order is unchanged, so the result stays bitwise identical to the
-///   single-pass scalar reference.
-/// * **Chunked prefetch.** Each row slice is processed in
-///   [`SPARSE_CHUNK`]-entry chunks: phase one resolves the chunk's cell
-///   indices into a stack buffer and prefetches each, phase two replays
-///   the buffer into paired adds — same entry order, bitwise identical.
-fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
+/// The sparse CSR body: per-row feature-range restriction and an
+/// accumulate that steps two entries at a time. The random hist write is
+/// the bound. When `f_range` spans more than [`SPARSE_PASS_BINS`] bins, the
+/// scan runs in several feature-block passes over the row set, each
+/// touching only a cache-sized slice of the histogram. Distinct cells
+/// commute, and within one cell the row order is unchanged, so the result
+/// stays bitwise identical to the single-pass scalar reference.
+fn sparse_row_scan<R: RowSet, G: GradRead>(
     qm: &QuantizedMatrix,
     rows: R,
     grads: G,
@@ -567,7 +430,6 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
     let n = rows.len();
     let hp = hist.as_mut_ptr();
     let mut cells = 0u64;
-    let mut cellbuf = [0usize; SPARSE_CHUNK];
     // `hist` holds the lanes of `f_range`: cell `offsets[c] + c + b - base`
     // is column c's bin b.
     let base = offsets[f_range.start] as usize + f_range.start;
@@ -585,22 +447,23 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
         }
     }
 
-    // Direct paired accumulate over one row slice `[lo, hi)` — used by the
-    // cache-blocked passes, where the histogram slice is cache-resident
-    // and the prefetch phase of the chunked variant would be dead weight.
+    // Accumulates one row slice `[lo, hi)` for both walks below. It steps
+    // two entries at a time, resolving both cells before either add: a
+    // one-entry loop read the wide-histogram row-scan probes slower by
+    // median (EXPERIMENTS.md, "One cell accumulate").
     //
-    // SAFETY contract: `lo <= hi <= cols.len()`; paired cells belong to
-    // strictly ascending columns, hence are distinct (add2 contract).
+    // SAFETY contract: `lo <= hi <= cols.len()`, and every entry of the
+    // slice meets `cell_at`'s contract.
     #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    unsafe fn accumulate_direct<A: CellAcc>(
+    unsafe fn accumulate(
         offsets: &[u32],
         base: usize,
         cols: &[u32],
         bins: &[u8],
         lo: usize,
         hi: usize,
-        gh: A::Gh,
+        gh: (f64, f64),
         hp: *mut f64,
     ) {
         // SAFETY: per the contract above.
@@ -609,51 +472,12 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
             while k + 2 <= hi {
                 let a = cell_at(offsets, base, cols, bins, k);
                 let b = cell_at(offsets, base, cols, bins, k + 1);
-                A::add2(hp, a, b, gh);
+                add_cell(hp, a, gh);
+                add_cell(hp, b, gh);
                 k += 2;
             }
             if k < hi {
-                A::add(hp, cell_at(offsets, base, cols, bins, k), gh);
-            }
-        }
-    }
-
-    // The chunked accumulate over one row slice `[lo, hi)`.
-    //
-    // SAFETY contract: `lo <= hi <= cols.len()`; paired cells belong to
-    // strictly ascending columns, hence are distinct (add2 contract).
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    unsafe fn accumulate<A: CellAcc>(
-        offsets: &[u32],
-        base: usize,
-        cols: &[u32],
-        bins: &[u8],
-        lo: usize,
-        hi: usize,
-        gh: A::Gh,
-        hp: *mut f64,
-        cellbuf: &mut [usize; SPARSE_CHUNK],
-    ) {
-        // SAFETY: per the contract above.
-        unsafe {
-            let mut k = lo;
-            while k < hi {
-                let c = (hi - k).min(SPARSE_CHUNK);
-                for (j, slot) in cellbuf[..c].iter_mut().enumerate() {
-                    let cell = cell_at(offsets, base, cols, bins, k + j);
-                    prefetch_read(hp.add(cell));
-                    *slot = cell;
-                }
-                let mut j = 0usize;
-                while j + 2 <= c {
-                    A::add2(hp, *cellbuf.get_unchecked(j), *cellbuf.get_unchecked(j + 1), gh);
-                    j += 2;
-                }
-                if j < c {
-                    A::add(hp, *cellbuf.get_unchecked(j), gh);
-                }
-                k += c;
+                add_cell(hp, cell_at(offsets, base, cols, bins, k), gh);
             }
         }
     }
@@ -665,13 +489,13 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
         // order, so every pass resumes a row where the previous pass
         // stopped and finds its end with a short linear walk over lines
         // the accumulate reads anyway — no per-pass binary searches. The
-        // packed `(g, h)` pairs and per-row entry bounds are resolved once
+        // widened `(g, h)` pairs and per-row entry bounds are resolved once
         // up front so the per-(row, pass) loop is three sequential scratch
         // reads plus the walk.
         let (indptr, all_cols, all_bins) = qm.sparse_csr().expect("sparse storage");
         let mut cursor: Vec<usize> = Vec::with_capacity(n);
         let mut ends: Vec<usize> = Vec::with_capacity(n);
-        let mut ghs: Vec<A::Gh> = Vec::with_capacity(n);
+        let mut ghs: Vec<(f64, f64)> = Vec::with_capacity(n);
         for i in 0..n {
             let row = rows.get(i);
             let (s, e) = (indptr[row as usize], indptr[row as usize + 1]);
@@ -687,8 +511,7 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
             };
             cursor.push(lo);
             ends.push(end);
-            let [g, h] = grads.get(i, row);
-            ghs.push(A::pack(g, h));
+            ghs.push(widen(grads.get(i, row)));
         }
         let mut fs = f_range.start;
         while fs < f_range.end {
@@ -700,8 +523,7 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
             }
             let fe_col = fe as u32;
             // SAFETY: i < n bounds the scratch reads; the walk keeps
-            // k < end <= all_cols.len(); accumulate per its contract
-            // (ascending columns within a row ⇒ distinct cells).
+            // k < end <= all_cols.len(); accumulate per its contract.
             unsafe {
                 for i in 0..n {
                     let lo = *cursor.get_unchecked(i);
@@ -710,16 +532,8 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
                     while k < end && *all_cols.get_unchecked(k) < fe_col {
                         k += 1;
                     }
-                    accumulate_direct::<A>(
-                        offsets,
-                        base,
-                        all_cols,
-                        all_bins,
-                        lo,
-                        k,
-                        *ghs.get_unchecked(i),
-                        hp,
-                    );
+                    let gh = *ghs.get_unchecked(i);
+                    accumulate(offsets, base, all_cols, all_bins, lo, k, gh, hp);
                     *cursor.get_unchecked_mut(i) = k;
                     cells += (k - lo) as u64;
                 }
@@ -735,8 +549,7 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
         if i + 1 < n {
             grads.prefetch(i + 1, rows.get(i + 1));
         }
-        let [g, h] = grads.get(i, row);
-        let gh = A::pack(g, h);
+        let gh = widen(grads.get(i, row));
         let (cols, bins) = qm.sparse_row(row as usize).expect("sparse storage");
         // Restrict to the feature block; row entries are sorted by column.
         let (lo, hi) = if full {
@@ -748,25 +561,11 @@ fn sparse_row_scan<R: RowSet, G: GradRead, A: CellAcc>(
             )
         };
         // SAFETY: accumulate per its contract (lo <= hi <= cols.len() from
-        // partition_point, ascending columns within a row).
-        unsafe {
-            accumulate::<A>(offsets, base, cols, bins, lo, hi, gh, hp, &mut cellbuf);
-        }
+        // partition_point).
+        unsafe { accumulate(offsets, base, cols, bins, lo, hi, gh, hp) };
         cells += (hi - lo) as u64;
     }
     cells
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn sparse_row_scan_avx2<R: RowSet, G: GradRead>(
-    qm: &QuantizedMatrix,
-    rows: R,
-    grads: G,
-    f_range: Range<usize>,
-    hist: &mut [f64],
-) -> u64 {
-    sparse_row_scan::<R, G, x86::Avx2Acc>(qm, rows, grads, f_range, hist)
 }
 
 /// The scalar row-scan reference: one `match` per gradient read, one
@@ -907,9 +706,9 @@ fn col_scan_body<R: RowSet, G: GradRead>(
             if !full_bins && !bin_range.contains(&(b as usize)) {
                 continue;
             }
-            let [g, h] = grads.get(i, row);
+            let gh = widen(grads.get(i, row));
             // SAFETY: b < n_bins (QuantizedMatrix invariant).
-            unsafe { PortableAcc::add(hp, usize::from(b) * 2, PortableAcc::pack(g, h)) };
+            unsafe { add_cell(hp, usize::from(b) * 2, gh) };
             cells += 1;
         }
         return cells;
@@ -927,9 +726,9 @@ fn col_scan_body<R: RowSet, G: GradRead>(
             let row = col_rows[k];
             let b = col_bins[k] as usize;
             if full_bins || bin_range.contains(&b) {
-                let [g, h] = grads.get((row - base) as usize, row);
+                let gh = widen(grads.get((row - base) as usize, row));
                 // SAFETY: b < n_bins (QuantizedMatrix invariant).
-                unsafe { PortableAcc::add(hp, b * 2, PortableAcc::pack(g, h)) };
+                unsafe { add_cell(hp, b * 2, gh) };
                 cells += 1;
             }
         }
@@ -947,9 +746,9 @@ fn col_scan_body<R: RowSet, G: GradRead>(
         if col_rows[k] == row {
             let b = col_bins[k];
             if full_bins || bin_range.contains(&(b as usize)) {
-                let [g, h] = grads.get(i, row);
+                let gh = widen(grads.get(i, row));
                 // SAFETY: b < n_bins (QuantizedMatrix invariant).
-                unsafe { PortableAcc::add(hp, usize::from(b) * 2, PortableAcc::pack(g, h)) };
+                unsafe { add_cell(hp, usize::from(b) * 2, gh) };
                 cells += 1;
             }
             k += 1;
@@ -1341,23 +1140,6 @@ mod tests {
     }
 
     #[test]
-    fn row_scan_all_tiers_match_scalar_bitwise() {
-        for qm in all_qms() {
-            let n = qm.n_rows();
-            let g = grads(n);
-            let m = qm.n_features();
-            let rows: Vec<u32> = (0..n as u32).collect();
-            let mut scalar = hist_for(&qm);
-            row_scan_scalar(&qm, &rows, GradSource::Global(&g), 0..m, &mut scalar);
-            for tier in [SimdTier::Scalar, SimdTier::Avx2] {
-                let mut fast = hist_for(&qm);
-                row_scan_at(tier, &qm, &rows, GradSource::Global(&g), 0..m, &mut fast);
-                assert_eq!(fast, scalar, "tier {} differs", tier.name());
-            }
-        }
-    }
-
-    #[test]
     fn row_scan_sparse_matches_reference() {
         let qm = sparse_qm();
         let g = grads(4);
@@ -1493,28 +1275,10 @@ mod tests {
     }
 
     #[test]
-    fn col_scan_all_tiers_match_scalar_bitwise() {
-        for qm in all_qms() {
-            let n = qm.n_rows();
-            let g = grads(n);
-            let rows: Vec<u32> = (0..n as u32).collect();
-            for f in 0..qm.n_features() {
-                let n_bins = qm.mapper().n_bins(f) as usize;
-                let mut scalar = vec![0.0; n_bins * 2];
-                col_scan_scalar(&qm, f, &rows, GradSource::Global(&g), 0..n_bins, &mut scalar);
-                // One body serves every tier: a column scan accumulates one
-                // cell per matching row, with no distinct pair to fold.
-                let mut fast = vec![0.0; n_bins * 2];
-                col_scan(&qm, f, &rows, GradSource::Global(&g), 0..n_bins, &mut fast);
-                assert_eq!(fast, scalar, "feature {f}");
-            }
-        }
-    }
-
-    #[test]
     fn simd_tier_is_clamped_and_named() {
         let t = simd_tier();
-        assert!(t <= detected_tier());
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(t == SimdTier::Avx2, is_x86_feature_detected!("avx2"));
         assert!(["scalar", "avx2"].contains(&t.name()));
         assert_eq!(SimdTier::Scalar.as_u64(), 0);
         assert_eq!(SimdTier::Avx2.as_u64(), 2);
@@ -1616,28 +1380,24 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Every SIMD tier (clamped to what the host supports) produces
-        /// bitwise the same histograms as the scalar references, on a dense
-        /// and on a sparse store: the row scan pinned to the tier, and the
-        /// column scan, whose one body serves every tier.
+        /// The row and the column scan produce bitwise the same histograms
+        /// as the scalar references, on a dense and on a sparse store.
         #[test]
-        fn forced_tiers_bitwise_equal_scalar(
+        fn scans_bitwise_equal_scalar(
             dense in few_values_dense_case(),
             matrix in one_hot_matrix(),
-            tier_idx in 0usize..2,
         ) {
-            let tier = [SimdTier::Scalar, SimdTier::Avx2][tier_idx];
             let sparse_qm = QuantizedMatrix::from_matrix(&matrix, BinningConfig::with_max_bins(16));
             let (sgrads, srows) = grads_and_rows(sparse_qm.n_rows(), 0x5eed);
             let sparse = (sparse_qm, sgrads, srows);
             for (qm, grads, rows) in [&dense, &sparse] {
                 let m = qm.n_features();
                 let all = GradSource::Global(grads);
-                let mut forced = hist_for(qm);
+                let mut scanned = hist_for(qm);
                 let mut scalar = hist_for(qm);
-                row_scan_at(tier, qm, rows, all, 0..m, &mut forced);
+                row_scan(qm, rows, all, 0..m, &mut scanned);
                 row_scan_scalar(qm, rows, all, 0..m, &mut scalar);
-                prop_assert_eq!(&forced, &scalar);
+                prop_assert_eq!(&scanned, &scalar);
                 for f in 0..m {
                     let n_bins = qm.mapper().n_bins(f) as usize;
                     if n_bins == 0 {

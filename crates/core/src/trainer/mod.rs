@@ -458,8 +458,8 @@ impl GbdtTrainer {
             g.observe(qm.storage_bytes() as u64);
         }
 
-        // Record the SIMD tier the kernels will dispatch to. Placed after the
-        // ledger's baseline read so the round-1 delta carries it.
+        // Record the CPU's vector tier. Placed after the ledger's baseline
+        // read so the round-1 delta carries it.
         profile.set_simd_tier(crate::kernels::simd_tier().as_u64());
 
         // Evaluation state.

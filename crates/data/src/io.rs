@@ -45,10 +45,21 @@ fn parse_err(line: usize, message: impl Into<String>) -> LoadError {
 /// otherwise abort the process on allocation.
 pub const MAX_LIBSVM_COLS: usize = 1 << 24;
 
+/// Maps the binary `{-1, +1}` label convention to `{0, 1}`: when every
+/// label of a file is −1, 0 or 1, each −1 becomes 0. Any other file keeps
+/// its labels as written — regression targets and class ids may be
+/// negative, and a loss that rejects them says so.
+fn binary_labels(labels: &mut [f32]) {
+    if labels.iter().all(|&y| y == -1.0 || y == 0.0 || y == 1.0) {
+        labels.iter_mut().filter(|y| **y == -1.0).for_each(|y| *y = 0.0);
+    }
+}
+
 /// Reads a LIBSVM-format dataset (`label idx:value idx:value ...`, indices
 /// 1-based or 0-based — auto-detected; comments after `#` ignored; a literal
 /// `nan` value is a missing entry, as in CSV). At most [`MAX_LIBSVM_COLS`]
-/// columns.
+/// columns. Labels are kept as written, except that a file whose labels
+/// are all −1, 0 or 1 has its −1s read as 0.
 pub fn read_libsvm<R: BufRead>(reader: R, name: &str) -> Result<Dataset, LoadError> {
     let mut rows: Vec<Vec<(u32, f32)>> = Vec::new();
     let mut labels: Vec<f32> = Vec::new();
@@ -84,9 +95,9 @@ pub fn read_libsvm<R: BufRead>(reader: R, name: &str) -> Result<Dataset, LoadErr
             row.push((idx, val));
         }
         rows.push(row);
-        // Map {-1, +1} convention to {0, 1}.
-        labels.push(if label < 0.0 { 0.0 } else { label });
+        labels.push(label);
     }
+    binary_labels(&mut labels);
     // Shift 1-based indices down.
     let offset = if matches!(min_idx, None | Some(0)) { 0 } else { 1 };
     let n_cols = if rows.iter().all(|r| r.is_empty()) {
@@ -112,7 +123,9 @@ pub fn read_libsvm<R: BufRead>(reader: R, name: &str) -> Result<Dataset, LoadErr
 }
 
 /// Reads a label-first CSV dataset (`label,f0,f1,...`; empty fields and
-/// literal `nan` are missing; an optional non-numeric header row is skipped).
+/// literal `nan` are missing; an optional non-numeric header row is
+/// skipped). Labels are kept as written, except that a file whose labels
+/// are all −1, 0 or 1 has its −1s read as 0.
 pub fn read_csv<R: BufRead>(reader: R, name: &str) -> Result<Dataset, LoadError> {
     let mut values: Vec<f32> = Vec::new();
     let mut labels: Vec<f32> = Vec::new();
@@ -152,8 +165,9 @@ pub fn read_csv<R: BufRead>(reader: R, name: &str) -> Result<Dataset, LoadError>
                 values.push(field.parse().map_err(|_| parse_err(lineno + 1, "bad feature value"))?);
             }
         }
-        labels.push(if label < 0.0 { 0.0 } else { label });
+        labels.push(label);
     }
+    binary_labels(&mut labels);
     let n_cols = n_cols.unwrap_or(0);
     let matrix = FeatureMatrix::Dense(DenseMatrix::from_vec(labels.len(), n_cols, values));
     Ok(Dataset::new(name, matrix, labels))
@@ -359,5 +373,19 @@ mod tests {
         let text = "-1,1.0\n1,2.0\n";
         let d = read_csv(Cursor::new(text), "t").unwrap();
         assert_eq!(d.labels, vec![0.0, 1.0]);
+    }
+
+    #[test]
+    fn csv_keeps_a_negative_label_outside_the_binary_convention() {
+        let text = "-1,1.0\n-2.5,2.0\n1,3.0\n";
+        let d = read_csv(Cursor::new(text), "t").unwrap();
+        assert_eq!(d.labels, vec![-1.0, -2.5, 1.0]);
+    }
+
+    #[test]
+    fn libsvm_keeps_a_negative_label_outside_the_binary_convention() {
+        let text = "-1 1:0.5\n-2.5 2:1.5\n1 1:3.0\n";
+        let d = read_libsvm(Cursor::new(text), "t").unwrap();
+        assert_eq!(d.labels, vec![-1.0, -2.5, 1.0]);
     }
 }

@@ -164,7 +164,9 @@ counter_table! {
     /// BuildHist batches whose block extents came from the auto-tuner cost
     /// model rather than an explicit config.
     plan_batches_auto,
-    /// Kernel SIMD tier dispatched (0 scalar, 2 avx2); a level, not a count.
+    /// The CPU's vector tier (0 scalar, 2 avx2; `kernels::simd_tier`), which
+    /// picks set-up's run kernel body and no BuildHist body; a level, not a
+    /// count.
     simd_tier,
     /// Out-of-core chunks decoded from the cache file (zero when training
     /// in-core). The store keeps the chunk totals itself; the trainer reads
@@ -249,8 +251,7 @@ impl Profile {
         self.plan_batches_auto.fetch_add(auto_batches, Ordering::Relaxed);
     }
 
-    /// Records the kernel SIMD tier dispatched (stored as a level, not
-    /// added).
+    /// Records the CPU's vector tier (stored as a level, not added).
     pub fn set_simd_tier(&self, simd_tier: u64) {
         self.simd_tier.store(simd_tier, Ordering::Relaxed);
     }

@@ -253,6 +253,57 @@ fn kernels_bitwise_equal_scalar_on_synset_and_yfcc_shapes() {
     }
 }
 
+/// The sparse row scan builds a histogram wider than its pass budget (96 Ki
+/// bins) in cache-blocked feature passes, each row resuming at a cursor the
+/// previous pass left. The proptests' matrices are far narrower and the
+/// YFCC-like check scans every row and feature with global gradients only,
+/// so this drives that walk where it can go wrong: 450 columns of ~255 bins,
+/// a node's row subset, a feature block that starts and ends inside rows
+/// and spans a pass boundary, MemBuf and global gradients.
+#[test]
+fn cache_blocked_sparse_row_scan_bitwise_equals_scalar() {
+    let (n, m) = (600usize, 450usize);
+    let mut s = 0x0b10_c4ed;
+    let rows_vec: Vec<Vec<(u32, f32)>> = (0..n)
+        .map(|_| {
+            (0..m as u32)
+                .filter_map(|c| {
+                    let r = splitmix(&mut s);
+                    (r % 2 == 0).then_some((c, ((r >> 8) % 4096) as f32))
+                })
+                .collect()
+        })
+        .collect();
+    let qm = QuantizedMatrix::from_matrix(
+        &FeatureMatrix::Sparse(CsrMatrix::from_rows(m, &rows_vec)),
+        BinningConfig::default(),
+    );
+    let (grads, _) = grads_and_rows(n, 0x5eed);
+    let rows: Vec<u32> = (0..n as u32).filter(|r| r % 3 != 1).collect();
+    let membuf: Vec<Grad> = rows.iter().map(|&r| grads[r as usize]).collect();
+    let f_range = 7..m - 7;
+    let block = lanes(qm.mapper(), f_range.clone());
+    // One cell is two lanes; a feature's sink adds one cell per feature.
+    let bins = block.len() / 2 - f_range.len();
+    assert!(bins > 96 * 1024 && bins < 2 * 96 * 1024, "{bins} bins: not a two-pass block");
+    let width = hist_width_for(&qm);
+    let mut scalar = vec![0.0; width];
+    let cs = row_scan_store(
+        &qm,
+        &rows,
+        GradSource::Global(&grads),
+        f_range.clone(),
+        &mut scalar[block.clone()],
+        true,
+    );
+    for src in [GradSource::Global(&grads), GradSource::MemBuf(&membuf)] {
+        let mut fast = vec![0.0; width];
+        let cf = row_scan_store(&qm, &rows, src, f_range.clone(), &mut fast[block.clone()], false);
+        assert_eq!(cf, cs, "cell counts diverged");
+        assert!(fast == scalar, "the cache-blocked walk diverged from the scalar reference");
+    }
+}
+
 fn fixture_params(mode: ParallelMode, use_membuf: bool) -> TrainParams {
     TrainParams {
         n_trees: 5,
