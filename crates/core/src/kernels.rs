@@ -7,9 +7,11 @@
 //!   a feature block: the data-parallel kernel (writes span the whole
 //!   feature block of one node — a private replica or an exclusively owned
 //!   buffer). [`row_scan_root_store`] is its root fast path.
-//! * [`col_scan_store`] — walk one feature column restricted to a node's
-//!   rows: the model-parallel kernel (writes confined to that feature's bins
-//!   of that node — a `16 × bin_blk × feature_blk × node_blk` region, §IV-E).
+//! * [`col_scan_store`] — walk the columns of a feature block restricted to
+//!   a node's rows and a bin block: the model-parallel kernel (writes
+//!   confined to those features' bins of that node — a `16 × bin_blk ×
+//!   feature_blk × node_blk` region, §IV-E). One chunk sweep serves the
+//!   whole block: each chunk run scans every column of it in turn.
 //!
 //! Both are monomorphized over a gradient reader (MemBuf slice vs. global
 //! gather, the "+MemBuf" ablation of Table V) so the per-cell gradient
@@ -629,8 +631,8 @@ pub(crate) fn row_scan_scalar(
 // Column scan
 // ---------------------------------------------------------------------------
 
-/// Accumulates feature `f` over `rows` into `hist_f` (that feature's bins
-/// only: `n_bins * 2` lanes), restricted to bins in `bin_range`. Returns the
+/// Accumulates feature `f` over `rows` into `hist` (that feature's bins
+/// only: `n_bins * 2` lanes), restricted to the bins in `bins`. Returns the
 /// accumulation count.
 ///
 /// `rows` must be ascending (guaranteed by the stable partition). A
@@ -642,31 +644,21 @@ fn col_scan(
     f: usize,
     rows: &[u32],
     grads: GradSource<'_>,
-    bin_range: Range<usize>,
-    hist_f: &mut [f64],
+    bins: Range<usize>,
+    hist: &mut [f64],
 ) -> u64 {
     if rows.is_empty() {
         return 0;
     }
-    let contig = (rows[rows.len() - 1] - rows[0]) as usize + 1 == rows.len();
-    match grads {
-        GradSource::MemBuf(m) => {
-            assert!(m.len() >= rows.len(), "MemBuf shorter than the row set");
-            if contig {
-                let r = ContigRows { base: rows[0], len: rows.len() };
-                col_scan_body(qm, f, r, MemBufRead(m), bin_range, hist_f)
-            } else {
-                col_scan_body(qm, f, SliceRows(rows), MemBufRead(m), bin_range, hist_f)
-            }
-        }
-        GradSource::Global(g) => {
-            if contig {
-                let r = ContigRows { base: rows[0], len: rows.len() };
-                col_scan_body(qm, f, r, GlobalRead(g), bin_range, hist_f)
-            } else {
-                col_scan_body(qm, f, SliceRows(rows), GlobalRead(g), bin_range, hist_f)
-            }
-        }
+    if let GradSource::MemBuf(m) = grads {
+        assert!(m.len() >= rows.len(), "MemBuf shorter than the row set");
+    }
+    let (contig, sliced) = (ContigRows { base: rows[0], len: rows.len() }, SliceRows(rows));
+    match (grads, (rows[rows.len() - 1] - rows[0]) as usize + 1 == rows.len()) {
+        (GradSource::MemBuf(m), true) => col_scan_body(qm, f, contig, MemBufRead(m), bins, hist),
+        (GradSource::MemBuf(m), false) => col_scan_body(qm, f, sliced, MemBufRead(m), bins, hist),
+        (GradSource::Global(g), true) => col_scan_body(qm, f, contig, GlobalRead(g), bins, hist),
+        (GradSource::Global(g), false) => col_scan_body(qm, f, sliced, GlobalRead(g), bins, hist),
     }
 }
 
@@ -849,28 +841,46 @@ pub fn row_scan_root_store(
     cells
 }
 
-/// Accumulates feature `f` over `rows` into `hist_f` (that feature's bins
-/// only: `n_bins * 2` lanes), restricted to bins in `bin_range`, through a
-/// [`QuantStore`]; same sweep and determinism argument as
-/// [`row_scan_store`]. Returns the accumulation count. `rows` must ascend.
-/// A contiguous node row set stays contiguous within every chunk run, so
-/// the per-chunk scans keep the sequential fast paths.
+/// Accumulates `rows` × features `f_range` into `hist`, restricted to the
+/// bins in `bins` (`0..usize::MAX`: every bin), through a [`QuantStore`]: one
+/// [`sweep_chunks`] of the ascending row list, each chunk run scanning every
+/// feature of `f_range` in turn, so a chunk is pinned once however many
+/// columns the call covers. Every cell still adds its rows in ascending
+/// order (the runs ascend), so the result is bitwise identical to a
+/// monolithic scan. Returns the accumulation count. A contiguous node row
+/// set stays contiguous within every chunk run, so the per-chunk scans keep
+/// the sequential fast paths.
+///
+/// `hist` is exactly [`crate::hist::lanes`]`(f_range)` of a node's
+/// histogram, rebased to 0, as for [`row_scan_store`]; a column scan skips
+/// missing cells and never writes a sink.
 pub fn col_scan_store(
     store: &dyn QuantStore,
-    f: usize,
     rows: &[u32],
     grads: GradSource<'_>,
-    bin_range: Range<usize>,
-    hist_f: &mut [f64],
+    f_range: Range<usize>,
+    bins: Range<usize>,
+    hist: &mut [f64],
 ) -> u64 {
-    let mut cells = 0u64;
+    let (mapper, mut cells) = (store.mapper(), 0u64);
+    let lanes = crate::hist::lanes(mapper, f_range.clone());
+    assert_eq!(hist.len(), lanes.len(), "hist is the lanes of f_range");
+    // The features with a bin in `bins`; a scan of any other adds nothing.
+    let scanned = |&f: &usize| bins.start < bins.end.min(mapper.n_bins(f) as usize);
+    if !f_range.clone().any(|f| scanned(&f)) {
+        return 0;
+    }
     sweep_chunks(
         store,
         &[Rows::List(rows)],
         |_| {},
         |run| {
             let (rows, grads) = (run.rows.list(), grads.narrow(run.pos.clone(), run.start));
-            cells += col_scan(run.slab, f, rows, grads, bin_range.clone(), hist_f);
+            for f in f_range.clone().filter(scanned) {
+                let base = crate::hist::lane(mapper, f) - lanes.start;
+                let hist_f = &mut hist[base..base + mapper.n_bins(f) as usize * 2];
+                cells += col_scan(run.slab, f, rows, grads, bins.clone(), hist_f);
+            }
         },
     );
     cells
@@ -1218,6 +1228,39 @@ mod tests {
         col_scan(&qm, f, &rows, GradSource::Global(&g), 0..n_bins, &mut full);
         assert_eq!(&blocked[..2], &full[..2]);
         assert!(blocked[2..].iter().all(|&x| x == 0.0));
+    }
+
+    /// The store-level column scan lays a feature block out as
+    /// `hist::lanes` does and clamps one bin block to each feature's bins:
+    /// the same bits and cells as one `col_scan` per feature.
+    #[test]
+    fn col_scan_store_fills_a_feature_block_per_feature() {
+        for qm in all_qms() {
+            let (n, mapper) = (qm.n_rows(), qm.mapper());
+            let (g, rows) = (grads(n), (0..n as u32).filter(|r| r % 3 != 1).collect::<Vec<_>>());
+            let fs = 1..qm.n_features();
+            let lanes = crate::hist::lanes(mapper, fs.clone());
+            for bins in [0..usize::MAX, 1..3, 300..400] {
+                let mut got = vec![0.0; lanes.len()];
+                let cells = col_scan_store(
+                    &qm,
+                    &rows,
+                    GradSource::Global(&g),
+                    fs.clone(),
+                    bins.clone(),
+                    &mut got,
+                );
+                let (mut want, mut want_cells) = (vec![0.0; lanes.len()], 0);
+                for f in fs.clone() {
+                    let n_bins = mapper.n_bins(f) as usize;
+                    let base = crate::hist::lane(mapper, f) - lanes.start;
+                    let hist_f = &mut want[base..base + n_bins * 2];
+                    let clamped = bins.start.min(n_bins)..bins.end.min(n_bins);
+                    want_cells += col_scan(&qm, f, &rows, GradSource::Global(&g), clamped, hist_f);
+                }
+                assert_eq!((cells, got), (want_cells, want), "bins {bins:?}");
+            }
+        }
     }
 
     #[test]

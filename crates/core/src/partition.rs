@@ -53,6 +53,7 @@
 
 use crate::loss::GradPair;
 use crate::plan::{n_row_blocks, row_block};
+use crate::tree::Tree;
 use harp_parallel::{SpinMutex, ThreadPool, TracePhase};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -64,13 +65,15 @@ struct SyncBuf<T> {
     len: usize,
 }
 
-// SAFETY: the buffer owns its allocation like a `Box<[T]>` (so `Send` needs
-// `T: Send`). Sharing `&SyncBuf` hands out element access only through the
-// `unsafe` methods below, whose callers promise that a range being written is
-// touched by no other thread — the partition upholds it with the plane
-// discipline: live nodes own disjoint spans, children tile their parent's
-// range in the *other* plane, and the per-block prefix sums give every
-// ⟨node, row-block⟩ move task its own two destination ranges.
+// SAFETY: the buffer owns its allocation like a `Box<[T]>`, or as a `view`
+// borrows one like a `&mut [T]` (so `Send` needs `T: Send`). Sharing
+// `&SyncBuf` hands out element access only through the `unsafe` methods
+// below, whose callers promise that a range being written is touched by no
+// other thread — the partition upholds it with the plane discipline: live
+// nodes own disjoint spans, children tile their parent's range in the
+// *other* plane, and the per-block prefix sums give every ⟨node, row-block⟩
+// move task its own two destination ranges; a leaf-score task writes only
+// its own leaf's rows.
 unsafe impl<T: Send> Send for SyncBuf<T> {}
 unsafe impl<T: Send + Sync> Sync for SyncBuf<T> {}
 
@@ -78,6 +81,12 @@ impl<T: Copy + Default> SyncBuf<T> {
     fn new(len: usize) -> Self {
         let boxed = vec![T::default(); len].into_boxed_slice();
         Self { ptr: Box::into_raw(boxed).cast::<T>(), len }
+    }
+
+    /// `buf`'s elements, shared by the tasks of one region. The view never
+    /// frees them (`ManuallyDrop`) and must not outlive `buf`'s borrow.
+    fn view(buf: &mut [T]) -> std::mem::ManuallyDrop<Self> {
+        std::mem::ManuallyDrop::new(Self { ptr: buf.as_mut_ptr(), len: buf.len() })
     }
 
     /// The whole buffer; `&mut self` is the exclusivity.
@@ -419,6 +428,40 @@ impl RowPartition {
         // SAFETY: see method docs — only a split of a node that covers this
         // range writes inside it, in either plane.
         unsafe { self.planes[span.plane].rows.slice(span.range()) }
+    }
+
+    /// Adds the weight of each leaf of `tree` — grown on this partition — to
+    /// the scores of the leaf's rows (entry `row * stride + offset` of a
+    /// row-major `n × stride` buffer), one pool task per leaf, with no lock:
+    /// the spans of a tree's leaves tile the planes, so their rows are a
+    /// permutation of `0..n` and no two tasks touch one score.
+    ///
+    /// # Panics
+    /// Panics if two leaves' spans overlap (`tree` was grown elsewhere) or a
+    /// score index falls outside `scores`.
+    pub fn add_leaf_scores(
+        &self,
+        pool: &ThreadPool,
+        tree: &Tree,
+        scores: &mut [f32],
+        stride: usize,
+        offset: usize,
+    ) {
+        let leaves: Vec<_> = tree.leaf_ids().collect();
+        let mut spans: Vec<_> = leaves.iter().map(|&leaf| self.span(leaf)).collect();
+        spans.retain(|s| !s.is_empty());
+        spans.sort_unstable_by_key(|s| s.start);
+        assert!(spans.windows(2).all(|w| w[0].end <= w[1].start), "two leaves share rows");
+        let scores = SyncBuf::view(scores);
+        pool.parallel_for(leaves.len(), |i, _| {
+            let weight = tree.node(leaves[i]).weight;
+            for &row in self.rows(leaves[i]) {
+                let at = row as usize * stride + offset;
+                // SAFETY: disjoint spans hold disjoint rows (checked above),
+                // so this task alone touches `at`; `slice_mut` checks bounds.
+                unsafe { scores.slice_mut(at..at + 1)[0] += weight };
+            }
+        });
     }
 
     /// The MemBuf gradient slice of `node`, aligned with

@@ -490,7 +490,7 @@ enum Fill<'a> {
     /// zeroed.
     Filled,
     /// Column-scan the block's features, one of the group's ascending
-    /// bin-block tasks at a time (Exclusive).
+    /// bin-block tasks — one chunk sweep — at a time (Exclusive).
     Columns(&'a [BlockTask]),
     /// Row-scan the job's rows over the block's features, this many at a
     /// time (NodeTasks).
@@ -668,20 +668,9 @@ impl<'c> TileBody<'c> {
                 }
                 Fill::Columns(tasks) => {
                     for task in tasks {
-                        for f in features.clone() {
-                            let n_bins = mapper.n_bins(f) as usize;
-                            let bin_range = match task.bins {
-                                None => 0..n_bins,
-                                Some((lo, hi)) => lo.min(n_bins)..hi.min(n_bins),
-                            };
-                            if bin_range.is_empty() {
-                                continue;
-                            }
-                            let base = lane_of(f) - lane0;
-                            let hist_f = &mut small[base..base + n_bins * 2];
-                            local_cells +=
-                                col_scan_store(ctx.qm, f, rows, grads, bin_range, hist_f);
-                        }
+                        let bins = task.bins.map_or(0..usize::MAX, |(lo, hi)| lo..hi);
+                        let fs = features.clone();
+                        local_cells += col_scan_store(ctx.qm, rows, grads, fs, bins, small);
                     }
                 }
                 Fill::Rows(scan_blk) => {

@@ -508,7 +508,7 @@ impl GbdtTrainer {
                 let tree = engine.build_tree();
                 {
                     let _phase = engine.phase(TracePhase::Other, 0, iter as u32);
-                    engine.update_predictions(&tree, &mut preds, groups, group);
+                    engine.partition.add_leaf_scores(engine.pool, &tree, &mut preds, groups, group);
                 }
                 tree_shapes.push(TreeShape {
                     n_leaves: tree.n_leaves() as u32,
@@ -921,37 +921,6 @@ impl<'a> TreeEngine<'a> {
         self.params
             .mode
             .batch_policy(width, rows / width.max(1), self.pool.num_threads())
-    }
-
-    /// Adds each leaf's weight to its rows' predictions (group `offset` of
-    /// a row-major `n x stride` score buffer).
-    fn update_predictions(&self, tree: &Tree, preds: &mut [f32], stride: usize, offset: usize) {
-        let leaf_ids: Vec<NodeId> = tree.leaf_ids().collect();
-        struct Ptr(*mut f32);
-        // SAFETY: the pointer is only dereferenced inside the region below,
-        // while `preds` stays mutably borrowed by this call, and at indices
-        // no two tasks share (see the loop).
-        unsafe impl Send for Ptr {}
-        unsafe impl Sync for Ptr {}
-        impl Ptr {
-            fn get(&self) -> *mut f32 {
-                self.0
-            }
-        }
-        let ptr = Ptr(preds.as_mut_ptr());
-        let partition = &self.partition;
-        self.pool.parallel_for(leaf_ids.len(), |i, _| {
-            let id = leaf_ids[i];
-            let w = tree.node(id).weight;
-            // SAFETY: leaves own disjoint row sets — their row lists are a
-            // permutation of `0..n` (the partition's spans tile the planes;
-            // `leaves_hold_a_permutation_of_the_rows_after_every_tree` pins
-            // it in all four modes) — so no two tasks touch one score, and
-            // `row * stride + offset < n * stride = preds.len()`.
-            for &row in partition.rows(id) {
-                unsafe { *ptr.get().add(row as usize * stride + offset) += w };
-            }
-        });
     }
 }
 

@@ -770,9 +770,9 @@ fn degenerate_row_counts_train_in_every_mode_with_and_without_membuf() {
 
 #[test]
 fn leaves_hold_a_permutation_of_the_rows_after_every_tree() {
-    // What `update_predictions`' unsynchronized `+=` and the partition's
-    // scatter rest on: however a mode schedules its splits, the leaves' row
-    // lists are disjoint and cover `0..n`.
+    // What `RowPartition::add_leaf_scores`' unsynchronized `+=` and the
+    // partition's scatter rest on: however a mode schedules its splits, the
+    // leaves' row lists are disjoint and cover `0..n`.
     let data = dataset(DatasetKind::HiggsLike, 1.3);
     let qm = harp_binning::QuantizedMatrix::from_matrix(
         &data.features,
@@ -820,7 +820,7 @@ fn leaves_hold_a_permutation_of_the_rows_after_every_tree() {
                     seen.iter().all(|&s| s),
                     "{mode:?} membuf={use_membuf} tree {iter}: a row is in no leaf"
                 );
-                engine.update_predictions(&tree, &mut scores, 1, 0);
+                engine.partition.add_leaf_scores(&pool, &tree, &mut scores, 1, 0);
             }
         }
     }

@@ -250,7 +250,7 @@ harp_serve_rows_total 64
 # HELP harp_serve_batches_total Micro-batches dispatched.
 # TYPE harp_serve_batches_total counter
 harp_serve_batches_total 0
-# HELP harp_serve_sheds_total Requests shed by admission control.
+# HELP harp_serve_sheds_total Requests shed when the queue is full or no reader can start.
 # TYPE harp_serve_sheds_total counter
 harp_serve_sheds_total 0
 # HELP harp_serve_protocol_errors_total Protocol errors answered.

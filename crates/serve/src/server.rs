@@ -4,7 +4,9 @@
 //! Thread layout (all std, no async runtime):
 //!
 //! * **acceptor** — non-blocking `TcpListener` polled against the shutdown
-//!   flag; spawns one reader thread per connection.
+//!   flag; spawns one reader thread per connection and, as it does, joins
+//!   the readers of connections that have closed. A connection whose
+//!   reader cannot be spawned is closed and counted as a shed.
 //! * **reader (per connection)** — parses frames with a shutdown-aware
 //!   incremental read (idle connections may sit quietly forever, but a
 //!   *mid-frame* stall past [`MID_FRAME_DEADLINE`] is a truncated frame).
@@ -311,13 +313,22 @@ fn accept_loop(
         match listener.accept() {
             Ok((stream, _)) => {
                 ServeStats::bump(&ctx.stats.connections);
-                let ctx = Arc::clone(&ctx);
-                let tx = tx.clone();
-                let handle = std::thread::Builder::new()
+                let mut live = conns.lock().expect("conn registry poisoned");
+                // Join the readers of closed connections, so the registry
+                // holds one handle per open connection, not per one served.
+                while let Some(done) = live.iter().position(JoinHandle::is_finished) {
+                    let _ = live.swap_remove(done).join();
+                }
+                let (conn_ctx, tx) = (Arc::clone(&ctx), tx.clone());
+                match std::thread::Builder::new()
                     .name("serve-conn".into())
-                    .spawn(move || connection_loop(stream, ctx, tx))
-                    .expect("spawn connection");
-                conns.lock().expect("conn registry poisoned").push(handle);
+                    .spawn(move || connection_loop(stream, conn_ctx, tx))
+                {
+                    Ok(handle) => live.push(handle),
+                    // No thread to read it: the stream closes with the
+                    // closure, and the connection counts as shed.
+                    Err(_) => ServeStats::bump(&ctx.stats.sheds),
+                }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(1));
@@ -843,6 +854,35 @@ mod tests {
         let max = sampler.join().expect("sampler panicked");
         assert!(max <= bound, "queue_depth gauge read {max}, bound {bound}");
         assert_eq!(h.snapshot().queue_depth, Some(0));
+        h.shutdown();
+        h.wait();
+    }
+
+    /// The acceptor joins the readers of closed connections as it accepts
+    /// the next one: after 64 connections opened and closed one at a time,
+    /// each accepted once its predecessor's reader has exited, the registry
+    /// holds the one live reader, never a handle per connection served.
+    #[test]
+    fn accepting_reaps_the_readers_of_closed_connections() {
+        let forest =
+            GbdtModel::new(Vec::new(), vec![0.0], harpgbdt::LossKind::Logistic, 1).compile();
+        let mut h = serve(forest, ServeConfig::default()).expect("start server");
+        let handles = |f: fn(&JoinHandle<()>) -> bool| {
+            let conns = h.conns.lock().expect("conn registry poisoned");
+            (conns.len(), conns.iter().all(f))
+        };
+        for i in 0..64 {
+            let mut client = ServeClient::connect(h.local_addr()).expect("connect");
+            client.ping().expect("ping");
+            assert_eq!(handles(|h| !h.is_finished()), (1, true), "connection {i}");
+            drop(client);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !handles(JoinHandle::is_finished).1 {
+                assert!(Instant::now() < deadline, "reader {i} outlived its connection");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert_eq!(h.snapshot().connections, 64);
         h.shutdown();
         h.wait();
     }

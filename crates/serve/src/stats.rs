@@ -24,7 +24,8 @@ pub struct ServeStats {
     pub rows: AtomicU64,
     /// Micro-batches dispatched.
     pub batches: AtomicU64,
-    /// Score requests shed by admission control (queue full).
+    /// Score requests shed by admission control (queue full), and
+    /// connections dropped because their reader thread failed to start.
     pub sheds: AtomicU64,
     /// Protocol errors answered (malformed frames, bad shapes).
     pub protocol_errors: AtomicU64,
@@ -61,7 +62,8 @@ pub struct StatsSnapshot {
     pub rows: u64,
     /// Micro-batches dispatched.
     pub batches: u64,
-    /// Requests shed by admission control.
+    /// Requests shed by admission control (and connections left without
+    /// a reader thread).
     pub sheds: u64,
     /// Protocol errors answered.
     pub protocol_errors: u64,
@@ -154,7 +156,7 @@ impl StatsSnapshot {
             ("requests", "Score requests admitted.", self.requests),
             ("rows", "Rows admitted in Score requests.", self.rows),
             ("batches", "Micro-batches dispatched.", self.batches),
-            ("sheds", "Requests shed by admission control.", self.sheds),
+            ("sheds", "Requests shed when the queue is full or no reader can start.", self.sheds),
             ("protocol_errors", "Protocol errors answered.", self.protocol_errors),
             ("swaps", "Model hot-swaps installed.", self.swaps),
             ("connections", "Connections accepted.", self.connections),

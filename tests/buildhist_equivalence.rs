@@ -155,13 +155,14 @@ fn check_col_scan(case: &Case) {
         if n_bins == 0 {
             continue;
         }
-        let mut fast = vec![0.0; n_bins * 2];
-        let mut scalar = vec![0.0; hist_width_for(qm)];
-        let cf = col_scan_store(qm, f, rows, all, 0..n_bins, &mut fast);
         let block = lanes(qm.mapper(), f..f + 1);
+        let mut fast = vec![0.0; block.len()];
+        let mut scalar = vec![0.0; hist_width_for(qm)];
+        let cf = col_scan_store(qm, rows, all, f..f + 1, 0..n_bins, &mut fast);
         let cs = row_scan_store(qm, rows, all, f..f + 1, &mut scalar[block], true);
         let base = lane(qm.mapper(), f);
-        assert_eq!(fast, scalar[base..base + n_bins * 2], "column scan != scalar at feature {f}");
+        let (fast, scalar) = (&fast[..n_bins * 2], &scalar[base..base + n_bins * 2]);
+        assert_eq!(fast, scalar, "column scan != scalar at feature {f}");
         assert_eq!(cf, cs);
     }
 }
@@ -241,11 +242,11 @@ fn kernels_bitwise_equal_scalar_on_synset_and_yfcc_shapes() {
             if n_bins == 0 {
                 continue;
             }
-            let mut cf = vec![0.0; n_bins * 2];
-            col_scan_store(&qm, f, &rows, src, 0..n_bins, &mut cf);
+            let mut cf = vec![0.0; lanes(qm.mapper(), f..f + 1).len()];
+            col_scan_store(&qm, &rows, src, f..f + 1, 0..n_bins, &mut cf);
             let base = lane(qm.mapper(), f);
             assert_eq!(
-                cf,
+                cf[..n_bins * 2],
                 scalar[base..base + n_bins * 2],
                 "{kind:?}: the column scan diverged from the scalar reference at {f}"
             );
