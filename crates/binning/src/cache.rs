@@ -185,10 +185,13 @@ fn encode_mapper(mapper: &BinMapper, out: &mut Vec<u8>) {
 fn decode_mapper(cur: &mut Cursor<'_>) -> Result<BinMapper, CacheError> {
     let short = || CacheError::Malformed("mapper blob truncated".into());
     let m = cur.get_u64().ok_or_else(short)? as usize;
-    let mut features = Vec::with_capacity(m);
+    // Counts come from the file: reserve no more than its bytes can hold
+    // (8 per feature, 4 per cut), so a hostile count is a parse error, not
+    // an allocation that aborts.
+    let mut features = Vec::with_capacity(m.min(cur.remaining() / 8));
     for _ in 0..m {
         let n_cuts = cur.get_u64().ok_or_else(short)? as usize;
-        let mut cuts = Vec::with_capacity(n_cuts);
+        let mut cuts = Vec::with_capacity(n_cuts.min(cur.remaining() / 4));
         for _ in 0..n_cuts {
             cuts.push(f32::from_bits(cur.get_u32().ok_or_else(short)?));
         }
@@ -710,7 +713,7 @@ impl ChunkedStore {
         if rows_per_chunk == 0 || n_chunks != n_rows.div_ceil(rows_per_chunk) {
             return Err(CacheError::Malformed("chunk geometry inconsistent".into()));
         }
-        let mut table = Vec::with_capacity(n_chunks);
+        let mut table = Vec::with_capacity(n_chunks.min(cur.remaining() / TABLE_ENTRY));
         let mut rows_total = 0u64;
         for _ in 0..n_chunks {
             let meta = ChunkMeta {

@@ -284,6 +284,20 @@ fn predict_rejects_feature_mismatch() {
 }
 
 #[test]
+fn a_deeply_nested_model_file_is_an_error_not_an_abort() {
+    let dir = tmp_dir("deep-model");
+    let (deep, data) = (dir.join("deep.json"), dir.join("data.csv"));
+    std::fs::write(&deep, format!("{}{}", "[".repeat(100_000), "]".repeat(100_000))).unwrap();
+    std::fs::write(&data, "label,a\n1,0.5\n").unwrap();
+    let args = ["predict", "--model", deep.to_str().unwrap(), "--data", data.to_str().unwrap()];
+    let out = bin().args(args).output().expect("spawn harpgbdt");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("recursion limit exceeded"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cache_input_errors_exit_cleanly() {
     let dir = tmp_dir("cache-input");
     let data = dir.join("train.csv");

@@ -29,11 +29,12 @@
 //! below that size both children are scanned. [`HistPool::files`] is the
 //! same decision asked ahead of the build, which lets the Exclusive executor
 //! (`trainer::drivers`) give a full-width buffer only to a histogram that
-//! can be filed and keep every other one in a per-worker tile.
-//! [`ScratchPool`] is the data-parallel replica arena: replica buffers —
-//! lanes for the jobs of a batch that are cut into several row blocks —
-//! survive across frontiers and trees, and come back zeroed from the fold
-//! that reads them, so reuse clears nothing.
+//! can be filed and keep every other one in its schedule slot's scratch.
+//! [`ScratchPool`] is the arena the schedule slots draw their lanes from:
+//! replicas — lanes for the jobs of a batch that are cut into several row
+//! blocks — and the scratch tiles of an Exclusive batch survive across
+//! frontiers and trees, and come back zeroed from the fold that reads them
+//! or the tile body that searched them, so reuse clears nothing.
 
 use crate::growth::RankKey;
 use crate::tree::NodeId;
@@ -405,16 +406,18 @@ impl HistPool {
     }
 }
 
-/// Reusable arena of DP replica buffers. Replicas survive across frontiers
-/// and trees, and a replica in the arena holds zeros: the replica fold zeroes
-/// every lane it reads, and the kernels leave nothing else written. So
+/// Reusable arena of schedule-slot lanes: DP replicas and Exclusive scratch
+/// tiles. They survive across frontiers and trees, and a buffer in the arena
+/// holds zeros: the replica fold zeroes every lane it reads, the tile body
+/// every scratch lane it searched, and the kernels leave nothing else
+/// written. So
 /// [`acquire`](Self::acquire) hands a buffer out as it is — the equivalent of
 /// a fresh `vec![0.0; len]` without the allocation or a clear.
 #[derive(Default)]
 pub struct ScratchPool {
     free: Vec<Vec<f64>>,
-    /// Bytes of replica capacity owned by the arena (counted at allocation
-    /// and growth; monotone, since replicas circulate rather than drop).
+    /// Bytes of buffer capacity owned by the arena (counted at allocation
+    /// and growth; monotone, since buffers circulate rather than drop).
     gauge: Option<Arc<MemGauge>>,
 }
 
@@ -429,9 +432,8 @@ impl ScratchPool {
         self.gauge = Some(gauge);
     }
 
-    /// Counts `bytes` of driver scratch under the arena's gauge (replica
-    /// capacity, and the Exclusive executor's per-worker tiles next to it).
-    pub fn count_outside(&self, bytes: u64) {
+    /// Counts `bytes` of buffer capacity under the arena's gauge.
+    fn count_outside(&self, bytes: u64) {
         if let Some(g) = &self.gauge {
             g.add(bytes);
         }

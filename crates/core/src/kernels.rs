@@ -13,6 +13,11 @@
 //!   feature_blk × node_blk` region, §IV-E). One chunk sweep serves the
 //!   whole block: each chunk run scans every column of it in turn.
 //!
+//! Each is one [`sweep_chunks`] over one run body, `row_scan_run` or
+//! `col_scan_run`. The trainer calls the run bodies alone, as cursors of its
+//! schedule slots' sweeps (`trainer::drivers`); the store-level scans serve
+//! the tests and the benchmark's kernel probes.
+//!
 //! Both are monomorphized over a gradient reader (MemBuf slice vs. global
 //! gather, the "+MemBuf" ablation of Table V) so the per-cell gradient
 //! dispatch disappears, and both index the mapper's flattened
@@ -841,15 +846,40 @@ pub fn row_scan_root_store(
     cells
 }
 
+/// Column-scans one run of a chunk sweep: each feature of `f_range` with a
+/// bin in `bins` in turn, over the run's rows — where every store-mediated
+/// column scan meets a kernel. `grads` belongs to the run's whole cursor, as
+/// for [`row_scan_run`]; `hist` is exactly [`crate::hist::lanes`]`(f_range)`,
+/// rebased to 0.
+pub(crate) fn col_scan_run(
+    run: &ChunkRun<'_>,
+    grads: GradSource<'_>,
+    f_range: Range<usize>,
+    bins: Range<usize>,
+    hist: &mut [f64],
+) -> u64 {
+    let mapper = run.slab.mapper();
+    let lanes = crate::hist::lanes(mapper, f_range.clone());
+    assert_eq!(hist.len(), lanes.len(), "hist is the lanes of f_range");
+    let (rows, grads) = (run.rows.list(), grads.narrow(run.pos.clone(), run.start));
+    let mut cells = 0u64;
+    // A feature with no bin in `bins` adds nothing.
+    for f in f_range.filter(|&f| bins.start < bins.end.min(mapper.n_bins(f) as usize)) {
+        let base = crate::hist::lane(mapper, f) - lanes.start;
+        let hist_f = &mut hist[base..base + mapper.n_bins(f) as usize * 2];
+        cells += col_scan(run.slab, f, rows, grads, bins.clone(), hist_f);
+    }
+    cells
+}
+
 /// Accumulates `rows` × features `f_range` into `hist`, restricted to the
 /// bins in `bins` (`0..usize::MAX`: every bin), through a [`QuantStore`]: one
-/// [`sweep_chunks`] of the ascending row list, each chunk run scanning every
-/// feature of `f_range` in turn, so a chunk is pinned once however many
-/// columns the call covers. Every cell still adds its rows in ascending
-/// order (the runs ascend), so the result is bitwise identical to a
-/// monolithic scan. Returns the accumulation count. A contiguous node row
-/// set stays contiguous within every chunk run, so the per-chunk scans keep
-/// the sequential fast paths.
+/// [`sweep_chunks`] of the ascending row list whose every run is a
+/// [`col_scan_run`], so a chunk is pinned once however many columns the call
+/// covers. Every cell still adds its rows in ascending order (the runs
+/// ascend), so the result is bitwise identical to a monolithic scan. Returns
+/// the accumulation count. A contiguous node row set stays contiguous within
+/// every chunk run, so the per-chunk scans keep the sequential fast paths.
 ///
 /// `hist` is exactly [`crate::hist::lanes`]`(f_range)` of a node's
 /// histogram, rebased to 0, as for [`row_scan_store`]; a column scan skips
@@ -862,26 +892,12 @@ pub fn col_scan_store(
     bins: Range<usize>,
     hist: &mut [f64],
 ) -> u64 {
-    let (mapper, mut cells) = (store.mapper(), 0u64);
-    let lanes = crate::hist::lanes(mapper, f_range.clone());
-    assert_eq!(hist.len(), lanes.len(), "hist is the lanes of f_range");
-    // The features with a bin in `bins`; a scan of any other adds nothing.
-    let scanned = |&f: &usize| bins.start < bins.end.min(mapper.n_bins(f) as usize);
-    if !f_range.clone().any(|f| scanned(&f)) {
-        return 0;
-    }
+    let mut cells = 0u64;
     sweep_chunks(
         store,
         &[Rows::List(rows)],
         |_| {},
-        |run| {
-            let (rows, grads) = (run.rows.list(), grads.narrow(run.pos.clone(), run.start));
-            for f in f_range.clone().filter(scanned) {
-                let base = crate::hist::lane(mapper, f) - lanes.start;
-                let hist_f = &mut hist[base..base + mapper.n_bins(f) as usize * 2];
-                cells += col_scan(run.slab, f, rows, grads, bins.clone(), hist_f);
-            }
-        },
+        |run| cells += col_scan_run(run, grads, f_range.clone(), bins.clone(), hist),
     );
     cells
 }

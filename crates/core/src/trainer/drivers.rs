@@ -4,51 +4,60 @@
 //! the sibling to derive from it as `parent − node` where the parent's
 //! histogram came out of the cache ([`TileJob`], [`DerivedSibling`]).
 //! Expanding it always ends in **one tile body** (`TileBody`): a *tile* is
-//! one job's lanes of one feature block; the body fills them unless they come
-//! filled, forms the sibling's tile as `parent − small` (in place in the
-//! parent's buffer or into scratch) and runs FindSplit on both, one partial
-//! candidate per ⟨node, feature-block⟩, folded in ascending block order.
-//! Nothing else in the trainer subtracts or searches. The batch's
-//! [`BatchPolicy`] picks only where the lanes are filled; the block
-//! decomposition lives in [`crate::plan`]:
+//! one job's lanes of one feature block; once they are filled the body forms
+//! the sibling's tile as `parent − small` (in place in the parent's buffer
+//! or into scratch) and runs FindSplit on both, one partial candidate per
+//! ⟨node, feature-block⟩, folded in ascending block order. Nothing else in
+//! the trainer subtracts or searches.
+//!
+//! Every fill runs in **one slot executor**: a *schedule slot* is ONE chunk
+//! sweep ([`sweep_chunks`]) whose cursors are the ⟨job, feature-block⟩ pieces
+//! of the slot's tiles — row scans, or column scans of one bin block — and a
+//! tile is finished as soon as the sweep has visited its cursors' last runs.
+//! Concurrent slots stay within an eviction-free window of each other (the
+//! sweep throttle of `run_slots`). The batch's [`BatchPolicy`] picks only how tiles and
+//! cursors are dealt to slots; the block decomposition lives in
+//! [`crate::plan`]:
 //!
 //! * **Replicated** (DP): a [`BlockPlan`] of ⟨node-block, feature-block,
-//!   row-chunk⟩ tasks runs as one region of schedule slots. A job of one
-//!   row chunk has tasks that differ only in feature block, so each task
-//!   fills one tile of the job's own buffer ([`BlockPlan::replica_slot`]);
-//!   the slot that filled it finishes it once its chunk sweep has ended,
-//!   and a batch of such jobs is that one region. A job cut into several
-//!   row chunks gets lanes in one replica per slot; a second region cuts it
-//!   into ⟨job, feature-chunk⟩ tiles, `⌈4T / jobs⌉` chunks per job so that a
-//!   narrow batch still spreads over the pool, and each tile's fill is the
-//!   fold of its replicas' lanes. Replica and fold cost therefore follow
-//!   the rows of a batch, not its node count — the node-proportional
-//!   reduction is the scaling weakness of XGB-Hist that Fig. 11 shows for
-//!   large trees.
+//!   row-chunk⟩ tasks, task `i` a row-scan cursor of slot `i mod T`. A job
+//!   of one row chunk has tasks that differ only in feature block, so each
+//!   task fills one tile of the job's own buffer
+//!   ([`BlockPlan::replica_slot`]) and its slot finishes it; a batch of such
+//!   jobs is that one region. A job cut into several row chunks gets lanes
+//!   in one replica per slot; a second region cuts it into ⟨job,
+//!   feature-chunk⟩ tiles, `⌈4T / jobs⌉` chunks per job so that a narrow
+//!   batch still spreads over the pool, and each tile's fill is the fold of
+//!   its replicas' lanes. Replica and fold cost therefore follow the rows of
+//!   a batch, not its node count — the node-proportional reduction is the
+//!   scaling weakness of XGB-Hist that Fig. 11 shows for large trees.
 //! * **Exclusive** (MP): the plan's ⟨node-block, feature-block⟩ groups are
-//!   the tiles, and the fill happens inside them: a worker column-scans the
-//!   group's bin-block tasks into the tile and finishes it while it sits in
-//!   L2, so the whole batch is one region. A node whose histogram can be
-//!   filed ([`crate::hist::HistPool::files`]) is scanned into its own
-//!   full-width buffer and a filed sibling is subtracted in place; every
-//!   other tile lives in a per-worker scratch pair of `2 × block lanes` and is
-//!   gone after FindSplit.
-//! * **NodeTasks** (an ASYNC node task): one tile per job over every
-//!   feature, row-scanned into the job's buffer and finished on the calling
-//!   worker — no plan and no region.
+//!   dealt round-robin to `T` slots, so the whole batch is one region. Each
+//!   job of a group is a tile, filled by one column-scan cursor per
+//!   bin-block task. A node whose histogram can be filed
+//!   ([`crate::hist::HistPool::files`]) is scanned into its own full-width
+//!   buffer and a filed sibling is subtracted in place; every other tile is
+//!   a piece of its slot's scratch, gone after FindSplit.
+//! * **NodeTasks** (an ASYNC node task): one slot on the calling worker —
+//!   no plan and no region — holding one tile per job over every feature,
+//!   its cursors the job's feature blocks row-scanned into its buffer.
 //!
 //! DP runs one schedule, an OpenMP *static* one: slot `t` of `T` processes
 //! every `T`-th task into replica `t`, so per-cell accumulation order is
 //! independent of thread timing, and a tile folds the replicas in slot
-//! order however the lanes are cut. The replicas, tile pairs and plan come
-//! from a caller-held [`DriverScratch`] that survives across frontiers and
-//! trees. A tile zeroes each replica lane as it folds it, so the arena only
-//! ever holds zeroed replicas and hands them out as they are.
+//! order however the lanes are cut. A slot's lanes — its replica, then the
+//! scratch of its tiles that have no buffer, then one sibling tile — come
+//! zeroed from the arena of a caller-held [`DriverScratch`], with the plan;
+//! both survive across frontiers and trees. In core a sweep is one step and
+//! a slot's tiles finish in turn, so they share one scratch piece; out of
+//! core each keeps its own until the sweep ends — a histogram per unfiled
+//! job, which is why the trainer gives every job of an out-of-core
+//! Exclusive batch a buffer of its own. A tile zeroes each replica lane as it folds it
+//! and each scratch lane once searched, so the arena only ever holds zeroed
+//! lanes and hands them out as they are.
 
 use crate::hist::{self, ScratchPool};
-use crate::kernels::{
-    col_scan_store, row_scan_run, row_scan_store, GradSource, BYTES_PER_CELL, FLOPS_PER_CELL,
-};
+use crate::kernels::{col_scan_run, row_scan_run, GradSource, BYTES_PER_CELL, FLOPS_PER_CELL};
 use crate::loss::GradPair;
 use crate::params::{BatchPolicy, TrainParams};
 use crate::partition::RowPartition;
@@ -60,7 +69,7 @@ use crate::split::{better_of, find_split_tile, SplitCandidate, SplitSettings};
 use crate::tree::{NodeId, NodeStats};
 use harp_binning::{sweep_chunks, BinMapper, QuantStore, Rows};
 use harp_metrics::MemGauge;
-use harp_parallel::{PerWorker, ThreadPool, TracePhase, TraceSink};
+use harp_parallel::{ThreadPool, TracePhase, TraceSink};
 use std::mem::take;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -75,9 +84,9 @@ pub struct TileJob {
     /// Its gradient totals, FindSplit's node statistics.
     pub stats: NodeStats,
     /// The node's own zeroed full-width buffer: the tiles are then its
-    /// lanes, and on return it is the node's histogram. `None` (a node of an
-    /// Exclusive batch whose histogram cannot be filed,
-    /// [`crate::hist::HistPool::files`]) builds every tile in the worker's
+    /// lanes, and on return it is the node's histogram. `None` (only in an
+    /// Exclusive batch: a node whose histogram cannot be filed,
+    /// [`crate::hist::HistPool::files`]) builds every tile in its slot's
     /// scratch, where it is dropped after FindSplit.
     pub buf: Option<Vec<f64>>,
     /// The sibling to derive as `parent − node`, when the parent's histogram
@@ -95,7 +104,8 @@ pub struct DerivedSibling {
     pub parent: Vec<f64>,
     /// The sibling's histogram can be filed: each tile is subtracted in
     /// place in `parent`, which on return is the sibling's histogram.
-    /// Otherwise `parent` is only read and the difference lives in scratch.
+    /// Otherwise (only in an Exclusive batch) `parent` is only read and the
+    /// difference lives in scratch.
     pub in_place: bool,
 }
 
@@ -163,21 +173,14 @@ impl DriverCtx<'_> {
     }
 }
 
-/// Caller-held driver scratch: the replica arena, the per-worker tile
-/// pairs and the reusable [`BlockPlan`]. One per training engine; it
+/// Caller-held driver scratch: the arena the schedule slots draw their
+/// lanes from and the reusable [`BlockPlan`]. One per training engine; it
 /// survives across frontiers and trees, so steady-state BuildHist allocates
 /// nothing histogram-sized.
 #[derive(Default)]
 pub struct DriverScratch {
-    replicas: ScratchPool,
-    /// By worker index: the scan tile and the sibling tile of an Exclusive
-    /// batch, back to back. Empty until a worker first builds a tile that
-    /// has no full-width buffer to live in.
-    tiles: Vec<Vec<f64>>,
-    /// Bytes of `tiles` already counted under the arena's gauge.
-    tile_bytes: u64,
+    arena: ScratchPool,
     plan: BlockPlan,
-    job_lens: Vec<usize>,
 }
 
 impl DriverScratch {
@@ -186,9 +189,9 @@ impl DriverScratch {
         Self::default()
     }
 
-    /// Attaches the run-ledger byte gauge: replicas and tiles count under it.
+    /// Attaches the run-ledger byte gauge: the slots' lanes count under it.
     pub fn set_replica_gauge(&mut self, gauge: Arc<MemGauge>) {
-        self.replicas.set_gauge(gauge);
+        self.arena.set_gauge(gauge);
     }
 
     /// Takes and resets the plan's per-round batch/task tally plus the last
@@ -197,33 +200,37 @@ impl DriverScratch {
         self.plan.take_round_stats()
     }
 
-    /// Rebuilds the shared plan for one batch of jobs over `nodes` and
-    /// returns the resolved extents: every planned batch goes through the
-    /// one enumerator.
-    fn plan_batch(
-        &mut self,
-        ctx: &DriverCtx<'_>,
-        nodes: impl Iterator<Item = NodeId>,
-        acc: Accumulation,
-    ) -> ResolvedExtents {
-        self.job_lens.clear();
-        self.job_lens.extend(nodes.map(|node| ctx.partition.node_len(node)));
-        self.plan.rebuild(&ctx.params.blocks, &ctx.batch_shape(), &self.job_lens, acc);
-        let ext = self.plan.extents();
-        let exclusive = self.plan.n_exclusive_tasks();
-        let replicated = self.plan.tasks().len() - exclusive;
-        ctx.pool
-            .profile()
-            .add_plan_events(replicated as u64, exclusive as u64, ext.auto as u64);
-        ext
+    /// Rebuilds the shared plan for one batch of jobs of `job_lens` rows,
+    /// counts its tasks and observes its write working set (§IV-E, 16 bytes
+    /// per cell, shared with the cost model); returns the feature block.
+    /// Every planned batch goes through the one enumerator.
+    fn plan_batch(&mut self, ctx: &DriverCtx<'_>, job_lens: &[usize], acc: Accumulation) -> usize {
+        let (plan, shape) = (&mut self.plan, ctx.batch_shape());
+        plan.rebuild(&ctx.params.blocks, &shape, job_lens, acc);
+        let ext = plan.extents();
+        let (exclusive, profile) = (plan.n_exclusive_tasks(), ctx.pool.profile());
+        let replicated = plan.tasks().len() - exclusive;
+        profile.add_plan_events(replicated as u64, exclusive as u64, ext.auto as u64);
+        let (m, f_blk, node_blk) = (shape.n_features, ext.feature_blk, ext.node_blk);
+        let ws = match acc {
+            // The feature block's share of the replica, across the node block.
+            Accumulation::Replicated => dp_write_working_set(shape.total_bins, m, f_blk, node_blk),
+            // 16 × bin_blk × feature_blk × node_blk.
+            Accumulation::Exclusive => {
+                let bin_blk = if ext.bin_blk == 0 { shape.max_bins.max(1) } else { ext.bin_blk };
+                mp_write_working_set(shape.max_bins, bin_blk, f_blk, node_blk)
+            }
+        };
+        profile.observe_region_bytes(ws as u64);
+        f_blk
     }
 }
 
 /// Expands one batch: fills each job's histogram where `policy` says,
-/// derives the siblings and runs FindSplit (see the module docs). The tiles
-/// run as one pool region, or here when the caller is itself a task of the
-/// pool (`inline_on`: its worker index, as for an ASYNC node task); a
-/// Replicated batch always runs on the pool.
+/// derives the siblings and runs FindSplit (see the module docs). The slots
+/// run as one pool region, or as one slot here when the caller is itself a
+/// task of the pool (`inline_on`: its worker index, as for an ASYNC node
+/// task); a Replicated batch always runs on the pool.
 pub fn expand(
     ctx: &DriverCtx<'_>,
     scratch: &mut DriverScratch,
@@ -232,111 +239,150 @@ pub fn expand(
     policy: BatchPolicy,
     inline_on: Option<usize>,
 ) -> TileOutcome {
-    let (n, m) = (jobs.len(), ctx.qm.n_features());
-    if n == 0 {
-        return TileOutcome::default();
-    }
-    let out = if policy == BatchPolicy::Replicated {
-        expand_replicated(ctx, scratch, jobs, search)
-    } else {
-        let (f_blk, tiles): (usize, Vec<Tile<'_>>) = if policy == BatchPolicy::Exclusive {
-            let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.node), Accumulation::Exclusive);
-            // §IV-E: consecutive-write region = 16 × bin_blk × feature_blk ×
-            // node_blk (shared with the cost model).
-            let max_bins = ctx.qm.mapper().max_bins_used() as usize;
-            let bin_blk = if ext.bin_blk == 0 { max_bins.max(1) } else { ext.bin_blk };
-            let ws = mp_write_working_set(max_bins, bin_blk, ext.feature_blk, ext.node_blk);
-            ctx.pool.profile().observe_region_bytes(ws as u64);
-            let groups = scratch.plan.groups().map(|tasks| {
-                (tasks[0].jobs.clone(), tasks[0].features.clone(), Fill::Columns(tasks))
-            });
-            (ext.feature_blk, groups.collect())
-        } else {
-            // NodeTasks, the degenerate ⟨one node, all rows⟩ task of a
-            // Replicated plan: an explicit feature block still slices a dense
-            // scan (the same per-lane row order, so the same bits); sparse
-            // rows have no per-block substructure and Auto resolves per
-            // planned batch, so both scan whole.
-            let sliced = ctx.qm.is_dense() && !ctx.params.blocks.is_auto();
-            let scan_blk = if sliced { ctx.params.blocks.features_per_block(m) } else { m };
-            (m, (0..n).map(|j| (j..j + 1, 0..m, Fill::Rows(scan_blk))).collect())
-        };
-        // The tiles come job-major, each job's feature blocks ascending.
-        let bounds = block_bounds(ctx.qm.mapper(), f_blk);
-        let body = TileBody::new(ctx, &mut scratch.tiles, jobs, search, &[&bounds]);
-        let mut lanes: Vec<_> = jobs.iter_mut().map(|job| block_lanes(job, &bounds)).collect();
-        let mut work: Vec<_> =
-            tiles.into_iter().map(|tile| TileWork::new(tile, &mut lanes)).collect();
-        match inline_on {
-            Some(worker) => work.iter_mut().enumerate().for_each(|(g, t)| body.run(g, t, worker)),
-            None => ctx.pool.parallel_for_each_mut(&mut work, |g, t, w| body.run(g, t, w)),
-        }
-        body.finish(work, &mut scratch.tiles)
+    let (n, m, mapper) = (jobs.len(), ctx.qm.n_features(), ctx.qm.mapper());
+    let (replicated, exclusive) =
+        (policy == BatchPolicy::Replicated, policy == BatchPolicy::Exclusive);
+    let filed = |j: &TileJob| j.buf.is_some() && j.sibling.as_ref().is_none_or(|s| s.in_place);
+    assert!(exclusive || jobs.iter().all(filed), "only an Exclusive batch builds in scratch");
+    let job_lens: Vec<usize> = jobs.iter().map(|j| ctx.partition.node_len(j.node)).collect();
+    let f_blk = match policy {
+        _ if n == 0 => return TileOutcome::default(),
+        BatchPolicy::Replicated => scratch.plan_batch(ctx, &job_lens, Accumulation::Replicated),
+        BatchPolicy::Exclusive => scratch.plan_batch(ctx, &job_lens, Accumulation::Exclusive),
+        BatchPolicy::NodeTasks => m,
     };
-    let held = scratch.tiles.iter().map(|t| t.capacity() as u64 * 8).sum::<u64>();
-    if held > scratch.tile_bytes {
-        scratch.replicas.count_outside(held - scratch.tile_bytes);
-        scratch.tile_bytes = held;
+    let (DriverScratch { arena, plan }, width) = (scratch, hist::hist_width_for(ctx.qm));
+
+    // A job of one row block is finished by the slots: its tasks are its
+    // feature blocks, ascending, and each fills one tile of its own buffer.
+    // Every other job of a Replicated batch — several row blocks, or none —
+    // is cut into ⟨job, feature-chunk⟩ tiles, `⌈4T / jobs⌉` chunks per job,
+    // so that a narrow batch still spreads over the pool.
+    let by_slot = |j: usize| !replicated || (plan.replica_slot(j).is_none() && job_lens[j] > 0);
+    let n_rest = (0..n).filter(|&j| !by_slot(j)).count();
+    let n_chunks = (4 * ctx.pool.num_threads()).div_ceil(n_rest.max(1)).clamp(1, m.max(1));
+    let chunk = m.div_ceil(n_chunks);
+    let (task_bounds, chunk_bounds) = (block_bounds(mapper, f_blk), block_bounds(mapper, chunk));
+    let body = TileBody::new(ctx, jobs, search);
+    let bounds = |j: usize| if by_slot(j) { &task_bounds } else { &chunk_bounds };
+    let mut lanes: Vec<_> =
+        jobs.iter_mut().zip(0..).map(|(job, j)| block_lanes(job, bounds(j))).collect();
+
+    // The static schedule: the plan's groups — a Replicated task each, or
+    // the bin-block tasks of an Exclusive ⟨node-block, feature-block⟩ —
+    // dealt round-robin, each group's jobs a tile of its slot filled by one
+    // cursor per task (a multi-block job's cursor fills its lanes of the
+    // slot's replica instead). Per histogram cell this is still
+    // ascending-row accumulation: tasks sharing a (job, feature) lane in one
+    // slot own ascending, disjoint position ranges of the node's ascending
+    // row list, so interleaving them chunk by chunk visits exactly the same
+    // rows in exactly the same order as running them back to back. In core
+    // the sweep has one step, and that step *is* the tasks run back to back.
+    let inline_on = inline_on.filter(|_| !replicated);
+    let n_slots = match policy {
+        BatchPolicy::NodeTasks => 1,
+        _ if inline_on.is_some() => 1,
+        _ => ctx.pool.num_threads().min(plan.groups().len()),
+    };
+    let mut slots: Vec<Slot<'_>> = (0..n_slots).map(|_| Slot::default()).collect();
+    if policy == BatchPolicy::NodeTasks {
+        // The degenerate ⟨one node, all rows⟩ task of a Replicated plan: an
+        // explicit feature block still slices a dense scan (the same
+        // per-lane row order, so the same bits); sparse rows have no
+        // per-block substructure and Auto resolves per planned batch, so
+        // both scan whole.
+        let sliced = ctx.qm.is_dense() && !ctx.params.blocks.is_auto();
+        let scan_blk = if sliced { ctx.params.blocks.features_per_block(m) } else { m };
+        for (j, &len) in job_lens.iter().enumerate() {
+            let scans = feature_blocks(m, scan_blk).map(|features| (features, None));
+            slots[0].push(TileWork::new(j, 0..m, &mut lanes), 0..len, scans);
+        }
+    } else {
+        for (g, tasks) in plan.groups().enumerate() {
+            let (slot, features) = (&mut slots[g % n_slots], &tasks[0].features);
+            for j in tasks[0].jobs.clone() {
+                let rows = tasks[0].row_range_for(job_lens[j]);
+                let bins = |t: &BlockTask| t.bins.map_or(0..usize::MAX, |(lo, hi)| lo..hi);
+                let scans = tasks.iter().map(|t| (features.clone(), exclusive.then(|| bins(t))));
+                match plan.replica_slot(j) {
+                    None => slot.push(TileWork::new(j, features.clone(), &mut lanes), rows, scans),
+                    Some(k) => slot.cursors.extend(scans.map(|(features, bins)| {
+                        let (rows, at) = (rows.clone(), k * width);
+                        Cursor { job: j, rows, features, bins, tile: None, at }
+                    })),
+                }
+            }
+        }
+    }
+    let replica_len = if replicated { plan.n_replicated_jobs() * width } else { 0 };
+    run_slots(ctx, arena, &body, &mut slots, replica_len, inline_on);
+    let (tiles, mut bufs): (Vec<_>, Vec<_>) = slots.into_iter().map(|s| (s.tiles, s.buf)).unzip();
+
+    // The other jobs' tiles. A multi-block job's tile takes its replicas'
+    // lanes, cut at the same bounds, and folds them in slot order.
+    let mut folds: Vec<Vec<_>> = bufs
+        .iter_mut()
+        .map(|b| b[..replica_len].chunks_mut(width).map(|l| cut_at(l, &chunk_bounds)).collect())
+        .collect();
+    let mut work = Vec::new();
+    for j in (0..n).filter(|&j| !by_slot(j)) {
+        for features in feature_blocks(m, chunk) {
+            let mut tile = TileWork::new(j, features, &mut lanes);
+            if let Some(k) = plan.replica_slot(j) {
+                let srcs = folds.iter_mut().map(|r| r[k].next().expect("a replica lane"));
+                tile.lanes.replicas = srcs.collect();
+            }
+            work.push(tile);
+        }
+    }
+    ctx.pool
+        .parallel_for_each_mut(&mut work, |_, tile, w| _ = body.run(tile, &mut [], 0, w));
+    work.extend(tiles.into_iter().flatten());
+    let out = body.finish(work);
+    // The fold pieces borrow the replicas until here.
+    drop(folds);
+    for buf in bufs.into_iter().filter(|buf| buf.capacity() > 0) {
+        arena.release(buf);
     }
     out
 }
 
-/// Expands a Replicated batch: executes an [`Accumulation::Replicated`]
-/// plan with the static schedule, each slot finishing the one-block jobs'
-/// tiles it filled, and then the other jobs' tiles, which fold their
-/// replicas, as a second region.
-fn expand_replicated(
+/// Runs `slots` as one pool region, or in turn on `inline_on`'s worker.
+/// Each slot lays out its lanes — `replica_len` of replicas, then the
+/// scratch of its tiles that have no buffer of their own, then its widest
+/// sibling tile that has none — draws them zeroed from `arena`, finishes its
+/// tiles with no rows to scan, and sweeps its cursors, finishing each other
+/// tile after its last run. The lanes stay with the slot, zeroed but for
+/// the replicas.
+fn run_slots(
     ctx: &DriverCtx<'_>,
-    scratch: &mut DriverScratch,
-    jobs: &mut [TileJob],
-    search: SplitSearch<'_>,
-) -> TileOutcome {
-    let ext = scratch.plan_batch(ctx, jobs.iter().map(|j| j.node), Accumulation::Replicated);
-    let DriverScratch { replicas: arena, tiles: stash, plan, job_lens, .. } = scratch;
-    let tasks = plan.tasks();
-    let (n, m, mapper) = (jobs.len(), ctx.qm.n_features(), ctx.qm.mapper());
-    let width = hist::hist_width_for(ctx.qm);
-    let n_slots = ctx.pool.num_threads().min(tasks.len());
-
-    // A job of one row block is finished by the slots: its tasks are its
-    // feature blocks, ascending, and each fills one tile of its own buffer.
-    // Every other job — several row blocks, or none — is cut into ⟨job,
-    // feature-chunk⟩ tiles, `⌈4T / jobs⌉` chunks per job, so that a narrow
-    // batch still spreads over the pool.
-    let by_slot = |j: usize| plan.replica_slot(j).is_none() && job_lens[j] > 0;
-    let n_rest = (0..n).filter(|&j| !by_slot(j)).count();
-    let n_chunks = (4 * ctx.pool.num_threads()).div_ceil(n_rest.max(1)).clamp(1, m.max(1));
-    let chunk = m.div_ceil(n_chunks);
-    let (task_bounds, chunk_bounds) =
-        (block_bounds(mapper, ext.feature_blk), block_bounds(mapper, chunk));
-    let body = TileBody::new(ctx, stash, jobs, search, &[&task_bounds, &chunk_bounds]);
-    let mut lanes: Vec<_> = jobs
-        .iter_mut()
-        .enumerate()
-        .map(|(j, job)| block_lanes(job, if by_slot(j) { &task_bounds } else { &chunk_bounds }))
-        .collect();
-
-    // One replica per schedule slot, with lanes for the batch's multi-block
-    // jobs, drawn zeroed from the arena. A batch of one-block jobs needs none.
-    let replica_len = plan.n_replicated_jobs() * width;
-    let n_replicas = if replica_len == 0 { 0 } else { n_slots };
-    let (mut replicas, fresh): (Vec<_>, Vec<bool>) =
-        (0..n_replicas).map(|_| arena.acquire(replica_len)).unzip();
-    let allocs = fresh.iter().filter(|&&allocated| allocated).count() as u64;
-    ctx.pool.profile().add_scratch_events(allocs, n_replicas as u64 - allocs);
-
-    // What each slot writes: its replica, and per task it runs (in the order
-    // it runs them) the task's tile when the task is a one-block job's.
-    let mut slots: Vec<(&mut [f64], Vec<_>)> =
-        replicas.iter_mut().map(|r| (&mut r[..replica_len], Vec::new())).collect();
-    slots.resize_with(n_slots, Default::default);
-    for (i, task) in tasks.iter().enumerate() {
-        let (j, features) = (task.jobs.start, task.features.clone());
-        let tile =
-            by_slot(j).then(|| TileWork::new((j..j + 1, features, Fill::Filled), &mut lanes));
-        slots[i % n_slots].1.push(tile);
+    arena: &mut ScratchPool,
+    body: &TileBody<'_>,
+    slots: &mut [Slot<'_>],
+    replica_len: usize,
+    inline_on: Option<usize>,
+) {
+    let mapper = ctx.qm.mapper();
+    let lanes_of = |tile: &TileWork<'_>| hist::lanes(mapper, tile.features.clone()).len();
+    // In core a sweep is one step in which a slot's tiles finish in turn, so
+    // their scratch is one piece; out of core each fills over the whole sweep.
+    let shared = ctx.qm.n_chunks() == 1;
+    let (mut acquired, mut allocs) = (0, 0);
+    for slot in slots.iter_mut() {
+        let mut end = replica_len;
+        for tile in slot.tiles.iter_mut().filter(|t| t.lanes.own.is_none()) {
+            tile.at = if shared { replica_len } else { end };
+            end = end.max(tile.at + lanes_of(tile));
+        }
+        let in_scratch = |t: &&TileWork<'_>| t.lanes.parent.is_some() && !body.in_place(t.job);
+        let sibling = slot.tiles.iter().filter(in_scratch).map(lanes_of).max().unwrap_or(0);
+        (slot.sibling_at, slot.len) = (end, end + sibling);
+        if slot.len > 0 {
+            let (buf, fresh) = arena.acquire(slot.len);
+            (slot.buf, acquired, allocs) = (buf, acquired + 1, allocs + u64::from(fresh));
+        }
     }
-    let (root_identity, row_blk) = (ctx.partition.is_identity_order(), ext.row_blk);
+    ctx.pool.profile().add_scratch_events(allocs, acquired - allocs);
 
     // When the resident budget holds only `capacity` chunks, concurrent
     // sweeps must stay within an eviction-free window of each other: one
@@ -349,18 +395,13 @@ fn expand_replicated(
     // pins: without it a leader's load can evict a chunk a laggard is
     // about to pin, and the load count moves with the slots' timing.
     let capacity = ctx.qm.sweep_capacity();
-    let window = if capacity == usize::MAX {
-        usize::MAX
-    } else {
-        capacity.saturating_sub(n_slots + 1).max(1)
-    };
-    let progress: Vec<AtomicUsize> = (0..n_slots).map(|_| AtomicUsize::new(0)).collect();
-    let progress = &progress;
-    let throttle = |slot: usize, steps: usize| {
-        if window == usize::MAX {
+    let window = capacity.saturating_sub(slots.len() + 1).max(1);
+    let progress: Vec<AtomicUsize> = slots.iter().map(|_| AtomicUsize::new(0)).collect();
+    let throttle = |s: usize, steps: usize| {
+        if capacity == usize::MAX {
             return;
         }
-        progress[slot].store(steps, Ordering::Release);
+        progress[s].store(steps, Ordering::Release);
         let behind = || progress.iter().map(|p| p.load(Ordering::Acquire)).min().unwrap_or(steps);
         let mut spins = 0u32;
         while steps > behind() + window {
@@ -379,126 +420,117 @@ fn expand_replicated(
             }
         }
     };
-
-    // The static schedule: slot `s` runs tasks `s, s + T, s + 2T, …` into
-    // its own replica, as the cursors of ONE chunk sweep, which scans every
-    // task's rows that fall inside the pinned chunk before moving on. Deep
-    // nodes scatter their rows over every chunk, so running each task to
-    // completion would sweep the whole chunk sequence once *per task* —
-    // under a resident budget, a reload of the entire cache per task. Per
-    // histogram cell this is still ascending-row accumulation: tasks sharing
-    // a (job, feature) lane in one slot own ascending, disjoint position
-    // ranges of the node's ascending row list, so interleaving them chunk by
-    // chunk visits exactly the same rows in exactly the same order as
-    // running them back to back. In-core the sweep has one step, and that
-    // step *is* the tasks run back to back. A tile is complete only once
-    // the sweep has ended: the slot then steps out of the throttle and
-    // finishes the tiles it filled.
-    ctx.pool.parallel_for_each_mut(&mut slots, |slot, (replica, tiles), lane| {
-        let t0 = body.now();
-        let cursors: Vec<Rows<'_>> = tasks
+    let root_identity = ctx.partition.is_identity_order();
+    let run = |s: usize, slot: &mut Slot<'_>, lane: usize| {
+        let Slot { cursors, tiles, buf, sibling_at, len } = slot;
+        let (buf, sibling_at, t0) = (&mut buf[..*len], *sibling_at, body.now());
+        let mut spent = 0;
+        for tile in tiles.iter_mut().filter(|t| t.pending == 0) {
+            spent += body.run(tile, buf, sibling_at, lane);
+        }
+        let rows: Vec<Rows<'_>> = cursors
             .iter()
-            .skip(slot)
-            .step_by(n_slots)
-            .map(|task| {
-                let node = body.metas[task.jobs.start].0;
-                if node == 0 && root_identity {
-                    // Root fast path: the root span starts at row 0 in
-                    // identity order, so a task's positions ARE its row ids
-                    // and the row-id indirection drops out.
-                    Rows::Range(task.rows.clone())
-                } else {
-                    Rows::List(&ctx.partition.rows(node)[task.rows.clone()])
-                }
+            .map(|c| match body.metas[c.job].0 {
+                // Root fast path: the root span starts at row 0 in identity
+                // order, so a row scan's positions ARE its row ids and the
+                // row-id indirection drops out.
+                0 if root_identity && c.bins.is_none() => Rows::Range(c.rows.clone()),
+                node => Rows::List(&ctx.partition.rows(node)[c.rows.clone()]),
             })
             .collect();
         let mut cells = 0u64;
         sweep_chunks(
             ctx.qm,
-            &cursors,
-            |steps| throttle(slot, steps),
+            &rows,
+            |steps| throttle(s, steps),
             |run| {
-                let task = &tasks[slot + run.cursor * n_slots];
-                let (job_idx, features) = (task.jobs.start, task.features.clone());
-                let node = body.metas[job_idx].0;
-                let _span = ctx.trace().map(|s| {
-                    s.span(lane, TracePhase::BuildHist, node, (task.rows.start / row_blk) as u32)
-                });
-                let grads = ctx.grad_source(node).narrow(task.rows.clone(), 0);
-                let dst: &mut [f64] = match &mut tiles[run.cursor] {
-                    Some(tile) => tile.lanes[0].own.as_mut().expect("a full-width job"),
-                    None => {
-                        let k = plan.replica_slot(job_idx).expect("a multi-block job");
-                        &mut replica[k * width..][hist::lanes(mapper, features.clone())]
+                let c = &cursors[run.cursor];
+                let (node, lanes) = (body.metas[c.job].0, hist::lanes(mapper, c.features.clone()));
+                let dst: &mut [f64] = match c.tile {
+                    None => &mut buf[c.at + lanes.start..c.at + lanes.end],
+                    Some(t) => {
+                        let tile = &mut tiles[t];
+                        let lo = lanes.start - hist::lane(mapper, tile.features.start);
+                        let piece = match &mut tile.lanes.own {
+                            Some(own) => own,
+                            None => &mut buf[tile.at..],
+                        };
+                        &mut piece[lo..lo + lanes.len()]
                     }
                 };
-                cells += row_scan_run(run, grads, features, dst);
+                let span = ctx
+                    .trace()
+                    .map(|sink| sink.span(lane, TracePhase::BuildHist, node, run.cursor as u32));
+                let grads = ctx.grad_source(node).narrow(c.rows.clone(), 0);
+                cells += match &c.bins {
+                    None => row_scan_run(run, grads, c.features.clone(), dst),
+                    Some(bins) => col_scan_run(run, grads, c.features.clone(), bins.clone(), dst),
+                };
+                drop(span);
+                if let (Some(t), true) = (c.tile, run.pos.end == c.rows.len()) {
+                    tiles[t].pending -= 1;
+                    if tiles[t].pending == 0 {
+                        spent += body.run(&mut tiles[t], buf, sibling_at, lane);
+                    }
+                }
             },
         );
-        progress[slot].store(usize::MAX, Ordering::Release);
+        progress[s].store(usize::MAX, Ordering::Release);
+        hist::zero(&mut buf[sibling_at..]);
         body.cells.fetch_add(cells, Ordering::Relaxed);
-        body.build_ns.fetch_add(body.now() - t0, Ordering::Relaxed);
-        for (cursor, tile) in tiles.iter_mut().enumerate() {
-            if let Some(tile) = tile {
-                body.run(slot + cursor * n_slots, tile, lane);
-            }
-        }
-    });
-    let mut work: Vec<_> = slots.into_iter().flat_map(|(_, tiles)| tiles).flatten().collect();
-    let done = work.len();
-
-    // The other jobs' tiles. A multi-block job's tile takes its replicas'
-    // lanes, cut at the same bounds, and folds them in slot order.
-    let mut folds: Vec<Vec<_>> = replicas
-        .iter_mut()
-        .map(|r| r[..replica_len].chunks_mut(width).map(|l| cut_at(l, &chunk_bounds)).collect())
-        .collect();
-    for j in (0..n).filter(|&j| !by_slot(j)) {
-        for features in feature_blocks(m, chunk) {
-            let mut tile = TileWork::new((j..j + 1, features, Fill::Filled), &mut lanes);
-            if let Some(k) = plan.replica_slot(j) {
-                let srcs = folds.iter_mut().map(|r| r[k].next().expect("a replica lane"));
-                tile.lanes[0].replicas = srcs.collect();
-            }
-            work.push(tile);
-        }
+        body.build_ns.fetch_add(body.now() - t0 - spent, Ordering::Relaxed);
+    };
+    match inline_on {
+        Some(worker) => slots.iter_mut().enumerate().for_each(|(s, slot)| run(s, slot, worker)),
+        None => ctx.pool.parallel_for_each_mut(slots, run),
     }
-    ctx.pool.parallel_for_each_mut(&mut work[done..], |g, t, w| body.run(g, t, w));
-    let out = body.finish(work, stash);
-    // The fold pieces borrow the replicas until here.
-    drop(folds);
-    for rep in replicas {
-        arena.release(rep);
-    }
-
-    // The write working set of one DP task: the feature block's share of the
-    // replica, across the node block (§IV-E, 16 bytes per cell). Shared with
-    // the cost model.
-    let total_bins = mapper.total_bins() as usize;
-    let ws = dp_write_working_set(total_bins, m, ext.feature_blk, ext.node_blk);
-    ctx.pool.profile().observe_region_bytes(ws as u64);
-    out
 }
 
-/// How a tile's lanes are filled before the tile body runs.
-#[derive(Clone, Copy)]
-enum Fill<'a> {
-    /// A Replicated batch's: the schedule slot that runs the tile filled
-    /// them in its chunk sweep (a one-block job), or the tile adds in its
-    /// lanes of the job's replicas in slot order ([`BlockLanes::replicas`]),
-    /// zeroing each as it reads it, so the replicas go back to the arena
-    /// zeroed.
-    Filled,
-    /// Column-scan the block's features, one of the group's ascending
-    /// bin-block tasks — one chunk sweep — at a time (Exclusive).
-    Columns(&'a [BlockTask]),
-    /// Row-scan the job's rows over the block's features, this many at a
-    /// time (NodeTasks).
-    Rows(usize),
+/// One cursor of a slot's sweep: the rows at positions `rows` of job `job`'s
+/// row list, scanned over `features` — column-scanned over `bins` when set,
+/// row-scanned otherwise — into the slot's tile `tile`, or else into the
+/// job's replica histogram, lanes `at..` of the slot's lanes.
+struct Cursor {
+    job: usize,
+    rows: Range<usize>,
+    features: Range<usize>,
+    bins: Option<Range<usize>>,
+    tile: Option<usize>,
+    at: usize,
 }
 
-/// One tile as [`expand`] plans it: jobs, feature block, fill.
-type Tile<'a> = (Range<usize>, Range<usize>, Fill<'a>);
+/// One schedule slot: ONE chunk sweep whose cursors fill its tiles.
+#[derive(Default)]
+struct Slot<'a> {
+    /// In the order a sweep step visits their runs: a tile's cursors are
+    /// consecutive.
+    cursors: Vec<Cursor>,
+    tiles: Vec<TileWork<'a>>,
+    /// Zeroed arena lanes: `..sibling_at` holds the replicas and the scratch
+    /// tiles ([`TileWork::at`]), `sibling_at..len` the sibling tile.
+    buf: Vec<f64>,
+    sibling_at: usize,
+    len: usize,
+}
+
+impl<'a> Slot<'a> {
+    /// Adds `tile`, filled by one cursor per `(features, bins)` of `scans`
+    /// over the job's row positions `rows`.
+    fn push(
+        &mut self,
+        mut tile: TileWork<'a>,
+        rows: Range<usize>,
+        scans: impl Iterator<Item = (Range<usize>, Option<Range<usize>>)>,
+    ) {
+        let (job, t) = (tile.job, Some(self.tiles.len()));
+        for (features, bins) in scans {
+            tile.pending += usize::from(!rows.is_empty());
+            let rows = rows.clone();
+            self.cursors.push(Cursor { job, rows, features, bins, tile: t, at: 0 });
+        }
+        self.tiles.push(tile);
+    }
+}
 
 /// The lane bounds of the blocks of `f_blk` features: each block's first
 /// lane, then the width.
@@ -547,28 +579,31 @@ fn block_lanes<'a>(
     })
 }
 
-/// One ⟨job-range, feature-block⟩ tile as a worker receives it. The pieces
-/// of [`BlockLanes`] are cut out of the buffers up front, so that two tiles
+/// One ⟨job, feature-block⟩ tile as a worker receives it. The pieces of
+/// [`BlockLanes`] are cut out of the buffers up front, so that two tiles
 /// share no lane is the borrow checker's statement, not a comment's.
 struct TileWork<'a> {
-    jobs: Range<usize>,
+    job: usize,
     features: Range<usize>,
-    fill: Fill<'a>,
-    /// One per job of `jobs`.
-    lanes: Vec<BlockLanes<'a>>,
-    /// Per job, the block's best split of the node and of its sibling.
-    found: Vec<[Option<SplitCandidate>; 2]>,
+    lanes: BlockLanes<'a>,
+    /// Where the tile lies in its slot's lanes when the job has no buffer.
+    at: usize,
+    /// The cursors yet to visit their last run.
+    pending: usize,
+    /// The block's best split of the node and of its sibling.
+    found: [Option<SplitCandidate>; 2],
 }
 
 impl<'a> TileWork<'a> {
-    /// `tile`, taking each of its jobs' next block from `lanes` (by job, the
-    /// blocks ascending).
+    /// Job `job`'s tile over `features`, taking the job's next block from
+    /// `lanes` (by job, the blocks ascending).
     fn new(
-        (jobs, features, fill): Tile<'a>,
+        job: usize,
+        features: Range<usize>,
         lanes: &mut [impl Iterator<Item = BlockLanes<'a>>],
     ) -> Self {
-        let lanes = jobs.clone().map(|j| lanes[j].next().expect("a block per tile")).collect();
-        Self { jobs, features, fill, lanes, found: Vec::new() }
+        let lanes = lanes[job].next().expect("a block per tile");
+        Self { job, features, lanes, at: 0, pending: 0, found: [None, None] }
     }
 }
 
@@ -576,17 +611,13 @@ impl<'a> TileWork<'a> {
 /// node's statistics and `(node, stats, in_place)` of the derived sibling.
 type Meta = (NodeId, NodeStats, Option<(NodeId, NodeStats, bool)>);
 
-/// The one tile body every expansion ends in — per job of a tile, the
-/// tile's fill, then `parent − small` in place or into the scratch tile,
-/// then FindSplit on both — and what it sums over a batch.
+/// The one tile body every expansion ends in — the tile's replica fold if
+/// it has one, then `parent − small` in place or into the sibling tile, then
+/// FindSplit on both — and what it sums over a batch.
 struct TileBody<'c> {
     ctx: &'c DriverCtx<'c>,
     search: SplitSearch<'c>,
     metas: Vec<Meta>,
-    /// By worker: the scan tile and the sibling tile, back to back.
-    pairs: PerWorker<Vec<f64>>,
-    /// The lanes of the widest tile.
-    tile_lanes: usize,
     cells: AtomicU64,
     /// Nanoseconds the workers spent filling tiles and subtracting.
     build_ns: AtomicU64,
@@ -596,24 +627,13 @@ struct TileBody<'c> {
 }
 
 impl<'c> TileBody<'c> {
-    /// A body for the tiles of `jobs` cut at any of `bounds`; it holds the
-    /// worker tile pairs of `stash` until [`TileBody::finish`].
-    fn new(
-        ctx: &'c DriverCtx<'c>,
-        stash: &mut [Vec<f64>],
-        jobs: &[TileJob],
-        search: SplitSearch<'c>,
-        bounds: &[&[usize]],
-    ) -> Self {
-        let n_threads = ctx.pool.num_threads();
+    /// A body for the tiles of `jobs`.
+    fn new(ctx: &'c DriverCtx<'c>, jobs: &[TileJob], search: SplitSearch<'c>) -> Self {
         let sibling = |j: &TileJob| j.sibling.as_ref().map(|s| (s.node, s.stats, s.in_place));
-        let widths = bounds.iter().flat_map(|b| b.windows(2).map(|w| w[1] - w[0]));
         Self {
             ctx,
             search,
             metas: jobs.iter().map(|j| (j.node, j.stats, sibling(j))).collect(),
-            pairs: PerWorker::new(n_threads, |w| stash.get_mut(w).map(take).unwrap_or_default()),
-            tile_lanes: widths.max().unwrap_or(0),
             cells: AtomicU64::new(0),
             build_ns: AtomicU64::new(0),
             find_ns: AtomicU64::new(0),
@@ -627,117 +647,87 @@ impl<'c> TileBody<'c> {
             .map_or_else(|| self.epoch.elapsed().as_nanos() as u64, TraceSink::now_ns)
     }
 
-    /// Runs the body on tile `g` on `worker`.
-    fn run(&self, g: usize, tile: &mut TileWork<'_>, worker: usize) {
-        let (ctx, mapper, trace) = (self.ctx, self.ctx.qm.mapper(), self.ctx.trace());
-        let lane_of = |f: usize| hist::lane(mapper, f);
-        let (features, fill) = (tile.features.clone(), tile.fill);
-        let lane0 = lane_of(features.start);
-        let n_lanes = lane_of(features.end) - lane0;
-        let pair = self.pairs.get_mut(worker);
-        let (mut local_cells, mut local_build, mut local_find) = (0u64, 0u64, 0u64);
-        for (job_idx, lanes) in tile.jobs.clone().zip(&mut tile.lanes) {
-            let (node, stats, sibling) = self.metas[job_idx];
-            let in_place = sibling.is_some_and(|s| s.2);
-            let in_scratch = lanes.own.is_none() || (sibling.is_some() && !in_place);
-            if in_scratch && pair.len() < 2 * self.tile_lanes {
-                pair.resize(2 * self.tile_lanes, 0.0);
-            }
-            let half = pair.len() / 2;
-            let (scan_tile, sibling_tile) = pair.split_at_mut(half);
+    /// Whether job `j`'s derived sibling is subtracted in place.
+    fn in_place(&self, j: usize) -> bool {
+        self.metas[j].2.is_some_and(|s| s.2)
+    }
 
-            let t0 = self.now();
-            let small: &mut [f64] = match &mut lanes.own {
-                Some(own) => own,
-                None => {
-                    let t = &mut scan_tile[..n_lanes];
-                    hist::zero(t);
-                    t
-                }
-            };
-            let rows = ctx.partition.rows(node);
-            let grads = ctx.grad_source(node);
-            match fill {
-                Fill::Filled => {
-                    for src in &mut lanes.replicas {
-                        for (d, s) in small.iter_mut().zip(src.iter_mut()) {
-                            *d += *s;
-                            *s = 0.0;
-                        }
-                    }
-                }
-                Fill::Columns(tasks) => {
-                    for task in tasks {
-                        let bins = task.bins.map_or(0..usize::MAX, |(lo, hi)| lo..hi);
-                        let fs = features.clone();
-                        local_cells += col_scan_store(ctx.qm, rows, grads, fs, bins, small);
-                    }
-                }
-                Fill::Rows(scan_blk) => {
-                    for b in feature_blocks(features.len(), scan_blk) {
-                        let fs = features.start + b.start..features.start + b.end;
-                        let hist = &mut small[lane_of(fs.start) - lane0..lane_of(fs.end) - lane0];
-                        local_cells += row_scan_store(ctx.qm, rows, grads, fs, hist, false);
-                    }
-                }
-            }
-            // The one tile body.
-            let t_filled = trace.map(|s| s.now_ns());
-            let large: Option<&[f64]> = match (&mut lanes.parent, in_place) {
-                (Some(parent), true) => {
-                    hist::subtract_in_place(parent, small);
-                    Some(&**parent)
-                }
-                (Some(parent), false) => {
-                    let t = &mut sibling_tile[..n_lanes];
-                    hist::subtract(parent, small, t);
-                    Some(&*t)
-                }
-                (None, _) => None,
-            };
-            let t1 = self.now();
-            let find = |tile: &[f64], stats: &NodeStats| {
-                let SplitSearch { settings, mask } = self.search;
-                find_split_tile(tile, lane0, stats, mapper, features.clone(), settings, mask)
-            };
-            let found_small = find(small, &stats);
-            let found_large = large.zip(sibling).and_then(|(l, (_, stats, _))| find(l, &stats));
-            let t2 = self.now();
-            tile.found.push([found_small, found_large]);
-            local_build += t1 - t0;
-            local_find += t2 - t1;
-            if let (Some(sink), Some(t_filled)) = (trace, t_filled) {
-                if !matches!(fill, Fill::Filled) {
-                    sink.record(worker, TracePhase::BuildHist, node, g as u32, t0, t_filled);
-                } else if !lanes.replicas.is_empty() {
-                    sink.record(worker, TracePhase::Reduce, node, g as u32, t0, t_filled);
-                }
-                if let Some((sibling, ..)) = sibling {
-                    sink.record(worker, TracePhase::Reduce, sibling, g as u32, t_filled, t1);
-                }
-                sink.record(worker, TracePhase::FindSplit, node, g as u32, t1, t2);
+    /// Finishes `tile` on `worker` and returns the nanoseconds it took. A
+    /// tile whose job has no buffer is the piece of `buf` at
+    /// [`TileWork::at`], zeroed again once searched; a sibling that is not
+    /// subtracted in place goes to `buf[sibling_at..]`.
+    fn run(
+        &self,
+        tile: &mut TileWork<'_>,
+        buf: &mut [f64],
+        sibling_at: usize,
+        worker: usize,
+    ) -> u64 {
+        let (mapper, trace, features) = (self.ctx.qm.mapper(), self.ctx.trace(), &tile.features);
+        let lane0 = hist::lane(mapper, features.start);
+        let n_lanes = hist::lane(mapper, features.end) - lane0;
+        let (node, stats, sibling) = self.metas[tile.job];
+        let (pieces, sibling_tile) = buf.split_at_mut(sibling_at);
+        let t0 = self.now();
+        let small: &mut [f64] = match &mut tile.lanes.own {
+            Some(own) => own,
+            None => &mut pieces[tile.at..tile.at + n_lanes],
+        };
+        for src in &mut tile.lanes.replicas {
+            for (d, s) in small.iter_mut().zip(src.iter_mut()) {
+                *d += *s;
+                *s = 0.0;
             }
         }
-        self.cells.fetch_add(local_cells, Ordering::Relaxed);
-        self.build_ns.fetch_add(local_build, Ordering::Relaxed);
-        self.find_ns.fetch_add(local_find, Ordering::Relaxed);
+        let t_filled = trace.map(|s| s.now_ns());
+        let large: Option<&[f64]> = match (&mut tile.lanes.parent, self.in_place(tile.job)) {
+            (Some(parent), true) => {
+                hist::subtract_in_place(parent, small);
+                Some(&**parent)
+            }
+            (Some(parent), false) => {
+                let t = &mut sibling_tile[..n_lanes];
+                hist::subtract(parent, small, t);
+                Some(&*t)
+            }
+            (None, _) => None,
+        };
+        let t1 = self.now();
+        let find = |tile: &[f64], stats: &NodeStats| {
+            let SplitSearch { settings, mask } = self.search;
+            find_split_tile(tile, lane0, stats, mapper, features.clone(), settings, mask)
+        };
+        tile.found = [find(small, &stats), large.zip(sibling).and_then(|(l, s)| find(l, &s.1))];
+        let t2 = self.now();
+        if tile.lanes.own.is_none() {
+            hist::zero(&mut pieces[tile.at..tile.at + n_lanes]);
+        }
+        self.build_ns.fetch_add(t1 - t0, Ordering::Relaxed);
+        self.find_ns.fetch_add(t2 - t1, Ordering::Relaxed);
+        if let (Some(sink), Some(t_filled)) = (trace, t_filled) {
+            let block = features.start as u32;
+            if !tile.lanes.replicas.is_empty() {
+                sink.record(worker, TracePhase::Reduce, node, block, t0, t_filled);
+            }
+            if let Some((sibling, ..)) = sibling {
+                sink.record(worker, TracePhase::Reduce, sibling, block, t_filled, t1);
+            }
+            sink.record(worker, TracePhase::FindSplit, node, block, t1, t2);
+        }
+        t2 - t0
     }
 
     /// Each job's best split — the partial candidates of `tiles` folded in
     /// ascending block order, the order a whole-histogram scan resolves ties
-    /// in — and the time the workers spent building and searching. Hands
-    /// the tile pairs back to `stash`.
-    fn finish(self, mut tiles: Vec<TileWork<'_>>, stash: &mut Vec<Vec<f64>>) -> TileOutcome {
-        tiles.sort_by_key(|tile| (tile.jobs.start, tile.features.start));
+    /// in — and the time the workers spent building and searching.
+    fn finish(self, mut tiles: Vec<TileWork<'_>>) -> TileOutcome {
+        tiles.sort_by_key(|tile| (tile.job, tile.features.start));
         let mut found = vec![[None, None]; self.metas.len()];
         for tile in tiles {
-            for (job_idx, block) in tile.jobs.zip(tile.found) {
-                for (best, partial) in found[job_idx].iter_mut().zip(block) {
-                    *best = better_of(*best, partial);
-                }
+            for (best, partial) in found[tile.job].iter_mut().zip(tile.found) {
+                *best = better_of(*best, partial);
             }
         }
-        *stash = self.pairs.into_values();
         self.ctx.report_cells(self.cells.into_inner());
         TileOutcome {
             found,
@@ -754,7 +744,7 @@ mod tests {
     use crate::kernels::row_scan_scalar;
     use crate::params::BlockConfig;
     use crate::split::find_split_range;
-    use harp_binning::{BinningConfig, QuantizedMatrix};
+    use harp_binning::{write_cache, BinningConfig, ChunkedStore, QuantizedMatrix};
     use harp_data::{DatasetKind, SynthConfig};
     use harp_metrics::MemGauge;
     use harp_parallel::Profile;
@@ -1145,6 +1135,23 @@ mod tests {
         })
     }
 
+    /// [`scan_layouts`] through chunk caches of eight chunks, a quarter of
+    /// each resident.
+    fn chunked_layouts() -> &'static [ChunkedStore] {
+        static STORES: OnceLock<Vec<ChunkedStore>> = OnceLock::new();
+        STORES.get_or_init(|| {
+            let chunked = |(i, qm): (usize, &QuantizedMatrix)| {
+                let tmp = format!("harp_drivers_{}_{i}.qsc", std::process::id());
+                let path = std::env::temp_dir().join(tmp);
+                write_cache(qm, qm.n_rows().div_ceil(8), &path).expect("write cache");
+                let store = ChunkedStore::open(&path, qm.storage_bytes() as u64 / 4);
+                std::fs::remove_file(&path).ok();
+                store.expect("open cache")
+            };
+            scan_layouts().iter().enumerate().map(chunked).collect()
+        })
+    }
+
     /// Explicit `row_blk_size` choices next to the default `batch / threads`.
     const ROW_BLKS: [usize; 4] = [0, 0, 48, 300];
 
@@ -1236,14 +1243,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The tile pipeline under each of its three fills against the
-        /// three regions it replaced, spelled out with reference kernels —
-        /// the Exclusive fill (the column scan inside the tile), the
-        /// Replicated fill (the slots' chunk sweeps, each slot finishing the
-        /// one-block jobs' tiles it filled; with `split_rows`, a job of more
-        /// than 48 rows spans several row blocks and its tiles fold its
-        /// replicas) and the NodeTasks fill (the row scan inside the tile,
-        /// on the calling thread). The
+        /// The slot executor under each of its three policies, in core and
+        /// through a chunk cache a quarter of which is resident, against
+        /// reference kernels — Exclusive (column-scan cursors, tiles dealt
+        /// round-robin to the slots), Replicated (row-scan cursors of the
+        /// static schedule, each slot finishing the one-block jobs' tiles
+        /// it filled; with `split_rows`, a job of more than 48 rows spans
+        /// several row blocks and its tiles fold its replicas) and
+        /// NodeTasks (one slot of row-scan cursors, on the calling thread).
+        /// The
         /// root is cut into leaves and every leaf is split — evenly,
         /// unevenly, into one row and the rest, into nothing and
         /// everything — and the splits
@@ -1271,8 +1279,10 @@ mod tests {
             membuf in any::<bool>(),
             fill in 0usize..3,
             split_rows in any::<bool>(),
+            chunked in any::<bool>(),
         ) {
             let qm = &scan_layouts()[layout];
+            let store: &dyn QuantStore = if chunked { &chunked_layouts()[layout] } else { qm };
             let (n, m) = (qm.n_rows(), qm.n_features());
             let mapper = qm.mapper();
             let wide = |h: u64| {
@@ -1377,9 +1387,10 @@ mod tests {
             let mut scratch = DriverScratch::new();
             let arena = Arc::new(MemGauge::new());
             scratch.set_replica_gauge(Arc::clone(&arena));
-            let ctx =
-                DriverCtx { qm, params: &params, pool: &pool, partition: &part, grads: &grads };
+            let partition = &part;
+            let ctx = DriverCtx { qm: store, params: &params, pool: &pool, partition, grads: &grads };
             let search = SplitSearch { settings: &settings, mask: None };
+            let unfiled = jobs.iter().filter(|j| j.buf.is_none()).count();
             // A Replicated job of several row blocks is what the static
             // schedule builds, and each slot holds a replica of such jobs.
             let mut replica_bytes = 0;
@@ -1437,14 +1448,16 @@ mod tests {
                     prop_assert!(hists.alloc().zeroed().iter().all(|&x| x == 0.0));
                 }
             }
-            // Scratch is the replicas, plus a tile pair per worker that
-            // needed one, and nothing more when every histogram had a buffer
-            // of its own.
+            // Scratch is the replicas, plus per slot that needed them a
+            // sibling tile and the scratch tiles — one at a time in core, out
+            // of core each unfiled job's until the sweep ends — and nothing
+            // more when every histogram had a buffer of its own.
             let widest = feature_blocks(m, params.blocks.features_per_block(m))
                 .map(|b| hist::lanes(mapper, b).len())
                 .max()
                 .unwrap_or(0);
-            prop_assert!(arena.high_water() <= (replica_bytes + threads * 2 * widest * 8) as u64);
+            let tiles = if chunked { unfiled * width } else { threads * widest };
+            prop_assert!(arena.high_water() <= (replica_bytes + (tiles + threads * widest) * 8) as u64);
             prop_assert!(!all_filed || arena.high_water() == replica_bytes as u64);
         }
     }

@@ -879,10 +879,12 @@ impl<'a> TreeEngine<'a> {
         };
         let search = split_search(&self.settings, &self.feature_mask);
 
-        // An Exclusive batch holds a full-width buffer only for a histogram
-        // that can be filed, and only the parent's own for a sibling that
-        // can.
-        let fused = policy == BatchPolicy::Exclusive;
+        // In core, an Exclusive batch holds a full-width buffer only for a
+        // histogram that can be filed, and only the parent's own for a
+        // sibling that can. Out of core a scratch tile fills over the whole
+        // chunk sweep and costs a histogram anyway: every job gets one from
+        // the pool, as in a Replicated batch.
+        let fused = policy == BatchPolicy::Exclusive && ctx.qm.n_chunks() == 1;
         let remaining = self.frontier.remaining();
         let hists = &mut self.frontier.hists;
         for job in jobs.iter_mut() {

@@ -11,8 +11,8 @@
 
 use harp_bench::{prepared, PreparedData};
 use harpgbdt::{
-    write_cache, CacheError, ChunkedStore, GbdtTrainer, GrowthMethod, ParallelMode, Predictor,
-    QuantStore, TrainParams,
+    write_cache, BlockConfig, CacheError, ChunkedStore, GbdtTrainer, GrowthMethod, ParallelMode,
+    Predictor, QuantStore, TrainParams,
 };
 use std::path::PathBuf;
 
@@ -139,26 +139,55 @@ fn chunk_loads_and_evictions_repeat_exactly_at_one_thread() {
     std::fs::remove_file(path).ok();
 }
 
-/// An Exclusive tile scans its block's columns in one chunk sweep per bin
-/// task, so at one thread, under a quarter-size budget, MP and SYNC load a
-/// small multiple of the chunks DP loads (4.2 and 1.3 times here) — where
-/// a sweep per column loaded 104 and 17 times as many.
+/// A schedule slot is one chunk sweep whatever its tiles and bin blocks,
+/// so at one thread, under a quarter-size budget, MP and SYNC load no more
+/// than 1.3 times the chunks DP loads, at the default blocks and at
+/// `0,8,4,0` — where a sweep per tile and bin task loaded 4.2 and 1.3
+/// times as many at the default blocks, and a sweep per column 104 and 17.
 #[test]
 fn exclusive_batches_load_a_small_multiple_of_dp_chunks() {
     let data = prepared(harp_data::DatasetKind::HiggsLike, 0.2, 5);
     let budget = data.quantized.storage_bytes() as u64 / 4;
     let path = cache_file(&data, (data.quantized.n_rows() / 32).max(16), "exclusive");
-    let loads = |mode| {
-        let params = TrainParams { n_threads: 1, tree_size: 5, ..params(mode) };
+    let loads = |mode, blocks| {
+        let params = TrainParams { n_threads: 1, tree_size: 5, blocks, ..params(mode) };
         let store = ChunkedStore::open(&path, budget).expect("open cache");
         let out = GbdtTrainer::new(params).unwrap().train_store(&store, &data.train.labels, None);
         out.diagnostics.profile.chunk_loads
     };
-    let dp = loads(ParallelMode::DataParallel);
-    for mode in [ParallelMode::ModelParallel, ParallelMode::Sync] {
-        let got = loads(mode);
-        assert!(got <= 10 * dp, "{mode:?}: {got} chunk loads, over 10 times DP's {dp}");
+    let explicit =
+        BlockConfig { row_blk_size: 0, node_blk_size: 8, feature_blk_size: 4, bin_blk_size: 0 };
+    for blocks in [BlockConfig::default(), explicit] {
+        let dp = loads(ParallelMode::DataParallel, blocks);
+        for mode in [ParallelMode::ModelParallel, ParallelMode::Sync] {
+            let got = loads(mode, blocks);
+            assert!(10 * got <= 13 * dp, "{mode:?} {blocks:?}: {got} chunk loads, DP {dp}");
+        }
     }
+    std::fs::remove_file(path).ok();
+}
+
+/// An ASYNC node task is one slot whose cursors are its jobs' feature
+/// blocks, so explicit feature blocks leave its chunk traffic and its
+/// model as the cost model's blocks leave them (one thread, a quarter-size
+/// budget) — where a sweep per feature block loaded 4.7 times the chunks.
+#[test]
+fn async_node_tasks_sweep_once_whatever_the_feature_blocks() {
+    let data = prepared(harp_data::DatasetKind::HiggsLike, 0.2, 5);
+    let budget = data.quantized.storage_bytes() as u64 / 4;
+    let path = cache_file(&data, (data.quantized.n_rows() / 32).max(16), "async-blocks");
+    let run = |blocks| {
+        let params =
+            TrainParams { n_threads: 1, tree_size: 6, blocks, ..params(ParallelMode::Async) };
+        let store = ChunkedStore::open(&path, budget).expect("open cache");
+        let out = GbdtTrainer::new(params).unwrap().train_store(&store, &data.train.labels, None);
+        (out.diagnostics.profile.chunk_loads, out.model.to_json().unwrap())
+    };
+    let explicit =
+        BlockConfig { row_blk_size: 0, node_blk_size: 8, feature_blk_size: 4, bin_blk_size: 0 };
+    let (auto, sliced) = (run(BlockConfig::Auto), run(explicit));
+    assert_eq!(auto.0, sliced.0, "chunk loads at Auto and at 0,8,4,0");
+    assert!(auto.1 == sliced.1, "the models differ");
     std::fs::remove_file(path).ok();
 }
 

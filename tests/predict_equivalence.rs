@@ -492,4 +492,12 @@ fn hostile_models_are_typed_errors() {
         let err = GbdtModel::from_json(&json).expect_err(want).to_string();
         assert_eq!(err, format!("invalid model: {want}"));
     }
+
+    // Nesting deeper than the parser's 128 levels is an error, not a stack
+    // overflow that aborts the process (a model nests 6 deep).
+    for depth in [129, 100_000] {
+        let deep = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let err = GbdtModel::from_json(&deep).expect_err("too deep").to_string();
+        assert_eq!(err, "recursion limit exceeded at offset 128");
+    }
 }
