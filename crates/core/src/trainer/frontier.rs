@@ -1,31 +1,47 @@
-//! One tree's growth state, and the three steps every engine takes on it.
+//! One tree's growth state, and the three steps every mode takes on it.
 //!
-//! [`Frontier`] owns the growth queue, the histogram pool and the leaf count.
-//! The batch engine calls it directly, ASYNC's node tasks under a spin lock
-//! (`async_mode`); either way a split is
+//! [`Frontier`] owns the tree being grown, the growth queue, the histogram
+//! pool and the leaf count. The barrier loop calls it directly, ASYNC's node
+//! tasks under a spin lock (`async_mode`); either way the split step
+//! (`TreeEngine::step`) takes a split through
 //!
-//! 1. [`claim`](Frontier::claim)ed — popped, its leaf spent and its cached
-//!    histogram taken in one step, so the pool sees the budget exactly as
-//!    that pop left it and never holds the histogram of a candidate in
-//!    flight: `cached ≤ R` at every intermediate `R`;
-//! 2. planned — [`children`](Frontier::children) decides which child is
-//!    scanned and which derived as `parent − small`, releases a parent
-//!    nothing will read and plans nothing once the budget is spent;
-//! 3. [`file`](Frontier::file)d — the expanded children are queued
+//! 1. [`claim`](Frontier::claim) — popped, its leaf spent, its cached
+//!    histogram taken and the split applied to the tree in one step, so the
+//!    pool sees the budget exactly as that pop left it and never holds the
+//!    histogram of a candidate in flight (`cached ≤ R` at every intermediate
+//!    `R`), and node ids are given out in claim order;
+//! 2. [`children`](Frontier::children) — the children's row counts written
+//!    and their histograms planned: which child is scanned and which
+//!    derived as `parent − small`; a parent nothing will read is released,
+//!    and nothing is planned once the budget is spent;
+//! 3. [`file`](Frontier::file) — the expanded children are queued
 //!    small-first and their full-width histograms cached for the next
 //!    subtraction.
 //!
-//! Nothing width-sized runs in here: a fresh buffer is popped off
-//! [`hists`](Frontier::hists) and zero-filled by the caller, outside any lock.
+//! Nothing width-sized runs in here: [`equip`](Frontier::equip) pops a
+//! buffer off the free list and the caller zero-fills it, outside any lock.
+//! [`finish`](Frontier::finish) hands the grown tree back.
 
 use super::drivers::{DerivedSibling, TileJob};
 use crate::growth::{GrowthQueue, RankedCandidate};
-use crate::hist::HistPool;
+use crate::hist::{HistPool, StaleHist};
 use crate::params::TrainParams;
 use crate::partition::RowPartition;
 use crate::split::SplitCandidate;
-use crate::tree::{NodeId, NodeStats};
+use crate::tree::{NodeId, NodeStats, SplitData, Tree};
 use harp_parallel::Profile;
+
+/// A split [`claim`](Frontier::claim)ed off the queue and applied to the
+/// tree.
+pub(super) struct Claim {
+    /// The split node.
+    pub node: NodeId,
+    pub split: SplitData,
+    /// The ids its two children were given.
+    pub kids: [NodeId; 2],
+    /// The node's histogram, if it was cached.
+    pub parent: Option<Vec<f64>>,
+}
 
 /// A batch's planned children: the job list the fills take, plus what the
 /// queue needs and a [`TileJob`] does not carry.
@@ -38,13 +54,6 @@ pub(super) struct Children {
 }
 
 impl Children {
-    /// The root of a tree, which has no split to come from.
-    pub fn root(stats: NodeStats) -> Self {
-        let mut root = Self::default();
-        root.push((0, stats), None, 0, false);
-        root
-    }
-
     fn push(
         &mut self,
         (node, stats): (NodeId, NodeStats),
@@ -59,6 +68,7 @@ impl Children {
 
 /// See the module docs.
 pub(super) struct Frontier<'a> {
+    tree: Tree,
     queue: GrowthQueue,
     pub hists: HistPool,
     leaves: usize,
@@ -68,15 +78,26 @@ pub(super) struct Frontier<'a> {
 
 impl<'a> Frontier<'a> {
     pub fn new(params: &'a TrainParams, profile: &'a Profile, hists: HistPool) -> Self {
-        Self { queue: GrowthQueue::new(params.growth), hists, leaves: 1, params, profile }
+        let tree = Tree::new_root(NodeStats::default());
+        Self { tree, queue: GrowthQueue::new(params.growth), hists, leaves: 1, params, profile }
     }
 
-    /// Ends a tree: the candidates left in the queue stay leaves and their
-    /// cached histograms are recycled.
-    pub fn reset(&mut self) {
+    /// Starts a tree at a root holding `stats`: the root's histogram is the
+    /// one job planned.
+    pub fn root(&mut self, stats: NodeStats) -> Children {
+        self.tree = Tree::new_root(stats);
+        let mut root = Children::default();
+        root.push((0, stats), None, 0, false);
+        root
+    }
+
+    /// Ends a tree and hands it back: the candidates left in the queue stay
+    /// leaves and their cached histograms are recycled.
+    pub fn finish(&mut self) -> Tree {
         self.hists.clear_cache();
         self.queue = GrowthQueue::new(self.params.growth);
         self.leaves = 1;
+        std::mem::replace(&mut self.tree, Tree::new_root(NodeStats::default()))
     }
 
     /// The unspent leaf budget.
@@ -99,26 +120,25 @@ impl<'a> Frontier<'a> {
         depth < self.params.max_depth() && count >= 2
     }
 
-    /// Pops up to `k` of the best candidates the budget still pays for, each
-    /// with its parent histogram if that was cached.
-    pub fn claim(
-        &mut self,
-        k: usize,
-        partition: &RowPartition,
-    ) -> Vec<(RankedCandidate, Option<Vec<f64>>)> {
+    /// Pops up to `k` of the best candidates the budget still pays for and
+    /// applies each split to the tree, in pop order, taking its parent
+    /// histogram if that was cached.
+    pub fn claim(&mut self, k: usize, partition: &RowPartition) -> Vec<Claim> {
         let batch = self.queue.pop_batch(k, self.remaining());
         batch
             .into_iter()
-            .map(|c| {
+            .map(|RankedCandidate { node, cand, .. }| {
                 self.leaves += 1;
-                let rows = partition.node_len(c.node);
-                (c, self.hists.cache_take(c.node, rows, self.remaining()))
+                let rows = partition.node_len(node);
+                let parent = self.hists.cache_take(node, rows, self.remaining());
+                let (l, r) = self.tree.apply_split(node, cand.split, cand.left, cand.right);
+                Claim { node, split: cand.split, kids: [l, r], parent }
             })
             .collect()
     }
 
-    /// Plans the histograms of a claimed split's two children (at `depth`,
-    /// row counts known) into `into`: the smaller child scanned and the
+    /// Writes the row counts of a claimed split's two children into the tree
+    /// and plans their histograms into `into`: the smaller child scanned and the
     /// larger derived from `parent` where that histogram is at hand and both
     /// may split, every eligible child scanned otherwise — a parent too
     /// small to have been cached (`hist::min_cached_rows`) comes back `None`
@@ -129,10 +149,15 @@ impl<'a> Frontier<'a> {
     pub fn children(
         &mut self,
         parent: Option<Vec<f64>>,
-        depth: u32,
-        [l, r]: [(NodeId, NodeStats); 2],
+        counts: [(NodeId, u32); 2],
         into: &mut Children,
     ) {
+        let [l, r] = counts.map(|(node, count)| {
+            let stats = &mut self.tree.node_mut(node).stats;
+            stats.count = count;
+            (node, *stats)
+        });
+        let depth = self.tree.node(l.0).depth;
         let [small, large] = if l.1.count <= r.1.count { [l, r] } else { [r, l] };
         let eligible = [small, large].map(|(_, stats)| self.eligible(depth, stats.count));
         let spent = self.remaining() == 0;
@@ -161,6 +186,26 @@ impl<'a> Frontier<'a> {
                 }
             }
         }
+    }
+
+    /// Hands `job` its buffers: a stale full-width buffer off the free list
+    /// (the caller zero-fills it, outside any lock) and, for a derived
+    /// sibling, whether it takes over the parent's. A `fused` batch — in
+    /// core, Exclusive — holds a full-width buffer only for a histogram that
+    /// can be filed, and only the parent's own for a sibling that can; every
+    /// other batch gives every job one.
+    pub fn equip(
+        &mut self,
+        job: &mut TileJob,
+        fused: bool,
+        partition: &RowPartition,
+    ) -> Option<StaleHist> {
+        let remaining = self.remaining();
+        let full = |node| !fused || self.hists.files(partition.node_len(node), remaining);
+        if let Some(sibling) = &mut job.sibling {
+            sibling.in_place = full(sibling.node);
+        }
+        full(job.node).then(|| self.hists.alloc())
     }
 
     /// Queues the expanded children (`found[j]`: the best split of job `j`'s
@@ -207,7 +252,6 @@ impl<'a> Frontier<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::SplitData;
     use harp_metrics::MemGauge;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
@@ -226,9 +270,19 @@ mod tests {
         NodeStats { g: 0.0, h: f64::from(count), count }
     }
 
+    fn split(gain: f64) -> SplitData {
+        SplitData { feature: 0, bin: 0, threshold: 0.0, default_left: false, gain }
+    }
+
     fn cand(gain: f64) -> Option<SplitCandidate> {
-        let split = SplitData { feature: 0, bin: 0, threshold: 0.0, default_left: false, gain };
-        Some(SplitCandidate { split, left: stats(0), right: stats(0) })
+        Some(SplitCandidate { split: split(gain), left: stats(0), right: stats(0) })
+    }
+
+    /// Splits each of `parents` in `frontier`'s tree, in order.
+    fn grow(frontier: &mut Frontier<'_>, parents: &[NodeId]) {
+        for &parent in parents {
+            frontier.tree.apply_split(parent, split(0.0), stats(0), stats(0));
+        }
     }
 
     /// Gives every planned job a full-width buffer, as a Replicated batch
@@ -240,14 +294,27 @@ mod tests {
     }
 
     /// 32 rows cut into the leaves 1 (1 row), 3, 5, 7 (10 rows each) and 8
-    /// (1 row).
-    fn five_leaves() -> RowPartition {
+    /// (1 row), in the partition and in `frontier`'s tree.
+    fn five_leaves(frontier: &mut Frontier<'_>) -> RowPartition {
         let mut partition = RowPartition::new(32, 16, false);
         partition.reset(&[[0.0, 1.0]; 32]);
         for (parent, last_left) in [(0, 0), (2, 10), (4, 20), (6, 30)] {
             partition.apply_split(parent, parent + 1, parent + 2, &|_, r| r <= last_left, None);
         }
+        grow(frontier, &[0, 2, 4, 6]);
         partition
+    }
+
+    /// Files the leaves of [`five_leaves`] at the given gains.
+    fn file_five_leaves(frontier: &mut Frontier<'_>, partition: &RowPartition, gains: [f64; 5]) {
+        frontier.leaves = 5;
+        let mut leaves = Children::default();
+        for node in [1, 3, 5, 7, 8] {
+            leaves.push((node, stats(partition.node_len(node) as u32)), None, 3, false);
+        }
+        equip(frontier, &mut leaves);
+        let found = gains.map(|gain| [cand(gain), None]).to_vec();
+        assert_eq!(frontier.file(leaves, found), 5);
     }
 
     #[test]
@@ -255,17 +322,10 @@ mod tests {
         let (params, profile) = (params(3), Arc::new(Profile::new()));
         let mut frontier = Frontier::new(&params, &profile, pool());
         frontier.hists.instrument(Arc::clone(&profile), None, None);
-        let partition = five_leaves();
+        let partition = five_leaves(&mut frontier);
         // Five leaves of eight, every one a candidate: the best and the worst
         // too small to be cached, the three between them cached — R = 3.
-        frontier.leaves = 5;
-        let mut leaves = Children::default();
-        for node in [1, 3, 5, 7, 8] {
-            leaves.push((node, stats(partition.node_len(node) as u32)), None, 3, false);
-        }
-        equip(&mut frontier, &mut leaves);
-        let found = [9.0, 7.0, 5.0, 3.0, 1.0].map(|gain| [cand(gain), None]).to_vec();
-        assert_eq!(frontier.file(leaves, found), 5);
+        file_five_leaves(&mut frontier, &partition, [9.0, 7.0, 5.0, 3.0, 1.0]);
         assert_eq!(frontier.hists.cached_len(), 3);
 
         // The first pop takes nothing out and leaves R = 2: node 7's
@@ -273,7 +333,7 @@ mod tests {
         // leaves R = 1, which node 5's still fits. Had both been taken at
         // the R the batch ends on, node 5's would have gone with node 7's.
         let batch = frontier.claim(2, &partition);
-        let nodes: Vec<_> = batch.iter().map(|(c, parent)| (c.node, parent.is_some())).collect();
+        let nodes: Vec<_> = batch.iter().map(|c| (c.node, c.parent.is_some())).collect();
         assert_eq!(nodes, [(1, false), (3, true)]);
         assert_eq!((frontier.remaining(), frontier.hists.cached_len()), (1, 1));
         let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
@@ -288,18 +348,78 @@ mod tests {
     }
 
     #[test]
+    fn claim_numbers_the_children_in_pop_order_and_children_writes_their_counts() {
+        let (params, profile) = (params(3), Profile::new());
+        let mut frontier = Frontier::new(&params, &profile, pool());
+        let partition = five_leaves(&mut frontier);
+        // Pop order 5, 8, 1, 7, 3: not the order of the node ids.
+        file_five_leaves(&mut frontier, &partition, [5.0, 1.0, 9.0, 3.0, 7.0]);
+        let claims = frontier.claim(2, &partition);
+        let given: Vec<_> = claims.iter().map(|c| (c.node, c.kids)).collect();
+        assert_eq!(given, [(5, [9, 10]), (8, [11, 12])]);
+        for c in &claims {
+            let depth = frontier.tree.node(c.node).depth + 1;
+            for kid in c.kids {
+                let node = frontier.tree.node(kid);
+                assert_eq!((node.parent, node.depth), (c.node, depth));
+            }
+        }
+
+        let splits: Vec<_> = claims.iter().map(|c| (c.node, c.kids[0], c.kids[1])).collect();
+        // Node 5 holds rows 11..=20, node 8 row 31.
+        partition.apply_splits(&splits, &|i, _, row| i == 0 && row <= 13, None);
+        let mut children = Children::default();
+        for Claim { parent, kids, .. } in claims {
+            let counts = kids.map(|node| (node, partition.node_len(node) as u32));
+            frontier.children(parent, counts, &mut children);
+        }
+        let counts: Vec<_> = (9..13).map(|kid| frontier.tree.node(kid).stats.count).collect();
+        assert_eq!(counts, [3, 7, 0, 1]);
+        // Node 5's children are planned, the larger derived from its cached
+        // histogram; node 8's hold a row between them.
+        let planned: Vec<_> = children
+            .jobs
+            .iter()
+            .map(|j| (j.node, j.stats.count, j.sibling.as_ref().map(|s| (s.node, s.stats.count))))
+            .collect();
+        assert_eq!(planned, [(9, 3, Some((10, 7)))]);
+    }
+
+    #[test]
+    fn finish_hands_back_the_grown_tree_and_the_next_root_starts_afresh() {
+        let (params, profile) = (params(3), Profile::new());
+        let mut frontier = Frontier::new(&params, &profile, pool());
+        let mut partition = RowPartition::new(8, 16, false);
+        partition.reset(&[[0.0, 1.0]; 8]);
+        let mut root = frontier.root(stats(8));
+        let planned: Vec<_> = root.jobs.iter().map(|j| (j.node, j.stats.count)).collect();
+        assert_eq!(planned, [(0, 8)]);
+        equip(&mut frontier, &mut root);
+        assert_eq!(frontier.file(root, vec![[cand(1.0), None]]), 1);
+        let claims = frontier.claim(1, &partition);
+        assert_eq!(claims[0].kids, [1, 2]);
+
+        let tree = frontier.finish();
+        assert_eq!((tree.n_nodes(), tree.n_leaves()), (3, 2));
+        assert_eq!((frontier.width(), frontier.remaining()), (0, params.max_leaves() - 1));
+        frontier.root(stats(5));
+        assert_eq!(frontier.tree.n_nodes(), 1);
+        assert_eq!(frontier.tree.node(0).stats.count, 5);
+    }
+
+    #[test]
     fn children_are_queued_small_first_whether_the_larger_is_derived_or_scanned() {
         let (params, profile) = (params(4), Profile::new());
         // Two splits at one gain throughout, so only the FIFO order ranks
-        // them: of nodes (1, 2) with 20 and 12 rows, of (3, 4) with 5 and 9.
+        // them: of nodes (3, 4) with 20 and 12 rows, of (5, 6) with 5 and 9.
         for cached in [[true, false], [false, true], [true, true], [false, false]] {
             let mut frontier = Frontier::new(&params, &profile, pool());
+            grow(&mut frontier, &[0, 1, 2]);
             frontier.leaves = 3;
             let mut children = Children::default();
-            for (cached, kids) in cached.into_iter().zip([[(1, 20), (2, 12)], [(3, 5), (4, 9)]]) {
+            for (cached, kids) in cached.into_iter().zip([[(3, 20), (4, 12)], [(5, 5), (6, 9)]]) {
                 let parent = cached.then(|| frontier.hists.alloc().zeroed());
-                let kids = kids.map(|(node, rows)| (node, stats(rows)));
-                frontier.children(parent, 2, kids, &mut children);
+                frontier.children(parent, kids, &mut children);
             }
             let derived = children.jobs.iter().filter(|j| j.sibling.is_some()).count();
             assert_eq!(derived, cached.iter().filter(|&&c| c).count());
@@ -308,7 +428,7 @@ mod tests {
             assert_eq!(frontier.file(children, found), 4);
             let order: Vec<NodeId> =
                 frontier.queue.pop_batch(4, 4).iter().map(|c| c.node).collect();
-            assert_eq!(order, [2, 3, 1, 4], "parents cached: {cached:?}");
+            assert_eq!(order, [4, 5, 3, 6], "parents cached: {cached:?}");
         }
     }
 
@@ -316,6 +436,7 @@ mod tests {
     fn a_spent_budget_releases_the_parent_and_counts_the_builds_it_skips() {
         let (params, profile) = (params(2), Arc::new(Profile::new()));
         let mut frontier = Frontier::new(&params, &profile, pool());
+        grow(&mut frontier, &[0]);
         let allocated = Arc::new(MemGauge::new());
         frontier
             .hists
@@ -326,7 +447,7 @@ mod tests {
 
         let mut children = Children::default();
         // One child could have split, the other holds a single row.
-        frontier.children(Some(parent), 1, [(1, stats(20)), (2, stats(1))], &mut children);
+        frontier.children(Some(parent), [(1, 20), (2, 1)], &mut children);
         assert!(children.jobs.is_empty(), "no child of a spent budget gets a histogram");
         assert_eq!(profile.hist_builds_skipped.load(Ordering::Relaxed), 1);
         // The parent's buffer is the next one handed out.

@@ -11,12 +11,15 @@
 //! * `Sync` — DP while the batch is narrower than the pool, MP in the
 //!   middle, DP again when nodes shrink below a row threshold (the paper's
 //!   "mix mode (DP, MP, DP)");
-//! * `Async` — batch engine (DP) until the queue is as wide as the pool,
-//!   then the barrier-free node-task phase (`async_mode`).
+//! * `Async` — DP batches until the queue is as wide as the pool, then the
+//!   barrier-free node-task phase (`async_mode`).
 //!
-//! Whatever the mode, a split's children are expanded by one pipeline: the
-//! growth state ([`frontier`]) claims the candidate, plans which child is
-//! scanned and which derived, and files the results; one executor
+//! Whatever the mode, a split is taken by one step (`TreeEngine::step`), on
+//! the barrier loop's batch of `K` claims or on an ASYNC node task's batch
+//! of one: the growth state ([`frontier`]), which owns the tree, claims the
+//! candidate and applies it, ApplySplit partitions the rows, the frontier
+//! plans which child is scanned and which derived, and files the results;
+//! one executor
 //! ([`expand`]) runs the batch, its policy picking only how a scanned
 //! child's lanes are *filled*; and one tile body does `parent − small` →
 //! FindSplit on the filled lanes. A DP
@@ -39,19 +42,20 @@ pub use drivers::{
 };
 
 use crate::ensemble::GbdtModel;
-use crate::hist::HistPool;
+use crate::hist::{HistPool, StaleHist};
 use crate::params::{BatchPolicy, TrainParams};
 use crate::partition::RowPartition;
-use crate::split::{SplitCandidate, SplitSettings};
+use crate::split::SplitSettings;
 use crate::tree::{NodeId, NodeStats, Tree};
-use frontier::{Children, Frontier};
+use frontier::{Children, Claim, Frontier};
 use harp_binning::{sweep_chunks, BinningConfig, QuantStore, QuantizedMatrix, Rows, MISSING_BIN};
 use harp_data::{CsrMatrix, Dataset, FeatureMatrix};
 use harp_metrics::{
     gauges, BreakdownReport, ConvergenceTrace, LedgerRecord, PlanStats, RunLedger, WorkerSkewReport,
 };
 use harp_parallel::{
-    PhaseClock, PhaseSpan, Profile, ProfileReport, ThreadPool, TracePhase, TraceSink, TraceSnapshot,
+    PhaseClock, PhaseSpan, Profile, ProfileReport, SpinMutex, SpinMutexGuard, ThreadPool,
+    TracePhase, TraceSink, TraceSnapshot,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -427,6 +431,7 @@ impl GbdtTrainer {
             preds[r * groups..(r + 1) * groups].copy_from_slice(&base_scores);
         }
         let mut engine = TreeEngine::new(qm, params, &pool, &clock);
+        let mut scratch = DriverScratch::new();
 
         // Every figure the run reports is a view of one `read_totals()`; the
         // ledger (when on) holds the previous round's read as its one
@@ -442,13 +447,13 @@ impl GbdtTrainer {
         let mut gauge = |name| ledger.as_mut().map(|l| l.mem.gauge(name));
         // Cache hit/miss/eviction counters are cheap relaxed atomics; wire
         // them unconditionally so whole-run profile reports always have them.
-        engine.frontier.hists.instrument(
+        engine.frontier.get_mut().hists.instrument(
             Arc::clone(&profile),
             gauge(gauges::HIST_POOL),
             gauge(gauges::HIST_CACHE),
         );
         if let Some(g) = gauge(gauges::SCRATCH_ARENA) {
-            engine.scratch.set_replica_gauge(g);
+            scratch.set_replica_gauge(g);
         }
         // The decoded-equivalent bytes of the store: the dominant allocation
         // of an in-core run. A sparse store counts its CSR whether or not a
@@ -487,7 +492,7 @@ impl GbdtTrainer {
             let t0 = Instant::now();
             for group in 0..groups {
                 {
-                    let _phase = engine.phase(TracePhase::Gradients, 0, iter as u32);
+                    let _phase = engine.phase(None, TracePhase::Gradients, 0, iter as u32);
                     let scaling = crate::loss::RowScaling {
                         weights,
                         subsample: params.subsample,
@@ -505,9 +510,9 @@ impl GbdtTrainer {
                     );
                 }
                 engine.sample_features(params, iter as u64, group as u64);
-                let tree = engine.build_tree();
+                let tree = engine.build_tree(&mut scratch);
                 {
-                    let _phase = engine.phase(TracePhase::Other, 0, iter as u32);
+                    let _phase = engine.phase(None, TracePhase::Other, 0, iter as u32);
                     engine.partition.add_leaf_scores(engine.pool, &tree, &mut preds, groups, group);
                 }
                 tree_shapes.push(TreeShape {
@@ -594,7 +599,7 @@ impl GbdtTrainer {
                 }
                 let shapes = &tree_shapes[tree_shapes.len() - groups..];
                 let (pops, popped) = engine.take_pop_stats();
-                let (plan_batches, plan_tasks, ext) = engine.scratch.take_plan_stats();
+                let (plan_batches, plan_tasks, ext) = scratch.take_plan_stats();
                 l.push(
                     read_totals(),
                     LedgerRecord {
@@ -659,16 +664,14 @@ struct TreeEngine<'a> {
     /// The run's phase clock, fed by [`phase`](Self::phase).
     clock: &'a PhaseClock,
     partition: RowPartition,
-    /// The growth queue, the histogram pool and the leaf count.
-    frontier: Frontier<'a>,
-    /// Replica arena and task vectors reused by the drivers across
-    /// frontiers and trees.
-    scratch: DriverScratch,
+    /// The tree being grown, the growth queue, the histogram pool and the
+    /// leaf count, behind the lock ASYNC's node tasks share.
+    frontier: SpinMutex<Frontier<'a>>,
     settings: SplitSettings,
     /// Per-tree column-subsampling mask; empty = all features allowed.
     feature_mask: Vec<bool>,
-    /// Growth-queue pop count since the last ledger snapshot (batch engine
-    /// only; ASYNC's node tasks pop one node each and are not counted).
+    /// Growth-queue pop count since the last ledger snapshot (barrier loop
+    /// only; ASYNC's node tasks claim one node each and are not counted).
     pops: u64,
     /// Candidates popped across those pops — `popped / pops` is the round's
     /// effective K.
@@ -689,7 +692,7 @@ impl<'a> TreeEngine<'a> {
             pool,
             clock,
             partition: RowPartition::new(qm.n_rows(), max_nodes, params.use_membuf),
-            frontier: Frontier::new(
+            frontier: SpinMutex::new(Frontier::new(
                 params,
                 pool.profile(),
                 // Subtraction is the cache's only reader.
@@ -697,8 +700,7 @@ impl<'a> TreeEngine<'a> {
                     qm,
                     if params.hist_subtraction { crate::hist::HIST_CACHE_BYTES } else { 0 },
                 ),
-            ),
-            scratch: DriverScratch::new(),
+            )),
             settings: SplitSettings {
                 lambda: params.lambda,
                 gamma: params.gamma,
@@ -717,13 +719,18 @@ impl<'a> TreeEngine<'a> {
         self.pool.trace().map(Arc::as_ref)
     }
 
-    /// Times a coordinator-side phase: the interval lands in the run's
-    /// clock and, when tracing, as a span on the coordinator lane (the one
-    /// after the workers'). Barrier modes thereby attribute
-    /// coordinator-inclusive wall time.
-    fn phase(&self, phase: TracePhase, node: u32, block: u32) -> PhaseSpan<'a> {
-        let coord = self.pool.num_threads();
-        PhaseSpan::begin(self.sink(), coord, phase, node, block, Some(self.clock))
+    /// Times a phase: the interval lands in the run's clock and, when
+    /// tracing, as a span on worker `on`'s lane — or, for `None`, the
+    /// coordinator's (the one after the workers'), so that barrier modes
+    /// attribute coordinator-inclusive wall time.
+    fn phase(&self, on: Option<usize>, phase: TracePhase, node: u32, block: u32) -> PhaseSpan<'a> {
+        let lane = on.unwrap_or(self.pool.num_threads());
+        PhaseSpan::begin(self.sink(), lane, phase, node, block, Some(self.clock))
+    }
+
+    /// Locks the frontier, adding any spin to the pool's lock-wait time.
+    fn frontier(&self) -> SpinMutexGuard<'_, Frontier<'a>> {
+        self.frontier.lock_timed(&self.pool.profile().lock_wait_ns)
     }
 
     /// Takes and resets the growth-queue pop statistics: `(pops, candidates
@@ -758,8 +765,9 @@ impl<'a> TreeEngine<'a> {
     }
 
     /// Grows one tree over the gradients the objective wrote into
-    /// `self.partition.gradients_mut()`.
-    fn build_tree(&mut self) -> Tree {
+    /// `self.partition.gradients_mut()`; barrier batches expand through
+    /// `scratch`.
+    fn build_tree(&mut self, scratch: &mut DriverScratch) -> Tree {
         self.partition.start_tree();
         // Row order, whichever array holds the round's gradients.
         let grads = match self.partition.grads(0) {
@@ -771,24 +779,27 @@ impl<'a> TreeEngine<'a> {
             root_stats.g += f64::from(gp[0]);
             root_stats.h += f64::from(gp[1]);
         }
-        let mut tree = Tree::new_root(root_stats);
 
         // Root histogram + split.
-        let mut root = Children::root(root_stats);
-        let found = self.expand(&mut root);
-        self.frontier.file(root, found);
+        let root = self.frontier.get_mut().root(root_stats);
+        self.expand(root, None, scratch);
 
         // Barrier batches until the queue is spent — or, under ASYNC, until
         // the frontier is as wide as the pool, when the rest of the tree
         // grows barrier-free.
-        while self.frontier.open() {
-            if self.policy(self.frontier.width(), 0) == BatchPolicy::NodeTasks {
-                async_mode::run_async(self, &mut tree);
+        let threads = self.pool.num_threads();
+        while self.frontier.get_mut().open() {
+            let width = self.frontier.get_mut().width();
+            if self.params.mode.batch_policy(width, 0, threads) == BatchPolicy::NodeTasks {
+                async_mode::run_async(self);
                 break;
             }
-            self.grow_one_batch(&mut tree);
+            let claims = self.frontier.get_mut().claim(self.params.effective_k(), &self.partition);
+            self.pops += 1;
+            self.popped += claims.len() as u64;
+            self.step(claims, None, scratch);
         }
-        self.frontier.reset();
+        let mut tree = self.frontier.get_mut().finish();
 
         // Leaf weights (Eq. 2), scaled by the learning rate. `max_delta_step`
         // caps the unscaled Newton step first (0 = off), which tames the
@@ -808,65 +819,68 @@ impl<'a> TreeEngine<'a> {
         tree
     }
 
-    /// Claims one batch off an open frontier, splits it, and expands and
-    /// files the children the leaf budget still pays for.
-    fn grow_one_batch(&mut self, tree: &mut Tree) {
-        let batch = self.frontier.claim(self.params.effective_k(), &self.partition);
-        self.pops += 1;
-        self.popped += batch.len() as u64;
-
-        // ApplySplit: update the tree, then partition the rows of the whole
-        // batch as one region of ⟨node, row-block⟩ tasks (inline when the
-        // batch holds few rows).
-        let mut splits: Vec<(NodeId, NodeId, NodeId)> = Vec::with_capacity(batch.len());
+    /// The split step of every mode: partitions the rows of the `claims`
+    /// the frontier has applied to the tree, then plans, expands and files
+    /// the children the leaf budget still pays for. Returns how many
+    /// children were queued. The barrier loop runs it on a batch of `K`
+    /// claims with `on = None`; an ASYNC node task on its one claim with
+    /// `on` = the worker it runs on, which partitions inline and runs the
+    /// children's fill as its own task.
+    fn step(&self, claims: Vec<Claim>, on: Option<usize>, scratch: &mut DriverScratch) -> usize {
+        let Some(head) = claims.first().map(|c| c.node) else {
+            return 0;
+        };
+        // ApplySplit: the rows of the whole batch as one region of ⟨node,
+        // row-block⟩ tasks (inline when the batch holds few rows, or when
+        // the step is itself a pool task).
         {
-            let _phase = self.phase(TracePhase::ApplySplit, batch[0].0.node, batch.len() as u32);
-            for (c, _) in &batch {
-                let (l, r) = tree.apply_split(c.node, c.cand.split, c.cand.left, c.cand.right);
-                splits.push((c.node, l, r));
-            }
-            // Routing bins for the whole frontier come from one chunk sweep.
-            let items: Vec<(&[u32], &crate::tree::SplitData)> = batch
-                .iter()
-                .map(|(c, _)| (self.partition.rows(c.node), &c.cand.split))
-                .collect();
+            let _phase = self.phase(on, TracePhase::ApplySplit, head, claims.len() as u32);
+            // Routing bins for the whole batch come from one chunk sweep.
+            let items: Vec<_> =
+                claims.iter().map(|c| (self.partition.rows(c.node), &c.split)).collect();
             let preds = split_preds_batch(self.qm, &items);
             drop(items);
-            self.partition.apply_splits(
-                &splits,
-                &|i, pos, row| preds[i].goes_left(pos, row),
-                Some(self.pool),
-            );
-            for &(_, l, r) in &splits {
-                tree.node_mut(l).stats.count = self.partition.node_len(l) as u32;
-                tree.node_mut(r).stats.count = self.partition.node_len(r) as u32;
-            }
+            let splits: Vec<_> = claims.iter().map(|c| (c.node, c.kids[0], c.kids[1])).collect();
+            let pool = on.is_none().then_some(self.pool);
+            self.partition
+                .apply_splits(&splits, &|i, pos, row| preds[i].goes_left(pos, row), pool);
         }
 
+        // If the budget ran out while the rows moved, no child gets a
+        // histogram.
         let mut children = Children::default();
-        for (&(_, l, r), (c, parent)) in splits.iter().zip(batch) {
-            let kids = [l, r].map(|node| (node, tree.node(node).stats));
-            self.frontier.children(parent, c.depth + 1, kids, &mut children);
+        let mut frontier = self.frontier();
+        for Claim { parent, kids, .. } in claims {
+            let counts = kids.map(|node| (node, self.partition.node_len(node) as u32));
+            frontier.children(parent, counts, &mut children);
         }
-        let found = self.expand(&mut children);
-        self.frontier.file(children, found);
+        drop(frontier);
+        self.expand(children, on, scratch)
     }
 
     /// BuildHist (the hotspot) and FindSplit for one batch of planned
-    /// children: `found[j]` is the best split of job `j`'s node and of its
-    /// derived sibling. The mode's policy for the batch picks how the
-    /// scanned children's lanes are filled, and whether a child that cannot
-    /// be filed gets a full-width buffer at all; `drivers::expand` does the
-    /// rest.
-    fn expand(&mut self, children: &mut Children) -> Vec<[Option<SplitCandidate>; 2]> {
+    /// children, which are then filed; returns how many were queued. The
+    /// policy picks how the scanned children's lanes are filled, and
+    /// whether a child that cannot be filed gets a full-width buffer at
+    /// all; `drivers::expand` does the rest.
+    fn expand(
+        &self,
+        mut children: Children,
+        on: Option<usize>,
+        scratch: &mut DriverScratch,
+    ) -> usize {
         let jobs = &mut children.jobs[..];
         let Some(head) = jobs.first().map(|j| j.node) else {
-            return Vec::new();
+            return 0;
         };
-        let total_rows: usize = jobs.iter().map(|j| self.partition.node_len(j.node)).sum();
-        // A histogram batch is a barrier construct: ASYNC builds one only in
-        // its begin phase, which is DP whatever the batch's width.
-        let policy = match self.policy(jobs.len(), total_rows) {
+        let n = jobs.len() as u32;
+        let rows: usize = jobs.iter().map(|j| self.partition.node_len(j.node)).sum();
+        // Table II. A histogram batch is a barrier construct: ASYNC's begin
+        // phase is DP whatever the batch's width, and a node task fills its
+        // children itself.
+        let threads = self.pool.num_threads();
+        let policy = match self.params.mode.batch_policy(jobs.len(), rows / jobs.len(), threads) {
+            _ if on.is_some() => BatchPolicy::NodeTasks,
             BatchPolicy::Exclusive => BatchPolicy::Exclusive,
             _ => BatchPolicy::Replicated,
         };
@@ -879,50 +893,47 @@ impl<'a> TreeEngine<'a> {
         };
         let search = split_search(&self.settings, &self.feature_mask);
 
-        // In core, an Exclusive batch holds a full-width buffer only for a
-        // histogram that can be filed, and only the parent's own for a
-        // sibling that can. Out of core a scratch tile fills over the whole
-        // chunk sweep and costs a histogram anyway: every job gets one from
-        // the pool, as in a Replicated batch.
-        let fused = policy == BatchPolicy::Exclusive && ctx.qm.n_chunks() == 1;
-        let remaining = self.frontier.remaining();
-        let hists = &mut self.frontier.hists;
-        for job in jobs.iter_mut() {
-            let full = |node| !fused || hists.files(ctx.partition.node_len(node), remaining);
-            if let Some(sibling) = &mut job.sibling {
-                sibling.in_place = full(sibling.node);
+        {
+            let _phase = self.phase(on, TracePhase::BuildHist, head, n);
+            // Out of core a scratch tile fills over the whole chunk sweep
+            // and costs a histogram anyway: only an in-core Exclusive batch
+            // is fused.
+            let fused = policy == BatchPolicy::Exclusive && self.qm.n_chunks() == 1;
+            for job in jobs.iter_mut() {
+                let stale = self.frontier().equip(job, fused, &self.partition);
+                job.buf = stale.map(StaleHist::zeroed);
             }
-            job.buf = full(job.node).then(|| hists.alloc().zeroed());
         }
 
         let wall_start = Instant::now();
         let start_ns = self.sink().map(TraceSink::now_ns);
         let TileOutcome { found, build_ns, find_ns } =
-            drivers::expand(&ctx, &mut self.scratch, jobs, search, policy, None);
-        // The batch's wall goes to the clock (and, tracing, the coordinator
-        // lane) in the proportion the workers spent their time.
-        let wall = wall_start.elapsed().as_nanos() as u64;
-        let build = if build_ns + find_ns == 0 {
-            wall
+            drivers::expand(&ctx, scratch, jobs, search, policy, on);
+        if on.is_some() {
+            // A node task attributes its worker's own time.
+            self.clock.add(TracePhase::BuildHist, build_ns);
+            self.clock.add(TracePhase::FindSplit, find_ns);
         } else {
-            (u128::from(wall) * u128::from(build_ns) / u128::from(build_ns + find_ns)) as u64
-        };
-        self.clock.add(TracePhase::BuildHist, build);
-        self.clock.add(TracePhase::FindSplit, wall - build);
-        if let (Some(sink), Some(t0)) = (self.sink(), start_ns) {
-            let coord = sink.coordinator_lane();
-            let n = jobs.len() as u32;
-            sink.record(coord, TracePhase::BuildHist, head, n, t0, t0 + build);
-            sink.record(coord, TracePhase::FindSplit, head, n, t0 + build, t0 + wall);
+            // A batch's wall goes to the clock (and, tracing, the
+            // coordinator lane) in the proportion the workers spent their
+            // time.
+            let wall = wall_start.elapsed().as_nanos() as u64;
+            let build = if build_ns + find_ns == 0 {
+                wall
+            } else {
+                (u128::from(wall) * u128::from(build_ns) / u128::from(build_ns + find_ns)) as u64
+            };
+            self.clock.add(TracePhase::BuildHist, build);
+            self.clock.add(TracePhase::FindSplit, wall - build);
+            if let (Some(sink), Some(t0)) = (self.sink(), start_ns) {
+                let coord = sink.coordinator_lane();
+                sink.record(coord, TracePhase::BuildHist, head, n, t0, t0 + build);
+                sink.record(coord, TracePhase::FindSplit, head, n, t0 + build, t0 + wall);
+            }
         }
-        found
-    }
 
-    /// Table II for a frontier of `width` nodes holding `rows` rows in all.
-    fn policy(&self, width: usize, rows: usize) -> BatchPolicy {
-        self.params
-            .mode
-            .batch_policy(width, rows / width.max(1), self.pool.num_threads())
+        let _phase = self.phase(on, TracePhase::FindSplit, head, n);
+        self.frontier().file(children, found)
     }
 }
 
@@ -960,18 +971,6 @@ pub(crate) struct SplitPred<'a> {
     bin: u8,
     default_left: bool,
     route: SplitRoute<'a>,
-}
-
-/// Builds the routing predicate for `split` over a node whose (ascending)
-/// row list is `rows`: [`split_preds_batch`] for a frontier of one.
-pub(crate) fn split_pred<'a>(
-    store: &'a dyn QuantStore,
-    rows: &[u32],
-    split: &crate::tree::SplitData,
-) -> SplitPred<'a> {
-    split_preds_batch(store, &[(rows, split)])
-        .pop()
-        .expect("one predicate per split")
 }
 
 /// Builds the routing predicates for a whole frontier of splits at once,

@@ -805,7 +805,7 @@ fn leaves_hold_a_permutation_of_the_rows_after_every_tree() {
                     &scaling,
                     engine.partition.gradients_mut(),
                 );
-                let tree = engine.build_tree();
+                let tree = engine.build_tree(&mut DriverScratch::new());
                 assert!(tree.n_leaves() > 8, "{mode:?}: tree {iter} barely grew");
                 let mut seen = vec![false; n];
                 for leaf in tree.leaf_ids() {

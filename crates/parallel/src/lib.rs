@@ -36,7 +36,6 @@ mod profile;
 mod queue;
 mod spin;
 pub mod trace;
-mod worker_local;
 
 pub use pool::{current_num_threads_hint, ThreadPool};
 pub use profile::{Profile, ProfileCounters, ProfileReport};
@@ -46,4 +45,3 @@ pub use trace::{
     LaneSnapshot, PhaseClock, PhaseNs, PhaseSpan, Span, SpanRing, TraceCounters, TracePhase,
     TraceSink, TraceSnapshot, N_TRACE_PHASES,
 };
-pub use worker_local::PerWorker;

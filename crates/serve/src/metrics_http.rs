@@ -30,23 +30,21 @@ use std::time::Duration;
 /// Longest request head we will buffer before answering 400.
 const MAX_HEAD: usize = 8 * 1024;
 
-/// Binds `addr` and spawns the exposition thread; returns the bound
-/// address (resolving `:0` port picks) and the join handle. The thread
-/// exits when the server's shutdown flag is set.
-pub(crate) fn spawn(
-    ctx: Arc<ServerCtx>,
-    addr: &str,
-) -> std::io::Result<(SocketAddr, JoinHandle<()>)> {
+/// Binds `addr` for [`spawn`]; returns the listener and the bound address
+/// (resolving `:0` port picks).
+pub(crate) fn bind(addr: &str) -> std::io::Result<(TcpListener, SocketAddr)> {
     let listener = TcpListener::bind(addr.to_socket_addrs()?.next().ok_or_else(|| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad metrics address")
     })?)?;
-    let bound = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-    let handle = std::thread::Builder::new()
-        .name("serve-metrics".into())
-        .spawn(move || exposition_loop(listener, ctx))
-        .expect("spawn metrics thread");
-    Ok((bound, handle))
+    let bound = listener.local_addr()?;
+    Ok((listener, bound))
+}
+
+/// Spawns the exposition thread on a [`bind`]-bound listener. The thread
+/// exits when the server's shutdown flag is set.
+pub(crate) fn spawn(ctx: Arc<ServerCtx>, listener: TcpListener) -> std::io::Result<JoinHandle<()>> {
+    crate::server::spawn("serve-metrics", move || exposition_loop(listener, ctx))
 }
 
 fn exposition_loop(listener: TcpListener, ctx: Arc<ServerCtx>) {

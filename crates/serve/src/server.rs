@@ -226,7 +226,8 @@ impl ServerHandle {
 /// Binds, spawns the server threads, and returns immediately.
 ///
 /// # Errors
-/// Propagates bind failures.
+/// Propagates bind failures, and a server thread that fails to start;
+/// either way nothing is left running and no port stays bound.
 pub fn serve(forest: harpgbdt::FlatForest, cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     serve_with_clock(forest, cfg, Arc::new(SystemClock::new()))
 }
@@ -239,12 +240,14 @@ pub fn serve_with_clock(
     cfg: ServeConfig,
     clock: Arc<dyn Clock>,
 ) -> std::io::Result<ServerHandle> {
+    // Every listener is bound before any thread starts.
     let listener =
         TcpListener::bind(cfg.addr.to_socket_addrs()?.next().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad address")
         })?)?;
     let local_addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
+    let metrics = cfg.metrics_addr.as_deref().map(crate::metrics_http::bind).transpose()?;
 
     let trace = cfg.trace.then(|| TraceSink::with_capacity(cfg.threads.max(1), 4096));
     let (tx, rx) = std::sync::mpsc::sync_channel::<ScoreJob>(cfg.queue_depth.max(1));
@@ -257,50 +260,57 @@ pub fn serve_with_clock(
         cfg,
         t0: Instant::now(),
     });
-
-    let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let acceptor = {
-        let ctx = Arc::clone(&ctx);
-        let conns = Arc::clone(&conns);
-        std::thread::Builder::new()
-            .name("serve-accept".into())
-            .spawn(move || accept_loop(listener, ctx, tx, conns))
-            .expect("spawn acceptor")
-    };
-    let dispatcher = {
-        let ctx = Arc::clone(&ctx);
-        std::thread::Builder::new()
-            .name("serve-dispatch".into())
-            .spawn(move || dispatch_loop(rx, ctx))
-            .expect("spawn dispatcher")
-    };
-    let (metrics_addr, metrics) = match ctx.cfg.metrics_addr.clone() {
-        Some(addr) => {
-            let (bound, handle) = crate::metrics_http::spawn(Arc::clone(&ctx), &addr)?;
-            (Some(bound), Some(handle))
-        }
-        None => (None, None),
-    };
-    let watcher = ctx.cfg.watch_ms.and_then(|ms| {
-        ctx.cfg.model_path.clone().map(|path| {
-            let ctx = Arc::clone(&ctx);
-            std::thread::Builder::new()
-                .name("serve-watch".into())
-                .spawn(move || watch_loop(ctx, path, Duration::from_millis(ms.max(1))))
-                .expect("spawn watcher")
-        })
-    });
-
-    Ok(ServerHandle {
+    let mut server = ServerHandle {
         local_addr,
-        metrics_addr,
+        metrics_addr: metrics.as_ref().map(|&(_, bound)| bound),
         ctx,
-        acceptor: Some(acceptor),
-        dispatcher: Some(dispatcher),
-        watcher,
-        metrics,
-        conns,
-    })
+        acceptor: None,
+        dispatcher: None,
+        watcher: None,
+        metrics: None,
+        conns: Arc::new(Mutex::new(Vec::new())),
+    };
+    if let Err(e) = server.start(listener, metrics.map(|(l, _)| l), tx, rx) {
+        // Stop the threads that did start; a thread that did not dropped
+        // its listener with its closure.
+        server.shutdown();
+        server.wait();
+        return Err(e);
+    }
+    Ok(server)
+}
+
+impl ServerHandle {
+    /// Spawns the server's threads on its bound listeners.
+    fn start(
+        &mut self,
+        listener: TcpListener,
+        metrics: Option<TcpListener>,
+        tx: SyncSender<ScoreJob>,
+        rx: Receiver<ScoreJob>,
+    ) -> std::io::Result<()> {
+        let (ctx, conns) = (Arc::clone(&self.ctx), Arc::clone(&self.conns));
+        self.acceptor = Some(spawn("serve-accept", move || accept_loop(listener, ctx, tx, conns))?);
+        let ctx = Arc::clone(&self.ctx);
+        self.dispatcher = Some(spawn("serve-dispatch", move || dispatch_loop(rx, ctx))?);
+        if let Some(listener) = metrics {
+            self.metrics = Some(crate::metrics_http::spawn(Arc::clone(&self.ctx), listener)?);
+        }
+        if let (Some(ms), Some(path)) = (self.ctx.cfg.watch_ms, self.ctx.cfg.model_path.clone()) {
+            let ctx = Arc::clone(&self.ctx);
+            let period = Duration::from_millis(ms.max(1));
+            self.watcher = Some(spawn("serve-watch", move || watch_loop(ctx, path, period))?);
+        }
+        Ok(())
+    }
+}
+
+/// Starts a named server thread.
+pub(crate) fn spawn(
+    name: &str,
+    body: impl FnOnce() + Send + 'static,
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name(name.into()).spawn(body)
 }
 
 fn accept_loop(

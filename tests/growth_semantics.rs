@@ -526,7 +526,7 @@ const K_CHOICES: [usize; 4] = [1, 4, 32, usize::MAX];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Barrier order (`grow_one_batch`): pop K, spend K leaves, publish the
+    /// Barrier order (`TreeEngine::step` on K claims): pop K, spend K leaves, publish the
     /// children under what is left. No pop ever misses, a node too small to
     /// cache is declined when filed and when popped alike, the cache never
     /// holds more histograms than leaves are left, and whatever the

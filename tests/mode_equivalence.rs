@@ -11,7 +11,10 @@
 use harp_baselines::Baseline;
 use harp_bench::prepared;
 use harp_data::{CsrMatrix, Dataset, DatasetKind, DenseMatrix, FeatureMatrix};
-use harpgbdt::{BlockConfig, GbdtTrainer, GrowthMethod, ParallelMode, TrainParams, Tree};
+use harpgbdt::{
+    write_cache, BlockConfig, ChunkedStore, GbdtTrainer, GrowthMethod, ParallelMode, QuantStore,
+    TrainParams, Tree,
+};
 use proptest::prelude::*;
 
 fn params_t1() -> TrainParams {
@@ -120,6 +123,68 @@ fn async_and_sync_agree_when_gain_limits_growth() {
     let pa = asy.model.predict_raw(&data.test.features);
     for i in 0..ps.len() {
         assert!((ps[i] - pa[i]).abs() < 1e-3, "row {i}: SYNC {} vs ASYNC {}", ps[i], pa[i]);
+    }
+}
+
+/// ASYNC at K = 1 has one node task in flight, the barrier loop's batch of
+/// one: it saves DP's K = 1 model byte for byte, with subtraction on and
+/// the leaf budget binding, in core and through a chunk cache. Each node's
+/// rows are one row block, so DP sums every cell in row order, as a node
+/// task does.
+#[test]
+fn async_at_k1_saves_the_dp_k1_model_with_subtraction_on() {
+    // 900 yfcc-like rows fill a D5 budget; D7 would take 4× the rows and
+    // a 16 MB histogram per node.
+    for (kind, scale, depths) in [
+        (DatasetKind::HiggsLike, 0.1, &[3, 5, 7][..]),
+        (DatasetKind::CriteoLike, 0.1, &[3, 5, 7]),
+        (DatasetKind::YfccLike, 0.5, &[3, 5]),
+    ] {
+        let data = prepared(kind, scale, 3);
+        let path =
+            std::env::temp_dir().join(format!("harp_async_k1_{}_{kind:?}.qsc", std::process::id()));
+        write_cache(&data.quantized, data.quantized.n_rows() / 8, &path).expect("write cache");
+        let chunked = ChunkedStore::open(&path, u64::MAX).expect("open cache");
+        let stores: [(&str, &dyn QuantStore); 2] =
+            [("in core", &data.quantized), ("chunked", &chunked)];
+        for (tree_size, n_threads) in depths.iter().flat_map(|&d| [(d, 1), (d, 2)]) {
+            for (store_name, store) in stores {
+                let model = |mode| {
+                    let params = TrainParams {
+                        mode,
+                        k: 1,
+                        tree_size,
+                        n_threads,
+                        n_trees: 2,
+                        growth: GrowthMethod::Leafwise,
+                        gamma: 0.0,
+                        min_child_weight: 0.0,
+                        blocks: BlockConfig { row_blk_size: 1 << 28, ..BlockConfig::default() },
+                        ..TrainParams::default()
+                    };
+                    assert!(params.hist_subtraction, "subtraction is on by default");
+                    let out = GbdtTrainer::new(params).unwrap().train_store(
+                        store,
+                        &data.train.labels,
+                        None,
+                    );
+                    let budget = 1u32 << tree_size;
+                    let shapes = &out.diagnostics.tree_shapes;
+                    assert!(
+                        shapes.iter().any(|s| s.n_leaves == budget),
+                        "{kind:?} D{tree_size}: no tree reached its {budget} leaves: {shapes:?}"
+                    );
+                    out.model.to_json().unwrap()
+                };
+                assert_eq!(
+                    model(ParallelMode::DataParallel),
+                    model(ParallelMode::Async),
+                    "{kind:?} D{tree_size} T{n_threads} {store_name}: ASYNC K=1 diverged from DP"
+                );
+            }
+        }
+        drop(chunked);
+        std::fs::remove_file(&path).ok();
     }
 }
 

@@ -300,6 +300,26 @@ fn stats_frame_reports_counters_and_shape() {
     h.wait();
 }
 
+/// A `serve` that fails leaves no server behind: when the metrics port is
+/// taken, the scoring port is released again and nothing accepts on it.
+#[test]
+fn a_failed_serve_leaves_no_listener_running() {
+    use std::net::TcpListener;
+    let held = TcpListener::bind("127.0.0.1:0").expect("hold a port");
+    let free = TcpListener::bind("127.0.0.1:0").expect("pick a port");
+    let addr = free.local_addr().expect("picked port");
+    drop(free);
+    let cfg = ServeConfig {
+        addr: addr.to_string(),
+        metrics_addr: Some(held.local_addr().expect("held port").to_string()),
+        ..ServeConfig::default()
+    };
+    let err = serve(train_forest(13, 2), cfg).err().expect("the metrics port is taken");
+    assert_eq!(err.kind(), std::io::ErrorKind::AddrInUse, "{err}");
+    assert!(TcpStream::connect(addr).is_err(), "something still accepts on {addr}");
+    TcpListener::bind(addr).expect("the scoring port is free again");
+}
+
 #[test]
 fn metrics_endpoint_serves_prometheus_exposition() {
     use std::io::{Read as _, Write as _};
