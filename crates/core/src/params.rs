@@ -1,5 +1,7 @@
 //! Training hyper-parameters and the system parameters of Table IV.
 
+use crate::plan::Accumulation;
+
 /// Tree growth method (§II-A, §IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GrowthMethod {
@@ -30,35 +32,27 @@ pub enum ParallelMode {
 /// Below this mean node size, SYNC's end phase switches back to DP.
 const SYNC_SMALL_NODE_ROWS: usize = 512;
 
-/// How one batch of a mode's schedule runs — the cells of Table II.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchPolicy {
-    /// Row blocks accumulate into replicas that are reduced afterwards (DP).
-    Replicated,
-    /// ⟨node, feature, bin⟩ blocks write their job's histogram exclusively
-    /// (MP).
-    Exclusive,
-    /// No batch: barrier-free node tasks on the shared queue (ASYNC's
-    /// middle phase; a tree that enters it stays in it).
-    NodeTasks,
-}
-
 impl ParallelMode {
-    /// Table II in one place: the policy for a frontier of `width` nodes of
-    /// `mean_rows` rows each on a pool of `threads`. SYNC is (DP, MP, DP) —
-    /// DP while the frontier is narrow, DP again once nodes are small, MP in
-    /// between; ASYNC is DP until the frontier is as wide as the pool.
-    pub fn batch_policy(self, width: usize, mean_rows: usize, threads: usize) -> BatchPolicy {
+    /// Table II in one place: how the batch of a frontier of `width` nodes
+    /// of `mean_rows` rows each accumulates on a pool of `threads`. SYNC is
+    /// (DP, MP, DP) — DP while the frontier is narrow, DP again once nodes
+    /// are small, MP in between. Every ASYNC batch is DP: its begin phase's
+    /// barrier batches and each node task, a batch of one schedule slot.
+    pub fn accumulation(self, width: usize, mean_rows: usize, threads: usize) -> Accumulation {
         match self {
-            ParallelMode::DataParallel => BatchPolicy::Replicated,
-            ParallelMode::ModelParallel => BatchPolicy::Exclusive,
+            ParallelMode::ModelParallel => Accumulation::Exclusive,
             ParallelMode::Sync if width >= threads / 2 && mean_rows >= SYNC_SMALL_NODE_ROWS => {
-                BatchPolicy::Exclusive
+                Accumulation::Exclusive
             }
-            ParallelMode::Sync => BatchPolicy::Replicated,
-            ParallelMode::Async if width >= threads => BatchPolicy::NodeTasks,
-            ParallelMode::Async => BatchPolicy::Replicated,
+            _ => Accumulation::Replicated,
         }
+    }
+
+    /// Whether a tree whose frontier is `width` nodes wide grows on in node
+    /// tasks — ASYNC's middle phase, once the frontier is as wide as the
+    /// pool; a tree that enters it stays in it.
+    pub fn runs_node_tasks(self, width: usize, threads: usize) -> bool {
+        self == ParallelMode::Async && width >= threads
     }
 }
 
@@ -421,26 +415,29 @@ mod tests {
 
     #[test]
     fn table_ii_policies_over_a_widening_then_shrinking_frontier() {
-        use BatchPolicy::{Exclusive as E, NodeTasks, Replicated as R};
+        use Accumulation::{Exclusive as E, Replicated as R};
         // (frontier width, mean rows per node) on a pool of 4: the root, the
         // wide middle of the tree, and the many small nodes of its last
         // levels.
         let frontier = [(1, 100_000), (8, 12_000), (64, 100)];
-        let walk = |mode: ParallelMode| frontier.map(|(w, rows)| mode.batch_policy(w, rows, 4));
+        let walk = |mode: ParallelMode| frontier.map(|(w, rows)| mode.accumulation(w, rows, 4));
         assert_eq!(walk(ParallelMode::DataParallel), [R, R, R]);
         assert_eq!(walk(ParallelMode::ModelParallel), [E, E, E]);
         assert_eq!(walk(ParallelMode::Sync), [R, E, R]);
-        // ASYNC leaves the batch engine at the second step and never asks
-        // again; the policy itself keeps saying so for any pool-wide frontier.
-        assert_eq!(walk(ParallelMode::Async), [R, NodeTasks, NodeTasks]);
+        // ASYNC's batches are DP; from the second step on they are node
+        // tasks, and the predicate keeps saying so for any pool-wide frontier.
+        assert_eq!(walk(ParallelMode::Async), [R, R, R]);
+        let tasks = |mode: ParallelMode| frontier.map(|(w, _)| mode.runs_node_tasks(w, 4));
+        assert_eq!(tasks(ParallelMode::Async), [false, true, true]);
+        assert_eq!(tasks(ParallelMode::Sync), [false; 3], "only ASYNC runs node tasks");
 
         // SYNC's two edges, exactly where the trainer has always put them.
-        let sync = |w, rows, t| ParallelMode::Sync.batch_policy(w, rows, t);
+        let sync = |w, rows, t| ParallelMode::Sync.accumulation(w, rows, t);
         assert_eq!((sync(1, 512, 4), sync(2, 512, 4)), (R, E), "narrower than half the pool");
         assert_eq!((sync(8, 511, 4), sync(8, 512, 4)), (R, E), "nodes below 512 rows");
         assert_eq!(sync(0, 512, 1), E, "one thread: half the pool is no width at all");
-        let asy = |w, t| ParallelMode::Async.batch_policy(w, 0, t);
-        assert_eq!((asy(3, 4), asy(4, 4), asy(1, 1)), (R, NodeTasks, NodeTasks));
+        let asy = |w, t| ParallelMode::Async.runs_node_tasks(w, t);
+        assert_eq!((asy(3, 4), asy(4, 4), asy(1, 1)), (false, true, true));
     }
 
     #[test]

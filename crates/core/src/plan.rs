@@ -169,8 +169,6 @@ pub struct BlockPlan {
     /// ⟨node-block, feature-block⟩ pair; 1 for a replicated plan.
     group_len: usize,
     accumulation: Option<Accumulation>,
-    round_batches: u64,
-    round_tasks: u64,
 }
 
 impl BlockPlan {
@@ -227,15 +225,6 @@ impl BlockPlan {
         self.tasks.iter().filter(|t| self.replica_slots[t.jobs.start].is_none()).count()
     }
 
-    /// Takes and resets the per-round batch/task tally (the ledger hook
-    /// reads this once per boosting round).
-    pub fn take_round_stats(&mut self) -> (u64, u64, ResolvedExtents) {
-        let out = (self.round_batches, self.round_tasks, self.extents);
-        self.round_batches = 0;
-        self.round_tasks = 0;
-        out
-    }
-
     /// Re-enumerates the plan for one batch.
     ///
     /// `job_lens[j]` is the row count of batch job `j`. Replicated plans
@@ -263,8 +252,6 @@ impl BlockPlan {
             Accumulation::Exclusive => self.enumerate_exclusive(&cfg, shape, job_lens.len()),
         }
         self.extents.auto = auto;
-        self.round_batches += 1;
-        self.round_tasks += self.tasks.len() as u64;
     }
 
     /// DP decomposition: ⟨node-block, feature-block, row-chunk⟩ triples,
@@ -288,8 +275,13 @@ impl BlockPlan {
         // block (a CSR row has no per-feature substructure); dense bytes are
         // sliceable.
         let f_blk = if shape.layout.feature_sliceable() { cfg.features_per_block(m) } else { m };
-        let n_total: usize = job_lens.iter().sum();
-        let row_blk = cfg.rows_per_block(n_total.max(1), shape.n_threads);
+        // Row blocks spread a job over schedule slots: a plan for one slot
+        // keeps every job whole, so nothing of it is folded.
+        let n_total = job_lens.iter().sum::<usize>().max(1);
+        let row_blk = match shape.n_threads {
+            1 => n_total,
+            t => cfg.rows_per_block(n_total, t),
+        };
         let node_blk = cfg.nodes_per_block(job_lens.len());
         self.extents =
             ResolvedExtents { row_blk, node_blk, feature_blk: f_blk, bin_blk: 0, auto: false };
@@ -396,8 +388,7 @@ pub fn mp_write_working_set(max_bins: usize, bin_blk: usize, f_blk: usize, node_
 }
 
 /// Stateless feature-block walk shared by the plan enumerators and the
-/// serial ASYNC node scans (which run inside worker tasks and cannot hold a
-/// per-engine plan). Blocks partition `0..m`, so a blocked scan touches
+/// executor's tile cuts. Blocks partition `0..m`, so a blocked scan touches
 /// every ⟨row, feature⟩ pair exactly once, in the same per-lane order as an
 /// unblocked one — bitwise-identical histograms.
 pub fn feature_blocks(m: usize, f_blk: usize) -> impl Iterator<Item = Range<usize>> {
@@ -628,17 +619,6 @@ mod tests {
         assert_eq!(task.row_range_for(7), 0..7);
         let chunk = BlockTask { jobs: 0..1, features: 0..1, rows: 4..8, bins: None };
         assert_eq!(chunk.row_range_for(6), 4..6);
-    }
-
-    #[test]
-    fn round_stats_accumulate_and_reset() {
-        let mut plan = BlockPlan::new();
-        plan.rebuild(&BlockConfig::default(), &shape(4, true, 2), &[8], Accumulation::Replicated);
-        plan.rebuild(&BlockConfig::default(), &shape(4, true, 2), &[8], Accumulation::Replicated);
-        let (batches, tasks, _) = plan.take_round_stats();
-        assert_eq!(batches, 2);
-        assert!(tasks > 0);
-        assert_eq!(plan.take_round_stats().0, 0);
     }
 
     #[test]

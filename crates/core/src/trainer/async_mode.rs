@@ -7,7 +7,10 @@
 //! promising candidate off the shared frontier, partitions its rows,
 //! expands the children *serially inside the task* and files them — the
 //! loosely-coupled TopK, each of the K threads grabbing the best candidate
-//! it can see, with no global synchronization after every K splits.
+//! it can see, with no global synchronization after every K splits. The
+//! children's batch is a DP (Replicated) batch planned for one schedule
+//! slot, which runs as that slot on the task's worker: no row blocks, so
+//! no replica and no fold.
 //!
 //! Shared state and its guards:
 //! * the frontier — the barrier loop's own [`Frontier`](super::frontier),

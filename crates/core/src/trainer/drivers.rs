@@ -15,9 +15,9 @@
 //! of the slot's tiles — row scans, or column scans of one bin block — and a
 //! tile is finished as soon as the sweep has visited its cursors' last runs.
 //! Concurrent slots stay within an eviction-free window of each other (the
-//! sweep throttle of `run_slots`). The batch's [`BatchPolicy`] picks only how tiles and
-//! cursors are dealt to slots; the block decomposition lives in
-//! [`crate::plan`]:
+//! sweep throttle of `run_slots`). The batch's [`Accumulation`] picks only
+//! how tiles and cursors are dealt to slots; the block decomposition lives
+//! in [`crate::plan`]:
 //!
 //! * **Replicated** (DP): a [`BlockPlan`] of ⟨node-block, feature-block,
 //!   row-chunk⟩ tasks, task `i` a row-scan cursor of slot `i mod T`. A job
@@ -38,9 +38,13 @@
 //!   ([`crate::hist::HistPool::files`]) is scanned into its own full-width
 //!   buffer and a filed sibling is subtracted in place; every other tile is
 //!   a piece of its slot's scratch, gone after FindSplit.
-//! * **NodeTasks** (an ASYNC node task): one slot on the calling worker —
-//!   no plan and no region — holding one tile per job over every feature,
-//!   its cursors the job's feature blocks row-scanned into its buffer.
+//!
+//! A batch whose caller is itself a task of the pool (an ASYNC node task)
+//! is planned for one schedule slot and runs as that slot on the calling
+//! worker, opening no region. It is the Replicated corner: a plan for one
+//! slot cuts no job into row blocks, so there is no replica and no fold;
+//! the slot's cursors are each job's feature blocks, job by job, and each
+//! job is one tile.
 //!
 //! DP runs one schedule, an OpenMP *static* one: slot `t` of `T` processes
 //! every `T`-th task into replica `t`, so per-cell accumulation order is
@@ -59,7 +63,7 @@
 use crate::hist::{self, ScratchPool};
 use crate::kernels::{col_scan_run, row_scan_run, GradSource, BYTES_PER_CELL, FLOPS_PER_CELL};
 use crate::loss::GradPair;
-use crate::params::{BatchPolicy, TrainParams};
+use crate::params::TrainParams;
 use crate::partition::RowPartition;
 use crate::plan::{
     dp_write_working_set, feature_blocks, mp_write_working_set, Accumulation, BatchShape,
@@ -153,14 +157,15 @@ impl DriverCtx<'_> {
         self.pool.trace().map(|s| s.as_ref())
     }
 
-    /// The batch shape the planner sees for this store and pool.
-    fn batch_shape(&self) -> BatchShape {
+    /// The batch shape the planner sees for this store, run as `slots`
+    /// schedule slots.
+    fn batch_shape(&self, slots: usize) -> BatchShape {
         BatchShape {
             n_features: self.qm.n_features(),
             layout: ScanLayout::of(self.qm),
             max_bins: self.qm.mapper().max_bins_used() as usize,
             total_bins: self.qm.mapper().total_bins() as usize,
-            n_threads: self.pool.num_threads(),
+            n_threads: slots,
         }
     }
 
@@ -194,23 +199,30 @@ impl DriverScratch {
         self.arena.set_gauge(gauge);
     }
 
-    /// Takes and resets the plan's per-round batch/task tally plus the last
-    /// resolved extents (the per-round ledger hook reads this).
-    pub fn take_plan_stats(&mut self) -> (u64, u64, ResolvedExtents) {
-        self.plan.take_round_stats()
+    /// The block extents the last planned batch resolved to (the per-round
+    /// ledger records them).
+    pub fn plan_extents(&self) -> ResolvedExtents {
+        self.plan.extents()
     }
 
-    /// Rebuilds the shared plan for one batch of jobs of `job_lens` rows,
-    /// counts its tasks and observes its write working set (§IV-E, 16 bytes
-    /// per cell, shared with the cost model); returns the feature block.
-    /// Every planned batch goes through the one enumerator.
-    fn plan_batch(&mut self, ctx: &DriverCtx<'_>, job_lens: &[usize], acc: Accumulation) -> usize {
-        let (plan, shape) = (&mut self.plan, ctx.batch_shape());
+    /// Rebuilds the shared plan for one batch of jobs of `job_lens` rows run
+    /// as `slots` schedule slots, counts the batch and its tasks and
+    /// observes its write working set (§IV-E, 16 bytes per cell, shared with
+    /// the cost model); returns the feature block. Every batch goes through
+    /// the one enumerator.
+    fn plan_batch(
+        &mut self,
+        ctx: &DriverCtx<'_>,
+        job_lens: &[usize],
+        acc: Accumulation,
+        slots: usize,
+    ) -> usize {
+        let (plan, shape) = (&mut self.plan, ctx.batch_shape(slots));
         plan.rebuild(&ctx.params.blocks, &shape, job_lens, acc);
         let ext = plan.extents();
         let (exclusive, profile) = (plan.n_exclusive_tasks(), ctx.pool.profile());
         let replicated = plan.tasks().len() - exclusive;
-        profile.add_plan_events(replicated as u64, exclusive as u64, ext.auto as u64);
+        profile.add_plan_batch(replicated as u64, exclusive as u64, ext.auto);
         let (m, f_blk, node_blk) = (shape.n_features, ext.feature_blk, ext.node_blk);
         let ws = match acc {
             // The feature block's share of the replica, across the node block.
@@ -226,43 +238,46 @@ impl DriverScratch {
     }
 }
 
-/// Expands one batch: fills each job's histogram where `policy` says,
-/// derives the siblings and runs FindSplit (see the module docs). The slots
-/// run as one pool region, or as one slot here when the caller is itself a
-/// task of the pool (`inline_on`: its worker index, as for an ASYNC node
-/// task); a Replicated batch always runs on the pool.
+/// Expands one batch: fills each job's histogram as `acc` says, derives the
+/// siblings and runs FindSplit (see the module docs). The batch runs as one
+/// pool region; when the caller is itself a task of the pool (`inline_on`:
+/// its worker index, as for an ASYNC node task) it is planned for one
+/// schedule slot and runs as that slot here.
 pub fn expand(
     ctx: &DriverCtx<'_>,
     scratch: &mut DriverScratch,
     jobs: &mut [TileJob],
     search: SplitSearch<'_>,
-    policy: BatchPolicy,
+    acc: Accumulation,
     inline_on: Option<usize>,
 ) -> TileOutcome {
     let (n, m, mapper) = (jobs.len(), ctx.qm.n_features(), ctx.qm.mapper());
-    let (replicated, exclusive) =
-        (policy == BatchPolicy::Replicated, policy == BatchPolicy::Exclusive);
+    let (replicated, exclusive) = (acc == Accumulation::Replicated, acc == Accumulation::Exclusive);
     let filed = |j: &TileJob| j.buf.is_some() && j.sibling.as_ref().is_none_or(|s| s.in_place);
     assert!(exclusive || jobs.iter().all(filed), "only an Exclusive batch builds in scratch");
+    if n == 0 {
+        return TileOutcome::default();
+    }
     let job_lens: Vec<usize> = jobs.iter().map(|j| ctx.partition.node_len(j.node)).collect();
-    let f_blk = match policy {
-        _ if n == 0 => return TileOutcome::default(),
-        BatchPolicy::Replicated => scratch.plan_batch(ctx, &job_lens, Accumulation::Replicated),
-        BatchPolicy::Exclusive => scratch.plan_batch(ctx, &job_lens, Accumulation::Exclusive),
-        BatchPolicy::NodeTasks => m,
-    };
+    let threads = if inline_on.is_some() { 1 } else { ctx.pool.num_threads() };
+    let f_blk = scratch.plan_batch(ctx, &job_lens, acc, threads);
     let (DriverScratch { arena, plan }, width) = (scratch, hist::hist_width_for(ctx.qm));
 
     // A job of one row block is finished by the slots: its tasks are its
-    // feature blocks, ascending, and each fills one tile of its own buffer.
+    // feature blocks, ascending, and each fills one tile of its own buffer —
+    // or, planned for one slot, which finishes them one after another
+    // anyway, the job is one tile and they are its cursors, searched once.
     // Every other job of a Replicated batch — several row blocks, or none —
     // is cut into ⟨job, feature-chunk⟩ tiles, `⌈4T / jobs⌉` chunks per job,
     // so that a narrow batch still spreads over the pool.
     let by_slot = |j: usize| !replicated || (plan.replica_slot(j).is_none() && job_lens[j] > 0);
     let n_rest = (0..n).filter(|&j| !by_slot(j)).count();
-    let n_chunks = (4 * ctx.pool.num_threads()).div_ceil(n_rest.max(1)).clamp(1, m.max(1));
+    let n_chunks = (4 * threads).div_ceil(n_rest.max(1)).clamp(1, m.max(1));
     let chunk = m.div_ceil(n_chunks);
-    let (task_bounds, chunk_bounds) = (block_bounds(mapper, f_blk), block_bounds(mapper, chunk));
+    let whole = replicated && threads == 1;
+    let tile_of = |features: &Range<usize>| if whole { 0..m } else { features.clone() };
+    let tile_blk = if whole { m } else { f_blk };
+    let (task_bounds, chunk_bounds) = (block_bounds(mapper, tile_blk), block_bounds(mapper, chunk));
     let body = TileBody::new(ctx, jobs, search);
     let bounds = |j: usize| if by_slot(j) { &task_bounds } else { &chunk_bounds };
     let mut lanes: Vec<_> =
@@ -278,43 +293,24 @@ pub fn expand(
     // row list, so interleaving them chunk by chunk visits exactly the same
     // rows in exactly the same order as running them back to back. In core
     // the sweep has one step, and that step *is* the tasks run back to back.
-    let inline_on = inline_on.filter(|_| !replicated);
-    let n_slots = match policy {
-        BatchPolicy::NodeTasks => 1,
-        _ if inline_on.is_some() => 1,
-        _ => ctx.pool.num_threads().min(plan.groups().len()),
-    };
+    let n_slots = threads.min(plan.groups().len());
     let mut slots: Vec<Slot<'_>> = (0..n_slots).map(|_| Slot::default()).collect();
-    if policy == BatchPolicy::NodeTasks {
-        // The degenerate ⟨one node, all rows⟩ task of a Replicated plan: an
-        // explicit feature block still slices a dense scan (the same
-        // per-lane row order, so the same bits); sparse rows have no
-        // per-block substructure and Auto resolves per planned batch, so
-        // both scan whole.
-        let sliced = ctx.qm.is_dense() && !ctx.params.blocks.is_auto();
-        let scan_blk = if sliced { ctx.params.blocks.features_per_block(m) } else { m };
-        for (j, &len) in job_lens.iter().enumerate() {
-            let scans = feature_blocks(m, scan_blk).map(|features| (features, None));
-            slots[0].push(TileWork::new(j, 0..m, &mut lanes), 0..len, scans);
-        }
-    } else {
-        for (g, tasks) in plan.groups().enumerate() {
-            let (slot, features) = (&mut slots[g % n_slots], &tasks[0].features);
-            for j in tasks[0].jobs.clone() {
-                let rows = tasks[0].row_range_for(job_lens[j]);
-                let bins = |t: &BlockTask| t.bins.map_or(0..usize::MAX, |(lo, hi)| lo..hi);
-                let scans = tasks.iter().map(|t| (features.clone(), exclusive.then(|| bins(t))));
-                match plan.replica_slot(j) {
-                    None => slot.push(TileWork::new(j, features.clone(), &mut lanes), rows, scans),
-                    Some(k) => slot.cursors.extend(scans.map(|(features, bins)| {
-                        let (rows, at) = (rows.clone(), k * width);
-                        Cursor { job: j, rows, features, bins, tile: None, at }
-                    })),
-                }
+    for (g, tasks) in plan.groups().enumerate() {
+        let (slot, features) = (&mut slots[g % n_slots], &tasks[0].features);
+        for j in tasks[0].jobs.clone() {
+            let rows = tasks[0].row_range_for(job_lens[j]);
+            let bins = |t: &BlockTask| t.bins.map_or(0..usize::MAX, |(lo, hi)| lo..hi);
+            let scans = tasks.iter().map(|t| (features.clone(), exclusive.then(|| bins(t))));
+            match plan.replica_slot(j) {
+                None => slot.push(j, tile_of(features), rows, scans, &mut lanes),
+                Some(k) => slot.cursors.extend(scans.map(|(features, bins)| {
+                    let (rows, at) = (rows.clone(), k * width);
+                    Cursor { job: j, rows, features, bins, tile: None, at }
+                })),
             }
         }
     }
-    let replica_len = if replicated { plan.n_replicated_jobs() * width } else { 0 };
+    let replica_len = plan.n_replicated_jobs() * width;
     run_slots(ctx, arena, &body, &mut slots, replica_len, inline_on);
     let (tiles, mut bufs): (Vec<_>, Vec<_>) = slots.into_iter().map(|s| (s.tiles, s.buf)).unzip();
 
@@ -335,8 +331,7 @@ pub fn expand(
             work.push(tile);
         }
     }
-    ctx.pool
-        .parallel_for_each_mut(&mut work, |_, tile, w| _ = body.run(tile, &mut [], 0, w));
+    for_each_on(ctx.pool, inline_on, &mut work, |_, tile, w| _ = body.run(tile, &mut [], 0, w));
     work.extend(tiles.into_iter().flatten());
     let out = body.finish(work);
     // The fold pieces borrow the replicas until here.
@@ -347,7 +342,7 @@ pub fn expand(
     out
 }
 
-/// Runs `slots` as one pool region, or in turn on `inline_on`'s worker.
+/// Runs `slots` as one pool region, or on `inline_on`'s worker.
 /// Each slot lays out its lanes — `replica_len` of replicas, then the
 /// scratch of its tiles that have no buffer of their own, then its widest
 /// sibling tile that has none — draws them zeroed from `arena`, finishes its
@@ -480,9 +475,20 @@ fn run_slots(
         body.cells.fetch_add(cells, Ordering::Relaxed);
         body.build_ns.fetch_add(body.now() - t0 - spent, Ordering::Relaxed);
     };
+    for_each_on(ctx.pool, inline_on, slots, run);
+}
+
+/// Runs `f` on every item: as one pool region, or in turn on `inline_on`'s
+/// worker when the caller is itself a task of the pool.
+fn for_each_on<T: Send>(
+    pool: &ThreadPool,
+    inline_on: Option<usize>,
+    items: &mut [T],
+    f: impl Fn(usize, &mut T, usize) + Sync,
+) {
     match inline_on {
-        Some(worker) => slots.iter_mut().enumerate().for_each(|(s, slot)| run(s, slot, worker)),
-        None => ctx.pool.parallel_for_each_mut(slots, run),
+        Some(worker) => items.iter_mut().enumerate().for_each(|(i, item)| f(i, item, worker)),
+        None => pool.parallel_for_each_mut(items, f),
     }
 }
 
@@ -514,21 +520,27 @@ struct Slot<'a> {
 }
 
 impl<'a> Slot<'a> {
-    /// Adds `tile`, filled by one cursor per `(features, bins)` of `scans`
-    /// over the job's row positions `rows`.
+    /// Adds one cursor per `(features, bins)` of `scans` over job `job`'s
+    /// row positions `rows`, filling its tile over `features`: the slot's
+    /// last tile when that is the one, else a new tile taking the job's next
+    /// block from `lanes`.
     fn push(
         &mut self,
-        mut tile: TileWork<'a>,
+        job: usize,
+        features: Range<usize>,
         rows: Range<usize>,
         scans: impl Iterator<Item = (Range<usize>, Option<Range<usize>>)>,
+        lanes: &mut [impl Iterator<Item = BlockLanes<'a>>],
     ) {
-        let (job, t) = (tile.job, Some(self.tiles.len()));
-        for (features, bins) in scans {
-            tile.pending += usize::from(!rows.is_empty());
-            let rows = rows.clone();
-            self.cursors.push(Cursor { job, rows, features, bins, tile: t, at: 0 });
+        if self.tiles.last().is_none_or(|t| (t.job, &t.features) != (job, &features)) {
+            self.tiles.push(TileWork::new(job, features, lanes));
         }
-        self.tiles.push(tile);
+        let t = self.tiles.len() - 1;
+        for (features, bins) in scans {
+            self.tiles[t].pending += usize::from(!rows.is_empty());
+            let rows = rows.clone();
+            self.cursors.push(Cursor { job, rows, features, bins, tile: Some(t), at: 0 });
+        }
     }
 }
 
@@ -782,7 +794,7 @@ mod tests {
     }
 
     fn run_driver(
-        policy: BatchPolicy,
+        acc: Accumulation,
         params: &TrainParams,
         qm: &QuantizedMatrix,
         part: &RowPartition,
@@ -791,12 +803,12 @@ mod tests {
     ) -> Vec<Vec<f64>> {
         let pool = ThreadPool::new(params.n_threads);
         let mut scratch = DriverScratch::new();
-        run_driver_with(policy, params, qm, part, grads, nodes, &pool, &mut scratch)
+        run_driver_with(acc, params, qm, part, grads, nodes, &pool, &mut scratch)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn run_driver_with(
-        policy: BatchPolicy,
+        acc: Accumulation,
         params: &TrainParams,
         qm: &QuantizedMatrix,
         part: &RowPartition,
@@ -818,7 +830,7 @@ mod tests {
                 sibling: None,
             })
             .collect();
-        expand(&ctx, scratch, &mut jobs, NO_SEARCH, policy, None);
+        expand(&ctx, scratch, &mut jobs, NO_SEARCH, acc, None);
         jobs.into_iter().map(|j| j.buf.expect("full-width")).collect()
     }
 
@@ -840,7 +852,7 @@ mod tests {
         let (qm, grads, part) = setup(DatasetKind::HiggsLike, true);
         let params = TrainParams { n_threads: 4, ..Default::default() };
         let nodes = [3u32, 4, 2];
-        let hists = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &nodes);
+        let hists = run_driver(Accumulation::Replicated, &params, &qm, &part, &grads, &nodes);
         for (i, &n) in nodes.iter().enumerate() {
             assert_close(&hists[i], &reference_hist(&qm, &part, &grads, n));
         }
@@ -857,7 +869,7 @@ mod tests {
             part.reset(&grads);
             assert!(part.is_identity_order());
             let params = TrainParams { n_threads: 4, use_membuf: membuf, ..Default::default() };
-            let hists = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &[0u32]);
+            let hists = run_driver(Accumulation::Replicated, &params, &qm, &part, &grads, &[0u32]);
             assert_close(&hists[0], &reference_hist(&qm, &part, &grads, 0));
         }
     }
@@ -867,7 +879,7 @@ mod tests {
         let (qm, grads, part) = setup(DatasetKind::HiggsLike, true);
         let params = TrainParams { n_threads: 4, ..Default::default() };
         let nodes = [3u32, 4, 2];
-        let hists = run_driver(BatchPolicy::Exclusive, &params, &qm, &part, &grads, &nodes);
+        let hists = run_driver(Accumulation::Exclusive, &params, &qm, &part, &grads, &nodes);
         for (i, &n) in nodes.iter().enumerate() {
             assert_close(&hists[i], &reference_hist(&qm, &part, &grads, n));
         }
@@ -878,7 +890,7 @@ mod tests {
         let (qm, grads, part) = setup(DatasetKind::YfccLike, true);
         let params = TrainParams { n_threads: 3, ..Default::default() };
         let nodes = [3u32, 4, 2];
-        let hists = run_driver(BatchPolicy::Exclusive, &params, &qm, &part, &grads, &nodes);
+        let hists = run_driver(Accumulation::Exclusive, &params, &qm, &part, &grads, &nodes);
         for (i, &n) in nodes.iter().enumerate() {
             assert_close(&hists[i], &reference_hist(&qm, &part, &grads, n));
         }
@@ -889,7 +901,7 @@ mod tests {
         let (qm, grads, part) = setup(DatasetKind::YfccLike, false);
         let params = TrainParams { n_threads: 2, use_membuf: false, ..Default::default() };
         let nodes = [3u32, 4, 2];
-        let hists = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &nodes);
+        let hists = run_driver(Accumulation::Replicated, &params, &qm, &part, &grads, &nodes);
         for (i, &n) in nodes.iter().enumerate() {
             assert_close(&hists[i], &reference_hist(&qm, &part, &grads, n));
         }
@@ -901,7 +913,7 @@ mod tests {
         let nodes = [3u32, 4, 2];
         let base = {
             let params = TrainParams { n_threads: 4, ..Default::default() };
-            run_driver(BatchPolicy::Exclusive, &params, &qm, &part, &grads, &nodes)
+            run_driver(Accumulation::Exclusive, &params, &qm, &part, &grads, &nodes)
         };
         for (f_blk, n_blk, b_blk) in [(1, 1, 0), (2, 2, 8), (4, 3, 4), (0, 0, 1)] {
             let params = TrainParams {
@@ -914,11 +926,11 @@ mod tests {
                 },
                 ..Default::default()
             };
-            let hists = run_driver(BatchPolicy::Exclusive, &params, &qm, &part, &grads, &nodes);
+            let hists = run_driver(Accumulation::Exclusive, &params, &qm, &part, &grads, &nodes);
             for i in 0..nodes.len() {
                 assert_close(&hists[i], &base[i]);
             }
-            let dp = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &nodes);
+            let dp = run_driver(Accumulation::Replicated, &params, &qm, &part, &grads, &nodes);
             for i in 0..nodes.len() {
                 assert_close(&dp[i], &base[i]);
             }
@@ -930,8 +942,8 @@ mod tests {
         let (qm, grads, part) = setup(DatasetKind::HiggsLike, true);
         let params = TrainParams { n_threads: 4, ..Default::default() };
         let nodes = [3u32, 4, 2];
-        let a = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &nodes);
-        let b = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &nodes);
+        let a = run_driver(Accumulation::Replicated, &params, &qm, &part, &grads, &nodes);
+        let b = run_driver(Accumulation::Replicated, &params, &qm, &part, &grads, &nodes);
         for i in 0..nodes.len() {
             assert_eq!(a[i], b[i], "node {i} not bitwise equal");
         }
@@ -952,7 +964,7 @@ mod tests {
         let pool = ThreadPool::new(params.n_threads);
         let mut scratch = DriverScratch::new();
         let first = run_driver_with(
-            BatchPolicy::Replicated,
+            Accumulation::Replicated,
             &params,
             &qm,
             &part,
@@ -964,7 +976,7 @@ mod tests {
         // A second call over a *different* node set in between, to dirty
         // other lanes.
         let _ = run_driver_with(
-            BatchPolicy::Replicated,
+            Accumulation::Replicated,
             &params,
             &qm,
             &part,
@@ -974,7 +986,7 @@ mod tests {
             &mut scratch,
         );
         let second = run_driver_with(
-            BatchPolicy::Replicated,
+            Accumulation::Replicated,
             &params,
             &qm,
             &part,
@@ -999,7 +1011,7 @@ mod tests {
         let mut first_call_allocs = 0;
         for call in 0..3 {
             let _ = run_driver_with(
-                BatchPolicy::Replicated,
+                Accumulation::Replicated,
                 &params,
                 &qm,
                 &part,
@@ -1028,8 +1040,8 @@ mod tests {
         let params_mb = TrainParams { n_threads: 2, ..Default::default() };
         let params_nomb = TrainParams { n_threads: 2, use_membuf: false, ..Default::default() };
         let nodes = [3u32, 4, 2];
-        let a = run_driver(BatchPolicy::Exclusive, &params_mb, &qm, &part_mb, &grads, &nodes);
-        let b = run_driver(BatchPolicy::Exclusive, &params_nomb, &qm, &part_nomb, &grads, &nodes);
+        let a = run_driver(Accumulation::Exclusive, &params_mb, &qm, &part_mb, &grads, &nodes);
+        let b = run_driver(Accumulation::Exclusive, &params_nomb, &qm, &part_nomb, &grads, &nodes);
         for i in 0..nodes.len() {
             assert_close(&a[i], &b[i]);
         }
@@ -1043,8 +1055,9 @@ mod tests {
         let mut scratch = DriverScratch::new();
         let ctx =
             DriverCtx { qm: &qm, params: &params, pool: &pool, partition: &part, grads: &grads };
-        for policy in [BatchPolicy::Replicated, BatchPolicy::Exclusive, BatchPolicy::NodeTasks] {
-            let out = expand(&ctx, &mut scratch, &mut [], NO_SEARCH, policy, None);
+        let (r, e) = (Accumulation::Replicated, Accumulation::Exclusive);
+        for (acc, inline_on) in [(r, None), (e, None), (r, Some(1))] {
+            let out = expand(&ctx, &mut scratch, &mut [], NO_SEARCH, acc, inline_on);
             assert!(out.found.is_empty());
         }
     }
@@ -1056,7 +1069,8 @@ mod tests {
         part.apply_split(2, 5, 6, &|_, _| true, None);
         assert_eq!(part.node_len(6), 0);
         let params = TrainParams { n_threads: 4, ..Default::default() };
-        let hists = run_driver(BatchPolicy::Replicated, &params, &qm, &part, &grads, &[3u32, 6, 4]);
+        let hists =
+            run_driver(Accumulation::Replicated, &params, &qm, &part, &grads, &[3u32, 6, 4]);
         assert!(hists[1].iter().all(|&x| x == 0.0), "zero-row job must stay zeroed");
         assert_close(&hists[0], &reference_hist(&qm, &part, &grads, 3));
         assert_close(&hists[2], &reference_hist(&qm, &part, &grads, 4));
@@ -1072,8 +1086,8 @@ mod tests {
             let params = TrainParams { n_threads: 2, blocks, ..Default::default() };
             let mut scratch = DriverScratch::new();
             let before = profile.regions.load(Ordering::Relaxed);
-            let policy = BatchPolicy::Replicated;
-            run_driver_with(policy, &params, &qm, &part, &grads, nodes, &pool, &mut scratch);
+            let acc = Accumulation::Replicated;
+            run_driver_with(acc, &params, &qm, &part, &grads, nodes, &pool, &mut scratch);
             profile.regions.load(Ordering::Relaxed) - before
         };
         // Three jobs of one row block each: the slots fill and finish them.
@@ -1212,7 +1226,7 @@ mod tests {
             let arena = Arc::new(MemGauge::new());
             scratch.set_replica_gauge(Arc::clone(&arena));
             let hists = run_driver_with(
-                BatchPolicy::Replicated, &params, qm, &part, &grads, &nodes, &pool, &mut scratch,
+                Accumulation::Replicated, &params, qm, &part, &grads, &nodes, &pool, &mut scratch,
             );
 
             // The plan the executor ran, rebuilt here to tell the jobs apart
@@ -1221,7 +1235,8 @@ mod tests {
             let ctx =
                 DriverCtx { qm, params: &params, pool: &pool, partition: &part, grads: &grads };
             let mut plan = BlockPlan::new();
-            plan.rebuild(&params.blocks, &ctx.batch_shape(), &job_lens, Accumulation::Replicated);
+            let shape = ctx.batch_shape(threads);
+            plan.rebuild(&params.blocks, &shape, &job_lens, Accumulation::Replicated);
             let n_slots = threads.min(plan.tasks().len());
             let width = hist_width_for(qm);
             let mut multi_block = 0;
@@ -1243,15 +1258,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// The slot executor under each of its three policies, in core and
+        /// The slot executor under explicit and Auto blocks, in core and
         /// through a chunk cache a quarter of which is resident, against
-        /// reference kernels — Exclusive (column-scan cursors, tiles dealt
-        /// round-robin to the slots), Replicated (row-scan cursors of the
-        /// static schedule, each slot finishing the one-block jobs' tiles
-        /// it filled; with `split_rows`, a job of more than 48 rows spans
-        /// several row blocks and its tiles fold its replicas) and
-        /// NodeTasks (one slot of row-scan cursors, on the calling thread).
-        /// The
+        /// reference kernels, in three fills — Exclusive (column-scan
+        /// cursors, tiles dealt round-robin to the slots), Replicated
+        /// (row-scan cursors of the static schedule, each slot finishing
+        /// the one-block jobs' tiles it filled; with `split_rows`, a job of
+        /// more than 48 rows spans several row blocks and its tiles fold its
+        /// replicas) and a Replicated batch run inline from inside a pool
+        /// task, as an ASYNC node task runs it (planned for one slot, so
+        /// `split_rows` cuts nothing, and it must open no region). The
         /// root is cut into leaves and every leaf is split — evenly,
         /// unevenly, into one row and the rest, into nothing and
         /// everything — and the splits
@@ -1280,6 +1296,7 @@ mod tests {
             fill in 0usize..3,
             split_rows in any::<bool>(),
             chunked in any::<bool>(),
+            auto in any::<bool>(),
         ) {
             let qm = &scan_layouts()[layout];
             let store: &dyn QuantStore = if chunked { &chunked_layouts()[layout] } else { qm };
@@ -1369,21 +1386,20 @@ mod tests {
                 }
             }
 
-            let params = TrainParams {
-                n_threads: threads,
-                use_membuf: membuf,
-                blocks: BlockConfig {
-                    // One row block per job, or several for a Replicated job
-                    // of more than 48 rows.
-                    row_blk_size: if fill == 1 && split_rows { 48 } else { n },
-                    node_blk_size: node_blk,
-                    feature_blk_size: [0, 1, 2, 3, m / 2][feature_blk],
-                    bin_blk_size: [0, 5, 16][bin_blk],
-                },
-                ..Default::default()
+            let explicit = BlockConfig {
+                // One row block per job, or several for a Replicated job of
+                // more than 48 rows on a pool.
+                row_blk_size: if fill != 0 && split_rows { 48 } else { n },
+                node_blk_size: node_blk,
+                feature_blk_size: [0, 1, 2, 3, m / 2][feature_blk],
+                bin_blk_size: [0, 5, 16][bin_blk],
             };
+            let blocks = if auto { BlockConfig::Auto } else { explicit };
+            let (n_threads, use_membuf) = (threads, membuf);
+            let params = TrainParams { n_threads, use_membuf, blocks, ..Default::default() };
             let settings = SplitSettings { lambda: 1.0, gamma: 0.0, min_child_weight: 0.0 };
-            let pool = ThreadPool::new(threads);
+            let profile = Arc::new(Profile::new());
+            let pool = ThreadPool::with_profile(threads, Arc::clone(&profile));
             let mut scratch = DriverScratch::new();
             let arena = Arc::new(MemGauge::new());
             scratch.set_replica_gauge(Arc::clone(&arena));
@@ -1394,11 +1410,13 @@ mod tests {
             // A Replicated job of several row blocks is what the static
             // schedule builds, and each slot holds a replica of such jobs.
             let mut replica_bytes = 0;
-            if fill == 1 {
+            if fill != 0 {
                 let job_lens: Vec<usize> = jobs.iter().map(|j| part.node_len(j.node)).collect();
                 let mut plan = BlockPlan::new();
-                plan.rebuild(&params.blocks, &ctx.batch_shape(), &job_lens, Accumulation::Replicated);
-                let n_slots = threads.min(plan.tasks().len());
+                let slots = if fill == 1 { threads } else { 1 };
+                let shape = ctx.batch_shape(slots);
+                plan.rebuild(&params.blocks, &shape, &job_lens, Accumulation::Replicated);
+                let n_slots = slots.min(plan.tasks().len());
                 for (j, (job, refs)) in jobs.iter().zip(&mut expect).enumerate() {
                     if plan.replica_slot(j).is_some() {
                         refs.0 = replay_schedule(qm, &part, &grads, &plan, n_slots, (j, job.node));
@@ -1412,11 +1430,20 @@ mod tests {
                 }
             }
             let out = match fill {
-                0 => expand(&ctx, &mut scratch, &mut jobs, search, BatchPolicy::Exclusive, None),
-                1 => expand(&ctx, &mut scratch, &mut jobs, search, BatchPolicy::Replicated, None),
+                0 => expand(&ctx, &mut scratch, &mut jobs, search, Accumulation::Exclusive, None),
+                1 => expand(&ctx, &mut scratch, &mut jobs, search, Accumulation::Replicated, None),
                 _ => {
-                    let (policy, worker) = (BatchPolicy::NodeTasks, Some(threads - 1));
-                    expand(&ctx, &mut scratch, &mut jobs, search, policy, worker)
+                    let mut task = [(&mut scratch, &mut jobs[..], None, 0)];
+                    pool.parallel_for_each_mut(&mut task, |_, (scratch, jobs, out, moved), w| {
+                        let regions = || profile.regions.load(Ordering::Relaxed);
+                        let before = regions();
+                        let acc = Accumulation::Replicated;
+                        *out = Some(expand(&ctx, scratch, jobs, search, acc, Some(w)));
+                        *moved = regions() - before;
+                    });
+                    let [(_, _, out, moved)] = task;
+                    prop_assert!(moved == 0, "an inline batch opened {} regions", moved);
+                    out.expect("the pool ran the task")
                 }
             };
 

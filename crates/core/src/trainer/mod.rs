@@ -20,8 +20,8 @@
 //! candidate and applies it, ApplySplit partitions the rows, the frontier
 //! plans which child is scanned and which derived, and files the results;
 //! one executor
-//! ([`expand`]) runs the batch, its policy picking only how a scanned
-//! child's lanes are *filled*; and one tile body does `parent − small` →
+//! ([`expand`]) runs the batch, its [`Accumulation`] picking only how a
+//! scanned child's lanes are *filled*; and one tile body does `parent − small` →
 //! FindSplit on the filled lanes. A DP
 //! batch is one region of schedule slots, each sweeping its tasks' rows
 //! into full-width job buffers and finishing the one-row-block jobs' tiles
@@ -29,8 +29,9 @@
 //! ⟨job, feature-chunk⟩ tiles that fold its replicas and finish it. An MP
 //! batch is one region: each ⟨node-block, feature-block⟩ task scans, subtracts and
 //! searches its tile while it is in cache, and a child gets a full-width
-//! buffer only if its histogram can be filed. An ASYNC node task row-scans
-//! its children's buffers and finishes each as one tile, on the spot.
+//! buffer only if its histogram can be filed. An ASYNC node task's batch is
+//! a DP batch planned for one schedule slot — no row blocks, so no replica
+//! and no fold — that runs as that slot on the task's own worker.
 
 mod async_mode;
 mod drivers;
@@ -43,8 +44,9 @@ pub use drivers::{
 
 use crate::ensemble::GbdtModel;
 use crate::hist::{HistPool, StaleHist};
-use crate::params::{BatchPolicy, TrainParams};
+use crate::params::TrainParams;
 use crate::partition::RowPartition;
+use crate::plan::Accumulation;
 use crate::split::SplitSettings;
 use crate::tree::{NodeId, NodeStats, Tree};
 use frontier::{Children, Claim, Frontier};
@@ -599,7 +601,7 @@ impl GbdtTrainer {
                 }
                 let shapes = &tree_shapes[tree_shapes.len() - groups..];
                 let (pops, popped) = engine.take_pop_stats();
-                let (plan_batches, plan_tasks, ext) = scratch.take_plan_stats();
+                let ext = scratch.plan_extents();
                 l.push(
                     read_totals(),
                     LedgerRecord {
@@ -611,13 +613,12 @@ impl GbdtTrainer {
                         max_depth: shapes.iter().map(|s| s.max_depth).max().unwrap_or(0),
                         mean_k_per_pop: if pops > 0 { popped as f64 / pops as f64 } else { 0.0 },
                         plan: PlanStats {
-                            batches: plan_batches,
-                            tasks: plan_tasks,
                             row_blk: ext.row_blk as u64,
                             node_blk: ext.node_blk as u64,
                             feature_blk: ext.feature_blk as u64,
                             bin_blk: ext.bin_blk as u64,
                             auto: ext.auto,
+                            ..Default::default()
                         },
                         ..Default::default()
                     },
@@ -790,7 +791,7 @@ impl<'a> TreeEngine<'a> {
         let threads = self.pool.num_threads();
         while self.frontier.get_mut().open() {
             let width = self.frontier.get_mut().width();
-            if self.params.mode.batch_policy(width, 0, threads) == BatchPolicy::NodeTasks {
+            if self.params.mode.runs_node_tasks(width, threads) {
                 async_mode::run_async(self);
                 break;
             }
@@ -860,7 +861,7 @@ impl<'a> TreeEngine<'a> {
 
     /// BuildHist (the hotspot) and FindSplit for one batch of planned
     /// children, which are then filed; returns how many were queued. The
-    /// policy picks how the scanned children's lanes are filled, and
+    /// accumulation picks how the scanned children's lanes are filled, and
     /// whether a child that cannot be filed gets a full-width buffer at
     /// all; `drivers::expand` does the rest.
     fn expand(
@@ -875,15 +876,9 @@ impl<'a> TreeEngine<'a> {
         };
         let n = jobs.len() as u32;
         let rows: usize = jobs.iter().map(|j| self.partition.node_len(j.node)).sum();
-        // Table II. A histogram batch is a barrier construct: ASYNC's begin
-        // phase is DP whatever the batch's width, and a node task fills its
-        // children itself.
+        // Table II: an ASYNC batch, a node task's included, is DP.
         let threads = self.pool.num_threads();
-        let policy = match self.params.mode.batch_policy(jobs.len(), rows / jobs.len(), threads) {
-            _ if on.is_some() => BatchPolicy::NodeTasks,
-            BatchPolicy::Exclusive => BatchPolicy::Exclusive,
-            _ => BatchPolicy::Replicated,
-        };
+        let acc = self.params.mode.accumulation(jobs.len(), rows / jobs.len(), threads);
         let ctx = DriverCtx {
             qm: self.qm,
             params: self.params,
@@ -898,7 +893,7 @@ impl<'a> TreeEngine<'a> {
             // Out of core a scratch tile fills over the whole chunk sweep
             // and costs a histogram anyway: only an in-core Exclusive batch
             // is fused.
-            let fused = policy == BatchPolicy::Exclusive && self.qm.n_chunks() == 1;
+            let fused = acc == Accumulation::Exclusive && self.qm.n_chunks() == 1;
             for job in jobs.iter_mut() {
                 let stale = self.frontier().equip(job, fused, &self.partition);
                 job.buf = stale.map(StaleHist::zeroed);
@@ -908,7 +903,7 @@ impl<'a> TreeEngine<'a> {
         let wall_start = Instant::now();
         let start_ns = self.sink().map(TraceSink::now_ns);
         let TileOutcome { found, build_ns, find_ns } =
-            drivers::expand(&ctx, scratch, jobs, search, policy, on);
+            drivers::expand(&ctx, scratch, jobs, search, acc, on);
         if on.is_some() {
             // A node task attributes its worker's own time.
             self.clock.add(TracePhase::BuildHist, build_ns);
@@ -980,7 +975,7 @@ pub(crate) struct SplitPred<'a> {
 /// sweep — per-node gathers would pin each node's full chunk span once per
 /// split, which under a resident budget reloads most of the cache for every
 /// split in the batch — so the partition hot loop never pins chunks. Call this BEFORE
-/// `RowPartition::apply_split` mutates the nodes' spans: the sweep reads the
+/// `RowPartition::apply_splits` mutates the nodes' spans: the sweep reads the
 /// row lists in place, and the gathered bins stay valid by position.
 pub(crate) fn split_preds_batch<'a>(
     store: &'a dyn QuantStore,
@@ -1017,7 +1012,7 @@ impl SplitPred<'_> {
     /// feature-local effective bin (or [`MISSING_BIN`] when absent), then
     /// applies one shared `b <= bin` / default-direction rule, so every
     /// route agrees. `pos` is the row's index within the
-    /// split node's span (what [`RowPartition::apply_split`] passes); the
+    /// split node's span (what [`RowPartition::apply_splits`] passes); the
     /// gathered route resolves it positionally — a by-row binary search per
     /// routed row dominated out-of-core ApplySplit time.
     pub(crate) fn goes_left(&self, pos: usize, row: u32) -> bool {

@@ -110,11 +110,14 @@ impl RoundLedger {
     }
 
     /// Closes a round: files `record` with its telemetry fields —
-    /// `phase_secs`, `counters`, `skew`, `mem` — filled from `now` minus the
-    /// previous round's totals.
+    /// `phase_secs`, `counters`, `skew`, `mem` and the plan's batch and task
+    /// counts — filled from `now` minus the previous round's totals.
     pub fn push(&mut self, now: Totals, mut record: LedgerRecord) {
         let round = now.delta(&self.prev);
         self.prev = now;
+        let c = &round.counters;
+        record.plan.batches = c.plan_batches;
+        record.plan.tasks = c.plan_tasks_replicated + c.plan_tasks_exclusive;
         record.phase_secs =
             round.breakdown().named().iter().map(|&(n, v)| (n.to_string(), v)).collect();
         record.counters = round.counters.named().iter().map(|&(n, v)| (n.to_string(), v)).collect();

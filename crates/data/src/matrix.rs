@@ -224,15 +224,6 @@ impl CsrMatrix {
             .zip(self.values[span].iter().copied())
     }
 
-    /// The `(cols, values)` slices of one row — the borrow the batch
-    /// prediction kernel binary-searches instead of re-resolving `indptr`
-    /// per node visit.
-    #[inline]
-    pub fn row_slices(&self, row: usize) -> (&[u32], &[f32]) {
-        let span = self.indptr[row]..self.indptr[row + 1];
-        (&self.indices[span.clone()], &self.values[span])
-    }
-
     /// The value at `(row, col)`, or `None` if missing. Binary search.
     pub fn get(&self, row: usize, col: usize) -> Option<f32> {
         let span = self.indptr[row]..self.indptr[row + 1];

@@ -155,6 +155,9 @@ counter_table! {
     /// Child histograms never built because the split that made the child
     /// spent the last of the leaf budget.
     hist_builds_skipped,
+    /// BuildHist batches planned: every barrier batch and every ASYNC node
+    /// task's batch of one slot.
+    plan_batches,
     /// Block-plan tasks that accumulate into replica lanes and are reduced
     /// afterwards: the row blocks of a DP batch's multi-block jobs.
     plan_tasks_replicated,
@@ -245,10 +248,11 @@ impl Profile {
     /// Records one planned BuildHist batch: how many of its tasks accumulate
     /// into replicas and how many write exclusively, and whether the
     /// auto-tuner sized it.
-    pub fn add_plan_events(&self, replicated_tasks: u64, exclusive_tasks: u64, auto_batches: u64) {
+    pub fn add_plan_batch(&self, replicated_tasks: u64, exclusive_tasks: u64, auto: bool) {
+        self.plan_batches.fetch_add(1, Ordering::Relaxed);
         self.plan_tasks_replicated.fetch_add(replicated_tasks, Ordering::Relaxed);
         self.plan_tasks_exclusive.fetch_add(exclusive_tasks, Ordering::Relaxed);
-        self.plan_batches_auto.fetch_add(auto_batches, Ordering::Relaxed);
+        self.plan_batches_auto.fetch_add(u64::from(auto), Ordering::Relaxed);
     }
 
     /// Records the CPU's vector tier (stored as a level, not added).
@@ -455,7 +459,8 @@ mod tests {
         p.add_hist_cache_evictions(4);
         p.add_hist_cache_trimmed(3);
         p.add_hist_builds_skipped(2);
-        p.add_plan_events(12, 5, 1);
+        p.add_plan_batch(12, 5, true);
+        p.add_plan_batch(0, 3, false);
         let d = p.snapshot().delta(&before);
         assert_eq!(d.bytes_read, 7);
         assert_eq!(d.bytes_written, 1);
@@ -467,8 +472,9 @@ mod tests {
         assert_eq!(d.hist_cache_evictions, 4);
         assert_eq!(d.hist_cache_trimmed, 3);
         assert_eq!(d.hist_builds_skipped, 2);
+        assert_eq!(d.plan_batches, 2);
         assert_eq!(d.plan_tasks_replicated, 12);
-        assert_eq!(d.plan_tasks_exclusive, 5);
+        assert_eq!(d.plan_tasks_exclusive, 8);
         assert_eq!(d.plan_batches_auto, 1);
     }
 

@@ -17,8 +17,8 @@ use harp_data::{CsrMatrix, Dataset, DatasetKind, DenseMatrix, FeatureMatrix, Syn
 use harp_parallel::{Profile, ThreadPool};
 use harpgbdt::hist::{hist_width_for, lane, lanes};
 use harpgbdt::kernels::{col_scan_store, row_scan_root_store, row_scan_store, GradSource};
-use harpgbdt::params::BatchPolicy;
 use harpgbdt::partition::RowPartition;
+use harpgbdt::plan::Accumulation;
 use harpgbdt::split::SplitSettings;
 use harpgbdt::trainer::{expand, DriverCtx, DriverScratch, SplitSearch, TileJob};
 use harpgbdt::{GbdtTrainer, GrowthMethod, NodeStats, ParallelMode, TrainParams};
@@ -357,7 +357,7 @@ fn training_fixture_is_bitwise_stable_across_versions() {
 }
 
 /// The Replicated fill of `nodes`, each into its own zeroed full-width
-/// buffer: `expand` under `BatchPolicy::Replicated` with no sibling to
+/// buffer: `expand` under `Accumulation::Replicated` with no sibling to
 /// derive, whose tiles only read the filled buffers, so on return each
 /// buffer is its node's histogram.
 fn dp_fill(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, nodes: &[u32]) -> Vec<Vec<f64>> {
@@ -373,7 +373,7 @@ fn dp_fill(ctx: &DriverCtx<'_>, scratch: &mut DriverScratch, nodes: &[u32]) -> V
         .collect();
     let settings = SplitSettings { lambda: 1.0, gamma: 0.0, min_child_weight: 0.0 };
     let search = SplitSearch { settings: &settings, mask: None };
-    expand(ctx, scratch, &mut jobs, search, BatchPolicy::Replicated, None);
+    expand(ctx, scratch, &mut jobs, search, Accumulation::Replicated, None);
     jobs.into_iter().map(|j| j.buf.expect("full-width")).collect()
 }
 

@@ -1,16 +1,22 @@
-//! Fuzzing the two files the program reads back from disk: the chunk cache
-//! (`HARPQSC1`, version 3) and a model's JSON. Each case overwrites a random
-//! byte range of a well-formed file, or truncates it. Loading must return
-//! `Ok` or a typed error and never panic or abort; whatever loads must then
-//! be usable: every chunk of a cache pins, routes and scans, and a model
-//! compiles.
+//! Fuzzing what the program reads from outside: the chunk cache
+//! (`HARPQSC1`, version 3), a model's JSON, the scoring server's frames and
+//! the CSV and LIBSVM loaders. Each case overwrites a random byte range of a
+//! well-formed input, or truncates it. Reading must return `Ok` or a typed
+//! error and never panic or abort; whatever is read must then be usable:
+//! every chunk of a cache pins, routes and scans, a model compiles, a frame
+//! encodes to bytes that decode to the same frame, and a dataset has a
+//! label per row and its entries inside its columns.
 
 use harp_binning::{sweep_chunks, BinningConfig, QuantizedMatrix, Rows};
+use harp_data::io::{read_csv, read_libsvm};
 use harp_data::{CsrMatrix, Dataset, DenseMatrix, FeatureMatrix};
+use harp_serve::protocol::{parse_header, read_frame, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
+use harp_serve::{ErrorCode, Frame, RowsPayload};
 use harpgbdt::hist::hist_width_for;
 use harpgbdt::kernels::{row_scan_store, GradSource};
 use harpgbdt::{write_cache, ChunkedStore, GbdtModel, GbdtTrainer, QuantStore, TrainParams};
 use proptest::prelude::*;
+use std::io::Cursor;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -188,4 +194,116 @@ proptest! {
             model.compile();
         }
     }
+}
+
+/// One well-formed encoding of every frame variant, a payload of each
+/// Score layout included.
+fn frames() -> Vec<Vec<u8>> {
+    let json = r#"{"requests":3,"uptime_secs":1.5}"#.to_string();
+    [
+        Frame::Score { corr: 9, rows: RowsPayload::Dense { n_cols: 2, values: vec![1.0, -0.5] } },
+        Frame::Score { corr: 9, rows: RowsPayload::Binned { n_cols: 3, bins: vec![0, 7, 255] } },
+        Frame::Ping { corr: 1 },
+        Frame::Reload { corr: 2, path: None },
+        Frame::Reload { corr: 2, path: Some("models/m.json".into()) },
+        Frame::Stats { corr: 3 },
+        Frame::Shutdown { corr: 4 },
+        Frame::Scores { corr: 5, n_groups: 2, scores: vec![0.25, -1.0, 3.0, 0.0] },
+        Frame::Error { corr: 6, code: ErrorCode::BadShape, message: "3 columns, want 2".into() },
+        Frame::Pong { corr: 7 },
+        Frame::ReloadOk { corr: 8, generation: 41 },
+        Frame::StatsReply { corr: 10, json },
+        Frame::ShutdownOk { corr: 11 },
+    ]
+    .iter()
+    .map(Frame::encode)
+    .collect()
+}
+
+/// A decoded frame is a value the protocol can carry: its encoding decodes
+/// to a frame that encodes to the same bytes.
+fn assert_carried(frame: &Frame) {
+    let bytes = frame.encode();
+    let header: &[u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().expect("a whole header");
+    let h = parse_header(header, u32::MAX).expect("an encoded header parses");
+    let again = Frame::decode(h.frame_type, h.corr, &bytes[HEADER_LEN..]).expect("decodes");
+    assert_eq!(again.encode(), bytes, "{frame:?} does not survive a round trip");
+}
+
+/// A dataset a loader returned is well-formed.
+fn assert_well_formed(data: &Dataset) {
+    assert_eq!(data.labels.len(), data.features.n_rows());
+    if let FeatureMatrix::Sparse(csr) = &data.features {
+        for r in 0..csr.n_rows() {
+            csr.row(r).for_each(|(c, _)| assert!((c as usize) < csr.n_cols()));
+        }
+    }
+}
+
+/// A label-first CSV file with a header, a missing cell and a `nan`, and a
+/// LIBSVM file with 1-based indices, a comment and an empty row.
+const CSV: &str = "label,f0,f1,f2\n1,0.5,,2\n0,-1.25,3e2,nan\n1,7,0.125,-0\n";
+const LIBSVM: &str = "1 1:0.5 3:2 # first\n-1 2:-1.25 4:3e2\n0\n+1 1:7 4:nan\n";
+
+/// The bytes text inputs are made of, so a patch often keeps them parseable.
+const TEXT_BYTES: &[u8] = b"0123456789.,:-+eE #\nnaif\r\t\xff";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A mutated or truncated frame of any variant, through the header
+    /// parser and the payload decoder, then through the blocking reader,
+    /// is a typed error or a frame the protocol carries.
+    #[test]
+    fn mutated_frames_decode_as_typed_errors_or_carried_frames(
+        which in 0usize..13,
+        truncate in any::<bool>(),
+        at in 0usize..1 << 20,
+        patch in proptest::collection::vec(any::<u8>(), 1..6),
+    ) {
+        let bytes = &frames()[which];
+        let case = mutate(bytes, truncate, at % bytes.len(), &patch);
+        if let Some(header) = case.first_chunk::<HEADER_LEN>() {
+            if let Ok(h) = parse_header(header, DEFAULT_MAX_PAYLOAD) {
+                if let Ok(frame) = Frame::decode(h.frame_type, h.corr, &case[HEADER_LEN..]) {
+                    assert_carried(&frame);
+                }
+            }
+        }
+        if let Ok(Some(frame)) = read_frame(&mut Cursor::new(&case), DEFAULT_MAX_PAYLOAD) {
+            assert_carried(&frame);
+        }
+    }
+
+    /// A mutated or truncated CSV or LIBSVM file loads as a typed error or
+    /// as a well-formed dataset.
+    #[test]
+    fn mutated_text_files_load_as_typed_errors_or_datasets(
+        libsvm in any::<bool>(),
+        truncate in any::<bool>(),
+        at in 0usize..1 << 20,
+        patch in proptest::collection::vec(0usize..TEXT_BYTES.len(), 1..6),
+    ) {
+        let text = if libsvm { LIBSVM } else { CSV }.as_bytes();
+        let patch: Vec<u8> = patch.iter().map(|&i| TEXT_BYTES[i]).collect();
+        let case = mutate(text, truncate, at % text.len(), &patch);
+        let read = if libsvm { read_libsvm(&case[..], "f") } else { read_csv(&case[..], "f") };
+        if let Ok(data) = read {
+            assert_well_formed(&data);
+        }
+    }
+}
+
+#[test]
+fn clean_frames_and_text_files_read() {
+    for bytes in frames() {
+        let frame = read_frame(&mut Cursor::new(&bytes), DEFAULT_MAX_PAYLOAD);
+        assert_carried(&frame.expect("a well-formed frame reads").expect("not at EOF"));
+    }
+    let csv = read_csv(CSV.as_bytes(), "csv").expect("a well-formed CSV file loads");
+    let libsvm = read_libsvm(LIBSVM.as_bytes(), "libsvm").expect("a well-formed LIBSVM file loads");
+    assert_eq!((csv.n_rows(), csv.features.n_cols()), (3, 3));
+    assert_eq!((libsvm.n_rows(), libsvm.features.n_cols()), (4, 4));
+    assert_well_formed(&csv);
+    assert_well_formed(&libsvm);
 }

@@ -154,7 +154,7 @@ fn a_traced_ledgered_sync_run_records_a_round_per_tree_and_a_repeatable_span_cou
 #[test]
 fn round_one_metric_names_and_order_are_the_recorded_contract() {
     const PHASES: [&str; 5] = ["build_hist", "find_split", "apply_split", "predict", "other"];
-    const COUNTERS: [&str; 31] = [
+    const COUNTERS: [&str; 32] = [
         "busy_ns",
         "barrier_wait_ns",
         "lock_wait_ns",
@@ -176,6 +176,7 @@ fn round_one_metric_names_and_order_are_the_recorded_contract() {
         "hist_cache_evictions",
         "hist_cache_trimmed",
         "hist_builds_skipped",
+        "plan_batches",
         "plan_tasks_replicated",
         "plan_tasks_exclusive",
         "plan_batches_auto",
@@ -295,6 +296,34 @@ fn records_carry_plan_stats() {
     assert!(get("plan/tasks") > 0.0);
     assert!(get("plan/batches") > 0.0);
     assert_eq!(get("plan/auto"), 0.0);
+}
+
+/// Plan counts have one source: every planned batch, an ASYNC node task's
+/// batch of one slot included, adds to the pool's profile, and a round's
+/// `plan` counts are that profile's deltas, so they sum to the run's totals.
+#[test]
+fn async_plan_stats_sum_to_the_profile_plan_counters() {
+    for blocks in [small_params().blocks, harpgbdt::BlockConfig::Auto] {
+        let mut params = small_params();
+        (params.mode, params.blocks) = (ParallelMode::Async, blocks);
+        let data = prepared(DatasetKind::HiggsLike, 0.03, 7);
+        params.ledger = LedgerConfig::enabled();
+        let trainer = GbdtTrainer::new(params).expect("valid params");
+        let diag = trainer.train_store(&data.quantized, &data.train.labels, None).diagnostics;
+        let ledger = diag.ledger.expect("ledger enabled");
+        for r in ledger.records() {
+            // The root's batch and one per split whose children were built:
+            // every split but those that found the leaf budget spent, at
+            // most one per worker of the two.
+            let (batches, leaves) = (r.plan.batches, u64::from(r.n_leaves));
+            assert!(batches + 2 >= leaves, "round {}: {batches} batches, {leaves} leaves", r.round);
+        }
+        let p = diag.profile.counters;
+        let batches: u64 = ledger.records().iter().map(|r| r.plan.batches).sum();
+        let tasks: u64 = ledger.records().iter().map(|r| r.plan.tasks).sum();
+        assert_eq!(batches, p.plan_batches, "{blocks:?}");
+        assert_eq!(tasks, p.plan_tasks_replicated + p.plan_tasks_exclusive, "{blocks:?}");
+    }
 }
 
 #[test]

@@ -8,8 +8,8 @@ use harp_binning::{BinningConfig, QuantizedMatrix};
 use harp_data::{DatasetKind, SynthConfig};
 use harp_parallel::{PhaseSpan, ThreadPool, TracePhase, TraceSink};
 use harpgbdt::hist::hist_width_for;
-use harpgbdt::params::BatchPolicy;
 use harpgbdt::partition::RowPartition;
+use harpgbdt::plan::Accumulation;
 use harpgbdt::split::SplitSettings;
 use harpgbdt::trainer::{expand, DriverCtx, DriverScratch, SplitSearch, TileJob};
 use harpgbdt::{NodeStats, TrainParams};
@@ -49,7 +49,7 @@ fn traced_dp_fill_is_bitwise_untraced_and_a_disabled_span_costs_under_2pc_of_a_t
             })
             .collect();
         let ctx = DriverCtx { qm: &qm, params: &params, pool, partition: &part, grads: &grads };
-        let out = expand(&ctx, &mut scratch, &mut jobs, search, BatchPolicy::Replicated, None);
+        let out = expand(&ctx, &mut scratch, &mut jobs, search, Accumulation::Replicated, None);
         (jobs.into_iter().map(|j| j.buf.expect("full-width")).collect(), out.build_ns)
     };
 
