@@ -1128,13 +1128,7 @@ mod tests {
                 mean_k_per_pop: 8.0,
                 mem: Vec::new(),
                 skew: Vec::new(),
-                plan: harp_metrics::PlanStats {
-                    batches: 1,
-                    tasks,
-                    node_blk: 4,
-                    feature_blk: 16,
-                    ..Default::default()
-                },
+                plan: harp_metrics::PlanStats { batches: 1, tasks },
                 latency: Default::default(),
             });
         }

@@ -38,7 +38,7 @@
 
 use crate::growth::RankKey;
 use crate::tree::NodeId;
-use harp_metrics::MemGauge;
+use harp_metrics::{MemGauge, MemTable};
 use harp_parallel::Profile;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
@@ -177,58 +177,52 @@ pub struct HistPool {
     budget_bytes: usize,
     /// Hit/miss/eviction/trim counters (cache traffic shows up in the run
     /// ledger).
-    profile: Option<Arc<Profile>>,
-    /// Total bytes this pool ever allocated (free + cached + outstanding);
-    /// monotone, since buffers circulate rather than drop.
-    pool_gauge: Option<Arc<MemGauge>>,
-    /// Bytes currently resident in the candidate cache (shrinks on take,
-    /// trim, eviction and clear).
-    cache_gauge: Option<Arc<MemGauge>>,
+    profile: Arc<Profile>,
+    /// `hist_pool`: the bytes this pool ever allocated (free + cached +
+    /// outstanding; monotone, since buffers circulate rather than drop).
+    /// `hist_cache`: the bytes resident in the candidate cache (shrinks on
+    /// take, trim, eviction and clear).
+    mem: Arc<MemTable>,
 }
 
 impl HistPool {
     /// Creates a pool for a dense u8 matrix of `n_features` columns and
-    /// `total_bins` bins with a cache budget of `budget_bytes`.
-    pub fn new(total_bins: u32, n_features: usize, budget_bytes: usize) -> Self {
-        Self::with_shape(
-            hist_width(total_bins, n_features),
-            // One row stores `n_features` cells.
-            min_rows_out_scanning(total_bins, 1, n_features as u64),
-            budget_bytes,
-        )
+    /// `total_bins` bins with a cache budget of `budget_bytes`, counting its
+    /// cache traffic in `profile` and its bytes in `mem`.
+    pub fn new(
+        total_bins: u32,
+        n_features: usize,
+        budget_bytes: usize,
+        profile: Arc<Profile>,
+        mem: Arc<MemTable>,
+    ) -> Self {
+        // One row stores `n_features` cells.
+        let min_cached_rows = min_rows_out_scanning(total_bins, 1, n_features as u64);
+        let width = hist_width(total_bins, n_features);
+        Self::with_shape(width, min_cached_rows, budget_bytes, profile, mem)
     }
 
     /// Creates a pool sized and ruled for `store`'s layout
     /// ([`hist_width_for`], [`min_cached_rows`]).
-    pub fn for_store(store: &dyn harp_binning::QuantStore, budget_bytes: usize) -> Self {
-        Self::with_shape(hist_width_for(store), min_cached_rows(store), budget_bytes)
-    }
-
-    fn with_shape(width: usize, min_cached_rows: usize, budget_bytes: usize) -> Self {
-        Self {
-            width,
-            min_cached_rows,
-            free: Vec::new(),
-            cache: HashMap::new(),
-            order: BTreeSet::new(),
-            budget_bytes,
-            profile: None,
-            pool_gauge: None,
-            cache_gauge: None,
-        }
-    }
-
-    /// Attaches the profile (cache hit/miss/eviction/trim counters) and
-    /// optional byte gauges consumed by the run ledger.
-    pub fn instrument(
-        &mut self,
+    pub fn for_store(
+        store: &dyn harp_binning::QuantStore,
+        budget_bytes: usize,
         profile: Arc<Profile>,
-        pool_gauge: Option<Arc<MemGauge>>,
-        cache_gauge: Option<Arc<MemGauge>>,
-    ) {
-        self.profile = Some(profile);
-        self.pool_gauge = pool_gauge;
-        self.cache_gauge = cache_gauge;
+        mem: Arc<MemTable>,
+    ) -> Self {
+        let (width, min_cached_rows) = (hist_width_for(store), min_cached_rows(store));
+        Self::with_shape(width, min_cached_rows, budget_bytes, profile, mem)
+    }
+
+    fn with_shape(
+        width: usize,
+        min_cached_rows: usize,
+        budget_bytes: usize,
+        profile: Arc<Profile>,
+        mem: Arc<MemTable>,
+    ) -> Self {
+        let (free, cache, order) = (Vec::new(), HashMap::new(), BTreeSet::new());
+        Self { width, min_cached_rows, free, cache, order, budget_bytes, profile, mem }
     }
 
     /// Histogram lane count.
@@ -247,9 +241,7 @@ impl HistPool {
     pub fn alloc(&mut self) -> StaleHist {
         let recycled = self.free.pop();
         if recycled.is_none() {
-            if let Some(g) = &self.pool_gauge {
-                g.add(self.entry_bytes() as u64);
-            }
+            self.mem.hist_pool.add(self.entry_bytes() as u64);
         }
         StaleHist { recycled, width: self.width }
     }
@@ -318,12 +310,10 @@ impl HistPool {
             // newcomer if it ranks lower still. Beyond the leaf budget
             // nothing will ever read it (a trim); under byte pressure its
             // candidate may still pop, and will miss (an eviction).
-            if let Some(p) = &self.profile {
-                if self.cache.len() >= remaining {
-                    p.add_hist_cache_trimmed(1);
-                } else {
-                    p.add_hist_cache_evictions(1);
-                }
+            if self.cache.len() >= remaining {
+                self.profile.add_hist_cache_trimmed(1);
+            } else {
+                self.profile.add_hist_cache_evictions(1);
             }
             match self.order.first() {
                 Some(&(worst, _)) if worst < key => self.recycle_lowest(),
@@ -335,9 +325,7 @@ impl HistPool {
         }
         self.cache.insert(node, Cached { data, key });
         self.order.insert((key, node));
-        if let Some(g) = &self.cache_gauge {
-            g.add(self.entry_bytes() as u64);
-        }
+        self.mem.hist_cache.add(self.entry_bytes() as u64);
     }
 
     /// Recycles the cached histogram the queue would pop last.
@@ -349,9 +337,7 @@ impl HistPool {
 
     /// Moves a buffer that just left `cache` to the free list.
     fn uncache(&mut self, data: Vec<f64>) {
-        if let Some(g) = &self.cache_gauge {
-            g.sub(self.entry_bytes() as u64);
-        }
+        self.mem.hist_cache.sub(self.entry_bytes() as u64);
         self.free.push(data);
     }
 
@@ -366,35 +352,25 @@ impl HistPool {
         let out = if self.caches(rows) {
             let hit = self.cache.remove(&node).map(|c| {
                 self.order.remove(&(c.key, node));
-                if let Some(g) = &self.cache_gauge {
-                    g.sub(self.entry_bytes() as u64);
-                }
+                self.mem.hist_cache.sub(self.entry_bytes() as u64);
                 c.data
             });
-            if let Some(p) = &self.profile {
-                p.add_hist_cache_lookup(hit.is_some());
-            }
+            self.profile.add_hist_cache_lookup(hit.is_some());
             hit
         } else {
-            if let Some(p) = &self.profile {
-                p.add_hist_cache_declined();
-            }
+            self.profile.add_hist_cache_declined();
             None
         };
         while self.cache.len() > remaining {
             self.recycle_lowest();
-            if let Some(p) = &self.profile {
-                p.add_hist_cache_trimmed(1);
-            }
+            self.profile.add_hist_cache_trimmed(1);
         }
         out
     }
 
     /// Drops every cached histogram (end of tree) back to the free list.
     pub fn clear_cache(&mut self) {
-        if let Some(g) = &self.cache_gauge {
-            g.sub((self.cache.len() * self.entry_bytes()) as u64);
-        }
+        self.mem.hist_cache.sub((self.cache.len() * self.entry_bytes()) as u64);
         let drained: Vec<Vec<f64>> = self.cache.drain().map(|(_, c)| c.data).collect();
         self.free.extend(drained);
         self.order.clear();
@@ -416,9 +392,6 @@ impl HistPool {
 #[derive(Default)]
 pub struct ScratchPool {
     free: Vec<Vec<f64>>,
-    /// Bytes of buffer capacity owned by the arena (counted at allocation
-    /// and growth; monotone, since buffers circulate rather than drop).
-    gauge: Option<Arc<MemGauge>>,
 }
 
 impl ScratchPool {
@@ -427,26 +400,15 @@ impl ScratchPool {
         Self::default()
     }
 
-    /// Attaches the byte gauge consumed by the run ledger.
-    pub fn set_gauge(&mut self, gauge: Arc<MemGauge>) {
-        self.gauge = Some(gauge);
-    }
-
-    /// Counts `bytes` of buffer capacity under the arena's gauge.
-    fn count_outside(&self, bytes: u64) {
-        if let Some(g) = &self.gauge {
-            g.add(bytes);
-        }
-    }
-
-    /// Hands out a zeroed buffer of at least `len` lanes. Returns the buffer
-    /// and whether a heap allocation (fresh buffer or capacity growth)
-    /// occurred — the profiling signal for the steady-state zero-alloc
-    /// guarantee.
-    pub fn acquire(&mut self, len: usize) -> (Vec<f64>, bool) {
+    /// Hands out a zeroed buffer of at least `len` lanes, adding the bytes
+    /// of any capacity it allocates to `gauge` (monotone, since buffers
+    /// circulate rather than drop). Returns the buffer and whether a heap
+    /// allocation (fresh buffer or capacity growth) occurred — the
+    /// profiling signal for the steady-state zero-alloc guarantee.
+    pub fn acquire(&mut self, len: usize, gauge: &MemGauge) -> (Vec<f64>, bool) {
         let Some(mut buf) = self.free.pop() else {
             let buf = vec![0.0; len];
-            self.count_outside((buf.capacity() * 8) as u64);
+            gauge.add((buf.capacity() * 8) as u64);
             return (buf, true);
         };
         let grown = buf.capacity() < len;
@@ -454,7 +416,7 @@ impl ScratchPool {
             let before = buf.capacity();
             // Round up so repeated small growth amortizes.
             buf.reserve(len.next_power_of_two() - buf.len());
-            self.count_outside(((buf.capacity() - before) * 8) as u64);
+            gauge.add(((buf.capacity() - before) * 8) as u64);
         }
         if buf.len() < len {
             // Within capacity this is a fill, not an allocation; the new
@@ -546,7 +508,7 @@ pub(crate) mod tests {
 
     #[test]
     fn pool_reuses_buffers_zeroed() {
-        let mut pool = HistPool::new(4, 0, 1 << 20);
+        let mut pool = HistPool::new(4, 0, 1 << 20, Arc::default(), Arc::default());
         let mut b = pool.alloc().zeroed();
         assert_eq!(b.len(), 8);
         b[3] = 9.0;
@@ -557,13 +519,11 @@ pub(crate) mod tests {
 
     #[test]
     fn small_nodes_are_declined_not_cached_and_not_looked_up() {
-        let profile = Arc::new(Profile::new());
-        let pool_gauge = Arc::new(MemGauge::new());
+        let (profile, mem) = (Arc::new(Profile::new()), Arc::new(MemTable::default()));
         let mut keys = Keys::leafwise();
         // 64 bins over 4 dense columns: 16 rows scan 64 cells, a tie the
         // scan wins; 17 rows scan 68 and the subtraction pays.
-        let mut pool = HistPool::new(64, 4, 1 << 20);
-        pool.instrument(Arc::clone(&profile), Some(Arc::clone(&pool_gauge)), None);
+        let mut pool = HistPool::new(64, 4, 1 << 20, Arc::clone(&profile), Arc::clone(&mem));
         assert!(!pool.caches(16) && pool.caches(17));
         let buf = pool.alloc().zeroed();
         pool.cache_insert(1, 16, buf, keys.gain(9.0), UNBOUNDED);
@@ -571,7 +531,7 @@ pub(crate) mod tests {
         assert!(pool.cache_take(1, 16, UNBOUNDED).is_none());
         // The refused buffer went back to the free list.
         let buf = pool.alloc().zeroed();
-        assert_eq!(pool_gauge.current(), (buf.len() * 8) as u64);
+        assert_eq!(mem.hist_pool.current(), (buf.len() * 8) as u64);
         pool.cache_insert(2, 17, buf, keys.gain(1.0), UNBOUNDED);
         assert!(pool.cache_take(2, 17, UNBOUNDED).is_some());
         let c = profile.snapshot();
@@ -583,8 +543,7 @@ pub(crate) mod tests {
     fn a_pop_that_takes_nothing_trims_to_the_budget() {
         let profile = Arc::new(Profile::new());
         let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(64, 4, 1 << 20);
-        pool.instrument(Arc::clone(&profile), None, None);
+        let mut pool = HistPool::new(64, 4, 1 << 20, Arc::clone(&profile), Arc::default());
         pool.cache_insert(1, 17, vec![0.0; 136], keys.gain(5.0), 2);
         pool.cache_insert(2, 17, vec![0.0; 136], keys.gain(1.0), 2);
         // A 3-row node splits: nothing to take, but one leaf fewer to spend,
@@ -620,7 +579,7 @@ pub(crate) mod tests {
         assert!(dense.is_dense());
         let (bins, cols) = (dense.mapper().total_bins() as usize, dense.n_features());
         assert_eq!(check(&dense, cols as f64), bins / cols + 1);
-        let pool = HistPool::for_store(&dense, 1 << 30);
+        let pool = HistPool::for_store(&dense, 1 << 30, Arc::default(), Arc::default());
         assert!(pool.caches(bins / cols + 1) && !pool.caches(bins / cols));
 
         // CSR: a row stores its entries, so the threshold follows density,
@@ -644,7 +603,7 @@ pub(crate) mod tests {
     #[test]
     fn cache_roundtrip() {
         let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 1 << 20);
+        let mut pool = HistPool::new(2, 0, 1 << 20, Arc::default(), Arc::default());
         let mut b = pool.alloc().zeroed();
         b[0] = 42.0;
         pool.cache_insert(7, ROWS, b, keys.gain(1.0), UNBOUNDED);
@@ -658,7 +617,7 @@ pub(crate) mod tests {
     fn cache_evicts_lowest_gain_first() {
         // width = 2 bins -> 4 lanes -> 32 bytes per entry; budget: 2 entries.
         let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 64);
+        let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
         pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
         pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(1.0), UNBOUNDED);
         pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(3.0), UNBOUNDED);
@@ -674,7 +633,7 @@ pub(crate) mod tests {
     #[test]
     fn eviction_skips_stale_heap_entries() {
         let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 64);
+        let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
         pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(1.0), UNBOUNDED);
         // A taken entry leaves the eviction order with it.
         assert!(pool.cache_take(1, ROWS, UNBOUNDED).is_some());
@@ -692,7 +651,7 @@ pub(crate) mod tests {
     #[test]
     fn reinsert_updates_gain_not_duplicates() {
         let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 64);
+        let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
         pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(0.5), UNBOUNDED);
         pool.cache_insert(1, ROWS, vec![1.5; 4], keys.gain(9.0), UNBOUNDED); // re-insert with high gain
         pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
@@ -710,7 +669,7 @@ pub(crate) mod tests {
         // 1000 inserts into a 10-entry budget: O(n log n) total, and the
         // survivors must be the 10 highest gains.
         let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 32 * 10);
+        let mut pool = HistPool::new(2, 0, 32 * 10, Arc::default(), Arc::default());
         for i in 0..1000u32 {
             pool.cache_insert(i, ROWS, vec![0.0; 4], keys.gain(f64::from(i)), UNBOUNDED);
         }
@@ -722,7 +681,7 @@ pub(crate) mod tests {
 
     #[test]
     fn zero_budget_disables_cache() {
-        let mut pool = HistPool::new(2, 0, 0);
+        let mut pool = HistPool::new(2, 0, 0, Arc::default(), Arc::default());
         pool.cache_insert(1, ROWS, vec![0.0; 4], Keys::leafwise().gain(10.0), UNBOUNDED);
         assert_eq!(pool.cached_len(), 0);
         // The rejected buffer must have been recycled.
@@ -732,7 +691,7 @@ pub(crate) mod tests {
     #[test]
     fn clear_cache_recycles_everything() {
         let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 1 << 20);
+        let mut pool = HistPool::new(2, 0, 1 << 20, Arc::default(), Arc::default());
         pool.cache_insert(1, ROWS, vec![0.0; 4], keys.gain(1.0), UNBOUNDED);
         pool.cache_insert(2, ROWS, vec![0.0; 4], keys.gain(2.0), UNBOUNDED);
         pool.clear_cache();
@@ -744,7 +703,7 @@ pub(crate) mod tests {
         // The queue pops equal gains oldest first, so under pressure the
         // newest of a tie is the one to give up — newcomer or resident.
         let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 64);
+        let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
         pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(2.0), UNBOUNDED);
         pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
         pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(2.0), UNBOUNDED);
@@ -758,11 +717,9 @@ pub(crate) mod tests {
 
     #[test]
     fn worst_ranked_newcomer_is_recycled_not_inserted() {
-        let profile = Arc::new(Profile::new());
-        let pool_gauge = Arc::new(MemGauge::new());
+        let (profile, mem) = (Arc::new(Profile::new()), Arc::new(MemTable::default()));
         let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 64);
-        pool.instrument(Arc::clone(&profile), Some(Arc::clone(&pool_gauge)), None);
+        let mut pool = HistPool::new(2, 0, 64, Arc::clone(&profile), Arc::clone(&mem));
         pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
         pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(3.0), UNBOUNDED);
         pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(1.0), UNBOUNDED);
@@ -774,14 +731,14 @@ pub(crate) mod tests {
         assert!(pool.cache_take(3, ROWS, UNBOUNDED).is_none(), "residents outrank the newcomer");
         // The refused buffer feeds the next alloc instead of a fresh one.
         let _ = pool.alloc().zeroed();
-        assert_eq!(pool_gauge.current(), 0);
+        assert_eq!(mem.hist_pool.current(), 0);
     }
 
     #[test]
     fn depthwise_keeps_the_shallower_node() {
         // Depthwise growth pops by depth before gain, and so must the cache.
         let mut keys = Keys(GrowthQueue::new(GrowthMethod::Depthwise));
-        let mut pool = HistPool::new(2, 0, 64);
+        let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
         pool.cache_insert(1, ROWS, vec![1.0; 4], keys.at_depth(2, 9.0), UNBOUNDED);
         pool.cache_insert(2, ROWS, vec![2.0; 4], keys.at_depth(1, 0.5), UNBOUNDED);
         pool.cache_insert(3, ROWS, vec![3.0; 4], keys.at_depth(1, 0.1), UNBOUNDED);
@@ -795,11 +752,9 @@ pub(crate) mod tests {
 
     #[test]
     fn leaf_budget_caps_the_cache_and_counts_trims() {
-        let profile = Arc::new(Profile::new());
-        let cache_gauge = Arc::new(MemGauge::new());
+        let (profile, mem) = (Arc::new(Profile::new()), Arc::new(MemTable::default()));
         let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 1 << 20);
-        pool.instrument(Arc::clone(&profile), None, Some(Arc::clone(&cache_gauge)));
+        let mut pool = HistPool::new(2, 0, 1 << 20, Arc::clone(&profile), Arc::clone(&mem));
         for (node, gain) in [(1, 4.0), (2, 1.0), (3, 3.0), (4, 2.0)] {
             pool.cache_insert(node, ROWS, vec![0.0; 4], keys.gain(gain), 4);
         }
@@ -808,7 +763,7 @@ pub(crate) mod tests {
         // the residents ranked beyond them go as well.
         pool.cache_insert(5, ROWS, vec![0.0; 4], keys.gain(3.5), 2);
         assert_eq!(pool.cached_len(), 2);
-        assert_eq!(cache_gauge.current(), 64);
+        assert_eq!(mem.hist_cache.current(), 64);
         pool.cache_insert(6, ROWS, vec![0.0; 4], keys.gain(0.5), 2);
         assert_eq!(pool.cached_len(), 2);
         assert!(
@@ -818,7 +773,7 @@ pub(crate) mod tests {
         // With the budget spent nothing is kept at all.
         pool.cache_insert(7, ROWS, vec![0.0; 4], keys.gain(9.0), 0);
         assert_eq!(pool.cached_len(), 0);
-        assert_eq!(cache_gauge.current(), 0);
+        assert_eq!(mem.hist_cache.current(), 0);
         let c = profile.snapshot();
         assert_eq!(c.hist_cache_trimmed, 5, "nodes 2, 4 and 3, then 6 and 7");
         assert_eq!(c.hist_cache_evictions, 0, "the byte budget never pressed");
@@ -827,12 +782,12 @@ pub(crate) mod tests {
 
     #[test]
     fn scratch_pool_hands_back_what_it_was_given() {
-        let mut pool = ScratchPool::new();
-        let (buf, fresh) = pool.acquire(8);
+        let (mut pool, gauge) = (ScratchPool::new(), MemGauge::new());
+        let (buf, fresh) = pool.acquire(8, &gauge);
         assert!(fresh, "first acquire allocates");
         let at = buf.as_ptr();
         pool.release(buf);
-        let (buf, fresh) = pool.acquire(8);
+        let (buf, fresh) = pool.acquire(8, &gauge);
         assert!(!fresh, "steady-state acquire must not allocate");
         assert_eq!(buf.as_ptr(), at, "the released buffer is the one handed out");
         assert!(buf.iter().all(|&x| x == 0.0));
@@ -843,22 +798,22 @@ pub(crate) mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "a replica came back written")]
     fn scratch_pool_rejects_a_written_replica() {
-        let mut pool = ScratchPool::new();
-        let (mut buf, _) = pool.acquire(4);
+        let (mut pool, gauge) = (ScratchPool::new(), MemGauge::new());
+        let (mut buf, _) = pool.acquire(4, &gauge);
         buf[1] = 1.0;
         pool.release(buf);
     }
 
     #[test]
     fn scratch_pool_growth_counts_as_alloc() {
-        let mut pool = ScratchPool::new();
-        let (buf, _) = pool.acquire(4);
+        let (mut pool, gauge) = (ScratchPool::new(), MemGauge::new());
+        let (buf, _) = pool.acquire(4, &gauge);
         pool.release(buf);
-        let (buf, grown) = pool.acquire(16);
+        let (buf, grown) = pool.acquire(16, &gauge);
         assert!(grown, "growth is an allocation event");
         assert_eq!(&buf[..16], &[0.0; 16]);
         pool.release(buf);
-        let (buf, grown) = pool.acquire(16);
+        let (buf, grown) = pool.acquire(16, &gauge);
         assert!(!grown);
         assert!(buf.len() >= 16);
         pool.release(buf);
@@ -876,8 +831,7 @@ pub(crate) mod tests {
         let profile = Arc::new(Profile::new());
         let mut keys = Keys::leafwise();
         // 32 bytes/entry, budget for 2 entries.
-        let mut pool = HistPool::new(2, 0, 64);
-        pool.instrument(Arc::clone(&profile), None, None);
+        let mut pool = HistPool::new(2, 0, 64, Arc::clone(&profile), Arc::default());
         pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
         pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(1.0), UNBOUNDED);
         pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(3.0), UNBOUNDED); // evicts node 2
@@ -892,64 +846,55 @@ pub(crate) mod tests {
 
     #[test]
     fn cache_gauge_high_water_survives_evictions_and_clear() {
-        let cache_gauge = Arc::new(MemGauge::new());
-        let pool_gauge = Arc::new(MemGauge::new());
+        let mem = Arc::new(MemTable::default());
         let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 64);
-        pool.instrument(
-            Arc::new(Profile::new()),
-            Some(Arc::clone(&pool_gauge)),
-            Some(Arc::clone(&cache_gauge)),
-        );
+        let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::clone(&mem));
         let a = pool.alloc().zeroed();
         let b = pool.alloc().zeroed();
-        assert_eq!(pool_gauge.current(), 64, "two fresh 32-byte buffers");
+        assert_eq!(mem.hist_pool.current(), 64, "two fresh 32-byte buffers");
         pool.cache_insert(1, ROWS, a, keys.gain(5.0), UNBOUNDED);
         pool.cache_insert(2, ROWS, b, keys.gain(1.0), UNBOUNDED);
-        assert_eq!(cache_gauge.current(), 64);
-        assert_eq!(cache_gauge.high_water(), 64);
+        assert_eq!(mem.hist_cache.current(), 64);
+        assert_eq!(mem.hist_cache.high_water(), 64);
         let c = pool.alloc().zeroed();
         pool.cache_insert(3, ROWS, c, keys.gain(3.0), UNBOUNDED); // evicts node 2, recycles it
-        assert_eq!(cache_gauge.current(), 64, "eviction then insert nets out");
+        assert_eq!(mem.hist_cache.current(), 64, "eviction then insert nets out");
         assert!(pool.cache_take(1, ROWS, UNBOUNDED).is_some());
-        assert_eq!(cache_gauge.current(), 32, "take shrinks occupancy");
+        assert_eq!(mem.hist_cache.current(), 32, "take shrinks occupancy");
         pool.clear_cache();
-        assert_eq!(cache_gauge.current(), 0, "clear empties occupancy");
-        assert_eq!(cache_gauge.high_water(), 64, "peak survives shrink");
-        assert_eq!(pool_gauge.current(), 96, "pool total is monotone");
+        assert_eq!(mem.hist_cache.current(), 0, "clear empties occupancy");
+        assert_eq!(mem.hist_cache.high_water(), 64, "peak survives shrink");
+        assert_eq!(mem.hist_pool.current(), 96, "pool total is monotone");
         // Recycled buffers do not re-count.
         let _ = pool.alloc().zeroed();
-        assert_eq!(pool_gauge.current(), 96);
+        assert_eq!(mem.hist_pool.current(), 96);
     }
 
     #[test]
     fn replacement_insert_keeps_cache_gauge_flat() {
-        let gauge = Arc::new(MemGauge::new());
+        let mem = Arc::new(MemTable::default());
         let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 1 << 20);
-        pool.instrument(Arc::new(Profile::new()), None, Some(Arc::clone(&gauge)));
+        let mut pool = HistPool::new(2, 0, 1 << 20, Arc::default(), Arc::clone(&mem));
         pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(1.0), UNBOUNDED);
         pool.cache_insert(1, ROWS, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
-        assert_eq!(gauge.current(), 32, "re-insert replaces, not grows");
-        assert_eq!(gauge.high_water(), 32);
+        assert_eq!(mem.hist_cache.current(), 32, "re-insert replaces, not grows");
+        assert_eq!(mem.hist_cache.high_water(), 32);
     }
 
     #[test]
     fn scratch_gauge_tracks_capacity_growth() {
-        let gauge = Arc::new(MemGauge::new());
-        let mut pool = ScratchPool::new();
-        pool.set_gauge(Arc::clone(&gauge));
-        let (buf, _) = pool.acquire(4);
+        let (mut pool, gauge) = (ScratchPool::new(), MemGauge::new());
+        let (buf, _) = pool.acquire(4, &gauge);
         let cap0 = gauge.current();
         assert!(cap0 >= 32, "fresh 4-lane replica counted");
         pool.release(buf);
-        let (buf, grown) = pool.acquire(16);
+        let (buf, grown) = pool.acquire(16, &gauge);
         assert!(grown);
         assert!(gauge.current() >= 128, "growth adds the capacity delta");
         assert_eq!(gauge.current(), gauge.high_water());
         pool.release(buf);
         let before = gauge.current();
-        let (buf, grown) = pool.acquire(16);
+        let (buf, grown) = pool.acquire(16, &gauge);
         assert!(!grown);
         assert_eq!(gauge.current(), before, "steady-state reuse adds nothing");
         pool.release(buf);

@@ -52,12 +52,12 @@
 //! order however the lanes are cut. A slot's lanes — its replica, then the
 //! scratch of its tiles that have no buffer, then one sibling tile — come
 //! zeroed from the arena of a caller-held [`DriverScratch`], with the plan;
-//! both survive across frontiers and trees. In core a sweep is one step and
-//! a slot's tiles finish in turn, so they share one scratch piece; out of
-//! core each keeps its own until the sweep ends — a histogram per unfiled
-//! job, which is why the trainer gives every job of an out-of-core
-//! Exclusive batch a buffer of its own. A tile zeroes each replica lane as it folds it
-//! and each scratch lane once searched, so the arena only ever holds zeroed
+//! both survive across frontiers and trees. Only an in-core Exclusive batch
+//! has tiles without a buffer: out of core a tile would fill over the whole
+//! chunk sweep and cost a histogram anyway, so every job has its own. In
+//! core a sweep is one step and a slot's tiles finish in turn, so they share
+//! one scratch piece. A tile zeroes each replica lane as it folds it and
+//! each scratch lane once searched, so the arena only ever holds zeroed
 //! lanes and hands them out as they are.
 
 use crate::hist::{self, ScratchPool};
@@ -67,17 +67,16 @@ use crate::params::TrainParams;
 use crate::partition::RowPartition;
 use crate::plan::{
     dp_write_working_set, feature_blocks, mp_write_working_set, Accumulation, BatchShape,
-    BlockPlan, BlockTask, ResolvedExtents, ScanLayout,
+    BlockPlan, BlockTask, ScanLayout,
 };
 use crate::split::{better_of, find_split_tile, SplitCandidate, SplitSettings};
 use crate::tree::{NodeId, NodeStats};
 use harp_binning::{sweep_chunks, BinMapper, QuantStore, Rows};
-use harp_metrics::MemGauge;
+use harp_metrics::MemTable;
 use harp_parallel::{ThreadPool, TracePhase, TraceSink};
 use std::mem::take;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// A node a batch scans from its rows, to be finished one feature-block tile
@@ -146,6 +145,9 @@ pub struct DriverCtx<'a> {
     pub partition: &'a RowPartition,
     /// Global gradient array (fallback when MemBuf is off).
     pub grads: &'a [GradPair],
+    /// The run's byte gauges: the arena's lanes count under
+    /// `scratch_arena`.
+    pub mem: &'a MemTable,
 }
 
 impl DriverCtx<'_> {
@@ -192,17 +194,6 @@ impl DriverScratch {
     /// Creates an empty scratch arena.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Attaches the run-ledger byte gauge: the slots' lanes count under it.
-    pub fn set_replica_gauge(&mut self, gauge: Arc<MemGauge>) {
-        self.arena.set_gauge(gauge);
-    }
-
-    /// The block extents the last planned batch resolved to (the per-round
-    /// ledger records them).
-    pub fn plan_extents(&self) -> ResolvedExtents {
-        self.plan.extents()
     }
 
     /// Rebuilds the shared plan for one batch of jobs of `job_lens` rows run
@@ -254,7 +245,8 @@ pub fn expand(
     let (n, m, mapper) = (jobs.len(), ctx.qm.n_features(), ctx.qm.mapper());
     let (replicated, exclusive) = (acc == Accumulation::Replicated, acc == Accumulation::Exclusive);
     let filed = |j: &TileJob| j.buf.is_some() && j.sibling.as_ref().is_none_or(|s| s.in_place);
-    assert!(exclusive || jobs.iter().all(filed), "only an Exclusive batch builds in scratch");
+    let fused = exclusive && ctx.qm.n_chunks() == 1;
+    assert!(fused || jobs.iter().all(filed), "only an in-core Exclusive batch builds in scratch");
     if n == 0 {
         return TileOutcome::default();
     }
@@ -343,12 +335,12 @@ pub fn expand(
 }
 
 /// Runs `slots` as one pool region, or on `inline_on`'s worker.
-/// Each slot lays out its lanes — `replica_len` of replicas, then the
-/// scratch of its tiles that have no buffer of their own, then its widest
-/// sibling tile that has none — draws them zeroed from `arena`, finishes its
-/// tiles with no rows to scan, and sweeps its cursors, finishing each other
-/// tile after its last run. The lanes stay with the slot, zeroed but for
-/// the replicas.
+/// Each slot lays out its lanes — `replica_len` of replicas, then one
+/// piece as wide as its widest tile that has no buffer of its own, then
+/// its widest sibling tile that has none — draws them zeroed from `arena`,
+/// finishes its tiles with no rows to scan, and sweeps its cursors,
+/// finishing each other tile after its last run. The lanes stay with the
+/// slot, zeroed but for the replicas.
 fn run_slots(
     ctx: &DriverCtx<'_>,
     arena: &mut ScratchPool,
@@ -359,21 +351,17 @@ fn run_slots(
 ) {
     let mapper = ctx.qm.mapper();
     let lanes_of = |tile: &TileWork<'_>| hist::lanes(mapper, tile.features.clone()).len();
-    // In core a sweep is one step in which a slot's tiles finish in turn, so
-    // their scratch is one piece; out of core each fills over the whole sweep.
-    let shared = ctx.qm.n_chunks() == 1;
+    // Only in core do tiles lack a buffer, and there a sweep is one step in
+    // which a slot's tiles finish in turn: their scratch is one piece.
     let (mut acquired, mut allocs) = (0, 0);
     for slot in slots.iter_mut() {
-        let mut end = replica_len;
-        for tile in slot.tiles.iter_mut().filter(|t| t.lanes.own.is_none()) {
-            tile.at = if shared { replica_len } else { end };
-            end = end.max(tile.at + lanes_of(tile));
-        }
+        let unfiled = |t: &&TileWork<'_>| t.lanes.own.is_none();
+        let tile = slot.tiles.iter().filter(unfiled).map(lanes_of).max().unwrap_or(0);
         let in_scratch = |t: &&TileWork<'_>| t.lanes.parent.is_some() && !body.in_place(t.job);
         let sibling = slot.tiles.iter().filter(in_scratch).map(lanes_of).max().unwrap_or(0);
-        (slot.sibling_at, slot.len) = (end, end + sibling);
+        (slot.sibling_at, slot.len) = (tile, replica_len + tile + sibling);
         if slot.len > 0 {
-            let (buf, fresh) = arena.acquire(slot.len);
+            let (buf, fresh) = arena.acquire(slot.len, &ctx.mem.scratch_arena);
             (slot.buf, acquired, allocs) = (buf, acquired + 1, allocs + u64::from(fresh));
         }
     }
@@ -418,10 +406,11 @@ fn run_slots(
     let root_identity = ctx.partition.is_identity_order();
     let run = |s: usize, slot: &mut Slot<'_>, lane: usize| {
         let Slot { cursors, tiles, buf, sibling_at, len } = slot;
-        let (buf, sibling_at, t0) = (&mut buf[..*len], *sibling_at, body.now());
+        let (replicas, scratch) = buf[..*len].split_at_mut(replica_len);
+        let (sibling_at, t0) = (*sibling_at, body.now());
         let mut spent = 0;
         for tile in tiles.iter_mut().filter(|t| t.pending == 0) {
-            spent += body.run(tile, buf, sibling_at, lane);
+            spent += body.run(tile, scratch, sibling_at, lane);
         }
         let rows: Vec<Rows<'_>> = cursors
             .iter()
@@ -442,13 +431,13 @@ fn run_slots(
                 let c = &cursors[run.cursor];
                 let (node, lanes) = (body.metas[c.job].0, hist::lanes(mapper, c.features.clone()));
                 let dst: &mut [f64] = match c.tile {
-                    None => &mut buf[c.at + lanes.start..c.at + lanes.end],
+                    None => &mut replicas[c.at + lanes.start..c.at + lanes.end],
                     Some(t) => {
                         let tile = &mut tiles[t];
                         let lo = lanes.start - hist::lane(mapper, tile.features.start);
                         let piece = match &mut tile.lanes.own {
                             Some(own) => own,
-                            None => &mut buf[tile.at..],
+                            None => &mut *scratch,
                         };
                         &mut piece[lo..lo + lanes.len()]
                     }
@@ -465,13 +454,13 @@ fn run_slots(
                 if let (Some(t), true) = (c.tile, run.pos.end == c.rows.len()) {
                     tiles[t].pending -= 1;
                     if tiles[t].pending == 0 {
-                        spent += body.run(&mut tiles[t], buf, sibling_at, lane);
+                        spent += body.run(&mut tiles[t], scratch, sibling_at, lane);
                     }
                 }
             },
         );
         progress[s].store(usize::MAX, Ordering::Release);
-        hist::zero(&mut buf[sibling_at..]);
+        hist::zero(&mut scratch[sibling_at..]);
         body.cells.fetch_add(cells, Ordering::Relaxed);
         body.build_ns.fetch_add(body.now() - t0 - spent, Ordering::Relaxed);
     };
@@ -512,8 +501,9 @@ struct Slot<'a> {
     /// consecutive.
     cursors: Vec<Cursor>,
     tiles: Vec<TileWork<'a>>,
-    /// Zeroed arena lanes: `..sibling_at` holds the replicas and the scratch
-    /// tiles ([`TileWork::at`]), `sibling_at..len` the sibling tile.
+    /// Zeroed arena lanes: `replica_len` of replicas, then the scratch —
+    /// `sibling_at` lanes for the tile of a job with no buffer, the rest
+    /// for the sibling tile.
     buf: Vec<f64>,
     sibling_at: usize,
     len: usize,
@@ -598,8 +588,6 @@ struct TileWork<'a> {
     job: usize,
     features: Range<usize>,
     lanes: BlockLanes<'a>,
-    /// Where the tile lies in its slot's lanes when the job has no buffer.
-    at: usize,
     /// The cursors yet to visit their last run.
     pending: usize,
     /// The block's best split of the node and of its sibling.
@@ -615,7 +603,7 @@ impl<'a> TileWork<'a> {
         lanes: &mut [impl Iterator<Item = BlockLanes<'a>>],
     ) -> Self {
         let lanes = lanes[job].next().expect("a block per tile");
-        Self { job, features, lanes, at: 0, pending: 0, found: [None, None] }
+        Self { job, features, lanes, pending: 0, found: [None, None] }
     }
 }
 
@@ -665,13 +653,13 @@ impl<'c> TileBody<'c> {
     }
 
     /// Finishes `tile` on `worker` and returns the nanoseconds it took. A
-    /// tile whose job has no buffer is the piece of `buf` at
-    /// [`TileWork::at`], zeroed again once searched; a sibling that is not
-    /// subtracted in place goes to `buf[sibling_at..]`.
+    /// tile whose job has no buffer is the first lanes of `scratch`, zeroed
+    /// again once searched; a sibling that is not subtracted in place goes
+    /// to `scratch[sibling_at..]`.
     fn run(
         &self,
         tile: &mut TileWork<'_>,
-        buf: &mut [f64],
+        scratch: &mut [f64],
         sibling_at: usize,
         worker: usize,
     ) -> u64 {
@@ -679,11 +667,11 @@ impl<'c> TileBody<'c> {
         let lane0 = hist::lane(mapper, features.start);
         let n_lanes = hist::lane(mapper, features.end) - lane0;
         let (node, stats, sibling) = self.metas[tile.job];
-        let (pieces, sibling_tile) = buf.split_at_mut(sibling_at);
+        let (piece, sibling_tile) = scratch.split_at_mut(sibling_at);
         let t0 = self.now();
         let small: &mut [f64] = match &mut tile.lanes.own {
             Some(own) => own,
-            None => &mut pieces[tile.at..tile.at + n_lanes],
+            None => &mut piece[..n_lanes],
         };
         for src in &mut tile.lanes.replicas {
             for (d, s) in small.iter_mut().zip(src.iter_mut()) {
@@ -712,7 +700,7 @@ impl<'c> TileBody<'c> {
         tile.found = [find(small, &stats), large.zip(sibling).and_then(|(l, s)| find(l, &s.1))];
         let t2 = self.now();
         if tile.lanes.own.is_none() {
-            hist::zero(&mut pieces[tile.at..tile.at + n_lanes]);
+            hist::zero(&mut piece[..n_lanes]);
         }
         self.build_ns.fetch_add(t1 - t0, Ordering::Relaxed);
         self.find_ns.fetch_add(t2 - t1, Ordering::Relaxed);
@@ -758,7 +746,7 @@ mod tests {
     use crate::split::find_split_range;
     use harp_binning::{write_cache, BinningConfig, ChunkedStore, QuantizedMatrix};
     use harp_data::{DatasetKind, SynthConfig};
-    use harp_metrics::MemGauge;
+    use harp_metrics::MemTable;
     use harp_parallel::Profile;
     use proptest::prelude::*;
     use std::sync::{Arc, OnceLock};
@@ -802,23 +790,18 @@ mod tests {
         nodes: &[NodeId],
     ) -> Vec<Vec<f64>> {
         let pool = ThreadPool::new(params.n_threads);
-        let mut scratch = DriverScratch::new();
-        run_driver_with(acc, params, qm, part, grads, nodes, &pool, &mut scratch)
+        let mem = MemTable::default();
+        let ctx = DriverCtx { qm, params, pool: &pool, partition: part, grads, mem: &mem };
+        run_driver_with(acc, &ctx, nodes, &mut DriverScratch::new())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_driver_with(
         acc: Accumulation,
-        params: &TrainParams,
-        qm: &QuantizedMatrix,
-        part: &RowPartition,
-        grads: &[GradPair],
+        ctx: &DriverCtx<'_>,
         nodes: &[NodeId],
-        pool: &ThreadPool,
         scratch: &mut DriverScratch,
     ) -> Vec<Vec<f64>> {
-        let ctx = DriverCtx { qm, params, pool, partition: part, grads };
-        let width = hist_width_for(qm);
+        let width = hist_width_for(ctx.qm);
         // Every node has its own buffer and no sibling: on return each
         // buffer is the node's histogram.
         let mut jobs: Vec<TileJob> = nodes
@@ -830,7 +813,7 @@ mod tests {
                 sibling: None,
             })
             .collect();
-        expand(&ctx, scratch, &mut jobs, NO_SEARCH, acc, None);
+        expand(ctx, scratch, &mut jobs, NO_SEARCH, acc, None);
         jobs.into_iter().map(|j| j.buf.expect("full-width")).collect()
     }
 
@@ -962,39 +945,15 @@ mod tests {
         };
         let nodes = [3u32, 4, 2];
         let pool = ThreadPool::new(params.n_threads);
+        let (partition, mem) = (&part, &MemTable::default());
+        let ctx =
+            DriverCtx { qm: &qm, params: &params, pool: &pool, partition, grads: &grads, mem };
         let mut scratch = DriverScratch::new();
-        let first = run_driver_with(
-            Accumulation::Replicated,
-            &params,
-            &qm,
-            &part,
-            &grads,
-            &nodes,
-            &pool,
-            &mut scratch,
-        );
+        let first = run_driver_with(Accumulation::Replicated, &ctx, &nodes, &mut scratch);
         // A second call over a *different* node set in between, to dirty
         // other lanes.
-        let _ = run_driver_with(
-            Accumulation::Replicated,
-            &params,
-            &qm,
-            &part,
-            &grads,
-            &[2u32],
-            &pool,
-            &mut scratch,
-        );
-        let second = run_driver_with(
-            Accumulation::Replicated,
-            &params,
-            &qm,
-            &part,
-            &grads,
-            &nodes,
-            &pool,
-            &mut scratch,
-        );
+        let _ = run_driver_with(Accumulation::Replicated, &ctx, &[2u32], &mut scratch);
+        let second = run_driver_with(Accumulation::Replicated, &ctx, &nodes, &mut scratch);
         for i in 0..nodes.len() {
             assert_eq!(first[i], second[i], "node {i} differs with pooled replicas");
         }
@@ -1007,19 +966,13 @@ mod tests {
         let nodes = [3u32, 4, 2];
         let profile = Arc::new(Profile::new());
         let pool = ThreadPool::with_profile(params.n_threads, Arc::clone(&profile));
+        let (partition, mem) = (&part, &MemTable::default());
+        let ctx =
+            DriverCtx { qm: &qm, params: &params, pool: &pool, partition, grads: &grads, mem };
         let mut scratch = DriverScratch::new();
         let mut first_call_allocs = 0;
         for call in 0..3 {
-            let _ = run_driver_with(
-                Accumulation::Replicated,
-                &params,
-                &qm,
-                &part,
-                &grads,
-                &nodes,
-                &pool,
-                &mut scratch,
-            );
+            let _ = run_driver_with(Accumulation::Replicated, &ctx, &nodes, &mut scratch);
             let allocs = profile.scratch_allocs.load(Ordering::Relaxed);
             let reuses = profile.scratch_reuses.load(Ordering::Relaxed);
             if call == 0 {
@@ -1053,8 +1006,9 @@ mod tests {
         let params = TrainParams { n_threads: 2, ..Default::default() };
         let pool = ThreadPool::new(2);
         let mut scratch = DriverScratch::new();
+        let (partition, mem) = (&part, &MemTable::default());
         let ctx =
-            DriverCtx { qm: &qm, params: &params, pool: &pool, partition: &part, grads: &grads };
+            DriverCtx { qm: &qm, params: &params, pool: &pool, partition, grads: &grads, mem };
         let (r, e) = (Accumulation::Replicated, Accumulation::Exclusive);
         for (acc, inline_on) in [(r, None), (e, None), (r, Some(1))] {
             let out = expand(&ctx, &mut scratch, &mut [], NO_SEARCH, acc, inline_on);
@@ -1084,10 +1038,12 @@ mod tests {
         let regions = |row_blk_size: usize, nodes: &[NodeId]| {
             let blocks = BlockConfig { row_blk_size, ..Default::default() };
             let params = TrainParams { n_threads: 2, blocks, ..Default::default() };
-            let mut scratch = DriverScratch::new();
+            let (partition, mem) = (&part, &MemTable::default());
+            let ctx =
+                DriverCtx { qm: &qm, params: &params, pool: &pool, partition, grads: &grads, mem };
             let before = profile.regions.load(Ordering::Relaxed);
             let acc = Accumulation::Replicated;
-            run_driver_with(acc, &params, &qm, &part, &grads, nodes, &pool, &mut scratch);
+            run_driver_with(acc, &ctx, nodes, &mut DriverScratch::new());
             profile.regions.load(Ordering::Relaxed) - before
         };
         // Three jobs of one row block each: the slots fill and finish them.
@@ -1222,18 +1178,14 @@ mod tests {
             };
 
             let pool = ThreadPool::new(threads);
-            let mut scratch = DriverScratch::new();
-            let arena = Arc::new(MemGauge::new());
-            scratch.set_replica_gauge(Arc::clone(&arena));
-            let hists = run_driver_with(
-                Accumulation::Replicated, &params, qm, &part, &grads, &nodes, &pool, &mut scratch,
-            );
+            let (partition, mem) = (&part, &MemTable::default());
+            let ctx = DriverCtx { qm, params: &params, pool: &pool, partition, grads: &grads, mem };
+            let acc = Accumulation::Replicated;
+            let hists = run_driver_with(acc, &ctx, &nodes, &mut DriverScratch::new());
 
             // The plan the executor ran, rebuilt here to tell the jobs apart
             // and to replay the static schedule.
             let job_lens: Vec<usize> = nodes.iter().map(|&node| part.node_len(node)).collect();
-            let ctx =
-                DriverCtx { qm, params: &params, pool: &pool, partition: &part, grads: &grads };
             let mut plan = BlockPlan::new();
             let shape = ctx.batch_shape(threads);
             plan.rebuild(&params.blocks, &shape, &job_lens, Accumulation::Replicated);
@@ -1251,7 +1203,7 @@ mod tests {
                 prop_assert!(hists[j] == replayed, "job {} is not the static schedule", j);
             }
             let replicas = if multi_block == 0 { 0 } else { n_slots };
-            prop_assert_eq!(arena.high_water(), (replicas * multi_block * width * 8) as u64);
+            prop_assert_eq!(mem.scratch_arena.high_water(), (replicas * multi_block * width * 8) as u64);
         }
     }
 
@@ -1274,7 +1226,8 @@ mod tests {
         /// form one batch: where the parent's histogram is "cached" the
         /// smaller child is scanned and the larger derived, elsewhere both
         /// are scanned; every histogram is filed or not at random under the
-        /// Exclusive fill and full-width under the other two. Each
+        /// in-core Exclusive fill and full-width otherwise, as the trainer
+        /// equips them. Each
         /// node's folded candidate must be what `find_split_range` finds in
         /// its full-width reference histogram (the scalar ascending-row
         /// scan, or the replayed static schedule for a job of several row
@@ -1357,10 +1310,11 @@ mod tests {
                 };
                 part.apply_split(*leaf, l, r, &goes_left, None);
                 let (small, large) = if part.node_len(l) <= part.node_len(r) { (l, r) } else { (r, l) };
-                // Only an Exclusive batch builds a histogram it cannot file
-                // in scratch.
-                let file_small = fill != 0 || flags & 1 != 0;
-                let file_large = fill != 0 || flags & 2 != 0;
+                // Only an in-core Exclusive batch builds a histogram it
+                // cannot file in scratch: the trainer equips every job of
+                // any other batch with a buffer and every sibling in place.
+                let file_small = fill != 0 || chunked || flags & 1 != 0;
+                let file_large = fill != 0 || chunked || flags & 2 != 0;
                 let job = |node, filed: bool, sibling| TileJob {
                     node,
                     stats: stats_of(node),
@@ -1401,12 +1355,10 @@ mod tests {
             let profile = Arc::new(Profile::new());
             let pool = ThreadPool::with_profile(threads, Arc::clone(&profile));
             let mut scratch = DriverScratch::new();
-            let arena = Arc::new(MemGauge::new());
-            scratch.set_replica_gauge(Arc::clone(&arena));
-            let partition = &part;
-            let ctx = DriverCtx { qm: store, params: &params, pool: &pool, partition, grads: &grads };
+            let (partition, mem) = (&part, &MemTable::default());
+            let ctx =
+                DriverCtx { qm: store, params: &params, pool: &pool, partition, grads: &grads, mem };
             let search = SplitSearch { settings: &settings, mask: None };
-            let unfiled = jobs.iter().filter(|j| j.buf.is_none()).count();
             // A Replicated job of several row blocks is what the static
             // schedule builds, and each slot holds a replica of such jobs.
             let mut replica_bytes = 0;
@@ -1447,7 +1399,7 @@ mod tests {
                 }
             };
 
-            let mut hists = HistPool::for_store(qm, usize::MAX);
+            let mut hists = HistPool::for_store(qm, usize::MAX, Arc::default(), Arc::default());
             let mut all_filed = true;
             for ((job, found), (small_ref, sibling_refs)) in
                 jobs.into_iter().zip(&out.found).zip(&expect)
@@ -1476,16 +1428,15 @@ mod tests {
                 }
             }
             // Scratch is the replicas, plus per slot that needed them a
-            // sibling tile and the scratch tiles — one at a time in core, out
-            // of core each unfiled job's until the sweep ends — and nothing
-            // more when every histogram had a buffer of its own.
+            // sibling tile and one scratch tile, and nothing more when every
+            // histogram had a buffer of its own.
             let widest = feature_blocks(m, params.blocks.features_per_block(m))
                 .map(|b| hist::lanes(mapper, b).len())
                 .max()
                 .unwrap_or(0);
-            let tiles = if chunked { unfiled * width } else { threads * widest };
-            prop_assert!(arena.high_water() <= (replica_bytes + (tiles + threads * widest) * 8) as u64);
-            prop_assert!(!all_filed || arena.high_water() == replica_bytes as u64);
+            let arena = mem.scratch_arena.high_water();
+            prop_assert!(arena <= (replica_bytes + 2 * threads * widest * 8) as u64);
+            prop_assert!(!all_filed || arena == replica_bytes as u64);
         }
     }
 }

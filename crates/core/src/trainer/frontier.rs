@@ -252,14 +252,14 @@ impl<'a> Frontier<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use harp_metrics::MemGauge;
+    use harp_metrics::MemTable;
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
-    /// A pool of four-feature, four-bin histograms: nodes of two rows or
-    /// more are cached.
-    fn pool() -> HistPool {
-        HistPool::new(4, 4, usize::MAX)
+    /// A pool of four-feature, four-bin histograms counting into `profile`
+    /// and `mem`: nodes of two rows or more are cached.
+    fn pool(profile: &Arc<Profile>, mem: &Arc<MemTable>) -> HistPool {
+        HistPool::new(4, 4, usize::MAX, Arc::clone(profile), Arc::clone(mem))
     }
 
     fn params(tree_size: u32) -> TrainParams {
@@ -320,8 +320,7 @@ mod tests {
     #[test]
     fn claim_keeps_the_cache_within_the_budget_each_pop_leaves() {
         let (params, profile) = (params(3), Arc::new(Profile::new()));
-        let mut frontier = Frontier::new(&params, &profile, pool());
-        frontier.hists.instrument(Arc::clone(&profile), None, None);
+        let mut frontier = Frontier::new(&params, &profile, pool(&profile, &Arc::default()));
         let partition = five_leaves(&mut frontier);
         // Five leaves of eight, every one a candidate: the best and the worst
         // too small to be cached, the three between them cached — R = 3.
@@ -349,8 +348,8 @@ mod tests {
 
     #[test]
     fn claim_numbers_the_children_in_pop_order_and_children_writes_their_counts() {
-        let (params, profile) = (params(3), Profile::new());
-        let mut frontier = Frontier::new(&params, &profile, pool());
+        let (params, profile) = (params(3), Arc::new(Profile::new()));
+        let mut frontier = Frontier::new(&params, &profile, pool(&profile, &Arc::default()));
         let partition = five_leaves(&mut frontier);
         // Pop order 5, 8, 1, 7, 3: not the order of the node ids.
         file_five_leaves(&mut frontier, &partition, [5.0, 1.0, 9.0, 3.0, 7.0]);
@@ -387,8 +386,8 @@ mod tests {
 
     #[test]
     fn finish_hands_back_the_grown_tree_and_the_next_root_starts_afresh() {
-        let (params, profile) = (params(3), Profile::new());
-        let mut frontier = Frontier::new(&params, &profile, pool());
+        let (params, profile) = (params(3), Arc::new(Profile::new()));
+        let mut frontier = Frontier::new(&params, &profile, pool(&profile, &Arc::default()));
         let mut partition = RowPartition::new(8, 16, false);
         partition.reset(&[[0.0, 1.0]; 8]);
         let mut root = frontier.root(stats(8));
@@ -409,11 +408,11 @@ mod tests {
 
     #[test]
     fn children_are_queued_small_first_whether_the_larger_is_derived_or_scanned() {
-        let (params, profile) = (params(4), Profile::new());
+        let (params, profile) = (params(4), Arc::new(Profile::new()));
         // Two splits at one gain throughout, so only the FIFO order ranks
         // them: of nodes (3, 4) with 20 and 12 rows, of (5, 6) with 5 and 9.
         for cached in [[true, false], [false, true], [true, true], [false, false]] {
-            let mut frontier = Frontier::new(&params, &profile, pool());
+            let mut frontier = Frontier::new(&params, &profile, pool(&profile, &Arc::default()));
             grow(&mut frontier, &[0, 1, 2]);
             frontier.leaves = 3;
             let mut children = Children::default();
@@ -435,12 +434,10 @@ mod tests {
     #[test]
     fn a_spent_budget_releases_the_parent_and_counts_the_builds_it_skips() {
         let (params, profile) = (params(2), Arc::new(Profile::new()));
-        let mut frontier = Frontier::new(&params, &profile, pool());
+        let mem = Arc::new(MemTable::default());
+        let mut frontier = Frontier::new(&params, &profile, pool(&profile, &mem));
         grow(&mut frontier, &[0]);
-        let allocated = Arc::new(MemGauge::new());
-        frontier
-            .hists
-            .instrument(Arc::clone(&profile), Some(Arc::clone(&allocated)), None);
+        let allocated = &mem.hist_pool;
         frontier.leaves = params.max_leaves();
         let parent = frontier.hists.alloc().zeroed();
         let one_buffer = allocated.current();

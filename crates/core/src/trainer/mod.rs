@@ -53,7 +53,7 @@ use frontier::{Children, Claim, Frontier};
 use harp_binning::{sweep_chunks, BinningConfig, QuantStore, QuantizedMatrix, Rows, MISSING_BIN};
 use harp_data::{CsrMatrix, Dataset, FeatureMatrix};
 use harp_metrics::{
-    gauges, BreakdownReport, ConvergenceTrace, LedgerRecord, PlanStats, RunLedger, WorkerSkewReport,
+    BreakdownReport, ConvergenceTrace, LedgerRecord, MemTable, RunLedger, WorkerSkewReport,
 };
 use harp_parallel::{
     PhaseClock, PhaseSpan, Profile, ProfileReport, SpinMutex, SpinMutexGuard, ThreadPool,
@@ -432,38 +432,27 @@ impl GbdtTrainer {
         for r in 0..n {
             preds[r * groups..(r + 1) * groups].copy_from_slice(&base_scores);
         }
-        let mut engine = TreeEngine::new(qm, params, &pool, &clock);
+        // The run's byte gauges, written whether or not the ledger reads
+        // them.
+        let mem = Arc::new(MemTable::default());
+        let mut engine = TreeEngine::new(qm, params, &pool, &clock, &mem);
         let mut scratch = DriverScratch::new();
 
         // Every figure the run reports is a view of one `read_totals()`; the
         // ledger (when on) holds the previous round's read as its one
-        // baseline. Gauges are only allocated (and pools only pay the
-        // per-event `fetch_add`) when the ledger is on.
+        // baseline.
         let io_start = qm.io_stats();
         let read_totals = || Totals::read(&pool, &clock, qm, &io_start);
         // A chunked store also accounts its resident decoded slab bytes,
         // whose high-water mark proves a --mem-budget run stayed under its
         // budget.
         let chunked = qm.as_single().is_none();
-        let mut ledger = params.ledger.enabled.then(|| RoundLedger::new(chunked, read_totals()));
-        let mut gauge = |name| ledger.as_mut().map(|l| l.mem.gauge(name));
-        // Cache hit/miss/eviction counters are cheap relaxed atomics; wire
-        // them unconditionally so whole-run profile reports always have them.
-        engine.frontier.get_mut().hists.instrument(
-            Arc::clone(&profile),
-            gauge(gauges::HIST_POOL),
-            gauge(gauges::HIST_CACHE),
-        );
-        if let Some(g) = gauge(gauges::SCRATCH_ARENA) {
-            scratch.set_replica_gauge(g);
-        }
+        let mut ledger = params.ledger.enabled.then(|| RoundLedger::new(read_totals()));
         // The decoded-equivalent bytes of the store: the dominant allocation
         // of an in-core run. A sparse store counts its CSR whether or not a
         // row read has built it (an MP run never does), so the gauge is a
         // property of the data, not of the mode.
-        if let Some(g) = gauge(gauges::QUANT_STORE) {
-            g.observe(qm.storage_bytes() as u64);
-        }
+        mem.quant_store.observe(qm.storage_bytes() as u64);
 
         // Record the CPU's vector tier. Placed after the ledger's baseline
         // read so the round-1 delta carries it.
@@ -539,12 +528,9 @@ impl GbdtTrainer {
                 // new tree's contribution goes into its group of the eval
                 // scores through the flat blocked engine (the Predict phase;
                 // bitwise identical to summing `tree.predict` per row).
-                let flat_gauge = ledger.as_mut().map(|l| l.mem.gauge(gauges::FLAT_FOREST));
                 for (group, tree) in trees[trees.len() - groups..].iter().enumerate() {
                     let flat = crate::predict::FlatForest::single_tree(tree, qm.n_features());
-                    if let Some(g) = &flat_gauge {
-                        g.observe(flat.memory_bytes() as u64);
-                    }
+                    mem.flat_forest.observe(flat.memory_bytes() as u64);
                     let mut predictor =
                         crate::predict::Predictor::new(&flat).with_breakdown(&clock);
                     if let Some(sink) = sink {
@@ -589,19 +575,17 @@ impl GbdtTrainer {
                 }
             }
 
+            mem.membuf.observe(engine.partition.membuf_bytes() as u64);
+            mem.partition.observe(engine.partition.index_bytes() as u64);
+            if chunked {
+                let io = qm.io_stats();
+                mem.chunk_resident.observe(io.resident_bytes);
+                mem.chunk_resident.observe_peak(io.resident_high_water);
+            }
             // Ledger hook: this round is one read minus the previous one.
             if let Some(l) = &mut ledger {
-                l.mem.gauge(gauges::MEMBUF).observe(engine.partition.membuf_bytes() as u64);
-                l.mem.gauge(gauges::PARTITION).observe(engine.partition.index_bytes() as u64);
-                if chunked {
-                    let io = qm.io_stats();
-                    let resident = l.mem.gauge(gauges::CHUNK_RESIDENT);
-                    resident.observe(io.resident_bytes);
-                    resident.observe_peak(io.resident_high_water);
-                }
                 let shapes = &tree_shapes[tree_shapes.len() - groups..];
                 let (pops, popped) = engine.take_pop_stats();
-                let ext = scratch.plan_extents();
                 l.push(
                     read_totals(),
                     LedgerRecord {
@@ -612,14 +596,7 @@ impl GbdtTrainer {
                         n_leaves: shapes.iter().map(|s| s.n_leaves).max().unwrap_or(0),
                         max_depth: shapes.iter().map(|s| s.max_depth).max().unwrap_or(0),
                         mean_k_per_pop: if pops > 0 { popped as f64 / pops as f64 } else { 0.0 },
-                        plan: PlanStats {
-                            row_blk: ext.row_blk as u64,
-                            node_blk: ext.node_blk as u64,
-                            feature_blk: ext.feature_blk as u64,
-                            bin_blk: ext.bin_blk as u64,
-                            auto: ext.auto,
-                            ..Default::default()
-                        },
+                        mem: mem.records(chunked),
                         ..Default::default()
                     },
                 );
@@ -664,6 +641,8 @@ struct TreeEngine<'a> {
     pool: &'a ThreadPool,
     /// The run's phase clock, fed by [`phase`](Self::phase).
     clock: &'a PhaseClock,
+    /// The run's byte gauges.
+    mem: &'a MemTable,
     partition: RowPartition,
     /// The tree being grown, the growth queue, the histogram pool and the
     /// leaf count, behind the lock ASYNC's node tasks share.
@@ -685,23 +664,20 @@ impl<'a> TreeEngine<'a> {
         params: &'a TrainParams,
         pool: &'a ThreadPool,
         clock: &'a PhaseClock,
+        mem: &'a Arc<MemTable>,
     ) -> Self {
         let max_nodes = 2 * params.max_leaves() + 8;
+        // Subtraction is the cache's only reader.
+        let budget = if params.hist_subtraction { crate::hist::HIST_CACHE_BYTES } else { 0 };
+        let hists = HistPool::for_store(qm, budget, Arc::clone(pool.profile()), Arc::clone(mem));
         Self {
             qm,
             params,
             pool,
             clock,
+            mem,
             partition: RowPartition::new(qm.n_rows(), max_nodes, params.use_membuf),
-            frontier: SpinMutex::new(Frontier::new(
-                params,
-                pool.profile(),
-                // Subtraction is the cache's only reader.
-                HistPool::for_store(
-                    qm,
-                    if params.hist_subtraction { crate::hist::HIST_CACHE_BYTES } else { 0 },
-                ),
-            )),
+            frontier: SpinMutex::new(Frontier::new(params, pool.profile(), hists)),
             settings: SplitSettings {
                 lambda: params.lambda,
                 gamma: params.gamma,
@@ -885,6 +861,7 @@ impl<'a> TreeEngine<'a> {
             pool: self.pool,
             partition: &self.partition,
             grads: self.partition.global_grads(),
+            mem: self.mem,
         };
         let search = split_search(&self.settings, &self.feature_mask);
 

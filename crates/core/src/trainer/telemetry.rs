@@ -4,9 +4,7 @@
 //! every `LedgerRecord` are views of such a read.
 
 use harp_binning::{ChunkIoStats, QuantStore};
-use harp_metrics::{
-    gauges, BreakdownReport, LedgerRecord, MemRegistry, RunLedger, WorkerSkewReport,
-};
+use harp_metrics::{BreakdownReport, LedgerRecord, RunLedger, WorkerSkewReport};
 use harp_parallel::trace::phase_rows;
 use harp_parallel::{PhaseClock, PhaseNs, ProfileCounters, ThreadPool, TraceCounters, TracePhase};
 
@@ -82,35 +80,17 @@ impl Totals {
 /// against.
 pub(super) struct RoundLedger {
     pub ledger: RunLedger,
-    /// Byte gauges; handles are fetched by name where they are handed over.
-    pub mem: MemRegistry,
     prev: Totals,
 }
 
 impl RoundLedger {
-    /// Registers every gauge up front — registration order is the order of
-    /// a record's `mem` — and takes `start` as round 1's baseline.
-    pub fn new(chunked: bool, start: Totals) -> Self {
-        let mut mem = MemRegistry::new();
-        for name in [
-            gauges::HIST_POOL,
-            gauges::HIST_CACHE,
-            gauges::SCRATCH_ARENA,
-            gauges::MEMBUF,
-            gauges::PARTITION,
-            gauges::FLAT_FOREST,
-            gauges::QUANT_STORE,
-        ] {
-            mem.gauge(name);
-        }
-        if chunked {
-            mem.gauge(gauges::CHUNK_RESIDENT);
-        }
-        Self { ledger: RunLedger::new(), mem, prev: start }
+    /// Takes `start` as round 1's baseline.
+    pub fn new(start: Totals) -> Self {
+        Self { ledger: RunLedger::new(), prev: start }
     }
 
     /// Closes a round: files `record` with its telemetry fields —
-    /// `phase_secs`, `counters`, `skew`, `mem` and the plan's batch and task
+    /// `phase_secs`, `counters`, `skew` and the plan's batch and task
     /// counts — filled from `now` minus the previous round's totals.
     pub fn push(&mut self, now: Totals, mut record: LedgerRecord) {
         let round = now.delta(&self.prev);
@@ -139,7 +119,6 @@ impl RoundLedger {
             .into_iter()
             .map(|r| (r.phase, r.imbalance))
             .collect();
-        record.mem = self.mem.snapshot();
         self.ledger.push(record);
     }
 }

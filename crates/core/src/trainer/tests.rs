@@ -791,7 +791,8 @@ fn leaves_hold_a_permutation_of_the_rows_after_every_tree() {
         for use_membuf in [true, false] {
             let params =
                 TrainParams { mode, use_membuf, tree_size: 6, k: 8, n_threads: 4, ..base_params() };
-            let mut engine = TreeEngine::new(&qm, &params, &pool, &clock);
+            let mem = Arc::default();
+            let mut engine = TreeEngine::new(&qm, &params, &pool, &clock, &mem);
             let mut scores = vec![0.0f32; n];
             for iter in 0..3 {
                 let scaling = crate::loss::RowScaling { weights: None, subsample: 1.0, seed: 0 };

@@ -21,43 +21,24 @@ use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// Per-round block-plan statistics: how many BuildHist batches the round
-/// planned, how many block tasks they enumerated, and the extents the last
-/// batch resolved to (sentinels expanded, auto-tuner applied). Diffing these
-/// at zero tolerance is what catches an auto-tuner regression — a changed
-/// pick shows up as a changed extent or task count before it shows up as
-/// time.
+/// planned and how many block tasks they enumerated. Diffing these at zero
+/// tolerance catches an auto-tuner regression — a changed pick shows up as
+/// a changed task count before it shows up as time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PlanStats {
     /// BuildHist batches planned this round.
     pub batches: u64,
     /// Block tasks enumerated across those batches.
     pub tasks: u64,
-    /// Resolved rows-per-task extent of the round's last batch.
-    pub row_blk: u64,
-    /// Resolved node-block extent of the round's last batch.
-    pub node_blk: u64,
-    /// Resolved feature-block extent of the round's last batch.
-    pub feature_blk: u64,
-    /// Resolved bin-block extent of the round's last batch (0 = unblocked).
-    pub bin_blk: u64,
-    /// Whether the extents came from the cost-model auto-tuner.
-    pub auto: bool,
 }
 
 // Manual impl (not derived) so ledgers written before this field existed
-// still parse: a missing `plan` object falls back to zeros.
+// still parse: a missing `plan` object falls back to zeros. Keys it does
+// not name (the block extents older ledgers carry) are ignored.
 impl serde::Deserialize for PlanStats {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
         let obj = v.as_obj().ok_or_else(|| serde::Error::new("expected plan stats object"))?;
-        Ok(Self {
-            batches: serde::field(obj, "batches")?,
-            tasks: serde::field(obj, "tasks")?,
-            row_blk: serde::field(obj, "row_blk")?,
-            node_blk: serde::field(obj, "node_blk")?,
-            feature_blk: serde::field(obj, "feature_blk")?,
-            bin_blk: serde::field(obj, "bin_blk")?,
-            auto: serde::field(obj, "auto")?,
-        })
+        Ok(Self { batches: serde::field(obj, "batches")?, tasks: serde::field(obj, "tasks")? })
     }
 
     fn missing() -> Option<Self> {
@@ -95,13 +76,13 @@ pub struct LedgerRecord {
     /// *effective K* (≤ `TrainParams::k`; smaller when the frontier is
     /// narrow).
     pub mean_k_per_pop: f64,
-    /// Memory gauges (current + high-water bytes), in registration order.
+    /// Memory gauges (current + high-water bytes), in `MemTable` order.
     pub mem: Vec<MemGaugeRecord>,
     /// Per-phase worker imbalance (max/mean busy time) this round; empty
     /// when span tracing is off.
     pub skew: Vec<(String, f64)>,
-    /// Block-plan batches/tasks this round plus the resolved extents
-    /// (zeroed in ledgers written before planning was recorded).
+    /// Block-plan batches and tasks this round (zeroed in ledgers written
+    /// before planning was recorded).
     pub plan: PlanStats,
     /// Per-phase latency histograms for this record's window (the serve
     /// ledger's request-tail distributions; empty in training ledgers and
@@ -294,16 +275,9 @@ impl LedgerSummary {
             for (phase, imb) in &r.skew {
                 upsert(format!("skew/{phase}/imbalance"), *imb, max);
             }
-            // Plan metrics are deterministic: batches/tasks sum to run
-            // totals, extents keep the last round's resolution (what the
-            // auto-tuner settled on), `auto` flags any tuned round.
+            // Plan metrics are deterministic and sum to run totals.
             upsert("plan/batches".into(), r.plan.batches as f64, sum);
             upsert("plan/tasks".into(), r.plan.tasks as f64, sum);
-            upsert("plan/row_blk".into(), r.plan.row_blk as f64, last);
-            upsert("plan/node_blk".into(), r.plan.node_blk as f64, last);
-            upsert("plan/feature_blk".into(), r.plan.feature_blk as f64, last);
-            upsert("plan/bin_blk".into(), r.plan.bin_blk as f64, last);
-            upsert("plan/auto".into(), f64::from(u8::from(r.plan.auto)), max);
             leaves_sum += f64::from(r.n_leaves);
             k_sum += r.mean_k_per_pop;
             latency.merge(&r.latency);
@@ -565,15 +539,7 @@ mod tests {
                 },
             ],
             skew: vec![("BuildHist".into(), 1.1)],
-            plan: PlanStats {
-                batches: 3,
-                tasks: 24,
-                row_blk: 500,
-                node_blk: 4,
-                feature_blk: 8,
-                bin_blk: 0,
-                auto: false,
-            },
+            plan: PlanStats { batches: 3, tasks: 24 },
             latency: LatencySet::default(),
         }
     }
@@ -628,8 +594,6 @@ mod tests {
         assert_eq!(s.get("skew/BuildHist/imbalance").unwrap(), 1.1);
         assert_eq!(s.get("plan/batches").unwrap(), 6.0, "plan batches sum");
         assert_eq!(s.get("plan/tasks").unwrap(), 48.0, "plan tasks sum");
-        assert_eq!(s.get("plan/feature_blk").unwrap(), 8.0, "extents keep the last value");
-        assert_eq!(s.get("plan/auto").unwrap(), 0.0);
     }
 
     #[test]
@@ -646,6 +610,14 @@ mod tests {
         let back = RunLedger::from_jsonl(&stripped).unwrap();
         assert_eq!(back.records()[0].plan, PlanStats::default());
         assert_eq!(back.records()[0].round, 1);
+        // A line from before the block extents left the record: the extra
+        // keys are ignored.
+        let extents =
+            ",\"row_blk\":500,\"node_blk\":4,\"feature_blk\":8,\"bin_blk\":0,\"auto\":false}";
+        let old = format!("{}{extents}{}", &line[..end - 1], &line[end..]);
+        assert!(old.contains("\"feature_blk\":8"));
+        let back = RunLedger::from_jsonl(&old).unwrap();
+        assert_eq!(back.records()[0].plan, PlanStats { batches: 3, tasks: 24 });
     }
 
     #[test]

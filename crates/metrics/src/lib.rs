@@ -8,7 +8,7 @@
 //!   FindSplit / ApplySplit), the quantity plotted in Fig. 4.
 //! * [`RunLedger`] — the per-round JSON-lines run ledger: phase-time deltas,
 //!   profile-counter deltas, eval metric, tree shape, worker skew, and
-//!   [`MemGauge`] byte accounting; [`DiffReport`] compares two runs with
+//!   the [`MemTable`] of byte gauges; [`DiffReport`] compares two runs with
 //!   tolerance thresholds for regression gating.
 //! * [`AtomicHistogram`] / [`HistogramSnapshot`] — wait-free log-bucketed
 //!   latency histograms with quantile readout and a compact serde
@@ -34,6 +34,6 @@ pub use histogram::{AtomicHistogram, HistogramSnapshot, LatencySet};
 pub use ledger::{
     DiffOptions, DiffReport, DiffRow, DiffStatus, LedgerRecord, LedgerSummary, PlanStats, RunLedger,
 };
-pub use memory::{gauges, MemGauge, MemGaugeRecord, MemRegistry};
+pub use memory::{gauges, MemGauge, MemGaugeRecord, MemTable};
 pub use ranking::ndcg_at_k;
 pub use slo::{evaluate_slo, parse_slo, SloReport, SloRow, SloSpec};

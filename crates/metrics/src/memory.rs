@@ -1,13 +1,13 @@
-//! Byte-level memory accounting: [`MemGauge`] and the per-run registry.
+//! Byte-level memory accounting: [`MemGauge`] and the run's [`MemTable`].
 //!
 //! Table V of the HarpGBDT paper argues the MemBuf design from its memory
 //! footprint; reproducing that argument requires knowing, per boosting
 //! round, how many bytes each pool actually holds. A [`MemGauge`] is a
 //! `(current, high-water)` byte pair kept by one component — the histogram
 //! pool, the DP replica arena, the MemBuf gradient replicas, the partition
-//! scratch, the flat inference forest. Components update their gauge at
-//! allocation/release sites; the run ledger reads every gauge once per
-//! round.
+//! scratch, the flat inference forest. A training run holds one fixed
+//! [`MemTable`] of them; components update their gauge at allocation and
+//! release sites, and the run ledger reads the table once per round.
 //!
 //! Semantics:
 //! * [`add`](MemGauge::add) / [`sub`](MemGauge::sub) track ownership
@@ -24,7 +24,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Current/high-water byte accounting for one memory pool.
 #[derive(Debug, Default)]
@@ -85,7 +84,7 @@ impl MemGauge {
 /// in ledger records.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemGaugeRecord {
-    /// Registry name (e.g. `hist_pool`, `membuf`).
+    /// Gauge name (one of [`gauges`]).
     pub name: String,
     /// Bytes held when the snapshot was taken.
     pub current_bytes: u64,
@@ -121,54 +120,57 @@ pub mod gauges {
     pub const CHUNK_RESIDENT: &str = "chunk_resident";
 }
 
-/// A named set of shared gauges for one training run.
+/// The run's byte gauges: one per [`gauges`] name, written by their
+/// components whether or not a ledger reads them.
 #[derive(Debug, Default)]
-pub struct MemRegistry {
-    entries: Vec<(String, Arc<MemGauge>)>,
+pub struct MemTable {
+    /// [`gauges::HIST_POOL`].
+    pub hist_pool: MemGauge,
+    /// [`gauges::HIST_CACHE`].
+    pub hist_cache: MemGauge,
+    /// [`gauges::SCRATCH_ARENA`].
+    pub scratch_arena: MemGauge,
+    /// [`gauges::MEMBUF`].
+    pub membuf: MemGauge,
+    /// [`gauges::PARTITION`].
+    pub partition: MemGauge,
+    /// [`gauges::FLAT_FOREST`].
+    pub flat_forest: MemGauge,
+    /// [`gauges::QUANT_STORE`].
+    pub quant_store: MemGauge,
+    /// [`gauges::CHUNK_RESIDENT`].
+    pub chunk_resident: MemGauge,
 }
 
-impl MemRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the gauge registered under `name`, creating it on first use.
-    pub fn gauge(&mut self, name: &str) -> Arc<MemGauge> {
-        if let Some((_, g)) = self.entries.iter().find(|(n, _)| n == name) {
-            return Arc::clone(g);
-        }
-        let g = Arc::new(MemGauge::new());
-        self.entries.push((name.to_string(), Arc::clone(&g)));
-        g
-    }
-
-    /// Reads every gauge, in registration order.
-    pub fn snapshot(&self) -> Vec<MemGaugeRecord> {
-        self.entries
+impl MemTable {
+    /// Reads every gauge in the order of a ledger record's `mem`;
+    /// `chunk_resident` only for a `chunked` store.
+    pub fn records(&self, chunked: bool) -> Vec<MemGaugeRecord> {
+        let table = [
+            (gauges::HIST_POOL, &self.hist_pool),
+            (gauges::HIST_CACHE, &self.hist_cache),
+            (gauges::SCRATCH_ARENA, &self.scratch_arena),
+            (gauges::MEMBUF, &self.membuf),
+            (gauges::PARTITION, &self.partition),
+            (gauges::FLAT_FOREST, &self.flat_forest),
+            (gauges::QUANT_STORE, &self.quant_store),
+            (gauges::CHUNK_RESIDENT, &self.chunk_resident),
+        ];
+        table[..table.len() - usize::from(!chunked)]
             .iter()
-            .map(|(name, g)| MemGaugeRecord {
-                name: name.clone(),
+            .map(|&(name, g)| MemGaugeRecord {
+                name: name.to_string(),
                 current_bytes: g.current(),
                 high_water_bytes: g.high_water(),
             })
             .collect()
-    }
-
-    /// Number of registered gauges.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no gauge is registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn add_sub_tracks_current_and_high_water() {
@@ -239,20 +241,26 @@ mod tests {
     }
 
     #[test]
-    fn registry_reuses_by_name_and_snapshots_in_order() {
-        let mut r = MemRegistry::new();
-        let a = r.gauge("alpha");
-        let b = r.gauge("beta");
-        let a2 = r.gauge("alpha");
-        assert_eq!(r.len(), 2);
-        a.add(10);
-        a2.add(5);
-        b.observe(99);
-        let snap = r.snapshot();
-        assert_eq!(snap[0].name, "alpha");
-        assert_eq!(snap[0].current_bytes, 15, "same gauge behind both handles");
-        assert_eq!(snap[1].name, "beta");
-        assert_eq!(snap[1].high_water_bytes, 99);
+    fn table_records_in_ledger_order() {
+        let t = MemTable::default();
+        t.hist_pool.add(15);
+        t.chunk_resident.observe(99);
+        let names =
+            |recs: Vec<MemGaugeRecord>| recs.into_iter().map(|r| r.name).collect::<Vec<_>>();
+        let in_core = [
+            gauges::HIST_POOL,
+            gauges::HIST_CACHE,
+            gauges::SCRATCH_ARENA,
+            gauges::MEMBUF,
+            gauges::PARTITION,
+            gauges::FLAT_FOREST,
+            gauges::QUANT_STORE,
+        ];
+        assert_eq!(names(t.records(false)), in_core);
+        let chunked = t.records(true);
+        assert_eq!(chunked[0].current_bytes, 15);
+        assert_eq!(chunked[7].name, gauges::CHUNK_RESIDENT, "chunk_resident comes last");
+        assert_eq!(chunked[7].high_water_bytes, 99);
     }
 
     #[test]

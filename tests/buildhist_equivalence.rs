@@ -14,6 +14,7 @@
 
 use harp_binning::{BinningConfig, QuantizedMatrix};
 use harp_data::{CsrMatrix, Dataset, DatasetKind, DenseMatrix, FeatureMatrix, SynthConfig};
+use harp_metrics::MemTable;
 use harp_parallel::{Profile, ThreadPool};
 use harpgbdt::hist::{hist_width_for, lane, lanes};
 use harpgbdt::kernels::{col_scan_store, row_scan_root_store, row_scan_store, GradSource};
@@ -391,7 +392,14 @@ fn pooled_replicas_reproduce_bitwise_across_frontiers() {
     part.apply_split(1, 3, 4, &|_, r| r % 5 == 0, None);
     let params = TrainParams { n_threads: 4, deterministic: true, ..TrainParams::default() };
     let pool = ThreadPool::new(4);
-    let ctx = DriverCtx { qm: &qm, params: &params, pool: &pool, partition: &part, grads: &grads };
+    let ctx = DriverCtx {
+        qm: &qm,
+        params: &params,
+        pool: &pool,
+        partition: &part,
+        grads: &grads,
+        mem: &MemTable::default(),
+    };
     let mut scratch = DriverScratch::new();
     let first = dp_fill(&ctx, &mut scratch, &[3, 4, 2]);
     let _interleaved = dp_fill(&ctx, &mut scratch, &[2]);
@@ -433,7 +441,14 @@ fn driver_steady_state_is_allocation_free() {
     let params = TrainParams { n_threads: 4, ..TrainParams::default() };
     let profile = Arc::new(Profile::new());
     let pool = ThreadPool::with_profile(4, Arc::clone(&profile));
-    let ctx = DriverCtx { qm: &qm, params: &params, pool: &pool, partition: &part, grads: &grads };
+    let ctx = DriverCtx {
+        qm: &qm,
+        params: &params,
+        pool: &pool,
+        partition: &part,
+        grads: &grads,
+        mem: &MemTable::default(),
+    };
     let mut scratch = DriverScratch::new();
     for call in 0..4 {
         dp_fill(&ctx, &mut scratch, &[1, 2]);

@@ -414,10 +414,17 @@ impl Growth {
         shares: Vec<usize>,
     ) -> Self {
         let method = if depthwise { GrowthMethod::Depthwise } else { GrowthMethod::Leafwise };
+        let profile = Arc::new(harp_parallel::Profile::new());
         let mut g = Self {
             queue: GrowthQueue::new(method),
-            pool: HistPool::new(POOL_BINS, POOL_COLS, 1 << 20),
-            profile: Arc::new(harp_parallel::Profile::new()),
+            pool: HistPool::new(
+                POOL_BINS,
+                POOL_COLS,
+                1 << 20,
+                Arc::clone(&profile),
+                Arc::default(),
+            ),
+            profile,
             max_leaves,
             leaves: 1,
             rows: vec![root_rows],
@@ -432,7 +439,6 @@ impl Growth {
             drawn: 0,
             pops: 0,
         };
-        g.pool.instrument(Arc::clone(&g.profile), None, None);
         g.file(0, 0, 1.0, max_leaves - 1);
         g
     }

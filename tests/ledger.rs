@@ -4,7 +4,7 @@
 
 use harp_bench::{harp_params, prepared};
 use harp_data::DatasetKind;
-use harp_metrics::{gauges, DiffOptions, DiffReport, RunLedger};
+use harp_metrics::{gauges, DiffOptions, DiffReport, LedgerRecord, RunLedger};
 use harpgbdt::trainer::{EvalMetric, EvalOptions};
 use harpgbdt::{
     GbdtTrainer, GrowthMethod, LedgerConfig, LossKind, ParallelMode, TraceConfig, TrainParams,
@@ -29,6 +29,11 @@ fn small_params() -> TrainParams {
     let mut p = harp_params(5, 2);
     p.n_trees = 6;
     p
+}
+
+/// Counter `name` of record `r`.
+fn counter(r: &LedgerRecord, name: &str) -> u64 {
+    r.counters.iter().find(|(n, _)| n == name).expect("counter present").1
 }
 
 #[test]
@@ -204,9 +209,6 @@ fn round_one_metric_names_and_order_are_the_recorded_contract() {
     params.trace = TraceConfig::enabled();
     params.ledger = LedgerConfig::enabled();
     let trainer = GbdtTrainer::new(params).expect("valid params");
-    let counter = |r: &harp_metrics::LedgerRecord, name: &str| {
-        r.counters.iter().find(|(n, _)| n == name).expect("counter present").1
-    };
     let round_one = |store: &dyn harpgbdt::QuantStore| {
         let diag = trainer.train_store(store, &data.train.labels, None).diagnostics;
         let records = diag.ledger.expect("ledger enabled").records().to_vec();
@@ -279,9 +281,7 @@ fn records_carry_plan_stats() {
         assert!(r.plan.batches > 0, "round {} planned no batches", r.round);
         assert!(r.plan.tasks > 0, "round {} planned no tasks", r.round);
         assert!(r.plan.tasks >= r.plan.batches, "every batch has at least one task");
-        assert!(r.plan.node_blk > 0, "resolved extents must be recorded");
-        assert!(r.plan.feature_blk > 0);
-        assert!(!r.plan.auto, "explicit config must not be flagged auto");
+        assert_eq!(counter(r, "plan_batches_auto"), 0, "explicit config must not be flagged auto");
     }
     // The plan/ metric family lands in the summary for report --diff gating.
     let summary = ledger.summary();
@@ -295,7 +295,6 @@ fn records_carry_plan_stats() {
     };
     assert!(get("plan/tasks") > 0.0);
     assert!(get("plan/batches") > 0.0);
-    assert_eq!(get("plan/auto"), 0.0);
 }
 
 /// Plan counts have one source: every planned batch, an ASYNC node task's
@@ -335,7 +334,13 @@ fn auto_blocks_train_comparably_and_mark_the_ledger() {
     auto.blocks = harpgbdt::BlockConfig::Auto;
     let (ledger, _) = ledger_run(auto, true);
     for r in ledger.records() {
-        assert!(r.plan.auto, "round {} lost the auto flag", r.round);
+        let auto = counter(r, "plan_batches_auto");
+        assert_eq!(
+            auto,
+            counter(r, "plan_batches"),
+            "round {}: a batch lost the auto flag",
+            r.round
+        );
         assert!(r.plan.batches > 0 && r.plan.tasks > 0);
     }
     let auc_of = |l: &RunLedger| l.records().last().unwrap().eval_metric.expect("eval ran");

@@ -6,6 +6,7 @@
 
 use harp_binning::{BinningConfig, QuantizedMatrix};
 use harp_data::{DatasetKind, SynthConfig};
+use harp_metrics::MemTable;
 use harp_parallel::{PhaseSpan, ThreadPool, TracePhase, TraceSink};
 use harpgbdt::hist::hist_width_for;
 use harpgbdt::partition::RowPartition;
@@ -48,7 +49,14 @@ fn traced_dp_fill_is_bitwise_untraced_and_a_disabled_span_costs_under_2pc_of_a_t
                 sibling: None,
             })
             .collect();
-        let ctx = DriverCtx { qm: &qm, params: &params, pool, partition: &part, grads: &grads };
+        let ctx = DriverCtx {
+            qm: &qm,
+            params: &params,
+            pool,
+            partition: &part,
+            grads: &grads,
+            mem: &MemTable::default(),
+        };
         let out = expand(&ctx, &mut scratch, &mut jobs, search, Accumulation::Replicated, None);
         (jobs.into_iter().map(|j| j.buf.expect("full-width")).collect(), out.build_ns)
     };
