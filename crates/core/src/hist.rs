@@ -1,4 +1,4 @@
-//! GHSum histogram buffers, reduction, subtraction and the candidate cache.
+//! GHSum histogram buffers, reduction, subtraction and the caching rule.
 //!
 //! A node's histogram ("GHSum", Fig. 5) is one flat `f64` buffer of
 //! interleaved `(Σg, Σh)` cells, feature-major: feature `f` owns the lanes
@@ -16,18 +16,17 @@
 //! stores have no missing sentinel and never write it; they share the
 //! layout so that one lane function serves every store.
 //!
-//! [`HistPool`] recycles buffers and caches candidate histograms so the
-//! parent−sibling subtraction trick can skip half of BuildHist. A cached
-//! histogram is only ever read when its candidate is split, so the cache
-//! keeps at most as many as the tree has leaves left to spend — the
-//! best-ranked ones, in the growth queue's own order
-//! ([`RankKey`]) — and hands every other buffer straight back to the free
-//! list; a byte budget ([`HIST_CACHE_BYTES`] in training) bounds it the same
-//! way. It caches a node only where the subtraction is the cheaper way to
-//! the node's larger child ([`min_cached_rows`], one formula for dense and
-//! CSR stores):
-//! below that size both children are scanned. [`HistPool::files`] is the
-//! same decision asked ahead of the build, which lets the Exclusive executor
+//! [`HistPool`] recycles buffers and rules which candidate histograms are
+//! kept for the parent−sibling subtraction trick, which skips half of
+//! BuildHist. The growth queue holds each kept histogram with its candidate
+//! ([`crate::growth::GrowthQueue`]), so the queue's order alone decides what
+//! is dropped: a candidate that can never pop takes its histogram with it,
+//! and under the pool's byte budget ([`HIST_CACHE_BYTES`] in training) the
+//! lowest-ranked histogram goes. The pool keeps a node only where the
+//! subtraction is the cheaper way to the node's larger child
+//! ([`min_cached_rows`], one formula for dense and CSR stores): below that
+//! size both children are scanned. [`HistPool::files`] is the same decision
+//! asked ahead of the build, which lets the Exclusive executor
 //! (`trainer::drivers`) give a full-width buffer only to a histogram that
 //! can be filed and keep every other one in its schedule slot's scratch.
 //! [`ScratchPool`] is the arena the schedule slots draw their lanes from:
@@ -36,18 +35,15 @@
 //! frontiers and trees, and come back zeroed from the fold that reads them
 //! or the tile body that searched them, so reuse clears nothing.
 
-use crate::growth::RankKey;
-use crate::tree::NodeId;
 use harp_metrics::{MemGauge, MemTable};
 use harp_parallel::Profile;
-use std::collections::{BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
 
-/// Byte budget of the trainer's candidate-histogram cache. The cache never
-/// holds more than the tree has leaves left to spend, which costs nothing;
-/// under this budget it gives up the candidates the growth queue would pop
-/// last, and those may miss.
+/// Byte budget of the histograms the trainer's growth queue holds. The
+/// queue never holds more than the tree has leaves left to spend, which
+/// costs nothing; under this budget it gives up the histograms of the
+/// candidates it would pop last, and those may miss.
 pub const HIST_CACHE_BYTES: usize = 512 << 20;
 
 /// Width in `f64` lanes of one node histogram: `total_bins` cells plus one
@@ -136,11 +132,6 @@ pub fn subtract_in_place(buf: &mut [f64], small: &[f64]) {
     }
 }
 
-struct Cached {
-    data: Vec<f64>,
-    key: RankKey,
-}
-
 /// A buffer handed out by [`HistPool::alloc`], still holding whatever its
 /// last use left in it. Handing out is a pop, cheap enough for a critical
 /// section; [`zeroed`](Self::zeroed), the only way to the lanes, is the
@@ -164,24 +155,22 @@ impl StaleHist {
     }
 }
 
-/// Buffer recycler plus bounded cache of candidate histograms.
+/// Buffer recycler plus the caching rule of candidate histograms: which
+/// histograms the growth queue may hold, and how many.
 pub struct HistPool {
     width: usize,
     /// Nodes with fewer rows are never cached ([`min_cached_rows`]).
     min_cached_rows: usize,
     free: Vec<Vec<f64>>,
-    cache: HashMap<NodeId, Cached>,
-    /// `cache` in growth order: the first entry is the one the queue would
-    /// pop last, hence the next to go.
-    order: BTreeSet<(RankKey, NodeId)>,
+    /// Histograms the growth queue holds ([`hold`](Self::hold)).
+    held: usize,
     budget_bytes: usize,
     /// Hit/miss/eviction/trim counters (cache traffic shows up in the run
     /// ledger).
     profile: Arc<Profile>,
-    /// `hist_pool`: the bytes this pool ever allocated (free + cached +
+    /// `hist_pool`: the bytes this pool ever allocated (free + held +
     /// outstanding; monotone, since buffers circulate rather than drop).
-    /// `hist_cache`: the bytes resident in the candidate cache (shrinks on
-    /// take, trim, eviction and clear).
+    /// `hist_cache`: the bytes held in the growth queue.
     mem: Arc<MemTable>,
 }
 
@@ -221,8 +210,7 @@ impl HistPool {
         profile: Arc<Profile>,
         mem: Arc<MemTable>,
     ) -> Self {
-        let (free, cache, order) = (Vec::new(), HashMap::new(), BTreeSet::new());
-        Self { width, min_cached_rows, free, cache, order, budget_bytes, profile, mem }
+        Self { width, min_cached_rows, free: Vec::new(), held: 0, budget_bytes, profile, mem }
     }
 
     /// Histogram lane count.
@@ -230,8 +218,8 @@ impl HistPool {
         self.width
     }
 
-    fn entry_bytes(&self) -> usize {
-        self.width * 8
+    fn entry_bytes(&self) -> u64 {
+        self.width as u64 * 8
     }
 
     /// Hands out a buffer, reusing a returned one when possible. No
@@ -241,7 +229,7 @@ impl HistPool {
     pub fn alloc(&mut self) -> StaleHist {
         let recycled = self.free.pop();
         if recycled.is_none() {
-            self.mem.hist_pool.add(self.entry_bytes() as u64);
+            self.mem.hist_pool.add(self.entry_bytes());
         }
         StaleHist { recycled, width: self.width }
     }
@@ -254,7 +242,7 @@ impl HistPool {
 
     /// How many histograms the byte budget holds.
     fn byte_cap(&self) -> usize {
-        self.budget_bytes.checked_div(self.entry_bytes()).unwrap_or(usize::MAX)
+        self.budget_bytes.checked_div(self.width * 8).unwrap_or(usize::MAX)
     }
 
     /// Whether the histogram of a node of `rows` rows, built with
@@ -263,7 +251,8 @@ impl HistPool {
     /// filed needs no full-width buffer: [`caches`](Self::caches), a byte
     /// budget that holds at least one, and a leaf left to spend on it.
     /// (Whether it then *is* kept still depends on its candidate's rank,
-    /// which [`cache_insert`](Self::cache_insert) settles.)
+    /// which [`GrowthQueue::push`](crate::growth::GrowthQueue::push)
+    /// settles.)
     pub fn files(&self, rows: usize, remaining: usize) -> bool {
         remaining > 0 && self.byte_cap() > 0 && self.caches(rows)
     }
@@ -274,111 +263,64 @@ impl HistPool {
         self.free.push(buf);
     }
 
-    /// Caches the histogram of `node` (of `rows` rows) for a later
-    /// subtraction, filed under the `key` its candidate pops by — unless the
-    /// node is too small for the subtraction to pay ([`caches`](Self::caches)),
-    /// in which case the buffer is recycled and the split will scan both
-    /// children. `remaining` is the tree's unspent leaf
-    /// budget: the cache holds at most that many entries (and at most what
-    /// the byte budget fits), so when it is full the lowest-ranked of the
-    /// residents and the newcomer is recycled instead. Dropping for the leaf
-    /// budget is free: every split pops the queue's top and lowers the
-    /// budget by one, and a push only lowers existing ranks, so a candidate
-    /// that ranks beyond the budget once stays there until the tree is
-    /// finished and is never split. A zero byte budget disables caching
-    /// (and therefore subtraction).
-    pub fn cache_insert(
-        &mut self,
-        node: NodeId,
-        rows: usize,
-        data: Vec<f64>,
-        key: RankKey,
-        remaining: usize,
-    ) {
-        let byte_cap = self.byte_cap();
-        if byte_cap == 0 || !self.caches(rows) {
-            self.release(data);
-            return;
+    /// The histogram of a node of `rows` rows, for its candidate in the
+    /// growth queue to hold for a later subtraction — unless the node is too
+    /// small for the subtraction to pay ([`caches`](Self::caches)) or the
+    /// byte budget is zero, which disables caching (and therefore
+    /// subtraction): then the buffer is recycled and the split will scan
+    /// both children.
+    pub fn keep(&mut self, hist: Vec<f64>, rows: usize) -> Option<Vec<f64>> {
+        if self.byte_cap() == 0 || !self.caches(rows) {
+            self.release(hist);
+            return None;
         }
-        if let Some(old) = self.cache.remove(&node) {
-            // Re-insert: the entry is re-filed under its new key.
-            self.order.remove(&(old.key, node));
-            self.uncache(old.data);
-        }
-        while self.cache.len() >= remaining.min(byte_cap) {
-            // One histogram goes: the lowest-ranked resident, or the
-            // newcomer if it ranks lower still. Beyond the leaf budget
-            // nothing will ever read it (a trim); under byte pressure its
-            // candidate may still pop, and will miss (an eviction).
-            if self.cache.len() >= remaining {
-                self.profile.add_hist_cache_trimmed(1);
-            } else {
-                self.profile.add_hist_cache_evictions(1);
-            }
-            match self.order.first() {
-                Some(&(worst, _)) if worst < key => self.recycle_lowest(),
-                _ => {
-                    self.release(data);
-                    return;
-                }
-            }
-        }
-        self.cache.insert(node, Cached { data, key });
-        self.order.insert((key, node));
-        self.mem.hist_cache.add(self.entry_bytes() as u64);
+        Some(hist)
     }
 
-    /// Recycles the cached histogram the queue would pop last.
-    fn recycle_lowest(&mut self) {
-        let (_, victim) = self.order.pop_first().expect("the cache is not empty");
-        let entry = self.cache.remove(&victim).expect("order indexes the cache");
-        self.uncache(entry.data);
+    /// Whether the byte budget has room for one more histogram held.
+    pub(crate) fn has_room(&self) -> bool {
+        self.held < self.byte_cap()
     }
 
-    /// Moves a buffer that just left `cache` to the free list.
-    fn uncache(&mut self, data: Vec<f64>) {
-        self.mem.hist_cache.sub(self.entry_bytes() as u64);
-        self.free.push(data);
+    /// Counts a histogram into those the growth queue holds.
+    pub(crate) fn hold(&mut self) {
+        self.held += 1;
+        self.mem.hist_cache.add(self.entry_bytes());
     }
 
-    /// `node` (of `rows` rows) is being split, which leaves `remaining`
-    /// leaves to spend: removes and returns its cached histogram, if still
-    /// present. A node too small to have been cached is not looked up —
-    /// that is a decline, not a miss. A hit lowers the cache and the budget
-    /// together; a pop that took nothing out lowered the budget alone, and
-    /// what now ranks beyond it is recycled (as free as on insert: with
-    /// `remaining` better-ranked entries cached, it can never pop).
-    pub fn cache_take(&mut self, node: NodeId, rows: usize, remaining: usize) -> Option<Vec<f64>> {
-        let out = if self.caches(rows) {
-            let hit = self.cache.remove(&node).map(|c| {
-                self.order.remove(&(c.key, node));
-                self.mem.hist_cache.sub(self.entry_bytes() as u64);
-                c.data
-            });
-            self.profile.add_hist_cache_lookup(hit.is_some());
-            hit
-        } else {
+    /// Counts a histogram out of those the growth queue holds.
+    pub(crate) fn unhold(&mut self) {
+        self.held -= 1;
+        self.mem.hist_cache.sub(self.entry_bytes());
+    }
+
+    /// A node of `rows` rows is being split, its candidate holding `hist`:
+    /// counts the lookup and hands the histogram over. A node too small to
+    /// have been cached is not looked up — that is a decline, not a miss.
+    pub fn lookup(&mut self, hist: Option<Vec<f64>>, rows: usize) -> Option<Vec<f64>> {
+        if !self.caches(rows) {
             self.profile.add_hist_cache_declined();
-            None
-        };
-        while self.cache.len() > remaining {
-            self.recycle_lowest();
-            self.profile.add_hist_cache_trimmed(1);
+            return None;
         }
-        out
+        self.profile.add_hist_cache_lookup(hist.is_some());
+        if hist.is_some() {
+            self.unhold();
+        }
+        hist
     }
 
-    /// Drops every cached histogram (end of tree) back to the free list.
-    pub fn clear_cache(&mut self) {
-        self.mem.hist_cache.sub((self.cache.len() * self.entry_bytes()) as u64);
-        let drained: Vec<Vec<f64>> = self.cache.drain().map(|(_, c)| c.data).collect();
-        self.free.extend(drained);
-        self.order.clear();
+    /// Recycles a histogram whose candidate ranks beyond the leaves left:
+    /// nothing will ever read it.
+    pub(crate) fn trim(&mut self, hist: Vec<f64>) {
+        self.profile.add_hist_cache_trimmed(1);
+        self.release(hist);
     }
 
-    /// Number of cached candidate histograms.
-    pub fn cached_len(&self) -> usize {
-        self.cache.len()
+    /// Recycles a histogram the byte budget has no room for: its candidate
+    /// may still pop, and will miss.
+    pub(crate) fn evict(&mut self, hist: Vec<f64>) {
+        self.profile.add_hist_cache_evictions(1);
+        self.release(hist);
     }
 }
 
@@ -437,37 +379,56 @@ impl ScratchPool {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::growth::GrowthQueue;
+    use crate::growth::{Candidate, GrowthQueue};
     use crate::params::GrowthMethod;
     use crate::split::SplitCandidate;
-    use crate::tree::{NodeStats, SplitData};
+    use crate::tree::{NodeId, NodeStats, SplitData};
 
-    /// No leaf-budget bound: only the byte budget limits the cache.
+    /// No leaf-budget bound: only the byte budget limits what is held.
     const UNBOUNDED: usize = usize::MAX;
 
     /// A node large enough to be cached whatever the pool's shape.
     const ROWS: usize = usize::MAX;
 
-    /// Mints rank keys the way the trainer gets them: from a growth queue,
-    /// in push order.
-    struct Keys(GrowthQueue);
-
-    impl Keys {
-        fn leafwise() -> Self {
-            Self(GrowthQueue::new(GrowthMethod::Leafwise))
-        }
-
-        fn at_depth(&mut self, depth: u32, gain: f64) -> RankKey {
-            let split = SplitData { feature: 0, bin: 0, threshold: 0.0, default_left: false, gain };
-            let stats = NodeStats::default();
-            self.0.push(0, depth, SplitCandidate { split, left: stats, right: stats })
-        }
-
-        fn gain(&mut self, gain: f64) -> RankKey {
-            self.at_depth(0, gain)
-        }
+    fn leafwise() -> GrowthQueue {
+        GrowthQueue::new(GrowthMethod::Leafwise)
     }
 
+    /// Files `node`'s histogram the way the frontier does: kept if the pool
+    /// caches a node of `rows` rows, then queued with its candidate at
+    /// `depth` and `gain` under `remaining` leaves left.
+    fn file(
+        queue: &mut GrowthQueue,
+        pool: &mut HistPool,
+        node: NodeId,
+        rows: usize,
+        hist: Vec<f64>,
+        (depth, gain): (u32, f64),
+        remaining: usize,
+    ) {
+        let split = SplitData { feature: 0, bin: 0, threshold: 0.0, default_left: false, gain };
+        let stats = NodeStats::default();
+        let cand = SplitCandidate { split, left: stats, right: stats };
+        let hist = pool.keep(hist, rows);
+        queue.push(Candidate { node, depth, cand, hist }, remaining, pool);
+    }
+
+    /// Splits every queued candidate of [`ROWS`] rows, best first: each
+    /// node with the first lane of its histogram, if it held one.
+    fn split_all(queue: &mut GrowthQueue, pool: &mut HistPool) -> Vec<(NodeId, Option<f64>)> {
+        let popped = queue.pop_batch(usize::MAX);
+        popped
+            .into_iter()
+            .map(|c| {
+                let lane = pool.lookup(c.hist, ROWS).map(|hist| {
+                    let lane = hist[0];
+                    pool.release(hist);
+                    lane
+                });
+                (c.node, lane)
+            })
+            .collect()
+    }
     #[test]
     fn reduce_adds_cellwise() {
         let mut a = vec![1.0, 2.0, 3.0];
@@ -520,20 +481,21 @@ pub(crate) mod tests {
     #[test]
     fn small_nodes_are_declined_not_cached_and_not_looked_up() {
         let (profile, mem) = (Arc::new(Profile::new()), Arc::new(MemTable::default()));
-        let mut keys = Keys::leafwise();
+        let mut queue = leafwise();
         // 64 bins over 4 dense columns: 16 rows scan 64 cells, a tie the
         // scan wins; 17 rows scan 68 and the subtraction pays.
         let mut pool = HistPool::new(64, 4, 1 << 20, Arc::clone(&profile), Arc::clone(&mem));
         assert!(!pool.caches(16) && pool.caches(17));
         let buf = pool.alloc().zeroed();
-        pool.cache_insert(1, 16, buf, keys.gain(9.0), UNBOUNDED);
-        assert_eq!(pool.cached_len(), 0);
-        assert!(pool.cache_take(1, 16, UNBOUNDED).is_none());
+        file(&mut queue, &mut pool, 1, 16, buf, (0, 9.0), UNBOUNDED);
+        assert_eq!((queue.len(), queue.held()), (1, 0));
         // The refused buffer went back to the free list.
         let buf = pool.alloc().zeroed();
         assert_eq!(mem.hist_pool.current(), (buf.len() * 8) as u64);
-        pool.cache_insert(2, 17, buf, keys.gain(1.0), UNBOUNDED);
-        assert!(pool.cache_take(2, 17, UNBOUNDED).is_some());
+        file(&mut queue, &mut pool, 2, 17, buf, (0, 1.0), UNBOUNDED);
+        let [small, large]: [Candidate; 2] = queue.pop_batch(2).try_into().unwrap();
+        assert!(pool.lookup(small.hist, 16).is_none());
+        assert!(pool.lookup(large.hist, 17).is_some());
         let c = profile.snapshot();
         assert_eq!((c.hist_cache_declined, c.hist_cache_hits, c.hist_cache_misses), (1, 1, 0));
         assert_eq!(c.hist_cache_trimmed + c.hist_cache_evictions, 0);
@@ -542,15 +504,19 @@ pub(crate) mod tests {
     #[test]
     fn a_pop_that_takes_nothing_trims_to_the_budget() {
         let profile = Arc::new(Profile::new());
-        let mut keys = Keys::leafwise();
+        let mut queue = leafwise();
         let mut pool = HistPool::new(64, 4, 1 << 20, Arc::clone(&profile), Arc::default());
-        pool.cache_insert(1, 17, vec![0.0; 136], keys.gain(5.0), 2);
-        pool.cache_insert(2, 17, vec![0.0; 136], keys.gain(1.0), 2);
-        // A 3-row node splits: nothing to take, but one leaf fewer to spend,
-        // and the lower-ranked of the two residents can no longer pop.
-        assert!(pool.cache_take(9, 3, 1).is_none());
-        assert_eq!(pool.cached_len(), 1);
-        assert!(pool.cache_take(1, 17, 0).is_some());
+        // Two leaves left and three candidates: a 3-row node, never cached,
+        // ranks first, so the lower of the two cached ones can never pop. It
+        // goes with its histogram when it is pushed — not later, when the
+        // 3-row node's pop takes nothing out.
+        file(&mut queue, &mut pool, 9, 3, vec![0.0; 136], (0, 9.0), 2);
+        file(&mut queue, &mut pool, 1, 17, vec![0.0; 136], (0, 5.0), 2);
+        file(&mut queue, &mut pool, 2, 17, vec![0.0; 136], (0, 1.0), 2);
+        assert_eq!((queue.len(), queue.held()), (2, 1));
+        let [first, second]: [Candidate; 2] = queue.pop_batch(2).try_into().unwrap();
+        assert!(pool.lookup(first.hist, 3).is_none());
+        assert!(pool.lookup(second.hist, 17).is_some());
         let c = profile.snapshot();
         assert_eq!((c.hist_cache_declined, c.hist_cache_trimmed, c.hist_cache_hits), (1, 1, 1));
         assert_eq!(c.hist_cache_misses, 0);
@@ -602,177 +568,163 @@ pub(crate) mod tests {
 
     #[test]
     fn cache_roundtrip() {
-        let mut keys = Keys::leafwise();
+        let mut queue = leafwise();
         let mut pool = HistPool::new(2, 0, 1 << 20, Arc::default(), Arc::default());
         let mut b = pool.alloc().zeroed();
         b[0] = 42.0;
-        pool.cache_insert(7, ROWS, b, keys.gain(1.0), UNBOUNDED);
-        assert_eq!(pool.cached_len(), 1);
-        let back = pool.cache_take(7, ROWS, UNBOUNDED).unwrap();
-        assert_eq!(back[0], 42.0);
-        assert!(pool.cache_take(7, ROWS, UNBOUNDED).is_none());
+        file(&mut queue, &mut pool, 7, ROWS, b, (0, 1.0), UNBOUNDED);
+        assert_eq!(queue.held(), 1);
+        assert_eq!(split_all(&mut queue, &mut pool), [(7, Some(42.0))]);
+        assert!(queue.is_empty());
     }
 
     #[test]
     fn cache_evicts_lowest_gain_first() {
         // width = 2 bins -> 4 lanes -> 32 bytes per entry; budget: 2 entries.
-        let mut keys = Keys::leafwise();
+        let mut queue = leafwise();
         let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
-        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
-        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(1.0), UNBOUNDED);
-        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(3.0), UNBOUNDED);
-        assert_eq!(pool.cached_len(), 2);
-        assert!(
-            pool.cache_take(2, ROWS, UNBOUNDED).is_none(),
-            "lowest-gain entry should be evicted"
-        );
-        assert!(pool.cache_take(1, ROWS, UNBOUNDED).is_some());
-        assert!(pool.cache_take(3, ROWS, UNBOUNDED).is_some());
+        file(&mut queue, &mut pool, 1, ROWS, vec![1.0; 4], (0, 5.0), UNBOUNDED);
+        file(&mut queue, &mut pool, 2, ROWS, vec![2.0; 4], (0, 1.0), UNBOUNDED);
+        file(&mut queue, &mut pool, 3, ROWS, vec![3.0; 4], (0, 3.0), UNBOUNDED);
+        assert_eq!((queue.len(), queue.held()), (3, 2));
+        let split = split_all(&mut queue, &mut pool);
+        assert_eq!(split, [(1, Some(1.0)), (3, Some(3.0)), (2, None)], "lowest gain evicted");
     }
 
     #[test]
     fn eviction_skips_stale_heap_entries() {
-        let mut keys = Keys::leafwise();
+        let mut queue = leafwise();
         let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
-        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(1.0), UNBOUNDED);
-        // A taken entry leaves the eviction order with it.
-        assert!(pool.cache_take(1, ROWS, UNBOUNDED).is_some());
-        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
-        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(3.0), UNBOUNDED);
+        file(&mut queue, &mut pool, 1, ROWS, vec![1.0; 4], (0, 1.0), UNBOUNDED);
+        // A popped entry leaves the eviction order with it.
+        assert_eq!(split_all(&mut queue, &mut pool), [(1, Some(1.0))]);
+        file(&mut queue, &mut pool, 2, ROWS, vec![2.0; 4], (0, 2.0), UNBOUNDED);
+        file(&mut queue, &mut pool, 3, ROWS, vec![3.0; 4], (0, 3.0), UNBOUNDED);
         // Budget forces one eviction: node 2 (lowest live gain), although
         // node 1's gain was lower still.
-        pool.cache_insert(4, ROWS, vec![4.0; 4], keys.gain(4.0), UNBOUNDED);
-        assert_eq!(pool.cached_len(), 2);
-        assert!(pool.cache_take(2, ROWS, UNBOUNDED).is_none());
-        assert!(pool.cache_take(3, ROWS, UNBOUNDED).is_some());
-        assert!(pool.cache_take(4, ROWS, UNBOUNDED).is_some());
-    }
-
-    #[test]
-    fn reinsert_updates_gain_not_duplicates() {
-        let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
-        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(0.5), UNBOUNDED);
-        pool.cache_insert(1, ROWS, vec![1.5; 4], keys.gain(9.0), UNBOUNDED); // re-insert with high gain
-        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
-        assert_eq!(pool.cached_len(), 2);
-        // Over budget: node 2 must go (1's live gain is 9.0, its old 0.5
-        // key must not evict it).
-        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(5.0), UNBOUNDED);
-        assert_eq!(pool.cached_len(), 2);
-        assert_eq!(pool.cache_take(1, ROWS, UNBOUNDED).unwrap()[0], 1.5);
-        assert!(pool.cache_take(2, ROWS, UNBOUNDED).is_none());
+        file(&mut queue, &mut pool, 4, ROWS, vec![4.0; 4], (0, 4.0), UNBOUNDED);
+        assert_eq!(queue.held(), 2);
+        let split = split_all(&mut queue, &mut pool);
+        assert_eq!(split, [(4, Some(4.0)), (3, Some(3.0)), (2, None)]);
     }
 
     #[test]
     fn eviction_is_heap_fast_for_many_entries() {
-        // 1000 inserts into a 10-entry budget: O(n log n) total, and the
+        // 1000 pushes into a 10-histogram budget: each eviction walks up
+        // from the lowest-ranked entry to the first histogram held, and the
         // survivors must be the 10 highest gains.
-        let mut keys = Keys::leafwise();
+        let mut queue = leafwise();
         let mut pool = HistPool::new(2, 0, 32 * 10, Arc::default(), Arc::default());
         for i in 0..1000u32 {
-            pool.cache_insert(i, ROWS, vec![0.0; 4], keys.gain(f64::from(i)), UNBOUNDED);
+            let buf = vec![f64::from(i); 4];
+            file(&mut queue, &mut pool, i, ROWS, buf, (0, f64::from(i)), UNBOUNDED);
         }
-        assert_eq!(pool.cached_len(), 10);
-        for i in 990..1000 {
-            assert!(pool.cache_take(i, ROWS, UNBOUNDED).is_some(), "high-gain entry {i} evicted");
-        }
+        assert_eq!(queue.held(), 10);
+        let split = split_all(&mut queue, &mut pool);
+        let held: Vec<_> = split.iter().filter_map(|&(node, lane)| lane.map(|_| node)).collect();
+        assert_eq!(held, (990..1000).rev().collect::<Vec<_>>(), "a high-gain entry was evicted");
     }
 
     #[test]
     fn zero_budget_disables_cache() {
-        let mut pool = HistPool::new(2, 0, 0, Arc::default(), Arc::default());
-        pool.cache_insert(1, ROWS, vec![0.0; 4], Keys::leafwise().gain(10.0), UNBOUNDED);
-        assert_eq!(pool.cached_len(), 0);
+        let mem = Arc::new(MemTable::default());
+        let mut queue = leafwise();
+        let mut pool = HistPool::new(2, 0, 0, Arc::default(), Arc::clone(&mem));
+        let buf = pool.alloc().zeroed();
+        file(&mut queue, &mut pool, 1, ROWS, buf, (0, 10.0), UNBOUNDED);
+        assert_eq!((queue.len(), queue.held()), (1, 0));
         // The rejected buffer must have been recycled.
         let _ = pool.alloc().zeroed();
+        assert_eq!(mem.hist_pool.current(), 32);
     }
 
     #[test]
-    fn clear_cache_recycles_everything() {
-        let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 1 << 20, Arc::default(), Arc::default());
-        pool.cache_insert(1, ROWS, vec![0.0; 4], keys.gain(1.0), UNBOUNDED);
-        pool.cache_insert(2, ROWS, vec![0.0; 4], keys.gain(2.0), UNBOUNDED);
-        pool.clear_cache();
-        assert_eq!(pool.cached_len(), 0);
+    fn clear_recycles_everything() {
+        let mem = Arc::new(MemTable::default());
+        let mut queue = leafwise();
+        let mut pool = HistPool::new(2, 0, 1 << 20, Arc::default(), Arc::clone(&mem));
+        for node in [1, 2] {
+            let buf = pool.alloc().zeroed();
+            file(&mut queue, &mut pool, node, ROWS, buf, (0, f64::from(node)), UNBOUNDED);
+        }
+        queue.clear(&mut pool);
+        assert!(queue.is_empty());
+        assert_eq!(mem.hist_cache.current(), 0);
+        // Both buffers are back on the free list.
+        let _ = (pool.alloc().zeroed(), pool.alloc().zeroed());
+        assert_eq!(mem.hist_pool.current(), 64);
     }
 
     #[test]
     fn gain_ties_keep_the_older_entry() {
         // The queue pops equal gains oldest first, so under pressure the
         // newest of a tie is the one to give up — newcomer or resident.
-        let mut keys = Keys::leafwise();
+        let mut queue = leafwise();
         let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
-        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(2.0), UNBOUNDED);
-        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
-        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(2.0), UNBOUNDED);
-        assert!(pool.cache_take(3, ROWS, UNBOUNDED).is_none(), "the newest of the tie is refused");
+        file(&mut queue, &mut pool, 1, ROWS, vec![1.0; 4], (0, 2.0), UNBOUNDED);
+        file(&mut queue, &mut pool, 2, ROWS, vec![2.0; 4], (0, 2.0), UNBOUNDED);
+        // The newest of the tie is refused.
+        file(&mut queue, &mut pool, 3, ROWS, vec![3.0; 4], (0, 2.0), UNBOUNDED);
         // Node 4 outranks both; of the tied residents the newer (2) goes.
-        pool.cache_insert(4, ROWS, vec![4.0; 4], keys.gain(3.0), UNBOUNDED);
-        assert!(pool.cache_take(2, ROWS, UNBOUNDED).is_none());
-        assert!(pool.cache_take(1, ROWS, UNBOUNDED).is_some());
-        assert!(pool.cache_take(4, ROWS, UNBOUNDED).is_some());
+        file(&mut queue, &mut pool, 4, ROWS, vec![4.0; 4], (0, 3.0), UNBOUNDED);
+        let split = split_all(&mut queue, &mut pool);
+        assert_eq!(split, [(4, Some(4.0)), (1, Some(1.0)), (2, None), (3, None)]);
     }
 
     #[test]
     fn worst_ranked_newcomer_is_recycled_not_inserted() {
         let (profile, mem) = (Arc::new(Profile::new()), Arc::new(MemTable::default()));
-        let mut keys = Keys::leafwise();
+        let mut queue = leafwise();
         let mut pool = HistPool::new(2, 0, 64, Arc::clone(&profile), Arc::clone(&mem));
-        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
-        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(3.0), UNBOUNDED);
-        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(1.0), UNBOUNDED);
+        file(&mut queue, &mut pool, 1, ROWS, vec![1.0; 4], (0, 5.0), UNBOUNDED);
+        file(&mut queue, &mut pool, 2, ROWS, vec![2.0; 4], (0, 3.0), UNBOUNDED);
+        file(&mut queue, &mut pool, 3, ROWS, vec![3.0; 4], (0, 1.0), UNBOUNDED);
         assert_eq!(profile.snapshot().hist_cache_evictions, 1, "byte pressure, not a trim");
-        assert!(
-            pool.cache_take(1, ROWS, UNBOUNDED).is_some()
-                && pool.cache_take(2, ROWS, UNBOUNDED).is_some()
-        );
-        assert!(pool.cache_take(3, ROWS, UNBOUNDED).is_none(), "residents outrank the newcomer");
+        // The newcomer stays a candidate; the residents outrank its histogram.
+        assert_eq!((queue.len(), queue.held()), (3, 2));
         // The refused buffer feeds the next alloc instead of a fresh one.
         let _ = pool.alloc().zeroed();
         assert_eq!(mem.hist_pool.current(), 0);
+        let split = split_all(&mut queue, &mut pool);
+        assert_eq!(split, [(1, Some(1.0)), (2, Some(2.0)), (3, None)]);
     }
 
     #[test]
     fn depthwise_keeps_the_shallower_node() {
-        // Depthwise growth pops by depth before gain, and so must the cache.
-        let mut keys = Keys(GrowthQueue::new(GrowthMethod::Depthwise));
+        // Depthwise growth pops by depth before gain, and so does eviction.
+        let mut queue = GrowthQueue::new(GrowthMethod::Depthwise);
         let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
-        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.at_depth(2, 9.0), UNBOUNDED);
-        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.at_depth(1, 0.5), UNBOUNDED);
-        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.at_depth(1, 0.1), UNBOUNDED);
-        assert!(
-            pool.cache_take(1, ROWS, UNBOUNDED).is_none(),
+        file(&mut queue, &mut pool, 1, ROWS, vec![1.0; 4], (2, 9.0), UNBOUNDED);
+        file(&mut queue, &mut pool, 2, ROWS, vec![2.0; 4], (1, 0.5), UNBOUNDED);
+        file(&mut queue, &mut pool, 3, ROWS, vec![3.0; 4], (1, 0.1), UNBOUNDED);
+        let split = split_all(&mut queue, &mut pool);
+        assert_eq!(
+            split,
+            [(2, Some(2.0)), (3, Some(3.0)), (1, None)],
             "the deeper node pops last, whatever its gain"
         );
-        assert!(pool.cache_take(2, ROWS, UNBOUNDED).is_some());
-        assert!(pool.cache_take(3, ROWS, UNBOUNDED).is_some());
     }
 
     #[test]
     fn leaf_budget_caps_the_cache_and_counts_trims() {
         let (profile, mem) = (Arc::new(Profile::new()), Arc::new(MemTable::default()));
-        let mut keys = Keys::leafwise();
+        let mut queue = leafwise();
         let mut pool = HistPool::new(2, 0, 1 << 20, Arc::clone(&profile), Arc::clone(&mem));
         for (node, gain) in [(1, 4.0), (2, 1.0), (3, 3.0), (4, 2.0)] {
-            pool.cache_insert(node, ROWS, vec![0.0; 4], keys.gain(gain), 4);
+            file(&mut queue, &mut pool, node, ROWS, vec![0.0; 4], (0, gain), 4);
         }
-        assert_eq!(pool.cached_len(), 4);
+        assert_eq!(queue.held(), 4);
         // Two leaves left to spend: a newcomer competes for two places, and
         // the residents ranked beyond them go as well.
-        pool.cache_insert(5, ROWS, vec![0.0; 4], keys.gain(3.5), 2);
-        assert_eq!(pool.cached_len(), 2);
+        file(&mut queue, &mut pool, 5, ROWS, vec![0.0; 4], (0, 3.5), 2);
+        assert_eq!((queue.len(), queue.held()), (2, 2));
         assert_eq!(mem.hist_cache.current(), 64);
-        pool.cache_insert(6, ROWS, vec![0.0; 4], keys.gain(0.5), 2);
-        assert_eq!(pool.cached_len(), 2);
-        assert!(
-            pool.cache_take(1, ROWS, UNBOUNDED).is_some()
-                && pool.cache_take(5, ROWS, UNBOUNDED).is_some()
-        );
+        file(&mut queue, &mut pool, 6, ROWS, vec![0.0; 4], (0, 0.5), 2);
+        assert_eq!(queue.len(), 2);
+        assert_eq!(split_all(&mut queue, &mut pool), [(1, Some(0.0)), (5, Some(0.0))]);
         // With the budget spent nothing is kept at all.
-        pool.cache_insert(7, ROWS, vec![0.0; 4], keys.gain(9.0), 0);
-        assert_eq!(pool.cached_len(), 0);
+        file(&mut queue, &mut pool, 7, ROWS, vec![0.0; 4], (0, 9.0), 0);
+        assert!(queue.is_empty());
         assert_eq!(mem.hist_cache.current(), 0);
         let c = profile.snapshot();
         assert_eq!(c.hist_cache_trimmed, 5, "nodes 2, 4 and 3, then 6 and 7");
@@ -829,16 +781,17 @@ pub(crate) mod tests {
     #[test]
     fn instrumented_pool_counts_lookups_and_evictions() {
         let profile = Arc::new(Profile::new());
-        let mut keys = Keys::leafwise();
+        let mut queue = leafwise();
         // 32 bytes/entry, budget for 2 entries.
         let mut pool = HistPool::new(2, 0, 64, Arc::clone(&profile), Arc::default());
-        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(5.0), UNBOUNDED);
-        pool.cache_insert(2, ROWS, vec![2.0; 4], keys.gain(1.0), UNBOUNDED);
-        pool.cache_insert(3, ROWS, vec![3.0; 4], keys.gain(3.0), UNBOUNDED); // evicts node 2
-        assert!(pool.cache_take(1, ROWS, UNBOUNDED).is_some()); // hit
-        assert!(pool.cache_take(2, ROWS, UNBOUNDED).is_none()); // miss (evicted)
+        file(&mut queue, &mut pool, 1, ROWS, vec![1.0; 4], (0, 5.0), UNBOUNDED);
+        file(&mut queue, &mut pool, 2, ROWS, vec![2.0; 4], (0, 1.0), UNBOUNDED);
+        // Node 3 evicts node 2's histogram: two hits, then node 2's miss.
+        file(&mut queue, &mut pool, 3, ROWS, vec![3.0; 4], (0, 3.0), UNBOUNDED);
+        let split = split_all(&mut queue, &mut pool);
+        assert_eq!(split, [(1, Some(1.0)), (3, Some(3.0)), (2, None)]);
         let c = profile.snapshot();
-        assert_eq!(c.hist_cache_hits, 1);
+        assert_eq!(c.hist_cache_hits, 2);
         assert_eq!(c.hist_cache_misses, 1);
         assert_eq!(c.hist_cache_evictions, 1);
         assert_eq!(c.hist_cache_trimmed, 0);
@@ -847,38 +800,29 @@ pub(crate) mod tests {
     #[test]
     fn cache_gauge_high_water_survives_evictions_and_clear() {
         let mem = Arc::new(MemTable::default());
-        let mut keys = Keys::leafwise();
+        let mut queue = leafwise();
         let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::clone(&mem));
         let a = pool.alloc().zeroed();
         let b = pool.alloc().zeroed();
         assert_eq!(mem.hist_pool.current(), 64, "two fresh 32-byte buffers");
-        pool.cache_insert(1, ROWS, a, keys.gain(5.0), UNBOUNDED);
-        pool.cache_insert(2, ROWS, b, keys.gain(1.0), UNBOUNDED);
+        file(&mut queue, &mut pool, 1, ROWS, a, (0, 5.0), UNBOUNDED);
+        file(&mut queue, &mut pool, 2, ROWS, b, (0, 1.0), UNBOUNDED);
         assert_eq!(mem.hist_cache.current(), 64);
         assert_eq!(mem.hist_cache.high_water(), 64);
         let c = pool.alloc().zeroed();
-        pool.cache_insert(3, ROWS, c, keys.gain(3.0), UNBOUNDED); // evicts node 2, recycles it
+        // Node 3 evicts node 2's histogram and recycles it.
+        file(&mut queue, &mut pool, 3, ROWS, c, (0, 3.0), UNBOUNDED);
         assert_eq!(mem.hist_cache.current(), 64, "eviction then insert nets out");
-        assert!(pool.cache_take(1, ROWS, UNBOUNDED).is_some());
-        assert_eq!(mem.hist_cache.current(), 32, "take shrinks occupancy");
-        pool.clear_cache();
+        let best = queue.pop_batch(1).pop().unwrap();
+        assert!(pool.lookup(best.hist, ROWS).is_some());
+        assert_eq!(mem.hist_cache.current(), 32, "a pop shrinks occupancy");
+        queue.clear(&mut pool);
         assert_eq!(mem.hist_cache.current(), 0, "clear empties occupancy");
         assert_eq!(mem.hist_cache.high_water(), 64, "peak survives shrink");
         assert_eq!(mem.hist_pool.current(), 96, "pool total is monotone");
         // Recycled buffers do not re-count.
         let _ = pool.alloc().zeroed();
         assert_eq!(mem.hist_pool.current(), 96);
-    }
-
-    #[test]
-    fn replacement_insert_keeps_cache_gauge_flat() {
-        let mem = Arc::new(MemTable::default());
-        let mut keys = Keys::leafwise();
-        let mut pool = HistPool::new(2, 0, 1 << 20, Arc::default(), Arc::clone(&mem));
-        pool.cache_insert(1, ROWS, vec![1.0; 4], keys.gain(1.0), UNBOUNDED);
-        pool.cache_insert(1, ROWS, vec![2.0; 4], keys.gain(2.0), UNBOUNDED);
-        assert_eq!(mem.hist_cache.current(), 32, "re-insert replaces, not grows");
-        assert_eq!(mem.hist_cache.high_water(), 32);
     }
 
     #[test]

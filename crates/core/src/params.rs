@@ -35,9 +35,11 @@ const SYNC_SMALL_NODE_ROWS: usize = 512;
 impl ParallelMode {
     /// Table II in one place: how the batch of a frontier of `width` nodes
     /// of `mean_rows` rows each accumulates on a pool of `threads`. SYNC is
-    /// (DP, MP, DP) — DP while the frontier is narrow, DP again once nodes
-    /// are small, MP in between. Every ASYNC batch is DP: its begin phase's
-    /// barrier batches and each node task, a batch of one schedule slot.
+    /// (DP, MP, DP): MP (Exclusive) when `width ≥ threads / 2` (integer
+    /// division) and `mean_rows ≥ 512`, DP otherwise — so at `threads ≤ 3`
+    /// even the root batch is MP when it holds 512 rows or more. Every
+    /// ASYNC batch is DP: its begin phase's barrier batches and each node
+    /// task, a batch of one schedule slot.
     pub fn accumulation(self, width: usize, mean_rows: usize, threads: usize) -> Accumulation {
         match self {
             ParallelMode::ModelParallel => Accumulation::Exclusive,
@@ -372,8 +374,8 @@ impl TrainParams {
         if self.n_trees == 0 {
             return Err("n_trees must be positive".into());
         }
-        if self.learning_rate <= 0.0 || self.learning_rate.is_nan() {
-            return Err("learning_rate must be positive".into());
+        if !(self.learning_rate > 0.0 && self.learning_rate.is_finite()) {
+            return Err("learning_rate must be finite and positive".into());
         }
         // NaN is named: `NaN < 0.0` is false.
         if [self.lambda, self.gamma, self.min_child_weight]
@@ -466,6 +468,14 @@ mod tests {
         for bad in [-0.1, f64::NAN, f64::INFINITY] {
             let p = TrainParams { max_delta_step: bad, ..Default::default() };
             assert!(p.validate().is_err(), "max_delta_step {bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn learning_rate_must_be_finite_and_positive() {
+        for bad in [0.0, -0.1, f32::NAN, f32::INFINITY] {
+            let p = TrainParams { learning_rate: bad, ..Default::default() };
+            assert!(p.validate().is_err(), "learning_rate {bad} must be rejected");
         }
     }
 

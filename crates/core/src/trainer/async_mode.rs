@@ -18,15 +18,16 @@
 //!   claims its candidate (and applies it to the tree) in one critical
 //!   section, writes the children's counts and plans them in another, takes
 //!   each child's buffer in a third and files the children in a last one,
-//!   so the pool's leaf-budget trimming is as exact here as between
+//!   so the queue's leaf-budget trimming is as exact here as between
 //!   barriers. Nothing width-sized runs inside: a fresh buffer is popped off
 //!   the free list under the lock and zero-filled after it;
 //! * row partition — no lock: each task owns its node's span.
 //!
-//! The [`WorkQueue`] carries one unit token per queued candidate: it wakes a
+//! The [`WorkQueue`] carries one unit token per candidate pushed: it wakes a
 //! worker, caps the tasks in flight at K and detects the drain, while the
 //! order lives in the frontier — a task takes the best candidate there is
-//! when it starts, not the one that was best when its token was pushed.
+//! when it starts, not the one that was best when its token was pushed, and
+//! a token whose candidate the leaf budget dropped finds nothing to claim.
 //!
 //! [`SpinMutex`]: harp_parallel::SpinMutex
 

@@ -5,25 +5,25 @@
 //! tasks under a spin lock (`async_mode`); either way the split step
 //! (`TreeEngine::step`) takes a split through
 //!
-//! 1. [`claim`](Frontier::claim) — popped, its leaf spent, its cached
-//!    histogram taken and the split applied to the tree in one step, so the
-//!    pool sees the budget exactly as that pop left it and never holds the
-//!    histogram of a candidate in flight (`cached ≤ R` at every intermediate
-//!    `R`), and node ids are given out in claim order;
+//! 1. [`claim`](Frontier::claim) — popped with the histogram its queue
+//!    entry holds, its leaf spent and the split applied to the tree in one
+//!    step, so node ids are given out in claim order, and the queue, which
+//!    never holds more candidates than leaves are left, needs no trim;
 //! 2. [`children`](Frontier::children) — the children's row counts written
 //!    and their histograms planned: which child is scanned and which
 //!    derived as `parent − small`; a parent nothing will read is released,
 //!    and nothing is planned once the budget is spent;
 //! 3. [`file`](Frontier::file) — the expanded children are queued
-//!    small-first and their full-width histograms cached for the next
-//!    subtraction.
+//!    small-first, each with its full-width histogram where the pool keeps
+//!    it for the next subtraction; the queue drops what the budgets leave
+//!    no room for.
 //!
 //! Nothing width-sized runs in here: [`equip`](Frontier::equip) pops a
 //! buffer off the free list and the caller zero-fills it, outside any lock.
 //! [`finish`](Frontier::finish) hands the grown tree back.
 
 use super::drivers::{DerivedSibling, TileJob};
-use crate::growth::{GrowthQueue, RankedCandidate};
+use crate::growth::{Candidate, GrowthQueue};
 use crate::hist::{HistPool, StaleHist};
 use crate::params::TrainParams;
 use crate::partition::RowPartition;
@@ -39,7 +39,7 @@ pub(super) struct Claim {
     pub split: SplitData,
     /// The ids its two children were given.
     pub kids: [NodeId; 2],
-    /// The node's histogram, if it was cached.
+    /// The node's histogram, if its queue entry held one.
     pub parent: Option<Vec<f64>>,
 }
 
@@ -92,10 +92,9 @@ impl<'a> Frontier<'a> {
     }
 
     /// Ends a tree and hands it back: the candidates left in the queue stay
-    /// leaves and their cached histograms are recycled.
+    /// leaves and their histograms are recycled.
     pub fn finish(&mut self) -> Tree {
-        self.hists.clear_cache();
-        self.queue = GrowthQueue::new(self.params.growth);
+        self.queue.clear(&mut self.hists);
         self.leaves = 1;
         std::mem::replace(&mut self.tree, Tree::new_root(NodeStats::default()))
     }
@@ -105,7 +104,8 @@ impl<'a> Frontier<'a> {
         self.params.max_leaves() - self.leaves
     }
 
-    /// How many candidates wait to be split.
+    /// How many candidates wait to be split — never more than
+    /// [`remaining`](Self::remaining).
     pub fn width(&self) -> usize {
         self.queue.len()
     }
@@ -120,17 +120,17 @@ impl<'a> Frontier<'a> {
         depth < self.params.max_depth() && count >= 2
     }
 
-    /// Pops up to `k` of the best candidates the budget still pays for and
-    /// applies each split to the tree, in pop order, taking its parent
-    /// histogram if that was cached.
+    /// Pops up to `k` of the best candidates — the queue holds none the
+    /// budget cannot pay for — and applies each split to the tree, in pop
+    /// order, taking the histogram its entry holds.
     pub fn claim(&mut self, k: usize, partition: &RowPartition) -> Vec<Claim> {
-        let batch = self.queue.pop_batch(k, self.remaining());
+        debug_assert!(self.queue.len() <= self.remaining());
+        let batch = self.queue.pop_batch(k);
         batch
             .into_iter()
-            .map(|RankedCandidate { node, cand, .. }| {
+            .map(|Candidate { node, cand, hist, .. }| {
                 self.leaves += 1;
-                let rows = partition.node_len(node);
-                let parent = self.hists.cache_take(node, rows, self.remaining());
+                let parent = self.hists.lookup(hist, partition.node_len(node));
                 let (l, r) = self.tree.apply_split(node, cand.split, cand.left, cand.right);
                 Claim { node, split: cand.split, kids: [l, r], parent }
             })
@@ -209,12 +209,13 @@ impl<'a> Frontier<'a> {
     }
 
     /// Queues the expanded children (`found[j]`: the best split of job `j`'s
-    /// node and of its derived sibling) and files their full-width
-    /// histograms: the smaller (or only) child of every split in batch
-    /// order, then the larger children in batch order — whether derived or
-    /// scanned, so the caching rule moves cost, never a tie. A child with no
-    /// admissible split stays a leaf and its buffer is recycled. Returns how
-    /// many were queued.
+    /// node and of its derived sibling), each with its full-width histogram
+    /// where the pool keeps it: the smaller (or only) child of every split
+    /// in batch order, then the larger children in batch order — whether
+    /// derived or scanned, so the caching rule moves cost, never a tie. A
+    /// child with no admissible split stays a leaf and its buffer is
+    /// recycled. Returns how many were pushed, counting any the queue drops
+    /// at once for the leaf budget.
     pub fn file(&mut self, children: Children, found: Vec<[Option<SplitCandidate>; 2]>) -> usize {
         let mut built = Vec::with_capacity(2 * found.len());
         let expanded = children.jobs.into_iter().zip(children.placed).zip(found);
@@ -234,16 +235,16 @@ impl<'a> Frontier<'a> {
         built.sort_by_key(|&(second, ..)| second);
         let mut queued = 0;
         for (_, depth, node, stats, buf, cand) in built {
-            let key = cand.map(|cand| self.queue.push(node, depth, cand));
-            queued += usize::from(key.is_some());
-            match (buf, key) {
-                (Some(buf), Some(key)) => {
-                    let rows = stats.count as usize;
-                    self.hists.cache_insert(node, rows, buf, key, self.remaining());
+            let Some(cand) = cand else {
+                if let Some(buf) = buf {
+                    self.hists.release(buf);
                 }
-                (Some(buf), None) => self.hists.release(buf),
-                (None, _) => {}
-            }
+                continue;
+            };
+            let hist = buf.and_then(|buf| self.hists.keep(buf, stats.count as usize));
+            let candidate = Candidate { node, depth, cand, hist };
+            self.queue.push(candidate, self.remaining(), &mut self.hists);
+            queued += 1;
         }
         queued
     }
@@ -322,26 +323,28 @@ mod tests {
         let (params, profile) = (params(3), Arc::new(Profile::new()));
         let mut frontier = Frontier::new(&params, &profile, pool(&profile, &Arc::default()));
         let partition = five_leaves(&mut frontier);
-        // Five leaves of eight, every one a candidate: the best and the worst
-        // too small to be cached, the three between them cached — R = 3.
+        // Five leaves of eight, every one a candidate, the best and the worst
+        // too small to be cached — R = 3. Nodes 7 and 8 rank beyond R: they
+        // can never pop, and are dropped on sight, node 7's histogram with
+        // it. Nodes 3 and 5 hold theirs.
         file_five_leaves(&mut frontier, &partition, [9.0, 7.0, 5.0, 3.0, 1.0]);
-        assert_eq!(frontier.hists.cached_len(), 3);
+        assert_eq!((frontier.width(), frontier.queue.held()), (3, 2));
+        let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(count(&profile.hist_cache_trimmed), 1);
 
-        // The first pop takes nothing out and leaves R = 2: node 7's
-        // histogram ranks beyond it and goes. The second takes node 3's and
-        // leaves R = 1, which node 5's still fits. Had both been taken at
-        // the R the batch ends on, node 5's would have gone with node 7's.
+        // The first pop takes nothing out, the second node 3's histogram;
+        // node 5 keeps its own with R = 1, and nothing is trimmed at a pop.
         let batch = frontier.claim(2, &partition);
         let nodes: Vec<_> = batch.iter().map(|c| (c.node, c.parent.is_some())).collect();
         assert_eq!(nodes, [(1, false), (3, true)]);
-        assert_eq!((frontier.remaining(), frontier.hists.cached_len()), (1, 1));
-        let count = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!((frontier.remaining(), frontier.queue.held()), (1, 1));
         assert_eq!(count(&profile.hist_cache_trimmed), 1);
         assert_eq!(count(&profile.hist_cache_misses), 0);
         // One pop at a time, the invariant is visible after each.
         while frontier.open() {
             frontier.claim(1, &partition);
-            assert!(frontier.hists.cached_len() <= frontier.remaining());
+            assert!(frontier.queue.held() <= frontier.width());
+            assert!(frontier.width() <= frontier.remaining());
         }
         assert_eq!(count(&profile.hist_cache_misses), 0);
     }
@@ -425,8 +428,7 @@ mod tests {
             equip(&mut frontier, &mut children);
             let found = vec![[cand(1.0), cand(1.0)]; children.jobs.len()];
             assert_eq!(frontier.file(children, found), 4);
-            let order: Vec<NodeId> =
-                frontier.queue.pop_batch(4, 4).iter().map(|c| c.node).collect();
+            let order: Vec<NodeId> = frontier.queue.pop_batch(4).iter().map(|c| c.node).collect();
             assert_eq!(order, [4, 5, 3, 6], "parents cached: {cached:?}");
         }
     }

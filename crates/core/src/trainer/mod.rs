@@ -8,9 +8,12 @@
 //! driver runs each batch:
 //!
 //! * `DataParallel` / `ModelParallel` — always the respective driver;
-//! * `Sync` — DP while the batch is narrower than the pool, MP in the
-//!   middle, DP again when nodes shrink below a row threshold (the paper's
-//!   "mix mode (DP, MP, DP)");
+//! * `Sync` — MP for a batch of at least `threads / 2` nodes (integer
+//!   division) averaging at least 512 rows, DP for any other: DP while the
+//!   batch is narrower than half the pool, DP again once nodes shrink below
+//!   512 rows (the paper's "mix mode (DP, MP, DP)"). At `threads ≤ 3` the
+//!   width test always passes, so even the root batch is MP when it holds
+//!   512 rows or more;
 //! * `Async` — DP batches until the queue is as wide as the pool, then the
 //!   barrier-free node-task phase (`async_mode`).
 //!
@@ -369,9 +372,10 @@ impl GbdtTrainer {
     /// # Errors
     /// Returns a message for unusable data: more rows than one
     /// [`RowPartition`] holds, a label, weight or query-group count that does
-    /// not match `store.n_rows()`, whatever the objective's own validation
-    /// rejects, or a dense eval matrix narrower than `store` (a narrower
-    /// sparse one is widened: its absent columns are missing).
+    /// not match `store.n_rows()`, a weight that is not finite and
+    /// non-negative, whatever the objective's own validation rejects, or a
+    /// dense eval matrix narrower than `store` (a narrower sparse one is
+    /// widened: its absent columns are missing).
     pub fn try_train_store_grouped(
         &self,
         store: &dyn QuantStore,
@@ -390,6 +394,12 @@ impl GbdtTrainer {
                     "training data rejected: one {what} per row required, got {len} {what}s for {n} rows"
                 ));
             }
+        }
+        let mut rows = weights.unwrap_or_default().iter().enumerate();
+        if let Some((i, w)) = rows.find(|(_, w)| !(w.is_finite() && **w >= 0.0)) {
+            return Err(format!(
+                "training data rejected: weights must be finite and non-negative; row {i} has {w}"
+            ));
         }
         params
             .loss

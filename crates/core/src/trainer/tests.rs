@@ -654,6 +654,31 @@ fn rejected_data_is_reported_one_way() {
 }
 
 #[test]
+fn non_finite_or_negative_weights_are_rejected() {
+    // A NaN or infinite weight trains a model of non-finite leaves, a
+    // negative one turns its row's gradient around: each is rejected like
+    // a bad label, naming the row.
+    let data = dataset(DatasetKind::HiggsLike, 0.02);
+    let qm = harp_binning::QuantizedMatrix::from_matrix(
+        &data.features,
+        harp_binning::BinningConfig::default(),
+    );
+    let trainer = GbdtTrainer::new(TrainParams { n_trees: 1, ..base_params() }).unwrap();
+    let rule = "weights must be finite and non-negative";
+    for (bad, shown) in [(f32::NAN, "NaN"), (f32::INFINITY, "inf"), (-1.0, "-1")] {
+        let mut weights = vec![1.0f32; data.labels.len()];
+        weights[7] = bad;
+        let err = trainer.try_train_store_grouped(&qm, &data.labels, Some(&weights), None, None);
+        assert_eq!(err.err(), Some(format!("training data rejected: {rule}; row 7 has {shown}")));
+    }
+    let mut weights = vec![1.0f32; data.labels.len()];
+    weights[7] = 0.0;
+    assert!(trainer
+        .try_train_store_grouped(&qm, &data.labels, Some(&weights), None, None)
+        .is_ok());
+}
+
+#[test]
 fn softmax_rejects_a_negative_class_id() {
     // `-1.0 as usize` saturates to 0 and `(-1.0).fract()` is -0.0, which
     // equals 0.0: only the sign check keeps this row from training as

@@ -146,11 +146,12 @@ counter_table! {
     /// is cheaper than deriving it by subtraction: no lookup, both children
     /// are built from rows. Not a miss.
     hist_cache_declined,
-    /// Histogram-pool cache evictions under the byte budget.
+    /// Candidate histograms given up under the histogram pool's byte
+    /// budget (the lowest-ranked held, or a newcomer ranked lower still).
     hist_cache_evictions,
-    /// Cached histograms recycled (or refused on insert) because their
-    /// candidate ranked beyond the tree's remaining leaf budget and can no
-    /// longer be split. Never causes a miss.
+    /// Candidate histograms recycled because their candidate ranked beyond
+    /// the tree's remaining leaf budget, which drops it from the growth
+    /// queue: it can no longer be split. Never causes a miss.
     hist_cache_trimmed,
     /// Child histograms never built because the split that made the child
     /// spent the last of the leaf budget.

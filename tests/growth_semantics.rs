@@ -8,15 +8,16 @@
 //!
 //! The leaf-budget battery at the bottom drives a `GrowthQueue` and a
 //! `HistPool` the way the trainer does and checks the invariants behind the
-//! pool's two ways of not keeping a histogram (DESIGN.md §18): one dropped
-//! because its candidate ranked beyond the remaining leaf budget is never
-//! asked for, and one declined because its node is too small for the
-//! subtraction to pay is declined again — not looked up — when the node
-//! splits.
+//! two ways a histogram is not held (DESIGN.md §18): one dropped with its
+//! candidate, which ranked beyond the remaining leaf budget, is never asked
+//! for, and one declined because its node is too small for the subtraction
+//! to pay is declined again — not looked up — when the node splits. After
+//! every pop and every push the queue holds no more candidates than leaves
+//! are left, and no more histograms than candidates or the byte budget.
 
 use harp_bench::prepared;
 use harp_data::DatasetKind;
-use harpgbdt::growth::{GrowthQueue, RankedCandidate};
+use harpgbdt::growth::{Candidate, GrowthQueue};
 use harpgbdt::hist::HistPool;
 use harpgbdt::split::SplitCandidate;
 use harpgbdt::{GbdtTrainer, GrowthMethod, NodeStats, ParallelMode, SplitData, TrainParams};
@@ -188,6 +189,12 @@ fn split_cand(gain: f64) -> SplitCandidate {
     }
 }
 
+/// Queues `node` with no histogram and no leaf budget.
+fn push(q: &mut GrowthQueue, node: u32, depth: u32, gain: f64) {
+    let pool = &mut HistPool::new(0, 0, 0, Arc::default(), Arc::default());
+    q.push(Candidate { node, depth, cand: split_cand(gain), hist: None }, usize::MAX, pool);
+}
+
 /// Random candidate pool with deliberately coarse gains (so ties are common)
 /// and shallow depths (so depthwise levels hold several nodes).
 fn candidate_pool() -> impl Strategy<Value = Vec<(f64, u32)>> {
@@ -276,11 +283,11 @@ proptest! {
     fn leafwise_k1_drains_best_first_with_fifo_ties(pool in candidate_pool()) {
         let mut q = GrowthQueue::new(GrowthMethod::Leafwise);
         for (i, &(gain, depth)) in pool.iter().enumerate() {
-            q.push(i as u32, depth, split_cand(gain));
+            push(&mut q, i as u32, depth, gain);
         }
-        let mut popped: Vec<RankedCandidate> = Vec::new();
+        let mut popped: Vec<Candidate> = Vec::new();
         loop {
-            let batch = q.pop_batch(1, usize::MAX);
+            let batch = q.pop_batch(1);
             prop_assert!(batch.len() <= 1);
             match batch.into_iter().next() {
                 Some(c) => popped.push(c),
@@ -307,11 +314,11 @@ proptest! {
     fn depthwise_pop_at_level_width_takes_whole_shallowest_level(pool in candidate_pool()) {
         let mut q = GrowthQueue::new(GrowthMethod::Depthwise);
         for (i, &(gain, depth)) in pool.iter().enumerate() {
-            q.push(i as u32, depth, split_cand(gain));
+            push(&mut q, i as u32, depth, gain);
         }
         let min_depth = pool.iter().map(|&(_, d)| d).min().unwrap();
         let width = pool.iter().filter(|&&(_, d)| d == min_depth).count();
-        let batch = q.pop_batch(width, usize::MAX);
+        let batch = q.pop_batch(width);
         prop_assert_eq!(batch.len(), width);
         for c in &batch {
             prop_assert!(
@@ -319,7 +326,7 @@ proptest! {
                 "pop sized to the level width must not reach into depth {}", c.depth
             );
         }
-        for rest in q.drain() {
+        for rest in q.pop_batch(usize::MAX) {
             prop_assert!(rest.depth > min_depth, "left a depth-{} node behind", rest.depth);
         }
     }
@@ -336,20 +343,20 @@ proptest! {
         let method = if depthwise { GrowthMethod::Depthwise } else { GrowthMethod::Leafwise };
         let mut q = GrowthQueue::new(method);
         for (i, &(gain, depth)) in pool.iter().enumerate() {
-            q.push(i as u32, depth, split_cand(gain));
+            push(&mut q, i as u32, depth, gain);
         }
-        let batch = q.pop_batch(k, usize::MAX);
+        let batch = q.pop_batch(k);
         prop_assert_eq!(batch.len(), k.min(pool.len()));
         // The frontier the pop was competing against: leafwise ranks the
         // whole queue together; depthwise ranks within a level.
-        let same_level = |c: &RankedCandidate, d: u32| !depthwise || c.depth == d;
+        let same_level = |c: &Candidate, d: u32| !depthwise || c.depth == d;
         let deepest_popped = batch.iter().map(|c| c.depth).max().unwrap_or(0);
         let worst = batch
             .iter()
             .filter(|c| same_level(c, deepest_popped))
             .map(|c| (c.cand.split.gain, c.node))
             .fold((f64::INFINITY, 0u32), |(g, n), (cg, cn)| if cg < g { (cg, cn) } else { (g, n) });
-        for rest in q.drain() {
+        for rest in q.pop_batch(usize::MAX) {
             if depthwise {
                 // Nothing shallower than the deepest popped node may remain.
                 prop_assert!(
@@ -376,7 +383,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Leaf-budget battery: the histogram lifecycle under `R = max_leaves − leaves`.
 
-/// One tree's growth state as `TreeEngine::build_tree` carries it — the
+/// One tree's growth state as the trainer's frontier carries it — the
 /// queue, the histogram pool and the leaf count — with node ids and depths
 /// handed out as `Tree::apply_split` does, FindSplit replaced by a scripted
 /// outcome per child and ApplySplit by a scripted share of the parent's rows.
@@ -386,6 +393,11 @@ struct Growth {
     profile: Arc<harp_parallel::Profile>,
     max_leaves: usize,
     leaves: usize,
+    /// How many histograms the pool's byte budget holds.
+    byte_cap: usize,
+    /// How many claims a budget read may lag behind: the queue may hold that
+    /// many candidates beyond the leaves left.
+    lag: usize,
     /// Row count per node id; the next node's id is its length.
     rows: Vec<usize>,
     /// Whether the pool said it caches the node when its histogram was filed.
@@ -405,28 +417,30 @@ struct Growth {
 const POOL_BINS: u32 = 64;
 const POOL_COLS: usize = 4;
 
+/// Bytes of one such histogram: each bin and each feature's sink cell, two
+/// `f64` lanes each.
+const HIST_BYTES: usize = (POOL_BINS as usize + POOL_COLS) * 16;
+
 impl Growth {
     fn new(
         depthwise: bool,
         max_leaves: usize,
         root_rows: usize,
+        (byte_cap, lag): (usize, usize),
         outcomes: Vec<Option<f64>>,
         shares: Vec<usize>,
     ) -> Self {
         let method = if depthwise { GrowthMethod::Depthwise } else { GrowthMethod::Leafwise };
         let profile = Arc::new(harp_parallel::Profile::new());
+        let budget = byte_cap.saturating_mul(HIST_BYTES);
         let mut g = Self {
             queue: GrowthQueue::new(method),
-            pool: HistPool::new(
-                POOL_BINS,
-                POOL_COLS,
-                1 << 20,
-                Arc::clone(&profile),
-                Arc::default(),
-            ),
+            pool: HistPool::new(POOL_BINS, POOL_COLS, budget, Arc::clone(&profile), Arc::default()),
             profile,
             max_leaves,
             leaves: 1,
+            byte_cap,
+            lag,
             rows: vec![root_rows],
             filed: vec![false],
             depth_limit: if depthwise {
@@ -439,7 +453,7 @@ impl Growth {
             drawn: 0,
             pops: 0,
         };
-        g.file(0, 0, 1.0, max_leaves - 1);
+        g.file(0, 0, 1.0, max_leaves - 1).expect("the root is filed");
         g
     }
 
@@ -448,45 +462,78 @@ impl Growth {
         self.max_leaves - self.leaves
     }
 
-    /// Queues `node` as a candidate and hands its histogram to the pool. A
-    /// node the pool declines must leave the cache exactly as it was.
-    fn file(&mut self, node: u32, depth: u32, gain: f64, remaining_seen: usize) {
-        let rows = self.rows[node as usize];
-        self.filed[node as usize] = self.pool.caches(rows);
-        let before = (self.pool.cached_len(), self.profile.snapshot());
-        let buf = self.pool.alloc().zeroed();
-        let key = self.queue.push(node, depth, split_cand(gain));
-        self.pool.cache_insert(node, rows, buf, key, remaining_seen);
-        if !self.filed[node as usize] {
-            assert_eq!(before, (self.pool.cached_len(), self.profile.snapshot()));
-        }
+    /// The bounds after every pop and every push: no more candidates queued
+    /// than leaves are left (give or take the lag), and no more histograms
+    /// held than candidates queued or the byte budget holds.
+    fn check_bounds(&self) -> Result<(), TestCaseError> {
+        let (queued, held, remaining) = (self.queue.len(), self.queue.held(), self.remaining());
+        prop_assert!(
+            queued <= remaining + self.lag,
+            "{queued} candidates queued with {remaining} leaves left and a lag of {}",
+            self.lag
+        );
+        prop_assert!(
+            held <= queued.min(self.byte_cap),
+            "{held} histograms held by {queued} candidates, {} fit",
+            self.byte_cap
+        );
+        Ok(())
     }
 
-    /// Pops up to `k` candidates and splits them: each spends a leaf and
-    /// asks the pool for its histogram, which must still be there — unless
-    /// the pool declined it when it was filed, and then it declines again.
-    fn pop(&mut self, k: usize) -> Result<Vec<RankedCandidate>, TestCaseError> {
-        let batch = self.queue.pop_batch(k, self.remaining());
-        for c in &batch {
+    /// Queues `node` as a candidate with its histogram, if the pool keeps
+    /// it: a node the pool declines holds none.
+    fn file(
+        &mut self,
+        node: u32,
+        depth: u32,
+        gain: f64,
+        remaining_seen: usize,
+    ) -> Result<(), TestCaseError> {
+        let rows = self.rows[node as usize];
+        self.filed[node as usize] = self.pool.caches(rows);
+        let buf = self.pool.alloc().zeroed();
+        let hist = self.pool.keep(buf, rows);
+        prop_assert_eq!(hist.is_some(), self.filed[node as usize]);
+        let cand = split_cand(gain);
+        self.queue
+            .push(Candidate { node, depth, cand, hist }, remaining_seen, &mut self.pool);
+        self.check_bounds()
+    }
+
+    /// Pops up to `k` candidates — never more than the leaves left, which a
+    /// lagging read may have let the queue outnumber — and splits them: each
+    /// spends a leaf and asks the pool for its histogram, which must still
+    /// be there unless the byte budget evicted one — or the pool declined it
+    /// when it was filed, and then it declines again.
+    fn pop(&mut self, k: usize) -> Result<Vec<Candidate>, TestCaseError> {
+        let mut batch = self.queue.pop_batch(k.min(self.remaining()));
+        for c in &mut batch {
             self.leaves += 1;
             self.pops += 1;
-            let hist = self.pool.cache_take(c.node, self.rows[c.node as usize], self.remaining());
+            let filed = self.filed[c.node as usize];
+            let hist = self.pool.lookup(c.hist.take(), self.rows[c.node as usize]);
+            let evicted = self.profile.snapshot().hist_cache_evictions > 0;
             prop_assert!(
-                hist.is_some() == self.filed[c.node as usize],
+                hist.is_some() == filed || (evicted && filed),
                 "node {} ({} rows, gain {}, depth {}) popped with {} leaves left: filed {}, found {}",
                 c.node, self.rows[c.node as usize], c.cand.split.gain, c.depth,
-                self.remaining() + 1, self.filed[c.node as usize], hist.is_some()
+                self.remaining() + 1, filed, hist.is_some()
             );
             if let Some(hist) = hist {
                 self.pool.release(hist);
             }
         }
+        self.check_bounds()?;
         Ok(batch)
     }
 
     /// Builds, searches and queues `parent`'s two children under the leaf
     /// budget the caller read.
-    fn publish_children(&mut self, parent: &RankedCandidate, remaining_seen: usize) {
+    fn publish_children(
+        &mut self,
+        parent: &Candidate,
+        remaining_seen: usize,
+    ) -> Result<(), TestCaseError> {
         let parent_rows = self.rows[parent.node as usize];
         let left_rows = parent_rows * self.shares[self.drawn % self.shares.len()] / 8;
         for rows in [left_rows, parent_rows - left_rows] {
@@ -497,16 +544,18 @@ impl Growth {
             self.drawn += 1;
             let depth = parent.depth + 1;
             if let Some(gain) = outcome.filter(|_| depth < self.depth_limit && rows >= 2) {
-                self.file(node, depth, gain, remaining_seen);
+                self.file(node, depth, gain, remaining_seen)?;
             }
         }
+        Ok(())
     }
 
-    /// Every pop either hit or was declined; none found its histogram gone.
+    /// Every pop either hit, was declined or missed a histogram the byte
+    /// budget evicted; without byte pressure none missed.
     fn check_counters(&self) -> Result<(), TestCaseError> {
         let c = self.profile.snapshot();
-        prop_assert_eq!(c.hist_cache_misses, 0);
-        prop_assert_eq!(c.hist_cache_hits + c.hist_cache_declined, self.pops);
+        prop_assert!(c.hist_cache_misses <= c.hist_cache_evictions);
+        prop_assert_eq!(c.hist_cache_hits + c.hist_cache_misses + c.hist_cache_declined, self.pops);
         Ok(())
     }
 }
@@ -523,6 +572,12 @@ fn share_stream() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(1usize..8, 1..32)
 }
 
+/// How many histograms the byte budget holds: mostly more than any tree
+/// here needs, sometimes one to three, so that it presses.
+fn byte_cap() -> impl Strategy<Value = usize> {
+    (0usize..7).prop_map(|i| i.checked_sub(3).filter(|&cap| cap > 0).unwrap_or(usize::MAX))
+}
+
 /// Root sizes from under the pool's 17-row caching threshold to some 35x of
 /// it, so trees mix cached and declined nodes at every depth.
 const ROOT_ROWS: std::ops::Range<usize> = 2..600;
@@ -533,10 +588,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Barrier order (`TreeEngine::step` on K claims): pop K, spend K leaves, publish the
-    /// children under what is left. No pop ever misses, a node too small to
-    /// cache is declined when filed and when popped alike, the cache never
-    /// holds more histograms than leaves are left, and whatever the
-    /// budget-spending batch could build would be dropped unread.
+    /// children under what is left. No pop misses a histogram but one the
+    /// byte budget evicted, a node too small to cache is declined when filed
+    /// and when popped alike, the queue never holds more candidates than
+    /// leaves are left nor more histograms than candidates or the byte
+    /// budget, and once the budget is spent it holds nothing.
     #[test]
     fn trimming_to_the_leaf_budget_never_drops_a_needed_histogram(
         outcomes in outcome_stream(),
@@ -545,8 +601,9 @@ proptest! {
         depthwise in any::<bool>(),
         k_idx in 0usize..4,
         max_leaves in 2usize..65,
+        byte_cap in byte_cap(),
     ) {
-        let mut g = Growth::new(depthwise, max_leaves, root_rows, outcomes, shares);
+        let mut g = Growth::new(depthwise, max_leaves, root_rows, (byte_cap, 0), outcomes, shares);
         loop {
             let batch = g.pop(K_CHOICES[k_idx])?;
             if batch.is_empty() {
@@ -554,16 +611,12 @@ proptest! {
             }
             let remaining = g.remaining();
             for c in &batch {
-                g.publish_children(c, remaining);
+                g.publish_children(c, remaining)?;
             }
-            // At R = 0 nothing is kept (the trainer builds none of these:
-            // nothing can read them).
-            prop_assert!(
-                g.pool.cached_len() <= remaining,
-                "{} histograms cached with {} leaves left", g.pool.cached_len(), remaining
-            );
+            // At R = 0 nothing is queued (the trainer builds none of these
+            // histograms: nothing can read them).
             if remaining == 0 {
-                prop_assert!(g.pop(usize::MAX)?.is_empty());
+                prop_assert!(g.queue.is_empty());
             }
         }
         g.check_counters()?;
@@ -582,10 +635,11 @@ proptest! {
         depthwise in any::<bool>(),
         max_leaves in 2usize..65,
         t in 1usize..5,
+        byte_cap in byte_cap(),
         schedule in proptest::collection::vec((any::<bool>(), 0usize..8, 0usize..5), 1..64),
     ) {
-        let mut g = Growth::new(depthwise, max_leaves, root_rows, outcomes, shares);
-        let mut in_flight: Vec<RankedCandidate> = Vec::new();
+        let mut g = Growth::new(depthwise, max_leaves, root_rows, (byte_cap, t), outcomes, shares);
+        let mut in_flight: Vec<Candidate> = Vec::new();
         for step in 0.. {
             let (start, pick, lag) = schedule[step % schedule.len()];
             if start && in_flight.len() < t {
@@ -603,12 +657,8 @@ proptest! {
             let task = in_flight.swap_remove(pick % in_flight.len());
             let remaining = g.remaining();
             if remaining > 0 {
-                g.publish_children(&task, remaining + lag.min(t));
+                g.publish_children(&task, remaining + lag.min(t))?;
             }
-            prop_assert!(
-                g.pool.cached_len() <= remaining + t,
-                "{} histograms cached with {} leaves left and {} tasks", g.pool.cached_len(), remaining, t
-            );
         }
         prop_assert!(g.remaining() == 0 || g.queue.is_empty());
         g.check_counters()?;
