@@ -148,30 +148,48 @@ fn build_cache(
     Ok((store, line))
 }
 
-/// Ensures a chunk cache for `data` exists at `path` (building it on first
-/// use) and opens it under `mem_budget` resident bytes. Returns the opened
-/// store plus a human line describing what happened.
+/// Opens the chunk cache for `data` at `path` under `mem_budget` resident
+/// bytes. An existing cache is reused only if it is no older than the data
+/// file, holds the data's row and feature counts and, when
+/// `--rows-per-chunk` was given, is cut into chunks of that many rows;
+/// otherwise it is rebuilt, and the returned line says why. A data file
+/// replaced by an older-dated one of the same shape is not detected.
 fn open_or_build_cache(
     data: &Dataset,
+    data_path: &str,
     path: &str,
-    rows_per_chunk: usize,
+    rows_per_chunk: Option<usize>,
     mem_budget: u64,
 ) -> Result<(harpgbdt::ChunkedStore, String), String> {
-    let (store, mut note) = if Path::new(path).exists() {
+    let modified = |p: &str| std::fs::metadata(p).and_then(|m| m.modified()).ok();
+    let stale = if !Path::new(path).exists() {
+        None
+    } else if modified(path) < modified(data_path) {
+        Some(format!("it is older than {data_path}"))
+    } else {
         let store = harpgbdt::ChunkedStore::open(Path::new(path), mem_budget)
             .map_err(|e| format!("failed to open cache {path}: {e}"))?;
-        (store, format!("external memory: reusing cache {path}"))
-    } else {
-        let (store, setup_line) = build_cache(data, path, rows_per_chunk, mem_budget)?;
-        let s = store.summary();
-        let note = format!(
-            "{setup_line}\nexternal memory: built cache {path} ({} chunks x {} rows, {} file bytes)",
-            s.n_chunks, s.rows_per_chunk, s.file_bytes
-        );
-        (store, note)
+        let (s, cols) = (store.summary(), harpgbdt::QuantStore::n_features(&store));
+        let (rows, want) = (data.n_rows(), data.n_features());
+        if (s.n_rows, cols) != (rows, want) {
+            Some(format!("it holds {} rows x {cols} features, the data {rows} x {want}", s.n_rows))
+        } else if let Some(r) = rows_per_chunk.filter(|&r| r != s.rows_per_chunk) {
+            Some(format!("it has {} rows per chunk, not {r}", s.rows_per_chunk))
+        } else {
+            return Ok((store, format!("external memory: reusing cache {path}")));
+        }
     };
+    let rows_per_chunk = rows_per_chunk.unwrap_or(harpgbdt::DEFAULT_ROWS_PER_CHUNK);
+    let (store, setup_line) = build_cache(data, path, rows_per_chunk, mem_budget)?;
     let s = store.summary();
-    let _ = write!(note, "; budget {mem_budget} bytes over {} decoded", s.decoded_bytes);
+    let built = match stale {
+        None => format!("built cache {path} ("),
+        Some(why) => format!("rebuilt cache {path} ({why}; "),
+    };
+    let note = format!(
+        "{setup_line}\nexternal memory: {built}{} chunks x {} rows, {} file bytes)",
+        s.n_chunks, s.rows_per_chunk, s.file_bytes
+    );
     Ok((store, note))
 }
 
@@ -183,46 +201,9 @@ fn parse_growth(s: &str) -> Result<GrowthMethod, String> {
     }
 }
 
-/// `harpgbdt train --help`: the flag reference plus the objective
-/// registry, so the printed loss list is always the real one.
-fn train_help() -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "usage: harpgbdt train --data FILE --model FILE [options]");
-    let _ = writeln!(s);
-    let _ = writeln!(s, "objectives (--loss NAME, default logistic):");
-    s.push_str(&harpgbdt::objective::registry_help());
-    let _ = writeln!(s);
-    let _ = writeln!(s, "options:");
-    let _ = writeln!(s, "  --trees N --tree-size D --learning-rate F --gamma F --lambda F");
-    let _ =
-        writeln!(s, "  --min-child-weight F --max-delta-step F (0 disables; ~0.7 tames tweedie)");
-    let _ = writeln!(s, "  --growth leafwise|depthwise --k N");
-    let _ = writeln!(s, "  --mode dp|mp|sync|async --threads N");
-    let _ = writeln!(s, "  --subsample F --colsample F --seed N");
-    let _ = writeln!(s, "  --blocks R,N,F,B | --auto-blocks");
-    let _ = writeln!(s, "  --groups FILE        (query-group sizes for the training data;");
-    let _ = writeln!(s, "                        whitespace-separated, required by lambdarank)");
-    let _ = writeln!(s, "  --valid FILE --valid-groups FILE --early-stop ROUNDS");
-    let _ = writeln!(s, "  --trace-out FILE --ledger-out FILE");
-    let _ = writeln!(s, "  --external-memory    (train from a memory-mapped chunk cache instead");
-    let _ =
-        writeln!(s, "                        of the in-core quantized matrix; bitwise-identical");
-    let _ = writeln!(s, "                        models under any budget)");
-    let _ =
-        writeln!(s, "  --mem-budget BYTES   (resident chunk budget, k/m/g suffixes; default 256m)");
-    let _ = writeln!(s, "  --cache FILE         (cache path; default DATA.qsc, built on first use");
-    let _ = writeln!(s, "                        or ahead of time with `harpgbdt cache`)");
-    let _ = writeln!(s, "  --rows-per-chunk N   (chunk granularity when building the cache)");
-    s
-}
-
 /// `harpgbdt train`.
 pub fn train(args: &[String]) -> Result<String, String> {
-    // `--help` before Opts::parse: the flag parser would demand a value.
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        return Ok(train_help());
-    }
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("train", args)?;
     let trace_out = opts.get("--trace-out");
     let ledger_out = opts.get("--ledger-out");
     // Reject unusable external-memory knobs up front — before the (possibly
@@ -296,10 +277,12 @@ pub fn train(args: &[String]) -> Result<String, String> {
         let cache_path = opts
             .get("--cache")
             .map_or_else(|| default_cache_path(data_path), str::to_string);
-        let rows_per_chunk = opts.parse_or("--rows-per-chunk", harpgbdt::DEFAULT_ROWS_PER_CHUNK)?;
+        let rows_per_chunk = opts.parse_opt("--rows-per-chunk")?;
         let budget = parse_bytes(opts.get("--mem-budget").unwrap_or("256m"))?;
-        let (store, note) = open_or_build_cache(&data, &cache_path, rows_per_chunk, budget)?;
-        setup_notes.push(note);
+        let (store, note) =
+            open_or_build_cache(&data, data_path, &cache_path, rows_per_chunk, budget)?;
+        let decoded = store.summary().decoded_bytes;
+        setup_notes.push(format!("{note}; budget {budget} bytes over {decoded} decoded"));
         let out = trainer.try_train_store_grouped(
             &store,
             &data.labels,
@@ -430,7 +413,7 @@ fn predict_raw_threaded(
 
 /// `harpgbdt predict`.
 pub fn predict(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("predict", args)?;
     let model = load_model(opts.required("--model")?)?;
     let data = load(opts.required("--data")?)?;
     let engine = model.compile();
@@ -499,7 +482,7 @@ fn parse_metric(s: &str, spec: LossKind) -> Result<EvalMetric, String> {
 
 /// `harpgbdt eval`.
 pub fn eval(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("eval", args)?;
     let model = load_model(opts.required("--model")?)?;
     let mut data = load(opts.required("--data")?)?;
     if let Some(p) = opts.get("--groups") {
@@ -644,7 +627,7 @@ pub fn report(args: &[String]) -> Result<String, String> {
     // flag parsing (the parser accepts only --flag value pairs).
     let (args, diff) = extract_pair(args, "--diff")?;
     let (args, bench_diff) = extract_pair(&args, "--bench-diff")?;
-    let opts = Opts::parse(&args)?;
+    let opts = Opts::parse("report", &args)?;
     let d = DiffOptions::default();
     let diff_opts = DiffOptions {
         tolerance: opts.parse_or("--tolerance", d.tolerance)?,
@@ -751,7 +734,7 @@ fn report_slo(spec: &str, opts: &Opts) -> Result<String, String> {
 
 /// `harpgbdt importance`.
 pub fn importance(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("importance", args)?;
     let model = load_model(opts.required("--model")?)?;
     let top: usize = opts.parse_or("--top", 20usize)?;
     let mut rows: Vec<(usize, f64, u64)> = model
@@ -772,14 +755,14 @@ pub fn importance(args: &[String]) -> Result<String, String> {
 
 /// `harpgbdt dump`.
 pub fn dump(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("dump", args)?;
     let model = load_model(opts.required("--model")?)?;
     Ok(model.dump_text())
 }
 
 /// `harpgbdt synth`.
 pub fn synth(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("synth", args)?;
     let kind = opts.required("--kind")?;
     let kind = DatasetKind::parse(kind)
         .ok_or_else(|| format!("unknown kind {kind:?} (higgs|airline|criteo|yfcc|synset)"))?;
@@ -809,7 +792,7 @@ pub fn synth(args: &[String]) -> Result<String, String> {
 /// external-memory cache ahead of time, so `train --external-memory` (and
 /// repeated experiment sweeps) skip the quantization pass entirely.
 pub fn cache(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("cache", args)?;
     let data = load(opts.required("--data")?)?;
     let out_path = opts
         .get("--out")
@@ -837,7 +820,7 @@ pub fn cache(args: &[String]) -> Result<String, String> {
 /// blocks until a `Shutdown` frame arrives; the returned summary prints
 /// after the server drains.
 pub fn serve(args: &[String]) -> Result<String, String> {
-    let opts = Opts::parse(args)?;
+    let opts = Opts::parse("serve", args)?;
     let model_path = opts.required("--model")?;
     let model = load_model(model_path)?;
     let forest = model.compile();
@@ -937,7 +920,7 @@ mod tests {
 
     #[test]
     fn train_help_prints_the_registry() {
-        let help = train(&args(&["--help"])).unwrap();
+        let help = crate::run(&args(&["train", "--help"])).unwrap();
         for info in harpgbdt::objective::REGISTRY {
             assert!(help.contains(info.syntax), "--help must list {}", info.syntax);
         }
@@ -969,19 +952,19 @@ mod tests {
 
     #[test]
     fn block_flag_parsing() {
-        let o = Opts::parse(&args(&["--blocks", "0,32,16,0"])).unwrap();
+        let o = Opts::parse("train", &args(&["--blocks", "0,32,16,0"])).unwrap();
         let b = parse_blocks(&o).unwrap();
         assert_eq!(
             (b.row_blk_size, b.node_blk_size, b.feature_blk_size, b.bin_blk_size),
             (0, 32, 16, 0)
         );
-        let o = Opts::parse(&args(&["--auto-blocks"])).unwrap();
+        let o = Opts::parse("train", &args(&["--auto-blocks"])).unwrap();
         assert!(parse_blocks(&o).unwrap().is_auto());
-        let o = Opts::parse(&args(&[])).unwrap();
+        let o = Opts::parse("train", &args(&[])).unwrap();
         assert_eq!(parse_blocks(&o).unwrap(), BlockConfig::default());
-        let o = Opts::parse(&args(&["--blocks", "1,2,3"])).unwrap();
+        let o = Opts::parse("train", &args(&["--blocks", "1,2,3"])).unwrap();
         assert!(parse_blocks(&o).is_err(), "three extents must be rejected");
-        let o = Opts::parse(&args(&["--blocks", "1,2,3,4", "--auto-blocks"])).unwrap();
+        let o = Opts::parse("train", &args(&["--blocks", "1,2,3,4", "--auto-blocks"])).unwrap();
         assert!(parse_blocks(&o).is_err(), "mutually exclusive flags");
     }
 
@@ -1066,6 +1049,90 @@ mod tests {
         assert!(covers_setup(&report), "{report}");
         assert_eq!(ja, std::fs::read_to_string(&model_b).unwrap());
         for p in [data_path, model_a, model_b, cache_path] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    fn write_higgs(path: &Path, seed: u64, scale: f64) {
+        let data = SynthConfig::new(DatasetKind::HiggsLike, seed).with_scale(scale).generate();
+        let file = std::fs::File::create(path).unwrap();
+        harp_data::io::write_csv(std::io::BufWriter::new(file), &data).unwrap();
+    }
+
+    /// Dates `path` `secs` after (or, negative, before) `reference`.
+    fn date_after(path: &Path, reference: &Path, secs: i64) {
+        let at = std::fs::metadata(reference).unwrap().modified().unwrap();
+        let step = std::time::Duration::from_secs(secs.unsigned_abs());
+        let when = if secs >= 0 { at + step } else { at - step };
+        std::fs::File::options()
+            .write(true)
+            .open(path)
+            .unwrap()
+            .set_modified(when)
+            .unwrap();
+    }
+
+    /// Trains a small model on `data` into `model` with `extra` flags;
+    /// returns the report and the saved model.
+    fn train_small(data: &Path, model: &Path, extra: &[&str]) -> (String, String) {
+        let mut a = args(&["--data", data.to_str().unwrap(), "--model", model.to_str().unwrap()]);
+        a.extend(args(&["--trees", "3", "--tree-size", "3", "--threads", "2", "--seed", "7"]));
+        a.extend(args(extra));
+        let report = train(&a).unwrap();
+        (report, std::fs::read_to_string(model).unwrap())
+    }
+
+    #[test]
+    fn a_newer_data_file_of_the_same_shape_rebuilds_the_cache() {
+        let dir = std::env::temp_dir();
+        let (data, cache_path) = (dir.join("harp_cli_newer.csv"), dir.join("harp_cli_newer.qsc"));
+        let (model_a, model_b) =
+            (dir.join("harp_cli_newer_a.json"), dir.join("harp_cli_newer_b.json"));
+        let cache_arg = cache_path.to_str().unwrap();
+        let chunked = ["--external-memory", "--cache", cache_arg, "--mem-budget", "64k"];
+        write_higgs(&data, 1, 0.02);
+        cache(&args(&["--data", data.to_str().unwrap(), "--out", cache_arg])).unwrap();
+        // Same shape, other values, dated after the cache.
+        write_higgs(&data, 2, 0.02);
+        date_after(&data, &cache_path, 5);
+        let (report, chunked_model) = train_small(&data, &model_b, &chunked);
+        let (_, in_core) = train_small(&data, &model_a, &[]);
+        assert_eq!(chunked_model, in_core, "a stale cache trained another model: {report}");
+        assert!(report.contains("rebuilt cache") && report.contains("older than"), "{report}");
+        // Dated before the rebuilt cache, the data is what it holds, at the
+        // default chunk size it was rebuilt with.
+        date_after(&data, &cache_path, -5);
+        let (report, _) = train_small(&data, &model_b, &chunked);
+        assert!(report.contains("reusing cache"), "{report}");
+        // A differing --rows-per-chunk rebuilds; the same one reuses.
+        let at_64 = [&chunked[..], &["--rows-per-chunk", "64"]].concat();
+        let (report, _) = train_small(&data, &model_b, &at_64);
+        assert!(report.contains("rows per chunk, not 64"), "{report}");
+        let (report, _) = train_small(&data, &model_b, &at_64);
+        assert!(report.contains("reusing cache"), "{report}");
+        for p in [data, cache_path, model_a, model_b] {
+            std::fs::remove_file(p).ok();
+        }
+    }
+
+    #[test]
+    fn a_cache_of_another_row_count_is_rebuilt() {
+        let dir = std::env::temp_dir();
+        let (data, cache_path) = (dir.join("harp_cli_rows.csv"), dir.join("harp_cli_rows.qsc"));
+        let (model_a, model_b) =
+            (dir.join("harp_cli_rows_a.json"), dir.join("harp_cli_rows_b.json"));
+        let cache_arg = cache_path.to_str().unwrap();
+        write_higgs(&data, 1, 0.025);
+        cache(&args(&["--data", data.to_str().unwrap(), "--out", cache_arg])).unwrap();
+        // Fewer rows, dated before the cache: only the shape tells.
+        write_higgs(&data, 2, 0.02);
+        date_after(&data, &cache_path, -5);
+        let chunked = ["--external-memory", "--cache", cache_arg, "--mem-budget", "64k"];
+        let (report, chunked_model) = train_small(&data, &model_b, &chunked);
+        assert!(report.contains("rebuilt cache") && report.contains("500 rows x 28"), "{report}");
+        let (_, in_core) = train_small(&data, &model_a, &[]);
+        assert_eq!(chunked_model, in_core, "a rebuilt cache trains the in-core model");
+        for p in [data, cache_path, model_a, model_b] {
             std::fs::remove_file(p).ok();
         }
     }

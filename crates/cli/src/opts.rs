@@ -13,17 +13,25 @@ pub struct Opts {
 const SWITCHES: &[&str] = &["--raw", "--class", "--auto-blocks", "--external-memory"];
 
 impl Opts {
-    /// Parses an argument list.
+    /// Parses the argument list of command `cmd`.
     ///
     /// # Errors
-    /// Returns a message for a flag missing its value, a duplicate, or a
-    /// non-flag token.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
+    /// Returns a message for a flag `cmd` does not accept, a flag missing
+    /// its value, a duplicate, or a non-flag token.
+    ///
+    /// # Panics
+    /// Panics if `cmd` names no command.
+    pub fn parse(cmd: &str, args: &[String]) -> Result<Self, String> {
+        let command = crate::COMMANDS.iter().find(|c| c.name == cmd);
+        let accepted = command.expect("a known command").flags;
         let mut out = Opts::default();
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             if !flag.starts_with("--") {
                 return Err(format!("unexpected argument {flag:?} (flags start with --)"));
+            }
+            if !accepted.split_whitespace().any(|f| f == flag) {
+                return Err(format!("unknown flag {flag} for {cmd} (see `harpgbdt {cmd} --help`)"));
             }
             if SWITCHES.contains(&flag.as_str()) {
                 out.switches.push(flag.clone());
@@ -60,10 +68,7 @@ impl Opts {
     /// # Errors
     /// Returns a message when the value does not parse.
     pub fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.get(name) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| format!("{name}: cannot parse {v:?}")),
-        }
+        Ok(self.parse_opt(name)?.unwrap_or(default))
     }
 
     /// Parsed optional value.
@@ -88,42 +93,54 @@ mod tests {
 
     #[test]
     fn parses_pairs_and_switches() {
-        let o = Opts::parse(&args(&["--data", "x.csv", "--raw", "--trees", "10"])).unwrap();
+        let o = Opts::parse("predict", &args(&["--data", "x.csv", "--raw", "--threads", "10"]))
+            .unwrap();
         assert_eq!(o.get("--data"), Some("x.csv"));
         assert!(o.switch("--raw"));
         assert!(!o.switch("--class"));
-        assert_eq!(o.parse_or("--trees", 0usize).unwrap(), 10);
+        assert_eq!(o.parse_or("--threads", 0usize).unwrap(), 10);
     }
 
     #[test]
     fn missing_value_is_an_error() {
-        assert!(Opts::parse(&args(&["--data"])).is_err());
+        assert!(Opts::parse("train", &args(&["--data"])).is_err());
     }
 
     #[test]
     fn duplicate_flag_is_an_error() {
-        assert!(Opts::parse(&args(&["--k", "1", "--k", "2"])).is_err());
+        assert!(Opts::parse("train", &args(&["--k", "1", "--k", "2"])).is_err());
     }
 
     #[test]
     fn non_flag_token_is_an_error() {
-        assert!(Opts::parse(&args(&["train.csv"])).is_err());
+        assert!(Opts::parse("train", &args(&["train.csv"])).is_err());
+    }
+
+    #[test]
+    fn a_flag_the_command_does_not_accept_is_an_error_naming_both() {
+        let err = Opts::parse("train", &args(&["--bogus", "3"])).unwrap_err();
+        assert!(err.contains("unknown flag --bogus for train"), "{err}");
+        let err = Opts::parse("train", &args(&["--colsample-bytree", "0"])).unwrap_err();
+        assert!(err.contains("--colsample-bytree"), "{err}");
+        // A switch of another command is no flag of this one.
+        let err = Opts::parse("train", &args(&["--raw"])).unwrap_err();
+        assert!(err.contains("unknown flag --raw for train"), "{err}");
     }
 
     #[test]
     fn required_and_defaults() {
-        let o = Opts::parse(&args(&["--a", "1"])).unwrap();
-        assert!(o.required("--a").is_ok());
-        assert!(o.required("--b").is_err());
-        assert_eq!(o.parse_or("--c", 7u32).unwrap(), 7);
-        assert_eq!(o.parse_opt::<f32>("--a").unwrap(), Some(1.0));
-        assert!(o.parse_opt::<f32>("--missing").unwrap().is_none());
+        let o = Opts::parse("train", &args(&["--gamma", "1"])).unwrap();
+        assert!(o.required("--gamma").is_ok());
+        assert!(o.required("--lambda").is_err());
+        assert_eq!(o.parse_or("--trees", 7u32).unwrap(), 7);
+        assert_eq!(o.parse_opt::<f32>("--gamma").unwrap(), Some(1.0));
+        assert!(o.parse_opt::<f32>("--subsample").unwrap().is_none());
     }
 
     #[test]
     fn bad_parse_reports_flag() {
-        let o = Opts::parse(&args(&["--n", "abc"])).unwrap();
-        let err = o.parse_or("--n", 0usize).unwrap_err();
-        assert!(err.contains("--n"));
+        let o = Opts::parse("train", &args(&["--trees", "abc"])).unwrap();
+        let err = o.parse_or("--trees", 0usize).unwrap_err();
+        assert!(err.contains("--trees"));
     }
 }

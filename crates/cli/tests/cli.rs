@@ -45,6 +45,64 @@ fn unknown_command_fails_with_usage() {
 }
 
 #[test]
+fn an_unknown_flag_exits_2_naming_it_and_the_command() {
+    for (cmd, flag) in
+        [("train", "--bogus"), ("predict", "--bogus"), ("train", "--colsample-bytree")]
+    {
+        let out = bin().args([cmd, flag, "1"]).output().expect("spawn harpgbdt");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{cmd} {flag}: {err}");
+        assert!(err.contains(&format!("unknown flag {flag} for {cmd}")), "{cmd} {flag}: {err}");
+    }
+}
+
+#[test]
+fn every_command_answers_help_with_its_usage() {
+    for c in harpgbdt_cli::COMMANDS {
+        for help in ["--help", "-h"] {
+            let text = run_ok(&[c.name, help]);
+            assert!(text.contains(&format!("usage: harpgbdt {}", c.name)), "{}: {text}", c.name);
+        }
+    }
+}
+
+#[test]
+fn every_flag_the_usage_lists_for_a_command_is_accepted_by_it() {
+    let usage = harpgbdt_cli::usage();
+    let training = usage.split("training options:").nth(1).expect("a training options section");
+    // The flags a usage text lists, outside its parenthesized remarks.
+    let flags = |text: &str| -> Vec<String> {
+        let mut depth = 0i32;
+        let listed: String = text
+            .chars()
+            .filter(|&ch| {
+                depth += i32::from(ch == '(') - i32::from(ch == ')');
+                depth == 0 && ch != ')'
+            })
+            .collect();
+        listed
+            .split(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '-'))
+            .filter(|w| w.starts_with("--") && w.len() > 2)
+            .map(str::to_string)
+            .collect()
+    };
+    for c in harpgbdt_cli::COMMANDS {
+        let mut listed = flags(c.usage);
+        if c.name == "train" {
+            listed.extend(flags(training));
+        }
+        assert!(!listed.is_empty(), "{}", c.name);
+        for flag in listed {
+            // Any failure but an unknown flag (a missing file, a missing
+            // required flag, a bad value) means the flag was accepted.
+            let out = bin().args([c.name, &flag, "0"]).output().expect("spawn harpgbdt");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(!err.contains("unknown flag"), "{} {flag}: {err}", c.name);
+        }
+    }
+}
+
+#[test]
 fn synth_train_eval_predict_roundtrip() {
     let dir = tmp_dir("roundtrip");
     let data = dir.join("higgs.csv");

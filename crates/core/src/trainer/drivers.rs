@@ -159,6 +159,14 @@ impl DriverCtx<'_> {
         self.pool.trace().map(|s| s.as_ref())
     }
 
+    /// Whether a batch accumulated as `acc` is fused: scanned into scratch
+    /// tiles, a full-width buffer held only for a histogram that can be
+    /// filed. Only an in-core Exclusive batch is; out of core a scratch
+    /// tile fills over the whole chunk sweep and costs a histogram anyway.
+    pub fn fused(&self, acc: Accumulation) -> bool {
+        acc == Accumulation::Exclusive && self.qm.n_chunks() == 1
+    }
+
     /// The batch shape the planner sees for this store, run as `slots`
     /// schedule slots.
     fn batch_shape(&self, slots: usize) -> BatchShape {
@@ -245,7 +253,7 @@ pub fn expand(
     let (n, m, mapper) = (jobs.len(), ctx.qm.n_features(), ctx.qm.mapper());
     let (replicated, exclusive) = (acc == Accumulation::Replicated, acc == Accumulation::Exclusive);
     let filed = |j: &TileJob| j.buf.is_some() && j.sibling.as_ref().is_none_or(|s| s.in_place);
-    let fused = exclusive && ctx.qm.n_chunks() == 1;
+    let fused = ctx.fused(acc);
     assert!(fused || jobs.iter().all(filed), "only an in-core Exclusive batch builds in scratch");
     if n == 0 {
         return TileOutcome::default();

@@ -23,7 +23,7 @@
 //! candidate and applies it, ApplySplit partitions the rows, the frontier
 //! plans which child is scanned and which derived, and files the results;
 //! one executor
-//! ([`expand`]) runs the batch, its [`Accumulation`] picking only how a
+//! ([`expand`]) runs the batch, its [`Accumulation`](crate::plan::Accumulation) picking only how a
 //! scanned child's lanes are *filled*; and one tile body does `parent − small` →
 //! FindSplit on the filled lanes. A DP
 //! batch is one region of schedule slots, each sweeping its tasks' rows
@@ -49,7 +49,6 @@ use crate::ensemble::GbdtModel;
 use crate::hist::{HistPool, StaleHist};
 use crate::params::TrainParams;
 use crate::partition::RowPartition;
-use crate::plan::Accumulation;
 use crate::split::SplitSettings;
 use crate::tree::{NodeId, NodeStats, Tree};
 use frontier::{Children, Claim, Frontier};
@@ -877,10 +876,7 @@ impl<'a> TreeEngine<'a> {
 
         {
             let _phase = self.phase(on, TracePhase::BuildHist, head, n);
-            // Out of core a scratch tile fills over the whole chunk sweep
-            // and costs a histogram anyway: only an in-core Exclusive batch
-            // is fused.
-            let fused = acc == Accumulation::Exclusive && self.qm.n_chunks() == 1;
+            let fused = ctx.fused(acc);
             for job in jobs.iter_mut() {
                 let stale = self.frontier().equip(job, fused, &self.partition);
                 job.buf = stale.map(StaleHist::zeroed);

@@ -7,9 +7,10 @@
 //! the original C++/OpenMP systems. This crate is the Rust counterpart:
 //!
 //! * [`ThreadPool`] — a persistent worker pool exposing OpenMP-style fork/join
-//!   regions ([`ThreadPool::parallel_for`]) with dynamic task claiming. Every
-//!   region records, per worker, busy time and end-of-region idle (barrier
-//!   wait) time into a shared [`Profile`].
+//!   regions ([`ThreadPool::parallel_for`]) with dynamic task claiming. A
+//!   region is published once, in one mutex-guarded slot that wakes every
+//!   worker. Every region records, per worker, busy time and end-of-region
+//!   idle (barrier wait) time into a shared [`Profile`].
 //! * [`SpinMutex`] — the "lightweight spin mutex" the paper uses to guard the
 //!   shared priority queue in ASYNC mode; acquisition wait time is counted.
 //! * [`WorkQueue`] / [`ThreadPool::run_queue`] — a shared priority work queue
@@ -30,7 +31,6 @@
 //! parallel loops plus one irregular queue-driven phase, and this shape covers
 //! both while keeping the accounting exact.
 
-mod chan;
 mod pool;
 mod profile;
 mod queue;

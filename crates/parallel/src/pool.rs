@@ -1,9 +1,9 @@
 //! Persistent fork/join thread pool with OpenMP-style accounting.
 //!
 //! A [`ThreadPool`] owns `T` worker threads. [`ThreadPool::parallel_for`]
-//! opens a *region*: all `T` workers participate, dynamically claiming task
-//! indices one at a time (OpenMP `schedule(dynamic)`), and the caller blocks until
-//! every worker has drained its share — the implicit end-of-loop barrier.
+//! opens a *region* of `T` shares: each share dynamically claims task
+//! indices one at a time (OpenMP `schedule(dynamic)`), and the caller blocks
+//! until every share is drained — the implicit end-of-loop barrier.
 //! For each region the pool records into its [`Profile`]:
 //!
 //! * per-task busy time,
@@ -11,11 +11,13 @@
 //!   and the last worker finishing (what an OpenMP spin barrier burns),
 //! * one region (= one synchronization) and the task count.
 //!
-//! [`ThreadPool::broadcast`] is the low-level primitive (one closure
-//! invocation per worker, barrier accounting only) on which
-//! [`ThreadPool::run_queue`] builds ASYNC-mode node parallelism.
+//! A region goes out once: the pool publishes it in one slot under a mutex
+//! and wakes every worker. It carries `T` *shares*; a woken worker takes
+//! shares until none are left and runs the region's claiming loop for each,
+//! so a worker that wakes late finds nothing to take and one worker may run
+//! several shares. `run_queue` builds ASYNC-mode node parallelism on a
+//! region whose closure runs once per share.
 
-use crate::chan::{self, Receiver, Sender};
 use crate::profile::Profile;
 use crate::queue::{QueueOutcome, WorkQueue};
 use crate::trace::{TracePhase, TraceSink};
@@ -41,6 +43,8 @@ enum BusyAccounting {
 
 /// One fork/join region. Shared between the caller and all workers.
 struct Region {
+    /// Shares not yet taken by a worker; `T` at dispatch.
+    shares: AtomicUsize,
     /// Type-erased pointer to the caller's closure (`&F`).
     func: *const (),
     /// Invokes the erased closure with `(task_idx, worker_idx)`.
@@ -48,7 +52,7 @@ struct Region {
     /// Next unclaimed task index.
     next: AtomicUsize,
     n_tasks: usize,
-    /// Workers that have not yet finished their share.
+    /// Shares not yet finished.
     active: AtomicUsize,
     /// Per-worker finish timestamp, ns relative to `start`.
     finish_ns: Vec<AtomicU64>,
@@ -69,7 +73,9 @@ struct Region {
 
 // SAFETY: `func` points to a closure that the caller keeps alive until the
 // region completes (the caller blocks in `wait`), and the closure is required
-// to be `Sync` by the public API before erasure.
+// to be `Sync` by the public API before erasure. A completed region may stay
+// in the pool's slot until the next one replaces it, but it has no share
+// left, so `func` is never called again.
 unsafe impl Send for Region {}
 unsafe impl Sync for Region {}
 
@@ -124,10 +130,11 @@ impl Region {
             self.profile.regions.fetch_add(1, Ordering::Relaxed);
             if let Some(sink) = &self.trace {
                 // Per-worker barrier waits are only knowable once the last
-                // worker finishes, so the settler writes every lane. The
-                // other workers are parked on the pool channel until the
-                // blocked caller is woken below, so their lanes are
-                // quiescent here.
+                // worker finishes, so the settler writes every lane. Every
+                // share has run, so the other workers are parked on the
+                // pool's slot, or about to find no share left, until the
+                // blocked caller is woken below: their lanes are quiescent
+                // here.
                 for (w, t) in self.finish_ns.iter().enumerate() {
                     let fin = t.load(Ordering::Relaxed);
                     if fin < last {
@@ -155,15 +162,61 @@ impl Region {
     }
 }
 
-enum Message {
-    Region(Arc<Region>),
-    Shutdown,
+/// Takes one share of a region. The decrement stops at zero: a plain
+/// `fetch_sub` would wrap and hand a late worker a share of a finished
+/// region. The region itself reaches the worker through the slot's mutex,
+/// and its completion through `active`; the claim needs only to be atomic.
+fn claim_share(shares: &AtomicUsize) -> bool {
+    let take = |n: usize| n.checked_sub(1);
+    shares.fetch_update(Ordering::AcqRel, Ordering::Acquire, take).is_ok()
+}
+
+/// The slot a region is published in. `region` is `None` once the pool
+/// shuts down.
+struct Published {
+    generation: u64,
+    region: Option<Arc<Region>>,
 }
 
 struct Shared {
-    sender: Sender<Message>,
+    slot: Mutex<Published>,
+    published: Condvar,
     profile: Arc<Profile>,
     n_threads: usize,
+}
+
+impl Shared {
+    /// Publishes `region` (or the shutdown) and wakes every worker.
+    fn publish(&self, region: Option<Arc<Region>>) {
+        let mut slot = self.slot.lock().expect("pool mutex poisoned");
+        slot.generation += 1;
+        slot.region = region;
+        drop(slot);
+        self.published.notify_all();
+    }
+
+    /// Worker loop: wait for a region newer than the last one seen, then
+    /// take its shares until none are left.
+    fn serve(&self, worker: usize) {
+        let mut seen = 0;
+        loop {
+            let mut slot = self.slot.lock().expect("pool mutex poisoned");
+            while slot.generation == seen {
+                slot = self.published.wait(slot).expect("pool mutex poisoned");
+            }
+            seen = slot.generation;
+            let Some(region) = slot.region.clone() else {
+                return;
+            };
+            drop(slot);
+            // A worker calls `work` only after claiming a share, and every
+            // share is gone before `wait` returns, so no worker ever calls
+            // a finished region's closure.
+            while claim_share(&region.shares) {
+                region.work(worker);
+            }
+        }
+    }
 }
 
 /// A persistent pool of worker threads with profiling instrumentation.
@@ -172,7 +225,7 @@ struct Shared {
 /// DP and MP schedule blocks through [`parallel_for`](Self::parallel_for);
 /// ASYNC drives a shared priority queue through [`run_queue`](Self::run_queue).
 pub struct ThreadPool {
-    shared: Shared,
+    shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
     trace: Option<Arc<TraceSink>>,
 }
@@ -189,24 +242,22 @@ impl ThreadPool {
     /// Creates a pool recording into an externally owned [`Profile`].
     pub fn with_profile(n_threads: usize, profile: Arc<Profile>) -> Self {
         assert!(n_threads > 0, "thread pool requires at least one worker");
-        let (sender, receiver) = chan::unbounded::<Message>();
+        let shared = Arc::new(Shared {
+            slot: Mutex::new(Published { generation: 0, region: None }),
+            published: Condvar::new(),
+            profile,
+            n_threads,
+        });
         let handles = (0..n_threads)
             .map(|worker| {
-                let rx: Receiver<Message> = receiver.clone();
+                let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("harp-worker-{worker}"))
-                    .spawn(move || {
-                        while let Ok(msg) = rx.recv() {
-                            match msg {
-                                Message::Region(region) => region.work(worker),
-                                Message::Shutdown => break,
-                            }
-                        }
-                    })
+                    .spawn(move || shared.serve(worker))
                     .expect("failed to spawn pool worker")
             })
             .collect();
-        Self { shared: Shared { sender, profile, n_threads }, handles, trace: None }
+        Self { shared, handles, trace: None }
     }
 
     /// Number of worker threads.
@@ -272,10 +323,11 @@ impl ThreadPool {
         });
     }
 
-    /// Runs `f(worker_idx)` exactly once on every worker, with barrier
-    /// accounting but no automatic busy-time accounting — the closure is
-    /// expected to report busy time to the profile itself.
-    pub fn broadcast<F>(&self, f: F)
+    /// Runs `f(worker_idx)` once per share (`T` times, on whichever workers
+    /// take the shares), with barrier accounting but no automatic busy-time
+    /// accounting — the closure is expected to report busy time to the
+    /// profile itself.
+    fn broadcast<F>(&self, f: F)
     where
         F: Fn(usize) + Sync,
     {
@@ -360,6 +412,7 @@ impl ThreadPool {
         }
         let n_threads = self.shared.n_threads;
         let region = Arc::new(Region {
+            shares: AtomicUsize::new(n_threads),
             func: f as *const F as *const (),
             call: call_erased::<F>,
             next: AtomicUsize::new(0),
@@ -376,12 +429,7 @@ impl ThreadPool {
             trace_start_ns: self.trace.as_ref().map(|s| s.now_ns()).unwrap_or(0),
             region_idx: self.shared.profile.regions.load(Ordering::Relaxed) as u32,
         });
-        for _ in 0..n_threads {
-            self.shared
-                .sender
-                .send(Message::Region(Arc::clone(&region)))
-                .expect("pool workers have shut down");
-        }
+        self.shared.publish(Some(Arc::clone(&region)));
         region.wait();
         if region.panicked.load(Ordering::Relaxed) {
             panic!("a task in a harp-parallel region panicked");
@@ -391,9 +439,7 @@ impl ThreadPool {
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        for _ in 0..self.shared.n_threads {
-            let _ = self.shared.sender.send(Message::Shutdown);
-        }
+        self.shared.publish(None);
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -462,13 +508,63 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_runs_once_per_worker() {
+    fn broadcast_runs_once_per_share() {
         let pool = ThreadPool::new(4);
         let count = AtomicUsize::new(0);
         pool.broadcast(|_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(count.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn a_share_claim_stops_at_zero() {
+        for threads in [1usize, 2, 8] {
+            let shares = AtomicUsize::new(threads);
+            assert!((0..threads).all(|_| claim_share(&shares)), "T={threads}");
+            for _ in 0..4 {
+                assert!(!claim_share(&shares), "T={threads}: a claim past the last share");
+                assert_eq!(shares.load(Ordering::Relaxed), 0, "T={threads}: the counter wrapped");
+            }
+        }
+    }
+
+    #[test]
+    fn churned_regions_run_every_task_once_and_drop_cleanly() {
+        for threads in [1usize, 2, 3, 8] {
+            let pool = ThreadPool::new(threads);
+            let (mut regions, mut tasks) = (0u64, 0u64);
+            for round in 0..5_000usize {
+                let n = [0, 1, threads, 4 * threads][round % 4];
+                if round % 97 == 0 {
+                    // A `run_queue` phase: 16 fans out to 31 tasks.
+                    let queue: WorkQueue<u32> = WorkQueue::new();
+                    queue.push(16);
+                    let ran = AtomicUsize::new(0);
+                    pool.run_queue(&queue, |v, q, _| {
+                        ran.fetch_add(1, Ordering::Relaxed);
+                        if v > 1 {
+                            q.push(v / 2);
+                            q.push(v / 2);
+                        }
+                    });
+                    assert_eq!(ran.load(Ordering::Relaxed), 31, "T={threads} round {round}");
+                    (regions, tasks) = (regions + 1, tasks + 31);
+                    continue;
+                }
+                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                pool.parallel_for(n, |i, _| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "T={threads}");
+                regions += u64::from(n > 0);
+                tasks += n as u64;
+            }
+            let p = pool.profile();
+            assert_eq!(p.regions.load(Ordering::Relaxed), regions, "T={threads}");
+            assert_eq!(p.tasks.load(Ordering::Relaxed), tasks, "T={threads}");
+            drop(pool);
+        }
     }
 
     #[test]
