@@ -9,11 +9,11 @@
 //!   column (long columns bucketed by counting with each quantile selected
 //!   inside its bucket, short ones sorted; columns in parallel), plus
 //!   value→bin lookup.
-//! * [`QuantizedMatrix`] — the binned dataset in both row-major and
-//!   column-major layouts (data parallelism scans rows; feature/model
-//!   parallelism scans columns), written by row-block tasks in parallel;
-//!   sparse data is stored as a CSC, and its CSR is made on the first row
-//!   read.
+//! * [`QuantizedMatrix`] — the binned dataset in a column layout (the
+//!   dense column major, written by row-block tasks in parallel, or a
+//!   sparse CSC) for feature/model parallelism's column scans, and a row
+//!   layout (the dense row major or the CSR) for data parallelism's row
+//!   scans, transposed from the column layout on first need.
 //!
 //! Together the two are *set-up*: what a user pays before the first tree.
 //! It holds `threads × (n_rows × 6 + 260 KiB)` transient bytes beyond the
@@ -26,8 +26,8 @@
 //! the split finder decides a per-split default direction for them.
 //!
 //! Storage has one byte layout per kind: dense `u8` bins in both majors, or
-//! a sparse CSC whose CSR is made on the first row read. Nothing is packed
-//! or bundled on top (DESIGN.md §13).
+//! a sparse CSC and its CSR — either kind's row layout made on first need.
+//! Nothing is packed or bundled on top (DESIGN.md §13).
 
 mod bytes;
 mod cache;

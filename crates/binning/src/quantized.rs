@@ -9,13 +9,17 @@
 //!   block across the rows of one node — served by column-major dense
 //!   storage or CSC.
 //!
-//! Dense storage materializes both layouts at construction; the 2× memory
-//! cost of the 1-byte bins is still 2× smaller than the original 4-byte
-//! floats. Sparse storage is built as the CSC alone, and its CSR is the
-//! transpose of that CSC, made on the first row read: a run that only
-//! scans columns never holds it. Those are the only two layouts: a store is
-//! dense `u8` in both majors or a sparse CSC with its lazy CSR (DESIGN.md
-//! §13 says why nothing is packed or bundled on top).
+//! Both kinds follow one rule: set-up builds the column layout, and the row
+//! layout is its transpose, made on first need. Dense storage is built as
+//! the column major, and its row major is a cache-blocked transpose of it;
+//! sparse storage is built as the CSC, and its CSR is the transpose of that
+//! CSC. A run that only scans columns never holds the row layout; the
+//! trainer and the predictor make it on their own thread before they hand
+//! row reads to a pool ([`QuantizedMatrix::derive_rows`]), and any row read
+//! makes it if they have not. Even with both dense majors the 1-byte bins
+//! are 2× smaller than the original 4-byte floats. Those are the only two
+//! layouts: a store is dense `u8` in both majors or a sparse CSC with its
+//! CSR (DESIGN.md §13 says why nothing is packed or bundled on top).
 
 use crate::bytes::SharedBytes;
 use crate::codec::Cursor;
@@ -78,17 +82,14 @@ pub fn seek_row(col_rows: &[u32], mut k: usize, row: u32) -> usize {
 
 #[derive(Debug, Clone)]
 enum Storage {
-    Dense {
-        row_major: SharedBytes,
-        col_major: SharedBytes,
-    },
+    /// Built as the column major; the row major is filled by the first row
+    /// read ([`QuantizedMatrix::dense_row_major`]), or set by a chunk
+    /// decode, whose blob holds it.
+    Dense { row_major: OnceLock<SharedBytes>, col_major: SharedBytes },
     /// Built as the CSC; the CSR is filled by the first row read
     /// ([`QuantizedMatrix::sparse_rows`]), or set by a chunk decode, whose
     /// blob holds it.
-    Sparse {
-        csr: OnceLock<QCsr>,
-        csc: QCsc,
-    },
+    Sparse { csr: OnceLock<QCsr>, csc: QCsc },
 }
 
 /// Wall seconds of the two passes of one set-up
@@ -100,15 +101,16 @@ pub struct SetupTimings {
     /// every column shorter than 2¹⁵ entries, which the cut search's sort
     /// writes.
     pub cut_secs: f64,
-    /// Pass 2: quantizing into both majors. For sparse input that is
+    /// Pass 2: quantizing into the column major. For sparse input that is
     /// binning the columns of 2¹⁵ entries and more and scattering the row
-    /// ids into the values' buffer.
+    /// ids into the values' buffer. Neither kind builds its row layout here.
     pub quantize_secs: f64,
 }
 
-/// A binned dataset: [`BinMapper`] plus `u8` bin storage in both row- and
-/// column-major layouts (sparse storage makes its row-major CSR on the
-/// first row read).
+/// A binned dataset: [`BinMapper`] plus `u8` bin storage in a column layout
+/// (dense column major or CSC), built at set-up, and a row layout (dense
+/// row major or CSR), transposed from it on first need
+/// ([`derive_rows`](Self::derive_rows)).
 #[derive(Debug, Clone)]
 pub struct QuantizedMatrix {
     n_rows: usize,
@@ -170,10 +172,8 @@ impl QuantizedMatrix {
         assert_eq!(input.n_cols(), mapper.n_features(), "mapper/matrix feature mismatch");
         let (n_rows, storage) = match input {
             SetupInput::Dense(dense) => {
-                let (row_major, col_major) = quantize_dense(dense, &mapper, threads);
-                let storage =
-                    Storage::Dense { row_major: row_major.into(), col_major: col_major.into() };
-                (dense.n_rows(), storage)
+                let col_major = quantize_dense(dense, &mapper, threads).into();
+                (dense.n_rows(), Storage::Dense { row_major: OnceLock::new(), col_major })
             }
             SetupInput::Sparse(sparse, value_csc) => {
                 let csc = quantize_sparse(value_csc, &mapper, threads, csc_bins);
@@ -183,12 +183,21 @@ impl QuantizedMatrix {
         Self { n_rows, mapper, storage }
     }
 
+    /// Builds the row layout — the dense row major or the sparse CSR — on
+    /// the set-up threads, unless a row read or a chunk decode has. A row
+    /// read builds it too; a caller that is about to hand row reads to a
+    /// pool calls this first on its own thread, so the layout is not built
+    /// inside a pool task (DESIGN.md §17 says why).
+    pub fn derive_rows(&self) {
+        let _ = (self.dense_row_major(), self.sparse_rows());
+    }
+
     /// The sparse CSR, transposed from the CSC on the first call, or `None`
-    /// for dense storage. Every row read goes through here.
+    /// for dense storage. Every sparse row read goes through here.
     fn sparse_rows(&self) -> Option<&QCsr> {
         match &self.storage {
             Storage::Sparse { csr, csc } => Some(csr.get_or_init(|| csc.to_csr(self.n_rows))),
-            _ => None,
+            Storage::Dense { .. } => None,
         }
     }
 
@@ -216,8 +225,8 @@ impl QuantizedMatrix {
     /// single lookups.
     pub fn bin(&self, row: usize, f: usize) -> Option<u8> {
         match &self.storage {
-            Storage::Dense { row_major, .. } => {
-                let b = row_major[row * self.n_features() + f];
+            Storage::Dense { col_major, .. } => {
+                let b = col_major[f * self.n_rows + row];
                 (b != MISSING_BIN).then_some(b)
             }
             Storage::Sparse { .. } => {
@@ -228,20 +237,18 @@ impl QuantizedMatrix {
     }
 
     /// Dense row-major slice of one row (`MISSING_BIN` marks gaps), or
-    /// `None` for sparse storage.
+    /// `None` for sparse storage. The first row read of a matrix builds its
+    /// row major.
     #[inline]
     pub fn dense_row(&self, row: usize) -> Option<&[u8]> {
-        match &self.storage {
-            Storage::Dense { row_major, .. } => {
-                let m = self.n_features();
-                Some(&row_major[row * m..(row + 1) * m])
-            }
-            Storage::Sparse { .. } => None,
-        }
+        let m = self.n_features();
+        self.dense_row_major().map(|rows| &rows[row * m..(row + 1) * m])
     }
 
     /// The whole dense row-major bin matrix (`n_rows * n_features` bytes,
-    /// `MISSING_BIN` marks gaps), or `None` for sparse storage.
+    /// `MISSING_BIN` marks gaps), or `None` for sparse storage. The first
+    /// call transposes it from the column major; every dense row read goes
+    /// through here.
     /// Every stored bin is either `MISSING_BIN` or strictly below the
     /// feature's [`BinMapper::n_bins`] — quantization clamps into range, and
     /// a cache is checked for it when opened — which lets scan kernels index
@@ -249,7 +256,10 @@ impl QuantizedMatrix {
     #[inline]
     pub fn dense_row_major(&self) -> Option<&[u8]> {
         match &self.storage {
-            Storage::Dense { row_major, .. } => Some(row_major),
+            Storage::Dense { row_major, col_major } => Some(row_major.get_or_init(|| {
+                let m = self.n_features();
+                transpose_columns(col_major, self.n_rows, m, setup_threads()).into()
+            })),
             Storage::Sparse { .. } => None,
         }
     }
@@ -297,12 +307,12 @@ impl QuantizedMatrix {
 
     /// Decoded-equivalent heap bytes of the bin storage: both dense majors,
     /// or, for sparse storage, both majors, a 4-byte index and a 1-byte bin
-    /// per entry in each plus their offset arrays, whether or not its CSR
-    /// has been built: the figure is a property of the data, equal for an
-    /// in-core matrix and the slabs of its cache.
+    /// per entry in each plus their offset arrays — the row layout whether
+    /// or not it has been built: the figure is a property of the data, equal
+    /// for an in-core matrix and the slabs of its cache.
     pub fn storage_bytes(&self) -> usize {
         match &self.storage {
-            Storage::Dense { row_major, col_major } => row_major.len() + col_major.len(),
+            Storage::Dense { col_major, .. } => 2 * col_major.len(),
             Storage::Sparse { csc, .. } => {
                 let nnz = csc.rows.len();
                 (nnz + nnz * 4 + (self.n_rows + 1) * 8) + (nnz + nnz * 4 + csc.indptr.len() * 8)
@@ -375,12 +385,15 @@ impl QuantizedMatrix {
     }
 
     /// Serializes rows `rows` as a self-contained chunk blob (rows re-rooted
-    /// at 0). Dense chunks write both majors verbatim (row major, gathered
-    /// column major) so that [`decode_chunk`] on the training hot path is a
-    /// pair of views — a chunked scan re-decodes a chunk on every cache
-    /// miss, so the transpose cost belongs here, paid once at cache-build
-    /// time. Sparse chunks write their CSR and rebuild the CSC mirror on
-    /// decode (an `O(nnz)` bucket pass).
+    /// at 0). Dense chunks write both majors decoded — the chunk's row major,
+    /// transposed tile by tile straight from the column major (the whole
+    /// matrix's row major is never built for it), then its gathered column
+    /// major — so that [`decode_chunk`] on the training hot path is a pair
+    /// of views: a chunked scan re-decodes a chunk on every cache miss, so
+    /// the transpose cost belongs here, paid once at cache-build time.
+    /// Sparse chunks write their CSR (so writing a cache builds the
+    /// matrix's) and rebuild the CSC mirror on decode (an `O(nnz)` bucket
+    /// pass).
     ///
     /// Blob layout: `kind u8` ([`CHUNK_DENSE`] / [`CHUNK_SPARSE`]),
     /// `n_rows u64`, then for dense the `n_rows × m` row major and the
@@ -392,10 +405,12 @@ impl QuantizedMatrix {
         let n = rows.len();
         out.reserve(self.encoded_chunk_bytes(rows.clone()));
         match &self.storage {
-            Storage::Dense { row_major, col_major } => {
+            Storage::Dense { col_major, .. } => {
                 out.push(CHUNK_DENSE);
                 put_u64(out, n as u64);
-                out.extend_from_slice(&row_major[rows.start * m..rows.end * m]);
+                let at = out.len();
+                out.resize(at + n * m, 0);
+                transpose_rows(col_major, self.n_rows, m, rows.clone(), &mut out[at..]);
                 // The chunk's column major: rows.start..rows.end of each
                 // column, gathered into a contiguous slab-shaped run.
                 for f in 0..m {
@@ -438,7 +453,7 @@ impl QuantizedMatrix {
             ChunkParts::Dense { n, row_major, col_major } => (
                 n,
                 Storage::Dense {
-                    row_major: blob.slice(row_major),
+                    row_major: OnceLock::from(blob.slice(row_major)),
                     col_major: blob.slice(col_major),
                 },
             ),
@@ -603,22 +618,21 @@ fn le_u32(bytes: &[u8]) -> u32 {
     u32::from_le_bytes(bytes.try_into().expect("four bytes"))
 }
 
-/// Rows per dense transpose tile: a tile's raw values and the row-major
-/// bytes written for it stay cache-resident while the tile is walked once per
-/// feature.
+/// Rows per dense tile: a tile's raw values, and the row-major bytes a
+/// transpose writes for it, stay cache-resident while the tile is walked
+/// once per feature.
 const TILE_ROWS: usize = 256;
 
-/// Quantizes a dense matrix into its row and column majors with ⟨row-block⟩
-/// tasks: each owns the block's rows of `row_major` and the same rows of
-/// every column of `col_major`, so nothing is staged or copied afterwards.
-fn quantize_dense(dense: &DenseMatrix, mapper: &BinMapper, threads: usize) -> (Vec<u8>, Vec<u8>) {
+/// Quantizes a dense matrix into its column major with ⟨row-block⟩ tasks:
+/// each owns the block's rows of every column, so nothing is staged or
+/// copied afterwards.
+fn quantize_dense(dense: &DenseMatrix, mapper: &BinMapper, threads: usize) -> Vec<u8> {
     let (n_rows, m) = (dense.n_rows(), dense.n_cols());
     // Zeroed, not filled: the pages are first touched by the tasks that
     // own them, which write every cell, [`MISSING_BIN`] included.
-    let mut row_major = vec![0; n_rows * m];
     let mut col_major = vec![0; n_rows * m];
-    if row_major.is_empty() {
-        return (row_major, col_major);
+    if col_major.is_empty() {
+        return col_major;
     }
     let blocks = split_ranges(n_rows, threads, TILE_ROWS);
     let mut block_cols: Vec<Vec<&mut [u8]>> =
@@ -629,14 +643,13 @@ fn quantize_dense(dense: &DenseMatrix, mapper: &BinMapper, threads: usize) -> (V
             cols.push(piece);
         }
     }
-    let block_rows = split_mut(&mut row_major, blocks.iter().map(|b| b.len() * m));
     let mut tasks = Vec::new();
-    for ((block, rows), mut cols) in blocks.into_iter().zip(block_rows).zip(block_cols) {
+    for (block, mut cols) in blocks.into_iter().zip(block_cols) {
         let values = &dense.values()[block.start * m..block.end * m];
-        tasks.push(move || quantize_block(values, mapper, rows, &mut cols));
+        tasks.push(move || quantize_block(values, mapper, &mut cols));
     }
     run_tasks(tasks);
-    (row_major, col_major)
+    col_major
 }
 
 /// Quantizes one row block tile by tile, feature by feature within a tile:
@@ -644,13 +657,12 @@ fn quantize_dense(dense: &DenseMatrix, mapper: &BinMapper, threads: usize) -> (V
 /// binned as one strided run into the block's slice of that column
 /// ([`BinLookup::bin_run`]; cell by cell through
 /// [`value_to_bin`](crate::FeatureCuts::value_to_bin) when the block is too
-/// short for a lookup), and the run is copied out to the row-major bytes
-/// while the tile is hot.
+/// short for a lookup).
 /// `cols[f]` is the block's slice of column `f`; absent (`NaN`) cells get
 /// [`MISSING_BIN`].
-fn quantize_block(values: &[f32], mapper: &BinMapper, rows: &mut [u8], cols: &mut [&mut [u8]]) {
+fn quantize_block(values: &[f32], mapper: &BinMapper, cols: &mut [&mut [u8]]) {
     let m = cols.len();
-    let n_rows = rows.len() / m;
+    let n_rows = values.len() / m;
     let lookups: Vec<_> = (0..m).map(|f| BinLookup::for_column(mapper.cuts(f), n_rows)).collect();
     for tile in (0..n_rows).step_by(TILE_ROWS) {
         let tile = tile..(tile + TILE_ROWS).min(n_rows);
@@ -666,11 +678,85 @@ fn quantize_block(values: &[f32], mapper: &BinMapper, rows: &mut [u8], cols: &mu
                     }
                 }
             }
-            for (r, &bin) in tile.clone().zip(col.iter()) {
-                rows[r * m + f] = bin;
+        }
+    }
+}
+
+/// The row major of the `n_rows`-row, `m`-column column major `col_major`,
+/// by ⟨row-block⟩ tasks on set-up's [`run_tasks`], each transposing its
+/// block's rows ([`transpose_rows`]) into its own slice of the output.
+fn transpose_columns(col_major: &[u8], n_rows: usize, m: usize, threads: usize) -> Vec<u8> {
+    // Zeroed, not filled: first touched by the task that owns the page.
+    let mut row_major = vec![0; n_rows * m];
+    if row_major.is_empty() {
+        return row_major;
+    }
+    let blocks = split_ranges(n_rows, threads, TILE_ROWS);
+    let outs = split_mut(&mut row_major, blocks.iter().map(|b| b.len() * m));
+    let tasks = blocks
+        .into_iter()
+        .zip(outs)
+        .map(|(rows, out)| move || transpose_rows(col_major, n_rows, m, rows, out))
+        .collect();
+    run_tasks(tasks);
+    row_major
+}
+
+/// Writes rows `rows` of the `n_rows`-row, `m`-column column major
+/// `col_major` into `out` (`rows.len()` rows of `m` bytes) row-major. The
+/// rows are taken [`TILE_ROWS`] at a time, and a tile eight features at a
+/// time: eight bytes of each of eight columns are read as words, transposed
+/// in registers and stored as eight bytes of each of eight rows, so every
+/// read and write moves a word and the tile's rows stay in cache across its
+/// feature blocks. The last `m mod 8` features, and the rows past a tile's
+/// last octet, are copied byte by byte.
+fn transpose_rows(col_major: &[u8], n_rows: usize, m: usize, rows: Range<usize>, out: &mut [u8]) {
+    assert!(col_major.len() == n_rows * m && rows.end <= n_rows, "rows of the column major");
+    assert_eq!(out.len(), rows.len() * m, "one output row per row");
+    let col = |f: usize| &col_major[f * n_rows..(f + 1) * n_rows];
+    let wide = m - m % 8;
+    for tile in (rows.start..rows.end).step_by(TILE_ROWS) {
+        let tile = tile..(tile + TILE_ROWS).min(rows.end);
+        let dst = &mut out[(tile.start - rows.start) * m..(tile.end - rows.start) * m];
+        let whole = tile.start + (tile.len() - tile.len() % 8);
+        for f0 in (0..wide).step_by(8) {
+            let cols: [&[u8]; 8] = std::array::from_fn(|k| col(f0 + k));
+            for r in (tile.start..whole).step_by(8) {
+                let words = std::array::from_fn(|k| le_u64(&cols[k][r..r + 8]));
+                for (i, word) in transpose_8x8(words).into_iter().enumerate() {
+                    let at = (r - tile.start + i) * m + f0;
+                    dst[at..at + 8].copy_from_slice(&word.to_le_bytes());
+                }
+            }
+        }
+        // The rows past the last whole octet, and the features past the
+        // last whole block of eight.
+        for (f, cells) in (0..m).map(|f| (f, col(f))) {
+            let rows = if f < wide { whole..tile.end } else { tile.clone() };
+            for r in rows {
+                dst[(r - tile.start) * m + f] = cells[r];
             }
         }
     }
+}
+
+/// Transposes an 8 × 8 byte matrix held as eight little-endian words, one
+/// row each (byte `j` of word `i` is cell `(i, j)`): three rounds of masked
+/// swaps, of 4 × 4, 2 × 2 and 1 × 1 byte blocks.
+fn transpose_8x8(mut w: [u64; 8]) -> [u64; 8] {
+    for (half, mask) in
+        [(4usize, 0x0000_0000_FFFF_FFFFu64), (2, 0x0000_FFFF_0000_FFFF), (1, 0x00FF_00FF_00FF_00FF)]
+    {
+        let shift = 8 * half as u32;
+        for i in (0..8).filter(|i| i & half == 0) {
+            let (lo, hi) = (w[i], w[i + half]);
+            // Cell (i, j + half) trades places with cell (i + half, j).
+            let t = ((lo >> shift) ^ hi) & mask;
+            w[i] = lo ^ (t << shift);
+            w[i + half] = hi ^ t;
+        }
+    }
+    w
 }
 
 /// Quantizes a sparse matrix from its value CSC: ⟨feature-range⟩ tasks
@@ -883,9 +969,9 @@ mod tests {
         let _ = QuantizedMatrix::with_mapper(&narrow, q.mapper().clone());
     }
 
-    /// A taller dense matrix (crosses the blocked-transpose boundary) built
-    /// twice: the blocked one-pass construction must match a brute-force
-    /// reference transpose cell for cell.
+    /// A taller dense matrix (crosses the tile boundary): the row major
+    /// derived from the column major must match a brute-force reference
+    /// transpose cell for cell.
     #[test]
     fn one_pass_dense_construction_matches_reference_transpose() {
         let (n, m) = (1000usize, 5usize);
@@ -1231,9 +1317,13 @@ mod tests {
         (row_ptr.to_vec(), cols.to_vec(), bins.collect())
     }
 
-    /// Whether a sparse matrix's CSR has been built.
-    fn holds_a_csr(q: &QuantizedMatrix) -> bool {
-        matches!(&q.storage, Storage::Sparse { csr, .. } if csr.get().is_some())
+    /// Whether a matrix's row layout — the dense row major or the sparse
+    /// CSR — has been built.
+    fn holds_rows(q: &QuantizedMatrix) -> bool {
+        match &q.storage {
+            Storage::Dense { row_major, .. } => row_major.get().is_some(),
+            Storage::Sparse { csr, .. } => csr.get().is_some(),
+        }
     }
 
     /// Set-up builds the CSC alone; column reads and split routing leave it
@@ -1258,17 +1348,105 @@ mod tests {
                     threads,
                 )
                 .0;
-                assert!(!holds_a_csr(&q), "set-up built a CSR");
+                assert!(!holds_rows(&q), "set-up built a CSR");
                 let rows: Vec<u32> = (0..q.n_rows() as u32).step_by(2).collect();
                 for f in 0..q.n_features() {
                     q.sparse_col(f).expect("sparse storage");
                     q.route_bins_for(f, &rows, &mut Vec::new());
                 }
-                assert!(!holds_a_csr(&q), "a column read built a CSR");
+                assert!(!holds_rows(&q), "a column read built a CSR");
                 let want = binned_input_csr(&csr, q.mapper());
                 assert_eq!(q.sparse_csr(), Some((&want.0[..], &want.1[..], &want.2[..])));
-                assert!(holds_a_csr(&q));
+                assert!(holds_rows(&q));
             }
+        }
+    }
+
+    /// A dense matrix of `n × m` cells, one in 37 missing, the rest on
+    /// `levels` values.
+    fn dense_levels(n: usize, m: usize, levels: usize) -> FeatureMatrix {
+        let vals = (0..n * m)
+            .map(|i| if i % 37 == 0 { f32::NAN } else { ((i * 31) % levels) as f32 })
+            .collect();
+        FeatureMatrix::Dense(DenseMatrix::from_vec(n, m, vals))
+    }
+
+    /// Set-up builds the dense column major alone; column reads, cell
+    /// lookups and routing leave it so, and the row major that the first row
+    /// read transposes from it is, byte for byte, what set-up's pass 2 wrote
+    /// beside the column major before it became lazy — each cell's
+    /// `value_to_bin`, or [`MISSING_BIN`], in row order — transposed at 1, 2
+    /// and 3 threads and at more threads than there are tiles, over shapes
+    /// that leave a partial octet of rows and of features, a partial tile,
+    /// and fewer than eight features.
+    #[test]
+    fn the_first_row_read_builds_the_eager_row_major() {
+        for (n, m) in [(1000, 5), (1037, 8), (777, 28), (9, 17), (8, 8), (1, 3), (513, 1)] {
+            let matrix = dense_levels(n, m, 97);
+            let FeatureMatrix::Dense(dense) = &matrix else { unreachable!() };
+            for threads in [1, 2, 3, 10_000] {
+                let q = QuantizedMatrix::from_matrix_threads(
+                    &matrix,
+                    BinningConfig::default(),
+                    threads,
+                )
+                .0;
+                assert!(!holds_rows(&q), "{n}x{m}: set-up built the row major");
+                let rows: Vec<u32> = (0..n as u32).step_by(3).collect();
+                for f in 0..m {
+                    q.dense_col(f).expect("dense storage");
+                    q.route_bins_for(f, &rows, &mut Vec::new());
+                    q.bin(n - 1, f);
+                }
+                assert!(!holds_rows(&q), "{n}x{m}: a column read built the row major");
+                let eager: Vec<u8> = dense
+                    .values()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| match v.is_nan() {
+                        true => MISSING_BIN,
+                        false => q.mapper().cuts(i % m).value_to_bin(v),
+                    })
+                    .collect();
+                let Storage::Dense { col_major, .. } = &q.storage else { unreachable!() };
+                assert!(transpose_columns(col_major, n, m, threads) == eager, "{n}x{m} {threads}");
+                q.derive_rows();
+                assert!(holds_rows(&q) && q.dense_row_major() == Some(&eager[..]), "{n}x{m}");
+            }
+        }
+    }
+
+    /// The register transpose is the transpose: every cell of a matrix whose
+    /// bytes all differ lands at its mirror.
+    #[test]
+    fn transpose_8x8_mirrors_every_cell() {
+        let words: [u64; 8] =
+            std::array::from_fn(|i| u64::from_le_bytes(std::array::from_fn(|j| (8 * i + j) as u8)));
+        let out = transpose_8x8(words);
+        for (i, word) in out.iter().enumerate() {
+            assert_eq!(word.to_le_bytes(), std::array::from_fn(|j| (8 * j + i) as u8), "row {i}");
+        }
+    }
+
+    /// A dense chunk's row major is transposed from the column major for
+    /// its rows alone: encoding every chunk of a matrix, at any offset and
+    /// length, leaves the matrix's own row major unbuilt, and the bytes are
+    /// the rows the matrix derives when asked.
+    #[test]
+    fn dense_chunks_are_transposed_from_the_columns() {
+        let (n, m) = (1037, 19);
+        let q = QuantizedMatrix::from_matrix(&dense_levels(n, m, 53), BinningConfig::default());
+        let mut blobs = Vec::new();
+        for rows in [0..n, 5..300, 257..1030, 1036..1037, 0..8] {
+            let mut blob = Vec::new();
+            q.encode_chunk(rows.clone(), &mut blob);
+            blobs.push((rows, blob));
+        }
+        assert!(!holds_rows(&q), "encoding a chunk built the matrix's row major");
+        let all = q.dense_row_major().expect("dense storage");
+        for (rows, blob) in blobs {
+            assert_eq!(blob[9..9 + rows.len() * m], all[rows.start * m..rows.end * m], "{rows:?}");
+            assert_chunk_round_trip(&q, rows);
         }
     }
 

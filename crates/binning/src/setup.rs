@@ -16,8 +16,8 @@
 //! over those counts, scatters its values into the column-major copy both
 //! passes read; after pass 2 has binned them, the blocks walk the same
 //! cursors back and scatter the row ids into the buffer that held the
-//! values. Set-up never builds a CSR: the quantized matrix transposes its
-//! CSC back on the first row read.
+//! values. Set-up never builds a row layout: the quantized matrix
+//! transposes its CSC, or its dense column major, on first need.
 
 use harp_data::{CsrMatrix, DenseMatrix, FeatureMatrix};
 use std::marker::PhantomData;

@@ -151,6 +151,13 @@ pub trait QuantStore: Sync {
     fn io_stats(&self) -> ChunkIoStats {
         ChunkIoStats::default()
     }
+
+    /// Builds the row layout row reads need, unless it is built: an
+    /// in-memory store's dense row major or sparse CSR
+    /// ([`QuantizedMatrix::derive_rows`]). A decoded slab holds its rows
+    /// already, so a chunked store has nothing to build. Callers that hand
+    /// row reads to a pool call it first, on their own thread.
+    fn derive_rows(&self) {}
 }
 
 impl QuantStore for QuantizedMatrix {
@@ -194,6 +201,10 @@ impl QuantStore for QuantizedMatrix {
 
     fn as_single(&self) -> Option<&QuantizedMatrix> {
         Some(self)
+    }
+
+    fn derive_rows(&self) {
+        QuantizedMatrix::derive_rows(self)
     }
 }
 

@@ -38,8 +38,10 @@ fn from_matrix_store_equals_with_mapper_store_on_the_yfcc_shape() {
 
 /// Dense pass 2 (`with_mapper`'s run kernel: whole tiles through
 /// `BinLookup::bin_run`, its AVX2 body where the host has one, on every
-/// set-up thread) stores in both majors exactly what the definition of a
-/// stored byte gives: `value_to_bin` of each present cell, one at a time.
+/// set-up thread) stores in the column major exactly what the definition of
+/// a stored byte gives: `value_to_bin` of each present cell, one at a time;
+/// and the row major the first row read transposes from it holds the same
+/// bytes in row order.
 fn assert_run_kernel_equals_per_cell(matrix: &FeatureMatrix) {
     let FeatureMatrix::Dense(dense) = matrix else { panic!("a dense shape") };
     let (n, m) = (dense.n_rows(), dense.n_cols());

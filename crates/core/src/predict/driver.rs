@@ -120,6 +120,9 @@ impl<'a> Predictor<'a> {
         self.check_features(store.n_features());
         let stride = self.forest.n_groups;
         let mut out = self.base_filled(store.n_rows());
+        // Scoring reads rows: the row layout is made here, not by the first
+        // score task to run.
+        store.derive_rows();
         self.run(store.n_rows(), &mut out, stride, |rows, dst| {
             sweep_chunks(
                 store,

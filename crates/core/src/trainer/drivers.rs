@@ -258,6 +258,12 @@ pub fn expand(
     if n == 0 {
         return TileOutcome::default();
     }
+    if replicated && inline_on.is_none() {
+        // A Replicated batch row-scans: the store's row layout is made here,
+        // on the thread that drives the run, before the region that reads it
+        // — not inside a pool task (DESIGN.md §17).
+        ctx.qm.derive_rows();
+    }
     let job_lens: Vec<usize> = jobs.iter().map(|j| ctx.partition.node_len(j.node)).collect();
     let threads = if inline_on.is_some() { 1 } else { ctx.pool.num_threads() };
     let f_blk = scratch.plan_batch(ctx, &job_lens, acc, threads);

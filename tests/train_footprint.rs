@@ -9,6 +9,12 @@
 //! beside the partition's (what the trainer kept until the partition took
 //! the gradients over) breaks the bound by `n × 8` bytes.
 //!
+//! The store is set up whole before the measured run: its row major, which
+//! a DP or SYNC run derives from the column major before its first
+//! Replicated batch, is derived first. An MP run never reads a row, and
+//! runs first, on a store without its row major: it must stay under the
+//! same bound, which its `n × 8`-byte row major would break.
+//!
 //! The allocator is process-wide, so this file holds a single `#[test]`.
 
 mod counting_alloc;
@@ -35,7 +41,10 @@ fn training_peak_is_two_planes_a_mask_and_the_scores() {
     let store = QuantizedMatrix::from_matrix(&dense, BinningConfig::default());
     drop(dense);
 
-    for mode in [ParallelMode::DataParallel, ParallelMode::Sync] {
+    for mode in [ParallelMode::ModelParallel, ParallelMode::DataParallel, ParallelMode::Sync] {
+        if mode != ParallelMode::ModelParallel {
+            store.derive_rows();
+        }
         for use_membuf in [true, false] {
             let params = TrainParams {
                 n_trees: 3,
