@@ -57,6 +57,21 @@ impl QCsc {
             CscCopy::transpose(n_rows, &self.indptr, &self.rows, &self.bins, setup_threads());
         QCsr { indptr, cols, bins }
     }
+
+    /// Per column, the span of its entries whose rows fall in `rows` — a
+    /// chunk's entries, as the rows ascend within a column.
+    fn chunk_spans(&self, rows: Range<usize>) -> impl Iterator<Item = Range<usize>> + '_ {
+        self.indptr.windows(2).map(move |w| {
+            let col = &self.rows[w[0]..w[1]];
+            let at = |row: usize| w[0] + col.partition_point(|&r| (r as usize) < row);
+            at(rows.start)..at(rows.end)
+        })
+    }
+
+    /// Entries in the chunk of `rows`.
+    fn chunk_nnz(&self, rows: Range<usize>) -> usize {
+        self.chunk_spans(rows).map(|span| span.len()).sum()
+    }
 }
 
 /// Linear steps [`seek_row`] takes before it gallops.
@@ -359,9 +374,8 @@ impl QuantizedMatrix {
         let m = self.n_features();
         match &self.storage {
             Storage::Dense { .. } => 2 * n * m,
-            Storage::Sparse { .. } => {
-                let (indptr, _, _) = self.sparse_csr().expect("sparse storage");
-                let e = indptr[rows.end] - indptr[rows.start];
+            Storage::Sparse { csc, .. } => {
+                let e = csc.chunk_nnz(rows);
                 (e + e * 4 + (n + 1) * 8) + (e + e * 4 + (m + 1) * 8)
             }
         }
@@ -376,11 +390,7 @@ impl QuantizedMatrix {
         let head = 1 + 8;
         match &self.storage {
             Storage::Dense { .. } => head + 2 * n * self.n_features(),
-            Storage::Sparse { .. } => {
-                let (indptr, _, _) = self.sparse_csr().expect("sparse storage");
-                let nnz = indptr[rows.end] - indptr[rows.start];
-                head + 8 + (n + 1) * 8 + nnz * (4 + 1)
-            }
+            Storage::Sparse { csc, .. } => head + 8 + (n + 1) * 8 + csc.chunk_nnz(rows) * (4 + 1),
         }
     }
 
@@ -391,16 +401,16 @@ impl QuantizedMatrix {
     /// major — so that [`decode_chunk`] on the training hot path is a pair
     /// of views: a chunked scan re-decodes a chunk on every cache miss, so
     /// the transpose cost belongs here, paid once at cache-build time.
-    /// Sparse chunks write their CSR (so writing a cache builds the
-    /// matrix's) and rebuild the CSC mirror on decode (an `O(nnz)` bucket
-    /// pass).
+    /// Sparse chunks write their CSR, placed from the CSC by counting (the
+    /// matrix's own CSR is never built for it either), and rebuild the CSC
+    /// mirror on decode (an `O(nnz)` bucket pass).
     ///
     /// Blob layout: `kind u8` ([`CHUNK_DENSE`] / [`CHUNK_SPARSE`]),
     /// `n_rows u64`, then for dense the `n_rows × m` row major and the
     /// `m × n_rows` column major, for sparse `nnz u64`, the `n_rows + 1`
     /// offsets as `u64`, the column ids as `u32` and the bins.
     pub(crate) fn encode_chunk(&self, rows: std::ops::Range<usize>, out: &mut Vec<u8>) {
-        use crate::codec::{put_u32, put_u64};
+        use crate::codec::put_u64;
         let m = self.n_features();
         let n = rows.len();
         out.reserve(self.encoded_chunk_bytes(rows.clone()));
@@ -418,20 +428,38 @@ impl QuantizedMatrix {
                     out.extend_from_slice(&col[rows.clone()]);
                 }
             }
-            Storage::Sparse { .. } => {
-                let (indptr, cols, bins) = self.sparse_csr().expect("sparse storage");
+            Storage::Sparse { csc, .. } => {
+                // The chunk's CSR from the CSC: count each row's entries,
+                // turn the counts into row starts, then place the entries
+                // column by column, which keeps columns ascending in a row.
+                let spans: Vec<Range<usize>> = csc.chunk_spans(rows.clone()).collect();
+                let mut next = vec![0usize; n + 1];
+                for span in &spans {
+                    for &r in &csc.rows[span.clone()] {
+                        next[r as usize - rows.start + 1] += 1;
+                    }
+                }
+                for i in 0..n {
+                    next[i + 1] += next[i];
+                }
+                let nnz = next[n];
                 out.push(CHUNK_SPARSE);
                 put_u64(out, n as u64);
-                let base = indptr[rows.start];
-                let nnz = indptr[rows.end] - base;
                 put_u64(out, nnz as u64);
-                for &at in &indptr[rows.start..=rows.end] {
-                    put_u64(out, (at - base) as u64);
+                for &at in &next {
+                    put_u64(out, at as u64);
                 }
-                for &c in &cols[base..base + nnz] {
-                    put_u32(out, c);
+                let cols_at = out.len();
+                let bins_at = cols_at + 4 * nnz;
+                out.resize(bins_at + nnz, 0);
+                for (f, span) in spans.into_iter().enumerate() {
+                    for k in span {
+                        let at = &mut next[csc.rows[k] as usize - rows.start];
+                        out[cols_at + 4 * *at..][..4].copy_from_slice(&(f as u32).to_le_bytes());
+                        out[bins_at + *at] = csc.bins[k];
+                        *at += 1;
+                    }
                 }
-                out.extend_from_slice(&bins[base..base + nnz]);
             }
         }
     }
@@ -1359,6 +1387,86 @@ mod tests {
                 assert_eq!(q.sparse_csr(), Some((&want.0[..], &want.1[..], &want.2[..])));
                 assert!(holds_rows(&q));
             }
+        }
+    }
+
+    /// The reference sparse blob of `rows`: their slice of the matrix's
+    /// CSR, offsets re-rooted at 0.
+    fn blob_from_the_csr(q: &QuantizedMatrix, rows: Range<usize>) -> Vec<u8> {
+        let (indptr, cols, bins) = q.sparse_csr().expect("sparse storage");
+        let base = indptr[rows.start];
+        let entries = base..indptr[rows.end];
+        let mut blob = vec![CHUNK_SPARSE];
+        crate::codec::put_u64(&mut blob, rows.len() as u64);
+        crate::codec::put_u64(&mut blob, entries.len() as u64);
+        for &at in &indptr[rows.start..=rows.end] {
+            crate::codec::put_u64(&mut blob, (at - base) as u64);
+        }
+        for &c in &cols[entries.clone()] {
+            crate::codec::put_u32(&mut blob, c);
+        }
+        blob.extend_from_slice(&bins[entries]);
+        blob
+    }
+
+    /// Writing a sparse store's chunk cache leaves the store without its
+    /// CSR: each chunk's CSR is placed from the CSC. The blobs, their
+    /// advertised lengths and decoded sizes, and the whole file are what a
+    /// store whose CSR was built first gives, and each blob is the slice of
+    /// that CSR — over the transpose battery's shapes and the yfcc shape,
+    /// at chunk sizes that leave a short last chunk, one row per chunk and
+    /// one chunk in all.
+    #[test]
+    fn a_sparse_cache_is_written_without_the_csr() {
+        use harp_data::{DatasetKind, SynthConfig};
+        let yfcc = SynthConfig::new(DatasetKind::YfccLike, 5).with_scale(0.05).generate().features;
+        let FeatureMatrix::Sparse(yfcc) = yfcc else { panic!("the yfcc shape is sparse") };
+        let mut matrices = crate::setup::tests::holed_matrices();
+        matrices.push(yfcc);
+        let dir = std::env::temp_dir();
+        let path =
+            |tag: &str| dir.join(format!("harp_sparse_cache_{tag}_{}.qsc", std::process::id()));
+        for (i, csr) in matrices.into_iter().enumerate() {
+            let matrix = FeatureMatrix::Sparse(csr);
+            let lazy = QuantizedMatrix::from_matrix(&matrix, BinningConfig::default());
+            let built = QuantizedMatrix::from_matrix(&matrix, BinningConfig::default());
+            built.derive_rows();
+            let n = lazy.n_rows();
+            if n == 0 {
+                continue;
+            }
+            for rows_per_chunk in [1, 7, n] {
+                let (a, b) = (path("lazy"), path("built"));
+                crate::write_cache(&lazy, rows_per_chunk, &a)
+                    .expect("write the lazy store's cache");
+                assert!(!holds_rows(&lazy), "matrix {i}: writing a cache built the CSR");
+                crate::write_cache(&built, rows_per_chunk, &b)
+                    .expect("write the built store's cache");
+                let (a_bytes, b_bytes) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+                assert!(
+                    a_bytes == b_bytes,
+                    "matrix {i}, {rows_per_chunk} rows a chunk: the files differ"
+                );
+                std::fs::remove_file(a).unwrap();
+                std::fs::remove_file(b).unwrap();
+                for start in (0..n).step_by(rows_per_chunk) {
+                    let rows = start..(start + rows_per_chunk).min(n);
+                    let mut blob = Vec::new();
+                    lazy.encode_chunk(rows.clone(), &mut blob);
+                    assert_eq!(
+                        blob,
+                        blob_from_the_csr(&built, rows.clone()),
+                        "matrix {i} {rows:?}"
+                    );
+                    assert_eq!(lazy.encoded_chunk_bytes(rows.clone()), blob.len());
+                    assert_eq!(
+                        lazy.chunk_storage_bytes(rows.clone()),
+                        built.chunk_storage_bytes(rows.clone())
+                    );
+                }
+                assert!(!holds_rows(&lazy), "matrix {i}: encoding a chunk built the CSR");
+            }
+            assert_chunk_round_trip(&lazy, 0..n);
         }
     }
 

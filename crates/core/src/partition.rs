@@ -22,21 +22,25 @@
 //! plane 0 again.
 //!
 //! A split is two passes over ⟨node, row-block⟩ pieces. The *mark* pass asks
-//! the routing predicate once per row, writes the answer into a byte mask
-//! addressed by span position (nodes own disjoint spans, hence disjoint mask
-//! pieces) and counts the lefts of each block. The *move* pass scatters each
-//! block by the mask through a branch-free destination select; exclusive
-//! prefixes of the per-block counts give every block its own left and right
-//! destination range, so blocks move concurrently.
+//! the routing predicate once per row, writes the answer into bit 31 of the
+//! row's id where it lies, in the parent's own range (row ids stay below
+//! `2^31`, so the bit is free; nodes own disjoint spans, hence disjoint
+//! row-id pieces) and counts the lefts of each block. The *move* pass
+//! scatters each block by that bit through a branch-free destination select
+//! and stores each id with the bit cleared, so no live node's rows carry it;
+//! exclusive prefixes of the per-block counts give every block its own left
+//! and right destination range, so blocks move concurrently. The routing
+//! answers cost no buffer of their own: the parent's range, which they
+//! mark, is dead once the split is done.
 //!
-//! [`RowPartition::apply_splits`] runs a whole batch of splits: inline, one
-//! block per node, when no pool is given (an ASYNC node task) or the batch is
-//! small; otherwise as **one pool region** of all mark tasks followed by all
-//! move tasks. The pool hands out task indices in order, so by the time a
-//! move task is claimed every mark task is claimed too and runs without
-//! waiting on anything; a move task spins (then yields) on its node's latch,
-//! which the node's last mark task opens after turning the block counts into
-//! prefixes.
+//! [`RowPartition::apply_splits`] runs a whole batch of splits: inline, node
+//! by node (one mark pass over the node, then its moves block by block), when
+//! no pool is given (an ASYNC node task) or the batch is small; otherwise as
+//! **one pool region** of all mark tasks followed by all move tasks. The pool
+//! hands out task indices in order, so by the time a move task is claimed
+//! every mark task is claimed too and runs without waiting on anything; a
+//! move task spins (then yields) on its node's latch, which the node's last
+//! mark task opens after turning the block counts into prefixes.
 //!
 //! # Gradient ownership
 //! The partition owns the round's gradients: the objective writes them into
@@ -57,6 +61,11 @@ use crate::tree::Tree;
 use harp_parallel::{SpinMutex, ThreadPool, TracePhase};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+
+/// Bit 31 of a row id: set by a split's mark pass on the rows that go
+/// left, read and cleared by its move pass. Free because a partition holds
+/// at most [`MAX_ROWS`] `< 2^31` rows.
+const ROUTE_BIT: u32 = 1 << 31;
 
 /// Fixed-length buffer whose elements are read and written through `&self`
 /// by the tasks of a split, each within ranges it alone owns.
@@ -259,9 +268,6 @@ impl Drop for PoisonOnUnwind<'_> {
 pub struct RowPartition {
     n_rows: usize,
     planes: [Plane; 2],
-    /// One routing answer per span position (1 = left), written by a
-    /// split's mark pass and read by its move pass.
-    mask: SyncBuf<u8>,
     /// The row-ordered gradient array when MemBuf is off; empty otherwise.
     global: Vec<GradPair>,
     /// Packed [`Span`] per node id.
@@ -308,7 +314,6 @@ impl RowPartition {
         Self {
             n_rows,
             planes: [plane(), plane()],
-            mask: SyncBuf::new(n_rows),
             global: vec![[0.0; 2]; if use_membuf { 0 } else { n_rows }],
             spans: (0..max_nodes).map(|_| AtomicU64::new(Span::UNASSIGNED)).collect(),
             use_membuf,
@@ -332,13 +337,13 @@ impl RowPartition {
         }
     }
 
-    /// Bytes held by everything else: the row-id halves of the two planes,
-    /// the routing mask, the span table, the pooled-batch tables and — with
-    /// MemBuf off — the row-ordered gradient array (see
-    /// [`membuf_bytes`](Self::membuf_bytes) for the MemBuf share).
+    /// Bytes held by everything else: the row-id halves of the two planes
+    /// (which also carry a split's routing answers, in bit 31), the span
+    /// table, the pooled-batch tables and — with MemBuf off — the
+    /// row-ordered gradient array (see [`membuf_bytes`](Self::membuf_bytes)
+    /// for the MemBuf share).
     pub fn index_bytes(&self) -> usize {
         2 * self.n_rows * std::mem::size_of::<u32>()
-            + self.n_rows
             + self.global.len() * std::mem::size_of::<GradPair>()
             + self.spans.len() * std::mem::size_of::<AtomicU64>()
             + self.batch.lock().heap_bytes()
@@ -510,6 +515,11 @@ impl RowPartition {
     /// mark task, then every move task — whatever the batch's width and the
     /// pool's size. Otherwise (no pool: an ASYNC node task; or a small
     /// batch) they run inline on the caller, node by node.
+    ///
+    /// `goes_left` must not read a parent's [`rows`](Self::rows): the mark
+    /// pass rewrites them while it runs. If `goes_left` panics, parents'
+    /// rows may be left carrying routing bits: start a new tree before
+    /// reading the partition again.
     pub fn apply_splits(
         &self,
         splits: &[(u32, u32, u32)],
@@ -526,7 +536,19 @@ impl RowPartition {
                 for (i, &(parent, left, right)) in splits.iter().enumerate() {
                     let src = self.span_of(parent);
                     let n_left = self.mark(src, 0..src.len, &|pos, row| goes_left(i, pos, row));
-                    self.move_block(src, 0..src.len, src.start, src.start + n_left);
+                    // Moved block by block, as in a region, so each block's
+                    // count reads the ids its scatter then finds in cache.
+                    let mut lefts_before = 0;
+                    for b in 0..n_row_blocks(src.len, ROW_BLOCK) {
+                        let block = row_block(b, ROW_BLOCK, src.len);
+                        let rights_before = block.start - lefts_before;
+                        lefts_before += self.move_block(
+                            src,
+                            block,
+                            src.start + lefts_before,
+                            src.start + n_left + rights_before,
+                        );
+                    }
                     self.set_children(src, left, right, n_left);
                 }
             }
@@ -570,7 +592,8 @@ impl RowPartition {
                     }
                     n_left[i].store(before, Ordering::Relaxed);
                     // Release, paired with the move tasks' Acquire loads:
-                    // opens the latch over the prefixes and the mask.
+                    // opens the latch over the prefixes and the marked
+                    // row ids.
                     pending[i].store(0, Ordering::Release);
                 }
                 return;
@@ -601,8 +624,8 @@ impl RowPartition {
     }
 
     /// The mark pass over one block (positions `block` of `src`): asks
-    /// `goes_left(pos, row)` once per row, records the answers in the mask
-    /// and returns the number of lefts.
+    /// `goes_left(pos, row)` once per row, sets [`ROUTE_BIT`] in the ids of
+    /// the rows that go left and returns their number.
     fn mark(
         &self,
         src: Span,
@@ -611,30 +634,31 @@ impl RowPartition {
     ) -> usize {
         let at = src.start + block.start..src.start + block.end;
         // SAFETY: the caller owns `src`'s node (module concurrency model),
-        // nothing writes its rows until it is split again, and this block's
-        // mask piece belongs to this task alone: blocks of one node are
-        // disjoint, and so are the spans of distinct live nodes.
-        let (rows, mask) =
-            unsafe { (self.planes[src.plane].rows.slice(at.clone()), self.mask.slice_mut(at)) };
+        // which is being split, so its range is dead to every reader but
+        // this split's move pass, which runs after this block's marks; and
+        // this block's row-id piece belongs to this task alone: blocks of
+        // one node are disjoint, and so are the spans of distinct live nodes.
+        let rows = unsafe { self.planes[src.plane].rows.slice_mut(at) };
         let mut n_left = 0usize;
-        for (i, (&row, m)) in rows.iter().zip(mask).enumerate() {
-            let left = goes_left(block.start + i, row);
-            *m = u8::from(left);
+        for (i, row) in rows.iter_mut().enumerate() {
+            let left = goes_left(block.start + i, *row);
+            *row |= ROUTE_BIT * u32::from(left);
             n_left += usize::from(left);
         }
         n_left
     }
 
     /// The move pass over one block: scatters its rows (and gradients) by
-    /// the mask into the other plane, lefts from position `left_at` on and
-    /// rights from `right_at` on, each in source order.
-    fn move_block(&self, src: Span, block: Range<usize>, left_at: usize, right_at: usize) {
+    /// their route bits into the other plane, lefts from position `left_at`
+    /// on and rights from `right_at` on, each in source order, every id
+    /// stored with the bit cleared. Returns the number of lefts.
+    fn move_block(&self, src: Span, block: Range<usize>, left_at: usize, right_at: usize) -> usize {
         let at = src.start + block.start..src.start + block.end;
         let (from, to) = (&self.planes[src.plane], &self.planes[src.plane ^ 1]);
         // SAFETY (reads): the node's mark pass is complete — inline by
         // program order, in a region by the Acquire load of the node's latch
-        // — and nothing else writes `src`'s range of its own plane or mask.
-        let (rows, mask) = unsafe { (from.rows.slice(at.clone()), self.mask.slice(at.clone())) };
+        // — and nothing else writes `src`'s range of its own plane.
+        let rows = unsafe { from.rows.slice(at.clone()) };
         let grads = if self.use_membuf {
             // SAFETY: as `rows`.
             unsafe { from.grads.slice(at) }
@@ -642,49 +666,50 @@ impl RowPartition {
             &[]
         };
         // The one bounds check of the scatter below, per block instead of
-        // per row: both destination ranges, as the mask itself sizes them,
-        // lie inside the parent's range.
-        let lefts = mask.iter().filter(|&&m| m != 0).count();
+        // per row: both destination ranges, as the route bits themselves
+        // size them, lie inside the parent's range.
+        let lefts = rows.iter().filter(|&&row| row & ROUTE_BIT != 0).count();
         let end = src.start + src.len;
         assert!(
             src.start <= left_at
                 && left_at + lefts <= end
                 && src.start <= right_at
-                && right_at + (mask.len() - lefts) <= end,
+                && right_at + (rows.len() - lefts) <= end,
             "destinations outside the parent's range"
         );
         let (mut l, mut r) = (left_at, right_at);
         // Branch-free destination select: the next left or the next right
-        // slot, by the mask byte.
-        let mut next = |m: u8| {
-            let m = usize::from(m != 0);
+        // slot, by the route bit, and the id without it.
+        let mut next = |row: u32| {
+            let m = usize::from(row & ROUTE_BIT != 0);
             let dst = if m != 0 { l } else { r };
             l += m;
             r += 1 - m;
-            dst
+            (dst, row & !ROUTE_BIT)
         };
         // SAFETY (both loops): the left cursor takes `lefts` steps from
         // `left_at` and the right cursor the rest from `right_at`, so every
-        // write is in bounds by the assert above. The mask holds exactly the
-        // answers the block counts were summed from, so these are the
+        // write is in bounds by the assert above. The route bits are exactly
+        // the answers the block counts were summed from, so these are the
         // block's own two destination ranges — inside `src.range()` of the
         // other plane, which is dead (its node was split into `src`'s plane,
         // or never existed) and which the prefix sums carve into ranges no
         // two blocks share.
         if self.use_membuf {
-            for ((&row, &g), &m) in rows.iter().zip(grads).zip(mask) {
-                let dst = next(m);
+            for (&row, &g) in rows.iter().zip(grads) {
+                let (dst, row) = next(row);
                 unsafe {
                     to.rows.write(dst, row);
                     to.grads.write(dst, g);
                 }
             }
         } else {
-            for (&row, &m) in rows.iter().zip(mask) {
-                let dst = next(m);
+            for &row in rows {
+                let (dst, row) = next(row);
                 unsafe { to.rows.write(dst, row) };
             }
         }
+        lefts
     }
 
     /// Hands `src`'s range of the other plane to the children: `n_left` rows
@@ -887,10 +912,8 @@ mod tests {
                 .iter()
                 .map(|pl| pl.rows.len * 4 + pl.grads.len * std::mem::size_of::<GradPair>())
                 .sum();
-            let allocated = planes
-                + p.mask.len
-                + p.global.len() * std::mem::size_of::<GradPair>()
-                + p.spans.len() * 8;
+            let allocated =
+                planes + p.global.len() * std::mem::size_of::<GradPair>() + p.spans.len() * 8;
             assert_eq!(p.index_bytes() + p.membuf_bytes(), allocated, "n={n} membuf={membuf}");
             assert_eq!(p.membuf_bytes(), if membuf { 2 * n * 8 } else { 0 });
             // One gradient array of n pairs, wherever it lives.
@@ -1046,6 +1069,77 @@ mod tests {
                 for (name, p) in [("batched", &batched), ("one by one", &single)] {
                     if let Err(e) = check_against(p, &live, membuf && n > 0) {
                         return Err(proptest::TestCaseError::fail(format!("{name}: {e}")));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The mark pass parks each routing answer in bit 31 of the row's id in
+    /// the parent's range; the move pass must clear it. After every batch —
+    /// pooled (a pool and at least `MIN_PARALLEL_SPAN` rows) or inline,
+    /// MemBuf on or off, four levels of nested splits — every live node's
+    /// rows are below `2^31` and ascending, and the two children hold
+    /// exactly the parent's rows, their gradients carried along.
+    #[test]
+    fn route_bits_never_reach_a_live_nodes_rows() {
+        let pool = ThreadPool::new(3);
+        for (n, pool) in
+            [(1000, Some(&pool)), (3 * MIN_PARALLEL_SPAN + 123, Some(&pool)), (20_000, None)]
+        {
+            for membuf in [true, false] {
+                let grads: Vec<GradPair> = (0..n as u32).map(grad_of).collect();
+                let mut p = RowPartition::new(n, 64, membuf);
+                p.reset(&grads);
+                let mut live = vec![0u32];
+                let mut next = 1u32;
+                for level in 0..4u32 {
+                    let before: Vec<(Vec<u32>, Vec<GradPair>)> =
+                        live.iter().map(|&v| (p.rows(v).to_vec(), p.grads(v).to_vec())).collect();
+                    let splits: Vec<(u32, u32, u32)> = live
+                        .iter()
+                        .map(|&parent| {
+                            next += 2;
+                            (parent, next - 2, next - 1)
+                        })
+                        .collect();
+                    let pooled = pool.is_some() && n >= MIN_PARALLEL_SPAN;
+                    p.apply_splits(
+                        &splits,
+                        &|i, _, row| route(4, i as u32 + 7 * level, 0, row),
+                        pool,
+                    );
+                    live.clear();
+                    for ((rows, parent_grads), &(parent, l, r)) in before.iter().zip(&splits) {
+                        let at = format!("n={n} membuf={membuf} pooled={pooled} split of {parent}");
+                        let mut joined = Vec::new();
+                        for child in [l, r] {
+                            let kids = p.rows(child);
+                            assert!(
+                                kids.iter().all(|&row| row < ROUTE_BIT),
+                                "{at}: node {child} carries a route bit"
+                            );
+                            assert!(
+                                kids.windows(2).all(|w| w[0] < w[1]),
+                                "{at}: node {child} out of order"
+                            );
+                            let carried: Vec<GradPair> = if membuf {
+                                kids.iter()
+                                    .map(|row| parent_grads[rows.binary_search(row).unwrap()])
+                                    .collect()
+                            } else {
+                                Vec::new()
+                            };
+                            assert_eq!(
+                                p.grads(child),
+                                carried.as_slice(),
+                                "{at}: node {child} gradients"
+                            );
+                            joined.extend_from_slice(kids);
+                        }
+                        joined.sort_unstable();
+                        assert_eq!(&joined, rows, "{at}: the children are not the parent's rows");
+                        live.extend([l, r]);
                     }
                 }
             }

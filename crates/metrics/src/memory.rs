@@ -106,9 +106,10 @@ pub mod gauges {
     /// MemBuf: the gradient halves of the row partition's two planes, zero
     /// when `use_membuf` is off.
     pub const MEMBUF: &str = "membuf";
-    /// The rest of the row partition: the row-id halves of the two planes,
-    /// the routing mask, the span and batch-task tables and — with MemBuf
-    /// off — the row-ordered gradient array.
+    /// The rest of the row partition: the row-id halves of the two planes
+    /// (a split's routing answers ride in their bit 31), the span and
+    /// batch-task tables and — with MemBuf off — the row-ordered gradient
+    /// array.
     pub const PARTITION: &str = "partition";
     /// Flat inference forest compiled for incremental evaluation.
     pub const FLAT_FOREST: &str = "flat_forest";

@@ -213,7 +213,7 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
     // The end-to-end benchmark's sparse shape at half its rows, set up and
     // trained model-parallel in one measurement: beside the set-up bound,
     // training holds its row partition (two planes of row id + MemBuf
-    // gradient pair, the routing mask), the raw scores and the histograms
+    // gradient pair), the raw scores and the histograms
     // its ledger reports. Its CSR would be ≈ 6 MB.
     let yfcc = SynthConfig::new(DatasetKind::YfccLike, 5).with_scale(0.5).generate();
     let (n, m) = (yfcc.features.n_rows(), yfcc.features.n_cols());
@@ -246,7 +246,7 @@ fn setup_peak_is_storage_plus_the_designed_transient() {
     let csc = nnz * 5 + (m + 1) * 8 + mapper_bytes(q.mapper());
     let setup = transpose_table_bytes(nnz, m, threads)
         + pair_buffer_bytes(longest_column(&yfcc.features), threads);
-    let training = n * (2 * 12 + 1 + 4) + hists;
+    let training = n * (2 * 12 + 4) + hists;
     let bound = csc + setup + training + SLACK_BYTES;
     let csr = nnz * 5 + (n + 1) * 8;
     assert!(csr > 4 * SLACK_BYTES, "a CSR must be far over the slack");

@@ -2,10 +2,10 @@
 //! the peak of live heap bytes while `train_store` runs on a store that
 //! already exists, and the peak may exceed what the run is designed to hold
 //! per row — the row partition's two planes (row id + MemBuf gradient pair
-//! each) and its routing mask, the raw scores, and with MemBuf off the one
-//! row-ordered gradient array instead of the planes' gradient halves — only
-//! by the histogram pool and replica arena (as the run's own ledger gauges
-//! report them) plus a fixed slack. A second row-ordered gradient array
+//! each; a split's routing answers ride in the row ids), the raw scores, and
+//! with MemBuf off the one row-ordered gradient array instead of the planes'
+//! gradient halves — only by the histogram pool and replica arena (as the
+//! run's own ledger gauges report them) plus a fixed slack. A second row-ordered gradient array
 //! beside the partition's (what the trainer kept until the partition took
 //! the gradients over) breaks the bound by `n × 8` bytes.
 //!
@@ -30,7 +30,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 const SLACK_BYTES: usize = 1 << 20;
 
 #[test]
-fn training_peak_is_two_planes_a_mask_and_the_scores() {
+fn training_peak_is_two_planes_and_the_scores() {
     let mut rng = StdRng::seed_from_u64(18);
     let (n, m) = (300_000usize, 8usize);
     let values: Vec<f32> = (0..n * m).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
@@ -68,8 +68,8 @@ fn training_peak_is_two_planes_a_mask_and_the_scores() {
             };
             let hists = high_water(gauges::HIST_POOL) + high_water(gauges::SCRATCH_ARENA);
             // Row ids 4 B and gradients 8 B in each plane, or one gradient
-            // array; the mask 1 B; the raw scores 4 B.
-            let per_row = if use_membuf { 2 * 12 + 1 + 4 } else { 2 * 4 + 1 + 8 + 4 };
+            // array; the raw scores 4 B.
+            let per_row = if use_membuf { 2 * 12 + 4 } else { 2 * 4 + 8 + 4 };
             let bound = n * per_row + hists + SLACK_BYTES;
             assert!(
                 peak <= bound,
