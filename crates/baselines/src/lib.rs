@@ -251,14 +251,15 @@ mod tests {
         // At test scale the effect is weaker but BuildHist must still beat
         // FindSplit, its closest competitor.
         let d = data(0.5);
+        let qm = harp_binning::QuantizedMatrix::from_matrix(
+            &d.features,
+            harp_binning::BinningConfig::with_max_bins(64),
+        );
         for b in [Baseline::XgbLeaf, Baseline::LightGbm] {
             let mut p = b.params(4, 2);
             p.n_trees = 3;
             p.gamma = 0.0;
-            let out = GbdtTrainer::new(p)
-                .unwrap()
-                .with_binning(harp_binning::BinningConfig::with_max_bins(64))
-                .train(&d);
+            let out = GbdtTrainer::new(p).unwrap().train_store(&qm, &d.labels, None);
             let bd = &out.diagnostics.breakdown;
             assert!(
                 bd.build_hist_secs > bd.find_split_secs,

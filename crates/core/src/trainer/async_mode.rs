@@ -40,15 +40,8 @@ use harp_parallel::WorkQueue;
 pub(super) fn run_async(engine: &TreeEngine<'_>) {
     // "K threads select the top candidate as best as they can": node-level
     // concurrency is bounded by K tasks in flight.
-    let trace = engine.sink();
     let wq: WorkQueue<()> = WorkQueue::bounded(engine.params.effective_k());
-    let width = engine.frontier().width();
-    if let Some(sink) = trace {
-        for _ in 0..width {
-            sink.count_queue_push(sink.coordinator_lane());
-        }
-    }
-    wq.push_all(std::iter::repeat_n((), width));
+    wq.push_all(std::iter::repeat_n((), engine.frontier().width()));
 
     engine.pool.run_queue(&wq, |(), wq, worker| {
         // Once the budget is spent nothing is claimed, and the queued
@@ -57,9 +50,6 @@ pub(super) fn run_async(engine: &TreeEngine<'_>) {
         let claims = engine.frontier().claim(1, &engine.partition);
         let queued = engine.step(claims, Some(worker), &mut DriverScratch::new());
         for _ in 0..queued {
-            if let Some(sink) = trace {
-                sink.count_queue_push(worker);
-            }
             wq.push(());
         }
     });

@@ -279,7 +279,6 @@ fn eval_features_at(
 /// The HarpGBDT trainer.
 pub struct GbdtTrainer {
     params: TrainParams,
-    binning: BinningConfig,
 }
 
 impl GbdtTrainer {
@@ -289,13 +288,7 @@ impl GbdtTrainer {
     /// Returns the validation message for inconsistent parameters.
     pub fn new(params: TrainParams) -> Result<Self, String> {
         params.validate()?;
-        Ok(Self { params, binning: BinningConfig::default() })
-    }
-
-    /// Overrides the histogram-initialization configuration.
-    pub fn with_binning(mut self, binning: BinningConfig) -> Self {
-        self.binning = binning;
-        self
+        Ok(Self { params })
     }
 
     /// The trainer's parameters.
@@ -333,7 +326,7 @@ impl GbdtTrainer {
         dataset: &Dataset,
         eval: Option<EvalOptions<'_>>,
     ) -> Result<TrainOutput, String> {
-        let qm = QuantizedMatrix::from_matrix(&dataset.features, self.binning);
+        let qm = QuantizedMatrix::from_matrix(&dataset.features, BinningConfig::default());
         self.try_train_store_grouped(
             &qm,
             &dataset.labels,
@@ -615,15 +608,9 @@ impl GbdtTrainer {
             }
         }
 
-        let (span_trace, worker_skew) = match sink {
-            Some(s) => {
-                let snap = s.snapshot();
-                let skew = WorkerSkewReport::from_phase_ns(&snap.worker_phase_ns());
-                (Some(snap), Some(skew))
-            }
-            None => (None, None),
-        };
         let totals = read_totals();
+        let span_trace = sink.map(TraceSink::snapshot);
+        let worker_skew = sink.map(|_| totals.worker_skew());
         let diagnostics = Diagnostics {
             train_secs,
             per_tree_secs,

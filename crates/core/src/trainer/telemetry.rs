@@ -6,7 +6,7 @@
 use harp_binning::{ChunkIoStats, QuantStore};
 use harp_metrics::{BreakdownReport, LedgerRecord, RunLedger, WorkerSkewReport};
 use harp_parallel::trace::phase_rows;
-use harp_parallel::{PhaseClock, PhaseNs, ProfileCounters, ThreadPool, TraceCounters, TracePhase};
+use harp_parallel::{PhaseClock, PhaseNs, ProfileCounters, ThreadPool, TracePhase};
 
 /// Everything a run counts, read at one instant (or, from
 /// [`delta`](Self::delta), over one interval).
@@ -16,10 +16,8 @@ pub(super) struct Totals {
     pub phase_ns: PhaseNs,
     /// The pool's profile, with the store's chunk traffic read in.
     pub counters: ProfileCounters,
-    /// The sink's queue counts; `None` when not tracing.
-    queue: Option<TraceCounters>,
-    /// The sink's per-lane phase busy time (coordinator last), queue spin
-    /// included; empty when not tracing.
+    /// The sink's per-lane phase busy time (coordinator last); empty when
+    /// not tracing.
     lane_busy: Vec<PhaseNs>,
 }
 
@@ -37,12 +35,10 @@ impl Totals {
         let mut counters = pool.profile().snapshot();
         counters.chunk_loads = io.chunk_loads - io_start.chunk_loads;
         counters.chunk_evictions = io.chunk_evictions - io_start.chunk_evictions;
-        let sink = pool.trace();
         Self {
             phase_ns: clock.snapshot(),
             counters,
-            queue: sink.map(|s| s.counter_totals()),
-            lane_busy: sink.map(|s| s.phase_busy_by_lane()).unwrap_or_default(),
+            lane_busy: pool.trace().map(|s| s.phase_busy_by_lane()).unwrap_or_default(),
         }
     }
 
@@ -51,7 +47,6 @@ impl Totals {
         Totals {
             phase_ns: self.phase_ns.delta(&earlier.phase_ns),
             counters: self.counters.delta(&earlier.counters),
-            queue: self.queue.zip(earlier.queue).map(|(now, prev)| now.delta(&prev)),
             lane_busy: self
                 .lane_busy
                 .iter()
@@ -73,6 +68,14 @@ impl Totals {
             ns[TracePhase::Predict],
             ns[TracePhase::Gradients] + ns[TracePhase::Other],
         ])
+    }
+
+    /// The worker lanes' per-phase busy-time skew; no rows when not
+    /// tracing. The coordinator's lane (the last) is left out: it mostly
+    /// waits and would drown the phase imbalance signal.
+    pub fn worker_skew(&self) -> WorkerSkewReport {
+        let workers = &self.lane_busy[..self.lane_busy.len().saturating_sub(1)];
+        WorkerSkewReport::from_phase_ns(&phase_rows(workers))
     }
 }
 
@@ -101,24 +104,8 @@ impl RoundLedger {
         record.phase_secs =
             round.breakdown().named().iter().map(|&(n, v)| (n.to_string(), v)).collect();
         record.counters = round.counters.named().iter().map(|&(n, v)| (n.to_string(), v)).collect();
-        if let Some(q) = round.queue {
-            record.counters.extend([
-                ("queue_pops".to_string(), q.queue_pops),
-                ("queue_pushes".to_string(), q.queue_pushes),
-                (
-                    "queue_spin_ns".to_string(),
-                    round.lane_busy.iter().map(|l| l[TracePhase::QueueSpin]).sum(),
-                ),
-            ]);
-        }
-        // Workers only: the coordinator lane (the last) mostly waits and
-        // would drown the phase imbalance signal.
-        let workers = &round.lane_busy[..round.lane_busy.len().saturating_sub(1)];
-        record.skew = WorkerSkewReport::from_phase_ns(&phase_rows(workers))
-            .rows
-            .into_iter()
-            .map(|r| (r.phase, r.imbalance))
-            .collect();
+        record.skew =
+            round.worker_skew().rows.into_iter().map(|r| (r.phase, r.imbalance)).collect();
         self.ledger.push(record);
     }
 }

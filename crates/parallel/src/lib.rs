@@ -21,10 +21,11 @@
 //!   hardware counters reported in Tables I and VI of the paper (CPU
 //!   utilization, barrier overhead share, task latency, bytes moved).
 //! * [`TraceSink`] / [`TraceSnapshot`] — the span-level ledger behind the
-//!   aggregate counters: per-worker drop-oldest ring buffers of phase spans
-//!   plus barrier/queue wait counters, exportable as chrome-trace JSON
-//!   (`chrome://tracing`, Perfetto). Off unless a caller installs a sink,
-//!   and then free: no sink, no clock reads.
+//!   aggregate counters: per-worker drop-oldest rings of phase spans and
+//!   their per-phase busy time, one lock per lane, exportable as
+//!   chrome-trace JSON (`chrome://tracing`, Perfetto). Off unless a caller
+//!   installs a sink, and then free: no sink, no clock reads. Every count
+//!   lives in the [`Profile`].
 //!
 //! The pool is deliberately simple: no work stealing between unrelated jobs,
 //! no nested regions. GBDT tree construction is a sequence of wide, flat
@@ -42,6 +43,6 @@ pub use profile::{Profile, ProfileCounters, ProfileReport};
 pub use queue::{QueueOutcome, WorkQueue};
 pub use spin::{SpinMutex, SpinMutexGuard};
 pub use trace::{
-    LaneSnapshot, PhaseClock, PhaseNs, PhaseSpan, Span, SpanRing, TraceCounters, TracePhase,
-    TraceSink, TraceSnapshot, N_TRACE_PHASES,
+    LaneSnapshot, PhaseClock, PhaseNs, PhaseSpan, Span, TracePhase, TraceSink, TraceSnapshot,
+    N_TRACE_PHASES,
 };

@@ -130,11 +130,7 @@ impl Region {
             self.profile.regions.fetch_add(1, Ordering::Relaxed);
             if let Some(sink) = &self.trace {
                 // Per-worker barrier waits are only knowable once the last
-                // worker finishes, so the settler writes every lane. Every
-                // share has run, so the other workers are parked on the
-                // pool's slot, or about to find no share left, until the
-                // blocked caller is woken below: their lanes are quiescent
-                // here.
+                // worker finishes, so the settler writes every lane.
                 for (w, t) in self.finish_ns.iter().enumerate() {
                     let fin = t.load(Ordering::Relaxed);
                     if fin < last {
@@ -271,8 +267,8 @@ impl ThreadPool {
     }
 
     /// Attaches a span ledger. Regions then record per-worker barrier-wait
-    /// spans and [`run_queue`](Self::run_queue) records queue-spin spans and
-    /// pop counts; trainer kernels find the sink via [`trace`](Self::trace).
+    /// spans and [`run_queue`](Self::run_queue) records queue-spin spans;
+    /// trainer kernels find the sink via [`trace`](Self::trace).
     pub fn install_trace(&mut self, sink: Arc<TraceSink>) {
         self.trace = Some(sink);
     }
@@ -339,9 +335,10 @@ impl ThreadPool {
     /// task from `queue`, invoking `f(task, queue, worker_idx)` (which may
     /// push follow-up tasks), until the queue drains with no task in flight.
     ///
-    /// Busy time is recorded per popped task; time spent polling an empty
-    /// (but not yet drained) queue is charged to barrier wait, since it is
-    /// end-of-phase load imbalance just like a barrier spin.
+    /// Busy time is recorded per popped task, and every pop is counted in
+    /// `queue_pops`; time spent polling an empty (but not yet drained)
+    /// queue goes to `queue_spin_ns` and is charged to barrier wait too,
+    /// since it is end-of-phase load imbalance just like a barrier spin.
     pub fn run_queue<T, F>(&self, queue: &WorkQueue<T>, f: F)
     where
         T: Ord + Send,
@@ -356,6 +353,7 @@ impl ThreadPool {
                 if let Some((t0, start_ns)) = idle_since.take() {
                     let ns = t0.elapsed().as_nanos() as u64;
                     profile.barrier_wait_ns.fetch_add(ns, Ordering::Relaxed);
+                    profile.queue_spin_ns.fetch_add(ns, Ordering::Relaxed);
                     if let Some(sink) = trace {
                         sink.record(worker, TracePhase::QueueSpin, 0, 0, start_ns, start_ns + ns);
                     }
@@ -365,9 +363,7 @@ impl ThreadPool {
                 match queue.pop_timed(&profile.lock_wait_ns) {
                     QueueOutcome::Task(task) => {
                         close_idle(&mut idle_since);
-                        if let Some(sink) = trace {
-                            sink.count_queue_pop(worker);
-                        }
+                        profile.queue_pops.fetch_add(1, Ordering::Relaxed);
                         let t0 = Instant::now();
                         f(task, queue, worker);
                         queue.complete();
@@ -684,24 +680,32 @@ mod tests {
     }
 
     #[test]
-    fn trace_counts_queue_pops_and_spin() {
-        let mut pool = ThreadPool::new(4);
-        let sink = TraceSink::new(4);
-        pool.install_trace(Arc::clone(&sink));
-        let queue: WorkQueue<u32> = WorkQueue::new();
-        queue.push(16);
-        pool.run_queue(&queue, |v, q, _| {
-            if v > 1 {
-                q.push(v / 2);
-                q.push(v / 2);
+    fn run_queue_counts_pops_and_spin_with_or_without_a_sink() {
+        for traced in [false, true] {
+            let mut pool = ThreadPool::new(4);
+            let sink = TraceSink::new(4);
+            if traced {
+                pool.install_trace(Arc::clone(&sink));
             }
-            std::thread::sleep(std::time::Duration::from_micros(200));
-        });
-        let snap = sink.snapshot();
-        let pops: u64 = snap.lanes.iter().map(|l| l.waits.queue_pops).sum();
-        assert_eq!(pops, 31, "16 fans out to 31 tasks");
-        // Workers that found the queue momentarily empty log spin time.
-        let spin: u64 = snap.lanes.iter().map(|l| l.busy_ns[TracePhase::QueueSpin]).sum();
-        assert!(spin > 0, "expected some queue spin with 4 workers on a serial frontier");
+            let queue: WorkQueue<u32> = WorkQueue::new();
+            queue.push(16);
+            pool.run_queue(&queue, |v, q, _| {
+                if v > 1 {
+                    q.push(v / 2);
+                    q.push(v / 2);
+                }
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            });
+            let p = pool.profile().snapshot();
+            assert_eq!(p.queue_pops, 31, "traced={traced}: 16 fans out to 31 tasks");
+            // Workers that found the queue momentarily empty log spin time,
+            // which is barrier wait as well.
+            assert!(p.queue_spin_ns > 0, "traced={traced}: 4 workers on a serial frontier");
+            assert!(p.barrier_wait_ns >= p.queue_spin_ns, "traced={traced}");
+            // The sink gets the same idle stretches as spans, and no count.
+            let snap = sink.snapshot();
+            let spin: u64 = snap.lanes.iter().map(|l| l.busy_ns[TracePhase::QueueSpin]).sum();
+            assert_eq!(spin, if traced { p.queue_spin_ns } else { 0 }, "traced={traced}");
+        }
     }
 }

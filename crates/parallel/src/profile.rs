@@ -87,8 +87,6 @@ macro_rules! counter_table {
         }
     };
 }
-pub(crate) use counter_table;
-
 counter_table! {
     /// Shared, thread-safe profiling accumulator.
     ///
@@ -182,6 +180,13 @@ counter_table! {
     /// finds a chunk another thread loaded ahead of it. Kept because the
     /// end-to-end benchmark's `binning.chunk_prefetch_hit_ratio` reads it.
     chunk_prefetch_hits,
+    /// Tokens popped off the ASYNC work queue: one per node task run,
+    /// including tasks whose candidate the leaf budget dropped, which claim
+    /// nothing.
+    queue_pops,
+    /// Nanoseconds ASYNC workers idled on an empty but undrained work
+    /// queue; also charged to `barrier_wait_ns`.
+    queue_spin_ns,
 }
 
 impl Profile {
@@ -567,7 +572,7 @@ mod tests {
 
             let names = after.named().map(|(name, _)| name);
             prop_assert_eq!(names.len(), ProfileCounters::LEN);
-            prop_assert_eq!((names[0], names[ProfileCounters::LEN - 1]), ("busy_ns", "chunk_prefetch_hits"));
+            prop_assert_eq!((names[0], names[ProfileCounters::LEN - 1]), ("busy_ns", "queue_spin_ns"));
             let unique: std::collections::HashSet<_> = names.iter().collect();
             prop_assert_eq!(unique.len(), names.len());
 

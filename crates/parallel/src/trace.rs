@@ -1,25 +1,23 @@
-//! Phase-ledger tracing: lock-free per-worker span rings + chrome-trace export.
+//! Phase-ledger tracing: per-worker span rings + chrome-trace export.
 //!
 //! The paper evaluates HarpGBDT with VTune's per-phase timeline; this module
-//! is the software substitute. Every worker lane owns a fixed-capacity ring
-//! of [`Span`]s — `(phase, node, block, t_start, t_end)` records stamped with
-//! a seqlock-style sequence so a racing reader can never observe a torn span.
-//! Recording is wait-free and allocation-free: one `fetch_add` on the lane's
-//! head plus three plain stores into a pre-allocated slot. When the ring is
-//! full the oldest span is overwritten (drop-oldest), so a trace always holds
-//! the newest window of activity.
-//!
-//! Alongside the rings, each lane keeps aggregate counters: per-phase busy
-//! nanoseconds — barrier-wait time (settled by the pool's fork/join regions)
-//! and ASYNC queue-spin time among them, as their own phases — and pop/push
-//! counts for the ASYNC priority queue.
+//! is the software substitute. Every worker lane holds, behind one lock, a
+//! fixed-capacity ring of [`Span`]s — `(phase, node, block, t_start, t_end)`
+//! records — and the per-phase busy nanoseconds of every span it recorded:
+//! barrier-wait time (settled by the pool's fork/join regions) and ASYNC
+//! queue-spin time among them, as their own phases. Recording locks the
+//! lane, which its worker alone takes on the hot path, and allocates
+//! nothing: the ring is sized up front. When the ring is full the oldest
+//! span is overwritten (drop-oldest), so a trace always holds the newest
+//! window of activity. The sink keeps no counts: those are
+//! [`Profile`](crate::Profile)'s, written whether or not anyone traces.
 //!
 //! Two consumers exist:
 //! * [`TraceSnapshot::to_chrome_trace`] renders the ledger as a chrome
 //!   `trace_event` JSON file loadable in `chrome://tracing` or
 //!   <https://ui.perfetto.dev>;
-//! * [`TraceSnapshot::worker_phase_ns`] feeds the per-phase worker-skew
-//!   table in `harp-metrics`.
+//! * [`TraceSink::phase_busy_by_lane`] feeds the per-phase worker-skew
+//!   table in `harp-metrics`, through [`phase_rows`].
 //!
 //! Tracing is a runtime switch: a sink exists only when a caller asks for
 //! one (an `Option<Arc<TraceSink>>`), every recording site short-circuits on
@@ -27,9 +25,7 @@
 //! overhead budget is < 2% of one BuildHist task (asserted in
 //! `tests/span_trace.rs`).
 
-use crate::profile::counter_table;
-use serde::{Deserialize, Serialize};
-use std::cell::UnsafeCell;
+use crate::spin::SpinMutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -129,8 +125,8 @@ pub fn phase_rows(lanes: &[PhaseNs]) -> Vec<(&'static str, Vec<u64>)> {
 
 /// The phase clock: one relaxed nanosecond accumulator per [`TracePhase`].
 /// The trainer owns one per run ([`PhaseSpan`] adds each timed interval to
-/// its phase's entry) and every lane of a [`TraceSink`] owns one for its
-/// span durations; time breakdowns are sums over a [`PhaseNs`] read of it.
+/// its phase's entry); time breakdowns are sums over a [`PhaseNs`] read of
+/// it.
 #[derive(Debug, Default)]
 pub struct PhaseClock([AtomicU64; N_TRACE_PHASES]);
 
@@ -167,131 +163,43 @@ pub struct Span {
     pub t_end_ns: u64,
 }
 
-/// One ring slot: a seqlock-stamped span.
-///
-/// `stamp` is 0 while the slot is empty, `2*seq + 1` while the writer for
-/// ticket `seq` is mid-write, and `2*seq + 2` once the payload is published.
-struct Slot {
-    stamp: AtomicU64,
-    data: UnsafeCell<Span>,
-}
-
-/// Fixed-capacity drop-oldest span ring.
-///
-/// Each lane of a [`TraceSink`] owns one ring and is written by exactly one
-/// thread at a time (the pool guarantees a worker's lane is quiescent before
-/// anyone else — e.g. the barrier settler — writes into it). The seqlock
-/// stamps exist so that a reader racing a writer skips the slot instead of
-/// returning torn data, and so misuse is detectable rather than undefined.
-pub struct SpanRing {
-    head: AtomicU64,
-    mask: u64,
-    slots: Box<[Slot]>,
-}
-
-// SAFETY: slot payloads are plain `Copy` data published/consumed under the
-// seqlock stamp protocol; `&SpanRing` is shared across threads by design.
-unsafe impl Sync for SpanRing {}
-unsafe impl Send for SpanRing {}
-
-impl SpanRing {
-    /// Creates a ring holding `capacity` spans (rounded up to a power of two,
-    /// minimum 8).
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(8).next_power_of_two() as u64;
-        let slots = (0..cap)
-            .map(|_| Slot { stamp: AtomicU64::new(0), data: UnsafeCell::new(Span::default()) })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self { head: AtomicU64::new(0), mask: cap - 1, slots }
-    }
-
-    /// Ring capacity in spans.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total spans ever pushed (pushed − capacity, clamped at 0, have been
-    /// overwritten).
-    pub fn pushed(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
-    }
-
-    /// Records one span. Wait-free, allocation-free; overwrites the oldest
-    /// span once the ring is full.
-    pub fn push(&self, span: Span) {
-        let seq = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(seq & self.mask) as usize];
-        // Odd stamp: writer in flight. Release so the payload store below is
-        // not visible before readers can tell the slot is unstable.
-        slot.stamp.store(seq * 2 + 1, Ordering::Release);
-        // SAFETY: single writer per ring (module contract); racing readers
-        // validate the stamp pair around their copy and discard torn reads.
-        unsafe { *slot.data.get() = span };
-        // Even stamp: payload published.
-        slot.stamp.store(seq * 2 + 2, Ordering::Release);
-    }
-
-    /// Copies out every currently-published span, oldest first.
-    ///
-    /// Slots whose writer is mid-flight (or that got overwritten while being
-    /// read) are skipped — the seqlock stamp is re-checked after the copy, so
-    /// a torn span is never returned.
-    pub fn drain_valid(&self) -> Vec<Span> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let lo = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - lo) as usize);
-        for seq in lo..head {
-            let slot = &self.slots[(seq & self.mask) as usize];
-            let before = slot.stamp.load(Ordering::Acquire);
-            if before != seq * 2 + 2 {
-                continue; // empty, mid-write, or already lapped
-            }
-            // SAFETY: payload is plain Copy data; validity of this copy is
-            // established by the stamp re-check below.
-            let span = unsafe { *slot.data.get() };
-            let after = slot.stamp.load(Ordering::Acquire);
-            if after == before {
-                out.push(span);
-            }
-        }
-        out
-    }
-}
-
-counter_table! {
-    /// One lane's ASYNC queue counts. Its barrier-wait and queue-spin time
-    /// are the lane's `BarrierWait` and `QueueSpin` busy entries.
-    atomics LaneWaits;
-    /// The sink's queue counts, of one lane or summed over lanes —
-    /// cumulative since sink creation (subtract two reads for an interval
-    /// delta).
-    snapshot TraceCounters;
-
-    /// Successful ASYNC queue pops.
-    queue_pops,
-    /// ASYNC queue pushes.
-    queue_pushes,
-}
-
-/// Per-lane aggregate counters, padded to avoid false sharing between lanes.
-#[repr(align(128))]
+/// One lane of a [`TraceSink`]: a fixed-capacity drop-oldest ring of spans
+/// and the per-phase busy time of every span recorded on it.
 #[derive(Default)]
-struct LaneCounters {
-    busy: PhaseClock,
-    waits: LaneWaits,
+struct Lane {
+    /// The ring. It fills up to the sink's capacity; after that span
+    /// `pushed` overwrites slot `pushed % capacity`, the oldest.
+    spans: Vec<Span>,
+    /// Spans ever recorded on this lane.
+    pushed: u64,
+    /// Summed span durations per phase, overwritten spans included.
+    busy: PhaseNs,
 }
 
-/// The trace ledger: one span ring + counter block per lane.
+impl Lane {
+    /// The ring's spans, oldest first. Until the ring wraps `pushed` is
+    /// its length, so the oldest span is at slot 0 either way.
+    fn oldest_first(&self) -> Vec<Span> {
+        let (newer, older) =
+            self.spans.split_at((self.pushed % self.spans.len().max(1) as u64) as usize);
+        [older, newer].concat()
+    }
+}
+
+/// A lane behind its lock, padded so that two lanes never share a cache
+/// line.
+#[repr(align(128))]
+struct PaddedLane(SpinMutex<Lane>);
+
+/// The trace ledger: one locked [`Lane`] per worker plus the coordinator's.
 ///
 /// Lanes `0..n_workers` belong to the pool's worker threads; lane
 /// `n_workers` (the last one, [`coordinator_lane`](Self::coordinator_lane))
 /// belongs to the coordinating thread that drives training.
 pub struct TraceSink {
     epoch: Instant,
-    rings: Vec<SpanRing>,
-    counters: Vec<LaneCounters>,
+    capacity: usize,
+    lanes: Vec<PaddedLane>,
 }
 
 impl TraceSink {
@@ -301,24 +209,31 @@ impl TraceSink {
         Self::with_capacity(n_workers, 1 << 14)
     }
 
-    /// Creates a sink with an explicit per-lane span capacity.
+    /// Creates a sink with an explicit per-lane span capacity (rounded up
+    /// to a power of two, minimum 8).
     pub fn with_capacity(n_workers: usize, spans_per_lane: usize) -> Arc<Self> {
-        let n_lanes = n_workers + 1;
+        let capacity = spans_per_lane.max(8).next_power_of_two();
+        let lane = || {
+            PaddedLane(SpinMutex::new(Lane {
+                spans: Vec::with_capacity(capacity),
+                ..Lane::default()
+            }))
+        };
         Arc::new(Self {
             epoch: Instant::now(),
-            rings: (0..n_lanes).map(|_| SpanRing::new(spans_per_lane)).collect(),
-            counters: (0..n_lanes).map(|_| LaneCounters::default()).collect(),
+            capacity,
+            lanes: (0..=n_workers).map(|_| lane()).collect(),
         })
     }
 
     /// Number of lanes (workers + coordinator).
     pub fn n_lanes(&self) -> usize {
-        self.rings.len()
+        self.lanes.len()
     }
 
     /// The lane reserved for the coordinating (non-pool) thread.
     pub fn coordinator_lane(&self) -> usize {
-        self.rings.len() - 1
+        self.lanes.len() - 1
     }
 
     /// Nanoseconds since the sink epoch.
@@ -326,8 +241,10 @@ impl TraceSink {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Records a finished span on `lane` and charges its duration to the
-    /// lane's per-phase busy counter.
+    /// Records a finished span on `lane` (a lane past the last lands on the
+    /// coordinator's) and charges its duration to the lane's busy time
+    /// under `phase`. Overwrites the lane's oldest span once its ring is
+    /// full.
     pub fn record(
         &self,
         lane: usize,
@@ -337,9 +254,16 @@ impl TraceSink {
         t_start_ns: u64,
         t_end_ns: u64,
     ) {
-        let lane = lane.min(self.rings.len() - 1);
-        self.rings[lane].push(Span { phase: phase as u8, node, block, t_start_ns, t_end_ns });
-        self.counters[lane].busy.add(phase, t_end_ns.saturating_sub(t_start_ns));
+        let span = Span { phase: phase as u8, node, block, t_start_ns, t_end_ns };
+        let mut lane = self.lanes[lane.min(self.lanes.len() - 1)].0.lock();
+        if lane.spans.len() < self.capacity {
+            lane.spans.push(span);
+        } else {
+            let oldest = (lane.pushed % self.capacity as u64) as usize;
+            lane.spans[oldest] = span;
+        }
+        lane.pushed += 1;
+        lane.busy.0[phase as usize] += t_end_ns.saturating_sub(t_start_ns);
     }
 
     /// Starts a scoped span on `lane`; the span is recorded when the guard
@@ -348,49 +272,26 @@ impl TraceSink {
         PhaseSpan::begin(Some(self), lane, phase, node, block, None)
     }
 
-    /// `lane`'s queue counts (out-of-range lanes land on the
-    /// coordinator's).
-    fn waits(&self, lane: usize) -> &LaneWaits {
-        &self.counters[lane.min(self.counters.len() - 1)].waits
-    }
-
-    /// Counts one successful pop from the ASYNC priority queue on `lane`.
-    pub fn count_queue_pop(&self, lane: usize) {
-        self.waits(lane).queue_pops.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one push into the ASYNC priority queue from `lane`.
-    pub fn count_queue_push(&self, lane: usize) {
-        self.waits(lane).queue_pushes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sums the queue counters across lanes — a handful of relaxed
-    /// loads, safe to call once per boosting round (unlike
-    /// [`snapshot`](Self::snapshot), which drains the span rings).
-    pub fn counter_totals(&self) -> TraceCounters {
-        self.counters
-            .iter()
-            .fold(TraceCounters::default(), |t, c| t.plus(&c.waits.snapshot()))
-    }
-
     /// Per-lane per-phase busy nanoseconds (cumulative). Two reads bracket
     /// an interval; their [`PhaseNs::delta`]s feed a per-round worker-skew
-    /// table without touching the span rings.
+    /// table without copying any span.
     pub fn phase_busy_by_lane(&self) -> Vec<PhaseNs> {
-        self.counters.iter().map(|c| c.busy.snapshot()).collect()
+        self.lanes.iter().map(|l| l.0.lock().busy).collect()
     }
 
-    /// Snapshots every lane: published spans sorted by start time plus a
-    /// copy of the aggregate counters.
+    /// Snapshots every lane: its spans sorted by start time, its span
+    /// counts and its busy time.
     pub fn snapshot(&self) -> TraceSnapshot {
         let coord = self.coordinator_lane();
         let lanes = self
-            .rings
+            .lanes
             .iter()
-            .zip(&self.counters)
             .enumerate()
-            .map(|(i, (ring, c))| {
-                let mut spans = ring.drain_valid();
+            .map(|(i, l)| {
+                let (mut spans, pushed, busy_ns) = {
+                    let lane = l.0.lock();
+                    (lane.oldest_first(), lane.pushed, lane.busy)
+                };
                 spans.sort_by_key(|s| (s.t_start_ns, s.t_end_ns));
                 LaneSnapshot {
                     name: if i == coord {
@@ -399,10 +300,9 @@ impl TraceSink {
                         format!("worker-{i}")
                     },
                     spans,
-                    spans_recorded: ring.pushed(),
-                    spans_dropped: ring.pushed().saturating_sub(ring.capacity() as u64),
-                    busy_ns: c.busy.snapshot(),
-                    waits: c.waits.snapshot(),
+                    spans_recorded: pushed,
+                    spans_dropped: pushed.saturating_sub(self.capacity as u64),
+                    busy_ns,
                 }
             })
             .collect();
@@ -470,8 +370,6 @@ pub struct LaneSnapshot {
     pub spans_dropped: u64,
     /// Aggregate busy ns per phase.
     pub busy_ns: PhaseNs,
-    /// ASYNC queue counts of this lane.
-    pub waits: TraceCounters,
 }
 
 /// A drained copy of the whole ledger; the input to both exporters.
@@ -482,17 +380,6 @@ pub struct TraceSnapshot {
 }
 
 impl TraceSnapshot {
-    /// Per-phase busy nanoseconds for the pool worker lanes only (the
-    /// coordinator lane is excluded — it is not part of the worker team whose
-    /// skew the breakdown table measures).
-    ///
-    /// Returns `(phase name, per-worker ns)` rows in phase order.
-    pub fn worker_phase_ns(&self) -> Vec<(&'static str, Vec<u64>)> {
-        let workers = self.lanes.len().saturating_sub(1);
-        let busy: Vec<PhaseNs> = self.lanes[..workers].iter().map(|l| l.busy_ns).collect();
-        phase_rows(&busy)
-    }
-
     /// Per-phase span durations in nanoseconds, pooled across all lanes
     /// (coordinator included — its FindSplit/reduce spans are real work).
     ///
@@ -572,13 +459,11 @@ impl TraceSnapshot {
             out.push_str(&format!(
                 ",\n{{\"name\":\"lane-counters\",\"ph\":\"I\",\"s\":\"t\",\"pid\":1,\
                  \"tid\":{tid},\"ts\":{:.3},\"args\":{{\
-                 \"barrier_wait_ns\":{},\"queue_spin_ns\":{},\"queue_pops\":{},\
-                 \"queue_pushes\":{},\"spans_recorded\":{},\"spans_dropped\":{}}}}}",
+                 \"barrier_wait_ns\":{},\"queue_spin_ns\":{},\
+                 \"spans_recorded\":{},\"spans_dropped\":{}}}}}",
                 t_max as f64 / 1e3,
                 lane.busy_ns[TracePhase::BarrierWait],
                 lane.busy_ns[TracePhase::QueueSpin],
-                lane.waits.queue_pops,
-                lane.waits.queue_pushes,
                 lane.spans_recorded,
                 lane.spans_dropped
             ));
@@ -618,43 +503,67 @@ impl TraceSnapshot {
 mod tests {
     use super::*;
 
+    /// Span `i` of a self-checking sequence: any mix of two spans' fields
+    /// fails [`assert_whole`].
+    fn checked(i: u32) -> (u32, u32, u64, u64) {
+        let start = u64::from(i) * 3;
+        (i, i.wrapping_mul(7), start, start + u64::from(i % 13))
+    }
+
+    fn assert_whole(s: &Span) {
+        let (node, block, start, end) = checked(s.node);
+        assert_eq!(
+            (s.node, s.block, s.t_start_ns, s.t_end_ns),
+            (node, block, start, end),
+            "torn span"
+        );
+    }
+
     #[test]
     fn ring_keeps_newest_spans_after_wraparound() {
-        let ring = SpanRing::new(16);
-        assert_eq!(ring.capacity(), 16);
+        let sink = TraceSink::with_capacity(0, 16);
+        assert_eq!(sink.n_lanes(), 1);
+        // Start times run backwards, so the ring's own order (oldest
+        // first) and the snapshot's (by start time) differ.
         for i in 0..40u64 {
-            ring.push(Span {
-                phase: TracePhase::BuildHist as u8,
-                node: i as u32,
-                block: i as u32,
-                t_start_ns: i,
-                t_end_ns: i + 1,
-            });
+            sink.record(0, TracePhase::BuildHist, i as u32, 0, 1000 - i, 1000 - i + 2);
         }
-        let spans = ring.drain_valid();
-        assert_eq!(spans.len(), 16);
         // Drop-oldest: exactly spans 24..40 survive, oldest first.
-        let nodes: Vec<u32> = spans.iter().map(|s| s.node).collect();
-        assert_eq!(nodes, (24u32..40).collect::<Vec<_>>());
-        assert_eq!(ring.pushed(), 40);
+        let ring: Vec<u32> = sink.lanes[0].0.lock().oldest_first().iter().map(|s| s.node).collect();
+        assert_eq!(ring, (24u32..40).collect::<Vec<_>>());
+        let lane = &sink.snapshot().lanes[0];
+        let nodes: Vec<u32> = lane.spans.iter().map(|s| s.node).collect();
+        assert_eq!(nodes, (24u32..40).rev().collect::<Vec<_>>());
+        assert_eq!((lane.spans_recorded, lane.spans_dropped), (40, 24));
+        // Busy time covers every span recorded, the overwritten ones too.
+        assert_eq!(lane.busy_ns[TracePhase::BuildHist], 80);
     }
 
     #[test]
     fn ring_smaller_than_capacity_returns_everything_in_order() {
-        let ring = SpanRing::new(64);
+        // 50 rounds up to a capacity of 64.
+        let sink = TraceSink::with_capacity(0, 50);
         for i in 0..10u64 {
-            ring.push(Span { phase: 0, node: i as u32, block: 0, t_start_ns: i, t_end_ns: i });
+            sink.record(0, TracePhase::Reduce, i as u32, 0, i, i);
         }
-        let spans = ring.drain_valid();
-        assert_eq!(spans.len(), 10);
-        assert!(spans.windows(2).all(|w| w[0].node < w[1].node));
+        let ring = sink.lanes[0].0.lock().oldest_first();
+        let lane = &sink.snapshot().lanes[0];
+        assert_eq!(ring, lane.spans);
+        assert_eq!(lane.spans.len(), 10);
+        assert!(lane.spans.windows(2).all(|w| w[0].node < w[1].node));
+        assert_eq!((lane.spans_recorded, lane.spans_dropped), (10, 0));
+        for i in 10..65u64 {
+            sink.record(0, TracePhase::Reduce, i as u32, 0, i, i);
+        }
+        let lane = &sink.snapshot().lanes[0];
+        assert_eq!((lane.spans.len(), lane.spans_dropped), (64, 1), "capacity is 64, not 50");
+        assert_eq!(lane.spans[0].node, 1, "span 0 was the one dropped");
     }
 
     #[test]
     fn concurrent_lane_writers_never_tear_a_span() {
-        // Every lane is hammered by its own thread (the supported contract);
-        // each span carries a self-consistency relation that any torn
-        // read/write interleaving would break.
+        // Every lane is hammered by its own thread; each span carries a
+        // self-consistency relation that any torn write would break.
         let n_workers = 8;
         let per_thread = 20_000u32;
         let sink = TraceSink::with_capacity(n_workers, 1 << 10);
@@ -663,15 +572,8 @@ mod tests {
                 let sink = Arc::clone(&sink);
                 s.spawn(move || {
                     for i in 0..per_thread {
-                        let start = (i as u64) * 3;
-                        sink.record(
-                            lane,
-                            TracePhase::BuildHist,
-                            i,
-                            i.wrapping_mul(7),
-                            start,
-                            start + u64::from(i % 13),
-                        );
+                        let (node, block, start, end) = checked(i);
+                        sink.record(lane, TracePhase::BuildHist, node, block, start, end);
                     }
                 });
             }
@@ -679,43 +581,66 @@ mod tests {
         let snap = sink.snapshot();
         let mut seen = 0usize;
         for lane in &snap.lanes[..n_workers] {
-            for s in &lane.spans {
-                assert_eq!(s.block, s.node.wrapping_mul(7), "torn span: {s:?}");
-                assert_eq!(s.t_start_ns, u64::from(s.node) * 3, "torn span: {s:?}");
-                assert_eq!(s.t_end_ns - s.t_start_ns, u64::from(s.node % 13), "torn span: {s:?}");
-                seen += 1;
-            }
+            lane.spans.iter().for_each(assert_whole);
+            seen += lane.spans.len();
             assert_eq!(lane.spans_recorded, u64::from(per_thread));
         }
         assert_eq!(seen, n_workers * (1 << 10));
     }
 
     #[test]
-    fn racing_reader_skips_unstable_slots_instead_of_tearing() {
-        // One writer laps a tiny ring while a reader drains concurrently;
-        // every span the reader returns must satisfy the writer's invariant.
-        let ring = Arc::new(SpanRing::new(8));
-        let writer = {
-            let ring = Arc::clone(&ring);
-            std::thread::spawn(move || {
-                for i in 0..200_000u64 {
-                    ring.push(Span {
-                        phase: 1,
-                        node: i as u32,
-                        block: (i as u32).wrapping_add(42),
-                        t_start_ns: i,
-                        t_end_ns: i * 2,
-                    });
+    fn a_reader_racing_a_writer_gets_only_whole_spans() {
+        // One writer laps a tiny ring while a reader snapshots it; every
+        // span the reader gets must be one the writer wrote whole.
+        let sink = TraceSink::with_capacity(0, 8);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..200_000u32 {
+                    let (node, block, start, end) = checked(i);
+                    sink.record(0, TracePhase::Reduce, node, block, start, end);
                 }
-            })
-        };
-        for _ in 0..2_000 {
-            for s in ring.drain_valid() {
-                assert_eq!(s.block, s.node.wrapping_add(42), "torn read: {s:?}");
-                assert_eq!(s.t_end_ns, s.t_start_ns * 2, "torn read: {s:?}");
+            });
+            for _ in 0..2_000 {
+                let snap = sink.snapshot();
+                let lane = &snap.lanes[0];
+                lane.spans.iter().for_each(assert_whole);
+                assert_eq!(lane.spans.len() as u64, lane.spans_recorded.min(8));
             }
+        });
+    }
+
+    #[test]
+    fn a_sink_narrower_than_its_pool_keeps_every_span_whole() {
+        // Two lanes for four workers: workers 1..3 all write the
+        // coordinator's lane, as does the settler of each region's barrier
+        // waits (at most three per region).
+        let mut pool = crate::ThreadPool::new(4);
+        let sink = TraceSink::with_capacity(1, 64);
+        pool.install_trace(Arc::clone(&sink));
+        let (regions, calls) = (20u32, 5_000u32);
+        for r in 0..regions {
+            pool.parallel_for(calls as usize, |i, worker| {
+                let (node, block, start, end) = checked(r * calls + i as u32);
+                sink.record(worker, TracePhase::BuildHist, node, block, start, end);
+            });
         }
-        writer.join().unwrap();
+        let snap = sink.snapshot();
+        assert_eq!(snap.lanes.len(), 2);
+        let built = |s: &&Span| s.phase == TracePhase::BuildHist as u8;
+        snap.lanes
+            .iter()
+            .flat_map(|l| l.spans.iter().filter(built))
+            .for_each(assert_whole);
+        let recorded: u64 = snap.lanes.iter().map(|l| l.spans_recorded).sum();
+        let made = u64::from(regions * calls);
+        assert!(
+            (made..=made + 3 * u64::from(regions)).contains(&recorded),
+            "{recorded} spans recorded for {made} calls and at most {} barrier waits",
+            3 * regions
+        );
+        let busy: u64 = snap.lanes.iter().map(|l| l.busy_ns[TracePhase::BuildHist]).sum();
+        let want: u64 = (0..regions * calls).map(|i| u64::from(i % 13)).sum();
+        assert_eq!(busy, want, "every call's duration is charged exactly once");
     }
 
     #[test]
@@ -733,7 +658,6 @@ mod tests {
                 );
             }
         }
-        sink.count_queue_pop(1);
         let json = sink.snapshot().to_chrome_trace();
 
         // Round-trip through the JSON parser: the exporter must emit valid
@@ -867,11 +791,15 @@ mod tests {
         let sink = TraceSink::with_capacity(3, 64);
         sink.record(0, TracePhase::BuildHist, 0, 0, 0, 100);
         sink.record(sink.coordinator_lane(), TracePhase::BuildHist, 0, 0, 0, 900);
-        let snap = sink.snapshot();
-        let rows = snap.worker_phase_ns();
+        // The coordinator's lane is the last; the skew table's rows are
+        // built from the lanes before it.
+        let busy = sink.phase_busy_by_lane();
+        assert_eq!(busy.len(), 4);
+        assert_eq!(busy[3][TracePhase::BuildHist], 900);
+        let rows = phase_rows(&busy[..3]);
         let (name, row) = &rows[TracePhase::BuildHist as usize];
         assert_eq!(*name, "BuildHist");
         assert_eq!(row, &vec![100, 0, 0]);
-        assert_eq!(snap.worker_barrier_wait_ns().len(), 3);
+        assert_eq!(sink.snapshot().worker_barrier_wait_ns().len(), 3);
     }
 }

@@ -118,6 +118,33 @@ fn trace_enriches_records_with_skew_and_queue_counters() {
     );
 }
 
+/// The queue's counts are the profile's, so an untraced ASYNC run carries
+/// them too, and at one thread a traced run counts the same pops; skew
+/// rows come from the span sink and appear only when tracing.
+#[test]
+fn an_untraced_async_run_counts_queue_pops_and_records_no_skew() {
+    let mut p = small_params();
+    p.mode = ParallelMode::Async;
+    let (ledger, _) = ledger_run(p.clone(), false);
+    for r in ledger.records() {
+        assert!(counter(r, "queue_pops") > 0, "round {}: no pop counted", r.round);
+        assert!(r.counters.iter().any(|(n, _)| n == "queue_spin_ns"), "round {}", r.round);
+        assert!(r.skew.is_empty(), "round {}: skew rows without a trace", r.round);
+    }
+
+    p.n_threads = 1;
+    let pops = |traced: bool| {
+        let mut p = p.clone();
+        if traced {
+            p.trace = TraceConfig::enabled();
+        }
+        let (ledger, _) = ledger_run(p, false);
+        assert_eq!(ledger.records().iter().all(|r| !r.skew.is_empty()), traced);
+        ledger.records().iter().map(|r| counter(r, "queue_pops")).collect::<Vec<_>>()
+    };
+    assert_eq!(pops(false), pops(true), "T = 1: tracing changed the pop count");
+}
+
 /// What one traced, ledgered SYNC run records, as exact counts: one ledger
 /// round per tree, some spans, and the same number of spans when the run is
 /// repeated — a change of that count is a change of work, not noise.
@@ -159,7 +186,7 @@ fn a_traced_ledgered_sync_run_records_a_round_per_tree_and_a_repeatable_span_cou
 #[test]
 fn round_one_metric_names_and_order_are_the_recorded_contract() {
     const PHASES: [&str; 5] = ["build_hist", "find_split", "apply_split", "predict", "other"];
-    const COUNTERS: [&str; 32] = [
+    const COUNTERS: [&str; 31] = [
         "busy_ns",
         "barrier_wait_ns",
         "lock_wait_ns",
@@ -190,7 +217,6 @@ fn round_one_metric_names_and_order_are_the_recorded_contract() {
         "chunk_evictions",
         "chunk_prefetch_hits",
         "queue_pops",
-        "queue_pushes",
         "queue_spin_ns",
     ];
     const GAUGES: [&str; 7] = [
@@ -208,7 +234,7 @@ fn round_one_metric_names_and_order_are_the_recorded_contract() {
     params.n_trees = 2;
     params.trace = TraceConfig::enabled();
     params.ledger = LedgerConfig::enabled();
-    let trainer = GbdtTrainer::new(params).expect("valid params");
+    let trainer = GbdtTrainer::new(params.clone()).expect("valid params");
     let round_one = |store: &dyn harpgbdt::QuantStore| {
         let diag = trainer.train_store(store, &data.train.labels, None).diagnostics;
         let records = diag.ledger.expect("ledger enabled").records().to_vec();
@@ -235,6 +261,19 @@ fn round_one_metric_names_and_order_are_the_recorded_contract() {
     assert_eq!(phases, PHASES);
     assert_eq!(counters, COUNTERS);
     assert_eq!(mem, GAUGES);
+
+    // Tracing adds skew rows and no counter: an untraced run records the
+    // same names.
+    assert!(!incore.skew.is_empty());
+    params.trace = TraceConfig::default();
+    let untraced = GbdtTrainer::new(params).expect("valid params").train_store(
+        &data.quantized,
+        &data.train.labels,
+        None,
+    );
+    let untraced = untraced.diagnostics.ledger.expect("ledger enabled").records()[0].clone();
+    assert_eq!(names(&untraced), (phases, counters, mem));
+    assert!(untraced.skew.is_empty());
 
     // A chunked store reports the same names plus its resident-slab gauge,
     // and the same values wherever chunk traffic is not what is counted.

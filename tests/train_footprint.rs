@@ -26,8 +26,10 @@ use harpgbdt::{GbdtTrainer, LedgerConfig, ParallelMode, TrainParams};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Bookkeeping the bound does not model: trees, ledger records, plan and
-/// task tables, the growth queue, per-batch routing predicates.
-const SLACK_BYTES: usize = 1 << 20;
+/// task tables, the growth queue, per-batch routing predicates. About
+/// 48 KB at 300 000 rows in every case; a buffer of a byte per row comes to
+/// 300 000 bytes and breaks the bound.
+const SLACK_BYTES: usize = 1 << 18;
 
 #[test]
 fn training_peak_is_two_planes_and_the_scores() {
@@ -71,6 +73,10 @@ fn training_peak_is_two_planes_and_the_scores() {
             // array; the raw scores 4 B.
             let per_row = if use_membuf { 2 * 12 + 4 } else { 2 * 4 + 8 + 4 };
             let bound = n * per_row + hists + SLACK_BYTES;
+            println!(
+                "{mode:?} membuf={use_membuf}: peak {peak} B, {} B under the bound",
+                bound as i64 - peak as i64
+            );
             assert!(
                 peak <= bound,
                 "{mode:?} membuf={use_membuf}: training peaked at {peak} live bytes, over {n} rows \
