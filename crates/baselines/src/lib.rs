@@ -249,7 +249,10 @@ mod tests {
     fn buildhist_is_the_hotspot() {
         // §III-A: BuildHist dominates (90% LightGBM, 60% XGBoost at D8).
         // At test scale the effect is weaker but BuildHist must still beat
-        // FindSplit, its closest competitor.
+        // FindSplit, its closest competitor. Each phase lasts milliseconds,
+        // so one stall on a shared host can flip a single run: compare each
+        // phase's best of three identical trainings, since interference
+        // only ever adds time.
         let d = data(0.5);
         let qm = harp_binning::QuantizedMatrix::from_matrix(
             &d.features,
@@ -259,14 +262,17 @@ mod tests {
             let mut p = b.params(4, 2);
             p.n_trees = 3;
             p.gamma = 0.0;
-            let out = GbdtTrainer::new(p).unwrap().train_store(&qm, &d.labels, None);
-            let bd = &out.diagnostics.breakdown;
+            let (mut build, mut find) = (f64::INFINITY, f64::INFINITY);
+            for _ in 0..3 {
+                let out = GbdtTrainer::new(p.clone()).unwrap().train_store(&qm, &d.labels, None);
+                let bd = &out.diagnostics.breakdown;
+                build = build.min(bd.build_hist_secs);
+                find = find.min(bd.find_split_secs);
+            }
             assert!(
-                bd.build_hist_secs > bd.find_split_secs,
-                "{}: BuildHist {:.4}s vs FindSplit {:.4}s",
-                b.name(),
-                bd.build_hist_secs,
-                bd.find_split_secs
+                build > find,
+                "{}: best BuildHist {build:.4}s vs best FindSplit {find:.4}s",
+                b.name()
             );
         }
     }

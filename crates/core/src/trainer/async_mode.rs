@@ -17,40 +17,37 @@
 //!   which owns the tree being grown, behind one [`SpinMutex`]: a task
 //!   claims its candidate (and applies it to the tree) in one critical
 //!   section, writes the children's counts and plans them in another, takes
-//!   each child's buffer in a third and files the children in a last one,
-//!   so the queue's leaf-budget trimming is as exact here as between
-//!   barriers. Nothing width-sized runs inside: a fresh buffer is popped off
-//!   the free list under the lock and zero-filled after it;
+//!   each child's buffer in a third, files the children in a fourth and
+//!   gives up its claim in a last one, so the queue's leaf-budget trimming
+//!   is as exact here as between barriers. Nothing width-sized runs inside:
+//!   a fresh buffer is popped off the free list under the lock and
+//!   zero-filled after it;
 //! * row partition — no lock: each task owns its node's span.
 //!
-//! The [`WorkQueue`] carries one unit token per candidate pushed: it wakes a
-//! worker, caps the tasks in flight at K and detects the drain, while the
-//! order lives in the frontier — a task takes the best candidate there is
-//! when it starts, not the one that was best when its token was pushed, and
-//! a token whose candidate the leaf budget dropped finds nothing to claim.
+//! The frontier is the one work list. An idle worker polls it
+//! (`Frontier::claim_task`), which claims the best candidate there is —
+//! unless K tasks already hold a claim — and tells the pool when the phase
+//! is drained: nothing left to claim and no task that could still file
+//! more. So every node task the pool runs claims a split.
 //!
 //! [`SpinMutex`]: harp_parallel::SpinMutex
 
 use super::{DriverScratch, TreeEngine};
-use harp_parallel::WorkQueue;
 
-/// Runs the queue-driven phase on an open frontier until it is exhausted or
+/// Runs the node-task phase on an open frontier until it is exhausted or
 /// the leaf budget is spent. The node tasks share the engine's frontier as
 /// it stands, and it keeps the candidates that are never split.
 pub(super) fn run_async(engine: &TreeEngine<'_>) {
     // "K threads select the top candidate as best as they can": node-level
-    // concurrency is bounded by K tasks in flight.
-    let wq: WorkQueue<()> = WorkQueue::bounded(engine.params.effective_k());
-    wq.push_all(std::iter::repeat_n((), engine.frontier().width()));
-
-    engine.pool.run_queue(&wq, |(), wq, worker| {
-        // Once the budget is spent nothing is claimed, and the queued
-        // candidates simply remain leaves. The task holds no share of the
-        // engine's scratch: it is itself a pool task.
-        let claims = engine.frontier().claim(1, &engine.partition);
-        let queued = engine.step(claims, Some(worker), &mut DriverScratch::new());
-        for _ in 0..queued {
-            wq.push(());
-        }
-    });
+    // concurrency is bounded by K claims in flight.
+    let k = engine.params.effective_k();
+    engine.pool.run_queue(
+        || engine.frontier().claim_task(k, &engine.partition),
+        |claims, worker| {
+            // The task holds no share of the engine's scratch: it is itself
+            // a pool task.
+            engine.step(claims, Some(worker), &mut DriverScratch::new());
+            engine.frontier().task_done();
+        },
+    );
 }

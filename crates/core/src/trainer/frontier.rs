@@ -18,6 +18,11 @@
 //!    it for the next subtraction; the queue drops what the budgets leave
 //!    no room for.
 //!
+//! ASYNC's node tasks work off the same queue and nothing else:
+//! [`claim_task`](Frontier::claim_task) is `claim(1)` under the cap of K
+//! claims in flight, and answers whether the phase is drained — nothing
+//! can be claimed and no task holds a claim, so no task can file more.
+//!
 //! Nothing width-sized runs in here: [`equip`](Frontier::equip) pops a
 //! buffer off the free list and the caller zero-fills it, outside any lock.
 //! [`finish`](Frontier::finish) hands the grown tree back.
@@ -29,7 +34,7 @@ use crate::params::TrainParams;
 use crate::partition::RowPartition;
 use crate::split::SplitCandidate;
 use crate::tree::{NodeId, NodeStats, SplitData, Tree};
-use harp_parallel::Profile;
+use harp_parallel::{Profile, QueueOutcome};
 
 /// A split [`claim`](Frontier::claim)ed off the queue and applied to the
 /// tree.
@@ -72,6 +77,8 @@ pub(super) struct Frontier<'a> {
     queue: GrowthQueue,
     pub hists: HistPool,
     leaves: usize,
+    /// ASYNC node tasks holding a claim whose children are not filed yet.
+    in_flight: usize,
     params: &'a TrainParams,
     profile: &'a Profile,
 }
@@ -79,7 +86,8 @@ pub(super) struct Frontier<'a> {
 impl<'a> Frontier<'a> {
     pub fn new(params: &'a TrainParams, profile: &'a Profile, hists: HistPool) -> Self {
         let tree = Tree::new_root(NodeStats::default());
-        Self { tree, queue: GrowthQueue::new(params.growth), hists, leaves: 1, params, profile }
+        let queue = GrowthQueue::new(params.growth);
+        Self { tree, queue, hists, leaves: 1, in_flight: 0, params, profile }
     }
 
     /// Starts a tree at a root holding `stats`: the root's histogram is the
@@ -94,6 +102,7 @@ impl<'a> Frontier<'a> {
     /// Ends a tree and hands it back: the candidates left in the queue stay
     /// leaves and their histograms are recycled.
     pub fn finish(&mut self) -> Tree {
+        debug_assert_eq!(self.in_flight, 0, "a tree finished under a node task");
         self.queue.clear(&mut self.hists);
         self.leaves = 1;
         std::mem::replace(&mut self.tree, Tree::new_root(NodeStats::default()))
@@ -135,6 +144,28 @@ impl<'a> Frontier<'a> {
                 Claim { node, split: cand.split, kids: [l, r], parent }
             })
             .collect()
+    }
+
+    /// Claims the best candidate for an ASYNC node task, as `claim(1)`,
+    /// unless `k` tasks already hold a claim. [`Retry`](QueueOutcome::Retry)
+    /// while nothing can be claimed but a task in flight may still file
+    /// children, [`Drained`](QueueOutcome::Drained) once none is in flight.
+    /// A task holds its claim until [`task_done`](Self::task_done).
+    pub fn claim_task(&mut self, k: usize, partition: &RowPartition) -> QueueOutcome<Vec<Claim>> {
+        if self.in_flight < k && self.open() {
+            self.in_flight += 1;
+            QueueOutcome::Task(self.claim(1, partition))
+        } else if self.in_flight > 0 {
+            QueueOutcome::Retry
+        } else {
+            QueueOutcome::Drained
+        }
+    }
+
+    /// Ends a node task's claim once its children are filed.
+    pub fn task_done(&mut self) {
+        debug_assert!(self.in_flight > 0, "task_done without a claim_task");
+        self.in_flight -= 1;
     }
 
     /// Writes the row counts of a claimed split's two children into the tree
@@ -214,9 +245,8 @@ impl<'a> Frontier<'a> {
     /// in batch order, then the larger children in batch order — whether
     /// derived or scanned, so the caching rule moves cost, never a tie. A
     /// child with no admissible split stays a leaf and its buffer is
-    /// recycled. Returns how many were pushed, counting any the queue drops
-    /// at once for the leaf budget.
-    pub fn file(&mut self, children: Children, found: Vec<[Option<SplitCandidate>; 2]>) -> usize {
+    /// recycled.
+    pub fn file(&mut self, children: Children, found: Vec<[Option<SplitCandidate>; 2]>) {
         let mut built = Vec::with_capacity(2 * found.len());
         let expanded = children.jobs.into_iter().zip(children.placed).zip(found);
         for ((job, (depth, second)), [cand, sibling_cand]) in expanded {
@@ -233,7 +263,6 @@ impl<'a> Frontier<'a> {
             }
         }
         built.sort_by_key(|&(second, ..)| second);
-        let mut queued = 0;
         for (_, depth, node, stats, buf, cand) in built {
             let Some(cand) = cand else {
                 if let Some(buf) = buf {
@@ -244,9 +273,7 @@ impl<'a> Frontier<'a> {
             let hist = buf.and_then(|buf| self.hists.keep(buf, stats.count as usize));
             let candidate = Candidate { node, depth, cand, hist };
             self.queue.push(candidate, self.remaining(), &mut self.hists);
-            queued += 1;
         }
-        queued
     }
 }
 
@@ -315,7 +342,7 @@ mod tests {
         }
         equip(frontier, &mut leaves);
         let found = gains.map(|gain| [cand(gain), None]).to_vec();
-        assert_eq!(frontier.file(leaves, found), 5);
+        frontier.file(leaves, found);
     }
 
     #[test]
@@ -347,6 +374,34 @@ mod tests {
             assert!(frontier.width() <= frontier.remaining());
         }
         assert_eq!(count(&profile.hist_cache_misses), 0);
+    }
+
+    #[test]
+    fn node_tasks_claim_under_k_and_drain_once_none_holds_a_claim() {
+        let (params, profile) = (params(3), Arc::new(Profile::new()));
+        let mut frontier = Frontier::new(&params, &profile, pool(&profile, &Arc::default()));
+        let partition = five_leaves(&mut frontier);
+        // Three candidates the budget pays for, in the order 5, 3, 7.
+        file_five_leaves(&mut frontier, &partition, [1.0, 5.0, 9.0, 3.0, 2.0]);
+        let task = |frontier: &mut Frontier<'_>, k| match frontier.claim_task(k, &partition) {
+            QueueOutcome::Task(claims) => Some(claims[0].node),
+            QueueOutcome::Retry => None,
+            QueueOutcome::Drained => panic!("drained with {} in flight", frontier.in_flight),
+        };
+        // K = 2: a third claim waits for a task to finish, though a
+        // candidate is there.
+        assert_eq!([task(&mut frontier, 2), task(&mut frontier, 2)], [Some(5), Some(3)]);
+        assert_eq!((task(&mut frontier, 2), frontier.width()), (None, 1));
+        frontier.task_done();
+        assert_eq!(task(&mut frontier, 2), Some(7));
+        // The budget is spent; two tasks hold claims and could still file,
+        // so the phase is not drained until both are done.
+        assert!(!frontier.open());
+        assert_eq!(task(&mut frontier, 2), None);
+        frontier.task_done();
+        assert_eq!(task(&mut frontier, 2), None);
+        frontier.task_done();
+        assert!(matches!(frontier.claim_task(2, &partition), QueueOutcome::Drained));
     }
 
     #[test]
@@ -397,7 +452,8 @@ mod tests {
         let planned: Vec<_> = root.jobs.iter().map(|j| (j.node, j.stats.count)).collect();
         assert_eq!(planned, [(0, 8)]);
         equip(&mut frontier, &mut root);
-        assert_eq!(frontier.file(root, vec![[cand(1.0), None]]), 1);
+        frontier.file(root, vec![[cand(1.0), None]]);
+        assert_eq!(frontier.width(), 1);
         let claims = frontier.claim(1, &partition);
         assert_eq!(claims[0].kids, [1, 2]);
 
@@ -427,7 +483,8 @@ mod tests {
             assert_eq!(derived, cached.iter().filter(|&&c| c).count());
             equip(&mut frontier, &mut children);
             let found = vec![[cand(1.0), cand(1.0)]; children.jobs.len()];
-            assert_eq!(frontier.file(children, found), 4);
+            frontier.file(children, found);
+            assert_eq!(frontier.width(), 4);
             let order: Vec<NodeId> = frontier.queue.pop_batch(4).iter().map(|c| c.node).collect();
             assert_eq!(order, [4, 5, 3, 6], "parents cached: {cached:?}");
         }

@@ -794,14 +794,13 @@ impl<'a> TreeEngine<'a> {
 
     /// The split step of every mode: partitions the rows of the `claims`
     /// the frontier has applied to the tree, then plans, expands and files
-    /// the children the leaf budget still pays for. Returns how many
-    /// children were queued. The barrier loop runs it on a batch of `K`
-    /// claims with `on = None`; an ASYNC node task on its one claim with
-    /// `on` = the worker it runs on, which partitions inline and runs the
-    /// children's fill as its own task.
-    fn step(&self, claims: Vec<Claim>, on: Option<usize>, scratch: &mut DriverScratch) -> usize {
+    /// the children the leaf budget still pays for. The barrier loop runs it
+    /// on a batch of `K` claims with `on = None`; an ASYNC node task on its
+    /// one claim with `on` = the worker it runs on, which partitions inline
+    /// and runs the children's fill as its own task.
+    fn step(&self, claims: Vec<Claim>, on: Option<usize>, scratch: &mut DriverScratch) {
         let Some(head) = claims.first().map(|c| c.node) else {
-            return 0;
+            return;
         };
         // ApplySplit: the rows of the whole batch as one region of ⟨node,
         // row-block⟩ tasks (inline when the batch holds few rows, or when
@@ -828,23 +827,18 @@ impl<'a> TreeEngine<'a> {
             frontier.children(parent, counts, &mut children);
         }
         drop(frontier);
-        self.expand(children, on, scratch)
+        self.expand(children, on, scratch);
     }
 
     /// BuildHist (the hotspot) and FindSplit for one batch of planned
-    /// children, which are then filed; returns how many were queued. The
-    /// accumulation picks how the scanned children's lanes are filled, and
-    /// whether a child that cannot be filed gets a full-width buffer at
-    /// all; `drivers::expand` does the rest.
-    fn expand(
-        &self,
-        mut children: Children,
-        on: Option<usize>,
-        scratch: &mut DriverScratch,
-    ) -> usize {
+    /// children, which are then filed. The accumulation picks how the
+    /// scanned children's lanes are filled, and whether a child that cannot
+    /// be filed gets a full-width buffer at all; `drivers::expand` does the
+    /// rest.
+    fn expand(&self, mut children: Children, on: Option<usize>, scratch: &mut DriverScratch) {
         let jobs = &mut children.jobs[..];
         let Some(head) = jobs.first().map(|j| j.node) else {
-            return 0;
+            return;
         };
         let n = jobs.len() as u32;
         let rows: usize = jobs.iter().map(|j| self.partition.node_len(j.node)).sum();
@@ -898,7 +892,7 @@ impl<'a> TreeEngine<'a> {
         }
 
         let _phase = self.phase(on, TracePhase::FindSplit, head, n);
-        self.frontier().file(children, found)
+        self.frontier().file(children, found);
     }
 }
 

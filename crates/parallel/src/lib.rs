@@ -12,11 +12,13 @@
 //!   worker. Every region records, per worker, busy time and end-of-region
 //!   idle (barrier wait) time into a shared [`Profile`].
 //! * [`SpinMutex`] — the "lightweight spin mutex" the paper uses to guard the
-//!   shared priority queue in ASYNC mode; acquisition wait time is counted.
-//! * [`WorkQueue`] / [`ThreadPool::run_queue`] — a shared priority work queue
-//!   for node-level (ASYNC) parallelism: workers pop the best-scored task,
-//!   may push new tasks, and terminate collectively when the queue is drained
-//!   and no task is in flight.
+//!   shared priority queue in ASYNC mode (the trainer's growth frontier);
+//!   acquisition wait time is counted.
+//! * [`ThreadPool::run_queue`] — the driver of node-level (ASYNC)
+//!   parallelism: every worker polls the caller's work source (a closure
+//!   answering a [`QueueOutcome`]), runs each task it claims, and stops
+//!   once the source reports it drained — nothing left and nothing in
+//!   flight. [`WorkQueue`] is a standalone priority queue of that shape.
 //! * [`Profile`] / [`ProfileReport`] — software substitutes for the VTune
 //!   hardware counters reported in Tables I and VI of the paper (CPU
 //!   utilization, barrier overhead share, task latency, bytes moved).

@@ -15,11 +15,12 @@
 //! and wakes every worker. It carries `T` *shares*; a woken worker takes
 //! shares until none are left and runs the region's claiming loop for each,
 //! so a worker that wakes late finds nothing to take and one worker may run
-//! several shares. `run_queue` builds ASYNC-mode node parallelism on a
-//! region whose closure runs once per share.
+//! several shares. `run_queue` runs ASYNC's node tasks on a region whose
+//! closure runs once per share: each share polls the caller's work source
+//! until it drains.
 
 use crate::profile::Profile;
-use crate::queue::{QueueOutcome, WorkQueue};
+use crate::queue::QueueOutcome;
 use crate::trace::{TracePhase, TraceSink};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -219,7 +220,8 @@ impl Shared {
 ///
 /// The pool is the execution substrate for every parallel mode in HarpGBDT:
 /// DP and MP schedule blocks through [`parallel_for`](Self::parallel_for);
-/// ASYNC drives a shared priority queue through [`run_queue`](Self::run_queue).
+/// ASYNC's node tasks claim off the growth frontier through
+/// [`run_queue`](Self::run_queue).
 pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -331,18 +333,25 @@ impl ThreadPool {
         self.dispatch(self.shared.n_threads, BusyAccounting::Manual, &g);
     }
 
-    /// ASYNC-mode driver: every worker loops popping the highest-priority
-    /// task from `queue`, invoking `f(task, queue, worker_idx)` (which may
-    /// push follow-up tasks), until the queue drains with no task in flight.
+    /// ASYNC-mode driver: every worker loops calling `poll`, which claims
+    /// the next task off the caller's work source, and runs each task it
+    /// gets as `run(task, worker_idx)`, until a poll answers
+    /// [`Drained`](QueueOutcome::Drained). The source keeps its own
+    /// in-flight count, and `run` tells it when the task is done (a task
+    /// may add work before that): a poll answers
+    /// [`Retry`](QueueOutcome::Retry) while nothing can be claimed but a
+    /// task is in flight. A poll that claims nothing should return at once:
+    /// idle workers call it in a loop, yielding between calls.
     ///
-    /// Busy time is recorded per popped task, and every pop is counted in
-    /// `queue_pops`; time spent polling an empty (but not yet drained)
-    /// queue goes to `queue_spin_ns` and is charged to barrier wait too,
-    /// since it is end-of-phase load imbalance just like a barrier spin.
-    pub fn run_queue<T, F>(&self, queue: &WorkQueue<T>, f: F)
+    /// Busy time is recorded per task, and every task claimed is counted
+    /// in `queue_pops`; time spent polling a source that is empty but not
+    /// yet drained goes to `queue_spin_ns` and is charged to barrier wait
+    /// too, since it is end-of-phase load imbalance just like a barrier
+    /// spin.
+    pub fn run_queue<T, P, F>(&self, poll: P, run: F)
     where
-        T: Ord + Send,
-        F: Fn(T, &WorkQueue<T>, usize) + Sync,
+        P: Fn() -> QueueOutcome<T> + Sync,
+        F: Fn(T, usize) + Sync,
     {
         let profile = Arc::clone(&self.shared.profile);
         let trace = self.trace.as_deref();
@@ -360,13 +369,12 @@ impl ThreadPool {
                 }
             };
             loop {
-                match queue.pop_timed(&profile.lock_wait_ns) {
+                match poll() {
                     QueueOutcome::Task(task) => {
                         close_idle(&mut idle_since);
                         profile.queue_pops.fetch_add(1, Ordering::Relaxed);
                         let t0 = Instant::now();
-                        f(task, queue, worker);
-                        queue.complete();
+                        run(task, worker);
                         profile
                             .busy_ns
                             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -451,6 +459,7 @@ impl std::fmt::Debug for ThreadPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SpinMutex;
 
     #[test]
     fn parallel_for_covers_every_index_once() {
@@ -534,17 +543,7 @@ mod tests {
                 let n = [0, 1, threads, 4 * threads][round % 4];
                 if round % 97 == 0 {
                     // A `run_queue` phase: 16 fans out to 31 tasks.
-                    let queue: WorkQueue<u32> = WorkQueue::new();
-                    queue.push(16);
-                    let ran = AtomicUsize::new(0);
-                    pool.run_queue(&queue, |v, q, _| {
-                        ran.fetch_add(1, Ordering::Relaxed);
-                        if v > 1 {
-                            q.push(v / 2);
-                            q.push(v / 2);
-                        }
-                    });
-                    assert_eq!(ran.load(Ordering::Relaxed), 31, "T={threads} round {round}");
+                    assert_eq!(fan_out(&pool, Some(16), || {}), 31, "T={threads} round {round}");
                     (regions, tasks) = (regions + 1, tasks + 31);
                     continue;
                 }
@@ -614,29 +613,48 @@ mod tests {
         assert_eq!(n.load(Ordering::Relaxed), 10);
     }
 
+    /// Runs a fan-out through `run_queue`: a task of value `v > 1` files two
+    /// of `v / 2`, then runs `work`. The source is a stack and an in-flight
+    /// count under one lock — the shape of ASYNC's frontier. Returns how
+    /// many tasks ran.
+    fn fan_out(pool: &ThreadPool, seed: Option<u32>, work: impl Fn() + Sync) -> usize {
+        let source = SpinMutex::new((Vec::from_iter(seed), 0usize));
+        let ran = AtomicUsize::new(0);
+        pool.run_queue(
+            || {
+                let mut s = source.lock();
+                match s.0.pop() {
+                    Some(v) => {
+                        s.1 += 1;
+                        QueueOutcome::Task(v)
+                    }
+                    None if s.1 > 0 => QueueOutcome::Retry,
+                    None => QueueOutcome::Drained,
+                }
+            },
+            |v, _| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if v > 1 {
+                    source.lock().0.extend([v / 2, v / 2]);
+                }
+                work();
+                source.lock().1 -= 1;
+            },
+        );
+        ran.into_inner()
+    }
+
     #[test]
     fn run_queue_processes_all_seeded_and_spawned_tasks() {
         let pool = ThreadPool::new(4);
-        let queue: WorkQueue<u32> = WorkQueue::new();
-        // Seed with one task that fans out a small binary tree of tasks.
-        queue.push(16);
-        let processed = AtomicUsize::new(0);
-        pool.run_queue(&queue, |v, q, _| {
-            processed.fetch_add(1, Ordering::Relaxed);
-            if v > 1 {
-                q.push(v / 2);
-                q.push(v / 2);
-            }
-        });
         // 16 spawns 2x8, 4x4, 8x2, 16x1 => 1+2+4+8+16 = 31 tasks.
-        assert_eq!(processed.load(Ordering::Relaxed), 31);
+        assert_eq!(fan_out(&pool, Some(16), || {}), 31);
     }
 
     #[test]
     fn run_queue_on_empty_queue_returns() {
         let pool = ThreadPool::new(2);
-        let queue: WorkQueue<u32> = WorkQueue::new();
-        pool.run_queue(&queue, |_, _, _| panic!("no tasks expected"));
+        assert_eq!(fan_out(&pool, None, || panic!("no tasks expected")), 0);
     }
 
     #[test]
@@ -672,11 +690,17 @@ mod tests {
             }
         });
         let snap = sink.snapshot();
-        let waits = snap.worker_barrier_wait_ns();
-        assert_eq!(waits.len(), 4);
+        let (workers, coordinator) = snap.lanes.split_at(4);
+        let waits: Vec<u64> = workers.iter().map(|l| l.busy_ns[TracePhase::BarrierWait]).collect();
         let waiting = waits.iter().filter(|&&w| w > 5_000_000).count();
         assert!(waiting >= 3, "expected 3 waiting workers, waits = {waits:?}");
-        assert!(snap.count_phase(TracePhase::BarrierWait) >= 3);
+        let spans = workers
+            .iter()
+            .flat_map(|l| &l.spans)
+            .filter(|s| s.phase == TracePhase::BarrierWait as u8)
+            .count();
+        assert!(spans >= 3, "one barrier-wait span per waiting worker, got {spans}");
+        assert_eq!(coordinator[0].busy_ns[TracePhase::BarrierWait], 0);
     }
 
     #[test]
@@ -687,15 +711,8 @@ mod tests {
             if traced {
                 pool.install_trace(Arc::clone(&sink));
             }
-            let queue: WorkQueue<u32> = WorkQueue::new();
-            queue.push(16);
-            pool.run_queue(&queue, |v, q, _| {
-                if v > 1 {
-                    q.push(v / 2);
-                    q.push(v / 2);
-                }
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            });
+            let work = || std::thread::sleep(std::time::Duration::from_micros(200));
+            assert_eq!(fan_out(&pool, Some(16), work), 31, "traced={traced}");
             let p = pool.profile().snapshot();
             assert_eq!(p.queue_pops, 31, "traced={traced}: 16 fans out to 31 tasks");
             // Workers that found the queue momentarily empty log spin time,

@@ -109,7 +109,8 @@ counter_table! {
     lock_wait_ns,
     /// Number of fork/join regions executed (== number of implicit barriers).
     regions,
-    /// Number of individual tasks executed across all regions and queues.
+    /// Number of individual tasks executed: the shares and indices of every
+    /// region, and every ASYNC node task.
     tasks,
     /// Bytes read by trainer kernels (reported by the trainer, not measured).
     bytes_read,
@@ -180,12 +181,12 @@ counter_table! {
     /// finds a chunk another thread loaded ahead of it. Kept because the
     /// end-to-end benchmark's `binning.chunk_prefetch_hit_ratio` reads it.
     chunk_prefetch_hits,
-    /// Tokens popped off the ASYNC work queue: one per node task run,
-    /// including tasks whose candidate the leaf budget dropped, which claim
-    /// nothing.
+    /// ASYNC node tasks run: one per candidate a task claimed off the
+    /// growth frontier, so one per split made outside the barrier batches.
     queue_pops,
-    /// Nanoseconds ASYNC workers idled on an empty but undrained work
-    /// queue; also charged to `barrier_wait_ns`.
+    /// Nanoseconds ASYNC workers idled on a frontier with nothing to claim
+    /// (or K claims in flight) that was not yet drained; also charged to
+    /// `barrier_wait_ns`.
     queue_spin_ns,
 }
 

@@ -1,26 +1,29 @@
-//! Shared priority work queue for ASYNC (node-level) parallelism.
+//! A priority work queue with an in-flight count, and the outcome of
+//! polling any work source.
 //!
-//! In ASYNC mode the paper schedules "all the computation involved within one
-//! tree node as a single task": workers repeatedly pop the most promising
-//! node from a shared priority queue, split it, and push its children. The
-//! queue and the in-flight counter live behind one [`SpinMutex`] so the
-//! drain condition — empty heap *and* zero tasks in flight — is checked
-//! atomically: new tasks can only be pushed by in-flight tasks, so once the
-//! condition holds under the lock it holds forever.
+//! ASYNC training polls its growth frontier directly
+//! ([`ThreadPool::run_queue`](crate::ThreadPool::run_queue) takes the poll
+//! as a closure), so nothing in training builds a [`WorkQueue`]. It stays
+//! for the end-to-end benchmark's push/pop probe. The heap and the
+//! in-flight counter live behind one [`SpinMutex`] so the drain condition —
+//! empty heap *and* zero tasks in flight — is checked atomically: new tasks
+//! can only be pushed by in-flight tasks, so once the condition holds under
+//! the lock it holds forever.
 
 use crate::spin::SpinMutex;
 use std::collections::BinaryHeap;
-use std::sync::atomic::AtomicU64;
 
-/// Result of a [`WorkQueue::pop`] attempt.
+/// The result of polling a work source: [`WorkQueue::pop`], or the poll
+/// closure [`ThreadPool::run_queue`](crate::ThreadPool::run_queue) drives.
 #[derive(Debug, PartialEq, Eq)]
 pub enum QueueOutcome<T> {
-    /// A task was claimed; the caller must invoke [`WorkQueue::complete`]
-    /// when it (and any pushes it performs) are finished.
+    /// A task was claimed and is in flight until the source is told it
+    /// finished ([`WorkQueue::complete`]).
     Task(T),
-    /// The heap is empty but tasks are in flight and may push more — retry.
+    /// Nothing can be claimed now, but tasks are in flight and may add
+    /// more — retry.
     Retry,
-    /// The heap is empty and nothing is in flight — the phase is over.
+    /// Nothing can be claimed and nothing is in flight — the phase is over.
     Drained,
 }
 
@@ -29,37 +32,16 @@ struct State<T> {
     in_flight: usize,
 }
 
-/// A max-priority work queue guarded by a spin mutex.
-///
-/// `T: Ord` defines the priority; for TopK tree growth the task type orders
-/// by split gain so workers always pick the best available candidate
-/// ("let K threads select the top candidate as best as they can" — the
-/// loosely-coupled TopK of §IV-C). [`WorkQueue::bounded`] caps the number of
-/// tasks in flight, which is how ASYNC mode limits node-level concurrency
-/// to `K`.
+/// A max-priority work queue guarded by a spin mutex; `T: Ord` defines the
+/// priority.
 pub struct WorkQueue<T> {
     state: SpinMutex<State<T>>,
-    max_in_flight: usize,
 }
 
 impl<T: Ord> WorkQueue<T> {
-    /// Creates an empty queue with unlimited concurrency.
+    /// Creates an empty queue.
     pub fn new() -> Self {
-        Self::bounded(usize::MAX)
-    }
-
-    /// Creates an empty queue allowing at most `max_in_flight` claimed
-    /// tasks at a time; further pops return [`QueueOutcome::Retry`] until a
-    /// task completes.
-    ///
-    /// # Panics
-    /// Panics if `max_in_flight == 0` (every pop would spin forever).
-    pub fn bounded(max_in_flight: usize) -> Self {
-        assert!(max_in_flight > 0, "in-flight limit must be positive");
-        Self {
-            state: SpinMutex::new(State { heap: BinaryHeap::new(), in_flight: 0 }),
-            max_in_flight,
-        }
+        Self { state: SpinMutex::new(State { heap: BinaryHeap::new(), in_flight: 0 }) }
     }
 
     /// Pushes a task.
@@ -67,30 +49,9 @@ impl<T: Ord> WorkQueue<T> {
         self.state.lock().heap.push(task);
     }
 
-    /// Pushes several tasks under one lock acquisition.
-    pub fn push_all(&self, tasks: impl IntoIterator<Item = T>) {
-        let mut s = self.state.lock();
-        s.heap.extend(tasks);
-    }
-
     /// Claims the highest-priority task, marking it in flight.
     pub fn pop(&self) -> QueueOutcome<T> {
-        self.pop_inner(None)
-    }
-
-    /// Like [`pop`](Self::pop), recording contended lock wait into `wait_ns`.
-    pub fn pop_timed(&self, wait_ns: &AtomicU64) -> QueueOutcome<T> {
-        self.pop_inner(Some(wait_ns))
-    }
-
-    fn pop_inner(&self, wait_ns: Option<&AtomicU64>) -> QueueOutcome<T> {
-        let mut s = match wait_ns {
-            Some(w) => self.state.lock_timed(w),
-            None => self.state.lock(),
-        };
-        if s.in_flight >= self.max_in_flight {
-            return QueueOutcome::Retry;
-        }
+        let mut s = self.state.lock();
         match s.heap.pop() {
             Some(task) => {
                 s.in_flight += 1;
@@ -107,16 +68,6 @@ impl<T: Ord> WorkQueue<T> {
         debug_assert!(s.in_flight > 0, "complete() without matching pop()");
         s.in_flight -= 1;
     }
-
-    /// Number of queued (not in-flight) tasks. Snapshot only.
-    pub fn len(&self) -> usize {
-        self.state.lock().heap.len()
-    }
-
-    /// Whether the heap is currently empty. Snapshot only.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T: Ord> Default for WorkQueue<T> {
@@ -132,7 +83,9 @@ mod tests {
     #[test]
     fn pop_returns_highest_priority() {
         let q = WorkQueue::new();
-        q.push_all([3, 1, 4, 1, 5]);
+        for v in [3, 1, 4, 1, 5] {
+            q.push(v);
+        }
         assert_eq!(q.pop(), QueueOutcome::Task(5));
         assert_eq!(q.pop(), QueueOutcome::Task(4));
     }
@@ -163,32 +116,5 @@ mod tests {
         q.push(20);
         q.complete();
         assert_eq!(q.pop(), QueueOutcome::Task(20));
-    }
-
-    #[test]
-    fn bounded_queue_caps_in_flight() {
-        let q = WorkQueue::bounded(2);
-        q.push_all([1, 2, 3]);
-        let QueueOutcome::Task(_) = q.pop() else { panic!() };
-        let QueueOutcome::Task(_) = q.pop() else { panic!() };
-        // Third pop must wait despite a queued task.
-        assert_eq!(q.pop(), QueueOutcome::Retry);
-        q.complete();
-        assert_eq!(q.pop(), QueueOutcome::Task(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "in-flight limit must be positive")]
-    fn zero_bound_rejected() {
-        let _: WorkQueue<u32> = WorkQueue::bounded(0);
-    }
-
-    #[test]
-    fn len_reports_queued_only() {
-        let q = WorkQueue::new();
-        q.push_all([1, 2, 3]);
-        assert_eq!(q.len(), 3);
-        let _ = q.pop();
-        assert_eq!(q.len(), 2);
     }
 }

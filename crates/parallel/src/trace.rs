@@ -77,7 +77,8 @@ trace_phases! {
     Gradients,
     /// End-of-region wait for the slowest worker (fork/join barrier).
     BarrierWait,
-    /// Spinning on an empty-but-undrained ASYNC work queue.
+    /// An ASYNC worker polling a work source that has nothing to claim yet
+    /// but is not drained.
     QueueSpin,
     /// Everything else the coordinator times (eval, bookkeeping).
     Other,
@@ -224,11 +225,6 @@ impl TraceSink {
             capacity,
             lanes: (0..=n_workers).map(|_| lane()).collect(),
         })
-    }
-
-    /// Number of lanes (workers + coordinator).
-    pub fn n_lanes(&self) -> usize {
-        self.lanes.len()
     }
 
     /// The lane reserved for the coordinating (non-pool) thread.
@@ -408,15 +404,6 @@ impl TraceSnapshot {
             .collect()
     }
 
-    /// Per-worker barrier-wait nanoseconds (worker lanes only).
-    pub fn worker_barrier_wait_ns(&self) -> Vec<u64> {
-        let workers = self.lanes.len().saturating_sub(1);
-        self.lanes[..workers]
-            .iter()
-            .map(|l| l.busy_ns[TracePhase::BarrierWait])
-            .collect()
-    }
-
     /// Renders the snapshot as chrome `trace_event` JSON (the "JSON object
     /// format": `{"traceEvents": [...]}`), loadable in `chrome://tracing`
     /// and Perfetto.
@@ -489,14 +476,6 @@ impl TraceSnapshot {
     pub fn n_spans(&self) -> usize {
         self.lanes.iter().map(|l| l.spans.len()).sum()
     }
-
-    /// Spans on any lane whose phase is `phase`.
-    pub fn count_phase(&self, phase: TracePhase) -> usize {
-        self.lanes
-            .iter()
-            .map(|l| l.spans.iter().filter(|s| s.phase == phase as u8).count())
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -522,7 +501,7 @@ mod tests {
     #[test]
     fn ring_keeps_newest_spans_after_wraparound() {
         let sink = TraceSink::with_capacity(0, 16);
-        assert_eq!(sink.n_lanes(), 1);
+        assert_eq!(sink.snapshot().lanes.len(), 1, "no worker: the coordinator's lane alone");
         // Start times run backwards, so the ring's own order (oldest
         // first) and the snapshot's (by start time) differ.
         for i in 0..40u64 {
@@ -731,8 +710,9 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let snap = sink.snapshot();
-        assert_eq!(snap.count_phase(TracePhase::FindSplit), 1);
+        assert_eq!(snap.n_spans(), 1);
         let s = snap.lanes[0].spans[0];
+        assert_eq!(s.phase, TracePhase::FindSplit as u8);
         assert_eq!((s.node, s.block), (7, 3));
         assert!(s.t_end_ns > s.t_start_ns);
         assert!(snap.lanes[0].busy_ns[TracePhase::FindSplit] >= 1_000_000);
@@ -757,9 +737,10 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         let snap = sink.snapshot();
-        assert_eq!(snap.count_phase(TracePhase::BuildHist), 1);
+        assert_eq!(snap.n_spans(), 1);
         // One clock pair: the clock entry and the span carry the same interval.
         let span = snap.lanes[sink.coordinator_lane()].spans[0];
+        assert_eq!(span.phase, TracePhase::BuildHist as u8);
         let ns = clock.snapshot();
         assert_eq!(ns[TracePhase::BuildHist], span.t_end_ns - span.t_start_ns);
         assert!(ns[TracePhase::BuildHist] >= 1_000_000);
@@ -800,6 +781,7 @@ mod tests {
         let (name, row) = &rows[TracePhase::BuildHist as usize];
         assert_eq!(*name, "BuildHist");
         assert_eq!(row, &vec![100, 0, 0]);
-        assert_eq!(sink.snapshot().worker_barrier_wait_ns().len(), 3);
+        let names: Vec<_> = sink.snapshot().lanes.into_iter().map(|l| l.name).collect();
+        assert_eq!(names, ["worker-0", "worker-1", "worker-2", "coordinator"]);
     }
 }

@@ -5,9 +5,11 @@
 use harp_bench::{harp_params, prepared};
 use harp_data::DatasetKind;
 use harp_metrics::{gauges, DiffOptions, DiffReport, LedgerRecord, RunLedger};
+use harp_parallel::{TracePhase, TraceSnapshot};
 use harpgbdt::trainer::{EvalMetric, EvalOptions};
 use harpgbdt::{
-    GbdtTrainer, GrowthMethod, LedgerConfig, LossKind, ParallelMode, TraceConfig, TrainParams,
+    write_cache, ChunkedStore, GbdtTrainer, GrowthMethod, LedgerConfig, LossKind, ParallelMode,
+    QuantStore, TraceConfig, TrainParams,
 };
 
 fn ledger_run(mut params: TrainParams, with_eval: bool) -> (RunLedger, usize) {
@@ -101,21 +103,132 @@ fn membuf_off_zeroes_the_membuf_gauge() {
     assert!(last.eval_metric.is_none(), "no eval set attached");
 }
 
+/// Per round of a traced run: the claims the barrier batches took (the
+/// coordinator's ApplySplit spans carry their batch's claim count) and the
+/// node tasks' intervals on the worker lanes, each from its ApplySplit
+/// span's start to the end of its last span. A node task holds its claim
+/// from before the first to after the last, so overlapping intervals are a
+/// lower bound on the claims in flight.
+fn async_rounds(trace: &TraceSnapshot, rounds: usize) -> Vec<(u64, Vec<(u64, u64)>)> {
+    let (workers, [coordinator]) = trace.lanes.split_at(trace.lanes.len() - 1) else {
+        unreachable!("a sink always has the coordinator's lane")
+    };
+    let phase = |s: &harp_parallel::Span| TracePhase::from_u8(s.phase).expect("a known phase");
+    // Per round: barrier claims, and the node tasks' window — from the end
+    // of the last barrier batch to the round's closing `Other` span.
+    let mut barrier = vec![(0u64, 0u64, u64::MAX); rounds];
+    let mut round = 0;
+    for s in &coordinator.spans {
+        if phase(s) == TracePhase::Gradients {
+            round = s.block as usize;
+        }
+        let b = &mut barrier[round];
+        match phase(s) {
+            TracePhase::ApplySplit | TracePhase::BuildHist | TracePhase::FindSplit => {
+                b.1 = b.1.max(s.t_end_ns);
+            }
+            TracePhase::Other => b.2 = s.t_start_ns,
+            _ => {}
+        }
+        if phase(s) == TracePhase::ApplySplit {
+            b.0 += u64::from(s.block);
+        }
+    }
+    barrier
+        .into_iter()
+        .map(|(claims, from, to)| {
+            let mut tasks = Vec::new();
+            for lane in workers {
+                let mut open: Option<(u64, u64)> = None;
+                for s in lane.spans.iter().filter(|s| s.t_start_ns >= from && s.t_end_ns <= to) {
+                    match phase(s) {
+                        TracePhase::QueueSpin | TracePhase::BarrierWait => continue,
+                        TracePhase::ApplySplit => tasks.extend(open.replace((s.t_start_ns, 0))),
+                        _ => {}
+                    }
+                    let task = open.as_mut().expect("a node task opens with its ApplySplit span");
+                    task.1 = task.1.max(s.t_end_ns);
+                }
+                tasks.extend(open);
+            }
+            (claims, tasks)
+        })
+        .collect()
+}
+
+/// The most of `intervals` that overlap at one instant.
+fn max_overlap(intervals: &[(u64, u64)]) -> usize {
+    let mut edges: Vec<(u64, i32)> =
+        intervals.iter().flat_map(|&(start, end)| [(start, 1), (end, -1)]).collect();
+    // An interval that ends where another starts does not overlap it.
+    edges.sort_unstable();
+    let mut depth = 0i32;
+    edges
+        .iter()
+        .map(|&(_, d)| {
+            depth += d;
+            depth as usize
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// A traced ASYNC run's records carry skew rows and its queue counts, and
+/// the spans check those counts: ASYNC's node tasks claim off the frontier
+/// and nothing else, so in every round the pool pops exactly the splits
+/// the node tasks make — the tree's splits less the claims of the begin
+/// phase's barrier batches — and no more than K tasks hold a claim at
+/// once. At K 1, 4 and 32, at T = 1, 2 and 4 (on a 2-core host, more
+/// threads than cores, which must still drain), in core and through the
+/// chunk cache.
 #[test]
 fn trace_enriches_records_with_skew_and_queue_counters() {
-    let mut p = small_params();
-    p.trace = TraceConfig::enabled();
-    p.mode = ParallelMode::Async;
-    let (ledger, _) = ledger_run(p, false);
-    let has_queue = ledger
-        .records()
-        .iter()
-        .any(|r| r.counters.iter().any(|(n, v)| n == "queue_pops" && *v > 0));
-    assert!(has_queue, "ASYNC training with trace on must count queue pops");
-    assert!(
-        ledger.records().iter().any(|r| !r.skew.is_empty()),
-        "trace on must produce per-round skew rows"
-    );
+    let data = prepared(DatasetKind::HiggsLike, 0.03, 7);
+    let qm = &data.quantized;
+    let path = std::env::temp_dir().join(format!("harp_ledger_async_{}.qsc", std::process::id()));
+    write_cache(qm, (qm.n_rows() / 8).max(16), &path).expect("write cache");
+    let chunked = ChunkedStore::open(&path, qm.storage_bytes() as u64 / 4).expect("open cache");
+    let stores: [(&str, &dyn QuantStore); 2] = [("in core", qm), ("chunked", &chunked)];
+    for (store_name, store) in stores {
+        for threads in [1, 2, 4] {
+            for k in [1, 4, 32] {
+                let params = TrainParams {
+                    n_trees: 4,
+                    k,
+                    mode: ParallelMode::Async,
+                    trace: TraceConfig::enabled(),
+                    ledger: LedgerConfig::enabled(),
+                    ..harp_params(5, threads)
+                };
+                let label = format!("{store_name}, T = {threads}, K = {k}");
+                let trainer = GbdtTrainer::new(params).expect("valid params");
+                let diag = trainer.train_store(store, &data.train.labels, None).diagnostics;
+                let (ledger, trace) =
+                    (diag.ledger.expect("ledger"), diag.span_trace.expect("trace"));
+                assert!(
+                    trace.lanes.iter().all(|l| l.spans_dropped == 0),
+                    "{label}: a span dropped"
+                );
+                let rounds = async_rounds(&trace, ledger.len());
+                for (r, (barrier_claims, tasks)) in ledger.records().iter().zip(rounds) {
+                    let splits = u64::from(r.n_leaves) - 1;
+                    let pops = counter(r, "queue_pops");
+                    assert!(pops > 0, "{label}, round {}: no node task ran", r.round);
+                    assert!(!r.skew.is_empty(), "{label}, round {}: no skew rows", r.round);
+                    assert_eq!(
+                        pops,
+                        splits - barrier_claims,
+                        "{label}, round {}: {splits} splits, {barrier_claims} in barrier batches",
+                        r.round
+                    );
+                    assert_eq!(tasks.len() as u64, pops, "{label}, round {}", r.round);
+                    let overlap = max_overlap(&tasks);
+                    assert!(overlap <= k, "{label}, round {}: {overlap} tasks at once", r.round);
+                }
+            }
+        }
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 /// The queue's counts are the profile's, so an untraced ASYNC run carries

@@ -74,11 +74,13 @@ fn traced_dp_fill_is_bitwise_untraced_and_a_disabled_span_costs_under_2pc_of_a_t
     traced_pool.install_trace(TraceSink::with_capacity(4, 1 << 12));
     let (traced, _) = run(&traced_pool);
     assert_eq!(untraced, traced, "the span trace must not perturb histogram results");
-    let n_tasks = traced_pool
-        .trace()
-        .expect("installed above")
-        .snapshot()
-        .count_phase(TracePhase::BuildHist);
+    let snap = traced_pool.trace().expect("installed above").snapshot();
+    let n_tasks = snap
+        .lanes
+        .iter()
+        .flat_map(|l| &l.spans)
+        .filter(|s| s.phase == TracePhase::BuildHist as u8)
+        .count();
     assert!(n_tasks > 0, "a traced fill must record BuildHist spans");
 
     let calls = 1_000_000u32;
