@@ -26,7 +26,7 @@
 use harp_bench::{ExpArgs, Table};
 use harp_data::{DatasetKind, SynthConfig};
 use harp_serve::protocol::{write_frame, Frame, RowsPayload};
-use harp_serve::{ErrorCode, ScoreReply, ServeClient, ServeConfig};
+use harp_serve::{ErrorCode, Phase, ScoreReply, ServeClient, ServeConfig};
 use harpgbdt::{FlatForest, GbdtTrainer, GrowthMethod, TrainParams};
 use std::net::SocketAddr;
 use std::time::Instant;
@@ -442,7 +442,7 @@ fn main() {
                 if hist.is_empty() {
                     continue;
                 }
-                if name == "end_to_end" {
+                if name == Phase::EndToEnd.name() {
                     e2e_p99_ms = hist.quantile(0.99) as f64 / 1e6;
                 }
                 server_tbl.row(vec![
@@ -453,10 +453,11 @@ fn main() {
                     hist.count().to_string(),
                 ]);
             }
+            let c = &s.counters;
             println!(
                 "\nserver counters: {} requests / {} rows / {} batches, {} sheds, {} protocol \
                  errors, gen {}",
-                s.requests, s.rows, s.batches, s.sheds, s.protocol_errors, s.generation
+                c.requests, c.rows, c.batches, c.sheds, c.protocol_errors, s.generation
             );
         }
     }

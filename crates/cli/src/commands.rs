@@ -138,13 +138,13 @@ fn build_cache(
     let start = Instant::now();
     harpgbdt::write_cache(&qm, rows_per_chunk, Path::new(path))
         .map_err(|e| format!("failed to build cache {path}: {e}"))?;
-    let write_secs = start.elapsed().as_secs_f64();
+    let cache_write_secs = start.elapsed().as_secs_f64();
     drop(qm);
     let start = Instant::now();
     let store = harpgbdt::ChunkedStore::open(Path::new(path), mem_budget)
         .map_err(|e| format!("failed to open cache {path}: {e}"))?;
     let open_secs = start.elapsed().as_secs_f64();
-    let _ = write!(line, ", cache write {write_secs:.3} s, open+verify {open_secs:.3} s");
+    let _ = write!(line, ", cache write {cache_write_secs:.3} s, open+verify {open_secs:.3} s");
     Ok((store, line))
 }
 
@@ -867,23 +867,23 @@ pub fn serve(args: &[String]) -> Result<String, String> {
                 .map_err(|e| format!("failed to write trace {path}: {e}"))?;
         }
     }
-    let mut s = String::new();
+    let (mut s, c) = (String::new(), &snap.counters);
     let _ = writeln!(
         s,
         "served {} requests ({} rows) in {} batches over {} connections",
-        snap.requests, snap.rows, snap.batches, snap.connections
+        c.requests, c.rows, c.batches, c.connections
     );
     let _ = writeln!(
         s,
         "sheds {} | protocol errors {} | swaps {} (gen {})",
-        snap.sheds, snap.protocol_errors, snap.swaps, snap.generation
+        c.sheds, c.protocol_errors, c.swaps, snap.generation
     );
-    let _ = writeln!(
-        s,
-        "phase seconds: queue-wait {:.3} | assemble {:.3} | predict {:.3} | write {:.3}",
-        snap.queue_wait_secs, snap.assemble_secs, snap.predict_secs, snap.write_secs
-    );
-    for (name, hist) in snap.latency_hists() {
+    let phases: Vec<String> = snap
+        .phase_secs()
+        .map(|(name, secs)| format!("{} {secs:.3}", name.replace('_', "-")))
+        .collect();
+    let _ = writeln!(s, "phase seconds: {}", phases.join(" | "));
+    for (name, hist) in &snap.latency.0 {
         if hist.is_empty() {
             continue;
         }
@@ -1299,7 +1299,7 @@ mod tests {
     #[test]
     fn report_slo_reads_a_snapshot_file() {
         let stats = harp_serve::ServeStats::default();
-        stats.predict_hist.record(2_000_000);
+        stats.record(harp_serve::Phase::Predict, 2_000_000);
         let snap = stats.snapshot(1, 8, 1, 0.5);
         let path = std::env::temp_dir().join("harp_cli_slo_snap.json");
         std::fs::write(&path, serde_json::to_string(&snap).unwrap()).unwrap();
@@ -1307,6 +1307,13 @@ mod tests {
         assert!(report(&tight).is_err());
         let loose = args(&["--slo", "predict:p99<1s", "--snapshot", path.to_str().unwrap()]);
         assert!(report(&loose).is_ok());
+        // Every field but the histograms is required: a snapshot without
+        // its uptime is a typed parse error, not a zero.
+        let json = serde_json::to_string(&snap).unwrap().replace("\"uptime_secs\":0.5,", "");
+        std::fs::write(&path, json).unwrap();
+        let err = report(&loose).unwrap_err();
+        assert!(err.starts_with("failed to parse snapshot"), "{err}");
+        assert!(err.contains("missing field `uptime_secs`"), "{err}");
         std::fs::remove_file(path).ok();
     }
 

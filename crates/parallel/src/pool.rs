@@ -348,14 +348,29 @@ impl ThreadPool {
     /// yet drained goes to `queue_spin_ns` and is charged to barrier wait
     /// too, since it is end-of-phase load imbalance just like a barrier
     /// spin.
+    ///
+    /// A panic in `poll` or `run` stops every worker's polling (the claim
+    /// it held never completes, so the source would answer `Retry`
+    /// forever) and is re-raised to the caller, as `parallel_for`'s is.
     pub fn run_queue<T, P, F>(&self, poll: P, run: F)
     where
         P: Fn() -> QueueOutcome<T> + Sync,
         F: Fn(T, usize) + Sync,
     {
+        /// Raises the flag when dropped by an unwinding share.
+        struct OnUnwind<'a>(&'a AtomicBool);
+        impl Drop for OnUnwind<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+        let unwound = AtomicBool::new(false);
         let profile = Arc::clone(&self.shared.profile);
         let trace = self.trace.as_deref();
         self.broadcast(|worker| {
+            let _unwinding = OnUnwind(&unwound);
             // (wall-clock origin, sink-relative ns) of the current idle run.
             let mut idle_since: Option<(Instant, u64)> = None;
             let close_idle = |idle_since: &mut Option<(Instant, u64)>| {
@@ -368,7 +383,7 @@ impl ThreadPool {
                     }
                 }
             };
-            loop {
+            while !unwound.load(Ordering::Relaxed) {
                 match poll() {
                     QueueOutcome::Task(task) => {
                         close_idle(&mut idle_since);
@@ -388,12 +403,10 @@ impl ThreadPool {
                         std::hint::spin_loop();
                         std::thread::yield_now();
                     }
-                    QueueOutcome::Drained => {
-                        close_idle(&mut idle_since);
-                        break;
-                    }
+                    QueueOutcome::Drained => break,
                 }
             }
+            close_idle(&mut idle_since);
         });
     }
 
@@ -655,6 +668,46 @@ mod tests {
     fn run_queue_on_empty_queue_returns() {
         let pool = ThreadPool::new(2);
         assert_eq!(fan_out(&pool, None, || panic!("no tasks expected")), 0);
+    }
+
+    /// A task that panics at T = 2 reaches the caller: its claim never
+    /// completes, so without the stop flag the other share would poll
+    /// `Retry` forever. The region runs on a thread of its own under a
+    /// watchdog, so a hang fails the test instead of stalling the suite.
+    #[test]
+    fn a_run_queue_task_panic_reaches_the_caller() {
+        let (done, outcome) = std::sync::mpsc::channel();
+        let region = std::thread::spawn(move || {
+            let pool = ThreadPool::new(2);
+            // (next task of four, claims in flight)
+            let source = SpinMutex::new((0u32, 0u32));
+            let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run_queue(
+                    || {
+                        let mut s = source.lock();
+                        if s.0 < 4 {
+                            s.0 += 1;
+                            s.1 += 1;
+                            QueueOutcome::Task(s.0 - 1)
+                        } else if s.1 > 0 {
+                            QueueOutcome::Retry
+                        } else {
+                            QueueOutcome::Drained
+                        }
+                    },
+                    |task, _| {
+                        assert_ne!(task, 2, "the third task fails");
+                        source.lock().1 -= 1;
+                    },
+                );
+            }));
+            let _ = done.send(res.is_err());
+        });
+        let panicked = outcome
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("watchdog: run_queue still running 30 s after a task panicked");
+        region.join().expect("the region's thread caught the panic");
+        assert!(panicked, "the task's panic must reach the caller");
     }
 
     #[test]

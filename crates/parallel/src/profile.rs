@@ -17,36 +17,39 @@
 //!   compute-per-byte ratio analytically, and the same arithmetic is what we
 //!   surface.
 
-use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
+use serde::Serialize;
+use std::sync::atomic::Ordering;
 
 /// Declares a table of monotone `u64` counters **once**: each entry's name
 /// and doc become a `pub AtomicU64` field of the `atomics` struct and a
 /// `pub u64` field of the `Copy` `snapshot` struct, and `reset` / `snapshot`
-/// / `delta` / `plus` / `named` follow from the same list — a new counter is
-/// one line here (plus whatever feeds and prints it).
+/// / `delta` / `plus` / `named` / `HELP` follow from the same list — a new
+/// counter is one line of its table (plus whatever feeds and prints it).
+/// [`Profile`] is one table; the serve crate's counters are another. The
+/// caller needs `serde` as a dependency.
+#[macro_export]
 macro_rules! counter_table {
     (
         $(#[$atomics_meta:meta])* atomics $Atomics:ident;
         $(#[$snapshot_meta:meta])* snapshot $Snapshot:ident;
-        $( $(#[$doc:meta])* $name:ident, )*
+        $( $(#[doc = $doc:literal])* $name:ident, )*
     ) => {
         $(#[$atomics_meta])*
         #[derive(Debug, Default)]
         pub struct $Atomics {
-            $( $(#[$doc])* pub $name: AtomicU64, )*
+            $( $(#[doc = $doc])* pub $name: ::std::sync::atomic::AtomicU64, )*
         }
 
         impl $Atomics {
             /// The atomics in declaration order.
-            fn cells(&self) -> [&AtomicU64; $Snapshot::LEN] {
+            fn cells(&self) -> [&::std::sync::atomic::AtomicU64; $Snapshot::LEN] {
                 [$( &self.$name, )*]
             }
 
             /// Clears every counter.
             pub fn reset(&self) {
                 for cell in self.cells() {
-                    cell.store(0, Ordering::Relaxed);
+                    cell.store(0, ::std::sync::atomic::Ordering::Relaxed);
                 }
             }
 
@@ -54,19 +57,26 @@ macro_rules! counter_table {
             /// an interval boundary, another later, and `delta` yields the
             /// interval's traffic.
             pub fn snapshot(&self) -> $Snapshot {
-                $Snapshot { $( $name: self.$name.load(Ordering::Relaxed), )* }
+                $Snapshot {
+                    $( $name: self.$name.load(::std::sync::atomic::Ordering::Relaxed), )*
+                }
             }
         }
 
         $(#[$snapshot_meta])*
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
         pub struct $Snapshot {
-            $( $(#[$doc])* pub $name: u64, )*
+            $( $(#[doc = $doc])* pub $name: u64, )*
         }
 
         impl $Snapshot {
             /// Number of entries in the table.
             pub const LEN: usize = [$( stringify!($name), )*].len();
+
+            /// Each entry's doc as one line, in declaration order (the
+            /// `/metrics` HELP text of a served counter).
+            pub const HELP: [&'static str; Self::LEN] =
+                [$( concat!($($doc),*).trim_ascii_start(), )*];
 
             /// Element-wise difference `self - earlier` (saturating, so a
             /// reset between snapshots yields zeros rather than wrapping).
@@ -523,6 +533,16 @@ mod tests {
         assert_eq!(d.flops, 120_000);
         assert_eq!(d.hist_cache_hits, 40_000);
         assert_eq!(d.partition_scratch_reuses, 40_000);
+    }
+
+    #[test]
+    fn help_is_each_entry_doc_on_one_line() {
+        assert_eq!(ProfileCounters::HELP[0], "Nanoseconds workers spent executing tasks.");
+        assert_eq!(
+            ProfileCounters::HELP[1],
+            "Nanoseconds workers spent idle inside a fork/join region after finishing their \
+             share (the barrier wait)."
+        );
     }
 
     #[test]

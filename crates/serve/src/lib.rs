@@ -24,9 +24,11 @@
 //! * **Zero-downtime hot-swap** ([`swap`]): the forest lives behind an
 //!   atomically replaceable `Arc`; each batch scores against one snapshot,
 //!   so every response comes from exactly one complete model.
-//! * **Observability** ([`stats`], [`metrics_http`]): phase-accounted
-//!   counters and latency histograms (queue-wait / assemble / predict /
-//!   write plus end-to-end), a `Stats` protocol frame, serve-epoch
+//! * **Observability** ([`stats`], [`metrics_http`]): one declaration per
+//!   counter (a `counter_table!`, as the trainer's `Profile`) and per
+//!   latency phase (queue-wait / assemble / predict / write plus
+//!   end-to-end, one histogram each), and every output a view of one
+//!   [`StatsSnapshot`]: a `Stats` protocol frame, serve-epoch
 //!   [`RunLedger`](harp_metrics::RunLedger) records compatible with
 //!   `harpgbdt report` (including `--slo` gating), and a std-only
 //!   plain-HTTP `/metrics` endpoint in Prometheus text exposition.
@@ -50,5 +52,5 @@ pub use clock::{Clock, ManualClock, SystemClock};
 pub use metrics_http::render_prometheus;
 pub use protocol::{ErrorCode, Frame, FrameType, ProtocolError, RowsPayload};
 pub use server::{serve, serve_with_clock, ServeConfig, ServerHandle};
-pub use stats::{ServeStats, StatsSnapshot, PHASE_HIST_NAMES};
+pub use stats::{Phase, ServeCounters, ServeCounts, ServeStats, StatsSnapshot};
 pub use swap::{ForestSlot, ServingForest};

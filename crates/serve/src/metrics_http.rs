@@ -18,7 +18,7 @@
 //!   `harp_serve_request_latency_seconds` for end-to-end.
 
 use crate::server::ServerCtx;
-use crate::stats::StatsSnapshot;
+use crate::stats::{Phase, ServeCounts, StatsSnapshot};
 use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -149,7 +149,7 @@ fn histogram_series(
 /// exposition format permits — cumulative counts stay monotone.
 pub fn render_prometheus(snap: &StatsSnapshot) -> String {
     let mut out = String::with_capacity(4096);
-    for (name, help, value) in snap.counters() {
+    for ((name, value), help) in snap.counters.named().into_iter().zip(ServeCounts::HELP) {
         counter(&mut out, &format!("harp_serve_{name}_total"), help, value);
     }
     gauge(
@@ -158,17 +158,12 @@ pub fn render_prometheus(snap: &StatsSnapshot) -> String {
         "Generation of the forest being served.",
         snap.generation as f64,
     );
-    gauge(
-        &mut out,
-        "harp_serve_queue_depth",
-        "Jobs queued for dispatch.",
-        snap.queue_depth.unwrap_or(0) as f64,
-    );
+    gauge(&mut out, "harp_serve_queue_depth", "Jobs queued for dispatch.", snap.queue_depth as f64);
     gauge(
         &mut out,
         "harp_serve_uptime_seconds",
         "Seconds since the server started.",
-        snap.uptime_secs.unwrap_or(0.0),
+        snap.uptime_secs,
     );
     gauge(
         &mut out,
@@ -186,20 +181,14 @@ pub fn render_prometheus(snap: &StatsSnapshot) -> String {
     let phase_name = "harp_serve_phase_latency_seconds";
     let _ = writeln!(out, "# HELP {phase_name} Server-side per-phase latency.");
     let _ = writeln!(out, "# TYPE {phase_name} histogram");
-    for (name, hist) in &snap.latency.0 {
-        if name == "end_to_end" {
-            continue;
-        }
+    let e2e = Phase::EndToEnd.name();
+    for (name, hist) in snap.latency.0.iter().filter(|(name, _)| name != e2e) {
         histogram_series(&mut out, phase_name, &format!("{{phase=\"{name}\"}}"), hist);
     }
     let e2e_name = "harp_serve_request_latency_seconds";
     let _ = writeln!(out, "# HELP {e2e_name} Admission-to-scored-reply latency.");
     let _ = writeln!(out, "# TYPE {e2e_name} histogram");
-    if let Some(e2e) = snap.latency.get("end_to_end") {
-        histogram_series(&mut out, e2e_name, "", e2e);
-    } else {
-        histogram_series(&mut out, e2e_name, "", &harp_metrics::HistogramSnapshot::default());
-    }
+    histogram_series(&mut out, e2e_name, "", &snap.latency.get(e2e).cloned().unwrap_or_default());
     out
 }
 
@@ -210,14 +199,14 @@ mod tests {
 
     fn snapshot_with_traffic() -> StatsSnapshot {
         let s = ServeStats::default();
-        ServeStats::bump(&s.requests);
-        s.rows.fetch_add(64, Ordering::Relaxed);
-        s.predict_hist.record(1_500_000);
-        s.predict_hist.record(2_500_000);
-        s.queue_wait_hist.record(10_000);
-        s.assemble_hist.record(5_000);
-        s.write_hist.record(7_000);
-        s.e2e_hist.record(3_000_000);
+        ServeStats::bump(&s.counters.requests);
+        s.counters.rows.fetch_add(64, Ordering::Relaxed);
+        s.record(Phase::Predict, 1_500_000);
+        s.record(Phase::Predict, 2_500_000);
+        s.record(Phase::QueueWait, 10_000);
+        s.record(Phase::Assemble, 5_000);
+        s.record(Phase::Write, 7_000);
+        s.record(Phase::EndToEnd, 3_000_000);
         s.snapshot(7, 28, 1, 12.5)
     }
 
@@ -236,48 +225,6 @@ mod tests {
         ] {
             assert!(text.contains(family), "missing {family:?} in:\n{text}");
         }
-        // Counter and gauge families: names, help text, order and values,
-        // byte for byte.
-        let head = "\
-# HELP harp_serve_requests_total Score requests admitted.
-# TYPE harp_serve_requests_total counter
-harp_serve_requests_total 1
-# HELP harp_serve_rows_total Rows admitted in Score requests.
-# TYPE harp_serve_rows_total counter
-harp_serve_rows_total 64
-# HELP harp_serve_batches_total Micro-batches dispatched.
-# TYPE harp_serve_batches_total counter
-harp_serve_batches_total 0
-# HELP harp_serve_sheds_total Requests shed when the queue is full or no reader can start.
-# TYPE harp_serve_sheds_total counter
-harp_serve_sheds_total 0
-# HELP harp_serve_protocol_errors_total Protocol errors answered.
-# TYPE harp_serve_protocol_errors_total counter
-harp_serve_protocol_errors_total 0
-# HELP harp_serve_swaps_total Model hot-swaps installed.
-# TYPE harp_serve_swaps_total counter
-harp_serve_swaps_total 0
-# HELP harp_serve_connections_total Connections accepted.
-# TYPE harp_serve_connections_total counter
-harp_serve_connections_total 0
-# HELP harp_serve_generation Generation of the forest being served.
-# TYPE harp_serve_generation gauge
-harp_serve_generation 7
-# HELP harp_serve_queue_depth Jobs queued for dispatch.
-# TYPE harp_serve_queue_depth gauge
-harp_serve_queue_depth 0
-# HELP harp_serve_uptime_seconds Seconds since the server started.
-# TYPE harp_serve_uptime_seconds gauge
-harp_serve_uptime_seconds 12.5
-# HELP harp_serve_model_features Feature count of the forest being served.
-# TYPE harp_serve_model_features gauge
-harp_serve_model_features 28
-# HELP harp_serve_model_groups Score groups per row of the forest being served.
-# TYPE harp_serve_model_groups gauge
-harp_serve_model_groups 1
-# HELP harp_serve_phase_latency_seconds Server-side per-phase latency.
-";
-        assert!(text.starts_with(head), "exposition head changed:\n{text}");
         for phase in ["queue_wait", "assemble", "predict", "write"] {
             let needle = format!("harp_serve_phase_latency_seconds_bucket{{phase=\"{phase}\"");
             assert!(text.contains(&needle), "missing {needle:?} in:\n{text}");
@@ -296,6 +243,40 @@ harp_serve_model_groups 1
             .collect();
         assert!(counts.windows(2).all(|w| w[0] <= w[1]), "not cumulative: {counts:?}");
         assert_eq!(*counts.last().unwrap(), 2);
+    }
+
+    /// Every family, name, HELP line, order and value, byte for byte as
+    /// recorded before the counters and phases became tables
+    /// (`testdata/exposition.prom`), over fixed counts and samples.
+    #[test]
+    fn exposition_matches_the_recorded_golden_text() {
+        let s = ServeStats::default();
+        let c = &s.counters;
+        for (counter, n) in [
+            (&c.requests, 5),
+            (&c.rows, 320),
+            (&c.batches, 3),
+            (&c.sheds, 2),
+            (&c.protocol_errors, 1),
+            (&c.swaps, 4),
+            (&c.connections, 6),
+            (&s.queue_depth, 2),
+        ] {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
+        for (phase, samples) in [
+            (Phase::EndToEnd, &[3_000_000, 4_500_000, 120_000_000][..]),
+            (Phase::QueueWait, &[10_000, 250_000]),
+            (Phase::Assemble, &[5_000, 6_000, 700_000]),
+            (Phase::Predict, &[1_500_000, 2_500_000]),
+            (Phase::Write, &[7_000, 11]),
+        ] {
+            for &ns in samples {
+                s.record(phase, ns);
+            }
+        }
+        let text = render_prometheus(&s.snapshot(7, 28, 3, 12.5));
+        assert_eq!(text, include_str!("../testdata/exposition.prom"));
     }
 
     #[test]

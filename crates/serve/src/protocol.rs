@@ -220,13 +220,14 @@ pub enum Frame {
     StatsReply {
         /// The request's correlation id.
         corr: u32,
-        /// JSON-encoded [`crate::stats::StatsSnapshot`]. Since the
-        /// telemetry revision this includes `uptime_secs`, a
+        /// JSON-encoded [`crate::stats::StatsSnapshot`]: the `counters`
+        /// object (one key per counter-table entry), the served forest's
+        /// `generation` / `n_features` / `n_groups`, `uptime_secs`, the
         /// `queue_depth` gauge, and a `latency` array of per-phase
         /// histograms (`end_to_end`/`queue_wait`/`assemble`/`predict`/
-        /// `write`, sparse `[bucket, count]` pairs); clients built
-        /// against the earlier shape can ignore the extra fields, and
-        /// new clients parse old servers (the fields are optional).
+        /// `write`, sparse `[bucket, count]` pairs). Every field but
+        /// `latency` is required: a reply from a server that predates
+        /// this shape fails to parse.
         json: String,
     },
     /// Shutdown acknowledged.

@@ -31,7 +31,7 @@ use crate::protocol::{
     parse_header, write_frame, ErrorCode, Frame, ProtocolError, RowsPayload, DEFAULT_MAX_PAYLOAD,
     HEADER_LEN,
 };
-use crate::stats::{ServeLedger, ServeStats, StatsSnapshot};
+use crate::stats::{Phase, ServeLedger, ServeStats, StatsSnapshot};
 use crate::swap::ForestSlot;
 use harp_data::{DenseMatrix, FeatureMatrix};
 use harp_parallel::{ThreadPool, TraceSink};
@@ -146,7 +146,7 @@ impl ServerCtx {
     fn reload(&self, path: &std::path::Path) -> Result<u64, String> {
         let model = GbdtModel::load(path).map_err(|e| format!("load {}: {e}", path.display()))?;
         let generation = self.slot.swap(model.compile());
-        ServeStats::bump(&self.stats.swaps);
+        ServeStats::bump(&self.stats.counters.swaps);
         Ok(generation)
     }
 }
@@ -322,7 +322,7 @@ fn accept_loop(
     while !ctx.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
-                ServeStats::bump(&ctx.stats.connections);
+                ServeStats::bump(&ctx.stats.counters.connections);
                 let mut live = conns.lock().expect("conn registry poisoned");
                 // Join the readers of closed connections, so the registry
                 // holds one handle per open connection, not per one served.
@@ -337,7 +337,7 @@ fn accept_loop(
                     Ok(handle) => live.push(handle),
                     // No thread to read it: the stream closes with the
                     // closure, and the connection counts as shed.
-                    Err(_) => ServeStats::bump(&ctx.stats.sheds),
+                    Err(_) => ServeStats::bump(&ctx.stats.counters.sheds),
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -452,7 +452,7 @@ fn send_reply(writer: &Arc<Mutex<TcpStream>>, ctx: &ServerCtx, frame: &Frame) {
         let mut w = writer.lock().expect("writer poisoned");
         let _ = write_frame(&mut *w, frame);
     }
-    ctx.stats.write_hist.record(t0.elapsed().as_nanos() as u64);
+    ctx.stats.record(Phase::Write, t0.elapsed().as_nanos() as u64);
 }
 
 fn connection_loop(stream: TcpStream, ctx: Arc<ServerCtx>, tx: SyncSender<ScoreJob>) {
@@ -467,7 +467,7 @@ fn connection_loop(stream: TcpStream, ctx: Arc<ServerCtx>, tx: SyncSender<ScoreJ
         match read_one(&mut reader, &ctx.shutdown) {
             ReadOutcome::Stop => break,
             ReadOutcome::Violation(e) => {
-                ServeStats::bump(&ctx.stats.protocol_errors);
+                ServeStats::bump(&ctx.stats.counters.protocol_errors);
                 send_reply(
                     &writer,
                     &ctx,
@@ -523,7 +523,7 @@ fn handle_frame(
         }
         Frame::Score { corr, rows } => {
             if let Some(message) = admission_error(ctx, &rows) {
-                ServeStats::bump(&ctx.stats.protocol_errors);
+                ServeStats::bump(&ctx.stats.counters.protocol_errors);
                 send_reply(writer, ctx, &Frame::Error { corr, code: ErrorCode::BadShape, message });
                 return true;
             }
@@ -539,12 +539,12 @@ fn handle_frame(
             ctx.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
             match tx.try_send(job) {
                 Ok(()) => {
-                    ServeStats::bump(&ctx.stats.requests);
-                    ctx.stats.rows.fetch_add(n_rows, Ordering::Relaxed);
+                    ServeStats::bump(&ctx.stats.counters.requests);
+                    ctx.stats.counters.rows.fetch_add(n_rows, Ordering::Relaxed);
                 }
                 Err(TrySendError::Full(_)) => {
                     ctx.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-                    ServeStats::bump(&ctx.stats.sheds);
+                    ServeStats::bump(&ctx.stats.counters.sheds);
                     send_reply(
                         writer,
                         ctx,
@@ -564,7 +564,7 @@ fn handle_frame(
         // Server-to-client frame types arriving at the server are
         // well-framed but semantically invalid: answer and keep going.
         other => {
-            ServeStats::bump(&ctx.stats.protocol_errors);
+            ServeStats::bump(&ctx.stats.counters.protocol_errors);
             send_reply(
                 writer,
                 ctx,
@@ -670,10 +670,10 @@ fn dispatch_loop(rx: Receiver<ScoreJob>, ctx: Arc<ServerCtx>) {
 fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>) {
     let now = ctx.clock.now_ns();
     for job in &batch {
-        ctx.stats.queue_wait_hist.record(now.saturating_sub(job.enqueue_ns));
+        ctx.stats.record(Phase::QueueWait, now.saturating_sub(job.enqueue_ns));
     }
     ctx.stats.queue_depth.fetch_sub(batch.len() as u64, Ordering::Relaxed);
-    ServeStats::bump(&ctx.stats.batches);
+    ServeStats::bump(&ctx.stats.counters.batches);
     // One snapshot for the whole batch: every response comes from exactly
     // this forest, however many swaps land while it runs.
     let serving = ctx.slot.load();
@@ -703,7 +703,7 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
         // the old one; those requests fail typed rather than misroute.
         if (group.n_cols as usize) < forest.n_features() {
             for job in &group.jobs {
-                ServeStats::bump(&ctx.stats.protocol_errors);
+                ServeStats::bump(&ctx.stats.counters.protocol_errors);
                 send_reply(
                     &job.writer,
                     ctx,
@@ -729,9 +729,8 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
             predictor = predictor.with_trace(sink);
         }
 
-        let phase_done = |t0: Instant, hist: &harp_metrics::AtomicHistogram| {
-            hist.record(t0.elapsed().as_nanos() as u64);
-        };
+        let phase_done =
+            |t0: Instant, phase| ctx.stats.record(phase, t0.elapsed().as_nanos() as u64);
         let scores = if group.binned {
             let t0 = Instant::now();
             let n_cols = group.n_cols as usize;
@@ -742,10 +741,10 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
                 }
             }
             let n_rows = bins.len() / n_cols;
-            phase_done(t0, &ctx.stats.assemble_hist);
+            phase_done(t0, Phase::Assemble);
             let t0 = Instant::now();
             let scores = predictor.predict_raw_bin_rows(&BinRows::new(n_rows, n_cols, &bins));
-            phase_done(t0, &ctx.stats.predict_hist);
+            phase_done(t0, Phase::Predict);
             scores
         } else {
             let t0 = Instant::now();
@@ -758,10 +757,10 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
             }
             let n_rows = values.len() / n_cols;
             let matrix = FeatureMatrix::Dense(DenseMatrix::from_vec(n_rows, n_cols, values));
-            phase_done(t0, &ctx.stats.assemble_hist);
+            phase_done(t0, Phase::Assemble);
             let t0 = Instant::now();
             let scores = predictor.predict_raw(&matrix);
-            phase_done(t0, &ctx.stats.predict_hist);
+            phase_done(t0, Phase::Predict);
             scores
         };
 
@@ -777,8 +776,8 @@ fn score_batch(batch: Vec<ScoreJob>, ctx: &ServerCtx, pool: Option<&ThreadPool>)
                     scores: scores[offset..offset + len].to_vec(),
                 },
             );
-            let e2e = ctx.clock.now_ns().saturating_sub(job.enqueue_ns);
-            ctx.stats.e2e_hist.record(e2e);
+            ctx.stats
+                .record(Phase::EndToEnd, ctx.clock.now_ns().saturating_sub(job.enqueue_ns));
             offset += len;
         }
     }
@@ -863,7 +862,7 @@ mod tests {
         done.store(true, Ordering::Relaxed);
         let max = sampler.join().expect("sampler panicked");
         assert!(max <= bound, "queue_depth gauge read {max}, bound {bound}");
-        assert_eq!(h.snapshot().queue_depth, Some(0));
+        assert_eq!(h.snapshot().queue_depth, 0);
         h.shutdown();
         h.wait();
     }
@@ -892,7 +891,7 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
-        assert_eq!(h.snapshot().connections, 64);
+        assert_eq!(h.snapshot().counters.connections, 64);
         h.shutdown();
         h.wait();
     }

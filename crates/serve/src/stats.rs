@@ -1,99 +1,111 @@
 //! Server counters, latency histograms, and phase accounting.
 //!
-//! Every counter is a relaxed atomic bumped on the hot path; a
-//! [`StatsSnapshot`] is a consistent-enough point-in-time read used for
-//! the `Stats` protocol reply, the shutdown summary, the `/metrics`
-//! exposition, and the serve [`RunLedger`](harp_metrics::RunLedger)
-//! epochs. Phases mirror the trainer's breakdown discipline: `queue_wait`
-//! (admission to dispatch), `assemble` (batch → matrix), `predict` (forest
-//! traversal), and `write` (response serialization + socket write)
-//! partition a request's server-side life. Each phase is recorded once, in
-//! an [`AtomicHistogram`], so tails (p99/p999) are observable and the
-//! cumulative phase seconds are the histogram's sum; `end_to_end` spans
-//! admission to scored reply.
+//! Each counter is one line of [`ServeCounters`]' `counter_table!` and each
+//! latency phase one line of [`Phase`]'s `latency_phases!`; every serve
+//! output is a view of one [`StatsSnapshot`]: the `Stats` protocol reply,
+//! the shutdown summary, the `/metrics` exposition, and the serve
+//! [`RunLedger`](harp_metrics::RunLedger) epochs. Phases mirror the
+//! trainer's breakdown discipline: `queue_wait` (admission to dispatch),
+//! `assemble` (batch → matrix), `predict` (forest traversal), and `write`
+//! (response serialization + socket write) partition a request's
+//! server-side life. Each phase is recorded once, in an [`AtomicHistogram`],
+//! so tails (p99/p999) are observable and the cumulative phase seconds are
+//! the histogram's sum; `end_to_end` spans admission to scored reply.
 
-use harp_metrics::{AtomicHistogram, HistogramSnapshot, LatencySet, LedgerRecord, RunLedger};
+use harp_metrics::{AtomicHistogram, LatencySet, LedgerRecord, RunLedger};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Hot-path counters for one server instance.
+harp_parallel::counter_table! {
+    /// The monotone counters of one server instance, bumped on the hot path.
+    atomics ServeCounters;
+    /// A point-in-time read of [`ServeCounters`]. Each entry's doc is its
+    /// `/metrics` HELP text.
+    snapshot ServeCounts;
+
+    /// Score requests admitted.
+    requests,
+    /// Rows admitted in Score requests.
+    rows,
+    /// Micro-batches dispatched.
+    batches,
+    /// Requests shed when the queue is full or no reader can start.
+    sheds,
+    /// Protocol errors answered.
+    protocol_errors,
+    /// Model hot-swaps installed.
+    swaps,
+    /// Connections accepted.
+    connections,
+}
+
+/// Declares the latency phases **once**: each entry's variant is the
+/// [`Phase`] a record site names, its position the index of its histogram
+/// in [`ServeStats`], and its name the one [`StatsSnapshot::latency`],
+/// `/metrics` labels, ledger metrics and `--slo` specs use.
+macro_rules! latency_phases {
+    ($( $(#[doc = $doc:literal])* $Variant:ident = $name:literal, )*) => {
+        /// A recorded serve latency.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Phase {
+            $( $(#[doc = $doc])* $Variant, )*
+        }
+
+        impl Phase {
+            /// Every phase, in snapshot order.
+            pub const ALL: [Phase; [$( $name, )*].len()] = [$( Phase::$Variant, )*];
+
+            /// The phase's name.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $( Phase::$Variant => $name, )*
+                }
+            }
+        }
+    };
+}
+
+latency_phases! {
+    /// Admission to scored reply, per request: spans the four below.
+    EndToEnd = "end_to_end",
+    /// Admission to dispatch, per request.
+    QueueWait = "queue_wait",
+    /// Batch assembly, per batch.
+    Assemble = "assemble",
+    /// Forest traversal, per batch.
+    Predict = "predict",
+    /// Response write, per reply.
+    Write = "write",
+}
+
+/// Hot-path telemetry of one server instance.
 #[derive(Debug, Default)]
 pub struct ServeStats {
-    /// Score requests admitted to the queue.
-    pub requests: AtomicU64,
-    /// Rows in admitted Score requests.
-    pub rows: AtomicU64,
-    /// Micro-batches dispatched.
-    pub batches: AtomicU64,
-    /// Score requests shed by admission control (queue full), and
-    /// connections dropped because their reader thread failed to start.
-    pub sheds: AtomicU64,
-    /// Protocol errors answered (malformed frames, bad shapes).
-    pub protocol_errors: AtomicU64,
-    /// Model hot-swaps installed.
-    pub swaps: AtomicU64,
-    /// Connections accepted.
-    pub connections: AtomicU64,
+    /// The monotone counters.
+    pub counters: ServeCounters,
     /// Jobs currently queued for dispatch (gauge: raised before a job is
     /// offered to the queue, lowered when it is refused or dispatched).
     pub queue_depth: AtomicU64,
-    /// Admission → scored-reply latency distribution, per request.
-    pub e2e_hist: AtomicHistogram,
-    /// Queue-wait latency distribution, per request.
-    pub queue_wait_hist: AtomicHistogram,
-    /// Batch-assembly latency distribution, per batch.
-    pub assemble_hist: AtomicHistogram,
-    /// Predict latency distribution, per batch.
-    pub predict_hist: AtomicHistogram,
-    /// Response-write latency distribution, per reply.
-    pub write_hist: AtomicHistogram,
+    /// One latency histogram per [`Phase`], at its index.
+    latency: [AtomicHistogram; Phase::ALL.len()],
 }
 
-/// Histogram names as they appear in [`StatsSnapshot::latency`],
-/// `/metrics` labels, ledger metrics, and `--slo` specs.
-pub const PHASE_HIST_NAMES: [&str; 5] =
-    ["end_to_end", "queue_wait", "assemble", "predict", "write"];
-
-/// A point-in-time read of [`ServeStats`].
+/// A point-in-time read of [`ServeStats`], stamped with the served forest.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct StatsSnapshot {
-    /// Score requests admitted.
-    pub requests: u64,
-    /// Rows admitted.
-    pub rows: u64,
-    /// Micro-batches dispatched.
-    pub batches: u64,
-    /// Requests shed by admission control (and connections left without
-    /// a reader thread).
-    pub sheds: u64,
-    /// Protocol errors answered.
-    pub protocol_errors: u64,
-    /// Hot-swaps installed.
-    pub swaps: u64,
-    /// Connections accepted.
-    pub connections: u64,
+    /// The counters.
+    pub counters: ServeCounts,
     /// Generation of the forest being served.
     pub generation: u64,
     /// Feature count of the forest being served.
     pub n_features: u64,
     /// Score groups per row of the forest being served.
     pub n_groups: u64,
-    /// Queue-wait seconds (sum over requests): the `queue_wait` histogram's
-    /// sum, as are the three phases below theirs.
-    pub queue_wait_secs: f64,
-    /// Batch-assembly seconds.
-    pub assemble_secs: f64,
-    /// Predict seconds.
-    pub predict_secs: f64,
-    /// Response-write seconds.
-    pub write_secs: f64,
     /// Seconds since the server started (distinguishes a fresh process
-    /// from a long-lived one whose counters may have wrapped). Absent in
-    /// pre-histogram snapshots; `Option::missing` keeps them parsing.
-    pub uptime_secs: Option<f64>,
+    /// from a long-lived one whose counters may have wrapped).
+    pub uptime_secs: f64,
     /// Jobs queued for dispatch at snapshot time.
-    pub queue_depth: Option<u64>,
-    /// Latency histograms in [`PHASE_HIST_NAMES`] order; empty when the
-    /// snapshot predates histogram recording.
+    pub queue_depth: u64,
+    /// One histogram per [`Phase`], in its order, under its name.
     pub latency: LatencySet,
 }
 
@@ -101,6 +113,11 @@ impl ServeStats {
     /// Bumps a count by one.
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one `phase` latency of `ns` nanoseconds.
+    pub fn record(&self, phase: Phase, ns: u64) {
+        self.latency[phase as usize].record(ns);
     }
 
     /// Snapshot with the served forest's generation and shape stamped in.
@@ -111,67 +128,31 @@ impl ServeStats {
         n_groups: u64,
         uptime_secs: f64,
     ) -> StatsSnapshot {
-        let latency = LatencySet(
-            PHASE_HIST_NAMES
-                .iter()
-                .zip([
-                    &self.e2e_hist,
-                    &self.queue_wait_hist,
-                    &self.assemble_hist,
-                    &self.predict_hist,
-                    &self.write_hist,
-                ])
-                .map(|(name, h)| ((*name).to_string(), h.snapshot()))
-                .collect(),
-        );
-        let secs = |name| latency.get(name).map_or(0.0, |h| h.sum() as f64 / 1e9);
         StatsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            rows: self.rows.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            sheds: self.sheds.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            swaps: self.swaps.load(Ordering::Relaxed),
-            connections: self.connections.load(Ordering::Relaxed),
+            counters: self.counters.snapshot(),
             generation,
             n_features,
             n_groups,
-            queue_wait_secs: secs("queue_wait"),
-            assemble_secs: secs("assemble"),
-            predict_secs: secs("predict"),
-            write_secs: secs("write"),
-            uptime_secs: Some(uptime_secs),
-            queue_depth: Some(self.queue_depth.load(Ordering::Relaxed)),
-            latency,
+            uptime_secs,
+            queue_depth: self.queue_depth.load(Ordering::Relaxed),
+            latency: LatencySet(
+                Phase::ALL
+                    .iter()
+                    .map(|&p| (p.name().to_string(), self.latency[p as usize].snapshot()))
+                    .collect(),
+            ),
         }
     }
 }
 
 impl StatsSnapshot {
-    /// The monotone counters as `(name, help, value)` in wire order — the
-    /// one listing behind the serve ledger's `counters` and the `/metrics`
-    /// `harp_serve_<name>_total` families.
-    pub fn counters(&self) -> [(&'static str, &'static str, u64); 7] {
-        [
-            ("requests", "Score requests admitted.", self.requests),
-            ("rows", "Rows admitted in Score requests.", self.rows),
-            ("batches", "Micro-batches dispatched.", self.batches),
-            ("sheds", "Requests shed when the queue is full or no reader can start.", self.sheds),
-            ("protocol_errors", "Protocol errors answered.", self.protocol_errors),
-            ("swaps", "Model hot-swaps installed.", self.swaps),
-            ("connections", "Connections accepted.", self.connections),
-        ]
-    }
-
-    /// The cumulative serve-phase seconds as `(name, seconds)`, in the order
-    /// a request passes through them.
-    pub fn phase_secs(&self) -> [(&'static str, f64); 4] {
-        [
-            ("queue_wait", self.queue_wait_secs),
-            ("assemble", self.assemble_secs),
-            ("predict", self.predict_secs),
-            ("write", self.write_secs),
-        ]
+    /// The cumulative seconds of each phase a request passes through (all
+    /// but `end_to_end`), in order: each its histogram's sum.
+    pub fn phase_secs(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+        Phase::ALL
+            .into_iter()
+            .filter(|&p| p != Phase::EndToEnd)
+            .map(|p| (p.name(), self.latency.get(p.name()).map_or(0.0, |h| h.sum() as f64 / 1e9)))
     }
 
     /// Renders as one [`LedgerRecord`] for the serve ledger: the epoch
@@ -205,25 +186,18 @@ impl StatsSnapshot {
             elapsed_secs,
             phase_secs: self
                 .phase_secs()
-                .into_iter()
                 .zip(prev.phase_secs())
                 .map(|((name, now), (_, before))| (name.into(), (now - before).max(0.0)))
                 .collect(),
             counters: self
-                .counters()
-                .into_iter()
-                .zip(prev.counters())
-                .map(|((name, _, now), (_, _, before))| (name.into(), now.saturating_sub(before)))
-                .collect(),
+                .counters
+                .delta(&prev.counters)
+                .named()
+                .map(|(n, v)| (n.into(), v))
+                .into(),
             latency,
             ..Default::default()
         }
-    }
-
-    /// The merged latency histograms as `(name, histogram)` pairs — the
-    /// shape [`harp_metrics::evaluate_slo`] consumes.
-    pub fn latency_hists(&self) -> &[(String, HistogramSnapshot)] {
-        &self.latency.0
     }
 }
 
@@ -259,30 +233,37 @@ impl ServeLedger {
 mod tests {
     use super::*;
 
+    /// Adds `n` to each listed counter.
+    fn add(counts: &[(&AtomicU64, u64)]) {
+        for (counter, n) in counts {
+            counter.fetch_add(*n, Ordering::Relaxed);
+        }
+    }
+
     #[test]
     fn snapshot_and_ledger_deltas() {
         let s = ServeStats::default();
-        ServeStats::bump(&s.requests);
-        ServeStats::bump(&s.requests);
-        s.rows.fetch_add(128, Ordering::Relaxed);
-        s.predict_hist.record(2_000_000_000);
+        ServeStats::bump(&s.counters.requests);
+        ServeStats::bump(&s.counters.requests);
+        s.counters.rows.fetch_add(128, Ordering::Relaxed);
+        s.record(Phase::Predict, 2_000_000_000);
         let snap = s.snapshot(3, 28, 1, 1.5);
-        assert_eq!(snap.requests, 2);
-        assert_eq!(snap.rows, 128);
+        assert_eq!(snap.counters.requests, 2);
+        assert_eq!(snap.counters.rows, 128);
         assert_eq!(snap.generation, 3);
         assert_eq!(snap.n_features, 28);
-        assert!((snap.predict_secs - 2.0).abs() < 1e-9);
-        assert_eq!(snap.uptime_secs, Some(1.5));
-        assert_eq!(snap.queue_depth, Some(0));
-        assert_eq!(snap.latency.0.len(), PHASE_HIST_NAMES.len());
+        assert_eq!(snap.uptime_secs, 1.5);
+        assert_eq!(snap.queue_depth, 0);
+        let names: Vec<&str> = snap.latency.0.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["end_to_end", "queue_wait", "assemble", "predict", "write"]);
         let predict = snap.latency.get("predict").unwrap();
         assert_eq!(predict.count(), 1);
         assert!(predict.quantile(0.99) >= 2_000_000_000);
 
         let mut ledger = ServeLedger::new();
         ledger.record_epoch(snap.clone(), 1.0);
-        ServeStats::bump(&s.requests);
-        s.predict_hist.record(1_000_000);
+        ServeStats::bump(&s.counters.requests);
+        s.record(Phase::Predict, 1_000_000);
         ledger.record_epoch(s.snapshot(3, 28, 1, 2.5), 2.0);
         let records = ledger.ledger().records();
         assert_eq!(records.len(), 2);
@@ -303,14 +284,16 @@ mod tests {
                 .map(|(n, v)| (n.to_string(), v))
         );
         assert_eq!((records[0].round_secs, records[0].n_leaves, records[0].mem.len()), (0.0, 0, 0));
-        // The wire form of a `StatsReply` keeps its keys, in field order.
+        // The wire form of a `StatsReply` holds each value once, in field
+        // order: the counter table, the forest, the two gauges, the
+        // histograms.
         let json = serde_json::to_string(&snap).unwrap();
         assert!(
             json.starts_with(
-                "{\"requests\":2,\"rows\":128,\"batches\":0,\"sheds\":0,\"protocol_errors\":0,\
-                 \"swaps\":0,\"connections\":0,\"generation\":3,\"n_features\":28,\"n_groups\":1,\
-                 \"queue_wait_secs\":0.0,\"assemble_secs\":0.0,\"predict_secs\":2.0,\"write_secs\":0.0,\
-                 \"uptime_secs\":1.5,\"queue_depth\":0,\"latency\":["
+                "{\"counters\":{\"requests\":2,\"rows\":128,\"batches\":0,\"sheds\":0,\
+                 \"protocol_errors\":0,\"swaps\":0,\"connections\":0},\"generation\":3,\
+                 \"n_features\":28,\"n_groups\":1,\"uptime_secs\":1.5,\"queue_depth\":0,\
+                 \"latency\":["
             ),
             "{json}"
         );
@@ -325,17 +308,52 @@ mod tests {
         assert_eq!(back.records(), ledger.ledger().records());
 
         // A phase is recorded once: its seconds are its histogram's sum.
-        s.queue_wait_hist.record(3_000);
-        s.assemble_hist.record(5_000);
-        s.write_hist.record(7_000);
-        s.write_hist.record(11);
-        for snap in [&snap, &s.snapshot(3, 28, 1, 3.5)] {
+        s.record(Phase::QueueWait, 3_000);
+        s.record(Phase::Assemble, 5_000);
+        s.record(Phase::Write, 7_000);
+        s.record(Phase::Write, 11);
+        let later = s.snapshot(3, 28, 1, 3.5);
+        for snap in [&snap, &later] {
             for (name, secs) in snap.phase_secs() {
                 let sum = snap.latency.get(name).unwrap().sum();
                 assert_eq!(secs, sum as f64 / 1e9, "{name}");
             }
         }
-        assert_eq!(s.snapshot(3, 28, 1, 3.5).write_secs, 7_011.0 / 1e9);
+        assert_eq!(later.phase_secs().last(), Some(("write", 7_011.0 / 1e9)));
+    }
+
+    /// The serve ledger's records over a fixed traffic sequence, field for
+    /// field as recorded before the counters and phases became tables
+    /// (`testdata/serve_ledger.jsonl`).
+    #[test]
+    fn ledger_records_match_the_recorded_sequence() {
+        let s = ServeStats::default();
+        let c = &s.counters;
+        let mut ledger = ServeLedger::new();
+        add(&[(&c.requests, 2), (&c.rows, 128), (&c.batches, 1), (&c.connections, 1)]);
+        s.record(Phase::Predict, 2_000_000);
+        s.record(Phase::QueueWait, 33_333);
+        s.record(Phase::EndToEnd, 2_100_000);
+        s.record(Phase::Write, 4_321);
+        s.record(Phase::Assemble, 999);
+        ledger.record_epoch(s.snapshot(1, 28, 1, 1.0), 1.0);
+        ledger.record_epoch(s.snapshot(1, 28, 1, 2.0), 2.0);
+        add(&[
+            (&c.requests, 3),
+            (&c.rows, 70),
+            (&c.sheds, 1),
+            (&c.swaps, 1),
+            (&c.protocol_errors, 2),
+        ]);
+        s.record(Phase::Predict, 1_000_000);
+        s.record(Phase::Predict, 3_333_333);
+        s.record(Phase::QueueWait, 1);
+        s.record(Phase::Write, 77_777);
+        s.record(Phase::EndToEnd, 5_000_000);
+        ledger.record_epoch(s.snapshot(2, 28, 1, 3.25), 3.25);
+        let recorded =
+            RunLedger::from_jsonl(include_str!("../testdata/serve_ledger.jsonl")).unwrap();
+        assert_eq!(ledger.ledger().records(), recorded.records());
     }
 
     #[test]
@@ -343,9 +361,14 @@ mod tests {
         // Relaxed loads can tear across an epoch boundary, leaving `prev`
         // momentarily ahead of `self` on individual counters; the deltas
         // must clamp to zero instead of wrapping to ~u64::MAX.
-        let prev =
-            StatsSnapshot { requests: 10, rows: 1000, queue_wait_secs: 0.5, ..Default::default() };
-        let cur = StatsSnapshot { requests: 9, rows: 1001, ..Default::default() };
+        let s = ServeStats::default();
+        s.counters.requests.fetch_add(9, Ordering::Relaxed);
+        s.counters.rows.fetch_add(1001, Ordering::Relaxed);
+        let cur = s.snapshot(1, 8, 1, 1.0);
+        s.counters.requests.fetch_add(1, Ordering::Relaxed);
+        s.record(Phase::QueueWait, 500_000_000);
+        let mut prev = s.snapshot(1, 8, 1, 1.0);
+        prev.counters.rows = 1000;
         let rec = cur.to_ledger_record(1, 1.0, &prev);
         assert_eq!(rec.counters[0], ("requests".into(), 0), "torn counter must saturate");
         assert_eq!(rec.counters[1], ("rows".into(), 1));

@@ -284,13 +284,13 @@ fn stats_frame_reports_counters_and_shape() {
     let snap = client.stats().expect("stats reply parses");
     assert_eq!(snap.n_features as usize, n_features);
     assert_eq!(snap.generation, 1);
-    assert!(snap.requests >= 5, "admitted requests counted: {snap:?}");
-    assert!(snap.rows >= 40, "admitted rows counted: {snap:?}");
-    assert!(snap.batches >= 1, "batches dispatched: {snap:?}");
-    // Telemetry fields: uptime, the queue gauge, and per-phase histograms.
-    assert!(snap.uptime_secs.is_some_and(|u| u > 0.0), "uptime reported: {snap:?}");
-    assert!(snap.queue_depth.is_some(), "queue gauge reported: {snap:?}");
-    for phase in harp_serve::PHASE_HIST_NAMES {
+    assert!(snap.counters.requests >= 5, "admitted requests counted: {snap:?}");
+    assert!(snap.counters.rows >= 40, "admitted rows counted: {snap:?}");
+    assert!(snap.counters.batches >= 1, "batches dispatched: {snap:?}");
+    // Telemetry fields: uptime, an idle queue, and per-phase histograms.
+    assert!(snap.uptime_secs > 0.0, "uptime reported: {snap:?}");
+    assert_eq!(snap.queue_depth, 0, "every admitted job was dispatched: {snap:?}");
+    for phase in harp_serve::Phase::ALL.map(harp_serve::Phase::name) {
         let hist = snap.latency.get(phase).unwrap_or_else(|| panic!("{phase} histogram missing"));
         assert!(hist.count() >= 1, "{phase} histogram recorded samples: {snap:?}");
     }
@@ -713,7 +713,7 @@ fn saturation_sheds_typed_while_polite_client_stays_served() {
     // The polite client's shed replies count too, so the server's counter
     // is at least the flooders' tally.
     let snap = h.snapshot();
-    assert!(snap.sheds >= total_shed as u64, "server counted every shed: {snap:?}");
+    assert!(snap.counters.sheds >= total_shed as u64, "server counted every shed: {snap:?}");
     h.shutdown();
     h.wait();
 }
