@@ -1,7 +1,7 @@
 //! The CLI subcommand implementations.
 
 use crate::opts::Opts;
-use harp_data::{Dataset, DatasetKind, SynthConfig};
+use harp_data::{Dataset, DatasetKind, FeatureMatrix, SynthConfig};
 use harp_metrics::{DiffOptions, DiffReport, RunLedger};
 use harpgbdt::trainer::{EvalMetric, EvalOptions};
 use harpgbdt::{
@@ -240,8 +240,9 @@ pub fn train(args: &[String]) -> Result<String, String> {
         colsample_bytree: opts.parse_or("--colsample", 1.0f32)?,
         seed: opts.parse_or("--seed", 0u64)?,
         blocks: parse_blocks(&opts)?,
-        // The ledger's skew/queue sections read the span trace, so
-        // --ledger-out turns tracing on too.
+        // The ledger's skew rows read the span trace, so --ledger-out turns
+        // tracing on too (its queue counters are `Profile` entries, written
+        // with or without a trace).
         trace: if trace_out.is_some() || ledger_out.is_some() {
             TraceConfig::enabled()
         } else {
@@ -325,13 +326,8 @@ pub fn train(args: &[String]) -> Result<String, String> {
     for note in &setup_notes {
         let _ = writeln!(report, "{note}");
     }
-    if let Some(trace) = &out.diagnostics.trace {
-        let _ = writeln!(
-            report,
-            "validation: best {:.5} at round {}",
-            trace.best().unwrap_or(f64::NAN),
-            out.diagnostics.best_iteration.unwrap_or(0)
-        );
+    if let Some(best) = out.diagnostics.trace.as_ref().and_then(|t| t.best_point()) {
+        let _ = writeln!(report, "validation: best {:.5} at round {}", best.metric, best.iteration);
     }
     if let Some(path) = trace_out {
         let snap = out
@@ -389,13 +385,16 @@ pub fn train(args: &[String]) -> Result<String, String> {
 }
 
 /// Scores `data` through a compiled engine, in parallel on `--threads`
-/// workers (defaulting to the host's hint), returning raw margin scores.
+/// workers (defaulting to the host's hint), returning raw margin scores. A
+/// narrower dense file is an error; a narrower LIBSVM file is scored as it
+/// is, its absent columns missing (`harpgbdt::predict::fits_width`).
 fn predict_raw_threaded(
     opts: &Opts,
     engine: &harpgbdt::FlatForest,
     data: &Dataset,
 ) -> Result<Vec<f32>, String> {
-    if data.n_features() < engine.n_features() {
+    let sparse = matches!(data.features, FeatureMatrix::Sparse(_));
+    if !harpgbdt::predict::fits_width(data.n_features(), sparse, engine.n_features()) {
         return Err(format!(
             "data has {} features but the model expects {}",
             data.n_features(),
@@ -442,45 +441,8 @@ fn format_rows(values: &[f32], groups: usize) -> Vec<String> {
         .collect()
 }
 
-/// Parses a parameterized `--metric` name (`pinball:0.9`, `tweedie:1.5`,
-/// `huber:2`, `ndcg:10`), taking a bare name's parameter from the model's
-/// own objective when it matches (so `--metric pinball` on a `quantile:0.9`
-/// model scores at 0.9, not a hard-coded default).
-fn parse_metric(s: &str, spec: LossKind) -> Result<EvalMetric, String> {
-    let (name, arg) = match s.split_once(':') {
-        Some((n, a)) => (n, Some(a)),
-        None => (s, None),
-    };
-    fn param<T: std::str::FromStr>(arg: Option<&str>, default: T, what: &str) -> Result<T, String> {
-        match arg {
-            None => Ok(default),
-            Some(a) => a.parse().map_err(|_| format!("bad {what} {a:?}")),
-        }
-    }
-    match name {
-        "pinball" | "quantile" => {
-            let d = if let LossKind::Quantile { alpha } = spec { alpha } else { 0.5 };
-            Ok(EvalMetric::Pinball { alpha: param(arg, d, "pinball alpha")? })
-        }
-        "tweedie" => {
-            let d = if let LossKind::Tweedie { power } = spec { power } else { 1.5 };
-            Ok(EvalMetric::TweedieDeviance { power: param(arg, d, "tweedie power")? })
-        }
-        "huber" => {
-            let d = if let LossKind::Huber { delta } = spec { delta } else { 1.0 };
-            Ok(EvalMetric::HuberLoss { delta: param(arg, d, "huber delta")? })
-        }
-        "ndcg" => {
-            let d = if let LossKind::LambdaRank { k } = spec { k } else { 10 };
-            Ok(EvalMetric::NdcgAt { k: param(arg, d, "ndcg truncation")? })
-        }
-        _ => Err(format!(
-            "unknown metric {s:?} (auto|auc|logloss|rmse|error|pinball[:A]|tweedie[:P]|huber[:D]|ndcg[:K])"
-        )),
-    }
-}
-
-/// `harpgbdt eval`.
+/// `harpgbdt eval`: each of the `--metric` names' [`EvalMetric`]s (the
+/// objective's [`EvalMetric::auto`] set for `auto`) on one line.
 pub fn eval(args: &[String]) -> Result<String, String> {
     let opts = Opts::parse("eval", args)?;
     let model = load_model(opts.required("--model")?)?;
@@ -488,53 +450,20 @@ pub fn eval(args: &[String]) -> Result<String, String> {
     if let Some(p) = opts.get("--groups") {
         data = attach_groups(data, p)?;
     }
-    let metric = opts.get("--metric").unwrap_or("auto");
-    let raw = predict_raw_threaded(&opts, &model.compile(), &data)?;
     let spec = model.loss();
-    let probs = spec.transform_scores(&raw);
-    let groups = model.n_groups();
-    let qg = data.query_groups.as_deref();
-    let mut out = String::new();
-    let mut emit = |name: &str, v: f64| {
-        let _ = writeln!(out, "{name:<10} {v:.6}");
+    let metrics = match opts.get("--metric").unwrap_or("auto") {
+        "auto" => EvalMetric::auto(spec),
+        name => vec![EvalMetric::parse(name, spec)?],
     };
-    match (metric, groups) {
-        // `auto` keeps the historical multi-metric report for the classic
-        // losses; parameterized objectives score their default metric.
-        ("auto", 1) => match spec {
-            LossKind::Logistic => {
-                emit("auc", harp_metrics::auc(&data.labels, &raw));
-                emit("logloss", harp_metrics::log_loss(&data.labels, &probs));
-                emit("error", harp_metrics::error_rate(&data.labels, &probs));
-            }
-            _ => {
-                let m = spec.default_metric();
-                if matches!(m, EvalMetric::NdcgAt { .. }) && qg.is_none() {
-                    return Err("ndcg needs query-group sizes: pass --groups FILE".into());
-                }
-                emit(&m.name(), m.compute(&data.labels, &raw, spec, qg));
-            }
-        },
-        ("auto", g) => {
-            emit("mlogloss", harp_metrics::multiclass_log_loss(&data.labels, &probs, g));
-            emit("merror", harp_metrics::multiclass_error(&data.labels, &raw, g));
-        }
-        ("auc", 1) => emit("auc", harp_metrics::auc(&data.labels, &raw)),
-        ("logloss", 1) => emit("logloss", harp_metrics::log_loss(&data.labels, &probs)),
-        ("rmse", 1) => emit("rmse", harp_metrics::rmse(&data.labels, &raw)),
-        ("error", 1) => emit("error", harp_metrics::error_rate(&data.labels, &probs)),
-        ("logloss", g) => {
-            emit("mlogloss", harp_metrics::multiclass_log_loss(&data.labels, &probs, g));
-        }
-        ("error", g) => emit("merror", harp_metrics::multiclass_error(&data.labels, &raw, g)),
-        (m, 1) => {
-            let metric = parse_metric(m, spec)?;
-            if matches!(metric, EvalMetric::NdcgAt { .. }) && qg.is_none() {
-                return Err("ndcg needs query-group sizes: pass --groups FILE".into());
-            }
-            emit(&metric.name(), metric.compute(&data.labels, &raw, spec, qg));
-        }
-        (m, _) => return Err(format!("metric {m:?} does not fit this model")),
+    let qg = data.query_groups.as_deref();
+    for metric in &metrics {
+        metric.check(spec, data.n_rows(), qg.is_some())?;
+    }
+    let raw = predict_raw_threaded(&opts, &model.compile(), &data)?;
+    let mut out = String::new();
+    for metric in metrics {
+        let value = metric.compute(&data.labels, &raw, spec, qg);
+        let _ = writeln!(out, "{:<10} {value:.6}", metric.name());
     }
     Ok(out)
 }
@@ -929,16 +858,16 @@ mod tests {
 
     #[test]
     fn metric_parsing_defaults_come_from_the_model() {
-        let m = parse_metric("pinball", LossKind::Quantile { alpha: 0.9 }).unwrap();
+        let m = EvalMetric::parse("pinball", LossKind::Quantile { alpha: 0.9 }).unwrap();
         assert_eq!(m, EvalMetric::Pinball { alpha: 0.9 });
-        let m = parse_metric("pinball:0.25", LossKind::Logistic).unwrap();
+        let m = EvalMetric::parse("pinball:0.25", LossKind::Logistic).unwrap();
         assert_eq!(m, EvalMetric::Pinball { alpha: 0.25 });
-        let m = parse_metric("ndcg", LossKind::LambdaRank { k: 5 }).unwrap();
+        let m = EvalMetric::parse("ndcg", LossKind::LambdaRank { k: 5 }).unwrap();
         assert_eq!(m, EvalMetric::NdcgAt { k: 5 });
-        let m = parse_metric("tweedie:1.7", LossKind::Tweedie { power: 1.3 }).unwrap();
+        let m = EvalMetric::parse("tweedie:1.7", LossKind::Tweedie { power: 1.3 }).unwrap();
         assert_eq!(m, EvalMetric::TweedieDeviance { power: 1.7 });
-        assert!(parse_metric("ndcg:x", LossKind::Logistic).is_err());
-        let err = parse_metric("gini", LossKind::Logistic).unwrap_err();
+        assert!(EvalMetric::parse("ndcg:x", LossKind::Logistic).is_err());
+        let err = EvalMetric::parse("gini", LossKind::Logistic).unwrap_err();
         assert!(err.contains("pinball[:A]"), "unknown metric lists the accepted set: {err}");
     }
 

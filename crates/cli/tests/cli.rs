@@ -427,3 +427,86 @@ fn squared_loss_keeps_negative_targets() {
     assert!((base + 3.5).abs() < 1e-6, "base score {base}: negative targets were clamped");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `eval`'s stdout on the cases of `testdata/eval/cases.txt`, byte for byte
+/// as `testdata/eval/record.sh` recorded it (models and data committed
+/// beside it): one validation path must not move a printed digit.
+#[test]
+fn eval_output_matches_the_recorded_transcript() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("testdata/eval");
+    let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("testdata file");
+    let mut transcript = String::new();
+    for case in read("cases.txt").lines() {
+        let args: Vec<&str> = std::iter::once("eval").chain(case.split_whitespace()).collect();
+        let out = bin().args(&args).current_dir(&dir).output().expect("spawn harpgbdt");
+        assert!(out.status.success(), "{case}: {}", String::from_utf8_lossy(&out.stderr));
+        transcript.push_str(&format!("$ harpgbdt eval {case}\n"));
+        transcript.push_str(&String::from_utf8(out.stdout).expect("utf8 stdout"));
+    }
+    assert_eq!(transcript, read("golden.txt"));
+}
+
+/// A LIBSVM file takes its width from its highest index, so it may be
+/// narrower than the model: its absent columns are missing, and `predict`
+/// and `eval` score it exactly as the same rows at full width. A narrower
+/// CSV is still an error.
+#[test]
+fn a_narrower_libsvm_file_scores_as_the_same_rows_at_full_width() {
+    let dir = tmp_dir("narrow-libsvm");
+    let (train, model) = (dir.join("train.csv"), dir.join("m.json"));
+    let mut text = String::new();
+    for i in 0..200 {
+        let (a, b, c, d) = (i % 7, (i * 3) % 11, (i * 5) % 13, (i * 7) % 17);
+        let label = u8::from(c + 2 * d > 20);
+        text.push_str(&format!("{label},{a},{b},{c},{d}\n"));
+    }
+    std::fs::write(&train, text).unwrap();
+    let model = model.to_str().unwrap();
+    let train = train.to_str().unwrap();
+    run_ok(&["train", "--data", train, "--model", model, "--trees", "20", "--threads", "1"]);
+    let json = std::fs::read_to_string(model).unwrap();
+    assert!(json.contains(r#""feature":3"#), "no split reads the column the narrow file lacks");
+
+    // Two columns of four: the same rows, once at width 2 and once with an
+    // explicit missing fourth column (LIBSVM `nan` is an absent entry).
+    let rows = ["1 1:3 2:4", "0 1:1 2:9", "1 1:6", "0 2:2"];
+    let (narrow, full) = (dir.join("narrow.libsvm"), dir.join("full.libsvm"));
+    std::fs::write(&narrow, rows.join("\n") + "\n").unwrap();
+    std::fs::write(&full, rows.map(|r| format!("{r} 4:nan")).join("\n") + "\n").unwrap();
+    for args in [&["predict"][..], &["predict", "--raw"], &["eval"], &["eval", "--metric", "rmse"]]
+    {
+        let score = |data: &PathBuf| {
+            let tail = ["--model", model, "--data", data.to_str().unwrap(), "--threads", "2"];
+            run_ok(&[args, &tail[..]].concat())
+        };
+        assert_eq!(score(&narrow), score(&full), "{args:?}");
+    }
+
+    let csv = dir.join("narrow.csv");
+    std::fs::write(&csv, "1,3,4\n0,1,9\n").unwrap();
+    for cmd in ["predict", "eval"] {
+        let err = run_err(&[cmd, "--model", model, "--data", csv.to_str().unwrap()]);
+        assert!(err.contains("data has 2 features but the model expects 4"), "{cmd}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A metric that does not fit the model, or a parameter outside its range,
+/// is a typed error (exit code 2) naming the metric, never a panic.
+#[test]
+fn eval_rejects_a_metric_that_does_not_fit_the_model() {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("testdata/eval");
+    let cases = [
+        ("softmax.json", "multiclass.csv", "auc", "metric auc does not fit"),
+        ("logistic.json", "binary.csv", "ndcg:3", "metric ndcg@3 does not fit"),
+        ("logistic.json", "binary.csv", "pinball:1.5", "metric pinball@1.5 does not fit"),
+        ("lambdarank.json", "multiclass.csv", "auto", "metric ndcg@5 does not fit"),
+    ];
+    for (model, data, metric, want) in cases {
+        let args = ["eval", "--model", model, "--data", data, "--metric", metric];
+        let out = bin().args(args).current_dir(&dir).output().expect("spawn harpgbdt");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{model} {metric}: {err}");
+        assert!(err.contains(want), "{model} {metric}: {err}");
+    }
+}

@@ -151,6 +151,20 @@ pub fn registry_help() -> String {
     s
 }
 
+/// A spec's `:ARG` parsed as `T`, or `default` when there is none — the one
+/// parameter rule of [`ObjectiveSpec::parse`] and
+/// [`EvalMetric::parse`](crate::trainer::EvalMetric::parse).
+pub(crate) fn param<T: std::str::FromStr>(
+    arg: Option<&str>,
+    default: T,
+    what: &str,
+) -> Result<T, String> {
+    match arg {
+        None => Ok(default),
+        Some(a) => a.parse().map_err(|_| format!("bad {what} {a:?}")),
+    }
+}
+
 impl ObjectiveSpec {
     /// Parses a spec string (`"logistic"`, `"softmax:4"`, `"quantile:0.9"`,
     /// `"tweedie:1.5"`, `"huber:2"`, `"lambdarank:10"`). Parameterized
@@ -167,16 +181,6 @@ impl ObjectiveSpec {
             Some((n, a)) => (n, Some(a)),
             None => (s, None),
         };
-        fn param<T: std::str::FromStr>(
-            arg: Option<&str>,
-            default: T,
-            what: &str,
-        ) -> Result<T, String> {
-            match arg {
-                None => Ok(default),
-                Some(a) => a.parse().map_err(|_| format!("bad {what} {a:?}")),
-            }
-        }
         let spec = match name {
             "logistic" if arg.is_none() => Self::Logistic,
             "squared" if arg.is_none() => Self::SquaredError,

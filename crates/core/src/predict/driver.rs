@@ -99,11 +99,10 @@ impl<'a> Predictor<'a> {
     /// `n_rows × n_groups` for multiclass.
     ///
     /// # Panics
-    /// Panics if `features` has fewer columns than the model's feature
-    /// count — silently routing on wrong cells (a dense matrix narrower
-    /// than the model reads the *next row's* values) is never acceptable.
+    /// Panics if `features` is dense and has fewer columns than the model's
+    /// feature count ([`fits_width`]).
     pub fn predict_raw(&self, features: &FeatureMatrix) -> Vec<f32> {
-        self.check_features(features.n_cols());
+        self.check_matrix(features);
         self.scores(Input::Features(features), features.n_rows())
     }
 
@@ -117,7 +116,7 @@ impl<'a> Predictor<'a> {
     /// # Panics
     /// Panics if `store` has fewer features than the model expects.
     pub fn predict_raw_store(&self, store: &dyn QuantStore) -> Vec<f32> {
-        self.check_features(store.n_features());
+        self.check_features(store.n_features(), false);
         let stride = self.forest.n_groups;
         let mut out = self.base_filled(store.n_rows());
         // Scoring reads rows: the row layout is made here, not by the first
@@ -146,7 +145,7 @@ impl<'a> Predictor<'a> {
     /// # Panics
     /// Panics if `rows` has fewer columns than the model's feature count.
     pub fn predict_raw_bin_rows(&self, rows: &BinRows<'_>) -> Vec<f32> {
-        self.check_features(rows.n_cols);
+        self.check_features(rows.n_cols, false);
         self.scores(Input::Bins(rows), rows.n_rows)
     }
 
@@ -168,8 +167,8 @@ impl<'a> Predictor<'a> {
     ///
     /// # Panics
     /// Panics if `preds.len() != features.n_rows() * stride`,
-    /// `offset + n_groups > stride`, or `features` is narrower than the
-    /// model's feature count.
+    /// `offset + n_groups > stride`, or `features` is dense and narrower
+    /// than the model's feature count.
     pub fn accumulate_raw(
         &self,
         features: &FeatureMatrix,
@@ -177,7 +176,7 @@ impl<'a> Predictor<'a> {
         stride: usize,
         offset: usize,
     ) {
-        self.check_features(features.n_cols());
+        self.check_matrix(features);
         let n = features.n_rows();
         assert_eq!(preds.len(), n * stride, "prediction buffer shape mismatch");
         assert!(offset + self.forest.n_groups() <= stride, "group offset out of range");
@@ -186,12 +185,15 @@ impl<'a> Predictor<'a> {
         });
     }
 
-    /// The feature-count guard shared by every scoring entry point. Wider
-    /// matrices are fine (extra columns are ignored, matching the CLI);
-    /// narrower ones would silently route on the wrong cells.
-    fn check_features(&self, n_cols: usize) {
+    fn check_matrix(&self, features: &FeatureMatrix) {
+        self.check_features(features.n_cols(), matches!(features, FeatureMatrix::Sparse(_)));
+    }
+
+    /// The feature-count guard shared by every scoring entry point:
+    /// [`fits_width`] or a panic.
+    fn check_features(&self, n_cols: usize, sparse: bool) {
         assert!(
-            n_cols >= self.forest.n_features,
+            fits_width(n_cols, sparse, self.forest.n_features),
             "feature count mismatch: input has {} columns but the model expects {}",
             n_cols,
             self.forest.n_features
@@ -252,4 +254,17 @@ impl<'a> Predictor<'a> {
             }
         }
     }
+}
+
+/// The one input-width rule: whether input of `n_cols` columns can be scored
+/// by a model over `n_features` features. Every scoring entry point asserts
+/// it; the trainer's eval set and the CLI's `predict` and `eval` check it
+/// first. Wider input is fine (extra columns are ignored). Narrower dense
+/// or binned input is not: a row would route on the wrong cells (a dense
+/// row reads the next row's). Narrower `sparse` input is: the columns past
+/// its width are absent, so missing, and the CSR walk sends a missing cell
+/// the split's default direction, exactly as for the same rows at full
+/// width.
+pub fn fits_width(n_cols: usize, sparse: bool, n_features: usize) -> bool {
+    sparse || n_cols >= n_features
 }

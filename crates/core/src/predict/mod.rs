@@ -35,7 +35,7 @@ mod flat;
 mod kernel;
 
 pub(crate) use check::check_model;
-pub use driver::{BinRows, Predictor, DEFAULT_ROW_BLOCK};
+pub use driver::{fits_width, BinRows, Predictor, DEFAULT_ROW_BLOCK};
 pub use flat::FlatForest;
 
 use harp_binning::QuantStore;

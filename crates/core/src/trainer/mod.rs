@@ -39,11 +39,13 @@
 mod async_mode;
 mod drivers;
 mod frontier;
+mod metric;
 mod telemetry;
 
 pub use drivers::{
     expand, DerivedSibling, DriverCtx, DriverScratch, SplitSearch, TileJob, TileOutcome,
 };
+pub use metric::EvalMetric;
 
 use crate::ensemble::GbdtModel;
 use crate::hist::{HistPool, StaleHist};
@@ -53,7 +55,7 @@ use crate::split::SplitSettings;
 use crate::tree::{NodeId, NodeStats, Tree};
 use frontier::{Children, Claim, Frontier};
 use harp_binning::{sweep_chunks, BinningConfig, QuantStore, QuantizedMatrix, Rows, MISSING_BIN};
-use harp_data::{CsrMatrix, Dataset, FeatureMatrix};
+use harp_data::{Dataset, FeatureMatrix};
 use harp_metrics::{
     BreakdownReport, ConvergenceTrace, LedgerRecord, MemTable, RunLedger, WorkerSkewReport,
 };
@@ -61,124 +63,9 @@ use harp_parallel::{
     PhaseClock, PhaseSpan, Profile, ProfileReport, SpinMutex, SpinMutexGuard, ThreadPool,
     TracePhase, TraceSink, TraceSnapshot,
 };
-use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 use telemetry::{RoundLedger, Totals};
-
-/// Validation metric for the eval set.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EvalMetric {
-    /// Area under the ROC curve (higher is better). Binary only.
-    Auc,
-    /// Binary cross-entropy (lower is better).
-    LogLoss,
-    /// Root mean squared error (lower is better).
-    Rmse,
-    /// Multiclass cross-entropy (lower is better). Softmax only.
-    MulticlassLogLoss,
-    /// Multiclass argmax error rate (lower is better). Softmax only.
-    MulticlassError,
-    /// Pinball (quantile) loss at `alpha` (lower is better).
-    Pinball {
-        /// Target quantile in `(0, 1)`.
-        alpha: f32,
-    },
-    /// Mean Tweedie deviance at variance power `power` (lower is better).
-    TweedieDeviance {
-        /// Variance power in `(1, 2)`.
-        power: f32,
-    },
-    /// Mean Huber loss with transition width `delta` (lower is better).
-    HuberLoss {
-        /// Quadratic/linear transition width.
-        delta: f32,
-    },
-    /// Mean NDCG truncated at `k` over query groups (higher is better).
-    /// Requires the eval dataset to carry query-group sizes.
-    NdcgAt {
-        /// Truncation depth.
-        k: u32,
-    },
-}
-
-impl EvalMetric {
-    /// Whether larger values of this metric are better.
-    pub fn higher_is_better(self) -> bool {
-        matches!(self, EvalMetric::Auc | EvalMetric::NdcgAt { .. })
-    }
-
-    /// Short stable name for reports and ledgers (e.g. `"auc"`,
-    /// `"pinball@0.9"`, `"ndcg@10"`).
-    pub fn name(self) -> String {
-        match self {
-            EvalMetric::Auc => "auc".into(),
-            EvalMetric::LogLoss => "logloss".into(),
-            EvalMetric::Rmse => "rmse".into(),
-            EvalMetric::MulticlassLogLoss => "mlogloss".into(),
-            EvalMetric::MulticlassError => "merror".into(),
-            EvalMetric::Pinball { alpha } => format!("pinball@{alpha}"),
-            EvalMetric::TweedieDeviance { power } => format!("tweedie-deviance@{power}"),
-            EvalMetric::HuberLoss { delta } => format!("huber@{delta}"),
-            EvalMetric::NdcgAt { k } => format!("ndcg@{k}"),
-        }
-    }
-
-    /// Computes the metric from row-major raw scores (`n_rows × n_groups`).
-    /// `query_groups` carries consecutive group sizes for ranking metrics
-    /// (ignored by the others).
-    ///
-    /// # Panics
-    /// Panics when the metric does not fit the loss's group count, or for
-    /// [`EvalMetric::NdcgAt`] without query groups.
-    pub fn compute(
-        self,
-        labels: &[f32],
-        raw: &[f32],
-        model_loss: crate::params::LossKind,
-        query_groups: Option<&[u32]>,
-    ) -> f64 {
-        let groups = model_loss.n_groups();
-        match self {
-            EvalMetric::Auc => {
-                assert_eq!(groups, 1, "AUC requires a binary/scalar loss");
-                harp_metrics::auc(labels, raw)
-            }
-            EvalMetric::LogLoss => {
-                assert_eq!(groups, 1, "LogLoss requires a binary loss");
-                let probs = model_loss.transform_scores(raw);
-                harp_metrics::log_loss(labels, &probs)
-            }
-            EvalMetric::Rmse => {
-                assert_eq!(groups, 1, "RMSE requires a scalar loss");
-                harp_metrics::rmse(labels, raw)
-            }
-            EvalMetric::MulticlassLogLoss => {
-                let probs = model_loss.transform_scores(raw);
-                harp_metrics::multiclass_log_loss(labels, &probs, groups)
-            }
-            EvalMetric::MulticlassError => harp_metrics::multiclass_error(labels, raw, groups),
-            EvalMetric::Pinball { alpha } => {
-                assert_eq!(groups, 1, "pinball requires a scalar loss");
-                harp_metrics::pinball_loss(labels, raw, alpha)
-            }
-            EvalMetric::TweedieDeviance { power } => {
-                assert_eq!(groups, 1, "tweedie deviance requires a scalar loss");
-                let mu = model_loss.transform_scores(raw);
-                harp_metrics::tweedie_deviance(labels, &mu, power)
-            }
-            EvalMetric::HuberLoss { delta } => {
-                assert_eq!(groups, 1, "huber loss requires a scalar loss");
-                harp_metrics::huber_loss(labels, raw, delta)
-            }
-            EvalMetric::NdcgAt { k } => {
-                assert_eq!(groups, 1, "ndcg requires a scalar loss");
-                let qg = query_groups.expect("ndcg@k needs query-group sizes on the eval dataset");
-                harp_metrics::ndcg_at_k(labels, raw, qg, k as usize)
-            }
-        }
-    }
-}
 
 /// Validation configuration.
 pub struct EvalOptions<'a> {
@@ -213,10 +100,9 @@ pub struct Diagnostics {
     pub breakdown: BreakdownReport,
     /// Pool profile (Tables I/VI metrics).
     pub profile: ProfileReport,
-    /// Validation trace, when an eval set was provided.
+    /// Validation trace, when an eval set was provided; its
+    /// [`best_point`](ConvergenceTrace::best_point) is the best round.
     pub trace: Option<ConvergenceTrace>,
-    /// Iteration with the best validation metric.
-    pub best_iteration: Option<usize>,
     /// Per-tree shapes.
     pub tree_shapes: Vec<TreeShape>,
     /// Span ledger snapshot, when `TrainParams::trace` was enabled. Export
@@ -251,29 +137,6 @@ pub struct TrainOutput {
     pub model: GbdtModel,
     /// Measurements.
     pub diagnostics: Diagnostics,
-}
-
-/// The eval features at the training data's width `width`. A sparse matrix
-/// may be narrower (LIBSVM takes the width from the highest index present):
-/// its absent columns are missing, so each split on one follows its default
-/// direction, and it is widened. A narrower dense matrix has no such reading.
-fn eval_features_at(
-    features: &FeatureMatrix,
-    width: usize,
-) -> Result<Cow<'_, FeatureMatrix>, String> {
-    match features {
-        f if f.n_cols() >= width => Ok(Cow::Borrowed(f)),
-        FeatureMatrix::Sparse(m) => {
-            let (indptr, indices, values) = m.parts();
-            let (indptr, indices, values) = (indptr.to_vec(), indices.to_vec(), values.to_vec());
-            let m = CsrMatrix::from_parts(m.n_rows(), width, indptr, indices, values);
-            Ok(Cow::Owned(FeatureMatrix::Sparse(m)))
-        }
-        FeatureMatrix::Dense(m) => Err(format!(
-            "eval data rejected: it has {} features but the training data has {width}",
-            m.n_cols()
-        )),
-    }
 }
 
 /// The HarpGBDT trainer.
@@ -315,12 +178,14 @@ impl GbdtTrainer {
         self.try_train_with_eval(dataset, eval).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Like [`train_with_eval`](Self::train_with_eval) but with the
-    /// objective's data validation surfaced as an error instead of a panic
-    /// (bad labels, missing query groups) — the CLI-friendly entry point.
+    /// Like [`train_with_eval`](Self::train_with_eval) but with the data
+    /// checks surfaced as an error instead of a panic (bad labels, missing
+    /// query groups, an eval metric that does not fit) — the CLI-friendly
+    /// entry point.
     ///
     /// # Errors
-    /// Returns the objective's validation message for unusable data.
+    /// Returns [`try_train_store_grouped`](Self::try_train_store_grouped)'s
+    /// message for unusable data.
     pub fn try_train_with_eval(
         &self,
         dataset: &Dataset,
@@ -365,9 +230,12 @@ impl GbdtTrainer {
     /// Returns a message for unusable data: more rows than one
     /// [`RowPartition`] holds, a label, weight or query-group count that does
     /// not match `store.n_rows()`, a weight that is not finite and
-    /// non-negative, whatever the objective's own validation rejects, or a
-    /// dense eval matrix narrower than `store` (a narrower sparse one is
-    /// widened: its absent columns are missing).
+    /// non-negative, whatever the objective's own validation rejects, an
+    /// eval metric that does not fit the objective or the eval set
+    /// ([`EvalMetric::check`]), or a dense eval matrix narrower than `store`
+    /// ([`fits_width`](crate::predict::fits_width): a narrower sparse one is
+    /// scored as it is, its absent columns missing). Each is rejected
+    /// before any tree is built.
     pub fn try_train_store_grouped(
         &self,
         store: &dyn QuantStore,
@@ -407,15 +275,24 @@ impl GbdtTrainer {
             ));
         }
         if let Some(e) = &eval {
+            let (rows, grouped) = (e.data.n_rows(), e.data.query_groups.is_some());
+            e.metric
+                .check(params.loss, rows, grouped)
+                .map_err(|err| format!("eval data rejected: {err}"))?;
             params
                 .loss
                 .validate_data(&e.data.labels, e.data.query_groups.as_deref())
                 .map_err(|err| format!("eval data rejected by {}: {err}", params.loss.name()))?;
+            let features = &e.data.features;
+            let sparse = matches!(features, FeatureMatrix::Sparse(_));
+            if !crate::predict::fits_width(features.n_cols(), sparse, qm.n_features()) {
+                return Err(format!(
+                    "eval data rejected: it has {} features but the training data has {}",
+                    features.n_cols(),
+                    qm.n_features()
+                ));
+            }
         }
-        let eval_features = eval
-            .as_ref()
-            .map(|e| eval_features_at(&e.data.features, qm.n_features()))
-            .transpose()?;
         let profile = Arc::new(Profile::new());
         let mut pool = ThreadPool::with_profile(params.n_threads, Arc::clone(&profile));
         // Installed only when tracing is requested; every recording site
@@ -430,10 +307,7 @@ impl GbdtTrainer {
 
         let base_scores = params.loss.base_scores(labels);
         // Row-major n x groups raw scores.
-        let mut preds = vec![0.0f32; n * groups];
-        for r in 0..n {
-            preds[r * groups..(r + 1) * groups].copy_from_slice(&base_scores);
-        }
+        let mut preds = base_scores.repeat(n);
         // The run's byte gauges, written whether or not the ledger reads
         // them.
         let mem = Arc::new(MemTable::default());
@@ -462,19 +336,8 @@ impl GbdtTrainer {
 
         // Evaluation state.
         let mut trace = eval.as_ref().map(|e| ConvergenceTrace::new(e.metric.higher_is_better()));
-        let mut eval_preds: Vec<f32> = eval
-            .as_ref()
-            .map(|e| {
-                let mut p = vec![0.0f32; e.data.n_rows() * groups];
-                for r in 0..e.data.n_rows() {
-                    p[r * groups..(r + 1) * groups].copy_from_slice(&base_scores);
-                }
-                p
-            })
-            .unwrap_or_default();
-        let mut best_metric: Option<f64> = None;
-        let mut best_iteration: Option<usize> = None;
-        let mut evals_since_best = 0usize;
+        let mut eval_preds =
+            eval.as_ref().map_or_else(Vec::new, |e| base_scores.repeat(e.data.n_rows()));
 
         let mut trees: Vec<Tree> = Vec::with_capacity(params.n_trees);
         let mut per_tree_secs = Vec::with_capacity(params.n_trees);
@@ -538,8 +401,7 @@ impl GbdtTrainer {
                     if let Some(sink) = sink {
                         predictor = predictor.with_trace(sink);
                     }
-                    let features = eval_features.as_deref().expect("set with `eval`");
-                    predictor.accumulate_raw(features, &mut eval_preds, groups, group);
+                    predictor.accumulate_raw(&e.data.features, &mut eval_preds, groups, group);
                 }
                 if (iter + 1) % e.every.max(1) == 0 || iter + 1 == params.n_trees {
                     let metric = e.metric.compute(
@@ -548,32 +410,11 @@ impl GbdtTrainer {
                         params.loss,
                         e.data.query_groups.as_deref(),
                     );
-                    if let Some(tr) = &mut trace {
-                        tr.record(iter + 1, train_secs, metric);
-                    }
+                    let trace = trace.as_mut().expect("set with `eval`");
+                    let improved = trace.record(iter + 1, train_secs, metric);
                     round_metric = Some(metric);
-                    let improved = match best_metric {
-                        None => true,
-                        Some(b) => {
-                            if e.metric.higher_is_better() {
-                                metric > b
-                            } else {
-                                metric < b
-                            }
-                        }
-                    };
-                    if improved {
-                        best_metric = Some(metric);
-                        best_iteration = Some(iter + 1);
-                        evals_since_best = 0;
-                    } else {
-                        evals_since_best += 1;
-                        if let Some(rounds) = e.early_stopping_rounds {
-                            if evals_since_best >= rounds {
-                                stop = true;
-                            }
-                        }
-                    }
+                    stop = !improved
+                        && e.early_stopping_rounds.is_some_and(|r| trace.evals_since_best() >= r);
                 }
             }
 
@@ -617,7 +458,6 @@ impl GbdtTrainer {
             breakdown: totals.breakdown(),
             profile: totals.counters.report(params.n_threads),
             trace,
-            best_iteration,
             tree_shapes,
             span_trace,
             worker_skew,

@@ -348,7 +348,7 @@ fn eval_trace_and_early_stopping() {
     );
     let trace = out.diagnostics.trace.as_ref().expect("trace recorded");
     assert!(!trace.points().is_empty());
-    assert!(out.diagnostics.best_iteration.is_some());
+    let best = trace.best_point().expect("a best point").iteration;
     // Points are per-iteration and non-decreasing in time.
     let pts = trace.points();
     for w in pts.windows(2) {
@@ -356,7 +356,6 @@ fn eval_trace_and_early_stopping() {
     }
     // If early stopping fired, fewer trees than requested were built.
     if out.model.n_trees() < 30 {
-        let best = out.diagnostics.best_iteration.unwrap();
         assert!(out.model.n_trees() >= best);
     }
 }
@@ -891,4 +890,94 @@ fn a_dp_batch_that_derives_a_sibling_costs_two_regions_and_its_apply_split() {
         big_regions - small_regions,
         big_pooled - small_pooled
     );
+}
+
+/// Every registry objective × every metric, on an eval set with and without
+/// query groups and on a zero-row one: a metric that does not fit is an
+/// `Err` naming it, returned by the up-front checks (no panic after the
+/// first tree), and every other pair trains.
+#[test]
+fn every_objective_and_metric_pair_trains_or_is_rejected_naming_the_metric() {
+    let metrics = [
+        EvalMetric::Auc,
+        EvalMetric::LogLoss,
+        EvalMetric::Rmse,
+        EvalMetric::Error,
+        EvalMetric::MulticlassLogLoss,
+        EvalMetric::MulticlassError,
+        EvalMetric::Pinball { alpha: 0.5 },
+        EvalMetric::TweedieDeviance { power: 1.5 },
+        EvalMetric::HuberLoss { delta: 1.0 },
+        EvalMetric::NdcgAt { k: 10 },
+    ];
+    // A variant missing from `metrics` fails to compile here.
+    let _listed = |m: EvalMetric| match m {
+        EvalMetric::Auc
+        | EvalMetric::LogLoss
+        | EvalMetric::Rmse
+        | EvalMetric::Error
+        | EvalMetric::MulticlassLogLoss
+        | EvalMetric::MulticlassError
+        | EvalMetric::Pinball { .. }
+        | EvalMetric::TweedieDeviance { .. }
+        | EvalMetric::HuberLoss { .. }
+        | EvalMetric::NdcgAt { .. } => (),
+    };
+    // Labels 0/1 suit every objective; the training groups let lambdarank
+    // train, and row-wise objectives ignore them.
+    let (n, width) = (60, 3);
+    let values = (0..n * width).map(|i| ((i * 37) % 101) as f32 / 101.0).collect();
+    let labels: Vec<f32> = (0..n).map(|r| ((r * 7) % 3 == 0) as u8 as f32).collect();
+    let features = FeatureMatrix::Dense(DenseMatrix::from_vec(n, width, values));
+    let data = Dataset::new("pairs", features, labels).with_query_groups(vec![10; 6]);
+    let ungrouped = Dataset { query_groups: None, ..data.clone() };
+    let empty = FeatureMatrix::Dense(DenseMatrix::from_vec(0, width, Vec::new()));
+    let empty = Dataset::new("empty", empty, Vec::new());
+    let evals = [(&data, "grouped"), (&ungrouped, "ungrouped"), (&empty, "zero-row")];
+    let qm = harp_binning::QuantizedMatrix::from_matrix(&data.features, BinningConfig::default());
+    for info in crate::objective::REGISTRY {
+        let spec = LossKind::parse(info.name)
+            .or_else(|_| LossKind::parse(&format!("{}:3", info.name)))
+            .expect("every registry name parses");
+        let params =
+            TrainParams { loss: spec, n_trees: 2, tree_size: 2, n_threads: 1, ..base_params() };
+        let trainer = GbdtTrainer::new(params).unwrap();
+        for metric in metrics {
+            for (eval_data, what) in evals {
+                let case = format!("{} x {} on a {what} eval set", spec.name(), metric.name());
+                let eval = || {
+                    let early_stopping_rounds = None;
+                    Some(EvalOptions { data: eval_data, metric, every: 1, early_stopping_rounds })
+                };
+                let multiclass =
+                    matches!(metric, EvalMetric::MulticlassLogLoss | EvalMetric::MulticlassError);
+                let fits = eval_data.n_rows() > 0
+                    && multiclass == (spec.n_groups() > 1)
+                    && (eval_data.query_groups.is_some()
+                        || !matches!(metric, EvalMetric::NdcgAt { .. }));
+                let got = trainer.try_train_with_eval(&data, eval());
+                let groups = data.query_groups.as_deref();
+                let via_store =
+                    trainer.try_train_store_grouped(&qm, &data.labels, None, groups, eval());
+                if !fits {
+                    let err = got.err().unwrap_or_else(|| panic!("{case}: trained"));
+                    let named =
+                        format!("eval data rejected: metric {} does not fit: ", metric.name());
+                    assert!(err.starts_with(&named), "{case}: {err}");
+                    assert_eq!(via_store.err(), Some(err), "{case}");
+                } else if matches!(spec, LossKind::LambdaRank { .. })
+                    && eval_data.query_groups.is_none()
+                {
+                    // The objective's own rule: its eval set needs groups.
+                    let err = got.err().unwrap_or_else(|| panic!("{case}: trained"));
+                    assert!(err.contains("lambdarank needs query-group sizes"), "{case}: {err}");
+                } else {
+                    let out = got.unwrap_or_else(|e| panic!("{case}: {e}"));
+                    let trace = out.diagnostics.trace.expect("an eval set records a trace");
+                    assert_eq!(trace.points().len(), 2, "{case}");
+                    assert!(via_store.is_ok(), "{case}");
+                }
+            }
+        }
+    }
 }

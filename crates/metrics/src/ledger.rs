@@ -62,7 +62,7 @@ pub struct LedgerRecord {
     pub phase_secs: Vec<(String, f64)>,
     /// Profile-counter deltas this round (scratch/partition alloc + reuse,
     /// hist-cache hits/misses/evictions/trims, histogram builds skipped,
-    /// queue pops/pushes/spin, ...).
+    /// ASYNC queue pops and spin, ...).
     pub counters: Vec<(String, u64)>,
     /// Validation metric computed at the end of this round, when an eval set
     /// was attached and this was an eval round.

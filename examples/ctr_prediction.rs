@@ -44,14 +44,14 @@ fn main() {
             }),
         );
         let trace = out.diagnostics.trace.as_ref().expect("trace");
+        let best = trace.best_point().expect("at least one evaluation");
         let deepest = out.diagnostics.tree_shapes.iter().map(|s| s.max_depth).max().unwrap_or(0);
-        let best_iter = out.diagnostics.best_iteration.unwrap_or(out.model.n_trees());
         println!(
             "{label}: {} trees built, deepest tree {} levels, best valid AUC {:.4} @ iter {}",
             out.model.n_trees(),
             deepest,
-            trace.best().unwrap_or(0.5),
-            best_iter,
+            best.metric,
+            best.iteration,
         );
 
         // Per-round timing and memory come off the run ledger rather than
@@ -80,7 +80,7 @@ fn main() {
 
         // Deploy the model truncated to its best iteration, compiled to
         // the flat inference engine a serving path would hold on to.
-        let deployable = out.model.truncated(best_iter).compile();
+        let deployable = out.model.truncated(best.iteration).compile();
         let preds = deployable.predict(&valid.features);
         println!(
             "  deployed (truncated to {} trees): valid AUC {:.4}, log-loss {:.4}",
