@@ -30,6 +30,8 @@ pub struct SharedBytes {
 // SAFETY: the buffer is immutable and its backing is `Send + Sync`; the raw
 // pointer is only a pre-resolved view into that backing.
 unsafe impl Send for SharedBytes {}
+// SAFETY: as for `Send`: nothing writes through the view, so any number of
+// threads may read it at once.
 unsafe impl Sync for SharedBytes {}
 
 impl SharedBytes {

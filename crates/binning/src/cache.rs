@@ -420,6 +420,8 @@ mod map {
 
     // SAFETY: the mapping is read-only and lives until Drop.
     unsafe impl Send for Mmap {}
+    // SAFETY: as for `Send`: nothing writes to a read-only mapping, so any
+    // number of threads may read it at once.
     unsafe impl Sync for Mmap {}
 
     impl Mmap {

@@ -140,6 +140,8 @@ struct ScatterSlice<'a, T> {
 // `write`, whose callers promise that no two threads name the same index, so
 // no element is ever accessed from two threads at once.
 unsafe impl<T: Send> Send for ScatterSlice<'_, T> {}
+// SAFETY: as for `Send`: a shared `ScatterSlice` hands out only `write`, and
+// its callers keep each index to one thread.
 unsafe impl<T: Send> Sync for ScatterSlice<'_, T> {}
 
 impl<'a, T> ScatterSlice<'a, T> {

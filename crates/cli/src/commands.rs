@@ -458,6 +458,7 @@ pub fn eval(args: &[String]) -> Result<String, String> {
     let qg = data.query_groups.as_deref();
     for metric in &metrics {
         metric.check(spec, data.n_rows(), qg.is_some())?;
+        metric.check_labels(spec, &data.labels)?;
     }
     let raw = predict_raw_threaded(&opts, &model.compile(), &data)?;
     let mut out = String::new();

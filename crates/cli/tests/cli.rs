@@ -510,3 +510,25 @@ fn eval_rejects_a_metric_that_does_not_fit_the_model() {
         assert!(err.contains(want), "{model} {metric}: {err}");
     }
 }
+
+/// A softmax model scored on a label that is not one of its class ids is a
+/// typed error (exit code 2) naming the metric and the row, never a panic.
+#[test]
+fn eval_rejects_a_label_that_is_not_a_class_id_of_the_model() {
+    let testdata = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("testdata/eval");
+    let model = testdata.join("softmax.json");
+    let dir = tmp_dir("eval-class-id");
+    let data = dir.join("labels.csv");
+    std::fs::write(&data, "label,a,b,c,d\n5,0.5,0.5,0.5,0.5\n1,0.1,0.2,0.3,0.4\n").unwrap();
+    for metric in ["auto", "logloss", "error"] {
+        let args = ["eval", "--model", model.to_str().unwrap(), "--data", data.to_str().unwrap()];
+        let out = bin().args(args).args(["--metric", metric]).output().expect("spawn harpgbdt");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{metric}: {err}");
+        assert!(
+            err.contains("does not fit: softmax labels must be class ids 0..3; row 0 has 5"),
+            "{metric}: {err}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -84,6 +84,8 @@ struct SyncBuf<T> {
 // move task its own two destination ranges; a leaf-score task writes only
 // its own leaf's rows.
 unsafe impl<T: Send> Send for SyncBuf<T> {}
+// SAFETY: as for `Send`: a shared `SyncBuf` reaches its elements only through
+// the `unsafe` methods, under the plane discipline above.
 unsafe impl<T: Send + Sync> Sync for SyncBuf<T> {}
 
 impl<T: Copy + Default> SyncBuf<T> {
@@ -655,7 +657,7 @@ impl RowPartition {
     fn move_block(&self, src: Span, block: Range<usize>, left_at: usize, right_at: usize) -> usize {
         let at = src.start + block.start..src.start + block.end;
         let (from, to) = (&self.planes[src.plane], &self.planes[src.plane ^ 1]);
-        // SAFETY (reads): the node's mark pass is complete — inline by
+        // SAFETY: for these reads, the node's mark pass is complete — inline by
         // program order, in a region by the Acquire load of the node's latch
         // — and nothing else writes `src`'s range of its own plane.
         let rows = unsafe { from.rows.slice(at.clone()) };
@@ -698,6 +700,7 @@ impl RowPartition {
         if self.use_membuf {
             for (&row, &g) in rows.iter().zip(grads) {
                 let (dst, row) = next(row);
+                // SAFETY: `dst` is one of the block's own destinations (above).
                 unsafe {
                     to.rows.write(dst, row);
                     to.grads.write(dst, g);
@@ -706,6 +709,7 @@ impl RowPartition {
         } else {
             for &row in rows {
                 let (dst, row) = next(row);
+                // SAFETY: `dst` is one of the block's own destinations (above).
                 unsafe { to.rows.write(dst, row) };
             }
         }

@@ -171,13 +171,30 @@ impl EvalMetric {
         Err(format!("metric {name} does not fit: {broken}"))
     }
 
+    /// Whether the metric can score these labels, once [`check`](Self::check)
+    /// has passed: the multiclass metrics need every label to be a class id
+    /// of the softmax objective (the rule its `validate_data` applies to
+    /// training labels); every other metric scores any label.
+    ///
+    /// # Errors
+    /// Returns a message naming the metric and the first label that is not a
+    /// class id.
+    pub fn check_labels(self, objective: ObjectiveSpec, labels: &[f32]) -> Result<(), String> {
+        match self {
+            Self::MulticlassLogLoss | Self::MulticlassError => objective
+                .validate_data(labels, None)
+                .map_err(|e| format!("metric {} does not fit: {e}", self.name())),
+            _ => Ok(()),
+        }
+    }
+
     /// Computes the metric from row-major raw scores (`n_rows × n_groups`).
     /// `query_groups` carries consecutive group sizes for ranking metrics
     /// (ignored by the others).
     ///
     /// # Panics
-    /// Panics where [`check`](Self::check) would return an error, and on a
-    /// multiclass label that is not a class id.
+    /// Panics where [`check`](Self::check) or
+    /// [`check_labels`](Self::check_labels) would return an error.
     pub fn compute(
         self,
         labels: &[f32],
@@ -285,6 +302,20 @@ mod tests {
             "ndcg@10",
         ];
         assert_eq!(names, want);
+    }
+
+    #[test]
+    fn check_labels_rejects_a_label_that_is_not_a_class_id_for_the_multiclass_metrics() {
+        let softmax = Softmax { n_classes: 3 };
+        for metric in [MulticlassLogLoss, MulticlassError] {
+            assert_eq!(metric.check_labels(softmax, &[0.0, 2.0, 1.0]), Ok(()));
+            for bad in [5.0, -1.0, 1.5, f32::NAN] {
+                let err = metric.check_labels(softmax, &[1.0, bad]).unwrap_err();
+                let want = format!("metric {} does not fit: softmax labels must be", metric.name());
+                assert!(err.starts_with(&want) && err.contains("row 1 has"), "{err}");
+            }
+        }
+        assert_eq!(Rmse.check_labels(SquaredError, &[-7.5, f32::NAN]), Ok(()));
     }
 
     #[test]

@@ -293,6 +293,10 @@ impl GbdtTrainer {
                 ));
             }
         }
+        // Whatever the caller freed before this call (set-up's temporaries,
+        // an earlier run) leaves the resident set here, so the run's peak
+        // counts the bytes some part of the program still holds.
+        release_free_heap();
         let profile = Arc::new(Profile::new());
         let mut pool = ThreadPool::with_profile(params.n_threads, Arc::clone(&profile));
         // Installed only when tracing is requested; every recording site
@@ -467,6 +471,26 @@ impl GbdtTrainer {
             model: GbdtModel::new(trees, base_scores, params.loss, qm.n_features()),
             diagnostics,
         })
+    }
+}
+
+/// Hands the allocator's free pages back to the OS: glibc's
+/// `malloc_trim(0)`, which returns every whole free page of every arena,
+/// not only the top of the main heap that `free` trims on its own. Called
+/// once per training call, after set-up and before the working set is
+/// built; a no-op where the allocator is not glibc's.
+fn release_free_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> std::ffi::c_int;
+        }
+        // SAFETY: `malloc_trim` takes no pointer and touches only memory the
+        // allocator owns and no live allocation uses, under each arena's own
+        // lock, so it is sound at any moment and on any thread, with other
+        // threads allocating or not. Its return value (whether any memory
+        // went back) needs no answer.
+        unsafe { malloc_trim(0) };
     }
 }
 

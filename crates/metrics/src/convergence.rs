@@ -81,11 +81,6 @@ impl ConvergenceTrace {
     pub fn evals_since_best(&self) -> usize {
         self.points.len().saturating_sub(self.best + 1)
     }
-
-    /// Total recorded training time (elapsed time of the last point).
-    pub fn total_time(&self) -> f64 {
-        self.points.last().map_or(0.0, |p| p.elapsed_secs)
-    }
 }
 
 #[cfg(test)]
@@ -114,7 +109,7 @@ mod tests {
     fn empty_trace_behaviour() {
         let t = ConvergenceTrace::new(true);
         assert_eq!(t.best(), None);
-        assert_eq!(t.total_time(), 0.0);
+        assert!(t.points().is_empty() && t.best_point().is_none());
         assert_eq!(t.evals_since_best(), 0);
     }
 
@@ -138,11 +133,5 @@ mod tests {
         let mut t = ConvergenceTrace::new(true);
         t.record(1, 2.0, 0.5);
         t.record(2, 1.0, 0.6);
-    }
-
-    #[test]
-    fn total_time_is_last_point() {
-        let t = trace(&[(1, 1.5, 0.5), (2, 3.5, 0.6)]);
-        assert_eq!(t.total_time(), 3.5);
     }
 }

@@ -57,6 +57,9 @@ pub fn log_loss(labels: &[f32], probs: &[f32]) -> f64 {
 }
 
 /// Fraction of misclassified rows at the 0.5 probability threshold.
+///
+/// # Panics
+/// Panics if the slices have different lengths or `labels` is empty.
 pub fn error_rate(labels: &[f32], probs: &[f32]) -> f64 {
     1.0 - accuracy(labels, probs)
 }
@@ -65,7 +68,7 @@ pub fn error_rate(labels: &[f32], probs: &[f32]) -> f64 {
 ///
 /// # Panics
 /// Panics if the slices have different lengths or `labels` is empty.
-pub fn accuracy(labels: &[f32], probs: &[f32]) -> f64 {
+fn accuracy(labels: &[f32], probs: &[f32]) -> f64 {
     assert_eq!(labels.len(), probs.len(), "labels/probs length mismatch");
     assert!(!labels.is_empty(), "accuracy of empty slice");
     let correct = labels.iter().zip(probs).filter(|&(&y, &p)| (p > 0.5) == (y > 0.5)).count();

@@ -27,8 +27,8 @@ mod slo;
 pub use breakdown::{BreakdownReport, PhaseSkewRow, WorkerSkewReport};
 pub use convergence::{ConvergencePoint, ConvergenceTrace};
 pub use eval::{
-    accuracy, auc, error_rate, huber_loss, log_loss, multiclass_error, multiclass_log_loss,
-    pinball_loss, rmse, tweedie_deviance,
+    auc, error_rate, huber_loss, log_loss, multiclass_error, multiclass_log_loss, pinball_loss,
+    rmse, tweedie_deviance,
 };
 pub use histogram::{AtomicHistogram, HistogramSnapshot, LatencySet};
 pub use ledger::{

@@ -78,6 +78,8 @@ struct Region {
 // in the pool's slot until the next one replaces it, but it has no share
 // left, so `func` is never called again.
 unsafe impl Send for Region {}
+// SAFETY: as for `Send`: a shared `Region` only calls `func`, a `Sync`
+// closure, and claims shares through atomics.
 unsafe impl Sync for Region {}
 
 impl Region {

@@ -24,6 +24,8 @@ pub struct SpinMutex<T: ?Sized> {
 // SAFETY: the lock provides exclusive access to `data`; `T: Send` is required
 // because the value may be dropped / accessed from any thread holding the lock.
 unsafe impl<T: ?Sized + Send> Send for SpinMutex<T> {}
+// SAFETY: as for `Send`: a shared `SpinMutex` reaches `data` only through a
+// guard, and the lock lets one thread hold a guard at a time.
 unsafe impl<T: ?Sized + Send> Sync for SpinMutex<T> {}
 
 /// RAII guard releasing the [`SpinMutex`] on drop.

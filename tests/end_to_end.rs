@@ -93,7 +93,8 @@ fn diagnostics_are_consistent_with_model() {
     let trace = d.trace.as_ref().expect("trace requested");
     assert_eq!(trace.points().len(), res.output.model.n_trees());
     // Trace time is bounded by total training time (eval excluded from both).
-    assert!(trace.total_time() <= d.train_secs * 1.0001);
+    let last = trace.points().last().expect("one point per tree");
+    assert!(last.elapsed_secs <= d.train_secs * 1.0001);
 }
 
 #[test]
