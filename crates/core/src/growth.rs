@@ -176,7 +176,7 @@ mod tests {
     /// Queues `node` at `depth` and `gain` with no histogram and no leaf
     /// budget.
     fn push(q: &mut GrowthQueue, node: NodeId, depth: u32, gain: f64) {
-        let pool = &mut HistPool::new(0, 0, 0, Default::default(), Default::default());
+        let pool = &mut HistPool::new(0, 0, 0, 0, Default::default(), Default::default());
         q.push(Candidate { node, depth, cand: cand(gain), hist: None }, usize::MAX, pool);
     }
 
@@ -208,7 +208,7 @@ mod tests {
         // Two leaves left: of five candidates only the best two can ever
         // pop, and only they stay queued.
         let mut q = GrowthQueue::new(GrowthMethod::Leafwise);
-        let pool = &mut HistPool::new(0, 0, 0, Default::default(), Default::default());
+        let pool = &mut HistPool::new(0, 0, 0, 0, Default::default(), Default::default());
         for i in 0..5 {
             q.push(Candidate { node: i, depth: 0, cand: cand(f64::from(i)), hist: None }, 2, pool);
         }

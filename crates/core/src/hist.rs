@@ -24,9 +24,11 @@
 //! and under the pool's byte budget ([`HIST_CACHE_BYTES`] in training) the
 //! lowest-ranked histogram goes. The pool keeps a node only where the
 //! subtraction is the cheaper way to the node's larger child
-//! ([`min_cached_rows`], one formula for dense and CSR stores): below that
-//! size both children are scanned. [`HistPool::files`] is the same decision
-//! asked ahead of the build, which lets the Exclusive executor
+//! ([`min_cached_rows`], one formula for dense and CSR stores, which on a
+//! dense store prices that child at its smallest, half the node's rows, so
+//! every subtraction it pays for saves at least the cells it reads): below
+//! that size both children are scanned. [`HistPool::files`] is the same
+//! decision asked ahead of the build, which lets the Exclusive executor
 //! (`trainer::drivers`) give a full-width buffer only to a histogram that
 //! can be filed and keep every other one in its schedule slot's scratch.
 //! [`ScratchPool`] is the arena the schedule slots draw their lanes from:
@@ -72,27 +74,38 @@ pub fn lanes(mapper: &harp_binning::BinMapper, features: Range<usize>) -> Range<
 ///
 /// The cached histogram has one reader: `large child = parent − small
 /// child`, a pass over `total_bins` cells that saves the scan of the larger
-/// child — `rows × stored cells per row` cells at most, a row's stored cells
-/// being [`QuantStore::stored_cells`](harp_binning::QuantStore::stored_cells)
+/// child — its rows times the store's stored cells per row, a row's stored
+/// cells being [`QuantStore::stored_cells`](harp_binning::QuantStore::stored_cells)
 /// over the store's rows (the columns of a dense row, the mean entry count
-/// of a CSR row). The histogram is kept only where that
-/// scan is the larger of the two: `rows × stored_cells ÷ n_rows >
-/// total_bins`, one integer formula for every layout. On a wide sparse
-/// matrix that is most of the point: a 4 096-feature histogram of a million
-/// bins is not worth keeping for a node whose rows hold a few thousand
-/// entries. The node's own row count stands in for the larger child's
-/// (between half of it and all of it) because it is what is known when the
-/// histogram is filed, and the same count is at hand when the node is
-/// split, so both ends decide alike — as do all four modes, the rule being
-/// a function of the row count and the store alone.
+/// of a CSR row). The larger child is not known when the histogram is
+/// filed, only the node's own row count, which is at hand again when the
+/// node is split, so both ends decide alike — as do all four modes, the rule
+/// being a function of the row count and the store alone. How that count
+/// prices the larger child depends on the layout:
+///
+/// * dense: at its smallest, half the node's rows. The histogram is kept
+///   only where `rows ÷ 2 × n_features > total_bins`, so every subtraction
+///   the pool pays for saves at least the cells it reads; between that and
+///   the node's full row count a scanned cell costs about what a subtracted
+///   bin does, and the histogram is not worth the memory it holds;
+/// * CSR: at the node's full row count, `rows × stored_cells ÷ n_rows >
+///   total_bins`. An Exclusive column scan of a sparse column costs tens of
+///   subtracted bins per stored entry, so every histogram this holds
+///   already pays, and the halved price would scan the root's larger child.
+///
+/// On a wide sparse matrix the rule is most of the point: a 4 096-feature
+/// histogram of a million bins is not worth keeping for a node whose rows
+/// hold a few thousand entries.
 pub fn min_cached_rows(store: &dyn harp_binning::QuantStore) -> usize {
-    min_rows_out_scanning(store.mapper().total_bins(), store.n_rows(), store.stored_cells())
+    let larger_child_share = if store.is_dense() { 2 } else { 1 };
+    let priced_bins = larger_child_share * u64::from(store.mapper().total_bins());
+    min_rows_out_scanning(priced_bins, store.n_rows(), store.stored_cells())
 }
 
-/// Smallest `rows` with `rows × stored_cells ÷ n_rows > total_bins`:
-/// `⌊total_bins × n_rows ÷ stored_cells⌋ + 1`.
-fn min_rows_out_scanning(total_bins: u32, n_rows: usize, stored_cells: u64) -> usize {
-    (u128::from(total_bins) * n_rows as u128 / u128::from(stored_cells.max(1))) as usize + 1
+/// Smallest `rows` with `rows × stored_cells ÷ n_rows > bins`:
+/// `⌊bins × n_rows ÷ stored_cells⌋ + 1`.
+fn min_rows_out_scanning(bins: u64, n_rows: usize, stored_cells: u64) -> usize {
+    (u128::from(bins) * n_rows as u128 / u128::from(stored_cells.max(1))) as usize + 1
 }
 
 /// Zeroes a histogram buffer.
@@ -175,18 +188,19 @@ pub struct HistPool {
 }
 
 impl HistPool {
-    /// Creates a pool for a dense u8 matrix of `n_features` columns and
-    /// `total_bins` bins with a cache budget of `budget_bytes`, counting its
-    /// cache traffic in `profile` and its bytes in `mem`.
+    /// Creates a pool for a dense matrix of `n_features` columns and
+    /// `total_bins` bins that caches nodes of `min_cached_rows` rows or more,
+    /// with a cache budget of `budget_bytes`, counting its cache traffic in
+    /// `profile` and its bytes in `mem`. Training sizes and rules its pool
+    /// by the store ([`for_store`](Self::for_store)).
     pub fn new(
         total_bins: u32,
         n_features: usize,
+        min_cached_rows: usize,
         budget_bytes: usize,
         profile: Arc<Profile>,
         mem: Arc<MemTable>,
     ) -> Self {
-        // One row stores `n_features` cells.
-        let min_cached_rows = min_rows_out_scanning(total_bins, 1, n_features as u64);
         let width = hist_width(total_bins, n_features);
         Self::with_shape(width, min_cached_rows, budget_bytes, profile, mem)
     }
@@ -469,7 +483,7 @@ pub(crate) mod tests {
 
     #[test]
     fn pool_reuses_buffers_zeroed() {
-        let mut pool = HistPool::new(4, 0, 1 << 20, Arc::default(), Arc::default());
+        let mut pool = HistPool::new(4, 0, 0, 1 << 20, Arc::default(), Arc::default());
         let mut b = pool.alloc().zeroed();
         assert_eq!(b.len(), 8);
         b[3] = 9.0;
@@ -482,9 +496,8 @@ pub(crate) mod tests {
     fn small_nodes_are_declined_not_cached_and_not_looked_up() {
         let (profile, mem) = (Arc::new(Profile::new()), Arc::new(MemTable::default()));
         let mut queue = leafwise();
-        // 64 bins over 4 dense columns: 16 rows scan 64 cells, a tie the
-        // scan wins; 17 rows scan 68 and the subtraction pays.
-        let mut pool = HistPool::new(64, 4, 1 << 20, Arc::clone(&profile), Arc::clone(&mem));
+        // A pool that caches nodes of 17 rows or more.
+        let mut pool = HistPool::new(64, 4, 17, 1 << 20, Arc::clone(&profile), Arc::clone(&mem));
         assert!(!pool.caches(16) && pool.caches(17));
         let buf = pool.alloc().zeroed();
         file(&mut queue, &mut pool, 1, 16, buf, (0, 9.0), UNBOUNDED);
@@ -505,7 +518,7 @@ pub(crate) mod tests {
     fn a_pop_that_takes_nothing_trims_to_the_budget() {
         let profile = Arc::new(Profile::new());
         let mut queue = leafwise();
-        let mut pool = HistPool::new(64, 4, 1 << 20, Arc::clone(&profile), Arc::default());
+        let mut pool = HistPool::new(64, 4, 17, 1 << 20, Arc::clone(&profile), Arc::default());
         // Two leaves left and three candidates: a 3-row node, never cached,
         // ranks first, so the lower of the two cached ones can never pop. It
         // goes with its histogram when it is pushed — not later, when the
@@ -522,54 +535,71 @@ pub(crate) mod tests {
         assert_eq!(c.hist_cache_misses, 0);
     }
 
+    fn quantized(kind: harp_data::DatasetKind, scale: f64) -> harp_binning::QuantizedMatrix {
+        use harp_binning::{BinningConfig, QuantizedMatrix};
+        let d = harp_data::SynthConfig::new(kind, 42).with_scale(scale).generate();
+        QuantizedMatrix::from_matrix(&d.features, BinningConfig::with_max_bins(32))
+    }
+
     #[test]
-    fn min_cached_rows_prices_the_layout() {
-        use harp_binning::{write_cache, BinningConfig, ChunkedStore, QuantStore, QuantizedMatrix};
-        use harp_data::{DatasetKind, SynthConfig};
-        let quantized = |kind| {
-            let d = SynthConfig::new(kind, 42).with_scale(0.02).generate();
-            QuantizedMatrix::from_matrix(&d.features, BinningConfig::with_max_bins(32))
-        };
-        // The one formula, spelled out: the smallest `rows` whose scan reads
-        // more cells than the histogram has bins.
-        let check = |store: &dyn QuantStore, cells_per_row: f64| {
-            let bins = f64::from(store.mapper().total_bins());
-            let min = min_cached_rows(store);
-            assert!(min as f64 * cells_per_row > bins, "{min} rows x {cells_per_row} vs {bins}");
-            assert!((min - 1) as f64 * cells_per_row <= bins, "{} rows already pay", min - 1);
-            min
-        };
+    fn a_dense_store_caches_a_node_only_where_its_larger_child_out_scans_the_subtraction() {
+        use harp_data::DatasetKind;
+        for kind in [DatasetKind::HiggsLike, DatasetKind::CriteoLike, DatasetKind::AirlineLike] {
+            let store = quantized(kind, 0.02);
+            assert!(store.is_dense());
+            let (bins, cols) = (store.mapper().total_bins() as usize, store.n_features());
+            let pool = HistPool::for_store(&store, 1 << 30, Arc::default(), Arc::default());
+            let min = min_cached_rows(&store);
+            assert!(pool.caches(min) && !pool.caches(min - 1), "{kind:?}: the pool reads the rule");
+            // Half of every accepted node's rows out-scan the subtraction, so
+            // its larger child, ⌈rows / 2⌉ rows or more, does too.
+            for rows in min..min + 2 * cols {
+                assert!(pool.caches(rows));
+                assert!(rows * cols > 2 * bins, "{kind:?}: {rows} rows x {cols} vs 2 x {bins}");
+                assert!(rows.div_ceil(2) * cols > bins, "{kind:?}: {rows} rows may not pay");
+            }
+            // The row count just below the threshold does not.
+            assert!((min - 1) * cols <= 2 * bins, "{kind:?}: {} rows already pay", min - 1);
+        }
+    }
 
-        // Dense: the threshold it always was, `total_bins / columns + 1`.
-        let dense = quantized(DatasetKind::HiggsLike);
-        assert!(dense.is_dense());
-        let (bins, cols) = (dense.mapper().total_bins() as usize, dense.n_features());
-        assert_eq!(check(&dense, cols as f64), bins / cols + 1);
-        let pool = HistPool::for_store(&dense, 1 << 30, Arc::default(), Arc::default());
-        assert!(pool.caches(bins / cols + 1) && !pool.caches(bins / cols));
+    #[test]
+    fn a_sparse_store_prices_the_larger_child_at_the_whole_node() {
+        let store = quantized(harp_data::DatasetKind::YfccLike, 0.2);
+        let (n, bins) = (store.n_rows(), u128::from(store.mapper().total_bins()));
+        let entries = store.sparse_csr().expect("CSR storage").1.len() as u128;
+        // The smallest node whose own rows' entries out-number the bins.
+        let min = min_cached_rows(&store);
+        assert_eq!(min as u128, bins * n as u128 / entries + 1);
+        // So the root and its larger child, half the root's rows or more,
+        // are still held.
+        let pool = HistPool::for_store(&store, 1 << 30, Arc::default(), Arc::default());
+        assert!(pool.caches(n) && pool.caches(n.div_ceil(2)), "{min} of {n} rows");
+        assert!(!pool.caches(min - 1));
+    }
 
-        // CSR: a row stores its entries, so the threshold follows density,
-        // not width — and sits far above the dense one of the same shape.
-        let sparse = quantized(DatasetKind::YfccLike);
-        let entries = sparse.sparse_csr().expect("CSR storage").1.len();
-        let min = check(&sparse, entries as f64 / sparse.n_rows() as f64);
-        assert!(min > sparse.mapper().total_bins() as usize / sparse.n_features() + 1);
-
-        // The same CSR data behind a chunk cache decides alike.
-        let path =
-            std::env::temp_dir().join(format!("harp_min_cached_rows_{}.qsc", std::process::id()));
-        write_cache(&sparse, sparse.n_rows() / 3, &path).expect("write cache");
-        let chunked = ChunkedStore::open(&path, u64::MAX).expect("open cache");
-        assert!(chunked.n_chunks() > 1);
-        assert_eq!(min_cached_rows(&chunked), min);
-        drop(chunked);
-        std::fs::remove_file(&path).expect("remove cache");
+    #[test]
+    fn a_chunked_store_caches_what_the_in_core_store_of_its_data_does() {
+        use harp_binning::{write_cache, ChunkedStore, QuantStore};
+        use harp_data::DatasetKind;
+        for (tag, kind) in [("dense", DatasetKind::CriteoLike), ("sparse", DatasetKind::YfccLike)] {
+            let store = quantized(kind, 0.05);
+            let path = std::env::temp_dir()
+                .join(format!("harp_min_cached_rows_{tag}_{}.qsc", std::process::id()));
+            write_cache(&store, store.n_rows() / 3, &path).expect("write cache");
+            let chunked = ChunkedStore::open(&path, u64::MAX).expect("open cache");
+            assert!(chunked.n_chunks() > 1);
+            assert_eq!(chunked.is_dense(), store.is_dense());
+            assert_eq!(min_cached_rows(&chunked), min_cached_rows(&store), "{tag}");
+            drop(chunked);
+            std::fs::remove_file(&path).expect("remove cache");
+        }
     }
 
     #[test]
     fn cache_roundtrip() {
         let mut queue = leafwise();
-        let mut pool = HistPool::new(2, 0, 1 << 20, Arc::default(), Arc::default());
+        let mut pool = HistPool::new(2, 0, 0, 1 << 20, Arc::default(), Arc::default());
         let mut b = pool.alloc().zeroed();
         b[0] = 42.0;
         file(&mut queue, &mut pool, 7, ROWS, b, (0, 1.0), UNBOUNDED);
@@ -582,7 +612,7 @@ pub(crate) mod tests {
     fn cache_evicts_lowest_gain_first() {
         // width = 2 bins -> 4 lanes -> 32 bytes per entry; budget: 2 entries.
         let mut queue = leafwise();
-        let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
+        let mut pool = HistPool::new(2, 0, 0, 64, Arc::default(), Arc::default());
         file(&mut queue, &mut pool, 1, ROWS, vec![1.0; 4], (0, 5.0), UNBOUNDED);
         file(&mut queue, &mut pool, 2, ROWS, vec![2.0; 4], (0, 1.0), UNBOUNDED);
         file(&mut queue, &mut pool, 3, ROWS, vec![3.0; 4], (0, 3.0), UNBOUNDED);
@@ -594,7 +624,7 @@ pub(crate) mod tests {
     #[test]
     fn eviction_skips_stale_heap_entries() {
         let mut queue = leafwise();
-        let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
+        let mut pool = HistPool::new(2, 0, 0, 64, Arc::default(), Arc::default());
         file(&mut queue, &mut pool, 1, ROWS, vec![1.0; 4], (0, 1.0), UNBOUNDED);
         // A popped entry leaves the eviction order with it.
         assert_eq!(split_all(&mut queue, &mut pool), [(1, Some(1.0))]);
@@ -614,7 +644,7 @@ pub(crate) mod tests {
         // from the lowest-ranked entry to the first histogram held, and the
         // survivors must be the 10 highest gains.
         let mut queue = leafwise();
-        let mut pool = HistPool::new(2, 0, 32 * 10, Arc::default(), Arc::default());
+        let mut pool = HistPool::new(2, 0, 0, 32 * 10, Arc::default(), Arc::default());
         for i in 0..1000u32 {
             let buf = vec![f64::from(i); 4];
             file(&mut queue, &mut pool, i, ROWS, buf, (0, f64::from(i)), UNBOUNDED);
@@ -629,7 +659,7 @@ pub(crate) mod tests {
     fn zero_budget_disables_cache() {
         let mem = Arc::new(MemTable::default());
         let mut queue = leafwise();
-        let mut pool = HistPool::new(2, 0, 0, Arc::default(), Arc::clone(&mem));
+        let mut pool = HistPool::new(2, 0, 0, 0, Arc::default(), Arc::clone(&mem));
         let buf = pool.alloc().zeroed();
         file(&mut queue, &mut pool, 1, ROWS, buf, (0, 10.0), UNBOUNDED);
         assert_eq!((queue.len(), queue.held()), (1, 0));
@@ -642,7 +672,7 @@ pub(crate) mod tests {
     fn clear_recycles_everything() {
         let mem = Arc::new(MemTable::default());
         let mut queue = leafwise();
-        let mut pool = HistPool::new(2, 0, 1 << 20, Arc::default(), Arc::clone(&mem));
+        let mut pool = HistPool::new(2, 0, 0, 1 << 20, Arc::default(), Arc::clone(&mem));
         for node in [1, 2] {
             let buf = pool.alloc().zeroed();
             file(&mut queue, &mut pool, node, ROWS, buf, (0, f64::from(node)), UNBOUNDED);
@@ -660,7 +690,7 @@ pub(crate) mod tests {
         // The queue pops equal gains oldest first, so under pressure the
         // newest of a tie is the one to give up — newcomer or resident.
         let mut queue = leafwise();
-        let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
+        let mut pool = HistPool::new(2, 0, 0, 64, Arc::default(), Arc::default());
         file(&mut queue, &mut pool, 1, ROWS, vec![1.0; 4], (0, 2.0), UNBOUNDED);
         file(&mut queue, &mut pool, 2, ROWS, vec![2.0; 4], (0, 2.0), UNBOUNDED);
         // The newest of the tie is refused.
@@ -675,7 +705,7 @@ pub(crate) mod tests {
     fn worst_ranked_newcomer_is_recycled_not_inserted() {
         let (profile, mem) = (Arc::new(Profile::new()), Arc::new(MemTable::default()));
         let mut queue = leafwise();
-        let mut pool = HistPool::new(2, 0, 64, Arc::clone(&profile), Arc::clone(&mem));
+        let mut pool = HistPool::new(2, 0, 0, 64, Arc::clone(&profile), Arc::clone(&mem));
         file(&mut queue, &mut pool, 1, ROWS, vec![1.0; 4], (0, 5.0), UNBOUNDED);
         file(&mut queue, &mut pool, 2, ROWS, vec![2.0; 4], (0, 3.0), UNBOUNDED);
         file(&mut queue, &mut pool, 3, ROWS, vec![3.0; 4], (0, 1.0), UNBOUNDED);
@@ -693,7 +723,7 @@ pub(crate) mod tests {
     fn depthwise_keeps_the_shallower_node() {
         // Depthwise growth pops by depth before gain, and so does eviction.
         let mut queue = GrowthQueue::new(GrowthMethod::Depthwise);
-        let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::default());
+        let mut pool = HistPool::new(2, 0, 0, 64, Arc::default(), Arc::default());
         file(&mut queue, &mut pool, 1, ROWS, vec![1.0; 4], (2, 9.0), UNBOUNDED);
         file(&mut queue, &mut pool, 2, ROWS, vec![2.0; 4], (1, 0.5), UNBOUNDED);
         file(&mut queue, &mut pool, 3, ROWS, vec![3.0; 4], (1, 0.1), UNBOUNDED);
@@ -709,7 +739,7 @@ pub(crate) mod tests {
     fn leaf_budget_caps_the_cache_and_counts_trims() {
         let (profile, mem) = (Arc::new(Profile::new()), Arc::new(MemTable::default()));
         let mut queue = leafwise();
-        let mut pool = HistPool::new(2, 0, 1 << 20, Arc::clone(&profile), Arc::clone(&mem));
+        let mut pool = HistPool::new(2, 0, 0, 1 << 20, Arc::clone(&profile), Arc::clone(&mem));
         for (node, gain) in [(1, 4.0), (2, 1.0), (3, 3.0), (4, 2.0)] {
             file(&mut queue, &mut pool, node, ROWS, vec![0.0; 4], (0, gain), 4);
         }
@@ -783,7 +813,7 @@ pub(crate) mod tests {
         let profile = Arc::new(Profile::new());
         let mut queue = leafwise();
         // 32 bytes/entry, budget for 2 entries.
-        let mut pool = HistPool::new(2, 0, 64, Arc::clone(&profile), Arc::default());
+        let mut pool = HistPool::new(2, 0, 0, 64, Arc::clone(&profile), Arc::default());
         file(&mut queue, &mut pool, 1, ROWS, vec![1.0; 4], (0, 5.0), UNBOUNDED);
         file(&mut queue, &mut pool, 2, ROWS, vec![2.0; 4], (0, 1.0), UNBOUNDED);
         // Node 3 evicts node 2's histogram: two hits, then node 2's miss.
@@ -801,7 +831,7 @@ pub(crate) mod tests {
     fn cache_gauge_high_water_survives_evictions_and_clear() {
         let mem = Arc::new(MemTable::default());
         let mut queue = leafwise();
-        let mut pool = HistPool::new(2, 0, 64, Arc::default(), Arc::clone(&mem));
+        let mut pool = HistPool::new(2, 0, 0, 64, Arc::default(), Arc::clone(&mem));
         let a = pool.alloc().zeroed();
         let b = pool.alloc().zeroed();
         assert_eq!(mem.hist_pool.current(), 64, "two fresh 32-byte buffers");

@@ -22,7 +22,10 @@
 //!   is as exact here as between barriers. Nothing width-sized runs inside:
 //!   a fresh buffer is popped off the free list under the lock and
 //!   zero-filled after it;
-//! * row partition — no lock: each task owns its node's span.
+//! * row partition — no lock: each task owns its node's span;
+//! * driver scratch — one per pool worker, held by the engine for the whole
+//!   training call, so a node task reuses the arena and plan tables its
+//!   worker's earlier tasks grew.
 //!
 //! The frontier is the one work list. An idle worker polls it
 //! (`Frontier::claim_task`), which claims the best candidate there is —
@@ -32,7 +35,7 @@
 //!
 //! [`SpinMutex`]: harp_parallel::SpinMutex
 
-use super::{DriverScratch, TreeEngine};
+use super::TreeEngine;
 
 /// Runs the node-task phase on an open frontier until it is exhausted or
 /// the leaf budget is spent. The node tasks share the engine's frontier as
@@ -44,9 +47,9 @@ pub(super) fn run_async(engine: &TreeEngine<'_>) {
     engine.pool.run_queue(
         || engine.frontier().claim_task(k, &engine.partition),
         |claims, worker| {
-            // The task holds no share of the engine's scratch: it is itself
-            // a pool task.
-            engine.step(claims, Some(worker), &mut DriverScratch::new());
+            // The task holds no share of the barrier loop's scratch (it is
+            // itself a pool task): it expands through its worker's.
+            engine.step(claims, Some(worker), &mut engine.node_scratch[worker].lock());
             engine.frontier().task_done();
         },
     );

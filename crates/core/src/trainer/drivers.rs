@@ -189,9 +189,10 @@ impl DriverCtx<'_> {
 }
 
 /// Caller-held driver scratch: the arena the schedule slots draw their
-/// lanes from and the reusable [`BlockPlan`]. One per training engine; it
-/// survives across frontiers and trees, so steady-state BuildHist allocates
-/// nothing histogram-sized.
+/// lanes from and the reusable [`BlockPlan`]. A training engine holds one
+/// for its barrier batches and one per pool worker for the ASYNC node tasks
+/// that worker runs; each survives across frontiers and trees, so
+/// steady-state BuildHist allocates nothing histogram-sized.
 #[derive(Default)]
 pub struct DriverScratch {
     arena: ScratchPool,

@@ -284,10 +284,13 @@ mod tests {
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
+    /// The fewest rows of a node the test pool caches.
+    const MIN_CACHED_ROWS: usize = 2;
+
     /// A pool of four-feature, four-bin histograms counting into `profile`
-    /// and `mem`: nodes of two rows or more are cached.
+    /// and `mem` that caches nodes of [`MIN_CACHED_ROWS`] rows or more.
     fn pool(profile: &Arc<Profile>, mem: &Arc<MemTable>) -> HistPool {
-        HistPool::new(4, 4, usize::MAX, Arc::clone(profile), Arc::clone(mem))
+        HistPool::new(4, 4, MIN_CACHED_ROWS, usize::MAX, Arc::clone(profile), Arc::clone(mem))
     }
 
     fn params(tree_size: u32) -> TrainParams {

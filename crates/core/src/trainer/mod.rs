@@ -507,6 +507,10 @@ struct TreeEngine<'a> {
     /// The tree being grown, the growth queue, the histogram pool and the
     /// leaf count, behind the lock ASYNC's node tasks share.
     frontier: SpinMutex<Frontier<'a>>,
+    /// One driver scratch per pool worker, for the ASYNC node tasks that
+    /// worker runs: only its own worker locks one, so the lock is never
+    /// contended, and the arena and plan tables outlive the tasks.
+    node_scratch: Vec<SpinMutex<DriverScratch>>,
     settings: SplitSettings,
     /// Per-tree column-subsampling mask; empty = all features allowed.
     feature_mask: Vec<bool>,
@@ -538,6 +542,7 @@ impl<'a> TreeEngine<'a> {
             mem,
             partition: RowPartition::new(qm.n_rows(), max_nodes, params.use_membuf),
             frontier: SpinMutex::new(Frontier::new(params, pool.profile(), hists)),
+            node_scratch: (0..pool.num_threads()).map(|_| SpinMutex::default()).collect(),
             settings: SplitSettings {
                 lambda: params.lambda,
                 gamma: params.gamma,

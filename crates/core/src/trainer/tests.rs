@@ -892,6 +892,38 @@ fn a_dp_batch_that_derives_a_sibling_costs_two_regions_and_its_apply_split() {
     );
 }
 
+/// An ASYNC node task expands through its worker's scratch, which lasts the
+/// training call: a node task plans one schedule slot, so its arena needs at
+/// most one buffer, and each worker allocates it at most once, however many
+/// node tasks follow.
+#[test]
+fn async_node_tasks_reuse_their_workers_scratch() {
+    let data = dataset(DatasetKind::CriteoLike, 0.2);
+    for threads in [1, 2] {
+        let run = |n_trees| {
+            let params = TrainParams {
+                mode: ParallelMode::Async,
+                n_threads: threads,
+                n_trees,
+                tree_size: 7,
+                gamma: 0.0,
+                ..base_params()
+            };
+            train(&data, params).diagnostics.profile.counters
+        };
+        let (one, four) = (run(1), run(4));
+        assert!(four.queue_pops > 3 * one.queue_pops / 2, "T={threads}: too few node tasks");
+        assert!(
+            four.scratch_allocs <= one.scratch_allocs + threads as u64,
+            "T={threads}: {} node tasks allocated {} scratch buffers, one tree's {} allocated {}",
+            four.queue_pops,
+            four.scratch_allocs,
+            one.queue_pops,
+            one.scratch_allocs
+        );
+    }
+}
+
 /// Every registry objective × every metric, on an eval set with and without
 /// query groups and on a zero-row one: a metric that does not fit is an
 /// `Err` naming it, returned by the up-front checks (no panic after the

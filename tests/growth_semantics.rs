@@ -191,7 +191,7 @@ fn split_cand(gain: f64) -> SplitCandidate {
 
 /// Queues `node` with no histogram and no leaf budget.
 fn push(q: &mut GrowthQueue, node: u32, depth: u32, gain: f64) {
-    let pool = &mut HistPool::new(0, 0, 0, Arc::default(), Arc::default());
+    let pool = &mut HistPool::new(0, 0, 0, 0, Arc::default(), Arc::default());
     q.push(Candidate { node, depth, cand: split_cand(gain), hist: None }, usize::MAX, pool);
 }
 
@@ -412,10 +412,15 @@ struct Growth {
     pops: u64,
 }
 
-/// The pool's shape: 64 bins over 4 dense columns, so a node is cached from
-/// `POOL_BINS / POOL_COLS + 1 = 17` rows up.
+/// The pool's shape: 64 bins over 4 dense columns.
 const POOL_BINS: u32 = 64;
 const POOL_COLS: usize = 4;
+
+/// The pool caches a node from this many rows up. The pool is given its
+/// threshold rather than priced from a store (`hist::min_cached_rows`):
+/// these checks are about what a threshold does to filing and lookups, not
+/// where it sits.
+const POOL_MIN_ROWS: usize = 17;
 
 /// Bytes of one such histogram: each bin and each feature's sink cell, two
 /// `f64` lanes each.
@@ -435,7 +440,14 @@ impl Growth {
         let budget = byte_cap.saturating_mul(HIST_BYTES);
         let mut g = Self {
             queue: GrowthQueue::new(method),
-            pool: HistPool::new(POOL_BINS, POOL_COLS, budget, Arc::clone(&profile), Arc::default()),
+            pool: HistPool::new(
+                POOL_BINS,
+                POOL_COLS,
+                POOL_MIN_ROWS,
+                budget,
+                Arc::clone(&profile),
+                Arc::default(),
+            ),
             profile,
             max_leaves,
             leaves: 1,
